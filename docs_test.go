@@ -118,6 +118,7 @@ func TestDocsLinks(t *testing.T) {
 			"the-analytics-plane", "merge-semantics",
 			"pagerank-superstep-wire-flow", "the-csr-scan-substrate",
 			"the-write-path", "streaming-ingest",
+			"what-is-on-disk-what-is-derived",
 		},
 		filepath.Join("docs", "OPERATIONS.md"): {
 			"observability", "metric-reference", "liveness-vs-readiness",
@@ -126,6 +127,7 @@ func TestDocsLinks(t *testing.T) {
 			"reading-a-result-artifact",
 			"analytics-endpoints", "analytics-tuning",
 			"ingest-tuning-and-troubleshooting",
+			"checkpoints-and-restarts",
 		},
 	}
 	for file, want := range required {
@@ -134,6 +136,48 @@ func TestDocsLinks(t *testing.T) {
 			if !a[anchor] {
 				t.Errorf("%s: required section anchor %q missing", file, anchor)
 			}
+		}
+	}
+}
+
+// metricLiteral matches a metric name written as a Go string literal.
+var metricLiteral = regexp.MustCompile(`"(dg_[a-z0-9_]+)"`)
+
+// TestDocsMetricNames keeps the runbook's metric reference true: every
+// metric name the non-test sources under internal/ and cmd/ spell out must
+// be documented in docs/OPERATIONS.md.
+func TestDocsMetricNames(t *testing.T) {
+	ops, err := os.ReadFile(filepath.Join("docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]string{} // metric name -> a file that registers it
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range metricLiteral.FindAllStringSubmatch(string(src), -1) {
+				names[m[1]] = path
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []string{"dg_index_disk_bytes", "dg_index_spine_bytes", "dg_index_checkpoint_bytes", "dg_index_leaves"} {
+		if names[want] == "" {
+			t.Errorf("index gauge %s is not registered anywhere under internal/ or cmd/", want)
+		}
+	}
+	for name, path := range names {
+		if !strings.Contains(string(ops), "`"+name+"`") && !strings.Contains(string(ops), name+"[") && !strings.Contains(string(ops), name+"{") {
+			t.Errorf("%s (in %s) is not documented in docs/OPERATIONS.md", name, path)
 		}
 	}
 }

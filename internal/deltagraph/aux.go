@@ -282,8 +282,7 @@ func (dg *DeltaGraph) GetAuxSnapshot(name string, t graph.Time) (AuxSnapshot, er
 	if t > qt {
 		li := dg.skel.locate(qt)
 		for li < len(dg.skel.leaves)-1 {
-			e := dg.eventEdge(li)
-			evs, err := dg.fetchAuxEvents(e.deltaID, idx)
+			evs, err := dg.fetchAuxEvents(dg.eventEdge(li), idx)
 			if err != nil {
 				return nil, err
 			}
@@ -306,26 +305,32 @@ func (dg *DeltaGraph) GetAuxSnapshot(name string, t graph.Time) (AuxSnapshot, er
 	return aux, nil
 }
 
+// fetchAuxCol loads edge e's column of aux index idx from the store that
+// holds the edge's payload; nil when the column is empty.
+func (dg *DeltaGraph) fetchAuxCol(e *skelEdge, idx int) ([]byte, error) {
+	comp := kvstore.ComponentAuxBase + kvstore.Component(idx)
+	buf, err := dg.payloadStore(e).Get(kvstore.EncodeKey(0, e.deltaID, comp))
+	if err == kvstore.ErrNotFound {
+		return nil, nil
+	}
+	return buf, err
+}
+
 // applyAuxHop applies one plan hop to an aux snapshot.
 func (dg *DeltaGraph) applyAuxHop(aux AuxSnapshot, hop planHop, idx int) error {
-	e := hop.edge
-	comp := kvstore.ComponentAuxBase + kvstore.Component(idx)
-	buf, err := dg.store.Get(kvstore.EncodeKey(0, e.deltaID, comp))
-	if err == kvstore.ErrNotFound {
-		return nil // empty column
-	}
-	if err != nil {
-		return err
-	}
-	switch e.kind {
+	switch e := hop.edge; e.kind {
 	case kindDelta:
+		buf, err := dg.fetchAuxCol(e, idx)
+		if err != nil || buf == nil {
+			return err
+		}
 		d, err := decodeAuxDelta(buf)
 		if err != nil {
 			return err
 		}
 		d.apply(aux)
 	case kindEventFwd:
-		evs, err := decodeAuxEvents(buf)
+		evs, err := dg.fetchAuxEvents(e, idx)
 		if err != nil {
 			return err
 		}
@@ -339,13 +344,9 @@ func (dg *DeltaGraph) applyAuxHop(aux AuxSnapshot, hop planHop, idx int) error {
 }
 
 // fetchAuxEvents loads one eventlist's aux column.
-func (dg *DeltaGraph) fetchAuxEvents(deltaID uint64, idx int) ([]AuxEvent, error) {
-	comp := kvstore.ComponentAuxBase + kvstore.Component(idx)
-	buf, err := dg.store.Get(kvstore.EncodeKey(0, deltaID, comp))
-	if err == kvstore.ErrNotFound {
-		return nil, nil
-	}
-	if err != nil {
+func (dg *DeltaGraph) fetchAuxEvents(e *skelEdge, idx int) ([]AuxEvent, error) {
+	buf, err := dg.fetchAuxCol(e, idx)
+	if err != nil || buf == nil {
 		return nil, err
 	}
 	return decodeAuxEvents(buf)

@@ -1,8 +1,6 @@
 package deltagraph
 
 import (
-	"fmt"
-	"math"
 	"sync"
 
 	"historygraph/internal/delta"
@@ -115,16 +113,14 @@ func (dg *DeltaGraph) makeParentLocked(level int, group []pendingChild, provisio
 		for i := range dg.auxes {
 			auxDeltas[i] = computeAuxDelta(c.aux[i], parentAux[i])
 		}
-		deltaID, sizes, count, err := dg.storeDelta(d, auxDeltas)
+		deltaID, sizes, count, err := dg.storeDelta(d, auxDeltas, provisional)
 		if err != nil {
 			return pendingChild{}, err
 		}
-		idx := dg.skel.addEdge(&skelEdge{from: parentID, to: c.node, kind: kindDelta, deltaID: deltaID, sizes: sizes, counts: count, evIndex: -1})
-		dg.skel.nodes[c.node].parent = parentID
+		idx := dg.skel.addEdge(&skelEdge{from: parentID, to: c.node, kind: kindDelta, deltaID: deltaID, sizes: sizes, counts: count, evIndex: -1, provisional: provisional})
 		node.children = append(node.children, c.node)
 		if provisional {
 			dg.provEdgeIdxs = append(dg.provEdgeIdxs, idx)
-			dg.provDeltaIDs = append(dg.provDeltaIDs, deltaID)
 		}
 	}
 	return pendingChild{node: parentID, snap: parentSnap, aux: parentAux}, nil
@@ -134,7 +130,9 @@ func (dg *DeltaGraph) makeParentLocked(level int, group []pendingChild, provisio
 // fresh one so that every leaf is reachable from the super-root: pending
 // nodes at each level (at most k-1, plus one carried provisional parent)
 // are combined into provisional parents up to a single root, and the
-// super-root → root delta is written.
+// super-root → root delta is written. The spine is a function of pending
+// alone, so its payloads live in dg.spine (memory) and are never persisted:
+// Open calls this again.
 func (dg *DeltaGraph) rebuildSpineLocked() error {
 	dg.clearSpineLocked()
 
@@ -183,16 +181,15 @@ func (dg *DeltaGraph) attachRootLocked(root pendingChild) error {
 	for i := range dg.auxes {
 		auxDeltas[i] = computeAuxDelta(root.aux[i], AuxSnapshot{})
 	}
-	deltaID, sizes, count, err := dg.storeDelta(d, auxDeltas)
+	deltaID, sizes, count, err := dg.storeDelta(d, auxDeltas, true)
 	if err != nil {
 		return err
 	}
-	idx := dg.skel.addEdge(&skelEdge{from: dg.skel.superRoot, to: root.node, kind: kindDelta, deltaID: deltaID, sizes: sizes, counts: count, evIndex: -1})
 	// The super-root edge is torn down with the spine even when the root
 	// node itself is permanent, because a future append can grow a new
 	// root above it.
+	idx := dg.skel.addEdge(&skelEdge{from: dg.skel.superRoot, to: root.node, kind: kindDelta, deltaID: deltaID, sizes: sizes, counts: count, evIndex: -1, provisional: true})
 	dg.provEdgeIdxs = append(dg.provEdgeIdxs, idx)
-	dg.provDeltaIDs = append(dg.provDeltaIDs, deltaID)
 	// Materialization follows the root across spine rebuilds: if the torn
 	// down root was pinned, pin the new one (its content is already in
 	// hand, so this costs no retrieval).
@@ -211,20 +208,16 @@ func (dg *DeltaGraph) attachRootLocked(root pendingChild) error {
 	return nil
 }
 
-// clearSpineLocked removes provisional nodes, edges, and payloads.
+// clearSpineLocked removes provisional nodes and edges and drops their
+// payloads with the store that held them.
 func (dg *DeltaGraph) clearSpineLocked() {
 	for _, idx := range dg.provEdgeIdxs {
 		dg.skel.removeEdge(idx)
 	}
 	dg.provEdgeIdxs = nil
-	for _, id := range dg.provDeltaIDs {
-		dg.deletePayload(id)
-	}
-	dg.provDeltaIDs = nil
+	dg.spine, dg.nextSpineID = kvstore.NewMemStore(), 0
 	for _, nid := range dg.provNodes {
-		// Detach children created under provisional parents.
-		node := dg.skel.nodes[nid]
-		if node.materialized {
+		if dg.skel.nodes[nid].materialized {
 			// Remember to pin the replacement root; release the stale
 			// pool copy.
 			dg.rematRoot = true
@@ -234,13 +227,6 @@ func (dg *DeltaGraph) clearSpineLocked() {
 				}
 			}
 		}
-		for _, c := range node.children {
-			if dg.skel.nodes[c].parent == nid {
-				dg.skel.nodes[c].parent = -1
-			}
-		}
-		node.children = nil
-		node.provisional = false
 		// Remove remaining out-edges (already tombstoned above) and any
 		// materialization bookkeeping.
 		dg.skel.out[nid] = nil
@@ -252,33 +238,49 @@ func (dg *DeltaGraph) clearSpineLocked() {
 
 // --- payload storage -------------------------------------------------
 
-// storeDelta persists a delta's columns (split across partitions) and
-// returns its id, per-component byte sizes, and record count.
-func (dg *DeltaGraph) storeDelta(d *delta.Delta, auxDeltas []auxDelta) (uint64, componentSizes, int, error) {
-	id := dg.allocDeltaID()
+// putCol writes one component of payload (p, id) and adds its size to
+// sizes, which is indexed like kvstore.Component.
+func putCol(store kvstore.Store, p int, id uint64, c kvstore.Component, buf []byte, sizes componentSizes) error {
+	sizes[c] += int64(len(buf))
+	return store.Put(kvstore.EncodeKey(p, id, c), buf)
+}
+
+// putCols writes the non-empty columns of one partition-local delta under
+// (p, id); the structure column also when empty, if always is set.
+func putCols(store kvstore.Store, p int, id uint64, d *delta.Delta, always bool, sizes componentSizes) error {
+	if d.StructLen() > 0 || always {
+		if err := putCol(store, p, id, kvstore.ComponentStruct, delta.EncodeStructCol(d), sizes); err != nil {
+			return err
+		}
+	}
+	if d.NodeAttrLen() > 0 {
+		if err := putCol(store, p, id, kvstore.ComponentNodeAttr, delta.EncodeNodeAttrCol(d), sizes); err != nil {
+			return err
+		}
+	}
+	if d.EdgeAttrLen() > 0 {
+		return putCol(store, p, id, kvstore.ComponentEdgeAttr, delta.EncodeEdgeAttrCol(d), sizes)
+	}
+	return nil
+}
+
+// storeDelta writes a delta's columns (split across partitions) and returns
+// its id, per-component byte sizes, and record count. A provisional delta
+// goes to the memory-resident spine store under an id of the spine's own, so
+// the keys of permanent payloads depend on the history alone, not on how
+// often the spine was rebuilt: replaying events over a reopened index
+// rewrites the same records.
+func (dg *DeltaGraph) storeDelta(d *delta.Delta, auxDeltas []auxDelta, provisional bool) (uint64, componentSizes, int, error) {
+	store, next := dg.store, &dg.nextDeltaID
+	if provisional {
+		store, next = dg.spine, &dg.nextSpineID
+	}
+	id := *next
+	*next++
 	sizes := make(componentSizes, 4+len(dg.auxes))
-	parts := d.Split(dg.opts.Partitions)
-	for p, part := range parts {
-		if part.StructLen() > 0 || dg.opts.Partitions == 1 {
-			buf := delta.EncodeStructCol(part)
-			if err := dg.store.Put(kvstore.EncodeKey(p, id, kvstore.ComponentStruct), buf); err != nil {
-				return 0, nil, 0, err
-			}
-			sizes[0] += int64(len(buf))
-		}
-		if part.NodeAttrLen() > 0 {
-			buf := delta.EncodeNodeAttrCol(part)
-			if err := dg.store.Put(kvstore.EncodeKey(p, id, kvstore.ComponentNodeAttr), buf); err != nil {
-				return 0, nil, 0, err
-			}
-			sizes[1] += int64(len(buf))
-		}
-		if part.EdgeAttrLen() > 0 {
-			buf := delta.EncodeEdgeAttrCol(part)
-			if err := dg.store.Put(kvstore.EncodeKey(p, id, kvstore.ComponentEdgeAttr), buf); err != nil {
-				return 0, nil, 0, err
-			}
-			sizes[2] += int64(len(buf))
+	for p, part := range d.Split(dg.opts.Partitions) {
+		if err := putCols(store, p, id, part, dg.opts.Partitions == 1, sizes); err != nil {
+			return 0, nil, 0, err
 		}
 	}
 	// Aux columns are not node-partitioned (their keys are opaque): they
@@ -287,12 +289,9 @@ func (dg *DeltaGraph) storeDelta(d *delta.Delta, auxDeltas []auxDelta) (uint64, 
 		if ad.empty() {
 			continue
 		}
-		buf := encodeAuxDelta(ad)
-		comp := kvstore.ComponentAuxBase + kvstore.Component(i)
-		if err := dg.store.Put(kvstore.EncodeKey(0, id, comp), buf); err != nil {
+		if err := putCol(store, 0, id, kvstore.ComponentAuxBase+kvstore.Component(i), encodeAuxDelta(ad), sizes); err != nil {
 			return 0, nil, 0, err
 		}
-		sizes[4+i] += int64(len(buf))
 	}
 	return id, sizes, d.Len(), nil
 }
@@ -301,18 +300,9 @@ func (dg *DeltaGraph) storeDelta(d *delta.Delta, auxDeltas []auxDelta) (uint64, 
 // edge-attr and transient events are separate components, plus one aux
 // eventlist per registered index.
 func (dg *DeltaGraph) storeEvents(events graph.EventList, auxEvents [][]AuxEvent) (uint64, componentSizes, int, error) {
-	id := dg.allocDeltaID()
+	id := dg.nextDeltaID
+	dg.nextDeltaID++
 	sizes := make(componentSizes, 4+len(dg.auxes))
-	type colID struct {
-		comp kvstore.Component
-		idx  int
-	}
-	cols := []colID{
-		{kvstore.ComponentStruct, 0},
-		{kvstore.ComponentNodeAttr, 1},
-		{kvstore.ComponentEdgeAttr, 2},
-		{kvstore.ComponentTransient, 3},
-	}
 	// Split events by partition, then by column.
 	byPart := make([][]graph.Event, dg.opts.Partitions)
 	if dg.opts.Partitions == 1 {
@@ -324,36 +314,32 @@ func (dg *DeltaGraph) storeEvents(events graph.EventList, auxEvents [][]AuxEvent
 		}
 	}
 	for p, evs := range byPart {
-		var colEvents [4]graph.EventList
+		var cols [4]graph.EventList // indexed like kvstore.Component
 		for _, ev := range evs {
-			colEvents[eventColumn(ev)] = append(colEvents[eventColumn(ev)], ev)
+			cols[eventColumn(ev)] = append(cols[eventColumn(ev)], ev)
 		}
-		for _, c := range cols {
-			if len(colEvents[c.idx]) == 0 && !(dg.opts.Partitions == 1 && c.idx == 0) {
+		for c, col := range cols {
+			if len(col) == 0 && !(dg.opts.Partitions == 1 && c == 0) {
 				continue
 			}
-			buf := delta.EncodeEvents(colEvents[c.idx])
-			if err := dg.store.Put(kvstore.EncodeKey(p, id, c.comp), buf); err != nil {
+			if err := putCol(dg.store, p, id, kvstore.Component(c), delta.EncodeEvents(col), sizes); err != nil {
 				return 0, nil, 0, err
 			}
-			sizes[c.idx] += int64(len(buf))
 		}
 	}
 	for i, evs := range auxEvents {
 		if len(evs) == 0 {
 			continue
 		}
-		buf := encodeAuxEvents(evs)
-		comp := kvstore.ComponentAuxBase + kvstore.Component(i)
-		if err := dg.store.Put(kvstore.EncodeKey(0, id, comp), buf); err != nil {
+		if err := putCol(dg.store, 0, id, kvstore.ComponentAuxBase+kvstore.Component(i), encodeAuxEvents(evs), sizes); err != nil {
 			return 0, nil, 0, err
 		}
-		sizes[4+i] += int64(len(buf))
 	}
 	return id, sizes, len(events), nil
 }
 
-// eventColumn maps an event to its storage column.
+// eventColumn maps an event to its storage column, numbered like the
+// kvstore.Component that holds it.
 func eventColumn(ev graph.Event) int {
 	switch ev.Type {
 	case graph.SetNodeAttr:
@@ -364,22 +350,6 @@ func eventColumn(ev graph.Event) int {
 		return 3
 	default:
 		return 0
-	}
-}
-
-// deletePayload removes every component of a delta/eventlist id.
-func (dg *DeltaGraph) deletePayload(id uint64) {
-	comps := []kvstore.Component{
-		kvstore.ComponentStruct, kvstore.ComponentNodeAttr,
-		kvstore.ComponentEdgeAttr, kvstore.ComponentTransient,
-	}
-	for i := range dg.auxes {
-		comps = append(comps, kvstore.ComponentAuxBase+kvstore.Component(i))
-	}
-	for p := 0; p < dg.opts.Partitions; p++ {
-		for _, c := range comps {
-			_ = dg.store.Delete(kvstore.EncodeKey(p, id, c))
-		}
 	}
 }
 
@@ -410,22 +380,24 @@ func deltaComps(spec fetchSpec, events bool) []kvstore.Component {
 	return comps
 }
 
-// fetchDelta loads and assembles the requested columns of a delta. When
-// the index is partitioned, both the reads and the decoding run in one
-// goroutine per partition ("machine"), mirroring the paper's distributed
+// decodeCol decodes one stored delta column into d.
+func decodeCol(comp kvstore.Component, buf []byte, d *delta.Delta) error {
+	switch comp {
+	case kvstore.ComponentStruct:
+		return delta.DecodeStructCol(buf, d)
+	case kvstore.ComponentNodeAttr:
+		return delta.DecodeNodeAttrCol(buf, d)
+	default:
+		return delta.DecodeEdgeAttrCol(buf, d)
+	}
+}
+
+// fetchDelta loads and assembles the requested columns of the delta on edge
+// e. When the index is partitioned, both the reads and the decoding run in
+// one goroutine per partition ("machine"), mirroring the paper's distributed
 // retrieval where each machine reconstructs its piece independently.
-func (dg *DeltaGraph) fetchDelta(id uint64, spec fetchSpec) (*delta.Delta, error) {
-	comps := deltaComps(spec, false)
-	parts, err := fetchPerPartition(dg, id, comps, func(comp kvstore.Component, buf []byte, d *delta.Delta) error {
-		switch comp {
-		case kvstore.ComponentStruct:
-			return delta.DecodeStructCol(buf, d)
-		case kvstore.ComponentNodeAttr:
-			return delta.DecodeNodeAttrCol(buf, d)
-		default:
-			return delta.DecodeEdgeAttrCol(buf, d)
-		}
-	})
+func (dg *DeltaGraph) fetchDelta(e *skelEdge, spec fetchSpec) (*delta.Delta, error) {
+	parts, err := fetchPerPartition(dg, e, deltaComps(spec, false), decodeCol)
 	if err != nil {
 		return nil, err
 	}
@@ -436,11 +408,11 @@ func (dg *DeltaGraph) fetchDelta(id uint64, spec fetchSpec) (*delta.Delta, error
 	return out, nil
 }
 
-// fetchEvents loads the requested columns of a leaf-eventlist and returns
-// the merged, chronologically ordered events.
-func (dg *DeltaGraph) fetchEvents(id uint64, spec fetchSpec) (graph.EventList, error) {
+// fetchEvents loads the requested columns of the leaf-eventlist on edge e
+// and returns the merged, chronologically ordered events.
+func (dg *DeltaGraph) fetchEvents(e *skelEdge, spec fetchSpec) (graph.EventList, error) {
 	comps := deltaComps(spec, true)
-	parts, err := fetchPerPartition(dg, id, comps, func(_ kvstore.Component, buf []byte, el *graph.EventList) error {
+	parts, err := fetchPerPartition(dg, e, comps, func(_ kvstore.Component, buf []byte, el *graph.EventList) error {
 		evs, err := delta.DecodeEvents(buf)
 		if err != nil {
 			return err
@@ -459,10 +431,10 @@ func (dg *DeltaGraph) fetchEvents(id uint64, spec fetchSpec) (graph.EventList, e
 	return all, nil
 }
 
-// fetchPerPartition fetches and decodes the named components of payload id
-// from every partition, one goroutine per partition, decoding with decode
-// into a fresh T per partition.
-func fetchPerPartition[T any](dg *DeltaGraph, id uint64, comps []kvstore.Component,
+// fetchPerPartition fetches and decodes the named components of edge e's
+// payload from every partition, one goroutine per partition, decoding with
+// decode into a fresh T per partition.
+func fetchPerPartition[T any](dg *DeltaGraph, e *skelEdge, comps []kvstore.Component,
 	decode func(kvstore.Component, []byte, *T) error) ([]*T, error) {
 
 	P := dg.opts.Partitions
@@ -470,7 +442,7 @@ func fetchPerPartition[T any](dg *DeltaGraph, id uint64, comps []kvstore.Compone
 	fetchOne := func(p int) error {
 		parts[p] = new(T)
 		for _, c := range comps {
-			buf, err := dg.partStore(p).Get(kvstore.EncodeKey(p, id, c))
+			buf, err := dg.payloadStore(e).Get(kvstore.EncodeKey(p, e.deltaID, c))
 			if err != nil {
 				if err == kvstore.ErrNotFound {
 					continue
@@ -507,10 +479,12 @@ func fetchPerPartition[T any](dg *DeltaGraph, id uint64, comps []kvstore.Compone
 	return parts, nil
 }
 
-// partStore returns the store serving partition p.
-func (dg *DeltaGraph) partStore(p int) kvstore.Store {
-	if dg.pstore != nil {
-		return dg.pstore.Part(p)
+// payloadStore returns the store holding edge e's payload: the spine store
+// for a provisional edge, else the index store (which routes a key to its
+// partition itself).
+func (dg *DeltaGraph) payloadStore(e *skelEdge) kvstore.Store {
+	if e.provisional {
+		return dg.spine
 	}
 	return dg.store
 }
@@ -533,18 +507,4 @@ func (dg *DeltaGraph) Flush() error {
 	dg.mu.Lock()
 	defer dg.mu.Unlock()
 	return dg.store.Sync()
-}
-
-// validateInvariant is used by tests: every leaf must be reachable from the
-// super-root after a spine rebuild.
-func (dg *DeltaGraph) validateInvariant() error {
-	dg.mu.RLock()
-	defer dg.mu.RUnlock()
-	dist, _ := dg.skel.shortestPaths(dg.skel.superRoot, selectorFor(graph.AttrOptions{}, nil))
-	for _, leaf := range dg.skel.leaves {
-		if dist[leaf] == math.MaxInt64 {
-			return fmt.Errorf("leaf %d unreachable", leaf)
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package deltagraph
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -8,9 +9,9 @@ import (
 	"historygraph/internal/graphpool"
 )
 
-// Queries must be able to run concurrently with appends and with each
-// other: the index takes the read lock for retrieval and the write lock
-// for appends. Run with -race for full effect.
+// Queries must be able to run concurrently with appends, with checkpoints
+// and with each other: the index takes the read lock for retrieval and for
+// Checkpoint, the write lock for appends. Run with -race for full effect.
 func TestConcurrentQueriesAndAppends(t *testing.T) {
 	events := makeTrace(30, 4000)
 	half := len(events) / 2
@@ -81,13 +82,47 @@ func TestConcurrentQueriesAndAppends(t *testing.T) {
 		}
 	}()
 
+	// Two checkpointers, racing each other, the writer and the readers.
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if err := dg.Checkpoint(); err != nil {
+					errs <- err
+					return
+				}
+				if st := dg.Stats(); st.CheckpointBytes <= 0 || st.SpineBytes <= 0 {
+					errs <- fmt.Errorf("stats after a checkpoint: %+v", st)
+					return
+				}
+			}
+		}()
+	}
+
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
-	// After the dust settles the whole trace must be queryable.
+	// After the dust settles the whole trace must be queryable, and so
+	// must what the last checkpoint caught of it (its newest timestamp
+	// may be split, so probe strictly before that).
 	checkAgainstReference(t, dg, events, allAttrs, probeTimes(events, 7))
+	re, err := Open(Options{Store: dg.Store()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.LastTime() < firstHalfLast {
+		t.Fatalf("reopened index ends at t=%d, before the bulk-built half (t=%d)", re.LastTime(), firstHalfLast)
+	}
+	var probes []graph.Time
+	for _, q := range probeTimes(events, 12) {
+		if q < re.LastTime() {
+			probes = append(probes, q)
+		}
+	}
+	checkAgainstReference(t, re, events, allAttrs, probes)
 }
 
 type errMismatch graph.Time

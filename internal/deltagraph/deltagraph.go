@@ -101,15 +101,20 @@ type pendingChild struct {
 	aux  []AuxSnapshot
 }
 
-// DeltaGraph is the index. It is safe for concurrent use: queries take the
-// read lock; Append, materialization and Flush take the write lock.
+// DeltaGraph is the index. It is safe for concurrent use: queries and
+// Checkpoint take the read lock; Append, materialization and Flush take the
+// write lock.
 type DeltaGraph struct {
-	mu     sync.RWMutex
-	opts   Options
-	skel   *skeleton
-	store  kvstore.Store
-	pstore *kvstore.Partitioned // nil when unpartitioned
-	pool   *graphpool.Pool
+	mu    sync.RWMutex
+	opts  Options
+	skel  *skeleton
+	store kvstore.Store
+	pool  *graphpool.Pool
+	// spine holds the provisional spine's payloads, keyed by ids counted
+	// from nextSpineID. They are derived from pending, replaced wholesale at
+	// every leaf cut and never persisted.
+	spine       *kvstore.MemStore
+	nextSpineID uint64
 
 	nextDeltaID uint64
 
@@ -120,11 +125,10 @@ type DeltaGraph struct {
 	pending   [][]pendingChild
 	batchMode bool // during bulk Build: defer spine construction
 
-	// Provisional spine bookkeeping: nodes/edges/payloads replaced on the
-	// next structural change.
+	// Provisional spine bookkeeping: nodes/edges replaced on the next
+	// structural change.
 	provNodes    []int
 	provEdgeIdxs []int
-	provDeltaIDs []uint64
 	// rematRoot requests pinning the new root after a spine rebuild tore
 	// down a materialized provisional root.
 	rematRoot bool
@@ -135,6 +139,13 @@ type DeltaGraph struct {
 	auxes     []AuxIndex
 	auxCur    []AuxSnapshot
 	auxRecent [][]AuxEvent
+
+	// Checkpoint state (persist.go): ckptMu serializes checkpoints, which
+	// hold mu only for reading; the newest durable checkpoint's payload ids
+	// run from ckptFirstID down to ckptNextID+1.
+	ckptMu                  sync.Mutex
+	ckptFirstID, ckptNextID uint64
+	ckptBytes               atomic.Int64
 
 	// planExecs counts query-plan executions (atomic: bumped under the
 	// read lock by concurrent retrievals). The serving layer uses it to
@@ -152,13 +163,13 @@ func New(opts Options) (*DeltaGraph, error) {
 		skel:        newSkeleton(),
 		store:       opts.Store,
 		pool:        opts.Pool,
+		spine:       kvstore.NewMemStore(),
 		current:     graph.NewSnapshot(),
 		nextDeltaID: 1,
+		ckptFirstID: metaDeltaID - 1,
+		ckptNextID:  metaDeltaID - 1,
 		matGraphs:   make(map[int]graphpool.GraphID),
 		auxes:       opts.AuxIndexes,
-	}
-	if ps, ok := opts.Store.(*kvstore.Partitioned); ok && opts.Partitions > 1 {
-		dg.pstore = ps
 	}
 	dg.skel.superRoot = dg.skel.addNode(&skelNode{level: math.MaxInt32, at: graph.MaxTime})
 	// Leaf 0 is the empty graph "before time": it anchors queries that
@@ -284,12 +295,6 @@ func (dg *DeltaGraph) Store() kvstore.Store { return dg.store }
 
 // Pool returns the attached GraphPool, or nil.
 func (dg *DeltaGraph) Pool() *graphpool.Pool { return dg.pool }
-
-func (dg *DeltaGraph) allocDeltaID() uint64 {
-	id := dg.nextDeltaID
-	dg.nextDeltaID++
-	return id
-}
 
 // auxComponentIDs returns the store components of all registered aux
 // indexes (used by the weight selector and fetch paths).

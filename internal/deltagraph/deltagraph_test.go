@@ -2,6 +2,7 @@ package deltagraph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -69,6 +70,20 @@ func makeTrace(seed int64, n int) graph.EventList {
 }
 
 var allAttrs = graph.MustParseAttrOptions("+node:all+edge:all")
+
+// validateInvariant checks that every leaf is reachable from the super-root
+// (the spine is in place).
+func (dg *DeltaGraph) validateInvariant() error {
+	dg.mu.RLock()
+	defer dg.mu.RUnlock()
+	dist, _ := dg.skel.shortestPaths(dg.skel.superRoot, selectorFor(graph.AttrOptions{}, nil))
+	for _, leaf := range dg.skel.leaves {
+		if dist[leaf] == math.MaxInt64 {
+			return fmt.Errorf("leaf %d unreachable", leaf)
+		}
+	}
+	return nil
+}
 
 // checkAgainstReference compares index retrieval against naive replay at
 // many probe times.

@@ -7,20 +7,25 @@ import (
 
 	"historygraph/internal/delta"
 	"historygraph/internal/graph"
-	"historygraph/internal/graphpool"
 	"historygraph/internal/kvstore"
 )
 
-// Checkpoint/Open persist the in-memory DeltaGraph state — the skeleton,
-// builder state (pending nodes, recent eventlist), and materialization set
-// — into the same key-value store that holds the deltas, so an index can be
-// closed and reopened for querying and further appends.
+// Checkpoint/Open persist the in-memory DeltaGraph state — the permanent
+// skeleton, builder state (pending nodes, recent eventlist, current graph),
+// and materialization set — into the same key-value store that holds the
+// deltas, so an index can be closed and reopened for querying and further
+// appends. A checkpoint is a set of payload records (every graph through the
+// delta column codec, the recent eventlist through the event codec, all in
+// partition 0) followed by one small JSON meta record that names them and is
+// the commit point. The provisional spine is derived from the pending nodes
+// and is rebuilt by Open, not stored.
 
 const (
 	metaDeltaID   = math.MaxUint64
 	metaComponent = kvstore.Component(250)
-	// Version of the checkpoint layout.
-	checkpointVersion = 1
+	// Version of the checkpoint layout. 2: graphs are codec payloads beside
+	// the JSON meta record, and the spine is not stored.
+	checkpointVersion = 2
 )
 
 type persistedNode struct {
@@ -30,13 +35,10 @@ type persistedNode struct {
 	SpanEnd      graph.Time `json:"span_end,omitempty"`
 	Size         int        `json:"size,omitempty"`
 	Children     []int      `json:"children,omitempty"`
-	Parent       int        `json:"parent"`
-	Provisional  bool       `json:"provisional,omitempty"`
 	Materialized bool       `json:"materialized,omitempty"`
 }
 
 type persistedEdge struct {
-	Index   int     `json:"index"`
 	From    int     `json:"from"`
 	To      int     `json:"to"`
 	Kind    uint8   `json:"kind"`
@@ -46,127 +48,184 @@ type persistedEdge struct {
 	EvIndex int     `json:"ev_index"`
 }
 
-type persistedSnapshot struct {
-	Nodes     []graph.NodeID                     `json:"nodes"`
-	Edges     map[graph.EdgeID]graph.EdgeInfo    `json:"edges"`
-	NodeAttrs map[graph.NodeID]map[string]string `json:"node_attrs,omitempty"`
-	EdgeAttrs map[graph.EdgeID]map[string]string `json:"edge_attrs,omitempty"`
-}
-
-func toPersistedSnapshot(s *graph.Snapshot) persistedSnapshot {
-	p := persistedSnapshot{Edges: s.Edges, NodeAttrs: s.NodeAttrs, EdgeAttrs: s.EdgeAttrs}
-	for n := range s.Nodes {
-		p.Nodes = append(p.Nodes, n)
-	}
-	return p
-}
-
-func (p persistedSnapshot) snapshot() *graph.Snapshot {
-	s := graph.NewSnapshot()
-	for _, n := range p.Nodes {
-		s.Nodes[n] = struct{}{}
-	}
-	for e, info := range p.Edges {
-		s.Edges[e] = info
-	}
-	for n, attrs := range p.NodeAttrs {
-		s.NodeAttrs[n] = attrs
-	}
-	for e, attrs := range p.EdgeAttrs {
-		s.EdgeAttrs[e] = attrs
-	}
-	return s
-}
-
 type persistedChild struct {
-	Node int               `json:"node"`
-	Snap persistedSnapshot `json:"snap"`
-	Aux  []AuxSnapshot     `json:"aux,omitempty"`
+	Node   int           `json:"node"`
+	SnapID uint64        `json:"snap_id"` // payload id of the node's graph
+	Aux    []AuxSnapshot `json:"aux,omitempty"`
 }
 
 type persistedIndex struct {
-	Version      int                `json:"version"`
-	LeafSize     int                `json:"leaf_size"`
-	Arity        int                `json:"arity"`
-	Partitions   int                `json:"partitions"`
-	Function     string             `json:"function"`
-	NextDeltaID  uint64             `json:"next_delta_id"`
-	LastTime     graph.Time         `json:"last_time"`
-	SuperRoot    int                `json:"super_root"`
-	Nodes        []persistedNode    `json:"nodes"`
-	Edges        []persistedEdge    `json:"edges"`
-	Leaves       []int              `json:"leaves"`
-	Recent       []graph.Event      `json:"recent,omitempty"`
-	Current      persistedSnapshot  `json:"current"`
-	Pending      [][]persistedChild `json:"pending"`
-	ProvNodes    []int              `json:"prov_nodes,omitempty"`
-	ProvEdgeIdxs []int              `json:"prov_edge_idxs,omitempty"`
-	ProvDeltaIDs []uint64           `json:"prov_delta_ids,omitempty"`
-	AuxNames     []string           `json:"aux_names,omitempty"`
-	AuxCur       []AuxSnapshot      `json:"aux_cur,omitempty"`
-	AuxRecent    [][]AuxEvent       `json:"aux_recent,omitempty"`
+	Version     int             `json:"version"`
+	LeafSize    int             `json:"leaf_size"`
+	Arity       int             `json:"arity"`
+	Partitions  int             `json:"partitions"`
+	Function    string          `json:"function"`
+	NextDeltaID uint64          `json:"next_delta_id"`
+	LastTime    graph.Time      `json:"last_time"`
+	Nodes       []persistedNode `json:"nodes"`
+	Edges       []persistedEdge `json:"edges"`
+	Leaves      []int           `json:"leaves"`
+	// CurrentID is the payload id of the current graph; the recent
+	// eventlist, when not empty, is that payload's transient component.
+	CurrentID uint64             `json:"current_id"`
+	Pending   [][]persistedChild `json:"pending"`
+	// RematRoot: the provisional root was materialized; Open pins the
+	// rebuilt one.
+	RematRoot bool `json:"remat_root,omitempty"`
+	// Payload ids descend from metaDeltaID-1. This checkpoint's are
+	// FirstID down to NextID+1; PrevFirstID down to FirstID+1 were those of
+	// the checkpoint it replaced, deleted once this meta is durable (Open
+	// repeats the delete in case a crash came first).
+	FirstID      uint64        `json:"first_id"`
+	NextID       uint64        `json:"next_id"`
+	PrevFirstID  uint64        `json:"prev_first_id"`
+	PayloadBytes int64         `json:"payload_bytes"`
+	AuxNames     []string      `json:"aux_names,omitempty"`
+	AuxCur       []AuxSnapshot `json:"aux_cur,omitempty"`
+	AuxRecent    [][]AuxEvent  `json:"aux_recent,omitempty"`
 }
 
+var metaKey = kvstore.EncodeKey(0, metaDeltaID, metaComponent)
+
 // Checkpoint persists the index state into the store so Open can restore
-// it. Call it after bulk construction or periodically during appends.
+// it. Call it after bulk construction or periodically during appends. It
+// only reads the index, so queries keep running; appends wait.
 func (dg *DeltaGraph) Checkpoint() error {
-	dg.mu.Lock()
-	defer dg.mu.Unlock()
+	dg.ckptMu.Lock()
+	defer dg.ckptMu.Unlock()
+	dg.mu.RLock()
+	defer dg.mu.RUnlock()
 	pi := persistedIndex{
-		Version:      checkpointVersion,
-		LeafSize:     dg.opts.LeafSize,
-		Arity:        dg.opts.Arity,
-		Partitions:   dg.opts.Partitions,
-		Function:     dg.opts.Function.Name(),
-		NextDeltaID:  dg.nextDeltaID,
-		LastTime:     dg.lastTime,
-		SuperRoot:    dg.skel.superRoot,
-		Leaves:       dg.skel.leaves,
-		Recent:       dg.recent,
-		Current:      toPersistedSnapshot(dg.current),
-		ProvNodes:    dg.provNodes,
-		ProvEdgeIdxs: dg.provEdgeIdxs,
-		ProvDeltaIDs: dg.provDeltaIDs,
-		AuxCur:       dg.auxCur,
-		AuxRecent:    dg.auxRecent,
+		Version:     checkpointVersion,
+		LeafSize:    dg.opts.LeafSize,
+		Arity:       dg.opts.Arity,
+		Partitions:  dg.opts.Partitions,
+		Function:    dg.opts.Function.Name(),
+		NextDeltaID: dg.nextDeltaID,
+		LastTime:    dg.lastTime,
+		Leaves:      dg.skel.leaves,
+		RematRoot:   dg.rematRoot,
+		FirstID:     dg.ckptNextID,
+		NextID:      dg.ckptNextID,
+		PrevFirstID: dg.ckptFirstID,
+		AuxCur:      dg.auxCur,
+		AuxRecent:   dg.auxRecent,
 	}
 	for _, a := range dg.auxes {
 		pi.AuxNames = append(pi.AuxNames, a.Name())
 	}
-	for _, n := range dg.skel.nodes {
-		if n == nil || n.level < 0 {
-			continue
+
+	sizes := make(componentSizes, 4)
+	putGraph := func(s *graph.Snapshot) (uint64, error) {
+		id := pi.NextID
+		pi.NextID--
+		// A checkpoint that a crash cut short may have left columns here.
+		if err := dg.dropPayloads(id, id-1); err != nil {
+			return 0, err
 		}
-		pi.Nodes = append(pi.Nodes, persistedNode{
-			ID: n.id, Level: n.level, At: n.at, SpanEnd: n.spanEnd, Size: n.size,
-			Children: n.children, Parent: n.parent, Provisional: n.provisional,
-			Materialized: n.materialized,
-		})
+		return id, putCols(dg.store, 0, id, delta.FromSnapshot(s), true, sizes)
 	}
-	for i, e := range dg.skel.edges {
-		if e == nil {
-			continue
-		}
-		pi.Edges = append(pi.Edges, persistedEdge{
-			Index: i, From: e.from, To: e.to, Kind: uint8(e.kind),
-			DeltaID: e.deltaID, Sizes: e.sizes, Counts: e.counts, EvIndex: e.evIndex,
-		})
+	var err error
+	if pi.CurrentID, err = putGraph(dg.current); err == nil && len(dg.recent) > 0 {
+		err = putCol(dg.store, 0, pi.CurrentID, kvstore.ComponentTransient, delta.EncodeEvents(dg.recent), sizes)
+	}
+	if err != nil {
+		return err
 	}
 	for _, level := range dg.pending {
 		row := make([]persistedChild, 0, len(level))
 		for _, c := range level {
-			row = append(row, persistedChild{Node: c.node, Snap: toPersistedSnapshot(c.snap), Aux: c.aux})
+			id, err := putGraph(c.snap)
+			if err != nil {
+				return err
+			}
+			row = append(row, persistedChild{Node: c.node, SnapID: id, Aux: c.aux})
 		}
 		pi.Pending = append(pi.Pending, row)
+	}
+	for _, n := range sizes {
+		pi.PayloadBytes += n
+	}
+
+	for _, n := range dg.skel.nodes {
+		if n.level < 0 {
+			continue
+		}
+		if n.provisional {
+			pi.RematRoot = pi.RematRoot || n.materialized
+			continue
+		}
+		pi.Nodes = append(pi.Nodes, persistedNode{
+			ID: n.id, Level: n.level, At: n.at, SpanEnd: n.spanEnd, Size: n.size,
+			Children: n.children, Materialized: n.materialized,
+		})
+	}
+	for _, e := range dg.skel.edges {
+		if e == nil || e.provisional || e.kind == kindMat {
+			continue // the spine and materialization edges are rebuilt by Open
+		}
+		pi.Edges = append(pi.Edges, persistedEdge{
+			From: e.from, To: e.to, Kind: uint8(e.kind),
+			DeltaID: e.deltaID, Sizes: e.sizes, Counts: e.counts, EvIndex: e.evIndex,
+		})
 	}
 	buf, err := json.Marshal(pi)
 	if err != nil {
 		return err
 	}
-	if err := dg.store.Put(kvstore.EncodeKey(0, metaDeltaID, metaComponent), buf); err != nil {
+	// The meta record is the commit point. In one log file it is durable
+	// only if every record before it is; other partitions' files must be
+	// synced first.
+	if dg.opts.Partitions > 1 {
+		if err := dg.store.Sync(); err != nil {
+			return err
+		}
+	}
+	if err := dg.store.Put(metaKey, buf); err != nil {
 		return err
 	}
-	return dg.store.Sync()
+	if err := dg.store.Sync(); err != nil {
+		return err
+	}
+	dg.ckptFirstID, dg.ckptNextID = pi.FirstID, pi.NextID
+	dg.ckptBytes.Store(pi.PayloadBytes + int64(len(buf)))
+	if err := dg.dropPayloads(pi.PrevFirstID, pi.FirstID); err != nil {
+		return fmt.Errorf("deltagraph: checkpoint committed; deleting the one before it: %w", err)
+	}
+	return nil
+}
+
+// dropPayloads deletes the checkpoint payloads with ids from hi down to
+// lo+1 (absent keys are no-ops).
+func (dg *DeltaGraph) dropPayloads(hi, lo uint64) error {
+	for id := hi; id > lo; id-- {
+		for c := kvstore.ComponentStruct; c <= kvstore.ComponentTransient; c++ {
+			if err := dg.store.Delete(kvstore.EncodeKey(0, id, c)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// loadGraph reads a graph payload written by Checkpoint.
+func (dg *DeltaGraph) loadGraph(id uint64) (*graph.Snapshot, error) {
+	d := &delta.Delta{}
+	for c := kvstore.ComponentStruct; c <= kvstore.ComponentEdgeAttr; c++ {
+		buf, err := dg.store.Get(kvstore.EncodeKey(0, id, c))
+		if err == kvstore.ErrNotFound && c != kvstore.ComponentStruct {
+			continue // empty attribute column
+		}
+		if err == nil {
+			err = decodeCol(c, buf, d)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("deltagraph: checkpoint payload %d/%s: %w", id, c, err)
+		}
+	}
+	s := graph.NewSnapshot()
+	d.Apply(s)
+	return s, nil
 }
 
 // Open restores a checkpointed index from the store. The options must
@@ -176,7 +235,7 @@ func Open(opts Options) (*DeltaGraph, error) {
 	if opts.Store == nil {
 		return nil, fmt.Errorf("deltagraph: Open requires a Store")
 	}
-	buf, err := opts.Store.Get(kvstore.EncodeKey(0, metaDeltaID, metaComponent))
+	buf, err := opts.Store.Get(metaKey)
 	if err != nil {
 		return nil, fmt.Errorf("deltagraph: no checkpoint found: %w", err)
 	}
@@ -185,7 +244,9 @@ func Open(opts Options) (*DeltaGraph, error) {
 		return nil, fmt.Errorf("deltagraph: corrupt checkpoint: %w", err)
 	}
 	if pi.Version != checkpointVersion {
-		return nil, fmt.Errorf("deltagraph: unsupported checkpoint version %d", pi.Version)
+		return nil, fmt.Errorf("deltagraph: checkpoint has format v%d, this build reads only v%d: "+
+			"replay the WAL into an empty store, or rebuild the index from its trace with dgload",
+			pi.Version, checkpointVersion)
 	}
 	if len(pi.AuxNames) != len(opts.AuxIndexes) {
 		return nil, fmt.Errorf("deltagraph: checkpoint has %d aux indexes, options provide %d", len(pi.AuxNames), len(opts.AuxIndexes))
@@ -195,104 +256,78 @@ func Open(opts Options) (*DeltaGraph, error) {
 			return nil, fmt.Errorf("deltagraph: aux index %d is %q in checkpoint, %q in options", i, name, opts.AuxIndexes[i].Name())
 		}
 	}
-	fn, err := delta.ByName(pi.Function)
+	if opts.Function, err = delta.ByName(pi.Function); err != nil {
+		return nil, err
+	}
+	opts.LeafSize, opts.Arity, opts.Partitions = pi.LeafSize, pi.Arity, pi.Partitions
+	dg, err := New(opts) // the super-root and the anchor leaf come from here
 	if err != nil {
 		return nil, err
 	}
-	opts.LeafSize = pi.LeafSize
-	opts.Arity = pi.Arity
-	opts.Partitions = pi.Partitions
-	opts.Function = fn
-	if err := opts.fill(); err != nil {
+	dg.lastTime, dg.nextDeltaID, dg.rematRoot = pi.LastTime, pi.NextDeltaID, pi.RematRoot
+	dg.ckptFirstID, dg.ckptNextID = pi.FirstID, pi.NextID
+	dg.ckptBytes.Store(pi.PayloadBytes + int64(len(buf)))
+	if pi.AuxCur != nil {
+		dg.auxCur = pi.AuxCur
+	}
+	if pi.AuxRecent != nil {
+		dg.auxRecent = pi.AuxRecent
+	}
+	if dg.current, err = dg.loadGraph(pi.CurrentID); err != nil {
 		return nil, err
 	}
-
-	dg := &DeltaGraph{
-		opts:         opts,
-		skel:         newSkeleton(),
-		store:        opts.Store,
-		pool:         opts.Pool,
-		current:      pi.Current.snapshot(),
-		recent:       pi.Recent,
-		lastTime:     pi.LastTime,
-		nextDeltaID:  pi.NextDeltaID,
-		matGraphs:    make(map[int]graphpool.GraphID),
-		auxes:        opts.AuxIndexes,
-		auxCur:       pi.AuxCur,
-		auxRecent:    pi.AuxRecent,
-		provNodes:    pi.ProvNodes,
-		provEdgeIdxs: pi.ProvEdgeIdxs,
-		provDeltaIDs: pi.ProvDeltaIDs,
+	buf, err = dg.store.Get(kvstore.EncodeKey(0, pi.CurrentID, kvstore.ComponentTransient))
+	if err == nil {
+		dg.recent, err = delta.DecodeEvents(buf)
 	}
-	if ps, ok := opts.Store.(*kvstore.Partitioned); ok && opts.Partitions > 1 {
-		dg.pstore = ps
-	}
-	if dg.auxCur == nil {
-		dg.auxCur = dg.emptyAux()
-	}
-	if dg.auxRecent == nil {
-		dg.auxRecent = make([][]AuxEvent, len(dg.auxes))
+	if err != nil && err != kvstore.ErrNotFound { // not found: the eventlist was empty
+		return nil, fmt.Errorf("deltagraph: checkpoint recent eventlist: %w", err)
 	}
 
-	// Rebuild the skeleton with original node IDs and edge indices.
-	maxNode := 0
+	// Rebuild the permanent skeleton with its original node IDs.
+	var pinned []int
 	for _, n := range pi.Nodes {
-		if n.ID > maxNode {
-			maxNode = n.ID
+		for len(dg.skel.nodes) <= n.ID {
+			dg.skel.addNode(&skelNode{level: -1}) // tombstone unless restored
+		}
+		if n.ID == dg.skel.superRoot || n.ID == dg.skel.leaves[0] {
+			continue
+		}
+		*dg.skel.nodes[n.ID] = skelNode{id: n.ID, level: n.Level, at: n.At, spanEnd: n.SpanEnd, size: n.Size, children: n.Children}
+		if n.Materialized {
+			pinned = append(pinned, n.ID)
 		}
 	}
-	dg.skel.nodes = make([]*skelNode, maxNode+1)
-	dg.skel.out = make([][]int, maxNode+1)
-	for i := range dg.skel.nodes {
-		dg.skel.nodes[i] = &skelNode{id: i, level: -1} // tombstone by default
-	}
-	for _, n := range pi.Nodes {
-		dg.skel.nodes[n.ID] = &skelNode{
-			id: n.ID, level: n.Level, at: n.At, spanEnd: n.SpanEnd, size: n.Size,
-			children: n.Children, parent: n.Parent, provisional: n.Provisional,
-		}
-	}
-	maxEdge := 0
 	for _, e := range pi.Edges {
-		if e.Index > maxEdge {
-			maxEdge = e.Index
-		}
+		dg.skel.addEdge(&skelEdge{from: e.From, to: e.To, kind: edgeKind(e.Kind), deltaID: e.DeltaID, sizes: e.Sizes, counts: e.Counts, evIndex: e.EvIndex})
 	}
-	dg.skel.edges = make([]*skelEdge, maxEdge+1)
-	for _, e := range pi.Edges {
-		if e.Kind == uint8(kindMat) {
-			continue // materialization edges are recreated below
-		}
-		se := &skelEdge{from: e.From, to: e.To, kind: edgeKind(e.Kind), deltaID: e.DeltaID, sizes: e.Sizes, counts: e.Counts, evIndex: e.EvIndex}
-		dg.skel.edges[e.Index] = se
-		dg.skel.out[e.From] = append(dg.skel.out[e.From], e.Index)
-	}
-	dg.skel.superRoot = pi.SuperRoot
 	dg.skel.leaves = pi.Leaves
 
-	// Restore builder pending state.
+	// Restore builder pending state, and from it the spine.
+	dg.pending = nil
 	for _, level := range pi.Pending {
 		row := make([]pendingChild, 0, len(level))
 		for _, c := range level {
-			aux := c.Aux
-			if aux == nil {
-				aux = dg.emptyAux()
+			snap, err := dg.loadGraph(c.SnapID)
+			if err != nil {
+				return nil, err
 			}
-			row = append(row, pendingChild{node: c.Node, snap: c.Snap.snapshot(), aux: aux})
+			if c.Aux == nil {
+				c.Aux = dg.emptyAux()
+			}
+			row = append(row, pendingChild{node: c.Node, snap: snap, aux: c.Aux})
 		}
 		dg.pending = append(dg.pending, row)
 	}
-
-	// Restore the empty anchor leaf and re-materialize pinned nodes.
-	anchor := dg.skel.nodes[dg.skel.leaves[0]]
-	anchor.materialized = true
-	anchor.matSnapshot = graph.NewSnapshot()
-	dg.skel.addEdge(&skelEdge{from: dg.skel.superRoot, to: anchor.id, kind: kindMat, sizes: make(componentSizes, 4+len(dg.auxes)), evIndex: -1})
-	for _, n := range pi.Nodes {
-		if n.Materialized && n.ID != anchor.id {
-			if err := dg.materializeLocked(n.ID); err != nil {
-				return nil, fmt.Errorf("deltagraph: re-materializing node %d: %w", n.ID, err)
-			}
+	if err := dg.dropPayloads(pi.PrevFirstID, pi.FirstID); err != nil {
+		return nil, err
+	}
+	if err := dg.rebuildSpineLocked(); err != nil {
+		return nil, err
+	}
+	for _, id := range pinned {
+		if err := dg.materializeLocked(id); err != nil {
+			return nil, fmt.Errorf("deltagraph: re-materializing node %d: %w", id, err)
 		}
 	}
 	// Mirror the current graph into the pool.

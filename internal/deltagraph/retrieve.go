@@ -165,19 +165,19 @@ func (dg *DeltaGraph) applyHop(s *graph.Snapshot, hop planHop, spec fetchSpec) e
 		}
 		*s = *node.matSnapshot.Clone()
 	case kindDelta:
-		d, err := dg.fetchDelta(e.deltaID, spec)
+		d, err := dg.fetchDelta(e, spec)
 		if err != nil {
 			return err
 		}
 		d.Apply(s)
 	case kindEventFwd:
-		evs, err := dg.fetchEvents(e.deltaID, spec)
+		evs, err := dg.fetchEvents(e, spec)
 		if err != nil {
 			return err
 		}
 		s.ApplyAll(evs)
 	case kindEventBwd:
-		evs, err := dg.fetchEvents(e.deltaID, spec)
+		evs, err := dg.fetchEvents(e, spec)
 		if err != nil {
 			return err
 		}
@@ -206,7 +206,7 @@ func (dg *DeltaGraph) applyRangeLocked(s *graph.Snapshot, from, to graph.Time, s
 			if e == nil {
 				return fmt.Errorf("deltagraph: missing eventlist %d", li)
 			}
-			evs, err := dg.fetchEvents(e.deltaID, spec)
+			evs, err := dg.fetchEvents(e, spec)
 			if err != nil {
 				return err
 			}
@@ -255,7 +255,7 @@ func (dg *DeltaGraph) applyRangeLocked(s *graph.Snapshot, from, to graph.Time, s
 		if e == nil {
 			return fmt.Errorf("deltagraph: missing eventlist %d", li)
 		}
-		evs, err := dg.fetchEvents(e.deltaID, spec)
+		evs, err := dg.fetchEvents(e, spec)
 		if err != nil {
 			return err
 		}
@@ -483,18 +483,11 @@ func (dg *DeltaGraph) rangeCostLocked(a, b graph.Time, sel weightSelector) int64
 	// Recent tail.
 	lastLeafTime := dg.skel.nodes[dg.skel.leaves[len(dg.skel.leaves)-1]].at
 	if b > lastLeafTime {
-		lo := dg.recent.SearchTime(maxTime(a, lastLeafTime))
+		lo := dg.recent.SearchTime(max(a, lastLeafTime))
 		hi := dg.recent.SearchTime(b)
 		total += int64(hi-lo) * bytesPerRecentEvent
 	}
 	return total
-}
-
-func maxTime(a, b graph.Time) graph.Time {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // IntervalResult is the answer to GetHistGraphInterval: the graph over all
@@ -546,7 +539,7 @@ func (dg *DeltaGraph) GetInterval(ts, te graph.Time, opts graph.AttrOptions) (*I
 		if e == nil {
 			continue
 		}
-		evs, err := dg.fetchEvents(e.deltaID, spec)
+		evs, err := dg.fetchEvents(e, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -744,7 +737,7 @@ func (dg *DeltaGraph) Retrieve(t graph.Time, opts graph.AttrOptions) (graphpool.
 		if baseSize > 0 && float64(p.appliedRecords) <= dg.opts.DependentMaxRatio*float64(baseSize) {
 			exc := delta.Compute(s, opts.FilterSnapshot(baseSnap.Clone()))
 			dg.mu.RUnlock()
-			return dg.pool.OverlayDependent(baseID, exc, t)
+			return dg.pool.OverlayDependent(baseID, exc, t, opts)
 		}
 	}
 	dg.mu.RUnlock()

@@ -41,7 +41,6 @@ type skelNode struct {
 	spanEnd     graph.Time
 	size        int // element count of the node's graph at build time
 	children    []int
-	parent      int // -1 if none (pending or super-root)
 	provisional bool
 	// Materialization state (Section 4.5).
 	materialized bool
@@ -58,6 +57,9 @@ type skelEdge struct {
 	counts   int // total record/event count (plan statistics)
 	// evIndex is the eventlist ordinal for eventlist edges (-1 otherwise).
 	evIndex int
+	// provisional marks a spine edge: its payload is in the DeltaGraph's
+	// memory-resident spine store, not the index store.
+	provisional bool
 }
 
 type skeleton struct {
@@ -75,7 +77,6 @@ func newSkeleton() *skeleton {
 
 func (s *skeleton) addNode(n *skelNode) int {
 	n.id = len(s.nodes)
-	n.parent = -1
 	s.nodes = append(s.nodes, n)
 	s.out = append(s.out, nil)
 	return n.id
@@ -188,11 +189,6 @@ func (w weightSelector) weight(e *skelEdge) int64 {
 // planHop is one step of a retrieval plan.
 type planHop struct {
 	edge *skelEdge
-	// For the final partial eventlist hop:
-	partial  bool
-	upToTime graph.Time // forward: apply events with At <= upToTime
-	fromTime graph.Time // backward: un-apply events with At > fromTime
-	fraction float64    // estimated fraction of the eventlist processed
 }
 
 // dijkstraItem is a priority-queue entry.

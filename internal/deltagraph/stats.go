@@ -12,8 +12,14 @@ type IndexStats struct {
 	// DeltaEdges and EventlistEdges count skeleton edges by kind.
 	DeltaEdges     int
 	EventlistEdges int
-	// DiskBytes is the backing store footprint.
+	// DiskBytes is the backing store footprint: permanent payloads plus
+	// the last checkpoint. The provisional spine is not in it.
 	DiskBytes int64
+	// SpineBytes is the memory-resident provisional spine's payload size.
+	SpineBytes int64
+	// CheckpointBytes is the last checkpoint's payloads plus meta record
+	// (0 until the index is checkpointed, or opened from a checkpoint).
+	CheckpointBytes int64
 	// DeltaBytesByLevel sums delta byte sizes by the level of the edge's
 	// source node (level 1 = parents of leaves); the Section 5.3 models
 	// predict these.
@@ -39,6 +45,8 @@ func (dg *DeltaGraph) Stats() IndexStats {
 	st := IndexStats{
 		Leaves:              len(dg.skel.leaves) - 1,
 		DiskBytes:           dg.store.SizeOnDisk(),
+		SpineBytes:          dg.spine.SizeOnDisk(),
+		CheckpointBytes:     dg.ckptBytes.Load(),
 		DeltaBytesByLevel:   make(map[int]int64),
 		DeltaRecordsByLevel: make(map[int]int),
 		RecentEvents:        len(dg.recent),

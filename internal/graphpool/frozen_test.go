@@ -81,7 +81,7 @@ func TestFrozenViewDependent(t *testing.T) {
 	delete(target.Edges, 1)
 	target.Nodes[99] = struct{}{}
 	d := delta.Compute(target, base)
-	histID, err := p.OverlayDependent(matID, d, 5)
+	histID, err := p.OverlayDependent(matID, d, 5, allAttrs)
 	if err != nil {
 		t.Fatal(err)
 	}

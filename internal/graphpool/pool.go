@@ -82,6 +82,7 @@ type graphEntry struct {
 	kind       GraphKind
 	bit        int // first bit; historical graphs also own bit+1
 	dep        GraphID
+	attrs      graph.AttrOptions // what a dependent graph was retrieved with
 	at         graph.Time
 	released   bool
 	dependents int
@@ -278,8 +279,10 @@ func (p *Pool) OverlayMaterialized(s *graph.Snapshot) GraphID {
 // relative to dep (a materialized graph or the current graph): d is the
 // delta that transforms dep's graph into the snapshot being registered.
 // Only the exception elements are touched — the optimization the bit pair
-// exists for.
-func (p *Pool) OverlayDependent(dep GraphID, d *delta.Delta, at graph.Time) (GraphID, error) {
+// exists for. attrs are the options the snapshot was retrieved with: the
+// dependency may hold attributes the snapshot did not ask for, and views
+// of the new graph must not inherit those.
+func (p *Pool) OverlayDependent(dep GraphID, d *delta.Delta, at graph.Time, attrs graph.AttrOptions) (GraphID, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	depEntry, ok := p.graphs[dep]
@@ -289,7 +292,7 @@ func (p *Pool) OverlayDependent(dep GraphID, d *delta.Delta, at graph.Time) (Gra
 	if depEntry.kind == KindHistorical {
 		return 0, fmt.Errorf("graphpool: dependency must be the current graph or a materialized graph")
 	}
-	entry := &graphEntry{id: p.nextID, kind: KindHistorical, bit: p.allocPair(), dep: dep, at: at}
+	entry := &graphEntry{id: p.nextID, kind: KindHistorical, bit: p.allocPair(), dep: dep, attrs: attrs, at: at}
 	p.nextID++
 	p.graphs[entry.id] = entry
 	depEntry.dependents++

@@ -11,6 +11,8 @@ import (
 
 // buildSnapshot makes a snapshot with nodes 1..n, a chain of edges, and a
 // "name" attribute on every node.
+var allAttrs = graph.MustParseAttrOptions("+node:all+edge:all")
+
 func buildSnapshot(n int) *graph.Snapshot {
 	s := graph.NewSnapshot()
 	for i := 1; i <= n; i++ {
@@ -175,7 +177,7 @@ func TestDependentGraph(t *testing.T) {
 	target.NodeAttrs[2]["name"] = "renamed"
 
 	d := delta.Compute(target, base)
-	histID, err := p.OverlayDependent(matID, d, 55)
+	histID, err := p.OverlayDependent(matID, d, 55, allAttrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +212,52 @@ func TestDependentGraph(t *testing.T) {
 	}
 }
 
+// A dependent graph retrieved without (some) attributes must not show the
+// ones its dependency holds: the exception delta carries none, so they
+// would otherwise be inherited.
+func TestDependentHonoursAttrOptions(t *testing.T) {
+	p := New()
+	base := buildSnapshot(20)
+	matID := p.OverlayMaterialized(base)
+	for _, tc := range []struct {
+		opts      string
+		node, edg bool
+	}{{"", false, false}, {"+node:name", true, false}, {"+node:all-node:name+edge:all", false, true}} {
+		opts := graph.MustParseAttrOptions(tc.opts)
+		target := opts.FilterSnapshot(base.Clone())
+		delete(target.Nodes, 20)
+		delete(target.NodeAttrs, 20)
+		d := delta.Compute(target, opts.FilterSnapshot(base.Clone()))
+		id, err := p.OverlayDependent(matID, d, 7, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _ := p.View(id)
+		if !v.Snapshot().Equal(target) {
+			t.Errorf("%q: dependent view differs from the filtered snapshot", tc.opts)
+		}
+		if _, ok := v.NodeAttr(3, "name"); ok != tc.node {
+			t.Errorf("%q: NodeAttr visible = %v, want %v", tc.opts, ok, tc.node)
+		}
+		if got := v.NodeAttrs(3) != nil; got != tc.node {
+			t.Errorf("%q: NodeAttrs visible = %v, want %v", tc.opts, got, tc.node)
+		}
+		if _, ok := v.EdgeAttr(2, "w"); ok != tc.edg {
+			t.Errorf("%q: EdgeAttr visible = %v, want %v", tc.opts, ok, tc.edg)
+		}
+		if got := v.EdgeAttrs(2) != nil; got != tc.edg {
+			t.Errorf("%q: EdgeAttrs visible = %v, want %v", tc.opts, got, tc.edg)
+		}
+	}
+}
+
 func TestDependentRequiresMaterializedOrCurrent(t *testing.T) {
 	p := New()
 	histID := p.OverlaySnapshot(buildSnapshot(3), 1)
-	if _, err := p.OverlayDependent(histID, &delta.Delta{}, 2); err == nil {
+	if _, err := p.OverlayDependent(histID, &delta.Delta{}, 2, allAttrs); err == nil {
 		t.Error("dependency on a historical graph allowed")
 	}
-	if _, err := p.OverlayDependent(999, &delta.Delta{}, 2); err == nil {
+	if _, err := p.OverlayDependent(999, &delta.Delta{}, 2, allAttrs); err == nil {
 		t.Error("dependency on unknown graph allowed")
 	}
 }
@@ -227,7 +268,7 @@ func TestDependentOnCurrent(t *testing.T) {
 		p.ApplyEvent(graph.Event{Type: graph.AddNode, Node: graph.NodeID(i)})
 	}
 	d := &delta.Delta{DelNodes: []graph.NodeID{10}, AddNodes: []graph.NodeID{11}}
-	id, err := p.OverlayDependent(CurrentGraph, d, 9)
+	id, err := p.OverlayDependent(CurrentGraph, d, 9, allAttrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +396,7 @@ func TestMappingTable(t *testing.T) {
 	p := New()
 	h := p.OverlaySnapshot(buildSnapshot(2), 7)
 	m := p.OverlayMaterialized(buildSnapshot(2))
-	dep, _ := p.OverlayDependent(m, &delta.Delta{}, 9)
+	dep, _ := p.OverlayDependent(m, &delta.Delta{}, 9, allAttrs)
 	rows := p.MappingTable()
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))

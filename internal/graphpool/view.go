@@ -174,15 +174,24 @@ func (v *View) Degree(n graph.NodeID) int {
 	return d
 }
 
-// NodeAttr returns the value of a node attribute in this graph.
-func (v *View) NodeAttr(n graph.NodeID, attr string) (string, bool) {
-	v.p.mu.RLock()
-	defer v.p.mu.RUnlock()
-	pn, ok := v.p.nodes[n]
-	if !ok || !v.p.member(&pn.bm, v.entry) {
-		return "", false
+// admits reports whether this graph may show the named node (else edge)
+// attribute. A dependent graph inherits its dependency's attribute values,
+// so it admits only the names it was retrieved with; an explicit graph
+// holds exactly what was overlaid.
+func (v *View) admits(node bool, name string) bool {
+	switch {
+	case v.entry.dep == NoDependency:
+		return true
+	case node:
+		return v.entry.attrs.WantNodeAttr(name)
 	}
-	for _, av := range pn.attrs[attr] {
+	return v.entry.attrs.WantEdgeAttr(name)
+}
+
+// valueOf picks, among the values of one attribute, the one that belongs to
+// this graph. The caller holds the read lock.
+func (v *View) valueOf(vals []*attrVal) (string, bool) {
+	for _, av := range vals {
 		if v.p.member(&av.bm, v.entry) {
 			return av.val, true
 		}
@@ -190,20 +199,44 @@ func (v *View) NodeAttr(n graph.NodeID, attr string) (string, bool) {
 	return "", false
 }
 
+// attrsOf collects the attributes of one node (else edge) in this graph
+// (nil when there are none). The caller holds the read lock.
+func (v *View) attrsOf(attrs map[string][]*attrVal, node bool) map[string]string {
+	var out map[string]string
+	for name, vals := range attrs {
+		if !v.admits(node, name) {
+			continue
+		}
+		if val, ok := v.valueOf(vals); ok {
+			if out == nil {
+				out = make(map[string]string)
+			}
+			out[name] = val
+		}
+	}
+	return out
+}
+
+// NodeAttr returns the value of a node attribute in this graph.
+func (v *View) NodeAttr(n graph.NodeID, attr string) (string, bool) {
+	v.p.mu.RLock()
+	defer v.p.mu.RUnlock()
+	pn, ok := v.p.nodes[n]
+	if !ok || !v.p.member(&pn.bm, v.entry) || !v.admits(true, attr) {
+		return "", false
+	}
+	return v.valueOf(pn.attrs[attr])
+}
+
 // EdgeAttr returns the value of an edge attribute in this graph.
 func (v *View) EdgeAttr(e graph.EdgeID, attr string) (string, bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	pe, ok := v.p.edges[e]
-	if !ok || !v.p.member(&pe.bm, v.entry) {
+	if !ok || !v.p.member(&pe.bm, v.entry) || !v.admits(false, attr) {
 		return "", false
 	}
-	for _, av := range pe.attrs[attr] {
-		if v.p.member(&av.bm, v.entry) {
-			return av.val, true
-		}
-	}
-	return "", false
+	return v.valueOf(pe.attrs[attr])
 }
 
 // NodeAttrs returns all attributes of n in this graph.
@@ -214,19 +247,7 @@ func (v *View) NodeAttrs(n graph.NodeID) map[string]string {
 	if !ok || !v.p.member(&pn.bm, v.entry) {
 		return nil
 	}
-	out := make(map[string]string)
-	for name, vals := range pn.attrs {
-		for _, av := range vals {
-			if v.p.member(&av.bm, v.entry) {
-				out[name] = av.val
-				break
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return v.attrsOf(pn.attrs, true)
 }
 
 // EdgeAttrs returns all attributes of e in this graph (nil when the edge
@@ -240,19 +261,7 @@ func (v *View) EdgeAttrs(e graph.EdgeID) map[string]string {
 	if !ok || !v.p.member(&pe.bm, v.entry) {
 		return nil
 	}
-	out := make(map[string]string)
-	for name, vals := range pe.attrs {
-		for _, av := range vals {
-			if v.p.member(&av.bm, v.entry) {
-				out[name] = av.val
-				break
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return v.attrsOf(pe.attrs, false)
 }
 
 // Snapshot extracts a full set-based copy of this graph out of the pool.
@@ -265,16 +274,8 @@ func (v *View) Snapshot() *graph.Snapshot {
 			continue
 		}
 		s.Nodes[id] = struct{}{}
-		for name, vals := range pn.attrs {
-			for _, av := range vals {
-				if v.p.member(&av.bm, v.entry) {
-					if s.NodeAttrs[id] == nil {
-						s.NodeAttrs[id] = make(map[string]string)
-					}
-					s.NodeAttrs[id][name] = av.val
-					break
-				}
-			}
+		if attrs := v.attrsOf(pn.attrs, true); attrs != nil {
+			s.NodeAttrs[id] = attrs
 		}
 	}
 	for id, pe := range v.p.edges {
@@ -282,16 +283,8 @@ func (v *View) Snapshot() *graph.Snapshot {
 			continue
 		}
 		s.Edges[id] = pe.info
-		for name, vals := range pe.attrs {
-			for _, av := range vals {
-				if v.p.member(&av.bm, v.entry) {
-					if s.EdgeAttrs[id] == nil {
-						s.EdgeAttrs[id] = make(map[string]string)
-					}
-					s.EdgeAttrs[id][name] = av.val
-					break
-				}
-			}
+		if attrs := v.attrsOf(pe.attrs, false); attrs != nil {
+			s.EdgeAttrs[id] = attrs
 		}
 	}
 	return s

@@ -158,6 +158,23 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 		"Analytics execution wall time by kind.", nil, "kind")
 	s.an.supersteps = reg.Counter("dg_analytics_supersteps_total",
 		"PageRank partition supersteps executed.")
+	// Index gauges read the manager at scrape time, so they follow a
+	// manager swapped in by a re-seed.
+	for _, g := range []struct {
+		name, help string
+		of         func(historygraph.IndexStats) int64
+	}{
+		{"dg_index_disk_bytes", "Index store footprint: permanent delta and eventlist payloads plus the last checkpoint.",
+			func(st historygraph.IndexStats) int64 { return st.DiskBytes }},
+		{"dg_index_spine_bytes", "Memory-resident provisional spine payloads (never written to the store).",
+			func(st historygraph.IndexStats) int64 { return st.SpineBytes }},
+		{"dg_index_checkpoint_bytes", "Payload and meta bytes of the last index checkpoint (0 before the first).",
+			func(st historygraph.IndexStats) int64 { return st.CheckpointBytes }},
+		{"dg_index_leaves", "Leaf-eventlists cut so far.",
+			func(st historygraph.IndexStats) int64 { return int64(st.Leaves) }},
+	} {
+		reg.GaugeFunc(g.name, g.help, func() float64 { return float64(g.of(s.gm.Load().IndexStats())) })
+	}
 	s.slotEpoch = reg.Gauge("dg_slot_epoch",
 		"Installed slot-routing epoch (0 until the coordinator pushes a table).")
 	s.slotsOwned = reg.Gauge("dg_slots_owned",
