@@ -28,6 +28,7 @@ import (
 	"historygraph/internal/deltagraph"
 	"historygraph/internal/graph"
 	"historygraph/internal/graphpool"
+	"historygraph/internal/kvstore"
 	"historygraph/internal/metrics"
 	"historygraph/internal/pregel"
 	"historygraph/internal/replica"
@@ -385,14 +386,77 @@ func BenchmarkFig1Evolution(b *testing.B) {
 	}
 }
 
+// coauthChurn is the repository benchmark's trace (benchmark/dataset.go,
+// seed 1) at a multiple of its size: 80k events at 1.
+func coauthChurn(scale int) graph.EventList {
+	base := datagen.Coauthorship(datagen.CoauthorshipConfig{
+		Authors: 4000 * scale, Edges: 16000 * scale, Years: 20, AttrsPerNode: 10, Seed: 1,
+	})
+	return datagen.Churn(base, datagen.ChurnConfig{Adds: 10000 * scale, Dels: 10000 * scale, Seed: 2})
+}
+
 // BenchmarkIndexConstruction measures bulk construction throughput
-// (Section 4.6).
+// (Section 4.6): dataset 1, then the repository benchmark's trace with the
+// options dgserve ships with, at one and three times its size. Construction
+// costs what changed, so us/event must not grow with the graph: the 3x
+// figure stays within 1.5x of the 1x one.
 func BenchmarkIndexConstruction(b *testing.B) {
 	d1, _, L := setup(b)
+	for _, c := range []struct {
+		name   string
+		events func() graph.EventList
+		opts   deltagraph.Options
+	}{
+		{"d1", func() graph.EventList { return d1 }, deltagraph.Options{LeafSize: L, Arity: 4, Function: delta.Intersection{}}},
+		{"coauth-churn-1x", func() graph.EventList { return coauthChurn(1) }, deltagraph.Options{}},
+		{"coauth-churn-3x", func() graph.EventList { return coauthChurn(3) }, deltagraph.Options{}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			events := c.events()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mustBuild(b, events, c.opts)
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(events)), "us/event")
+		})
+	}
+}
+
+// BenchmarkLiveIngest feeds what the repository benchmark's ingest-restart
+// workload feeds a node — the first 59 392 events of its trace in batches of
+// 256 — to an index on a FileStore, with no read in between: us/event is the
+// builder's live cost, max-cut-ms the longest a leaf cut held the write lock
+// (the stall a concurrent reader would have seen).
+func BenchmarkLiveIngest(b *testing.B) {
+	events := coauthChurn(1)[:59392]
+	var maxCut time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mustBuild(b, d1, deltagraph.Options{LeafSize: L, Arity: 4, Function: delta.Intersection{}})
+		b.StopTimer()
+		fs, err := kvstore.OpenFileStore(filepath.Join(b.TempDir(), "index"), kvstore.FileOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		dg, err := deltagraph.New(deltagraph.Options{Store: fs})
+		if err != nil {
+			b.Fatal(err)
+		}
+		dg.SetObserver(func(d time.Duration) { maxCut = max(maxCut, d) }, nil)
+		b.StartTimer()
+		for lo := 0; lo < len(events); lo += 256 {
+			if err := dg.AppendAll(events[lo:min(lo+256, len(events))]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if st := dg.StatsUnsealed(); st.SpineSeals != 0 || st.Leaves == 0 {
+			b.Fatalf("an ingest without reads sealed the spine %d times over %d leaves", st.SpineSeals, st.Leaves)
+		}
+		fs.Close()
+		b.StartTimer()
 	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(events)), "us/event")
+	b.ReportMetric(float64(maxCut.Microseconds())/1000, "max-cut-ms")
 }
 
 // serverSetup starts the query service over a dataset-1 index for the

@@ -134,9 +134,10 @@ func main() {
 	}
 	defer gm.Close()
 	if loaded {
-		st := gm.IndexStats()
-		fmt.Printf("dgserve: loaded index from %s (%d leaves, %d interior nodes, last event t=%d)\n",
-			*store, st.Leaves, st.InteriorNodes, gm.LastTime())
+		// Unsealed: the spine waits for the first historical read, not for
+		// a start-up message.
+		fmt.Printf("dgserve: loaded index from %s (%d leaves, last event t=%d)\n",
+			*store, gm.IndexStatsUnsealed().Leaves, gm.LastTime())
 	} else {
 		fmt.Println("dgserve: starting with an empty index (ingest via POST /append)")
 	}

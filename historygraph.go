@@ -400,8 +400,22 @@ func (gm *GraphManager) DeltaGraph() *deltagraph.DeltaGraph { return gm.dg }
 // Pool exposes the underlying GraphPool.
 func (gm *GraphManager) Pool() *graphpool.Pool { return gm.pool }
 
-// IndexStats reports the DeltaGraph shape and cost.
+// IndexStats reports the DeltaGraph shape and cost. It counts the
+// provisional spine, so the first call after a leaf cut has it built.
 func (gm *GraphManager) IndexStats() IndexStats { return gm.dg.Stats() }
+
+// IndexStatsUnsealed is IndexStats for a metrics scrape: it never builds
+// the spine, and says so in IndexStats.SpineStale when its counts are
+// missing it.
+func (gm *GraphManager) IndexStatsUnsealed() IndexStats { return gm.dg.StatsUnsealed() }
+
+// ObserveIndex registers callbacks for the index builder's two stalls: cut
+// receives the time each leaf cut held the index write lock, seal is called
+// each time a read had the provisional spine built (see
+// deltagraph.DeltaGraph.SetObserver).
+func (gm *GraphManager) ObserveIndex(cut func(time.Duration), seal func()) {
+	gm.dg.SetObserver(cut, seal)
+}
 
 // PoolStats reports GraphPool contents.
 func (gm *GraphManager) PoolStats() PoolStats { return gm.pool.Stats() }

@@ -221,3 +221,54 @@ func TestOptionErrors(t *testing.T) {
 		t.Error("bad attr options accepted in multipoint")
 	}
 }
+
+// TestAppendDoesNotRewriteThePast: events that change nothing — a second add
+// of a live node, a delete of an edge that is not there, an attribute set to
+// the value it has — are acknowledged and leave every answer as it was,
+// through both retrieval paths.
+func TestAppendDoesNotRewriteThePast(t *testing.T) {
+	gm, err := Open(Options{LeafEventlistSize: 2, Arity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gm.Close()
+	events := smallTrace()
+	last := events[len(events)-1].At
+	events = append(events,
+		Event{Type: AddNode, At: last + 1, Node: 1},
+		Event{Type: DelEdge, At: last + 2, Edge: 99, Node: 1, Node2: 2},
+		Event{Type: SetNodeAttr, At: last + 3, Node: 2, Attr: "name", New: "bob", HasNew: true},
+		Event{Type: AddNode, At: last + 4, Node: 5})
+	if err := gm.AppendAll(events); err != nil {
+		t.Fatal(err)
+	}
+	if gm.LastTime() != last+4 {
+		t.Fatalf("clock at %d, want %d", gm.LastTime(), last+4)
+	}
+	for q := Time(0); q <= last+4; q++ {
+		want := 0
+		for _, ev := range smallTrace() {
+			if ev.Type == AddNode && ev.At <= q {
+				want++
+			}
+		}
+		if q == last+4 {
+			want++
+		}
+		snap, err := gm.GetHistSnapshot(q, "+node:all")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := gm.GetHistGraph(q, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Nodes) != want || h.NumNodes() != want {
+			t.Errorf("t=%d: %d nodes by snapshot, %d by pool view, want %d", q, len(snap.Nodes), h.NumNodes(), want)
+		}
+		if q >= 2 && snap.NodeAttrs[2]["name"] != "bob" {
+			t.Errorf("t=%d: node 2 is named %q", q, snap.NodeAttrs[2]["name"])
+		}
+		gm.Release(h)
+	}
+}

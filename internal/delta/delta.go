@@ -11,7 +11,9 @@
 package delta
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"historygraph/internal/graph"
 )
@@ -135,30 +137,21 @@ func edgeFrom(a, b *graph.Snapshot, e graph.EdgeID) graph.NodeID {
 // are byte-identical across runs (the sampling hash and codec depend only on
 // identities and this order).
 func (d *Delta) sortStable() {
-	sort.Slice(d.AddNodes, func(i, j int) bool { return d.AddNodes[i] < d.AddNodes[j] })
-	sort.Slice(d.DelNodes, func(i, j int) bool { return d.DelNodes[i] < d.DelNodes[j] })
-	sort.Slice(d.AddEdges, func(i, j int) bool { return d.AddEdges[i].ID < d.AddEdges[j].ID })
-	sort.Slice(d.DelEdges, func(i, j int) bool { return d.DelEdges[i].ID < d.DelEdges[j].ID })
-	byNodeAttr := func(s []NodeAttrRec) {
-		sort.Slice(s, func(i, j int) bool {
-			if s[i].Node != s[j].Node {
-				return s[i].Node < s[j].Node
-			}
-			return s[i].Attr < s[j].Attr
-		})
+	slices.Sort(d.AddNodes)
+	slices.Sort(d.DelNodes)
+	byEdge := func(a, b EdgeRec) int { return cmp.Compare(a.ID, b.ID) }
+	slices.SortFunc(d.AddEdges, byEdge)
+	slices.SortFunc(d.DelEdges, byEdge)
+	byNodeAttr := func(a, b NodeAttrRec) int {
+		return cmp.Or(cmp.Compare(a.Node, b.Node), strings.Compare(a.Attr, b.Attr))
 	}
-	byNodeAttr(d.SetNodeAttrs)
-	byNodeAttr(d.DelNodeAttrs)
-	byEdgeAttr := func(s []EdgeAttrRec) {
-		sort.Slice(s, func(i, j int) bool {
-			if s[i].Edge != s[j].Edge {
-				return s[i].Edge < s[j].Edge
-			}
-			return s[i].Attr < s[j].Attr
-		})
+	slices.SortFunc(d.SetNodeAttrs, byNodeAttr)
+	slices.SortFunc(d.DelNodeAttrs, byNodeAttr)
+	byEdgeAttr := func(a, b EdgeAttrRec) int {
+		return cmp.Or(cmp.Compare(a.Edge, b.Edge), strings.Compare(a.Attr, b.Attr))
 	}
-	byEdgeAttr(d.SetEdgeAttrs)
-	byEdgeAttr(d.DelEdgeAttrs)
+	slices.SortFunc(d.SetEdgeAttrs, byEdgeAttr)
+	slices.SortFunc(d.DelEdgeAttrs, byEdgeAttr)
 }
 
 // Apply mutates s by applying the delta: deletions first, then additions,

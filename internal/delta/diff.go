@@ -17,6 +17,14 @@ type Differential interface {
 	// Combine builds the parent graph from the children, ordered oldest
 	// to newest. Children must not be modified.
 	Combine(children []*graph.Snapshot) *graph.Snapshot
+	// Elementwise reports that Combine decides each element by itself and
+	// changes nothing all children agree on: whether a node (or edge) and
+	// each of its attributes is in the parent depends only on that node in
+	// every child and on a hash of its identity, and an element that is
+	// the same in every child is the same in the parent. The index builder
+	// then evaluates a parent over the elements its children differ on and
+	// never over the whole graph.
+	Elementwise() bool
 }
 
 // Intersection keeps exactly the elements present in every child (with
@@ -26,6 +34,9 @@ type Intersection struct{}
 
 // Name implements Differential.
 func (Intersection) Name() string { return "intersection" }
+
+// Elementwise implements Differential.
+func (Intersection) Elementwise() bool { return true }
 
 // Combine implements Differential.
 func (Intersection) Combine(children []*graph.Snapshot) *graph.Snapshot {
@@ -80,6 +91,9 @@ type Union struct{}
 // Name implements Differential.
 func (Union) Name() string { return "union" }
 
+// Elementwise implements Differential.
+func (Union) Elementwise() bool { return true }
+
 // Combine implements Differential.
 func (Union) Combine(children []*graph.Snapshot) *graph.Snapshot {
 	out := graph.NewSnapshot()
@@ -122,6 +136,10 @@ type Empty struct{}
 // Name implements Differential.
 func (Empty) Name() string { return "empty" }
 
+// Elementwise implements Differential: the null graph differs from children
+// that all agree, so a parent has to be evaluated over everything they hold.
+func (Empty) Elementwise() bool { return false }
+
 // Combine implements Differential.
 func (Empty) Combine([]*graph.Snapshot) *graph.Snapshot { return graph.NewSnapshot() }
 
@@ -142,6 +160,9 @@ type Mixed struct {
 
 // Name implements Differential.
 func (m Mixed) Name() string { return fmt.Sprintf("mixed(%g,%g)", m.R1, m.R2) }
+
+// Elementwise implements Differential.
+func (Mixed) Elementwise() bool { return true }
 
 // Combine implements Differential.
 func (m Mixed) Combine(children []*graph.Snapshot) *graph.Snapshot {
@@ -264,6 +285,9 @@ type RightSkewed struct{ R float64 }
 // Name implements Differential.
 func (s RightSkewed) Name() string { return fmt.Sprintf("rightskewed(%g)", s.R) }
 
+// Elementwise implements Differential.
+func (RightSkewed) Elementwise() bool { return true }
+
 // Combine implements Differential.
 func (s RightSkewed) Combine(children []*graph.Snapshot) *graph.Snapshot {
 	return skewCombine(children, s.R, len(children)-1)
@@ -275,6 +299,9 @@ type LeftSkewed struct{ R float64 }
 
 // Name implements Differential.
 func (s LeftSkewed) Name() string { return fmt.Sprintf("leftskewed(%g)", s.R) }
+
+// Elementwise implements Differential.
+func (LeftSkewed) Elementwise() bool { return true }
 
 // Combine implements Differential.
 func (s LeftSkewed) Combine(children []*graph.Snapshot) *graph.Snapshot {
@@ -337,9 +364,14 @@ func skewCombine(children []*graph.Snapshot, r float64, anchor int) *graph.Snaps
 
 // ByName returns the differential function for a harness/CLI name:
 // intersection, union, empty, balanced, skewed:R, mixed:R1:R2,
-// rightskewed:R, leftskewed:R.
+// rightskewed:R, leftskewed:R. It also reads back what Name returns —
+// skewed(R), mixed(R1,R2) and so on — which is what a checkpoint records.
 func ByName(name string) (Differential, error) {
 	var r1, r2 float64
+	scan := func(format string, args ...any) bool {
+		n, err := fmt.Sscanf(name, format, args...)
+		return err == nil && n == len(args)
+	}
 	switch {
 	case name == "intersection":
 		return Intersection{}, nil
@@ -349,19 +381,14 @@ func ByName(name string) (Differential, error) {
 		return Empty{}, nil
 	case name == "balanced":
 		return Balanced(), nil
-	default:
-		if n, err := fmt.Sscanf(name, "mixed:%g:%g", &r1, &r2); err == nil && n == 2 {
-			return Mixed{R1: r1, R2: r2}, nil
-		}
-		if n, err := fmt.Sscanf(name, "skewed:%g", &r1); err == nil && n == 1 {
-			return Skewed(r1), nil
-		}
-		if n, err := fmt.Sscanf(name, "rightskewed:%g", &r1); err == nil && n == 1 {
-			return RightSkewed{R: r1}, nil
-		}
-		if n, err := fmt.Sscanf(name, "leftskewed:%g", &r1); err == nil && n == 1 {
-			return LeftSkewed{R: r1}, nil
-		}
+	case scan("mixed:%g:%g", &r1, &r2), scan("mixed(%g,%g)", &r1, &r2):
+		return Mixed{R1: r1, R2: r2}, nil
+	case scan("skewed:%g", &r1), scan("skewed(%g)", &r1):
+		return Skewed(r1), nil
+	case scan("rightskewed:%g", &r1), scan("rightskewed(%g)", &r1):
+		return RightSkewed{R: r1}, nil
+	case scan("leftskewed:%g", &r1), scan("leftskewed(%g)", &r1):
+		return LeftSkewed{R: r1}, nil
 	}
 	return nil, fmt.Errorf("delta: unknown differential function %q", name)
 }

@@ -257,3 +257,88 @@ func TestDifferentialNames(t *testing.T) {
 		}
 	}
 }
+
+// TestByNameReadsBackName: a checkpoint records Function.Name(), and Open
+// resolves it with ByName.
+func TestByNameReadsBackName(t *testing.T) {
+	for _, name := range []string{"intersection", "union", "empty", "balanced", "skewed:0.3", "mixed:0.25:0.75", "rightskewed:0.5", "leftskewed:0.5"} {
+		f, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ByName(f.Name())
+		if err != nil {
+			t.Fatalf("%s is named %q, which ByName does not read: %v", name, f.Name(), err)
+		}
+		if back.Name() != f.Name() {
+			t.Errorf("%s came back as %s", f.Name(), back.Name())
+		}
+	}
+}
+
+// restrictTo cuts s down to the given nodes and edges, attributes included.
+func restrictTo(s *graph.Snapshot, nodes map[graph.NodeID]bool, edges map[graph.EdgeID]bool) *graph.Snapshot {
+	out := graph.NewSnapshot()
+	for n := range nodes {
+		if _, ok := s.Nodes[n]; ok {
+			out.Nodes[n] = struct{}{}
+		}
+		if attrs, ok := s.NodeAttrs[n]; ok {
+			out.NodeAttrs[n] = attrs
+		}
+	}
+	for e := range edges {
+		if info, ok := s.Edges[e]; ok {
+			out.Edges[e] = info
+		}
+		if attrs, ok := s.EdgeAttrs[e]; ok {
+			out.EdgeAttrs[e] = attrs
+		}
+	}
+	return out
+}
+
+// TestElementwise checks what Elementwise promises and the index builder
+// relies on: combining children cut down to some elements gives the parent
+// cut down to those elements, and elements all children agree on pass into
+// the parent unchanged.
+func TestElementwise(t *testing.T) {
+	fns := []Differential{Intersection{}, Union{}, Balanced(), Skewed(0.3), Mixed{R1: 0.7, R2: 0.2}, RightSkewed{R: 0.5}, LeftSkewed{R: 0.5}}
+	for _, fn := range fns {
+		if !fn.Elementwise() {
+			t.Fatalf("%s does not claim to be element-wise", fn.Name())
+		}
+		rng := rand.New(rand.NewSource(17))
+		for trial := 0; trial < 20; trial++ {
+			children := []*graph.Snapshot{randomSnapshot(rng), randomSnapshot(rng), randomSnapshot(rng)}
+			whole := fn.Combine(children)
+			nodes, edges := map[graph.NodeID]bool{}, map[graph.EdgeID]bool{}
+			for _, c := range children {
+				for n := range c.Nodes {
+					if rng.Intn(2) == 0 {
+						nodes[n] = true
+					}
+				}
+				for e := range c.Edges {
+					if rng.Intn(2) == 0 {
+						edges[e] = true
+					}
+				}
+			}
+			cut := make([]*graph.Snapshot, len(children))
+			for i, c := range children {
+				cut[i] = restrictTo(c, nodes, edges)
+			}
+			if got, want := fn.Combine(cut), restrictTo(whole, nodes, edges); !got.Equal(want) {
+				t.Fatalf("%s: combining restricted children is not the restricted parent", fn.Name())
+			}
+			same := []*graph.Snapshot{children[0], children[0].Clone(), children[0].Clone()}
+			if !fn.Combine(same).Equal(children[0]) {
+				t.Fatalf("%s changes what all its children agree on", fn.Name())
+			}
+		}
+	}
+	if (Empty{}).Elementwise() {
+		t.Error("Empty's parent differs from children that agree: it must not claim to be element-wise")
+	}
+}

@@ -243,7 +243,9 @@ func (dg *DeltaGraph) auxIndexByName(name string) (int, error) {
 // GetAuxSnapshot reconstructs the auxiliary snapshot of the named index as
 // of time t (the paper's GetAuxSnapshot, backing AuxHistQueryPoint).
 func (dg *DeltaGraph) GetAuxSnapshot(name string, t graph.Time) (AuxSnapshot, error) {
-	dg.mu.RLock()
+	if err := dg.rlockSealed(); err != nil {
+		return nil, err
+	}
 	defer dg.mu.RUnlock()
 	idx, err := dg.auxIndexByName(name)
 	if err != nil {

@@ -2,6 +2,7 @@ package deltagraph
 
 import (
 	"sync"
+	"time"
 
 	"historygraph/internal/delta"
 	"historygraph/internal/graph"
@@ -12,6 +13,17 @@ import (
 // node creation (Section 4.6's single-pass bottom-up bulkload), and the
 // provisional "right spine" that keeps the index connected and queryable
 // between full arity-k groups.
+//
+// Construction costs what changed, not what exists. A pending node holds
+// its graph as a patch against the current graph (patch.go), and a parent
+// is evaluated over the elements its children hold images of: everywhere
+// else the children equal the current graph, hence each other, hence — the
+// differential function being element-wise and idempotent — the parent, and
+// no delta between them has a record there. Running Combine and Compute on
+// the children cut down to those elements therefore writes the very bytes
+// the whole graphs would. Only the spine is as large as the graph (its top
+// delta builds the root from nothing), so it is built when a read asks for
+// it, not at every cut.
 
 // cutLeafLocked turns the recent eventlist into a new leaf: it creates the
 // leaf skeleton node, persists the leaf-eventlist on the edge to the
@@ -20,7 +32,8 @@ func (dg *DeltaGraph) cutLeafLocked() error {
 	if len(dg.recent) == 0 {
 		return nil
 	}
-	leaf := dg.skel.addNode(&skelNode{level: 0, at: dg.lastTime, size: dg.current.Size()})
+	defer func(start time.Time) { dg.cutTimes = append(dg.cutTimes, time.Since(start)) }(time.Now())
+	leaf := dg.skel.addNode(&skelNode{level: 0, at: dg.lastTime, size: dg.curSize})
 	prevLeaf := dg.skel.leaves[len(dg.skel.leaves)-1]
 	dg.skel.leaves = append(dg.skel.leaves, leaf)
 
@@ -32,35 +45,33 @@ func (dg *DeltaGraph) cutLeafLocked() error {
 	dg.skel.addEdge(&skelEdge{from: prevLeaf, to: leaf, kind: kindEventFwd, deltaID: deltaID, sizes: sizes, counts: count, evIndex: evIndex})
 	dg.skel.addEdge(&skelEdge{from: leaf, to: prevLeaf, kind: kindEventBwd, deltaID: deltaID, sizes: sizes, counts: count, evIndex: evIndex})
 
-	// Retain the leaf content for parent construction.
+	// The leaf is the current graph: an empty patch retains it for parent
+	// construction.
 	auxCopies := make([]AuxSnapshot, len(dg.auxCur))
 	for i, a := range dg.auxCur {
 		auxCopies[i] = a.clone()
 	}
-	dg.pending[0] = append(dg.pending[0], pendingChild{node: leaf, snap: dg.current.Clone(), aux: auxCopies})
+	dg.pending[0] = append(dg.pending[0], pendingChild{node: leaf, size: dg.curSize, patch: make(patch), aux: auxCopies})
 	dg.recent = nil
+	clear(dg.window)
 	dg.auxRecent = make([][]AuxEvent, len(dg.auxes))
 	if dg.pool != nil {
 		dg.pool.ClearRecent() // deleted elements are now on disk
 	}
-	if err := dg.promoteLocked(0, false); err != nil {
-		return err
-	}
-	if !dg.batchMode {
-		return dg.rebuildSpineLocked()
-	}
-	return nil
+	dg.clearSpineLocked()
+	dg.spineStale = true
+	return dg.promoteLocked(0)
 }
 
 // promoteLocked creates a permanent parent whenever a level has a full
 // arity-k group, recursively upward.
-func (dg *DeltaGraph) promoteLocked(level int, provisional bool) error {
+func (dg *DeltaGraph) promoteLocked(level int) error {
 	for len(dg.pending) <= level+1 {
 		dg.pending = append(dg.pending, nil)
 	}
 	for len(dg.pending[level]) >= dg.opts.Arity {
 		group := dg.pending[level][:dg.opts.Arity]
-		parent, err := dg.makeParentLocked(level, group, provisional)
+		parent, err := dg.makeParentLocked(level, group, false)
 		if err != nil {
 			return err
 		}
@@ -75,20 +86,38 @@ func (dg *DeltaGraph) promoteLocked(level int, provisional bool) error {
 }
 
 // makeParentLocked builds one interior node: parent graph = f(children),
-// with one delta edge to each child (Section 4.2).
+// with one delta edge to each child (Section 4.2), both evaluated over the
+// elements some child holds an image of.
 func (dg *DeltaGraph) makeParentLocked(level int, group []pendingChild, provisional bool) (pendingChild, error) {
+	// The parent's patch starts as the set of elements to evaluate and is
+	// filled in below.
+	parent := pendingChild{patch: make(patch, len(group[0].patch))}
+	for _, c := range group {
+		for x := range c.patch {
+			parent.patch[x] = nil
+		}
+	}
+	if !dg.opts.Function.Elementwise() {
+		// The function may disagree with children that all agree: evaluate
+		// it over everything they hold.
+		eachElem(dg.current, func(x elem) { parent.patch[x] = nil })
+	}
 	snaps := make([]*graph.Snapshot, len(group))
 	for i, c := range group {
-		snaps[i] = c.snap
+		snaps[i] = dg.restrictLocked(c, parent.patch)
 	}
 	parentSnap := dg.opts.Function.Combine(snaps)
-	parentAux := make([]AuxSnapshot, len(dg.auxes))
+	for x := range parent.patch {
+		parent.patch[x] = imageIn(parentSnap, x).shared()
+	}
+	parent.size = group[0].size + parentSnap.Size() - snaps[0].Size()
+	parent.aux = make([]AuxSnapshot, len(dg.auxes))
 	for i, aux := range dg.auxes {
 		children := make([]AuxSnapshot, len(group))
 		for j, c := range group {
 			children[j] = c.aux[i]
 		}
-		parentAux[i] = aux.AuxDF(children)
+		parent.aux[i] = aux.AuxDF(children)
 	}
 
 	first := dg.skel.nodes[group[0].node]
@@ -97,43 +126,58 @@ func (dg *DeltaGraph) makeParentLocked(level int, group []pendingChild, provisio
 		level:       level + 1,
 		at:          first.at,
 		spanEnd:     last.spanEnd,
-		size:        parentSnap.Size(),
+		size:        parent.size,
 		provisional: provisional,
 	}
 	if last.spanEnd == 0 {
 		node.spanEnd = last.at
 	}
-	parentID := dg.skel.addNode(node)
+	parent.node = dg.skel.addNode(node)
 	if provisional {
-		dg.provNodes = append(dg.provNodes, parentID)
+		dg.provNodes = append(dg.provNodes, parent.node)
 	}
-	for _, c := range group {
-		d := delta.Compute(c.snap, parentSnap)
+	for i, c := range group {
+		d := delta.Compute(snaps[i], parentSnap)
 		auxDeltas := make([]auxDelta, len(dg.auxes))
-		for i := range dg.auxes {
-			auxDeltas[i] = computeAuxDelta(c.aux[i], parentAux[i])
+		for j := range dg.auxes {
+			auxDeltas[j] = computeAuxDelta(c.aux[j], parent.aux[j])
 		}
 		deltaID, sizes, count, err := dg.storeDelta(d, auxDeltas, provisional)
 		if err != nil {
 			return pendingChild{}, err
 		}
-		idx := dg.skel.addEdge(&skelEdge{from: parentID, to: c.node, kind: kindDelta, deltaID: deltaID, sizes: sizes, counts: count, evIndex: -1, provisional: provisional})
+		idx := dg.skel.addEdge(&skelEdge{from: parent.node, to: c.node, kind: kindDelta, deltaID: deltaID, sizes: sizes, counts: count, evIndex: -1, provisional: provisional})
 		node.children = append(node.children, c.node)
 		if provisional {
 			dg.provEdgeIdxs = append(dg.provEdgeIdxs, idx)
 		}
 	}
-	return pendingChild{node: parentID, snap: parentSnap, aux: parentAux}, nil
+	return parent, nil
 }
 
-// rebuildSpineLocked removes any previous provisional spine and builds a
+// sealLocked builds the provisional spine if a leaf cut has dropped it. Its
+// top delta is the root's whole graph: this is the one step of construction
+// that costs as much as the graph, and the reason it waits for a reader.
+func (dg *DeltaGraph) sealLocked() error {
+	if !dg.spineStale {
+		return nil
+	}
+	if err := dg.buildSpineLocked(); err != nil {
+		return err
+	}
+	dg.spineStale = false
+	dg.spineSeals++
+	dg.sealed++
+	return nil
+}
+
+// buildSpineLocked removes any previous provisional spine and builds a
 // fresh one so that every leaf is reachable from the super-root: pending
 // nodes at each level (at most k-1, plus one carried provisional parent)
 // are combined into provisional parents up to a single root, and the
 // super-root → root delta is written. The spine is a function of pending
-// alone, so its payloads live in dg.spine (memory) and are never persisted:
-// Open calls this again.
-func (dg *DeltaGraph) rebuildSpineLocked() error {
+// alone, so its payloads live in dg.spine (memory) and are never persisted.
+func (dg *DeltaGraph) buildSpineLocked() error {
 	dg.clearSpineLocked()
 
 	carry := pendingChild{node: -1}
@@ -176,7 +220,8 @@ func (dg *DeltaGraph) rebuildSpineLocked() error {
 // attachRootLocked writes the super-root → root edge, whose delta is the
 // root's full content (the super-root is the null graph).
 func (dg *DeltaGraph) attachRootLocked(root pendingChild) error {
-	d := delta.FromSnapshot(root.snap)
+	rootSnap := dg.graphLocked(root)
+	d := delta.FromSnapshot(rootSnap)
 	auxDeltas := make([]auxDelta, len(dg.auxes))
 	for i := range dg.auxes {
 		auxDeltas[i] = computeAuxDelta(root.aux[i], AuxSnapshot{})
@@ -190,15 +235,15 @@ func (dg *DeltaGraph) attachRootLocked(root pendingChild) error {
 	// root above it.
 	idx := dg.skel.addEdge(&skelEdge{from: dg.skel.superRoot, to: root.node, kind: kindDelta, deltaID: deltaID, sizes: sizes, counts: count, evIndex: -1, provisional: true})
 	dg.provEdgeIdxs = append(dg.provEdgeIdxs, idx)
-	// Materialization follows the root across spine rebuilds: if the torn
-	// down root was pinned, pin the new one (its content is already in
-	// hand, so this costs no retrieval).
+	// Materialization follows the root across leaf cuts: if the torn down
+	// root was pinned, pin the new one (its content is already in hand, so
+	// this costs no retrieval).
 	if dg.rematRoot {
 		dg.rematRoot = false
 		node := dg.skel.nodes[root.node]
 		if !node.materialized {
 			node.materialized = true
-			node.matSnapshot = root.snap.Clone()
+			node.matSnapshot = rootSnap.Clone()
 			dg.skel.addEdge(&skelEdge{from: dg.skel.superRoot, to: root.node, kind: kindMat, sizes: make(componentSizes, 4+len(dg.auxes)), evIndex: -1})
 			if dg.pool != nil {
 				dg.matGraphs[root.node] = dg.pool.OverlayMaterialized(node.matSnapshot)

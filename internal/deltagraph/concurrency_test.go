@@ -2,6 +2,7 @@ package deltagraph
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -123,6 +124,93 @@ func TestConcurrentQueriesAndAppends(t *testing.T) {
 		}
 	}
 	checkAgainstReference(t, re, events, allAttrs, probes)
+}
+
+// TestSealOnDemandUnderConcurrency: a leaf cut drops the spine and the first
+// reader after it builds it again, under the write lock it has to trade its
+// read lock for. Readers at random past times race an appender across more
+// than twenty cuts: every answer equals the oracle, the spine is sealed at
+// most once per cut, and not at all before the first read.
+func TestSealOnDemandUnderConcurrency(t *testing.T) {
+	events := makeTrace(31, 5000)
+	const quiet = 2000 // events ingested before any reader starts
+	dg, err := New(Options{LeafSize: 100, Arity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendBatches(dg, events[:quiet]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dg.GetSnapshot(dg.LastTime(), allAttrs); err != nil { // a head read is no reason to seal
+		t.Fatal(err)
+	}
+	st := dg.StatsUnsealed()
+	if st.Leaves < 10 || st.SpineSeals != 0 || !st.SpineStale || st.SpineBytes != 0 {
+		t.Fatalf("an ingest of %d leaves with no historical read: %+v", st.Leaves, st)
+	}
+	stable := events[quiet-1].At // history up to here never changes again
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	done := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				q := graph.Time(rng.Int63n(int64(stable) + 1))
+				var got *graph.Snapshot
+				var err error
+				if i%5 == 4 {
+					var many []*graph.Snapshot
+					if many, err = dg.GetSnapshots([]graph.Time{q, stable}, allAttrs); err == nil {
+						got = many[0]
+					}
+				} else {
+					got, err = dg.GetSnapshot(q, allAttrs)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !got.Equal(graph.SnapshotAt(events, q)) {
+					errs <- errMismatch(q)
+					return
+				}
+			}
+		}(r)
+	}
+	for lo := quiet; lo < len(events); lo += 16 {
+		if err := dg.AppendAll(events[lo:min(lo+16, len(events))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	end := dg.StatsUnsealed()
+	cuts := end.Leaves - st.Leaves
+	if cuts < 20 {
+		t.Fatalf("only %d leaf cuts raced the readers", cuts)
+	}
+	// One seal for the stale spine the readers found, then at most one a
+	// cut: never more seals than cuts, whichever cuts are counted.
+	if end.SpineSeals < 1 || end.SpineSeals > int64(cuts)+1 || end.SpineSeals > int64(end.Leaves) {
+		t.Errorf("%d seals over %d cuts raced (%d in all)", end.SpineSeals, cuts, end.Leaves)
+	}
+	checkAgainstReference(t, dg, events, allAttrs, probeTimes(events, 9))
+	if err := dg.validateInvariant(); err != nil {
+		t.Error(err)
+	}
 }
 
 type errMismatch graph.Time

@@ -1,0 +1,467 @@
+package deltagraph
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"historygraph/internal/baseline"
+	"historygraph/internal/delta"
+	"historygraph/internal/graph"
+	"historygraph/internal/kvstore"
+)
+
+// refBuilder constructs an index the way the builder did before it worked
+// from patches: every pending node is a whole-graph clone, every parent a
+// whole-graph Combine, every delta a whole-graph Compute. It is the
+// reference the construction differential compares payload bytes against,
+// and the only place the whole-graph construction survives. It borrows a
+// DeltaGraph for its stores, id counters and codecs, and nothing else.
+type refBuilder struct {
+	st       *DeltaGraph
+	current  *graph.Snapshot
+	recent   graph.EventList
+	lastTime graph.Time
+	pending  [][]*graph.Snapshot
+	sizes    []int // of permanent nodes, leaves included, in creation order
+}
+
+func newRefBuilder(t *testing.T, opts Options) *refBuilder {
+	t.Helper()
+	opts.Store = nil
+	st, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &refBuilder{st: st, current: graph.NewSnapshot(), pending: make([][]*graph.Snapshot, 1)}
+}
+
+func (r *refBuilder) appendAll(t *testing.T, events graph.EventList) {
+	t.Helper()
+	for _, ev := range events {
+		if len(r.recent) >= r.st.opts.LeafSize && ev.At > r.lastTime {
+			r.cut(t)
+		}
+		r.current.Apply(ev)
+		r.recent = append(r.recent, ev)
+		r.lastTime = ev.At
+	}
+}
+
+func (r *refBuilder) cut(t *testing.T) {
+	t.Helper()
+	if _, _, _, err := r.st.storeEvents(r.recent, nil); err != nil {
+		t.Fatal(err)
+	}
+	r.recent = nil
+	r.sizes = append(r.sizes, r.current.Size())
+	r.pending[0] = append(r.pending[0], r.current.Clone())
+	k := r.st.opts.Arity
+	for level := 0; len(r.pending[level]) >= k; level++ {
+		parent := r.parent(t, r.pending[level][:k], false)
+		r.pending[level] = r.pending[level][k:]
+		if len(r.pending) == level+1 {
+			r.pending = append(r.pending, nil)
+		}
+		r.pending[level+1] = append(r.pending[level+1], parent)
+	}
+}
+
+func (r *refBuilder) parent(t *testing.T, group []*graph.Snapshot, provisional bool) *graph.Snapshot {
+	t.Helper()
+	p := r.st.opts.Function.Combine(group)
+	if !provisional {
+		r.sizes = append(r.sizes, p.Size())
+	}
+	for _, c := range group {
+		if _, _, _, err := r.st.storeDelta(delta.Compute(c, p), nil, provisional); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
+}
+
+// seal builds the provisional spine into r.st.spine, from scratch.
+func (r *refBuilder) seal(t *testing.T) {
+	t.Helper()
+	r.st.spine, r.st.nextSpineID = kvstore.NewMemStore(), 0
+	var carry *graph.Snapshot
+	for level := 0; level < len(r.pending) || carry != nil; level++ {
+		var group []*graph.Snapshot
+		if level < len(r.pending) {
+			group = append(group, r.pending[level]...)
+		}
+		if carry != nil {
+			group, carry = append(group, carry), nil
+		}
+		higher := false
+		for l := level + 1; l < len(r.pending); l++ {
+			higher = higher || len(r.pending[l]) > 0
+		}
+		switch {
+		case len(group) == 0:
+		case len(group) == 1 && !higher:
+			if _, _, _, err := r.st.storeDelta(delta.FromSnapshot(group[0]), nil, true); err != nil {
+				t.Fatal(err)
+			}
+			return
+		case len(group) == 1:
+			carry = group[0]
+		default:
+			carry = r.parent(t, group, true)
+		}
+	}
+}
+
+// payloads reads every record with an id in [from, to) out of a store.
+func payloads(t *testing.T, store kvstore.Store, partitions int, from, to uint64) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	for id := from; id < to; id++ {
+		for p := 0; p < partitions; p++ {
+			for c := kvstore.ComponentStruct; c <= kvstore.ComponentTransient; c++ {
+				key := kvstore.EncodeKey(p, id, c)
+				buf, err := store.Get(key)
+				if err == kvstore.ErrNotFound {
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[string(key)] = buf
+			}
+		}
+	}
+	return out
+}
+
+func samePayloads(t *testing.T, what string, got, want map[string][]byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: %d records, reference has %d", what, len(got), len(want))
+	}
+	for key, w := range want {
+		if g, ok := got[key]; !ok || !bytes.Equal(g, w) {
+			p, id, c, _ := kvstore.DecodeKey([]byte(key))
+			t.Fatalf("%s: record (%d, %d, %s) differs from the reference (%d B against %d B, present %v)", what, p, id, c, len(g), len(w), ok)
+		}
+	}
+}
+
+// compare holds dg against the reference: the permanent payloads key by key,
+// the sizes carried on the permanent skeleton nodes, and — sealing both —
+// the spine's payloads.
+func (r *refBuilder) compare(t *testing.T, dg *DeltaGraph) {
+	t.Helper()
+	P := dg.opts.Partitions
+	if dg.nextDeltaID != r.st.nextDeltaID {
+		t.Fatalf("next delta id %d, reference %d", dg.nextDeltaID, r.st.nextDeltaID)
+	}
+	samePayloads(t, "index store", payloads(t, dg.store, P, 1, dg.nextDeltaID), payloads(t, r.st.store, P, 1, r.st.nextDeltaID))
+
+	r.seal(t)
+	st := dg.Stats() // seals
+	if st.SpineStale || st.SpineBytes != r.st.spine.SizeOnDisk() {
+		t.Errorf("spine: stale %v, %d B, reference %d B", st.SpineStale, st.SpineBytes, r.st.spine.SizeOnDisk())
+	}
+	samePayloads(t, "spine", payloads(t, dg.spine, P, 0, dg.nextSpineID), payloads(t, r.st.spine, P, 0, r.st.nextSpineID))
+
+	var sizes []int
+	for _, n := range dg.skel.nodes[2:] { // past the super-root and the anchor leaf
+		if n.level >= 0 && !n.provisional {
+			sizes = append(sizes, n.size)
+		}
+	}
+	if fmt.Sprint(sizes) != fmt.Sprint(r.sizes) {
+		t.Errorf("node sizes carried by arithmetic %v, counted by the reference %v", sizes, r.sizes)
+	}
+	if dg.curSize != dg.current.Size() {
+		t.Errorf("current graph: size carried %d, counted %d", dg.curSize, dg.current.Size())
+	}
+}
+
+// canonical drops the events of a makeTrace trace that change nothing (an
+// attribute set to the value it has), which the builder does not record:
+// the reference is fed what is left.
+func canonical(events graph.EventList) graph.EventList {
+	s := graph.NewSnapshot()
+	var out graph.EventList
+	for _, ev := range events {
+		if held, ok := s.NodeAttrs[ev.Node][ev.Attr]; ev.Type == graph.SetNodeAttr && ok && held == ev.New {
+			continue
+		}
+		s.Apply(ev)
+		out = append(out, ev)
+	}
+	return out
+}
+
+// TestConstructionDifferential is the licence for building parents from
+// patches over touched elements: whatever the differential function, arity,
+// leaf size and way of feeding, every stored byte equals what whole-graph
+// construction writes, before and after a Checkpoint → Open.
+func TestConstructionDifferential(t *testing.T) {
+	events := makeTrace(41, 3200)
+	canon := canonical(events)
+	if len(canon) == len(events) {
+		t.Fatal("the trace has no no-op event: the test would not cover their removal")
+	}
+	for _, fn := range []string{"intersection", "union", "balanced", "skewed:0.3", "rightskewed:0.5", "leftskewed:0.5", "empty"} {
+		for _, arity := range []int{2, 3, 4} {
+			for _, leaf := range []int{64, 256} {
+				for _, live := range []bool{false, true} {
+					name := fmt.Sprintf("%s/k%d/L%d/live=%v", fn, arity, leaf, live)
+					t.Run(name, func(t *testing.T) {
+						f, err := delta.ByName(fn)
+						if err != nil {
+							t.Fatal(err)
+						}
+						opts := Options{LeafSize: leaf, Arity: arity, Function: f}
+						differential(t, events, canon, opts, live)
+					})
+				}
+			}
+		}
+	}
+	t.Run("partitioned", func(t *testing.T) {
+		opts := Options{LeafSize: 64, Arity: 2, Partitions: 3}
+		differential(t, events, canon, opts, true)
+	})
+}
+
+func differential(t *testing.T, events, canon graph.EventList, opts Options, live bool) {
+	// Hold back the last two and a half leaves' worth for after the reopen.
+	split := len(events) - 5*opts.LeafSize/2
+	canonSplit := len(canonical(events[:split]))
+	ref := newRefBuilder(t, opts)
+
+	var dg *DeltaGraph
+	var err error
+	if live {
+		if dg, err = New(opts); err != nil {
+			t.Fatal(err)
+		}
+		fed := 0
+		for lo := 0; lo < split; lo += 256 {
+			hi := min(lo+256, split)
+			if err := dg.AppendAll(events[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
+			if (lo/256)%3 == 2 {
+				// A read in the middle of a leaf window seals the spine over
+				// pending nodes whose patches are not empty; the parents made
+				// after it must not notice.
+				n := len(canonical(events[:hi]))
+				ref.appendAll(t, canon[fed:n])
+				fed = n
+				ref.compare(t, dg)
+			}
+		}
+		ref.appendAll(t, canon[fed:canonSplit])
+	} else {
+		if dg, err = Build(events[:split], opts); err != nil {
+			t.Fatal(err)
+		}
+		ref.appendAll(t, canon[:canonSplit])
+	}
+	ref.compare(t, dg)
+	checkAgainstReference(t, dg, events[:split], allAttrs, probeTimes(events[:split], 9))
+
+	// Checkpoint → Open: the restored pending nodes come back as whole
+	// graphs and must be turned into the right patches, for the leaves cut
+	// afterwards to find the right parents.
+	if err := dg.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(Options{Store: dg.Store()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := re.StatsUnsealed(); !st.SpineStale || st.SpineSeals != 0 || st.SpineBytes != 0 {
+		t.Errorf("a reopened index built its spine before any read: %+v", st)
+	}
+	before := re.StatsUnsealed().Leaves
+	if err := appendBatches(re, events[split:]); err != nil {
+		t.Fatal(err)
+	}
+	if got := re.StatsUnsealed().Leaves - before; got < 2 {
+		t.Fatalf("only %d leaves cut after the reopen", got)
+	}
+	ref.appendAll(t, canon[canonSplit:])
+	ref.compare(t, re)
+	checkAgainstReference(t, re, events, allAttrs, probeTimes(events, 9))
+}
+
+// messyTrace is a trace no validator would pass: adds of live elements,
+// deletes of absent ones and of ones never there, re-adds of deleted ids,
+// attributes set to the value they have, deleted when absent and carrying
+// wrong old values, edge deletes that name no endpoints, and runs of equal
+// timestamps. It has two courtesies. One the data model asks of every trace:
+// an element's attributes are removed before the element is. The other the
+// columnar eventlist asks: within one timestamp a stored eventlist keeps the
+// order of events inside a column, not across columns, so an element deleted
+// at some instant is not added again at that same instant (undoing the add
+// would take attributes with it that the attribute column restores first).
+func messyTrace(seed int64, n int) graph.EventList {
+	rng := rand.New(rand.NewSource(seed))
+	const ids = 40 // few, so that collisions are the rule
+	cur := graph.NewSnapshot()
+	attrNames := []string{"a", "b"}
+	var events graph.EventList
+	var now graph.Time
+	deleted := map[elem]graph.Time{} // when each element was last deleted
+	emit := func(ev graph.Event) {
+		ev.At = now
+		cur.Apply(ev)
+		events = append(events, ev)
+		switch ev.Type {
+		case graph.DelNode:
+			deleted[nodeElem(ev.Node)] = now
+		case graph.DelEdge:
+			deleted[edgeElem(ev.Edge)] = now
+		}
+	}
+	endpoints := func(e graph.EdgeID) (graph.NodeID, graph.NodeID) {
+		return graph.NodeID(e%ids + 1), graph.NodeID(e*7%ids + 1) // an edge id always names the same pair
+	}
+	for len(events) < n {
+		if rng.Intn(3) == 0 {
+			now += graph.Time(rng.Intn(3))
+		}
+		node := graph.NodeID(rng.Intn(ids) + 1)
+		edge := graph.EdgeID(rng.Intn(2*ids) + 1)
+		u, v := endpoints(edge)
+		switch rng.Intn(9) {
+		case 0, 1:
+			if at, ok := deleted[nodeElem(node)]; ok && at == now {
+				continue
+			}
+			emit(graph.Event{Type: graph.AddNode, Node: node}) // live or not
+		case 2:
+			for k, val := range cur.NodeAttrs[node] {
+				emit(graph.Event{Type: graph.SetNodeAttr, Node: node, Attr: k, Old: val, HadOld: true})
+			}
+			emit(graph.Event{Type: graph.DelNode, Node: node}) // there or not
+		case 3, 4:
+			if at, ok := deleted[edgeElem(edge)]; ok && at == now {
+				continue
+			}
+			emit(graph.Event{Type: graph.AddEdge, Edge: edge, Node: u, Node2: v})
+		case 5:
+			for k, val := range cur.EdgeAttrs[edge] {
+				emit(graph.Event{Type: graph.SetEdgeAttr, Edge: edge, Node: u, Node2: v, Attr: k, Old: val, HadOld: true})
+			}
+			ev := graph.Event{Type: graph.DelEdge, Edge: edge}
+			if rng.Intn(2) == 0 {
+				ev.Node, ev.Node2 = u, v
+			}
+			emit(ev)
+		case 6, 7:
+			if _, ok := cur.Nodes[node]; !ok {
+				continue
+			}
+			ev := graph.Event{Type: graph.SetNodeAttr, Node: node, Attr: attrNames[rng.Intn(2)],
+				Old: "stale", HadOld: rng.Intn(2) == 0} // the sender does not know the old value
+			if rng.Intn(4) != 0 {
+				ev.New, ev.HasNew = fmt.Sprintf("v%d", rng.Intn(3)), true
+			}
+			emit(ev)
+		default:
+			if _, ok := cur.Edges[edge]; !ok {
+				continue
+			}
+			ev := graph.Event{Type: graph.SetEdgeAttr, Edge: edge, Node: u, Node2: v, Attr: "w"}
+			if rng.Intn(3) != 0 {
+				ev.New, ev.HasNew = fmt.Sprintf("w%d", rng.Intn(2)), true
+			}
+			emit(ev)
+		}
+	}
+	return events
+}
+
+// TestAppendNeverRewritesThePast is the property ROADMAP direction 1 asks
+// for: whatever is appended, every past answer stays what forward replay of
+// the acknowledged events says — at every leaf time and between leaves,
+// checked again after every batch, because the bug this guards against is an
+// append changing answers that were right before it.
+func TestAppendNeverRewritesThePast(t *testing.T) {
+	for seed, opts := range []Options{
+		{LeafSize: 32, Arity: 2},
+		{LeafSize: 48, Arity: 3, Function: delta.Balanced()},
+		{LeafSize: 32, Arity: 2, Function: delta.Union{}},
+		{LeafSize: 64, Arity: 4, Function: delta.Empty{}},
+	} {
+		dg, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprintf("%s/k%d", dg.opts.Function.Name(), opts.Arity), func(t *testing.T) {
+			events := messyTrace(int64(100+seed), 1400)
+			rng := rand.New(rand.NewSource(int64(seed)))
+			for lo := 0; lo < len(events); lo += 100 {
+				hi := min(lo+100, len(events))
+				if err := dg.AppendAll(events[lo:hi]); err != nil {
+					t.Fatal(err)
+				}
+				naive, err := baseline.BuildNaiveLog(events[:hi], kvstore.NewMemStore())
+				if err != nil {
+					t.Fatal(err)
+				}
+				probes := dg.LeafTimes()
+				for i := 0; i < 3; i++ {
+					probes = append(probes, graph.Time(rng.Int63n(int64(events[hi-1].At)+1)))
+				}
+				probes = append(probes, events[hi-1].At)
+				for _, q := range probes {
+					want, err := naive.Snapshot(q, allAttrs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := dg.GetSnapshot(q, allAttrs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !got.Equal(want) {
+						t.Fatalf("after %d events, snapshot at %d: %d nodes %d edges, naive replay has %d and %d",
+							hi, q, len(got.Nodes), len(got.Edges), len(want.Nodes), len(want.Edges))
+					}
+				}
+			}
+			if st := dg.Stats(); st.Leaves < 8 {
+				t.Fatalf("only %d leaves: the trace mostly cancelled out", st.Leaves)
+			}
+		})
+	}
+}
+
+// TestDuplicateAddKeepsHistory is ROADMAP direction 1's repro, verbatim.
+func TestDuplicateAddKeepsHistory(t *testing.T) {
+	dg, err := New(Options{LeafSize: 2, Arity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range []graph.Event{
+		{Type: graph.AddNode, At: 1, Node: 1},
+		{Type: graph.AddNode, At: 2, Node: 2},
+		{Type: graph.AddNode, At: 3, Node: 3},
+		{Type: graph.AddNode, At: 4, Node: 1}, // node 1 is live
+	} {
+		if err := dg.Append(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dg.LastTime() != 4 {
+		t.Errorf("the duplicate was acknowledged but the clock reads %d", dg.LastTime())
+	}
+	for q, want := range map[graph.Time]int{1: 1, 2: 2, 3: 3, 4: 3} {
+		s, err := dg.GetSnapshot(q, graph.AttrOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Nodes) != want {
+			t.Errorf("snapshot@%d has %d nodes, want %d", q, len(s.Nodes), want)
+		}
+	}
+}

@@ -17,9 +17,12 @@ package deltagraph
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"historygraph/internal/delta"
 	"historygraph/internal/graph"
@@ -92,18 +95,20 @@ func (o *Options) fill() error {
 	return nil
 }
 
-// pendingChild is a node awaiting a permanent parent; its graph content
-// (and aux snapshots) are retained so the differential function can combine
-// it with its future siblings.
+// pendingChild is a node awaiting a permanent parent. Its graph is retained,
+// as a patch against the current graph (patch.go), so the differential
+// function can combine it with its future siblings; its aux snapshots are
+// retained whole.
 type pendingChild struct {
-	node int
-	snap *graph.Snapshot
-	aux  []AuxSnapshot
+	node  int
+	size  int // element count of the node's graph
+	patch patch
+	aux   []AuxSnapshot
 }
 
 // DeltaGraph is the index. It is safe for concurrent use: queries and
-// Checkpoint take the read lock; Append, materialization and Flush take the
-// write lock.
+// Checkpoint take the read lock; Append, materialization, Flush and the
+// sealing of a stale spine (rlockSealed) take the write lock.
 type DeltaGraph struct {
 	mu    sync.RWMutex
 	opts  Options
@@ -111,27 +116,40 @@ type DeltaGraph struct {
 	store kvstore.Store
 	pool  *graphpool.Pool
 	// spine holds the provisional spine's payloads, keyed by ids counted
-	// from nextSpineID. They are derived from pending, replaced wholesale at
-	// every leaf cut and never persisted.
+	// from nextSpineID. They are derived from pending and never persisted. A
+	// leaf cut drops them and sets spineStale; the first call that plans
+	// over the skeleton afterwards builds them again (sealLocked).
 	spine       *kvstore.MemStore
 	nextSpineID uint64
+	spineStale  bool
+	spineSeals  int64
 
 	nextDeltaID uint64
 
 	// Builder state (Section 4.6 bulk construction + live updates).
-	current   *graph.Snapshot // graph after every appended event
-	recent    graph.EventList // events after the last leaf cut
-	lastTime  graph.Time      // timestamp of the newest appended event
-	pending   [][]pendingChild
-	batchMode bool // during bulk Build: defer spine construction
+	current  *graph.Snapshot // graph after every appended event
+	curSize  int             // current.Size(), kept by appendLocked
+	recent   graph.EventList // events after the last leaf cut
+	lastTime graph.Time      // timestamp of the newest appended event
+	pending  [][]pendingChild
+	// window is the set of elements changed since the last leaf cut: every
+	// pending node already holds an image of each of them.
+	window map[elem]struct{}
 
-	// Provisional spine bookkeeping: nodes/edges replaced on the next
-	// structural change.
+	// Provisional spine bookkeeping: nodes/edges dropped at the next leaf
+	// cut.
 	provNodes    []int
 	provEdgeIdxs []int
-	// rematRoot requests pinning the new root after a spine rebuild tore
-	// down a materialized provisional root.
+	// rematRoot requests pinning the new root when the spine is sealed
+	// after a cut tore down a materialized provisional root.
 	rematRoot bool
+
+	// SetObserver's callbacks, and what has happened under the write lock
+	// that they have not been told yet (unlock tells them).
+	onCut    func(time.Duration)
+	onSeal   func()
+	cutTimes []time.Duration
+	sealed   int
 
 	// Materialization: skeleton node -> pool graph id (when pool is set).
 	matGraphs map[int]graphpool.GraphID
@@ -165,6 +183,7 @@ func New(opts Options) (*DeltaGraph, error) {
 		pool:        opts.Pool,
 		spine:       kvstore.NewMemStore(),
 		current:     graph.NewSnapshot(),
+		window:      make(map[elem]struct{}),
 		nextDeltaID: 1,
 		ckptFirstID: metaDeltaID - 1,
 		ckptNextID:  metaDeltaID - 1,
@@ -201,21 +220,12 @@ func Build(events graph.EventList, opts Options) (*DeltaGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	dg.mu.Lock()
-	dg.batchMode = true
-	for _, ev := range events {
-		if err := dg.appendLocked(ev); err != nil {
-			dg.mu.Unlock()
-			return nil, err
-		}
-	}
-	dg.batchMode = false
-	if err := dg.rebuildSpineLocked(); err != nil {
-		dg.mu.Unlock()
+	if err := dg.AppendAll(events); err != nil {
 		return nil, err
 	}
-	dg.mu.Unlock()
-	return dg, nil
+	dg.mu.Lock()
+	defer dg.unlock()
+	return dg, dg.sealLocked()
 }
 
 // Append records one event: it updates the current graph (and the pool's
@@ -224,7 +234,7 @@ func Build(events graph.EventList, opts Options) (*DeltaGraph, error) {
 // and extends the index (Section 6, "Updates to the Current graph").
 func (dg *DeltaGraph) Append(ev graph.Event) error {
 	dg.mu.Lock()
-	defer dg.mu.Unlock()
+	defer dg.unlock()
 	return dg.appendLocked(ev)
 }
 
@@ -241,7 +251,7 @@ func (dg *DeltaGraph) AppendAll(events graph.EventList) error {
 // resume precisely instead of re-applying or skipping the prefix.
 func (dg *DeltaGraph) AppendAllCounted(events graph.EventList) (int, error) {
 	dg.mu.Lock()
-	defer dg.mu.Unlock()
+	defer dg.unlock()
 	for i, ev := range events {
 		if err := dg.appendLocked(ev); err != nil {
 			return i, err
@@ -250,6 +260,8 @@ func (dg *DeltaGraph) AppendAllCounted(events graph.EventList) (int, error) {
 	return len(events), nil
 }
 
+// appendLocked is the one place an event enters the index: the facade, the
+// server, WAL replay, follower apply and migration ingest all end here.
 func (dg *DeltaGraph) appendLocked(ev graph.Event) error {
 	if ev.At < dg.lastTime {
 		return fmt.Errorf("deltagraph: event at %d is older than last event at %d", ev.At, dg.lastTime)
@@ -258,6 +270,14 @@ func (dg *DeltaGraph) appendLocked(ev graph.Event) error {
 		if err := dg.cutLeafLocked(); err != nil {
 			return err
 		}
+	}
+	dg.lastTime = ev.At
+	if !dg.admitLocked(&ev) {
+		// Acknowledged, and the clock has moved; but an event that leaves
+		// the graph as it was must leave its history as it was too. Played
+		// backward, a second add of a live node would delete it from every
+		// snapshot before the add.
+		return nil
 	}
 	// Aux events are derived against the graph state before the event.
 	for i, aux := range dg.auxes {
@@ -269,11 +289,155 @@ func (dg *DeltaGraph) appendLocked(ev graph.Event) error {
 	}
 	dg.current.Apply(ev)
 	dg.recent = append(dg.recent, ev)
-	dg.lastTime = ev.At
 	if dg.pool != nil {
 		dg.pool.ApplyEvent(ev)
 	}
 	return nil
+}
+
+// admitLocked looks up what ev is about to do to the current graph and
+// reports whether it belongs in the history: an event that changes nothing
+// (an add of a live element, a delete of an absent one, an attribute set to
+// the value it has) does not. For one that does, the element it changes is
+// touched and the graph's size carried forward, and what the graph knows
+// better than the sender is written into ev so that the event plays backward
+// exactly: the value an attribute event replaces, the endpoints of an edge
+// being deleted.
+func (dg *DeltaGraph) admitLocked(ev *graph.Event) bool {
+	cur := dg.current
+	var (
+		x    elem
+		grow int
+	)
+	switch ev.Type {
+	case graph.AddNode:
+		if _, live := cur.Nodes[ev.Node]; live {
+			return false
+		}
+		x, grow = nodeElem(ev.Node), 1
+	case graph.AddEdge:
+		// Edge ids are never reused: an add of a live edge is a duplicate
+		// whatever endpoints it names.
+		if _, live := cur.Edges[ev.Edge]; live {
+			return false
+		}
+		x, grow = edgeElem(ev.Edge), 1
+	case graph.DelNode, graph.DelEdge:
+		x = nodeElem(ev.Node)
+		if ev.Type == graph.DelEdge {
+			x = edgeElem(ev.Edge)
+		}
+		im := imageIn(cur, x)
+		if im.size() == 0 {
+			return false
+		}
+		if x.edge && im.present {
+			ev.Node, ev.Node2, ev.Directed = im.info.From, im.info.To, im.info.Directed
+		}
+		grow = -im.size()
+	case graph.SetNodeAttr, graph.SetEdgeAttr:
+		if ev.Type == graph.SetNodeAttr {
+			x = nodeElem(ev.Node)
+			ev.Old, ev.HadOld = cur.NodeAttrs[ev.Node][ev.Attr]
+		} else {
+			x = edgeElem(ev.Edge)
+			ev.Old, ev.HadOld = cur.EdgeAttrs[ev.Edge][ev.Attr]
+		}
+		switch {
+		case ev.HasNew && !ev.HadOld:
+			grow = 1
+		case ev.HasNew && ev.New == ev.Old, !ev.HasNew && !ev.HadOld:
+			return false
+		case !ev.HasNew:
+			grow = -1
+		}
+	default:
+		return true // transient: it changes no graph, but it happened
+	}
+	dg.touchLocked(x)
+	dg.curSize += grow
+	return true
+}
+
+// touchLocked keeps the patch invariant ahead of a change to x: the first
+// time a leaf window changes an element, every pending node that holds no
+// image of it yet is given the one the current graph is about to lose.
+func (dg *DeltaGraph) touchLocked(x elem) {
+	if _, ok := dg.window[x]; ok {
+		return
+	}
+	dg.window[x] = struct{}{}
+	var saved *image
+	for _, level := range dg.pending {
+		for _, c := range level {
+			if _, ok := c.patch[x]; ok {
+				continue
+			}
+			if saved == nil {
+				im := imageIn(dg.current, x)
+				im.attrs = maps.Clone(im.attrs) // the graph's own map is about to change
+				saved = im.shared()
+			}
+			c.patch[x] = saved
+		}
+	}
+}
+
+// rlockSealed takes the read lock with the provisional spine in place, for
+// a caller about to plan over the skeleton. A stale spine is sealed first,
+// under the write lock: the first such caller after a leaf cut pays for it,
+// the others find it done.
+func (dg *DeltaGraph) rlockSealed() error {
+	dg.mu.RLock()
+	for dg.spineStale {
+		dg.mu.RUnlock()
+		dg.mu.Lock()
+		err := dg.sealLocked()
+		dg.unlock()
+		if err != nil {
+			return err
+		}
+		dg.mu.RLock() // a cut may have slipped in: look again
+	}
+	return nil
+}
+
+// rlockAt is rlockSealed for a query at the given times. A query at or past
+// the newest event is answered from the current graph, whatever the skeleton
+// holds (planLocked), and leaves a stale spine as it is.
+func (dg *DeltaGraph) rlockAt(ts ...graph.Time) error {
+	dg.mu.RLock()
+	if !dg.spineStale || !slices.ContainsFunc(ts, func(t graph.Time) bool { return t < dg.lastTime }) {
+		return nil
+	}
+	dg.mu.RUnlock()
+	return dg.rlockSealed()
+}
+
+// SetObserver registers callbacks for the two costs of construction that a
+// caller can feel: cut is given the time every leaf cut held the write lock,
+// seal is called whenever a read had the spine built. Both are called after
+// the lock is released. Either may be nil.
+func (dg *DeltaGraph) SetObserver(cut func(time.Duration), seal func()) {
+	dg.mu.Lock()
+	defer dg.mu.Unlock()
+	dg.onCut, dg.onSeal = cut, seal
+}
+
+// unlock releases the write lock, then tells the observer of the leaf cuts
+// and seals that happened under it.
+func (dg *DeltaGraph) unlock() {
+	onCut, cuts, onSeal, sealed := dg.onCut, dg.cutTimes, dg.onSeal, dg.sealed
+	dg.cutTimes, dg.sealed = nil, 0
+	dg.mu.Unlock()
+	if onCut != nil {
+		for _, d := range cuts {
+			onCut(d)
+		}
+	}
+	for ; onSeal != nil && sealed > 0; sealed-- {
+		onSeal()
+	}
 }
 
 // CurrentSnapshot returns a copy of the current graph.

@@ -413,11 +413,14 @@ func TestIntervalQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reference: elements whose add events fall in [ts, te); transient
-	// events in window.
-	wantGraph := graph.NewSnapshot()
+	// events in window. An attribute set to the value it already has is no
+	// event of the history (appendLocked drops it).
+	wantGraph, cur := graph.NewSnapshot(), graph.NewSnapshot()
 	var wantTrans int
 	for _, ev := range events {
-		if ev.At < ts || ev.At >= te {
+		held, had := cur.NodeAttrs[ev.Node][ev.Attr]
+		cur.Apply(ev)
+		if ev.At < ts || ev.At >= te || (ev.Type == graph.SetNodeAttr && had && held == ev.New) {
 			continue
 		}
 		switch ev.Type {

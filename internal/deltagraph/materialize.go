@@ -21,7 +21,9 @@ type NodeRef int
 // super-root reached through the delta hierarchy), or an error if the
 // index is empty.
 func (dg *DeltaGraph) Root() (NodeRef, error) {
-	dg.mu.RLock()
+	if err := dg.rlockSealed(); err != nil {
+		return 0, err
+	}
 	defer dg.mu.RUnlock()
 	id := dg.rootLocked()
 	if id < 0 {
@@ -77,7 +79,7 @@ func (dg *DeltaGraph) LeafTimes() []graph.Time {
 // the zero-weight super-root edge. It is idempotent.
 func (dg *DeltaGraph) Materialize(ref NodeRef) error {
 	dg.mu.Lock()
-	defer dg.mu.Unlock()
+	defer dg.unlock()
 	return dg.materializeLocked(int(ref))
 }
 
@@ -91,6 +93,9 @@ func (dg *DeltaGraph) materializeLocked(id int) error {
 	}
 	if node.materialized {
 		return nil
+	}
+	if err := dg.sealLocked(); err != nil { // the path to the node starts at the root
+		return err
 	}
 	snap, err := dg.nodeGraphLocked(id)
 	if err != nil {
@@ -202,7 +207,9 @@ func (dg *DeltaGraph) MaterializeLevel(policy string) error {
 // (element counts weighted like GraphPool's accounting), for the
 // memory-vs-latency experiments.
 func (dg *DeltaGraph) MaterializedBytes() int64 {
-	dg.mu.RLock()
+	if dg.rlockSealed() != nil { // a pinned root is re-pinned by the seal
+		return 0
+	}
 	defer dg.mu.RUnlock()
 	var total int64
 	for _, n := range dg.skel.nodes {
@@ -216,7 +223,9 @@ func (dg *DeltaGraph) MaterializedBytes() int64 {
 // MaterializedNodes lists currently materialized skeleton nodes (excluding
 // the empty anchor).
 func (dg *DeltaGraph) MaterializedNodes() []NodeRef {
-	dg.mu.RLock()
+	if dg.rlockSealed() != nil {
+		return nil
+	}
 	defer dg.mu.RUnlock()
 	var out []NodeRef
 	for _, n := range dg.skel.nodes {

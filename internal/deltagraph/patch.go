@@ -1,0 +1,186 @@
+package deltagraph
+
+import (
+	"maps"
+
+	"historygraph/internal/graph"
+)
+
+// A pending node's graph is held as a patch against the current graph: the
+// images of the elements on which the two differ. The invariant every
+// holder keeps is
+//
+//	absent from the patch ⇒ equal to the current graph
+//
+// (the converse need not hold: an image may repeat what the current graph
+// says). appendLocked maintains it by saving an element's image into every
+// pending node that lacks one just before the first event of a leaf window
+// changes that element; a parent is then evaluated over the elements its
+// children hold images of and over nothing else (makeParentLocked).
+
+// elem names one element: a node with its attributes, or an edge with its
+// endpoints and attributes. It is the unit the differential functions decide
+// by (delta.Differential.Elementwise).
+type elem struct {
+	edge bool
+	id   int64
+}
+
+func nodeElem(n graph.NodeID) elem { return elem{id: int64(n)} }
+func edgeElem(e graph.EdgeID) elem { return elem{edge: true, id: int64(e)} }
+
+// image is the state of one element in one graph. Images are never written
+// after they are made, so pending nodes share them by pointer.
+type image struct {
+	present bool
+	info    graph.EdgeInfo    // an edge's endpoints
+	attrs   map[string]string // nil when the element has none
+}
+
+// absent is the image of an element a graph does not hold at all.
+var absent = &image{}
+
+// patch maps the elements a graph differs from dg.current on to their images
+// in that graph.
+type patch map[elem]*image
+
+// imageIn reads x out of s. The attributes alias s's own map.
+func imageIn(s *graph.Snapshot, x elem) image {
+	if x.edge {
+		info, ok := s.Edges[graph.EdgeID(x.id)]
+		return image{present: ok, info: info, attrs: s.EdgeAttrs[graph.EdgeID(x.id)]}
+	}
+	_, ok := s.Nodes[graph.NodeID(x.id)]
+	return image{present: ok, attrs: s.NodeAttrs[graph.NodeID(x.id)]}
+}
+
+// size counts the image's elements as graph.Snapshot.Size does.
+func (im image) size() int {
+	if im.present {
+		return 1 + len(im.attrs)
+	}
+	return len(im.attrs)
+}
+
+func (im image) equal(o image) bool {
+	if im.present != o.present || im.info != o.info || len(im.attrs) != len(o.attrs) {
+		return false
+	}
+	for k, v := range im.attrs {
+		if ov, ok := o.attrs[k]; !ok || ov != v {
+			return false
+		}
+	}
+	return true
+}
+
+// shared returns a pointer to im fit for a patch, the one absent image when
+// im holds nothing.
+func (im image) shared() *image {
+	if !im.present && len(im.attrs) == 0 {
+		return absent
+	}
+	return &im
+}
+
+// putIn makes x in s what the image says. The attributes are aliased, not
+// copied: s must be read-only for as long as it lives.
+func (im image) putIn(s *graph.Snapshot, x elem) {
+	if x.edge {
+		e := graph.EdgeID(x.id)
+		if im.present {
+			s.Edges[e] = im.info
+		} else {
+			delete(s.Edges, e)
+		}
+		if len(im.attrs) > 0 {
+			s.EdgeAttrs[e] = im.attrs
+		} else {
+			delete(s.EdgeAttrs, e)
+		}
+		return
+	}
+	n := graph.NodeID(x.id)
+	if im.present {
+		s.Nodes[n] = struct{}{}
+	} else {
+		delete(s.Nodes, n)
+	}
+	if len(im.attrs) > 0 {
+		s.NodeAttrs[n] = im.attrs
+	} else {
+		delete(s.NodeAttrs, n)
+	}
+}
+
+// eachElem calls fn once for every element s holds anything of.
+func eachElem(s *graph.Snapshot, fn func(elem)) {
+	for n := range s.Nodes {
+		fn(nodeElem(n))
+	}
+	for n := range s.NodeAttrs {
+		if _, ok := s.Nodes[n]; !ok {
+			fn(nodeElem(n))
+		}
+	}
+	for e := range s.Edges {
+		fn(edgeElem(e))
+	}
+	for e := range s.EdgeAttrs {
+		if _, ok := s.Edges[e]; !ok {
+			fn(edgeElem(e))
+		}
+	}
+}
+
+// imageOf returns x as pending node c holds it.
+func (dg *DeltaGraph) imageOf(c pendingChild, x elem) image {
+	if im, ok := c.patch[x]; ok {
+		return *im
+	}
+	return imageIn(dg.current, x)
+}
+
+// restrictLocked returns c's graph cut down to the elements in ids: a small
+// read-only graph (attribute maps are aliased) the differential function and
+// delta.Compute run on as they would on the whole one.
+func (dg *DeltaGraph) restrictLocked(c pendingChild, ids patch) *graph.Snapshot {
+	s := graph.NewSnapshot()
+	for x := range ids {
+		dg.imageOf(c, x).putIn(s, x)
+	}
+	return s
+}
+
+// graphLocked returns c's whole graph, read-only and valid only while the
+// lock is held: attribute maps alias the current graph's and the patch's.
+// It walks the current graph, so it is for Checkpoint and the seal alone.
+func (dg *DeltaGraph) graphLocked(c pendingChild) *graph.Snapshot {
+	cur := dg.current
+	s := &graph.Snapshot{ // the inner attribute maps stay shared
+		Nodes: maps.Clone(cur.Nodes), Edges: maps.Clone(cur.Edges),
+		NodeAttrs: maps.Clone(cur.NodeAttrs), EdgeAttrs: maps.Clone(cur.EdgeAttrs),
+	}
+	for x, im := range c.patch {
+		im.putIn(s, x)
+	}
+	return s
+}
+
+// patchOf is graphLocked's inverse: the patch that holds g against the
+// current graph. g's attribute maps are aliased, so g belongs to the patch
+// from here on. Open calls it once for every pending node it restores.
+func (dg *DeltaGraph) patchOf(g *graph.Snapshot) patch {
+	p := make(patch)
+	eachElem(g, func(x elem) {
+		if im := imageIn(g, x); !im.equal(imageIn(dg.current, x)) {
+			p[x] = im.shared()
+		}
+	})
+	eachElem(dg.current, func(x elem) {
+		if imageIn(g, x).size() == 0 {
+			p[x] = absent
+		}
+	})
+	return p
+}

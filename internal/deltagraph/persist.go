@@ -17,8 +17,10 @@ import (
 // appends. A checkpoint is a set of payload records (every graph through the
 // delta column codec, the recent eventlist through the event codec, all in
 // partition 0) followed by one small JSON meta record that names them and is
-// the commit point. The provisional spine is derived from the pending nodes
-// and is rebuilt by Open, not stored.
+// the commit point. The provisional spine is derived from the pending nodes:
+// it is not stored, and not rebuilt before a read of the reopened index asks
+// for it. A pending node's graph is written whole, whatever form the builder
+// holds it in.
 
 const (
 	metaDeltaID   = math.MaxUint64
@@ -89,7 +91,8 @@ var metaKey = kvstore.EncodeKey(0, metaDeltaID, metaComponent)
 
 // Checkpoint persists the index state into the store so Open can restore
 // it. Call it after bulk construction or periodically during appends. It
-// only reads the index, so queries keep running; appends wait.
+// only reads the index, so queries keep running; appends wait. It never
+// seals a stale spine.
 func (dg *DeltaGraph) Checkpoint() error {
 	dg.ckptMu.Lock()
 	defer dg.ckptMu.Unlock()
@@ -135,7 +138,7 @@ func (dg *DeltaGraph) Checkpoint() error {
 	for _, level := range dg.pending {
 		row := make([]persistedChild, 0, len(level))
 		for _, c := range level {
-			id, err := putGraph(c.snap)
+			id, err := putGraph(dg.graphLocked(c))
 			if err != nil {
 				return err
 			}
@@ -303,7 +306,10 @@ func Open(opts Options) (*DeltaGraph, error) {
 	}
 	dg.skel.leaves = pi.Leaves
 
-	// Restore builder pending state, and from it the spine.
+	// Restore builder pending state, each graph as a patch against the
+	// current one. The spine waits for the first read (or for a pinned node
+	// below, whose path starts at the root).
+	dg.curSize = dg.current.Size()
 	dg.pending = nil
 	for _, level := range pi.Pending {
 		row := make([]pendingChild, 0, len(level))
@@ -315,14 +321,12 @@ func Open(opts Options) (*DeltaGraph, error) {
 			if c.Aux == nil {
 				c.Aux = dg.emptyAux()
 			}
-			row = append(row, pendingChild{node: c.Node, snap: snap, aux: c.Aux})
+			row = append(row, pendingChild{node: c.Node, size: dg.skel.nodes[c.Node].size, patch: dg.patchOf(snap), aux: c.Aux})
 		}
 		dg.pending = append(dg.pending, row)
 	}
+	dg.spineStale = true
 	if err := dg.dropPayloads(pi.PrevFirstID, pi.FirstID); err != nil {
-		return nil, err
-	}
-	if err := dg.rebuildSpineLocked(); err != nil {
 		return nil, err
 	}
 	for _, id := range pinned {

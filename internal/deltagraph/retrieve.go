@@ -38,6 +38,10 @@ type queryPlan struct {
 // planLocked computes the minimum-cost plan for a singlepoint query.
 // Caller holds at least the read lock.
 func (dg *DeltaGraph) planLocked(t graph.Time, sel weightSelector) (queryPlan, error) {
+	if t >= dg.lastTime {
+		// The head: the current graph as it stands, nothing to undo.
+		return queryPlan{startCurrent: true, rangeFrom: dg.lastTime, rangeTo: t}, nil
+	}
 	lastLeaf := dg.skel.leaves[len(dg.skel.leaves)-1]
 	lastLeafTime := dg.skel.nodes[lastLeaf].at
 
@@ -291,7 +295,9 @@ func (dg *DeltaGraph) filterSpec(ev graph.Event, spec fetchSpec) bool {
 // GetSnapshot retrieves the graph as of time t with the requested
 // attribute options (the paper's GetHistGraph returning a plain snapshot).
 func (dg *DeltaGraph) GetSnapshot(t graph.Time, opts graph.AttrOptions) (*graph.Snapshot, error) {
-	dg.mu.RLock()
+	if err := dg.rlockAt(t); err != nil {
+		return nil, err
+	}
 	defer dg.mu.RUnlock()
 	s, _, err := dg.getSnapshotLocked(t, opts)
 	return s, err
@@ -313,7 +319,9 @@ func (dg *DeltaGraph) getSnapshotLocked(t graph.Time, opts graph.AttrOptions) (*
 // PlanCost returns the planner's estimated cost for a singlepoint query;
 // the experiment harness uses it to study weight distributions.
 func (dg *DeltaGraph) PlanCost(t graph.Time, opts graph.AttrOptions) (int64, error) {
-	dg.mu.RLock()
+	if err := dg.rlockAt(t); err != nil {
+		return 0, err
+	}
 	defer dg.mu.RUnlock()
 	p, err := dg.planLocked(t, selectorFor(opts, nil))
 	return p.cost, err
@@ -325,7 +333,9 @@ func (dg *DeltaGraph) PlanCost(t graph.Time, opts graph.AttrOptions) (int64, err
 // eventlist segments instead of each paying a full root-to-leaf path.
 // Results are returned in the order of ts.
 func (dg *DeltaGraph) GetSnapshots(ts []graph.Time, opts graph.AttrOptions) ([]*graph.Snapshot, error) {
-	dg.mu.RLock()
+	if err := dg.rlockAt(ts...); err != nil {
+		return nil, err
+	}
 	defer dg.mu.RUnlock()
 	return dg.getSnapshotsLocked(ts, opts)
 }
@@ -609,7 +619,9 @@ func (dg *DeltaGraph) GetExpression(tex TimeExpression, opts graph.AttrOptions) 
 	if len(tex.Times) == 0 || tex.Expr == nil {
 		return nil, fmt.Errorf("deltagraph: empty TimeExpression")
 	}
-	dg.mu.RLock()
+	if err := dg.rlockAt(tex.Times...); err != nil {
+		return nil, err
+	}
 	snaps, err := dg.getSnapshotsLocked(tex.Times, opts)
 	dg.mu.RUnlock()
 	if err != nil {
@@ -712,7 +724,9 @@ func (dg *DeltaGraph) Retrieve(t graph.Time, opts graph.AttrOptions) (graphpool.
 	if dg.pool == nil {
 		return 0, fmt.Errorf("deltagraph: no GraphPool attached")
 	}
-	dg.mu.RLock()
+	if err := dg.rlockAt(t); err != nil {
+		return 0, err
+	}
 	s, p, err := dg.getSnapshotLocked(t, opts)
 	if err != nil {
 		dg.mu.RUnlock()
@@ -750,7 +764,9 @@ func (dg *DeltaGraph) RetrieveMany(ts []graph.Time, opts graph.AttrOptions) ([]g
 	if dg.pool == nil {
 		return nil, fmt.Errorf("deltagraph: no GraphPool attached")
 	}
-	dg.mu.RLock()
+	if err := dg.rlockAt(ts...); err != nil {
+		return nil, err
+	}
 	snaps, err := dg.getSnapshotsLocked(ts, opts)
 	dg.mu.RUnlock()
 	if err != nil {

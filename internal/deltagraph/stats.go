@@ -15,8 +15,18 @@ type IndexStats struct {
 	// DiskBytes is the backing store footprint: permanent payloads plus
 	// the last checkpoint. The provisional spine is not in it.
 	DiskBytes int64
-	// SpineBytes is the memory-resident provisional spine's payload size.
+	// SpineBytes is the memory-resident provisional spine's payload size
+	// (0 while SpineStale).
 	SpineBytes int64
+	// SpineStale: a leaf was cut and no read has asked for the spine since,
+	// so it is not built. The fields that count interior nodes and delta
+	// edges (InteriorNodes, Height, DeltaEdges, the ByLevel maps, RootSize)
+	// then cover the permanent index only. Stats seals before it counts, so
+	// only StatsUnsealed ever reports true.
+	SpineStale bool
+	// SpineSeals counts the times a read had the spine built since the index
+	// was created or opened: at most once per leaf cut (and once after Open).
+	SpineSeals int64
 	// CheckpointBytes is the last checkpoint's payloads plus meta record
 	// (0 until the index is checkpointed, or opened from a checkpoint).
 	CheckpointBytes int64
@@ -38,14 +48,32 @@ type IndexStats struct {
 	PlanExecutions int64
 }
 
-// Stats computes current index statistics.
+// Stats computes current index statistics. They describe the whole index,
+// provisional spine included, so a stale spine is sealed first.
 func (dg *DeltaGraph) Stats() IndexStats {
+	if dg.rlockSealed() != nil {
+		dg.mu.RLock() // the spine's store is memory and does not fail; report what there is
+	}
+	defer dg.mu.RUnlock()
+	return dg.statsLocked()
+}
+
+// StatsUnsealed is Stats for a caller that must not disturb what it
+// observes (a metrics scrape): a stale spine stays stale and is reported as
+// such.
+func (dg *DeltaGraph) StatsUnsealed() IndexStats {
 	dg.mu.RLock()
 	defer dg.mu.RUnlock()
+	return dg.statsLocked()
+}
+
+func (dg *DeltaGraph) statsLocked() IndexStats {
 	st := IndexStats{
 		Leaves:              len(dg.skel.leaves) - 1,
 		DiskBytes:           dg.store.SizeOnDisk(),
 		SpineBytes:          dg.spine.SizeOnDisk(),
+		SpineStale:          dg.spineStale,
+		SpineSeals:          dg.spineSeals,
 		CheckpointBytes:     dg.ckptBytes.Load(),
 		DeltaBytesByLevel:   make(map[int]int64),
 		DeltaRecordsByLevel: make(map[int]int),

@@ -104,6 +104,9 @@ type Pool struct {
 	nextBit     int
 	freePairs   []int
 	freeSingles []int
+	// recent lists the bitmaps bit 1 was set on since the last ClearRecent
+	// (one entry per delete, so an element deleted twice is listed twice).
+	recent []*bitset.Bits
 }
 
 // New returns an empty pool containing only the (empty) current graph.
@@ -425,7 +428,7 @@ func (p *Pool) ApplyEvent(ev graph.Event) {
 			cur.nodeCount--
 		}
 		pn.bm.Clear(0)
-		pn.bm.Set(1)
+		p.markRecent(&pn.bm)
 	case graph.AddEdge:
 		pe := p.edge(ev.Edge, graph.EdgeInfo{From: ev.Node, To: ev.Node2, Directed: ev.Directed})
 		if !pe.bm.Get(0) {
@@ -438,13 +441,13 @@ func (p *Pool) ApplyEvent(ev graph.Event) {
 			cur.edgeCount--
 		}
 		pe.bm.Clear(0)
-		pe.bm.Set(1)
+		p.markRecent(&pe.bm)
 	case graph.SetNodeAttr:
 		pn := p.node(ev.Node)
 		for _, av := range pn.attrs[ev.Attr] {
 			if av.bm.Get(0) {
 				av.bm.Clear(0)
-				av.bm.Set(1)
+				p.markRecent(&av.bm)
 			}
 		}
 		if ev.HasNew {
@@ -455,7 +458,7 @@ func (p *Pool) ApplyEvent(ev graph.Event) {
 			for _, av := range pe.attrs[ev.Attr] {
 				if av.bm.Get(0) {
 					av.bm.Clear(0)
-					av.bm.Set(1)
+					p.markRecent(&av.bm)
 				}
 			}
 			if ev.HasNew {
@@ -465,27 +468,27 @@ func (p *Pool) ApplyEvent(ev graph.Event) {
 	}
 }
 
-// ClearRecent clears bit 1 everywhere: the recently deleted elements are
-// now covered by the on-disk index (called after a leaf-eventlist flush).
-func (p *Pool) ClearRecent() {
+// markRecent sets bit 1 ("recently deleted, not yet in the index") and
+// remembers where, so that ClearRecent need not search the pool for it.
+func (p *Pool) markRecent(bm *bitset.Bits) {
+	bm.Set(1)
+	p.recent = append(p.recent, bm)
+}
+
+// ClearRecent clears bit 1 wherever it is set: the recently deleted elements
+// are now covered by the on-disk index (called after a leaf-eventlist
+// flush). It visits the bitmaps marked since the last call and nothing else,
+// and returns how many that was.
+func (p *Pool) ClearRecent() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, pn := range p.nodes {
-		pn.bm.Clear(1)
-		for _, vals := range pn.attrs {
-			for _, av := range vals {
-				av.bm.Clear(1)
-			}
-		}
+	n := len(p.recent)
+	for i, bm := range p.recent {
+		bm.Clear(1)
+		p.recent[i] = nil
 	}
-	for _, pe := range p.edges {
-		pe.bm.Clear(1)
-		for _, vals := range pe.attrs {
-			for _, av := range vals {
-				av.bm.Clear(1)
-			}
-		}
-	}
+	p.recent = p.recent[:0]
+	return n
 }
 
 // Pin takes a reference on an active graph: a pinned graph survives

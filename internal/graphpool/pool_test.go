@@ -492,3 +492,35 @@ func TestPoolRandomizedIsolation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestClearRecentVisitsOnlyRecentDeletes: a leaf cut clears bit 1 on the
+// elements deleted since the last cut, not on the pool.
+func TestClearRecentVisitsOnlyRecentDeletes(t *testing.T) {
+	p := New()
+	const nodes, deletes = 5000, 7
+	for n := graph.NodeID(1); n <= nodes; n++ {
+		p.ApplyEvent(graph.Event{Type: graph.AddNode, Node: n})
+		p.ApplyEvent(graph.Event{Type: graph.SetNodeAttr, Node: n, Attr: "a", New: "v", HasNew: true})
+	}
+	if n := p.ClearRecent(); n != 0 {
+		t.Fatalf("nothing was deleted, ClearRecent visited %d bitmaps", n)
+	}
+	for n := graph.NodeID(1); n <= deletes; n++ {
+		p.ApplyEvent(graph.Event{Type: graph.SetNodeAttr, Node: n, Attr: "a", Old: "v", HadOld: true}) // one attribute value
+		p.ApplyEvent(graph.Event{Type: graph.DelNode, Node: n})                                        // one node
+	}
+	if got := p.Stats().PoolNodes; got != nodes {
+		t.Fatalf("recently deleted nodes must stay resident: %d of %d", got, nodes)
+	}
+	if n := p.ClearRecent(); n != 2*deletes {
+		t.Errorf("%d deletes of a node and its attribute: ClearRecent visited %d bitmaps, want %d (the pool holds %d nodes)", deletes, n, 2*deletes, nodes)
+	}
+	if n := p.ClearRecent(); n != 0 {
+		t.Errorf("a second ClearRecent visited %d bitmaps", n)
+	}
+	for n := graph.NodeID(1); n <= deletes; n++ {
+		if p.nodes[n].bm.Get(1) || p.nodes[n].attrs["a"][0].bm.Get(1) {
+			t.Fatalf("node %d still marked recently deleted", n)
+		}
+	}
+}

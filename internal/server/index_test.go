@@ -80,6 +80,26 @@ func TestStructureOnlyNearHead(t *testing.T) {
 	}
 }
 
+// scrapeMetrics reads svc's /metrics, lints the exposition and returns the
+// samples by name.
+func scrapeMetrics(t *testing.T, svc *Server) map[string]float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if err := metrics.Lint(rec.Body.String()); err != nil {
+		t.Fatalf("exposition does not lint: %v", err)
+	}
+	samples, err := metrics.Parse(rec.Body.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, s := range samples {
+		out[s.Name] = s.Value
+	}
+	return out
+}
+
 // TestIndexGauges scrapes a worker over a file-backed index: the index
 // gauges lint, agree with IndexStats and /stats, and follow a checkpoint.
 func TestIndexGauges(t *testing.T) {
@@ -92,23 +112,7 @@ func TestIndexGauges(t *testing.T) {
 	}
 	t.Cleanup(func() { gm.Close() })
 	svc, client := newTestServer(t, gm, Config{})
-	gauges := func() map[string]float64 {
-		t.Helper()
-		rec := httptest.NewRecorder()
-		svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-		if err := metrics.Lint(rec.Body.String()); err != nil {
-			t.Fatalf("exposition does not lint: %v", err)
-		}
-		samples, err := metrics.Parse(rec.Body.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := map[string]float64{}
-		for _, s := range samples {
-			out[s.Name] = s.Value
-		}
-		return out
-	}
+	gauges := func() map[string]float64 { return scrapeMetrics(t, svc) }
 	st := gm.IndexStats()
 	before := gauges()
 	for name, want := range map[string]int64{
@@ -139,5 +143,86 @@ func TestIndexGauges(t *testing.T) {
 	}
 	if float64(stats.Index.CheckpointBytes) != ckpt || stats.Index.SpineBytes != st.SpineBytes {
 		t.Errorf("/stats index = %+v, /metrics checkpoint %v spine %d", stats.Index, ckpt, st.SpineBytes)
+	}
+}
+
+// TestDuplicateAddServed is ROADMAP direction 1's live repro through the
+// front door: a second AddNode of a live node is acknowledged and changes no
+// answer, past or present.
+func TestDuplicateAddServed(t *testing.T) {
+	gm, err := historygraph.Open(historygraph.Options{LeafEventlistSize: 2, CleanerInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gm.Close() })
+	_, client := newTestServer(t, gm, Config{})
+	res, err := client.Append(historygraph.EventList{
+		{Type: historygraph.AddNode, At: 1, Node: 1},
+		{Type: historygraph.AddNode, At: 2, Node: 2},
+		{Type: historygraph.AddNode, At: 3, Node: 3},
+		{Type: historygraph.AddNode, At: 4, Node: 1}, // node 1 is live
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Appended != 4 || res.LastTime != 4 {
+		t.Errorf("append result %+v, want 4 events acknowledged and the clock at 4", res)
+	}
+	for q, want := range map[historygraph.Time]int{1: 1, 2: 2, 3: 3, 4: 3} {
+		snap, err := client.Snapshot(q, "", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.NumNodes != want {
+			t.Errorf("snapshot@%d has %d nodes, want %d", q, snap.NumNodes, want)
+		}
+	}
+}
+
+// TestSealMetrics follows the builder's two stalls on /metrics and /stats:
+// every leaf cut is observed, a scrape and a head read leave a stale spine
+// alone (dg_index_spine_bytes reads 0), and the first historical read after
+// the cuts seals it once.
+func TestSealMetrics(t *testing.T) {
+	gm, err := historygraph.Open(historygraph.Options{LeafEventlistSize: 64, CleanerInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gm.Close() })
+	svc, client := newTestServer(t, gm, Config{})
+	scrape := func() map[string]float64 { return scrapeMetrics(t, svc) }
+	events := testEvents()
+	if _, err := client.Append(events); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Snapshot(gm.LastTime(), "", false); err != nil { // a head read
+		t.Fatal(err)
+	}
+	m := scrape()
+	cuts := m["dg_index_leaf_cut_seconds_count"]
+	if cuts < 10 || cuts != m["dg_index_leaves"] {
+		t.Fatalf("%v leaf cuts observed over %v leaves", cuts, m["dg_index_leaves"])
+	}
+	if m["dg_index_spine_seals_total"] != 0 || m["dg_index_spine_bytes"] != 0 {
+		t.Fatalf("an ingest, a head read and a scrape built the spine: %v seals, %v B", m["dg_index_spine_seals_total"], m["dg_index_spine_bytes"])
+	}
+	if st := gm.IndexStatsUnsealed(); !st.SpineStale || st.SpineSeals != 0 {
+		t.Fatalf("unsealed stats %+v", st)
+	}
+	for i := 1; i <= 3; i++ { // historical reads: the first one seals
+		if _, err := client.Snapshot(gm.LastTime()*historygraph.Time(i)/4, "", false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m = scrape()
+	if m["dg_index_spine_seals_total"] != 1 || m["dg_index_spine_bytes"] <= 0 {
+		t.Errorf("after historical reads: %v seals, spine %v B", m["dg_index_spine_seals_total"], m["dg_index_spine_bytes"])
+	}
+	stats, err := client.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Index.SpineSeals != 1 || stats.Index.SpineStale || float64(stats.Index.SpineBytes) != m["dg_index_spine_bytes"] {
+		t.Errorf("/stats index %+v against %v spine bytes on /metrics", stats.Index, m["dg_index_spine_bytes"])
 	}
 }

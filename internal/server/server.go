@@ -79,8 +79,15 @@ type Server struct {
 	// surfaces cannot drift.
 	reg        *metrics.Registry
 	ins        *Instrumentation
-	retrievals *metrics.Counter // underlying GetHistGraph executions
-	encodes    *metrics.Counter // snapshot-body encode executions (encoded-cache hits do none)
+	retrievals *metrics.Counter   // underlying GetHistGraph executions
+	encodes    *metrics.Counter   // snapshot-body encode executions (encoded-cache hits do none)
+	leafCuts   *metrics.Histogram // write-lock hold time of index leaf cuts
+	spineSeals *metrics.Counter   // provisional-spine builds forced by reads
+}
+
+// observeIndex points gm's builder callbacks at this server's metrics.
+func (s *Server) observeIndex(gm *historygraph.GraphManager) {
+	gm.ObserveIndex(func(d time.Duration) { s.leafCuts.Observe(d.Seconds()) }, s.spineSeals.Inc)
 }
 
 // serverEndpoints is the endpoint-label whitelist for request metrics;
@@ -158,22 +165,27 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 		"Analytics execution wall time by kind.", nil, "kind")
 	s.an.supersteps = reg.Counter("dg_analytics_supersteps_total",
 		"PageRank partition supersteps executed.")
+	s.leafCuts = reg.Histogram("dg_index_leaf_cut_seconds",
+		"Time a leaf cut held the index write lock: flushing the eventlist and building the parents it completes.", nil)
+	s.spineSeals = reg.Counter("dg_index_spine_seals_total",
+		"Times a read had the provisional spine built after a leaf cut dropped it.")
+	s.observeIndex(gm)
 	// Index gauges read the manager at scrape time, so they follow a
-	// manager swapped in by a re-seed.
+	// manager swapped in by a re-seed; a scrape never seals the spine.
 	for _, g := range []struct {
 		name, help string
 		of         func(historygraph.IndexStats) int64
 	}{
 		{"dg_index_disk_bytes", "Index store footprint: permanent delta and eventlist payloads plus the last checkpoint.",
 			func(st historygraph.IndexStats) int64 { return st.DiskBytes }},
-		{"dg_index_spine_bytes", "Memory-resident provisional spine payloads (never written to the store).",
+		{"dg_index_spine_bytes", "Memory-resident provisional spine payloads (never written to the store); 0 from a leaf cut to the next historical read.",
 			func(st historygraph.IndexStats) int64 { return st.SpineBytes }},
 		{"dg_index_checkpoint_bytes", "Payload and meta bytes of the last index checkpoint (0 before the first).",
 			func(st historygraph.IndexStats) int64 { return st.CheckpointBytes }},
 		{"dg_index_leaves", "Leaf-eventlists cut so far.",
 			func(st historygraph.IndexStats) int64 { return int64(st.Leaves) }},
 	} {
-		reg.GaugeFunc(g.name, g.help, func() float64 { return float64(g.of(s.gm.Load().IndexStats())) })
+		reg.GaugeFunc(g.name, g.help, func() float64 { return float64(g.of(s.gm.Load().IndexStatsUnsealed())) })
 	}
 	s.slotEpoch = reg.Gauge("dg_slot_epoch",
 		"Installed slot-routing epoch (0 until the coordinator pushes a table).")
@@ -732,6 +744,7 @@ func (s *Server) Manager() *historygraph.GraphManager { return s.gm.Load() }
 // those drain (or accept their failure, as the re-seed path does after a
 // divergence that already made the old store unservable).
 func (s *Server) ReplaceManager(gm *historygraph.GraphManager) *historygraph.GraphManager {
+	s.observeIndex(gm)
 	old := s.gm.Swap(gm)
 	if s.cache != nil {
 		s.cache.setManager(gm)
