@@ -42,6 +42,13 @@
 // events graph.PartitionOfEvent routes to i (appending through the
 // coordinator maintains this automatically).
 //
+// Every flag is described in docs/OPERATIONS.md ("dgserve flag
+// reference"). Bounds that no deployment sets differently are constants,
+// not flags: the stream run size (wire.DefaultRunSize), the merged-stream
+// delivery bound (20x -peer-timeout), the in-sync read threshold
+// (shard.MaxLag) and the append pipeline's queue depth and stream window
+// (replica.AppendQueue, replica.StreamWindow).
+//
 // Endpoints: /snapshot, /neighbors, /batch, /interval, /expr, /append,
 // /stats, /healthz, /readyz, /metrics — see internal/server for
 // parameters — plus, on WAL-backed workers, /replicate, /replstatus and
@@ -86,8 +93,6 @@ func main() {
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "replica health-check period (coordinator role only; 0 disables)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "max age of a merged-response cache entry (coordinator role only; 0 keeps entries until an append through this coordinator invalidates them — set when writers can reach partition primaries directly)")
 	wireName := flag.String("wire", "json", `codec for this process's outbound data-plane requests: "json" (default) or "binary"; in coordinator role it selects the scatter-leg encoding (external responses negotiate per request via Accept and are byte-identical either way)`)
-	streamRun := flag.Int("stream-run", 0, "elements per chunked-stream frame on the streaming /snapshot path; peak response-build memory is proportional to it (0 picks the wire default, 2048)")
-	streamTimeout := flag.Duration("stream-timeout", 0, "total delivery bound for one merged snapshot stream (coordinator role; client-paced, so much larger than -peer-timeout; 0 picks 20x -peer-timeout)")
 	encCache := flag.Int("enc-cache", server.DefaultEncodedCacheSize, "encoded-bytes cache capacity: fully encoded /snapshot bodies served with zero re-encode on a hit (0 disables; worker/single role only)")
 	csrCache := flag.Int("csr-cache", server.DefaultCSRCacheSize, "materialized CSR snapshot cache capacity for the /analytics scan path (0 disables; worker/single role only)")
 	walDir := flag.String("wal-dir", "", "directory for the durable write-ahead event log; enables WAL durability and the replication endpoints")
@@ -95,8 +100,6 @@ func main() {
 	syncFollowers := flag.Int("sync-followers", 0, "followers that must durably log a batch before the primary acks the append (requires -wal-dir)")
 	slowQuery := flag.Duration("slow-query", 0, "log any request slower than this with its X-Request-ID and annotations (0 disables the slow-query log)")
 	readyMaxLag := flag.Uint64("ready-max-lag", 0, "WAL records a follower may trail its primary and still answer GET /readyz with 200 (requires -wal-dir; 0 requires full catch-up)")
-	appendQueue := flag.Int("append-queue", 0, "admitted-but-unapplied batches the append pipeline holds before admission blocks (requires -wal-dir; 0 picks the default)")
-	appendStreamWindow := flag.Int("append-stream-window", 0, "in-flight frames one streaming ingest connection may hold before the handler stops reading (requires -wal-dir; 0 picks the default)")
 	flag.Parse()
 
 	if _, err := wire.ByName(*wireName); err != nil {
@@ -106,7 +109,7 @@ func main() {
 
 	switch *role {
 	case "coordinator", "coord":
-		runCoordinator(*addr, *peers, *partitions, *replicas, *peerTimeout, *healthInterval, *cacheSize, *cacheTTL, *wireName, *streamRun, *streamTimeout, *slowQuery)
+		runCoordinator(*addr, *peers, *partitions, *replicas, *peerTimeout, *healthInterval, *cacheSize, *cacheTTL, *wireName, *slowQuery)
 		return
 	case "", "worker", "single":
 		// An index-serving process; a worker is just a server whose
@@ -142,19 +145,10 @@ func main() {
 		fmt.Println("dgserve: starting with an empty index (ingest via POST /append)")
 	}
 
-	size := *cacheSize
-	if size <= 0 {
-		size = -1 // disabled
-	}
-	encSize := *encCache
-	if encSize <= 0 {
-		encSize = -1 // disabled
-	}
-	csrSize := *csrCache
-	if csrSize <= 0 {
-		csrSize = -1 // disabled
-	}
-	svc := server.New(gm, server.Config{CacheSize: size, EncodedCacheSize: encSize, CSRCacheSize: csrSize, StreamRun: *streamRun, SlowQueryThreshold: *slowQuery})
+	svc := server.New(gm, server.Config{
+		CacheSize: capacity(*cacheSize), EncodedCacheSize: capacity(*encCache), CSRCacheSize: capacity(*csrCache),
+		SlowQueryThreshold: *slowQuery,
+	})
 	defer svc.Close()
 
 	handler := svc.Handler()
@@ -181,7 +175,6 @@ func main() {
 		}
 		cfg := replica.Config{
 			SyncFollowers: *syncFollowers, SelfID: selfID, ReadyMaxLag: *readyMaxLag,
-			AppendQueue: *appendQueue, StreamWindow: *appendStreamWindow,
 			// The manager factory enables automated truncate-and-resync: a
 			// follower whose WAL diverged from its primary re-seeds itself
 			// instead of waiting for an operator to wipe the WAL directory.
@@ -234,10 +227,19 @@ func main() {
 	}
 }
 
+// capacity maps a cache-size flag onto its Config field: a flag spells
+// "disabled" as 0, a Config as negative (its 0 picks the default).
+func capacity(flagValue int) int {
+	if flagValue <= 0 {
+		return -1
+	}
+	return flagValue
+}
+
 // runCoordinator serves the scatter-gather front of a sharded cluster: no
 // local index, every query fans out across the -peers partition replica
 // sets and merges.
-func runCoordinator(addr, peers string, expected, replicas int, timeout, healthInterval time.Duration, cacheSize int, cacheTTL time.Duration, wireName string, streamRun int, streamTimeout, slowQuery time.Duration) {
+func runCoordinator(addr, peers string, expected, replicas int, timeout, healthInterval time.Duration, cacheSize int, cacheTTL time.Duration, wireName string, slowQuery time.Duration) {
 	// shard.New owns the peer-spec grammar ("," between partitions, "|"
 	// between a partition's replicas); this just splits the flag.
 	var specs []string
@@ -254,17 +256,12 @@ func runCoordinator(addr, peers string, expected, replicas int, timeout, healthI
 		fmt.Fprintf(os.Stderr, "dgserve: -partitions %d but %d peer groups listed\n", expected, len(specs))
 		os.Exit(2)
 	}
-	if cacheSize <= 0 {
-		cacheSize = -1 // disabled
-	}
 	co, err := shard.New(specs, shard.Config{
 		PartitionTimeout:   timeout,
 		HealthInterval:     healthInterval,
-		CacheSize:          cacheSize,
+		CacheSize:          capacity(cacheSize),
 		CacheTTL:           cacheTTL,
 		Wire:               wireName,
-		StreamRun:          streamRun,
-		StreamTimeout:      streamTimeout,
 		SlowQueryThreshold: slowQuery,
 	})
 	if err != nil {

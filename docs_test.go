@@ -181,3 +181,100 @@ func TestDocsMetricNames(t *testing.T) {
 		}
 	}
 }
+
+// flagDef matches a flag registration ("flag.Int(", "fs.Bool(", ...) and
+// captures the flag's name.
+var flagDef = regexp.MustCompile(`\.(?:Bool|Int|Int64|Uint|Uint64|Float64|String|Duration)\(\s*"([^"]+)"`)
+
+// codeSpan matches an inline code span; docFlag a "-flag" token inside one.
+var (
+	codeSpan = regexp.MustCompile("`([^`]+)`")
+	docFlag  = regexp.MustCompile(`(?:^|\s)-([A-Za-z][\w-]*)`)
+)
+
+// goToolFlags are the go-toolchain flags the docs mention; no command
+// under cmd/ registers them.
+var goToolFlags = map[string]bool{"race": true, "shuffle": true, "benchtime": true, "count": true}
+
+// TestDocsFlagNames keeps the runbook's flag reference true in both
+// directions: every flag cmd/dgserve/main.go registers is documented in
+// docs/OPERATIONS.md, and every backticked -flag in README.md and
+// docs/*.md is one a command under cmd/ registers — dgserve itself when
+// the code span names dgserve — so a removed flag cannot linger in the
+// docs.
+func TestDocsFlagNames(t *testing.T) {
+	registered := map[string]map[string]bool{} // command -> its flag names
+	mains, err := filepath.Glob(filepath.Join("cmd", "*", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range mains {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd := filepath.Base(filepath.Dir(path))
+		if registered[cmd] == nil {
+			registered[cmd] = map[string]bool{}
+		}
+		for _, m := range flagDef.FindAllStringSubmatch(string(src), -1) {
+			registered[cmd][m[1]] = true
+		}
+	}
+	dgserve := registered["dgserve"]
+	if len(dgserve) == 0 {
+		t.Fatal("found no flag registrations in cmd/dgserve")
+	}
+
+	ops, err := os.ReadFile(filepath.Join("docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name := range dgserve {
+		if !strings.Contains(string(ops), "`-"+name+"`") {
+			t.Errorf("dgserve flag -%s is not documented in docs/OPERATIONS.md", name)
+		}
+	}
+
+	files, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range append(files, "README.md") {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Fenced blocks are shell transcripts, not flag references.
+		var prose []string
+		inFence := false
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				inFence = !inFence
+			} else if !inFence {
+				prose = append(prose, line)
+			}
+		}
+		for _, span := range codeSpan.FindAllStringSubmatch(strings.Join(prose, "\n"), -1) {
+			for _, m := range docFlag.FindAllStringSubmatch(span[1], -1) {
+				name := m[1]
+				if strings.Contains(span[1], "dgserve") {
+					if !dgserve[name] {
+						t.Errorf("%s: `%s` names -%s, which dgserve does not register", file, span[1], name)
+					}
+					continue
+				}
+				known := goToolFlags[name]
+				for _, flags := range registered {
+					known = known || flags[name]
+				}
+				if !known {
+					t.Errorf("%s: `%s` names -%s, which no command under cmd/ registers", file, span[1], name)
+				}
+			}
+		}
+	}
+}

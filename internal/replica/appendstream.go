@@ -104,7 +104,7 @@ func (n *Node) handleAppendStream(w http.ResponseWriter, r *http.Request) {
 		// Blocking here (instead of reading on) is the per-stream
 		// backpressure that bounds this connection's claim on the shared
 		// pipeline queue.
-		if len(pending) >= n.streamWindow {
+		if len(pending) >= StreamWindow {
 			if err := settleOne(); err != nil {
 				fail(http.StatusInternalServerError, err)
 				return

@@ -48,14 +48,14 @@ const (
 	// DefaultRetryDelay paces a follower's reconnect attempts after its
 	// primary stops answering.
 	DefaultRetryDelay = 200 * time.Millisecond
-	// DefaultAppendQueue is the append pipeline's admitted-but-unapplied
+	// AppendQueue is the append pipeline's admitted-but-unapplied
 	// capacity: how many batches may sit between the WAL write and the
 	// applier before admission blocks (backpressure).
-	DefaultAppendQueue = 256
-	// DefaultStreamWindow is how many in-flight frames a streaming ingest
+	AppendQueue = 256
+	// StreamWindow is how many in-flight frames a streaming ingest
 	// connection may have admitted before the server stops reading more
 	// (per-stream backpressure on top of the shared pipeline queue).
-	DefaultStreamWindow = 32
+	StreamWindow = 32
 )
 
 // Config tunes a Node.
@@ -91,13 +91,6 @@ type Config struct {
 	// primary's last known head and still answer GET /readyz with 200.
 	// 0 requires the follower to be fully caught up.
 	ReadyMaxLag uint64
-	// AppendQueue caps the append pipeline's admitted-but-unapplied batch
-	// count; admission blocks when it is full. 0 picks DefaultAppendQueue.
-	AppendQueue int
-	// StreamWindow caps a streaming ingest connection's in-flight frames;
-	// the handler stops reading new frames until the oldest settles. 0
-	// picks DefaultStreamWindow.
-	StreamWindow int
 	// NewManager builds a fresh, empty GraphManager over the same options
 	// the node was opened with. It enables the automated truncate-and-resync
 	// path: a follower whose WAL diverged from its primary (a deposed
@@ -124,7 +117,6 @@ type Node struct {
 	pollWait      time.Duration
 	fetchMax      int
 	readyMaxLag   uint64
-	streamWindow  int
 	newManager    func() (*historygraph.GraphManager, error)
 
 	role       atomic.Int32
@@ -282,15 +274,7 @@ func NewNode(srv *server.Server, log *Log, cfg Config) (*Node, error) {
 		n.hc = &http.Client{}
 	}
 	n.newManager = cfg.NewManager
-	queueCap := cfg.AppendQueue
-	if queueCap <= 0 {
-		queueCap = DefaultAppendQueue
-	}
-	n.streamWindow = cfg.StreamWindow
-	if n.streamWindow <= 0 {
-		n.streamWindow = DefaultStreamWindow
-	}
-	n.queue = make(chan *applyReq, queueCap)
+	n.queue = make(chan *applyReq, AppendQueue)
 	n.quit = make(chan struct{})
 	n.applierDone = make(chan struct{})
 	n.tailErr.Store("")

@@ -21,6 +21,7 @@ import (
 
 	"historygraph"
 	"historygraph/internal/analytics"
+	"historygraph/internal/cache"
 	"historygraph/internal/csr"
 	"historygraph/internal/metrics"
 	"historygraph/internal/pregel"
@@ -49,7 +50,7 @@ type prJob struct {
 // analyticsState is the server's analytics plane: the CSR cache and the
 // PageRank partition job table.
 type analyticsState struct {
-	csr *csrCache // nil when disabled
+	csr *cache.Cache[*csr.Graph] // materialized CSRs, keyed like the view cache
 
 	mu   sync.Mutex
 	jobs map[string]*prJob
@@ -63,10 +64,6 @@ type analyticsState struct {
 // view on miss and cached under the view cache's invalidation rules.
 // Concurrent identical builds coalesce on the flight group.
 func (s *Server) acquireCSR(t historygraph.Time, attrs string) (*csr.Graph, bool, error) {
-	if s.an.csr == nil {
-		g, _, err := s.buildCSR(t, attrs)
-		return g, false, err
-	}
 	key := "csr|" + cacheKey(t, attrs)
 	if g, ok := s.an.csr.Get(key); ok {
 		return g, true, nil
@@ -77,7 +74,7 @@ func (s *Server) acquireCSR(t historygraph.Time, attrs string) (*csr.Graph, bool
 		if err != nil {
 			return nil, err
 		}
-		s.an.csr.Insert(key, t, depCur, g, gen)
+		s.an.csr.Insert(key, cache.Entry[*csr.Graph]{At: t, DepCur: depCur, Value: g}, gen)
 		return g, nil
 	})
 	if err != nil {

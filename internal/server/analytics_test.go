@@ -3,10 +3,8 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"historygraph"
 	"historygraph/internal/analytics"
@@ -304,81 +302,4 @@ func TestPRJobLegProtocol(t *testing.T) {
 	if _, err := client.PRStartCtx(ctx, wire.PRStart{Job: "never-prepared", N: 1}); !errors.As(err, &he) || he.Status != 404 {
 		t.Fatalf("start of unknown job: err = %v, want HTTP 404", err)
 	}
-}
-
-// TestCacheCostAdmission is the regression test for cost-aware admission:
-// within the cold tail of the LRU, the cheapest-to-rebuild entry is
-// evicted first, so one expensive plan's view survives a burst of cheap
-// one-off retrievals that plain LRU would evict it under.
-func TestCacheCostAdmission(t *testing.T) {
-	gm := newTestManager(t)
-	last := gm.LastTime()
-	cache := newSnapCache(gm, 4, testCounters())
-
-	get := func(i int) (*historygraph.HistGraph, historygraph.Time) {
-		tp := last * historygraph.Time(i+1) / 40
-		h, err := gm.GetHistGraph(tp, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h, tp
-	}
-
-	// The expensive entry goes in first, so it is always the coldest.
-	hExp, tpExp := get(0)
-	cache.Insert("expensive", tpExp, hExp, cache.Gen(), time.Second)
-	for i := 1; i <= 3; i++ {
-		h, tp := get(i)
-		cache.Insert(fmt.Sprintf("cheap%d", i), tp, h, cache.Gen(), time.Millisecond)
-	}
-
-	// A burst of cheap one-offs: every insert over capacity evicts the
-	// cheapest of the cold tail — never the expensive entry.
-	for i := 4; i <= 10; i++ {
-		h, tp := get(i)
-		cache.Insert(fmt.Sprintf("cheap%d", i), tp, h, cache.Gen(), time.Millisecond)
-	}
-
-	if _, release, ok := cache.Acquire("expensive", true); !ok {
-		t.Fatal("expensive entry was evicted by cheap one-offs")
-	} else {
-		release()
-	}
-	if _, _, ok := cache.Acquire("cheap1", true); ok {
-		t.Fatal("cold cheap entry survived the burst")
-	}
-	if got := cache.counters.evictions.Value(); got != 7 {
-		t.Fatalf("evictions = %d, want 7", got)
-	}
-	cache.Purge()
-}
-
-// TestCacheCostTiesKeepLRU pins the tie-break: equal costs fall back to
-// pure LRU order (the tail), preserving the pre-cost eviction behavior.
-func TestCacheCostTiesKeepLRU(t *testing.T) {
-	gm := newTestManager(t)
-	last := gm.LastTime()
-	cache := newSnapCache(gm, 2, testCounters())
-
-	get := func(i int) (*historygraph.HistGraph, historygraph.Time) {
-		tp := last * historygraph.Time(i+1) / 10
-		h, err := gm.GetHistGraph(tp, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h, tp
-	}
-	for i := 0; i < 3; i++ {
-		h, tp := get(i)
-		cache.Insert(fmt.Sprintf("k%d", i), tp, h, cache.Gen(), time.Second)
-	}
-	if _, _, ok := cache.Acquire("k0", true); ok {
-		t.Fatal("equal-cost eviction must take the LRU tail (k0)")
-	}
-	if _, release, ok := cache.Acquire("k1", true); !ok {
-		t.Fatal("k1 should be resident")
-	} else {
-		release()
-	}
-	cache.Purge()
 }

@@ -1,245 +1,92 @@
 package server
 
 import (
-	"container/list"
-	"sync"
 	"time"
 
 	"historygraph"
-	"historygraph/internal/metrics"
+	"historygraph/internal/cache"
 )
 
-// cacheCounters are the registry-owned hit/miss/eviction counters one
-// cache level charges; /stats reads the same counters /metrics exposes.
-type cacheCounters struct {
-	hits, misses, evictions *metrics.Counter
+// view is a retrieved GraphPool view and the manager whose pool holds it.
+// Carrying the manager lets a cached view outlive a ReplaceManager swap
+// just long enough to be handed back to the pool that produced it.
+type view struct {
+	gm *historygraph.GraphManager
+	h  *historygraph.HistGraph
 }
 
-// snapCache is the hot-snapshot cache: an LRU keyed by (timepoint,
-// attribute-spec) whose values are GraphPool views kept resident with a
-// reference count. A cache hit serves a popular timepoint straight from
-// the pool's overlaid bitmaps and skips DeltaGraph plan execution
-// entirely.
+// snapCache is the hot-snapshot cache: internal/cache's policy over
+// GraphPool views, keyed by (timepoint, attribute-spec). A hit serves a
+// popular timepoint straight from the pool's overlaid bitmaps and skips
+// DeltaGraph plan execution entirely.
 //
-// Reference counting uses the pool's Pin/Unpin: the cache holds one pin
-// for as long as an entry is resident, and every reader takes an extra pin
-// for the duration of its response. Eviction drops the cache's pin and
-// calls Release — the pool's lazy cleaner (CleanNow) then reclaims the
-// graph's bits as soon as the last reader unpins, never underneath one.
+// What is its own is the reference counting, done with the pool's
+// Pin/Unpin: the cache holds one pin for as long as an entry is resident,
+// and every reader takes an extra pin for the duration of its response.
+// Eviction drops the cache's pin and calls Release — the pool's lazy
+// cleaner then reclaims the graph's bits as soon as the last reader
+// unpins, never underneath one.
 type snapCache struct {
-	gm       *historygraph.GraphManager
-	capacity int
-
-	mu      sync.Mutex
-	entries map[string]*list.Element // values are *cacheEntry
-	lru     *list.List               // front = most recently used
-	// gen counts invalidation passes. A retrieval that overlapped an
-	// append must not register its view: the view may predate events the
-	// invalidation already declared visible, and inserting it after the
-	// pass would serve stale data as a cache hit. Callers snapshot Gen
-	// before retrieving; InsertAcquire refuses when it moved.
-	gen int64
-
-	counters cacheCounters
+	*cache.Cache[view] // nil when caching is disabled
 }
 
-type cacheEntry struct {
-	key string
-	at  historygraph.Time
-	// depCur marks views overlaid as exceptions against the current
-	// graph: they read the current graph's live bits, so ANY append
-	// invalidates them regardless of timepoint.
-	depCur bool
-	// cost is how long the view's plan took to execute — the admission
-	// weight: when the cache is full, eviction drops the cheapest of the
-	// coldest entries, so an expensive plan's view survives a burst of
-	// cheap one-off retrievals that would evict it under plain LRU.
-	cost time.Duration
-	h    *historygraph.HistGraph
-}
-
-// evictionWindow bounds how far from the LRU tail cost-aware eviction
-// looks: the victim is the cheapest-to-rebuild entry among this many
-// coldest ones. Recency still dominates — a hot expensive view is never
-// examined — but within the cold tail, cost decides.
-const evictionWindow = 8
-
-func newSnapCache(gm *historygraph.GraphManager, capacity int, counters cacheCounters) *snapCache {
-	return &snapCache{
-		gm:       gm,
-		capacity: capacity,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-		counters: counters,
-	}
+func newSnapCache(lv cache.Levels, size int) snapCache {
+	return snapCache{cache.New(lv, "view", size, DefaultCacheSize, cache.Options[view]{
+		// The reader's pin. It fails only on a view released out from
+		// under the cache (shutdown race), which the core then drops.
+		OnHit: func(v view) bool { return v.gm.Pin(v.h) == nil },
+		OnEvict: func(v view) {
+			v.gm.Unpin(v.h)
+			v.gm.Release(v.h)
+		},
+	})}
 }
 
 // Acquire returns the cached view for key with a reader pin taken; the
-// release func drops the pin and must be called exactly once. count
-// selects whether the lookup is charged to the hit/miss statistics (the
-// post-coalescing re-lookup is not a cache verdict and passes false).
-func (c *snapCache) Acquire(key string, count bool) (h *historygraph.HistGraph, release func(), ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	elem, found := c.entries[key]
-	if !found {
-		if count {
-			c.counters.misses.Inc()
-		}
+// release func drops the pin and must be called exactly once.
+func (c snapCache) Acquire(key string) (*historygraph.HistGraph, func(), bool) {
+	return pinned(c.Get(key))
+}
+
+// Reacquire is Acquire without charging the hit/miss counters: the
+// re-lookup after coalescing is not a cache verdict.
+func (c snapCache) Reacquire(key string) (*historygraph.HistGraph, func(), bool) {
+	return pinned(c.Recheck(key))
+}
+
+func pinned(v view, ok bool) (*historygraph.HistGraph, func(), bool) {
+	if !ok {
 		return nil, nil, false
 	}
-	ent := elem.Value.(*cacheEntry)
-	if err := c.gm.Pin(ent.h); err != nil {
-		// The view was released out from under the cache (shutdown race);
-		// drop the entry and report a miss.
-		c.removeLocked(elem)
-		if count {
-			c.counters.misses.Inc()
-		}
-		return nil, nil, false
-	}
-	c.lru.MoveToFront(elem)
-	if count {
-		c.counters.hits.Inc()
-	}
-	return ent.h, func() { c.gm.Unpin(ent.h) }, true
+	return v.h, func() { v.gm.Unpin(v.h) }, true
 }
 
-// Gen returns the current invalidation generation; pass it to
-// InsertAcquire after a retrieval that started at this generation.
-func (c *snapCache) Gen() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
-}
-
-// InsertAcquire hands a freshly retrieved view to the cache, which owns
-// it from now on: the view is pinned until eviction, and eviction
-// Releases it back to the pool. The returned view carries a reader pin
-// (so the inserting request can serve it without a re-lookup that could
-// race an eviction); release must be called once. If the key is already
-// resident (a racing flight finished in between), the incoming duplicate
-// is released and the resident view is returned instead. A nil release
-// means the view was not cached — an invalidation pass ran since gen was
-// snapshotted (the view may be stale) or pinning failed — and the caller
-// still owns h.
-func (c *snapCache) InsertAcquire(key string, at historygraph.Time, h *historygraph.HistGraph, gen int64, cost time.Duration) (*historygraph.HistGraph, func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.gen != gen {
+// InsertAcquire hands a view freshly retrieved from gm to the cache,
+// which owns it from now on: the view is pinned until eviction, and
+// eviction Releases it back to the pool. The returned view carries a
+// reader pin (so the inserting request can serve it without a re-lookup
+// that could race an eviction); release must be called once. If the key
+// is already resident (a racing flight finished in between), the incoming
+// duplicate is released and the resident view is returned instead. A nil
+// release means the view was not cached — an invalidation pass ran since
+// gen was snapshotted (the view may be stale) or pinning failed — and the
+// caller still owns h.
+func (c snapCache) InsertAcquire(gm *historygraph.GraphManager, key string, at historygraph.Time, h *historygraph.HistGraph, gen int64, cost time.Duration) (*historygraph.HistGraph, func()) {
+	// Both references are taken before the view becomes evictable.
+	if err := gm.Pin(h); err != nil { // the cache's own
 		return nil, nil
 	}
-	if elem, dup := c.entries[key]; dup {
-		ent := elem.Value.(*cacheEntry)
-		if err := c.gm.Pin(ent.h); err == nil {
-			c.gm.Release(h)
-			c.lru.MoveToFront(elem)
-			return ent.h, func() { c.gm.Unpin(ent.h) }
+	gm.Pin(h) // the reader's; h is active, this cannot fail
+	res, ok := c.Insert(key, cache.Entry[view]{
+		At: at, DepCur: h.DependsOnCurrent(), Cost: cost, Value: view{gm, h},
+	}, gen)
+	if !ok || res.h != h {
+		gm.Unpin(h)
+		gm.Unpin(h)
+		if !ok {
+			return nil, nil
 		}
-		c.removeLocked(elem) // resident entry is defunct; replace it
+		gm.Release(h) // res is the resident view, pinned for us by OnHit
 	}
-	if err := c.gm.Pin(h); err != nil { // the cache's own reference
-		return nil, nil
-	}
-	ent := &cacheEntry{key: key, at: at, depCur: h.DependsOnCurrent(), cost: cost, h: h}
-	c.entries[key] = c.lru.PushFront(ent)
-	for c.lru.Len() > c.capacity {
-		// The new entry is at the front and capacity >= 1, so eviction
-		// can never pop the view we are about to hand out.
-		c.removeLocked(c.victimLocked())
-		c.counters.evictions.Inc()
-	}
-	c.gm.Pin(h) // the reader's reference; h is active, this cannot fail
-	return h, func() { c.gm.Unpin(h) }
-}
-
-// victimLocked picks the eviction victim: the cheapest-cost entry among
-// the evictionWindow coldest. The window never reaches the front entry
-// (the one an insert is about to hand out) because it only runs while
-// over capacity, so at least one entry beyond the window's reach exists.
-func (c *snapCache) victimLocked() *list.Element {
-	victim := c.lru.Back()
-	best := victim.Value.(*cacheEntry).cost
-	elem := victim
-	for i := 1; i < evictionWindow; i++ {
-		if elem = elem.Prev(); elem == nil || elem == c.lru.Front() {
-			break
-		}
-		if ent := elem.Value.(*cacheEntry); ent.cost < best {
-			victim, best = elem, ent.cost
-		}
-	}
-	return victim
-}
-
-// Insert is InsertAcquire without keeping the reader reference.
-func (c *snapCache) Insert(key string, at historygraph.Time, h *historygraph.HistGraph, gen int64, cost time.Duration) {
-	if _, release := c.InsertAcquire(key, at, h, gen, cost); release != nil {
-		release()
-	}
-}
-
-// removeLocked evicts one entry: the cache pin is dropped and the view is
-// released. Readers still holding pins keep the pool bits alive until
-// their release funcs run; the lazy cleaner reclaims after that.
-func (c *snapCache) removeLocked(elem *list.Element) {
-	ent := elem.Value.(*cacheEntry)
-	c.lru.Remove(elem)
-	delete(c.entries, ent.key)
-	c.gm.Unpin(ent.h)
-	c.gm.Release(ent.h)
-}
-
-// InvalidateFrom evicts every entry whose timepoint is >= t, plus every
-// view that depends on the current graph. Appending an event at time t
-// changes what any snapshot at t or later must contain (history is
-// append-only, so strictly earlier timepoints stay valid) — but a
-// current-dependent view reads the mutated current-graph bits no matter
-// what timepoint it answers for, so it can never survive an append.
-func (c *snapCache) InvalidateFrom(t historygraph.Time) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++ // in-flight retrievals that predate this pass must not register
-	n := 0
-	for elem := c.lru.Front(); elem != nil; {
-		next := elem.Next()
-		ent := elem.Value.(*cacheEntry)
-		if ent.at >= t || ent.depCur {
-			c.removeLocked(elem)
-			n++
-		}
-		elem = next
-	}
-	return n
-}
-
-// setManager purges every entry — releasing the resident views through
-// the manager that produced them — and points the cache at a replacement
-// manager (automated re-seed). The generation bump refuses in-flight
-// inserts whose retrievals ran against the old manager.
-func (c *snapCache) setManager(gm *historygraph.GraphManager) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	for c.lru.Len() > 0 {
-		c.removeLocked(c.lru.Back())
-	}
-	c.gm = gm
-}
-
-// Purge evicts everything (server shutdown).
-func (c *snapCache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.lru.Len() > 0 {
-		c.removeLocked(c.lru.Back())
-	}
-}
-
-// Len returns the number of resident entries (the dg_cache_entries
-// gauge reads it at scrape time).
-func (c *snapCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
+	return res.h, func() { res.gm.Unpin(res.h) }
 }

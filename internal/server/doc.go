@@ -41,13 +41,15 @@
 //
 // Concurrency and invalidation rules:
 //
-//   - A Server is safe for concurrent use; handlers share the two caches
-//     under plain mutexes and counters are atomics.
+//   - A Server is safe for concurrent use; handlers share the cache
+//     levels (each an internal/cache.Cache under its own mutex) and
+//     counters are atomics.
 //   - ApplyEvents is the single path by which events enter the node —
 //     the HTTP append handler, WAL replay, and follower apply all call
-//     it — and it invalidates both caches identically: appending with
-//     earliest timestamp t evicts every entry at a timepoint >= t plus
-//     every current-dependent entry, and bumps a generation counter so
+//     it — and it runs one invalidation pass over every level under
+//     internal/cache's policy: appending with earliest timestamp t
+//     evicts every entry at a timepoint >= t plus every
+//     current-dependent entry, and bumps each level's generation so
 //     responses built concurrently with the append cannot register
 //     afterwards.
 //   - The Go Client is safe for concurrent use after configuration;

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"historygraph"
+	"historygraph/internal/cache"
+	"historygraph/internal/csr"
 	"historygraph/internal/graph"
 	"historygraph/internal/metrics"
 	"historygraph/internal/wire"
@@ -60,10 +62,11 @@ type Server struct {
 	// gm is swappable (ReplaceManager) so an automated replica re-seed
 	// can rebuild the store underneath a running server; handlers load
 	// it once per request and hold that manager for the request's life.
-	gm      atomic.Pointer[historygraph.GraphManager]
-	cache   *snapCache     // nil when caching is disabled
-	enc     *encCache      // encoded-bytes cache; nil when disabled
-	an      analyticsState // analytics plane: CSR cache + PageRank jobs
+	gm atomic.Pointer[historygraph.GraphManager]
+	// The cache levels (internal/cache); a nil one is disabled and inert.
+	cache   snapCache                // pinned pool views, keyed by cacheKey
+	enc     *cache.Cache[cache.Body] // encoded /snapshot bodies, keyed by encKey
+	an      analyticsState           // analytics plane: CSR cache + PageRank jobs
 	flights FlightGroup
 	mux     *http.ServeMux
 	runSize int // elements per chunked-stream frame
@@ -116,48 +119,11 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 	s.reg = reg
 	s.retrievals = reg.Counter("dg_retrievals_total", "Underlying GetHistGraph plan executions.")
 	s.encodes = reg.Counter("dg_encodes_total", "Snapshot response-body encode executions.")
-	hits := reg.CounterVec("dg_cache_hits_total", "Cache hits by cache level.", "cache")
-	misses := reg.CounterVec("dg_cache_misses_total", "Cache misses by cache level.", "cache")
-	evictions := reg.CounterVec("dg_cache_evictions_total", "Cache evictions by cache level.", "cache")
-	entries := reg.GaugeVec("dg_cache_entries", "Resident entries by cache level.", "cache")
-	capacity := reg.GaugeVec("dg_cache_capacity", "Configured capacity by cache level.", "cache")
-	// The flight group is the fourth cache level: a hit is a request
-	// served by another caller's in-flight execution.
-	s.flights.Hits = hits.With("flight")
-	s.flights.Misses = misses.With("flight")
-	size := cfg.CacheSize
-	if size == 0 {
-		size = DefaultCacheSize
-	}
-	if size > 0 {
-		s.cache = newSnapCache(gm, size, cacheCounters{
-			hits: hits.With("view"), misses: misses.With("view"), evictions: evictions.With("view"),
-		})
-		entries.Func(func() float64 { return float64(s.cache.Len()) }, "view")
-		capacity.With("view").Set(float64(size))
-	}
-	encSize := cfg.EncodedCacheSize
-	if encSize == 0 {
-		encSize = DefaultEncodedCacheSize
-	}
-	if encSize > 0 {
-		s.enc = newEncCache(encSize, cacheCounters{
-			hits: hits.With("encoded"), misses: misses.With("encoded"), evictions: evictions.With("encoded"),
-		})
-		entries.Func(func() float64 { return float64(s.enc.Len()) }, "encoded")
-		capacity.With("encoded").Set(float64(encSize))
-	}
-	csrSize := cfg.CSRCacheSize
-	if csrSize == 0 {
-		csrSize = DefaultCSRCacheSize
-	}
-	if csrSize > 0 {
-		s.an.csr = newCSRCache(csrSize, cacheCounters{
-			hits: hits.With("csr"), misses: misses.With("csr"), evictions: evictions.With("csr"),
-		})
-		entries.Func(func() float64 { return float64(s.an.csr.Len()) }, "csr")
-		capacity.With("csr").Set(float64(csrSize))
-	}
+	lv := cache.NewLevels(reg)
+	s.flights.Hits, s.flights.Misses = lv.Flight()
+	s.cache = newSnapCache(lv, cfg.CacheSize)
+	s.enc = cache.New(lv, "encoded", cfg.EncodedCacheSize, DefaultEncodedCacheSize, cache.Options[cache.Body]{})
+	s.an.csr = cache.New(lv, "csr", cfg.CSRCacheSize, DefaultCSRCacheSize, cache.Options[*csr.Graph]{})
 	s.an.jobs = make(map[string]*prJob)
 	s.an.jobsTotal = reg.CounterVec("dg_analytics_jobs_total",
 		"Analytics executions by kind and terminal status.", "kind", "status")
@@ -246,16 +212,16 @@ func (s *Server) InstrumentHandler(h http.Handler) http.Handler {
 
 // Close evicts and releases every cached view. The underlying
 // GraphManager is not closed.
-func (s *Server) Close() {
-	if s.cache != nil {
-		s.cache.Purge()
-	}
-	if s.enc != nil {
-		s.enc.Purge()
-	}
-	if s.an.csr != nil {
-		s.an.csr.Purge()
-	}
+func (s *Server) Close() { s.invalidate(cache.AllTime) }
+
+// invalidate runs one invalidation pass from timepoint t over every cache
+// level and returns the number of views evicted. No level is named by any
+// other invalidation path, so the levels cannot disagree about what an
+// append, a store swap or a shutdown made stale.
+func (s *Server) invalidate(t historygraph.Time) int {
+	s.enc.InvalidateFrom(t)
+	s.an.csr.InvalidateFrom(t)
+	return s.cache.InvalidateFrom(t)
 }
 
 // Retrievals reports how many times the server actually executed
@@ -301,7 +267,7 @@ func (s *Server) retrieve(gm *historygraph.GraphManager, t historygraph.Time, at
 // back to the manager that produced them).
 func (s *Server) acquire(t historygraph.Time, attrs string) (h *historygraph.HistGraph, release func(), cached, coalesced bool, err error) {
 	gm := s.gm.Load()
-	if s.cache == nil {
+	if s.cache.Cache == nil {
 		h, err := s.retrieve(gm, t, attrs)
 		if err != nil {
 			return nil, nil, false, false, err
@@ -309,7 +275,7 @@ func (s *Server) acquire(t historygraph.Time, attrs string) (h *historygraph.His
 		return h, func() { gm.Release(h) }, false, false, nil
 	}
 	key := cacheKey(t, attrs)
-	if h, rel, ok := s.cache.Acquire(key, true); ok {
+	if h, rel, ok := s.cache.Acquire(key); ok {
 		return h, rel, true, false, nil
 	}
 	v, shared, err := s.flights.Do(key, func() (any, error) {
@@ -323,7 +289,7 @@ func (s *Server) acquire(t historygraph.Time, attrs string) (h *historygraph.His
 		// leader serves its handle directly — no re-lookup that could
 		// race an eviction under cache churn. Plan-execution time rides
 		// along as the entry's cost-aware admission weight.
-		fh, rel := s.cache.InsertAcquire(key, t, h, gen, time.Since(start))
+		fh, rel := s.cache.InsertAcquire(gm, key, t, h, gen, time.Since(start))
 		if rel == nil {
 			// Not cached (an append's invalidation pass overlapped the
 			// retrieval, so the view may be stale as a cache entry —
@@ -343,7 +309,7 @@ func (s *Server) acquire(t historygraph.Time, attrs string) (h *historygraph.His
 	}
 	// Coalesced waiters (and the leader in the pathological case where
 	// the insert failed) pin the cached entry themselves.
-	if h, rel, ok := s.cache.Acquire(key, false); ok {
+	if h, rel, ok := s.cache.Reacquire(key); ok {
 		return h, rel, false, shared, nil
 	}
 	// The entry was evicted between insert and pin (cache under heavy
@@ -398,12 +364,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	var gen int64
 	if s.enc != nil {
 		ekey = encKey(t, attrs, full, name)
-		if body, ct, ok := s.enc.Get(ekey); ok {
+		if body, ok := s.enc.Get(ekey); ok {
 			// Encoded-bytes hit: one write, zero encode work.
 			Annotate(r.Context(), "cache", "encoded-hit")
-			w.Header().Set("Content-Type", ct)
+			w.Header().Set("Content-Type", body.ContentType)
 			w.WriteHeader(http.StatusOK)
-			w.Write(body)
+			w.Write(body.Bytes)
 			return
 		}
 		// Snapshot the invalidation generation before the retrieval so a
@@ -441,7 +407,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", codec.ContentType())
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
-	if s.enc == nil || out.Coalesced {
+	if ekey == "" || out.Coalesced {
 		// Coalesced waiters leave caching to the flight leader, like the
 		// coordinator's merged-response cache.
 		return
@@ -459,7 +425,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.enc.Insert(ekey, t, depCur, cachedBody, codec.ContentType(), gen)
+	// The admission cap the streaming path's capture buffer enforces.
+	if len(cachedBody) <= wire.MaxCachedBody {
+		s.enc.Insert(ekey, cache.Entry[cache.Body]{
+			At: t, DepCur: depCur, Value: cache.Body{Bytes: cachedBody, ContentType: codec.ContentType()},
+		}, gen)
+	}
 }
 
 func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
@@ -526,7 +497,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	full := BoolParam(q.Get("full"))
 	out := make([]SnapshotJSON, len(times))
 
-	if s.cache == nil {
+	if s.cache.Cache == nil {
 		// Caching disabled: detached snapshots through the multipoint
 		// shared-delta plan (Section 4.4), as before.
 		snaps, err := gm.GetHistSnapshots(times, attrs)
@@ -549,7 +520,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var missTimes []historygraph.Time
 	missIdx := make(map[historygraph.Time][]int)
 	for i, t := range times {
-		if h, rel, ok := s.cache.Acquire(cacheKey(t, attrs), true); ok {
+		if h, rel, ok := s.cache.Acquire(cacheKey(t, attrs)); ok {
 			out[i] = ownedViewToJSON(h, full, own)
 			rel()
 			out[i].At = int64(t)
@@ -563,7 +534,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case len(missTimes) == 0:
-	case len(missTimes) >= s.cache.capacity:
+	case len(missTimes) >= s.cache.Cap():
 		// Admission guard: registering a batch as large as the whole LRU
 		// would evict the entire hot set (including the batch's own
 		// earlier entries) for zero reuse. Serve it detached instead.
@@ -594,7 +565,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for j, h := range hs {
 			t := missTimes[j]
 			var sj SnapshotJSON
-			if fh, rel := s.cache.InsertAcquire(cacheKey(t, attrs), t, h, gen, perView); rel != nil {
+			if fh, rel := s.cache.InsertAcquire(gm, cacheKey(t, attrs), t, h, gen, perView); rel != nil {
 				sj = ownedViewToJSON(fh, full, own)
 				rel()
 			} else {
@@ -704,21 +675,11 @@ func (s *Server) ApplyEvents(events historygraph.EventList) (AppendResult, error
 		}
 	}
 	applied, appendErr := gm.AppendAllCounted(events)
+	// Invalidated counts evicted *views*, as it always has; the encoded
+	// bodies and CSRs projected from them go in the same pass.
 	invalidated := 0
-	if s.cache != nil && len(events) > 0 {
-		invalidated = s.cache.InvalidateFrom(minAt)
-	}
-	// The encoded-bytes cache shares the pinned-view invalidation rules
-	// exactly (same earliest-timestamp cut, same current-dependent
-	// eviction); its count is internal — AppendResult.Invalidated keeps
-	// meaning evicted *views*, as it always has.
-	if s.enc != nil && len(events) > 0 {
-		s.enc.InvalidateFrom(minAt)
-	}
-	// Materialized CSRs are projections of the same views and follow the
-	// identical invalidation rule.
-	if s.an.csr != nil && len(events) > 0 {
-		s.an.csr.InvalidateFrom(minAt)
+	if len(events) > 0 {
+		invalidated = s.invalidate(minAt)
 	}
 	// Appended is the exact applied count even on failure (a prefix may
 	// have landed); the replication recovery paths read it to resume
@@ -746,15 +707,7 @@ func (s *Server) Manager() *historygraph.GraphManager { return s.gm.Load() }
 func (s *Server) ReplaceManager(gm *historygraph.GraphManager) *historygraph.GraphManager {
 	s.observeIndex(gm)
 	old := s.gm.Swap(gm)
-	if s.cache != nil {
-		s.cache.setManager(gm)
-	}
-	if s.enc != nil {
-		s.enc.InvalidateFrom(0)
-	}
-	if s.an.csr != nil {
-		s.an.csr.InvalidateFrom(0)
-	}
+	s.invalidate(cache.AllTime)
 	return old
 }
 
@@ -798,20 +751,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Coalesced:  s.flights.Hits.Value(),
 		},
 	}
-	if s.cache != nil {
-		out.Server.CacheHits = s.cache.counters.hits.Value()
-		out.Server.CacheMisses = s.cache.counters.misses.Value()
-		out.Server.CacheEvictions = s.cache.counters.evictions.Value()
-		out.Server.CacheSize = s.cache.Len()
-		out.Server.CacheCapacity = s.cache.capacity
-	}
-	if s.enc != nil {
-		out.Server.Encodes = s.encodes.Value()
-		out.Server.EncodedHits = s.enc.counters.hits.Value()
-		out.Server.EncodedMisses = s.enc.counters.misses.Value()
-		out.Server.EncodedSize = s.enc.Len()
-		out.Server.EncodedCapacity = s.enc.capacity
-	}
+	vs := s.cache.Stats()
+	out.Server.CacheHits, out.Server.CacheMisses, out.Server.CacheEvictions = vs.Hits, vs.Misses, vs.Evictions
+	out.Server.CacheSize, out.Server.CacheCapacity = vs.Size, vs.Capacity
+	es := s.enc.Stats()
+	out.Server.Encodes = s.encodes.Value()
+	out.Server.EncodedHits, out.Server.EncodedMisses = es.Hits, es.Misses
+	out.Server.EncodedSize, out.Server.EncodedCapacity = es.Size, es.Capacity
 	WriteJSON(w, http.StatusOK, out)
 }
 

@@ -9,15 +9,21 @@ import (
 	"time"
 
 	"historygraph"
+	"historygraph/internal/cache"
 	"historygraph/internal/datagen"
 	"historygraph/internal/metrics"
 )
 
-// testCounters builds standalone cache counters for driving a cache
-// directly, outside a server's registry.
-func testCounters() cacheCounters {
-	return cacheCounters{
-		hits: new(metrics.Counter), misses: new(metrics.Counter), evictions: new(metrics.Counter),
+// testSnapCache builds a view cache outside a server, for driving it
+// directly.
+func testSnapCache(size int) snapCache {
+	return newSnapCache(cache.NewLevels(metrics.NewRegistry()), size)
+}
+
+// insert hands h to c and drops the reader pin InsertAcquire returns.
+func insert(c snapCache, gm *historygraph.GraphManager, key string, at historygraph.Time, h *historygraph.HistGraph) {
+	if _, release := c.InsertAcquire(gm, key, at, h, c.Gen(), 0); release != nil {
+		release()
 	}
 }
 
@@ -319,7 +325,7 @@ func TestCacheEvictionRefcount(t *testing.T) {
 	gm := newTestManager(t)
 	pool := gm.Pool()
 	last := gm.LastTime()
-	cache := newSnapCache(gm, 2, testCounters())
+	cache := testSnapCache(2)
 
 	get := func(t_ historygraph.Time) *historygraph.HistGraph {
 		h, err := gm.GetHistGraph(t_, "")
@@ -332,14 +338,14 @@ func TestCacheEvictionRefcount(t *testing.T) {
 
 	baseline := pool.Stats().ActiveGraphs
 	h1, h2 := get(last/4), get(last/2)
-	cache.Insert(key(1), last/4, h1, cache.Gen(), 0)
-	cache.Insert(key(2), last/2, h2, cache.Gen(), 0)
+	insert(cache, gm, key(1), last/4, h1)
+	insert(cache, gm, key(2), last/2, h2)
 	if got := pool.Stats().ActiveGraphs; got != baseline+2 {
 		t.Fatalf("after 2 inserts: %d active graphs, want %d", got, baseline+2)
 	}
 
 	// Take a reader pin on h2, as a request in flight would.
-	h2r, release2, ok := cache.Acquire(key(2), true)
+	h2r, release2, ok := cache.Acquire(key(2))
 	if !ok || h2r.ID() != h2.ID() {
 		t.Fatal("acquire of resident entry failed")
 	}
@@ -348,8 +354,8 @@ func TestCacheEvictionRefcount(t *testing.T) {
 	// Inserting a third entry evicts the LRU entry — which is h1, since
 	// the Acquire refreshed h2.
 	h3 := get(last)
-	cache.Insert(key(3), last, h3, cache.Gen(), 0)
-	if _, _, ok := cache.Acquire(key(1), true); ok {
+	insert(cache, gm, key(3), last, h3)
+	if _, _, ok := cache.Acquire(key(1)); ok {
 		t.Fatal("h1 should have been evicted")
 	}
 	// ForceClean reclaims the released entry (its elements may survive if
@@ -362,8 +368,8 @@ func TestCacheEvictionRefcount(t *testing.T) {
 	// Evict h2 while the reader still holds it: Release happens, but the
 	// pin defers reclamation, so the view stays fully readable.
 	h4 := get(last / 3)
-	cache.Insert(key(4), last/3, h4, cache.Gen(), 0)
-	if _, _, ok := cache.Acquire(key(2), true); ok {
+	insert(cache, gm, key(4), last/3, h4)
+	if _, _, ok := cache.Acquire(key(2)); ok {
 		t.Fatal("h2 should have been evicted")
 	}
 	gm.ForceClean()
@@ -389,7 +395,7 @@ func TestCacheEvictionRefcount(t *testing.T) {
 	if got := pool.Stats().ActiveGraphs; got != baseline {
 		t.Fatalf("after purge: %d active graphs, want baseline %d", got, baseline)
 	}
-	if size, ev := cache.Len(), cache.counters.evictions.Value(); size != 0 || ev != 2 {
+	if size, ev := cache.Len(), cache.Stats().Evictions; size != 0 || ev != 2 {
 		t.Fatalf("cache size %d evictions %d: want size 0, evictions 2", size, ev)
 	}
 }
@@ -667,7 +673,7 @@ func TestBatchAdmissionGuard(t *testing.T) {
 // events the pass declared visible.
 func TestInsertRefusedAfterInvalidation(t *testing.T) {
 	gm := newTestManager(t)
-	cache := newSnapCache(gm, 4, testCounters())
+	cache := testSnapCache(4)
 	last := gm.LastTime()
 
 	gen := cache.Gen()
@@ -676,7 +682,7 @@ func TestInsertRefusedAfterInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache.InvalidateFrom(last) // a concurrent append's pass
-	if _, rel := cache.InsertAcquire("k", last/2, h, gen, 0); rel != nil {
+	if _, rel := cache.InsertAcquire(gm, "k", last/2, h, gen, 0); rel != nil {
 		t.Fatal("stale view registered despite an intervening invalidation")
 	}
 	gm.Release(h)
@@ -687,7 +693,7 @@ func TestInsertRefusedAfterInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fh, rel := cache.InsertAcquire("k", last/2, h2, gen, 0)
+	fh, rel := cache.InsertAcquire(gm, "k", last/2, h2, gen, 0)
 	if rel == nil {
 		t.Fatal("fresh view refused")
 	}
@@ -696,6 +702,35 @@ func TestInsertRefusedAfterInvalidation(t *testing.T) {
 	}
 	rel()
 	cache.Purge()
+}
+
+// TestInsertRefusedAfterClose: shutdown is an invalidation pass too. A
+// retrieval that started before Close must not register afterwards —
+// nothing would ever release the view it pinned in the GraphPool.
+func TestInsertRefusedAfterClose(t *testing.T) {
+	gm := newTestManager(t)
+	pool := gm.Pool()
+	svc := New(gm, Config{})
+	last := gm.LastTime()
+	baseline := pool.Stats().ActiveGraphs
+
+	gen := svc.cache.Gen()
+	h, err := gm.GetHistGraph(last/2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	if _, rel := svc.cache.InsertAcquire(gm, "k", last/2, h, gen, 0); rel != nil {
+		t.Fatal("view registered after Close")
+	}
+	if pins := pool.Pins(h.ID()); pins != 0 {
+		t.Fatalf("refused view still holds %d pins", pins)
+	}
+	gm.Release(h)
+	gm.ForceClean()
+	if got := pool.Stats().ActiveGraphs; got != baseline {
+		t.Fatalf("pool holds %d active graphs after Close, want baseline %d", got, baseline)
+	}
 }
 
 // TestParseTimeExpr covers the expression grammar.

@@ -110,9 +110,7 @@ func (s *Server) SetSlots(cfg SlotsJSON) error {
 	s.slots.Store(own)
 	s.slotEpoch.Set(float64(cfg.Epoch))
 	s.slotsOwned.Set(float64(count))
-	if s.enc != nil {
-		s.enc.InvalidateFrom(0)
-	}
+	s.enc.Purge()
 	return nil
 }
 

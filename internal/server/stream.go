@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"historygraph"
+	"historygraph/internal/cache"
 	"historygraph/internal/wire"
 )
 
@@ -64,11 +65,11 @@ func (s *Server) streamSnapshot(w http.ResponseWriter, h *historygraph.HistGraph
 	w.WriteHeader(http.StatusOK)
 	var sink io.Writer = w
 	var capture *wire.CappedBuffer
-	if s.enc != nil && ekey != "" && !coalesced {
+	if ekey != "" && !coalesced {
 		// Stream hits replay the stored body as-is (no Cached flip —
 		// re-streaming a variant would cost the very encode the cache
 		// exists to skip), like the coordinator's batch entries.
-		capture = &wire.CappedBuffer{Max: maxEncodedBody}
+		capture = &wire.CappedBuffer{Max: wire.MaxCachedBody}
 		sink = io.MultiWriter(w, capture)
 	}
 	flusher, _ := w.(http.Flusher)
@@ -124,10 +125,14 @@ func (s *Server) streamSnapshot(w http.ResponseWriter, h *historygraph.HistGraph
 	if se.Summary(&sum) != nil {
 		return
 	}
-	flush()
+	// No flush: the summary leaves when the handler returns, after the
+	// body is registered, so a client that has seen the whole stream
+	// finds its repeat request cached.
 	if capture != nil {
 		if body, ok := capture.Bytes(); ok {
-			s.enc.Insert(ekey, at, depCur, body, wire.ContentTypeBinaryStream, gen)
+			s.enc.Insert(ekey, cache.Entry[cache.Body]{
+				At: at, DepCur: depCur, Value: cache.Body{Bytes: body, ContentType: wire.ContentTypeBinaryStream},
+			}, gen)
 		}
 	}
 }

@@ -126,7 +126,7 @@ func (co *Coordinator) handleAnalyticsDegree(w http.ResponseWriter, r *http.Requ
 		parent := context.WithoutCancel(r.Context())
 		v, shared, err := co.flights.Do(key, func() (any, error) {
 			co.fanouts.Inc()
-			gen := co.cacheGen()
+			gen := co.cache.Gen()
 			parts, errs, rt := scatterRead(co, parent, func(ctx reqCtx, cl *server.Client) (*wire.DegreePart, error) {
 				return cl.DegreePartCtx(ctx, t, attrs, ctx.parts, ctx.part)
 			})
@@ -181,7 +181,7 @@ func (co *Coordinator) handleAnalyticsComponents(w http.ResponseWriter, r *http.
 		parent := context.WithoutCancel(r.Context())
 		v, shared, err := co.flights.Do(key, func() (any, error) {
 			co.fanouts.Inc()
-			gen := co.cacheGen()
+			gen := co.cache.Gen()
 			parts, errs, rt := scatterRead(co, parent, func(ctx reqCtx, cl *server.Client) (*wire.ComponentsPart, error) {
 				return cl.ComponentsPartCtx(ctx, t, attrs, ctx.parts, ctx.part)
 			})
@@ -241,7 +241,7 @@ func (co *Coordinator) handleAnalyticsEvolution(w http.ResponseWriter, r *http.R
 		parent := context.WithoutCancel(r.Context())
 		v, shared, err := co.flights.Do(key, func() (any, error) {
 			co.fanouts.Inc()
-			gen := co.cacheGen()
+			gen := co.cache.Gen()
 			parts, errs, rt := scatterRead(co, parent, func(ctx reqCtx, cl *server.Client) (*wire.EvolutionPart, error) {
 				return cl.EvolutionPartCtx(ctx, t1, t2, attrs, ctx.parts, ctx.part)
 			})

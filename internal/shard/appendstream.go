@@ -69,9 +69,7 @@ func (co *Coordinator) runStreamWorker(base context.Context, part int, rs *repli
 		// Invalidate after the slice lands (not before): a merge cached
 		// between an early invalidation and the apply would go stale the
 		// moment the events hit the partition.
-		if co.cache != nil {
-			co.cache.InvalidateFrom(sl.minAt)
-		}
+		co.cache.InvalidateFrom(sl.minAt)
 		if err != nil {
 			co.legFails.With(label).Inc()
 			pe := &server.PartitionError{Partition: part, Error: fmt.Sprintf("frame %d: %s", sl.frame, err)}

@@ -27,10 +27,13 @@
 //     share one scatter-gather via a FlightGroup, so N clients asking for
 //     the same timepoint cost one fan-out — and each worker coalesces and
 //     caches its own slice underneath.
-//   - Merged-response cache: a small LRU over complete merged responses,
-//     stored as encoded bytes per encoding (append-invalidated, like the
-//     worker caches) — a hit is one write: no fan-out, no merge, no
-//     encode.
+//   - Merged-response cache: an internal/cache level (the workers'
+//     policy: LRU, invalidate-from-t, generation guard, plus an optional
+//     TTL) over complete merged responses, stored as encoded bytes per
+//     encoding — a hit is one write: no fan-out, no merge, no encode.
+//     Only complete responses are admitted, and only appends routed
+//     through this coordinator invalidate it: deployments whose writers
+//     can reach a partition primary directly set Config.CacheTTL.
 //   - Streaming merge: a full /snapshot requested as a chunked stream is
 //     answered by consuming every leg's stream run by run and k-way
 //     merging in ID order, so coordinator peak memory under concurrent
@@ -50,9 +53,10 @@
 //
 // Concurrency rules: a Coordinator is safe for concurrent use — it is
 // immutable after New except for atomics (routing state, counters), the
-// mutex-guarded caches, and the per-set failover mutex that serializes
-// promotions. Every scatter leg runs in its own goroutine; nothing
-// blocks on a slow partition beyond its timeout.
+// mutex-guarded merged-response cache and flight group, and the per-set
+// failover mutex that serializes promotions. Every scatter leg runs in
+// its own goroutine; nothing blocks on a slow partition beyond its
+// timeout.
 //
 // Endpoints mirror internal/server exactly, so server.Client speaks to a
 // coordinator transparently.

@@ -420,7 +420,7 @@ func (co *Coordinator) checkSet(rs *replicaSet) {
 			continue
 		}
 		lag := head - stats[i].AppliedSeq
-		m.insync.Store(lag <= co.maxLag)
+		m.insync.Store(lag <= MaxLag)
 	}
 	if pm := rs.primaryMember(); !pm.healthy.Load() {
 		_ = co.failover(rs, pm) // promote the most-caught-up survivor

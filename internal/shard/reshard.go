@@ -519,9 +519,7 @@ func (co *Coordinator) pushSlots(ctx context.Context, old, next *routing, plan *
 // and a stale entry would hide that).
 func (co *Coordinator) installRouting(next *routing) {
 	co.routing.Store(next)
-	if co.cache != nil {
-		co.cache.InvalidateFrom(0)
-	}
+	co.cache.Purge()
 }
 
 // syncSlots heals worker slot state from the health loop: any member of

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"historygraph"
+	"historygraph/internal/cache"
 	"historygraph/internal/metrics"
 	"historygraph/internal/server"
 	"historygraph/internal/wire"
@@ -28,9 +29,19 @@ const DefaultPartitionTimeout = 15 * time.Second
 // CacheSize zero.
 const DefaultCacheSize = 64
 
-// DefaultMaxLag is how many WAL records behind the replication head a
-// member may be and still serve reads, when Config leaves MaxLag zero.
-const DefaultMaxLag = 1024
+// MaxLag is how many WAL records behind the replication head a member may
+// be and still serve reads.
+const MaxLag = 1024
+
+// streamTimeoutFactor times PartitionTimeout bounds the total delivery of
+// one merged stream (5 minutes at the defaults). PartitionTimeout cannot
+// play that role: leg reads are back-pressured by the client draining the
+// merged output, so a large snapshot or a slow reader legitimately holds
+// legs open far longer than any worker-responsiveness bound — only the
+// stream *open* (including replica retries) is held to PartitionTimeout.
+// The cap exists so a wedged worker or abandoned client cannot pin legs
+// forever.
+const streamTimeoutFactor = 20
 
 // Config tunes the coordinator.
 type Config struct {
@@ -55,9 +66,6 @@ type Config struct {
 	// follower when a primary stays dark). 0 disables it; failover still
 	// happens on demand when an append hits a dead primary.
 	HealthInterval time.Duration
-	// MaxLag is the in-sync read threshold in WAL records. 0 picks
-	// DefaultMaxLag.
-	MaxLag uint64
 	// HTTPClient overrides the pooled transport used for fan-out
 	// requests (tests inject clients wired to in-process servers).
 	HTTPClient *http.Client
@@ -75,16 +83,6 @@ type Config struct {
 	// concurrent large snapshots is proportional to it (times the
 	// partition count). 0 picks wire.DefaultRunSize.
 	StreamRun int
-	// StreamTimeout bounds the total delivery of one merged stream.
-	// PartitionTimeout cannot play that role: leg reads are
-	// back-pressured by the client draining the merged output, so a
-	// large snapshot or a slow reader legitimately holds legs open far
-	// longer than any worker-responsiveness bound — only the stream
-	// *open* (including replica retries) is held to PartitionTimeout.
-	// This cap exists so a wedged worker or abandoned client cannot pin
-	// legs forever. 0 picks 20 x PartitionTimeout (5 minutes at the
-	// defaults).
-	StreamTimeout time.Duration
 	// Metrics is the registry the coordinator registers its collectors
 	// on (and serves at GET /metrics); nil creates a private one.
 	Metrics *metrics.Registry
@@ -114,11 +112,10 @@ type Coordinator struct {
 	legWire   string // codec name scatter-leg clients are built with
 	timeout   time.Duration
 	streamCap time.Duration // total merged-stream delivery bound
-	maxLag    uint64
-	runSize   int // elements per merged stream frame
+	runSize   int           // elements per merged stream frame
 	mux       *http.ServeMux
 	flights   server.FlightGroup
-	cache     *coCache // nil when disabled
+	cache     *cache.Cache[cache.Body] // merged-response cache; nil (inert) when disabled
 
 	// appendGate serializes appends against a reshard cutover: every
 	// append scatter holds it shared, the cutover holds it exclusively —
@@ -209,10 +206,6 @@ func NewReplicated(peerSets [][]string, cfg Config) (*Coordinator, error) {
 	if timeout <= 0 {
 		timeout = DefaultPartitionTimeout
 	}
-	maxLag := cfg.MaxLag
-	if maxLag == 0 {
-		maxLag = DefaultMaxLag
-	}
 	legWire, err := wire.ByName(cfg.Wire)
 	if err != nil {
 		return nil, err
@@ -221,13 +214,9 @@ func NewReplicated(peerSets [][]string, cfg Config) (*Coordinator, error) {
 	if runSize <= 0 {
 		runSize = wire.DefaultRunSize
 	}
-	streamCap := cfg.StreamTimeout
-	if streamCap <= 0 {
-		streamCap = 20 * timeout
-	}
 	co := &Coordinator{
 		hc: hc, legWire: legWire.Name(),
-		timeout: timeout, streamCap: streamCap, maxLag: maxLag, runSize: runSize,
+		timeout: timeout, streamCap: streamTimeoutFactor * timeout, runSize: runSize,
 		stop: make(chan struct{}),
 	}
 	reg := cfg.Metrics
@@ -253,15 +242,11 @@ func NewReplicated(peerSets [][]string, cfg Config) (*Coordinator, error) {
 	co.an.jobsTotal = reg.CounterVec("dg_analytics_jobs_total", "Analytics executions by kind and outcome.", "kind", "status")
 	co.an.durations = reg.HistogramVec("dg_analytics_duration_seconds", "Analytics execution wall time by kind.", nil, "kind")
 	co.an.supersteps = reg.Counter("dg_analytics_supersteps_total", "PageRank supersteps driven across partitions.")
-	hits := reg.CounterVec("dg_cache_hits_total", "Cache hits by cache level.", "cache")
-	misses := reg.CounterVec("dg_cache_misses_total", "Cache misses by cache level.", "cache")
-	evictions := reg.CounterVec("dg_cache_evictions_total", "Cache evictions by cache level.", "cache")
-	entries := reg.GaugeVec("dg_cache_entries", "Resident entries by cache level.", "cache")
-	capacity := reg.GaugeVec("dg_cache_capacity", "Configured capacity by cache level.", "cache")
 	// The flight group is a cache level here too: a hit is a request
 	// served by another caller's in-flight fan-out.
-	co.flights.Hits = hits.With("flight")
-	co.flights.Misses = misses.With("flight")
+	lv := cache.NewLevels(reg)
+	co.flights.Hits, co.flights.Misses = lv.Flight()
+	co.cache = cache.New(lv, "merged", cfg.CacheSize, DefaultCacheSize, cache.Options[cache.Body]{TTL: cfg.CacheTTL})
 	var sets []*replicaSet
 	for p, set := range peerSets {
 		if len(set) == 0 {
@@ -275,17 +260,6 @@ func NewReplicated(peerSets [][]string, cfg Config) (*Coordinator, error) {
 	co.registerMemberGauges(reg)
 	for p, rs := range sets {
 		co.registerSetGauges(p, rs)
-	}
-	size := cfg.CacheSize
-	if size == 0 {
-		size = DefaultCacheSize
-	}
-	if size > 0 {
-		co.cache = newCoCache(size, cfg.CacheTTL, cacheCounters{
-			hits: hits.With("merged"), misses: misses.With("merged"), evictions: evictions.With("merged"),
-		})
-		entries.Func(func() float64 { return float64(co.cache.Len()) }, "merged")
-		capacity.With("merged").Set(float64(size))
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /snapshot", co.handleSnapshot)
@@ -440,15 +414,6 @@ func writeAllFailed(w http.ResponseWriter, err error) {
 	server.WriteError(w, status, err)
 }
 
-// cacheGen snapshots the merged-response cache generation (0 when the
-// cache is disabled).
-func (co *Coordinator) cacheGen() int64 {
-	if co.cache == nil {
-		return 0
-	}
-	return co.cache.Gen()
-}
-
 // flightMerge is what a fan-out flight hands every caller waiting on it:
 // the merged response plus the cache bookkeeping the leader snapshotted.
 type flightMerge struct {
@@ -468,17 +433,13 @@ func cacheKey(key string, name string) string {
 // writeCached serves a merged-response cache hit: one Write of the stored
 // pre-encoded body — no fan-out, no merge, and no encode work at all.
 func (co *Coordinator) writeCached(w http.ResponseWriter, codec wire.Codec, key string) bool {
-	if co.cache == nil {
-		return false
+	body, ok := co.cache.Get(cacheKey(key, codec.Name()))
+	if ok {
+		w.Header().Set("Content-Type", body.ContentType)
+		w.WriteHeader(http.StatusOK)
+		w.Write(body.Bytes)
 	}
-	body, contentType, ok := co.cache.Get(cacheKey(key, codec.Name()))
-	if !ok {
-		return false
-	}
-	w.Header().Set("Content-Type", contentType)
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
-	return true
+	return ok
 }
 
 // encode serializes one response body via codec, counting the execution
@@ -512,7 +473,9 @@ func (co *Coordinator) writeMerged(w http.ResponseWriter, codec wire.Codec, v an
 			return
 		}
 	}
-	co.cache.Insert(cacheKey(key, codec.Name()), maxT, cachedBody, codec.ContentType(), gen)
+	co.cache.Insert(cacheKey(key, codec.Name()), cache.Entry[cache.Body]{
+		At: maxT, Value: cache.Body{Bytes: cachedBody, ContentType: codec.ContentType()},
+	}, gen)
 }
 
 func (co *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -550,7 +513,7 @@ func (co *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	parent := context.WithoutCancel(r.Context())
 	v, shared, err := co.flights.Do(key, func() (any, error) {
 		co.fanouts.Inc()
-		gen := co.cacheGen()
+		gen := co.cache.Gen()
 		parts, errs, rt := scatterRead(co, parent, func(ctx reqCtx, cl *server.Client) (*server.SnapshotJSON, error) {
 			return cl.SnapshotCtx(ctx, t, attrs, full)
 		})
@@ -611,7 +574,7 @@ func (co *Coordinator) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	parent := context.WithoutCancel(r.Context())
 	v, shared, err := co.flights.Do(key, func() (any, error) {
 		co.fanouts.Inc()
-		gen := co.cacheGen()
+		gen := co.cache.Gen()
 		parts, errs, rt := scatterRead(co, parent, func(ctx reqCtx, cl *server.Client) (*server.NeighborsJSON, error) {
 			return cl.NeighborsCtx(ctx, t, historygraph.NodeID(node), attrs)
 		})
@@ -666,7 +629,7 @@ func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	server.Annotate(r.Context(), "cache", "miss")
-	gen := co.cacheGen()
+	gen := co.cache.Gen()
 	co.fanouts.Inc()
 	// Direct paths (no flight sharing) propagate the client's own
 	// cancellation: a closed connection cancels every leg immediately.
@@ -816,7 +779,7 @@ func (co *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 	// Invalidate merged responses even on partial failure: some
 	// partitions' slices landed, so any cached merge depending on a
 	// timepoint >= minAt is stale.
-	if co.cache != nil && len(body) > 0 {
+	if len(body) > 0 {
 		co.cache.InvalidateFrom(minAt)
 	}
 	if len(errs) > 0 && len(errs) == len(rt.sets) {
@@ -980,13 +943,8 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		Reroutes:         co.reroutes.Value(),
 	}
 	if co.cache != nil {
-		out.Cache = &CoCacheStatsJSON{
-			Hits:      co.cache.counters.hits.Value(),
-			Misses:    co.cache.counters.misses.Value(),
-			Evictions: co.cache.counters.evictions.Value(),
-			Size:      co.cache.Len(),
-			Capacity:  co.cache.capacity,
-		}
+		cs := CoCacheStatsJSON(co.cache.Stats())
+		out.Cache = &cs
 	}
 	failed := make(map[int]string, len(errs))
 	for _, pe := range errs {

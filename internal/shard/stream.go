@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"historygraph"
+	"historygraph/internal/cache"
 	"historygraph/internal/server"
 	"historygraph/internal/wire"
 )
@@ -174,17 +175,15 @@ func (co *Coordinator) openStreams(rt *routing, parent context.Context, t histor
 // fan-out and no encode.
 func (co *Coordinator) streamSnapshot(w http.ResponseWriter, r *http.Request, t historygraph.Time, attrs string, key string) {
 	ck := cacheKey(key, wire.NameBinaryStream)
-	if co.cache != nil {
-		if body, contentType, ok := co.cache.Get(ck); ok {
-			server.Annotate(r.Context(), "cache", "merged-hit")
-			w.Header().Set("Content-Type", contentType)
-			w.WriteHeader(http.StatusOK)
-			w.Write(body)
-			return
-		}
+	if body, ok := co.cache.Get(ck); ok {
+		server.Annotate(r.Context(), "cache", "merged-hit")
+		w.Header().Set("Content-Type", body.ContentType)
+		w.WriteHeader(http.StatusOK)
+		w.Write(body.Bytes)
+		return
 	}
 	server.Annotate(r.Context(), "cache", "miss")
-	gen := co.cacheGen()
+	gen := co.cache.Gen()
 	co.fanouts.Inc()
 
 	// A live stream cannot be shared, so its legs hang directly off the
@@ -352,11 +351,15 @@ func (co *Coordinator) streamSnapshot(w http.ResponseWriter, r *http.Request, t 
 	if se.Summary(&sum) != nil {
 		return
 	}
-	flush()
+	// No flush: the summary leaves when the handler returns, after the
+	// body is registered, so a client that has seen the whole stream
+	// finds its repeat request cached.
 	co.notePartial(errs, len(rt.sets))
 	if capture != nil && len(errs) == 0 {
 		if body, ok := capture.Bytes(); ok {
-			co.cache.Insert(ck, t, body, wire.ContentTypeBinaryStream, gen)
+			co.cache.Insert(ck, cache.Entry[cache.Body]{
+				At: t, Value: cache.Body{Bytes: body, ContentType: wire.ContentTypeBinaryStream},
+			}, gen)
 		}
 	}
 }

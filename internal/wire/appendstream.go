@@ -30,8 +30,6 @@ package wire
 // end frame.
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -64,45 +62,19 @@ type AppendFrame struct {
 // concurrent use; allocate one per connection. The frame buffer is reused
 // across frames and the intern table persists stream-wide.
 type AppendStreamEncoder struct {
-	w          io.Writer
-	enc        *Encoder
-	frames     uint64
-	headerDone bool
-	done       bool
-	scratch    [binary.MaxVarintLen64]byte
+	frameWriter
+	frames uint64
 }
 
 // NewAppendStreamEncoder returns an ingest-stream encoder over w. Nothing
 // is written until the first frame.
 func NewAppendStreamEncoder(w io.Writer) *AppendStreamEncoder {
-	return &AppendStreamEncoder{w: w, enc: NewEncoder()}
-}
-
-// writeFrame flushes the scratch encoder's bytes as one length-prefixed
-// frame, emitting the stream header first if this is the first frame.
-func (e *AppendStreamEncoder) writeFrame() error {
-	if !e.headerDone {
-		if _, err := e.w.Write([]byte{binaryMagic, binaryVersion, kindAppendStream}); err != nil {
-			return err
-		}
-		e.headerDone = true
-	}
-	body := e.enc.Bytes()
-	n := binary.PutUvarint(e.scratch[:], uint64(len(body)))
-	if _, err := e.w.Write(e.scratch[:n]); err != nil {
-		return err
-	}
-	_, err := e.w.Write(body)
-	e.enc.buf = e.enc.buf[:0] // reuse the frame buffer; keys persist
-	return err
+	return &AppendStreamEncoder{frameWriter: newFrameWriter(w, kindAppendStream)}
 }
 
 // Events writes one batch frame under the given idempotency ID (empty for
 // an untagged append).
 func (e *AppendStreamEncoder) Events(batch string, events []Event) error {
-	if e.done {
-		return fmt.Errorf("wire: append frame after end frame")
-	}
 	e.enc.Byte(frameAppendEvents)
 	e.enc.String(batch)
 	e.enc.Uvarint(uint64(len(events)))
@@ -121,39 +93,24 @@ func (e *AppendStreamEncoder) End() error {
 	}
 	e.enc.Byte(frameAppendEnd)
 	e.enc.Uvarint(e.frames)
-	if err := e.writeFrame(); err != nil {
-		return err
-	}
-	e.done = true
-	return nil
+	return e.writeLast()
 }
 
 // AppendStreamDecoder reads a streaming ingest body frame by frame. Not
 // safe for concurrent use.
 type AppendStreamDecoder struct {
-	r      *bufio.Reader
-	keys   []string // intern table, carried across frames
-	buf    []byte   // frame body scratch, reused
-	events []Event  // element scratch, reused per frame
+	fr     frameReader
+	events []Event // element scratch, reused per frame
 	frames uint64
-	sawEnd bool
-	err    error
 }
 
 // NewAppendStreamDecoder wraps r and consumes the stream header.
 func NewAppendStreamDecoder(r io.Reader) (*AppendStreamDecoder, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
+	fr, err := newFrameReader(r, kindAppendStream, "append stream")
+	if err != nil {
+		return nil, err
 	}
-	var hdr [3]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("wire: append stream header: %w", err)
-	}
-	if hdr[0] != binaryMagic || hdr[1] != binaryVersion || hdr[2] != kindAppendStream {
-		return nil, fmt.Errorf("wire: not an append stream (header % x)", hdr)
-	}
-	return &AppendStreamDecoder{r: br}, nil
+	return &AppendStreamDecoder{fr: fr}, nil
 }
 
 // Next returns the next batch frame. After the end frame it reports
@@ -162,55 +119,10 @@ func NewAppendStreamDecoder(r io.Reader) (*AppendStreamDecoder, error) {
 // io.ErrUnexpectedEOF. The returned frame's event slice is scratch reused
 // by the next call — consume (or copy) a frame before pulling the next.
 func (d *AppendStreamDecoder) Next() (*AppendFrame, error) {
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.sawEnd {
-		d.err = io.EOF
-		return nil, io.EOF
-	}
-	n, err := binary.ReadUvarint(d.r)
+	typ, dec, err := d.fr.next()
 	if err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("wire: append stream truncated before end frame: %w", io.ErrUnexpectedEOF)
-		}
-		d.err = err
 		return nil, err
 	}
-	if n == 0 || n > maxStreamFrame {
-		d.err = fmt.Errorf("wire: append stream frame of %d bytes (max %d)", n, maxStreamFrame)
-		return nil, d.err
-	}
-	if uint64(cap(d.buf)) < n {
-		d.buf = make([]byte, n)
-	}
-	body := d.buf[:n]
-	if _, err := io.ReadFull(d.r, body); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("wire: append stream truncated inside a frame: %w", io.ErrUnexpectedEOF)
-		}
-		d.err = err
-		return nil, err
-	}
-	frame, err := d.decodeFrame(body)
-	if err != nil {
-		d.err = err
-		return nil, err
-	}
-	if frame == nil { // end frame consumed
-		d.err = io.EOF
-		return nil, io.EOF
-	}
-	return frame, nil
-}
-
-// decodeFrame decodes one frame body, threading the stream-wide intern
-// table. A nil, nil return means the end frame was consumed (and
-// verified).
-func (d *AppendStreamDecoder) decodeFrame(body []byte) (*AppendFrame, error) {
-	dec := &Decoder{data: body, keys: d.keys}
-	typ := dec.Byte()
-	var out *AppendFrame
 	switch typ {
 	case frameAppendEvents:
 		batch := dec.String()
@@ -224,22 +136,20 @@ func (d *AppendStreamDecoder) decodeFrame(body []byte) (*AppendFrame, error) {
 		}
 		d.events = events
 		d.frames++
-		out = &AppendFrame{Batch: batch, Events: events}
+		if err := d.fr.end(typ, false); err != nil {
+			return nil, err
+		}
+		return &AppendFrame{Batch: batch, Events: events}, nil
 	case frameAppendEnd:
 		want := dec.Uvarint()
 		if dec.Err() == nil && want != d.frames {
-			return nil, fmt.Errorf("wire: append stream end frame declares %d frames, read %d", want, d.frames)
+			return nil, d.fr.fail(fmt.Errorf("wire: append stream end frame declares %d frames, read %d", want, d.frames))
 		}
-		d.sawEnd = true
+		if err := d.fr.end(typ, true); err != nil {
+			return nil, err
+		}
+		return nil, d.fr.fail(io.EOF)
 	default:
-		return nil, fmt.Errorf("wire: unknown append stream frame type 0x%02x", typ)
+		return nil, d.fr.fail(fmt.Errorf("wire: unknown append stream frame type 0x%02x", typ))
 	}
-	d.keys = dec.keys
-	if err := dec.Err(); err != nil {
-		return nil, err
-	}
-	if dec.Remaining() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes in append stream frame 0x%02x", dec.Remaining(), typ)
-	}
-	return out, nil
 }

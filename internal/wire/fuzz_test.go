@@ -3,12 +3,16 @@ package wire
 // FuzzWireRoundTrip: derive a response struct from the fuzz input, assert
 // binary decode(encode(x)) == x exactly, and throw the raw input at the
 // decoder for every message type to shake out panics and allocation
-// bombs. Run with:
+// bombs. FuzzStreamFrames (end of file) does the same for the frame layer
+// of both stream kinds. Run with:
 //
 //	go test ./internal/wire -fuzz FuzzWireRoundTrip
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"reflect"
 	"testing"
 )
@@ -234,5 +238,105 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		framed := append([]byte{binaryMagic, binaryVersion, kindSnapshotStream}, data...)
 		_, _ = DecodeSnapshotStream(bytes.NewReader(framed))
+	})
+}
+
+// drainSnapshotStream and drainAppendStream decode a whole stream of their
+// kind and report whether it ran to its terminating frame, plus the frame
+// buffer capacity the decoder ended up holding.
+func drainSnapshotStream(data []byte) (complete bool, bufCap int, err error) {
+	sd, err := NewStreamDecoder(bytes.NewReader(data))
+	if err != nil {
+		return false, 0, err
+	}
+	for {
+		frame, err := sd.Next()
+		if err != nil {
+			return false, cap(sd.fr.buf), err
+		}
+		if frame.Summary != nil {
+			return true, cap(sd.fr.buf), nil
+		}
+	}
+}
+
+func drainAppendStream(data []byte) (complete bool, bufCap int, err error) {
+	d, err := NewAppendStreamDecoder(bytes.NewReader(data))
+	if err != nil {
+		return false, 0, err
+	}
+	for {
+		if _, err := d.Next(); err == io.EOF {
+			return true, cap(d.fr.buf), nil
+		} else if err != nil {
+			return false, cap(d.fr.buf), err
+		}
+	}
+}
+
+// FuzzStreamFrames throws arbitrary bytes at both stream decoders — raw,
+// and behind a valid header so corruption reaches the frame layer — and
+// cuts a valid stream of each kind, built from the same input, at every
+// length: no panic, no frame buffer past maxStreamFrame, and a truncated
+// stream always errors instead of answering short. Run with:
+//
+//	go test ./internal/wire -fuzz FuzzStreamFrames
+func FuzzStreamFrames(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("deltagraph"))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252, 253, 254, 255})
+	// A length prefix one past the bound, and a huge one: both must fail
+	// before any frame buffer is allocated.
+	f.Add(binary.AppendUvarint(nil, maxStreamFrame+1))
+	f.Add(binary.AppendUvarint(nil, 1<<62))
+	// A plausible length with no body behind it.
+	f.Add(append(binary.AppendUvarint(nil, 4096), frameNodes))
+
+	kinds := []struct {
+		kind  byte
+		drain func([]byte) (bool, int, error)
+	}{
+		{kindSnapshotStream, drainSnapshotStream},
+		{kindAppendStream, drainAppendStream},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := &structGen{data: data}
+		snap := g.snapshot()
+		var valid [2]bytes.Buffer
+		if err := EncodeSnapshotStream(&valid[0], &snap, int(g.byte())%7+1); err != nil {
+			t.Fatalf("snapshot stream encode: %v", err)
+		}
+		enc := NewAppendStreamEncoder(&valid[1])
+		for i, k := 0, g.n(4); i < k; i++ {
+			if err := enc.Events(g.str(), g.events()); err != nil {
+				t.Fatalf("append stream encode: %v", err)
+			}
+		}
+		if err := enc.End(); err != nil {
+			t.Fatalf("append stream end: %v", err)
+		}
+
+		for i, k := range kinds {
+			for _, in := range [][]byte{data, append([]byte{binaryMagic, binaryVersion, k.kind}, data...)} {
+				if _, bufCap, _ := k.drain(in); bufCap > maxStreamFrame {
+					t.Fatalf("kind 0x%02x: frame buffer grew to %d bytes (max %d)", k.kind, bufCap, maxStreamFrame)
+				}
+			}
+			full := valid[i].Bytes()
+			if complete, _, err := k.drain(full); !complete {
+				t.Fatalf("kind 0x%02x: valid stream failed: %v", k.kind, err)
+			}
+			for cut := 0; cut < len(full); cut++ {
+				complete, _, err := k.drain(full[:cut])
+				if complete || err == nil {
+					t.Fatalf("kind 0x%02x: cut at %d/%d decoded as a complete stream", k.kind, cut, len(full))
+				}
+				// Past the 3-byte header every cut is a frame-layer
+				// truncation and must say so.
+				if cut >= 3 && !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("kind 0x%02x: cut at %d/%d: %v does not wrap io.ErrUnexpectedEOF", k.kind, cut, len(full), err)
+				}
+			}
+		}
 	})
 }

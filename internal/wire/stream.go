@@ -32,8 +32,6 @@ package wire
 // coordinator merges N worker streams this way.
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strings"
@@ -67,12 +65,6 @@ const NameBinaryStream = "stream"
 // to this, so it trades per-frame overhead (a few bytes) against the
 // memory bound.
 const DefaultRunSize = 2048
-
-// maxStreamFrame bounds one frame's declared body length; a corrupt or
-// hostile length prefix fails decode instead of forcing a giant
-// allocation. Generous: a DefaultRunSize run of attribute-heavy elements
-// is well under 1 MiB.
-const maxStreamFrame = 1 << 26
 
 // MaxCachedBody bounds the size of one response body an encoded-bytes
 // cache (worker or coordinator) will capture off a stream. Without a
@@ -132,42 +124,16 @@ func IsStreamContentType(ct string) bool {
 // across runs, so encoding an arbitrarily large snapshot allocates
 // proportionally to the largest single run.
 type StreamEncoder struct {
-	w          io.Writer
-	enc        *Encoder // frame body scratch; keys intern stream-wide
-	prevNode   int64    // node ID delta state, carried across frames
-	prevEdge   int64    // edge ID delta state, carried across frames
-	headerDone bool
-	done       bool
-	scratch    [binary.MaxVarintLen64]byte
+	frameWriter
+	prevNode int64 // node ID delta state, carried across frames
+	prevEdge int64 // edge ID delta state, carried across frames
 }
 
 // NewStreamEncoder returns a stream encoder over w. Nothing is written
 // until the first frame (so a handler can still fail cleanly before
 // committing to a response).
 func NewStreamEncoder(w io.Writer) *StreamEncoder {
-	return &StreamEncoder{w: w, enc: NewEncoder()}
-}
-
-// writeFrame flushes the scratch encoder's bytes as one length-prefixed
-// frame, emitting the stream header first if this is the first frame.
-func (se *StreamEncoder) writeFrame() error {
-	if se.done {
-		return fmt.Errorf("wire: write after stream summary")
-	}
-	if !se.headerDone {
-		if _, err := se.w.Write([]byte{binaryMagic, binaryVersion, kindSnapshotStream}); err != nil {
-			return err
-		}
-		se.headerDone = true
-	}
-	body := se.enc.Bytes()
-	n := binary.PutUvarint(se.scratch[:], uint64(len(body)))
-	if _, err := se.w.Write(se.scratch[:n]); err != nil {
-		return err
-	}
-	_, err := se.w.Write(body)
-	se.enc.buf = se.enc.buf[:0] // reuse the frame buffer; keys persist
-	return err
+	return &StreamEncoder{frameWriter: newFrameWriter(w, kindSnapshotStream)}
 }
 
 // Nodes writes one run of nodes. Runs must be globally sorted by ID
@@ -211,11 +177,7 @@ func (se *StreamEncoder) Summary(s *Snapshot) error {
 	se.enc.Bool(s.Cached)
 	se.enc.Bool(s.Coalesced)
 	encodePartial(se.enc, s.Partial)
-	if err := se.writeFrame(); err != nil {
-		return err
-	}
-	se.done = true
-	return nil
+	return se.writeLast()
 }
 
 // EncodeSnapshotStream writes s as a chunked stream in runs of runSize
@@ -258,33 +220,22 @@ type StreamFrame struct {
 // StreamDecoder reads a chunked snapshot stream frame by frame. Not safe
 // for concurrent use.
 type StreamDecoder struct {
-	r        *bufio.Reader
-	keys     []string // intern table, carried across frames
+	fr       frameReader
 	prevNode int64
 	prevEdge int64
-	buf      []byte // frame body scratch, reused
 	nodesBuf []Node // element scratch, reused per frame
 	edgesBuf []Edge
-	sawSum   bool
-	err      error
 }
 
 // NewStreamDecoder wraps r and consumes the stream header. A reader whose
 // first bytes are not a snapshot-stream header fails here, so a caller
 // can still fall back to the whole-message decoder on the buffered bytes.
 func NewStreamDecoder(r io.Reader) (*StreamDecoder, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
+	fr, err := newFrameReader(r, kindSnapshotStream, "snapshot stream")
+	if err != nil {
+		return nil, err
 	}
-	var hdr [3]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("wire: stream header: %w", err)
-	}
-	if hdr[0] != binaryMagic || hdr[1] != binaryVersion || hdr[2] != kindSnapshotStream {
-		return nil, fmt.Errorf("wire: not a snapshot stream (header % x)", hdr)
-	}
-	return &StreamDecoder{r: br}, nil
+	return &StreamDecoder{fr: fr}, nil
 }
 
 // Next returns the next frame. After the summary frame has been returned,
@@ -297,49 +248,10 @@ func NewStreamDecoder(r io.Reader) (*StreamDecoder, error) {
 // Appending the elements elsewhere copies them; only holding the slices
 // themselves across calls aliases.
 func (sd *StreamDecoder) Next() (*StreamFrame, error) {
-	if sd.err != nil {
-		return nil, sd.err
-	}
-	if sd.sawSum {
-		sd.err = io.EOF
-		return nil, io.EOF
-	}
-	n, err := binary.ReadUvarint(sd.r)
+	typ, d, err := sd.fr.next()
 	if err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("wire: stream truncated before summary frame: %w", io.ErrUnexpectedEOF)
-		}
-		sd.err = err
 		return nil, err
 	}
-	if n == 0 || n > maxStreamFrame {
-		sd.err = fmt.Errorf("wire: stream frame of %d bytes (max %d)", n, maxStreamFrame)
-		return nil, sd.err
-	}
-	if uint64(cap(sd.buf)) < n {
-		sd.buf = make([]byte, n)
-	}
-	body := sd.buf[:n]
-	if _, err := io.ReadFull(sd.r, body); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("wire: stream truncated inside a frame: %w", io.ErrUnexpectedEOF)
-		}
-		sd.err = err
-		return nil, err
-	}
-	frame, err := sd.decodeFrame(body)
-	if err != nil {
-		sd.err = err
-		return nil, err
-	}
-	return frame, nil
-}
-
-// decodeFrame decodes one frame body, threading the stream-wide intern
-// table and ID delta state through the per-frame Decoder.
-func (sd *StreamDecoder) decodeFrame(body []byte) (*StreamFrame, error) {
-	d := &Decoder{data: body, keys: sd.keys}
-	typ := d.Byte()
 	out := &StreamFrame{}
 	switch typ {
 	case frameNodes:
@@ -375,16 +287,11 @@ func (sd *StreamDecoder) decodeFrame(body []byte) (*StreamFrame, error) {
 			Cached:   d.Bool(), Coalesced: d.Bool(),
 			Partial: decodePartial(d),
 		}
-		sd.sawSum = true
 	default:
-		return nil, fmt.Errorf("wire: unknown stream frame type 0x%02x", typ)
+		return nil, sd.fr.fail(fmt.Errorf("wire: unknown stream frame type 0x%02x", typ))
 	}
-	sd.keys = d.keys
-	if err := d.Err(); err != nil {
+	if err := sd.fr.end(typ, out.Summary != nil); err != nil {
 		return nil, err
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes in stream frame 0x%02x", d.Remaining(), typ)
 	}
 	return out, nil
 }
