@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -37,8 +38,12 @@ func main() {
 		os.Exit(1)
 	}
 	events, err := delta.DecodeEvents(buf)
+	if errors.Is(err, delta.ErrOldFormat) {
+		fmt.Fprintf(os.Stderr, "dgload: %s was written by an earlier build's dggen, in a trace format this build no longer reads: generate it again with this build's dggen\n", *in)
+		os.Exit(1)
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dgload: decoding trace: %v\n", err)
+		fmt.Fprintf(os.Stderr, "dgload: %s is not a dggen trace file: %v\n", *in, err)
 		os.Exit(1)
 	}
 	start := time.Now()

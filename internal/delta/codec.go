@@ -8,384 +8,541 @@ import (
 	"historygraph/internal/graph"
 )
 
-// This file is the compact binary codec for delta columns and eventlists —
-// the byte payloads stored in the key-value store. Integers use varint
-// encoding; strings are length-prefixed. Each payload begins with a one-byte
-// format tag so layouts can evolve.
+// This file is the codec of every payload the key-value store holds: the
+// three delta columns, eventlists, and (through Writer and Reader) the aux
+// kinds of internal/deltagraph. It is stored format 3; docs/ARCHITECTURE.md
+// has the grammar byte by byte. Three things make it small:
+//
+//   - ids and timestamps are gaps from the record before. Columns arrive
+//     sorted (Delta.sortStable) and eventlists in time order, so a gap is a
+//     byte or two; it is taken modulo 2^64, so any order still round-trips.
+//   - a string (attribute name, attribute value, aux key) is spelled out
+//     once a payload and referred to by number afterwards, so decoding
+//     allocates one string per distinct string, not one per record.
+//   - an event carries the fields its type uses and no others.
+//
+// A payload starts with a tag byte naming its kind. Format 2 used other tags;
+// a payload that carries one is refused with ErrOldFormat, not decoded.
 
 const (
-	tagStructCol   byte = 0x01
-	tagNodeAttrCol byte = 0x02
-	tagEdgeAttrCol byte = 0x03
-	tagEvents      byte = 0x04
+	tagStructCol   byte = 0x31
+	tagNodeAttrCol byte = 0x32
+	tagEdgeAttrCol byte = 0x33
+	tagEvents      byte = 0x34
+	// TagAuxDelta and TagAuxEvents mark the aux payloads of
+	// internal/deltagraph, which owns their layout.
+	TagAuxDelta  byte = 0x35
+	TagAuxEvents byte = 0x36
+
+	// maxTable is how many strings a payload's table holds: its first
+	// maxTable distinct ones, so that a reference is never longer than two
+	// bytes and the table stays small beside a payload whose strings never
+	// repeat.
+	maxTable = 1 << 13
 )
 
 // ErrCorrupt is returned when a payload cannot be decoded.
 var ErrCorrupt = errors.New("delta: corrupt payload")
 
-type writer struct{ buf []byte }
+// ErrOldFormat is returned for a payload an earlier build wrote. There is no
+// reader for it: the index, checkpoint or trace file that holds it has to be
+// written again.
+var ErrOldFormat = errors.New("delta: payload is in stored format 2 and this build reads format 3 only: rebuild the index or trace that holds it")
 
-func (w *writer) byte(b byte)      { w.buf = append(w.buf, b) }
-func (w *writer) uvarint(x uint64) { w.buf = binary.AppendUvarint(w.buf, x) }
-func (w *writer) varint(x int64)   { w.buf = binary.AppendVarint(w.buf, x) }
-func (w *writer) str(s string) {
-	w.uvarint(uint64(len(s)))
+// Writer builds one payload.
+type Writer struct {
+	buf  []byte
+	strs map[string]uint64
+}
+
+// NewWriter starts a payload of the given kind; size is a capacity hint.
+func NewWriter(tag byte, size int) *Writer {
+	w := &Writer{buf: make([]byte, 1, 1+size)}
+	w.buf[0] = tag
+	return w
+}
+
+// Bytes returns the payload written so far.
+func (w *Writer) Bytes() []byte { return w.buf }
+
+// Byte writes one byte.
+func (w *Writer) Byte(b byte) { w.buf = append(w.buf, b) }
+
+// Uvarint writes x in base-128 varint form, as encoding/binary does.
+func (w *Writer) Uvarint(x uint64) { w.buf = binary.AppendUvarint(w.buf, x) }
+
+// Varint writes x zig-zag coded: small magnitudes of either sign are short.
+func (w *Writer) Varint(x int64) { w.buf = binary.AppendVarint(w.buf, x) }
+
+// Str writes s through the payload's string table: the number of an earlier
+// string of the payload that equals it, with the low bit set, or else its
+// length, doubled, and its bytes — which gives it the next number, while the
+// table has room. A string no other repeats costs what a length prefix would.
+func (w *Writer) Str(s string) {
+	if ref, seen := w.strs[s]; seen {
+		w.Uvarint(ref<<1 | 1)
+		return
+	}
+	if len(w.strs) < maxTable {
+		if w.strs == nil {
+			w.strs = make(map[string]uint64)
+		}
+		w.strs[s] = uint64(len(w.strs))
+	}
+	w.Uvarint(uint64(len(s)) << 1)
 	w.buf = append(w.buf, s...)
 }
-func (w *writer) bool(b bool) {
-	if b {
-		w.byte(1)
-	} else {
-		w.byte(0)
+
+// uvarintBit writes x with one flag folded under it, 65 bits in all: the
+// first byte holds the flag, x's low six bits and a continuation bit, and
+// uvarint(x>>6) follows if that is set. It is as long as uvarint(x<<1|flag)
+// and, unlike it, loses nothing when x has its top bit set.
+func (w *Writer) uvarintBit(x uint64, flag bool) {
+	b := byte(x&0x3f) << 1
+	if flag {
+		b |= 1
 	}
+	if x >>= 6; x == 0 {
+		w.Byte(b)
+		return
+	}
+	w.Byte(b | 0x80)
+	w.Uvarint(x)
 }
 
-type reader struct {
-	b   []byte
-	off int
+// Reader takes one payload apart. The first failure sticks: every later read
+// returns zero, Err reports it, and nothing read from a payload may be used
+// before Err has returned nil. Every length and count is checked against the
+// bytes that remain, so a corrupt payload costs an error, never a panic or an
+// allocation out of proportion to its size.
+type Reader struct {
+	b    []byte
+	off  int
+	err  error
+	strs []string
 }
 
-func (r *reader) byte() (byte, error) {
+// NewReader starts reading a payload that must be of the given kind.
+func NewReader(b []byte, tag byte) *Reader {
+	r := &Reader{b: b, off: 1}
+	if len(b) == 0 {
+		r.fail(fmt.Errorf("%w: empty", ErrCorrupt))
+		return r
+	}
+	switch b[0] {
+	case tag:
+	case 0x01, 0x02, 0x03, 0x04, 0x11, 0x12: // format 2's four kinds and two aux kinds
+		r.fail(ErrOldFormat)
+	default:
+		r.fail(fmt.Errorf("%w: tag %#x, want %#x", ErrCorrupt, b[0], tag))
+	}
+	return r
+}
+
+func (r *Reader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.off = len(r.b)
+}
+
+// Err returns the first failure, or ErrCorrupt if bytes are left over. Call
+// it once the whole payload has been read.
+func (r *Reader) Err() error {
+	if r.err == nil && r.off != len(r.b) {
+		r.err = fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.b)-r.off)
+	}
+	return r.err
+}
+
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
 	if r.off >= len(r.b) {
-		return 0, ErrCorrupt
+		r.fail(ErrCorrupt)
+		return 0
 	}
 	b := r.b[r.off]
 	r.off++
-	return b, nil
+	return b
 }
 
-func (r *reader) uvarint() (uint64, error) {
+// Uvarint reads what Writer.Uvarint wrote.
+func (r *Reader) Uvarint() uint64 {
 	x, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
-		return 0, ErrCorrupt
+		r.fail(ErrCorrupt)
+		return 0
 	}
 	r.off += n
-	return x, nil
+	return x
 }
 
-func (r *reader) varint() (int64, error) {
+// Varint reads what Writer.Varint wrote.
+func (r *Reader) Varint() int64 {
 	x, n := binary.Varint(r.b[r.off:])
 	if n <= 0 {
-		return 0, ErrCorrupt
+		r.fail(ErrCorrupt)
+		return 0
 	}
 	r.off += n
-	return x, nil
+	return x
 }
 
-func (r *reader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
+// Str reads what Writer.Str wrote. Equal strings of one payload share their
+// bytes: decoding allocates once per distinct string, not once per record.
+func (r *Reader) Str() string {
+	x := r.Uvarint()
+	if x&1 != 0 && x>>1 < uint64(len(r.strs)) {
+		return r.strs[x>>1]
 	}
-	if r.off+int(n) > len(r.b) {
-		return "", ErrCorrupt
+	n := x >> 1
+	if x&1 != 0 || n > uint64(len(r.b)-r.off) {
+		r.fail(ErrCorrupt)
+	}
+	if r.err != nil {
+		return ""
 	}
 	s := string(r.b[r.off : r.off+int(n)])
 	r.off += int(n)
-	return s, nil
+	if len(r.strs) < maxTable {
+		r.strs = append(r.strs, s)
+	}
+	return s
 }
 
-func (r *reader) bool() (bool, error) {
-	b, err := r.byte()
-	return b != 0, err
+// Count reads the number of records that follow, each at least width bytes
+// long: a count the remaining bytes cannot hold is corrupt.
+func (r *Reader) Count(width int) int {
+	n := r.Uvarint()
+	if n > uint64((len(r.b)-r.off)/width) {
+		r.fail(ErrCorrupt)
+		return 0
+	}
+	return int(n)
 }
+
+// uvarintBit reads what Writer.uvarintBit wrote.
+func (r *Reader) uvarintBit() (uint64, bool) {
+	b := r.Byte()
+	x := uint64(b>>1) & 0x3f
+	if b&0x80 != 0 {
+		hi := r.Uvarint()
+		if hi == 0 || hi >= 1<<58 {
+			r.fail(ErrCorrupt)
+		}
+		x |= hi << 6
+	}
+	return x, b&1 != 0
+}
+
+// --- structure column ------------------------------------------------------
 
 // EncodeStructCol encodes the structure column of a delta.
 func EncodeStructCol(d *Delta) []byte {
-	w := &writer{buf: make([]byte, 0, 16+8*(len(d.AddNodes)+len(d.DelNodes))+16*(len(d.AddEdges)+len(d.DelEdges)))}
-	w.byte(tagStructCol)
-	w.uvarint(uint64(len(d.AddNodes)))
-	for _, n := range d.AddNodes {
-		w.varint(int64(n))
+	w := NewWriter(tagStructCol, 4+2*(len(d.AddNodes)+len(d.DelNodes))+6*(len(d.AddEdges)+len(d.DelEdges)))
+	encNodes := func(nodes []graph.NodeID) {
+		w.Uvarint(uint64(len(nodes)))
+		var prev graph.NodeID
+		for _, n := range nodes {
+			w.Uvarint(uint64(n - prev))
+			prev = n
+		}
 	}
-	w.uvarint(uint64(len(d.DelNodes)))
-	for _, n := range d.DelNodes {
-		w.varint(int64(n))
-	}
+	encNodes(d.AddNodes)
+	encNodes(d.DelNodes)
 	encEdges := func(edges []EdgeRec) {
-		w.uvarint(uint64(len(edges)))
+		w.Uvarint(uint64(len(edges)))
+		var prev graph.EdgeID
 		for _, e := range edges {
-			w.varint(int64(e.ID))
-			w.varint(int64(e.From))
-			w.varint(int64(e.To))
-			w.bool(e.Directed)
+			w.uvarintBit(uint64(e.ID-prev), e.Directed)
+			w.Varint(int64(e.From))
+			w.Varint(int64(e.To - e.From))
+			prev = e.ID
 		}
 	}
 	encEdges(d.AddEdges)
 	encEdges(d.DelEdges)
-	return w.buf
+	return w.Bytes()
 }
 
 // DecodeStructCol decodes a structure column into d.
 func DecodeStructCol(b []byte, d *Delta) error {
-	r := &reader{b: b}
-	tag, err := r.byte()
-	if err != nil || tag != tagStructCol {
-		return fmt.Errorf("%w: bad struct column tag", ErrCorrupt)
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	d.AddNodes = make([]graph.NodeID, n)
-	for i := range d.AddNodes {
-		v, err := r.varint()
-		if err != nil {
-			return err
+	r := NewReader(b, tagStructCol)
+	decNodes := func() []graph.NodeID {
+		nodes := make([]graph.NodeID, r.Count(1))
+		var prev graph.NodeID
+		for i := range nodes {
+			prev += graph.NodeID(r.Uvarint())
+			nodes[i] = prev
 		}
-		d.AddNodes[i] = graph.NodeID(v)
+		return nodes
 	}
-	if n, err = r.uvarint(); err != nil {
-		return err
-	}
-	d.DelNodes = make([]graph.NodeID, n)
-	for i := range d.DelNodes {
-		v, err := r.varint()
-		if err != nil {
-			return err
-		}
-		d.DelNodes[i] = graph.NodeID(v)
-	}
-	decEdges := func() ([]EdgeRec, error) {
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		edges := make([]EdgeRec, n)
+	addNodes, delNodes := decNodes(), decNodes()
+	decEdges := func() []EdgeRec {
+		edges := make([]EdgeRec, r.Count(3))
+		var prev graph.EdgeID
 		for i := range edges {
-			id, err := r.varint()
-			if err != nil {
-				return nil, err
-			}
-			from, err := r.varint()
-			if err != nil {
-				return nil, err
-			}
-			to, err := r.varint()
-			if err != nil {
-				return nil, err
-			}
-			dir, err := r.bool()
-			if err != nil {
-				return nil, err
-			}
-			edges[i] = EdgeRec{ID: graph.EdgeID(id), From: graph.NodeID(from), To: graph.NodeID(to), Directed: dir}
+			gap, directed := r.uvarintBit()
+			prev += graph.EdgeID(gap)
+			from := graph.NodeID(r.Varint())
+			edges[i] = EdgeRec{ID: prev, From: from, To: from + graph.NodeID(r.Varint()), Directed: directed}
 		}
-		return edges, nil
+		return edges
 	}
-	if d.AddEdges, err = decEdges(); err != nil {
-		return err
+	addEdges, delEdges := decEdges(), decEdges()
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("struct column: %w", err)
 	}
-	d.DelEdges, err = decEdges()
-	return err
+	d.AddNodes, d.DelNodes, d.AddEdges, d.DelEdges = addNodes, delNodes, addEdges, delEdges
+	return nil
+}
+
+// --- attribute columns -----------------------------------------------------
+
+// attrRecWidth is the least an attribute record takes: a byte for the element
+// and one for each string.
+func attrRecWidth(withVal bool) int {
+	if withVal {
+		return 3
+	}
+	return 2
 }
 
 // EncodeNodeAttrCol encodes the node-attribute column of a delta.
 func EncodeNodeAttrCol(d *Delta) []byte {
-	w := &writer{}
-	w.byte(tagNodeAttrCol)
+	w := NewWriter(tagNodeAttrCol, 4+8*len(d.SetNodeAttrs)+3*len(d.DelNodeAttrs))
 	enc := func(recs []NodeAttrRec, withVal bool) {
-		w.uvarint(uint64(len(recs)))
+		w.Uvarint(uint64(len(recs)))
+		var prev graph.NodeID
 		for _, rec := range recs {
-			w.varint(int64(rec.Node))
-			w.str(rec.Attr)
+			w.Uvarint(uint64(rec.Node - prev)) // 0: the node of the record before
+			w.Str(rec.Attr)
 			if withVal {
-				w.str(rec.Val)
+				w.Str(rec.Val)
 			}
+			prev = rec.Node
 		}
 	}
 	enc(d.SetNodeAttrs, true)
 	enc(d.DelNodeAttrs, false)
-	return w.buf
+	return w.Bytes()
 }
 
 // DecodeNodeAttrCol decodes a node-attribute column into d.
 func DecodeNodeAttrCol(b []byte, d *Delta) error {
-	r := &reader{b: b}
-	tag, err := r.byte()
-	if err != nil || tag != tagNodeAttrCol {
-		return fmt.Errorf("%w: bad nodeattr column tag", ErrCorrupt)
-	}
-	dec := func(withVal bool) ([]NodeAttrRec, error) {
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		recs := make([]NodeAttrRec, n)
+	r := NewReader(b, tagNodeAttrCol)
+	dec := func(withVal bool) []NodeAttrRec {
+		recs := make([]NodeAttrRec, r.Count(attrRecWidth(withVal)))
+		var prev graph.NodeID
 		for i := range recs {
-			id, err := r.varint()
-			if err != nil {
-				return nil, err
-			}
-			attr, err := r.str()
-			if err != nil {
-				return nil, err
-			}
-			rec := NodeAttrRec{Node: graph.NodeID(id), Attr: attr}
+			prev += graph.NodeID(r.Uvarint())
+			recs[i] = NodeAttrRec{Node: prev, Attr: r.Str()}
 			if withVal {
-				if rec.Val, err = r.str(); err != nil {
-					return nil, err
-				}
+				recs[i].Val = r.Str()
 			}
-			recs[i] = rec
 		}
-		return recs, nil
+		return recs
 	}
-	if d.SetNodeAttrs, err = dec(true); err != nil {
-		return err
+	set, del := dec(true), dec(false)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("nodeattr column: %w", err)
 	}
-	d.DelNodeAttrs, err = dec(false)
-	return err
+	d.SetNodeAttrs, d.DelNodeAttrs = set, del
+	return nil
 }
 
-// EncodeEdgeAttrCol encodes the edge-attribute column of a delta.
+// EncodeEdgeAttrCol encodes the edge-attribute column of a delta. A record
+// spells its From endpoint out only where it differs from the record
+// before, which within one edge's records it does not.
 func EncodeEdgeAttrCol(d *Delta) []byte {
-	w := &writer{}
-	w.byte(tagEdgeAttrCol)
+	w := NewWriter(tagEdgeAttrCol, 4+10*len(d.SetEdgeAttrs)+5*len(d.DelEdgeAttrs))
 	enc := func(recs []EdgeAttrRec, withVal bool) {
-		w.uvarint(uint64(len(recs)))
+		w.Uvarint(uint64(len(recs)))
+		var (
+			prev     graph.EdgeID
+			prevFrom graph.NodeID
+		)
 		for _, rec := range recs {
-			w.varint(int64(rec.Edge))
-			w.varint(int64(rec.From))
-			w.str(rec.Attr)
-			if withVal {
-				w.str(rec.Val)
+			w.uvarintBit(uint64(rec.Edge-prev), rec.From != prevFrom)
+			if rec.From != prevFrom {
+				w.Varint(int64(rec.From))
 			}
+			w.Str(rec.Attr)
+			if withVal {
+				w.Str(rec.Val)
+			}
+			prev, prevFrom = rec.Edge, rec.From
 		}
 	}
 	enc(d.SetEdgeAttrs, true)
 	enc(d.DelEdgeAttrs, false)
-	return w.buf
+	return w.Bytes()
 }
 
 // DecodeEdgeAttrCol decodes an edge-attribute column into d.
 func DecodeEdgeAttrCol(b []byte, d *Delta) error {
-	r := &reader{b: b}
-	tag, err := r.byte()
-	if err != nil || tag != tagEdgeAttrCol {
-		return fmt.Errorf("%w: bad edgeattr column tag", ErrCorrupt)
-	}
-	dec := func(withVal bool) ([]EdgeAttrRec, error) {
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		recs := make([]EdgeAttrRec, n)
+	r := NewReader(b, tagEdgeAttrCol)
+	dec := func(withVal bool) []EdgeAttrRec {
+		recs := make([]EdgeAttrRec, r.Count(attrRecWidth(withVal)))
+		var (
+			prev     graph.EdgeID
+			prevFrom graph.NodeID
+		)
 		for i := range recs {
-			id, err := r.varint()
-			if err != nil {
-				return nil, err
+			gap, newFrom := r.uvarintBit()
+			prev += graph.EdgeID(gap)
+			if newFrom {
+				prevFrom = graph.NodeID(r.Varint())
 			}
-			from, err := r.varint()
-			if err != nil {
-				return nil, err
-			}
-			attr, err := r.str()
-			if err != nil {
-				return nil, err
-			}
-			rec := EdgeAttrRec{Edge: graph.EdgeID(id), From: graph.NodeID(from), Attr: attr}
+			recs[i] = EdgeAttrRec{Edge: prev, From: prevFrom, Attr: r.Str()}
 			if withVal {
-				if rec.Val, err = r.str(); err != nil {
-					return nil, err
-				}
+				recs[i].Val = r.Str()
 			}
-			recs[i] = rec
 		}
-		return recs, nil
+		return recs
 	}
-	if d.SetEdgeAttrs, err = dec(true); err != nil {
-		return err
+	set, del := dec(true), dec(false)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("edgeattr column: %w", err)
 	}
-	d.DelEdgeAttrs, err = dec(false)
-	return err
+	d.SetEdgeAttrs, d.DelEdgeAttrs = set, del
+	return nil
 }
 
-// EncodeEvents encodes a run of events (one column of a leaf-eventlist, or
-// a recent-eventlist segment).
+// --- eventlists ------------------------------------------------------------
+
+// The fields an event carries beyond its head byte, At and Node, by type.
+const (
+	fEdge  uint8 = 1 << iota // Edge and Node2
+	fAttr                    // Attr; Old if HadOld; New if HasNew
+	fKnown                   // the type is one of these eight
+	// fRaw is the field set of an event written raw: its type in a byte of
+	// its own and every field, Old and New too, whatever the flags say. That
+	// is how an event is kept whole that has a type this table does not know
+	// or a value in a field its type does not use.
+	fRaw = fEdge | fAttr
+)
+
+var eventFields = [16]uint8{
+	graph.AddNode: fKnown, graph.DelNode: fKnown, graph.TransientNode: fKnown,
+	graph.AddEdge: fKnown | fEdge, graph.DelEdge: fKnown | fEdge, graph.TransientEdge: fKnown | fEdge,
+	graph.SetNodeAttr: fKnown | fAttr,
+	graph.SetEdgeAttr: fKnown | fEdge | fAttr,
+}
+
+// Head byte of an event: its type in the low four bits (0: raw), then the
+// three flags; the top bit is clear.
+const (
+	headDirected = 1 << (4 + iota)
+	headHadOld
+	headHasNew
+)
+
+// fieldsOf returns the fields ev is written with.
+func fieldsOf(ev *graph.Event) uint8 {
+	var f uint8
+	if ev.Type < 16 {
+		f = eventFields[ev.Type]
+	}
+	if f == 0 ||
+		f&fEdge == 0 && (ev.Edge != 0 || ev.Node2 != 0) ||
+		f&fAttr == 0 && ev.Attr != "" ||
+		ev.Old != "" && !(f&fAttr != 0 && ev.HadOld) ||
+		ev.New != "" && !(f&fAttr != 0 && ev.HasNew) {
+		return fRaw
+	}
+	return f
+}
+
+// EncodeEvents encodes a run of events (one column of a leaf-eventlist, a
+// recent eventlist, a trace file).
 func EncodeEvents(events []graph.Event) []byte {
-	w := &writer{buf: make([]byte, 0, 1+16*len(events))}
-	w.byte(tagEvents)
-	w.uvarint(uint64(len(events)))
-	for _, ev := range events {
-		w.byte(byte(ev.Type))
-		w.varint(int64(ev.At))
-		w.varint(int64(ev.Node))
-		w.varint(int64(ev.Node2))
-		w.varint(int64(ev.Edge))
-		var flags byte
+	w := NewWriter(tagEvents, 4+8*len(events))
+	w.Uvarint(uint64(len(events)))
+	var prev graph.Event
+	for i := range events {
+		ev := &events[i]
+		fields := fieldsOf(ev)
+		raw := fields == fRaw
+		var head byte
+		if !raw {
+			head = byte(ev.Type)
+		}
 		if ev.Directed {
-			flags |= 1
+			head |= headDirected
 		}
 		if ev.HadOld {
-			flags |= 2
+			head |= headHadOld
 		}
 		if ev.HasNew {
-			flags |= 4
+			head |= headHasNew
 		}
-		w.byte(flags)
-		w.str(ev.Attr)
-		w.str(ev.Old)
-		w.str(ev.New)
+		w.Byte(head)
+		if raw {
+			w.Byte(byte(ev.Type))
+		}
+		w.Uvarint(uint64(ev.At - prev.At))
+		w.Varint(int64(ev.Node - prev.Node))
+		prev.At, prev.Node = ev.At, ev.Node
+		if fields&fEdge != 0 {
+			w.Varint(int64(ev.Edge - prev.Edge))
+			w.Varint(int64(ev.Node2 - ev.Node))
+			prev.Edge = ev.Edge
+		}
+		if fields&fAttr != 0 {
+			w.Str(ev.Attr)
+			if raw || ev.HadOld {
+				w.Str(ev.Old)
+			}
+			if raw || ev.HasNew {
+				w.Str(ev.New)
+			}
+		}
 	}
-	return w.buf
+	return w.Bytes()
 }
 
 // DecodeEvents decodes a run of events encoded by EncodeEvents.
 func DecodeEvents(b []byte) ([]graph.Event, error) {
-	r := &reader{b: b}
-	tag, err := r.byte()
-	if err != nil || tag != tagEvents {
-		return nil, fmt.Errorf("%w: bad events tag", ErrCorrupt)
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	events := make([]graph.Event, n)
+	r := NewReader(b, tagEvents)
+	events := make([]graph.Event, r.Count(3))
+	var prev graph.Event
 	for i := range events {
-		typ, err := r.byte()
-		if err != nil {
-			return nil, err
+		head := r.Byte()
+		ev := graph.Event{
+			Type:     graph.EventType(head & 15),
+			Directed: head&headDirected != 0, HadOld: head&headHadOld != 0, HasNew: head&headHasNew != 0,
 		}
-		at, err := r.varint()
-		if err != nil {
-			return nil, err
+		fields := eventFields[head&15]
+		raw := ev.Type == 0
+		if raw {
+			ev.Type, fields = graph.EventType(r.Byte()), fRaw
 		}
-		node, err := r.varint()
-		if err != nil {
-			return nil, err
+		if fields == 0 || head&0x80 != 0 {
+			r.fail(ErrCorrupt)
+			break
 		}
-		node2, err := r.varint()
-		if err != nil {
-			return nil, err
+		ev.At = prev.At + graph.Time(r.Uvarint())
+		ev.Node = prev.Node + graph.NodeID(r.Varint())
+		prev.At, prev.Node = ev.At, ev.Node
+		if fields&fEdge != 0 {
+			ev.Edge = prev.Edge + graph.EdgeID(r.Varint())
+			ev.Node2 = ev.Node + graph.NodeID(r.Varint())
+			prev.Edge = ev.Edge
 		}
-		edge, err := r.varint()
-		if err != nil {
-			return nil, err
+		if fields&fAttr != 0 {
+			ev.Attr = r.Str()
+			if raw || ev.HadOld {
+				ev.Old = r.Str()
+			}
+			if raw || ev.HasNew {
+				ev.New = r.Str()
+			}
 		}
-		flags, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		attr, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		old, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		newv, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		events[i] = graph.Event{
-			Type: graph.EventType(typ), At: graph.Time(at),
-			Node: graph.NodeID(node), Node2: graph.NodeID(node2), Edge: graph.EdgeID(edge),
-			Directed: flags&1 != 0, HadOld: flags&2 != 0, HasNew: flags&4 != 0,
-			Attr: attr, Old: old, New: newv,
-		}
+		events[i] = ev
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("eventlist: %w", err)
 	}
 	return events, nil
 }

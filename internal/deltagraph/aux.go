@@ -1,12 +1,11 @@
 package deltagraph
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 
+	"historygraph/internal/delta"
 	"historygraph/internal/graph"
 	"historygraph/internal/kvstore"
 )
@@ -108,122 +107,67 @@ func (d auxDelta) apply(a AuxSnapshot) {
 }
 
 // --- aux codec ---------------------------------------------------------
-
-const (
-	tagAuxDelta  byte = 0x11
-	tagAuxEvents byte = 0x12
-)
-
-var errAuxCorrupt = errors.New("deltagraph: corrupt aux payload")
-
-func appendStr(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func readStr(b []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || int(n) > len(b)-sz {
-		return "", nil, errAuxCorrupt
-	}
-	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
-}
+//
+// Both kinds are written with the delta package's Writer and read with its
+// Reader, as every other payload in the store is: keys and values go through
+// the payload's string table (an aux eventlist names a key many times), and
+// an eventlist's timestamps are gaps.
 
 func encodeAuxDelta(d auxDelta) []byte {
-	buf := []byte{tagAuxDelta}
-	buf = binary.AppendUvarint(buf, uint64(len(d.set)))
+	w := delta.NewWriter(delta.TagAuxDelta, 16*(len(d.set)+len(d.dels)))
+	w.Uvarint(uint64(len(d.set)))
 	for _, p := range d.set {
-		buf = appendStr(buf, p.k)
-		buf = appendStr(buf, p.v)
+		w.Str(p.k)
+		w.Str(p.v)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(d.dels)))
+	w.Uvarint(uint64(len(d.dels)))
 	for _, k := range d.dels {
-		buf = appendStr(buf, k)
+		w.Str(k)
 	}
-	return buf
+	return w.Bytes()
 }
 
 func decodeAuxDelta(b []byte) (auxDelta, error) {
-	var d auxDelta
-	if len(b) == 0 || b[0] != tagAuxDelta {
-		return d, errAuxCorrupt
+	r := delta.NewReader(b, delta.TagAuxDelta)
+	d := auxDelta{set: make([]kvPair, r.Count(2))}
+	for i := range d.set {
+		d.set[i] = kvPair{k: r.Str(), v: r.Str()}
 	}
-	b = b[1:]
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return d, errAuxCorrupt
+	d.dels = make([]string, r.Count(1))
+	for i := range d.dels {
+		d.dels[i] = r.Str()
 	}
-	b = b[sz:]
-	for i := uint64(0); i < n; i++ {
-		var k, v string
-		var err error
-		if k, b, err = readStr(b); err != nil {
-			return d, err
-		}
-		if v, b, err = readStr(b); err != nil {
-			return d, err
-		}
-		d.set = append(d.set, kvPair{k, v})
-	}
-	n, sz = binary.Uvarint(b)
-	if sz <= 0 {
-		return d, errAuxCorrupt
-	}
-	b = b[sz:]
-	for i := uint64(0); i < n; i++ {
-		var k string
-		var err error
-		if k, b, err = readStr(b); err != nil {
-			return d, err
-		}
-		d.dels = append(d.dels, k)
+	if err := r.Err(); err != nil {
+		return auxDelta{}, fmt.Errorf("aux delta: %w", err)
 	}
 	return d, nil
 }
 
 func encodeAuxEvents(evs []AuxEvent) []byte {
-	buf := []byte{tagAuxEvents}
-	buf = binary.AppendUvarint(buf, uint64(len(evs)))
+	w := delta.NewWriter(delta.TagAuxEvents, 8*len(evs))
+	w.Uvarint(uint64(len(evs)))
+	var prev graph.Time
 	for _, ev := range evs {
-		buf = binary.AppendVarint(buf, int64(ev.At))
-		buf = append(buf, byte(ev.Op))
-		buf = appendStr(buf, ev.Key)
-		buf = appendStr(buf, ev.Val)
+		w.Byte(byte(ev.Op))
+		w.Uvarint(uint64(ev.At - prev))
+		w.Str(ev.Key)
+		w.Str(ev.Val)
+		prev = ev.At
 	}
-	return buf
+	return w.Bytes()
 }
 
 func decodeAuxEvents(b []byte) ([]AuxEvent, error) {
-	if len(b) == 0 || b[0] != tagAuxEvents {
-		return nil, errAuxCorrupt
+	r := delta.NewReader(b, delta.TagAuxEvents)
+	evs := make([]AuxEvent, r.Count(4))
+	var prev graph.Time
+	for i := range evs {
+		op := AuxOp(r.Byte())
+		prev += graph.Time(r.Uvarint())
+		evs[i] = AuxEvent{At: prev, Op: op, Key: r.Str(), Val: r.Str()}
 	}
-	b = b[1:]
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return nil, errAuxCorrupt
-	}
-	b = b[sz:]
-	evs := make([]AuxEvent, 0, n)
-	for i := uint64(0); i < n; i++ {
-		at, sz := binary.Varint(b)
-		if sz <= 0 {
-			return nil, errAuxCorrupt
-		}
-		b = b[sz:]
-		if len(b) == 0 {
-			return nil, errAuxCorrupt
-		}
-		op := AuxOp(b[0])
-		b = b[1:]
-		var k, v string
-		var err error
-		if k, b, err = readStr(b); err != nil {
-			return nil, err
-		}
-		if v, b, err = readStr(b); err != nil {
-			return nil, err
-		}
-		evs = append(evs, AuxEvent{At: graph.Time(at), Op: op, Key: k, Val: v})
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("aux eventlist: %w", err)
 	}
 	return evs, nil
 }

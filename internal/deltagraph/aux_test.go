@@ -1,9 +1,12 @@
 package deltagraph
 
 import (
+	"errors"
+	"slices"
 	"strconv"
 	"testing"
 
+	"historygraph/internal/delta"
 	"historygraph/internal/graph"
 )
 
@@ -175,25 +178,52 @@ func TestAuxCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.set) != 2 || len(got.dels) != 2 || got.set[1].v != "v\xff" {
+	if !slices.Equal(got.set, d.set) || !slices.Equal(got.dels, d.dels) {
 		t.Errorf("aux delta round trip: %+v", got)
 	}
 	evs := []AuxEvent{
 		{At: 5, Op: AuxSet, Key: "k", Val: "v"},
 		{At: 9, Op: AuxDel, Key: "k"},
+		{At: 9, Op: AuxSet, Key: "k", Val: "v"},
+		{At: -3, Op: 77, Key: "", Val: "k"},
 	}
-	gotEvs, err := decodeAuxEvents(encodeAuxEvents(evs))
+	buf := encodeAuxEvents(evs)
+	gotEvs, err := decodeAuxEvents(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gotEvs) != 2 || gotEvs[0] != evs[0] || gotEvs[1] != evs[1] {
+	if !slices.Equal(gotEvs, evs) {
 		t.Errorf("aux events round trip: %+v", gotEvs)
 	}
-	if _, err := decodeAuxDelta([]byte{0x99}); err == nil {
-		t.Error("bad aux delta tag accepted")
+	// Tag and count; 6 bytes for the first event (op, At, "k" and "v" spelled
+	// out); 4 for each that repeats its strings (op, At gap, two numbers); and
+	// a time that goes back costs the ten bytes of a gap modulo 2^64.
+	if want := 2 + 6 + 4 + 4 + 13; len(buf) != want {
+		t.Errorf("aux eventlist is %d bytes, want %d", len(buf), want)
 	}
-	if _, err := decodeAuxEvents(nil); err == nil {
-		t.Error("empty aux events accepted")
+	for name, b := range map[string][]byte{
+		"bad tag":         {0x99},
+		"empty":           nil,
+		"truncated":       buf[:len(buf)-1],
+		"trailing byte":   append(buf[:len(buf):len(buf)], 0),
+		"count too large": {delta.TagAuxEvents, 0xff, 0xff, 0xff, 0xff, 0x0f},
+	} {
+		if _, err := decodeAuxEvents(b); !errors.Is(err, delta.ErrCorrupt) {
+			t.Errorf("aux eventlist, %s: %v", name, err)
+		}
+	}
+	if _, err := decodeAuxDelta([]byte{0x99}); !errors.Is(err, delta.ErrCorrupt) {
+		t.Errorf("aux delta with a bad tag: %v", err)
+	}
+	if _, err := decodeAuxDelta([]byte{delta.TagAuxDelta, 0xff, 0xff, 0xff, 0xff, 0x0f}); !errors.Is(err, delta.ErrCorrupt) {
+		t.Errorf("aux delta with a count too large: %v", err)
+	}
+	// What format 2 wrote under these two kinds is refused by name.
+	if _, err := decodeAuxDelta([]byte{0x11, 0, 0}); !errors.Is(err, delta.ErrOldFormat) {
+		t.Errorf("format-2 aux delta: %v", err)
+	}
+	if _, err := decodeAuxEvents([]byte{0x12, 0}); !errors.Is(err, delta.ErrOldFormat) {
+		t.Errorf("format-2 aux eventlist: %v", err)
 	}
 }
 

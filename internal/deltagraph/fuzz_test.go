@@ -1,0 +1,84 @@
+package deltagraph
+
+import (
+	"slices"
+	"testing"
+
+	"historygraph/internal/delta"
+	"historygraph/internal/graph"
+)
+
+// FuzzPayloadCodec is internal/delta's test of the same name for the two
+// payload kinds this package lays out: the input as an aux delta and an aux
+// eventlist, which must decode or be refused without a panic (the reader's
+// bounds, and the allocation they keep in proportion, are the delta
+// package's and are measured there); and the input as the recipe for one of
+// each, which must come back as it went in.
+func FuzzPayloadCodec(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(encodeAuxDelta(auxDelta{set: []kvPair{{"a", "1"}, {"b", "1"}}, dels: []string{"x"}})[1:])
+	f.Add(encodeAuxEvents([]AuxEvent{{At: 5, Op: AuxSet, Key: "k", Val: "v"}, {At: 9, Op: AuxDel, Key: "k"}})[1:])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if d, err := decodeAuxDelta(append([]byte{delta.TagAuxDelta}, data...)); err == nil && len(d.set)+len(d.dels) > len(data) {
+			t.Errorf("%d bytes decoded to %d records", len(data), len(d.set)+len(d.dels))
+		}
+		if evs, err := decodeAuxEvents(append([]byte{delta.TagAuxEvents}, data...)); err == nil && len(evs) > len(data) {
+			t.Errorf("%d bytes decoded to %d events", len(data), len(evs))
+		}
+
+		// Strings come from a pool of six, so that they repeat, or from the
+		// input itself.
+		rest := data
+		next := func() byte {
+			if len(rest) == 0 {
+				return 0
+			}
+			b := rest[0]
+			rest = rest[1:]
+			return b
+		}
+		str := func() string {
+			n := next()
+			if n < 128 {
+				return []string{"", "k", "deg:17", "1", "2", "a key long enough to need two length bytes, which takes sixty-four of them"}[n%6]
+			}
+			n = min(n-128, byte(len(rest)))
+			s := string(rest[:n])
+			rest = rest[n:]
+			return s
+		}
+		var (
+			d   auxDelta
+			evs []AuxEvent
+			at  graph.Time
+		)
+		for len(rest) > 0 {
+			switch op := next(); op % 4 {
+			case 0:
+				d.set = append(d.set, kvPair{str(), str()})
+			case 1:
+				d.dels = append(d.dels, str())
+			case 2:
+				at += graph.Time(next())
+				evs = append(evs, AuxEvent{At: at, Op: AuxOp(op >> 2), Key: str(), Val: str()})
+			case 3:
+				at = graph.Time(int64(next())<<56) - at // far away, and back in time
+				evs = append(evs, AuxEvent{At: at, Op: AuxOp(op >> 2), Key: str(), Val: str()})
+			}
+		}
+		gotD, err := decodeAuxDelta(encodeAuxDelta(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(gotD.set, d.set) || !slices.Equal(gotD.dels, d.dels) {
+			t.Errorf("aux delta came back as %+v, went in as %+v", gotD, d)
+		}
+		gotEvs, err := decodeAuxEvents(encodeAuxEvents(evs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(gotEvs, evs) {
+			t.Errorf("aux events came back as %+v, went in as %+v", gotEvs, evs)
+		}
+	})
+}

@@ -26,8 +26,9 @@ const (
 	metaDeltaID   = math.MaxUint64
 	metaComponent = kvstore.Component(250)
 	// Version of the checkpoint layout. 2: graphs are codec payloads beside
-	// the JSON meta record, and the spine is not stored.
-	checkpointVersion = 2
+	// the JSON meta record, and the spine is not stored. 3: those payloads,
+	// and every other in the store, are in stored format 3 (delta/codec.go).
+	checkpointVersion = 3
 )
 
 type persistedNode struct {

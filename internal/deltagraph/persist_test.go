@@ -227,18 +227,34 @@ func TestCheckpointOverTornOne(t *testing.T) {
 	checkAgainstReference(t, again, other, allAttrs, probeTimes(other, 11))
 }
 
-// TestOpenRefusesV1 checks that a checkpoint in the old layout is refused
-// with the way out in the message.
-func TestOpenRefusesV1(t *testing.T) {
-	store := kvstore.NewMemStore()
-	v1 := `{"version":1,"leaf_size":64,"arity":2,"partitions":1,"function":"intersection",` +
-		`"current":{"nodes":[1],"edges":{}},"recent":[{"Type":1,"At":1,"Node":1}],"pending":[[{"node":2,"snap":{"nodes":[1],"edges":{}}}]]}`
-	if err := store.Put(metaKey, []byte(v1)); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Open(Options{Store: store})
-	if err == nil || !strings.Contains(err.Error(), "v1") || !strings.Contains(err.Error(), "WAL") || !strings.Contains(err.Error(), "dgload") {
-		t.Fatalf("Open of a v1 checkpoint = %v, want a refusal naming v1 and the remedy", err)
+// TestOpenRefusesOldCheckpoints checks that a checkpoint in an earlier layout
+// (v1: graphs inside the JSON; v2: graphs as format-2 payloads) is refused
+// with the way out in the message, before any payload is touched.
+func TestOpenRefusesOldCheckpoints(t *testing.T) {
+	for version, meta := range map[string]string{
+		"v1": `{"version":1,"leaf_size":64,"arity":2,"partitions":1,"function":"intersection",` +
+			`"current":{"nodes":[1],"edges":{}},"recent":[{"Type":1,"At":1,"Node":1}],"pending":[[{"node":2,"snap":{"nodes":[1],"edges":{}}}]]}`,
+		"v2": `{"version":2,"leaf_size":64,"arity":2,"partitions":1,"function":"intersection","next_delta_id":3,"last_time":9,` +
+			`"nodes":[],"edges":[],"leaves":[1],"current_id":18446744073709551614,"pending":[[]],` +
+			`"first_id":18446744073709551614,"next_id":18446744073709551613,"prev_first_id":18446744073709551614,"payload_bytes":5}`,
+	} {
+		store := kvstore.NewMemStore()
+		if err := store.Put(metaKey, []byte(meta)); err != nil {
+			t.Fatal(err)
+		}
+		// The v2 checkpoint's current graph, as format 2 wrote it.
+		if err := store.Put(kvstore.EncodeKey(0, metaDeltaID-1, kvstore.ComponentStruct), []byte{0x01, 0, 0, 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(Options{Store: store})
+		if err == nil {
+			t.Fatalf("Open of a %s checkpoint succeeded", version)
+		}
+		for _, want := range []string{version, "WAL", "dgload", "rebuild"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("Open of a %s checkpoint = %v, want a refusal with %q in it", version, err, want)
+			}
+		}
 	}
 }
 
