@@ -44,15 +44,10 @@ func (n *Node) handleAppendStream(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return err
 		}
-		agg.Appended += res.Appended
-		if res.LastTime > agg.LastTime {
-			agg.LastTime = res.LastTime
-		}
-		if res.Seq > agg.Seq {
-			agg.Seq = res.Seq
-		}
-		agg.Invalidated += res.Invalidated
-		agg.Deduped = agg.Deduped || res.Deduped
+		agg.Fold(res)
+		// Frames settle in log order on this node's own log, so the
+		// stream's sequence number is the newest frame's.
+		agg.Seq = max(agg.Seq, res.Seq)
 		return nil
 	}
 	settleAll := func() error {

@@ -151,8 +151,14 @@ func TestReplicatedClusterOracle(t *testing.T) {
 	const batches = 8
 	for i := 0; i < batches; i++ {
 		lo, hi := i*len(events)/batches, (i+1)*len(events)/batches
-		if _, err := client.Append(events[lo:hi]); err != nil {
+		res, err := client.Append(events[lo:hi])
+		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
+		}
+		// Each partition's WAL numbers its own records, so no sequence
+		// number means anything cluster-wide: the merged result has none.
+		if res.Seq != 0 || res.Appended != hi-lo {
+			t.Fatalf("batch %d: merged result %+v, want %d appended and no seq", i, res, hi-lo)
 		}
 	}
 

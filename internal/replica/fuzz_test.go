@@ -1,0 +1,150 @@
+package replica
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+
+	"historygraph/internal/server"
+)
+
+// fuzzSource turns fuzz input into records: sequence numbers and ids near
+// each other and at the ends of the range, type and attribute names that
+// repeat (so the encoder's intern table is exercised) and ones that do
+// not, and every combination of the old/new value pointers.
+type fuzzSource struct{ b []byte }
+
+func (s *fuzzSource) byte() byte {
+	if len(s.b) == 0 {
+		return 0
+	}
+	x := s.b[0]
+	s.b = s.b[1:]
+	return x
+}
+
+func (s *fuzzSource) num() int64 {
+	x := int64(s.byte())
+	switch s.byte() % 5 {
+	case 0:
+		return -x
+	case 1:
+		return 1<<40 + x
+	case 2:
+		return 1<<63 - 1 - x
+	case 3:
+		return -1<<63 + x
+	}
+	return x
+}
+
+func (s *fuzzSource) str() string {
+	switch n := s.byte(); {
+	case n < 128:
+		return []string{"", "NN", "UNA", "name", "b1", "a longer value, of the kind that repeats"}[n%6]
+	default:
+		n = min(n-128, byte(len(s.b)))
+		str := string(s.b[:n])
+		s.b = s.b[n:]
+		return str
+	}
+}
+
+func (s *fuzzSource) records() []Record {
+	recs := []Record{}
+	seq := uint64(s.byte())
+	for len(s.b) > 0 {
+		flags := s.byte()
+		seq += uint64(flags % 3)
+		rec := Record{Seq: seq, Batch: s.str(), Event: server.EventJSON{
+			Type: s.str(), At: s.num(), Node: s.num(), Directed: flags&8 != 0, Attr: s.str(),
+		}}
+		if flags&16 != 0 {
+			rec.Seq = uint64(s.num())
+			rec.Event.Node2, rec.Event.Edge = s.num(), s.num()
+		}
+		if flags&32 != 0 {
+			v := s.str()
+			rec.Event.Old = &v
+		}
+		if flags&64 != 0 {
+			v := s.str()
+			rec.Event.New = &v
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// allocatedWithin runs decode and fails the test if it allocated more than
+// a small multiple of the bytes it was given: 48 bytes an input byte (a
+// decoded Record is 112 bytes and takes at least minRecordBytes) plus a
+// constant. The counter is the whole process's and a fuzz worker has
+// goroutines of its own, so an excess has to show three times in a row.
+func allocatedWithin(t *testing.T, input []byte, decode func()) {
+	t.Helper()
+	limit := uint64(48*len(input) + 4096)
+	var got uint64
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		decode()
+		runtime.ReadMemStats(&after)
+		if got = after.TotalAlloc - before.TotalAlloc; got <= limit {
+			return
+		}
+	}
+	t.Errorf("decoding %d bytes allocated %d, more than %d", len(input), got, limit)
+}
+
+// FuzzReplicaCodec checks the two byte formats this package reads from
+// outside the process: the binary /replicate body (both kinds) a follower
+// or a migration puller fetches from a peer, and the WAL record payload
+// read back from disk. The input is used twice: as the bytes themselves —
+// behind each /replicate header, and as a payload — which must decode or be
+// refused without a panic and without allocating out of proportion; and as
+// the recipe for a run of records, which must come back from both codecs
+// exactly as they went in.
+func FuzzReplicaCodec(f *testing.F) {
+	f.Add([]byte{})
+	v := "x"
+	recs := []Record{
+		{Seq: 1, Event: server.EventJSON{Type: "NN", At: 1, Node: 7}},
+		{Seq: 2, Event: server.EventJSON{Type: "UNA", At: 3, Node: 7, Attr: "name", Old: &v, New: &v}, Batch: "b1"},
+	}
+	f.Add(encodeReplicate(replicateResponse{Records: recs, LastSeq: 9}, false)[3:])
+	f.Add(encodeReplicate(replicateResponse{Records: recs, LastSeq: 9, NextFrom: 3, LastTime: 3}, true)[3:])
+	f.Add(encodePayload(recs[1].Event, recs[1].Batch))
+	f.Add([]byte(`{"type":"NE","at":2,"node":7,"node2":9,"edge":3,"batch":"b1"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		header := encodeReplicate(replicateResponse{}, false)[:2] // magic, version
+		for _, kind := range []byte{kindReplicate, kindReplicateSlots} {
+			body := append(append([]byte{}, header...), append([]byte{kind}, data...)...)
+			allocatedWithin(t, body, func() { _, _ = decodeReplicate(body) })
+		}
+		allocatedWithin(t, data, func() { _, _, _ = decodePayload(data) })
+
+		want := replicateResponse{Records: (&fuzzSource{b: data}).records(), LastSeq: uint64(len(data))}
+		for _, filtered := range []bool{false, true} {
+			if filtered {
+				want.NextFrom, want.LastTime = want.LastSeq+1, -int64(len(data))
+			}
+			got, err := decodeReplicate(encodeReplicate(want, filtered))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("filtered=%v: response came back as\n%+v, went in as\n%+v", filtered, got, want)
+			}
+		}
+		for _, rec := range want.Records {
+			ev, batch, err := decodePayload(encodePayload(rec.Event, rec.Batch))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch != rec.Batch || !reflect.DeepEqual(ev, rec.Event) {
+				t.Errorf("payload came back as %+v %q, went in as %+v %q", ev, batch, rec.Event, rec.Batch)
+			}
+		}
+	})
+}

@@ -970,45 +970,34 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	binary := wire.Negotiate(r.Header.Get("Accept")).Name() == wire.NameBinary
+	out := replicateResponse{Records: recs, LastSeq: n.log.LastSeq()}
 	if slots != nil {
 		// The scan cursor and time horizon come from the unfiltered page:
 		// a record outside the requested slots is consumed (never served
 		// to this puller again) and still bounds the times of everything
 		// after it.
-		nextFrom := from
-		var lastTime int64
+		out.NextFrom = from
 		if len(recs) > 0 {
-			nextFrom = recs[len(recs)-1].Seq + 1
-			lastTime = recs[len(recs)-1].Event.At
+			out.NextFrom = recs[len(recs)-1].Seq + 1
+			out.LastTime = recs[len(recs)-1].Event.At
 		}
-		kept := recs[:0]
+		out.Records = recs[:0]
 		for _, rec := range recs {
 			if slots.has(graph.Slot(historygraph.NodeID(rec.Event.Node))) {
-				kept = append(kept, rec)
+				out.Records = append(out.Records, rec)
 			}
 		}
-		if binary {
-			w.Header().Set("Content-Type", wire.ContentTypeBinary)
-			w.WriteHeader(http.StatusOK)
-			w.Write(encodeReplicateSlots(kept, n.log.LastSeq(), nextFrom, lastTime))
-			return
-		}
-		server.WriteJSON(w, http.StatusOK, replicateResponse{
-			Records: kept, LastSeq: n.log.LastSeq(), NextFrom: nextFrom, LastTime: lastTime,
-		})
-		return
 	}
 	// Followers ask for the binary stream (one encoder per batch, interned
 	// keys, no per-record JSON); anything else gets the JSON body so old
 	// followers keep tailing a new primary.
-	if binary {
+	if wire.Negotiate(r.Header.Get("Accept")).Name() == wire.NameBinary {
 		w.Header().Set("Content-Type", wire.ContentTypeBinary)
 		w.WriteHeader(http.StatusOK)
-		w.Write(encodeReplicate(recs, n.log.LastSeq()))
+		w.Write(encodeReplicate(out, slots != nil))
 		return
 	}
-	server.WriteJSON(w, http.StatusOK, replicateResponse{Records: recs, LastSeq: n.log.LastSeq()})
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // --- status and role control ------------------------------------------

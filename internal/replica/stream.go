@@ -40,33 +40,32 @@ const (
 	kindReplicateSlots = 0x22
 )
 
-// encodeReplicate renders a /replicate response in the binary format.
-func encodeReplicate(recs []Record, lastSeq uint64) []byte {
-	e := wire.NewEncoder()
-	e.Header(kindReplicate)
-	e.Uvarint(lastSeq)
-	encodeRecords(e, recs)
-	return e.Bytes()
-}
+// minRecordBytes is the least a record can take on the wire: a byte each
+// for seq, the batch length, the event's type and attr keys, its four
+// numbers and its flags.
+const minRecordBytes = 9
 
-// encodeReplicateSlots renders a slot-filtered /replicate response.
-func encodeReplicateSlots(recs []Record, lastSeq, nextFrom uint64, lastTime int64) []byte {
+// encodeReplicate renders a /replicate response in the binary format:
+// kindReplicateSlots with the cursor/horizon pair for a slot-filtered
+// fetch, kindReplicate otherwise.
+func encodeReplicate(r replicateResponse, filtered bool) []byte {
 	e := wire.NewEncoder()
-	e.Header(kindReplicateSlots)
-	e.Uvarint(lastSeq)
-	e.Uvarint(nextFrom)
-	e.Varint(lastTime)
-	encodeRecords(e, recs)
-	return e.Bytes()
-}
-
-func encodeRecords(e *wire.Encoder, recs []Record) {
-	e.Uvarint(uint64(len(recs)))
-	for _, rec := range recs {
+	if filtered {
+		e.Header(kindReplicateSlots)
+		e.Uvarint(r.LastSeq)
+		e.Uvarint(r.NextFrom)
+		e.Varint(r.LastTime)
+	} else {
+		e.Header(kindReplicate)
+		e.Uvarint(r.LastSeq)
+	}
+	e.Uvarint(uint64(len(r.Records)))
+	for _, rec := range r.Records {
 		e.Uvarint(rec.Seq)
 		e.String(rec.Batch)
 		wire.EncodeEventTo(e, rec.Event)
 	}
+	return e.Bytes()
 }
 
 // decodeReplicate reads a binary /replicate response, either kind.
@@ -87,7 +86,13 @@ func decodeReplicate(data []byte) (replicateResponse, error) {
 	default:
 		return replicateResponse{}, fmt.Errorf("replica: message kind 0x%02x, want 0x%02x or 0x%02x", kind, kindReplicate, kindReplicateSlots)
 	}
+	// Len holds the count to one record per remaining byte, but a decoded
+	// Record is over a hundred bytes: hold it to what the bytes can really
+	// carry before allocating for it.
 	n := d.Len()
+	if n > d.Remaining()/minRecordBytes {
+		return replicateResponse{}, fmt.Errorf("replica: %d records declared in %d bytes", n, d.Remaining())
+	}
 	out.Records = make([]Record, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		out.Records = append(out.Records, Record{

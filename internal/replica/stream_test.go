@@ -21,7 +21,7 @@ func TestReplicateStreamRoundTrip(t *testing.T) {
 			{Seq: 3, Event: server.EventJSON{Type: "UNA", At: 3, Node: 7, Attr: "name", Old: strp("x"), New: strp("")}, Batch: "b1"},
 		},
 	} {
-		body := encodeReplicate(recs, 99)
+		body := encodeReplicate(replicateResponse{Records: recs, LastSeq: 99}, false)
 		got, err := decodeReplicate(body)
 		if err != nil {
 			t.Fatal(err)
@@ -42,7 +42,7 @@ func TestReplicateStreamRoundTrip(t *testing.T) {
 	if _, err := decodeReplicate([]byte("{}")); err == nil {
 		t.Fatal("JSON body accepted as binary stream")
 	}
-	body := encodeReplicate([]Record{{Seq: 1, Event: server.EventJSON{Type: "NN", At: 1}}}, 1)
+	body := encodeReplicate(replicateResponse{Records: []Record{{Seq: 1, Event: server.EventJSON{Type: "NN", At: 1}}}, LastSeq: 1}, false)
 	for cut := 0; cut < len(body); cut++ {
 		_, _ = decodeReplicate(body[:cut])
 	}

@@ -15,6 +15,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -93,106 +94,77 @@ func (s *Server) buildCSR(t historygraph.Time, attrs string) (*csr.Graph, bool, 
 	return csr.Build(h), h.DependsOnCurrent(), nil
 }
 
-// analyticsParams parses the common scan parameters. parts/self identify
-// a coordinator leg (answer the raw part); absent, the handler merges
-// locally.
-func analyticsParams(r *http.Request) (attrs string, parts, self int, err error) {
-	q := r.URL.Query()
-	attrs = q.Get("attrs")
-	if _, err := historygraph.ParseAttrOptions(attrs); err != nil {
-		return "", 0, 0, err
-	}
-	parts, self = 1, 0
-	if p := q.Get("parts"); p != "" {
+// readParts parses the parameters that mark a coordinator leg — parts and
+// self: answer the raw part — answering 400 itself when they are
+// malformed; absent (parts 1), the handler merges locally.
+func readParts(w http.ResponseWriter, v url.Values) (parts, self int, ok bool) {
+	var err error
+	parts = 1
+	if p := v.Get("parts"); p != "" {
 		if parts, err = strconv.Atoi(p); err != nil || parts < 1 {
-			return "", 0, 0, fmt.Errorf("bad parts %q", p)
-		}
-		if self, err = strconv.Atoi(q.Get("self")); err != nil || self < 0 || self >= parts {
-			return "", 0, 0, fmt.Errorf("bad self %q for %d parts", q.Get("self"), parts)
+			err = fmt.Errorf("bad parts %q", p)
+		} else if self, err = strconv.Atoi(v.Get("self")); err != nil || self < 0 || self >= parts {
+			err = fmt.Errorf("bad self %q for %d parts", v.Get("self"), parts)
 		}
 	}
-	return attrs, parts, self, nil
+	return parts, self, badRequest(w, err)
 }
 
-func (s *Server) handleAnalyticsDegree(w http.ResponseWriter, r *http.Request) {
-	t, err := ParseTimeParam(r.URL.Query().Get("t"))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	attrs, parts, self, err := analyticsParams(r)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.observeAnalytics("degree", func() error {
-		g, cached, err := s.acquireCSR(t, attrs)
-		if err != nil {
-			WriteError(w, http.StatusUnprocessableEntity, err)
-			return err
+// scanHandler is the one CSR scan endpoint behind /analytics/degree and
+// /analytics/components, which differ only in the reduction: partOf
+// reduces the cached CSR to this partition's mergeable part, cached
+// locates the part's Cached flag, and merge folds parts into the
+// response. A coordinator leg (parts > 1) is answered the raw part; an
+// unsharded request merges its single part through the same merge the
+// coordinator runs over many.
+func scanHandler[P, M any](s *Server, kind string,
+	partOf func(g analytics.RowGraph, at historygraph.Time, parts, self int) *P,
+	cached func(*P) *bool, merge func(at int64, parts []*P) *M) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q, ok := ReadQuery(w, r, true)
+		if !ok {
+			return
 		}
-		annotateCSR(r, cached)
-		part := analytics.DegreePartOf(g, t, parts, self)
-		part.Cached = cached
-		if parts > 1 {
-			WriteWire(w, r, http.StatusOK, part)
+		parts, self, ok := readParts(w, q.Values)
+		if !ok {
+			return
+		}
+		s.observeAnalytics(kind, func() error {
+			g, hit, err := s.acquireCSR(q.T, q.Attrs)
+			if err != nil {
+				WriteError(w, http.StatusUnprocessableEntity, err)
+				return err
+			}
+			annotateCSR(r, hit)
+			part := partOf(g, q.T, parts, self)
+			*cached(part) = hit
+			if parts > 1 {
+				WriteWire(w, r, http.StatusOK, part)
+				return nil
+			}
+			WriteWire(w, r, http.StatusOK, merge(int64(q.T), []*P{part}))
 			return nil
-		}
-		WriteWire(w, r, http.StatusOK, analytics.MergeDegree(int64(t), []*wire.DegreePart{part}))
-		return nil
-	})
-}
-
-func (s *Server) handleAnalyticsComponents(w http.ResponseWriter, r *http.Request) {
-	t, err := ParseTimeParam(r.URL.Query().Get("t"))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
+		})
 	}
-	attrs, parts, self, err := analyticsParams(r)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.observeAnalytics("components", func() error {
-		g, cached, err := s.acquireCSR(t, attrs)
-		if err != nil {
-			WriteError(w, http.StatusUnprocessableEntity, err)
-			return err
-		}
-		annotateCSR(r, cached)
-		part := analytics.ComponentsPartOf(g, t, parts, self)
-		part.Cached = cached
-		if parts > 1 {
-			WriteWire(w, r, http.StatusOK, part)
-			return nil
-		}
-		WriteWire(w, r, http.StatusOK, analytics.MergeComponents(int64(t), []*wire.ComponentsPart{part}))
-		return nil
-	})
 }
 
 func (s *Server) handleAnalyticsEvolution(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	t1, err1 := ParseTimeParam(q.Get("t1"))
-	t2, err2 := ParseTimeParam(q.Get("t2"))
-	if err1 != nil || err2 != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("evolution wants numeric t1/t2"))
+	q, t1, t2, ok := ReadSpanQuery(w, r, "evolution", "t1", "t2")
+	if !ok {
 		return
 	}
-	attrs, parts, _, err := analyticsParams(r)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+	parts, _, ok := readParts(w, q.Values)
+	if !ok {
 		return
 	}
 	s.observeAnalytics("evolution", func() error {
-		g1, rel1, cached1, _, err := s.acquire(t1, attrs)
+		g1, rel1, cached1, _, err := s.acquire(t1, q.Attrs)
 		if err != nil {
 			WriteError(w, http.StatusUnprocessableEntity, err)
 			return err
 		}
 		defer rel1()
-		g2, rel2, cached2, _, err := s.acquire(t2, attrs)
+		g2, rel2, cached2, _, err := s.acquire(t2, q.Attrs)
 		if err != nil {
 			WriteError(w, http.StatusUnprocessableEntity, err)
 			return err
@@ -209,10 +181,17 @@ func (s *Server) handleAnalyticsEvolution(w http.ResponseWriter, r *http.Request
 	})
 }
 
-// NormalizePageRank fills a request's defaults in place — one place both
-// the coordinator and the worker resolve them, so damping/iterations
-// agree across every partition of a job.
-func NormalizePageRank(req *wire.PageRankRequest) {
+// ReadPageRankRequest reads a POST /analytics/pagerank body, checks its
+// attribute spec (answering 400 itself on either failure) and fills the
+// defaults — one place both the coordinator and the worker resolve them,
+// so damping/iterations agree across every partition of a job.
+func ReadPageRankRequest(w http.ResponseWriter, r *http.Request) (req wire.PageRankRequest, ok bool) {
+	err := ReadBody(r, &req)
+	if err != nil {
+		err = fmt.Errorf("bad pagerank body: %w", err)
+	} else {
+		_, err = historygraph.ParseAttrOptions(req.Attrs)
+	}
 	if req.Damping == 0 {
 		req.Damping = 0.85
 	}
@@ -222,6 +201,7 @@ func NormalizePageRank(req *wire.PageRankRequest) {
 	if req.TopK <= 0 {
 		req.TopK = 20
 	}
+	return req, badRequest(w, err)
 }
 
 // handleAnalyticsPageRank computes PageRank synchronously over the local
@@ -229,14 +209,8 @@ func NormalizePageRank(req *wire.PageRankRequest) {
 // partition's subgraph otherwise (meaningless alone; the coordinator
 // never calls this, it drives the superstep protocol instead).
 func (s *Server) handleAnalyticsPageRank(w http.ResponseWriter, r *http.Request) {
-	var req wire.PageRankRequest
-	if err := ReadBody(r, &req); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad pagerank body: %w", err))
-		return
-	}
-	NormalizePageRank(&req)
-	if _, err := historygraph.ParseAttrOptions(req.Attrs); err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+	req, ok := ReadPageRankRequest(w, r)
+	if !ok {
 		return
 	}
 	s.observeAnalytics("pagerank", func() error {

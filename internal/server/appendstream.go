@@ -45,11 +45,7 @@ func (s *Server) handleAppendStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		res, appendErr := s.ApplyEvents(events)
-		agg.Appended += res.Appended
-		if res.LastTime > agg.LastTime {
-			agg.LastTime = res.LastTime
-		}
-		agg.Invalidated += res.Invalidated
+		agg.Fold(res)
 		if appendErr != nil {
 			WriteError(w, http.StatusUnprocessableEntity,
 				fmt.Errorf("append stream frame %d: %w (earlier frames were applied)", frames, appendErr))

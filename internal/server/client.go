@@ -159,6 +159,24 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 	return decodeResponse(resp, out)
 }
 
+// getAs is get decoding the answer as a T; postAs likewise for post. Every
+// typed endpoint method is one of the two.
+func getAs[T any](c *Client, ctx context.Context, path string, q url.Values) (*T, error) {
+	var out T
+	if err := c.get(ctx, path, q, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+func postAs[T any](c *Client, ctx context.Context, path string, body any) (*T, error) {
+	var out T
+	if err := c.post(ctx, path, body, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
 // HTTPError is a non-200 answer from the server. It preserves the status
 // code so callers can tell a deliberate rejection (4xx — the server is
 // healthy and said no) from a failure worth retrying or failing over on.
@@ -240,27 +258,21 @@ func (c *Client) Snapshot(t historygraph.Time, attrs string, full bool) (*Snapsh
 // SnapshotCtx is Snapshot bounded by a context (the coordinator's
 // per-partition timeout).
 func (c *Client) SnapshotCtx(ctx context.Context, t historygraph.Time, attrs string, full bool) (*SnapshotJSON, error) {
-	var out SnapshotJSON
-	if err := c.get(ctx, "/snapshot", snapshotQuery(strconv.FormatInt(int64(t), 10), attrs, full), &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return getAs[SnapshotJSON](c, ctx, "/snapshot", snapshotQuery(strconv.FormatInt(int64(t), 10), attrs, full))
 }
 
 // SnapshotStream is a live full-snapshot response consumed run by run:
 // the caller holds at most one element run at a time, never the whole
 // snapshot. When the server answered whole-message instead (an older
-// build, or a JSON worker), the decoded snapshot is replayed as
-// synthetic runs so consumers see one shape either way — the memory
-// bound then holds only for genuinely streamed responses.
+// build, or a JSON worker), the decoded snapshot is replayed as one
+// synthetic node run, one edge run and the summary, so consumers see one
+// shape either way — the memory bound then holds only for genuinely
+// streamed responses.
 type SnapshotStream struct {
 	body io.ReadCloser       // nil for a synthetic (whole-message) stream
 	dec  *wire.StreamDecoder // nil for a synthetic stream
 
-	// synthetic replay state
-	snap *SnapshotJSON
-	pos  int // 0 = nodes, 1 = edges, 2 = summary, 3 = done
-	off  int
+	synthetic []*wire.StreamFrame // a synthetic stream's frames still to replay
 }
 
 // Next returns the next frame (node run, edge run, or terminating
@@ -271,34 +283,12 @@ func (ss *SnapshotStream) Next() (*wire.StreamFrame, error) {
 	if ss.dec != nil {
 		return ss.dec.Next()
 	}
-	const run = wire.DefaultRunSize
-	switch ss.pos {
-	case 0:
-		if ss.off < len(ss.snap.Nodes) {
-			hi := min(ss.off+run, len(ss.snap.Nodes))
-			f := &wire.StreamFrame{Nodes: ss.snap.Nodes[ss.off:hi]}
-			ss.off = hi
-			return f, nil
-		}
-		ss.pos, ss.off = 1, 0
-		fallthrough
-	case 1:
-		if ss.off < len(ss.snap.Edges) {
-			hi := min(ss.off+run, len(ss.snap.Edges))
-			f := &wire.StreamFrame{Edges: ss.snap.Edges[ss.off:hi]}
-			ss.off = hi
-			return f, nil
-		}
-		ss.pos = 2
-		fallthrough
-	case 2:
-		ss.pos = 3
-		sum := *ss.snap
-		sum.Nodes, sum.Edges = nil, nil
-		return &wire.StreamFrame{Summary: &sum}, nil
-	default:
+	if len(ss.synthetic) == 0 {
 		return nil, io.EOF
 	}
+	f := ss.synthetic[0]
+	ss.synthetic = ss.synthetic[1:]
+	return f, nil
 }
 
 // Close releases the underlying connection. Always call it — an
@@ -344,7 +334,16 @@ func (c *Client) SnapshotStreamCtx(ctx context.Context, t historygraph.Time, att
 	if err := decodeResponse(resp, &snap); err != nil {
 		return nil, err
 	}
-	return &SnapshotStream{snap: &snap}, nil
+	var frames []*wire.StreamFrame
+	// An empty run is no frame at all, as on the wire.
+	if len(snap.Nodes) > 0 {
+		frames = append(frames, &wire.StreamFrame{Nodes: snap.Nodes})
+	}
+	if len(snap.Edges) > 0 {
+		frames = append(frames, &wire.StreamFrame{Edges: snap.Edges})
+	}
+	snap.Nodes, snap.Edges = nil, nil
+	return &SnapshotStream{synthetic: append(frames, &wire.StreamFrame{Summary: &snap})}, nil
 }
 
 // Snapshots retrieves many timepoints in one request; the server executes
@@ -376,11 +375,7 @@ func (c *Client) NeighborsCtx(ctx context.Context, t historygraph.Time, node his
 	if attrs != "" {
 		q.Set("attrs", attrs)
 	}
-	var out NeighborsJSON
-	if err := c.get(ctx, "/neighbors", q, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return getAs[NeighborsJSON](c, ctx, "/neighbors", q)
 }
 
 // Interval retrieves the elements added during [from, to) and the
@@ -391,21 +386,11 @@ func (c *Client) Interval(from, to historygraph.Time, attrs string, full bool) (
 
 // IntervalCtx is Interval bounded by a context.
 func (c *Client) IntervalCtx(ctx context.Context, from, to historygraph.Time, attrs string, full bool) (*IntervalJSON, error) {
-	q := url.Values{
-		"from": {strconv.FormatInt(int64(from), 10)},
-		"to":   {strconv.FormatInt(int64(to), 10)},
-	}
-	if attrs != "" {
-		q.Set("attrs", attrs)
-	}
+	q := spanQuery("from", "to", from, to, attrs)
 	if full {
 		q.Set("full", "1")
 	}
-	var out IntervalJSON
-	if err := c.get(ctx, "/interval", q, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return getAs[IntervalJSON](c, ctx, "/interval", q)
 }
 
 // Expr evaluates a TimeExpression query, e.g. Expr(ExprRequest{Times:
@@ -416,11 +401,7 @@ func (c *Client) Expr(req ExprRequest) (*SnapshotJSON, error) {
 
 // ExprCtx is Expr bounded by a context.
 func (c *Client) ExprCtx(ctx context.Context, req ExprRequest) (*SnapshotJSON, error) {
-	var out SnapshotJSON
-	if err := c.post(ctx, "/expr", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return postAs[SnapshotJSON](c, ctx, "/expr", req)
 }
 
 // Append records a run of events against the live database.
@@ -448,11 +429,7 @@ func (c *Client) AppendBatchCtx(ctx context.Context, events historygraph.EventLi
 	if batch != "" {
 		path += "?batch=" + url.QueryEscape(batch)
 	}
-	var out AppendResult
-	if err := c.post(ctx, path, body, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return postAs[AppendResult](c, ctx, path, body)
 }
 
 // Stats fetches index, pool, and serving-layer statistics.
@@ -462,11 +439,7 @@ func (c *Client) Stats() (*StatsJSON, error) {
 
 // StatsCtx is Stats bounded by a context.
 func (c *Client) StatsCtx(ctx context.Context) (*StatsJSON, error) {
-	var out StatsJSON
-	if err := c.get(ctx, "/stats", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return getAs[StatsJSON](c, ctx, "/stats", nil)
 }
 
 // Health checks GET /healthz; nil means the server answered ok.
@@ -489,11 +462,7 @@ func (c *Client) ReadyCtx(ctx context.Context) error {
 
 // SlotsCtx fetches the worker's installed slot ownership.
 func (c *Client) SlotsCtx(ctx context.Context) (*SlotsJSON, error) {
-	var out SlotsJSON
-	if err := c.get(ctx, "/admin/slots", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return getAs[SlotsJSON](c, ctx, "/admin/slots", nil)
 }
 
 // SetSlotsCtx installs a slot ownership state on the worker (the

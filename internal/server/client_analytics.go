@@ -22,6 +22,19 @@ func analyticsQuery(t historygraph.Time, attrs string) url.Values {
 	return q
 }
 
+// spanQuery is the query of an endpoint that takes a pair of timepoints
+// under its own parameter names (ReadSpanQuery's counterpart).
+func spanQuery(first, second string, a, b historygraph.Time, attrs string) url.Values {
+	q := url.Values{
+		first:  {strconv.FormatInt(int64(a), 10)},
+		second: {strconv.FormatInt(int64(b), 10)},
+	}
+	if attrs != "" {
+		q.Set("attrs", attrs)
+	}
+	return q
+}
+
 // legQuery adds the coordinator-leg parameters that make a worker answer
 // its raw mergeable part instead of a locally merged response.
 func legQuery(q url.Values, parts, self int) url.Values {
@@ -32,38 +45,19 @@ func legQuery(q url.Values, parts, self int) url.Values {
 
 // AnalyticsDegreeCtx fetches the degree distribution of the snapshot at t.
 func (c *Client) AnalyticsDegreeCtx(ctx context.Context, t historygraph.Time, attrs string) (*wire.DegreeDist, error) {
-	var out wire.DegreeDist
-	if err := c.get(ctx, "/analytics/degree", analyticsQuery(t, attrs), &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return getAs[wire.DegreeDist](c, ctx, "/analytics/degree", analyticsQuery(t, attrs))
 }
 
 // AnalyticsComponentsCtx fetches the connected-component size
 // distribution of the snapshot at t.
 func (c *Client) AnalyticsComponentsCtx(ctx context.Context, t historygraph.Time, attrs string) (*wire.Components, error) {
-	var out wire.Components
-	if err := c.get(ctx, "/analytics/components", analyticsQuery(t, attrs), &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return getAs[wire.Components](c, ctx, "/analytics/components", analyticsQuery(t, attrs))
 }
 
 // AnalyticsEvolutionCtx fetches the evolution counters between the
 // snapshots at t1 and t2.
 func (c *Client) AnalyticsEvolutionCtx(ctx context.Context, t1, t2 historygraph.Time, attrs string) (*wire.Evolution, error) {
-	q := url.Values{
-		"t1": {strconv.FormatInt(int64(t1), 10)},
-		"t2": {strconv.FormatInt(int64(t2), 10)},
-	}
-	if attrs != "" {
-		q.Set("attrs", attrs)
-	}
-	var out wire.Evolution
-	if err := c.get(ctx, "/analytics/evolution", q, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return getAs[wire.Evolution](c, ctx, "/analytics/evolution", spanQuery("t1", "t2", t1, t2, attrs))
 }
 
 // AnalyticsPageRankCtx runs PageRank synchronously and returns the
@@ -72,11 +66,7 @@ func (c *Client) AnalyticsEvolutionCtx(ctx context.Context, t1, t2 historygraph.
 // AnalyticsPageRankJobCtx instead).
 func (c *Client) AnalyticsPageRankCtx(ctx context.Context, req wire.PageRankRequest) (*wire.PageRankResult, error) {
 	req.Wait = true
-	var out wire.PageRankResult
-	if err := c.post(ctx, "/analytics/pagerank", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return postAs[wire.PageRankResult](c, ctx, "/analytics/pagerank", req)
 }
 
 // AnalyticsPageRankJobCtx submits an asynchronous PageRank job to a
@@ -84,82 +74,43 @@ func (c *Client) AnalyticsPageRankCtx(ctx context.Context, req wire.PageRankRequ
 // AnalyticsJobCtx until it reports done or failed.
 func (c *Client) AnalyticsPageRankJobCtx(ctx context.Context, req wire.PageRankRequest) (*wire.JobStatus, error) {
 	req.Wait = false
-	var out wire.JobStatus
-	if err := c.post(ctx, "/analytics/pagerank", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return postAs[wire.JobStatus](c, ctx, "/analytics/pagerank", req)
 }
 
 // AnalyticsJobCtx polls one coordinator analytics job.
 func (c *Client) AnalyticsJobCtx(ctx context.Context, id string) (*wire.JobStatus, error) {
-	var out wire.JobStatus
-	if err := c.get(ctx, "/analytics/jobs/"+url.PathEscape(id), nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return getAs[wire.JobStatus](c, ctx, "/analytics/jobs/"+url.PathEscape(id), nil)
 }
 
 // --- coordinator-internal partition legs ------------------------------
 
 // DegreePartCtx fetches one partition's raw degree-scan part.
 func (c *Client) DegreePartCtx(ctx context.Context, t historygraph.Time, attrs string, parts, self int) (*wire.DegreePart, error) {
-	var out wire.DegreePart
-	if err := c.get(ctx, "/analytics/degree", legQuery(analyticsQuery(t, attrs), parts, self), &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return getAs[wire.DegreePart](c, ctx, "/analytics/degree", legQuery(analyticsQuery(t, attrs), parts, self))
 }
 
 // ComponentsPartCtx fetches one partition's raw component-scan part.
 func (c *Client) ComponentsPartCtx(ctx context.Context, t historygraph.Time, attrs string, parts, self int) (*wire.ComponentsPart, error) {
-	var out wire.ComponentsPart
-	if err := c.get(ctx, "/analytics/components", legQuery(analyticsQuery(t, attrs), parts, self), &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return getAs[wire.ComponentsPart](c, ctx, "/analytics/components", legQuery(analyticsQuery(t, attrs), parts, self))
 }
 
 // EvolutionPartCtx fetches one partition's raw evolution counters.
 func (c *Client) EvolutionPartCtx(ctx context.Context, t1, t2 historygraph.Time, attrs string, parts, self int) (*wire.EvolutionPart, error) {
-	q := url.Values{
-		"t1": {strconv.FormatInt(int64(t1), 10)},
-		"t2": {strconv.FormatInt(int64(t2), 10)},
-	}
-	if attrs != "" {
-		q.Set("attrs", attrs)
-	}
-	var out wire.EvolutionPart
-	if err := c.get(ctx, "/analytics/evolution", legQuery(q, parts, self), &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return getAs[wire.EvolutionPart](c, ctx, "/analytics/evolution", legQuery(spanQuery("t1", "t2", t1, t2, attrs), parts, self))
 }
 
 // PRPrepareCtx opens one partition's PageRank job leg.
 func (c *Client) PRPrepareCtx(ctx context.Context, req wire.PRPrepare) (*wire.PRPrepared, error) {
-	var out wire.PRPrepared
-	if err := c.post(ctx, "/analytics/prepare", &req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return postAs[wire.PRPrepared](c, ctx, "/analytics/prepare", &req)
 }
 
 // PRStartCtx finishes one partition leg's setup with the global vertex
 // count and its ghost pairs.
 func (c *Client) PRStartCtx(ctx context.Context, req wire.PRStart) (*wire.PRPrepared, error) {
-	var out wire.PRPrepared
-	if err := c.post(ctx, "/analytics/prstart", &req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return postAs[wire.PRPrepared](c, ctx, "/analytics/prstart", &req)
 }
 
 // PRStepCtx drives one partition superstep.
 func (c *Client) PRStepCtx(ctx context.Context, req wire.PRStepRequest) (*wire.PRStepResult, error) {
-	var out wire.PRStepResult
-	if err := c.post(ctx, "/analytics/prstep", &req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return postAs[wire.PRStepResult](c, ctx, "/analytics/prstep", &req)
 }

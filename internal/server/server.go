@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"historygraph"
+	"historygraph/internal/analytics"
 	"historygraph/internal/cache"
 	"historygraph/internal/csr"
 	"historygraph/internal/graph"
@@ -64,12 +66,12 @@ type Server struct {
 	// it once per request and hold that manager for the request's life.
 	gm atomic.Pointer[historygraph.GraphManager]
 	// The cache levels (internal/cache); a nil one is disabled and inert.
-	cache   snapCache                // pinned pool views, keyed by cacheKey
-	enc     *cache.Cache[cache.Body] // encoded /snapshot bodies, keyed by encKey
-	an      analyticsState           // analytics plane: CSR cache + PageRank jobs
+	cache   snapCache      // pinned pool views, keyed by cacheKey
+	enc     BodyCache      // encoded /snapshot bodies, keyed by encKey; counts every snapshot-body encode
+	an      analyticsState // analytics plane: CSR cache + PageRank jobs
 	flights FlightGroup
 	mux     *http.ServeMux
-	runSize int // elements per chunked-stream frame
+	runSize int // elements per chunked-stream frame (0: the wire default)
 
 	// slots is the installed slot-ownership state (nil = own every
 	// slot); see slots.go for the resharding protocol it implements.
@@ -83,7 +85,6 @@ type Server struct {
 	reg        *metrics.Registry
 	ins        *Instrumentation
 	retrievals *metrics.Counter   // underlying GetHistGraph executions
-	encodes    *metrics.Counter   // snapshot-body encode executions (encoded-cache hits do none)
 	leafCuts   *metrics.Histogram // write-lock hold time of index leaf cuts
 	spineSeals *metrics.Counter   // provisional-spine builds forced by reads
 }
@@ -118,11 +119,13 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 	}
 	s.reg = reg
 	s.retrievals = reg.Counter("dg_retrievals_total", "Underlying GetHistGraph plan executions.")
-	s.encodes = reg.Counter("dg_encodes_total", "Snapshot response-body encode executions.")
 	lv := cache.NewLevels(reg)
 	s.flights.Hits, s.flights.Misses = lv.Flight()
 	s.cache = newSnapCache(lv, cfg.CacheSize)
-	s.enc = cache.New(lv, "encoded", cfg.EncodedCacheSize, DefaultEncodedCacheSize, cache.Options[cache.Body]{})
+	s.enc = BodyCache{
+		Cache:   cache.New(lv, "encoded", cfg.EncodedCacheSize, DefaultEncodedCacheSize, cache.Options[cache.Body]{}),
+		Encodes: reg.Counter("dg_encodes_total", "Snapshot response-body encode executions."),
+	}
 	s.an.csr = cache.New(lv, "csr", cfg.CSRCacheSize, DefaultCSRCacheSize, cache.Options[*csr.Graph]{})
 	s.an.jobs = make(map[string]*prJob)
 	s.an.jobsTotal = reg.CounterVec("dg_analytics_jobs_total",
@@ -159,9 +162,6 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 		"Hash slots this worker owns (the full slot space until restricted).")
 	s.slotsOwned.Set(float64(graph.NumSlots))
 	s.runSize = cfg.StreamRun
-	if s.runSize <= 0 {
-		s.runSize = wire.DefaultRunSize
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /snapshot", s.handleSnapshot)
 	mux.HandleFunc("GET /neighbors", s.handleNeighbors)
@@ -169,8 +169,10 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 	mux.HandleFunc("GET /interval", s.handleInterval)
 	mux.HandleFunc("POST /expr", s.handleExpr)
 	mux.HandleFunc("POST /append", s.handleAppend)
-	mux.HandleFunc("GET /analytics/degree", s.handleAnalyticsDegree)
-	mux.HandleFunc("GET /analytics/components", s.handleAnalyticsComponents)
+	mux.HandleFunc("GET /analytics/degree", scanHandler(s, "degree", analytics.DegreePartOf,
+		func(p *wire.DegreePart) *bool { return &p.Cached }, analytics.MergeDegree))
+	mux.HandleFunc("GET /analytics/components", scanHandler(s, "components", analytics.ComponentsPartOf,
+		func(p *wire.ComponentsPart) *bool { return &p.Cached }, analytics.MergeComponents))
 	mux.HandleFunc("GET /analytics/evolution", s.handleAnalyticsEvolution)
 	mux.HandleFunc("POST /analytics/pagerank", s.handleAnalyticsPageRank)
 	mux.HandleFunc("POST /analytics/prepare", s.handlePRPrepare)
@@ -232,13 +234,7 @@ func (s *Server) Retrievals() int64 { return s.retrievals.Value() }
 // or streamed) the server executed. An encoded-bytes cache hit writes the
 // stored body without encoding, so tests assert hits leave this counter
 // untouched.
-func (s *Server) Encodes() int64 { return s.encodes.Value() }
-
-// encode serializes one response body via codec, counting the execution.
-func (s *Server) encode(codec wire.Codec, v any) ([]byte, error) {
-	s.encodes.Inc()
-	return codec.Encode(v)
-}
+func (s *Server) Encodes() int64 { return s.enc.Encodes.Value() }
 
 // cacheKey identifies one (timepoint, attribute-spec) retrieval.
 func cacheKey(t historygraph.Time, attrs string) string {
@@ -338,45 +334,29 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !s.CheckEpoch(w, r) {
 		return
 	}
-	q := r.URL.Query()
-	t, err := ParseTimeParam(q.Get("t"))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+	q, ok := ReadQuery(w, r, true)
+	if !ok {
 		return
 	}
-	attrs := q.Get("attrs")
-	if _, err := historygraph.ParseAttrOptions(attrs); err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	full := BoolParam(q.Get("full"))
 	accept := r.Header.Get("Accept")
 	// Streaming applies to full responses only: a counts-only answer has
 	// nothing to chunk, so it falls through to the whole-message codec
 	// Negotiate picks (the stream Accept value matches binary there).
-	stream := full && wire.WantsStream(accept)
+	stream := q.Full && wire.WantsStream(accept)
 	codec := wire.Negotiate(accept)
 	name := codec.Name()
 	if stream {
 		name = wire.NameBinaryStream
 	}
-	var ekey string
-	var gen int64
-	if s.enc != nil {
-		ekey = encKey(t, attrs, full, name)
-		if body, ok := s.enc.Get(ekey); ok {
-			// Encoded-bytes hit: one write, zero encode work.
-			Annotate(r.Context(), "cache", "encoded-hit")
-			w.Header().Set("Content-Type", body.ContentType)
-			w.WriteHeader(http.StatusOK)
-			w.Write(body.Bytes)
-			return
-		}
-		// Snapshot the invalidation generation before the retrieval so a
-		// body built while an append overlapped cannot register as fresh.
-		gen = s.enc.Gen()
+	ekey := encKey(q.T, q.Attrs, q.Full, name)
+	if s.enc.WriteHit(w, ekey) {
+		Annotate(r.Context(), "cache", "encoded-hit")
+		return
 	}
-	h, release, cached, coalesced, err := s.acquire(t, attrs)
+	// Snapshot the invalidation generation before the retrieval so a body
+	// built while an append overlapped cannot register as fresh.
+	gen := s.enc.Gen()
+	h, release, cached, coalesced, err := s.acquire(q.T, q.Attrs)
 	if err != nil {
 		WriteError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -386,6 +366,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		Annotate(r.Context(), "cache", "view-hit")
 	case coalesced:
 		Annotate(r.Context(), "cache", "coalesced")
+		// Coalesced waiters leave caching to the flight leader, like the
+		// coordinator's merged-response cache.
+		ekey = ""
 	default:
 		Annotate(r.Context(), "cache", "miss")
 	}
@@ -394,53 +377,27 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		s.streamSnapshot(w, h, release, cached, coalesced, ekey, gen, own)
 		return
 	}
-	depCur := h.DependsOnCurrent()
-	out := ownedViewToJSON(h, full, own)
+	slot := cache.Entry[cache.Body]{At: q.T, DepCur: h.DependsOnCurrent()}
+	out := ownedViewToJSON(h, q.Full, own)
 	release()
-	out.Cached = cached
-	out.Coalesced = coalesced
-	body, err := s.encode(codec, out)
-	if err != nil {
-		WriteJSON(w, http.StatusOK, out)
-		return
-	}
-	w.Header().Set("Content-Type", codec.ContentType())
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
-	if ekey == "" || out.Coalesced {
-		// Coalesced waiters leave caching to the flight leader, like the
-		// coordinator's merged-response cache.
-		return
-	}
-	cachedBody := body
-	if !out.Cached {
+	out.Cached, out.Coalesced = cached, coalesced
+	var hit any
+	if !cached {
 		// A later hit answers exactly like a hot-snapshot cache hit: the
-		// Cached flag flips on, so the stored variant is re-encoded once.
-		// That second encode happens once per (key, encoding) per
-		// invalidation epoch — the first repeat request hits the stored
-		// bytes — so it amortizes like any cache-population cost.
+		// Cached flag flips on.
 		variant := out
 		variant.Cached = true
-		if cachedBody, err = s.encode(codec, variant); err != nil {
-			return
-		}
+		hit = variant
 	}
-	// The admission cap the streaming path's capture buffer enforces.
-	if len(cachedBody) <= wire.MaxCachedBody {
-		s.enc.Insert(ekey, cache.Entry[cache.Body]{
-			At: t, DepCur: depCur, Value: cache.Body{Bytes: cachedBody, ContentType: codec.ContentType()},
-		}, gen)
-	}
+	s.enc.Write(w, codec, out, hit, ekey, slot, gen)
 }
 
 func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	if !s.CheckEpoch(w, r) {
 		return
 	}
-	q := r.URL.Query()
-	t, err := ParseTimeParam(q.Get("t"))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+	q, ok := ReadQuery(w, r, true)
+	if !ok {
 		return
 	}
 	nodeRaw := q.Get("node")
@@ -449,13 +406,13 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad node %q", nodeRaw))
 		return
 	}
-	h, release, cached, _, err := s.acquire(t, q.Get("attrs"))
+	h, release, cached, _, err := s.acquire(q.T, q.Attrs)
 	if err != nil {
 		WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	id := historygraph.NodeID(node)
-	out := NeighborsJSON{At: int64(t), Node: node, Cached: cached}
+	out := NeighborsJSON{At: int64(q.T), Node: node, Cached: cached}
 	var neigh []historygraph.NodeID
 	if own := s.ownership(); own.filtering() {
 		// Restricted to owned edges: a retired owner still holding a
@@ -479,38 +436,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	gm := s.gm.Load()
 	own := s.ownership()
-	q := r.URL.Query()
-	var times []historygraph.Time
-	for _, part := range strings.Split(q.Get("t"), ",") {
-		t, err := ParseTimeParam(strings.TrimSpace(part))
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, err)
-			return
-		}
-		times = append(times, t)
-	}
-	attrs := q.Get("attrs")
-	if _, err := historygraph.ParseAttrOptions(attrs); err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+	q, times, ok := ReadBatchQuery(w, r)
+	if !ok {
 		return
 	}
-	full := BoolParam(q.Get("full"))
+	attrs, full := q.Attrs, q.Full
 	out := make([]SnapshotJSON, len(times))
-
-	if s.cache.Cache == nil {
-		// Caching disabled: detached snapshots through the multipoint
-		// shared-delta plan (Section 4.4), as before.
-		snaps, err := gm.GetHistSnapshots(times, attrs)
-		if err != nil {
-			WriteError(w, http.StatusUnprocessableEntity, err)
-			return
-		}
-		for i, snap := range snaps {
-			out[i] = ownedSnapshotToJSON(snap, times[i], full, own)
-		}
-		WriteWire(w, r, http.StatusOK, out)
-		return
-	}
 
 	// Probe the hot-snapshot cache per timepoint; the misses execute as
 	// one multipoint shared-delta plan (Section 4.4) into the GraphPool
@@ -537,7 +468,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	case len(missTimes) >= s.cache.Cap():
 		// Admission guard: registering a batch as large as the whole LRU
 		// would evict the entire hot set (including the batch's own
-		// earlier entries) for zero reuse. Serve it detached instead.
+		// earlier entries) for zero reuse. Serve it detached instead —
+		// which is also every batch when caching is disabled (capacity 0).
 		s.retrievals.Add(int64(len(missTimes)))
 		snaps, err := gm.GetHistSnapshots(missTimes, attrs)
 		if err != nil {
@@ -588,20 +520,17 @@ func (s *Server) handleInterval(w http.ResponseWriter, r *http.Request) {
 	if !s.CheckEpoch(w, r) {
 		return
 	}
-	q := r.URL.Query()
-	from, err1 := ParseTimeParam(q.Get("from"))
-	to, err2 := ParseTimeParam(q.Get("to"))
-	if err1 != nil || err2 != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("interval wants numeric from/to"))
+	q, from, to, ok := ReadSpanQuery(w, r, "interval", "from", "to")
+	if !ok {
 		return
 	}
-	res, err := s.gm.Load().GetHistGraphInterval(from, to, q.Get("attrs"))
+	res, err := s.gm.Load().GetHistGraphInterval(from, to, q.Attrs)
 	if err != nil {
 		WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	own := s.ownership()
-	sj := ownedSnapshotToJSON(res.Graph, 0, BoolParam(q.Get("full")), own)
+	sj := ownedSnapshotToJSON(res.Graph, 0, q.Full, own)
 	out := IntervalJSON{
 		Start: int64(res.Start), End: int64(res.End),
 		NumNodes: sj.NumNodes, NumEdges: sj.NumEdges,
@@ -620,14 +549,8 @@ func (s *Server) handleExpr(w http.ResponseWriter, r *http.Request) {
 	if !s.CheckEpoch(w, r) {
 		return
 	}
-	var req ExprRequest
-	if err := ReadBody(r, &req); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad expr body: %w", err))
-		return
-	}
-	expr, err := ParseTimeExpr(req.Expr, len(req.Times))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+	req, expr, ok := ReadExprRequest(w, r)
+	if !ok {
 		return
 	}
 	tex := historygraph.TimeExpression{Expr: expr}
@@ -755,7 +678,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	out.Server.CacheHits, out.Server.CacheMisses, out.Server.CacheEvictions = vs.Hits, vs.Misses, vs.Evictions
 	out.Server.CacheSize, out.Server.CacheCapacity = vs.Size, vs.Capacity
 	es := s.enc.Stats()
-	out.Server.Encodes = s.encodes.Value()
+	out.Server.Encodes = s.Encodes()
 	out.Server.EncodedHits, out.Server.EncodedMisses = es.Hits, es.Misses
 	out.Server.EncodedSize, out.Server.EncodedCapacity = es.Size, es.Capacity
 	WriteJSON(w, http.StatusOK, out)
@@ -772,6 +695,88 @@ func ParseTimeParam(s string) (historygraph.Time, error) {
 		return 0, fmt.Errorf("bad timepoint %q", s)
 	}
 	return historygraph.Time(v), nil
+}
+
+// Query is a read request's URL query, parsed once, with the parameters
+// the read endpoints of both roles share already interpreted; an
+// endpoint's own parameters (node, from, t1, …) are read with Get.
+type Query struct {
+	url.Values
+	T     historygraph.Time // "t"; zero for endpoints that name their timepoints otherwise
+	Attrs string            // "attrs", known to parse
+	Full  bool              // "full"
+}
+
+// ReadQuery parses the shared read parameters — attrs, full and, when
+// wantT, the timepoint t — and answers 400 itself (ok false) when one is
+// malformed. The attribute spec is validated here, for every endpoint of
+// a worker and a coordinator alike, so a malformed one is the client's
+// 400 everywhere rather than whatever status the retrieval underneath
+// happens to fail with.
+func ReadQuery(w http.ResponseWriter, r *http.Request, wantT bool) (q Query, ok bool) {
+	q.Values = r.URL.Query()
+	var err error
+	if wantT {
+		q.T, err = ParseTimeParam(q.Get("t"))
+	}
+	q.Attrs, q.Full = q.Get("attrs"), BoolParam(q.Get("full"))
+	if err == nil {
+		_, err = historygraph.ParseAttrOptions(q.Attrs)
+	}
+	return q, badRequest(w, err)
+}
+
+// ReadSpanQuery is ReadQuery for an endpoint that takes a pair of
+// timepoints under its own parameter names (/interval's from and to,
+// /analytics/evolution's t1 and t2).
+func ReadSpanQuery(w http.ResponseWriter, r *http.Request, endpoint, first, second string) (q Query, a, b historygraph.Time, ok bool) {
+	if q, ok = ReadQuery(w, r, false); !ok {
+		return q, 0, 0, false
+	}
+	a, err1 := ParseTimeParam(q.Get(first))
+	b, err2 := ParseTimeParam(q.Get(second))
+	if err1 != nil || err2 != nil {
+		ok = badRequest(w, fmt.Errorf("%s wants numeric %s/%s", endpoint, first, second))
+	}
+	return q, a, b, ok
+}
+
+// ReadBatchQuery is ReadQuery for /batch, whose t is a comma-separated
+// list of timepoints.
+func ReadBatchQuery(w http.ResponseWriter, r *http.Request) (q Query, times []historygraph.Time, ok bool) {
+	if q, ok = ReadQuery(w, r, false); !ok {
+		return q, nil, false
+	}
+	for _, part := range strings.Split(q.Get("t"), ",") {
+		t, err := ParseTimeParam(strings.TrimSpace(part))
+		if err != nil {
+			return q, nil, badRequest(w, err)
+		}
+		times = append(times, t)
+	}
+	return q, times, true
+}
+
+// ReadExprRequest reads and validates a POST /expr body: the expression
+// must parse over the request's timepoints and the attribute spec must be
+// well-formed. Every failure is the client's: answered 400 here, ok false.
+func ReadExprRequest(w http.ResponseWriter, r *http.Request) (req ExprRequest, expr historygraph.TimeExpr, ok bool) {
+	err := ReadBody(r, &req)
+	if err != nil {
+		err = fmt.Errorf("bad expr body: %w", err)
+	} else if _, err = historygraph.ParseAttrOptions(req.Attrs); err == nil {
+		expr, err = ParseTimeExpr(req.Expr, len(req.Times))
+	}
+	return req, expr, badRequest(w, err)
+}
+
+// badRequest answers 400 with err, if there is one, and reports whether
+// the request may proceed.
+func badRequest(w http.ResponseWriter, err error) bool {
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err)
+	}
+	return err == nil
 }
 
 // BoolParam parses a boolean query parameter ("1", "true", "yes").

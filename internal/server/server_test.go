@@ -668,6 +668,33 @@ func TestBatchAdmissionGuard(t *testing.T) {
 	}
 }
 
+// TestBatchWithCacheDisabled: with no view cache a batch is one detached
+// multipoint retrieval of its distinct timepoints, counted like the
+// singlepoint retrievals the same server runs.
+func TestBatchWithCacheDisabled(t *testing.T) {
+	gm := newTestManager(t)
+	svc, client := newTestServer(t, gm, Config{CacheSize: -1})
+	last := gm.LastTime()
+	ts := []historygraph.Time{last / 3, last / 2, last / 3}
+	got, err := client.Snapshots(ts, "", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := svc.Retrievals(); r != 2 {
+		t.Fatalf("batch of 2 distinct timepoints ran %d retrievals, want 2", r)
+	}
+	for i, tp := range ts {
+		want, err := client.Snapshot(tp, "", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].Cached || got[i].At != int64(tp) || got[i].NumNodes != want.NumNodes || len(got[i].Edges) != len(want.Edges) {
+			t.Fatalf("timepoint %d: batch answered %d nodes/%d edges cached=%v, singlepoint %d/%d",
+				tp, got[i].NumNodes, len(got[i].Edges), got[i].Cached, want.NumNodes, len(want.Edges))
+		}
+	}
+}
+
 // TestInsertRefusedAfterInvalidation: a view retrieved before an
 // invalidation pass must not register afterwards — it may predate the
 // events the pass declared visible.

@@ -21,15 +21,12 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
-	"historygraph"
 	"historygraph/internal/analytics"
 	"historygraph/internal/graph"
 	"historygraph/internal/metrics"
@@ -65,7 +62,7 @@ func (j *coJob) status() wire.JobStatus {
 	return wire.JobStatus{ID: j.id, Kind: j.kind, State: j.state, Error: j.errMsg, Result: j.result}
 }
 
-func (j *coJob) finish(res *wire.PageRankResult, err error) string {
+func (j *coJob) finish(res *wire.PageRankResult, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err != nil {
@@ -74,7 +71,6 @@ func (j *coJob) finish(res *wire.PageRankResult, err error) string {
 		j.state, j.result = "done", res
 	}
 	j.last = time.Now()
-	return j.state
 }
 
 // coAnalytics is the coordinator's analytics state: the async job table
@@ -104,173 +100,65 @@ func (co *Coordinator) observeAnalytics(kind string, fn func() error) {
 // --- mergeable scans --------------------------------------------------
 
 func (co *Coordinator) handleAnalyticsDegree(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	t, err := server.ParseTimeParam(q.Get("t"))
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	attrs := q.Get("attrs")
-	if _, err := historygraph.ParseAttrOptions(attrs); err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
+	q, ok := server.ReadQuery(w, r, true)
+	if !ok {
 		return
 	}
 	co.observeAnalytics("degree", func() error {
-		codec := wire.Negotiate(r.Header.Get("Accept"))
-		key := fmt.Sprintf("andeg|%d|%s", t, attrs)
-		server.Annotate(r.Context(), "partitions", strconv.Itoa(co.NumPartitions()))
-		if co.writeCached(w, codec, key) {
-			server.Annotate(r.Context(), "cache", "merged-hit")
-			return nil
-		}
-		parent := context.WithoutCancel(r.Context())
-		v, shared, err := co.flights.Do(key, func() (any, error) {
-			co.fanouts.Inc()
-			gen := co.cache.Gen()
-			parts, errs, rt := scatterRead(co, parent, func(ctx reqCtx, cl *server.Client) (*wire.DegreePart, error) {
-				return cl.DegreePartCtx(ctx, t, attrs, ctx.parts, ctx.part)
-			})
-			if len(errs) == len(rt.sets) {
-				return nil, co.allFailed(errs)
-			}
-			co.notePartial(errs, len(rt.sets))
-			out := analytics.MergeDegree(int64(t), compactParts(parts))
-			out.Partial = errs
-			return flightMerge{v: *out, gen: gen, complete: len(errs) == 0}, nil
+		return serveRead(co, w, r, read[*wire.DegreePart, wire.DegreeDist]{
+			key: fmt.Sprintf("andeg|%d|%s", q.T, q.Attrs), maxT: q.T, coalesce: true,
+			leg: func(ctx reqCtx, cl *server.Client) (*wire.DegreePart, error) {
+				return cl.DegreePartCtx(ctx, q.T, q.Attrs, ctx.parts, ctx.part)
+			},
+			merge: func(parts []*wire.DegreePart, errs []server.PartitionError) wire.DegreeDist {
+				out := analytics.MergeDegree(int64(q.T), compactParts(parts))
+				out.Partial = errs
+				return *out
+			},
+			flags: func(m *wire.DegreeDist) (*bool, *bool) { return &m.Cached, &m.Coalesced },
 		})
-		if err != nil {
-			writeAllFailed(w, err)
-			return err
-		}
-		fm := v.(flightMerge)
-		out := fm.v.(wire.DegreeDist)
-		if shared {
-			server.Annotate(r.Context(), "cache", "coalesced")
-			out.Coalesced = true
-			server.WriteWire(w, r, http.StatusOK, out)
-			return nil
-		}
-		server.Annotate(r.Context(), "cache", "miss")
-		cached := out
-		cached.Cached, cached.Coalesced = true, false
-		co.writeMerged(w, codec, out, cached, key, t, fm.gen, fm.complete)
-		return nil
 	})
 }
 
 func (co *Coordinator) handleAnalyticsComponents(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	t, err := server.ParseTimeParam(q.Get("t"))
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	attrs := q.Get("attrs")
-	if _, err := historygraph.ParseAttrOptions(attrs); err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
+	q, ok := server.ReadQuery(w, r, true)
+	if !ok {
 		return
 	}
 	co.observeAnalytics("components", func() error {
-		codec := wire.Negotiate(r.Header.Get("Accept"))
-		key := fmt.Sprintf("ancmp|%d|%s", t, attrs)
-		server.Annotate(r.Context(), "partitions", strconv.Itoa(co.NumPartitions()))
-		if co.writeCached(w, codec, key) {
-			server.Annotate(r.Context(), "cache", "merged-hit")
-			return nil
-		}
-		parent := context.WithoutCancel(r.Context())
-		v, shared, err := co.flights.Do(key, func() (any, error) {
-			co.fanouts.Inc()
-			gen := co.cache.Gen()
-			parts, errs, rt := scatterRead(co, parent, func(ctx reqCtx, cl *server.Client) (*wire.ComponentsPart, error) {
-				return cl.ComponentsPartCtx(ctx, t, attrs, ctx.parts, ctx.part)
-			})
-			if len(errs) == len(rt.sets) {
-				return nil, co.allFailed(errs)
-			}
-			co.notePartial(errs, len(rt.sets))
-			out := analytics.MergeComponents(int64(t), compactParts(parts))
-			out.Partial = errs
-			return flightMerge{v: *out, gen: gen, complete: len(errs) == 0}, nil
+		return serveRead(co, w, r, read[*wire.ComponentsPart, wire.Components]{
+			key: fmt.Sprintf("ancmp|%d|%s", q.T, q.Attrs), maxT: q.T, coalesce: true,
+			leg: func(ctx reqCtx, cl *server.Client) (*wire.ComponentsPart, error) {
+				return cl.ComponentsPartCtx(ctx, q.T, q.Attrs, ctx.parts, ctx.part)
+			},
+			merge: func(parts []*wire.ComponentsPart, errs []server.PartitionError) wire.Components {
+				out := analytics.MergeComponents(int64(q.T), compactParts(parts))
+				out.Partial = errs
+				return *out
+			},
+			flags: func(m *wire.Components) (*bool, *bool) { return &m.Cached, &m.Coalesced },
 		})
-		if err != nil {
-			writeAllFailed(w, err)
-			return err
-		}
-		fm := v.(flightMerge)
-		out := fm.v.(wire.Components)
-		if shared {
-			server.Annotate(r.Context(), "cache", "coalesced")
-			out.Coalesced = true
-			server.WriteWire(w, r, http.StatusOK, out)
-			return nil
-		}
-		server.Annotate(r.Context(), "cache", "miss")
-		cached := out
-		cached.Cached, cached.Coalesced = true, false
-		co.writeMerged(w, codec, out, cached, key, t, fm.gen, fm.complete)
-		return nil
 	})
 }
 
 func (co *Coordinator) handleAnalyticsEvolution(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	t1, err1 := server.ParseTimeParam(q.Get("t1"))
-	t2, err2 := server.ParseTimeParam(q.Get("t2"))
-	if err1 != nil || err2 != nil {
-		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("evolution wants numeric t1/t2"))
+	q, t1, t2, ok := server.ReadSpanQuery(w, r, "evolution", "t1", "t2")
+	if !ok {
 		return
-	}
-	attrs := q.Get("attrs")
-	if _, err := historygraph.ParseAttrOptions(attrs); err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	maxT := t1
-	if t2 > maxT {
-		maxT = t2
 	}
 	co.observeAnalytics("evolution", func() error {
-		codec := wire.Negotiate(r.Header.Get("Accept"))
-		key := fmt.Sprintf("anevo|%d|%d|%s", t1, t2, attrs)
-		server.Annotate(r.Context(), "partitions", strconv.Itoa(co.NumPartitions()))
-		if co.writeCached(w, codec, key) {
-			server.Annotate(r.Context(), "cache", "merged-hit")
-			return nil
-		}
-		parent := context.WithoutCancel(r.Context())
-		v, shared, err := co.flights.Do(key, func() (any, error) {
-			co.fanouts.Inc()
-			gen := co.cache.Gen()
-			parts, errs, rt := scatterRead(co, parent, func(ctx reqCtx, cl *server.Client) (*wire.EvolutionPart, error) {
-				return cl.EvolutionPartCtx(ctx, t1, t2, attrs, ctx.parts, ctx.part)
-			})
-			if len(errs) == len(rt.sets) {
-				return nil, co.allFailed(errs)
-			}
-			co.notePartial(errs, len(rt.sets))
-			out := analytics.MergeEvolution(compactParts(parts))
-			out.T1, out.T2 = int64(t1), int64(t2)
-			out.Partial = errs
-			return flightMerge{v: *out, gen: gen, complete: len(errs) == 0}, nil
+		return serveRead(co, w, r, read[*wire.EvolutionPart, wire.Evolution]{
+			key: fmt.Sprintf("anevo|%d|%d|%s", t1, t2, q.Attrs), maxT: max(t1, t2), coalesce: true,
+			leg: func(ctx reqCtx, cl *server.Client) (*wire.EvolutionPart, error) {
+				return cl.EvolutionPartCtx(ctx, t1, t2, q.Attrs, ctx.parts, ctx.part)
+			},
+			merge: func(parts []*wire.EvolutionPart, errs []server.PartitionError) wire.Evolution {
+				out := analytics.MergeEvolution(compactParts(parts))
+				out.T1, out.T2, out.Partial = int64(t1), int64(t2), errs
+				return *out
+			},
+			flags: func(m *wire.Evolution) (*bool, *bool) { return &m.Cached, &m.Coalesced },
 		})
-		if err != nil {
-			writeAllFailed(w, err)
-			return err
-		}
-		fm := v.(flightMerge)
-		out := fm.v.(wire.Evolution)
-		if shared {
-			server.Annotate(r.Context(), "cache", "coalesced")
-			out.Coalesced = true
-			server.WriteWire(w, r, http.StatusOK, out)
-			return nil
-		}
-		server.Annotate(r.Context(), "cache", "miss")
-		cached := out
-		cached.Cached, cached.Coalesced = true, false
-		co.writeMerged(w, codec, out, cached, key, maxT, fm.gen, fm.complete)
-		return nil
 	})
 }
 
@@ -289,14 +177,8 @@ func compactParts[T any](parts []*T) []*T {
 // --- PageRank job machine ---------------------------------------------
 
 func (co *Coordinator) handleAnalyticsPageRank(w http.ResponseWriter, r *http.Request) {
-	var req wire.PageRankRequest
-	if err := server.ReadBody(r, &req); err != nil {
-		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad pagerank body: %w", err))
-		return
-	}
-	server.NormalizePageRank(&req)
-	if _, err := historygraph.ParseAttrOptions(req.Attrs); err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
+	req, ok := server.ReadPageRankRequest(w, r)
+	if !ok {
 		return
 	}
 	if req.Wait {
@@ -319,16 +201,11 @@ func (co *Coordinator) handleAnalyticsPageRank(w http.ResponseWriter, r *http.Re
 		server.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	go func() {
-		start := time.Now()
+	go co.observeAnalytics(job.kind, func() error {
 		res, err := co.runPageRank(context.Background(), req)
-		status := "ok"
-		if job.finish(res, err) == "failed" {
-			status = "error"
-		}
-		co.an.jobsTotal.With(job.kind, status).Inc()
-		co.an.durations.With(job.kind).Observe(time.Since(start).Seconds())
-	}()
+		job.finish(res, err)
+		return err
+	})
 	server.WriteWire(w, r, http.StatusAccepted, wire.JobStatus{ID: job.id, Kind: job.kind, State: "running"})
 }
 
@@ -369,84 +246,23 @@ func (co *Coordinator) newJob(kind string) (*coJob, error) {
 	return j, nil
 }
 
-// prLeg binds one partition of a running PageRank job to the member that
-// holds its state.
-type prLeg struct {
-	part int
-	m    *member
-}
-
-// stickyRead is readFrom returning the member that answered: PageRank job
-// state is member-local, so later legs must go back to the same member
-// rather than through the read rotation.
-func stickyRead[T any](ctx, parent context.Context, rs *replicaSet, call func(cl *server.Client) (T, error)) (T, *member, error) {
-	var zero T
-	var lastErr error
-	for _, m := range rs.readOrder() {
-		begin := time.Now()
-		v, err := call(m.client)
-		if err == nil {
-			m.healthy.Store(true)
-			m.observeLatency(time.Since(begin))
-			return v, m, nil
-		}
-		var he *server.HTTPError
-		if errors.As(err, &he) && he.Status >= 400 && he.Status < 500 {
-			m.healthy.Store(true)
-			m.observeLatency(time.Since(begin))
-			return zero, nil, err
-		}
-		if parent.Err() != nil {
-			return zero, nil, err
-		}
-		m.healthy.Store(false)
-		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return zero, nil, lastErr
-}
-
-// prScatter runs one job phase against every leg concurrently, each call
-// bounded by the partition timeout and charged to the per-partition leg
-// metrics. Any leg failing fails the phase — a stateful superstep cannot
-// drop a partition and stay correct — with every completed leg's result
-// discarded by the caller.
-func prScatter[T any](co *Coordinator, parent context.Context, legs []prLeg, call func(ctx context.Context, leg prLeg) (T, error)) ([]T, error) {
-	results := make([]T, len(legs))
-	errs := make([]error, len(legs))
-	var wg sync.WaitGroup
-	for i, leg := range legs {
-		wg.Add(1)
-		go func(i int, leg prLeg) {
-			defer wg.Done()
-			part := strconv.Itoa(leg.part)
-			co.legs.With(part).Inc()
-			begin := time.Now()
-			ctx, cancel := context.WithTimeout(parent, co.timeout)
-			defer cancel()
-			v, err := call(ctx, leg)
-			co.legDur.With(part).Observe(time.Since(begin).Seconds())
-			if err != nil {
-				if parent.Err() != nil {
-					co.legCancels.With(part).Inc()
-				} else {
-					co.legFails.With(part).Inc()
-				}
-				errs[i] = fmt.Errorf("partition %d (%s): %w", leg.part, leg.m.url, err)
-				return
-			}
-			results[i] = v
-		}(i, leg)
-	}
-	wg.Wait()
-	for _, err := range errs {
+// prPhase runs one job phase on every partition's sticky member — the one
+// that answered the partition's prepare and holds its job state — as an
+// ordinary scatter. Any leg failing fails the phase: a stateful superstep
+// cannot drop a partition and stay correct.
+func prPhase[T any](co *Coordinator, rt *routing, parent context.Context, sticky []*member, call func(ctx reqCtx, cl *server.Client) (T, error)) ([]T, error) {
+	res, errs := scatter(co, rt, parent, func(ctx reqCtx, _ *replicaSet) (T, error) {
+		m := sticky[ctx.part]
+		v, err := call(ctx, m.client)
 		if err != nil {
-			return nil, err
+			err = fmt.Errorf("%s: %w", m.url, err)
 		}
+		return v, err
+	})
+	if len(errs) > 0 {
+		return nil, fmt.Errorf("partition %d: %s", errs[0].Partition, errs[0].Error)
 	}
-	return results, nil
+	return res, nil
 }
 
 // runPageRank drives one distributed PageRank job end to end: prepare
@@ -469,39 +285,31 @@ func (co *Coordinator) runPageRank(ctx context.Context, req wire.PageRankRequest
 
 	// Prepare: the member that answers owns the partition's job state for
 	// the rest of the run.
-	type prepOut struct {
-		m        *member
-		prepared *wire.PRPrepared
-	}
-	prep, errs := scatter(co, rt, ctx, func(sctx reqCtx, rs *replicaSet) (prepOut, error) {
-		v, m, err := stickyRead(sctx, ctx, rs, func(cl *server.Client) (*wire.PRPrepared, error) {
+	sticky := make([]*member, parts)
+	prep, errs := scatter(co, rt, ctx, func(sctx reqCtx, rs *replicaSet) (p *wire.PRPrepared, err error) {
+		p, sticky[sctx.part], err = readMember(sctx, ctx, rs, func(cl *server.Client) (*wire.PRPrepared, error) {
 			return cl.PRPrepareCtx(sctx, wire.PRPrepare{
 				Job: jobID, T: req.T, Attrs: req.Attrs,
 				Parts: parts, Self: sctx.part, Damping: req.Damping,
 			})
 		})
-		if err != nil {
-			return prepOut{}, err
-		}
-		return prepOut{m: m, prepared: v}, nil
+		return p, err
 	})
 	if len(errs) > 0 {
 		return nil, fmt.Errorf("pagerank prepare: partition %d: %s", errs[0].Partition, errs[0].Error)
 	}
-	legs := make([]prLeg, parts)
 	var n int64
 	var allPairs []int64
-	for p, po := range prep {
-		legs[p] = prLeg{part: p, m: po.m}
-		n += po.prepared.Nodes
-		allPairs = append(allPairs, po.prepared.Pairs...)
+	for _, p := range prep {
+		n += p.Nodes
+		allPairs = append(allPairs, p.Pairs...)
 	}
 	routed := analytics.RoutePairs(allPairs, parts)
 
 	// Start: every partition learns the global vertex count and the ghost
 	// adjacency the other partitions stored for its vertices.
-	if _, err := prScatter(co, ctx, legs, func(lctx context.Context, leg prLeg) (*wire.PRPrepared, error) {
-		return leg.m.client.PRStartCtx(lctx, wire.PRStart{Job: jobID, N: n, Ghosts: routed[leg.part]})
+	if _, err := prPhase(co, rt, ctx, sticky, func(lctx reqCtx, cl *server.Client) (*wire.PRPrepared, error) {
+		return cl.PRStartCtx(lctx, wire.PRStart{Job: jobID, N: n, Ghosts: routed[lctx.part]})
 	}); err != nil {
 		return nil, fmt.Errorf("pagerank start: %w", err)
 	}
@@ -520,10 +328,10 @@ func (co *Coordinator) runPageRank(ctx context.Context, req wire.PageRankRequest
 		if last {
 			sreq.TopK = req.TopK
 		}
-		res, err := prScatter(co, ctx, legs, func(lctx context.Context, leg prLeg) (*wire.PRStepResult, error) {
+		res, err := prPhase(co, rt, ctx, sticky, func(lctx reqCtx, cl *server.Client) (*wire.PRStepResult, error) {
 			r := sreq
-			r.Inbox = inboxes[leg.part]
-			return leg.m.client.PRStepCtx(lctx, r)
+			r.Inbox = inboxes[lctx.part]
+			return cl.PRStepCtx(lctx, r)
 		})
 		co.an.supersteps.Inc()
 		if err != nil {
@@ -549,7 +357,7 @@ func (co *Coordinator) runPageRank(ctx context.Context, req wire.PageRankRequest
 		}
 		inboxes = routeMessages(outs, parts)
 	}
-	return nil, fmt.Errorf("pagerank: zero iterations") // unreachable: NormalizePageRank floors Iterations at 1
+	return nil, fmt.Errorf("pagerank: zero iterations") // unreachable: ReadPageRankRequest floors Iterations at 1
 }
 
 // routeMessages is the superstep barrier: every partition's outgoing

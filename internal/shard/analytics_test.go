@@ -30,6 +30,7 @@ func (w *swapWorker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 // swapCluster is a sharded deployment whose workers can be killed and
 // restarted without their URLs changing.
 type swapCluster struct {
+	co      *Coordinator
 	client  *server.Client
 	slices  []historygraph.EventList
 	workers []*swapWorker
@@ -53,7 +54,7 @@ func newSwapCluster(t *testing.T, events historygraph.EventList, n int, cfg Conf
 	}
 	front := httptest.NewServer(co.Handler())
 	t.Cleanup(front.Close)
-	c.client = server.NewClient(front.URL)
+	c.co, c.client = co, server.NewClient(front.URL)
 	return c
 }
 

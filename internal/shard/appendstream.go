@@ -3,7 +3,7 @@ package shard
 // Streaming ingest through the coordinator: POST /append?stream=1 frames
 // are routed per partition as they arrive, with one worker goroutine per
 // partition consuming a bounded channel of frame slices. The worker calls
-// the same appendToSet machinery as a standalone append (batch-ID
+// the same appendBatchToSet machinery as a standalone append (batch-ID
 // idempotency, failover retry), so the partitions see a stream exactly as
 // a sequence of independent batches — but the reader keeps decoding the
 // next frame while earlier slices are still in flight, which is where the
@@ -14,7 +14,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -72,20 +71,11 @@ func (co *Coordinator) runStreamWorker(base context.Context, part int, rs *repli
 		co.cache.InvalidateFrom(sl.minAt)
 		if err != nil {
 			co.legFails.With(label).Inc()
-			pe := &server.PartitionError{Partition: part, Error: fmt.Sprintf("frame %d: %s", sl.frame, err)}
-			var he *server.HTTPError
-			if errors.As(err, &he) {
-				pe.Status = he.Status
-			}
-			wk.err = pe
+			pe := partitionError(part, fmt.Errorf("frame %d: %w", sl.frame, err))
+			wk.err = &pe
 			continue
 		}
-		wk.res.Appended += res.Appended
-		if res.LastTime > wk.res.LastTime {
-			wk.res.LastTime = res.LastTime
-		}
-		wk.res.Invalidated += res.Invalidated
-		wk.res.Deduped = wk.res.Deduped || res.Deduped
+		wk.res.Fold(*res)
 	}
 }
 
@@ -145,25 +135,10 @@ func (co *Coordinator) handleAppendStream(w http.ResponseWriter, r *http.Request
 			fail(http.StatusBadRequest, err)
 			return
 		}
-		// Fresh slices per frame: the workers retain them past this
-		// iteration, and the decoder's event slice is scratch.
-		perPart := make([]historygraph.EventList, len(rt.sets))
-		minAt := historygraph.Time(0)
-		for i, ej := range frame.Events {
-			ev, err := server.EventFromJSON(ej)
-			if err != nil {
-				fail(http.StatusBadRequest, fmt.Errorf("event %d: %w", i, err))
-				return
-			}
-			if err := Routable(ev); err != nil {
-				fail(http.StatusUnprocessableEntity, fmt.Errorf("event %d: %w", i, err))
-				return
-			}
-			p := rt.table.Partition(ev)
-			perPart[p] = append(perPart[p], ev)
-			if i == 0 || ev.At < minAt {
-				minAt = ev.At
-			}
+		perPart, minAt, status, err := routeEvents(rt, frame.Events)
+		if err != nil {
+			fail(status, err)
+			return
 		}
 		// Derive per-partition batch IDs: a client-tagged frame dedupes per
 		// partition across stream retries; an untagged frame gets a minted
@@ -192,12 +167,7 @@ func (co *Coordinator) handleAppendStream(w http.ResponseWriter, r *http.Request
 			errs = append(errs, *wk.err)
 			continue
 		}
-		out.Appended += wk.res.Appended
-		if wk.res.LastTime > out.LastTime {
-			out.LastTime = wk.res.LastTime
-		}
-		out.Invalidated += wk.res.Invalidated
-		out.Deduped = out.Deduped || wk.res.Deduped
+		out.Fold(wk.res)
 	}
 	if len(errs) == len(rt.sets) && frames > 0 {
 		writeAllFailed(w, co.allFailed(errs))

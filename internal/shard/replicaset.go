@@ -208,6 +208,14 @@ func splitSlow(tier []*member) (fast, slow []*member) {
 // not the member failing, and must not poison the member's routing state
 // (a leg-timeout expiry, by contrast, is the member's fault and does).
 func readFrom[T any](ctx, parent context.Context, rs *replicaSet, call func(cl *server.Client) (T, error)) (T, error) {
+	v, _, err := readMember(ctx, parent, rs, call)
+	return v, err
+}
+
+// readMember is readFrom that also names the member that answered: a
+// PageRank job's state is member-local, so its later legs must go back to
+// the same member rather than through the read rotation.
+func readMember[T any](ctx, parent context.Context, rs *replicaSet, call func(cl *server.Client) (T, error)) (T, *member, error) {
 	var zero T
 	var lastErr error
 	for _, m := range rs.readOrder() {
@@ -216,7 +224,7 @@ func readFrom[T any](ctx, parent context.Context, rs *replicaSet, call func(cl *
 		if err == nil {
 			m.healthy.Store(true)
 			m.observeLatency(time.Since(begin))
-			return v, nil
+			return v, m, nil
 		}
 		// A 4xx means the member answered and rejected the request — it is
 		// healthy (and its answer time is a real latency sample), and every
@@ -231,13 +239,13 @@ func readFrom[T any](ctx, parent context.Context, rs *replicaSet, call func(cl *
 			m.healthy.Store(true)
 			m.observeLatency(time.Since(begin))
 			if he.Status != http.StatusGone {
-				return zero, err
+				return zero, nil, err
 			}
 			lastErr = err
 			continue
 		}
 		if parent.Err() != nil {
-			return zero, err // canceled by the caller; the member is not at fault
+			return zero, nil, err // canceled by the caller; the member is not at fault
 		}
 		m.healthy.Store(false)
 		lastErr = err
@@ -245,10 +253,10 @@ func readFrom[T any](ctx, parent context.Context, rs *replicaSet, call func(cl *
 			break
 		}
 	}
-	return zero, lastErr
+	return zero, nil, lastErr
 }
 
-// newBatchID mints the idempotency ID appendToSet tags a batch with.
+// newBatchID mints the idempotency ID an append batch is tagged with.
 func newBatchID() string {
 	var b [12]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -257,20 +265,16 @@ func newBatchID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// appendToSet routes an append to the set's primary. On failure it runs a
-// failover (promote the most-caught-up reachable member) and retries once
-// against the new primary. One batch ID covers both attempts: if the
-// failed append actually committed on the old primary and replicated
-// before the error surfaced (a follower-ack timeout, or a response lost
-// after the WAL sync), the new primary recognizes the ID from the records
-// it mirrored and acks instead of logging and applying the events twice.
-func (co *Coordinator) appendToSet(ctx context.Context, rs *replicaSet, events historygraph.EventList) (*server.AppendResult, error) {
-	return co.appendBatchToSet(ctx, rs, events, newBatchID())
-}
-
-// appendBatchToSet is appendToSet under a caller-chosen batch ID — the
+// appendBatchToSet routes an append to the set's primary under the
+// caller's batch ID. On failure it runs a failover (promote the
+// most-caught-up reachable member) and retries once against the new
+// primary. One batch ID covers both attempts: if the failed append
+// actually committed on the old primary and replicated before the error
+// surfaced (a follower-ack timeout, or a response lost after the WAL
+// sync), the new primary recognizes the ID from the records it mirrored
+// and acks instead of logging and applying the events twice. The
 // streaming ingest path derives per-partition IDs from the client's frame
-// ID so a client that resends a frame after a broken stream dedupes.
+// ID, so a client that resends a frame after a broken stream dedupes too.
 func (co *Coordinator) appendBatchToSet(ctx context.Context, rs *replicaSet, events historygraph.EventList, batch string) (*server.AppendResult, error) {
 	pm := rs.primaryMember()
 	res, err := pm.client.AppendBatchCtx(ctx, events, batch)

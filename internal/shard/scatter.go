@@ -60,13 +60,8 @@ func scatter[T any](co *Coordinator, rt *routing, parent context.Context, call f
 				} else {
 					co.legFails.With(part).Inc()
 				}
-				pe := server.PartitionError{Partition: i, Error: err.Error()}
-				var he *server.HTTPError
-				if errors.As(err, &he) {
-					pe.Status = he.Status
-				}
 				mu.Lock()
-				errs = append(errs, pe)
+				errs = append(errs, partitionError(i, err))
 				mu.Unlock()
 				return
 			}
@@ -76,6 +71,18 @@ func scatter[T any](co *Coordinator, rt *routing, parent context.Context, call f
 	wg.Wait()
 	sort.Slice(errs, func(a, b int) bool { return errs[a].Partition < errs[b].Partition })
 	return results, errs
+}
+
+// partitionError reports partition part's failed leg: the error's text
+// and, when a member answered with one, its HTTP status — what allFailed
+// and the 410 epoch-fence retries decide on.
+func partitionError(part int, err error) server.PartitionError {
+	pe := server.PartitionError{Partition: part, Error: err.Error()}
+	var he *server.HTTPError
+	if errors.As(err, &he) {
+		pe.Status = he.Status
+	}
+	return pe
 }
 
 // staleEpoch reports whether any leg failed the routing-epoch fence: a

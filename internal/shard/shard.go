@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -112,10 +113,10 @@ type Coordinator struct {
 	legWire   string // codec name scatter-leg clients are built with
 	timeout   time.Duration
 	streamCap time.Duration // total merged-stream delivery bound
-	runSize   int           // elements per merged stream frame
+	runSize   int           // elements per merged stream frame (0: the wire default)
 	mux       *http.ServeMux
 	flights   server.FlightGroup
-	cache     *cache.Cache[cache.Body] // merged-response cache; nil (inert) when disabled
+	cache     server.BodyCache // merged-response cache (inert when disabled) + the encode counter
 
 	// appendGate serializes appends against a reshard cutover: every
 	// append scatter holds it shared, the cutover holds it exclusively —
@@ -140,7 +141,6 @@ type Coordinator struct {
 	failovers  *metrics.Counter      // primary promotions
 	reshards   *metrics.Counter      // completed reshard cutovers
 	reroutes   *metrics.Counter      // scatters replanned after a 410 epoch fence
-	encodes    *metrics.Counter      // response-body encode executions (cache hits do none)
 	legs       *metrics.CounterVec   // fan-out legs launched, by partition
 	legFails   *metrics.CounterVec   // legs that failed (timeout, transport, 5xx)
 	legCancels *metrics.CounterVec   // legs abandoned because the client went away
@@ -210,13 +210,9 @@ func NewReplicated(peerSets [][]string, cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	runSize := cfg.StreamRun
-	if runSize <= 0 {
-		runSize = wire.DefaultRunSize
-	}
 	co := &Coordinator{
 		hc: hc, legWire: legWire.Name(),
-		timeout: timeout, streamCap: streamTimeoutFactor * timeout, runSize: runSize,
+		timeout: timeout, streamCap: streamTimeoutFactor * timeout, runSize: cfg.StreamRun,
 		stop: make(chan struct{}),
 	}
 	reg := cfg.Metrics
@@ -233,7 +229,6 @@ func NewReplicated(peerSets [][]string, cfg Config) (*Coordinator, error) {
 		func() float64 { return float64(co.rt().epoch()) })
 	reg.GaugeFunc("dg_shard_partitions", "Partitions in the installed routing table.",
 		func() float64 { return float64(len(co.rt().sets)) })
-	co.encodes = reg.Counter("dg_encodes_total", "Merged-response body encode executions.")
 	co.legs = reg.CounterVec("dg_shard_legs_total", "Fan-out legs launched, by partition.", "partition")
 	co.legFails = reg.CounterVec("dg_shard_leg_failures_total", "Fan-out legs that failed, by partition.", "partition")
 	co.legCancels = reg.CounterVec("dg_shard_leg_cancels_total", "Fan-out legs canceled because the client went away, by partition.", "partition")
@@ -246,7 +241,10 @@ func NewReplicated(peerSets [][]string, cfg Config) (*Coordinator, error) {
 	// served by another caller's in-flight fan-out.
 	lv := cache.NewLevels(reg)
 	co.flights.Hits, co.flights.Misses = lv.Flight()
-	co.cache = cache.New(lv, "merged", cfg.CacheSize, DefaultCacheSize, cache.Options[cache.Body]{TTL: cfg.CacheTTL})
+	co.cache = server.BodyCache{
+		Cache:   cache.New(lv, "merged", cfg.CacheSize, DefaultCacheSize, cache.Options[cache.Body]{TTL: cfg.CacheTTL}),
+		Encodes: reg.Counter("dg_encodes_total", "Merged-response body encode executions."),
+	}
 	var sets []*replicaSet
 	for p, set := range peerSets {
 		if len(set) == 0 {
@@ -342,7 +340,7 @@ func (co *Coordinator) Fanouts() int64 { return co.fanouts.Value() }
 // cacheable data plane executed. A merged-response cache hit writes the
 // stored bytes without encoding, so tests assert hits leave this counter
 // untouched.
-func (co *Coordinator) Encodes() int64 { return co.encodes.Value() }
+func (co *Coordinator) Encodes() int64 { return co.cache.Encodes.Value() }
 
 // Failovers reports how many primary promotions the coordinator ran.
 func (co *Coordinator) Failovers() int64 { return co.failovers.Value() }
@@ -414,14 +412,6 @@ func writeAllFailed(w http.ResponseWriter, err error) {
 	server.WriteError(w, status, err)
 }
 
-// flightMerge is what a fan-out flight hands every caller waiting on it:
-// the merged response plus the cache bookkeeping the leader snapshotted.
-type flightMerge struct {
-	v        any
-	gen      int64
-	complete bool // every partition answered — cacheable
-}
-
 // cacheKey appends the encoding dimension to a flight key: the cache
 // stores encoded bodies, so the same merged response occupies one entry
 // per encoding it was actually served in (codec names plus "stream" for
@@ -430,124 +420,34 @@ func cacheKey(key string, name string) string {
 	return key + "|" + name
 }
 
-// writeCached serves a merged-response cache hit: one Write of the stored
-// pre-encoded body — no fan-out, no merge, and no encode work at all.
-func (co *Coordinator) writeCached(w http.ResponseWriter, codec wire.Codec, key string) bool {
-	body, ok := co.cache.Get(cacheKey(key, codec.Name()))
-	if ok {
-		w.Header().Set("Content-Type", body.ContentType)
-		w.WriteHeader(http.StatusOK)
-		w.Write(body.Bytes)
-	}
-	return ok
-}
-
-// encode serializes one response body via codec, counting the execution
-// (the zero-encode cache-hit guarantee is asserted against this counter).
-func (co *Coordinator) encode(codec wire.Codec, v any) ([]byte, error) {
-	co.encodes.Inc()
-	return codec.Encode(v)
-}
-
-// writeMerged writes a merged response and, when cacheable, registers the
-// exact bytes (or, for responses whose hit form differs — the Cached flag
-// flips on — a re-encoded cached variant) under the codec-scoped key.
-// cachedVariant may equal v.
-func (co *Coordinator) writeMerged(w http.ResponseWriter, codec wire.Codec, v any, cachedVariant any, key string, maxT historygraph.Time, gen int64, cacheable bool) {
-	body, err := co.encode(codec, v)
-	if err != nil {
-		// The negotiated codec cannot encode this body; fall back to JSON
-		// (and do not cache — the stored content type would lie).
-		server.WriteJSON(w, http.StatusOK, v)
-		return
-	}
-	w.Header().Set("Content-Type", codec.ContentType())
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
-	if !cacheable || co.cache == nil {
-		return
-	}
-	cachedBody := body
-	if cachedVariant != nil {
-		if cachedBody, err = co.encode(codec, cachedVariant); err != nil {
-			return
-		}
-	}
-	co.cache.Insert(cacheKey(key, codec.Name()), cache.Entry[cache.Body]{
-		At: maxT, Value: cache.Body{Bytes: cachedBody, ContentType: codec.ContentType()},
-	}, gen)
-}
-
 func (co *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	t, err := server.ParseTimeParam(q.Get("t"))
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
+	q, ok := server.ReadQuery(w, r, true)
+	if !ok {
 		return
 	}
-	attrs := q.Get("attrs")
-	if _, err := historygraph.ParseAttrOptions(attrs); err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	full := server.BoolParam(q.Get("full"))
-	key := fmt.Sprintf("snap|%d|%s|%t", t, attrs, full)
-	server.Annotate(r.Context(), "partitions", strconv.Itoa(co.NumPartitions()))
-	if full && wire.WantsStream(r.Header.Get("Accept")) {
+	key := fmt.Sprintf("snap|%d|%s|%t", q.T, q.Attrs, q.Full)
+	if q.Full && wire.WantsStream(r.Header.Get("Accept")) {
 		// Chunked stream: the scatter legs are consumed run by run and
 		// merged incrementally — coordinator memory stays proportional to
 		// run size × partitions, not to the snapshot.
-		co.streamSnapshot(w, r, t, attrs, key)
+		co.streamSnapshot(w, r, q.T, q.Attrs, key)
 		return
 	}
-	codec := wire.Negotiate(r.Header.Get("Accept"))
-	if co.writeCached(w, codec, key) {
-		server.Annotate(r.Context(), "cache", "merged-hit")
-		return // pre-encoded hit: zero fan-out, zero encode
-	}
-	// The fan-out is detached from this request's cancellation (but keeps
-	// its request ID): the flight may be shared with coalesced waiters
-	// whose clients are still listening, so one leader disconnecting must
-	// not kill everyone's merge. A lone abandoned fan-out still ends at
-	// the partition timeout.
-	parent := context.WithoutCancel(r.Context())
-	v, shared, err := co.flights.Do(key, func() (any, error) {
-		co.fanouts.Inc()
-		gen := co.cache.Gen()
-		parts, errs, rt := scatterRead(co, parent, func(ctx reqCtx, cl *server.Client) (*server.SnapshotJSON, error) {
-			return cl.SnapshotCtx(ctx, t, attrs, full)
-		})
-		if len(errs) == len(rt.sets) {
-			return nil, co.allFailed(errs)
-		}
-		co.notePartial(errs, len(rt.sets))
-		return flightMerge{v: mergeSnapshots(int64(t), parts, errs), gen: gen, complete: len(errs) == 0}, nil
+	serveRead(co, w, r, read[*server.SnapshotJSON, server.SnapshotJSON]{
+		key: key, maxT: q.T, coalesce: true,
+		leg: func(ctx reqCtx, cl *server.Client) (*server.SnapshotJSON, error) {
+			return cl.SnapshotCtx(ctx, q.T, q.Attrs, q.Full)
+		},
+		merge: func(parts []*server.SnapshotJSON, errs []server.PartitionError) server.SnapshotJSON {
+			return mergeSnapshots(int64(q.T), parts, errs)
+		},
+		flags: func(m *server.SnapshotJSON) (*bool, *bool) { return &m.Cached, &m.Coalesced },
 	})
-	if err != nil {
-		writeAllFailed(w, err)
-		return
-	}
-	fm := v.(flightMerge)
-	out := fm.v.(server.SnapshotJSON)
-	if shared {
-		// Waiters serve the shared merge but leave caching to the leader.
-		server.Annotate(r.Context(), "cache", "coalesced")
-		out.Coalesced = true
-		server.WriteWire(w, r, http.StatusOK, out)
-		return
-	}
-	server.Annotate(r.Context(), "cache", "miss")
-	// A later hit answers exactly like a worker-cache hit: Cached flips on.
-	cached := out
-	cached.Cached, cached.Coalesced = true, false
-	co.writeMerged(w, codec, out, cached, key, t, fm.gen, fm.complete)
 }
 
 func (co *Coordinator) handleNeighbors(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	t, err := server.ParseTimeParam(q.Get("t"))
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
+	q, ok := server.ReadQuery(w, r, true)
+	if !ok {
 		return
 	}
 	nodeRaw := q.Get("node")
@@ -556,160 +456,77 @@ func (co *Coordinator) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad node %q", nodeRaw))
 		return
 	}
-	attrs := q.Get("attrs")
-	if _, err := historygraph.ParseAttrOptions(attrs); err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
 	// A node's incident edges are scattered across partitions (each edge
 	// lives with its From endpoint), so the neighborhood is the union of
 	// every partition's local adjacency.
-	codec := wire.Negotiate(r.Header.Get("Accept"))
-	key := fmt.Sprintf("nbr|%d|%d|%s", t, node, attrs)
-	server.Annotate(r.Context(), "partitions", strconv.Itoa(co.NumPartitions()))
-	if co.writeCached(w, codec, key) {
-		server.Annotate(r.Context(), "cache", "merged-hit")
-		return
-	}
-	parent := context.WithoutCancel(r.Context())
-	v, shared, err := co.flights.Do(key, func() (any, error) {
-		co.fanouts.Inc()
-		gen := co.cache.Gen()
-		parts, errs, rt := scatterRead(co, parent, func(ctx reqCtx, cl *server.Client) (*server.NeighborsJSON, error) {
-			return cl.NeighborsCtx(ctx, t, historygraph.NodeID(node), attrs)
-		})
-		if len(errs) == len(rt.sets) {
-			return nil, co.allFailed(errs)
-		}
-		co.notePartial(errs, len(rt.sets))
-		return flightMerge{v: mergeNeighbors(int64(t), node, parts, errs), gen: gen, complete: len(errs) == 0}, nil
+	serveRead(co, w, r, read[*server.NeighborsJSON, server.NeighborsJSON]{
+		key: fmt.Sprintf("nbr|%d|%d|%s", q.T, node, q.Attrs), maxT: q.T, coalesce: true,
+		leg: func(ctx reqCtx, cl *server.Client) (*server.NeighborsJSON, error) {
+			return cl.NeighborsCtx(ctx, q.T, historygraph.NodeID(node), q.Attrs)
+		},
+		merge: func(parts []*server.NeighborsJSON, errs []server.PartitionError) server.NeighborsJSON {
+			return mergeNeighbors(int64(q.T), node, parts, errs)
+		},
+		flags: func(m *server.NeighborsJSON) (*bool, *bool) { return &m.Cached, nil },
 	})
-	if err != nil {
-		writeAllFailed(w, err)
-		return
-	}
-	fm := v.(flightMerge)
-	out := fm.v.(server.NeighborsJSON)
-	if shared {
-		server.Annotate(r.Context(), "cache", "coalesced")
-		server.WriteWire(w, r, http.StatusOK, out)
-		return
-	}
-	server.Annotate(r.Context(), "cache", "miss")
-	cached := out
-	cached.Cached = true
-	co.writeMerged(w, codec, out, cached, key, t, fm.gen, fm.complete)
 }
 
 func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	var times []historygraph.Time
-	maxT := historygraph.Time(0)
-	for _, part := range strings.Split(q.Get("t"), ",") {
-		t, err := server.ParseTimeParam(strings.TrimSpace(part))
-		if err != nil {
-			server.WriteError(w, http.StatusBadRequest, err)
-			return
-		}
-		times = append(times, t)
-		if t > maxT {
-			maxT = t
-		}
-	}
-	attrs := q.Get("attrs")
-	if _, err := historygraph.ParseAttrOptions(attrs); err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
+	q, times, ok := server.ReadBatchQuery(w, r)
+	if !ok {
 		return
 	}
-	full := server.BoolParam(q.Get("full"))
-	codec := wire.Negotiate(r.Header.Get("Accept"))
-	key := fmt.Sprintf("batch|%s|%s|%t", q.Get("t"), attrs, full)
-	if co.writeCached(w, codec, key) {
-		server.Annotate(r.Context(), "cache", "merged-hit")
-		return
-	}
-	server.Annotate(r.Context(), "cache", "miss")
-	gen := co.cache.Gen()
-	co.fanouts.Inc()
-	// Direct paths (no flight sharing) propagate the client's own
-	// cancellation: a closed connection cancels every leg immediately.
-	parts, errs, rt := scatterRead(co, r.Context(), func(ctx reqCtx, cl *server.Client) ([]server.SnapshotJSON, error) {
-		batch, err := cl.SnapshotsCtx(ctx, times, attrs, full)
-		if err != nil {
-			return nil, err
-		}
-		if len(batch) != len(times) {
-			return nil, fmt.Errorf("partition answered %d snapshots for %d timepoints", len(batch), len(times))
-		}
-		return batch, nil
-	})
-	if len(errs) == len(rt.sets) {
-		writeAllFailed(w, co.allFailed(errs))
-		return
-	}
-	co.notePartial(errs, len(rt.sets))
-	out := make([]server.SnapshotJSON, len(times))
-	for i, t := range times {
-		slice := make([]*server.SnapshotJSON, len(parts))
-		for p, batch := range parts {
-			if batch != nil {
-				slice[p] = &batch[i]
+	// Batch hits replay the stored body as-is (no flags), so the served
+	// bytes and the cached bytes are one and the same encode; and a batch
+	// is not coalesced, so a closed connection cancels every leg at once.
+	serveRead(co, w, r, read[[]server.SnapshotJSON, []server.SnapshotJSON]{
+		key: fmt.Sprintf("batch|%s|%s|%t", q.Get("t"), q.Attrs, q.Full), maxT: slices.Max(times),
+		leg: func(ctx reqCtx, cl *server.Client) ([]server.SnapshotJSON, error) {
+			batch, err := cl.SnapshotsCtx(ctx, times, q.Attrs, q.Full)
+			if err == nil && len(batch) != len(times) {
+				err = fmt.Errorf("partition answered %d snapshots for %d timepoints", len(batch), len(times))
 			}
-		}
-		out[i] = mergeSnapshots(int64(t), slice, errs)
-	}
-	// Batch hits replay the stored body as-is (no Cached flip), so the
-	// served bytes and the cached bytes are one and the same encode.
-	co.writeMerged(w, codec, out, nil, key, maxT, gen, len(errs) == 0)
+			return batch, err
+		},
+		merge: func(parts [][]server.SnapshotJSON, errs []server.PartitionError) []server.SnapshotJSON {
+			out := make([]server.SnapshotJSON, len(times))
+			for i, t := range times {
+				slice := make([]*server.SnapshotJSON, len(parts))
+				for p, batch := range parts {
+					if batch != nil {
+						slice[p] = &batch[i]
+					}
+				}
+				out[i] = mergeSnapshots(int64(t), slice, errs)
+			}
+			return out
+		},
+	})
 }
 
 func (co *Coordinator) handleInterval(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	from, err1 := server.ParseTimeParam(q.Get("from"))
-	to, err2 := server.ParseTimeParam(q.Get("to"))
-	if err1 != nil || err2 != nil {
-		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("interval wants numeric from/to"))
+	q, from, to, ok := server.ReadSpanQuery(w, r, "interval", "from", "to")
+	if !ok {
 		return
 	}
-	attrs := q.Get("attrs")
-	if _, err := historygraph.ParseAttrOptions(attrs); err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	full := server.BoolParam(q.Get("full"))
-	parts, errs, rt := scatterRead(co, r.Context(), func(ctx reqCtx, cl *server.Client) (*server.IntervalJSON, error) {
-		return cl.IntervalCtx(ctx, from, to, attrs, full)
-	})
-	if len(errs) == len(rt.sets) {
-		writeAllFailed(w, co.allFailed(errs))
-		return
-	}
-	co.notePartial(errs, len(rt.sets))
-	server.WriteWire(w, r, http.StatusOK, mergeIntervals(parts, errs))
+	serveUncached(co, w, r, func(ctx reqCtx, cl *server.Client) (*server.IntervalJSON, error) {
+		return cl.IntervalCtx(ctx, from, to, q.Attrs, q.Full)
+	}, mergeIntervals)
 }
 
 func (co *Coordinator) handleExpr(w http.ResponseWriter, r *http.Request) {
-	var req server.ExprRequest
-	if err := server.ReadBody(r, &req); err != nil {
-		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad expr body: %w", err))
-		return
-	}
-	if _, err := server.ParseTimeExpr(req.Expr, len(req.Times)); err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
+	req, _, ok := server.ReadExprRequest(w, r)
+	if !ok {
 		return
 	}
 	// A TimeExpression decides membership element by element, and every
 	// element's history is confined to one partition — so evaluating the
 	// expression per partition and unioning is exact.
-	parts, errs, rt := scatterRead(co, r.Context(), func(ctx reqCtx, cl *server.Client) (*server.SnapshotJSON, error) {
+	serveUncached(co, w, r, func(ctx reqCtx, cl *server.Client) (*server.SnapshotJSON, error) {
 		return cl.ExprCtx(ctx, req)
+	}, func(parts []*server.SnapshotJSON, errs []server.PartitionError) server.SnapshotJSON {
+		return mergeSnapshots(0, parts, errs)
 	})
-	if len(errs) == len(rt.sets) {
-		writeAllFailed(w, co.allFailed(errs))
-		return
-	}
-	co.notePartial(errs, len(rt.sets))
-	server.WriteWire(w, r, http.StatusOK, mergeSnapshots(0, parts, errs))
 }
 
 func (co *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
@@ -722,26 +539,6 @@ func (co *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad append body: %w", err))
 		return
 	}
-	events := make(historygraph.EventList, 0, len(body))
-	minAt := historygraph.Time(0)
-	for i, ej := range body {
-		ev, err := server.EventFromJSON(ej)
-		if err != nil {
-			server.WriteError(w, http.StatusBadRequest, err)
-			return
-		}
-		// Reject before anything is scattered: an unroutable edge event
-		// would land on the wrong partition and silently diverge the
-		// cluster from its event history (see Routable).
-		if err := Routable(ev); err != nil {
-			server.WriteError(w, http.StatusUnprocessableEntity, fmt.Errorf("event %d: %w", i, err))
-			return
-		}
-		events = append(events, ev)
-		if i == 0 || ev.At < minAt {
-			minAt = ev.At
-		}
-	}
 	// The append gate is held shared across the split and the scatter: a
 	// reshard cutover takes it exclusively, so the routing captured here
 	// stays installed for the whole append and the cutover's head freeze
@@ -749,10 +546,10 @@ func (co *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 	co.appendGate.RLock()
 	defer co.appendGate.RUnlock()
 	rt := co.rt()
-	perPart := make([]historygraph.EventList, len(rt.sets))
-	for _, ev := range events {
-		p := rt.table.Partition(ev)
-		perPart[p] = append(perPart[p], ev)
+	perPart, minAt, status, err := routeEvents(rt, body)
+	if err != nil {
+		server.WriteError(w, status, err)
+		return
 	}
 	// Every partition's primary gets its slice (possibly empty — an empty
 	// append still reports the worker's last_time, keeping the merged
@@ -789,19 +586,39 @@ func (co *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 	co.notePartial(errs, len(rt.sets))
 	out := server.AppendResult{Partial: errs}
 	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		out.Appended += p.Appended
-		out.Invalidated += p.Invalidated
-		// A retried batch resumes on whichever partitions already logged
-		// it; surfacing the flag tells the client its retry was absorbed.
-		out.Deduped = out.Deduped || p.Deduped
-		if p.LastTime > out.LastTime {
-			out.LastTime = p.LastTime
+		if p != nil {
+			out.Fold(*p)
 		}
 	}
 	server.WriteWire(w, r, http.StatusOK, out)
+}
+
+// routeEvents decodes one wire batch and splits it by owning partition
+// under rt, for the per-request and the streaming append alike. It refuses
+// the whole batch before anything is scattered: a malformed event is the
+// client's 400, and an unroutable edge event a 422 — it would land on the
+// wrong partition and silently diverge the cluster from its event history
+// (see Routable). minAt is the batch's earliest timestamp, the cut merged
+// responses are invalidated from.
+func routeEvents(rt *routing, body []server.EventJSON) (perPart []historygraph.EventList, minAt historygraph.Time, status int, err error) {
+	// Fresh slices per batch: stream workers retain them past the frame,
+	// whose event slice is decoder scratch.
+	perPart = make([]historygraph.EventList, len(rt.sets))
+	for i, ej := range body {
+		ev, err := server.EventFromJSON(ej)
+		if err != nil {
+			return nil, 0, http.StatusBadRequest, fmt.Errorf("event %d: %w", i, err)
+		}
+		if err := Routable(ev); err != nil {
+			return nil, 0, http.StatusUnprocessableEntity, fmt.Errorf("event %d: %w", i, err)
+		}
+		p := rt.table.Partition(ev)
+		perPart[p] = append(perPart[p], ev)
+		if i == 0 || ev.At < minAt {
+			minAt = ev.At
+		}
+	}
+	return perPart, minAt, 0, nil
 }
 
 // retryGoneAppends re-routes the 410-fenced legs of an append scatter: a
@@ -845,21 +662,10 @@ func (co *Coordinator) retryGoneAppends(parent context.Context, old *routing, pa
 				ferr = fmt.Errorf("rerouted to partition %d: %w", np, err)
 				break
 			}
-			agg.Appended += res.Appended
-			agg.Invalidated += res.Invalidated
-			agg.Deduped = agg.Deduped || res.Deduped
-			if res.LastTime > agg.LastTime {
-				agg.LastTime = res.LastTime
-			}
+			agg.Fold(*res)
 		}
 		if ferr != nil {
-			pe.Error = ferr.Error()
-			pe.Status = 0
-			var he *server.HTTPError
-			if errors.As(ferr, &he) {
-				pe.Status = he.Status
-			}
-			kept = append(kept, pe)
+			kept = append(kept, partitionError(pe.Partition, ferr))
 			continue
 		}
 		parts[pe.Partition] = agg
@@ -942,7 +748,7 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		Reshards:         co.reshards.Value(),
 		Reroutes:         co.reroutes.Value(),
 	}
-	if co.cache != nil {
+	if co.cache.Cache != nil {
 		cs := CoCacheStatsJSON(co.cache.Stats())
 		out.Cache = &cs
 	}

@@ -364,19 +364,6 @@ func TestShardPartialFailure(t *testing.T) {
 	}
 }
 
-// TestShardAllPartitionsDown: total failure is an error, not an empty
-// 200.
-func TestShardAllPartitionsDown(t *testing.T) {
-	events := testEvents()
-	c := newCluster(t, events, 2, Config{})
-	for _, hs := range c.httpSrvs {
-		hs.Close()
-	}
-	if _, err := c.client.Snapshot(100, "", false); err == nil {
-		t.Fatal("snapshot with every partition down should fail")
-	}
-}
-
 // TestShardPartitionTimeout: a hung partition is cut off at the
 // per-partition timeout and reported, without stalling the response.
 func TestShardPartitionTimeout(t *testing.T) {
@@ -579,39 +566,6 @@ func TestCoordinatorCacheTTL(t *testing.T) {
 	}
 	if got := c.co.Fanouts(); got != 2 {
 		t.Fatalf("expired entry should re-scatter: %d fan-outs, want 2", got)
-	}
-}
-
-// TestCoordinatorCachePartialNotAdmitted: a response missing a partition
-// must not be served from the merged-response cache once the partition is
-// back.
-func TestCoordinatorCachePartialNotAdmitted(t *testing.T) {
-	events := testEvents()
-	c := newCluster(t, events, 2, Config{PartitionTimeout: 2 * time.Second})
-	var last historygraph.Time
-	for _, w := range c.workers {
-		if lt := w.LastTime(); lt > last {
-			last = lt
-		}
-	}
-	c.httpSrvs[1].Close()
-	partial, err := c.client.Snapshot(last/2, "", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(partial.Partial) != 1 {
-		t.Fatalf("partial list %+v, want one dead partition", partial.Partial)
-	}
-	before := c.co.Fanouts()
-	again, err := c.client.Snapshot(last/2, "", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.co.Fanouts() == before {
-		t.Fatal("partial response was served from the merged-response cache")
-	}
-	if again.Cached {
-		t.Fatal("partial response must not claim a cache hit")
 	}
 }
 

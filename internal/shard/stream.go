@@ -20,8 +20,6 @@ package shard
 
 import (
 	"context"
-	"errors"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -151,13 +149,8 @@ func (co *Coordinator) openStreams(rt *routing, parent context.Context, t histor
 				} else {
 					co.legFails.With(part).Inc()
 				}
-				pe := server.PartitionError{Partition: i, Error: err.Error()}
-				var he *server.HTTPError
-				if errors.As(err, &he) {
-					pe.Status = he.Status
-				}
 				mu.Lock()
-				errs = append(errs, pe)
+				errs = append(errs, partitionError(i, err))
 				mu.Unlock()
 				return
 			}
@@ -175,11 +168,8 @@ func (co *Coordinator) openStreams(rt *routing, parent context.Context, t histor
 // fan-out and no encode.
 func (co *Coordinator) streamSnapshot(w http.ResponseWriter, r *http.Request, t historygraph.Time, attrs string, key string) {
 	ck := cacheKey(key, wire.NameBinaryStream)
-	if body, ok := co.cache.Get(ck); ok {
+	if co.cache.WriteHit(w, ck) {
 		server.Annotate(r.Context(), "cache", "merged-hit")
-		w.Header().Set("Content-Type", body.ContentType)
-		w.WriteHeader(http.StatusOK)
-		w.Write(body.Bytes)
 		return
 	}
 	server.Annotate(r.Context(), "cache", "miss")
@@ -243,7 +233,7 @@ func (co *Coordinator) streamSnapshot(w http.ResponseWriter, r *http.Request, t 
 				} else {
 					co.legFails.With(strconv.Itoa(l.part)).Inc()
 				}
-				errs = append(errs, server.PartitionError{Partition: l.part, Error: l.err.Error()})
+				errs = append(errs, partitionError(l.part, l.err))
 				l.close()
 			} else {
 				kept = append(kept, l)
@@ -252,27 +242,12 @@ func (co *Coordinator) streamSnapshot(w http.ResponseWriter, r *http.Request, t 
 		live = kept
 	}
 
-	w.Header().Set("Content-Type", wire.ContentTypeBinaryStream)
-	w.WriteHeader(http.StatusOK)
-	var sink io.Writer = w
-	var capture *wire.CappedBuffer
-	if co.cache != nil {
-		capture = &wire.CappedBuffer{Max: wire.MaxCachedBody}
-		sink = io.MultiWriter(w, capture)
-	}
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	se := wire.NewStreamEncoder(sink)
+	se, admit := co.cache.Stream(w, co.runSize, ck)
 
 	// Node phase: emit the globally smallest next node ID until every leg
 	// has left its node phase. Linear scan per element — partition counts
 	// are small and the runs behind the cursors are contiguous memory.
 	nodesOut, edgesOut := 0, 0
-	nrun := make([]wire.Node, 0, co.runSize)
 	for {
 		var best *legStream
 		var bestNode wire.Node
@@ -286,24 +261,12 @@ func (co *Coordinator) streamSnapshot(w http.ResponseWriter, r *http.Request, t 
 			break
 		}
 		best.ni++
-		nrun = append(nrun, bestNode)
 		nodesOut++
-		if len(nrun) == co.runSize {
-			if se.Nodes(nrun) != nil {
-				return // client went away; abandon (stream stays truncated)
-			}
-			nrun = nrun[:0]
-			flush()
+		if se.Node(bestNode) != nil {
+			return // client went away; abandon (stream stays truncated)
 		}
-	}
-	if len(nrun) > 0 {
-		if se.Nodes(nrun) != nil {
-			return
-		}
-		flush()
 	}
 	// Edge phase, identically.
-	erun := make([]wire.Edge, 0, co.runSize)
 	for {
 		var best *legStream
 		var bestEdge wire.Edge
@@ -317,21 +280,10 @@ func (co *Coordinator) streamSnapshot(w http.ResponseWriter, r *http.Request, t 
 			break
 		}
 		best.ei++
-		erun = append(erun, bestEdge)
 		edgesOut++
-		if len(erun) == co.runSize {
-			if se.Edges(erun) != nil {
-				return
-			}
-			erun = erun[:0]
-			flush()
-		}
-	}
-	if len(erun) > 0 {
-		if se.Edges(erun) != nil {
+		if se.Edge(bestEdge) != nil {
 			return
 		}
-		flush()
 	}
 	for _, l := range live {
 		l.drainSummary()
@@ -351,15 +303,11 @@ func (co *Coordinator) streamSnapshot(w http.ResponseWriter, r *http.Request, t 
 	if se.Summary(&sum) != nil {
 		return
 	}
-	// No flush: the summary leaves when the handler returns, after the
-	// body is registered, so a client that has seen the whole stream
-	// finds its repeat request cached.
+	// The summary is not flushed: it leaves when the handler returns,
+	// after the body is registered, so a client that has seen the whole
+	// stream finds its repeat request cached.
 	co.notePartial(errs, len(rt.sets))
-	if capture != nil && len(errs) == 0 {
-		if body, ok := capture.Bytes(); ok {
-			co.cache.Insert(ck, cache.Entry[cache.Body]{
-				At: t, Value: cache.Body{Bytes: body, ContentType: wire.ContentTypeBinaryStream},
-			}, gen)
-		}
+	if len(errs) == 0 {
+		admit(cache.Entry[cache.Body]{At: t}, gen)
 	}
 }

@@ -82,7 +82,7 @@ func (e *AppendStreamEncoder) Events(batch string, events []Event) error {
 		EncodeEventTo(e.enc, events[i])
 	}
 	e.frames++
-	return e.writeFrame()
+	return e.writeFrame(nil)
 }
 
 // End terminates the stream with the integrity frame. No frame may follow

@@ -136,7 +136,7 @@ func TestAppendStreamEndCountMismatch(t *testing.T) {
 	// Forge an end frame claiming 9 frames.
 	enc.enc.Byte(frameAppendEnd)
 	enc.enc.Uvarint(9)
-	if err := enc.writeFrame(); err != nil {
+	if err := enc.writeFrame(nil); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := NewAppendStreamDecoder(bytes.NewReader(buf.Bytes()))

@@ -512,13 +512,37 @@ func decodeAttrs(d *Decoder) map[string]string {
 	return m
 }
 
+// encodeNode writes one node of an ID-sorted sequence, its ID as the
+// delta from *prev (which it advances). Whole-message lists and stream
+// runs share these element codecs, so the two forms cannot drift.
+func encodeNode(e *Encoder, prev *int64, n *Node) {
+	e.Varint(n.ID - *prev)
+	*prev = n.ID
+	encodeAttrs(e, n.Attrs)
+}
+
+func decodeNode(d *Decoder, prev *int64) Node {
+	*prev += d.Varint()
+	return Node{ID: *prev, Attrs: decodeAttrs(d)}
+}
+
+func encodeEdge(e *Encoder, prev *int64, ed *Edge) {
+	e.Varint(ed.ID - *prev)
+	*prev = ed.ID
+	e.Varint(ed.From)
+	e.Varint(ed.To)
+	e.Bool(ed.Directed)
+	encodeAttrs(e, ed.Attrs)
+}
+
+func decodeEdge(d *Decoder, prev *int64) Edge {
+	*prev += d.Varint()
+	return Edge{ID: *prev, From: d.Varint(), To: d.Varint(), Directed: d.Bool(), Attrs: decodeAttrs(d)}
+}
+
 func encodeNodes(e *Encoder, nodes []Node) {
 	prev := int64(0)
-	encodeList(e, len(nodes), nodes == nil, func(i int) {
-		e.Varint(nodes[i].ID - prev)
-		prev = nodes[i].ID
-		encodeAttrs(e, nodes[i].Attrs)
-	})
+	encodeList(e, len(nodes), nodes == nil, func(i int) { encodeNode(e, &prev, &nodes[i]) })
 }
 
 func decodeNodes(d *Decoder) []Node {
@@ -529,23 +553,14 @@ func decodeNodes(d *Decoder) []Node {
 	out := make([]Node, 0, n)
 	prev := int64(0)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		prev += d.Varint()
-		out = append(out, Node{ID: prev, Attrs: decodeAttrs(d)})
+		out = append(out, decodeNode(d, &prev))
 	}
 	return out
 }
 
 func encodeEdges(e *Encoder, edges []Edge) {
 	prev := int64(0)
-	encodeList(e, len(edges), edges == nil, func(i int) {
-		ed := &edges[i]
-		e.Varint(ed.ID - prev)
-		prev = ed.ID
-		e.Varint(ed.From)
-		e.Varint(ed.To)
-		e.Bool(ed.Directed)
-		encodeAttrs(e, ed.Attrs)
-	})
+	encodeList(e, len(edges), edges == nil, func(i int) { encodeEdge(e, &prev, &edges[i]) })
 }
 
 func decodeEdges(d *Decoder) []Edge {
@@ -556,11 +571,7 @@ func decodeEdges(d *Decoder) []Edge {
 	out := make([]Edge, 0, n)
 	prev := int64(0)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		prev += d.Varint()
-		out = append(out, Edge{
-			ID: prev, From: d.Varint(), To: d.Varint(),
-			Directed: d.Bool(), Attrs: decodeAttrs(d),
-		})
+		out = append(out, decodeEdge(d, &prev))
 	}
 	return out
 }

@@ -32,8 +32,8 @@
 //     decode(encode(x)) == x exactly for every supported type
 //     (FuzzWireRoundTrip), with one documented exception — the stream
 //     form spells empty element lists as nil.
-//   - Encoder, Decoder, StreamEncoder, StreamDecoder, and CappedBuffer
-//     are single-message/single-stream state machines: allocate one per
+//   - Encoder, Decoder, StreamEncoder, and StreamDecoder are
+//     single-message/single-stream state machines: allocate one per
 //     message or response, never share one across goroutines.
 //     internal/replica deliberately shares one Encoder across the
 //     records of a replication batch so the intern table spans it.

@@ -24,6 +24,10 @@ import (
 // is well under 1 MiB.
 const maxStreamFrame = 1 << 26
 
+// errFrameAfterLast refuses anything written after a stream's terminating
+// frame.
+var errFrameAfterLast = fmt.Errorf("wire: frame after the stream's terminating frame")
+
 // frameWriter writes the frames of one stream. A frame's body is built in
 // enc (whose intern table persists stream-wide, so a frame boundary costs
 // only its length prefix) and flushed with writeFrame; nothing reaches w
@@ -35,18 +39,21 @@ type frameWriter struct {
 	enc        *Encoder
 	headerDone bool
 	done       bool // the terminating frame was written
-	scratch    [binary.MaxVarintLen64]byte
+	scratch    [2*binary.MaxVarintLen64 + 1]byte
 }
 
 func newFrameWriter(w io.Writer, kind byte) frameWriter {
 	return frameWriter{w: w, kind: kind, enc: NewEncoder()}
 }
 
-// writeFrame writes enc's bytes as one frame — after the stream header,
-// if this is the first — and empties enc for the next.
-func (fw *frameWriter) writeFrame() error {
+// writeFrame writes head followed by enc's bytes as one frame — after the
+// stream header, if this is the first — and empties enc for the next.
+// head (at most MaxVarintLen64+1 bytes, usually nil) is the part of the
+// body a producer only knows once the rest is encoded: an element run's
+// type and count.
+func (fw *frameWriter) writeFrame(head []byte) error {
 	if fw.done {
-		return fmt.Errorf("wire: frame after the stream's terminating frame")
+		return errFrameAfterLast
 	}
 	if !fw.headerDone {
 		if _, err := fw.w.Write([]byte{binaryMagic, binaryVersion, fw.kind}); err != nil {
@@ -55,8 +62,8 @@ func (fw *frameWriter) writeFrame() error {
 		fw.headerDone = true
 	}
 	body := fw.enc.Bytes()
-	n := binary.PutUvarint(fw.scratch[:], uint64(len(body)))
-	if _, err := fw.w.Write(fw.scratch[:n]); err != nil {
+	prefix := append(binary.AppendUvarint(fw.scratch[:0], uint64(len(head)+len(body))), head...)
+	if _, err := fw.w.Write(prefix); err != nil {
 		return err
 	}
 	_, err := fw.w.Write(body)
@@ -66,7 +73,7 @@ func (fw *frameWriter) writeFrame() error {
 
 // writeLast writes the terminating frame; no frame may follow it.
 func (fw *frameWriter) writeLast() error {
-	err := fw.writeFrame()
+	err := fw.writeFrame(nil)
 	fw.done = err == nil
 	return err
 }

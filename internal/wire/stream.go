@@ -32,6 +32,7 @@ package wire
 // coordinator merges N worker streams this way.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"strings"
@@ -67,42 +68,11 @@ const NameBinaryStream = "stream"
 const DefaultRunSize = 2048
 
 // MaxCachedBody bounds the size of one response body an encoded-bytes
-// cache (worker or coordinator) will capture off a stream. Without a
-// cap, teeing a pathologically large stream into a cache buffer would
-// re-materialize in memory exactly what streaming exists to avoid.
+// cache (worker or coordinator) will keep, whole-message or captured off a
+// stream. Without a cap, teeing a pathologically large stream into a
+// cache buffer would re-materialize in memory exactly what streaming
+// exists to avoid.
 const MaxCachedBody = 8 << 20
-
-// CappedBuffer tees stream bytes into memory for an encoded-bytes cache,
-// giving up (and freeing what it held) once the body exceeds Max. Write
-// never fails: a capture problem must not break the live response the
-// buffer is teed off.
-type CappedBuffer struct {
-	Max      int
-	buf      []byte
-	overflow bool
-}
-
-// Write implements io.Writer.
-func (b *CappedBuffer) Write(p []byte) (int, error) {
-	if !b.overflow {
-		if len(b.buf)+len(p) > b.Max {
-			b.overflow = true
-			b.buf = nil
-		} else {
-			b.buf = append(b.buf, p...)
-		}
-	}
-	return len(p), nil
-}
-
-// Bytes returns the captured body and whether it is complete (false once
-// the cap was exceeded — the partial capture is already discarded).
-func (b *CappedBuffer) Bytes() ([]byte, bool) {
-	if b.overflow {
-		return nil, false
-	}
-	return b.buf, true
-}
 
 // WantsStream reports whether an Accept header asks for the chunked
 // snapshot stream. Only the full /snapshot data plane honors it;
@@ -119,57 +89,106 @@ func IsStreamContentType(ct string) bool {
 	return strings.Contains(ct, ContentTypeBinaryStream)
 }
 
-// StreamEncoder writes one chunked snapshot stream. Not safe for
-// concurrent use; allocate one per response. The frame buffer is reused
-// across runs, so encoding an arbitrarily large snapshot allocates
-// proportionally to the largest single run.
+// StreamEncoder writes one chunked snapshot stream, element by element:
+// it cuts the elements into runs of at most runSize and writes each run as
+// one frame, so no producer keeps a run buffer or a chunking loop of its
+// own. Not safe for concurrent use; allocate one per response. Elements
+// are encoded straight into the frame buffer, which is reused across runs,
+// so encoding an arbitrarily large snapshot allocates proportionally to
+// the largest single run.
 type StreamEncoder struct {
 	frameWriter
+	// AfterRun, when set, runs after every element-run frame reaches the
+	// writer (an HTTP handler flushes there, so a slow client reads data
+	// while the walk continues). The summary frame does not trigger it.
+	AfterRun func()
+	runSize  int
+	kind     byte  // frame type of the open run
+	count    int   // elements encoded into the open run so far
 	prevNode int64 // node ID delta state, carried across frames
 	prevEdge int64 // edge ID delta state, carried across frames
 }
 
-// NewStreamEncoder returns a stream encoder over w. Nothing is written
-// until the first frame (so a handler can still fail cleanly before
-// committing to a response).
-func NewStreamEncoder(w io.Writer) *StreamEncoder {
-	return &StreamEncoder{frameWriter: newFrameWriter(w, kindSnapshotStream)}
-}
-
-// Nodes writes one run of nodes. Runs must be globally sorted by ID
-// across the whole stream (each run continues the previous run's delta
-// coding), and every node run must precede the first edge run.
-func (se *StreamEncoder) Nodes(run []Node) error {
-	se.enc.Byte(frameNodes)
-	se.enc.Uvarint(uint64(len(run)))
-	for i := range run {
-		se.enc.Varint(run[i].ID - se.prevNode)
-		se.prevNode = run[i].ID
-		encodeAttrs(se.enc, run[i].Attrs)
+// NewStreamEncoder returns a stream encoder over w cutting runs of runSize
+// elements (0 picks DefaultRunSize). Nothing is written until the first
+// frame (so a handler can still fail cleanly before committing to a
+// response).
+func NewStreamEncoder(w io.Writer, runSize int) *StreamEncoder {
+	if runSize <= 0 {
+		runSize = DefaultRunSize
 	}
-	return se.writeFrame()
+	return &StreamEncoder{frameWriter: newFrameWriter(w, kindSnapshotStream), runSize: runSize}
 }
 
-// Edges writes one run of edges, globally sorted by ID across the stream.
-func (se *StreamEncoder) Edges(run []Edge) error {
-	se.enc.Byte(frameEdges)
-	se.enc.Uvarint(uint64(len(run)))
-	for i := range run {
-		ed := &run[i]
-		se.enc.Varint(ed.ID - se.prevEdge)
-		se.prevEdge = ed.ID
-		se.enc.Varint(ed.From)
-		se.enc.Varint(ed.To)
-		se.enc.Bool(ed.Directed)
-		encodeAttrs(se.enc, ed.Attrs)
+// Node adds one node. Nodes must arrive globally sorted by ID (each
+// continues the previous one's delta coding), and every node must precede
+// the first edge.
+func (se *StreamEncoder) Node(n Node) error {
+	if err := se.begin(frameNodes); err != nil {
+		return err
 	}
-	return se.writeFrame()
+	encodeNode(se.enc, &se.prevNode, &n)
+	return se.added()
 }
 
-// Summary terminates the stream with the response metadata: s's At,
-// counts, flags and Partial list (its Nodes/Edges are ignored — they were
-// the runs). No frame may follow it.
+// Edge adds one edge; edges arrive globally sorted by ID.
+func (se *StreamEncoder) Edge(ed Edge) error {
+	if err := se.begin(frameEdges); err != nil {
+		return err
+	}
+	encodeEdge(se.enc, &se.prevEdge, &ed)
+	return se.added()
+}
+
+// begin makes kind the open run's type, writing out an open run of the
+// other type first.
+func (se *StreamEncoder) begin(kind byte) error {
+	if se.done {
+		return errFrameAfterLast
+	}
+	if se.kind != kind {
+		if err := se.endRun(); err != nil {
+			return err
+		}
+		se.kind = kind
+	}
+	return nil
+}
+
+// added counts the element just encoded and writes the run out once full.
+func (se *StreamEncoder) added() error {
+	if se.count++; se.count < se.runSize {
+		return nil
+	}
+	return se.endRun()
+}
+
+// endRun writes the open run, if it holds anything, as one frame. The
+// frame leads with the run's type and element count, known only now.
+func (se *StreamEncoder) endRun() error {
+	if se.count == 0 {
+		return nil
+	}
+	var head [1 + binary.MaxVarintLen64]byte
+	head[0] = se.kind
+	n := 1 + binary.PutUvarint(head[1:], uint64(se.count))
+	se.count = 0
+	if err := se.writeFrame(head[:n]); err != nil {
+		return err
+	}
+	if se.AfterRun != nil {
+		se.AfterRun()
+	}
+	return nil
+}
+
+// Summary writes out the open run and terminates the stream with the
+// response metadata: s's At, counts, flags and Partial list (its
+// Nodes/Edges are ignored — they were the runs). Nothing may follow it.
 func (se *StreamEncoder) Summary(s *Snapshot) error {
+	if err := se.endRun(); err != nil {
+		return err
+	}
 	se.enc.Byte(frameSummary)
 	se.enc.Varint(s.At)
 	se.enc.Varint(int64(s.NumNodes))
@@ -184,25 +203,20 @@ func (se *StreamEncoder) Summary(s *Snapshot) error {
 // elements (0 picks DefaultRunSize) — the whole-struct convenience
 // producer, used where the snapshot already exists in memory (tests, the
 // synthetic client fallback). Handlers that want the memory bound stream
-// runs directly off their data source instead.
+// elements directly off their data source instead.
 //
 // One representational loss vs the whole-message codec: an empty element
 // list and a nil one both produce zero run frames, so assembly yields nil
 // for both. JSON output is unaffected (omitempty drops both spellings).
 func EncodeSnapshotStream(w io.Writer, s *Snapshot, runSize int) error {
-	if runSize <= 0 {
-		runSize = DefaultRunSize
-	}
-	se := NewStreamEncoder(w)
-	for lo := 0; lo < len(s.Nodes); lo += runSize {
-		hi := min(lo+runSize, len(s.Nodes))
-		if err := se.Nodes(s.Nodes[lo:hi]); err != nil {
+	se := NewStreamEncoder(w, runSize)
+	for _, n := range s.Nodes {
+		if err := se.Node(n); err != nil {
 			return err
 		}
 	}
-	for lo := 0; lo < len(s.Edges); lo += runSize {
-		hi := min(lo+runSize, len(s.Edges))
-		if err := se.Edges(s.Edges[lo:hi]); err != nil {
+	for _, ed := range s.Edges {
+		if err := se.Edge(ed); err != nil {
 			return err
 		}
 	}
@@ -261,8 +275,7 @@ func (sd *StreamDecoder) Next() (*StreamFrame, error) {
 		}
 		nodes := sd.nodesBuf[:0]
 		for i := 0; i < n && d.Err() == nil; i++ {
-			sd.prevNode += d.Varint()
-			nodes = append(nodes, Node{ID: sd.prevNode, Attrs: decodeAttrs(d)})
+			nodes = append(nodes, decodeNode(d, &sd.prevNode))
 		}
 		sd.nodesBuf, out.Nodes = nodes, nodes
 	case frameEdges:
@@ -272,11 +285,7 @@ func (sd *StreamDecoder) Next() (*StreamFrame, error) {
 		}
 		edges := sd.edgesBuf[:0]
 		for i := 0; i < n && d.Err() == nil; i++ {
-			sd.prevEdge += d.Varint()
-			edges = append(edges, Edge{
-				ID: sd.prevEdge, From: d.Varint(), To: d.Varint(),
-				Directed: d.Bool(), Attrs: decodeAttrs(d),
-			})
+			edges = append(edges, decodeEdge(d, &sd.prevEdge))
 		}
 		sd.edgesBuf, out.Edges = edges, edges
 	case frameSummary:

@@ -192,11 +192,11 @@ func TestStreamNextAfterSummary(t *testing.T) {
 // TestStreamWriteAfterSummary: the encoder refuses frames after Summary.
 func TestStreamWriteAfterSummary(t *testing.T) {
 	var buf bytes.Buffer
-	se := NewStreamEncoder(&buf)
+	se := NewStreamEncoder(&buf, 0)
 	if err := se.Summary(&Snapshot{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := se.Nodes([]Node{{ID: 1}}); err == nil {
-		t.Fatal("node run accepted after summary")
+	if err := se.Node(Node{ID: 1}); err == nil {
+		t.Fatal("node accepted after summary")
 	}
 }

@@ -108,6 +108,20 @@ type AppendResult struct {
 	Partial     []PartitionError `json:"partial,omitempty"`
 }
 
+// Fold adds b — one frame of a stream, or one partition's share of a
+// scattered batch — into the aggregate a. Seq is left alone: a sequence
+// number belongs to one node's log and means nothing summed or compared
+// across partitions, so only a node folding frames of its own log carries
+// it, and does so itself.
+func (a *AppendResult) Fold(b AppendResult) {
+	a.Appended += b.Appended
+	a.Invalidated += b.Invalidated
+	a.LastTime = max(a.LastTime, b.LastTime)
+	// A retried batch resumes on whichever nodes already logged it;
+	// surfacing the flag tells the client its retry was absorbed.
+	a.Deduped = a.Deduped || b.Deduped
+}
+
 // ServerStats is the serving-layer section of /stats. The Encoded*
 // fields describe the worker's encoded-bytes cache (omitted when that
 // cache is disabled); Encodes counts snapshot-body encode executions —
