@@ -21,6 +21,7 @@ import (
 
 	"historygraph"
 	"historygraph/internal/server"
+	"historygraph/internal/wire"
 )
 
 func main() {
@@ -115,13 +116,13 @@ func runRemote(base, ts, interval, attrs string, verbose bool, wireName string) 
 	if err != nil {
 		return err
 	}
-	var snaps []server.SnapshotJSON
+	var snaps []wire.Snapshot
 	if len(times) == 1 {
 		snap, err := c.Snapshot(times[0], attrs, verbose)
 		if err != nil {
 			return err
 		}
-		snaps = []server.SnapshotJSON{*snap}
+		snaps = []wire.Snapshot{*snap}
 	} else {
 		if snaps, err = c.Snapshots(times, attrs, verbose); err != nil {
 			return err

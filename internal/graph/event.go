@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // EventType enumerates the atomic activities recorded in the historical
@@ -42,6 +45,26 @@ var eventTypeNames = map[EventType]string{
 	TransientEdge: "TE", TransientNode: "TN",
 }
 
+// eventTypesByMnemonic inverts eventTypeNames.
+var eventTypesByMnemonic = func() map[string]EventType {
+	m := make(map[string]EventType, len(eventTypeNames))
+	for t, s := range eventTypeNames {
+		m[s] = t
+	}
+	return m
+}()
+
+// ParseEventType resolves a mnemonic as String spells it, in either case.
+// It is the one place an event type arriving from outside the program —
+// a JSON body, a binary message, a WAL record — is validated.
+func ParseEventType(name string) (EventType, error) {
+	t, ok := eventTypesByMnemonic[strings.ToUpper(name)]
+	if !ok {
+		return 0, fmt.Errorf("unknown event type %q (want NN, DN, NE, DE, UNA, UEA, TE or TN)", name)
+	}
+	return t, nil
+}
+
 // String returns the paper's short mnemonic for the event type (NE = new
 // edge, UNA = update node attribute, and so on).
 func (t EventType) String() string {
@@ -75,6 +98,99 @@ type Event struct {
 	Old, New string
 	HadOld   bool
 	HasNew   bool
+}
+
+// eventJSON is an Event's JSON object as UnmarshalJSON reads it: the type
+// by its mnemonic, and old/new present exactly when HadOld/HasNew are, so
+// "attribute removed" stays distinguishable from "set to empty string".
+type eventJSON struct {
+	Type     string    `json:"type"`
+	At       Time      `json:"at"`
+	Node     NodeID    `json:"node"`
+	Node2    NodeID    `json:"node2"`
+	Edge     EdgeID    `json:"edge"`
+	Directed bool      `json:"directed"`
+	Attr     string    `json:"attr"`
+	Old      optString `json:"old"`
+	New      optString `json:"new"`
+}
+
+// optString is a JSON string that knows whether it was there at all.
+type optString struct {
+	s   string
+	set bool
+}
+
+func (o *optString) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	o.set = true
+	return json.Unmarshal(b, &o.s)
+}
+
+// MarshalJSON renders the event as the service's wire object: the fields
+// of eventJSON in that order, zero ids, a false directed and an empty attr
+// left out. It is written out by hand because every JSON append and
+// /replicate page pays it per event, and a second trip through reflection
+// inside the encoder's own costs three times as much.
+func (e Event) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 128)
+	b = append(b, `{"type":"`...)
+	b = append(b, e.Type.String()...)
+	b = append(b, `","at":`...)
+	b = strconv.AppendInt(b, int64(e.At), 10)
+	for _, f := range [...]struct {
+		key string
+		v   int64
+	}{{`,"node":`, int64(e.Node)}, {`,"node2":`, int64(e.Node2)}, {`,"edge":`, int64(e.Edge)}} {
+		if f.v != 0 {
+			b = strconv.AppendInt(append(b, f.key...), f.v, 10)
+		}
+	}
+	if e.Directed {
+		b = append(b, `,"directed":true`...)
+	}
+	for _, f := range [...]struct {
+		key, v string
+		set    bool
+	}{{`,"attr":`, e.Attr, e.Attr != ""}, {`,"old":`, e.Old, e.HadOld}, {`,"new":`, e.New, e.HasNew}} {
+		if f.set {
+			b = appendJSONString(append(b, f.key...), f.v)
+		}
+	}
+	return append(b, '}'), nil
+}
+
+// appendJSONString appends s as encoding/json spells it: as it stands
+// between quotes when nothing in it needs escaping, else by asking.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// UnmarshalJSON reads the object MarshalJSON writes. The type name is
+// accepted in either case; an unknown one is an error.
+func (e *Event) UnmarshalJSON(b []byte) error {
+	var j eventJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	typ, err := ParseEventType(j.Type)
+	if err != nil {
+		return err
+	}
+	*e = Event{
+		Type: typ, At: j.At, Node: j.Node, Node2: j.Node2, Edge: j.Edge,
+		Directed: j.Directed, Attr: j.Attr,
+		Old: j.Old.s, HadOld: j.Old.set, New: j.New.s, HasNew: j.New.set,
+	}
+	return nil
 }
 
 // String renders the event in a form close to the paper's examples, e.g.

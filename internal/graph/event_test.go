@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -211,5 +212,72 @@ func TestSnapshotAt(t *testing.T) {
 	s5 := SnapshotAt(events, 5)
 	if len(s5.Edges) != 0 {
 		t.Errorf("t=5 should have no edge")
+	}
+}
+
+// TestEventJSONMatchesEncodingJSON holds the hand-written MarshalJSON to
+// what encoding/json writes for the same object through struct tags, over
+// the strings that need escaping and the fields that may be left out, and
+// checks UnmarshalJSON reads it back.
+func TestEventJSONMatchesEncodingJSON(t *testing.T) {
+	type reference struct {
+		Type     string  `json:"type"`
+		At       int64   `json:"at"`
+		Node     int64   `json:"node,omitempty"`
+		Node2    int64   `json:"node2,omitempty"`
+		Edge     int64   `json:"edge,omitempty"`
+		Directed bool    `json:"directed,omitempty"`
+		Attr     string  `json:"attr,omitempty"`
+		Old      *string `json:"old,omitempty"`
+		New      *string `json:"new,omitempty"`
+	}
+	nasty := []string{"", "plain", `q"uote`, `back\slash`, "<tag>&amp;", "tab\tnew\nline", "\x00\x1f\x7f", "naïve ☃", "  ", "bad\xffutf8", "~ tilde"}
+	for i, s := range nasty {
+		for _, ev := range []Event{
+			{Type: SetNodeAttr, At: Time(i), Node: NodeID(i), Attr: s, Old: s, HadOld: true, New: nasty[(i+1)%len(nasty)], HasNew: true},
+			{Type: SetEdgeAttr, At: -7, Edge: 1 << 40, Node: -3, Node2: 9, Directed: true, Attr: "w", New: s, HasNew: true},
+			{Type: SetNodeAttr, Node: 1, Attr: s, Old: s, HadOld: i%2 == 0},
+			{Type: TransientNode, At: MaxTime},
+		} {
+			ref := reference{Type: ev.Type.String(), At: int64(ev.At), Node: int64(ev.Node), Node2: int64(ev.Node2),
+				Edge: int64(ev.Edge), Directed: ev.Directed, Attr: ev.Attr}
+			if ev.HadOld {
+				ref.Old = &ev.Old
+			}
+			if ev.HasNew {
+				ref.New = &ev.New
+			}
+			want, err := json.Marshal(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("event %+v marshals as\n%s, encoding/json writes\n%s", ev, got, want)
+			}
+			var back, refBack Event
+			if err := json.Unmarshal(got, &back); err != nil {
+				t.Fatal(err)
+			}
+			// Reading replaces invalid UTF-8 and forgets an old value that was
+			// not sent, exactly as it would through the reference struct.
+			var rb reference
+			if err := json.Unmarshal(want, &rb); err != nil {
+				t.Fatal(err)
+			}
+			refBack = Event{Type: ev.Type, At: Time(rb.At), Node: NodeID(rb.Node), Node2: NodeID(rb.Node2), Edge: EdgeID(rb.Edge), Directed: rb.Directed, Attr: rb.Attr}
+			if rb.Old != nil {
+				refBack.Old, refBack.HadOld = *rb.Old, true
+			}
+			if rb.New != nil {
+				refBack.New, refBack.HasNew = *rb.New, true
+			}
+			if back != refBack {
+				t.Errorf("%s reads back as %+v, want %+v", got, back, refBack)
+			}
+		}
 	}
 }

@@ -204,6 +204,46 @@ func (p *Pool) member(bm *bitset.Bits, g *graphEntry) bool {
 	}
 }
 
+// markAll marks every element and attribute value of s with each of bits
+// and records s's size as entry's — the whole of what overlaying an
+// explicit graph means, whichever bits it lives under. The caller holds
+// the write lock.
+func (p *Pool) markAll(entry *graphEntry, s *graph.Snapshot, bits ...int) {
+	for n := range s.Nodes {
+		pn := p.node(n)
+		for _, b := range bits {
+			pn.bm.Set(b)
+		}
+	}
+	for e, info := range s.Edges {
+		pe := p.edge(e, info)
+		for _, b := range bits {
+			pe.bm.Set(b)
+		}
+	}
+	for n, attrs := range s.NodeAttrs {
+		pn := p.node(n)
+		for k, v := range attrs {
+			for _, b := range bits {
+				setAttr(&pn.attrs, k, v, b)
+			}
+		}
+	}
+	for e, attrs := range s.EdgeAttrs {
+		pe, ok := p.edges[e]
+		if !ok {
+			continue // attribute for an edge the snapshot does not contain
+		}
+		for k, v := range attrs {
+			for _, b := range bits {
+				setAttr(&pe.attrs, k, v, b)
+			}
+		}
+	}
+	entry.nodeCount = len(s.Nodes)
+	entry.edgeCount = len(s.Edges)
+}
+
 // OverlaySnapshot registers a retrieved historical snapshot, overlaying
 // every element explicitly (no dependency). at records the query timepoint
 // for the mapping table.
@@ -213,36 +253,7 @@ func (p *Pool) OverlaySnapshot(s *graph.Snapshot, at graph.Time) GraphID {
 	entry := &graphEntry{id: p.nextID, kind: KindHistorical, bit: p.allocPair(), dep: NoDependency, at: at}
 	p.nextID++
 	p.graphs[entry.id] = entry
-	memberBit := entry.bit + 1
-	for n := range s.Nodes {
-		pn := p.node(n)
-		pn.bm.Set(entry.bit)
-		pn.bm.Set(memberBit)
-	}
-	for e, info := range s.Edges {
-		pe := p.edge(e, info)
-		pe.bm.Set(entry.bit)
-		pe.bm.Set(memberBit)
-	}
-	for n, attrs := range s.NodeAttrs {
-		pn := p.node(n)
-		for k, v := range attrs {
-			setAttr(&pn.attrs, k, v, entry.bit)
-			setAttr(&pn.attrs, k, v, memberBit)
-		}
-	}
-	for e, attrs := range s.EdgeAttrs {
-		pe, ok := p.edges[e]
-		if !ok {
-			continue // attribute for an edge the snapshot does not contain
-		}
-		for k, v := range attrs {
-			setAttr(&pe.attrs, k, v, entry.bit)
-			setAttr(&pe.attrs, k, v, memberBit)
-		}
-	}
-	entry.nodeCount = len(s.Nodes)
-	entry.edgeCount = len(s.Edges)
+	p.markAll(entry, s, entry.bit, entry.bit+1)
 	return entry.id
 }
 
@@ -254,27 +265,7 @@ func (p *Pool) OverlayMaterialized(s *graph.Snapshot) GraphID {
 	entry := &graphEntry{id: p.nextID, kind: KindMaterialized, bit: p.allocSingle(), dep: NoDependency}
 	p.nextID++
 	p.graphs[entry.id] = entry
-	for n := range s.Nodes {
-		p.node(n).bm.Set(entry.bit)
-	}
-	for e, info := range s.Edges {
-		p.edge(e, info).bm.Set(entry.bit)
-	}
-	for n, attrs := range s.NodeAttrs {
-		pn := p.node(n)
-		for k, v := range attrs {
-			setAttr(&pn.attrs, k, v, entry.bit)
-		}
-	}
-	for e, attrs := range s.EdgeAttrs {
-		if pe, ok := p.edges[e]; ok {
-			for k, v := range attrs {
-				setAttr(&pe.attrs, k, v, entry.bit)
-			}
-		}
-	}
-	entry.nodeCount = len(s.Nodes)
-	entry.edgeCount = len(s.Edges)
+	p.markAll(entry, s, entry.bit)
 	return entry.id
 }
 
@@ -384,28 +375,7 @@ func (p *Pool) LoadCurrent(s *graph.Snapshot) {
 			}
 		}
 	}
-	for n := range s.Nodes {
-		p.node(n).bm.Set(0)
-	}
-	for e, info := range s.Edges {
-		p.edge(e, info).bm.Set(0)
-	}
-	for n, attrs := range s.NodeAttrs {
-		pn := p.node(n)
-		for k, v := range attrs {
-			setAttr(&pn.attrs, k, v, 0)
-		}
-	}
-	for e, attrs := range s.EdgeAttrs {
-		if pe, ok := p.edges[e]; ok {
-			for k, v := range attrs {
-				setAttr(&pe.attrs, k, v, 0)
-			}
-		}
-	}
-	cur := p.graphs[CurrentGraph]
-	cur.nodeCount = len(s.Nodes)
-	cur.edgeCount = len(s.Edges)
+	p.markAll(p.graphs[CurrentGraph], s, 0)
 }
 
 // ApplyEvent updates the current graph in place (bits 0 and 1). Deleted

@@ -600,13 +600,13 @@ func (w *worker) issue(ctx context.Context, name string, timeMax, nodeMax int64)
 	defer cancel()
 	switch name {
 	case "snapshot":
-		var resp *server.SnapshotJSON
+		var resp *wire.Snapshot
 		resp, err = w.client.SnapshotCtx(rctx, w.pickTime(timeMax), "", w.st.sc.SnapshotFull)
 		partial = err == nil && len(resp.Partial) > 0
 	case "stream":
 		partial, err = w.issueStream(rctx, timeMax)
 	case "neighbors":
-		var resp *server.NeighborsJSON
+		var resp *wire.Neighbors
 		resp, err = w.client.NeighborsCtx(rctx, w.pickTime(timeMax), historygraph.NodeID(1+w.rng.Int63n(nodeMax)), "")
 		partial = err == nil && len(resp.Partial) > 0
 	case "batch":
@@ -614,7 +614,7 @@ func (w *worker) issue(ctx context.Context, name string, timeMax, nodeMax int64)
 		for i := range ts {
 			ts[i] = w.pickTime(timeMax)
 		}
-		var resp []server.SnapshotJSON
+		var resp []wire.Snapshot
 		resp, err = w.client.SnapshotsCtx(rctx, ts, "", w.st.sc.SnapshotFull)
 		for i := range resp {
 			partial = partial || len(resp[i].Partial) > 0
@@ -624,7 +624,7 @@ func (w *worker) issue(ctx context.Context, name string, timeMax, nodeMax int64)
 		if a > b {
 			a, b = b, a
 		}
-		var resp *server.IntervalJSON
+		var resp *wire.Interval
 		resp, err = w.client.IntervalCtx(rctx, a, b+1, "", false)
 		partial = err == nil && len(resp.Partial) > 0
 	case "append":
@@ -748,7 +748,7 @@ func (w *worker) issueAppend(ctx context.Context) (partial bool, err error) {
 // allStampRace reports whether every failed partition leg is a 422
 // timestamp rejection — the only partial outcome a restamped retry can
 // repair. Anything else (5xx, transport) is left to surface as partial.
-func allStampRace(partial []server.PartitionError) bool {
+func allStampRace(partial []wire.PartitionError) bool {
 	for _, pe := range partial {
 		if pe.Status != http.StatusUnprocessableEntity {
 			return false

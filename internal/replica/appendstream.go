@@ -31,7 +31,7 @@ func (n *Node) handleAppendStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var (
-		agg     server.AppendResult
+		agg     wire.AppendResult
 		pending []admitted // admitted frames not yet settled, oldest first
 		acked   uint64     // highest seq the follower-ack wait must cover
 		frames  int        // frames admitted so far
@@ -80,12 +80,7 @@ func (n *Node) handleAppendStream(w http.ResponseWriter, r *http.Request) {
 			fail(http.StatusBadRequest, err)
 			return
 		}
-		events, err := server.DecodeEvents(frame.Events)
-		if err != nil {
-			fail(http.StatusBadRequest, err)
-			return
-		}
-		ad, status, err := n.admit(events, frame.Batch)
+		ad, status, err := n.admit(frame.Events, frame.Batch)
 		if err != nil {
 			fail(status, err)
 			return

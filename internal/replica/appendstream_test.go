@@ -13,6 +13,7 @@ import (
 	"historygraph"
 	"historygraph/internal/replica"
 	"historygraph/internal/server"
+	"historygraph/internal/wire"
 )
 
 // TestAppendStreamIngest: frames sent over one streaming connection land
@@ -23,7 +24,7 @@ func TestAppendStreamIngest(t *testing.T) {
 	client := server.NewClient(tn.hs.URL)
 
 	const frames, perFrame = 6, 8
-	send := func() *server.AppendResult {
+	send := func() *wire.AppendResult {
 		t.Helper()
 		stream, err := client.AppendStream()
 		if err != nil {

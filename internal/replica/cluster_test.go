@@ -25,6 +25,7 @@ import (
 	"historygraph/internal/replica"
 	"historygraph/internal/server"
 	"historygraph/internal/shard"
+	"historygraph/internal/wire"
 )
 
 // cnode is one cluster member on a fixed address, so it can be killed and
@@ -508,80 +509,100 @@ func TestHealthLoopPromotesDarkPrimary(t *testing.T) {
 	}
 }
 
-// TestCoordinatorStreamReplayDeduped: replaying a client-tagged append
-// stream through the coordinator (a retry after a lost response) is
-// absorbed by the per-partition batch IDs derived from the frame tags —
-// the partition WALs do not grow and the aggregated result says Deduped.
-func TestCoordinatorStreamReplayDeduped(t *testing.T) {
-	dir := t.TempDir()
-	const parts = 2
-	primaries := make([]*cnode, parts)
-	sets := make([][]string, parts)
-	for p := 0; p < parts; p++ {
-		primaries[p] = launch(t, filepath.Join(dir, fmt.Sprintf("p%d.wal", p)), "", replica.Config{Role: replica.RolePrimary})
-		sets[p] = []string{primaries[p].url}
-	}
-	co, err := shard.NewReplicated(sets, shard.Config{PartitionTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	front := httptest.NewServer(co.Handler())
-	defer front.Close()
-	client := server.NewClient(front.URL)
-
+// TestCoordinatorReplayDeduped: sending client-tagged batches through the
+// coordinator a second time (a retry after a lost response) is absorbed by
+// the per-partition batch IDs derived from the tags — the partition WALs
+// do not grow and the aggregated result says Deduped — whether the batches
+// travel as frames of one append stream or as whole-message appends.
+func TestCoordinatorReplayDeduped(t *testing.T) {
 	const frames, perFrame = 4, 10
-	stream := func() *server.AppendResult {
-		t.Helper()
-		st, err := client.AppendStream()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for f := 0; f < frames; f++ {
-			events := make(historygraph.EventList, perFrame)
-			for i := range events {
-				events[i] = historygraph.Event{
-					Type: historygraph.AddNode, At: historygraph.Time(f + 1),
-					Node: historygraph.NodeID(f*perFrame + i + 1),
-				}
+	batch := func(f int) (historygraph.EventList, string) {
+		events := make(historygraph.EventList, perFrame)
+		for i := range events {
+			events[i] = historygraph.Event{
+				Type: historygraph.AddNode, At: historygraph.Time(f + 1),
+				Node: historygraph.NodeID(f*perFrame + i + 1),
 			}
-			if err := st.SendBatch(events, fmt.Sprintf("resume-%d", f)); err != nil {
+		}
+		return events, fmt.Sprintf("resume-%d", f)
+	}
+	for form, send := range map[string]func(t *testing.T, client *server.Client) *wire.AppendResult{
+		"stream": func(t *testing.T, client *server.Client) *wire.AppendResult {
+			st, err := client.AppendStream()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		res, err := st.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
+			for f := 0; f < frames; f++ {
+				if err := st.SendBatch(batch(f)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := st.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		},
+		"whole-message": func(t *testing.T, client *server.Client) *wire.AppendResult {
+			var agg wire.AppendResult
+			for f := 0; f < frames; f++ {
+				events, tag := batch(f)
+				res, err := client.AppendBatchCtx(context.Background(), events, tag)
+				if err != nil {
+					t.Fatal(err)
+				}
+				agg.Fold(*res)
+				agg.Partial = append(agg.Partial, res.Partial...)
+			}
+			return &agg
+		},
+	} {
+		t.Run(form, func(t *testing.T) {
+			dir := t.TempDir()
+			const parts = 2
+			primaries := make([]*cnode, parts)
+			sets := make([][]string, parts)
+			for p := 0; p < parts; p++ {
+				primaries[p] = launch(t, filepath.Join(dir, fmt.Sprintf("p%d.wal", p)), "", replica.Config{Role: replica.RolePrimary})
+				sets[p] = []string{primaries[p].url}
+			}
+			co, err := shard.NewReplicated(sets, shard.Config{PartitionTimeout: 5 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer co.Close()
+			front := httptest.NewServer(co.Handler())
+			defer front.Close()
+			client := server.NewClient(front.URL)
 
-	res1 := stream()
-	if res1.Appended != frames*perFrame || res1.Deduped || len(res1.Partial) != 0 {
-		t.Fatalf("fresh stream: %+v", res1)
-	}
-	seqs := make([]uint64, parts)
-	for p := range primaries {
-		seqs[p] = primaries[p].log.LastSeq()
-	}
+			res1 := send(t, client)
+			if res1.Appended != frames*perFrame || res1.Deduped || len(res1.Partial) != 0 {
+				t.Fatalf("fresh: %+v", res1)
+			}
+			seqs := make([]uint64, parts)
+			for p := range primaries {
+				seqs[p] = primaries[p].log.LastSeq()
+			}
 
-	res2 := stream()
-	if !res2.Deduped {
-		t.Fatalf("replayed stream not reported deduped: %+v", res2)
-	}
-	if len(res2.Partial) != 0 {
-		t.Fatalf("replayed stream reported partials: %+v", res2.Partial)
-	}
-	for p := range primaries {
-		if got := primaries[p].log.LastSeq(); got != seqs[p] {
-			t.Fatalf("partition %d WAL grew on replay: seq %d -> %d", p, seqs[p], got)
-		}
-	}
-	snap, err := client.Snapshot(historygraph.Time(frames), "", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.NumNodes != frames*perFrame {
-		t.Fatalf("cluster holds %d nodes, want %d", snap.NumNodes, frames*perFrame)
+			res2 := send(t, client)
+			if !res2.Deduped {
+				t.Fatalf("replay not reported deduped: %+v", res2)
+			}
+			if len(res2.Partial) != 0 {
+				t.Fatalf("replay reported partials: %+v", res2.Partial)
+			}
+			for p := range primaries {
+				if got := primaries[p].log.LastSeq(); got != seqs[p] {
+					t.Fatalf("partition %d WAL grew on replay: seq %d -> %d", p, seqs[p], got)
+				}
+			}
+			snap, err := client.Snapshot(historygraph.Time(frames), "", false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.NumNodes != frames*perFrame {
+				t.Fatalf("cluster holds %d nodes, want %d", snap.NumNodes, frames*perFrame)
+			}
+		})
 	}
 }

@@ -5,13 +5,21 @@ import (
 	"runtime"
 	"testing"
 
-	"historygraph/internal/server"
+	"historygraph"
+	"historygraph/internal/wire"
 )
 
+// encodePayload renders one WAL record body.
+func encodePayload(ev historygraph.Event, batch string) []byte {
+	e := wire.NewEncoder()
+	appendPayload(e, ev, batch)
+	return e.Bytes()
+}
+
 // fuzzSource turns fuzz input into records: sequence numbers and ids near
-// each other and at the ends of the range, type and attribute names that
-// repeat (so the encoder's intern table is exercised) and ones that do
-// not, and every combination of the old/new value pointers.
+// each other and at the ends of the range, every event type, attribute
+// names that repeat (so the encoder's intern table is exercised) and ones
+// that do not, and every combination of old/new value present and absent.
 type fuzzSource struct{ b []byte }
 
 func (s *fuzzSource) byte() byte {
@@ -56,20 +64,19 @@ func (s *fuzzSource) records() []Record {
 	for len(s.b) > 0 {
 		flags := s.byte()
 		seq += uint64(flags % 3)
-		rec := Record{Seq: seq, Batch: s.str(), Event: server.EventJSON{
-			Type: s.str(), At: s.num(), Node: s.num(), Directed: flags&8 != 0, Attr: s.str(),
+		rec := Record{Seq: seq, Batch: s.str(), Event: historygraph.Event{
+			Type: historygraph.AddNode + historygraph.EventType(s.byte()%8), At: historygraph.Time(s.num()),
+			Node: historygraph.NodeID(s.num()), Directed: flags&8 != 0, Attr: s.str(),
 		}}
 		if flags&16 != 0 {
 			rec.Seq = uint64(s.num())
-			rec.Event.Node2, rec.Event.Edge = s.num(), s.num()
+			rec.Event.Node2, rec.Event.Edge = historygraph.NodeID(s.num()), historygraph.EdgeID(s.num())
 		}
 		if flags&32 != 0 {
-			v := s.str()
-			rec.Event.Old = &v
+			rec.Event.Old, rec.Event.HadOld = s.str(), true
 		}
 		if flags&64 != 0 {
-			v := s.str()
-			rec.Event.New = &v
+			rec.Event.New, rec.Event.HasNew = s.str(), true
 		}
 		recs = append(recs, rec)
 	}
@@ -107,10 +114,9 @@ func allocatedWithin(t *testing.T, input []byte, decode func()) {
 // exactly as they went in.
 func FuzzReplicaCodec(f *testing.F) {
 	f.Add([]byte{})
-	v := "x"
 	recs := []Record{
-		{Seq: 1, Event: server.EventJSON{Type: "NN", At: 1, Node: 7}},
-		{Seq: 2, Event: server.EventJSON{Type: "UNA", At: 3, Node: 7, Attr: "name", Old: &v, New: &v}, Batch: "b1"},
+		{Seq: 1, Event: historygraph.Event{Type: historygraph.AddNode, At: 1, Node: 7}},
+		{Seq: 2, Event: historygraph.Event{Type: historygraph.SetNodeAttr, At: 3, Node: 7, Attr: "name", Old: "x", HadOld: true, New: "x", HasNew: true}, Batch: "b1"},
 	}
 	f.Add(encodeReplicate(replicateResponse{Records: recs, LastSeq: 9}, false)[3:])
 	f.Add(encodeReplicate(replicateResponse{Records: recs, LastSeq: 9, NextFrom: 3, LastTime: 3}, true)[3:])

@@ -1,0 +1,171 @@
+package replica
+
+import (
+	"bytes"
+	"encoding/hex"
+	"encoding/json"
+	"reflect"
+	"testing"
+
+	"historygraph"
+	"historygraph/internal/wire"
+)
+
+// goldenEvents is one event of every type plus the cases a translation
+// layer gets wrong: a removal (no new value), a set to the empty string,
+// node 0, and values JSON has to escape.
+var goldenEvents = historygraph.EventList{
+	{Type: historygraph.AddNode, At: 1, Node: 7},
+	{Type: historygraph.DelNode, At: 2, Node: 7},
+	{Type: historygraph.AddEdge, At: 3, Edge: 3, Node: 7, Node2: 9, Directed: true},
+	{Type: historygraph.DelEdge, At: 4, Edge: 3, Node: 7, Node2: 9, Directed: true},
+	{Type: historygraph.SetNodeAttr, At: 5, Node: 7, Attr: "name", Old: "x", HadOld: true, New: "y<&>\u2028", HasNew: true},
+	{Type: historygraph.SetEdgeAttr, At: 6, Edge: 3, Node: 7, Node2: 9, Attr: "w", New: "1", HasNew: true},
+	{Type: historygraph.TransientEdge, At: 7, Edge: 5, Node: 1, Node2: 2},
+	{Type: historygraph.TransientNode, At: 8, Node: 0},
+	{Type: historygraph.SetNodeAttr, At: 9, Node: 7, Attr: "name", Old: "y", HadOld: true},
+	{Type: historygraph.SetNodeAttr, At: 10, Node: 7, Attr: "name", Old: "y", HadOld: true, HasNew: true},
+}
+
+// The bytes below were produced by the commit before graph.Event became
+// the only in-memory event, from the same events held as wire.Event.
+const (
+	goldenJSON          = `[{"type":"NN","at":1,"node":7},{"type":"DN","at":2,"node":7},{"type":"NE","at":3,"node":7,"node2":9,"edge":3,"directed":true},{"type":"DE","at":4,"node":7,"node2":9,"edge":3,"directed":true},{"type":"UNA","at":5,"node":7,"attr":"name","old":"x","new":"y\u003c\u0026\u003e\u2028"},{"type":"UEA","at":6,"node":7,"node2":9,"edge":3,"attr":"w","new":"1"},{"type":"TE","at":7,"node":1,"node2":2,"edge":5},{"type":"TN","at":8},{"type":"UNA","at":9,"node":7,"attr":"name","old":"y"},{"type":"UNA","at":10,"node":7,"attr":"name","old":"y","new":""}]` + "\n"
+	goldenBinary        = "440106010a00024e4e020e00000000000002444e040e0000000200024e45060e1206010200024445080e120601020003554e410a0e00000600046e616d65017807793c263ee280a800035545410c0e1206040001770131000254450e02040a00020002544e10000000000206120e00000207017906140e00000607017900"
+	goldenStream        = "44010e4901037461670500024e4e020e00000000000002444e040e0000000200024e45060e1206010200024445080e120601020003554e410a0e00000600046e616d65017807793c263ee280a83901000500035545410c0e1206040001770131000254450e02040a00020002544e10000000000206120e00000207017906140e00000607017900020f02" // frames "tag" (events 0-4) and "" (5-9), then the end frame
+	goldenReplicate     = "4401210a0a010000024e4e020e0000000000020262310002444e040e00000002030000024e45060e120601020402623100024445080e1206010205000003554e410a0e00000600046e616d65017807793c263ee280a80602623100035545410c0e12060400017701310700000254450e02040a0002080262310002544e100000000002090006120e0000020701790a02623106140e00000607017900"
+	goldenReplicateSlot = "4401220a0b140a010000024e4e020e0000000000020262310002444e040e00000002030000024e45060e120601020402623100024445080e1206010205000003554e410a0e00000600046e616d65017807793c263ee280a80602623100035545410c0e12060400017701310700000254450e02040a0002080262310002544e100000000002090006120e0000020701790a02623106140e00000607017900"
+	goldenReplicateJSON = `{"records":[{"seq":1,"event":{"type":"NN","at":1,"node":7}},{"seq":2,"event":{"type":"DN","at":2,"node":7},"batch":"b1"},{"seq":3,"event":{"type":"NE","at":3,"node":7,"node2":9,"edge":3,"directed":true}},{"seq":4,"event":{"type":"DE","at":4,"node":7,"node2":9,"edge":3,"directed":true},"batch":"b1"},{"seq":5,"event":{"type":"UNA","at":5,"node":7,"attr":"name","old":"x","new":"y\u003c\u0026\u003e\u2028"}},{"seq":6,"event":{"type":"UEA","at":6,"node":7,"node2":9,"edge":3,"attr":"w","new":"1"},"batch":"b1"},{"seq":7,"event":{"type":"TE","at":7,"node":1,"node2":2,"edge":5}},{"seq":8,"event":{"type":"TN","at":8},"batch":"b1"},{"seq":9,"event":{"type":"UNA","at":9,"node":7,"attr":"name","old":"y"}},{"seq":10,"event":{"type":"UNA","at":10,"node":7,"attr":"name","old":"y","new":""},"batch":"b1"}],"last_seq":10,"next_from":11,"last_time":10}`
+	goldenIntervalJSON  = `{"start":1,"end":9,"num_nodes":0,"num_edges":0,"transients":[{"type":"TE","at":7,"node":1,"node2":2,"edge":5},{"type":"TN","at":8}]}` + "\n"
+	goldenIntervalBin   = "4401040212000000000102000254450e02040a0000000002544e10000000000200"
+)
+
+// goldenWAL is each event's WAL payload; odd ones carry the batch ID "b1".
+var goldenWAL = []string{
+	"000000024e4e020e0000000000",
+	"000262310002444e040e0000000000",
+	"000000024e45060e1206010000",
+	"0002623100024445080e1206010000",
+	"00000003554e410a0e00000600046e616d65017807793c263ee280a8",
+	"0002623100035545410c0e1206040001770131",
+	"0000000254450e02040a000000",
+	"000262310002544e10000000000000",
+	"00000003554e41120e00000200046e616d650179",
+	"000262310003554e41140e00000600046e616d65017900",
+}
+
+// TestEventBytesUnchanged: every byte form an event takes outside the
+// process — JSON body, binary body, append-stream frame, WAL payload,
+// /replicate page in both codecs, /interval transients — is what it was
+// when a separate wire struct and a converter stood between the event and
+// the codec, and reads back as the event that went in.
+func TestEventBytesUnchanged(t *testing.T) {
+	same := func(what string, got []byte, want string) {
+		t.Helper()
+		if string(got) != want {
+			t.Errorf("%s changed:\n got %q\nwant %q", what, got, want)
+		}
+	}
+	unhex := func(s string) string {
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	js, err := wire.JSON{}.Encode(goldenEvents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("JSON body", js, goldenJSON)
+	bin, err := wire.Binary{}.Encode(goldenEvents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("binary body", bin, unhex(goldenBinary))
+	for name, c := range map[string]struct {
+		codec wire.Codec
+		body  []byte
+	}{"JSON": {wire.JSON{}, js}, "binary": {wire.Binary{}, bin}} {
+		var back historygraph.EventList
+		if err := c.codec.Decode(c.body, &back); err != nil || !reflect.DeepEqual(back, goldenEvents) {
+			t.Errorf("%s body read back as %+v (%v)", name, back, err)
+		}
+	}
+
+	var stream bytes.Buffer
+	enc := wire.NewAppendStreamEncoder(&stream)
+	if err := enc.Events("tag", goldenEvents[:5]); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Events("", goldenEvents[5:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.End(); err != nil {
+		t.Fatal(err)
+	}
+	same("append stream", stream.Bytes(), unhex(goldenStream))
+
+	recs := make([]Record, len(goldenEvents))
+	for i, ev := range goldenEvents {
+		recs[i] = Record{Seq: uint64(i + 1), Event: ev}
+		if i%2 == 1 {
+			recs[i].Batch = "b1"
+		}
+		payload := encodePayload(ev, recs[i].Batch)
+		same("WAL payload", payload, unhex(goldenWAL[i]))
+		if back, batch, err := decodePayload(payload); err != nil || back != ev || batch != recs[i].Batch {
+			t.Errorf("WAL payload %d read back as %+v %q (%v)", i, back, batch, err)
+		}
+	}
+	page := replicateResponse{Records: recs, LastSeq: 10}
+	same("/replicate page", encodeReplicate(page, false), unhex(goldenReplicate))
+	page.NextFrom, page.LastTime = 11, 10
+	same("/replicate slot page", encodeReplicate(page, true), unhex(goldenReplicateSlot))
+	pj, err := json.Marshal(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("/replicate JSON page", pj, goldenReplicateJSON)
+	var pageBack replicateResponse
+	if err := json.Unmarshal(pj, &pageBack); err != nil || !reflect.DeepEqual(pageBack, page) {
+		t.Errorf("/replicate JSON page read back as %+v (%v)", pageBack, err)
+	}
+
+	iv := wire.Interval{Start: 1, End: 9, Transients: goldenEvents[6:8]}
+	ij, _ := wire.JSON{}.Encode(&iv)
+	same("/interval JSON", ij, goldenIntervalJSON)
+	ib, _ := wire.Binary{}.Encode(&iv)
+	same("/interval binary", ib, unhex(goldenIntervalBin))
+}
+
+// TestEventTypeNamesOnInput: a type name is accepted in either case and
+// refused when unknown, by the codec itself, in every form that carries
+// one.
+func TestEventTypeNamesOnInput(t *testing.T) {
+	want := goldenEvents[:1]
+	bin, _ := wire.Binary{}.Encode(want)
+	var got historygraph.EventList
+	if err := (wire.JSON{}).Decode([]byte(`[{"type":"nn","at":1,"node":7}]`), &got); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("lowercase JSON type: %+v, %v", got, err)
+	}
+	if err := (wire.Binary{}).Decode(bytes.Replace(bin, []byte("NN"), []byte("nn"), 1), &got); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("lowercase binary type: %+v, %v", got, err)
+	}
+	if err := (wire.JSON{}).Decode([]byte(`[{"type":"ZZ","at":1,"node":7}]`), &got); err == nil {
+		t.Error("unknown JSON type accepted")
+	}
+	if err := (wire.Binary{}).Decode(bytes.Replace(bin, []byte("NN"), []byte("ZZ"), 1), &got); err == nil {
+		t.Error("unknown binary type accepted")
+	}
+	if _, _, err := decodePayload(bytes.Replace(encodePayload(want[0], ""), []byte("NN"), []byte("ZZ"), 1)); err == nil {
+		t.Error("unknown type in a WAL payload accepted")
+	}
+	if _, _, err := decodePayload([]byte(`{"type":"ZZ","at":1,"node":7}`)); err == nil {
+		t.Error("unknown type in a legacy WAL payload accepted")
+	}
+	page := encodeReplicate(replicateResponse{Records: []Record{{Seq: 1, Event: want[0]}}, LastSeq: 1}, false)
+	if _, err := decodeReplicate(bytes.Replace(page, []byte("NN"), []byte("ZZ"), 1)); err == nil {
+		t.Error("unknown type in a /replicate page accepted")
+	}
+}

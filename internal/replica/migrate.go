@@ -443,7 +443,7 @@ func (m *migration) drain() (bool, error) {
 			var b int64
 			switch {
 			case len(other.buf) > 0:
-				b = other.buf[0].Event.At
+				b = int64(other.buf[0].Event.At)
 			case m.exhausted(other):
 				b = math.MaxInt64
 			default:
@@ -454,7 +454,7 @@ func (m *migration) drain() (bool, error) {
 			}
 		}
 		cut := 0
-		for cut < len(src.buf) && src.buf[cut].Event.At <= bound {
+		for cut < len(src.buf) && int64(src.buf[cut].Event.At) <= bound {
 			cut++
 		}
 		if cut == 0 {
@@ -466,9 +466,9 @@ func (m *migration) drain() (bool, error) {
 			for g < len(run) && run[g].Batch == run[0].Batch {
 				g++
 			}
-			events, err := decodeRecords(run[:g])
-			if err != nil {
-				return appliedAny, err
+			events := make(historygraph.EventList, g)
+			for i, rec := range run[:g] {
+				events[i] = rec.Event
 			}
 			if err := m.n.migrateAppend(events, run[0].Batch); err != nil {
 				return appliedAny, err
@@ -481,19 +481,6 @@ func (m *migration) drain() (bool, error) {
 		m.mu.Unlock()
 		appliedAny = true
 	}
-}
-
-// decodeRecords turns fetched WAL records back into events.
-func decodeRecords(recs []Record) (historygraph.EventList, error) {
-	events := make(historygraph.EventList, 0, len(recs))
-	for _, rec := range recs {
-		ev, err := server.EventFromJSON(rec.Event)
-		if err != nil {
-			return nil, fmt.Errorf("replica: migration record %d: %w", rec.Seq, err)
-		}
-		events = append(events, ev)
-	}
-	return events, nil
 }
 
 // migrateAppend admits one contiguous same-batch run of migrated events:

@@ -220,7 +220,7 @@ type applyReq struct {
 
 // applyDone is the applier's answer to one request.
 type applyDone struct {
-	res server.AppendResult
+	res wire.AppendResult
 	err error
 }
 
@@ -412,10 +412,7 @@ func (n *Node) applyRecordsLocked(recs []Record, checkpointFloor historygraph.Ti
 	seqOf := make([]uint64, 0, len(recs)) // record seq per kept event
 	stale := make([]bool, len(recs))      // record was poison (not checkpoint-covered)
 	for i, rec := range recs {
-		ev, err := server.EventFromJSON(rec.Event)
-		if err != nil {
-			return fmt.Errorf("replica: WAL record %d: %w", rec.Seq, err)
-		}
+		ev := rec.Event
 		switch {
 		case checkpointFloor > 0 && ev.At <= checkpointFloor:
 			// Already part of the loaded checkpoint.
@@ -536,14 +533,9 @@ func (n *Node) handleAppend(w http.ResponseWriter, r *http.Request) {
 		n.handleAppendStream(w, r)
 		return
 	}
-	var body []server.EventJSON
-	if err := server.ReadBody(r, &body); err != nil {
+	var events historygraph.EventList
+	if err := server.ReadBody(r, &events); err != nil {
 		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad append body: %w", err))
-		return
-	}
-	events, err := server.DecodeEvents(body)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	res, status, err := n.append(events, r.URL.Query().Get("batch"))
@@ -557,19 +549,19 @@ func (n *Node) handleAppend(w http.ResponseWriter, r *http.Request) {
 // append runs one batch through the pipeline end to end: admit (validate +
 // log + enqueue), wait for the applier's answer, then the follower-ack
 // wait. It returns the HTTP status to use on error.
-func (n *Node) append(events historygraph.EventList, batch string) (server.AppendResult, int, error) {
+func (n *Node) append(events historygraph.EventList, batch string) (wire.AppendResult, int, error) {
 	ad, status, err := n.admit(events, batch)
 	if err != nil {
-		return server.AppendResult{}, status, err
+		return wire.AppendResult{}, status, err
 	}
 	res, err := n.settle(ad)
 	if err != nil {
-		return server.AppendResult{}, http.StatusInternalServerError, err
+		return wire.AppendResult{}, http.StatusInternalServerError, err
 	}
 	if ad.acked > 0 && n.syncFollowers > 0 {
 		ackStart := time.Now()
 		if !n.waitForAcks(ad.acked, n.syncFollowers) {
-			return server.AppendResult{}, http.StatusServiceUnavailable, fmt.Errorf(
+			return wire.AppendResult{}, http.StatusServiceUnavailable, fmt.Errorf(
 				"replica: %d follower(s) did not confirm seq %d within %v (events are logged and will replicate; batch was NOT acked)",
 				n.syncFollowers, ad.acked, n.ackTimeout)
 		}
@@ -584,7 +576,7 @@ func (n *Node) append(events historygraph.EventList, batch string) (server.Appen
 // needs follower confirmation).
 type admitted struct {
 	req     *applyReq
-	res     server.AppendResult // answer when req == nil
+	res     wire.AppendResult // answer when req == nil
 	resumed int
 	last    uint64
 	acked   uint64
@@ -632,7 +624,7 @@ func (n *Node) admit(events historygraph.EventList, batch string) (admitted, int
 					return admitted{}, http.StatusInternalServerError, err
 				}
 				return admitted{
-					res: server.AppendResult{
+					res: wire.AppendResult{
 						Appended: span.events,
 						LastTime: int64(n.srv.Manager().LastTime()),
 						Seq:      span.lastSeq,
@@ -667,7 +659,7 @@ func (n *Node) admit(events historygraph.EventList, batch string) (admitted, int
 		seq := n.admittedSeq.Load()
 		n.admitMu.Unlock()
 		return admitted{
-			res: server.AppendResult{
+			res: wire.AppendResult{
 				Appended: resumed,
 				LastTime: int64(n.srv.Manager().LastTime()),
 				Seq:      seq,
@@ -703,7 +695,7 @@ func (n *Node) admit(events historygraph.EventList, batch string) (admitted, int
 // settle waits for an admission's apply outcome and assembles the final
 // AppendResult (follower acks are the caller's, so a dedup ack and a live
 // append share one ack path).
-func (n *Node) settle(ad admitted) (server.AppendResult, error) {
+func (n *Node) settle(ad admitted) (wire.AppendResult, error) {
 	if ad.req == nil {
 		return ad.res, nil
 	}
@@ -713,7 +705,7 @@ func (n *Node) settle(ad admitted) (server.AppendResult, error) {
 		// internal failure (index store I/O), not a client error; the
 		// batch is durably logged and the applier re-drives the unapplied
 		// tail on the next append or restart.
-		return server.AppendResult{}, d.err
+		return wire.AppendResult{}, d.err
 	}
 	res := d.res
 	res.Seq = ad.last
@@ -825,7 +817,7 @@ func (n *Node) process(req *applyReq) {
 	case applied >= req.last:
 		// A redrive triggered by a later retry already carried these
 		// records into the graph.
-		d.res = server.AppendResult{Appended: len(req.events), LastTime: int64(n.srv.Manager().LastTime())}
+		d.res = wire.AppendResult{Appended: len(req.events), LastTime: int64(n.srv.Manager().LastTime())}
 	case !req.redrive && applied == req.first-1:
 		// Steady state: the decoded events apply straight from memory.
 		res, appendErr := n.srv.ApplyEvents(req.events)
@@ -846,7 +838,7 @@ func (n *Node) process(req *applyReq) {
 		if n.appliedSeq.Load() >= req.last {
 			// This request's records settled even if a later record
 			// failed; the failure belongs to that record's own request.
-			d.res = server.AppendResult{Appended: len(req.events), LastTime: int64(n.srv.Manager().LastTime())}
+			d.res = wire.AppendResult{Appended: len(req.events), LastTime: int64(n.srv.Manager().LastTime())}
 		} else {
 			if err == nil {
 				err = fmt.Errorf("replica: WAL redrive stopped at seq %d before %d", n.appliedSeq.Load(), req.last)
@@ -979,11 +971,11 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		out.NextFrom = from
 		if len(recs) > 0 {
 			out.NextFrom = recs[len(recs)-1].Seq + 1
-			out.LastTime = recs[len(recs)-1].Event.At
+			out.LastTime = int64(recs[len(recs)-1].Event.At)
 		}
 		out.Records = recs[:0]
 		for _, rec := range recs {
-			if slots.has(graph.Slot(historygraph.NodeID(rec.Event.Node))) {
+			if slots.has(graph.Slot(rec.Event.Node)) {
 				out.Records = append(out.Records, rec)
 			}
 		}

@@ -124,12 +124,8 @@ func TestWALRoundTrip(t *testing.T) {
 		if rec.Seq != uint64(i+1) {
 			t.Fatalf("record %d has seq %d, want %d", i, rec.Seq, i+1)
 		}
-		ev, err := server.EventFromJSON(rec.Event)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev != events[i] {
-			t.Fatalf("event %d read back as %+v, want %+v", i, ev, events[i])
+		if rec.Event != events[i] {
+			t.Fatalf("event %d read back as %+v, want %+v", i, rec.Event, events[i])
 		}
 	}
 }

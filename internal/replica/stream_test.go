@@ -4,21 +4,19 @@ import (
 	"reflect"
 	"testing"
 
-	"historygraph/internal/server"
+	"historygraph"
 )
 
-func strp(s string) *string { return &s }
-
 // TestReplicateStreamRoundTrip pins the binary /replicate body: records
-// (sequence, batch ID, full event incl. old/new attribute pointers) must
+// (sequence, batch ID, full event incl. old/new attribute values) must
 // decode exactly, empty batches included.
 func TestReplicateStreamRoundTrip(t *testing.T) {
 	for _, recs := range [][]Record{
 		nil,
 		{
-			{Seq: 1, Event: server.EventJSON{Type: "NN", At: 1, Node: 7}},
-			{Seq: 2, Event: server.EventJSON{Type: "NE", At: 2, Node: 7, Node2: 9, Edge: 3, Directed: true}, Batch: "b1"},
-			{Seq: 3, Event: server.EventJSON{Type: "UNA", At: 3, Node: 7, Attr: "name", Old: strp("x"), New: strp("")}, Batch: "b1"},
+			{Seq: 1, Event: historygraph.Event{Type: historygraph.AddNode, At: 1, Node: 7}},
+			{Seq: 2, Event: historygraph.Event{Type: historygraph.AddEdge, At: 2, Node: 7, Node2: 9, Edge: 3, Directed: true}, Batch: "b1"},
+			{Seq: 3, Event: historygraph.Event{Type: historygraph.SetNodeAttr, At: 3, Node: 7, Attr: "name", Old: "x", HadOld: true, HasNew: true}, Batch: "b1"},
 		},
 	} {
 		body := encodeReplicate(replicateResponse{Records: recs, LastSeq: 99}, false)
@@ -42,7 +40,7 @@ func TestReplicateStreamRoundTrip(t *testing.T) {
 	if _, err := decodeReplicate([]byte("{}")); err == nil {
 		t.Fatal("JSON body accepted as binary stream")
 	}
-	body := encodeReplicate(replicateResponse{Records: []Record{{Seq: 1, Event: server.EventJSON{Type: "NN", At: 1}}}, LastSeq: 1}, false)
+	body := encodeReplicate(replicateResponse{Records: []Record{{Seq: 1, Event: historygraph.Event{Type: historygraph.AddNode, At: 1}}}, LastSeq: 1}, false)
 	for cut := 0; cut < len(body); cut++ {
 		_, _ = decodeReplicate(body[:cut])
 	}

@@ -44,7 +44,6 @@ import (
 	"historygraph"
 	"historygraph/internal/kvstore"
 	"historygraph/internal/metrics"
-	"historygraph/internal/server"
 	"historygraph/internal/wire"
 )
 
@@ -57,53 +56,45 @@ import (
 // and a promoted follower can recognize a retried batch they already hold
 // (Node's dedup table).
 type Record struct {
-	Seq   uint64           `json:"seq"`
-	Event server.EventJSON `json:"event"`
-	Batch string           `json:"batch,omitempty"`
+	Seq   uint64             `json:"seq"`
+	Event historygraph.Event `json:"event"`
+	Batch string             `json:"batch,omitempty"`
 }
 
-// walPayload is the legacy JSON on-disk record body: the event's wire
-// form with the optional batch ID flattened into the same object. New
-// records are written in the wire package's binary event encoding (about
-// a third the bytes and none of the per-field JSON costs); payloads
-// starting with '{' decode through this struct so WAL directories written
-// before the binary format replay unchanged.
-type walPayload struct {
-	server.EventJSON
-	Batch string `json:"batch,omitempty"`
-}
-
-// walBinaryMarker is the first byte of a binary record payload. JSON
-// payloads start with '{', so one byte disambiguates.
+// walBinaryMarker is the first byte of a record payload: the batch ID and
+// the event follow in the wire package's binary event encoding. Payloads
+// written before that format are the event's JSON object with the
+// optional batch ID flattened into it; they start with '{', so one byte
+// disambiguates and such WAL directories replay unchanged.
 const walBinaryMarker = 0x00
 
-// encodePayload renders a record body in the binary format.
-func encodePayload(ev server.EventJSON, batch string) []byte {
-	e := wire.NewEncoder()
+// appendPayload renders a record body onto e.
+func appendPayload(e *wire.Encoder, ev historygraph.Event, batch string) {
 	e.Byte(walBinaryMarker)
 	e.String(batch)
 	wire.EncodeEventTo(e, ev)
-	return e.Bytes()
 }
 
 // decodePayload reads either payload format.
-func decodePayload(payload []byte) (server.EventJSON, string, error) {
+func decodePayload(payload []byte) (ev historygraph.Event, batch string, err error) {
 	if len(payload) == 0 {
-		return server.EventJSON{}, "", fmt.Errorf("replica: empty WAL payload")
+		return ev, "", fmt.Errorf("replica: empty WAL payload")
 	}
 	if payload[0] == '{' {
-		var p walPayload
-		if err := json.Unmarshal(payload, &p); err != nil {
-			return server.EventJSON{}, "", err
+		var tag struct {
+			Batch string `json:"batch"`
 		}
-		return p.EventJSON, p.Batch, nil
+		if err = json.Unmarshal(payload, &ev); err == nil {
+			err = json.Unmarshal(payload, &tag)
+		}
+		return ev, tag.Batch, err
 	}
 	d := wire.NewDecoder(payload)
 	if d.Byte() != walBinaryMarker {
-		return server.EventJSON{}, "", fmt.Errorf("replica: unknown WAL payload format (leading byte 0x%02x)", payload[0])
+		return ev, "", fmt.Errorf("replica: unknown WAL payload format (leading byte 0x%02x)", payload[0])
 	}
-	batch := d.String()
-	ev := wire.DecodeEventFrom(d)
+	batch = d.String()
+	ev = wire.DecodeEventFrom(d)
 	return ev, batch, d.Err()
 }
 
@@ -302,9 +293,7 @@ func (l *Log) StartAppend(events historygraph.EventList, batch string) (first, l
 	}
 	for _, ev := range events {
 		enc.Reset()
-		enc.Byte(walBinaryMarker)
-		enc.String(batch)
-		wire.EncodeEventTo(enc, server.EventToJSON(ev))
+		appendPayload(enc, ev, batch)
 		if last, err = l.sl.Append(enc.Bytes()); err != nil {
 			l.mu.Unlock()
 			return 0, 0, err
@@ -342,6 +331,7 @@ func (l *Log) ObserveAppend(start time.Time) {
 // the logs would diverge.
 func (l *Log) AppendRecords(recs []Record) error {
 	start := time.Now()
+	enc := wire.NewEncoder()
 	l.mu.Lock()
 	var last uint64
 	appended := false
@@ -349,8 +339,10 @@ func (l *Log) AppendRecords(recs []Record) error {
 		if rec.Seq <= l.sl.Last() {
 			continue
 		}
+		enc.Reset()
+		appendPayload(enc, rec.Event, rec.Batch)
 		var err error
-		if last, err = l.sl.AppendAt(rec.Seq, encodePayload(rec.Event, rec.Batch)); err != nil {
+		if last, err = l.sl.AppendAt(rec.Seq, enc.Bytes()); err != nil {
 			l.mu.Unlock()
 			return err
 		}

@@ -159,7 +159,7 @@ func TestWALLegacyJSONPayloadReplays(t *testing.T) {
 		t.Fatalf("read %d records, want 4", len(recs))
 	}
 	for i, rec := range recs[:3] {
-		if rec.Event.Type != "NN" || rec.Event.At != int64(i+1) || rec.Event.Node != int64((i+1)*10) {
+		if rec.Event.Type != historygraph.AddNode || rec.Event.At != historygraph.Time(i+1) || rec.Event.Node != historygraph.NodeID((i+1)*10) {
 			t.Fatalf("legacy record %d decoded wrong: %+v", i, rec)
 		}
 		if rec.Batch != "legacy-1" {

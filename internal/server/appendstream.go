@@ -28,7 +28,7 @@ func (s *Server) handleAppendStream(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	var agg AppendResult
+	var agg wire.AppendResult
 	frames := 0
 	for {
 		frame, err := dec.Next()
@@ -39,12 +39,7 @@ func (s *Server) handleAppendStream(w http.ResponseWriter, r *http.Request) {
 			WriteError(w, http.StatusBadRequest, fmt.Errorf("append stream failed at frame %d: %w (earlier frames were applied)", frames, err))
 			return
 		}
-		events, err := DecodeEvents(frame.Events)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, fmt.Errorf("append stream frame %d: %w", frames, err))
-			return
-		}
-		res, appendErr := s.ApplyEvents(events)
+		res, appendErr := s.ApplyEvents(frame.Events)
 		agg.Fold(res)
 		if appendErr != nil {
 			WriteError(w, http.StatusUnprocessableEntity,
@@ -73,11 +68,10 @@ type appendStreamResp struct {
 // needs a durability receipt before its next batch should use
 // AppendBatchCtx instead.
 type AppendStream struct {
-	enc     *wire.AppendStreamEncoder
-	pw      *io.PipeWriter
-	resp    chan appendStreamResp
-	scratch []EventJSON
-	done    bool
+	enc  *wire.AppendStreamEncoder
+	pw   *io.PipeWriter
+	resp chan appendStreamResp
+	done bool
 }
 
 // AppendStream opens a streaming ingest connection. Events flow with
@@ -125,21 +119,13 @@ func (s *AppendStream) SendBatch(events historygraph.EventList, batch string) er
 	if s.done {
 		return fmt.Errorf("server: send on a closed append stream")
 	}
-	if cap(s.scratch) < len(events) {
-		s.scratch = make([]EventJSON, 0, len(events))
-	}
-	body := s.scratch[:0]
-	for _, ev := range events {
-		body = append(body, EventToJSON(ev))
-	}
-	s.scratch = body
-	return s.enc.Events(batch, body)
+	return s.enc.Events(batch, events)
 }
 
 // Close writes the end frame, completes the request, and returns the
 // server's aggregated result for the whole stream. It must be called
 // exactly once; after an error it still consumes the connection.
-func (s *AppendStream) Close() (*AppendResult, error) {
+func (s *AppendStream) Close() (*wire.AppendResult, error) {
 	if s.done {
 		return nil, fmt.Errorf("server: append stream closed twice")
 	}
@@ -150,7 +136,7 @@ func (s *AppendStream) Close() (*AppendResult, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	var out AppendResult
+	var out wire.AppendResult
 	if err := decodeResponse(r.resp, &out); err != nil {
 		// The server's error body explains an abort better than the local
 		// broken-pipe the abort caused.

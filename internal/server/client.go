@@ -197,7 +197,7 @@ func decodeResponse(resp *http.Response, out any) error {
 	// 202 is a success: an accepted asynchronous analytics job.
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
 		// Error bodies are always JSON, regardless of the negotiated codec.
-		var ej errorJSON
+		var ej wire.Error
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 		if json.Unmarshal(raw, &ej) == nil && ej.Error != "" {
 			return &HTTPError{Status: resp.StatusCode, Msg: ej.Error}
@@ -212,7 +212,7 @@ func decodeResponse(resp *http.Response, out any) error {
 	// binary MIME type the stream type extends.
 	ct := resp.Header.Get("Content-Type")
 	if wire.IsStreamContentType(ct) {
-		snap, ok := out.(*SnapshotJSON)
+		snap, ok := out.(*wire.Snapshot)
 		if !ok {
 			return fmt.Errorf("server answered a snapshot stream for a %T", out)
 		}
@@ -251,14 +251,14 @@ func snapshotQuery(t string, attrs string, full bool) url.Values {
 
 // Snapshot retrieves the graph as of time t. full includes the element
 // lists, not just counts.
-func (c *Client) Snapshot(t historygraph.Time, attrs string, full bool) (*SnapshotJSON, error) {
+func (c *Client) Snapshot(t historygraph.Time, attrs string, full bool) (*wire.Snapshot, error) {
 	return c.SnapshotCtx(context.Background(), t, attrs, full)
 }
 
 // SnapshotCtx is Snapshot bounded by a context (the coordinator's
 // per-partition timeout).
-func (c *Client) SnapshotCtx(ctx context.Context, t historygraph.Time, attrs string, full bool) (*SnapshotJSON, error) {
-	return getAs[SnapshotJSON](c, ctx, "/snapshot", snapshotQuery(strconv.FormatInt(int64(t), 10), attrs, full))
+func (c *Client) SnapshotCtx(ctx context.Context, t historygraph.Time, attrs string, full bool) (*wire.Snapshot, error) {
+	return getAs[wire.Snapshot](c, ctx, "/snapshot", snapshotQuery(strconv.FormatInt(int64(t), 10), attrs, full))
 }
 
 // SnapshotStream is a live full-snapshot response consumed run by run:
@@ -330,7 +330,7 @@ func (c *Client) SnapshotStreamCtx(ctx context.Context, t historygraph.Time, att
 	}
 	// Non-stream answer: reuse the whole-message decode (which also
 	// surfaces non-200s as *HTTPError) and replay it synthetically.
-	var snap SnapshotJSON
+	var snap wire.Snapshot
 	if err := decodeResponse(resp, &snap); err != nil {
 		return nil, err
 	}
@@ -348,13 +348,13 @@ func (c *Client) SnapshotStreamCtx(ctx context.Context, t historygraph.Time, att
 
 // Snapshots retrieves many timepoints in one request; the server executes
 // them as a single multipoint plan.
-func (c *Client) Snapshots(ts []historygraph.Time, attrs string, full bool) ([]SnapshotJSON, error) {
+func (c *Client) Snapshots(ts []historygraph.Time, attrs string, full bool) ([]wire.Snapshot, error) {
 	return c.SnapshotsCtx(context.Background(), ts, attrs, full)
 }
 
 // SnapshotsCtx is Snapshots bounded by a context.
-func (c *Client) SnapshotsCtx(ctx context.Context, ts []historygraph.Time, attrs string, full bool) ([]SnapshotJSON, error) {
-	var out []SnapshotJSON
+func (c *Client) SnapshotsCtx(ctx context.Context, ts []historygraph.Time, attrs string, full bool) ([]wire.Snapshot, error) {
+	var out []wire.Snapshot
 	if err := c.get(ctx, "/batch", snapshotQuery(timeQuery(ts), attrs, full), &out); err != nil {
 		return nil, err
 	}
@@ -362,12 +362,12 @@ func (c *Client) SnapshotsCtx(ctx context.Context, ts []historygraph.Time, attrs
 }
 
 // Neighbors retrieves a node's neighborhood as of time t.
-func (c *Client) Neighbors(t historygraph.Time, node historygraph.NodeID, attrs string) (*NeighborsJSON, error) {
+func (c *Client) Neighbors(t historygraph.Time, node historygraph.NodeID, attrs string) (*wire.Neighbors, error) {
 	return c.NeighborsCtx(context.Background(), t, node, attrs)
 }
 
 // NeighborsCtx is Neighbors bounded by a context.
-func (c *Client) NeighborsCtx(ctx context.Context, t historygraph.Time, node historygraph.NodeID, attrs string) (*NeighborsJSON, error) {
+func (c *Client) NeighborsCtx(ctx context.Context, t historygraph.Time, node historygraph.NodeID, attrs string) (*wire.Neighbors, error) {
 	q := url.Values{
 		"t":    {strconv.FormatInt(int64(t), 10)},
 		"node": {strconv.FormatInt(int64(node), 10)},
@@ -375,42 +375,42 @@ func (c *Client) NeighborsCtx(ctx context.Context, t historygraph.Time, node his
 	if attrs != "" {
 		q.Set("attrs", attrs)
 	}
-	return getAs[NeighborsJSON](c, ctx, "/neighbors", q)
+	return getAs[wire.Neighbors](c, ctx, "/neighbors", q)
 }
 
 // Interval retrieves the elements added during [from, to) and the
 // transient events in that window.
-func (c *Client) Interval(from, to historygraph.Time, attrs string, full bool) (*IntervalJSON, error) {
+func (c *Client) Interval(from, to historygraph.Time, attrs string, full bool) (*wire.Interval, error) {
 	return c.IntervalCtx(context.Background(), from, to, attrs, full)
 }
 
 // IntervalCtx is Interval bounded by a context.
-func (c *Client) IntervalCtx(ctx context.Context, from, to historygraph.Time, attrs string, full bool) (*IntervalJSON, error) {
+func (c *Client) IntervalCtx(ctx context.Context, from, to historygraph.Time, attrs string, full bool) (*wire.Interval, error) {
 	q := spanQuery("from", "to", from, to, attrs)
 	if full {
 		q.Set("full", "1")
 	}
-	return getAs[IntervalJSON](c, ctx, "/interval", q)
+	return getAs[wire.Interval](c, ctx, "/interval", q)
 }
 
-// Expr evaluates a TimeExpression query, e.g. Expr(ExprRequest{Times:
+// Expr evaluates a TimeExpression query, e.g. Expr(wire.ExprRequest{Times:
 // []int64{100, 200}, Expr: "0 & !1"}) for "present at 100 but gone by 200".
-func (c *Client) Expr(req ExprRequest) (*SnapshotJSON, error) {
+func (c *Client) Expr(req wire.ExprRequest) (*wire.Snapshot, error) {
 	return c.ExprCtx(context.Background(), req)
 }
 
 // ExprCtx is Expr bounded by a context.
-func (c *Client) ExprCtx(ctx context.Context, req ExprRequest) (*SnapshotJSON, error) {
-	return postAs[SnapshotJSON](c, ctx, "/expr", req)
+func (c *Client) ExprCtx(ctx context.Context, req wire.ExprRequest) (*wire.Snapshot, error) {
+	return postAs[wire.Snapshot](c, ctx, "/expr", req)
 }
 
 // Append records a run of events against the live database.
-func (c *Client) Append(events historygraph.EventList) (*AppendResult, error) {
+func (c *Client) Append(events historygraph.EventList) (*wire.AppendResult, error) {
 	return c.AppendCtx(context.Background(), events)
 }
 
 // AppendCtx is Append bounded by a context.
-func (c *Client) AppendCtx(ctx context.Context, events historygraph.EventList) (*AppendResult, error) {
+func (c *Client) AppendCtx(ctx context.Context, events historygraph.EventList) (*wire.AppendResult, error) {
 	return c.AppendBatchCtx(ctx, events, "")
 }
 
@@ -420,26 +420,25 @@ func (c *Client) AppendCtx(ctx context.Context, events historygraph.EventList) (
 // primary — so retrying the same batch after a failover or a lost
 // response acks without appending twice. Servers without a WAL ignore the
 // ID; an empty ID is an ordinary append.
-func (c *Client) AppendBatchCtx(ctx context.Context, events historygraph.EventList, batch string) (*AppendResult, error) {
-	body := make([]EventJSON, len(events))
-	for i, ev := range events {
-		body[i] = EventToJSON(ev)
-	}
+func (c *Client) AppendBatchCtx(ctx context.Context, events historygraph.EventList, batch string) (*wire.AppendResult, error) {
 	path := "/append"
 	if batch != "" {
 		path += "?batch=" + url.QueryEscape(batch)
 	}
-	return postAs[AppendResult](c, ctx, path, body)
+	if events == nil {
+		events = historygraph.EventList{} // an empty append's body is a list ("[]"), not null
+	}
+	return postAs[wire.AppendResult](c, ctx, path, events)
 }
 
 // Stats fetches index, pool, and serving-layer statistics.
-func (c *Client) Stats() (*StatsJSON, error) {
+func (c *Client) Stats() (*wire.Stats, error) {
 	return c.StatsCtx(context.Background())
 }
 
 // StatsCtx is Stats bounded by a context.
-func (c *Client) StatsCtx(ctx context.Context) (*StatsJSON, error) {
-	return getAs[StatsJSON](c, ctx, "/stats", nil)
+func (c *Client) StatsCtx(ctx context.Context) (*wire.Stats, error) {
+	return getAs[wire.Stats](c, ctx, "/stats", nil)
 }
 
 // Health checks GET /healthz; nil means the server answered ok.

@@ -378,7 +378,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	slot := cache.Entry[cache.Body]{At: q.T, DepCur: h.DependsOnCurrent()}
-	out := ownedViewToJSON(h, q.Full, own)
+	out := snapshotOf(h, h.At(), q.Full, own)
 	release()
 	out.Cached, out.Coalesced = cached, coalesced
 	var hit any
@@ -412,7 +412,7 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := historygraph.NodeID(node)
-	out := NeighborsJSON{At: int64(q.T), Node: node, Cached: cached}
+	out := wire.Neighbors{At: int64(q.T), Node: node, Cached: cached}
 	var neigh []historygraph.NodeID
 	if own := s.ownership(); own.filtering() {
 		// Restricted to owned edges: a retired owner still holding a
@@ -441,7 +441,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	attrs, full := q.Attrs, q.Full
-	out := make([]SnapshotJSON, len(times))
+	out := make([]wire.Snapshot, len(times))
 
 	// Probe the hot-snapshot cache per timepoint; the misses execute as
 	// one multipoint shared-delta plan (Section 4.4) into the GraphPool
@@ -452,9 +452,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	missIdx := make(map[historygraph.Time][]int)
 	for i, t := range times {
 		if h, rel, ok := s.cache.Acquire(cacheKey(t, attrs)); ok {
-			out[i] = ownedViewToJSON(h, full, own)
+			out[i] = snapshotOf(h, t, full, own)
 			rel()
-			out[i].At = int64(t)
 			out[i].Cached = true
 			continue
 		}
@@ -479,7 +478,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for j, snap := range snaps {
 			t := missTimes[j]
 			for _, i := range missIdx[t] {
-				out[i] = ownedSnapshotToJSON(snap, t, full, own)
+				out[i] = snapshotOf(detached{snap}, t, full, own)
 			}
 		}
 	default:
@@ -496,18 +495,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		perView := time.Since(start) / time.Duration(len(hs))
 		for j, h := range hs {
 			t := missTimes[j]
-			var sj SnapshotJSON
+			var sj wire.Snapshot
 			if fh, rel := s.cache.InsertAcquire(gm, cacheKey(t, attrs), t, h, gen, perView); rel != nil {
-				sj = ownedViewToJSON(fh, full, own)
+				sj = snapshotOf(fh, t, full, own)
 				rel()
 			} else {
 				// Not cached (concurrent append invalidation, or
 				// shutdown): serve this view directly and hand it
 				// straight back to the pool.
-				sj = ownedViewToJSON(h, full, own)
+				sj = snapshotOf(h, t, full, own)
 				gm.Release(h)
 			}
-			sj.At = int64(t)
 			for _, i := range missIdx[t] {
 				out[i] = sj
 			}
@@ -530,8 +528,8 @@ func (s *Server) handleInterval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	own := s.ownership()
-	sj := ownedSnapshotToJSON(res.Graph, 0, q.Full, own)
-	out := IntervalJSON{
+	sj := snapshotOf(detached{res.Graph}, 0, q.Full, own)
+	out := wire.Interval{
 		Start: int64(res.Start), End: int64(res.End),
 		NumNodes: sj.NumNodes, NumEdges: sj.NumEdges,
 		Nodes: sj.Nodes, Edges: sj.Edges,
@@ -540,7 +538,7 @@ func (s *Server) handleInterval(w http.ResponseWriter, r *http.Request) {
 		if own.filtering() && !own.owns(graph.SlotOfEvent(ev)) {
 			continue
 		}
-		out.Transients = append(out.Transients, EventToJSON(ev))
+		out.Transients = append(out.Transients, ev)
 	}
 	WriteWire(w, r, http.StatusOK, out)
 }
@@ -562,21 +560,7 @@ func (s *Server) handleExpr(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	WriteWire(w, r, http.StatusOK, ownedSnapshotToJSON(snap, 0, req.Full, s.ownership()))
-}
-
-// DecodeEvents converts a wire event batch to the model form. The append
-// handler and the replication node share it.
-func DecodeEvents(body []EventJSON) (historygraph.EventList, error) {
-	events := make(historygraph.EventList, len(body))
-	for i, ej := range body {
-		ev, err := EventFromJSON(ej)
-		if err != nil {
-			return nil, err
-		}
-		events[i] = ev
-	}
-	return events, nil
+	WriteWire(w, r, http.StatusOK, snapshotOf(detached{snap}, 0, req.Full, s.ownership()))
 }
 
 // ApplyEvents records a run of events against the embedded GraphManager
@@ -589,7 +573,7 @@ func DecodeEvents(body []EventJSON) (historygraph.EventList, error) {
 // earliest appended timestamp — and every view that reads through the
 // current graph — are stale then; earlier independent ones are untouched
 // (history is append-only).
-func (s *Server) ApplyEvents(events historygraph.EventList) (AppendResult, error) {
+func (s *Server) ApplyEvents(events historygraph.EventList) (wire.AppendResult, error) {
 	gm := s.gm.Load()
 	minAt := historygraph.Time(0)
 	for i, ev := range events {
@@ -607,7 +591,7 @@ func (s *Server) ApplyEvents(events historygraph.EventList) (AppendResult, error
 	// Appended is the exact applied count even on failure (a prefix may
 	// have landed); the replication recovery paths read it to resume
 	// precisely where a partial apply stopped.
-	res := AppendResult{
+	res := wire.AppendResult{
 		Appended:    applied,
 		LastTime:    int64(gm.LastTime()),
 		Invalidated: invalidated,
@@ -642,14 +626,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		s.handleAppendStream(w, r)
 		return
 	}
-	var body []EventJSON
-	if err := ReadBody(r, &body); err != nil {
+	var events historygraph.EventList
+	if err := ReadBody(r, &events); err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad append body: %w", err))
-		return
-	}
-	events, err := DecodeEvents(body)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	res, appendErr := s.ApplyEvents(events)
@@ -665,10 +644,10 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 // cannot drift.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	gm := s.gm.Load()
-	out := StatsJSON{
+	out := wire.Stats{
 		Index: gm.IndexStats(),
 		Pool:  gm.PoolStats(),
-		Server: ServerStatsJSON{
+		Server: wire.ServerStats{
 			Requests:   s.ins.Requests(),
 			Retrievals: s.retrievals.Value(),
 			Coalesced:  s.flights.Hits.Value(),
@@ -760,7 +739,7 @@ func ReadBatchQuery(w http.ResponseWriter, r *http.Request) (q Query, times []hi
 // ReadExprRequest reads and validates a POST /expr body: the expression
 // must parse over the request's timepoints and the attribute spec must be
 // well-formed. Every failure is the client's: answered 400 here, ok false.
-func ReadExprRequest(w http.ResponseWriter, r *http.Request) (req ExprRequest, expr historygraph.TimeExpr, ok bool) {
+func ReadExprRequest(w http.ResponseWriter, r *http.Request) (req wire.ExprRequest, expr historygraph.TimeExpr, ok bool) {
 	err := ReadBody(r, &req)
 	if err != nil {
 		err = fmt.Errorf("bad expr body: %w", err)
@@ -826,5 +805,5 @@ func ReadBody(r *http.Request, v any) error {
 // WriteError writes the wire error shape ({"error": "..."}) the Client
 // decodes; the shard coordinator reuses it so error bodies stay uniform.
 func WriteError(w http.ResponseWriter, code int, err error) {
-	WriteJSON(w, code, errorJSON{Error: err.Error()})
+	WriteJSON(w, code, wire.Error{Error: err.Error()})
 }

@@ -12,6 +12,7 @@ import (
 	"historygraph/internal/cache"
 	"historygraph/internal/datagen"
 	"historygraph/internal/metrics"
+	"historygraph/internal/wire"
 )
 
 // testSnapCache builds a view cache outside a server, for driving it
@@ -154,7 +155,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// TimeExpression: elements at mid still present at last.
-	expr, err := client.Expr(ExprRequest{Times: []int64{int64(mid), int64(last)}, Expr: "0 & 1"})
+	expr, err := client.Expr(wire.ExprRequest{Times: []int64{int64(mid), int64(last)}, Expr: "0 & 1"})
 	if err != nil {
 		t.Fatal(err)
 	}

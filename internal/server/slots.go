@@ -173,81 +173,6 @@ func (s *Server) CheckEpoch(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
-// filterElements drops the nodes and edges outside the owned slots —
-// nodes by their own slot, edges by their From endpoint's slot (the
-// routing rule, so cluster-wide each edge is reported by exactly one
-// owner). Both slices are filtered in place; callers pass freshly built
-// lists.
-func filterElements(nodes []NodeJSON, edges []EdgeJSON, own *slotOwnership) ([]NodeJSON, []EdgeJSON) {
-	outN := nodes[:0]
-	for _, n := range nodes {
-		if own.ownsNode(historygraph.NodeID(n.ID)) {
-			outN = append(outN, n)
-		}
-	}
-	outE := edges[:0]
-	for _, e := range edges {
-		if own.ownsNode(historygraph.NodeID(e.From)) {
-			outE = append(outE, e)
-		}
-	}
-	return outN, outE
-}
-
-// ownedViewToJSON is viewToJSON restricted to the owned slots. Counts on
-// the counts-only path are computed by walking the view, so they always
-// equal the filtered list lengths a full response would report.
-func ownedViewToJSON(h *historygraph.HistGraph, full bool, own *slotOwnership) SnapshotJSON {
-	if !own.filtering() {
-		return viewToJSON(h, full)
-	}
-	out := SnapshotJSON{At: int64(h.At())}
-	if !full {
-		h.ForEachNode(func(n historygraph.NodeID) bool {
-			if own.ownsNode(n) {
-				out.NumNodes++
-			}
-			return true
-		})
-		h.ForEachEdge(func(_ historygraph.EdgeID, info historygraph.EdgeInfo) bool {
-			if own.ownsNode(info.From) {
-				out.NumEdges++
-			}
-			return true
-		})
-		return out
-	}
-	nodes, edges := snapshotElements(h.Snapshot())
-	out.Nodes, out.Edges = filterElements(nodes, edges, own)
-	out.NumNodes, out.NumEdges = len(out.Nodes), len(out.Edges)
-	return out
-}
-
-// ownedSnapshotToJSON is SnapshotToJSON restricted to the owned slots.
-func ownedSnapshotToJSON(snap *historygraph.Snapshot, at historygraph.Time, full bool, own *slotOwnership) SnapshotJSON {
-	if !own.filtering() {
-		return SnapshotToJSON(snap, at, full)
-	}
-	out := SnapshotJSON{At: int64(at)}
-	if full {
-		nodes, edges := snapshotElements(snap)
-		out.Nodes, out.Edges = filterElements(nodes, edges, own)
-		out.NumNodes, out.NumEdges = len(out.Nodes), len(out.Edges)
-		return out
-	}
-	for n := range snap.Nodes {
-		if own.ownsNode(n) {
-			out.NumNodes++
-		}
-	}
-	for _, info := range snap.Edges {
-		if own.ownsNode(info.From) {
-			out.NumEdges++
-		}
-	}
-	return out
-}
-
 // ownedNeighbors computes the degree and neighbor list restricted to
 // owned edges. It walks the same adjacency list View.Neighbors and
 // View.Degree do (IncidentEdges preserves that order), so the filtered

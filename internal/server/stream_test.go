@@ -17,7 +17,7 @@ import (
 )
 
 // streamClient fetches one raw streamed snapshot.
-func fetchStream(t *testing.T, base string, at historygraph.Time, attrs string) *SnapshotJSON {
+func fetchStream(t *testing.T, base string, at historygraph.Time, attrs string) *wire.Snapshot {
 	t.Helper()
 	c := NewClient(base)
 	if _, err := c.SetWire("stream"); err != nil {
@@ -155,7 +155,7 @@ func TestEncodedCacheInvalidation(t *testing.T) {
 	last := gm.LastTime()
 	early, late := last/4, last
 
-	warm := func(at historygraph.Time) *SnapshotJSON {
+	warm := func(at historygraph.Time) *wire.Snapshot {
 		t.Helper()
 		snap, err := client.Snapshot(at, "", true)
 		if err != nil {

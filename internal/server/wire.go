@@ -1,143 +1,131 @@
 package server
 
-// The wire types themselves live in internal/wire (one definition shared
-// by the server handlers, the Go client, the shard coordinator's merge
-// layer, and the replication stream); this file aliases them under their
-// historical *JSON names and holds the model<->wire conversions plus the
-// time-expression parser. Element lists are sorted by ID so responses are
-// deterministic and diffable.
+// The model-to-wire step of every snapshot-shaped answer — one walk — and
+// the time-expression parser. The wire types themselves live in
+// internal/wire, one definition shared by the server handlers, the Go
+// client, the shard coordinator's merge layer and the replication stream.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 
 	"historygraph"
 	"historygraph/internal/wire"
 )
 
-// Aliases for the shared wire structs. The *JSON names predate the wire
-// package; both spellings are the same types.
-type (
-	// NodeJSON is one node of a snapshot response.
-	NodeJSON = wire.Node
-	// EdgeJSON is one edge of a snapshot response.
-	EdgeJSON = wire.Edge
-	// PartitionError reports one partition's failure inside a
-	// scatter-gather response (see wire.PartitionError).
-	PartitionError = wire.PartitionError
-	// SnapshotJSON answers snapshot, batch and expression queries.
-	SnapshotJSON = wire.Snapshot
-	// NeighborsJSON answers neighborhood queries.
-	NeighborsJSON = wire.Neighbors
-	// EventJSON is the wire form of one historical event.
-	EventJSON = wire.Event
-	// IntervalJSON answers interval queries.
-	IntervalJSON = wire.Interval
-	// ExprRequest is the POST /expr body.
-	ExprRequest = wire.ExprRequest
-	// AppendResult answers POST /append.
-	AppendResult = wire.AppendResult
-	// ServerStatsJSON is the serving-layer section of /stats.
-	ServerStatsJSON = wire.ServerStats
-	// StatsJSON answers GET /stats.
-	StatsJSON = wire.Stats
-
-	errorJSON = wire.Error
-)
-
-var eventTypesByName = map[string]historygraph.EventType{
-	"NN": historygraph.AddNode, "DN": historygraph.DelNode,
-	"NE": historygraph.AddEdge, "DE": historygraph.DelEdge,
-	"UNA": historygraph.SetNodeAttr, "UEA": historygraph.SetEdgeAttr,
-	"TE": historygraph.TransientEdge, "TN": historygraph.TransientNode,
+// elements is what the snapshot walk reads from: a pooled view
+// (*historygraph.HistGraph has these methods already) or a detached
+// snapshot through the detached adapter.
+type elements interface {
+	NumNodes() int
+	NumEdges() int
+	ForEachNode(func(historygraph.NodeID) bool)
+	ForEachEdge(func(historygraph.EdgeID, historygraph.EdgeInfo) bool)
+	NodeAttrs(historygraph.NodeID) map[string]string
+	EdgeAttrs(historygraph.EdgeID) map[string]string
 }
 
-// EventToJSON converts an event to its wire form (type names are the
-// paper's mnemonics: NN, DN, NE, DE, UNA, UEA, TE, TN).
-func EventToJSON(ev historygraph.Event) EventJSON {
-	out := EventJSON{
-		Type:     ev.Type.String(),
-		At:       int64(ev.At),
-		Node:     int64(ev.Node),
-		Node2:    int64(ev.Node2),
-		Edge:     int64(ev.Edge),
-		Directed: ev.Directed,
-		Attr:     ev.Attr,
+// detached gives a set-based snapshot the accessors of a view.
+type detached struct{ s *historygraph.Snapshot }
+
+func (d detached) NumNodes() int { return len(d.s.Nodes) }
+func (d detached) NumEdges() int { return len(d.s.Edges) }
+func (d detached) ForEachNode(fn func(historygraph.NodeID) bool) {
+	for n := range d.s.Nodes {
+		if !fn(n) {
+			return
+		}
 	}
-	if ev.HadOld {
-		old := ev.Old
-		out.Old = &old
+}
+func (d detached) ForEachEdge(fn func(historygraph.EdgeID, historygraph.EdgeInfo) bool) {
+	for e, info := range d.s.Edges {
+		if !fn(e, info) {
+			return
+		}
 	}
-	if ev.HasNew {
-		nw := ev.New
-		out.New = &nw
+}
+func (d detached) NodeAttrs(n historygraph.NodeID) map[string]string { return d.s.NodeAttrs[n] }
+func (d detached) EdgeAttrs(e historygraph.EdgeID) map[string]string { return d.s.EdgeAttrs[e] }
+
+// walkSnapshot is the one way a graph becomes a response: it hands the
+// elements of src that own keeps — a node by its own slot, an edge by its
+// From endpoint's (the routing rule, so cluster-wide each edge is reported
+// by exactly one owner) — to the sinks in ascending ID order, every node
+// before the first edge, and returns how many of each it kept, so counts
+// and lists agree by construction. The whole-message response appends in
+// its sinks, the stream response encodes in them, and the counts-only
+// response passes none (both or neither). A sink's error stops the walk.
+func walkSnapshot(src elements, own *slotOwnership, node func(wire.Node) error, edge func(wire.Edge) error) (nodes, edges int, err error) {
+	if node == nil && !own.filtering() {
+		return src.NumNodes(), src.NumEdges(), nil
 	}
+	collect := node != nil
+	var ids []historygraph.NodeID
+	var ends []wire.Edge // endpoints now, in the one pass over the source; attributes when its turn comes
+	if collect {
+		ids = make([]historygraph.NodeID, 0, src.NumNodes())
+		ends = make([]wire.Edge, 0, src.NumEdges())
+	}
+	src.ForEachNode(func(n historygraph.NodeID) bool {
+		if own.ownsNode(n) {
+			nodes++
+			if collect {
+				ids = append(ids, n)
+			}
+		}
+		return true
+	})
+	src.ForEachEdge(func(e historygraph.EdgeID, info historygraph.EdgeInfo) bool {
+		if own.ownsNode(info.From) {
+			edges++
+			if collect {
+				ends = append(ends, wire.Edge{ID: int64(e), From: int64(info.From), To: int64(info.To), Directed: info.Directed})
+			}
+		}
+		return true
+	})
+	if !collect {
+		return nodes, edges, nil
+	}
+	slices.Sort(ids)
+	for _, n := range ids {
+		if err := node(wire.Node{ID: int64(n), Attrs: src.NodeAttrs(n)}); err != nil {
+			return nodes, edges, err
+		}
+	}
+	slices.SortFunc(ends, func(a, b wire.Edge) int { return cmp.Compare(a.ID, b.ID) })
+	for _, e := range ends {
+		e.Attrs = src.EdgeAttrs(historygraph.EdgeID(e.ID))
+		if err := edge(e); err != nil {
+			return nodes, edges, err
+		}
+	}
+	return nodes, edges, nil
+}
+
+// snapshotOf builds the whole-message answer for src under own: counts
+// always, the ID-sorted element lists when full.
+func snapshotOf(src elements, at historygraph.Time, full bool, own *slotOwnership) wire.Snapshot {
+	out := wire.Snapshot{At: int64(at)}
+	if !full {
+		out.NumNodes, out.NumEdges, _ = walkSnapshot(src, own, nil, nil)
+		return out
+	}
+	// Non-nil even when empty: the binary codec tells the two apart.
+	out.Nodes = make([]wire.Node, 0, src.NumNodes())
+	out.Edges = make([]wire.Edge, 0, src.NumEdges())
+	out.NumNodes, out.NumEdges, _ = walkSnapshot(src, own,
+		func(n wire.Node) error { out.Nodes = append(out.Nodes, n); return nil },
+		func(e wire.Edge) error { out.Edges = append(out.Edges, e); return nil })
 	return out
-}
-
-// EventFromJSON converts a wire event back to the model form.
-func EventFromJSON(ej EventJSON) (historygraph.Event, error) {
-	typ, ok := eventTypesByName[strings.ToUpper(ej.Type)]
-	if !ok {
-		return historygraph.Event{}, fmt.Errorf("unknown event type %q (want NN, DN, NE, DE, UNA, UEA, TE or TN)", ej.Type)
-	}
-	ev := historygraph.Event{
-		Type:     typ,
-		At:       historygraph.Time(ej.At),
-		Node:     historygraph.NodeID(ej.Node),
-		Node2:    historygraph.NodeID(ej.Node2),
-		Edge:     historygraph.EdgeID(ej.Edge),
-		Directed: ej.Directed,
-		Attr:     ej.Attr,
-	}
-	if ej.Old != nil {
-		ev.Old, ev.HadOld = *ej.Old, true
-	}
-	if ej.New != nil {
-		ev.New, ev.HasNew = *ej.New, true
-	}
-	return ev, nil
-}
-
-// snapshotElements extracts sorted node and edge lists from a detached
-// snapshot.
-func snapshotElements(s *historygraph.Snapshot) ([]NodeJSON, []EdgeJSON) {
-	nodes := make([]NodeJSON, 0, len(s.Nodes))
-	for n := range s.Nodes {
-		nodes = append(nodes, NodeJSON{ID: int64(n), Attrs: s.NodeAttrs[n]})
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	edges := make([]EdgeJSON, 0, len(s.Edges))
-	for e, info := range s.Edges {
-		edges = append(edges, EdgeJSON{
-			ID: int64(e), From: int64(info.From), To: int64(info.To),
-			Directed: info.Directed, Attrs: s.EdgeAttrs[e],
-		})
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].ID < edges[j].ID })
-	return nodes, edges
 }
 
 // SnapshotToJSON converts a detached snapshot; full controls whether the
 // element lists are included.
-func SnapshotToJSON(s *historygraph.Snapshot, at historygraph.Time, full bool) SnapshotJSON {
-	out := SnapshotJSON{At: int64(at), NumNodes: len(s.Nodes), NumEdges: len(s.Edges)}
-	if full {
-		out.Nodes, out.Edges = snapshotElements(s)
-	}
-	return out
-}
-
-// viewToJSON converts a pooled view. For full responses the view is copied
-// out of the pool under one read-lock acquisition.
-func viewToJSON(h *historygraph.HistGraph, full bool) SnapshotJSON {
-	out := SnapshotJSON{At: int64(h.At()), NumNodes: h.NumNodes(), NumEdges: h.NumEdges()}
-	if full {
-		out.Nodes, out.Edges = snapshotElements(h.Snapshot())
-	}
-	return out
+func SnapshotToJSON(s *historygraph.Snapshot, at historygraph.Time, full bool) wire.Snapshot {
+	return snapshotOf(detached{s}, at, full, nil)
 }
 
 // ParseTimeExpr parses a Boolean expression over timepoint indices into a

@@ -110,7 +110,7 @@ func (co *Coordinator) handleAnalyticsDegree(w http.ResponseWriter, r *http.Requ
 			leg: func(ctx reqCtx, cl *server.Client) (*wire.DegreePart, error) {
 				return cl.DegreePartCtx(ctx, q.T, q.Attrs, ctx.parts, ctx.part)
 			},
-			merge: func(parts []*wire.DegreePart, errs []server.PartitionError) wire.DegreeDist {
+			merge: func(parts []*wire.DegreePart, errs []wire.PartitionError) wire.DegreeDist {
 				out := analytics.MergeDegree(int64(q.T), compactParts(parts))
 				out.Partial = errs
 				return *out
@@ -131,7 +131,7 @@ func (co *Coordinator) handleAnalyticsComponents(w http.ResponseWriter, r *http.
 			leg: func(ctx reqCtx, cl *server.Client) (*wire.ComponentsPart, error) {
 				return cl.ComponentsPartCtx(ctx, q.T, q.Attrs, ctx.parts, ctx.part)
 			},
-			merge: func(parts []*wire.ComponentsPart, errs []server.PartitionError) wire.Components {
+			merge: func(parts []*wire.ComponentsPart, errs []wire.PartitionError) wire.Components {
 				out := analytics.MergeComponents(int64(q.T), compactParts(parts))
 				out.Partial = errs
 				return *out
@@ -152,7 +152,7 @@ func (co *Coordinator) handleAnalyticsEvolution(w http.ResponseWriter, r *http.R
 			leg: func(ctx reqCtx, cl *server.Client) (*wire.EvolutionPart, error) {
 				return cl.EvolutionPartCtx(ctx, t1, t2, q.Attrs, ctx.parts, ctx.part)
 			},
-			merge: func(parts []*wire.EvolutionPart, errs []server.PartitionError) wire.Evolution {
+			merge: func(parts []*wire.EvolutionPart, errs []wire.PartitionError) wire.Evolution {
 				out := analytics.MergeEvolution(compactParts(parts))
 				out.T1, out.T2, out.Partial = int64(t1), int64(t2), errs
 				return *out

@@ -44,8 +44,8 @@ type streamSlice struct {
 // only after it exits.
 type streamWorker struct {
 	ch  chan streamSlice
-	res server.AppendResult
-	err *server.PartitionError
+	res wire.AppendResult
+	err *wire.PartitionError
 }
 
 // runStreamWorker drains one partition's slices in order. After the first
@@ -135,33 +135,22 @@ func (co *Coordinator) handleAppendStream(w http.ResponseWriter, r *http.Request
 			fail(http.StatusBadRequest, err)
 			return
 		}
-		perPart, minAt, status, err := routeEvents(rt, frame.Events)
+		perPart, minAt, err := routeEvents(rt, frame.Events)
 		if err != nil {
-			fail(status, err)
+			fail(http.StatusUnprocessableEntity, err)
 			return
 		}
-		// Derive per-partition batch IDs: a client-tagged frame dedupes per
-		// partition across stream retries; an untagged frame gets a minted
-		// ID per slice (same idempotency-across-failover guarantee as a
-		// standalone append).
-		base := frame.Batch
 		for p, slice := range perPart {
 			if len(slice) == 0 {
 				continue
 			}
-			batch := base
-			if batch != "" {
-				batch = base + "." + strconv.Itoa(p)
-			} else {
-				batch = newBatchID()
-			}
-			workers[p].ch <- streamSlice{events: slice, batch: batch, frame: frames, minAt: minAt}
+			workers[p].ch <- streamSlice{events: slice, batch: partBatchID(frame.Batch, p), frame: frames, minAt: minAt}
 		}
 		frames++
 	}
 	settle()
-	var errs []server.PartitionError
-	out := server.AppendResult{}
+	var errs []wire.PartitionError
+	out := wire.AppendResult{}
 	for _, wk := range workers {
 		if wk.err != nil {
 			errs = append(errs, *wk.err)

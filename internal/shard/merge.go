@@ -11,15 +11,15 @@ package shard
 import (
 	"sort"
 
-	"historygraph/internal/server"
+	"historygraph/internal/wire"
 )
 
 // mergeSnapshots unions partial snapshots into one response. Failed
 // partitions (nil entries) are skipped and reported via errs. The merged
 // response is Cached only when every partition answered from its hot
 // cache — the cluster-wide analogue of the unsharded flag.
-func mergeSnapshots(at int64, parts []*server.SnapshotJSON, errs []server.PartitionError) server.SnapshotJSON {
-	out := server.SnapshotJSON{At: at, Partial: errs}
+func mergeSnapshots(at int64, parts []*wire.Snapshot, errs []wire.PartitionError) wire.Snapshot {
+	out := wire.Snapshot{At: at, Partial: errs}
 	cached := len(errs) == 0
 	for _, p := range parts {
 		if p == nil {
@@ -40,8 +40,8 @@ func mergeSnapshots(at int64, parts []*server.SnapshotJSON, errs []server.Partit
 // mergeNeighbors unions per-partition adjacency: degrees add (each
 // incident edge lives on exactly one partition) and neighbor sets union.
 // The merged neighbor list is sorted — partition order is meaningless.
-func mergeNeighbors(at, node int64, parts []*server.NeighborsJSON, errs []server.PartitionError) server.NeighborsJSON {
-	out := server.NeighborsJSON{At: at, Node: node, Neighbors: []int64{}, Partial: errs}
+func mergeNeighbors(at, node int64, parts []*wire.Neighbors, errs []wire.PartitionError) wire.Neighbors {
+	out := wire.Neighbors{At: at, Node: node, Neighbors: []int64{}, Partial: errs}
 	cached := len(errs) == 0
 	seen := make(map[int64]struct{})
 	for _, p := range parts {
@@ -69,8 +69,8 @@ func mergeNeighbors(at, node int64, parts []*server.NeighborsJSON, errs []server
 // across partitions, and the transient event streams interleave by
 // timestamp (ties keep partition order — the global recorded order
 // within one timestamp is not reconstructible from the shards).
-func mergeIntervals(parts []*server.IntervalJSON, errs []server.PartitionError) server.IntervalJSON {
-	out := server.IntervalJSON{Partial: errs}
+func mergeIntervals(parts []*wire.Interval, errs []wire.PartitionError) wire.Interval {
+	out := wire.Interval{Partial: errs}
 	first := true
 	for _, p := range parts {
 		if p == nil {
@@ -88,6 +88,6 @@ func mergeIntervals(parts []*server.IntervalJSON, errs []server.PartitionError) 
 	}
 	sort.Slice(out.Nodes, func(i, j int) bool { return out.Nodes[i].ID < out.Nodes[j].ID })
 	sort.Slice(out.Edges, func(i, j int) bool { return out.Edges[i].ID < out.Edges[j].ID })
-	sort.SliceStable(out.Transients, func(i, j int) bool { return out.Transients[i].At < out.Transients[j].At })
+	out.Transients.Sort()
 	return out
 }

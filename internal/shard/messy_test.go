@@ -1,0 +1,188 @@
+package shard
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"historygraph"
+	"historygraph/internal/baseline"
+	"historygraph/internal/datagen"
+	"historygraph/internal/graph"
+	"historygraph/internal/replica"
+	"historygraph/internal/server"
+	"historygraph/internal/wire"
+)
+
+// routableMessy is datagen.MessyTrace made fit for a coordinator, which
+// refuses an edge deletion that does not say where to route it: a bare one
+// is given the endpoints its edge was added with (in the trace an edge ID
+// always names the same pair), or node 1's when the edge never existed —
+// deleting an absent edge is a no-op on whichever partition it lands.
+func routableMessy(seed int64, n int) historygraph.EventList {
+	events := datagen.MessyTrace(seed, n)
+	ends := map[historygraph.EdgeID][2]historygraph.NodeID{}
+	for i, ev := range events {
+		switch {
+		case ev.Type == historygraph.AddEdge:
+			ends[ev.Edge] = [2]historygraph.NodeID{ev.Node, ev.Node2}
+		case ev.Type == historygraph.DelEdge && ev.Node == 0:
+			uv, ok := ends[ev.Edge]
+			if !ok {
+				uv = [2]historygraph.NodeID{1, 1}
+			}
+			events[i].Node, events[i].Node2 = uv[0], uv[1]
+		}
+	}
+	return events
+}
+
+// unionOf reads the full snapshot at q from one node per partition and
+// unions them the way the coordinator does.
+func unionOf(t *testing.T, q historygraph.Time, nodes []*rnode) wire.Snapshot {
+	t.Helper()
+	parts := make([]*wire.Snapshot, len(nodes))
+	for p, rn := range nodes {
+		s, err := server.NewClient(rn.url).Snapshot(q, "+node:all+edge:all", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[p] = s
+	}
+	return mergeSnapshots(int64(q), parts, nil)
+}
+
+// TestMessyTraceEveryEntryPoint drives the trace of
+// deltagraph.TestAppendNeverRewritesThePast — duplicate adds, deletes of
+// absent elements, re-adds, attribute churn — through the four ways events
+// reach an index besides a library call, and after every batch compares
+// each against a naive replay of what was acknowledged: a sharded
+// coordinator (the batch is appended through it), follower apply (the
+// primaries' followers, unioned), WAL replay (a fresh node per partition
+// over a copy of the primary's log) and migration ingest (a fresh node
+// that pulls every slot from both primaries, merged by time).
+func TestMessyTraceEveryEntryPoint(t *testing.T) {
+	dir := t.TempDir()
+	const parts = 2
+	primaries, followers := make([]*rnode, parts), make([]*rnode, parts)
+	sets := make([][]string, parts)
+	for p := range primaries {
+		primaries[p] = launchRNode(t, filepath.Join(dir, fmt.Sprintf("p%d.wal", p)), replica.Config{Role: replica.RolePrimary})
+		followers[p] = launchRNode(t, filepath.Join(dir, fmt.Sprintf("f%d.wal", p)),
+			replica.Config{Role: replica.RoleFollower, PrimaryURL: primaries[p].url, PollWait: 50 * time.Millisecond})
+		sets[p] = []string{primaries[p].url}
+	}
+	co, err := NewReplicated(sets, Config{PartitionTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	front := httptest.NewServer(co.Handler())
+	defer front.Close()
+	client := server.NewClient(front.URL)
+
+	allSlots := make([]int, graph.NumSlots)
+	for s := range allSlots {
+		allSlots[s] = s
+	}
+	events := routableMessy(104, 1000)
+	rng := rand.New(rand.NewSource(4))
+	allAttrs := graph.MustParseAttrOptions("+node:all+edge:all")
+	ctx := context.Background()
+	for lo, batch := 0, 0; lo < len(events); lo, batch = lo+100, batch+1 {
+		hi := min(lo+100, len(events))
+		res, err := client.Append(events[lo:hi])
+		if err != nil || len(res.Partial) != 0 {
+			t.Fatalf("batch %d: %+v, %v", batch, res, err)
+		}
+		naive, err := baseline.BuildNaiveLog(events[:hi], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Follower apply: wait for each follower to hold its primary's log.
+		heads := make([]uint64, parts)
+		for p := range primaries {
+			heads[p] = primaries[p].log.LastSeq()
+			for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				st, err := replica.Status(ctx, http.DefaultClient, followers[p].url)
+				if err == nil && st.AppliedSeq >= heads[p] {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("batch %d: follower %d never applied seq %d (%+v, %v)", batch, p, heads[p], st, err)
+				}
+			}
+		}
+		// WAL replay: what a restart of each primary would come back as.
+		replayed := make([]*rnode, parts)
+		for p := range primaries {
+			raw, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("p%d.wal", p)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, fmt.Sprintf("replay%d-%d.wal", p, batch))
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			replayed[p] = launchRNode(t, path, replica.Config{Role: replica.RolePrimary})
+			if got := replayed[p].log.LastSeq(); got != heads[p] {
+				t.Fatalf("batch %d: partition %d's copied WAL replays %d records, the primary holds %d", batch, p, got, heads[p])
+			}
+		}
+		// Migration ingest: an empty node merges both partitions' histories.
+		target := launchRNode(t, filepath.Join(dir, fmt.Sprintf("target%d.wal", batch)), replica.Config{Role: replica.RolePrimary})
+		sources := make([]replica.MigrateSource, parts)
+		for p := range primaries {
+			sources[p] = replica.MigrateSource{URLs: []string{primaries[p].url}, Slots: allSlots}
+		}
+		if _, err := replica.Migrate(ctx, http.DefaultClient, target.url, replica.MigrateRequest{Sources: sources}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := replica.Migrate(ctx, http.DefaultClient, target.url, replica.MigrateRequest{Finalize: heads}); err != nil {
+			t.Fatal(err)
+		}
+		waitMigrationState(t, target.url, "done", func(st *replica.MigrateStatus) bool { return st.Done })
+
+		probes := []historygraph.Time{events[hi-1].At}
+		for i := 0; i < 3; i++ {
+			probes = append(probes, historygraph.Time(rng.Int63n(int64(events[hi-1].At)+1)))
+		}
+		for _, q := range probes {
+			truth, err := naive.Snapshot(q, allAttrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := wire.JSON{}.Encode(server.SnapshotToJSON(truth, q, true))
+			viaCoordinator, err := client.Snapshot(q, "+node:all+edge:all", true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaCoordinator.Cached, viaCoordinator.Coalesced = false, false
+			for _, c := range []struct {
+				entry string
+				got   wire.Snapshot
+			}{
+				{"sharded coordinator", *viaCoordinator},
+				{"follower apply", unionOf(t, q, followers)},
+				{"WAL replay", unionOf(t, q, replayed)},
+				{"migration ingest", unionOf(t, q, []*rnode{target})},
+			} {
+				c.got.Cached = false
+				if got, _ := (wire.JSON{}).Encode(c.got); !bytes.Equal(got, want) {
+					t.Fatalf("%s, after %d events, snapshot at %d:\n got %.300s\nwant %.300s", c.entry, hi, q, got, want)
+				}
+			}
+		}
+		for _, rn := range append(replayed, target) {
+			rn.stop()
+		}
+	}
+}

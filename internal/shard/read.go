@@ -29,7 +29,7 @@ type read[P, M any] struct {
 	leg func(ctx reqCtx, cl *server.Client) (P, error)
 	// merge unions the shares that arrived (nil/zero where a partition
 	// failed) and reports the failed partitions in the response.
-	merge func(parts []P, errs []server.PartitionError) M
+	merge func(parts []P, errs []wire.PartitionError) M
 	// flags locates the response's Cached and Coalesced markers (the
 	// latter nil when the shape has none). A later cache hit answers with
 	// Cached on, exactly like a worker-cache hit; a request served by
@@ -58,7 +58,7 @@ type merged[M any] struct {
 // with, partial failure counted and left to merge to report.
 func gather[P, M any](co *Coordinator, parent context.Context,
 	leg func(ctx reqCtx, cl *server.Client) (P, error),
-	merge func(parts []P, errs []server.PartitionError) M) (m M, complete bool, err error) {
+	merge func(parts []P, errs []wire.PartitionError) M) (m M, complete bool, err error) {
 	parts, errs, rt := scatterRead(co, parent, leg)
 	if len(errs) == len(rt.sets) {
 		return m, false, co.allFailed(errs)
@@ -134,7 +134,7 @@ func serveRead[P, M any](co *Coordinator, w http.ResponseWriter, r *http.Request
 // (/interval, /expr): gather under the client's own context, then write.
 func serveUncached[P, M any](co *Coordinator, w http.ResponseWriter, r *http.Request,
 	leg func(ctx reqCtx, cl *server.Client) (P, error),
-	merge func(parts []P, errs []server.PartitionError) M) {
+	merge func(parts []P, errs []wire.PartitionError) M) {
 	m, _, err := gather(co, r.Context(), leg, merge)
 	if err != nil {
 		writeAllFailed(w, err)

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,6 +26,7 @@ import (
 	"historygraph"
 	"historygraph/internal/replica"
 	"historygraph/internal/server"
+	"historygraph/internal/wire"
 )
 
 // member is one replica-set node as the coordinator sees it.
@@ -265,6 +267,18 @@ func newBatchID() string {
 	return hex.EncodeToString(b[:])
 }
 
+// partBatchID derives partition p's share of an append's idempotency ID,
+// for a whole-message append and a stream frame alike: a client's tag
+// becomes tag.p, so the same tagged batch sent again — on either form —
+// dedupes partition by partition; an untagged append gets an ID minted
+// here, which still covers the coordinator's own failover retry.
+func partBatchID(tag string, p int) string {
+	if tag == "" {
+		return newBatchID()
+	}
+	return tag + "." + strconv.Itoa(p)
+}
+
 // appendBatchToSet routes an append to the set's primary under the
 // caller's batch ID. On failure it runs a failover (promote the
 // most-caught-up reachable member) and retries once against the new
@@ -272,10 +286,8 @@ func newBatchID() string {
 // actually committed on the old primary and replicated before the error
 // surfaced (a follower-ack timeout, or a response lost after the WAL
 // sync), the new primary recognizes the ID from the records it mirrored
-// and acks instead of logging and applying the events twice. The
-// streaming ingest path derives per-partition IDs from the client's frame
-// ID, so a client that resends a frame after a broken stream dedupes too.
-func (co *Coordinator) appendBatchToSet(ctx context.Context, rs *replicaSet, events historygraph.EventList, batch string) (*server.AppendResult, error) {
+// and acks instead of logging and applying the events twice.
+func (co *Coordinator) appendBatchToSet(ctx context.Context, rs *replicaSet, events historygraph.EventList, batch string) (*wire.AppendResult, error) {
 	pm := rs.primaryMember()
 	res, err := pm.client.AppendBatchCtx(ctx, events, batch)
 	if err == nil {

@@ -27,6 +27,7 @@ import (
 	"historygraph"
 	"historygraph/internal/replica"
 	"historygraph/internal/server"
+	"historygraph/internal/wire"
 )
 
 // rnode is one WAL-backed cluster member (replica.Node over an empty
@@ -665,7 +666,7 @@ func TestStaleEpochReadReroutedOnce(t *testing.T) {
 	defer front.Close()
 
 	query := fmt.Sprintf("/snapshot?t=%d&full=1", last/2)
-	var got, want server.SnapshotJSON
+	var got, want wire.Snapshot
 	if err := json.Unmarshal(rawGET(t, front.URL+query), &got); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"historygraph/internal/server"
+	"historygraph/internal/wire"
 )
 
 // reqCtx is the context handed to one fan-out leg: the per-partition
@@ -36,7 +37,7 @@ type reqCtx struct {
 // Each leg is counted and timed per partition; a failed leg is charged
 // to leg_cancels when parent was already canceled (the client went away
 // — the partition did nothing wrong) and to leg_failures otherwise.
-func scatter[T any](co *Coordinator, rt *routing, parent context.Context, call func(ctx reqCtx, rs *replicaSet) (T, error)) (results []T, errs []server.PartitionError) {
+func scatter[T any](co *Coordinator, rt *routing, parent context.Context, call func(ctx reqCtx, rs *replicaSet) (T, error)) (results []T, errs []wire.PartitionError) {
 	results = make([]T, len(rt.sets))
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -76,8 +77,8 @@ func scatter[T any](co *Coordinator, rt *routing, parent context.Context, call f
 // partitionError reports partition part's failed leg: the error's text
 // and, when a member answered with one, its HTTP status — what allFailed
 // and the 410 epoch-fence retries decide on.
-func partitionError(part int, err error) server.PartitionError {
-	pe := server.PartitionError{Partition: part, Error: err.Error()}
+func partitionError(part int, err error) wire.PartitionError {
+	pe := wire.PartitionError{Partition: part, Error: err.Error()}
 	var he *server.HTTPError
 	if errors.As(err, &he) {
 		pe.Status = he.Status
@@ -88,7 +89,7 @@ func partitionError(part int, err error) server.PartitionError {
 // staleEpoch reports whether any leg failed the routing-epoch fence: a
 // worker answered 410 Gone because the leg was planned against a table a
 // reshard has since replaced.
-func staleEpoch(errs []server.PartitionError) bool {
+func staleEpoch(errs []wire.PartitionError) bool {
 	for _, pe := range errs {
 		if pe.Status == http.StatusGone {
 			return true
@@ -138,7 +139,7 @@ func (co *Coordinator) epochWait() time.Duration {
 // epoch; their 410s trigger exactly one re-scatter against the freshly
 // installed routing. The routing the final attempt ran over is returned
 // so callers judge totals against the right partition count.
-func scatterRead[T any](co *Coordinator, parent context.Context, call func(ctx reqCtx, cl *server.Client) (T, error)) ([]T, []server.PartitionError, *routing) {
+func scatterRead[T any](co *Coordinator, parent context.Context, call func(ctx reqCtx, cl *server.Client) (T, error)) ([]T, []wire.PartitionError, *routing) {
 	rt := co.rt()
 	for retried := false; ; {
 		results, errs := scatter(co, rt, parent, func(ctx reqCtx, rs *replicaSet) (T, error) {
@@ -160,7 +161,7 @@ func scatterRead[T any](co *Coordinator, parent context.Context, call func(ctx r
 // notePartial charges a partial data response (some but not all of the
 // parts partitions failed) to the partial_responses stat. Data endpoints
 // call it; /stats and /readyz probes and total failures do not count.
-func (co *Coordinator) notePartial(errs []server.PartitionError, parts int) {
+func (co *Coordinator) notePartial(errs []wire.PartitionError, parts int) {
 	if len(errs) > 0 && len(errs) < parts {
 		co.partials.Inc()
 	}

@@ -388,7 +388,7 @@ func (e *allFailedError) Error() string { return e.msg }
 // the request itself was bad and the first rejection's status propagates
 // (retrying a deliberately rejected request elsewhere can never succeed,
 // so it must not look like a gateway fault).
-func (co *Coordinator) allFailed(errs []server.PartitionError) *allFailedError {
+func (co *Coordinator) allFailed(errs []wire.PartitionError) *allFailedError {
 	status := errs[0].Status
 	for _, pe := range errs {
 		if pe.Status < 400 || pe.Status >= 500 {
@@ -433,15 +433,15 @@ func (co *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		co.streamSnapshot(w, r, q.T, q.Attrs, key)
 		return
 	}
-	serveRead(co, w, r, read[*server.SnapshotJSON, server.SnapshotJSON]{
+	serveRead(co, w, r, read[*wire.Snapshot, wire.Snapshot]{
 		key: key, maxT: q.T, coalesce: true,
-		leg: func(ctx reqCtx, cl *server.Client) (*server.SnapshotJSON, error) {
+		leg: func(ctx reqCtx, cl *server.Client) (*wire.Snapshot, error) {
 			return cl.SnapshotCtx(ctx, q.T, q.Attrs, q.Full)
 		},
-		merge: func(parts []*server.SnapshotJSON, errs []server.PartitionError) server.SnapshotJSON {
+		merge: func(parts []*wire.Snapshot, errs []wire.PartitionError) wire.Snapshot {
 			return mergeSnapshots(int64(q.T), parts, errs)
 		},
-		flags: func(m *server.SnapshotJSON) (*bool, *bool) { return &m.Cached, &m.Coalesced },
+		flags: func(m *wire.Snapshot) (*bool, *bool) { return &m.Cached, &m.Coalesced },
 	})
 }
 
@@ -459,15 +459,15 @@ func (co *Coordinator) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	// A node's incident edges are scattered across partitions (each edge
 	// lives with its From endpoint), so the neighborhood is the union of
 	// every partition's local adjacency.
-	serveRead(co, w, r, read[*server.NeighborsJSON, server.NeighborsJSON]{
+	serveRead(co, w, r, read[*wire.Neighbors, wire.Neighbors]{
 		key: fmt.Sprintf("nbr|%d|%d|%s", q.T, node, q.Attrs), maxT: q.T, coalesce: true,
-		leg: func(ctx reqCtx, cl *server.Client) (*server.NeighborsJSON, error) {
+		leg: func(ctx reqCtx, cl *server.Client) (*wire.Neighbors, error) {
 			return cl.NeighborsCtx(ctx, q.T, historygraph.NodeID(node), q.Attrs)
 		},
-		merge: func(parts []*server.NeighborsJSON, errs []server.PartitionError) server.NeighborsJSON {
+		merge: func(parts []*wire.Neighbors, errs []wire.PartitionError) wire.Neighbors {
 			return mergeNeighbors(int64(q.T), node, parts, errs)
 		},
-		flags: func(m *server.NeighborsJSON) (*bool, *bool) { return &m.Cached, nil },
+		flags: func(m *wire.Neighbors) (*bool, *bool) { return &m.Cached, nil },
 	})
 }
 
@@ -479,19 +479,19 @@ func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Batch hits replay the stored body as-is (no flags), so the served
 	// bytes and the cached bytes are one and the same encode; and a batch
 	// is not coalesced, so a closed connection cancels every leg at once.
-	serveRead(co, w, r, read[[]server.SnapshotJSON, []server.SnapshotJSON]{
+	serveRead(co, w, r, read[[]wire.Snapshot, []wire.Snapshot]{
 		key: fmt.Sprintf("batch|%s|%s|%t", q.Get("t"), q.Attrs, q.Full), maxT: slices.Max(times),
-		leg: func(ctx reqCtx, cl *server.Client) ([]server.SnapshotJSON, error) {
+		leg: func(ctx reqCtx, cl *server.Client) ([]wire.Snapshot, error) {
 			batch, err := cl.SnapshotsCtx(ctx, times, q.Attrs, q.Full)
 			if err == nil && len(batch) != len(times) {
 				err = fmt.Errorf("partition answered %d snapshots for %d timepoints", len(batch), len(times))
 			}
 			return batch, err
 		},
-		merge: func(parts [][]server.SnapshotJSON, errs []server.PartitionError) []server.SnapshotJSON {
-			out := make([]server.SnapshotJSON, len(times))
+		merge: func(parts [][]wire.Snapshot, errs []wire.PartitionError) []wire.Snapshot {
+			out := make([]wire.Snapshot, len(times))
 			for i, t := range times {
-				slice := make([]*server.SnapshotJSON, len(parts))
+				slice := make([]*wire.Snapshot, len(parts))
 				for p, batch := range parts {
 					if batch != nil {
 						slice[p] = &batch[i]
@@ -509,7 +509,7 @@ func (co *Coordinator) handleInterval(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	serveUncached(co, w, r, func(ctx reqCtx, cl *server.Client) (*server.IntervalJSON, error) {
+	serveUncached(co, w, r, func(ctx reqCtx, cl *server.Client) (*wire.Interval, error) {
 		return cl.IntervalCtx(ctx, from, to, q.Attrs, q.Full)
 	}, mergeIntervals)
 }
@@ -522,9 +522,9 @@ func (co *Coordinator) handleExpr(w http.ResponseWriter, r *http.Request) {
 	// A TimeExpression decides membership element by element, and every
 	// element's history is confined to one partition — so evaluating the
 	// expression per partition and unioning is exact.
-	serveUncached(co, w, r, func(ctx reqCtx, cl *server.Client) (*server.SnapshotJSON, error) {
+	serveUncached(co, w, r, func(ctx reqCtx, cl *server.Client) (*wire.Snapshot, error) {
 		return cl.ExprCtx(ctx, req)
-	}, func(parts []*server.SnapshotJSON, errs []server.PartitionError) server.SnapshotJSON {
+	}, func(parts []*wire.Snapshot, errs []wire.PartitionError) wire.Snapshot {
 		return mergeSnapshots(0, parts, errs)
 	})
 }
@@ -534,7 +534,7 @@ func (co *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 		co.handleAppendStream(w, r)
 		return
 	}
-	var body []server.EventJSON
+	var body historygraph.EventList
 	if err := server.ReadBody(r, &body); err != nil {
 		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad append body: %w", err))
 		return
@@ -546,15 +546,15 @@ func (co *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 	co.appendGate.RLock()
 	defer co.appendGate.RUnlock()
 	rt := co.rt()
-	perPart, minAt, status, err := routeEvents(rt, body)
+	perPart, minAt, err := routeEvents(rt, body)
 	if err != nil {
-		server.WriteError(w, status, err)
+		server.WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	// Every partition's primary gets its slice (possibly empty — an empty
 	// append still reports the worker's last_time, keeping the merged
 	// clock exact). A dead primary triggers failover inside the scatter
-	// call. Batch IDs are minted up front so a leg fenced with 410 can be
+	// call. Batch IDs are fixed up front so a leg fenced with 410 can be
 	// re-split and resent under the SAME ID — a fenced leg logged nothing
 	// locally, and any events the migration already copied to the new
 	// owner registered the ID there, so the resend dedupes instead of
@@ -564,10 +564,10 @@ func (co *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 	server.Annotate(r.Context(), "partitions", strconv.Itoa(len(rt.sets)))
 	ids := make([]string, len(rt.sets))
 	for i := range ids {
-		ids[i] = newBatchID()
+		ids[i] = partBatchID(r.URL.Query().Get("batch"), i)
 	}
 	detached := context.WithoutCancel(r.Context())
-	parts, errs := scatter(co, rt, detached, func(ctx reqCtx, rs *replicaSet) (*server.AppendResult, error) {
+	parts, errs := scatter(co, rt, detached, func(ctx reqCtx, rs *replicaSet) (*wire.AppendResult, error) {
 		return co.appendBatchToSet(ctx, rs, perPart[ctx.part], ids[ctx.part])
 	})
 	if staleEpoch(errs) {
@@ -584,7 +584,7 @@ func (co *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	co.notePartial(errs, len(rt.sets))
-	out := server.AppendResult{Partial: errs}
+	out := wire.AppendResult{Partial: errs}
 	for _, p := range parts {
 		if p != nil {
 			out.Fold(*p)
@@ -593,24 +593,19 @@ func (co *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
 	server.WriteWire(w, r, http.StatusOK, out)
 }
 
-// routeEvents decodes one wire batch and splits it by owning partition
-// under rt, for the per-request and the streaming append alike. It refuses
-// the whole batch before anything is scattered: a malformed event is the
-// client's 400, and an unroutable edge event a 422 — it would land on the
-// wrong partition and silently diverge the cluster from its event history
-// (see Routable). minAt is the batch's earliest timestamp, the cut merged
-// responses are invalidated from.
-func routeEvents(rt *routing, body []server.EventJSON) (perPart []historygraph.EventList, minAt historygraph.Time, status int, err error) {
-	// Fresh slices per batch: stream workers retain them past the frame,
-	// whose event slice is decoder scratch.
+// routeEvents splits one batch by owning partition under rt, for the
+// per-request and the streaming append alike. It refuses the whole batch
+// before anything is scattered: an unroutable edge event is a 422 — it
+// would land on the wrong partition and silently diverge the cluster from
+// its event history (see Routable). (A malformed event never gets this
+// far: the body or frame decode refused it, the client's 400.) minAt is
+// the batch's earliest timestamp, the cut merged responses are invalidated
+// from.
+func routeEvents(rt *routing, body historygraph.EventList) (perPart []historygraph.EventList, minAt historygraph.Time, err error) {
 	perPart = make([]historygraph.EventList, len(rt.sets))
-	for i, ej := range body {
-		ev, err := server.EventFromJSON(ej)
-		if err != nil {
-			return nil, 0, http.StatusBadRequest, fmt.Errorf("event %d: %w", i, err)
-		}
+	for i, ev := range body {
 		if err := Routable(ev); err != nil {
-			return nil, 0, http.StatusUnprocessableEntity, fmt.Errorf("event %d: %w", i, err)
+			return nil, 0, fmt.Errorf("event %d: %w", i, err)
 		}
 		p := rt.table.Partition(ev)
 		perPart[p] = append(perPart[p], ev)
@@ -618,7 +613,7 @@ func routeEvents(rt *routing, body []server.EventJSON) (perPart []historygraph.E
 			minAt = ev.At
 		}
 	}
-	return perPart, minAt, 0, nil
+	return perPart, minAt, nil
 }
 
 // retryGoneAppends re-routes the 410-fenced legs of an append scatter: a
@@ -631,7 +626,7 @@ func routeEvents(rt *routing, body []server.EventJSON) (perPart []historygraph.E
 // registered the ID there, so the resend dedupes instead of
 // double-applying. One round only — a leg fenced again surfaces as an
 // error.
-func (co *Coordinator) retryGoneAppends(parent context.Context, old *routing, parts []*server.AppendResult, errs []server.PartitionError, perPart []historygraph.EventList, ids []string) ([]*server.AppendResult, []server.PartitionError) {
+func (co *Coordinator) retryGoneAppends(parent context.Context, old *routing, parts []*wire.AppendResult, errs []wire.PartitionError, perPart []historygraph.EventList, ids []string) ([]*wire.AppendResult, []wire.PartitionError) {
 	fresh := co.rt()
 	if fresh.epoch() == old.epoch() {
 		// Nothing newer installed here: the workers are ahead of this
@@ -640,7 +635,7 @@ func (co *Coordinator) retryGoneAppends(parent context.Context, old *routing, pa
 		return parts, errs
 	}
 	co.reroutes.Inc()
-	var kept []server.PartitionError
+	var kept []wire.PartitionError
 	for _, pe := range errs {
 		if pe.Status != http.StatusGone {
 			kept = append(kept, pe)
@@ -651,7 +646,7 @@ func (co *Coordinator) retryGoneAppends(parent context.Context, old *routing, pa
 			np := fresh.table.Partition(ev)
 			resplit[np] = append(resplit[np], ev)
 		}
-		agg := &server.AppendResult{}
+		agg := &wire.AppendResult{}
 		var ferr error
 		for np, slice := range resplit {
 			if len(slice) == 0 {
@@ -675,7 +670,7 @@ func (co *Coordinator) retryGoneAppends(parent context.Context, old *routing, pa
 
 // sendAppendLeg sends one re-routed append slice to partition np of rt,
 // stamped with rt's epoch and bounded by the partition timeout.
-func (co *Coordinator) sendAppendLeg(parent context.Context, rt *routing, np int, events historygraph.EventList, batch string) (*server.AppendResult, error) {
+func (co *Coordinator) sendAppendLeg(parent context.Context, rt *routing, np int, events historygraph.EventList, batch string) (*wire.AppendResult, error) {
 	ctx, cancel := context.WithTimeout(parent, co.timeout)
 	defer cancel()
 	return co.appendBatchToSet(server.WithEpoch(ctx, rt.epoch()), rt.sets[np], events, batch)
@@ -688,7 +683,7 @@ type PartitionStatsJSON struct {
 	URL       string            `json:"url"`
 	Replicas  []ReplicaInfoJSON `json:"replicas,omitempty"`
 	Error     string            `json:"error,omitempty"`
-	Stats     *server.StatsJSON `json:"stats,omitempty"`
+	Stats     *wire.Stats       `json:"stats,omitempty"`
 }
 
 // ReplicaInfoJSON is the coordinator's routing view of one replica-set
@@ -732,7 +727,7 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	// the source would misattribute follower counters to it (and make
 	// totals jump backwards between polls).
 	rt := co.rt()
-	parts, errs := scatter(co, rt, r.Context(), func(ctx reqCtx, rs *replicaSet) (*server.StatsJSON, error) {
+	parts, errs := scatter(co, rt, r.Context(), func(ctx reqCtx, rs *replicaSet) (*wire.Stats, error) {
 		return rs.primaryMember().client.StatsCtx(ctx)
 	})
 	// The counters are read from the metrics registry — the same
@@ -791,7 +786,7 @@ func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (co *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	rt := co.rt()
 	var mu sync.Mutex
-	var errs []server.PartitionError
+	var errs []wire.PartitionError
 	var wg sync.WaitGroup
 	for p, rs := range rt.sets {
 		for _, m := range rs.members {
@@ -802,7 +797,7 @@ func (co *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 				defer cancel()
 				if err := m.client.ReadyCtx(ctx); err != nil {
 					mu.Lock()
-					errs = append(errs, server.PartitionError{Partition: p, Error: m.url + ": " + err.Error()})
+					errs = append(errs, wire.PartitionError{Partition: p, Error: m.url + ": " + err.Error()})
 					mu.Unlock()
 				}
 			}(p, m)

@@ -15,6 +15,7 @@ import (
 	"historygraph/internal/datagen"
 	"historygraph/internal/graph"
 	"historygraph/internal/server"
+	"historygraph/internal/wire"
 )
 
 // testEvents is a deterministic co-authorship trace with a few transient
@@ -220,7 +221,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 
 	// TimeExpression: per-partition evaluation unions to the oracle's.
-	req := server.ExprRequest{Times: []int64{int64(last / 2), int64(last)}, Expr: "0 & !1"}
+	req := wire.ExprRequest{Times: []int64{int64(last / 2), int64(last)}, Expr: "0 & !1"}
 	expr, err := c.client.Expr(req)
 	if err != nil {
 		t.Fatal(err)

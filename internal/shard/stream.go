@@ -119,7 +119,7 @@ func (l *legStream) close() {
 // until streamCap expires. The per-partition leg counter and the
 // duration histogram observe the open (header answered), the phase the
 // partition timeout governs.
-func (co *Coordinator) openStreams(rt *routing, parent context.Context, t historygraph.Time, attrs string) (legs []*legStream, errs []server.PartitionError) {
+func (co *Coordinator) openStreams(rt *routing, parent context.Context, t historygraph.Time, attrs string) (legs []*legStream, errs []wire.PartitionError) {
 	legs = make([]*legStream, len(rt.sets))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -296,7 +296,7 @@ func (co *Coordinator) streamSnapshot(w http.ResponseWriter, r *http.Request, t 
 	for _, l := range live {
 		cached = cached && l.summary.Cached
 	}
-	sum := server.SnapshotJSON{
+	sum := wire.Snapshot{
 		At: int64(t), NumNodes: nodesOut, NumEdges: edgesOut,
 		Cached: cached, Partial: errs,
 	}

@@ -180,7 +180,7 @@ func TestCoordinatorCacheHitZeroEncode(t *testing.T) {
 	if c.co.Encodes() != encodes {
 		t.Fatalf("cache hit ran an encode (%d -> %d)", encodes, c.co.Encodes())
 	}
-	var snap server.SnapshotJSON
+	var snap wire.Snapshot
 	if err := (wire.JSON{}).Decode(hit, &snap); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestCoordinatorCacheHitZeroEncode(t *testing.T) {
 		t.Fatalf("binary cache hit did work: fanouts %d->%d, encodes %d->%d",
 			fanouts, c.co.Fanouts(), encodes, c.co.Encodes())
 	}
-	var bsnap server.SnapshotJSON
+	var bsnap wire.Snapshot
 	if err := (wire.Binary{}).Decode(bhit, &bsnap); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestEWMARoutesAroundSlowMember(t *testing.T) {
 				hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 					counter.Add(1)
 					time.Sleep(delay)
-					server.WriteJSON(w, http.StatusOK, server.SnapshotJSON{At: 1, NumNodes: 1})
+					server.WriteJSON(w, http.StatusOK, wire.Snapshot{At: 1, NumNodes: 1})
 				}))
 				t.Cleanup(hs.Close)
 				return hs
@@ -246,7 +246,7 @@ func TestEWMARoutesAroundSlowMember(t *testing.T) {
 			ctx := t.Context()
 			read := func() {
 				t.Helper()
-				_, err := readFrom(ctx, ctx, rs, func(cl *server.Client) (*server.SnapshotJSON, error) {
+				_, err := readFrom(ctx, ctx, rs, func(cl *server.Client) (*wire.Snapshot, error) {
 					return cl.SnapshotCtx(ctx, 1, "", false)
 				})
 				if err != nil {

@@ -32,6 +32,8 @@ package wire
 import (
 	"fmt"
 	"io"
+
+	"historygraph/internal/graph"
 )
 
 // kindAppendStream frames a streaming ingest body (whole-message kinds
@@ -55,7 +57,7 @@ const ContentTypeAppendStream = ContentTypeBinary + "-append-stream"
 // optional idempotency ID.
 type AppendFrame struct {
 	Batch  string
-	Events []Event
+	Events graph.EventList
 }
 
 // AppendStreamEncoder writes one streaming ingest body. Not safe for
@@ -74,7 +76,7 @@ func NewAppendStreamEncoder(w io.Writer) *AppendStreamEncoder {
 
 // Events writes one batch frame under the given idempotency ID (empty for
 // an untagged append).
-func (e *AppendStreamEncoder) Events(batch string, events []Event) error {
+func (e *AppendStreamEncoder) Events(batch string, events graph.EventList) error {
 	e.enc.Byte(frameAppendEvents)
 	e.enc.String(batch)
 	e.enc.Uvarint(uint64(len(events)))
@@ -100,7 +102,6 @@ func (e *AppendStreamEncoder) End() error {
 // safe for concurrent use.
 type AppendStreamDecoder struct {
 	fr     frameReader
-	events []Event // element scratch, reused per frame
 	frames uint64
 }
 
@@ -116,8 +117,8 @@ func NewAppendStreamDecoder(r io.Reader) (*AppendStreamDecoder, error) {
 // Next returns the next batch frame. After the end frame it reports
 // io.EOF; EOF from the underlying reader before the end frame means the
 // writer died mid-stream and Next returns an error wrapping
-// io.ErrUnexpectedEOF. The returned frame's event slice is scratch reused
-// by the next call — consume (or copy) a frame before pulling the next.
+// io.ErrUnexpectedEOF. The returned frame's events are the caller's to
+// keep: receivers queue them for an applier that outlives the frame.
 func (d *AppendStreamDecoder) Next() (*AppendFrame, error) {
 	typ, dec, err := d.fr.next()
 	if err != nil {
@@ -127,14 +128,10 @@ func (d *AppendStreamDecoder) Next() (*AppendFrame, error) {
 	case frameAppendEvents:
 		batch := dec.String()
 		n := dec.Len()
-		if cap(d.events) < n {
-			d.events = make([]Event, 0, n)
-		}
-		events := d.events[:0]
+		events := make(graph.EventList, 0, n)
 		for i := 0; i < n && dec.Err() == nil; i++ {
 			events = append(events, DecodeEventFrom(dec))
 		}
-		d.events = events
 		d.frames++
 		if err := d.fr.end(typ, false); err != nil {
 			return nil, err

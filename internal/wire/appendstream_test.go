@@ -7,22 +7,24 @@ import (
 	"io"
 	"reflect"
 	"testing"
+
+	"historygraph/internal/graph"
 )
 
-func streamFrames(n, perFrame int) [][]Event {
-	frames := make([][]Event, n)
+func streamFrames(n, perFrame int) []graph.EventList {
+	frames := make([]graph.EventList, n)
 	for f := range frames {
-		events := make([]Event, perFrame)
+		events := make(graph.EventList, perFrame)
 		for i := range events {
-			val := fmt.Sprintf("v%d", f)
-			events[i] = Event{
-				Type: "add_node",
-				At:   int64(f*perFrame + i + 1),
-				Node: int64(f*1000 + i),
+			events[i] = graph.Event{
+				Type: graph.SetNodeAttr,
+				At:   graph.Time(f*perFrame + i + 1),
+				Node: graph.NodeID(f*1000 + i),
 				// The same attr key on every event exercises the intern
 				// table carrying across frames.
-				Attr: "affiliation",
-				New:  &val,
+				Attr:   "affiliation",
+				New:    fmt.Sprintf("v%d", f),
+				HasNew: true,
 			}
 		}
 		frames[f] = events

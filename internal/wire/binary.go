@@ -29,6 +29,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"historygraph/internal/graph"
 )
 
 // binaryMagic and binaryVersion frame every binary message.
@@ -91,7 +93,7 @@ func (Binary) Encode(v any) ([]byte, error) {
 	case AppendResult:
 		e.header(kindAppendResult)
 		encodeAppendResult(e, &t)
-	case []Event:
+	case graph.EventList:
 		e.header(kindEventList)
 		encodeList(e, len(t), t == nil, func(i int) { EncodeEventTo(e, t[i]) })
 	case *ExprRequest:
@@ -164,9 +166,9 @@ func (Binary) Decode(data []byte, v any) error {
 	case *AppendResult:
 		d.expectKind(kind, kindAppendResult)
 		*t = decodeAppendResult(d)
-	case *[]Event:
+	case *graph.EventList:
 		d.expectKind(kind, kindEventList)
-		*t = decodeEventList(d)
+		*t = decodeEvents(d)
 	case *ExprRequest:
 		d.expectKind(kind, kindExprRequest)
 		*t = decodeExpr(d)
@@ -662,58 +664,64 @@ const (
 // EncodeEventTo appends one event to e. Exported (with DecodeEventFrom)
 // so internal/replica's WAL records and /replicate stream reuse the exact
 // event encoding, sharing e's intern table across a whole batch.
-func EncodeEventTo(e *Encoder, ev Event) {
-	e.Key(ev.Type)
-	e.Varint(ev.At)
-	e.Varint(ev.Node)
-	e.Varint(ev.Node2)
-	e.Varint(ev.Edge)
+func EncodeEventTo(e *Encoder, ev graph.Event) {
+	e.Key(ev.Type.String())
+	e.Varint(int64(ev.At))
+	e.Varint(int64(ev.Node))
+	e.Varint(int64(ev.Node2))
+	e.Varint(int64(ev.Edge))
 	var flags byte
 	if ev.Directed {
 		flags |= evDirected
 	}
-	if ev.Old != nil {
+	if ev.HadOld {
 		flags |= evHadOld
 	}
-	if ev.New != nil {
+	if ev.HasNew {
 		flags |= evHasNew
 	}
 	e.Byte(flags)
 	e.Key(ev.Attr)
-	if ev.Old != nil {
-		e.String(*ev.Old)
+	if ev.HadOld {
+		e.String(ev.Old)
 	}
-	if ev.New != nil {
-		e.String(*ev.New)
+	if ev.HasNew {
+		e.String(ev.New)
 	}
 }
 
-// DecodeEventFrom reads one event written by EncodeEventTo.
-func DecodeEventFrom(d *Decoder) Event {
-	ev := Event{
-		Type: d.Key(), At: d.Varint(),
-		Node: d.Varint(), Node2: d.Varint(), Edge: d.Varint(),
+// DecodeEventFrom reads one event written by EncodeEventTo. A type name
+// graph.ParseEventType does not know fails the decoder, so no caller ever
+// holds an event of a type that does not exist.
+func DecodeEventFrom(d *Decoder) graph.Event {
+	name := d.Key()
+	ev := graph.Event{
+		At:   graph.Time(d.Varint()),
+		Node: graph.NodeID(d.Varint()), Node2: graph.NodeID(d.Varint()), Edge: graph.EdgeID(d.Varint()),
 	}
 	flags := d.Byte()
 	ev.Directed = flags&evDirected != 0
 	ev.Attr = d.Key()
-	if flags&evHadOld != 0 {
-		s := d.String()
-		ev.Old = &s
+	if ev.HadOld = flags&evHadOld != 0; ev.HadOld {
+		ev.Old = d.String()
 	}
-	if flags&evHasNew != 0 {
-		s := d.String()
-		ev.New = &s
+	if ev.HasNew = flags&evHasNew != 0; ev.HasNew {
+		ev.New = d.String()
+	}
+	var err error
+	if ev.Type, err = graph.ParseEventType(name); err != nil {
+		d.fail(fmt.Errorf("wire: %w", err)) // after a truncated read, the first failure stands
 	}
 	return ev
 }
 
-func decodeEventList(d *Decoder) []Event {
+// decodeEvents reads a list of events: nil when the list was absent.
+func decodeEvents(d *Decoder) graph.EventList {
 	n, present := decodeList(d)
 	if !present {
 		return nil
 	}
-	out := make([]Event, 0, n)
+	out := make(graph.EventList, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		out = append(out, DecodeEventFrom(d))
 	}
@@ -734,19 +742,12 @@ func encodeInterval(e *Encoder, iv *Interval) {
 }
 
 func decodeInterval(d *Decoder) Interval {
-	out := Interval{
+	return Interval{
 		Start: d.Varint(), End: d.Varint(),
 		NumNodes: int(d.Varint()), NumEdges: int(d.Varint()),
 		Nodes: decodeNodes(d), Edges: decodeEdges(d),
+		Transients: decodeEvents(d), Partial: decodePartial(d),
 	}
-	if n, present := decodeList(d); present {
-		out.Transients = make([]Event, 0, n)
-		for i := 0; i < n && d.Err() == nil; i++ {
-			out.Transients = append(out.Transients, DecodeEventFrom(d))
-		}
-	}
-	out.Partial = decodePartial(d)
-	return out
 }
 
 func encodeAppendResult(e *Encoder, a *AppendResult) {

@@ -31,7 +31,7 @@ type Codec interface {
 	// sent as Accept to request this codec.
 	ContentType() string
 	// Encode serializes one wire value. The supported types are *Snapshot,
-	// []Snapshot, *Neighbors, *Interval, *AppendResult, []Event and
+	// []Snapshot, *Neighbors, *Interval, *AppendResult, graph.EventList and
 	// *ExprRequest (JSON additionally encodes anything encoding/json can).
 	Encode(v any) ([]byte, error)
 	// Decode deserializes data into v (a pointer to a supported type).

@@ -42,7 +42,7 @@
 //     malformed message fails cleanly rather than panicking or
 //     allocating unboundedly.
 //
-// The structs here are shared by internal/server (which aliases them
-// under their historical *JSON names), internal/shard's merge layer, and
-// internal/replica's WAL and replication stream.
+// The structs here are shared by internal/server, internal/shard's merge
+// layer, and internal/replica's WAL and replication stream. An event is not
+// one of them: every message carries graph.Event itself.
 package wire

@@ -15,6 +15,8 @@ import (
 	"io"
 	"reflect"
 	"testing"
+
+	"historygraph/internal/graph"
 )
 
 // structGen deterministically consumes fuzz bytes to build wire structs.
@@ -103,23 +105,22 @@ func (g *structGen) partial() []PartitionError {
 	return out
 }
 
-func (g *structGen) events() []Event {
+func (g *structGen) events() graph.EventList {
 	if g.byte()%4 == 0 {
 		return nil
 	}
-	out := make([]Event, 0, 4)
+	out := make(graph.EventList, 0, 4)
 	for i, k := 0, g.n(5); i < k; i++ {
-		ev := Event{
-			Type: g.str(), At: g.i64(), Node: g.i64(), Node2: g.i64(),
-			Edge: g.i64(), Directed: g.byte()%2 == 1, Attr: g.str(),
+		ev := graph.Event{
+			Type: graph.AddNode + graph.EventType(g.n(8)), At: graph.Time(g.i64()),
+			Node: graph.NodeID(g.i64()), Node2: graph.NodeID(g.i64()),
+			Edge: graph.EdgeID(g.i64()), Directed: g.byte()%2 == 1, Attr: g.str(),
 		}
 		if g.byte()%2 == 1 {
-			s := g.str()
-			ev.Old = &s
+			ev.Old, ev.HadOld = g.str(), true
 		}
 		if g.byte()%2 == 1 {
-			s := g.str()
-			ev.New = &s
+			ev.New, ev.HasNew = g.str(), true
 		}
 		out = append(out, ev)
 	}
@@ -177,7 +178,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			in, out = &ar, &AppendResult{}
 		default:
 			evs := g.events()
-			in, out = evs, &[]Event{}
+			in, out = evs, &graph.EventList{}
 		}
 		enc, err := Binary{}.Encode(in)
 		if err != nil {
@@ -228,7 +229,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		_ = (Binary{}).Decode(data, &Neighbors{})
 		_ = (Binary{}).Decode(data, &Interval{})
 		_ = (Binary{}).Decode(data, &AppendResult{})
-		_ = (Binary{}).Decode(data, &[]Event{})
+		_ = (Binary{}).Decode(data, &graph.EventList{})
 		_ = (Binary{}).Decode(data, &ExprRequest{})
 
 		// So must the stream decoder — raw bytes, and raw bytes behind a

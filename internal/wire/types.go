@@ -3,6 +3,7 @@ package wire
 
 import (
 	"historygraph"
+	"historygraph/internal/graph"
 )
 
 // Node is one node of a snapshot response.
@@ -56,23 +57,10 @@ type Neighbors struct {
 	Partial   []PartitionError `json:"partial,omitempty"`
 }
 
-// Event is the wire form of one historical event. Old/New are pointers
-// so "attribute removed" (HasNew=false) is distinguishable from "set to
-// empty string".
-type Event struct {
-	Type     string  `json:"type"`
-	At       int64   `json:"at"`
-	Node     int64   `json:"node,omitempty"`
-	Node2    int64   `json:"node2,omitempty"`
-	Edge     int64   `json:"edge,omitempty"`
-	Directed bool    `json:"directed,omitempty"`
-	Attr     string  `json:"attr,omitempty"`
-	Old      *string `json:"old,omitempty"`
-	New      *string `json:"new,omitempty"`
-}
-
 // Interval answers interval queries: the elements added in [Start, End)
-// plus the transient events in that window.
+// plus the transient events in that window. Events have no wire struct of
+// their own: graph.Event is what every message carries, in its own JSON
+// form (graph.Event.MarshalJSON) or the binary one (EncodeEventTo).
 type Interval struct {
 	Start      int64            `json:"start"`
 	End        int64            `json:"end"`
@@ -80,7 +68,7 @@ type Interval struct {
 	NumEdges   int              `json:"num_edges"`
 	Nodes      []Node           `json:"nodes,omitempty"`
 	Edges      []Edge           `json:"edges,omitempty"`
-	Transients []Event          `json:"transients,omitempty"`
+	Transients graph.EventList  `json:"transients,omitempty"`
 	Partial    []PartitionError `json:"partial,omitempty"`
 }
 

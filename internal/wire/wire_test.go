@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-)
 
-func strp(s string) *string { return &s }
+	"historygraph/internal/graph"
+)
 
 // sampleSnapshots covers the Snapshot shapes the handlers actually emit,
 // plus the edge cases the binary format must preserve exactly: nil vs
@@ -47,15 +47,15 @@ func sampleSnapshots() []Snapshot {
 	}
 }
 
-func sampleEvents() []Event {
-	return []Event{
-		{Type: "NN", At: 1, Node: 23},
-		{Type: "NE", At: 2, Node: 23, Node2: 24, Edge: 5, Directed: true},
-		{Type: "UNA", At: 3, Node: 23, Attr: "name", New: strp("ada")},
-		{Type: "UNA", At: 4, Node: 23, Attr: "name", Old: strp("ada"), New: strp("")},
-		{Type: "UEA", At: 5, Edge: 5, Attr: "w", Old: strp("0.5")},
-		{Type: "TE", At: 6, Node: 1, Node2: 2, Edge: 1 << 41},
-		{Type: "DN", At: -1, Node: -9},
+func sampleEvents() graph.EventList {
+	return graph.EventList{
+		{Type: graph.AddNode, At: 1, Node: 23},
+		{Type: graph.AddEdge, At: 2, Node: 23, Node2: 24, Edge: 5, Directed: true},
+		{Type: graph.SetNodeAttr, At: 3, Node: 23, Attr: "name", New: "ada", HasNew: true},
+		{Type: graph.SetNodeAttr, At: 4, Node: 23, Attr: "name", Old: "ada", HadOld: true, HasNew: true},
+		{Type: graph.SetEdgeAttr, At: 5, Edge: 5, Attr: "w", Old: "0.5", HadOld: true},
+		{Type: graph.TransientEdge, At: 6, Node: 1, Node2: 2, Edge: 1 << 41},
+		{Type: graph.DelNode, At: -1, Node: -9},
 	}
 }
 
@@ -107,7 +107,7 @@ func TestBinaryRoundTripNeighbors(t *testing.T) {
 
 func TestBinaryRoundTripEvents(t *testing.T) {
 	evs := sampleEvents()
-	var got []Event
+	var got graph.EventList
 	roundTrip(t, evs, &got)
 	if !reflect.DeepEqual(got, evs) {
 		t.Errorf("events mismatch\n got: %#v\nwant: %#v", got, evs)
