@@ -2,7 +2,6 @@ package deltagraph
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"historygraph/internal/delta"
@@ -195,107 +194,70 @@ func (dg *DeltaGraph) GetAuxSnapshot(name string, t graph.Time) (AuxSnapshot, er
 	if err != nil {
 		return nil, err
 	}
+	// Plan with aux-only weights. Pinned snapshots hold graph content only,
+	// and aux events carry no old values to undo them by.
 	comp := int(kvstore.ComponentAuxBase) + idx
-
-	// Plan with aux-only weights; materialized shortcuts are unusable
-	// because pinned snapshots hold graph content only.
-	sel := weightSelector{auxComponents: []int{comp}, perFetchCost: 16, skipMat: true, noBackward: true}
-	lastLeaf := dg.skel.leaves[len(dg.skel.leaves)-1]
-	lastLeafTime := dg.skel.nodes[lastLeaf].at
-	dist, prev := dg.skel.shortestPaths(dg.skel.superRoot, sel)
-
-	target := lastLeaf
-	qt := t
-	if t >= lastLeafTime {
-		qt = lastLeafTime
-	} else {
-		li := dg.skel.locate(t)
-		target = dg.skel.leaves[li]
-		qt = dg.skel.nodes[target].at
+	p := planner{dg: dg, sel: weightSelector{auxComponents: []int{comp}, perFetchCost: 16, skipMat: true, noBackward: true}}
+	r, err := p.routeTo(t)
+	if err != nil {
+		return nil, err
 	}
-	aux := AuxSnapshot{}
-	if target != dg.skel.leaves[0] { // the anchor leaf is empty: no hops
-		if dist[target] == math.MaxInt64 {
-			return nil, fmt.Errorf("deltagraph: leaf unreachable for aux query")
+	tree, out := &planNode{}, make([]AuxSnapshot, 1)
+	tree.insert(r, 0)
+	err = execute(tree, AuxSnapshot{}, AuxSnapshot.clone, auxRun{dg, idx}.apply, out)
+	return out[0], err
+}
+
+// auxRun applies steps to the snapshot of aux index idx.
+type auxRun struct {
+	dg  *DeltaGraph
+	idx int
+}
+
+func (r auxRun) apply(aux AuxSnapshot, st step) (AuxSnapshot, error) {
+	evs := r.dg.auxRecent[r.idx]
+	switch st.kind {
+	case fromPinned: // the empty anchor leaf: the planner was told to skip the others
+		return AuxSnapshot{}, nil
+	case fromCurrent:
+		return r.dg.auxCur[r.idx].clone(), nil
+	case applyDelta, applyList:
+		buf, err := r.col(st.edge)
+		if err != nil || buf == nil {
+			return aux, err
 		}
-		for _, hop := range dg.skel.pathTo(target, prev) {
-			if err := dg.applyAuxHop(aux, hop, idx); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Forward within the leaf interval, then the recent tail.
-	if t > qt {
-		li := dg.skel.locate(qt)
-		for li < len(dg.skel.leaves)-1 {
-			evs, err := dg.fetchAuxEvents(dg.eventEdge(li), idx)
+		if st.kind == applyDelta {
+			d, err := decodeAuxDelta(buf)
 			if err != nil {
 				return nil, err
 			}
-			for _, ev := range evs {
-				if ev.At > qt && ev.At <= t {
-					aux.apply(ev)
-				}
-			}
-			if dg.skel.nodes[dg.skel.leaves[li+1]].at >= t {
-				return aux, nil
-			}
-			li++
+			d.apply(aux)
+			return aux, nil
 		}
-		for _, ev := range dg.auxRecent[idx] {
-			if ev.At > qt && ev.At <= t {
-				aux.apply(ev)
-			}
+		if evs, err = decodeAuxEvents(buf); err != nil {
+			return nil, err
+		}
+	}
+	if st.back {
+		return nil, fmt.Errorf("deltagraph: aux eventlists are forward-only; the planner must not undo one")
+	}
+	for _, ev := range evs {
+		if ev.At > st.lo && ev.At <= st.hi {
+			aux.apply(ev)
 		}
 	}
 	return aux, nil
 }
 
-// fetchAuxCol loads edge e's column of aux index idx from the store that
-// holds the edge's payload; nil when the column is empty.
-func (dg *DeltaGraph) fetchAuxCol(e *skelEdge, idx int) ([]byte, error) {
-	comp := kvstore.ComponentAuxBase + kvstore.Component(idx)
-	buf, err := dg.payloadStore(e).Get(kvstore.EncodeKey(0, e.deltaID, comp))
+// col loads edge e's column of the aux index from the store that holds the
+// edge's payload; nil when the column is empty.
+func (r auxRun) col(e *skelEdge) ([]byte, error) {
+	comp := kvstore.ComponentAuxBase + kvstore.Component(r.idx)
+	buf, err := r.dg.payloadStore(e).Get(kvstore.EncodeKey(0, e.deltaID, comp))
 	if err == kvstore.ErrNotFound {
 		return nil, nil
 	}
 	return buf, err
-}
-
-// applyAuxHop applies one plan hop to an aux snapshot.
-func (dg *DeltaGraph) applyAuxHop(aux AuxSnapshot, hop planHop, idx int) error {
-	switch e := hop.edge; e.kind {
-	case kindDelta:
-		buf, err := dg.fetchAuxCol(e, idx)
-		if err != nil || buf == nil {
-			return err
-		}
-		d, err := decodeAuxDelta(buf)
-		if err != nil {
-			return err
-		}
-		d.apply(aux)
-	case kindEventFwd:
-		evs, err := dg.fetchAuxEvents(e, idx)
-		if err != nil {
-			return err
-		}
-		for _, ev := range evs {
-			aux.apply(ev)
-		}
-	case kindEventBwd:
-		return fmt.Errorf("deltagraph: aux eventlists are forward-only; planner must not use backward hops")
-	}
-	return nil
-}
-
-// fetchAuxEvents loads one eventlist's aux column.
-func (dg *DeltaGraph) fetchAuxEvents(e *skelEdge, idx int) ([]AuxEvent, error) {
-	buf, err := dg.fetchAuxCol(e, idx)
-	if err != nil || buf == nil {
-		return nil, err
-	}
-	return decodeAuxEvents(buf)
 }
 
 // AuxIndexNames lists the registered auxiliary indexes.

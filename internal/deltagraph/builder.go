@@ -240,14 +240,8 @@ func (dg *DeltaGraph) attachRootLocked(root pendingChild) error {
 	// this costs no retrieval).
 	if dg.rematRoot {
 		dg.rematRoot = false
-		node := dg.skel.nodes[root.node]
-		if !node.materialized {
-			node.materialized = true
-			node.matSnapshot = rootSnap.Clone()
-			dg.skel.addEdge(&skelEdge{from: dg.skel.superRoot, to: root.node, kind: kindMat, sizes: make(componentSizes, 4+len(dg.auxes)), evIndex: -1})
-			if dg.pool != nil {
-				dg.matGraphs[root.node] = dg.pool.OverlayMaterialized(node.matSnapshot)
-			}
+		if !dg.skel.nodes[root.node].materialized {
+			dg.pinLocked(root.node, rootSnap.Clone())
 		}
 	}
 	return nil
@@ -403,7 +397,6 @@ type fetchSpec struct {
 	nodeAttr  bool
 	edgeAttr  bool
 	transient bool
-	aux       []int // aux indexes to fetch
 }
 
 func specFor(opts graph.AttrOptions) fetchSpec {

@@ -404,7 +404,7 @@ func (dg *DeltaGraph) rlockSealed() error {
 
 // rlockAt is rlockSealed for a query at the given times. A query at or past
 // the newest event is answered from the current graph, whatever the skeleton
-// holds (planLocked), and leaves a stale spine as it is.
+// holds (routeTo), and leaves a stale spine as it is.
 func (dg *DeltaGraph) rlockAt(ts ...graph.Time) error {
 	dg.mu.RLock()
 	if !dg.spineStale || !slices.ContainsFunc(ts, func(t graph.Time) bool { return t < dg.lastTime }) {

@@ -258,6 +258,13 @@ func TestMultipointMatchesSinglepoint(t *testing.T) {
 	if out, err := dg.GetSnapshots(nil, allAttrs); err != nil || out != nil {
 		t.Error("empty multipoint mishandled")
 	}
+	// Random indexes, built every way, asked at every kind of time.
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 60; i++ {
+		in := make([]byte, 32)
+		rng.Read(in)
+		checkRetrievals(t, in)
+	}
 }
 
 func TestMaterializationCorrectAndFaster(t *testing.T) {

@@ -2,7 +2,7 @@ package deltagraph
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 
 	"historygraph/internal/graph"
@@ -80,55 +80,65 @@ func (dg *DeltaGraph) LeafTimes() []graph.Time {
 func (dg *DeltaGraph) Materialize(ref NodeRef) error {
 	dg.mu.Lock()
 	defer dg.unlock()
-	return dg.materializeLocked(int(ref))
+	return dg.materializeLocked([]int{int(ref)})
 }
 
-func (dg *DeltaGraph) materializeLocked(id int) error {
-	if id < 0 || id >= len(dg.skel.nodes) {
-		return fmt.Errorf("deltagraph: no such node %d", id)
+// materializeLocked pins the graphs of the given skeleton nodes. Materializing
+// a node is running a snapshot query for it (Section 4.5), and materializing
+// several is one multipoint query: one plan with the nodes for targets, in
+// which nodes that share a path from the super-root share the deltas on it.
+func (dg *DeltaGraph) materializeLocked(ids []int) error {
+	var todo []int
+	for _, id := range ids {
+		if id < 0 || id >= len(dg.skel.nodes) {
+			return fmt.Errorf("deltagraph: no such node %d", id)
+		}
+		if dg.skel.nodes[id].level < 0 {
+			return fmt.Errorf("deltagraph: node %d was removed", id)
+		}
+		if !dg.skel.nodes[id].materialized && !slices.Contains(todo, id) {
+			todo = append(todo, id)
+		}
 	}
-	node := dg.skel.nodes[id]
-	if node.level < 0 {
-		return fmt.Errorf("deltagraph: node %d was removed", id)
-	}
-	if node.materialized {
+	if len(todo) == 0 {
 		return nil
 	}
-	if err := dg.sealLocked(); err != nil { // the path to the node starts at the root
+	if err := dg.sealLocked(); err != nil { // the paths to the nodes start at the root
 		return err
 	}
-	snap, err := dg.nodeGraphLocked(id)
-	if err != nil {
+	p := planner{dg: dg, sel: selectorFor(graph.MustParseAttrOptions("+node:all+edge:all"), dg.auxComponentIDs())}
+	tree := &planNode{}
+	for i, id := range todo {
+		r, err := p.reach(id)
+		if err != nil {
+			return err
+		}
+		if r == nil {
+			return fmt.Errorf("deltagraph: node %d unreachable", id)
+		}
+		tree.insert(r, i)
+	}
+	snaps := make([]*graph.Snapshot, len(todo))
+	run := graphRun{dg: dg, spec: fetchSpec{nodeAttr: true, edgeAttr: true}}
+	if err := execute(tree, graph.NewSnapshot(), (*graph.Snapshot).Clone, run.apply, snaps); err != nil {
 		return err
 	}
-	node.materialized = true
-	node.matSnapshot = snap
-	dg.skel.addEdge(&skelEdge{from: dg.skel.superRoot, to: id, kind: kindMat, sizes: make(componentSizes, 4+len(dg.auxes)), evIndex: -1})
-	if dg.pool != nil {
-		dg.matGraphs[id] = dg.pool.OverlayMaterialized(snap)
+	for i, id := range todo {
+		dg.pinLocked(id, snaps[i])
 	}
 	return nil
 }
 
-// nodeGraphLocked constructs the full graph of any skeleton node by
-// following the cheapest delta path from the super-root (materializing a
-// node is running a snapshot query for it, Section 4.5).
-func (dg *DeltaGraph) nodeGraphLocked(id int) (*graph.Snapshot, error) {
-	all := graph.MustParseAttrOptions("+node:all+edge:all")
-	sel := selectorFor(all, dg.auxComponentIDs())
-	dist, prev := dg.skel.shortestPaths(dg.skel.superRoot, sel)
-	if dist[id] == math.MaxInt64 {
-		return nil, fmt.Errorf("deltagraph: node %d unreachable", id)
+// pinLocked makes snap the materialized graph of a skeleton node: it is held
+// in memory (and in the pool), and a zero-weight edge from the super-root
+// offers it to every later plan.
+func (dg *DeltaGraph) pinLocked(id int, snap *graph.Snapshot) {
+	node := dg.skel.nodes[id]
+	node.materialized, node.matSnapshot = true, snap
+	dg.skel.addEdge(&skelEdge{from: dg.skel.superRoot, to: id, kind: kindMat, sizes: make(componentSizes, 4+len(dg.auxes)), evIndex: -1})
+	if dg.pool != nil {
+		dg.matGraphs[id] = dg.pool.OverlayMaterialized(snap)
 	}
-	hops := dg.skel.pathTo(id, prev)
-	spec := fetchSpec{nodeAttr: true, edgeAttr: true}
-	s := graph.NewSnapshot()
-	for _, hop := range hops {
-		if err := dg.applyHop(s, hop, spec); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
 }
 
 // Unmaterialize releases a materialized node: the zero-weight edge is
@@ -167,40 +177,36 @@ func (dg *DeltaGraph) Unmaterialize(ref NodeRef) error {
 // children), "grandchildren" (root's grandchildren), or "leaves" (total
 // materialization — the Copy+Log-in-memory extreme of Section 4.5).
 func (dg *DeltaGraph) MaterializeLevel(policy string) error {
-	var refs []NodeRef
+	dg.mu.Lock()
+	defer dg.unlock()
+	if err := dg.sealLocked(); err != nil {
+		return err
+	}
+	if policy == "leaves" {
+		return dg.materializeLocked(dg.skel.leaves[1:])
+	}
+	root := dg.rootLocked()
+	if root < 0 {
+		return fmt.Errorf("deltagraph: index has no root yet")
+	}
+	ids := []int{root}
 	switch policy {
 	case "root":
-		root, err := dg.Root()
-		if err != nil {
-			return err
-		}
-		refs = []NodeRef{root}
 	case "children", "grandchildren":
-		root, err := dg.Root()
-		if err != nil {
-			return err
-		}
-		refs = dg.Children(root)
+		ids = dg.skel.nodes[root].children
 		if policy == "grandchildren" {
-			var gc []NodeRef
-			for _, c := range refs {
-				gc = append(gc, dg.Children(c)...)
+			var gc []int
+			for _, c := range ids {
+				gc = append(gc, dg.skel.nodes[c].children...)
 			}
 			if len(gc) > 0 {
-				refs = gc
+				ids = gc
 			}
 		}
-	case "leaves":
-		refs = dg.Leaves()
 	default:
 		return fmt.Errorf("deltagraph: unknown materialization policy %q", policy)
 	}
-	for _, r := range refs {
-		if err := dg.Materialize(r); err != nil {
-			return err
-		}
-	}
-	return nil
+	return dg.materializeLocked(ids)
 }
 
 // MaterializedBytes estimates the memory pinned by materialization

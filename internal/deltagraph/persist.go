@@ -330,10 +330,8 @@ func Open(opts Options) (*DeltaGraph, error) {
 	if err := dg.dropPayloads(pi.PrevFirstID, pi.FirstID); err != nil {
 		return nil, err
 	}
-	for _, id := range pinned {
-		if err := dg.materializeLocked(id); err != nil {
-			return nil, fmt.Errorf("deltagraph: re-materializing node %d: %w", id, err)
-		}
+	if err := dg.materializeLocked(pinned); err != nil {
+		return nil, fmt.Errorf("deltagraph: re-materializing nodes %v: %w", pinned, err)
 	}
 	// Mirror the current graph into the pool.
 	if dg.pool != nil {

@@ -3,6 +3,7 @@ package deltagraph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"historygraph/internal/delta"
@@ -10,118 +11,132 @@ import (
 	"historygraph/internal/graphpool"
 )
 
-// This file implements snapshot retrieval: singlepoint queries (Section
-// 4.3, Dijkstra over the skeleton), multipoint queries (Section 4.4,
-// Steiner-tree 2-approximation), interval queries, TimeExpression queries,
-// and retrieval into the GraphPool with the dependent-graph optimization.
+// This file is retrieval. A snapshot, many snapshots, a node to materialize, an
+// aux snapshot and an interval are all answered the same way:
+//
+//   - A step is "apply this payload": a pinned graph or the current one to
+//     start from, a delta, or an eventlist (stored, or the in-memory recent
+//     one) applied or undone and clipped to (lo, hi]. leafSteps yields the
+//     steps between any two times along the leaf level, with their costs.
+//   - A plan is a tree of steps hanging off the null graph. A singlepoint
+//     query (Section 4.3) is the cheapest of "a graph that can be had whole on
+//     either side of t, then along the leaf level to t", over one run of
+//     Dijkstra; a multipoint query (Section 4.4) joins its timepoints to the
+//     null graph and to their neighbours in time by a minimum spanning tree
+//     (the Steiner-tree 2-approximation); materialization has skeleton nodes
+//     for targets. Plans that share steps share them in the tree.
+//   - One executor walks the tree once, copying what it builds where the tree
+//     branches. Nothing stored is read twice in one call.
 
 const bytesPerRecentEvent = 24 // planning estimate for in-memory events
 
-// queryPlan describes how to construct the snapshot at one timepoint.
-type queryPlan struct {
-	// startCurrent means: begin from a copy of the in-memory current
-	// graph and walk backward through the recent eventlist.
-	startCurrent bool
-	hops         []planHop
-	// Range applied after the hops (and after startCurrent): events in
-	// (rangeFrom, rangeTo] forward, or (rangeTo, rangeFrom] backward.
-	rangeFrom, rangeTo graph.Time
-	cost               int64
-	// base for the dependent-graph optimization: the materialized
-	// skeleton node the plan starts from, if any.
-	baseNode *skelNode
-	// appliedRecords counts delta/eventlist records the plan expects to
-	// apply (decides dependent overlays).
-	appliedRecords int
+type stepKind uint8
+
+const (
+	fromPinned  stepKind = iota // start from the graph a materialized node pins
+	fromCurrent                 // start from the current graph
+	applyDelta                  // a stored delta
+	applyList                   // a stored leaf-eventlist
+	applyRecent                 // the in-memory eventlist past the last leaf
+)
+
+// A step is "apply this payload" to whatever is being built. Two steps that do
+// the same thing compare equal, which is how plans come to share them.
+type step struct {
+	kind stepKind
+	// edge holds the payload: the materialization edge of fromPinned, the
+	// delta edge of applyDelta, the forward eventlist edge of applyList.
+	edge *skelEdge
+	// An eventlist step applies the events in (lo, hi]; with back set it
+	// undoes them, newest first.
+	lo, hi graph.Time
+	back   bool
+	// cost is the planner's estimate in bytes, records the number of records
+	// or events the step is expected to apply.
+	cost    int64
+	records int
 }
 
-// planLocked computes the minimum-cost plan for a singlepoint query.
-// Caller holds at least the read lock.
-func (dg *DeltaGraph) planLocked(t graph.Time, sel weightSelector) (queryPlan, error) {
-	if t >= dg.lastTime {
-		// The head: the current graph as it stands, nothing to undo.
-		return queryPlan{startCurrent: true, rangeFrom: dg.lastTime, rangeTo: t}, nil
-	}
-	lastLeaf := dg.skel.leaves[len(dg.skel.leaves)-1]
-	lastLeafTime := dg.skel.nodes[lastLeaf].at
+// route is a run of steps: from the null graph to the graph at a time or a
+// node, or from one time to another along the leaf level.
+type route []step
 
-	dist, prev := dg.skel.shortestPaths(dg.skel.superRoot, sel)
-
-	if t >= lastLeafTime {
-		// Tail region: after the last leaf only the in-memory recent
-		// eventlist exists. Choose between walking forward from the
-		// last leaf and walking backward from the current graph.
-		fwdCount := dg.recent.SearchTime(t)
-		bwdCount := len(dg.recent) - fwdCount
-		fwdCost := dist[lastLeaf] + int64(fwdCount)*bytesPerRecentEvent
-		bwdCost := int64(bwdCount) * bytesPerRecentEvent
-		if dist[lastLeaf] == math.MaxInt64 || bwdCost <= fwdCost {
-			return queryPlan{
-				startCurrent: true,
-				rangeFrom:    dg.lastTime, rangeTo: t,
-				cost:           bwdCost,
-				appliedRecords: bwdCount,
-			}, nil
-		}
-		hops := dg.skel.pathTo(lastLeaf, prev)
-		return queryPlan{
-			hops:      hops,
-			rangeFrom: lastLeafTime, rangeTo: t,
-			cost:           fwdCost,
-			baseNode:       dg.planBase(hops),
-			appliedRecords: dg.planRecords(hops) + fwdCount,
-		}, nil
+func (r route) cost() (bytes int64) {
+	for _, st := range r {
+		bytes += st.cost
 	}
-
-	li := dg.skel.locate(t)
-	if li < 0 {
-		return queryPlan{}, fmt.Errorf("deltagraph: no data at time %d", t)
-	}
-	leaf := dg.skel.leaves[li]
-	leafTime := dg.skel.nodes[leaf].at
-	if dist[leaf] == math.MaxInt64 {
-		return queryPlan{}, fmt.Errorf("deltagraph: leaf unreachable (index not sealed?)")
-	}
-	if leafTime == t {
-		hops := dg.skel.pathTo(leaf, prev)
-		return queryPlan{hops: hops, rangeFrom: t, rangeTo: t, cost: dist[leaf],
-			baseNode: dg.planBase(hops), appliedRecords: dg.planRecords(hops)}, nil
-	}
-	// Between leaf li and li+1: enter the eventlist forward from the left
-	// leaf or backward from the right leaf, whichever is cheaper.
-	next := dg.skel.leaves[li+1]
-	nextTime := dg.skel.nodes[next].at
-	evEdge := dg.eventEdge(li)
-	frac := float64(t-leafTime) / float64(nextTime-leafTime)
-	evW := sel.weight(evEdge)
-	fwdCost := dist[leaf] + int64(frac*float64(evW))
-	bwdCost := dist[next] + int64((1-frac)*float64(evW))
-	if fwdCost <= bwdCost || dist[next] == math.MaxInt64 {
-		hops := dg.skel.pathTo(leaf, prev)
-		return queryPlan{hops: hops, rangeFrom: leafTime, rangeTo: t, cost: fwdCost,
-			baseNode: dg.planBase(hops), appliedRecords: dg.planRecords(hops) + int(frac*float64(evEdge.counts))}, nil
-	}
-	hops := dg.skel.pathTo(next, prev)
-	return queryPlan{hops: hops, rangeFrom: nextTime, rangeTo: t, cost: bwdCost,
-		baseNode: dg.planBase(hops), appliedRecords: dg.planRecords(hops) + int((1-frac)*float64(evEdge.counts))}, nil
+	return bytes
 }
 
-// planBase returns the materialized node a plan starts from, if its first
-// hop is a materialization edge.
-func (dg *DeltaGraph) planBase(hops []planHop) *skelNode {
-	if len(hops) > 0 && hops[0].edge.kind == kindMat {
-		return dg.skel.nodes[hops[0].edge.to]
-	}
-	return nil
-}
-
-// planRecords sums the record counts along a plan's hops.
-func (dg *DeltaGraph) planRecords(hops []planHop) int {
-	n := 0
-	for _, h := range hops {
-		n += h.edge.counts
+func (r route) records() (n int) {
+	for _, st := range r {
+		n += st.records
 	}
 	return n
+}
+
+// undone returns the steps that take back what r did: eventlist steps only.
+func undone(r route) route {
+	u := slices.Clone(r)
+	slices.Reverse(u)
+	for i := range u {
+		u[i].back = !u[i].back
+	}
+	return u
+}
+
+// leafSteps returns the steps that carry a graph as of time from to time to
+// along the leaf level, in either direction. It is the only code that knows
+// how leaves, eventlist edges and the recent eventlist line up: stored
+// eventlist i holds the events in (leaf i's time, leaf i+1's time], the recent
+// eventlist those after the last leaf.
+func (dg *DeltaGraph) leafSteps(from, to graph.Time, sel weightSelector) (route, error) {
+	if from > to {
+		r, err := dg.leafSteps(to, from, sel)
+		return undone(r), err
+	}
+	var steps route
+	last := len(dg.skel.leaves) - 1
+	for i := dg.skel.locate(from); from < to && i < last && dg.skel.leafTime(i) < to; i++ {
+		st, err := dg.listStep(i, from, to, sel)
+		if err != nil {
+			return nil, err
+		}
+		steps = append(steps, st)
+	}
+	if tail := max(from, dg.skel.leafTime(last)); tail < to {
+		n := dg.recent.SearchTime(to) - dg.recent.SearchTime(tail)
+		steps = append(steps, step{kind: applyRecent, lo: tail, hi: to, cost: int64(n) * bytesPerRecentEvent, records: n})
+	}
+	return steps, nil
+}
+
+// listStep is the step over stored eventlist i clipped to (lo, hi], costed as
+// the share of the list's time span that the clip covers.
+func (dg *DeltaGraph) listStep(i int, lo, hi graph.Time, sel weightSelector) (step, error) {
+	e := dg.eventEdge(i)
+	if e == nil {
+		return step{}, fmt.Errorf("deltagraph: missing eventlist %d", i)
+	}
+	start, end := dg.skel.leafTime(i), dg.skel.leafTime(i+1)
+	lo, hi = max(lo, start), min(hi, end)
+	span := float64(end - start)
+	share := float64(hi-start)/span - float64(lo-start)/span
+	return step{kind: applyList, edge: e, lo: lo, hi: hi,
+		cost: int64(share * float64(sel.weight(e))), records: int(share * float64(e.counts))}, nil
+}
+
+// hopStep is the step that crosses skeleton edge e.
+func (dg *DeltaGraph) hopStep(e *skelEdge, sel weightSelector) (step, error) {
+	switch e.kind {
+	case kindMat:
+		return step{kind: fromPinned, edge: e}, nil
+	case kindDelta:
+		return step{kind: applyDelta, edge: e, cost: sel.weight(e), records: e.counts}, nil
+	}
+	st, err := dg.listStep(e.evIndex, math.MinInt64, graph.MaxTime, sel)
+	st.back = e.kind == kindEventBwd
+	return st, err
 }
 
 // eventEdge returns the forward eventlist edge for ordinal i.
@@ -136,150 +151,226 @@ func (dg *DeltaGraph) eventEdge(i int) *skelEdge {
 	return nil
 }
 
-// executePlan materializes the plan into a snapshot.
-func (dg *DeltaGraph) executePlan(p queryPlan, spec fetchSpec) (*graph.Snapshot, error) {
-	dg.planExecs.Add(1)
-	var s *graph.Snapshot
-	if p.startCurrent {
-		s = dg.current.Clone()
+// planner finds routes from the null graph for one query, over one run of
+// Dijkstra from the super-root (made when the first route needs it: a query at
+// the head does not).
+type planner struct {
+	dg       *DeltaGraph
+	sel      weightSelector
+	dist     []int64
+	prevEdge []int
+}
+
+// reach returns the cheapest route from the null graph to a skeleton node's
+// graph, nil if there is none.
+func (p *planner) reach(node int) (route, error) {
+	skel := p.dg.skel
+	if p.dist == nil {
+		p.dist, p.prevEdge = skel.shortestPaths(skel.superRoot, p.sel)
+	}
+	if p.dist[node] == math.MaxInt64 {
+		return nil, nil
+	}
+	var r route
+	for at := node; p.prevEdge[at] != -1; {
+		e := skel.edges[p.prevEdge[at]]
+		st, err := p.dg.hopStep(e, p.sel)
+		if err != nil {
+			return nil, err
+		}
+		r = append(r, st)
+		at = e.from
+	}
+	slices.Reverse(r)
+	return r, nil
+}
+
+// routeTo returns the cheapest route from the null graph to the graph at t.
+func (p *planner) routeTo(t graph.Time) (route, error) {
+	dg := p.dg
+	if t >= dg.lastTime {
+		return route{{kind: fromCurrent}}, nil // the head: the current graph as it stands
+	}
+	// The graph at t lies between two graphs that can be had whole: the leaf at
+	// or before t, and the leaf after it or, past the last leaf, the current
+	// graph. The route is one of them and then the leaf level to t, whichever
+	// costs less; at equal cost the current graph (nothing to fetch), then the
+	// earlier leaf.
+	li, last := dg.skel.locate(t), len(dg.skel.leaves)-1
+	type whole struct {
+		node int // -1: the current graph
+		at   graph.Time
+	}
+	sides := []whole{{dg.skel.leaves[li], dg.skel.leafTime(li)}}
+	if li < last {
+		sides = append(sides, whole{dg.skel.leaves[li+1], dg.skel.leafTime(li + 1)})
 	} else {
-		s = graph.NewSnapshot()
+		sides = slices.Insert(sides, 0, whole{-1, dg.lastTime})
 	}
-	for _, hop := range p.hops {
-		if err := dg.applyHop(s, hop, spec); err != nil {
+	var best route
+	for _, side := range sides {
+		if side.at > t && p.sel.noBackward {
+			continue
+		}
+		r := route{{kind: fromCurrent}}
+		if side.node >= 0 {
+			var err error
+			if r, err = p.reach(side.node); err != nil {
+				return nil, err
+			} else if r == nil {
+				continue
+			}
+		}
+		walk, err := dg.leafSteps(side.at, t, p.sel)
+		if err != nil {
 			return nil, err
 		}
-	}
-	if p.rangeFrom != p.rangeTo {
-		if err := dg.applyRangeLocked(s, p.rangeFrom, p.rangeTo, spec); err != nil {
-			return nil, err
+		if r = append(r, walk...); best == nil || r.cost() < best.cost() {
+			best = r
 		}
 	}
-	return s, nil
+	if best == nil {
+		return nil, fmt.Errorf("deltagraph: no route to time %d (index not sealed?)", t)
+	}
+	return best, nil
 }
 
-// applyHop applies one skeleton edge to the snapshot under construction.
-func (dg *DeltaGraph) applyHop(s *graph.Snapshot, hop planHop, spec fetchSpec) error {
-	e := hop.edge
-	switch e.kind {
-	case kindMat:
-		node := dg.skel.nodes[e.to]
-		if node.matSnapshot == nil {
-			return fmt.Errorf("deltagraph: node %d not materialized", e.to)
+// planNode is one node of a plan: the state of the build after step, which
+// the callers' positions in outs asked for and which the kids build on.
+type planNode struct {
+	step step
+	kids []*planNode
+	outs []int
+}
+
+// insert hangs a route off the tree, sharing the steps it has in common with
+// the routes already there, and marks its end as wanted at position out.
+func (n *planNode) insert(r route, out int) {
+	for _, st := range r {
+		i := slices.IndexFunc(n.kids, func(k *planNode) bool { return k.step == st })
+		if i < 0 {
+			i = len(n.kids)
+			n.kids = append(n.kids, &planNode{step: st})
 		}
-		*s = *node.matSnapshot.Clone()
-	case kindDelta:
-		d, err := dg.fetchDelta(e, spec)
+		n = n.kids[i]
+	}
+	n.outs = append(n.outs, out)
+}
+
+// execute walks a plan once from state s, the tree's root: every step is
+// applied once, and the state is forked only where more than one of outs and
+// kids needs it. What is built (a graph, an aux snapshot) is the caller's:
+// apply may change the state it is given in place and return it.
+func execute[S any](n *planNode, s S, fork func(S) S, apply func(S, step) (S, error), out []S) error {
+	uses := len(n.outs) + len(n.kids)
+	take := func() S {
+		if uses--; uses == 0 {
+			return s
+		}
+		return fork(s)
+	}
+	for _, o := range n.outs {
+		out[o] = take()
+	}
+	for _, kid := range n.kids {
+		ks, err := apply(take(), kid.step)
 		if err != nil {
 			return err
 		}
-		d.Apply(s)
-	case kindEventFwd:
-		evs, err := dg.fetchEvents(e, spec)
-		if err != nil {
+		if err := execute(kid, ks, fork, apply, out); err != nil {
 			return err
 		}
-		s.ApplyAll(evs)
-	case kindEventBwd:
-		evs, err := dg.fetchEvents(e, spec)
-		if err != nil {
-			return err
-		}
-		s.UnapplyAll(evs)
 	}
 	return nil
 }
 
-// applyRangeLocked advances the snapshot s from time `from` to time `to`
-// by applying leaf-eventlist segments (and the in-memory recent eventlist)
-// forward or backward. Transient events never modify s.
-func (dg *DeltaGraph) applyRangeLocked(s *graph.Snapshot, from, to graph.Time, spec fetchSpec) error {
-	if from == to {
-		return nil
+// planLocked plans the graphs at ts as one tree (Section 4.4). The terminal
+// graph joins every timepoint to the null graph, at the cost of its own
+// cheapest route, and to its neighbour in time, at the cost of the leaf level
+// between them; a minimum spanning tree of it decides which timepoints are
+// built from the null graph and which from a neighbour. It returns the tree,
+// whose outs are positions in ts, and for every timepoint built from the null
+// graph its route, at its position.
+func (dg *DeltaGraph) planLocked(ts []graph.Time, sel weightSelector) (*planNode, []route, error) {
+	p := planner{dg: dg, sel: sel}
+	m := len(ts)
+	order := make([]int, m) // timepoints by time; i below is a position in order
+	for i := range order {
+		order[i] = i
 	}
-	lastLeafTime := dg.skel.nodes[dg.skel.leaves[len(dg.skel.leaves)-1]].at
-	if to > from {
-		// Forward over eventlists overlapping (from, to].
-		li := dg.skel.locate(from)
-		for li < len(dg.skel.leaves)-1 {
-			nextTime := dg.skel.nodes[dg.skel.leaves[li+1]].at
-			if dg.skel.nodes[dg.skel.leaves[li]].at > to {
-				break
-			}
-			e := dg.eventEdge(li)
-			if e == nil {
-				return fmt.Errorf("deltagraph: missing eventlist %d", li)
-			}
-			evs, err := dg.fetchEvents(e, spec)
-			if err != nil {
-				return err
-			}
-			lo := evs.SearchTime(from)
-			hi := evs.SearchTime(to)
-			s.ApplyAll(evs[lo:hi])
-			if nextTime >= to {
-				return nil
-			}
-			li++
-		}
-		// Tail: recent in-memory events.
-		if to > lastLeafTime {
-			lo := dg.recent.SearchTime(from)
-			hi := dg.recent.SearchTime(to)
-			for _, ev := range dg.recent[lo:hi] {
-				if dg.filterSpec(ev, spec) {
-					s.Apply(ev)
-				}
-			}
-		}
-		return nil
+	sort.Slice(order, func(a, b int) bool { return ts[order[a]] < ts[order[b]] })
+
+	type link struct {
+		cost int64
+		a, b int // b == m: the null graph
 	}
-	// Backward: un-apply events in (to, from], newest first.
-	if from > lastLeafTime {
-		lo := dg.recent.SearchTime(to)
-		hi := dg.recent.SearchTime(from)
-		seg := dg.recent[lo:hi]
-		for i := len(seg) - 1; i >= 0; i-- {
-			if dg.filterSpec(seg[i], spec) {
-				s.Unapply(seg[i])
+	links := make([]link, 0, 2*m)
+	direct := make([]route, m) // from the null graph to i
+	hops := make([]route, m-1) // from i to i+1
+	var err error
+	for i, oi := range order {
+		if direct[i], err = p.routeTo(ts[oi]); err != nil {
+			return nil, nil, err
+		}
+		links = append(links, link{direct[i].cost(), i, m})
+	}
+	for i := range hops {
+		if hops[i], err = dg.leafSteps(ts[order[i]], ts[order[i+1]], sel); err != nil {
+			return nil, nil, err
+		}
+		links = append(links, link{hops[i].cost(), i, i + 1})
+	}
+
+	// Kruskal. A hop in the tree joins two neighbours; so the timepoints fall
+	// into runs of neighbours, and each run has exactly one timepoint joined
+	// to the null graph, which the others are built from.
+	sort.Slice(links, func(a, b int) bool { return links[a].cost < links[b].cost })
+	set := make([]int, m+1)
+	for i := range set {
+		set[i] = i
+	}
+	find := func(x int) int {
+		for set[x] != x {
+			set[x] = set[set[x]]
+			x = set[x]
+		}
+		return x
+	}
+	routes := make([]route, m) // by position in ts
+	joined := make([]bool, m)  // joined[i]: i and i+1 are
+	for _, l := range links {
+		if ra, rb := find(l.a), find(l.b); ra != rb {
+			set[ra] = rb
+			if l.b == m {
+				routes[order[l.a]] = direct[l.a]
+			} else {
+				joined[l.a] = true
 			}
 		}
-		if to >= lastLeafTime {
-			return nil
-		}
-		from = lastLeafTime
 	}
-	li := dg.skel.locate(from)
-	if dg.skel.nodes[dg.skel.leaves[li]].at == from {
-		li--
+	paths := make([]route, m) // all the steps from the null graph to i
+	for i, oi := range order {
+		if routes[oi] == nil {
+			continue
+		}
+		paths[i] = direct[i]
+		for j := i; j > 0 && joined[j-1]; j-- {
+			paths[j-1] = append(slices.Clip(paths[j]), undone(hops[j-1])...)
+		}
+		for j := i; j < m-1 && joined[j]; j++ {
+			paths[j+1] = append(slices.Clip(paths[j]), hops[j]...)
+		}
 	}
-	for li >= 0 {
-		leafTime := dg.skel.nodes[dg.skel.leaves[li]].at
-		e := dg.eventEdge(li)
-		if e == nil {
-			return fmt.Errorf("deltagraph: missing eventlist %d", li)
-		}
-		evs, err := dg.fetchEvents(e, spec)
-		if err != nil {
-			return err
-		}
-		lo := evs.SearchTime(to)
-		hi := evs.SearchTime(from)
-		seg := evs[lo:hi]
-		for i := len(seg) - 1; i >= 0; i-- {
-			s.Unapply(seg[i])
-		}
-		if leafTime <= to {
-			return nil
-		}
-		li--
+	tree := &planNode{}
+	for i, oi := range order {
+		tree.insert(paths[i], oi)
 	}
-	return nil
+	return tree, routes, nil
 }
 
-// filterSpec applies the columnar filter to in-memory events (on-disk
-// events are filtered by fetching only the needed columns).
-func (dg *DeltaGraph) filterSpec(ev graph.Event, spec fetchSpec) bool {
+// wants reports whether the spec covers an event: the columnar filter for
+// in-memory events (stored ones are filtered by fetching only their columns).
+func (spec fetchSpec) wants(ev graph.Event) bool {
 	switch eventColumn(ev) {
 	case 1:
 		return spec.nodeAttr
@@ -292,28 +383,82 @@ func (dg *DeltaGraph) filterSpec(ev graph.Event, spec fetchSpec) bool {
 	}
 }
 
+// graphRun applies steps to graphs under one fetch spec, for one call. It
+// keeps the stored eventlists it has fetched: a list can stand in several
+// steps of a plan, clipped differently (a delta cannot: every node of the
+// skeleton is reached by one path of the shortest-path tree).
+type graphRun struct {
+	dg    *DeltaGraph
+	spec  fetchSpec
+	lists map[*skelEdge]graph.EventList
+}
+
+// events returns an eventlist step's events, oldest first.
+func (r *graphRun) events(st step) (graph.EventList, error) {
+	evs := r.dg.recent
+	if st.kind == applyList {
+		var ok bool
+		if evs, ok = r.lists[st.edge]; !ok {
+			var err error
+			if evs, err = r.dg.fetchEvents(st.edge, r.spec); err != nil {
+				return nil, err
+			}
+			if r.lists == nil {
+				r.lists = make(map[*skelEdge]graph.EventList)
+			}
+			r.lists[st.edge] = evs
+		}
+	}
+	return evs[evs.SearchTime(st.lo):evs.SearchTime(st.hi)], nil
+}
+
+// apply applies one step to s. Transient events never modify it.
+func (r *graphRun) apply(s *graph.Snapshot, st step) (*graph.Snapshot, error) {
+	switch st.kind {
+	case fromPinned:
+		node := r.dg.skel.nodes[st.edge.to]
+		if node.matSnapshot == nil {
+			return nil, fmt.Errorf("deltagraph: node %d not materialized", node.id)
+		}
+		return node.matSnapshot.Clone(), nil
+	case fromCurrent:
+		return r.dg.current.Clone(), nil
+	case applyDelta:
+		d, err := r.dg.fetchDelta(st.edge, r.spec)
+		if err != nil {
+			return nil, err
+		}
+		d.Apply(s)
+		return s, nil
+	}
+	evs, err := r.events(st)
+	if err != nil {
+		return nil, err
+	}
+	for i := range evs {
+		ev := &evs[i]
+		if st.back {
+			ev = &evs[len(evs)-1-i]
+		}
+		switch {
+		case st.kind == applyRecent && !r.spec.wants(*ev):
+		case st.back:
+			s.Unapply(*ev)
+		default:
+			s.Apply(*ev)
+		}
+	}
+	return s, nil
+}
+
 // GetSnapshot retrieves the graph as of time t with the requested
 // attribute options (the paper's GetHistGraph returning a plain snapshot).
 func (dg *DeltaGraph) GetSnapshot(t graph.Time, opts graph.AttrOptions) (*graph.Snapshot, error) {
-	if err := dg.rlockAt(t); err != nil {
+	snaps, err := dg.GetSnapshots([]graph.Time{t}, opts)
+	if err != nil {
 		return nil, err
 	}
-	defer dg.mu.RUnlock()
-	s, _, err := dg.getSnapshotLocked(t, opts)
-	return s, err
-}
-
-func (dg *DeltaGraph) getSnapshotLocked(t graph.Time, opts graph.AttrOptions) (*graph.Snapshot, queryPlan, error) {
-	sel := selectorFor(opts, nil)
-	p, err := dg.planLocked(t, sel)
-	if err != nil {
-		return nil, p, err
-	}
-	s, err := dg.executePlan(p, specFor(opts))
-	if err != nil {
-		return nil, p, err
-	}
-	return opts.FilterSnapshot(s), p, nil
+	return snaps[0], nil
 }
 
 // PlanCost returns the planner's estimated cost for a singlepoint query;
@@ -323,181 +468,49 @@ func (dg *DeltaGraph) PlanCost(t graph.Time, opts graph.AttrOptions) (int64, err
 		return 0, err
 	}
 	defer dg.mu.RUnlock()
-	p, err := dg.planLocked(t, selectorFor(opts, nil))
-	return p.cost, err
+	p := planner{dg: dg, sel: selectorFor(opts, nil)}
+	r, err := p.routeTo(t)
+	return r.cost(), err
 }
 
 // GetSnapshots retrieves many snapshots with multi-query optimization
-// (Section 4.4): terminals are connected by a Steiner tree over the
-// skeleton, so snapshots close in time are derived from each other through
-// eventlist segments instead of each paying a full root-to-leaf path.
-// Results are returned in the order of ts.
+// (Section 4.4): snapshots close in time are derived from each other through
+// eventlist segments instead of each paying a full root-to-leaf path, and
+// those that do pay it share the part they have in common. Results are
+// returned in the order of ts.
 func (dg *DeltaGraph) GetSnapshots(ts []graph.Time, opts graph.AttrOptions) ([]*graph.Snapshot, error) {
 	if err := dg.rlockAt(ts...); err != nil {
 		return nil, err
 	}
 	defer dg.mu.RUnlock()
-	return dg.getSnapshotsLocked(ts, opts)
+	snaps, _, err := dg.snapshotsLocked(ts, opts)
+	return snaps, err
 }
 
-func (dg *DeltaGraph) getSnapshotsLocked(ts []graph.Time, opts graph.AttrOptions) ([]*graph.Snapshot, error) {
+// snapshotsLocked plans and builds the graphs at ts. Besides them it returns
+// planLocked's routes.
+func (dg *DeltaGraph) snapshotsLocked(ts []graph.Time, opts graph.AttrOptions) ([]*graph.Snapshot, []route, error) {
 	if len(ts) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
-	if len(ts) == 1 {
-		s, _, err := dg.getSnapshotLocked(ts[0], opts)
-		return []*graph.Snapshot{s}, err
+	tree, routes, err := dg.planLocked(ts, selectorFor(opts, nil))
+	if err != nil {
+		return nil, nil, err
 	}
-	sel := selectorFor(opts, nil)
-	spec := specFor(opts)
-
-	// Sort terminals by time, remembering the output order.
-	order := make([]int, len(ts))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return ts[order[a]] < ts[order[b]] })
-
-	// Metric: a_i = cost from super-root, b_i = cost from terminal i to
-	// terminal i+1 along the leaf level.
-	m := len(ts)
-	rootCost := make([]int64, m)
-	plans := make([]queryPlan, m)
-	for i, oi := range order {
-		p, err := dg.planLocked(ts[oi], sel)
-		if err != nil {
-			return nil, err
-		}
-		plans[i] = p
-		rootCost[i] = p.cost
-	}
-	stepCost := make([]int64, m-1)
-	for i := 0; i+1 < m; i++ {
-		stepCost[i] = dg.rangeCostLocked(ts[order[i]], ts[order[i+1]], sel)
-	}
-
-	// Kruskal over the star+path terminal graph: edges (root, i) with
-	// cost a_i and (i, i+1) with cost b_i.
-	type medge struct {
-		cost int64
-		a, b int // b == -1 means the super-root
-	}
-	edges := make([]medge, 0, 2*m)
-	for i := 0; i < m; i++ {
-		edges = append(edges, medge{rootCost[i], i, -1})
-	}
-	for i := 0; i+1 < m; i++ {
-		edges = append(edges, medge{stepCost[i], i, i + 1})
-	}
-	sort.Slice(edges, func(a, b int) bool { return edges[a].cost < edges[b].cost })
-	parent := make([]int, m+1) // m is the super-root in union-find terms
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	fromRoot := make([]bool, m)
-	nextOf := make(map[int][]int) // terminal -> neighbors in tree (by index)
-	for _, e := range edges {
-		bIdx := e.b
-		if bIdx == -1 {
-			bIdx = m
-		}
-		ra, rb := find(e.a), find(bIdx)
-		if ra == rb {
-			continue
-		}
-		parent[ra] = rb
-		if e.b == -1 {
-			fromRoot[e.a] = true
-		} else {
-			nextOf[e.a] = append(nextOf[e.a], e.b)
-			nextOf[e.b] = append(nextOf[e.b], e.a)
+	for _, r := range routes {
+		if r != nil {
+			dg.planExecs.Add(1)
 		}
 	}
-
-	// Realize the tree: BFS from every root-attached terminal, deriving
-	// neighbors by eventlist ranges.
-	snaps := make([]*graph.Snapshot, m)
-	var queue []int
-	for i := 0; i < m; i++ {
-		if fromRoot[i] {
-			s, err := dg.executePlan(plans[i], spec)
-			if err != nil {
-				return nil, err
-			}
-			snaps[i] = s
-			queue = append(queue, i)
-		}
+	snaps := make([]*graph.Snapshot, len(ts))
+	run := graphRun{dg: dg, spec: specFor(opts)}
+	if err := execute(tree, graph.NewSnapshot(), (*graph.Snapshot).Clone, run.apply, snaps); err != nil {
+		return nil, nil, err
 	}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		for _, j := range nextOf[i] {
-			if snaps[j] != nil {
-				continue
-			}
-			s := snaps[i].Clone()
-			if err := dg.applyRangeLocked(s, ts[order[i]], ts[order[j]], spec); err != nil {
-				return nil, err
-			}
-			snaps[j] = s
-			queue = append(queue, j)
-		}
+	for _, s := range snaps {
+		opts.FilterSnapshot(s)
 	}
-	out := make([]*graph.Snapshot, len(ts))
-	for i, oi := range order {
-		if snaps[i] == nil {
-			return nil, fmt.Errorf("deltagraph: internal: terminal %d not realized", i)
-		}
-		out[oi] = opts.FilterSnapshot(snaps[i])
-	}
-	return out, nil
-}
-
-// rangeCostLocked estimates the bytes needed to move a snapshot from time
-// a to time b along the leaf level.
-func (dg *DeltaGraph) rangeCostLocked(a, b graph.Time, sel weightSelector) int64 {
-	if a > b {
-		a, b = b, a
-	}
-	var total int64
-	la, lb := dg.skel.locate(a), dg.skel.locate(b)
-	for i := la; i <= lb && i < len(dg.skel.leaves)-1; i++ {
-		e := dg.eventEdge(i)
-		if e == nil {
-			continue
-		}
-		w := sel.weight(e)
-		leafT := dg.skel.nodes[dg.skel.leaves[i]].at
-		nextT := dg.skel.nodes[dg.skel.leaves[i+1]].at
-		span := float64(nextT - leafT)
-		lo, hi := leafT, nextT
-		if a > lo {
-			lo = a
-		}
-		if b < hi {
-			hi = b
-		}
-		if hi <= lo || span <= 0 {
-			continue
-		}
-		total += int64(float64(w) * float64(hi-lo) / span)
-	}
-	// Recent tail.
-	lastLeafTime := dg.skel.nodes[dg.skel.leaves[len(dg.skel.leaves)-1]].at
-	if b > lastLeafTime {
-		lo := dg.recent.SearchTime(max(a, lastLeafTime))
-		hi := dg.recent.SearchTime(b)
-		total += int64(hi-lo) * bytesPerRecentEvent
-	}
-	return total
+	return snaps, routes, nil
 }
 
 // IntervalResult is the answer to GetHistGraphInterval: the graph over all
@@ -517,14 +530,24 @@ func (dg *DeltaGraph) GetInterval(ts, te graph.Time, opts graph.AttrOptions) (*I
 	}
 	dg.mu.RLock()
 	defer dg.mu.RUnlock()
-	spec := specFor(opts)
-	spec.transient = true
+	run := graphRun{dg: dg, spec: specFor(opts)}
+	run.spec.transient = true
 	res := &IntervalResult{Start: ts, End: te, Graph: graph.NewSnapshot()}
-	collect := func(evs graph.EventList) {
+	// [ts, te) is (ts-1, te-1]: the leaf level between those two times.
+	from := ts - 1
+	if ts == math.MinInt64 {
+		from = ts
+	}
+	steps, err := dg.leafSteps(from, te-1, selectorFor(opts, nil))
+	if err != nil {
+		return nil, err
+	}
+	for _, st := range steps {
+		evs, err := run.events(st)
+		if err != nil {
+			return nil, err
+		}
 		for _, ev := range evs {
-			if ev.At < ts || ev.At >= te {
-				continue
-			}
 			switch ev.Type {
 			case graph.TransientEdge, graph.TransientNode:
 				res.Transients = append(res.Transients, ev)
@@ -535,27 +558,6 @@ func (dg *DeltaGraph) GetInterval(ts, te graph.Time, opts graph.AttrOptions) (*I
 			}
 		}
 	}
-	// Eventlist i covers (leafTime_i, leafTime_i+1]; events at exactly ts
-	// can sit in the eventlist ending at ts, so start one step earlier.
-	li := dg.skel.locate(ts - 1)
-	if li < 0 {
-		li = 0
-	}
-	for i := li; i < len(dg.skel.leaves)-1; i++ {
-		if dg.skel.nodes[dg.skel.leaves[i]].at >= te {
-			break
-		}
-		e := dg.eventEdge(i)
-		if e == nil {
-			continue
-		}
-		evs, err := dg.fetchEvents(e, spec)
-		if err != nil {
-			return nil, err
-		}
-		collect(evs)
-	}
-	collect(dg.recent)
 	opts.FilterSnapshot(res.Graph)
 	return res, nil
 }
@@ -622,7 +624,7 @@ func (dg *DeltaGraph) GetExpression(tex TimeExpression, opts graph.AttrOptions) 
 	if err := dg.rlockAt(tex.Times...); err != nil {
 		return nil, err
 	}
-	snaps, err := dg.getSnapshotsLocked(tex.Times, opts)
+	snaps, _, err := dg.snapshotsLocked(tex.Times, opts)
 	dg.mu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -716,7 +718,7 @@ func (dg *DeltaGraph) GetExpression(tex TimeExpression, opts graph.AttrOptions) 
 }
 
 // Retrieve loads the snapshot at t into the GraphPool and returns its
-// graph ID. When the plan starts at a materialized node (or the current
+// graph ID. When the route starts at a materialized node (or the current
 // graph) and the applied records are a small fraction of the base size,
 // the snapshot is overlaid as a dependent graph — the paper's bit-pair
 // optimization.
@@ -727,28 +729,30 @@ func (dg *DeltaGraph) Retrieve(t graph.Time, opts graph.AttrOptions) (graphpool.
 	if err := dg.rlockAt(t); err != nil {
 		return 0, err
 	}
-	s, p, err := dg.getSnapshotLocked(t, opts)
+	snaps, routes, err := dg.snapshotsLocked([]graph.Time{t}, opts)
 	if err != nil {
 		dg.mu.RUnlock()
 		return 0, err
 	}
-	// Dependent-overlay decision from the plan (Section 6).
+	s, r := snaps[0], routes[0]
+	// Dependent-overlay decision from the route (Section 6).
 	var (
 		baseSnap *graph.Snapshot
 		baseID   graphpool.GraphID
 		haveBase bool
 	)
-	switch {
-	case p.startCurrent:
+	switch r[0].kind {
+	case fromCurrent:
 		baseSnap, baseID, haveBase = dg.current, graphpool.CurrentGraph, true
-	case p.baseNode != nil:
-		if id, ok := dg.matGraphs[p.baseNode.id]; ok {
-			baseSnap, baseID, haveBase = p.baseNode.matSnapshot, id, true
+	case fromPinned:
+		node := dg.skel.nodes[r[0].edge.to]
+		if id, ok := dg.matGraphs[node.id]; ok {
+			baseSnap, baseID, haveBase = node.matSnapshot, id, true
 		}
 	}
 	if haveBase {
 		baseSize := baseSnap.Size()
-		if baseSize > 0 && float64(p.appliedRecords) <= dg.opts.DependentMaxRatio*float64(baseSize) {
+		if baseSize > 0 && float64(r.records()) <= dg.opts.DependentMaxRatio*float64(baseSize) {
 			exc := delta.Compute(s, opts.FilterSnapshot(baseSnap.Clone()))
 			dg.mu.RUnlock()
 			return dg.pool.OverlayDependent(baseID, exc, t, opts)
@@ -767,7 +771,7 @@ func (dg *DeltaGraph) RetrieveMany(ts []graph.Time, opts graph.AttrOptions) ([]g
 	if err := dg.rlockAt(ts...); err != nil {
 		return nil, err
 	}
-	snaps, err := dg.getSnapshotsLocked(ts, opts)
+	snaps, _, err := dg.snapshotsLocked(ts, opts)
 	dg.mu.RUnlock()
 	if err != nil {
 		return nil, err

@@ -106,11 +106,14 @@ func (s *skeleton) removeEdge(idx int) {
 	s.edges[idx] = nil
 }
 
+// leafTime returns the snapshot timepoint of leaf i.
+func (s *skeleton) leafTime(i int) graph.Time { return s.nodes[s.leaves[i]].at }
+
 // leafTimes returns the snapshot timepoint of every leaf in order.
 func (s *skeleton) leafTimes() []graph.Time {
 	ts := make([]graph.Time, len(s.leaves))
-	for i, id := range s.leaves {
-		ts[i] = s.nodes[id].at
+	for i := range s.leaves {
+		ts[i] = s.leafTime(i)
 	}
 	return ts
 }
@@ -122,7 +125,7 @@ func (s *skeleton) locate(t graph.Time) int {
 	lo, hi := 0, len(s.leaves)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if s.nodes[s.leaves[mid]].at <= t {
+		if s.leafTime(mid) <= t {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -136,7 +139,6 @@ type weightSelector struct {
 	wantStruct    bool
 	wantNodeAttr  bool
 	wantEdgeAttr  bool
-	wantTransient bool
 	auxComponents []int // indices (4+i) of aux components to fetch
 	// perFetchCost models the fixed cost of one key-value store read
 	// ("a more realistic cost model where using a higher number of
@@ -144,10 +146,11 @@ type weightSelector struct {
 	// Section 5.4).
 	perFetchCost int64
 	// skipMat excludes materialization shortcuts (aux queries: pinned
-	// snapshots hold graph content only).
+	// snapshots hold graph content only), except the empty anchor leaf,
+	// which holds all there is of either.
 	skipMat bool
-	// noBackward excludes backward eventlist hops (aux events carry no
-	// old values, so they are forward-only).
+	// noBackward excludes undoing eventlists (aux events carry no old
+	// values, so they are forward-only).
 	noBackward bool
 }
 
@@ -175,20 +178,12 @@ func (w weightSelector) weight(e *skelEdge) int64 {
 	if w.wantEdgeAttr {
 		total += e.sizes[2]
 	}
-	if w.wantTransient && len(e.sizes) > 3 {
-		total += e.sizes[3]
-	}
 	for _, c := range w.auxComponents {
 		if c < len(e.sizes) {
 			total += e.sizes[c]
 		}
 	}
 	return total
-}
-
-// planHop is one step of a retrieval plan.
-type planHop struct {
-	edge *skelEdge
 }
 
 // dijkstraItem is a priority-queue entry.
@@ -233,7 +228,7 @@ func (s *skeleton) shortestPaths(src int, w weightSelector) ([]int64, []int) {
 			if e == nil {
 				continue
 			}
-			if (w.skipMat && e.kind == kindMat) || (w.noBackward && e.kind == kindEventBwd) {
+			if (w.skipMat && e.kind == kindMat && e.to != s.leaves[0]) || (w.noBackward && e.kind == kindEventBwd) {
 				continue
 			}
 			nd := item.dist + w.weight(e)
@@ -245,19 +240,4 @@ func (s *skeleton) shortestPaths(src int, w weightSelector) ([]int64, []int) {
 		}
 	}
 	return dist, prev
-}
-
-// pathTo reconstructs the hop sequence from src to dst using predecessor
-// edges; returns nil when unreachable.
-func (s *skeleton) pathTo(dst int, prev []int) []planHop {
-	var rev []planHop
-	for at := dst; prev[at] != -1; {
-		e := s.edges[prev[at]]
-		rev = append(rev, planHop{edge: e})
-		at = e.from
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }
