@@ -38,6 +38,9 @@ func (dg *DeltaGraph) cutLeafLocked() error {
 	dg.skel.leaves = append(dg.skel.leaves, leaf)
 
 	evIndex := len(dg.skel.leaves) - 2 // eventlist ordinal between prevLeaf and leaf
+	if evIndex == 0 {
+		dg.firstTime = dg.recent[0].At
+	}
 	deltaID, sizes, count, err := dg.storeEvents(dg.recent, dg.auxRecent)
 	if err != nil {
 		return err

@@ -131,7 +131,11 @@ type DeltaGraph struct {
 	curSize  int             // current.Size(), kept by appendLocked
 	recent   graph.EventList // events after the last leaf cut
 	lastTime graph.Time      // timestamp of the newest appended event
-	pending  [][]pendingChild
+	// firstTime is the timestamp of the first event of stored eventlist 0.
+	// The list's leaf, the empty anchor, stands before all time, so the
+	// planner takes the list's span in time from here (listStep).
+	firstTime graph.Time
+	pending   [][]pendingChild
 	// window is the set of elements changed since the last leaf cut: every
 	// pending node already holds an image of each of them.
 	window map[elem]struct{}

@@ -306,6 +306,17 @@ func Open(opts Options) (*DeltaGraph, error) {
 		dg.skel.addEdge(&skelEdge{from: e.From, to: e.To, kind: edgeKind(e.Kind), deltaID: e.DeltaID, sizes: e.Sizes, counts: e.Counts, evIndex: e.EvIndex})
 	}
 	dg.skel.leaves = pi.Leaves
+	if len(dg.skel.leaves) > 1 {
+		e := dg.eventEdge(0)
+		if e == nil {
+			return nil, fmt.Errorf("deltagraph: corrupt checkpoint: no eventlist 0")
+		}
+		first, err := dg.fetchEvents(e, fetchSpec{nodeAttr: true, edgeAttr: true, transient: true})
+		if err != nil || len(first) == 0 {
+			return nil, fmt.Errorf("deltagraph: eventlist 0 (%d events): %w", len(first), err)
+		}
+		dg.firstTime = first[0].At
+	}
 
 	// Restore builder pending state, each graph as a patch against the
 	// current one. The spine waits for the first read (or for a pinned node

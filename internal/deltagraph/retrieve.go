@@ -112,14 +112,16 @@ func (dg *DeltaGraph) leafSteps(from, to graph.Time, sel weightSelector) (route,
 }
 
 // listStep is the step over stored eventlist i clipped to (lo, hi], costed as
-// the share of the list's time span that the clip covers.
+// the share of the list's time span that the clip covers. The span starts at
+// the list's leaf, except that eventlist 0, whose leaf stands before all time,
+// starts just before its first event.
 func (dg *DeltaGraph) listStep(i int, lo, hi graph.Time, sel weightSelector) (step, error) {
 	e := dg.eventEdge(i)
 	if e == nil {
 		return step{}, fmt.Errorf("deltagraph: missing eventlist %d", i)
 	}
-	start, end := dg.skel.leafTime(i), dg.skel.leafTime(i+1)
-	lo, hi = max(lo, start), min(hi, end)
+	start, end := max(dg.skel.leafTime(i), dg.firstTime-1), dg.skel.leafTime(i+1)
+	lo, hi = max(lo, start), max(min(hi, end), start)
 	span := float64(end - start)
 	share := float64(hi-start)/span - float64(lo-start)/span
 	return step{kind: applyList, edge: e, lo: lo, hi: hi,
