@@ -215,7 +215,7 @@ type auxRun struct {
 }
 
 func (r auxRun) apply(aux AuxSnapshot, st step) (AuxSnapshot, error) {
-	evs := r.dg.auxRecent[r.idx]
+	evs := r.dg.auxRecent[r.idx] // applyRecent's events; applyList decodes its own
 	switch st.kind {
 	case fromPinned: // the empty anchor leaf: the planner was told to skip the others
 		return AuxSnapshot{}, nil

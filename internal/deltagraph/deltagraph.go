@@ -9,9 +9,12 @@
 // the delta that constructs its target from its source. A snapshot query is
 // answered by the lowest-weight path from the empty super-root to the query
 // point (Dijkstra over the in-memory skeleton); a multipoint query by a
-// Steiner tree (2-approximation). Deltas are stored columnar in a key-value
-// store, optionally hash-partitioned across storage units, and arbitrary
-// index nodes can be materialized in memory at runtime to cut latencies.
+// Steiner tree (2-approximation) over the same skeleton. Either is a tree of
+// steps, each "apply this payload", that one executor walks once, reading no
+// stored payload twice (retrieve.go). Deltas are stored columnar in a
+// key-value store, optionally hash-partitioned across storage units, and
+// arbitrary index nodes can be materialized in memory at runtime to cut
+// latencies: materializing is the same kind of query, with nodes for targets.
 package deltagraph
 
 import (
@@ -169,9 +172,10 @@ type DeltaGraph struct {
 	ckptFirstID, ckptNextID uint64
 	ckptBytes               atomic.Int64
 
-	// planExecs counts query-plan executions (atomic: bumped under the
-	// read lock by concurrent retrievals). The serving layer uses it to
-	// observe how many retrievals its coalescing and caching avoided.
+	// planExecs counts the graphs snapshot queries built from a source
+	// (IndexStats.PlanExecutions; atomic: bumped under the read lock by
+	// concurrent retrievals). The serving layer uses it to observe how many
+	// retrievals its coalescing and caching avoided.
 	planExecs atomic.Int64
 }
 

@@ -179,32 +179,32 @@ func (dg *DeltaGraph) Unmaterialize(ref NodeRef) error {
 func (dg *DeltaGraph) MaterializeLevel(policy string) error {
 	dg.mu.Lock()
 	defer dg.unlock()
-	if err := dg.sealLocked(); err != nil {
-		return err
-	}
-	if policy == "leaves" {
+	switch policy {
+	case "leaves":
 		return dg.materializeLocked(dg.skel.leaves[1:])
+	case "root", "children", "grandchildren":
+	default:
+		return fmt.Errorf("deltagraph: unknown materialization policy %q", policy)
+	}
+	if err := dg.sealLocked(); err != nil { // the root hangs off the spine
+		return err
 	}
 	root := dg.rootLocked()
 	if root < 0 {
 		return fmt.Errorf("deltagraph: index has no root yet")
 	}
 	ids := []int{root}
-	switch policy {
-	case "root":
-	case "children", "grandchildren":
+	if policy != "root" {
 		ids = dg.skel.nodes[root].children
-		if policy == "grandchildren" {
-			var gc []int
-			for _, c := range ids {
-				gc = append(gc, dg.skel.nodes[c].children...)
-			}
-			if len(gc) > 0 {
-				ids = gc
-			}
+	}
+	if policy == "grandchildren" {
+		var gc []int
+		for _, c := range ids {
+			gc = append(gc, dg.skel.nodes[c].children...)
 		}
-	default:
-		return fmt.Errorf("deltagraph: unknown materialization policy %q", policy)
+		if len(gc) > 0 {
+			ids = gc
+		}
 	}
 	return dg.materializeLocked(ids)
 }

@@ -307,13 +307,17 @@ func Open(opts Options) (*DeltaGraph, error) {
 	}
 	dg.skel.leaves = pi.Leaves
 	if len(dg.skel.leaves) > 1 {
+		// The checkpoint does not say when the history starts; eventlist 0 does.
 		e := dg.eventEdge(0)
 		if e == nil {
 			return nil, fmt.Errorf("deltagraph: corrupt checkpoint: no eventlist 0")
 		}
 		first, err := dg.fetchEvents(e, fetchSpec{nodeAttr: true, edgeAttr: true, transient: true})
-		if err != nil || len(first) == 0 {
-			return nil, fmt.Errorf("deltagraph: eventlist 0 (%d events): %w", len(first), err)
+		if err != nil {
+			return nil, fmt.Errorf("deltagraph: eventlist 0: %w", err)
+		}
+		if len(first) == 0 {
+			return nil, fmt.Errorf("deltagraph: corrupt checkpoint: eventlist 0 is empty")
 		}
 		dg.firstTime = first[0].At
 	}

@@ -42,9 +42,13 @@ type IndexStats struct {
 	RootSize int
 	// RecentEvents is the size of the unflushed tail.
 	RecentEvents int
-	// PlanExecutions counts query plans executed since the index was
-	// opened — every singlepoint or multipoint retrieval that actually
-	// walked the skeleton (cache hits at the serving layer skip it).
+	// PlanExecutions counts, since the index was created or opened, the
+	// graphs that snapshot queries built from a source (the null graph, a
+	// materialized node, the current graph): one for a singlepoint query,
+	// and for a multipoint query one for every timepoint that is not derived
+	// from a neighbour in time. Materialization, aux and interval queries do
+	// not count, and neither does a cache hit at the serving layer, which
+	// never reaches the index.
 	PlanExecutions int64
 }
 
