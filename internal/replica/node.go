@@ -946,8 +946,12 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		}
 		slots = &ss
 	} else if id := q.Get("id"); id != "" && from > 1 {
-		// from=N acknowledges that the caller has durably logged 1..N-1.
-		n.recordAck(id, from-1)
+		// from=N acknowledges that the caller has durably logged 1..N-1 —
+		// but never past this node's own durable end: followers are only
+		// ever served durable records, so a larger claim is not a copy of
+		// this log (a stray client, or a follower that outran a newly
+		// promoted primary) and must not release a -sync-followers wait.
+		n.recordAck(id, min(from-1, n.log.LastSeq()))
 	}
 	if wq := q.Get("wait"); wq != "" {
 		if wait, err := time.ParseDuration(wq); err == nil && wait > 0 {

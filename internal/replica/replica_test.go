@@ -347,6 +347,12 @@ func TestSyncFollowerAck(t *testing.T) {
 	if _, err := client.Append(testEvents(4, 1)); err == nil {
 		t.Fatal("append with no follower attached should time out unacked")
 	}
+	// A fetch is outside input: one that claims to hold records this node
+	// never wrote must not count as a follower holding them.
+	rawGET(t, primary.hs.URL+"/replicate?from=1000000&id=ghost")
+	if _, err := client.Append(testEvents(4, 50)); err == nil {
+		t.Fatal("append was acked on the word of a fetch from past the end of the log; no follower holds a byte")
+	}
 
 	follower := startNode(t, filepath.Join(dir, "f.wal"), replica.Config{
 		Role: replica.RoleFollower, PrimaryURL: primary.hs.URL, PollWait: 100 * time.Millisecond,
