@@ -2,6 +2,8 @@ package deltagraph
 
 import (
 	"fmt"
+	"iter"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -632,91 +634,72 @@ func (dg *DeltaGraph) GetExpression(tex TimeExpression, opts graph.AttrOptions) 
 		return nil, err
 	}
 	out := graph.NewSnapshot()
-	member := make([]bool, len(snaps))
-	// Nodes.
-	seenN := make(map[graph.NodeID]struct{})
-	for _, s := range snaps {
-		for n := range s.Nodes {
-			if _, ok := seenN[n]; ok {
-				continue
-			}
-			seenN[n] = struct{}{}
-			for i, si := range snaps {
-				_, member[i] = si.Nodes[n]
-			}
-			if tex.Expr.Eval(member) {
-				out.Nodes[n] = struct{}{}
-			}
-		}
-	}
-	// Edges.
-	seenE := make(map[graph.EdgeID]struct{})
-	for _, s := range snaps {
-		for e, info := range s.Edges {
-			if _, ok := seenE[e]; ok {
-				continue
-			}
-			seenE[e] = struct{}{}
-			for i, si := range snaps {
-				_, member[i] = si.Edges[e]
-			}
-			if tex.Expr.Eval(member) {
-				out.Edges[e] = info
-			}
-		}
-	}
-	// Attribute entries: identity is (id, attr, value).
-	type nkey struct {
-		n    graph.NodeID
-		k, v string
-	}
-	seenNA := make(map[nkey]struct{})
-	for _, s := range snaps {
-		for n, attrs := range s.NodeAttrs {
-			for k, v := range attrs {
-				key := nkey{n, k, v}
-				if _, ok := seenNA[key]; ok {
-					continue
-				}
-				seenNA[key] = struct{}{}
-				for i, si := range snaps {
-					member[i] = si.NodeAttrs[n][k] == v
-				}
-				if tex.Expr.Eval(member) {
-					if out.NodeAttrs[n] == nil {
-						out.NodeAttrs[n] = make(map[string]string)
-					}
-					out.NodeAttrs[n][k] = v
-				}
-			}
-		}
-	}
-	type ekey struct {
-		e    graph.EdgeID
-		k, v string
-	}
-	seenEA := make(map[ekey]struct{})
-	for _, s := range snaps {
-		for e, attrs := range s.EdgeAttrs {
-			for k, v := range attrs {
-				key := ekey{e, k, v}
-				if _, ok := seenEA[key]; ok {
-					continue
-				}
-				seenEA[key] = struct{}{}
-				for i, si := range snaps {
-					member[i] = si.EdgeAttrs[e][k] == v
-				}
-				if tex.Expr.Eval(member) {
-					if out.EdgeAttrs[e] == nil {
-						out.EdgeAttrs[e] = make(map[string]string)
-					}
-					out.EdgeAttrs[e][k] = v
-				}
-			}
-		}
-	}
+	satisfying(snaps, tex.Expr,
+		func(s *graph.Snapshot) iter.Seq2[graph.NodeID, struct{}] { return maps.All(s.Nodes) },
+		func(s *graph.Snapshot, n graph.NodeID) bool { _, ok := s.Nodes[n]; return ok },
+		func(n graph.NodeID, _ struct{}) { out.Nodes[n] = struct{}{} })
+	satisfying(snaps, tex.Expr,
+		func(s *graph.Snapshot) iter.Seq2[graph.EdgeID, graph.EdgeInfo] { return maps.All(s.Edges) },
+		func(s *graph.Snapshot, e graph.EdgeID) bool { _, ok := s.Edges[e]; return ok },
+		func(e graph.EdgeID, info graph.EdgeInfo) { out.Edges[e] = info })
+	attrsSatisfying(snaps, tex.Expr, func(s *graph.Snapshot) map[graph.NodeID]map[string]string { return s.NodeAttrs }, out.NodeAttrs)
+	attrsSatisfying(snaps, tex.Expr, func(s *graph.Snapshot) map[graph.EdgeID]map[string]string { return s.EdgeAttrs }, out.EdgeAttrs)
 	return out, nil
+}
+
+// satisfying visits every element some snapshot holds, once, and keeps
+// those whose membership across the snapshots satisfies expr: all lists a
+// snapshot's elements, has tests one.
+func satisfying[K comparable, V any](snaps []*graph.Snapshot, expr TimeExpr,
+	all func(*graph.Snapshot) iter.Seq2[K, V], has func(*graph.Snapshot, K) bool, keep func(K, V)) {
+	seen := make(map[K]struct{})
+	member := make([]bool, len(snaps))
+	for _, s := range snaps {
+		for k, v := range all(s) {
+			if _, ok := seen[k]; ok {
+				continue
+			}
+			seen[k] = struct{}{}
+			for i, si := range snaps {
+				member[i] = has(si, k)
+			}
+			if expr.Eval(member) {
+				keep(k, v)
+			}
+		}
+	}
+}
+
+// attrEntry is one attribute entry as an element: the value is part of
+// its identity.
+type attrEntry[ID comparable] struct {
+	id   ID
+	k, v string
+}
+
+// attrsSatisfying is satisfying over the attribute entries of one kind of
+// element (of picks the node or the edge attributes), kept into out.
+func attrsSatisfying[ID comparable](snaps []*graph.Snapshot, expr TimeExpr,
+	of func(*graph.Snapshot) map[ID]map[string]string, out map[ID]map[string]string) {
+	satisfying(snaps, expr,
+		func(s *graph.Snapshot) iter.Seq2[attrEntry[ID], struct{}] {
+			return func(yield func(attrEntry[ID], struct{}) bool) {
+				for id, attrs := range of(s) {
+					for k, v := range attrs {
+						if !yield(attrEntry[ID]{id, k, v}, struct{}{}) {
+							return
+						}
+					}
+				}
+			}
+		},
+		func(s *graph.Snapshot, a attrEntry[ID]) bool { return of(s)[a.id][a.k] == a.v },
+		func(a attrEntry[ID], _ struct{}) {
+			if out[a.id] == nil {
+				out[a.id] = make(map[string]string)
+			}
+			out[a.id][a.k] = a.v
+		})
 }
 
 // Retrieve loads the snapshot at t into the GraphPool and returns its
