@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"historygraph/internal/server"
 	"historygraph/internal/wire"
@@ -108,15 +107,9 @@ func (n *Node) handleAppendStream(w http.ResponseWriter, r *http.Request) {
 	// One follower-ack wait covers the whole stream: acks are seq-watermark
 	// based, so confirming the highest admitted sequence confirms every
 	// frame.
-	if acked > 0 && n.syncFollowers > 0 {
-		ackStart := time.Now()
-		if !n.waitForAcks(acked, n.syncFollowers) {
-			server.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf(
-				"replica: %d follower(s) did not confirm seq %d within %v (all %d stream frames are logged and will replicate; the stream was NOT acked)",
-				n.syncFollowers, acked, n.ackTimeout, frames))
-			return
-		}
-		n.obsStage("ack", ackStart)
+	if err := n.confirm(acked, fmt.Sprintf("the stream of %d frames", frames)); err != nil {
+		server.WriteError(w, http.StatusServiceUnavailable, err)
+		return
 	}
 	server.WriteWire(w, r, http.StatusOK, agg)
 }

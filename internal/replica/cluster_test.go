@@ -486,11 +486,13 @@ func TestHealthLoopPromotesDarkPrimary(t *testing.T) {
 	defer co.Close()
 
 	client := server.NewClient(httptest.NewServer(co.Handler()).URL)
-	res, err := client.Append(testEvents(16, 1))
-	if err != nil {
+	if _, err := client.Append(testEvents(16, 1)); err != nil {
 		t.Fatal(err)
 	}
-	waitCaughtUp(t, follower.url, res.Seq)
+	// A coordinator's answer carries no sequence number, so wait on the
+	// primary's own log end: stopping the primary with the follower's
+	// first fetch still being served closes the log under that handler.
+	waitCaughtUp(t, follower.url, primary.log.LastSeq())
 
 	primary.stop()
 	deadline := time.Now().Add(10 * time.Second)

@@ -8,13 +8,16 @@
 //
 // A Node wraps an internal/server.Server:
 //
-//   - Primary role: POST /append validates the batch against the graph
-//     clock first (a client error can never poison the log), writes every
-//     event to the WAL (replica.Log over kvstore.SeqLog's CRC-checked
-//     sequenced records), fsyncs, optionally waits until
-//     Config.SyncFollowers followers have durably logged the batch, and
-//     only then applies and acks. Restart replays the local WAL through
-//     the same apply path.
+//   - Primary role: POST /append runs a staged pipeline. Admission
+//     (one short lock) checks the batch against the admitted clock — a
+//     client error can never poison the log — writes every event to the
+//     WAL (replica.Log over kvstore.SeqLog's CRC-checked sequenced
+//     records) without waiting for the sync, and hands the applier a
+//     ticket for the records. The applier waits for the group commit
+//     covering them and applies them in sequence order; the append then
+//     acks, after optionally waiting until Config.SyncFollowers
+//     followers have durably logged the batch. Restart replays the local
+//     WAL through the same applier.
 //   - Follower role: rejects external appends and tails its primary's
 //     WAL over long-poll GET /replicate?from=<seq>, writing each record
 //     to its own WAL (synced) before applying, so its log stays
@@ -29,9 +32,18 @@
 // acked without double-applying — including resuming a batch the node
 // holds only a prefix of.
 //
-// Concurrency rules: one node-level mutex orders WAL-write + graph-apply
-// (appliedSeq never overstates the graph); the Log group-commits fsyncs
-// through a single flusher goroutine, so concurrent appenders share each
-// sync; Log.Read and Wait never return records beyond the durable
-// watermark. A Node and a Log are each safe for concurrent use.
+// Concurrency rules: the local log is the queue and one applier goroutine
+// owns the cursor into it (appliedSeq, which never overstates the graph).
+// Every writer — live append, stream frame, migration ingest, follower
+// mirror — writes its records, registers their batch span, and hands the
+// applier a ticket carrying the events it already decoded; the applier
+// uses them when they begin exactly at cursor+1 and reads the log
+// otherwise (boot, a follower's backlog, a hole a failed apply left are
+// all the same hint-less ticket). Nothing else applies events, so there
+// is no apply lock: Node.mu (role, tail loop, follower acks), the
+// admission lock (sequence order == admission order) and the dedup-table
+// lock are the node's locks. The Log group-commits fsyncs through a
+// single flusher goroutine, so concurrent appenders share each sync;
+// Log.Read and Wait never return records beyond the durable watermark. A
+// Node and a Log are each safe for concurrent use.
 package replica

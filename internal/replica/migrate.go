@@ -23,9 +23,9 @@ package replica
 // merge.
 //
 // Batch groups can be split by page boundaries and by the slot filter;
-// that is fine because migrateAppend bypasses the dedup-resume logic
-// (the migration stream is the target's only writer) while still
-// accumulating each batch's span in the dedup table.
+// that is fine because migrateAppend is admission without the
+// dedup-resume logic (the migration stream is the target's only writer)
+// that still accumulates each batch's span in the dedup table.
 
 import (
 	"context"
@@ -191,8 +191,8 @@ func (n *Node) startMigration(sources []MigrateSource) (int, error) {
 	if n.Role() != RolePrimary {
 		return http.StatusUnprocessableEntity, fmt.Errorf("replica: migration target must be a primary")
 	}
-	n.migMu.Lock()
-	defer n.migMu.Unlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if m := n.mig; m != nil {
 		select {
 		case <-m.done:
@@ -227,9 +227,9 @@ func (n *Node) startMigration(sources []MigrateSource) (int, error) {
 // stopMigration cancels the ingest and waits for the merger goroutine to
 // exit. Idempotent; the final status stays readable.
 func (n *Node) stopMigration() {
-	n.migMu.Lock()
+	n.mu.Lock()
 	m := n.mig
-	n.migMu.Unlock()
+	n.mu.Unlock()
 	if m == nil {
 		return
 	}
@@ -242,9 +242,9 @@ func (n *Node) stopMigration() {
 // cursor passes its final head and its buffer drains, it is exhausted:
 // it stops bounding the time merge and the migration can finish.
 func (n *Node) finalizeMigration(heads []uint64) error {
-	n.migMu.Lock()
+	n.mu.Lock()
 	m := n.mig
-	n.migMu.Unlock()
+	n.mu.Unlock()
 	if m == nil {
 		return fmt.Errorf("replica: no migration to finalize")
 	}
@@ -262,9 +262,9 @@ func (n *Node) finalizeMigration(heads []uint64) error {
 
 // migrationStatus snapshots the ingest state (nil if none was started).
 func (n *Node) migrationStatus() *MigrateStatus {
-	n.migMu.Lock()
+	n.mu.Lock()
 	m := n.mig
-	n.migMu.Unlock()
+	n.mu.Unlock()
 	if m == nil {
 		return nil
 	}
@@ -490,32 +490,16 @@ func (m *migration) drain() (bool, error) {
 // registration, so a post-cutover coordinator retry of an
 // already-migrated batch dedups against the migrated records.
 func (n *Node) migrateAppend(events historygraph.EventList, batch string) error {
-	if len(events) == 0 {
-		return nil
-	}
 	vStart := time.Now()
 	n.admitMu.Lock()
-	if err := validateOrder(historygraph.Time(n.admittedAt.Load()), events); err != nil {
-		n.admitMu.Unlock()
-		return err
-	}
-	first, last, err := n.log.StartAppend(events, batch)
-	if err != nil {
-		n.admitMu.Unlock()
-		return fmt.Errorf("replica: migration WAL append: %w", err)
-	}
-	n.recordBatch(batch, len(events), last)
-	n.raiseAdmitted(last, events[len(events)-1].At)
-	req := &applyReq{events: events, first: first, last: last, start: vStart, done: make(chan applyDone, 1)}
-	n.inflight.Add(1)
-	n.obsStage("validate", vStart)
-	select {
-	case n.queue <- req:
-	case <-n.quit:
-		n.inflight.Add(-1)
-		n.admitMu.Unlock()
-		return errNodeClosed
+	err := validateOrder(historygraph.Time(n.admittedAt.Load()), events)
+	var tk *ticket
+	if err == nil {
+		tk, err = n.writeLocked(events, batch, vStart)
 	}
 	n.admitMu.Unlock()
-	return n.await(req).err
+	if err != nil {
+		return err
+	}
+	return n.await(tk).err
 }

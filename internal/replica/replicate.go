@@ -1,13 +1,15 @@
 package replica
 
-// The binary replication stream: GET /replicate's response in the wire
-// package's binary encoding. A catch-up fetch moves up to FetchMax
-// records per round trip, and with JSON each of them paid a full
-// per-field encode on the primary and decode on the follower — on the
-// catch-up path that dominated the transfer. The binary body reuses the
-// exact event encoding WAL payloads are stored in (wire.EncodeEventTo),
-// with one encoder per response so attribute keys and event type names
-// intern across the whole batch.
+// GET /replicate: the primary's side of log shipping — followers, the
+// lineage handshake and the slot-migration puller all read the WAL through
+// it — and the binary encoding of its response.
+//
+// With JSON a catch-up fetch of up to FetchMax records paid a full
+// per-field encode on the primary and decode on the follower for each,
+// which dominated the transfer. The binary body reuses the exact event
+// encoding WAL payloads are stored in (wire.EncodeEventTo), with one
+// encoder per response so attribute keys and event type names intern
+// across the whole batch.
 //
 // Layout after the standard wire frame ('D', version, kindReplicate):
 //
@@ -29,9 +31,104 @@ package replica
 
 import (
 	"fmt"
+	"net/http"
+	"strconv"
+	"time"
 
+	"historygraph/internal/graph"
+	"historygraph/internal/server"
 	"historygraph/internal/wire"
 )
+
+// replicateResponse is the GET /replicate body. NextFrom and LastTime are
+// set on slot-filtered fetches only: filtered-out records still advance
+// the scan, so the puller resumes at NextFrom rather than past the last
+// returned record; LastTime is the source's safe time horizon — every
+// record it will ever serve past NextFrom carries an event time at or
+// after it (WAL records are time-ordered).
+type replicateResponse struct {
+	Records  []Record `json:"records"`
+	LastSeq  uint64   `json:"last_seq"`
+	NextFrom uint64   `json:"next_from,omitempty"`
+	LastTime int64    `json:"last_time,omitempty"`
+}
+
+func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
+	if err != nil || from == 0 {
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("replicate wants from=<seq> >= 1"))
+		return
+	}
+	max := n.fetchMax
+	if mq := q.Get("max"); mq != "" {
+		if m, err := strconv.Atoi(mq); err == nil && m > 0 && m < max {
+			max = m
+		}
+	}
+	var slots *slotSet
+	if sq := q.Get("slots"); sq != "" {
+		if q.Get("id") != "" {
+			server.WriteError(w, http.StatusBadRequest,
+				fmt.Errorf("slots= and id= are mutually exclusive: a migration fetch is not a follower ack"))
+			return
+		}
+		ss, err := parseSlotBitmap(sq)
+		if err != nil {
+			server.WriteError(w, http.StatusBadRequest, err)
+			return
+		}
+		slots = &ss
+	} else if id := q.Get("id"); id != "" && from > 1 {
+		// from=N acknowledges that the caller has durably logged 1..N-1 —
+		// but never past this node's own durable end: followers are only
+		// ever served durable records, so a larger claim is not a copy of
+		// this log (a stray client, or a follower that outran a newly
+		// promoted primary) and must not release a -sync-followers wait.
+		n.recordAck(id, min(from-1, n.log.LastSeq()))
+	}
+	if wq := q.Get("wait"); wq != "" {
+		if wait, err := time.ParseDuration(wq); err == nil && wait > 0 {
+			if wait > n.pollWait {
+				wait = n.pollWait
+			}
+			n.log.Wait(from-1, wait) // long-poll until the log grows past from-1
+		}
+	}
+	recs, err := n.log.Read(from, max)
+	if err != nil {
+		server.WriteError(w, http.StatusInternalServerError, err)
+		return
+	}
+	out := replicateResponse{Records: recs, LastSeq: n.log.LastSeq()}
+	if slots != nil {
+		// The scan cursor and time horizon come from the unfiltered page:
+		// a record outside the requested slots is consumed (never served
+		// to this puller again) and still bounds the times of everything
+		// after it.
+		out.NextFrom = from
+		if len(recs) > 0 {
+			out.NextFrom = recs[len(recs)-1].Seq + 1
+			out.LastTime = int64(recs[len(recs)-1].Event.At)
+		}
+		out.Records = recs[:0]
+		for _, rec := range recs {
+			if slots.has(graph.Slot(rec.Event.Node)) {
+				out.Records = append(out.Records, rec)
+			}
+		}
+	}
+	// Followers ask for the binary stream (one encoder per batch, interned
+	// keys, no per-record JSON); anything else gets the JSON body so old
+	// followers keep tailing a new primary.
+	if wire.Negotiate(r.Header.Get("Accept")).Name() == wire.NameBinary {
+		w.Header().Set("Content-Type", wire.ContentTypeBinary)
+		w.WriteHeader(http.StatusOK)
+		w.Write(encodeReplicate(out, slots != nil))
+		return
+	}
+	server.WriteJSON(w, http.StatusOK, out)
+}
 
 // Binary /replicate body kinds. Kinds 0x20+ are the replica package's
 // slice of the wire kind space.

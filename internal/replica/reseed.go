@@ -11,9 +11,7 @@ package replica
 // sequence 1. POST /admin/reseed forces the same path by hand.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -48,36 +46,28 @@ func (n *Node) checkLineage(ctx context.Context, primary string) (bool, error) {
 	if len(local) == 0 {
 		return false, fmt.Errorf("replica: lineage check: local record %d unreadable", last)
 	}
-	return !recordsEqual(local[0], resp.Records[0]), nil
-}
-
-// recordsEqual compares two WAL records through their canonical JSON form
-// (the event carries attribute-value pointers, so direct struct equality
-// is meaningless).
-func recordsEqual(a, b Record) bool {
-	aj, errA := json.Marshal(a)
-	bj, errB := json.Marshal(b)
-	return errA == nil && errB == nil && bytes.Equal(aj, bj)
+	return local[0] != resp.Records[0], nil
 }
 
 // reseed discards the diverged local state — WAL and in-memory graph —
 // and leaves the node empty, ready to re-mirror the primary from
 // sequence 1. The caller is the tail loop (or the /admin/reseed handler
-// with the tail stopped), so no mirrored records race the reset; live
-// admissions cannot either, because only followers re-seed.
+// with the tail stopped), so no mirrored records race the reset and no
+// two re-seeds overlap. The swap itself runs as a ticket on the applier,
+// behind everything already queued and under the admission lock, so
+// nothing is admitting against or applying into the graph being replaced.
 func (n *Node) reseed(primary string) error {
 	if n.newManager == nil {
 		return fmt.Errorf("replica: WAL diverged from primary %s and no manager factory is configured; wipe the WAL directory and restart the node", primary)
 	}
-	n.reseedMu.Lock()
-	defer n.reseedMu.Unlock()
-	// Quiesce the pipeline around the swap: both stage locks held means
-	// nothing is admitting against or applying into the graph being
-	// replaced.
 	n.admitMu.Lock()
 	defer n.admitMu.Unlock()
-	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
+	return n.do(&ticket{swap: n.swapManager})
+}
+
+// swapManager is reseed's ticket: reset the log, swap in an empty manager,
+// and rewind the cursor and everything derived from the old log.
+func (n *Node) swapManager() error {
 	gm, err := n.newManager()
 	if err != nil {
 		return fmt.Errorf("replica: re-seed: building fresh manager: %w", err)

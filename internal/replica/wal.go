@@ -215,11 +215,7 @@ func (l *Log) flusher() {
 // second half of a StartAppend: the append pipeline writes records in
 // admission order and pays the durability wait later, off the admission
 // lock, so many in-flight batches share one group commit.
-func (l *Log) WaitDurable(seq uint64) error { return l.waitDurable(seq) }
-
-// waitDurable blocks until a completed sync covers seq (joining whatever
-// group commit is in flight), the log fails, or it is closed.
-func (l *Log) waitDurable(seq uint64) error {
+func (l *Log) WaitDurable(seq uint64) error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
 	if seq > l.want {
@@ -265,7 +261,7 @@ func (l *Log) AppendBatch(events historygraph.EventList, batch string) (first, l
 	if last < first {
 		return first, last, nil // empty batch: nothing to sync
 	}
-	if err := l.waitDurable(last); err != nil {
+	if err := l.WaitDurable(last); err != nil {
 		return 0, 0, err
 	}
 	if m := l.metrics.Load(); m != nil {
@@ -352,7 +348,7 @@ func (l *Log) AppendRecords(recs []Record) error {
 	if !appended {
 		return nil
 	}
-	if err := l.waitDurable(last); err != nil {
+	if err := l.WaitDurable(last); err != nil {
 		return err
 	}
 	if m := l.metrics.Load(); m != nil {

@@ -59,15 +59,57 @@ func unionOf(t *testing.T, q historygraph.Time, nodes []*rnode) wire.Snapshot {
 	return mergeSnapshots(int64(q), parts, nil)
 }
 
+// matchesOwnLog holds a node to what every writer into a replica node must
+// end with: the whole local log is applied, and the head snapshot is a
+// naive replay of that log and nothing else.
+func matchesOwnLog(t *testing.T, entry string, rn *rnode) {
+	t.Helper()
+	st, err := replica.Status(context.Background(), http.DefaultClient, rn.url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.AppliedSeq != st.LastSeq {
+		t.Fatalf("%s: applied_seq %d, last_seq %d", entry, st.AppliedSeq, st.LastSeq)
+	}
+	recs, err := rn.log.Read(1, int(st.LastSeq))
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("%s: reading %d records of its own WAL: got %d, %v", entry, st.LastSeq, len(recs), err)
+	}
+	logged := make(historygraph.EventList, len(recs))
+	for i, rec := range recs {
+		logged[i] = rec.Event
+	}
+	naive, err := baseline.BuildNaiveLog(logged, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := logged[len(logged)-1].At
+	truth, err := naive.Snapshot(head, graph.MustParseAttrOptions("+node:all+edge:all"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := wire.JSON{}.Encode(server.SnapshotToJSON(truth, head, true))
+	own := unionOf(t, head, []*rnode{rn})
+	own.Cached = false
+	if got, _ := (wire.JSON{}).Encode(own); !bytes.Equal(got, want) {
+		t.Fatalf("%s: head snapshot is not a replay of its own %d-record WAL:\n got %.300s\nwant %.300s", entry, len(recs), got, want)
+	}
+}
+
 // TestMessyTraceEveryEntryPoint drives the trace of
 // deltagraph.TestAppendNeverRewritesThePast — duplicate adds, deletes of
-// absent elements, re-adds, attribute churn — through the four ways events
+// absent elements, re-adds, attribute churn — through the six ways events
 // reach an index besides a library call, and after every batch compares
 // each against a naive replay of what was acknowledged: a sharded
 // coordinator (the batch is appended through it), follower apply (the
 // primaries' followers, unioned), WAL replay (a fresh node per partition
-// over a copy of the primary's log) and migration ingest (a fresh node
-// that pulls every slot from both primaries, merged by time).
+// over a copy of the primary's log), migration ingest (a fresh node
+// that pulls every slot from both primaries, merged by time), stream
+// frames (a fresh node fed the trace so far over one streaming
+// connection) and records written to a node's log behind its back (found
+// by the next live append). Every node, whichever way its records came,
+// must also have applied its whole log and answer its head as a naive
+// replay of that log.
 func TestMessyTraceEveryEntryPoint(t *testing.T) {
 	dir := t.TempDir()
 	const parts = 2
@@ -150,6 +192,44 @@ func TestMessyTraceEveryEntryPoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitMigrationState(t, target.url, "done", func(st *replica.MigrateStatus) bool { return st.Done })
+		// Stream frames: the trace so far, a hundred events a frame.
+		streamed := launchRNode(t, filepath.Join(dir, fmt.Sprintf("stream%d.wal", batch)), replica.Config{Role: replica.RolePrimary})
+		stream, err := server.NewClient(streamed.url).AppendStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := 0; f < hi; f += 100 {
+			if err := stream.SendBatch(events[f:min(f+100, hi)], fmt.Sprintf("frame-%d", f)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := stream.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Behind the node's back: all but the last ten events go straight
+		// into the log; the live append of the rest has to find them.
+		direct := launchRNode(t, filepath.Join(dir, fmt.Sprintf("direct%d.wal", batch)), replica.Config{Role: replica.RolePrimary})
+		if _, _, err := direct.log.AppendBatch(events[:hi-10], "behind"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := server.NewClient(direct.url).Append(events[hi-10 : hi]); err != nil {
+			t.Fatal(err)
+		}
+		entries := map[string][]*rnode{
+			"follower apply":         followers,
+			"WAL replay":             replayed,
+			"migration ingest":       {target},
+			"stream frames":          {streamed},
+			"behind the node's back": {direct},
+		}
+		for entry, nodes := range entries {
+			for _, rn := range nodes {
+				matchesOwnLog(t, entry, rn)
+			}
+		}
+		for _, rn := range primaries {
+			matchesOwnLog(t, "live append", rn)
+		}
 
 		probes := []historygraph.Time{events[hi-1].At}
 		for i := 0; i < 3; i++ {
@@ -166,22 +246,18 @@ func TestMessyTraceEveryEntryPoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			viaCoordinator.Cached, viaCoordinator.Coalesced = false, false
-			for _, c := range []struct {
-				entry string
-				got   wire.Snapshot
-			}{
-				{"sharded coordinator", *viaCoordinator},
-				{"follower apply", unionOf(t, q, followers)},
-				{"WAL replay", unionOf(t, q, replayed)},
-				{"migration ingest", unionOf(t, q, []*rnode{target})},
-			} {
-				c.got.Cached = false
-				if got, _ := (wire.JSON{}).Encode(c.got); !bytes.Equal(got, want) {
-					t.Fatalf("%s, after %d events, snapshot at %d:\n got %.300s\nwant %.300s", c.entry, hi, q, got, want)
+			got := map[string]wire.Snapshot{"sharded coordinator": *viaCoordinator}
+			for entry, nodes := range entries {
+				got[entry] = unionOf(t, q, nodes)
+			}
+			for entry, snap := range got {
+				snap.Cached = false
+				if got, _ := (wire.JSON{}).Encode(snap); !bytes.Equal(got, want) {
+					t.Fatalf("%s, after %d events, snapshot at %d:\n got %.300s\nwant %.300s", entry, hi, q, got, want)
 				}
 			}
 		}
-		for _, rn := range append(replayed, target) {
+		for _, rn := range append(replayed, target, streamed, direct) {
 			rn.stop()
 		}
 	}
