@@ -8,6 +8,7 @@ package replica
 // skipped. Nothing else calls Server.ApplyEvents or moves the cursor.
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -39,7 +40,7 @@ type applyDone struct {
 }
 
 // errNodeClosed fails tickets caught by Close.
-var errNodeClosed = fmt.Errorf("replica: node closed")
+var errNodeClosed = errors.New("replica: node closed")
 
 // submit queues a ticket. Blocking here while the queue is full is the
 // admission backpressure; inflight counts tickets queued or being applied.

@@ -175,11 +175,12 @@ func TestSteadyStateNeverReadsBack(t *testing.T) {
 // every later one until its context ends, so a test can stop a mirror
 // between two pages.
 type pageGate struct {
-	limit, pages atomic.Int32
+	limit int32
+	pages atomic.Int32
 }
 
 func (g *pageGate) RoundTrip(r *http.Request) (*http.Response, error) {
-	if r.URL.Path == "/replicate" && r.URL.Query().Get("id") != "" && g.pages.Add(1) > g.limit.Load() {
+	if r.URL.Path == "/replicate" && r.URL.Query().Get("id") != "" && g.pages.Add(1) > g.limit {
 		<-r.Context().Done()
 		return nil, r.Context().Err()
 	}
@@ -200,8 +201,7 @@ func TestPromoteMidMirror(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gate := &pageGate{}
-	gate.limit.Store(2)
+	gate := &pageGate{limit: 2}
 	follower := startLive(t, filepath.Join(dir, "f.wal"), Config{
 		Role: RoleFollower, PrimaryURL: primary.url, PollWait: 50 * time.Millisecond, FetchMax: 3,
 		HTTPClient: &http.Client{Transport: gate},
