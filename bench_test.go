@@ -615,7 +615,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := wal.Append(batch); err != nil {
+		if _, _, err := wal.AppendBatch(batch, ""); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -638,11 +638,57 @@ func BenchmarkWALAppendConcurrent(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, _, err := wal.Append(batch); err != nil {
+			if _, _, err := wal.AppendBatch(batch, ""); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// BenchmarkWALReplay measures what a restart pays the log: OpenLog (the
+// key-only recovery scan) and a Read of everything in the applier's pages
+// of replica.DefaultFetchMax, over the repository benchmark's trace logged
+// in its 256-event batches, at one and four times its length. us/event
+// must not grow with the log; B/event is the WAL's footprint.
+func BenchmarkWALReplay(b *testing.B) {
+	for _, scale := range []int{1, 4} {
+		b.Run(fmt.Sprintf("coauth-churn-%dx", scale), func(b *testing.B) {
+			events := coauthChurn(scale)
+			path := filepath.Join(b.TempDir(), "wal.log")
+			wal, err := replica.OpenLog(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for lo := 0; lo < len(events); lo += 256 {
+				if _, _, err := wal.StartAppend(events[lo:min(lo+256, len(events))], fmt.Sprintf("batch-%d", lo)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := wal.WaitDurable(uint64(len(events))); err != nil {
+				b.Fatal(err)
+			}
+			size := wal.SizeOnDisk()
+			wal.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				wal, err := replica.OpenLog(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				read := 0
+				for read < len(events) {
+					recs, err := wal.Read(uint64(read+1), replica.DefaultFetchMax)
+					if err != nil || len(recs) == 0 {
+						b.Fatalf("read %d of %d records: %v", read, len(events), err)
+					}
+					read += len(recs)
+				}
+				wal.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(events)), "us/event")
+			b.ReportMetric(float64(size)/float64(len(events)), "B/event")
+		})
+	}
 }
 
 // replicatedSetup starts a 2-partition × 2-replica in-process cluster

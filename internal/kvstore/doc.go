@@ -14,15 +14,15 @@
 //   - Partitioned: horizontal composition of k stores, one per storage
 //     "machine", routed by the partition prefix of the key — the same
 //     hash space internal/shard splits the serving layer by.
-//   - SeqLog:      contiguous sequenced records layered on FileStore's
-//     format — the record substrate internal/replica's write-ahead log
-//     is built on (append batches, contiguous-sequence recovery scans,
-//     ForEachKey).
+//   - SeqLog:      contiguous sequence numbers layered on FileStore's
+//     format, a record being a run: one payload under n of them — the
+//     substrate internal/replica's write-ahead log is built on (a batch
+//     is one run; recovery reads the keys and checks that they tile
+//     1..max). It keeps its own run index and leaves FileStore's empty.
 //
 // Concurrency rules: every Store implementation is safe for concurrent
 // use. FileStore serializes writes under its mutex but runs Sync's
 // fsync *outside* the store lock, so writers overlap a sync in flight —
 // the property replica.Log's group commit batches on. SeqLog appends
-// are single-writer by contract (the replication Node's mutex provides
-// that); its reads are concurrent-safe.
+// take that same mutex, a run at a time; its reads are concurrent-safe.
 package kvstore

@@ -77,6 +77,13 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // OpenFileStore opens or creates the log at path and rebuilds the key index
 // by scanning it.
 func OpenFileStore(path string, opts FileOptions) (*FileStore, error) {
+	return openFileStore(path, opts, (*FileStore).indexRecord)
+}
+
+// openFileStore opens or creates the log at path and hands visit every
+// intact record in file order; what to remember of them is the caller's
+// (FileStore keeps a key index, SeqLog its runs).
+func openFileStore(path string, opts FileOptions, visit func(s *FileStore, key string, loc recordLoc, tombstone bool)) (*FileStore, error) {
 	if opts.CompressMin == 0 {
 		opts.CompressMin = 64
 	}
@@ -89,7 +96,7 @@ func OpenFileStore(path string, opts FileOptions) (*FileStore, error) {
 		index: make(map[string]recordLoc),
 		opts:  opts,
 	}
-	if err := s.recover(); err != nil {
+	if err := s.recover(visit); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -101,9 +108,24 @@ func OpenFileStore(path string, opts FileOptions) (*FileStore, error) {
 	return s, nil
 }
 
-// recover scans the log, rebuilding the index and determining the append
-// offset. It stops at the first torn or corrupt record.
-func (s *FileStore) recover() error {
+// indexRecord replays one recovered record into the key index.
+func (s *FileStore) indexRecord(key string, loc recordLoc, tombstone bool) {
+	_, live := s.index[key]
+	switch {
+	case tombstone && live:
+		delete(s.index, key)
+		s.liveKeys--
+	case !tombstone:
+		if !live {
+			s.liveKeys++
+		}
+		s.index[key] = loc
+	}
+}
+
+// recover scans the log, handing each record to visit and determining the
+// append offset. It stops at the first torn or corrupt record.
+func (s *FileStore) recover(visit func(s *FileStore, key string, loc recordLoc, tombstone bool)) error {
 	info, err := s.f.Stat()
 	if err != nil {
 		return err
@@ -128,17 +150,7 @@ func (s *FileStore) recover() error {
 			// Torn/corrupt tail: keep everything before it.
 			break
 		}
-		if tombstone {
-			if _, ok := s.index[key]; ok {
-				delete(s.index, key)
-				s.liveKeys--
-			}
-		} else {
-			if _, ok := s.index[key]; !ok {
-				s.liveKeys++
-			}
-			s.index[key] = loc
-		}
+		visit(s, key, loc, tombstone)
 		off = next
 	}
 	s.off = off
@@ -209,29 +221,40 @@ func (b *byteCountReader) ReadByte() (byte, error) {
 
 // Get implements Store.
 func (s *FileStore) Get(key []byte) ([]byte, error) {
+	if err := s.rlockFlushed(); err != nil {
+		return nil, err
+	}
+	loc, ok := s.index[string(key)]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, ErrNotFound
+	}
+	return s.readValue(loc)
+}
+
+// rlockFlushed takes the read lock with every appended record in the file,
+// where ReadAt can see it. It returns unlocked on error.
+func (s *FileStore) rlockFlushed() error {
 	s.mu.RLock()
-	if s.dirty {
-		// Unwritten records must reach the file before ReadAt can see
-		// them; flushing needs the write lock.
+	for s.dirty {
+		// Flushing needs the write lock.
 		s.mu.RUnlock()
 		s.mu.Lock()
 		if s.dirty {
 			if err := s.w.Flush(); err != nil {
 				s.mu.Unlock()
-				return nil, err
+				return err
 			}
 			s.dirty = false
 		}
 		s.mu.Unlock()
 		s.mu.RLock()
 	}
-	loc, ok := s.index[string(key)]
-	if !ok {
-		s.mu.RUnlock()
-		return nil, ErrNotFound
-	}
-	s.mu.RUnlock()
+	return nil
+}
 
+// readValue reads the value at loc; no lock is needed, records never move.
+func (s *FileStore) readValue(loc recordLoc) ([]byte, error) {
 	buf := make([]byte, loc.valLen)
 	if _, err := s.f.ReadAt(buf, loc.valOff); err != nil {
 		return nil, err
@@ -322,19 +345,6 @@ func (s *FileStore) appendRecord(key, val []byte, flags byte) (recordLoc, error)
 	s.off = valOff + int64(len(val)) + 4
 	s.dirty = true
 	return recordLoc{valOff: valOff, valLen: int32(len(val)), compressed: flags&2 != 0}, nil
-}
-
-// ForEachKey calls fn for every live key in unspecified order, stopping if
-// fn returns false. The key slice is shared; fn must not retain or mutate
-// it. SeqLog uses this to recover its sequence bound on open.
-func (s *FileStore) ForEachKey(fn func(key []byte) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for k := range s.index {
-		if !fn([]byte(k)) {
-			return
-		}
-	}
 }
 
 // Len implements Store.

@@ -10,27 +10,29 @@
 //
 //   - Primary role: POST /append runs a staged pipeline. Admission
 //     (one short lock) checks the batch against the admitted clock — a
-//     client error can never poison the log — writes every event to the
-//     WAL (replica.Log over kvstore.SeqLog's CRC-checked sequenced
-//     records) without waiting for the sync, and hands the applier a
-//     ticket for the records. The applier waits for the group commit
-//     covering them and applies them in sequence order; the append then
-//     acks, after optionally waiting until Config.SyncFollowers
-//     followers have durably logged the batch. Restart replays the local
-//     WAL through the same applier.
+//     client error can never poison the log — writes the batch to the
+//     WAL as one packed record (replica.Log over kvstore.SeqLog's
+//     CRC-checked runs: one payload under as many sequence numbers as
+//     the batch has events) without waiting for the sync, and hands the
+//     applier a ticket for the records. The applier waits for the group
+//     commit covering them and applies them in sequence order; the
+//     append then acks, after optionally waiting until
+//     Config.SyncFollowers followers have durably logged the batch.
+//     Restart replays the local WAL through the same applier.
 //   - Follower role: rejects external appends and tails its primary's
-//     WAL over long-poll GET /replicate?from=<seq>, writing each record
-//     to its own WAL (synced) before applying, so its log stays
-//     prefix-identical to the primary's and catch-up after downtime
+//     WAL over long-poll GET /replicate?from=<seq>, writing each page
+//     to its own WAL (synced) before applying, so its log stays a
+//     prefix of the primary's, Record by Record (its runs are cut where
+//     its pages were, so not byte by byte), and catch-up after downtime
 //     resumes from the last stored sequence.
 //   - Either role answers GET /replstatus (role, log head, applied
 //     sequence, skipped-record count) and POST /role (promote / follow),
 //     which internal/shard's failover drives.
 //
-// Appends carry idempotency batch IDs persisted in every WAL record and
-// mirrored to followers, so a retry after failover or a lost response is
-// acked without double-applying — including resuming a batch the node
-// holds only a prefix of.
+// Appends carry idempotency batch IDs persisted with each WAL run, carried
+// by every Record read from it and mirrored to followers, so a retry
+// after failover or a lost response is acked without double-applying —
+// including resuming a batch the node holds only a prefix of.
 //
 // Concurrency rules: the local log is the queue and one applier goroutine
 // owns the cursor into it (appliedSeq, which never overstates the graph).

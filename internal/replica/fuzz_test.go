@@ -1,20 +1,13 @@
 package replica
 
 import (
+	"encoding/hex"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"historygraph"
-	"historygraph/internal/wire"
 )
-
-// encodePayload renders one WAL record body.
-func encodePayload(ev historygraph.Event, batch string) []byte {
-	e := wire.NewEncoder()
-	appendPayload(e, ev, batch)
-	return e.Bytes()
-}
 
 // fuzzSource turns fuzz input into records: sequence numbers and ids near
 // each other and at the ends of the range, every event type, attribute
@@ -120,15 +113,19 @@ func FuzzReplicaCodec(f *testing.F) {
 	}
 	f.Add(encodeReplicate(replicateResponse{Records: recs, LastSeq: 9}, false)[3:])
 	f.Add(encodeReplicate(replicateResponse{Records: recs, LastSeq: 9, NextFrom: 3, LastTime: 3}, true)[3:])
-	f.Add(encodePayload(recs[1].Event, recs[1].Batch))
-	f.Add([]byte(`{"type":"NE","at":2,"node":7,"node2":9,"edge":3,"batch":"b1"}`))
+	for _, old := range goldenWALEvents[8:] { // one event a payload, as builds before runs wrote it
+		payload, _ := hex.DecodeString(old)
+		f.Add(payload)
+	}
+	f.Add(encodeRun(historygraph.EventList{recs[0].Event, recs[1].Event}, "b1"))
+	f.Add(append(encodeRun(nil, "b1")[:5], 0xff, 0xff, 0xff, 0x7f)) // a run that declares 2^28 events and carries none
 	f.Fuzz(func(t *testing.T, data []byte) {
 		header := encodeReplicate(replicateResponse{}, false)[:2] // magic, version
 		for _, kind := range []byte{kindReplicate, kindReplicateSlots} {
 			body := append(append([]byte{}, header...), append([]byte{kind}, data...)...)
 			allocatedWithin(t, body, func() { _, _ = decodeReplicate(body) })
 		}
-		allocatedWithin(t, data, func() { _, _, _ = decodePayload(data) })
+		allocatedWithin(t, data, func() { _, _, _ = decodeRun(data) })
 
 		want := replicateResponse{Records: (&fuzzSource{b: data}).records(), LastSeq: uint64(len(data))}
 		for _, filtered := range []bool{false, true} {
@@ -143,14 +140,24 @@ func FuzzReplicaCodec(f *testing.F) {
 				t.Errorf("filtered=%v: response came back as\n%+v, went in as\n%+v", filtered, got, want)
 			}
 		}
-		for _, rec := range want.Records {
-			ev, batch, err := decodePayload(encodePayload(rec.Event, rec.Batch))
+		// Runs as the WAL cuts them: stretches of records sharing a batch ID.
+		for recs := want.Records; len(recs) > 0; {
+			n := 1
+			for n < len(recs) && recs[n].Batch == recs[0].Batch {
+				n++
+			}
+			events := make(historygraph.EventList, n)
+			for i := range events {
+				events[i] = recs[i].Event
+			}
+			back, batch, err := decodeRun(encodeRun(events, recs[0].Batch))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if batch != rec.Batch || !reflect.DeepEqual(ev, rec.Event) {
-				t.Errorf("payload came back as %+v %q, went in as %+v %q", ev, batch, rec.Event, rec.Batch)
+			if batch != recs[0].Batch || !reflect.DeepEqual(back, events) {
+				t.Errorf("run came back as %+v %q, went in as %+v %q", back, batch, events, recs[0].Batch)
 			}
+			recs = recs[n:]
 		}
 	})
 }

@@ -40,8 +40,10 @@ const (
 	goldenIntervalBin   = "4401040212000000000102000254450e02040a0000000002544e10000000000200"
 )
 
-// goldenWAL is each event's WAL payload; odd ones carry the batch ID "b1".
-var goldenWAL = []string{
+// goldenWALEvents is each event's WAL payload as every build before PR 25
+// wrote it — one event behind the 0x00 marker; odd ones carry the batch ID
+// "b1". Nothing writes these any more; they must keep reading back.
+var goldenWALEvents = []string{
 	"000000024e4e020e0000000000",
 	"000262310002444e040e0000000000",
 	"000000024e45060e1206010000",
@@ -54,11 +56,20 @@ var goldenWAL = []string{
 	"000262310003554e41140e00000600046e616d65017900",
 }
 
+// goldenWAL is the WAL payload written now: the events as one run behind
+// the 0x01 marker, untagged and under the batch ID "b1".
+var goldenWAL = map[string]string{
+	"":   "0100340a01010e02010013010006041401000004650100086e616d6502780e793c263ee280a846010000040277023107010b040208010125010e010279650100010b00",
+	"b1": "01026231340a01010e02010013010006041401000004650100086e616d6502780e793c263ee280a846010000040277023107010b040208010125010e010279650100010b00",
+}
+
 // TestEventBytesUnchanged: every byte form an event takes outside the
 // process — JSON body, binary body, append-stream frame, WAL payload,
 // /replicate page in both codecs, /interval transients — is what it was
 // when a separate wire struct and a converter stood between the event and
-// the codec, and reads back as the event that went in.
+// the codec, and reads back as the event that went in. The one exception
+// is the WAL payload, changed on purpose in PR 25: a batch is one packed
+// run, and the per-event payloads of earlier builds are read, not written.
 func TestEventBytesUnchanged(t *testing.T) {
 	same := func(what string, got []byte, want string) {
 		t.Helper()
@@ -112,10 +123,15 @@ func TestEventBytesUnchanged(t *testing.T) {
 		if i%2 == 1 {
 			recs[i].Batch = "b1"
 		}
-		payload := encodePayload(ev, recs[i].Batch)
-		same("WAL payload", payload, unhex(goldenWAL[i]))
-		if back, batch, err := decodePayload(payload); err != nil || back != ev || batch != recs[i].Batch {
-			t.Errorf("WAL payload %d read back as %+v %q (%v)", i, back, batch, err)
+		if back, batch, err := decodeRun([]byte(unhex(goldenWALEvents[i]))); err != nil || len(back) != 1 || back[0] != ev || batch != recs[i].Batch {
+			t.Errorf("pre-run WAL payload %d read back as %+v %q (%v)", i, back, batch, err)
+		}
+	}
+	for batch, want := range goldenWAL {
+		payload := encodeRun(goldenEvents, batch)
+		same("WAL payload", payload, unhex(want))
+		if back, got, err := decodeRun(payload); err != nil || !reflect.DeepEqual(back, goldenEvents) || got != batch {
+			t.Errorf("WAL payload under %q read back as %+v %q (%v)", batch, back, got, err)
 		}
 	}
 	page := replicateResponse{Records: recs, LastSeq: 10}
@@ -158,11 +174,15 @@ func TestEventTypeNamesOnInput(t *testing.T) {
 	if err := (wire.Binary{}).Decode(bytes.Replace(bin, []byte("NN"), []byte("ZZ"), 1), &got); err == nil {
 		t.Error("unknown binary type accepted")
 	}
-	if _, _, err := decodePayload(bytes.Replace(encodePayload(want[0], ""), []byte("NN"), []byte("ZZ"), 1)); err == nil {
-		t.Error("unknown type in a WAL payload accepted")
+	old, _ := hex.DecodeString(goldenWALEvents[0])
+	if _, _, err := decodeRun(old); err != nil {
+		t.Errorf("pre-run WAL payload refused: %v", err)
 	}
-	if _, _, err := decodePayload([]byte(`{"type":"ZZ","at":1,"node":7}`)); err == nil {
-		t.Error("unknown type in a legacy WAL payload accepted")
+	if _, _, err := decodeRun(bytes.Replace(old, []byte("NN"), []byte("ZZ"), 1)); err == nil {
+		t.Error("unknown type in a pre-run WAL payload accepted")
+	}
+	if _, _, err := decodeRun([]byte(`{"type":"NN","at":1,"node":7}`)); err == nil {
+		t.Error("a JSON WAL payload, which this build no longer reads, accepted")
 	}
 	page := encodeReplicate(replicateResponse{Records: []Record{{Seq: 1, Event: want[0]}}, LastSeq: 1}, false)
 	if _, err := decodeReplicate(bytes.Replace(page, []byte("NN"), []byte("ZZ"), 1)); err == nil {

@@ -106,7 +106,7 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	defer log.Close()
 	events := testEvents(50, 1)
-	first, last, err := log.Append(events)
+	first, last, err := log.AppendBatch(events, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestWALTornTailReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := testEvents(32, 1)
-	_, last, err := log.Append(events) // synced
+	_, last, err := log.AppendBatch(events, "") // synced
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func poisonedWAL(t testing.TB, walPath string) (lastSeq uint64, lastT historygra
 	}
 	for _, b := range batches {
 		var err error
-		if _, lastSeq, err = log.Append(b); err != nil {
+		if _, lastSeq, err = log.AppendBatch(b, ""); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -6,10 +6,9 @@ package replica
 //
 // With JSON a catch-up fetch of up to FetchMax records paid a full
 // per-field encode on the primary and decode on the follower for each,
-// which dominated the transfer. The binary body reuses the exact event
-// encoding WAL payloads are stored in (wire.EncodeEventTo), with one
-// encoder per response so attribute keys and event type names intern
-// across the whole batch.
+// which dominated the transfer. The binary body is the wire package's
+// event encoding (wire.EncodeEventTo), with one encoder per response so
+// attribute keys and event type names intern across the whole page.
 //
 // Layout after the standard wire frame ('D', version, kindReplicate):
 //

@@ -1,40 +1,7 @@
-// Package replica makes a snapshot-serving deployment survive the
-// failures a heavy-traffic cluster actually sees. Three mechanisms,
-// stacked:
-//
-//   - Durable write-ahead log: every event batch is appended to a
-//     sequenced, CRC-checked on-disk log (kvstore.SeqLog over the
-//     FileStore append-only format) and synced before the append is
-//     acked, so a process restart replays the log and loses nothing that
-//     was ever acknowledged. A torn tail from a crash mid-write is
-//     detected by the CRC on reopen and dropped. Syncs are group-committed:
-//     a single flusher goroutine runs one fsync covering every append in
-//     flight, so concurrent appenders share the durability tax instead of
-//     each paying their own.
-//
-//   - Primary/follower replication: a partition becomes a replica set —
-//     one primary that accepts appends plus N followers that tail the
-//     primary's WAL over GET /replicate?from=<seq> (long-poll) and apply
-//     events in order, each into its own WAL first. Sequence numbers make
-//     catch-up trivial: a follower that was down resumes from its last
-//     applied sequence. With SyncFollowers >= 1 the primary delays the
-//     append ack until that many followers have durably logged the batch,
-//     so promoting the most-caught-up follower after a primary failure
-//     loses no acked event.
-//
-//   - Role switching: POST /role promotes a follower to primary (the
-//     shard coordinator does this when a primary goes dark) or points a
-//     follower at a new primary.
-//
-// A Node wraps an ordinary internal/server.Server: reads pass straight
-// through (coalescing and the hot-snapshot cache keep working), appends
-// gain the WAL hook, and three control endpoints are added. The shard
-// coordinator (internal/shard) stacks replica sets into a sharded cluster
-// with failover.
 package replica
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -42,75 +9,84 @@ import (
 	"time"
 
 	"historygraph"
+	"historygraph/internal/delta"
 	"historygraph/internal/kvstore"
 	"historygraph/internal/metrics"
 	"historygraph/internal/wire"
 )
 
-// Record is one WAL entry: a single event under its sequence number.
-// Appending a batch of k events produces k consecutive records covered by
-// one group-committed sync, so durability is paid at most once per batch
-// — less under concurrency. Batch, when set, is the append's idempotency
-// ID: every record of the batch carries it, it survives in the on-disk
-// payload, and it replicates with the record — so both a restarted node
-// and a promoted follower can recognize a retried batch they already hold
-// (Node's dedup table).
+// Record is one logical WAL entry: a single event under its sequence
+// number — the unit of LastSeq, of /replicate pages and of the applier's
+// cursor; on disk the events of one batch share one run (see Log). Batch,
+// when set, is the append's idempotency ID: every record of the batch
+// carries it, through the on-disk payload and through replication, so a
+// restarted node and a promoted follower both recognize a retried batch
+// they already hold (Node's dedup table).
 type Record struct {
 	Seq   uint64             `json:"seq"`
 	Event historygraph.Event `json:"event"`
 	Batch string             `json:"batch,omitempty"`
 }
 
-// walBinaryMarker is the first byte of a record payload: the batch ID and
-// the event follow in the wire package's binary event encoding. Payloads
-// written before that format are the event's JSON object with the
-// optional batch ID flattened into it; they start with '{', so one byte
-// disambiguates and such WAL directories replay unchanged.
-const walBinaryMarker = 0x00
+// The first byte of a stored payload names its format. walRunMarker is
+// the one written: the batch ID once, then the run's events as the index
+// stores an eventlist (delta.EncodeEvents). walEventMarker, one event in
+// the wire encoding, is what builds before PR 25 wrote; it still replays.
+const (
+	walEventMarker = 0x00
+	walRunMarker   = 0x01
+)
 
-// appendPayload renders a record body onto e.
-func appendPayload(e *wire.Encoder, ev historygraph.Event, batch string) {
-	e.Byte(walBinaryMarker)
-	e.String(batch)
-	wire.EncodeEventTo(e, ev)
+// encodeRun renders the payload of one run.
+func encodeRun(events historygraph.EventList, batch string) []byte {
+	body := delta.EncodeEvents(events)
+	p := make([]byte, 0, 1+binary.MaxVarintLen32+len(batch)+len(body))
+	p = binary.AppendUvarint(append(p, walRunMarker), uint64(len(batch)))
+	return append(append(p, batch...), body...)
 }
 
-// decodePayload reads either payload format.
-func decodePayload(payload []byte) (ev historygraph.Event, batch string, err error) {
-	if len(payload) == 0 {
-		return ev, "", fmt.Errorf("replica: empty WAL payload")
-	}
-	if payload[0] == '{' {
-		var tag struct {
-			Batch string `json:"batch"`
+// decodeRun reads a payload of either format.
+func decodeRun(payload []byte) (events historygraph.EventList, batch string, err error) {
+	switch {
+	case len(payload) == 0:
+		return nil, "", fmt.Errorf("replica: empty WAL payload")
+	case payload[0] == walRunMarker:
+		n, w := binary.Uvarint(payload[1:])
+		if w <= 0 || n > uint64(len(payload)-1-w) {
+			return nil, "", fmt.Errorf("replica: corrupt batch ID in a WAL payload")
 		}
-		if err = json.Unmarshal(payload, &ev); err == nil {
-			err = json.Unmarshal(payload, &tag)
-		}
-		return ev, tag.Batch, err
+		body := payload[1+w:]
+		events, err = delta.DecodeEvents(body[n:])
+		return events, string(body[:n]), err
+	case payload[0] == walEventMarker:
+		d := wire.NewDecoder(payload[1:])
+		batch = d.String()
+		return historygraph.EventList{wire.DecodeEventFrom(d)}, batch, d.Err()
+	case payload[0] == '{':
+		return nil, "", fmt.Errorf("replica: WAL payload is in the JSON format no build has written since PR 4 and this build no longer reads: re-seed the node from its replica set, or replay the log with a pre-PR-25 binary")
 	}
-	d := wire.NewDecoder(payload)
-	if d.Byte() != walBinaryMarker {
-		return ev, "", fmt.Errorf("replica: unknown WAL payload format (leading byte 0x%02x)", payload[0])
-	}
-	batch = d.String()
-	ev = wire.DecodeEventFrom(d)
-	return ev, batch, d.Err()
+	return nil, "", fmt.Errorf("replica: unknown WAL payload format (leading byte 0x%02x)", payload[0])
 }
 
 // errLogClosed is returned to appenders caught by Close.
 var errLogClosed = errors.New("replica: WAL closed")
 
 // Log is the durable write-ahead event log: historygraph events encoded
-// onto a kvstore.SeqLog. It is safe for concurrent use. Durability is
-// group-committed: appenders enqueue their records and then wait for the
-// single flusher goroutine to run a sync covering them, so N concurrent
-// appends cost one fsync, not N.
+// onto a kvstore.SeqLog. Its sequence numbers count events, one Record
+// each, but it stores runs: an admitted batch — on a follower, a stretch
+// of mirrored records sharing a batch ID — is one SeqLog record under as
+// many sequence numbers as it has events, on disk whole or not at all. It
+// is safe for concurrent use. Durability is group-committed: appenders
+// write their runs and then wait for the single flusher goroutine to run
+// a sync covering them, so N concurrent appends cost one fsync, not N.
 type Log struct {
 	sl *kvstore.SeqLog
 
 	mu     sync.Mutex
 	notify chan struct{} // closed and replaced on every durable append (tail wake-up)
+
+	lastRun atomic.Pointer[decodedRun] // the run Read decoded last
+	resets  atomic.Uint64              // Resets so far: a run decoded before one is not this log's
 
 	flushMu   sync.Mutex
 	flushCond *sync.Cond
@@ -242,60 +218,42 @@ func (l *Log) DurableSeq() uint64 {
 	return l.synced
 }
 
-// Append logs a batch of events as consecutive records and waits for the
-// covering group sync. When it returns, every event in the batch is
-// durable; first and last bound the assigned sequence numbers (first >
+// AppendBatch logs a batch of events under its idempotency ID (empty for
+// an untagged append) and waits for the covering group sync: a StartAppend
+// followed by the durable wait. When it returns, every event in the batch
+// is durable; first and last bound the assigned sequence numbers (first >
 // last means the batch was empty).
-func (l *Log) Append(events historygraph.EventList) (first, last uint64, err error) {
-	return l.AppendBatch(events, "")
-}
-
-// AppendBatch is Append tagging every record with the batch's idempotency
-// ID (empty for untagged appends): a StartAppend followed by the durable
-// wait.
 func (l *Log) AppendBatch(events historygraph.EventList, batch string) (first, last uint64, err error) {
 	start := time.Now()
-	if first, last, err = l.StartAppend(events, batch); err != nil {
-		return 0, 0, err
-	}
-	if last < first {
-		return first, last, nil // empty batch: nothing to sync
+	if first, last, err = l.StartAppend(events, batch); err != nil || last < first {
+		return first, last, err // failed, or an empty batch: nothing to sync
 	}
 	if err := l.WaitDurable(last); err != nil {
 		return 0, 0, err
 	}
-	if m := l.metrics.Load(); m != nil {
-		m.appendDur.Observe(time.Since(start).Seconds())
-	}
+	l.ObserveAppend(start)
 	return first, last, nil
 }
 
-// StartAppend writes a batch's records under the write lock and returns
-// their sequence bounds WITHOUT waiting for the covering group sync
-// (first > last means the batch was empty). The records are not durable —
-// and not visible to LastSeq, Read, or followers — until a sync covers
-// them; call WaitDurable(last) before acking anything. One encoder is
-// reused across the batch (the store copies each payload into its file
-// buffer before Append returns), Reset between records so every payload
-// stays independently decodable — the encode itself cannot fail, so a bad
-// batch never strands a prefix of records in the log.
+// StartAppend writes a batch as one run and returns its sequence bounds
+// WITHOUT waiting for the covering group sync (first > last means the
+// batch was empty). The records are not durable — and not visible to
+// LastSeq, Read, or followers — until a sync covers them; call
+// WaitDurable(last) before acking anything. The payload is encoded before
+// the write lock, which covers sequence assignment and one buffered
+// write; a failed write strands no prefix of the batch in the log.
 func (l *Log) StartAppend(events historygraph.EventList, batch string) (first, last uint64, err error) {
-	enc := wire.NewEncoder()
-	l.mu.Lock()
-	first = l.sl.Last() + 1
 	if len(events) == 0 {
-		l.mu.Unlock()
+		first = l.sl.Last() + 1
 		return first, first - 1, nil
 	}
-	for _, ev := range events {
-		enc.Reset()
-		appendPayload(enc, ev, batch)
-		if last, err = l.sl.Append(enc.Bytes()); err != nil {
-			l.mu.Unlock()
-			return 0, 0, err
-		}
-	}
+	payload := encodeRun(events, batch)
+	l.mu.Lock()
+	first, last, err = l.sl.AppendRun(len(events), payload)
 	l.mu.Unlock()
+	if err != nil {
+		return 0, 0, err
+	}
 	// Offer the batch to the flusher immediately rather than when the
 	// caller reaches WaitDurable: in the pipelined path the applier waits
 	// batch by batch, and if `want` trailed it, each group commit would
@@ -310,10 +268,8 @@ func (l *Log) StartAppend(events historygraph.EventList, batch string) (first, l
 	return first, last, nil
 }
 
-// ObserveAppend feeds the append-duration histogram for a pipelined
-// append: start is when StartAppend wrote the records, and the caller's
-// WaitDurable has just returned — the same span AppendBatch observes for
-// the one-shot path.
+// ObserveAppend feeds the append-duration histogram: start is when the
+// records were written, and the WaitDurable covering them has just returned.
 func (l *Log) ObserveAppend(start time.Time) {
 	if m := l.metrics.Load(); m != nil {
 		m.appendDur.Observe(time.Since(start).Seconds())
@@ -321,40 +277,43 @@ func (l *Log) ObserveAppend(start time.Time) {
 }
 
 // AppendRecords mirrors records fetched from a primary into this log and
-// joins the group sync — the follower's durable-before-apply step.
-// Records at or below the current sequence bound are skipped (an
-// overlapping re-fetch is idempotent); a gap beyond it is an error, since
-// the logs would diverge.
-func (l *Log) AppendRecords(recs []Record) error {
+// joins the group sync — the follower's durable-before-apply step. Each
+// stretch of consecutive records with one batch ID becomes one run, so
+// the file cuts runs where the fetched pages did: the two logs are equal
+// Record by Record, not byte by byte. Records at or below the current
+// sequence bound are skipped (an overlapping re-fetch is idempotent); a
+// gap beyond it is an error, since the logs would diverge.
+func (l *Log) AppendRecords(recs []Record) (err error) {
 	start := time.Now()
-	enc := wire.NewEncoder()
-	l.mu.Lock()
+	for len(recs) > 0 && recs[0].Seq <= l.sl.Last() {
+		recs = recs[1:]
+	}
 	var last uint64
-	appended := false
-	for _, rec := range recs {
-		if rec.Seq <= l.sl.Last() {
-			continue
+	for len(recs) > 0 {
+		n := 1
+		for n < len(recs) && recs[n].Batch == recs[0].Batch && recs[n].Seq == recs[0].Seq+uint64(n) {
+			n++
 		}
-		enc.Reset()
-		appendPayload(enc, rec.Event, rec.Batch)
-		var err error
-		if last, err = l.sl.AppendAt(rec.Seq, enc.Bytes()); err != nil {
-			l.mu.Unlock()
+		events := make(historygraph.EventList, n)
+		for i := range events {
+			events[i] = recs[i].Event
+		}
+		payload := encodeRun(events, recs[0].Batch)
+		l.mu.Lock()
+		last, err = l.sl.AppendRunAt(recs[0].Seq, n, payload)
+		l.mu.Unlock()
+		if err != nil {
 			return err
 		}
-		appended = true
+		recs = recs[n:]
 	}
-	l.mu.Unlock()
-	if !appended {
+	if last == 0 {
 		return nil
 	}
-	if err := l.WaitDurable(last); err != nil {
-		return err
+	if err = l.WaitDurable(last); err == nil {
+		l.ObserveAppend(start)
 	}
-	if m := l.metrics.Load(); m != nil {
-		m.appendDur.Observe(time.Since(start).Seconds())
-	}
-	return nil
+	return err
 }
 
 // wake rouses every Wait-er after records became durable. The flusher
@@ -376,25 +335,64 @@ func (l *Log) LastSeq() uint64 { return l.DurableSeq() }
 // bounded by the durable watermark: a record is never served to a
 // follower before the sync that guarantees the primary itself will still
 // have it after a crash (otherwise a follower could hold acked state the
-// restarted primary lost, and the logs would diverge).
+// restarted primary lost, and the logs would diverge). A page may begin
+// and end anywhere in a run; each run it touches is decoded once.
 func (l *Log) Read(from uint64, max int) ([]Record, error) {
 	if from == 0 {
 		from = 1
 	}
 	last := l.DurableSeq()
-	var out []Record
-	for seq := from; seq <= last && len(out) < max; seq++ {
-		payload, err := l.sl.Get(seq)
+	if from > last || max <= 0 {
+		return nil, nil
+	}
+	out := make([]Record, 0, min(uint64(max), last-from+1))
+	for seq := from; seq <= last && len(out) < max; {
+		r, err := l.run(seq)
 		if err != nil {
-			return nil, fmt.Errorf("replica: WAL read seq %d: %w", seq, err)
+			return nil, err
 		}
-		ev, batch, err := decodePayload(payload)
-		if err != nil {
-			return nil, fmt.Errorf("replica: corrupt WAL record %d: %w", seq, err)
+		for _, ev := range r.events[seq-r.first:] {
+			if seq > last || len(out) == max {
+				break
+			}
+			out = append(out, Record{Seq: seq, Event: ev, Batch: r.batch})
+			seq++
 		}
-		out = append(out, Record{Seq: seq, Event: ev, Batch: batch})
 	}
 	return out, nil
+}
+
+// decodedRun is a stored run decoded, events[i] being record first+i, as
+// the log stood after `resets` resets.
+type decodedRun struct {
+	first  uint64
+	events historygraph.EventList
+	batch  string
+	resets uint64
+}
+
+// run returns the decoded run covering seq and keeps it: a reader paging
+// in steps smaller than a run (a follower at a small FetchMax, the lineage
+// handshake's Read(last, 1)) decodes it once, not once a page.
+func (l *Log) run(seq uint64) (*decodedRun, error) {
+	resets := l.resets.Load()
+	if r := l.lastRun.Load(); r != nil && r.resets == resets && seq >= r.first && seq-r.first < uint64(len(r.events)) {
+		return r, nil
+	}
+	first, n, payload, err := l.sl.Run(seq)
+	if err != nil {
+		return nil, fmt.Errorf("replica: WAL read seq %d: %w", seq, err)
+	}
+	events, batch, err := decodeRun(payload)
+	if err == nil && len(events) != n {
+		err = fmt.Errorf("%d events stored under %d sequence numbers", len(events), n)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("replica: corrupt WAL record %d: %w", first, err)
+	}
+	r := &decodedRun{first: first, events: events, batch: batch, resets: resets}
+	l.lastRun.Store(r)
+	return r, nil
 }
 
 // Wait blocks until the durable log grows past seq or the timeout
@@ -444,6 +442,7 @@ func (l *Log) Reset() error {
 	if err := l.sl.Reset(); err != nil {
 		return err
 	}
+	l.resets.Add(1)
 	l.want, l.synced = 0, 0
 	return nil
 }

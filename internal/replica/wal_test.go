@@ -1,20 +1,22 @@
 package replica_test
 
-// Group-commit and payload-format coverage for the WAL: concurrent
+// Group-commit, payload-format and crash coverage for the WAL: concurrent
 // appends must all come back durable and contiguous (and survive a
-// reopen), and WAL directories written in the legacy per-record JSON
-// format must replay through the binary-era reader unchanged.
+// reopen), a WAL in the long-retired per-record JSON format is refused
+// with its remedy, and a torn tail costs whole batches only.
 
 import (
-	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"historygraph"
 	"historygraph/internal/kvstore"
 	"historygraph/internal/replica"
+	"historygraph/internal/server"
 )
 
 // TestWALConcurrentGroupCommit hammers one log from many goroutines: every
@@ -111,28 +113,20 @@ func TestWALConcurrentGroupCommit(t *testing.T) {
 	}
 }
 
-// TestWALLegacyJSONPayloadReplays writes records in the pre-binary JSON
-// payload format straight onto the underlying SeqLog, then opens it as a
-// WAL: Read must decode them (events and batch IDs) exactly, and new
-// appends must coexist with the legacy prefix.
-func TestWALLegacyJSONPayloadReplays(t *testing.T) {
+// TestWALLegacyJSONPayloadRefused writes records in the pre-binary JSON
+// payload format — which nothing has written since PR 4 and this build no
+// longer reads — straight onto the underlying SeqLog. The keys are good, so
+// the log opens; reading it, and so booting a node over it, fails with the
+// remedy in the error rather than with a decoder's complaint.
+func TestWALLegacyJSONPayloadRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	sl, err := kvstore.OpenSeqLog(path, kvstore.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	type legacy struct {
-		Type  string `json:"type"`
-		At    int64  `json:"at"`
-		Node  int64  `json:"node,omitempty"`
-		Batch string `json:"batch,omitempty"`
-	}
 	for i := 1; i <= 3; i++ {
-		payload, err := json.Marshal(legacy{Type: "NN", At: int64(i), Node: int64(i * 10), Batch: "legacy-1"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sl.Append(payload); err != nil {
+		payload := fmt.Sprintf(`{"type":"NN","at":%d,"node":%d,"batch":"legacy-1"}`, i, i*10)
+		if _, err := sl.Append([]byte(payload)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,27 +140,93 @@ func TestWALLegacyJSONPayloadReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wal.Close()
-	if _, _, err := wal.AppendBatch(historygraph.EventList{
-		{Type: historygraph.AddNode, At: 4, Node: 40},
-	}, "modern-1"); err != nil {
-		t.Fatal(err)
+	if wal.LastSeq() != 3 {
+		t.Fatalf("LastSeq %d, want 3", wal.LastSeq())
 	}
 	recs, err := wal.Read(1, 10)
+	if err == nil || !strings.Contains(err.Error(), "re-seed the node") || !strings.Contains(err.Error(), "pre-PR-25 binary") {
+		t.Fatalf("reading a JSON-payload WAL: %d records, error %v; want a refusal naming the remedy", len(recs), err)
+	}
+	gm, err := historygraph.Open(historygraph.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 4 {
-		t.Fatalf("read %d records, want 4", len(recs))
+	defer gm.Close()
+	svc := server.New(gm, server.Config{})
+	defer svc.Close()
+	if node, err := replica.NewNode(svc, wal, replica.Config{Role: replica.RolePrimary}); err == nil {
+		node.Close()
+		t.Fatal("a node booted over a JSON-payload WAL")
+	} else if !strings.Contains(err.Error(), "re-seed the node") {
+		t.Fatalf("boot refused with %q, want the remedy", err)
 	}
-	for i, rec := range recs[:3] {
-		if rec.Event.Type != historygraph.AddNode || rec.Event.At != historygraph.Time(i+1) || rec.Event.Node != historygraph.NodeID((i+1)*10) {
-			t.Fatalf("legacy record %d decoded wrong: %+v", i, rec)
-		}
-		if rec.Batch != "legacy-1" {
-			t.Fatalf("legacy record %d lost its batch ID: %+v", i, rec)
-		}
+}
+
+// TestWALTornTailWholeBatches cuts the WAL at every byte of its last two
+// batches: a reopen holds whole batches only — never a prefix of one, which
+// the per-event records of earlier builds could leave — and the next append
+// lands right behind the last whole one.
+func TestWALTornTailWholeBatches(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	wal, err := replica.OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if recs[3].Batch != "modern-1" || recs[3].Event.At != 4 {
-		t.Fatalf("modern record decoded wrong: %+v", recs[3])
+	type written struct {
+		last uint64
+		end  int64 // file size once the batch is in
+	}
+	var batches []written
+	var all historygraph.EventList
+	for b := 0; b < 4; b++ {
+		events := make(historygraph.EventList, 5+3*b)
+		for i := range events {
+			events[i] = historygraph.Event{Type: historygraph.SetNodeAttr, At: historygraph.Time(b + 1), Node: historygraph.NodeID(b*100 + i),
+				Attr: "name", New: fmt.Sprintf("value-%d-%d", b, i), HasNew: true}
+		}
+		_, last, err := wal.AppendBatch(events, fmt.Sprintf("batch-%d", b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, written{last, wal.SizeOnDisk()})
+		all = append(all, events...)
+	}
+	wal.Close()
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(whole)) != batches[3].end {
+		t.Fatalf("WAL is %d bytes, SizeOnDisk said %d", len(whole), batches[3].end)
+	}
+	for size := batches[1].end; size < batches[3].end; size++ {
+		if err := os.WriteFile(path, whole[:size], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wal, err := replica.OpenLog(path)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", size, err)
+		}
+		want := batches[1].last
+		if size >= batches[2].end {
+			want = batches[2].last
+		}
+		if wal.LastSeq() != want {
+			t.Fatalf("cut at %d of %d: LastSeq %d, want the batch boundary %d", size, len(whole), wal.LastSeq(), want)
+		}
+		recs, err := wal.Read(1, len(all))
+		if err != nil || uint64(len(recs)) != want {
+			t.Fatalf("cut at %d: read %d records, %v; want %d", size, len(recs), err, want)
+		}
+		for i, rec := range recs {
+			if rec.Seq != uint64(i+1) || rec.Event != all[i] {
+				t.Fatalf("cut at %d: record %d is %+v, want %+v", size, i+1, rec, all[i])
+			}
+		}
+		first, last, err := wal.AppendBatch(all[:2], "after-the-tear")
+		if err != nil || first != want+1 || last != want+2 {
+			t.Fatalf("cut at %d: append after the tear got %d..%d, %v; want %d..%d", size, first, last, err, want+1, want+2)
+		}
+		wal.Close()
 	}
 }
