@@ -3,6 +3,7 @@ package deltagraph
 import (
 	"maps"
 
+	"historygraph/internal/delta"
 	"historygraph/internal/graph"
 )
 
@@ -62,16 +63,26 @@ func (im image) size() int {
 	return len(im.attrs)
 }
 
-func (im image) equal(o image) bool {
-	if im.present != o.present || im.info != o.info || len(im.attrs) != len(o.attrs) {
-		return false
+// records counts what delta.Compute writes to turn o into im: 0 when the two
+// are equal, and summed over a graph's elements the delta's Len.
+func (im image) records(o image) int {
+	n := 0
+	if im.present != o.present {
+		n = 1
+	} else if im.info != o.info {
+		n = 2 // a delete and a re-add
 	}
 	for k, v := range im.attrs {
 		if ov, ok := o.attrs[k]; !ok || ov != v {
-			return false
+			n++
 		}
 	}
-	return true
+	for k := range o.attrs {
+		if _, ok := im.attrs[k]; !ok {
+			n++
+		}
+	}
+	return n
 }
 
 // shared returns a pointer to im fit for a patch, the one absent image when
@@ -154,7 +165,9 @@ func (dg *DeltaGraph) restrictLocked(c pendingChild, ids patch) *graph.Snapshot 
 
 // graphLocked returns c's whole graph, read-only and valid only while the
 // lock is held: attribute maps alias the current graph's and the patch's.
-// It walks the current graph, so it is for Checkpoint and the seal alone.
+// It walks the current graph, so it is for the seal (the root's whole graph is
+// the top delta) and for the pending nodes Checkpoint stores from the null
+// graph, which are the ones far smaller than the current graph.
 func (dg *DeltaGraph) graphLocked(c pendingChild) *graph.Snapshot {
 	cur := dg.current
 	s := &graph.Snapshot{ // the inner attribute maps stay shared
@@ -167,13 +180,14 @@ func (dg *DeltaGraph) graphLocked(c pendingChild) *graph.Snapshot {
 	return s
 }
 
-// patchOf is graphLocked's inverse: the patch that holds g against the
-// current graph. g's attribute maps are aliased, so g belongs to the patch
-// from here on. Open calls it once for every pending node it restores.
-func (dg *DeltaGraph) patchOf(g *graph.Snapshot) patch {
-	p := make(patch)
+// patchOf is graphLocked's inverse: the patch that holds, against the current
+// graph, the graph d builds from the null graph. Open calls it for the pending
+// nodes a checkpoint stored that way; it walks both graphs.
+func (dg *DeltaGraph) patchOf(d *delta.Delta) patch {
+	p, g := make(patch), graph.NewSnapshot()
+	d.Apply(g)
 	eachElem(g, func(x elem) {
-		if im := imageIn(g, x); !im.equal(imageIn(dg.current, x)) {
+		if im := imageIn(g, x); im.records(imageIn(dg.current, x)) > 0 {
 			p[x] = im.shared()
 		}
 	})
@@ -182,5 +196,27 @@ func (dg *DeltaGraph) patchOf(g *graph.Snapshot) patch {
 			p[x] = absent
 		}
 	})
+	return p
+}
+
+// patchFrom is the patch of the graph d builds from the current graph: the
+// images, after d, of the elements d has a record on. Open calls it for the
+// pending nodes a checkpoint stored from the current graph; it costs what d
+// holds.
+func (dg *DeltaGraph) patchFrom(d *delta.Delta) patch {
+	// What d adds to the null graph, and what its deletions would, name
+	// between them every element it touches.
+	adds, dels := graph.NewSnapshot(), graph.NewSnapshot()
+	d.Apply(adds)
+	(&delta.Delta{AddNodes: d.DelNodes, AddEdges: d.DelEdges, SetNodeAttrs: d.DelNodeAttrs, SetEdgeAttrs: d.DelEdgeAttrs}).Apply(dels)
+	p := make(patch)
+	for _, s := range []*graph.Snapshot{adds, dels} {
+		eachElem(s, func(x elem) { p[x] = nil })
+	}
+	s := dg.restrictLocked(pendingChild{}, p).Clone() // Apply writes the attribute maps
+	d.Apply(s)
+	for x := range p {
+		p[x] = imageIn(s, x).shared()
+	}
 	return p
 }

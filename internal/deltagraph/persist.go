@@ -19,8 +19,15 @@ import (
 // partition 0) followed by one small JSON meta record that names them and is
 // the commit point. The provisional spine is derived from the pending nodes:
 // it is not stored, and not rebuilt before a read of the reopened index asks
-// for it. A pending node's graph is written whole, whatever form the builder
-// holds it in.
+// for it.
+//
+// Every graph payload is delta.Compute(graph, base) through putCols. The
+// current graph's base is the null graph. A pending node's is whichever of the
+// null graph and the current graph is nearer, in records: the builder holds the
+// node as a patch against the current graph, so the delta from there costs what
+// the two differ in, which for a node cut recently is a fraction of the node
+// and for an old intersection (small itself, far from a grown current graph)
+// is several times the node. persistedChild.OnCurrent records the choice.
 
 const (
 	metaDeltaID   = math.MaxUint64
@@ -28,7 +35,10 @@ const (
 	// Version of the checkpoint layout. 2: graphs are codec payloads beside
 	// the JSON meta record, and the spine is not stored. 3: those payloads,
 	// and every other in the store, are in stored format 3 (delta/codec.go).
-	checkpointVersion = 3
+	// 4: a pending node's payload may be a delta from the current graph, so a
+	// v3 checkpoint is a v4 one with every node on the null graph and Open
+	// reads both.
+	checkpointVersion = 4
 )
 
 type persistedNode struct {
@@ -52,9 +62,12 @@ type persistedEdge struct {
 }
 
 type persistedChild struct {
-	Node   int           `json:"node"`
-	SnapID uint64        `json:"snap_id"` // payload id of the node's graph
-	Aux    []AuxSnapshot `json:"aux,omitempty"`
+	Node   int    `json:"node"`
+	SnapID uint64 `json:"snap_id"` // payload id of the node's graph
+	// OnCurrent: the payload builds the graph from the current graph, not
+	// from the null graph.
+	OnCurrent bool          `json:"on_current,omitempty"`
+	Aux       []AuxSnapshot `json:"aux,omitempty"`
 }
 
 type persistedIndex struct {
@@ -120,17 +133,17 @@ func (dg *DeltaGraph) Checkpoint() error {
 	}
 
 	sizes := make(componentSizes, 4)
-	putGraph := func(s *graph.Snapshot) (uint64, error) {
+	putGraph := func(g, base *graph.Snapshot) (uint64, error) {
 		id := pi.NextID
 		pi.NextID--
 		// A checkpoint that a crash cut short may have left columns here.
 		if err := dg.dropPayloads(id, id-1); err != nil {
 			return 0, err
 		}
-		return id, putCols(dg.store, 0, id, delta.FromSnapshot(s), true, sizes)
+		return id, putCols(dg.store, 0, id, delta.Compute(g, base), true, sizes)
 	}
 	var err error
-	if pi.CurrentID, err = putGraph(dg.current); err == nil && len(dg.recent) > 0 {
+	if pi.CurrentID, err = putGraph(dg.current, graph.NewSnapshot()); err == nil && len(dg.recent) > 0 {
 		err = putCol(dg.store, 0, pi.CurrentID, kvstore.ComponentTransient, delta.EncodeEvents(dg.recent), sizes)
 	}
 	if err != nil {
@@ -139,11 +152,23 @@ func (dg *DeltaGraph) Checkpoint() error {
 	for _, level := range dg.pending {
 		row := make([]persistedChild, 0, len(level))
 		for _, c := range level {
-			id, err := putGraph(dg.graphLocked(c))
+			// The delta from the null graph has c.size records; the one from
+			// the current graph has them on the patch's elements alone, where
+			// both graphs cut down to those elements give the same delta.
+			fromCurrent := 0
+			for x, im := range c.patch {
+				fromCurrent += im.records(imageIn(dg.current, x))
+			}
+			pc := persistedChild{Node: c.node, OnCurrent: fromCurrent < c.size, Aux: c.aux}
+			if pc.OnCurrent {
+				pc.SnapID, err = putGraph(dg.restrictLocked(c, c.patch), dg.restrictLocked(pendingChild{}, c.patch))
+			} else {
+				pc.SnapID, err = putGraph(dg.graphLocked(c), graph.NewSnapshot())
+			}
 			if err != nil {
 				return err
 			}
-			row = append(row, persistedChild{Node: c.node, SnapID: id, Aux: c.aux})
+			row = append(row, pc)
 		}
 		pi.Pending = append(pi.Pending, row)
 	}
@@ -212,8 +237,9 @@ func (dg *DeltaGraph) dropPayloads(hi, lo uint64) error {
 	return nil
 }
 
-// loadGraph reads a graph payload written by Checkpoint.
-func (dg *DeltaGraph) loadGraph(id uint64) (*graph.Snapshot, error) {
+// loadDelta reads a graph payload written by Checkpoint: the delta that builds
+// the graph from its base.
+func (dg *DeltaGraph) loadDelta(id uint64) (*delta.Delta, error) {
 	d := &delta.Delta{}
 	for c := kvstore.ComponentStruct; c <= kvstore.ComponentEdgeAttr; c++ {
 		buf, err := dg.store.Get(kvstore.EncodeKey(0, id, c))
@@ -227,9 +253,7 @@ func (dg *DeltaGraph) loadGraph(id uint64) (*graph.Snapshot, error) {
 			return nil, fmt.Errorf("deltagraph: checkpoint payload %d/%s: %w", id, c, err)
 		}
 	}
-	s := graph.NewSnapshot()
-	d.Apply(s)
-	return s, nil
+	return d, nil
 }
 
 // Open restores a checkpointed index from the store. The options must
@@ -247,8 +271,8 @@ func Open(opts Options) (*DeltaGraph, error) {
 	if err := json.Unmarshal(buf, &pi); err != nil {
 		return nil, fmt.Errorf("deltagraph: corrupt checkpoint: %w", err)
 	}
-	if pi.Version != checkpointVersion {
-		return nil, fmt.Errorf("deltagraph: checkpoint has format v%d, this build reads only v%d: "+
+	if pi.Version != 3 && pi.Version != checkpointVersion {
+		return nil, fmt.Errorf("deltagraph: checkpoint has format v%d, this build reads only v3–v%d: "+
 			"replay the WAL into an empty store, or rebuild the index from its trace with dgload",
 			pi.Version, checkpointVersion)
 	}
@@ -277,9 +301,11 @@ func Open(opts Options) (*DeltaGraph, error) {
 	if pi.AuxRecent != nil {
 		dg.auxRecent = pi.AuxRecent
 	}
-	if dg.current, err = dg.loadGraph(pi.CurrentID); err != nil {
+	d, err := dg.loadDelta(pi.CurrentID)
+	if err != nil {
 		return nil, err
 	}
+	d.Apply(dg.current) // New left it the null graph
 	buf, err = dg.store.Get(kvstore.EncodeKey(0, pi.CurrentID, kvstore.ComponentTransient))
 	if err == nil {
 		dg.recent, err = delta.DecodeEvents(buf)
@@ -330,14 +356,18 @@ func Open(opts Options) (*DeltaGraph, error) {
 	for _, level := range pi.Pending {
 		row := make([]pendingChild, 0, len(level))
 		for _, c := range level {
-			snap, err := dg.loadGraph(c.SnapID)
+			d, err := dg.loadDelta(c.SnapID)
 			if err != nil {
 				return nil, err
 			}
 			if c.Aux == nil {
 				c.Aux = dg.emptyAux()
 			}
-			row = append(row, pendingChild{node: c.Node, size: dg.skel.nodes[c.Node].size, patch: dg.patchOf(snap), aux: c.Aux})
+			toPatch := dg.patchOf
+			if c.OnCurrent {
+				toPatch = dg.patchFrom
+			}
+			row = append(row, pendingChild{node: c.Node, size: dg.skel.nodes[c.Node].size, patch: toPatch(d), aux: c.Aux})
 		}
 		dg.pending = append(dg.pending, row)
 	}

@@ -2,6 +2,7 @@ package deltagraph
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"historygraph/internal/baseline"
 	"historygraph/internal/datagen"
+	"historygraph/internal/delta"
 	"historygraph/internal/graph"
 	"historygraph/internal/kvstore"
 )
@@ -55,17 +57,84 @@ func openFileStore(t testing.TB, path string) *kvstore.FileStore {
 	return fs
 }
 
+// lastCheckpoint reads the meta record of the store's newest checkpoint.
+func lastCheckpoint(t testing.TB, store kvstore.Store) persistedIndex {
+	t.Helper()
+	buf, err := store.Get(metaKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pi persistedIndex
+	if err := json.Unmarshal(buf, &pi); err != nil {
+		t.Fatal(err)
+	}
+	return pi
+}
+
+// pendingChildren lists a checkpoint's pending nodes, lowest level first: the
+// order Checkpoint writes their payloads in.
+func (pi persistedIndex) pendingChildren() []persistedChild {
+	var out []persistedChild
+	for _, row := range pi.Pending {
+		out = append(out, row...)
+	}
+	return out
+}
+
+// basesOf counts a checkpoint's pending nodes by the base their payload
+// builds on.
+func basesOf(pi persistedIndex) (onCurrent, onNull int) {
+	for _, c := range pi.pendingChildren() {
+		if c.OnCurrent {
+			onCurrent++
+		} else {
+			onNull++
+		}
+	}
+	return onCurrent, onNull
+}
+
+// checkBaseCounts: the two record counts Checkpoint picks a pending node's
+// base by are the lengths of the two deltas it picks between.
+func checkBaseCounts(t testing.TB, dg *DeltaGraph) {
+	t.Helper()
+	for level, row := range dg.pending {
+		for _, c := range row {
+			g, fromCurrent := dg.graphLocked(c), 0
+			for x, im := range c.patch {
+				fromCurrent += im.records(imageIn(dg.current, x))
+			}
+			if want := delta.Compute(g, dg.current).Len(); fromCurrent != want {
+				t.Errorf("pending node at level %d: %d records counted over its patch, its delta from the current graph has %d", level, fromCurrent, want)
+			}
+			if want := delta.FromSnapshot(g).Len(); c.size != want {
+				t.Errorf("pending node at level %d: size %d, its delta from the null graph has %d records", level, c.size, want)
+			}
+		}
+	}
+}
+
 // TestCheckpointCrashAtomic cuts a copy of the store file at every record
 // boundary of two successive checkpoints (and inside a payload and a meta
 // record): Open must see no checkpoint, exactly the first, or exactly the
-// second — and the index it returns must take the rest of the history.
+// second — and the index it returns must take the rest of the history. Under
+// intersection the second checkpoint stores pending nodes on both bases;
+// under union every one is a delta from the current graph, so the boundary
+// just before the meta record lies between such a payload and its commit.
 func TestCheckpointCrashAtomic(t *testing.T) {
+	t.Run("intersection", func(t *testing.T) { crashAtomic(t, delta.Intersection{}, 700, 1000, false) })
+	t.Run("union", func(t *testing.T) { crashAtomic(t, delta.Union{}, 300, 560, true) })
+}
+
+// crashAtomic checkpoints after nA and after nB events. The second checkpoint
+// must store pending nodes from both bases, or, if lastOnCurrent, its last
+// payload from the current graph.
+func crashAtomic(t *testing.T, fn delta.Differential, nA, nB int, lastOnCurrent bool) {
 	events := makeTrace(21, 1300)
-	const nA, nB = 700, 1000
 	dir := t.TempDir()
 	path := filepath.Join(dir, "index")
 	cs := &cutStore{FileStore: openFileStore(t, path)}
-	dg, err := New(Options{LeafSize: 64, Arity: 2, Store: cs})
+	dg, err := New(Options{LeafSize: 64, Arity: 2, Function: fn, Store: cs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +156,13 @@ func TestCheckpointCrashAtomic(t *testing.T) {
 	cutsB, metaB := step(events[nA:nB]) // several leaves later
 	if cs.firstTomb <= metaB {
 		t.Fatalf("checkpoint A's payloads were deleted at offset %d, before B's meta was written (ends at %d)", cs.firstTomb, metaB)
+	}
+	pi := lastCheckpoint(t, cs)
+	pending := pi.pendingChildren()
+	onCurrent, onNull := basesOf(pi)
+	if lastOnCurrent && !pending[len(pending)-1].OnCurrent || !lastOnCurrent && (onCurrent == 0 || onNull == 0) {
+		t.Fatalf("checkpoint B stores %d pending nodes from the current graph and %d from the null graph (last payload on current: %v): the cuts miss a case",
+			onCurrent, onNull, pending[len(pending)-1].OnCurrent)
 	}
 	if err := dg.Flush(); err != nil { // the tombstones reach the file
 		t.Fatal(err)
@@ -163,73 +239,113 @@ func TestCheckpointCrashAtomic(t *testing.T) {
 
 // TestCheckpointOverTornOne: a checkpoint cut short by a crash leaves
 // payloads under ids the next one takes again. None of their columns may
-// show through, even where the new graph has no such column.
+// show through, even where the new graph has no such column. In the first
+// case the column belongs to a graph stored from the null graph, in the second
+// to a pending leaf stored from the current graph (the leaf holds an attribute
+// the current graph has lost: a set record, which would show on any node the
+// id passes to).
 func TestCheckpointOverTornOne(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "index")
-	cs := &cutStore{FileStore: openFileStore(t, path)}
-	dg, err := New(Options{LeafSize: 4, Arity: 2, Store: cs})
-	if err != nil {
-		t.Fatal(err)
+	attr := func(at graph.Time, set bool) graph.Event {
+		return graph.Event{Type: graph.SetNodeAttr, At: at, Node: 1, Attr: "name", Old: "x", HadOld: !set, New: "x", HasNew: set}
 	}
-	var bare graph.EventList
-	for i := 1; i <= 10; i++ {
-		bare = append(bare, graph.Event{Type: graph.AddNode, At: graph.Time(i), Node: graph.NodeID(i)})
+	node := func(n int) graph.Event {
+		return graph.Event{Type: graph.AddNode, At: graph.Time(n), Node: graph.NodeID(n)}
 	}
-	if err := dg.AppendAll(bare); err != nil {
-		t.Fatal(err)
+	for name, tc := range map[string]struct {
+		arity, bare int
+		torn, other graph.EventList // the history the torn checkpoint saw, and the one that came true
+	}{
+		"on-null":    {2, 10, graph.EventList{attr(11, true)}, graph.EventList{node(11)}},
+		"on-current": {3, 14, graph.EventList{attr(15, true), node(16), attr(17, false)}, graph.EventList{node(15), node(16), node(17)}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "index")
+			cs := &cutStore{FileStore: openFileStore(t, path)}
+			dg, err := New(Options{LeafSize: 4, Arity: tc.arity, Store: cs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bare graph.EventList
+			for i := 1; i <= tc.bare; i++ {
+				bare = append(bare, node(i))
+			}
+			if err := dg.AppendAll(bare); err != nil {
+				t.Fatal(err)
+			}
+			if err := dg.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			// The torn checkpoint's graphs carry an attribute column.
+			if err := dg.AppendAll(tc.torn); err != nil {
+				t.Fatal(err)
+			}
+			if err := dg.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			withAttrs := func(store kvstore.Store, c persistedChild) bool {
+				_, err := store.Get(kvstore.EncodeKey(0, c.SnapID, kvstore.ComponentNodeAttr))
+				return err == nil
+			}
+			var tornID uint64 // an on-current payload of the torn checkpoint with that column
+			for _, c := range lastCheckpoint(t, cs).pendingChildren() {
+				if c.OnCurrent && withAttrs(cs, c) {
+					tornID = c.SnapID
+				}
+			}
+			if (tornID != 0) != (name == "on-current") {
+				t.Fatalf("the torn checkpoint's on-current payload with an attribute column: id %d", tornID)
+			}
+			tornAt := int64(0) // the boundary just before its meta record
+			for _, c := range cs.cuts {
+				if c < cs.metaEnd && c > tornAt {
+					tornAt = c
+				}
+			}
+			cs.Close()
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data[:tornAt], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fs := openFileStore(t, path)
+			defer fs.Close()
+			re, err := Open(Options{Store: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// History continues differently, without the attribute.
+			other := append(bare, tc.other...)
+			if err := re.AppendAll(tc.other); err != nil {
+				t.Fatal(err)
+			}
+			if err := re.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range lastCheckpoint(t, fs).pendingChildren() {
+				if c.SnapID == tornID && (!c.OnCurrent || withAttrs(fs, c)) {
+					t.Fatalf("payload %d of the new checkpoint: on current %v, attribute column %v", tornID, c.OnCurrent, withAttrs(fs, c))
+				}
+			}
+			again, err := Open(Options{Store: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := other[len(other)-1].At
+			if !again.CurrentSnapshot().Equal(graph.SnapshotAt(other, last)) {
+				t.Fatalf("current graph after the second reopen: %v", again.CurrentSnapshot().NodeAttrs)
+			}
+			checkAgainstReference(t, again, other, allAttrs, probeTimes(other, int(last)))
+		})
 	}
-	if err := dg.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// The torn checkpoint's graphs carry an attribute column.
-	if err := dg.Append(graph.Event{Type: graph.SetNodeAttr, At: 11, Node: 1, Attr: "name", New: "x", HasNew: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dg.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	tornAt := int64(0) // the boundary just before its meta record
-	for _, c := range cs.cuts {
-		if c < cs.metaEnd && c > tornAt {
-			tornAt = c
-		}
-	}
-	cs.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:tornAt], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fs := openFileStore(t, path)
-	defer fs.Close()
-	re, err := Open(Options{Store: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// History continues differently, without the attribute.
-	other := append(bare, graph.Event{Type: graph.AddNode, At: 11, Node: 11})
-	if err := re.Append(other[10]); err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	again, err := Open(Options{Store: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.CurrentSnapshot().Equal(graph.SnapshotAt(other, 11)) {
-		t.Fatalf("current graph after the second reopen: %v", again.CurrentSnapshot().NodeAttrs)
-	}
-	checkAgainstReference(t, again, other, allAttrs, probeTimes(other, 11))
 }
 
 // TestOpenRefusesOldCheckpoints checks that a checkpoint in an earlier layout
 // (v1: graphs inside the JSON; v2: graphs as format-2 payloads) is refused
-// with the way out in the message, before any payload is touched.
+// with the way out in the message, before any payload is touched. The message
+// names the layouts this build does read.
 func TestOpenRefusesOldCheckpoints(t *testing.T) {
 	for version, meta := range map[string]string{
 		"v1": `{"version":1,"leaf_size":64,"arity":2,"partitions":1,"function":"intersection",` +
@@ -250,12 +366,79 @@ func TestOpenRefusesOldCheckpoints(t *testing.T) {
 		if err == nil {
 			t.Fatalf("Open of a %s checkpoint succeeded", version)
 		}
-		for _, want := range []string{version, "WAL", "dgload", "rebuild"} {
+		for _, want := range []string{version, "reads only v3–v4", "WAL", "dgload", "rebuild"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("Open of a %s checkpoint = %v, want a refusal with %q in it", version, err, want)
 			}
 		}
 	}
+}
+
+// TestOpenReadsV3Checkpoint opens testdata/checkpoint_v3.store, which the
+// commit before checkpoint layout 4 (950dd6d) wrote: makeTrace(26, 408)
+// ingested live at leaf size 16 and arity 2, then Checkpoint — 24 leaves,
+// pending nodes at levels 3 and 4, eight recent events, every graph a delta
+// from the null graph. Never regenerate it with a current build. The index
+// must answer as naive replay does, take the rest of the history as an index
+// that was never closed would, and checkpoint in layout 4 from then on.
+func TestOpenReadsV3Checkpoint(t *testing.T) {
+	fixture, err := os.ReadFile("testdata/checkpoint_v3.store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "index")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs := openFileStore(t, path)
+	defer fs.Close()
+	const held = 408
+	events := makeTrace(26, held+4*16)
+	pi := lastCheckpoint(t, fs)
+	if onCurrent, onNull := basesOf(pi); pi.Version != 3 || onCurrent != 0 || onNull < 2 {
+		t.Fatalf("the fixture is a v%d checkpoint with %d + %d pending nodes", pi.Version, onCurrent, onNull)
+	}
+	re, err := Open(Options{Store: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.LastTime() != events[held-1].At || !re.CurrentSnapshot().Equal(graph.SnapshotAt(events[:held], events[held-1].At)) {
+		t.Fatalf("the reopened index ends at %d, the fixture's events at %d", re.LastTime(), events[held-1].At)
+	}
+	checkAgainstReference(t, re, events[:held], allAttrs, reopenTimes(re))
+
+	leaves := len(re.LeafTimes())
+	if err := re.AppendAll(events[held:]); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(re.LeafTimes()); got < leaves+2 {
+		t.Fatalf("leaves after reopen went %d -> %d, want two more", leaves, got)
+	}
+	checkAgainstReference(t, re, events, allAttrs, reopenTimes(re))
+	never, err := New(Options{LeafSize: 16, Arity: 2})
+	if err == nil {
+		err = never.AppendAll(events)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.nextDeltaID != never.nextDeltaID {
+		t.Fatalf("next delta id %d, a never-closed index has %d", re.nextDeltaID, never.nextDeltaID)
+	}
+	samePayloads(t, "permanent payloads", payloads(t, fs, 1, 1, re.nextDeltaID), payloads(t, never.store, 1, 1, never.nextDeltaID))
+
+	if err := re.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	pi = lastCheckpoint(t, fs)
+	if onCurrent, _ := basesOf(pi); pi.Version != 4 || onCurrent == 0 {
+		t.Fatalf("the next checkpoint is v%d with %d pending nodes stored from the current graph", pi.Version, onCurrent)
+	}
+	again, err := Open(Options{Store: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstReference(t, again, events, allAttrs, reopenTimes(again))
 }
 
 // reopenTimes is every leaf time plus three mid-leaf times.
@@ -364,6 +547,129 @@ func TestReopenDifferential(t *testing.T) {
 			}
 		}
 	}
+
+	// One shape under every differential function (empty is the one that is
+	// not element-wise) and with an auxiliary index. Its checkpoint stores
+	// pending nodes from both bases side by side — except under union, whose
+	// nodes all stay near the current graph — and the reopened index goes on
+	// to write the bytes an index that was never closed writes.
+	for _, fn := range []string{"intersection", "union", "balanced", "skewed:0.3", "rightskewed:0.5", "leftskewed:0.5", "empty"} {
+		t.Run("bases/"+fn, func(t *testing.T) {
+			const held = 2800
+			f, err := delta.ByName(fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{LeafSize: 64, Arity: 2, Function: f, AuxIndexes: []AuxIndex{degreeAux{}}}
+			never, err := New(opts)
+			if err == nil {
+				err = appendBatches(never, events)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "index")
+			fs := openFileStore(t, path)
+			opts.Store = fs
+			dg, err := New(opts)
+			if err == nil {
+				err = appendBatches(dg, events[:held])
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := check(t, dg, held, nil)
+			checkBaseCounts(t, dg)
+			if err := dg.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if onCurrent, onNull := basesOf(lastCheckpoint(t, fs)); onCurrent == 0 || (onNull == 0 && fn != "union") {
+				t.Fatalf("the checkpoint stores %d pending nodes from the current graph and %d from the null graph", onCurrent, onNull)
+			}
+			if err := fs.Close(); err != nil {
+				t.Fatal(err)
+			}
+			fs = openFileStore(t, path)
+			defer fs.Close()
+			re, err := Open(Options{Store: fs, AuxIndexes: opts.AuxIndexes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, re, held, before)
+			leaves := len(re.LeafTimes())
+			if err := appendBatches(re, events[held:]); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(re.LeafTimes()); got < leaves+2 {
+				t.Fatalf("leaves after reopen went %d -> %d, want two more", leaves, got)
+			}
+			check(t, re, len(events), nil)
+			if re.nextDeltaID != never.nextDeltaID {
+				t.Fatalf("next delta id %d, a never-closed index has %d", re.nextDeltaID, never.nextDeltaID)
+			}
+			samePayloads(t, "permanent payloads", payloads(t, fs, 1, 1, re.nextDeltaID), payloads(t, never.store, 1, 1, never.nextDeltaID))
+			for _, q := range reopenTimes(re) {
+				got, err := re.GetAuxSnapshot("degree", q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !auxEqual(got, refAux(events, q)) {
+					t.Fatalf("aux snapshot at %d differs from replay", q)
+				}
+			}
+		})
+	}
+}
+
+// TestReopenAtEveryStep closes and reopens an index again and again while it
+// takes a messy trace (duplicate adds, attributes on absent elements, deletes
+// of nothing), so pending nodes go through both payload bases many times
+// over: the permanent payloads must come out as those of an index that was
+// never closed.
+func TestReopenAtEveryStep(t *testing.T) {
+	var onCurrent, onNull int
+	for seed := 0; seed < 12; seed++ {
+		for _, fn := range []delta.Differential{delta.Intersection{}, delta.Union{}, delta.Balanced(), delta.Empty{}} {
+			events := datagen.MessyTrace(int64(200+seed), 1500)
+			opts := Options{LeafSize: 24 + seed%3*8, Arity: 2 + seed%2, Function: fn}
+			never, err := New(opts)
+			if err == nil {
+				err = never.AppendAll(events)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			store := kvstore.NewMemStore()
+			opts.Store = store
+			dg, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for lo, step := 0, 170+7*seed; lo < len(events); lo += step {
+				if err := dg.AppendAll(events[lo:min(lo+step, len(events))]); err != nil {
+					t.Fatal(err)
+				}
+				checkBaseCounts(t, dg)
+				if err := dg.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				c, n := basesOf(lastCheckpoint(t, store))
+				onCurrent, onNull = onCurrent+c, onNull+n
+				if dg, err = Open(Options{Store: store}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			what := fmt.Sprintf("seed %d, %s", seed, fn.Name())
+			if dg.nextDeltaID != never.nextDeltaID {
+				t.Fatalf("%s: next delta id %d, a never-closed index has %d", what, dg.nextDeltaID, never.nextDeltaID)
+			}
+			samePayloads(t, what, payloads(t, store, 1, 1, dg.nextDeltaID), payloads(t, never.store, 1, 1, never.nextDeltaID))
+			checkAgainstReference(t, dg, events, allAttrs, probeTimes(events, 20))
+		}
+	}
+	if onCurrent < 100 || onNull < 100 {
+		t.Errorf("%d pending nodes were stored from the current graph and %d from the null graph: one base is hardly covered", onCurrent, onNull)
+	}
 }
 
 // appendBatches ingests live, 256 events at a time.
@@ -466,7 +772,7 @@ func TestCheckpointDoesNotBlockReaders(t *testing.T) {
 
 // benchIndex is ingest-restart's index at its fixed point: the first 59 392
 // events of the repository benchmark's seed-1 trace, ingested live.
-func benchIndex(b *testing.B) (*DeltaGraph, *kvstore.FileStore) {
+func benchIndex(b testing.TB) (*DeltaGraph, *kvstore.FileStore) {
 	b.Helper()
 	base := datagen.Coauthorship(datagen.CoauthorshipConfig{Authors: 4000, Edges: 16000, Years: 20, AttrsPerNode: 10, Seed: 1})
 	events := datagen.Churn(base, datagen.ChurnConfig{Adds: 10000, Dels: 10000, Seed: 2})[:59392]
@@ -479,6 +785,101 @@ func benchIndex(b *testing.B) (*DeltaGraph, *kvstore.FileStore) {
 		b.Fatal(err)
 	}
 	return dg, fs
+}
+
+// encodedBytes is the size of d's columns as a checkpoint payload holds them.
+func encodedBytes(t testing.TB, d *delta.Delta) int64 {
+	t.Helper()
+	sizes := make(componentSizes, 4)
+	if err := putCols(kvstore.NewMemStore(), 0, 1, d, true, sizes); err != nil {
+		t.Fatal(err)
+	}
+	return sizes[0] + sizes[1] + sizes[2]
+}
+
+// TestGoldenCheckpointBytes pins the counter behind ingest-restart's
+// durable_bytes_per_event: at that workload's fixed point, what a checkpoint
+// weighs, which base each pending node is stored from, and that no node
+// weighs more than the lighter of its two deltas — each computed here over
+// whole graphs, not over the patch as Checkpoint does. Layout 3 wrote
+// 638 857 B here: 213 956, 148 129 and 17 668 for the three nodes.
+func TestGoldenCheckpointBytes(t *testing.T) {
+	dg, fs := benchIndex(t)
+	defer fs.Close()
+	checkBaseCounts(t, dg)
+	if err := dg.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dg.StatsUnsealed().CheckpointBytes; got != 354005 {
+		t.Errorf("the checkpoint is %d B, was 354005", got)
+	}
+	golden := []struct {
+		level     int
+		onCurrent bool
+		bytes     int64
+	}{{1, true, 16287}, {2, true, 60910}, {3, false, 17668}}
+	pi, i := lastCheckpoint(t, fs), 0
+	for level, row := range pi.Pending {
+		for j, pc := range row {
+			var stored int64
+			for c := kvstore.ComponentStruct; c <= kvstore.ComponentEdgeAttr; c++ {
+				if buf, err := fs.Get(kvstore.EncodeKey(0, pc.SnapID, c)); err == nil {
+					stored += int64(len(buf))
+				}
+			}
+			if i >= len(golden) || golden[i].level != level || golden[i].onCurrent != pc.OnCurrent || golden[i].bytes != stored {
+				t.Errorf("pending node %d at level %d: on current %v, %d B; golden rows are %v", i, level, pc.OnCurrent, stored, golden)
+			}
+			i++
+			g := dg.graphLocked(dg.pending[level][j])
+			whole, fromCurrent := encodedBytes(t, delta.FromSnapshot(g)), encodedBytes(t, delta.Compute(g, dg.current))
+			if stored > min(whole, fromCurrent) {
+				t.Errorf("pending node at level %d weighs %d B: whole it is %d B, as a delta from the current graph %d B", level, stored, whole, fromCurrent)
+			}
+		}
+	}
+	if i != len(golden) {
+		t.Errorf("%d pending nodes, golden has %d", i, len(golden))
+	}
+}
+
+// TestCheckpointAppendsToTheLog: the store file is a log, so DiskBytes is
+// not "permanent payloads plus the last checkpoint" once there has been a
+// second one. Each checkpoint adds its own CheckpointBytes, the framing of
+// its records and a tombstone for every payload record of the one before —
+// and no more than that.
+func TestCheckpointAppendsToTheLog(t *testing.T) {
+	cs := &cutStore{FileStore: openFileStore(t, filepath.Join(t.TempDir(), "index"))}
+	defer cs.Close()
+	dg, err := New(Options{LeafSize: 64, Arity: 2, Store: cs})
+	if err == nil {
+		err = dg.AppendAll(makeTrace(27, 1500))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	permanent := cs.SizeOnDisk()
+	var records [2]int64 // written by each checkpoint: payloads, meta, tombstones
+	var grew [2]int64
+	for i := range grew {
+		cs.cuts = nil
+		before := cs.SizeOnDisk()
+		if err := dg.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		records[i], grew[i] = int64(len(cs.cuts)), cs.SizeOnDisk()-before
+	}
+	ckpt := dg.StatsUnsealed().CheckpointBytes
+	// A record is framed by 18 to 20 bytes, a tombstone is 18 bytes whole.
+	if lo, hi := ckpt+18*records[1], ckpt+20*records[1]; grew[1] < lo || grew[1] > hi {
+		t.Errorf("the second checkpoint (%d B in %d records) grew the file by %d B, want %d..%d", ckpt, records[1], grew[1], lo, hi)
+	}
+	if tombstones := records[1] - records[0]; tombstones != records[0]-1 {
+		t.Errorf("the second checkpoint wrote %d tombstones over the first one's %d payload records", tombstones, records[0]-1)
+	}
+	if st := dg.StatsUnsealed(); st.DiskBytes != permanent+grew[0]+grew[1] || st.DiskBytes < permanent+2*ckpt {
+		t.Errorf("DiskBytes %d: permanent payloads %d B, checkpoints grew the file by %v", st.DiskBytes, permanent, grew)
+	}
 }
 
 func BenchmarkCheckpoint(b *testing.B) {

@@ -12,8 +12,12 @@ type IndexStats struct {
 	// DeltaEdges and EventlistEdges count skeleton edges by kind.
 	DeltaEdges     int
 	EventlistEdges int
-	// DiskBytes is the backing store footprint: permanent payloads plus
-	// the last checkpoint. The provisional spine is not in it.
+	// DiskBytes is the backing store footprint. The store is a log: it
+	// holds the permanent payloads once, and every Checkpoint appends its
+	// own CheckpointBytes plus a tombstone for each payload record of the
+	// checkpoint before — nothing is reclaimed, so after n checkpoints the
+	// file carries n of them, of which the last is live. The provisional
+	// spine is not in it.
 	DiskBytes int64
 	// SpineBytes is the memory-resident provisional spine's payload size
 	// (0 while SpineStale).

@@ -145,7 +145,7 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 		name, help string
 		of         func(historygraph.IndexStats) int64
 	}{
-		{"dg_index_disk_bytes", "Index store footprint: permanent delta and eventlist payloads plus the last checkpoint.",
+		{"dg_index_disk_bytes", "Index store file size: permanent delta and eventlist payloads plus every checkpoint taken so far (the file is a log; only the last one is live).",
 			func(st historygraph.IndexStats) int64 { return st.DiskBytes }},
 		{"dg_index_spine_bytes", "Memory-resident provisional spine payloads (never written to the store); 0 from a leaf cut to the next historical read.",
 			func(st historygraph.IndexStats) int64 { return st.SpineBytes }},
