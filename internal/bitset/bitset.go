@@ -12,31 +12,70 @@ import (
 const wordBits = 64
 
 // Bits is a growable bitmap. The zero value has all bits clear.
+//
+// Bits 0–63 live in the value itself, so a bitmap that never sees bit 64
+// allocates nothing; the words above are allocated the first time one of
+// their bits is set and dropped again once AndNot leaves them all clear.
+// A Bits is 16 bytes. Copying one does not copy the words above the first:
+// move it (as a slice of records does when it grows), or Clone it.
 type Bits struct {
-	words []uint64
+	first uint64
+	rest  *[]uint64 // word i holds bits 64(i+1) … 64(i+1)+63
+}
+
+// words returns how many words the bitmap has, the inline one included.
+func (b *Bits) words() int {
+	if b.rest == nil {
+		return 1
+	}
+	return 1 + len(*b.rest)
+}
+
+// word returns word w of the bitmap (word 0 is bits 0–63; 0 beyond the last).
+func (b *Bits) word(w int) uint64 {
+	if w == 0 {
+		return b.first
+	}
+	if b.rest == nil || w > len(*b.rest) {
+		return 0
+	}
+	return (*b.rest)[w-1]
 }
 
 // Set sets bit i, growing the bitmap if needed.
 func (b *Bits) Set(i int) {
-	w := i / wordBits
-	for w >= len(b.words) {
-		b.words = append(b.words, 0)
+	if i < wordBits {
+		b.first |= 1 << i
+		return
 	}
-	b.words[w] |= 1 << (i % wordBits)
+	w := i/wordBits - 1
+	if b.rest == nil || w >= len(*b.rest) {
+		// Exactly as many words as the bit needs: a pool's bitmaps grow
+		// with the number of graphs it holds, which is to say rarely.
+		grown := make([]uint64, w+1)
+		if b.rest != nil {
+			copy(grown, *b.rest)
+		}
+		b.rest = &grown
+	}
+	(*b.rest)[w] |= 1 << (i % wordBits)
 }
 
 // Clear clears bit i. Clearing a bit beyond the current length is a no-op.
 func (b *Bits) Clear(i int) {
-	w := i / wordBits
-	if w < len(b.words) {
-		b.words[w] &^= 1 << (i % wordBits)
+	if i < wordBits {
+		b.first &^= 1 << i
+	} else if w := i / wordBits; b.rest != nil && w <= len(*b.rest) {
+		(*b.rest)[w-1] &^= 1 << (i % wordBits)
 	}
 }
 
 // Get reports whether bit i is set.
 func (b *Bits) Get(i int) bool {
-	w := i / wordBits
-	return w < len(b.words) && b.words[w]&(1<<(i%wordBits)) != 0
+	if i < wordBits {
+		return b.first&(1<<i) != 0
+	}
+	return b.word(i/wordBits)&(1<<(i%wordBits)) != 0
 }
 
 // SetTo sets bit i to v.
@@ -49,14 +88,7 @@ func (b *Bits) SetTo(i int, v bool) {
 }
 
 // Any reports whether any bit is set.
-func (b *Bits) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
+func (b *Bits) Any() bool { return b.first != 0 || b.rest != nil && b.anyExcept(&Bits{}) }
 
 // AnyExcept reports whether any bit other than the listed ones is set.
 func (b *Bits) AnyExcept(except ...int) bool {
@@ -64,59 +96,83 @@ func (b *Bits) AnyExcept(except ...int) bool {
 	for _, i := range except {
 		mask.Set(i)
 	}
-	for wi, w := range b.words {
-		m := uint64(0)
-		if wi < len(mask.words) {
-			m = mask.words[wi]
-		}
-		if w&^m != 0 {
+	return b.anyExcept(&mask)
+}
+
+func (b *Bits) anyExcept(mask *Bits) bool {
+	for w := range b.words() {
+		if b.word(w)&^mask.word(w) != 0 {
 			return true
 		}
 	}
 	return false
 }
 
+// AndNot clears every bit that is set in mask, a word at a time, and gives
+// the words above the first back once none of them holds a bit.
+func (b *Bits) AndNot(mask *Bits) {
+	b.first &^= mask.first
+	if b.rest == nil {
+		return
+	}
+	var left uint64
+	for i := range *b.rest {
+		(*b.rest)[i] &^= mask.word(i + 1)
+		left |= (*b.rest)[i]
+	}
+	if left == 0 {
+		b.rest = nil
+	}
+}
+
 // Count returns the number of set bits.
 func (b *Bits) Count() int {
 	n := 0
-	for _, w := range b.words {
-		n += bits.OnesCount64(w)
+	for w := range b.words() {
+		n += bits.OnesCount64(b.word(w))
 	}
 	return n
 }
 
 // ClearAll clears every bit, retaining capacity.
 func (b *Bits) ClearAll() {
-	for i := range b.words {
-		b.words[i] = 0
+	b.first = 0
+	if b.rest != nil {
+		clear(*b.rest)
 	}
 }
 
-// Clone returns a copy of the bitset.
+// Clone returns a copy of the bitset that shares nothing with it.
 func (b *Bits) Clone() Bits {
-	c := Bits{words: make([]uint64, len(b.words))}
-	copy(c.words, b.words)
+	c := Bits{first: b.first}
+	if b.rest != nil {
+		rest := append([]uint64(nil), *b.rest...)
+		c.rest = &rest
+	}
 	return c
 }
 
-// SizeBytes returns the approximate heap footprint of the bitset payload;
-// GraphPool's memory accounting uses it.
-func (b *Bits) SizeBytes() int { return len(b.words) * 8 }
+// SizeBytes returns the heap the bitset owns outside its own 16 bytes: 0
+// while every bit set so far is below 64, else the slice header and the
+// words above the first. GraphPool's memory accounting adds it to the size
+// of the record the Bits is a field of.
+func (b *Bits) SizeBytes() int {
+	if b.rest == nil {
+		return 0
+	}
+	return 24 + 8*cap(*b.rest)
+}
 
 // String renders the set bits as e.g. "{0,3,17}".
 func (b *Bits) String() string {
 	var sb strings.Builder
 	sb.WriteByte('{')
-	first := true
-	for wi, w := range b.words {
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			if !first {
+	for wi := range b.words() {
+		for w := b.word(wi); w != 0; w &= w - 1 {
+			if sb.Len() > 1 {
 				sb.WriteByte(',')
 			}
-			first = false
-			sb.WriteString(strconv.Itoa(wi*wordBits + bit))
-			w &^= 1 << bit
+			sb.WriteString(strconv.Itoa(wi*wordBits + bits.TrailingZeros64(w)))
 		}
 	}
 	sb.WriteByte('}')

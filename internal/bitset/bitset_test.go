@@ -95,14 +95,50 @@ func TestClearAllAndString(t *testing.T) {
 	}
 }
 
+// SizeBytes is the heap a Bits owns outside the 16 bytes of the value itself
+// (which its owner accounts for as part of its own record): nothing while
+// the bitmap fits the inline word, then a slice header and the words above
+// the first.
 func TestSizeBytes(t *testing.T) {
 	var b Bits
 	if b.SizeBytes() != 0 {
 		t.Error("empty bitset should report 0 bytes")
 	}
+	b.Set(0)
+	b.Set(63)
+	if b.SizeBytes() != 0 {
+		t.Errorf("SizeBytes = %d with every bit in the inline word, want 0", b.SizeBytes())
+	}
+	if got := testing.AllocsPerRun(10, func() { var c Bits; c.Set(63); c.Clear(63); _ = c.Any() }); got != 0 {
+		t.Errorf("a bitmap below 64 bits allocated %v times", got)
+	}
 	b.Set(200)
-	if b.SizeBytes() != 4*8 {
-		t.Errorf("SizeBytes = %d, want 32", b.SizeBytes())
+	if b.SizeBytes() != 24+3*8 {
+		t.Errorf("SizeBytes = %d, want 48 (slice header + words 1..3)", b.SizeBytes())
+	}
+}
+
+func TestAndNot(t *testing.T) {
+	var b, mask Bits
+	for _, i := range []int{0, 5, 63, 64, 130} {
+		b.Set(i)
+	}
+	mask.Set(5)
+	mask.Set(64)
+	mask.Set(500) // wider than b
+	b.AndNot(&mask)
+	if got := b.String(); got != "{0,63,130}" {
+		t.Errorf("after AndNot: %s", got)
+	}
+	var high Bits
+	high.Set(130)
+	b.AndNot(&high)
+	if got := b.String(); got != "{0,63}" || b.SizeBytes() != 0 {
+		t.Errorf("after clearing the last high bit: %s, %d bytes above the inline word (want none)", got, b.SizeBytes())
+	}
+	b.AndNot(&b)
+	if b.Any() {
+		t.Error("AndNot of itself left bits")
 	}
 }
 
@@ -115,7 +151,15 @@ func TestBitsMatchesMapModel(t *testing.T) {
 		model := map[int]bool{}
 		for i := 0; i < int(n)+10; i++ {
 			bit := rng.Intn(300)
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
+			case 3:
+				var mask Bits
+				for j := rng.Intn(4); j >= 0; j-- {
+					gone := rng.Intn(300)
+					mask.Set(gone)
+					delete(model, gone)
+				}
+				b.AndNot(&mask)
 			case 0:
 				b.Set(bit)
 				model[bit] = true

@@ -1,0 +1,74 @@
+package graphpool
+
+import (
+	"math/rand"
+	"testing"
+
+	"historygraph/internal/graph"
+)
+
+// BenchmarkPoolApplyEvent measures the current graph's ingest path: the
+// benchmark-shaped trace (see bytes_test.go) applied to an empty pool, a
+// leaf cut every 4 096 events.
+func BenchmarkPoolApplyEvent(b *testing.B) {
+	rng := rand.New(rand.NewSource(27))
+	events := append(shapeNodeEvents(rng), shapeEdgeEvents(rng)...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := New()
+		for j, ev := range events {
+			p.ApplyEvent(ev)
+			if j%4096 == 4095 {
+				p.ClearRecent()
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
+}
+
+// shapedPool returns a pool that holds the shaped graph as its current graph
+// and shapeViews structure-only views of its history, and that history.
+func shapedPool() (*Pool, []*graph.Snapshot) {
+	rng := rand.New(rand.NewSource(27))
+	nodes, edges := shapeNodeEvents(rng), shapeEdgeEvents(rng)
+	history := shapeHistory(nodes, edges)
+	p := New()
+	for _, ev := range append(nodes, edges...) {
+		p.ApplyEvent(ev)
+	}
+	for i, s := range history {
+		p.OverlaySnapshot(s, graph.Time(i))
+	}
+	return p, history
+}
+
+// BenchmarkPoolReleaseClean measures what letting one view go costs a pool
+// that holds the shaped graph and its views: Release and the CleanNow pass
+// that reclaims the bits, which holds the write lock against every reader
+// for its whole length.
+func BenchmarkPoolReleaseClean(b *testing.B) {
+	p, history := shapedPool()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		id := p.OverlaySnapshot(history[i%len(history)], 0)
+		b.StartTimer()
+		if err := p.Release(id); err != nil {
+			b.Fatal(err)
+		}
+		p.CleanNow()
+	}
+}
+
+// BenchmarkPoolApproxBytes measures the size estimate on the same pool: a
+// walk of every element, which is why a metrics scrape reads the cleaner's
+// sample of it (Stats.Bytes) and does not compute it.
+func BenchmarkPoolApproxBytes(b *testing.B) {
+	p, _ := shapedPool()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.ApproxBytes()
+	}
+}

@@ -1,0 +1,139 @@
+package graphpool
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"historygraph/internal/graph"
+)
+
+// The shape of the repository benchmark's graph (benchmark/workloads.go):
+// 4 000 authors with ten attributes each, 16 000 co-authorship edges, and
+// the 32 structure-only views retrieve-embedded holds for heap_live_mb.
+const (
+	shapeNodes, shapeAttrs, shapeEdges, shapeViews = 4000, 10, 16000, 32
+)
+
+func shapeNodeEvents(rng *rand.Rand) (evs []graph.Event) {
+	for n := graph.NodeID(1); n <= shapeNodes; n++ {
+		evs = append(evs, graph.Event{Type: graph.AddNode, Node: n})
+		for a := 0; a < shapeAttrs; a++ {
+			evs = append(evs, graph.Event{Type: graph.SetNodeAttr, Node: n, Attr: fmt.Sprintf("k%d", a), New: fmt.Sprintf("v%d", rng.Intn(1000)), HasNew: true})
+		}
+	}
+	return evs
+}
+
+func shapeEdgeEvents(rng *rand.Rand) (evs []graph.Event) {
+	for e := graph.EdgeID(1); e <= shapeEdges; e++ {
+		evs = append(evs, graph.Event{Type: graph.AddEdge, Edge: e, Node: graph.NodeID(1 + rng.Intn(shapeNodes)), Node2: graph.NodeID(1 + rng.Intn(shapeNodes))})
+	}
+	return evs
+}
+
+// shapeHistory returns the structure of the shaped graph as of shapeViews
+// evenly spread moments of its growth.
+func shapeHistory(nodes, edges []graph.Event) []*graph.Snapshot {
+	var out []*graph.Snapshot
+	s := graph.NewSnapshot()
+	ni, ei := 0, 0
+	for v := 1; v <= shapeViews; v++ {
+		for ; ni < len(nodes)*v/shapeViews; ni++ {
+			if nodes[ni].Type == graph.AddNode {
+				s.Apply(nodes[ni])
+			}
+		}
+		for ; ei < len(edges)*v/shapeViews; ei++ {
+			s.Apply(edges[ei])
+		}
+		out = append(out, s.Clone())
+	}
+	return out
+}
+
+// heapGrowth returns the live heap build leaves behind: HeapAlloc after it
+// and a collection, less HeapAlloc after a collection before it. inputs are
+// what build reads; they are kept alive across both readings, so that
+// their collection is not counted against the growth.
+func heapGrowth(build func(), inputs ...any) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(inputs)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// TestApproxBytesTracksHeap pins ApproxBytes — what graphpool.bytes_per_view,
+// dg_pool_bytes and dgbench's Figure 8(a) table report — to the heap the
+// pool really holds, on the benchmark's shape: within 15 % of the
+// runtime's own count.
+func TestApproxBytesTracksHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	nodes, edges := shapeNodeEvents(rng), shapeEdgeEvents(rng)
+	history := shapeHistory(nodes, edges)
+	var p *Pool
+	heap := heapGrowth(func() {
+		p = New()
+		for _, ev := range nodes {
+			p.ApplyEvent(ev)
+		}
+		for _, ev := range edges {
+			p.ApplyEvent(ev)
+		}
+		for i, s := range history {
+			p.OverlaySnapshot(s, graph.Time(i))
+		}
+	}, nodes, edges, history)
+	// The value strings are the events' own, outside the measured growth
+	// (how a byte of string is allocated differs under the race detector):
+	// what is compared is the layout.
+	est := p.ApproxBytes()
+	for _, ev := range nodes {
+		est -= int64(len(ev.New))
+	}
+	if st := p.Stats(); st.Bits != 2+2*shapeViews {
+		t.Fatalf("the shape should need %d bits (one word and a bit pair beyond it), has %d", 2+2*shapeViews, st.Bits)
+	}
+	t.Logf("ApproxBytes less the value strings %d, heap %d (%+.1f %%)", est, heap, 100*float64(est-heap)/float64(heap))
+	if est < heap*85/100 || est > heap*115/100 {
+		t.Errorf("ApproxBytes = %d, the heap holds %d: off by more than 15 %%", est, heap)
+	}
+	runtime.KeepAlive(p)
+}
+
+// TestPoolBytesPerElement is the golden cost behind heap_live_mb, as
+// TestGoldenCheckpointBytes is behind durable_bytes_per_event: what a node
+// with ten attributes and what a bare edge cost on the heap, measured, under
+// ceilings a layout regression breaks (501 B and 143 B when they were set). The
+// bytes of the value strings are the events' own and not in the measure.
+// With a map of one-element slices of pointers to 48-byte values per element
+// and every bitmap word allocated apart, the same measurement read 1 510 B
+// a node and 153 B an edge.
+func TestPoolBytesPerElement(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	nodes, edges := shapeNodeEvents(rng), shapeEdgeEvents(rng)
+	p := New()
+	apply := func(evs []graph.Event) func() {
+		return func() {
+			for _, ev := range evs {
+				p.ApplyEvent(ev)
+			}
+		}
+	}
+	perNode := float64(heapGrowth(apply(nodes), nodes, edges)) / shapeNodes
+	perEdge := float64(heapGrowth(apply(edges), edges)) / shapeEdges
+	t.Logf("%.0f B per node with %d attributes, %.0f B per bare edge", perNode, shapeAttrs, perEdge)
+	const nodeCeiling, edgeCeiling = 550, 150
+	if perNode > nodeCeiling {
+		t.Errorf("a node with %d attributes costs %.0f B of heap, ceiling %d", shapeAttrs, perNode, nodeCeiling)
+	}
+	if perEdge > edgeCeiling {
+		t.Errorf("a bare edge costs %.0f B of heap, ceiling %d", perEdge, edgeCeiling)
+	}
+	runtime.KeepAlive(p)
+}

@@ -8,8 +8,9 @@ import (
 // Cleaner performs the paper's lazy clean-up: instead of eagerly resetting
 // bits when a graph is released, a background pass periodically scans the
 // pool, resets the bits of released graphs and evicts elements that belong
-// to no active graph. ForceClean can be called when memory is low; it runs
-// a pass immediately and is not interrupted.
+// to no active graph, then measures what is left (Stats.Bytes). ForceClean
+// can be called when memory is low; it runs a pass immediately and is not
+// interrupted.
 type Cleaner struct {
 	pool     *Pool
 	interval time.Duration
@@ -49,6 +50,7 @@ func (c *Cleaner) run(stop, done chan struct{}) {
 			return
 		case <-ticker.C:
 			n := c.pool.CleanNow()
+			c.pool.sampledBytes.Store(c.pool.ApproxBytes())
 			c.mu.Lock()
 			c.cleaned += int64(n)
 			c.mu.Unlock()

@@ -16,7 +16,6 @@ import (
 // The projection reflects the pool at freeze time; graphs overlaid or
 // released afterwards are not observed. Freeze again to refresh.
 type FrozenView struct {
-	test    membershipTest
 	nodes   []frozenNode
 	adj     map[graph.NodeID][]frozenEdge
 	numNode int
@@ -32,76 +31,44 @@ type frozenEdge struct {
 	word  uint64
 }
 
-// membershipTest evaluates membership from the packed word: the exception
-// bit pair (for historical graphs) and the dependency bit are shifted into
-// known positions at freeze time.
-type membershipTest struct {
-	excMask, memMask, depMask uint64
-	useDep                    bool
-}
+// The packed word of a frozen element: the bits the view's membership test
+// reads, moved to fixed positions at freeze time.
+const (
+	frozenExc = 1 << iota // the element is explicit in this graph …
+	frozenMem             // … and this is its membership
+	frozenDep             // membership in the dependency, inherited otherwise
+)
 
-func (t membershipTest) member(w uint64) bool {
-	if w&t.excMask != 0 {
-		return w&t.memMask != 0
+func frozenMember(w uint64) bool {
+	if w&frozenExc != 0 {
+		return w&frozenMem != 0
 	}
-	if t.useDep {
-		return w&t.depMask != 0
-	}
-	return false
-}
-
-// pack extracts the bits the test needs into one word: bit positions 0/1
-// hold the entry pair (or the single bit), position 2 the dependency bit.
-func pack(bm *bitset.Bits, excBit, memBit, depBit int) uint64 {
-	var w uint64
-	if excBit >= 0 && bm.Get(excBit) {
-		w |= 1
-	}
-	if memBit >= 0 && bm.Get(memBit) {
-		w |= 2
-	}
-	if depBit >= 0 && bm.Get(depBit) {
-		w |= 4
-	}
-	return w
+	return w&frozenDep != 0
 }
 
 // Freeze builds the lock-free projection of the view.
 func (v *View) Freeze() *FrozenView {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	entry := v.entry
-	// Resolve the bit layout once.
-	excBit, memBit, depBit := -1, -1, -1
-	test := membershipTest{excMask: 1, memMask: 2, depMask: 4}
-	switch entry.kind {
-	case KindCurrent:
-		// Membership is bit 0: model as "always exceptional".
-		excBit, memBit = -2, 0 // excBit -2: see below, force exc set
-	case KindMaterialized:
-		excBit, memBit = -2, entry.bit
-	default:
-		excBit, memBit = entry.bit, entry.bit+1
-		if entry.dep != NoDependency {
-			if dep, ok := v.p.graphs[entry.dep]; ok {
-				test.useDep = true
-				depBit = dep.bit // current graph: bit 0; materialized: its bit
-			}
+	m := v.entry.m
+	pack := func(bm *bitset.Bits) (w uint64) {
+		if m.exc < 0 || bm.Get(m.exc) {
+			w |= frozenExc
 		}
-	}
-	packOne := func(bm *bitset.Bits) uint64 {
-		if excBit == -2 { // non-historical: exception always "set"
-			return 1 | pack(bm, -1, memBit, -1)
+		if bm.Get(m.mem) {
+			w |= frozenMem
 		}
-		return pack(bm, excBit, memBit, depBit)
+		if m.dep >= 0 && bm.Get(m.dep) {
+			w |= frozenDep
+		}
+		return w
 	}
-
-	f := &FrozenView{test: test, adj: make(map[graph.NodeID][]frozenEdge), numNode: entry.nodeCount}
+	f := &FrozenView{adj: make(map[graph.NodeID][]frozenEdge), numNode: v.entry.nodeCount}
 	for id, pn := range v.p.nodes {
-		f.nodes = append(f.nodes, frozenNode{id: id, word: packOne(&pn.bm)})
+		f.nodes = append(f.nodes, frozenNode{id: id, word: pack(&pn.bm)})
 	}
 	for _, pe := range v.p.edges {
-		w := packOne(&pe.bm)
+		w := pack(&pe.bm)
 		f.adj[pe.info.From] = append(f.adj[pe.info.From], frozenEdge{other: pe.info.To, word: w})
 		if pe.info.To != pe.info.From {
 			f.adj[pe.info.To] = append(f.adj[pe.info.To], frozenEdge{other: pe.info.From, word: w})
@@ -116,7 +83,7 @@ func (f *FrozenView) NumNodes() int { return f.numNode }
 // ForEachNode implements the analytics Graph interface.
 func (f *FrozenView) ForEachNode(fn func(graph.NodeID) bool) {
 	for _, n := range f.nodes {
-		if f.test.member(n.word) {
+		if frozenMember(n.word) {
 			if !fn(n.id) {
 				return
 			}
@@ -128,7 +95,7 @@ func (f *FrozenView) ForEachNode(fn func(graph.NodeID) bool) {
 func (f *FrozenView) Neighbors(n graph.NodeID) []graph.NodeID {
 	var out []graph.NodeID
 	for _, e := range f.adj[n] {
-		if f.test.member(e.word) {
+		if frozenMember(e.word) {
 			out = append(out, e.other)
 		}
 	}
@@ -139,7 +106,7 @@ func (f *FrozenView) Neighbors(n graph.NodeID) []graph.NodeID {
 // performs one bitmap membership test (the measured penalty).
 func (f *FrozenView) ForEachNeighbor(n graph.NodeID, fn func(graph.NodeID) bool) {
 	for _, e := range f.adj[n] {
-		if f.test.member(e.word) {
+		if frozenMember(e.word) {
 			if !fn(e.other) {
 				return
 			}
@@ -151,7 +118,7 @@ func (f *FrozenView) ForEachNeighbor(n graph.NodeID, fn func(graph.NodeID) bool)
 func (f *FrozenView) Degree(n graph.NodeID) int {
 	d := 0
 	for _, e := range f.adj[n] {
-		if f.test.member(e.word) {
+		if frozenMember(e.word) {
 			d++
 		}
 	}

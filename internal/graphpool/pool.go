@@ -19,8 +19,11 @@ package graphpool
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"historygraph/internal/bitset"
 	"historygraph/internal/delta"
@@ -60,27 +63,122 @@ func (k GraphKind) String() string {
 	return "?"
 }
 
-// attrVal is one attribute value with the bitmap of graphs holding it.
+// attrVal is one value of one attribute with the bitmap of graphs holding
+// it. The name is an index into Pool.names.
 type attrVal struct {
-	val string
-	bm  bitset.Bits
+	name uint32
+	val  string
+	bm   bitset.Bits
 }
 
-type poolNode struct {
+// element is what the pool keeps of a node, and the head of what it keeps
+// of an edge: the bitmap of graphs the element is in and every attribute
+// value any graph gives it, in one list. Values of one name are adjacent,
+// in the order they were first seen.
+type element struct {
 	bm    bitset.Bits
-	attrs map[string][]*attrVal
+	attrs []attrVal
 }
 
 type poolEdge struct {
-	info  graph.EdgeInfo
-	bm    bitset.Bits
-	attrs map[string][]*attrVal
+	element
+	info graph.EdgeInfo
+}
+
+// run returns the bounds of the values of name in el.attrs (both
+// len(el.attrs) when there are none).
+func (el *element) run(name uint32) (lo, hi int) {
+	for lo < len(el.attrs) && el.attrs[lo].name != name {
+		lo++
+	}
+	for hi = lo; hi < len(el.attrs) && el.attrs[hi].name == name; hi++ {
+	}
+	return lo, hi
+}
+
+// set marks the value val of name with each of bits, adding it behind the
+// other values of that name if it is new.
+func (el *element) set(name uint32, val string, bits ...int) {
+	i, hi := el.run(name)
+	for i < hi && el.attrs[i].val != val {
+		i++
+	}
+	if i == hi {
+		if n := len(el.attrs); n == cap(el.attrs) {
+			// An eighth at a time: append's doubling would leave the
+			// ten-attribute node of a typical trace paying for sixteen.
+			grown := make([]attrVal, n, n+1+n/8)
+			copy(grown, el.attrs)
+			el.attrs = grown
+		}
+		el.attrs = append(el.attrs, attrVal{})
+		copy(el.attrs[i+1:], el.attrs[i:])
+		el.attrs[i] = attrVal{name: name, val: val}
+	}
+	for _, b := range bits {
+		el.attrs[i].bm.Set(b)
+	}
+}
+
+// setAll is set for every pair of attrs.
+func (p *Pool) setAll(el *element, attrs map[string]string, bits []int) {
+	if el.attrs == nil {
+		el.attrs = make([]attrVal, 0, len(attrs))
+	}
+	for k, v := range attrs {
+		el.set(p.nameID(k), v, bits...)
+	}
+}
+
+// except makes every value of name an exception the graph owning the pair
+// {exc, member} does not hold.
+func (el *element) except(name uint32, exc, member int) {
+	for i, hi := el.run(name); i < hi; i++ {
+		el.attrs[i].bm.Set(exc)
+		el.attrs[i].bm.Clear(member)
+	}
+}
+
+// clear clears the bits of mask on the element and on its attribute values,
+// drops the values no graph holds any more and returns how many that was.
+func (el *element) clear(mask *bitset.Bits) int {
+	el.bm.AndNot(mask)
+	kept := el.attrs[:0]
+	for i := range el.attrs {
+		av := &el.attrs[i]
+		if av.bm.AndNot(mask); av.bm.Any() {
+			kept = append(kept, *av)
+		}
+	}
+	removed := len(el.attrs) - len(kept)
+	clear(el.attrs[len(kept):])
+	if el.attrs = kept; len(kept) == 0 {
+		el.attrs = nil
+	}
+	return removed
+}
+
+// dead reports whether no graph holds the element or any value of it.
+func (el *element) dead() bool { return len(el.attrs) == 0 && !el.bm.Any() }
+
+// membership is a graph's membership test with its bits resolved, so that
+// evaluating it needs neither the graph table nor the dependency's entry.
+// exc < 0: every element is explicit (the current graph, a materialized
+// one); dep < 0: no dependency to inherit from.
+type membership struct{ exc, mem, dep int }
+
+func (m membership) has(bm *bitset.Bits) bool {
+	if m.exc < 0 || bm.Get(m.exc) {
+		return bm.Get(m.mem)
+	}
+	return m.dep >= 0 && bm.Get(m.dep)
 }
 
 type graphEntry struct {
 	id         GraphID
 	kind       GraphKind
 	bit        int // first bit; historical graphs also own bit+1
+	m          membership
 	dep        GraphID
 	attrs      graph.AttrOptions // what a dependent graph was retrieved with
 	at         graph.Time
@@ -95,31 +193,40 @@ type graphEntry struct {
 // take the write lock, view reads take the read lock.
 type Pool struct {
 	mu     sync.RWMutex
-	nodes  map[graph.NodeID]*poolNode
+	nodes  map[graph.NodeID]*element
 	edges  map[graph.EdgeID]*poolEdge
 	adj    map[graph.NodeID][]graph.EdgeID
 	graphs map[GraphID]*graphEntry
 	nextID GraphID
+	// Attribute names, interned: an attrVal holds an index into names.
+	names   []string
+	nameIDs map[string]uint32
 	// Bit allocation: historical graphs take pairs, materialized singles.
 	nextBit     int
 	freePairs   []int
 	freeSingles []int
-	// recent lists the bitmaps bit 1 was set on since the last ClearRecent
-	// (one entry per delete, so an element deleted twice is listed twice).
-	recent []*bitset.Bits
+	// The elements bit 1 was set on since the last ClearRecent, on the
+	// element or on a value of it (one entry per delete, so an element
+	// deleted twice is listed twice).
+	recentNodes []graph.NodeID
+	recentEdges []graph.EdgeID
+	// ApproxBytes as a Cleaner last sampled it: a walk of the whole pool,
+	// which a metrics scrape must not pay for.
+	sampledBytes atomic.Int64
 }
 
 // New returns an empty pool containing only the (empty) current graph.
 func New() *Pool {
 	p := &Pool{
-		nodes:   make(map[graph.NodeID]*poolNode),
+		nodes:   make(map[graph.NodeID]*element),
 		edges:   make(map[graph.EdgeID]*poolEdge),
 		adj:     make(map[graph.NodeID][]graph.EdgeID),
 		graphs:  make(map[GraphID]*graphEntry),
+		nameIDs: make(map[string]uint32),
 		nextID:  1,
 		nextBit: 2, // bits 0 and 1 are the current graph's
 	}
-	p.graphs[CurrentGraph] = &graphEntry{id: CurrentGraph, kind: KindCurrent, bit: 0, dep: NoDependency}
+	p.graphs[CurrentGraph] = &graphEntry{id: CurrentGraph, kind: KindCurrent, m: membership{exc: -1, mem: 0, dep: -1}, dep: NoDependency}
 	return p
 }
 
@@ -145,10 +252,26 @@ func (p *Pool) allocSingle() int {
 	return bit
 }
 
-func (p *Pool) node(id graph.NodeID) *poolNode {
+// register enters a new graph of the given kind into the graph table. The
+// caller holds the write lock.
+func (p *Pool) register(kind GraphKind, dep GraphID, at graph.Time) *graphEntry {
+	entry := &graphEntry{id: p.nextID, kind: kind, dep: dep, at: at}
+	if kind == KindMaterialized {
+		entry.bit = p.allocSingle()
+		entry.m = membership{exc: -1, mem: entry.bit, dep: -1}
+	} else {
+		entry.bit = p.allocPair()
+		entry.m = membership{exc: entry.bit, mem: entry.bit + 1, dep: -1}
+	}
+	p.nextID++
+	p.graphs[entry.id] = entry
+	return entry
+}
+
+func (p *Pool) node(id graph.NodeID) *element {
 	n := p.nodes[id]
 	if n == nil {
-		n = &poolNode{}
+		n = &element{}
 		p.nodes[id] = n
 	}
 	return n
@@ -167,41 +290,15 @@ func (p *Pool) edge(id graph.EdgeID, info graph.EdgeInfo) *poolEdge {
 	return e
 }
 
-func setAttr(attrs *map[string][]*attrVal, name, val string, bit int) {
-	if *attrs == nil {
-		*attrs = make(map[string][]*attrVal)
+// nameID interns an attribute name. The caller holds the write lock.
+func (p *Pool) nameID(name string) uint32 {
+	id, ok := p.nameIDs[name]
+	if !ok {
+		id = uint32(len(p.names))
+		p.names = append(p.names, name)
+		p.nameIDs[name] = id
 	}
-	vals := (*attrs)[name]
-	for _, av := range vals {
-		if av.val == val {
-			av.bm.Set(bit)
-			return
-		}
-	}
-	av := &attrVal{val: val}
-	av.bm.Set(bit)
-	(*attrs)[name] = append(vals, av)
-}
-
-// member evaluates the bitmap semantics for one graph. The caller holds at
-// least the read lock.
-func (p *Pool) member(bm *bitset.Bits, g *graphEntry) bool {
-	switch g.kind {
-	case KindCurrent:
-		return bm.Get(0)
-	case KindMaterialized:
-		return bm.Get(g.bit)
-	default: // KindHistorical
-		if bm.Get(g.bit) {
-			return bm.Get(g.bit + 1)
-		}
-		if g.dep != NoDependency {
-			if dep, ok := p.graphs[g.dep]; ok {
-				return p.member(bm, dep)
-			}
-		}
-		return false
-	}
+	return id
 }
 
 // markAll marks every element and attribute value of s with each of bits
@@ -222,22 +319,12 @@ func (p *Pool) markAll(entry *graphEntry, s *graph.Snapshot, bits ...int) {
 		}
 	}
 	for n, attrs := range s.NodeAttrs {
-		pn := p.node(n)
-		for k, v := range attrs {
-			for _, b := range bits {
-				setAttr(&pn.attrs, k, v, b)
-			}
-		}
+		p.setAll(p.node(n), attrs, bits)
 	}
 	for e, attrs := range s.EdgeAttrs {
-		pe, ok := p.edges[e]
-		if !ok {
-			continue // attribute for an edge the snapshot does not contain
-		}
-		for k, v := range attrs {
-			for _, b := range bits {
-				setAttr(&pe.attrs, k, v, b)
-			}
+		// An attribute for an edge the snapshot does not contain is skipped.
+		if pe, ok := p.edges[e]; ok {
+			p.setAll(&pe.element, attrs, bits)
 		}
 	}
 	entry.nodeCount = len(s.Nodes)
@@ -250,9 +337,7 @@ func (p *Pool) markAll(entry *graphEntry, s *graph.Snapshot, bits ...int) {
 func (p *Pool) OverlaySnapshot(s *graph.Snapshot, at graph.Time) GraphID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	entry := &graphEntry{id: p.nextID, kind: KindHistorical, bit: p.allocPair(), dep: NoDependency, at: at}
-	p.nextID++
-	p.graphs[entry.id] = entry
+	entry := p.register(KindHistorical, NoDependency, at)
 	p.markAll(entry, s, entry.bit, entry.bit+1)
 	return entry.id
 }
@@ -262,9 +347,7 @@ func (p *Pool) OverlaySnapshot(s *graph.Snapshot, at graph.Time) GraphID {
 func (p *Pool) OverlayMaterialized(s *graph.Snapshot) GraphID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	entry := &graphEntry{id: p.nextID, kind: KindMaterialized, bit: p.allocSingle(), dep: NoDependency}
-	p.nextID++
-	p.graphs[entry.id] = entry
+	entry := p.register(KindMaterialized, NoDependency, 0)
 	p.markAll(entry, s, entry.bit)
 	return entry.id
 }
@@ -286,71 +369,90 @@ func (p *Pool) OverlayDependent(dep GraphID, d *delta.Delta, at graph.Time, attr
 	if depEntry.kind == KindHistorical {
 		return 0, fmt.Errorf("graphpool: dependency must be the current graph or a materialized graph")
 	}
-	entry := &graphEntry{id: p.nextID, kind: KindHistorical, bit: p.allocPair(), dep: dep, attrs: attrs, at: at}
-	p.nextID++
-	p.graphs[entry.id] = entry
+	entry := p.register(KindHistorical, dep, at)
+	entry.attrs, entry.m.dep = attrs, depEntry.bit
 	depEntry.dependents++
 
 	exc, member := entry.bit, entry.bit+1
+	explicit := func(bm *bitset.Bits, in bool) {
+		bm.Set(exc)
+		bm.SetTo(member, in)
+	}
 	for _, n := range d.AddNodes {
-		pn := p.node(n)
-		pn.bm.Set(exc)
-		pn.bm.Set(member)
+		explicit(&p.node(n).bm, true)
 	}
 	for _, n := range d.DelNodes {
-		pn := p.node(n)
-		pn.bm.Set(exc)
-		pn.bm.Clear(member)
+		explicit(&p.node(n).bm, false)
 	}
 	for _, e := range d.AddEdges {
-		pe := p.edge(e.ID, graph.EdgeInfo{From: e.From, To: e.To, Directed: e.Directed})
-		pe.bm.Set(exc)
-		pe.bm.Set(member)
+		explicit(&p.edge(e.ID, graph.EdgeInfo{From: e.From, To: e.To, Directed: e.Directed}).bm, true)
 	}
 	for _, e := range d.DelEdges {
-		pe := p.edge(e.ID, graph.EdgeInfo{From: e.From, To: e.To, Directed: e.Directed})
-		pe.bm.Set(exc)
-		pe.bm.Clear(member)
+		explicit(&p.edge(e.ID, graph.EdgeInfo{From: e.From, To: e.To, Directed: e.Directed}).bm, false)
 	}
+	// A set or deleted attribute excludes every value the element has under
+	// that name; a set one then includes the new value.
 	for _, rec := range d.SetNodeAttrs {
-		pn := p.node(rec.Node)
-		// Mark every existing value of this attribute as an exception
-		// (excluded), then include the new value.
-		for _, av := range pn.attrs[rec.Attr] {
-			av.bm.Set(exc)
-			av.bm.Clear(member)
-		}
-		setAttr(&pn.attrs, rec.Attr, rec.Val, exc)
-		setAttr(&pn.attrs, rec.Attr, rec.Val, member)
+		pn, name := p.node(rec.Node), p.nameID(rec.Attr)
+		pn.except(name, exc, member)
+		pn.set(name, rec.Val, exc, member)
 	}
 	for _, rec := range d.DelNodeAttrs {
-		pn := p.node(rec.Node)
-		for _, av := range pn.attrs[rec.Attr] {
-			av.bm.Set(exc)
-			av.bm.Clear(member)
-		}
+		p.node(rec.Node).except(p.nameID(rec.Attr), exc, member)
 	}
 	for _, rec := range d.SetEdgeAttrs {
 		if pe, ok := p.edges[rec.Edge]; ok {
-			for _, av := range pe.attrs[rec.Attr] {
-				av.bm.Set(exc)
-				av.bm.Clear(member)
-			}
-			setAttr(&pe.attrs, rec.Attr, rec.Val, exc)
-			setAttr(&pe.attrs, rec.Attr, rec.Val, member)
+			name := p.nameID(rec.Attr)
+			pe.except(name, exc, member)
+			pe.set(name, rec.Val, exc, member)
 		}
 	}
 	for _, rec := range d.DelEdgeAttrs {
 		if pe, ok := p.edges[rec.Edge]; ok {
-			for _, av := range pe.attrs[rec.Attr] {
-				av.bm.Set(exc)
-				av.bm.Clear(member)
-			}
+			pe.except(p.nameID(rec.Attr), exc, member)
 		}
 	}
 	entry.nodeCount = depEntry.nodeCount + len(d.AddNodes) - len(d.DelNodes)
 	entry.edgeCount = depEntry.edgeCount + len(d.AddEdges) - len(d.DelEdges)
 	return entry.id, nil
+}
+
+// sweepNode clears the bits of mask on a node and its attribute values and
+// evicts what no graph holds any more; it returns the number of values and
+// elements evicted. The caller holds the write lock.
+func (p *Pool) sweepNode(id graph.NodeID, pn *element, mask *bitset.Bits) int {
+	removed := pn.clear(mask)
+	if pn.dead() {
+		delete(p.nodes, id)
+		removed++
+	}
+	return removed
+}
+
+// sweepEdge is sweepNode for an edge, which also leaves the adjacency lists.
+func (p *Pool) sweepEdge(id graph.EdgeID, pe *poolEdge, mask *bitset.Bits) int {
+	removed := pe.clear(mask)
+	if pe.dead() {
+		delete(p.edges, id)
+		p.dropAdj(pe.info.From, id)
+		if pe.info.To != pe.info.From {
+			p.dropAdj(pe.info.To, id)
+		}
+		removed++
+	}
+	return removed
+}
+
+// sweepAll sweeps every element of the pool.
+func (p *Pool) sweepAll(mask *bitset.Bits) int {
+	removed := 0
+	for id, pn := range p.nodes {
+		removed += p.sweepNode(id, pn, mask)
+	}
+	for id, pe := range p.edges {
+		removed += p.sweepEdge(id, pe, mask)
+	}
+	return removed
 }
 
 // LoadCurrent seeds the current graph (bit 0) from a full snapshot; used
@@ -359,22 +461,9 @@ func (p *Pool) OverlayDependent(dep GraphID, d *delta.Delta, at graph.Time, attr
 func (p *Pool) LoadCurrent(s *graph.Snapshot) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, pn := range p.nodes {
-		pn.bm.Clear(0)
-		for _, vals := range pn.attrs {
-			for _, av := range vals {
-				av.bm.Clear(0)
-			}
-		}
-	}
-	for _, pe := range p.edges {
-		pe.bm.Clear(0)
-		for _, vals := range pe.attrs {
-			for _, av := range vals {
-				av.bm.Clear(0)
-			}
-		}
-	}
+	var mask bitset.Bits
+	mask.Set(0)
+	p.sweepAll(&mask)
 	p.markAll(p.graphs[CurrentGraph], s, 0)
 }
 
@@ -385,79 +474,81 @@ func (p *Pool) ApplyEvent(ev graph.Event) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	cur := p.graphs[CurrentGraph]
-	switch ev.Type {
-	case graph.AddNode:
-		pn := p.node(ev.Node)
-		if !pn.bm.Get(0) {
-			cur.nodeCount++
+	// put moves an element into or out of the current graph and keeps count.
+	put := func(bm *bitset.Bits, count *int, in bool) {
+		if in && !bm.Get(0) {
+			*count++
+		} else if !in && bm.Get(0) {
+			*count--
 		}
-		pn.bm.Set(0)
-	case graph.DelNode:
-		pn := p.node(ev.Node)
-		if pn.bm.Get(0) {
-			cur.nodeCount--
+		bm.SetTo(0, in)
+		if !in {
+			bm.Set(1)
 		}
-		pn.bm.Clear(0)
-		p.markRecent(&pn.bm)
-	case graph.AddEdge:
-		pe := p.edge(ev.Edge, graph.EdgeInfo{From: ev.Node, To: ev.Node2, Directed: ev.Directed})
-		if !pe.bm.Get(0) {
-			cur.edgeCount++
-		}
-		pe.bm.Set(0)
-	case graph.DelEdge:
-		pe := p.edge(ev.Edge, graph.EdgeInfo{From: ev.Node, To: ev.Node2, Directed: ev.Directed})
-		if pe.bm.Get(0) {
-			cur.edgeCount--
-		}
-		pe.bm.Clear(0)
-		p.markRecent(&pe.bm)
-	case graph.SetNodeAttr:
-		pn := p.node(ev.Node)
-		for _, av := range pn.attrs[ev.Attr] {
-			if av.bm.Get(0) {
-				av.bm.Clear(0)
-				p.markRecent(&av.bm)
+	}
+	// setAttr takes every current value of the attribute out of the current
+	// graph and puts the new one, if any, in; it reports whether a value
+	// left.
+	setAttr := func(el *element) (deleted bool) {
+		name := p.nameID(ev.Attr)
+		for i, hi := el.run(name); i < hi; i++ {
+			if bm := &el.attrs[i].bm; bm.Get(0) {
+				bm.Clear(0)
+				bm.Set(1)
+				deleted = true
 			}
 		}
 		if ev.HasNew {
-			setAttr(&pn.attrs, ev.Attr, ev.New, 0)
+			el.set(name, ev.New, 0)
+		}
+		return deleted
+	}
+	switch ev.Type {
+	case graph.AddNode:
+		put(&p.node(ev.Node).bm, &cur.nodeCount, true)
+	case graph.DelNode:
+		put(&p.node(ev.Node).bm, &cur.nodeCount, false)
+		p.recentNodes = append(p.recentNodes, ev.Node)
+	case graph.AddEdge, graph.DelEdge:
+		pe := p.edge(ev.Edge, graph.EdgeInfo{From: ev.Node, To: ev.Node2, Directed: ev.Directed})
+		put(&pe.bm, &cur.edgeCount, ev.Type == graph.AddEdge)
+		if ev.Type == graph.DelEdge {
+			p.recentEdges = append(p.recentEdges, ev.Edge)
+		}
+	case graph.SetNodeAttr:
+		if setAttr(p.node(ev.Node)) {
+			p.recentNodes = append(p.recentNodes, ev.Node)
 		}
 	case graph.SetEdgeAttr:
-		if pe, ok := p.edges[ev.Edge]; ok {
-			for _, av := range pe.attrs[ev.Attr] {
-				if av.bm.Get(0) {
-					av.bm.Clear(0)
-					p.markRecent(&av.bm)
-				}
-			}
-			if ev.HasNew {
-				setAttr(&pe.attrs, ev.Attr, ev.New, 0)
-			}
+		if pe, ok := p.edges[ev.Edge]; ok && setAttr(&pe.element) {
+			p.recentEdges = append(p.recentEdges, ev.Edge)
 		}
 	}
-}
-
-// markRecent sets bit 1 ("recently deleted, not yet in the index") and
-// remembers where, so that ClearRecent need not search the pool for it.
-func (p *Pool) markRecent(bm *bitset.Bits) {
-	bm.Set(1)
-	p.recent = append(p.recent, bm)
 }
 
 // ClearRecent clears bit 1 wherever it is set: the recently deleted elements
 // are now covered by the on-disk index (called after a leaf-eventlist
-// flush). It visits the bitmaps marked since the last call and nothing else,
-// and returns how many that was.
+// flush). It visits the elements marked since the last call and nothing
+// else, evicts those of them no graph holds any more — in a pool nobody
+// reads from there is never a released graph for CleanNow to find them by —
+// and returns how many marks there were.
 func (p *Pool) ClearRecent() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := len(p.recent)
-	for i, bm := range p.recent {
-		bm.Clear(1)
-		p.recent[i] = nil
+	var mask bitset.Bits
+	mask.Set(1)
+	for _, id := range p.recentNodes {
+		if pn := p.nodes[id]; pn != nil {
+			p.sweepNode(id, pn, &mask)
+		}
 	}
-	p.recent = p.recent[:0]
+	for _, id := range p.recentEdges {
+		if pe := p.edges[id]; pe != nil {
+			p.sweepEdge(id, pe, &mask)
+		}
+	}
+	n := len(p.recentNodes) + len(p.recentEdges)
+	p.recentNodes, p.recentEdges = p.recentNodes[:0], p.recentEdges[:0]
 	return n
 }
 
@@ -491,7 +582,17 @@ func (p *Pool) Unpin(id GraphID) error {
 		return fmt.Errorf("graphpool: graph %d not pinned", id)
 	}
 	entry.pins--
+	p.letGoOfDependency(entry)
 	return nil
+}
+
+// letGoOfDependency stops entry counting as a dependent once nothing can
+// read it any more: it is released and the last pin is gone. A released
+// graph a reader still pins inherits from its dependency until then.
+func (p *Pool) letGoOfDependency(entry *graphEntry) {
+	if dep, ok := p.graphs[entry.dep]; ok && entry.released && entry.pins == 0 {
+		dep.dependents--
+	}
 }
 
 // Pins returns the current pin count of a graph (0 if unknown).
@@ -505,8 +606,9 @@ func (p *Pool) Pins(id GraphID) int {
 }
 
 // Release marks a graph as no longer needed. Its bits are reclaimed by the
-// next CleanNow. Releasing a materialized graph that other active graphs
-// depend on is an error; the current graph can never be released.
+// next CleanNow. Releasing a materialized graph that other graphs still
+// readable (not released, or released and pinned) depend on is an error; the
+// current graph can never be released.
 func (p *Pool) Release(id GraphID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -524,11 +626,7 @@ func (p *Pool) Release(id GraphID) error {
 		return nil
 	}
 	entry.released = true
-	if entry.dep != NoDependency {
-		if dep, ok := p.graphs[entry.dep]; ok {
-			dep.dependents--
-		}
-	}
+	p.letGoOfDependency(entry)
 	return nil
 }
 
@@ -540,83 +638,24 @@ func (p *Pool) Release(id GraphID) error {
 func (p *Pool) CleanNow() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var bits []int
+	var mask bitset.Bits
 	for id, entry := range p.graphs {
 		if !entry.released || entry.pins > 0 {
 			continue
 		}
-		bits = append(bits, entry.bit)
+		mask.Set(entry.bit)
 		if entry.kind == KindHistorical {
-			bits = append(bits, entry.bit+1)
+			mask.Set(entry.bit + 1)
 			p.freePairs = append(p.freePairs, entry.bit)
 		} else {
 			p.freeSingles = append(p.freeSingles, entry.bit)
 		}
 		delete(p.graphs, id)
 	}
-	if len(bits) == 0 {
+	if !mask.Any() {
 		return 0
 	}
-	removed := 0
-	for id, pn := range p.nodes {
-		for _, b := range bits {
-			pn.bm.Clear(b)
-		}
-		for name, vals := range pn.attrs {
-			kept := vals[:0]
-			for _, av := range vals {
-				for _, b := range bits {
-					av.bm.Clear(b)
-				}
-				if av.bm.Any() {
-					kept = append(kept, av)
-				} else {
-					removed++
-				}
-			}
-			if len(kept) == 0 {
-				delete(pn.attrs, name)
-			} else {
-				pn.attrs[name] = kept
-			}
-		}
-		if !pn.bm.Any() && len(pn.attrs) == 0 {
-			delete(p.nodes, id)
-			removed++
-		}
-	}
-	for id, pe := range p.edges {
-		for _, b := range bits {
-			pe.bm.Clear(b)
-		}
-		for name, vals := range pe.attrs {
-			kept := vals[:0]
-			for _, av := range vals {
-				for _, b := range bits {
-					av.bm.Clear(b)
-				}
-				if av.bm.Any() {
-					kept = append(kept, av)
-				} else {
-					removed++
-				}
-			}
-			if len(kept) == 0 {
-				delete(pe.attrs, name)
-			} else {
-				pe.attrs[name] = kept
-			}
-		}
-		if !pe.bm.Any() && len(pe.attrs) == 0 {
-			delete(p.edges, id)
-			p.dropAdj(pe.info.From, id)
-			if pe.info.To != pe.info.From {
-				p.dropAdj(pe.info.To, id)
-			}
-			removed++
-		}
-	}
-	return removed
+	return p.sweepAll(&mask)
 }
 
 func (p *Pool) dropAdj(n graph.NodeID, e graph.EdgeID) {
@@ -666,11 +705,13 @@ func (p *Pool) MappingTable() []MappingRow {
 
 // Stats summarizes the pool's contents.
 type Stats struct {
-	ActiveGraphs int
-	PinnedGraphs int // graphs with at least one Pin reference
-	PoolNodes    int // union-graph nodes resident
-	PoolEdges    int
-	Bits         int // bitmap width in use
+	ActiveGraphs   int // every graph in the graph table, ReleasedGraphs included
+	PinnedGraphs   int // graphs with at least one Pin reference
+	ReleasedGraphs int // released, their bits not yet reclaimed by CleanNow
+	PoolNodes      int // union-graph nodes resident
+	PoolEdges      int
+	Bits           int   // bitmap width in use
+	Bytes          int64 // ApproxBytes as of a started Cleaner's last pass (0 before the first)
 }
 
 // Stats returns current pool statistics.
@@ -682,46 +723,65 @@ func (p *Pool) Stats() Stats {
 		PoolNodes:    len(p.nodes),
 		PoolEdges:    len(p.edges),
 		Bits:         p.nextBit,
+		Bytes:        p.sampledBytes.Load(),
 	}
 	for _, e := range p.graphs {
 		if e.pins > 0 {
 			st.PinnedGraphs++
 		}
+		if e.released {
+			st.ReleasedGraphs++
+		}
 	}
 	return st
 }
 
-// ApproxBytes estimates the pool's memory footprint: element records,
-// adjacency entries, attribute values, and bitmaps. It is the quantity
-// plotted in the paper's Figure 8(a).
+// mapSlot is what one entry of a map from an 8-byte key to an 8-byte value
+// costs: 17 bytes of slot and control byte, in tables that double at seven
+// eighths full. Go 1.24 measures between 24 bytes an entry just before a
+// table grows and 42 just after.
+const mapSlot = 30
+
+// heapSize is n rounded up about the way the allocator rounds an object:
+// to a sixteenth of the next power of two, and to no less than 16.
+func heapSize(n uintptr) int64 {
+	step := uintptr(1) << max(bits.Len(uint(n)), 8) >> 4
+	return int64((n + step - 1) &^ (step - 1))
+}
+
+// bytes returns the heap the element's bitmap and attribute list own.
+func (el *element) bytes() int64 {
+	n := int64(el.bm.SizeBytes())
+	if cap(el.attrs) > 0 {
+		n += heapSize(uintptr(cap(el.attrs)) * unsafe.Sizeof(attrVal{}))
+	}
+	for i := range el.attrs {
+		n += int64(len(el.attrs[i].val) + el.attrs[i].bm.SizeBytes())
+	}
+	return n
+}
+
+// ApproxBytes estimates the pool's memory footprint from its layout: a map
+// entry and a record per element, the attribute lists at their capacity
+// with the value strings, the bitmap words that are not inline, the
+// adjacency lists at their capacity, and each attribute name once. It is
+// the quantity plotted in the paper's Figure 8(a).
 func (p *Pool) ApproxBytes() int64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	const (
-		nodeOverhead = 48 // map entry + struct
-		edgeOverhead = 72
-		attrOverhead = 40
-		adjEntry     = 8
-	)
-	var total int64
+	total := int64(len(p.nodes))*(mapSlot+heapSize(unsafe.Sizeof(element{}))) +
+		int64(len(p.edges))*(mapSlot+heapSize(unsafe.Sizeof(poolEdge{})))
 	for _, pn := range p.nodes {
-		total += nodeOverhead + int64(pn.bm.SizeBytes())
-		for name, vals := range pn.attrs {
-			for _, av := range vals {
-				total += attrOverhead + int64(len(name)+len(av.val)) + int64(av.bm.SizeBytes())
-			}
-		}
+		total += pn.bytes()
 	}
 	for _, pe := range p.edges {
-		total += edgeOverhead + int64(pe.bm.SizeBytes())
-		for name, vals := range pe.attrs {
-			for _, av := range vals {
-				total += attrOverhead + int64(len(name)+len(av.val)) + int64(av.bm.SizeBytes())
-			}
-		}
+		total += pe.bytes()
 	}
 	for _, list := range p.adj {
-		total += adjEntry * int64(len(list))
+		total += mapSlot + int64(unsafe.Sizeof(list)) + heapSize(uintptr(cap(list))*unsafe.Sizeof(list[0]))
+	}
+	for _, name := range p.names {
+		total += 2*(mapSlot+int64(unsafe.Sizeof(name))) + int64(len(name))
 	}
 	return total
 }

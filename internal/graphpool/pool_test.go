@@ -1,6 +1,7 @@
 package graphpool
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -209,6 +210,38 @@ func TestDependentGraph(t *testing.T) {
 	}
 	if err := p.Release(matID); err != nil {
 		t.Errorf("release after dependent released: %v", err)
+	}
+}
+
+// A released dependent a reader still pins reads its dependency's bit for
+// everything that is not an exception: the dependency cannot be released,
+// let alone cleaned, until the last pin is gone. (It could: Release stopped
+// counting the dependent at once, and the pinned view lost every inherited
+// element to the next CleanNow.)
+func TestPinnedDependentKeepsItsDependency(t *testing.T) {
+	p := New()
+	base := buildSnapshot(20)
+	matID := p.OverlayMaterialized(base)
+	depID, err := p.OverlayDependent(matID, &delta.Delta{DelNodes: []graph.NodeID{20}}, 5, graph.AttrOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := p.View(depID)
+	p.Pin(depID)
+	p.Release(depID)
+	if err := p.Release(matID); err == nil {
+		t.Error("released a materialized graph a pinned view still depends on")
+	}
+	p.CleanNow()
+	if got := len(v.Nodes()); got != 19 {
+		t.Errorf("the pinned dependent view holds %d nodes after a clean pass, want 19", got)
+	}
+	p.Unpin(depID)
+	if err := p.Release(matID); err != nil {
+		t.Errorf("release after the last pin: %v", err)
+	}
+	if p.CleanNow(); p.Stats().PoolNodes != 0 {
+		t.Errorf("%d nodes left with every graph gone", p.Stats().PoolNodes)
 	}
 }
 
@@ -494,7 +527,8 @@ func TestPoolRandomizedIsolation(t *testing.T) {
 }
 
 // TestClearRecentVisitsOnlyRecentDeletes: a leaf cut clears bit 1 on the
-// elements deleted since the last cut, not on the pool.
+// elements deleted since the last cut, not on the pool — and, since nothing
+// holds them any more, takes them out of it.
 func TestClearRecentVisitsOnlyRecentDeletes(t *testing.T) {
 	p := New()
 	const nodes, deletes = 5000, 7
@@ -503,7 +537,7 @@ func TestClearRecentVisitsOnlyRecentDeletes(t *testing.T) {
 		p.ApplyEvent(graph.Event{Type: graph.SetNodeAttr, Node: n, Attr: "a", New: "v", HasNew: true})
 	}
 	if n := p.ClearRecent(); n != 0 {
-		t.Fatalf("nothing was deleted, ClearRecent visited %d bitmaps", n)
+		t.Fatalf("nothing was deleted, ClearRecent visited %d elements", n)
 	}
 	for n := graph.NodeID(1); n <= deletes; n++ {
 		p.ApplyEvent(graph.Event{Type: graph.SetNodeAttr, Node: n, Attr: "a", Old: "v", HadOld: true}) // one attribute value
@@ -512,15 +546,63 @@ func TestClearRecentVisitsOnlyRecentDeletes(t *testing.T) {
 	if got := p.Stats().PoolNodes; got != nodes {
 		t.Fatalf("recently deleted nodes must stay resident: %d of %d", got, nodes)
 	}
+	for n := graph.NodeID(1); n <= deletes; n++ {
+		if pn := p.nodes[n]; !pn.bm.Get(1) || !pn.attrs[0].bm.Get(1) {
+			t.Fatalf("node %d not marked recently deleted", n)
+		}
+	}
 	if n := p.ClearRecent(); n != 2*deletes {
-		t.Errorf("%d deletes of a node and its attribute: ClearRecent visited %d bitmaps, want %d (the pool holds %d nodes)", deletes, n, 2*deletes, nodes)
+		t.Errorf("%d deletes of a node and its attribute: ClearRecent visited %d elements, want %d (the pool holds %d nodes)", deletes, n, 2*deletes, nodes)
 	}
 	if n := p.ClearRecent(); n != 0 {
-		t.Errorf("a second ClearRecent visited %d bitmaps", n)
+		t.Errorf("a second ClearRecent visited %d elements", n)
 	}
-	for n := graph.NodeID(1); n <= deletes; n++ {
-		if p.nodes[n].bm.Get(1) || p.nodes[n].attrs["a"][0].bm.Get(1) {
-			t.Fatalf("node %d still marked recently deleted", n)
+	if got := p.Stats().PoolNodes; got != nodes-deletes {
+		t.Errorf("pool holds %d nodes after the cut, want %d: the deleted ones are in no graph", got, nodes-deletes)
+	}
+}
+
+// TestClearRecentEvictsDeadElements: a pool that is only written to (a
+// follower, a primary between reads) never has a released graph, so CleanNow
+// never sweeps it; what is deleted from the current graph must leave at the
+// leaf cut. An element another graph still holds must not.
+func TestClearRecentEvictsDeadElements(t *testing.T) {
+	p := New()
+	p.ApplyEvent(graph.Event{Type: graph.AddNode, Node: 1})
+	p.ApplyEvent(graph.Event{Type: graph.AddNode, Node: 2})
+	p.ApplyEvent(graph.Event{Type: graph.SetNodeAttr, Node: 1, Attr: "a", New: "v0", HasNew: true})
+	const pairs = 1000
+	for e := graph.EdgeID(1); e <= pairs; e++ {
+		p.ApplyEvent(graph.Event{Type: graph.AddEdge, Edge: e, Node: 1, Node2: 2})
+		p.ApplyEvent(graph.Event{Type: graph.SetEdgeAttr, Edge: e, Attr: "w", New: "1", HasNew: true})
+		if e == pairs {
+			break // the last edge stays, held below
 		}
+		p.ApplyEvent(graph.Event{Type: graph.SetNodeAttr, Node: 1, Attr: "a", Old: fmt.Sprint("v", e-1), HadOld: true, New: fmt.Sprint("v", e), HasNew: true})
+		p.ApplyEvent(graph.Event{Type: graph.SetEdgeAttr, Edge: e, Attr: "w", Old: "1", HadOld: true})
+		p.ApplyEvent(graph.Event{Type: graph.DelEdge, Edge: e, Node: 1, Node2: 2})
+	}
+	held := p.Current().Snapshot()
+	id := p.OverlaySnapshot(held, 1)
+	p.ApplyEvent(graph.Event{Type: graph.SetEdgeAttr, Edge: pairs, Attr: "w", Old: "1", HadOld: true})
+	p.ApplyEvent(graph.Event{Type: graph.DelEdge, Edge: pairs, Node: 1, Node2: 2})
+	if got := p.Stats().PoolEdges; got != pairs {
+		t.Fatalf("recently deleted edges must stay resident: %d of %d", got, pairs)
+	}
+	p.ClearRecent()
+	if got, adj := p.Stats().PoolEdges, len(p.adj[1])+len(p.adj[2]); got != 1 || adj != 2 {
+		t.Errorf("after ClearRecent the pool holds %d edges and %d adjacency entries, want 1 and 2 (the edge the overlaid graph holds)", got, adj)
+	}
+	if got := len(p.nodes[1].attrs); got != 1 {
+		t.Errorf("node 1 keeps %d values of an attribute replaced %d times, want 1", got, pairs-1)
+	}
+	if p.CleanNow(); p.Stats().PoolEdges != 1 {
+		t.Error("CleanNow with nothing released changed the pool")
+	}
+	if v, _ := p.View(id); !v.Snapshot().Equal(held) {
+		t.Error("ClearRecent damaged a graph that holds a deleted element")
+	}
+	if cur := p.Current(); cur.NumEdges() != 0 || cur.HasEdge(pairs) {
+		t.Error("deleted edge back in the current graph")
 	}
 }

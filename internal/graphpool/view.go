@@ -9,7 +9,9 @@ import (
 // View is a read-only view of one active graph overlaid in the pool — the
 // HistGraph handle the paper's programmatic API returns. All methods
 // evaluate membership through the bitmap semantics, so a view is always
-// consistent with the pool even as other graphs come and go.
+// consistent with the pool even as other graphs come and go. The test is
+// resolved to bit numbers when the graph is registered (membership), so
+// evaluating it consults neither the graph table nor the dependency.
 type View struct {
 	p     *Pool
 	entry *graphEntry
@@ -66,7 +68,7 @@ func (v *View) HasNode(n graph.NodeID) bool {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	pn, ok := v.p.nodes[n]
-	return ok && v.p.member(&pn.bm, v.entry)
+	return ok && v.entry.m.has(&pn.bm)
 }
 
 // HasEdge reports whether the edge is in this graph.
@@ -74,7 +76,7 @@ func (v *View) HasEdge(e graph.EdgeID) bool {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	pe, ok := v.p.edges[e]
-	return ok && v.p.member(&pe.bm, v.entry)
+	return ok && v.entry.m.has(&pe.bm)
 }
 
 // EdgeInfo returns the endpoints of an edge in this graph.
@@ -82,7 +84,7 @@ func (v *View) EdgeInfo(e graph.EdgeID) (graph.EdgeInfo, bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	pe, ok := v.p.edges[e]
-	if !ok || !v.p.member(&pe.bm, v.entry) {
+	if !ok || !v.entry.m.has(&pe.bm) {
 		return graph.EdgeInfo{}, false
 	}
 	return pe.info, true
@@ -95,7 +97,7 @@ func (v *View) ForEachNode(fn func(graph.NodeID) bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	for id, pn := range v.p.nodes {
-		if v.p.member(&pn.bm, v.entry) {
+		if v.entry.m.has(&pn.bm) {
 			if !fn(id) {
 				return
 			}
@@ -108,7 +110,7 @@ func (v *View) ForEachEdge(fn func(graph.EdgeID, graph.EdgeInfo) bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	for id, pe := range v.p.edges {
-		if v.p.member(&pe.bm, v.entry) {
+		if v.entry.m.has(&pe.bm) {
 			if !fn(id, pe.info) {
 				return
 			}
@@ -132,7 +134,7 @@ func (v *View) IncidentEdges(n graph.NodeID) []graph.EdgeID {
 	defer v.p.mu.RUnlock()
 	var out []graph.EdgeID
 	for _, e := range v.p.adj[n] {
-		if pe, ok := v.p.edges[e]; ok && v.p.member(&pe.bm, v.entry) {
+		if pe, ok := v.p.edges[e]; ok && v.entry.m.has(&pe.bm) {
 			out = append(out, e)
 		}
 	}
@@ -149,7 +151,7 @@ func (v *View) Neighbors(n graph.NodeID) []graph.NodeID {
 	var out []graph.NodeID
 	for _, e := range v.p.adj[n] {
 		pe, ok := v.p.edges[e]
-		if !ok || !v.p.member(&pe.bm, v.entry) {
+		if !ok || !v.entry.m.has(&pe.bm) {
 			continue
 		}
 		other := pe.info.Other(n)
@@ -167,7 +169,7 @@ func (v *View) Degree(n graph.NodeID) int {
 	defer v.p.mu.RUnlock()
 	d := 0
 	for _, e := range v.p.adj[n] {
-		if pe, ok := v.p.edges[e]; ok && v.p.member(&pe.bm, v.entry) {
+		if pe, ok := v.p.edges[e]; ok && v.entry.m.has(&pe.bm) {
 			d++
 		}
 	}
@@ -188,12 +190,16 @@ func (v *View) admits(node bool, name string) bool {
 	return v.entry.attrs.WantEdgeAttr(name)
 }
 
-// valueOf picks, among the values of one attribute, the one that belongs to
-// this graph. The caller holds the read lock.
-func (v *View) valueOf(vals []*attrVal) (string, bool) {
-	for _, av := range vals {
-		if v.p.member(&av.bm, v.entry) {
-			return av.val, true
+// valueOf returns the value of the named attribute of el in this graph: the
+// first of the name's values the graph holds. The caller holds the read lock.
+func (v *View) valueOf(el *element, node bool, attr string) (string, bool) {
+	name, ok := v.p.nameIDs[attr]
+	if !ok || !v.admits(node, attr) {
+		return "", false
+	}
+	for i, hi := el.run(name); i < hi; i++ {
+		if v.entry.m.has(&el.attrs[i].bm) {
+			return el.attrs[i].val, true
 		}
 	}
 	return "", false
@@ -201,17 +207,20 @@ func (v *View) valueOf(vals []*attrVal) (string, bool) {
 
 // attrsOf collects the attributes of one node (else edge) in this graph
 // (nil when there are none). The caller holds the read lock.
-func (v *View) attrsOf(attrs map[string][]*attrVal, node bool) map[string]string {
+func (v *View) attrsOf(el *element, node bool) map[string]string {
 	var out map[string]string
-	for name, vals := range attrs {
-		if !v.admits(node, name) {
+	answered := ^uint32(0) // values of one name are adjacent: the first member answers for it
+	for i := range el.attrs {
+		av := &el.attrs[i]
+		if av.name == answered || !v.entry.m.has(&av.bm) {
 			continue
 		}
-		if val, ok := v.valueOf(vals); ok {
+		answered = av.name
+		if name := v.p.names[av.name]; v.admits(node, name) {
 			if out == nil {
 				out = make(map[string]string)
 			}
-			out[name] = val
+			out[name] = av.val
 		}
 	}
 	return out
@@ -222,10 +231,10 @@ func (v *View) NodeAttr(n graph.NodeID, attr string) (string, bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	pn, ok := v.p.nodes[n]
-	if !ok || !v.p.member(&pn.bm, v.entry) || !v.admits(true, attr) {
+	if !ok || !v.entry.m.has(&pn.bm) {
 		return "", false
 	}
-	return v.valueOf(pn.attrs[attr])
+	return v.valueOf(pn, true, attr)
 }
 
 // EdgeAttr returns the value of an edge attribute in this graph.
@@ -233,10 +242,10 @@ func (v *View) EdgeAttr(e graph.EdgeID, attr string) (string, bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	pe, ok := v.p.edges[e]
-	if !ok || !v.p.member(&pe.bm, v.entry) || !v.admits(false, attr) {
+	if !ok || !v.entry.m.has(&pe.bm) {
 		return "", false
 	}
-	return v.valueOf(pe.attrs[attr])
+	return v.valueOf(&pe.element, false, attr)
 }
 
 // NodeAttrs returns all attributes of n in this graph.
@@ -244,10 +253,10 @@ func (v *View) NodeAttrs(n graph.NodeID) map[string]string {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	pn, ok := v.p.nodes[n]
-	if !ok || !v.p.member(&pn.bm, v.entry) {
+	if !ok || !v.entry.m.has(&pn.bm) {
 		return nil
 	}
-	return v.attrsOf(pn.attrs, true)
+	return v.attrsOf(pn, true)
 }
 
 // EdgeAttrs returns all attributes of e in this graph (nil when the edge
@@ -258,10 +267,10 @@ func (v *View) EdgeAttrs(e graph.EdgeID) map[string]string {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	pe, ok := v.p.edges[e]
-	if !ok || !v.p.member(&pe.bm, v.entry) {
+	if !ok || !v.entry.m.has(&pe.bm) {
 		return nil
 	}
-	return v.attrsOf(pe.attrs, false)
+	return v.attrsOf(&pe.element, false)
 }
 
 // Snapshot extracts a full set-based copy of this graph out of the pool.
@@ -270,20 +279,20 @@ func (v *View) Snapshot() *graph.Snapshot {
 	defer v.p.mu.RUnlock()
 	s := graph.NewSnapshot()
 	for id, pn := range v.p.nodes {
-		if !v.p.member(&pn.bm, v.entry) {
+		if !v.entry.m.has(&pn.bm) {
 			continue
 		}
 		s.Nodes[id] = struct{}{}
-		if attrs := v.attrsOf(pn.attrs, true); attrs != nil {
+		if attrs := v.attrsOf(pn, true); attrs != nil {
 			s.NodeAttrs[id] = attrs
 		}
 	}
 	for id, pe := range v.p.edges {
-		if !v.p.member(&pe.bm, v.entry) {
+		if !v.entry.m.has(&pe.bm) {
 			continue
 		}
 		s.Edges[id] = pe.info
-		if attrs := v.attrsOf(pe.attrs, false); attrs != nil {
+		if attrs := v.attrsOf(&pe.element, false); attrs != nil {
 			s.EdgeAttrs[id] = attrs
 		}
 	}

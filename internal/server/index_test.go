@@ -4,10 +4,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"historygraph"
+	"historygraph/internal/graphpool"
 	"historygraph/internal/metrics"
 )
 
@@ -98,6 +101,64 @@ func scrapeMetrics(t *testing.T, svc *Server) map[string]float64 {
 		out[s.Name] = s.Value
 	}
 	return out
+}
+
+// TestPoolGauges: the pool gauges agree with PoolStats, tell a held view
+// from a released one, and dg_pool_bytes shows up with the cleaner's next
+// pass rather than being computed by the scrape.
+func TestPoolGauges(t *testing.T) {
+	gm, err := historygraph.BuildFrom(testEvents(), historygraph.Options{LeafEventlistSize: 128, CleanerInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gm.Close() })
+	svc, client := newTestServer(t, gm, Config{})
+	pool := func() map[string]float64 {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		samples, err := metrics.Parse(rec.Body.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]float64{}
+		for _, s := range samples {
+			if strings.HasPrefix(s.Name, "dg_pool_") {
+				out[s.Name+s.Labels["kind"]+s.Labels["state"]] = s.Value
+			}
+		}
+		return out
+	}
+	if _, err := client.Snapshot(gm.LastTime()/2, "", false); err != nil { // the view cache now holds one view
+		t.Fatal(err)
+	}
+	h, err := gm.GetHistGraph(gm.LastTime()/3, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gm.Release(h) // and this one waits for the cleaner
+	st, got := gm.PoolStats(), pool()
+	want := map[string]float64{
+		"dg_pool_elementsnode": float64(st.PoolNodes), "dg_pool_elementsedge": float64(st.PoolEdges),
+		"dg_pool_graphsactive": 2, "dg_pool_graphspinned": 1, "dg_pool_graphsreleased": 1,
+		"dg_pool_bits": 6, "dg_pool_bytes": 0,
+	}
+	if !reflect.DeepEqual(got, want) || st.PoolNodes == 0 || st.PoolEdges == 0 {
+		t.Errorf("pool gauges = %v\nwant %v", got, want)
+	}
+	cleaner := graphpool.NewCleaner(gm.Pool(), time.Millisecond) // the manager's own ticks hourly
+
+	cleaner.Start()
+	defer cleaner.Stop()
+	for deadline := time.Now().Add(5 * time.Second); pool()["dg_pool_graphsreleased"] != 0 || pool()["dg_pool_bytes"] == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the cleaner ran, the gauges did not follow: %v", pool())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got, est := pool()["dg_pool_bytes"], float64(gm.Pool().ApproxBytes()); got != est {
+		t.Errorf("dg_pool_bytes = %v, ApproxBytes = %v with the pool at rest", got, est)
+	}
 }
 
 // TestIndexGauges scrapes a worker over a file-backed index: the index

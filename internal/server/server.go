@@ -156,6 +156,24 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 	} {
 		reg.GaugeFunc(g.name, g.help, func() float64 { return float64(g.of(s.gm.Load().IndexStatsUnsealed())) })
 	}
+	// Pool gauges read the same way. dg_pool_bytes is the pool cleaner's
+	// sample, at most one cleaner interval old: the estimate walks every
+	// element (0.6 ms at 20k elements and 40k attribute values, where a
+	// cached read costs a tenth of that), so a scrape does not compute it.
+	elements := reg.GaugeVec("dg_pool_elements", "Union-graph elements resident in the GraphPool, shared by every graph overlaid there.", "kind")
+	graphs := reg.GaugeVec("dg_pool_graphs", "Graphs in the GraphPool: active (the current graph, held views, materialized nodes), pinned (at least one reader or cache reference), released (let go, their bits awaiting the cleaner).", "state")
+	pool := func(of func(historygraph.PoolStats) int64) func() float64 {
+		return func() float64 { return float64(of(s.gm.Load().PoolStats())) }
+	}
+	elements.Func(pool(func(st historygraph.PoolStats) int64 { return int64(st.PoolNodes) }), "node")
+	elements.Func(pool(func(st historygraph.PoolStats) int64 { return int64(st.PoolEdges) }), "edge")
+	graphs.Func(pool(func(st historygraph.PoolStats) int64 { return int64(st.ActiveGraphs - st.ReleasedGraphs) }), "active")
+	graphs.Func(pool(func(st historygraph.PoolStats) int64 { return int64(st.PinnedGraphs) }), "pinned")
+	graphs.Func(pool(func(st historygraph.PoolStats) int64 { return int64(st.ReleasedGraphs) }), "released")
+	reg.GaugeFunc("dg_pool_bits", "GraphPool bitmap width in use: 2 bits for the current graph, 2 a held view, 1 a materialized node. Above 64, an element in a graph with a high bit carries words beyond its inline one.",
+		pool(func(st historygraph.PoolStats) int64 { return int64(st.Bits) }))
+	reg.GaugeFunc("dg_pool_bytes", "Estimated heap the GraphPool holds (element records, attribute lists, bitmap words, adjacency), as of the pool cleaner's last pass.",
+		pool(func(st historygraph.PoolStats) int64 { return st.Bytes }))
 	s.slotEpoch = reg.Gauge("dg_slot_epoch",
 		"Installed slot-routing epoch (0 until the coordinator pushes a table).")
 	s.slotsOwned = reg.Gauge("dg_slots_owned",
