@@ -158,8 +158,8 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 	}
 	// Pool gauges read the same way. dg_pool_bytes is the pool cleaner's
 	// sample, at most one cleaner interval old: the estimate walks every
-	// element (0.6 ms at 20k elements and 40k attribute values, where a
-	// cached read costs a tenth of that), so a scrape does not compute it.
+	// element (0.6 ms at 20k elements and 40k attribute values, twenty
+	// times a cached read), so a scrape does not compute it.
 	elements := reg.GaugeVec("dg_pool_elements", "Union-graph elements resident in the GraphPool, shared by every graph overlaid there.", "kind")
 	graphs := reg.GaugeVec("dg_pool_graphs", "Graphs in the GraphPool: active (the current graph, held views, materialized nodes), pinned (at least one reader or cache reference), released (let go, their bits awaiting the cleaner).", "state")
 	pool := func(of func(historygraph.PoolStats) int64) func() float64 {
