@@ -72,7 +72,10 @@ type (
 	Or = deltagraph.Or
 	// IntervalResult answers GetHistGraphInterval.
 	IntervalResult = deltagraph.IntervalResult
-	// AuxIndex is a user-defined auxiliary index (Section 4.7).
+	// AuxIndex is a user-defined auxiliary index (Section 4.7). Its
+	// CreateAuxEvents is handed the graph before the event as a *HistGraph:
+	// the current graph's handle in the GraphPool, not a copy, and valid
+	// only for the length of the call.
 	AuxIndex = deltagraph.AuxIndex
 	// AuxSnapshot is auxiliary key-value state as of a time point.
 	AuxSnapshot = deltagraph.AuxSnapshot

@@ -13,6 +13,7 @@ import (
 
 	"historygraph/internal/deltagraph"
 	"historygraph/internal/graph"
+	"historygraph/internal/graphpool"
 )
 
 // PathLen is the indexed path length in nodes (the paper indexes paths of
@@ -98,7 +99,7 @@ func ParsePathKey(key string) (Path, bool) {
 }
 
 // CreateAuxEvents implements deltagraph.AuxIndex.
-func (p *PathIndex) CreateAuxEvents(ev graph.Event, _ *graph.Snapshot, _ deltagraph.AuxSnapshot) []deltagraph.AuxEvent {
+func (p *PathIndex) CreateAuxEvents(ev graph.Event, _ *graphpool.View, _ deltagraph.AuxSnapshot) []deltagraph.AuxEvent {
 	switch ev.Type {
 	case graph.AddNode:
 		// No paths yet; label arrives as an attribute event.

@@ -6,6 +6,7 @@ import (
 
 	"historygraph/internal/delta"
 	"historygraph/internal/graph"
+	"historygraph/internal/graphpool"
 	"historygraph/internal/kvstore"
 )
 
@@ -57,14 +58,15 @@ func (a AuxSnapshot) apply(ev AuxEvent) {
 
 // AuxIndex is the user-implemented interface (the paper's AuxIndex
 // abstract class). CreateAuxEvents derives the auxiliary events caused by
-// one plain event, given the graph state before the event and the latest
+// one plain event, given the graph before the event — the current graph's
+// handle in the GraphPool, valid for the length of the call — and the latest
 // auxiliary snapshot. AuxDF is the differential function combining child
 // auxiliary snapshots into the parent's (the CreateAuxSnapshot method of
 // the paper — replaying an aux eventlist onto the previous aux snapshot —
 // is provided by the framework itself).
 type AuxIndex interface {
 	Name() string
-	CreateAuxEvents(ev graph.Event, before *graph.Snapshot, aux AuxSnapshot) []AuxEvent
+	CreateAuxEvents(ev graph.Event, before *graphpool.View, aux AuxSnapshot) []AuxEvent
 	AuxDF(children []AuxSnapshot) AuxSnapshot
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"historygraph/internal/delta"
 	"historygraph/internal/graph"
+	"historygraph/internal/graphpool"
 )
 
 // degreeAux is a toy auxiliary index: it maintains the degree of every node
@@ -18,7 +19,7 @@ type degreeAux struct{}
 
 func (degreeAux) Name() string { return "degree" }
 
-func (degreeAux) CreateAuxEvents(ev graph.Event, before *graph.Snapshot, aux AuxSnapshot) []AuxEvent {
+func (degreeAux) CreateAuxEvents(ev graph.Event, _ *graphpool.View, aux AuxSnapshot) []AuxEvent {
 	bump := func(n graph.NodeID, delta int) AuxEvent {
 		key := "deg:" + strconv.FormatInt(int64(n), 10)
 		cur, _ := strconv.Atoi(aux[key])
@@ -81,17 +82,15 @@ func (degreeAux) AuxDF(children []AuxSnapshot) AuxSnapshot {
 // refAux replays the trace through the aux index to get the reference aux
 // snapshot at time t.
 func refAux(events graph.EventList, t graph.Time) AuxSnapshot {
-	s := graph.NewSnapshot()
 	aux := AuxSnapshot{}
 	idx := degreeAux{}
 	for _, ev := range events {
 		if ev.At > t {
 			break
 		}
-		for _, ae := range idx.CreateAuxEvents(ev, s, aux) {
+		for _, ae := range idx.CreateAuxEvents(ev, nil, aux) {
 			aux.apply(ae)
 		}
-		s.Apply(ev)
 	}
 	return aux
 }

@@ -1,6 +1,7 @@
 package deltagraph
 
 import (
+	"cmp"
 	"sync"
 	"time"
 
@@ -58,9 +59,7 @@ func (dg *DeltaGraph) cutLeafLocked() error {
 	dg.recent = nil
 	clear(dg.window)
 	dg.auxRecent = make([][]AuxEvent, len(dg.auxes))
-	if dg.pool != nil {
-		dg.pool.ClearRecent() // deleted elements are now on disk
-	}
+	dg.pool.ClearRecent() // deleted elements are now on disk
 	dg.clearSpineLocked()
 	dg.spineStale = true
 	return dg.promoteLocked(0)
@@ -103,11 +102,21 @@ func (dg *DeltaGraph) makeParentLocked(level int, group []pendingChild, provisio
 	if !dg.opts.Function.Elementwise() {
 		// The function may disagree with children that all agree: evaluate
 		// it over everything they hold.
-		eachElem(dg.current, func(x elem) { parent.patch[x] = nil })
+		eachElem(dg.cur.Snapshot(), func(x elem) { parent.patch[x] = nil })
 	}
+	// The children cut down to those elements: small read-only graphs
+	// (attribute maps are aliased) the function and delta.Compute run on as
+	// they would on the whole ones. A child that holds no image of an element
+	// equals the current graph there.
 	snaps := make([]*graph.Snapshot, len(group))
-	for i, c := range group {
-		snaps[i] = dg.restrictLocked(c, parent.patch)
+	for i := range snaps {
+		snaps[i] = graph.NewSnapshot()
+	}
+	for x := range parent.patch {
+		now := dg.imageCur(x)
+		for i, c := range group {
+			cmp.Or(c.patch[x], &now).putIn(snaps[i], x) // a pending node's patch holds no nil image
+		}
 	}
 	parentSnap := dg.opts.Function.Combine(snaps)
 	for x := range parent.patch {
@@ -223,7 +232,7 @@ func (dg *DeltaGraph) buildSpineLocked() error {
 // attachRootLocked writes the super-root → root edge, whose delta is the
 // root's full content (the super-root is the null graph).
 func (dg *DeltaGraph) attachRootLocked(root pendingChild) error {
-	rootSnap := dg.graphLocked(root)
+	rootSnap := graphOf(root, dg.cur.Snapshot())
 	d := delta.FromSnapshot(rootSnap)
 	auxDeltas := make([]auxDelta, len(dg.auxes))
 	for i := range dg.auxes {
@@ -263,7 +272,7 @@ func (dg *DeltaGraph) clearSpineLocked() {
 			// Remember to pin the replacement root; release the stale
 			// pool copy.
 			dg.rematRoot = true
-			if gid, ok := dg.matGraphs[nid]; ok && dg.pool != nil {
+			if gid, ok := dg.matGraphs[nid]; ok {
 				if err := dg.pool.Release(gid); err == nil {
 					dg.pool.CleanNow()
 				}

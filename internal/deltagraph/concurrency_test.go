@@ -3,9 +3,13 @@ package deltagraph
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"historygraph/internal/datagen"
 	"historygraph/internal/graph"
 	"historygraph/internal/graphpool"
 )
@@ -216,3 +220,132 @@ func TestSealOnDemandUnderConcurrency(t *testing.T) {
 type errMismatch graph.Time
 
 func (e errMismatch) Error() string { return "snapshot mismatch under concurrency" }
+
+// TestAppendWhileReading is the seam this package shares with the pool now
+// that the current graph lives there alone: one appender crossing leaf cuts
+// (ApplyEvent and ClearRecent under the index's write lock), readers that
+// follow it closely on every path that reads the current graph (GetSnapshot
+// and Retrieve just behind the head and at it, Checkpoint), and the pool's
+// cleaner taking the pool's lock every millisecond. Every answer equals a
+// naive replay at its time; a wrong lock order is a deadlock the test timeout
+// reports. Run with -race.
+func TestAppendWhileReading(t *testing.T) {
+	events := datagen.MessyTrace(31, 6000)
+	pool := graphpool.New()
+	cleaner := graphpool.NewCleaner(pool, time.Millisecond)
+	cleaner.Start()
+	defer cleaner.Stop()
+	dg, err := New(Options{LeafSize: 64, Arity: 2, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// settled is a time every event at or before which has been appended:
+	// answers up to it are final.
+	var settled atomic.Int64
+	settled.Store(-1)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	fail := func(err error) {
+		select {
+		case errs <- err:
+		default:
+		}
+	}
+	wg.Add(1)
+	go func() { // the appender
+		defer wg.Done()
+		defer close(done)
+		for lo := 0; lo < len(events); lo += 7 {
+			hi := min(lo+7, len(events))
+			if err := dg.AppendAll(events[lo:hi]); err != nil {
+				fail(err)
+				return
+			}
+			if hi < len(events) && events[hi].At > events[hi-1].At {
+				settled.Store(int64(events[hi-1].At))
+			}
+		}
+	}()
+	var seed int64
+	var reads atomic.Int64
+	reading := func(read func(rng *rand.Rand, settled graph.Time) error) {
+		wg.Add(1)
+		seed++
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				at := graph.Time(settled.Load())
+				if at < 0 {
+					runtime.Gosched() // nothing is final yet
+					continue
+				}
+				if err := read(rng, at); err != nil {
+					fail(err)
+					return
+				}
+				reads.Add(1)
+			}
+		}(seed)
+	}
+	// near draws a settled time, most often within a leaf or two of the head.
+	near := func(rng *rand.Rand, settled graph.Time) graph.Time {
+		if rng.Intn(4) == 0 {
+			return graph.Time(rng.Int63n(int64(settled) + 1))
+		}
+		return max(0, settled-graph.Time(rng.Intn(12)))
+	}
+	for i := 0; i < 2; i++ {
+		reading(func(rng *rand.Rand, settled graph.Time) error {
+			q := near(rng, settled)
+			got, err := dg.GetSnapshot(q, allAttrs)
+			if err == nil && !got.Equal(graph.SnapshotAt(events, q)) {
+				err = fmt.Errorf("GetSnapshot(%d) with the head at %d: %w", q, dg.LastTime(), errMismatch(q))
+			}
+			return err
+		})
+	}
+	reading(func(rng *rand.Rand, settled graph.Time) error {
+		q := near(rng, settled)
+		id, err := dg.Retrieve(q, allAttrs)
+		if err != nil {
+			return err
+		}
+		view, err := pool.View(id)
+		if err != nil {
+			return err
+		}
+		// A dependent of the current graph reads through bits the appender
+		// is changing: it is good only until the next append (View.DependsOnCurrent),
+		// and here there is always a next append.
+		if !view.DependsOnCurrent() && !view.Snapshot().Equal(graph.SnapshotAt(events, q)) {
+			return fmt.Errorf("Retrieve(%d): %w", q, errMismatch(q))
+		}
+		return pool.Release(id)
+	})
+	reading(func(*rand.Rand, graph.Time) error {
+		if s := dg.CurrentSnapshot(); s == nil {
+			return fmt.Errorf("no current graph")
+		}
+		return dg.Checkpoint()
+	})
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st := dg.StatsUnsealed(); st.Leaves < 20 || reads.Load() < 100 {
+		t.Fatalf("%d leaves were cut under %d reads: the appender and the readers hardly met", st.Leaves, reads.Load())
+	}
+	t.Logf("%d reads while %d leaves were cut", reads.Load(), dg.StatsUnsealed().Leaves)
+	checkAgainstReference(t, dg, events, allAttrs, probeTimes(events, 9))
+	if !dg.CurrentSnapshot().Equal(graph.SnapshotAt(events, graph.MaxTime)) {
+		t.Fatal("the current graph differs from a replay of the whole trace")
+	}
+}

@@ -177,8 +177,8 @@ func (r *refBuilder) compare(t *testing.T, dg *DeltaGraph) {
 	if fmt.Sprint(sizes) != fmt.Sprint(r.sizes) {
 		t.Errorf("node sizes carried by arithmetic %v, counted by the reference %v", sizes, r.sizes)
 	}
-	if dg.curSize != dg.current.Size() {
-		t.Errorf("current graph: size carried %d, counted %d", dg.curSize, dg.current.Size())
+	if n := dg.cur.Snapshot().Size(); dg.curSize != n {
+		t.Errorf("current graph: size carried %d, counted %d", dg.curSize, n)
 	}
 }
 

@@ -15,12 +15,18 @@
 // key-value store, optionally hash-partitioned across storage units, and
 // arbitrary index nodes can be materialized in memory at runtime to cut
 // latencies: materializing is the same kind of query, with nodes for targets.
+//
+// The current graph has one home, the GraphPool's bits 0 and 1 (Section 6):
+// the index reads it through the pool's current-graph view and keeps no copy.
+// Only this package writes those bits (ApplyEvent, ClearRecent, LoadCurrent),
+// always under the index's write lock, so holding the index's lock either way
+// holds the current graph still. Locks are taken index first, pool second,
+// everywhere; the pool's cleaner takes the pool's alone.
 package deltagraph
 
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -50,8 +56,10 @@ type Options struct {
 	Partitions int
 	// Store is the persistent backend. nil means a fresh in-memory store.
 	Store kvstore.Store
-	// Pool, when set, receives retrieved snapshots, materialized nodes,
-	// and mirrors the current graph (bits 0/1).
+	// Pool holds the current graph (bits 0/1: the index keeps no other copy
+	// and is the only writer of them) and receives retrieved snapshots and
+	// materialized nodes. nil means a pool of the index's own, which Pool
+	// returns. An index does not share its pool with another index.
 	Pool *graphpool.Pool
 	// DependentMaxRatio bounds the dependent-graph optimization: a
 	// retrieved snapshot is overlaid as exceptions against a materialized
@@ -95,6 +103,9 @@ func (o *Options) fill() error {
 	if o.DependentMaxRatio <= 0 {
 		o.DependentMaxRatio = 0.25
 	}
+	if o.Pool == nil {
+		o.Pool = graphpool.New()
+	}
 	return nil
 }
 
@@ -130,8 +141,8 @@ type DeltaGraph struct {
 	nextDeltaID uint64
 
 	// Builder state (Section 4.6 bulk construction + live updates).
-	current  *graph.Snapshot // graph after every appended event
-	curSize  int             // current.Size(), kept by appendLocked
+	cur      *graphpool.View // the graph after every appended event: the pool's bit 0
+	curSize  int             // its graph.Snapshot.Size, kept by appendLocked
 	recent   graph.EventList // events after the last leaf cut
 	lastTime graph.Time      // timestamp of the newest appended event
 	// firstTime is the timestamp of the first event of stored eventlist 0.
@@ -158,7 +169,7 @@ type DeltaGraph struct {
 	cutTimes []time.Duration
 	sealed   int
 
-	// Materialization: skeleton node -> pool graph id (when pool is set).
+	// Materialization: skeleton node -> pool graph id.
 	matGraphs map[int]graphpool.GraphID
 
 	auxes     []AuxIndex
@@ -190,7 +201,7 @@ func New(opts Options) (*DeltaGraph, error) {
 		store:       opts.Store,
 		pool:        opts.Pool,
 		spine:       kvstore.NewMemStore(),
-		current:     graph.NewSnapshot(),
+		cur:         opts.Pool.Current(),
 		window:      make(map[elem]struct{}),
 		nextDeltaID: 1,
 		ckptFirstID: metaDeltaID - 1,
@@ -236,7 +247,7 @@ func Build(events graph.EventList, opts Options) (*DeltaGraph, error) {
 	return dg, dg.sealLocked()
 }
 
-// Append records one event: it updates the current graph (and the pool's
+// Append records one event: it updates the current graph (the pool's
 // current-graph bits), appends to the recent eventlist, and — when the
 // recent eventlist reaches L and the timestamp advances — cuts a new leaf
 // and extends the index (Section 6, "Updates to the Current graph").
@@ -289,17 +300,14 @@ func (dg *DeltaGraph) appendLocked(ev graph.Event) error {
 	}
 	// Aux events are derived against the graph state before the event.
 	for i, aux := range dg.auxes {
-		auxEvs := aux.CreateAuxEvents(ev, dg.current, dg.auxCur[i])
+		auxEvs := aux.CreateAuxEvents(ev, dg.cur, dg.auxCur[i])
 		for _, ae := range auxEvs {
 			dg.auxCur[i].apply(ae)
 		}
 		dg.auxRecent[i] = append(dg.auxRecent[i], auxEvs...)
 	}
-	dg.current.Apply(ev)
+	dg.pool.ApplyEvent(ev)
 	dg.recent = append(dg.recent, ev)
-	if dg.pool != nil {
-		dg.pool.ApplyEvent(ev)
-	}
 	return nil
 }
 
@@ -312,21 +320,20 @@ func (dg *DeltaGraph) appendLocked(ev graph.Event) error {
 // exactly: the value an attribute event replaces, the endpoints of an edge
 // being deleted.
 func (dg *DeltaGraph) admitLocked(ev *graph.Event) bool {
-	cur := dg.current
 	var (
 		x    elem
 		grow int
 	)
 	switch ev.Type {
 	case graph.AddNode:
-		if _, live := cur.Nodes[ev.Node]; live {
+		if dg.cur.HasNode(ev.Node) {
 			return false
 		}
 		x, grow = nodeElem(ev.Node), 1
 	case graph.AddEdge:
 		// Edge ids are never reused: an add of a live edge is a duplicate
 		// whatever endpoints it names.
-		if _, live := cur.Edges[ev.Edge]; live {
+		if dg.cur.HasEdge(ev.Edge) {
 			return false
 		}
 		x, grow = edgeElem(ev.Edge), 1
@@ -335,7 +342,7 @@ func (dg *DeltaGraph) admitLocked(ev *graph.Event) bool {
 		if ev.Type == graph.DelEdge {
 			x = edgeElem(ev.Edge)
 		}
-		im := imageIn(cur, x)
+		im := dg.imageCur(x)
 		if im.size() == 0 {
 			return false
 		}
@@ -344,13 +351,11 @@ func (dg *DeltaGraph) admitLocked(ev *graph.Event) bool {
 		}
 		grow = -im.size()
 	case graph.SetNodeAttr, graph.SetEdgeAttr:
-		if ev.Type == graph.SetNodeAttr {
-			x = nodeElem(ev.Node)
-			ev.Old, ev.HadOld = cur.NodeAttrs[ev.Node][ev.Attr]
-		} else {
+		x = nodeElem(ev.Node)
+		if ev.Type == graph.SetEdgeAttr {
 			x = edgeElem(ev.Edge)
-			ev.Old, ev.HadOld = cur.EdgeAttrs[ev.Edge][ev.Attr]
 		}
+		ev.Old, ev.HadOld = dg.attrCur(x, ev.Attr)
 		switch {
 		case ev.HasNew && !ev.HadOld:
 			grow = 1
@@ -382,9 +387,7 @@ func (dg *DeltaGraph) touchLocked(x elem) {
 				continue
 			}
 			if saved == nil {
-				im := imageIn(dg.current, x)
-				im.attrs = maps.Clone(im.attrs) // the graph's own map is about to change
-				saved = im.shared()
+				saved = dg.imageCur(x).shared()
 			}
 			c.patch[x] = saved
 		}
@@ -452,7 +455,7 @@ func (dg *DeltaGraph) unlock() {
 func (dg *DeltaGraph) CurrentSnapshot() *graph.Snapshot {
 	dg.mu.RLock()
 	defer dg.mu.RUnlock()
-	return dg.current.Clone()
+	return dg.cur.Snapshot()
 }
 
 // LastTime returns the timestamp of the newest event in the index.
@@ -465,7 +468,7 @@ func (dg *DeltaGraph) LastTime() graph.Time {
 // Store returns the backing key-value store (for space accounting).
 func (dg *DeltaGraph) Store() kvstore.Store { return dg.store }
 
-// Pool returns the attached GraphPool, or nil.
+// Pool returns the index's GraphPool: Options.Pool, or the one New made.
 func (dg *DeltaGraph) Pool() *graphpool.Pool { return dg.pool }
 
 // auxComponentIDs returns the store components of all registered aux

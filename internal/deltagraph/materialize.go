@@ -136,9 +136,7 @@ func (dg *DeltaGraph) pinLocked(id int, snap *graph.Snapshot) {
 	node := dg.skel.nodes[id]
 	node.materialized, node.matSnapshot = true, snap
 	dg.skel.addEdge(&skelEdge{from: dg.skel.superRoot, to: id, kind: kindMat, sizes: make(componentSizes, 4+len(dg.auxes)), evIndex: -1})
-	if dg.pool != nil {
-		dg.matGraphs[id] = dg.pool.OverlayMaterialized(snap)
-	}
+	dg.matGraphs[id] = dg.pool.OverlayMaterialized(snap)
 }
 
 // Unmaterialize releases a materialized node: the zero-weight edge is

@@ -1,0 +1,5 @@
+//go:build !race
+
+package deltagraph
+
+const raceEnabled = false

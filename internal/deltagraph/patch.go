@@ -1,8 +1,6 @@
 package deltagraph
 
 import (
-	"maps"
-
 	"historygraph/internal/delta"
 	"historygraph/internal/graph"
 )
@@ -41,8 +39,8 @@ type image struct {
 // absent is the image of an element a graph does not hold at all.
 var absent = &image{}
 
-// patch maps the elements a graph differs from dg.current on to their images
-// in that graph.
+// patch maps the elements a graph differs from the current graph on to their
+// images in that graph.
 type patch map[elem]*image
 
 // imageIn reads x out of s. The attributes alias s's own map.
@@ -144,54 +142,67 @@ func eachElem(s *graph.Snapshot, fn func(elem)) {
 	}
 }
 
-// imageOf returns x as pending node c holds it.
-func (dg *DeltaGraph) imageOf(c pendingChild, x elem) image {
-	if im, ok := c.patch[x]; ok {
-		return *im
+// imageCur reads x out of the current graph, which is the pool's. The
+// attributes are a map of the caller's own.
+func (dg *DeltaGraph) imageCur(x elem) (im image) {
+	if x.edge {
+		im.info, im.present, im.attrs = dg.cur.EdgeImage(graph.EdgeID(x.id))
+	} else {
+		im.present, im.attrs = dg.cur.NodeImage(graph.NodeID(x.id))
 	}
-	return imageIn(dg.current, x)
+	return im
 }
 
-// restrictLocked returns c's graph cut down to the elements in ids: a small
-// read-only graph (attribute maps are aliased) the differential function and
-// delta.Compute run on as they would on the whole one.
-func (dg *DeltaGraph) restrictLocked(c pendingChild, ids patch) *graph.Snapshot {
+// attrCur returns the value the current graph gives one attribute of x. An
+// element that is there answers for itself; the whole image is read only for
+// one that is not, which may hold values all the same.
+func (dg *DeltaGraph) attrCur(x elem, name string) (string, bool) {
+	if x.edge && dg.cur.HasEdge(graph.EdgeID(x.id)) {
+		return dg.cur.EdgeAttr(graph.EdgeID(x.id), name)
+	}
+	if !x.edge && dg.cur.HasNode(graph.NodeID(x.id)) {
+		return dg.cur.NodeAttr(graph.NodeID(x.id), name)
+	}
+	val, ok := dg.imageCur(x).attrs[name]
+	return val, ok
+}
+
+// restrict returns the graph cur cut down to the elements in ids (attribute
+// maps are aliased).
+func restrict(cur *graph.Snapshot, ids patch) *graph.Snapshot {
 	s := graph.NewSnapshot()
 	for x := range ids {
-		dg.imageOf(c, x).putIn(s, x)
+		imageIn(cur, x).putIn(s, x)
 	}
 	return s
 }
 
-// graphLocked returns c's whole graph, read-only and valid only while the
-// lock is held: attribute maps alias the current graph's and the patch's.
-// It walks the current graph, so it is for the seal (the root's whole graph is
-// the top delta) and for the pending nodes Checkpoint stores from the null
-// graph, which are the ones far smaller than the current graph.
-func (dg *DeltaGraph) graphLocked(c pendingChild) *graph.Snapshot {
-	cur := dg.current
-	s := &graph.Snapshot{ // the inner attribute maps stay shared
-		Nodes: maps.Clone(cur.Nodes), Edges: maps.Clone(cur.Edges),
-		NodeAttrs: maps.Clone(cur.NodeAttrs), EdgeAttrs: maps.Clone(cur.EdgeAttrs),
-	}
+// graphOf makes cur, a copy of the current graph that is the caller's own
+// (and costs as much as the graph), into c's whole graph and returns it. The
+// result is read-only: attribute maps alias the patch's. It is for the seal
+// (the root's whole graph is the top delta) and for the pending nodes
+// Checkpoint stores from the null graph, which are the ones far smaller than
+// the current graph. Given the null graph for cur, it returns c's graph cut
+// down to the elements of its patch.
+func graphOf(c pendingChild, cur *graph.Snapshot) *graph.Snapshot {
 	for x, im := range c.patch {
-		im.putIn(s, x)
+		im.putIn(cur, x)
 	}
-	return s
+	return cur
 }
 
-// patchOf is graphLocked's inverse: the patch that holds, against the current
-// graph, the graph d builds from the null graph. Open calls it for the pending
-// nodes a checkpoint stored that way; it walks both graphs.
-func (dg *DeltaGraph) patchOf(d *delta.Delta) patch {
+// patchOf is graphOf's inverse: the patch that holds, against the current
+// graph cur, the graph d builds from the null graph. Open calls it for the
+// pending nodes a checkpoint stored that way; it walks both graphs.
+func patchOf(d *delta.Delta, cur *graph.Snapshot) patch {
 	p, g := make(patch), graph.NewSnapshot()
 	d.Apply(g)
 	eachElem(g, func(x elem) {
-		if im := imageIn(g, x); im.records(imageIn(dg.current, x)) > 0 {
+		if im := imageIn(g, x); im.records(imageIn(cur, x)) > 0 {
 			p[x] = im.shared()
 		}
 	})
-	eachElem(dg.current, func(x elem) {
+	eachElem(cur, func(x elem) {
 		if imageIn(g, x).size() == 0 {
 			p[x] = absent
 		}
@@ -199,11 +210,11 @@ func (dg *DeltaGraph) patchOf(d *delta.Delta) patch {
 	return p
 }
 
-// patchFrom is the patch of the graph d builds from the current graph: the
+// patchFrom is the patch of the graph d builds from the current graph cur: the
 // images, after d, of the elements d has a record on. Open calls it for the
 // pending nodes a checkpoint stored from the current graph; it costs what d
 // holds.
-func (dg *DeltaGraph) patchFrom(d *delta.Delta) patch {
+func patchFrom(d *delta.Delta, cur *graph.Snapshot) patch {
 	// What d adds to the null graph, and what its deletions would, name
 	// between them every element it touches.
 	adds, dels := graph.NewSnapshot(), graph.NewSnapshot()
@@ -213,7 +224,7 @@ func (dg *DeltaGraph) patchFrom(d *delta.Delta) patch {
 	for _, s := range []*graph.Snapshot{adds, dels} {
 		eachElem(s, func(x elem) { p[x] = nil })
 	}
-	s := dg.restrictLocked(pendingChild{}, p).Clone() // Apply writes the attribute maps
+	s := restrict(cur, p).Clone() // Apply writes the attribute maps
 	d.Apply(s)
 	for x := range p {
 		p[x] = imageIn(s, x).shared()

@@ -143,7 +143,8 @@ func (dg *DeltaGraph) Checkpoint() error {
 		return id, putCols(dg.store, 0, id, delta.Compute(g, base), true, sizes)
 	}
 	var err error
-	if pi.CurrentID, err = putGraph(dg.current, graph.NewSnapshot()); err == nil && len(dg.recent) > 0 {
+	cur := dg.cur.Snapshot() // one copy out of the pool for everything below
+	if pi.CurrentID, err = putGraph(cur, graph.NewSnapshot()); err == nil && len(dg.recent) > 0 {
 		err = putCol(dg.store, 0, pi.CurrentID, kvstore.ComponentTransient, delta.EncodeEvents(dg.recent), sizes)
 	}
 	if err != nil {
@@ -157,13 +158,13 @@ func (dg *DeltaGraph) Checkpoint() error {
 			// both graphs cut down to those elements give the same delta.
 			fromCurrent := 0
 			for x, im := range c.patch {
-				fromCurrent += im.records(imageIn(dg.current, x))
+				fromCurrent += im.records(imageIn(cur, x))
 			}
 			pc := persistedChild{Node: c.node, OnCurrent: fromCurrent < c.size, Aux: c.aux}
 			if pc.OnCurrent {
-				pc.SnapID, err = putGraph(dg.restrictLocked(c, c.patch), dg.restrictLocked(pendingChild{}, c.patch))
+				pc.SnapID, err = putGraph(graphOf(c, graph.NewSnapshot()), restrict(cur, c.patch))
 			} else {
-				pc.SnapID, err = putGraph(dg.graphLocked(c), graph.NewSnapshot())
+				pc.SnapID, err = putGraph(graphOf(c, cur.Clone()), graph.NewSnapshot())
 			}
 			if err != nil {
 				return err
@@ -305,7 +306,13 @@ func Open(opts Options) (*DeltaGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.Apply(dg.current) // New left it the null graph
+	// The stored current graph is decoded into a scratch snapshot, which the
+	// pending nodes below are read against and which is dropped once the pool
+	// holds it.
+	cur := graph.NewSnapshot()
+	d.Apply(cur)
+	dg.pool.LoadCurrent(cur)
+	dg.curSize = cur.Size()
 	buf, err = dg.store.Get(kvstore.EncodeKey(0, pi.CurrentID, kvstore.ComponentTransient))
 	if err == nil {
 		dg.recent, err = delta.DecodeEvents(buf)
@@ -351,7 +358,6 @@ func Open(opts Options) (*DeltaGraph, error) {
 	// Restore builder pending state, each graph as a patch against the
 	// current one. The spine waits for the first read (or for a pinned node
 	// below, whose path starts at the root).
-	dg.curSize = dg.current.Size()
 	dg.pending = nil
 	for _, level := range pi.Pending {
 		row := make([]pendingChild, 0, len(level))
@@ -363,11 +369,11 @@ func Open(opts Options) (*DeltaGraph, error) {
 			if c.Aux == nil {
 				c.Aux = dg.emptyAux()
 			}
-			toPatch := dg.patchOf
+			toPatch := patchOf
 			if c.OnCurrent {
-				toPatch = dg.patchFrom
+				toPatch = patchFrom
 			}
-			row = append(row, pendingChild{node: c.Node, size: dg.skel.nodes[c.Node].size, patch: toPatch(d), aux: c.Aux})
+			row = append(row, pendingChild{node: c.Node, size: dg.skel.nodes[c.Node].size, patch: toPatch(d, cur), aux: c.Aux})
 		}
 		dg.pending = append(dg.pending, row)
 	}
@@ -377,10 +383,6 @@ func Open(opts Options) (*DeltaGraph, error) {
 	}
 	if err := dg.materializeLocked(pinned); err != nil {
 		return nil, fmt.Errorf("deltagraph: re-materializing nodes %v: %w", pinned, err)
-	}
-	// Mirror the current graph into the pool.
-	if dg.pool != nil {
-		dg.pool.LoadCurrent(dg.current)
 	}
 	return dg, nil
 }

@@ -98,13 +98,14 @@ func basesOf(pi persistedIndex) (onCurrent, onNull int) {
 // base by are the lengths of the two deltas it picks between.
 func checkBaseCounts(t testing.TB, dg *DeltaGraph) {
 	t.Helper()
+	cur := dg.cur.Snapshot()
 	for level, row := range dg.pending {
 		for _, c := range row {
-			g, fromCurrent := dg.graphLocked(c), 0
+			g, fromCurrent := graphOf(c, cur.Clone()), 0
 			for x, im := range c.patch {
-				fromCurrent += im.records(imageIn(dg.current, x))
+				fromCurrent += im.records(imageIn(cur, x))
 			}
-			if want := delta.Compute(g, dg.current).Len(); fromCurrent != want {
+			if want := delta.Compute(g, cur).Len(); fromCurrent != want {
 				t.Errorf("pending node at level %d: %d records counted over its patch, its delta from the current graph has %d", level, fromCurrent, want)
 			}
 			if want := delta.FromSnapshot(g).Len(); c.size != want {
@@ -451,8 +452,8 @@ func reopenTimes(dg *DeltaGraph) []graph.Time {
 }
 
 // TestReopenDifferential closes and reopens indexes of many shapes and
-// checks every answer against the one before closing and against naive log
-// replay, then grows the reopened index by two more leaves and checks again:
+// checks every answer, as a snapshot and as a view in the pool, against the
+// one before closing and against naive log replay, then grows the reopened index by two more leaves and checks again:
 // that is what proves the rebuilt spine and the restored pending nodes.
 func TestReopenDifferential(t *testing.T) {
 	events := makeTrace(22, 3400)
@@ -485,6 +486,19 @@ func TestReopenDifferential(t *testing.T) {
 					t.Fatalf("t=%d attrs=%v: differs from the answer before closing", q, i == 0)
 				}
 				pair[i] = s
+				// The same through the pool, which an index given none (every
+				// one here, reopened or not) makes for itself.
+				id, err := dg.Retrieve(q, opts)
+				if err != nil {
+					t.Fatalf("Retrieve(%d): %v", q, err)
+				}
+				if view, err := dg.Pool().View(id); err != nil || !view.Snapshot().Equal(want) {
+					t.Fatalf("t=%d attrs=%v: the view Retrieve overlaid differs from naive log replay (%v)", q, i == 0, err)
+				}
+				if err := dg.Pool().Release(id); err != nil {
+					t.Fatal(err)
+				}
+				dg.Pool().CleanNow()
 			}
 			got[q] = pair
 		}
@@ -774,8 +788,7 @@ func TestCheckpointDoesNotBlockReaders(t *testing.T) {
 // events of the repository benchmark's seed-1 trace, ingested live.
 func benchIndex(b testing.TB) (*DeltaGraph, *kvstore.FileStore) {
 	b.Helper()
-	base := datagen.Coauthorship(datagen.CoauthorshipConfig{Authors: 4000, Edges: 16000, Years: 20, AttrsPerNode: 10, Seed: 1})
-	events := datagen.Churn(base, datagen.ChurnConfig{Adds: 10000, Dels: 10000, Seed: 2})[:59392]
+	events := benchTrace(1, 1)[:59392]
 	fs := openFileStore(b, filepath.Join(b.TempDir(), "index"))
 	dg, err := New(Options{Store: fs})
 	if err == nil {
@@ -831,8 +844,9 @@ func TestGoldenCheckpointBytes(t *testing.T) {
 				t.Errorf("pending node %d at level %d: on current %v, %d B; golden rows are %v", i, level, pc.OnCurrent, stored, golden)
 			}
 			i++
-			g := dg.graphLocked(dg.pending[level][j])
-			whole, fromCurrent := encodedBytes(t, delta.FromSnapshot(g)), encodedBytes(t, delta.Compute(g, dg.current))
+			cur := dg.cur.Snapshot()
+			g := graphOf(dg.pending[level][j], cur.Clone())
+			whole, fromCurrent := encodedBytes(t, delta.FromSnapshot(g)), encodedBytes(t, delta.Compute(g, cur))
 			if stored > min(whole, fromCurrent) {
 				t.Errorf("pending node at level %d weighs %d B: whole it is %d B, as a delta from the current graph %d B", level, stored, whole, fromCurrent)
 			}

@@ -426,7 +426,7 @@ func (r *graphRun) apply(s *graph.Snapshot, st step) (*graph.Snapshot, error) {
 		}
 		return node.matSnapshot.Clone(), nil
 	case fromCurrent:
-		return r.dg.current.Clone(), nil
+		return r.dg.cur.Snapshot(), nil
 	case applyDelta:
 		d, err := r.dg.fetchDelta(st.edge, r.spec)
 		if err != nil {
@@ -708,51 +708,47 @@ func attrsSatisfying[ID comparable](snaps []*graph.Snapshot, expr TimeExpr,
 // the snapshot is overlaid as a dependent graph — the paper's bit-pair
 // optimization.
 func (dg *DeltaGraph) Retrieve(t graph.Time, opts graph.AttrOptions) (graphpool.GraphID, error) {
-	if dg.pool == nil {
-		return 0, fmt.Errorf("deltagraph: no GraphPool attached")
-	}
 	if err := dg.rlockAt(t); err != nil {
 		return 0, err
 	}
+	// Held through the overlay: a dependent of the current graph is registered
+	// against the current graph it was computed from.
+	defer dg.mu.RUnlock()
+	if t >= dg.lastTime {
+		// The head (routeTo) is the current graph as it stands: a dependent of
+		// it with no exceptions, which touches no element.
+		dg.planExecs.Add(1)
+		return dg.pool.OverlayDependent(graphpool.CurrentGraph, &delta.Delta{}, t, opts)
+	}
 	snaps, routes, err := dg.snapshotsLocked([]graph.Time{t}, opts)
 	if err != nil {
-		dg.mu.RUnlock()
 		return 0, err
 	}
 	s, r := snaps[0], routes[0]
 	// Dependent-overlay decision from the route (Section 6).
 	var (
-		baseSnap *graph.Snapshot
+		base     func() *graph.Snapshot // a copy of the route's source, the caller's own
 		baseID   graphpool.GraphID
-		haveBase bool
+		baseSize int
 	)
 	switch r[0].kind {
 	case fromCurrent:
-		baseSnap, baseID, haveBase = dg.current, graphpool.CurrentGraph, true
+		base, baseID, baseSize = dg.cur.Snapshot, graphpool.CurrentGraph, dg.curSize
 	case fromPinned:
 		node := dg.skel.nodes[r[0].edge.to]
 		if id, ok := dg.matGraphs[node.id]; ok {
-			baseSnap, baseID, haveBase = node.matSnapshot, id, true
+			base, baseID, baseSize = node.matSnapshot.Clone, id, node.matSnapshot.Size()
 		}
 	}
-	if haveBase {
-		baseSize := baseSnap.Size()
-		if baseSize > 0 && float64(r.records()) <= dg.opts.DependentMaxRatio*float64(baseSize) {
-			exc := delta.Compute(s, opts.FilterSnapshot(baseSnap.Clone()))
-			dg.mu.RUnlock()
-			return dg.pool.OverlayDependent(baseID, exc, t, opts)
-		}
+	if baseSize > 0 && float64(r.records()) <= dg.opts.DependentMaxRatio*float64(baseSize) {
+		return dg.pool.OverlayDependent(baseID, delta.Compute(s, opts.FilterSnapshot(base())), t, opts)
 	}
-	dg.mu.RUnlock()
 	return dg.pool.OverlaySnapshot(s, t), nil
 }
 
 // RetrieveMany loads many snapshots into the pool using multipoint
 // retrieval, returning graph IDs in the order of ts.
 func (dg *DeltaGraph) RetrieveMany(ts []graph.Time, opts graph.AttrOptions) ([]graphpool.GraphID, error) {
-	if dg.pool == nil {
-		return nil, fmt.Errorf("deltagraph: no GraphPool attached")
-	}
 	if err := dg.rlockAt(ts...); err != nil {
 		return nil, err
 	}

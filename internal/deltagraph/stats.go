@@ -46,6 +46,15 @@ type IndexStats struct {
 	RootSize int
 	// RecentEvents is the size of the unflushed tail.
 	RecentEvents int
+	// PatchElements sums, over the pending nodes, the elements each holds an
+	// image of because it differs from the current graph there (about 45 B
+	// of heap an entry, more for an image with attributes). With the current
+	// graph in the pool alone it is the largest thing the index itself keeps
+	// in memory.
+	PatchElements int
+	// WindowElements is the number of elements changed since the last leaf
+	// cut: the ones every pending node already holds an image of.
+	WindowElements int
 	// PlanExecutions counts, since the index was created or opened, the
 	// graphs that snapshot queries built from a source (the null graph, a
 	// materialized node, the current graph): one for a singlepoint query,
@@ -86,7 +95,13 @@ func (dg *DeltaGraph) statsLocked() IndexStats {
 		DeltaBytesByLevel:   make(map[int]int64),
 		DeltaRecordsByLevel: make(map[int]int),
 		RecentEvents:        len(dg.recent),
+		WindowElements:      len(dg.window),
 		PlanExecutions:      dg.planExecs.Load(),
+	}
+	for _, level := range dg.pending {
+		for _, c := range level {
+			st.PatchElements += len(c.patch)
+		}
 	}
 	height := 0
 	for _, n := range dg.skel.nodes {

@@ -277,15 +277,26 @@ func (p *Pool) node(id graph.NodeID) *element {
 	return n
 }
 
+// edge returns the record of edge id, made if there is none. A record that
+// says otherwise than info and that no graph holds the edge of (bit 1 aside,
+// which is read by nobody) is there for its attribute values alone — a
+// history may set an attribute on an edge it never added, or on one it
+// deleted — and what it says of the endpoints was a guess: it takes info in
+// its place.
 func (p *Pool) edge(id graph.EdgeID, info graph.EdgeInfo) *poolEdge {
 	e := p.edges[id]
 	if e == nil {
-		e = &poolEdge{info: info}
+		e = &poolEdge{}
 		p.edges[id] = e
-		p.adj[info.From] = append(p.adj[info.From], id)
-		if info.To != info.From {
-			p.adj[info.To] = append(p.adj[info.To], id)
-		}
+	} else if e.info == info || e.bm.AnyExcept(1) {
+		return e
+	} else {
+		p.unlink(id, e.info)
+	}
+	e.info = info
+	p.adj[info.From] = append(p.adj[info.From], id)
+	if info.To != info.From {
+		p.adj[info.To] = append(p.adj[info.To], id)
 	}
 	return e
 }
@@ -322,10 +333,7 @@ func (p *Pool) markAll(entry *graphEntry, s *graph.Snapshot, bits ...int) {
 		p.setAll(p.node(n), attrs, bits)
 	}
 	for e, attrs := range s.EdgeAttrs {
-		// An attribute for an edge the snapshot does not contain is skipped.
-		if pe, ok := p.edges[e]; ok {
-			p.setAll(&pe.element, attrs, bits)
-		}
+		p.setAll(&p.edge(e, s.Edges[e]).element, attrs, bits)
 	}
 	entry.nodeCount = len(s.Nodes)
 	entry.edgeCount = len(s.Edges)
@@ -401,11 +409,9 @@ func (p *Pool) OverlayDependent(dep GraphID, d *delta.Delta, at graph.Time, attr
 		p.node(rec.Node).except(p.nameID(rec.Attr), exc, member)
 	}
 	for _, rec := range d.SetEdgeAttrs {
-		if pe, ok := p.edges[rec.Edge]; ok {
-			name := p.nameID(rec.Attr)
-			pe.except(name, exc, member)
-			pe.set(name, rec.Val, exc, member)
-		}
+		pe, name := p.edge(rec.Edge, graph.EdgeInfo{}), p.nameID(rec.Attr)
+		pe.except(name, exc, member)
+		pe.set(name, rec.Val, exc, member)
 	}
 	for _, rec := range d.DelEdgeAttrs {
 		if pe, ok := p.edges[rec.Edge]; ok {
@@ -434,10 +440,7 @@ func (p *Pool) sweepEdge(id graph.EdgeID, pe *poolEdge, mask *bitset.Bits) int {
 	removed := pe.clear(mask)
 	if pe.dead() {
 		delete(p.edges, id)
-		p.dropAdj(pe.info.From, id)
-		if pe.info.To != pe.info.From {
-			p.dropAdj(pe.info.To, id)
-		}
+		p.unlink(id, pe.info)
 		removed++
 	}
 	return removed
@@ -467,51 +470,60 @@ func (p *Pool) LoadCurrent(s *graph.Snapshot) {
 	p.markAll(p.graphs[CurrentGraph], s, 0)
 }
 
-// ApplyEvent updates the current graph in place (bits 0 and 1). Deleted
-// elements keep bit 1 set until ClearRecent is called, marking them as
-// "recently deleted but not yet in the DeltaGraph index".
+// retire takes the values at el.attrs[lo:hi] that the current graph holds out
+// of it (bit 0 to bit 1) and reports whether there were any.
+func (el *element) retire(lo, hi int) (any bool) {
+	for i := lo; i < hi; i++ {
+		if bm := &el.attrs[i].bm; bm.Get(0) {
+			bm.Clear(0)
+			bm.Set(1)
+			any = true
+		}
+	}
+	return any
+}
+
+// ApplyEvent updates the current graph in place (bits 0 and 1), to the
+// letter of graph.Snapshot.Apply: a delete takes the element's attribute
+// values with it, and an attribute may be set on an element that is not
+// there. What leaves keeps bit 1 set until ClearRecent is called, marking it
+// as "recently deleted but not yet in the DeltaGraph index".
 func (p *Pool) ApplyEvent(ev graph.Event) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	cur := p.graphs[CurrentGraph]
 	// put moves an element into or out of the current graph and keeps count.
-	put := func(bm *bitset.Bits, count *int, in bool) {
-		if in && !bm.Get(0) {
+	put := func(el *element, count *int, in bool) {
+		if in && !el.bm.Get(0) {
 			*count++
-		} else if !in && bm.Get(0) {
+		} else if !in && el.bm.Get(0) {
 			*count--
 		}
-		bm.SetTo(0, in)
+		el.bm.SetTo(0, in)
 		if !in {
-			bm.Set(1)
+			el.bm.Set(1)
+			el.retire(0, len(el.attrs))
 		}
 	}
-	// setAttr takes every current value of the attribute out of the current
-	// graph and puts the new one, if any, in; it reports whether a value
-	// left.
+	// setAttr takes the current value of the attribute out of the current
+	// graph and puts the new one, if any, in; it reports whether a value left.
 	setAttr := func(el *element) (deleted bool) {
 		name := p.nameID(ev.Attr)
-		for i, hi := el.run(name); i < hi; i++ {
-			if bm := &el.attrs[i].bm; bm.Get(0) {
-				bm.Clear(0)
-				bm.Set(1)
-				deleted = true
-			}
-		}
+		deleted = el.retire(el.run(name))
 		if ev.HasNew {
 			el.set(name, ev.New, 0)
 		}
 		return deleted
 	}
+	info := graph.EdgeInfo{From: ev.Node, To: ev.Node2, Directed: ev.Directed}
 	switch ev.Type {
 	case graph.AddNode:
-		put(&p.node(ev.Node).bm, &cur.nodeCount, true)
+		put(p.node(ev.Node), &cur.nodeCount, true)
 	case graph.DelNode:
-		put(&p.node(ev.Node).bm, &cur.nodeCount, false)
+		put(p.node(ev.Node), &cur.nodeCount, false)
 		p.recentNodes = append(p.recentNodes, ev.Node)
 	case graph.AddEdge, graph.DelEdge:
-		pe := p.edge(ev.Edge, graph.EdgeInfo{From: ev.Node, To: ev.Node2, Directed: ev.Directed})
-		put(&pe.bm, &cur.edgeCount, ev.Type == graph.AddEdge)
+		put(&p.edge(ev.Edge, info).element, &cur.edgeCount, ev.Type == graph.AddEdge)
 		if ev.Type == graph.DelEdge {
 			p.recentEdges = append(p.recentEdges, ev.Edge)
 		}
@@ -520,7 +532,7 @@ func (p *Pool) ApplyEvent(ev graph.Event) {
 			p.recentNodes = append(p.recentNodes, ev.Node)
 		}
 	case graph.SetEdgeAttr:
-		if pe, ok := p.edges[ev.Edge]; ok && setAttr(&pe.element) {
+		if setAttr(&p.edge(ev.Edge, info).element) {
 			p.recentEdges = append(p.recentEdges, ev.Edge)
 		}
 	}
@@ -656,6 +668,14 @@ func (p *Pool) CleanNow() int {
 		return 0
 	}
 	return p.sweepAll(&mask)
+}
+
+// unlink takes edge e out of the adjacency lists of its endpoints.
+func (p *Pool) unlink(e graph.EdgeID, info graph.EdgeInfo) {
+	p.dropAdj(info.From, e)
+	if info.To != info.From {
+		p.dropAdj(info.To, e)
+	}
 }
 
 func (p *Pool) dropAdj(n graph.NodeID, e graph.EdgeID) {

@@ -606,3 +606,87 @@ func TestClearRecentEvictsDeadElements(t *testing.T) {
 		t.Error("deleted edge back in the current graph")
 	}
 }
+
+// TestCurrentGraphIsSnapshotApply: ApplyEvent means what graph.Snapshot.Apply
+// means, whatever the trace does — deletes of elements that carry
+// attributes (they go too: NN 1, UNA 1 a=x, DN 1, NN 1 leaves node 1 bare),
+// attributes set on ids never added and on deleted ones, re-adds, with
+// ClearRecent and a reload falling in between. The current graph's view
+// says so whole (Snapshot) and by the element (NodeImage, EdgeImage), and
+// other graphs in the pool are not disturbed.
+func TestCurrentGraphIsSnapshotApply(t *testing.T) {
+	p := New()
+	for _, ev := range []graph.Event{
+		{Type: graph.AddNode, Node: 1}, {Type: graph.SetNodeAttr, Node: 1, Attr: "a", New: "x", HasNew: true},
+		{Type: graph.DelNode, Node: 1}, {Type: graph.AddNode, Node: 1},
+	} {
+		p.ApplyEvent(ev)
+	}
+	if present, attrs := p.Current().NodeImage(1); !present || attrs != nil || p.Current().NodeAttrs(1) != nil {
+		t.Fatalf("a node deleted with an attribute on it and added again: present %v with %v, want it bare", present, attrs)
+	}
+
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p, want := New(), graph.NewSnapshot()
+		const ids = 8
+		held := buildSnapshot(ids) // another graph over the same ids
+		heldID := p.OverlaySnapshot(held, 0)
+		for i := 0; i < 800; i++ {
+			node, edge := graph.NodeID(1+rng.Intn(ids)), graph.EdgeID(1+rng.Intn(ids))
+			ev := graph.Event{Node: node}
+			if rng.Intn(2) == 0 { // an edge event; edge e joins e and e+1, as in held
+				ev.Edge, ev.Node, ev.Node2 = edge, graph.NodeID(edge), graph.NodeID(edge+1)
+			}
+			switch k := rng.Intn(6); {
+			case k < 2:
+				ev.Type = graph.AddNode
+			case k < 3:
+				ev.Type = graph.DelNode
+			default:
+				ev.Type, ev.Attr = graph.SetNodeAttr, []string{"name", "w", "z"}[rng.Intn(3)]
+				if rng.Intn(4) != 0 {
+					ev.New, ev.HasNew = []string{"1", "2", "nodeb"}[rng.Intn(3)], true
+				}
+			}
+			if ev.Edge != 0 {
+				ev.Type = map[graph.EventType]graph.EventType{graph.AddNode: graph.AddEdge, graph.DelNode: graph.DelEdge, graph.SetNodeAttr: graph.SetEdgeAttr}[ev.Type]
+			}
+			// The index admits only what changes the graph: no add of a live
+			// element.
+			if _, live := want.Nodes[ev.Node]; live && ev.Type == graph.AddNode {
+				continue
+			}
+			if _, live := want.Edges[ev.Edge]; live && ev.Type == graph.AddEdge {
+				continue
+			}
+			p.ApplyEvent(ev)
+			want.Apply(ev)
+			switch rng.Intn(12) {
+			case 0:
+				p.ClearRecent()
+			case 1:
+				p.LoadCurrent(want)
+			}
+			cur := p.Current()
+			if got := cur.Snapshot(); !got.Equal(want) {
+				t.Fatalf("seed %d, after event %d (%+v): the current graph is nodes %v attrs %v, edges %v attrs %v; Snapshot.Apply says %v %v, %v %v",
+					seed, i, ev, got.Nodes, got.NodeAttrs, got.Edges, got.EdgeAttrs, want.Nodes, want.NodeAttrs, want.Edges, want.EdgeAttrs)
+			}
+			if cur.NumNodes() != len(want.Nodes) || cur.NumEdges() != len(want.Edges) {
+				t.Fatalf("seed %d, after event %d: counts %d and %d, want %d and %d", seed, i, cur.NumNodes(), cur.NumEdges(), len(want.Nodes), len(want.Edges))
+			}
+			_, wantNode := want.Nodes[node]
+			if present, attrs := cur.NodeImage(node); present != wantNode || fmt.Sprint(attrs) != fmt.Sprint(want.NodeAttrs[node]) {
+				t.Fatalf("seed %d, after event %d: NodeImage(%d) = %v, %v; want %v, %v", seed, i, node, present, attrs, wantNode, want.NodeAttrs[node])
+			}
+			wantInfo, wantEdge := want.Edges[edge]
+			if info, present, attrs := cur.EdgeImage(edge); present != wantEdge || info != wantInfo || fmt.Sprint(attrs) != fmt.Sprint(want.EdgeAttrs[edge]) {
+				t.Fatalf("seed %d, after event %d: EdgeImage(%d) = %v, %v, %v; want %v, %v, %v", seed, i, edge, info, present, attrs, wantInfo, wantEdge, want.EdgeAttrs[edge])
+			}
+		}
+		if v, err := p.View(heldID); err != nil || !v.Snapshot().Equal(held) {
+			t.Fatalf("seed %d: the other graph in the pool changed under the current graph's events (%v)", seed, err)
+		}
+	}
+}

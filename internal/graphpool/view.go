@@ -218,7 +218,7 @@ func (v *View) attrsOf(el *element, node bool) map[string]string {
 		answered = av.name
 		if name := v.p.names[av.name]; v.admits(node, name) {
 			if out == nil {
-				out = make(map[string]string)
+				out = make(map[string]string, len(el.attrs)-i) // room for all that may follow
 			}
 			out[name] = av.val
 		}
@@ -273,25 +273,52 @@ func (v *View) EdgeAttrs(e graph.EdgeID) map[string]string {
 	return v.attrsOf(&pe.element, false)
 }
 
-// Snapshot extracts a full set-based copy of this graph out of the pool.
+// NodeImage returns what this graph holds of node n: whether n is in it,
+// and the attribute values it gives n. A graph can hold values for a node
+// it does not contain (a history may set an attribute on an id it never
+// added, or on one it deleted), which NodeAttrs, answering for the nodes of
+// the graph, does not show.
+func (v *View) NodeImage(n graph.NodeID) (present bool, attrs map[string]string) {
+	v.p.mu.RLock()
+	defer v.p.mu.RUnlock()
+	if pn := v.p.nodes[n]; pn != nil {
+		present, attrs = v.entry.m.has(&pn.bm), v.attrsOf(pn, true)
+	}
+	return present, attrs
+}
+
+// EdgeImage is NodeImage for an edge; info is the zero value unless the
+// edge is present.
+func (v *View) EdgeImage(e graph.EdgeID) (info graph.EdgeInfo, present bool, attrs map[string]string) {
+	v.p.mu.RLock()
+	defer v.p.mu.RUnlock()
+	if pe := v.p.edges[e]; pe != nil {
+		if attrs = v.attrsOf(&pe.element, false); v.entry.m.has(&pe.bm) {
+			info, present = pe.info, true
+		}
+	}
+	return info, present, attrs
+}
+
+// Snapshot extracts a full set-based copy of this graph out of the pool:
+// its nodes and edges, and every attribute value it holds, those of
+// elements it does not contain among them (see NodeImage).
 func (v *View) Snapshot() *graph.Snapshot {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	s := graph.NewSnapshot()
 	for id, pn := range v.p.nodes {
-		if !v.entry.m.has(&pn.bm) {
-			continue
+		if v.entry.m.has(&pn.bm) {
+			s.Nodes[id] = struct{}{}
 		}
-		s.Nodes[id] = struct{}{}
 		if attrs := v.attrsOf(pn, true); attrs != nil {
 			s.NodeAttrs[id] = attrs
 		}
 	}
 	for id, pe := range v.p.edges {
-		if !v.entry.m.has(&pe.bm) {
-			continue
+		if v.entry.m.has(&pe.bm) {
+			s.Edges[id] = pe.info
 		}
-		s.Edges[id] = pe.info
 		if attrs := v.attrsOf(&pe.element, false); attrs != nil {
 			s.EdgeAttrs[id] = attrs
 		}
