@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -46,25 +45,14 @@ func cell(t *testing.T, table *Table, row, col int) float64 {
 
 // Shape: the naive Log baseline must be far slower than DeltaGraph.
 func TestShapeLogSlowerThanDeltaGraph(t *testing.T) {
-	// A table is 25 queries a side, timed once: on a loaded two-core host one
-	// table can read the other way round (it did, on the commit before PR 29
-	// as on the one after), so the shape has three tables to show in.
-	var slow []string
-	for try := 0; try < 3; try++ {
-		slow = nil
-		table := runExp(t, "log")
-		for i := range table.Rows {
-			// The factor is bounded by |E|/|G| at tiny scale (EXPERIMENTS.md
-			// note 1); assert the direction with headroom, not the paper's 20x.
-			if f := cell(t, table, i, 3); f < 1.3 {
-				slow = append(slow, fmt.Sprintf("%s: log only %.2fx slower; expected clearly > 1x", table.Rows[i][0], f))
-			}
-		}
-		if len(slow) == 0 {
-			return
+	table := runExp(t, "log")
+	for i := range table.Rows {
+		// The factor is bounded by |E|/|G| at tiny scale (EXPERIMENTS.md
+		// note 1); assert the direction with headroom, not the paper's 20x.
+		if f := cell(t, table, i, 3); f < 1.3 {
+			t.Errorf("%s: log only %.2fx slower; expected clearly > 1x", table.Rows[i][0], f)
 		}
 	}
-	t.Error(strings.Join(slow, "; "))
 }
 
 // Shape: deeper materialization never slows retrieval and always pins more
@@ -76,14 +64,9 @@ func TestShapeMaterializationMonotone(t *testing.T) {
 			t.Errorf("memory not monotone at row %d", i)
 		}
 	}
-	// Latency: compare the extremes, in the best of three tables (one is 15
-	// queries a row, timed once; see TestShapeLogSlowerThanDeltaGraph).
-	for try := 1; cell(t, table, 3, 1) > cell(t, table, 0, 1); try++ {
-		if try == 3 {
-			t.Error("grandchildren materialization slower than none")
-			break
-		}
-		table = runExp(t, "fig10")
+	// Latency: compare the extremes (noise-tolerant).
+	if cell(t, table, 3, 1) > cell(t, table, 0, 1) {
+		t.Error("grandchildren materialization slower than none")
 	}
 }
 

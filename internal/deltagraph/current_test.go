@@ -16,7 +16,8 @@ import (
 // with their attributes on them and added again later, and attributes are
 // set on ids that were never added and on ones that were deleted. It keeps
 // MessyTrace's other courtesy (no delete and re-add of one element at one
-// instant) and an edge id always names the same pair of nodes.
+// instant). An edge id names one pair of nodes from an add to the next
+// delete, and every other time another pair after that.
 func lenientTrace(seed int64, n int) graph.EventList {
 	rng := rand.New(rand.NewSource(seed))
 	const ids = 10
@@ -24,6 +25,7 @@ func lenientTrace(seed int64, n int) graph.EventList {
 		events  graph.EventList
 		now     graph.Time
 		deleted = map[elem]graph.Time{} // when each element was last deleted
+		joins   = map[graph.EdgeID][2]graph.NodeID{}
 	)
 	for len(events) < n {
 		if rng.Intn(3) == 0 {
@@ -33,6 +35,11 @@ func lenientTrace(seed int64, n int) graph.EventList {
 		ev := graph.Event{At: now, Node: node}
 		if k := rng.Intn(10); k >= 5 { // an edge event, with its endpoints
 			ev.Edge, ev.Node, ev.Node2 = edge, graph.NodeID(edge%ids+1), graph.NodeID(edge*7%ids+1)
+			if pair, live := joins[edge]; live {
+				ev.Node, ev.Node2 = pair[0], pair[1]
+			} else if rng.Intn(2) == 0 {
+				ev.Node, ev.Node2 = ev.Node2%ids+1, ev.Node%ids+1
+			}
 		}
 		x := nodeElem(node)
 		if ev.Edge != 0 {
@@ -45,12 +52,13 @@ func lenientTrace(seed int64, n int) graph.EventList {
 			}
 			ev.Type = graph.AddNode
 			if x.edge {
-				ev.Type = graph.AddEdge
+				ev.Type, joins[edge] = graph.AddEdge, [2]graph.NodeID{ev.Node, ev.Node2}
 			}
 		case k < 3: // a delete, attributes and all, of something there or not
 			ev.Type, deleted[x] = graph.DelNode, now
 			if x.edge {
 				ev.Type = graph.DelEdge
+				delete(joins, edge)
 			}
 		default: // an attribute set or removed, whether the element is there or not
 			ev.Type, ev.Attr = graph.SetNodeAttr, []string{"a", "b"}[rng.Intn(2)]
@@ -71,7 +79,10 @@ func lenientTrace(seed int64, n int) graph.EventList {
 // replay says. Before, the index's own copy dropped a deleted element's
 // attributes and the pool kept them in the current graph: after NN 1,
 // UNA 1 a=x, DN 1, NN 1 a view of the head showed a=x on a node every other
-// reader called bare.
+// reader called bare. It is also the only place the endpoints of a current
+// edge are kept, whatever a graph some reader holds in the same pool says of
+// the edge's id: the trace deletes edges and adds them again between other
+// nodes while one is held.
 //
 // The trace is read at the head only. A delete event does not carry the
 // attributes it takes with it, so a stored eventlist played backward over an
@@ -85,12 +96,38 @@ func TestCurrentGraphIsOneGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var attributedDeletes, orphans int
+		var (
+			attributedDeletes, orphans, moved int
+			held                              *graph.Snapshot // a graph a reader keeps in the pool, and its id there
+			heldID                            graphpool.GraphID
+		)
 		for i, ev := range events {
 			if err := dg.Append(ev); err != nil {
 				t.Fatal(err)
 			}
 			want := graph.SnapshotAt(events[:i+1], ev.At)
+			// The reader's graph is not the index's to change, nor in its way:
+			// an edge id the reader holds between two nodes may be deleted and
+			// added between two others.
+			if held != nil {
+				for e, info := range held.Edges {
+					if now, ok := want.Edges[e]; ok && now != info {
+						moved++
+					}
+				}
+				if v, err := pool.View(heldID); err != nil || !v.Snapshot().Equal(held) {
+					t.Fatalf("seed %d, after event %d (%+v): the graph a reader holds in the pool changed (%v)", seed, i, ev, err)
+				}
+			}
+			if i%120 == 0 {
+				if held != nil {
+					if err := pool.Release(heldID); err != nil {
+						t.Fatal(err)
+					}
+				}
+				held = want
+				heldID = pool.OverlaySnapshot(held, ev.At)
+			}
 			id, err := dg.Retrieve(ev.At, allAttrs)
 			if err != nil {
 				t.Fatal(err)
@@ -126,8 +163,9 @@ func TestCurrentGraphIsOneGraph(t *testing.T) {
 				}
 			}
 		}
-		if st := dg.StatsUnsealed(); st.Leaves < 10 || attributedDeletes < 10 || orphans < 10 {
-			t.Fatalf("seed %d: %d leaves, %d attributed deletes, %d reads with attributes on an absent node: the trace does not cover what it is for", seed, st.Leaves, attributedDeletes, orphans)
+		if st := dg.StatsUnsealed(); st.Leaves < 10 || attributedDeletes < 10 || orphans < 10 || moved < 5 {
+			t.Fatalf("seed %d: %d leaves, %d attributed deletes, %d reads with attributes on an absent node, %d with an edge a reader holds between other nodes: the trace does not cover what it is for",
+				seed, st.Leaves, attributedDeletes, orphans, moved)
 		}
 		// The same graph comes back from a checkpoint, into a pool of the
 		// reopened index's own.

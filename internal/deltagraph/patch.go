@@ -177,9 +177,10 @@ func restrict(cur *graph.Snapshot, ids patch) *graph.Snapshot {
 	return s
 }
 
-// graphOf makes cur, a copy of the current graph that is the caller's own
-// (and costs as much as the graph), into c's whole graph and returns it. The
-// result is read-only: attribute maps alias the patch's. It is for the seal
+// graphOf makes cur, a copy of the current graph whose four outer maps are
+// the caller's own (and cost as much as the graph has elements), into c's
+// whole graph and returns it. The result is read-only: attribute maps alias
+// the patch's, and cur's may alias the caller's. It is for the seal
 // (the root's whole graph is the top delta) and for the pending nodes
 // Checkpoint stores from the null graph, which are the ones far smaller than
 // the current graph. Given the null graph for cur, it returns c's graph cut

@@ -3,6 +3,7 @@ package deltagraph
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 
 	"historygraph/internal/delta"
@@ -164,7 +165,11 @@ func (dg *DeltaGraph) Checkpoint() error {
 			if pc.OnCurrent {
 				pc.SnapID, err = putGraph(graphOf(c, graph.NewSnapshot()), restrict(cur, c.patch))
 			} else {
-				pc.SnapID, err = putGraph(graphOf(c, cur.Clone()), graph.NewSnapshot())
+				whole := &graph.Snapshot{ // putIn replaces entries of these four: the inner attribute maps stay shared
+					Nodes: maps.Clone(cur.Nodes), Edges: maps.Clone(cur.Edges),
+					NodeAttrs: maps.Clone(cur.NodeAttrs), EdgeAttrs: maps.Clone(cur.EdgeAttrs),
+				}
+				pc.SnapID, err = putGraph(graphOf(c, whole), graph.NewSnapshot())
 			}
 			if err != nil {
 				return err

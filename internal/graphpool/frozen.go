@@ -67,7 +67,7 @@ func (v *View) Freeze() *FrozenView {
 	for id, pn := range v.p.nodes {
 		f.nodes = append(f.nodes, frozenNode{id: id, word: pack(&pn.bm)})
 	}
-	for _, pe := range v.p.edges {
+	for _, pe := range v.p.records {
 		w := pack(&pe.bm)
 		f.adj[pe.info.From] = append(f.adj[pe.info.From], frozenEdge{other: pe.info.To, word: w})
 		if pe.info.To != pe.info.From {

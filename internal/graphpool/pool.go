@@ -20,6 +20,7 @@ package graphpool
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -195,9 +196,15 @@ type Pool struct {
 	mu     sync.RWMutex
 	nodes  map[graph.NodeID]*element
 	edges  map[graph.EdgeID]*poolEdge
-	adj    map[graph.NodeID][]graph.EdgeID
+	adj    map[graph.NodeID][]graph.EdgeID // the edge ids with a record at the node, each once
 	graphs map[GraphID]*graphEntry
 	nextID GraphID
+	// An edge id names one pair of nodes for life (graph.EdgeID), and a
+	// history that gives an id to another pair later is held all the same:
+	// alts has the records of such an id after the first, one for each
+	// further pair, for as long as a graph holds the edge between them. They
+	// carry membership alone; the attribute values of an id are on edges[id].
+	alts map[graph.EdgeID][]*poolEdge
 	// Attribute names, interned: an attrVal holds an index into names.
 	names   []string
 	nameIDs map[string]uint32
@@ -220,6 +227,7 @@ func New() *Pool {
 	p := &Pool{
 		nodes:   make(map[graph.NodeID]*element),
 		edges:   make(map[graph.EdgeID]*poolEdge),
+		alts:    make(map[graph.EdgeID][]*poolEdge),
 		adj:     make(map[graph.NodeID][]graph.EdgeID),
 		graphs:  make(map[GraphID]*graphEntry),
 		nameIDs: make(map[string]uint32),
@@ -277,28 +285,90 @@ func (p *Pool) node(id graph.NodeID) *element {
 	return n
 }
 
-// edge returns the record of edge id, made if there is none. A record that
-// says otherwise than info and that no graph holds the edge of (bit 1 aside,
-// which is read by nobody) is there for its attribute values alone — a
-// history may set an attribute on an edge it never added, or on one it
-// deleted — and what it says of the endpoints was a guess: it takes info in
-// its place.
+// edge returns the record of edge id between the endpoints info, made if
+// there is none. The first record of an id may be there for the attribute
+// values alone — a history may set an attribute on an edge it never added, or
+// on one it deleted — and what such a record says of the endpoints binds no
+// graph (bit 1 aside, which is read by nobody): it takes info in their place.
+// One that a graph does hold the edge of keeps its endpoints for that graph,
+// and the id gets a further record.
 func (p *Pool) edge(id graph.EdgeID, info graph.EdgeInfo) *poolEdge {
 	e := p.edges[id]
-	if e == nil {
-		e = &poolEdge{}
-		p.edges[id] = e
-	} else if e.info == info || e.bm.AnyExcept(1) {
+	fresh := e == nil
+	if !fresh && e.info == info {
 		return e
-	} else {
-		p.unlink(id, e.info)
 	}
-	e.info = info
-	p.adj[info.From] = append(p.adj[info.From], id)
-	if info.To != info.From {
-		p.adj[info.To] = append(p.adj[info.To], id)
+	for _, alt := range p.alts[id] {
+		if alt.info == info {
+			return alt
+		}
+	}
+	switch {
+	case fresh:
+		e = &poolEdge{info: info}
+		p.edges[id] = e
+	case e.bm.AnyExcept(1):
+		e = &poolEdge{info: info}
+		p.alts[id] = append(p.alts[id], e)
+	default:
+		old := e.info
+		e.info = info
+		p.unlink(id, old)
+	}
+	for _, n := range ends(info) {
+		if fresh || !slices.Contains(p.adj[n], id) {
+			p.adj[n] = append(p.adj[n], id)
+		}
 	}
 	return e
+}
+
+// ends returns the nodes info joins, each once.
+func ends(info graph.EdgeInfo) []graph.NodeID {
+	if info.To == info.From {
+		return []graph.NodeID{info.From}
+	}
+	return []graph.NodeID{info.From, info.To}
+}
+
+// held returns the record of edge id that a graph with the membership test m
+// holds the edge on, nil if it does not hold the edge.
+func (p *Pool) held(m membership, id graph.EdgeID) *poolEdge {
+	first := p.edges[id]
+	if first == nil || m.has(&first.bm) {
+		return first
+	}
+	for _, alt := range p.alts[id] {
+		if m.has(&alt.bm) {
+			return alt
+		}
+	}
+	return nil
+}
+
+// values returns the element that holds the attribute values of edge id, its
+// first record, made between no nodes yet if the pool knows nothing of id.
+func (p *Pool) values(id graph.EdgeID) *element {
+	if first := p.edges[id]; first != nil {
+		return &first.element
+	}
+	return &p.edge(id, graph.EdgeInfo{}).element
+}
+
+// records yields every record of every edge id.
+func (p *Pool) records(yield func(graph.EdgeID, *poolEdge) bool) {
+	for id, first := range p.edges {
+		if !yield(id, first) {
+			return
+		}
+	}
+	for id, alts := range p.alts {
+		for _, alt := range alts {
+			if !yield(id, alt) {
+				return
+			}
+		}
+	}
 }
 
 // nameID interns an attribute name. The caller holds the write lock.
@@ -333,7 +403,7 @@ func (p *Pool) markAll(entry *graphEntry, s *graph.Snapshot, bits ...int) {
 		p.setAll(p.node(n), attrs, bits)
 	}
 	for e, attrs := range s.EdgeAttrs {
-		p.setAll(&p.edge(e, s.Edges[e]).element, attrs, bits)
+		p.setAll(p.values(e), attrs, bits)
 	}
 	entry.nodeCount = len(s.Nodes)
 	entry.edgeCount = len(s.Edges)
@@ -409,7 +479,7 @@ func (p *Pool) OverlayDependent(dep GraphID, d *delta.Delta, at graph.Time, attr
 		p.node(rec.Node).except(p.nameID(rec.Attr), exc, member)
 	}
 	for _, rec := range d.SetEdgeAttrs {
-		pe, name := p.edge(rec.Edge, graph.EdgeInfo{}), p.nameID(rec.Attr)
+		pe, name := p.values(rec.Edge), p.nameID(rec.Attr)
 		pe.except(name, exc, member)
 		pe.set(name, rec.Val, exc, member)
 	}
@@ -435,13 +505,29 @@ func (p *Pool) sweepNode(id graph.NodeID, pn *element, mask *bitset.Bits) int {
 	return removed
 }
 
-// sweepEdge is sweepNode for an edge, which also leaves the adjacency lists.
-func (p *Pool) sweepEdge(id graph.EdgeID, pe *poolEdge, mask *bitset.Bits) int {
-	removed := pe.clear(mask)
-	if pe.dead() {
-		delete(p.edges, id)
-		p.unlink(id, pe.info)
+// sweepEdge is sweepNode for the records of an edge id, which also leave the
+// adjacency lists. A first record that no graph holds the edge of takes the
+// place of a further one: it is where the id's values are.
+func (p *Pool) sweepEdge(id graph.EdgeID, first *poolEdge, mask *bitset.Bits) int {
+	removed := first.clear(mask)
+	for i := len(p.alts[id]) - 1; i >= 0; i-- {
+		if alt := p.alts[id][i]; alt.clear(mask) == 0 && alt.dead() {
+			p.alts[id] = slices.Delete(p.alts[id], i, i+1)
+			p.unlink(id, alt.info)
+			removed++
+		}
+	}
+	if alts, old := p.alts[id], first.info; len(alts) > 0 && !first.bm.Any() {
+		first.bm, first.info, p.alts[id] = alts[0].bm, alts[0].info, alts[1:]
+		p.unlink(id, old)
 		removed++
+	} else if first.dead() {
+		delete(p.edges, id)
+		p.unlink(id, old)
+		removed++
+	}
+	if len(p.alts[id]) == 0 {
+		delete(p.alts, id) // nil or emptied: no entry
 	}
 	return removed
 }
@@ -484,10 +570,13 @@ func (el *element) retire(lo, hi int) (any bool) {
 }
 
 // ApplyEvent updates the current graph in place (bits 0 and 1), to the
-// letter of graph.Snapshot.Apply: a delete takes the element's attribute
-// values with it, and an attribute may be set on an element that is not
-// there. What leaves keeps bit 1 set until ClearRecent is called, marking it
-// as "recently deleted but not yet in the DeltaGraph index".
+// letter of graph.Snapshot.Apply for every event the index admits (an add of
+// an element that is there is not one): a delete takes the element's
+// attribute values with it, an attribute may be set on an element that is
+// not there, and an edge added again has the endpoints the add names,
+// whatever another graph holds the id between. What leaves keeps bit 1 set
+// until ClearRecent is called, marking it as "recently deleted but not yet in
+// the DeltaGraph index".
 func (p *Pool) ApplyEvent(ev graph.Event) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -515,24 +604,28 @@ func (p *Pool) ApplyEvent(ev graph.Event) {
 		}
 		return deleted
 	}
-	info := graph.EdgeInfo{From: ev.Node, To: ev.Node2, Directed: ev.Directed}
 	switch ev.Type {
 	case graph.AddNode:
 		put(p.node(ev.Node), &cur.nodeCount, true)
 	case graph.DelNode:
 		put(p.node(ev.Node), &cur.nodeCount, false)
 		p.recentNodes = append(p.recentNodes, ev.Node)
-	case graph.AddEdge, graph.DelEdge:
-		put(&p.edge(ev.Edge, info).element, &cur.edgeCount, ev.Type == graph.AddEdge)
-		if ev.Type == graph.DelEdge {
-			p.recentEdges = append(p.recentEdges, ev.Edge)
+	case graph.AddEdge:
+		put(&p.edge(ev.Edge, graph.EdgeInfo{From: ev.Node, To: ev.Node2, Directed: ev.Directed}).element, &cur.edgeCount, true)
+	case graph.DelEdge:
+		if pe := p.held(cur.m, ev.Edge); pe != nil {
+			put(&pe.element, &cur.edgeCount, false)
 		}
+		if first := p.edges[ev.Edge]; first != nil {
+			first.retire(0, len(first.attrs))
+		}
+		p.recentEdges = append(p.recentEdges, ev.Edge)
 	case graph.SetNodeAttr:
 		if setAttr(p.node(ev.Node)) {
 			p.recentNodes = append(p.recentNodes, ev.Node)
 		}
 	case graph.SetEdgeAttr:
-		if setAttr(&p.edge(ev.Edge, info).element) {
+		if setAttr(p.values(ev.Edge)) {
 			p.recentEdges = append(p.recentEdges, ev.Edge)
 		}
 	}
@@ -670,11 +763,14 @@ func (p *Pool) CleanNow() int {
 	return p.sweepAll(&mask)
 }
 
-// unlink takes edge e out of the adjacency lists of its endpoints.
+// unlink takes edge e, a record of it between the endpoints info being gone,
+// out of the adjacency list of each of them that no record of e is at now.
 func (p *Pool) unlink(e graph.EdgeID, info graph.EdgeInfo) {
-	p.dropAdj(info.From, e)
-	if info.To != info.From {
-		p.dropAdj(info.To, e)
+	at := func(pe *poolEdge, n graph.NodeID) bool { return pe != nil && pe.info.Touches(n) }
+	for _, n := range ends(info) {
+		if !at(p.edges[e], n) && !slices.ContainsFunc(p.alts[e], func(alt *poolEdge) bool { return at(alt, n) }) {
+			p.dropAdj(n, e)
+		}
 	}
 }
 
@@ -789,13 +885,12 @@ func (el *element) bytes() int64 {
 func (p *Pool) ApproxBytes() int64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	total := int64(len(p.nodes))*(mapSlot+heapSize(unsafe.Sizeof(element{}))) +
-		int64(len(p.edges))*(mapSlot+heapSize(unsafe.Sizeof(poolEdge{})))
+	total := int64(len(p.nodes)) * (mapSlot + heapSize(unsafe.Sizeof(element{})))
 	for _, pn := range p.nodes {
 		total += pn.bytes()
 	}
-	for _, pe := range p.edges {
-		total += pe.bytes()
+	for _, pe := range p.records {
+		total += mapSlot + heapSize(unsafe.Sizeof(poolEdge{})) + pe.bytes()
 	}
 	for _, list := range p.adj {
 		total += mapSlot + int64(unsafe.Sizeof(list)) + heapSize(uintptr(cap(list))*unsafe.Sizeof(list[0]))

@@ -2,7 +2,9 @@ package graphpool
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -614,6 +616,43 @@ func TestClearRecentEvictsDeadElements(t *testing.T) {
 // ClearRecent and a reload falling in between. The current graph's view
 // says so whole (Snapshot) and by the element (NodeImage, EdgeImage), and
 // other graphs in the pool are not disturbed.
+// checkAdjacency holds what v says of the edges at n, locked and frozen, to
+// the snapshot s of the same graph.
+func checkAdjacency(t *testing.T, where string, v *View, s *graph.Snapshot, n graph.NodeID) {
+	t.Helper()
+	var edges []graph.EdgeID
+	nbrs := map[graph.NodeID]bool{}
+	for e, info := range s.Edges {
+		if info.Touches(n) {
+			edges, nbrs[info.Other(n)] = append(edges, e), true
+		}
+	}
+	sorted := func(x any) string {
+		out := fmt.Sprint(x)
+		switch x := x.(type) {
+		case []graph.EdgeID:
+			slices.Sort(x)
+			out = fmt.Sprint(x)
+		case []graph.NodeID:
+			slices.Sort(x)
+			out = fmt.Sprint(slices.Compact(x))
+		}
+		return out
+	}
+	f := v.Freeze()
+	if got, want := sorted(v.IncidentEdges(n)), sorted(edges); got != want || v.Degree(n) != len(edges) || f.Degree(n) != len(edges) {
+		t.Fatalf("%s has edges %s at node %d (degree %d, frozen %d), want %s", where, got, n, v.Degree(n), f.Degree(n), want)
+	}
+	if got, frozen, want := sorted(v.Neighbors(n)), sorted(f.Neighbors(n)), sorted(slices.Collect(maps.Keys(nbrs))); got != want || frozen != want {
+		t.Fatalf("%s has neighbors %s of node %d (frozen %s), want %s", where, got, n, frozen, want)
+	}
+	for _, e := range edges {
+		if info, ok := v.EdgeInfo(e); !ok || info != s.Edges[e] || !v.HasEdge(e) {
+			t.Fatalf("%s says edge %d is %v (%v), want %v", where, e, info, ok, s.Edges[e])
+		}
+	}
+}
+
 func TestCurrentGraphIsSnapshotApply(t *testing.T) {
 	p := New()
 	for _, ev := range []graph.Event{
@@ -626,6 +665,28 @@ func TestCurrentGraphIsSnapshotApply(t *testing.T) {
 		t.Fatalf("a node deleted with an attribute on it and added again: present %v with %v, want it bare", present, attrs)
 	}
 
+	// An edge id deleted and added again between other nodes, while a graph
+	// retrieved earlier still holds the old edge: each graph has its own.
+	p.ApplyEvent(graph.Event{Type: graph.AddEdge, Edge: 5, Node: 1, Node2: 2})
+	old := p.Current().Snapshot()
+	oldID := p.OverlaySnapshot(old, 0)
+	p.ApplyEvent(graph.Event{Type: graph.DelEdge, Edge: 5, Node: 1, Node2: 2})
+	p.ClearRecent()
+	p.ApplyEvent(graph.Event{Type: graph.AddEdge, Edge: 5, Node: 3, Node2: 4})
+	want := old.Clone()
+	want.Edges[5] = graph.EdgeInfo{From: 3, To: 4}
+	oldView, _ := p.View(oldID)
+	for n := graph.NodeID(1); n <= 4; n++ {
+		checkAdjacency(t, "the current graph", p.Current(), want, n)
+		checkAdjacency(t, "the graph retrieved before", oldView, old, n)
+	}
+	if err := p.Release(oldID); err != nil {
+		t.Fatal(err)
+	}
+	if p.CleanNow(); !p.Current().Snapshot().Equal(want) || p.Stats().PoolEdges != 1 || len(p.adj) != 2 {
+		t.Fatalf("with the other graph gone the pool holds %d edge records and %v: want one, between 3 and 4", p.Stats().PoolEdges, p.adj)
+	}
+
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p, want := New(), graph.NewSnapshot()
@@ -635,8 +696,11 @@ func TestCurrentGraphIsSnapshotApply(t *testing.T) {
 		for i := 0; i < 800; i++ {
 			node, edge := graph.NodeID(1+rng.Intn(ids)), graph.EdgeID(1+rng.Intn(ids))
 			ev := graph.Event{Node: node}
-			if rng.Intn(2) == 0 { // an edge event; edge e joins e and e+1, as in held
+			if rng.Intn(2) == 0 { // an edge event; edge e joins e and e+1, as in held, or e+1 and e+3
 				ev.Edge, ev.Node, ev.Node2 = edge, graph.NodeID(edge), graph.NodeID(edge+1)
+				if rng.Intn(3) == 0 {
+					ev.Node, ev.Node2 = ev.Node+1, ev.Node2+2
+				}
 			}
 			switch k := rng.Intn(6); {
 			case k < 2:
@@ -657,8 +721,10 @@ func TestCurrentGraphIsSnapshotApply(t *testing.T) {
 			if _, live := want.Nodes[ev.Node]; live && ev.Type == graph.AddNode {
 				continue
 			}
-			if _, live := want.Edges[ev.Edge]; live && ev.Type == graph.AddEdge {
+			if info, live := want.Edges[ev.Edge]; live && ev.Type == graph.AddEdge {
 				continue
+			} else if live && ev.Type == graph.DelEdge { // and it knows the endpoints of a live edge
+				ev.Node, ev.Node2 = info.From, info.To
 			}
 			p.ApplyEvent(ev)
 			want.Apply(ev)
@@ -684,9 +750,39 @@ func TestCurrentGraphIsSnapshotApply(t *testing.T) {
 			if info, present, attrs := cur.EdgeImage(edge); present != wantEdge || info != wantInfo || fmt.Sprint(attrs) != fmt.Sprint(want.EdgeAttrs[edge]) {
 				t.Fatalf("seed %d, after event %d: EdgeImage(%d) = %v, %v, %v; want %v, %v, %v", seed, i, edge, info, present, attrs, wantInfo, wantEdge, want.EdgeAttrs[edge])
 			}
+			where := fmt.Sprintf("seed %d, after event %d (%+v): the current graph", seed, i, ev)
+			checkAdjacency(t, where, cur, want, node)
+			heldView, _ := p.View(heldID)
+			checkAdjacency(t, where+" set beside a graph that", heldView, held, node)
+			if i%16 == 0 { // the other graph once more, as what it differs from the current graph in
+				depID, err := p.OverlayDependent(CurrentGraph, delta.Compute(held, want), 0, allAttrs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dep, _ := p.View(depID)
+				if got := dep.Snapshot(); !got.Equal(held) {
+					t.Fatalf("%s has a dependent with edges %v attrs %v, want %v %v", where, got.Edges, got.EdgeAttrs, held.Edges, held.EdgeAttrs)
+				}
+				checkAdjacency(t, where+" has a dependent that", dep, held, node)
+				if err := p.Release(depID); err != nil {
+					t.Fatal(err)
+				}
+				p.CleanNow()
+			}
 		}
 		if v, err := p.View(heldID); err != nil || !v.Snapshot().Equal(held) {
 			t.Fatalf("seed %d: the other graph in the pool changed under the current graph's events (%v)", seed, err)
+		}
+		// With the other graph gone an edge id has one pair of endpoints again,
+		// and the pool one record of it.
+		if err := p.Release(heldID); err != nil {
+			t.Fatal(err)
+		}
+		if p.CleanNow(); len(p.alts) != 0 || !p.Current().Snapshot().Equal(want) {
+			t.Fatalf("seed %d: the current graph alone in the pool, and %d edge ids have further records", seed, len(p.alts))
+		}
+		for n := graph.NodeID(0); n <= ids+3; n++ {
+			checkAdjacency(t, fmt.Sprintf("seed %d: the current graph, alone in the pool,", seed), p.Current(), want, n)
 		}
 	}
 }

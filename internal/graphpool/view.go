@@ -75,19 +75,17 @@ func (v *View) HasNode(n graph.NodeID) bool {
 func (v *View) HasEdge(e graph.EdgeID) bool {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	pe, ok := v.p.edges[e]
-	return ok && v.entry.m.has(&pe.bm)
+	return v.p.held(v.entry.m, e) != nil
 }
 
 // EdgeInfo returns the endpoints of an edge in this graph.
 func (v *View) EdgeInfo(e graph.EdgeID) (graph.EdgeInfo, bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	pe, ok := v.p.edges[e]
-	if !ok || !v.entry.m.has(&pe.bm) {
-		return graph.EdgeInfo{}, false
+	if pe := v.p.held(v.entry.m, e); pe != nil {
+		return pe.info, true
 	}
-	return pe.info, true
+	return graph.EdgeInfo{}, false
 }
 
 // ForEachNode calls fn for every node in this graph until fn returns false.
@@ -109,7 +107,7 @@ func (v *View) ForEachNode(fn func(graph.NodeID) bool) {
 func (v *View) ForEachEdge(fn func(graph.EdgeID, graph.EdgeInfo) bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	for id, pe := range v.p.edges {
+	for id, pe := range v.p.records {
 		if v.entry.m.has(&pe.bm) {
 			if !fn(id, pe.info) {
 				return
@@ -134,7 +132,7 @@ func (v *View) IncidentEdges(n graph.NodeID) []graph.EdgeID {
 	defer v.p.mu.RUnlock()
 	var out []graph.EdgeID
 	for _, e := range v.p.adj[n] {
-		if pe, ok := v.p.edges[e]; ok && v.entry.m.has(&pe.bm) {
+		if pe := v.p.held(v.entry.m, e); pe != nil && pe.info.Touches(n) {
 			out = append(out, e)
 		}
 	}
@@ -150,8 +148,8 @@ func (v *View) Neighbors(n graph.NodeID) []graph.NodeID {
 	seen := make(map[graph.NodeID]struct{})
 	var out []graph.NodeID
 	for _, e := range v.p.adj[n] {
-		pe, ok := v.p.edges[e]
-		if !ok || !v.entry.m.has(&pe.bm) {
+		pe := v.p.held(v.entry.m, e)
+		if pe == nil || !pe.info.Touches(n) {
 			continue
 		}
 		other := pe.info.Other(n)
@@ -169,7 +167,7 @@ func (v *View) Degree(n graph.NodeID) int {
 	defer v.p.mu.RUnlock()
 	d := 0
 	for _, e := range v.p.adj[n] {
-		if pe, ok := v.p.edges[e]; ok && v.entry.m.has(&pe.bm) {
+		if pe := v.p.held(v.entry.m, e); pe != nil && pe.info.Touches(n) {
 			d++
 		}
 	}
@@ -241,11 +239,10 @@ func (v *View) NodeAttr(n graph.NodeID, attr string) (string, bool) {
 func (v *View) EdgeAttr(e graph.EdgeID, attr string) (string, bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	pe, ok := v.p.edges[e]
-	if !ok || !v.entry.m.has(&pe.bm) {
+	if v.p.held(v.entry.m, e) == nil {
 		return "", false
 	}
-	return v.valueOf(&pe.element, false, attr)
+	return v.valueOf(&v.p.edges[e].element, false, attr)
 }
 
 // NodeAttrs returns all attributes of n in this graph.
@@ -266,11 +263,10 @@ func (v *View) NodeAttrs(n graph.NodeID) map[string]string {
 func (v *View) EdgeAttrs(e graph.EdgeID) map[string]string {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	pe, ok := v.p.edges[e]
-	if !ok || !v.entry.m.has(&pe.bm) {
+	if v.p.held(v.entry.m, e) == nil {
 		return nil
 	}
-	return v.attrsOf(&pe.element, false)
+	return v.attrsOf(&v.p.edges[e].element, false)
 }
 
 // NodeImage returns what this graph holds of node n: whether n is in it,
@@ -292,10 +288,11 @@ func (v *View) NodeImage(n graph.NodeID) (present bool, attrs map[string]string)
 func (v *View) EdgeImage(e graph.EdgeID) (info graph.EdgeInfo, present bool, attrs map[string]string) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	if pe := v.p.edges[e]; pe != nil {
-		if attrs = v.attrsOf(&pe.element, false); v.entry.m.has(&pe.bm) {
-			info, present = pe.info, true
-		}
+	if pe := v.p.held(v.entry.m, e); pe != nil {
+		info, present = pe.info, true
+	}
+	if first := v.p.edges[e]; first != nil {
+		attrs = v.attrsOf(&first.element, false)
 	}
 	return info, present, attrs
 }
@@ -315,7 +312,7 @@ func (v *View) Snapshot() *graph.Snapshot {
 			s.NodeAttrs[id] = attrs
 		}
 	}
-	for id, pe := range v.p.edges {
+	for id, pe := range v.p.records {
 		if v.entry.m.has(&pe.bm) {
 			s.Edges[id] = pe.info
 		}
