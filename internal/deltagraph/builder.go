@@ -1,7 +1,7 @@
 package deltagraph
 
 import (
-	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,9 +22,15 @@ import (
 // differential function being element-wise and idempotent — the parent, and
 // no delta between them has a record there. Running Combine and Compute on
 // the children cut down to those elements therefore writes the very bytes
-// the whole graphs would. Only the spine is as large as the graph (its top
-// delta builds the root from nothing), so it is built when a read asks for
-// it, not at every cut.
+// the whole graphs would. A parent is evaluated over everything the current
+// graph holds as well in two cases: the function is not element-wise (Empty),
+// or a child is held from the null graph, whose patch names what it contains
+// and is silent where it lacks what the current graph has. The second is the
+// same set of differing elements the child spelled out as absent images while
+// it stood on the current graph, so the bytes are the same; it happens when a
+// high level fills and at the seal. Only the spine is as large as the graph
+// (its top delta builds the root from nothing), so it is built when a read
+// asks for it, not at every cut.
 
 // cutLeafLocked turns the recent eventlist into a new leaf: it creates the
 // leaf skeleton node, persists the leaf-eventlist on the edge to the
@@ -55,6 +61,7 @@ func (dg *DeltaGraph) cutLeafLocked() error {
 	for i, a := range dg.auxCur {
 		auxCopies[i] = a.clone()
 	}
+	dg.settlePendingLocked()
 	dg.pending[0] = append(dg.pending[0], pendingChild{node: leaf, size: dg.curSize, patch: make(patch), aux: auxCopies})
 	dg.recent = nil
 	clear(dg.window)
@@ -66,7 +73,9 @@ func (dg *DeltaGraph) cutLeafLocked() error {
 }
 
 // promoteLocked creates a permanent parent whenever a level has a full
-// arity-k group, recursively upward.
+// arity-k group, recursively upward. The group is deleted from its level, not
+// sliced off it: a slice cut down to nothing still points at its array, and
+// the children's patches would stay on the heap until the level next fills.
 func (dg *DeltaGraph) promoteLocked(level int) error {
 	for len(dg.pending) <= level+1 {
 		dg.pending = append(dg.pending, nil)
@@ -77,7 +86,7 @@ func (dg *DeltaGraph) promoteLocked(level int) error {
 		if err != nil {
 			return err
 		}
-		dg.pending[level] = dg.pending[level][dg.opts.Arity:]
+		dg.pending[level] = slices.Delete(dg.pending[level], 0, dg.opts.Arity)
 		dg.pending[level+1] = append(dg.pending[level+1], parent)
 		level++
 		for len(dg.pending) <= level+1 {
@@ -89,33 +98,46 @@ func (dg *DeltaGraph) promoteLocked(level int) error {
 
 // makeParentLocked builds one interior node: parent graph = f(children),
 // with one delta edge to each child (Section 4.2), both evaluated over the
-// elements some child holds an image of.
+// elements some child holds an image of — and over everything the current
+// graph holds beside, when that is not every element a child may differ on.
 func (dg *DeltaGraph) makeParentLocked(level int, group []pendingChild, provisional bool) (pendingChild, error) {
 	// The parent's patch starts as the set of elements to evaluate and is
 	// filled in below.
 	parent := pendingChild{patch: make(patch, len(group[0].patch))}
+	// The function may disagree with children that all agree; a child on the
+	// null graph names what it holds, not where it differs.
+	everything := !dg.opts.Function.Elementwise()
 	for _, c := range group {
 		for x := range c.patch {
 			parent.patch[x] = nil
 		}
+		everything = everything || c.onNull
 	}
-	if !dg.opts.Function.Elementwise() {
-		// The function may disagree with children that all agree: evaluate
-		// it over everything they hold.
-		eachElem(dg.cur.Snapshot(), func(x elem) { parent.patch[x] = nil })
+	if everything {
+		dg.eachCur(func(x elem) { parent.patch[x] = nil })
 	}
 	// The children cut down to those elements: small read-only graphs
 	// (attribute maps are aliased) the function and delta.Compute run on as
 	// they would on the whole ones. A child that holds no image of an element
-	// equals the current graph there.
+	// equals its base there.
 	snaps := make([]*graph.Snapshot, len(group))
 	for i := range snaps {
 		snaps[i] = graph.NewSnapshot()
 	}
 	for x := range parent.patch {
-		now := dg.imageCur(x)
+		var now image // the current graph's, read for the first child that stands on it
+		read := false
 		for i, c := range group {
-			cmp.Or(c.patch[x], &now).putIn(snaps[i], x) // a pending node's patch holds no nil image
+			im := c.patch[x] // a pending node's patch holds no nil image
+			if im == nil && c.onNull {
+				im = absent
+			} else if im == nil {
+				if !read {
+					now, read = dg.imageCur(x), true
+				}
+				im = &now
+			}
+			im.putIn(snaps[i], x)
 		}
 	}
 	parentSnap := dg.opts.Function.Combine(snaps)
@@ -164,12 +186,15 @@ func (dg *DeltaGraph) makeParentLocked(level int, group []pendingChild, provisio
 			dg.provEdgeIdxs = append(dg.provEdgeIdxs, idx)
 		}
 	}
+	dg.settleLocked(&parent)
 	return parent, nil
 }
 
 // sealLocked builds the provisional spine if a leaf cut has dropped it. Its
-// top delta is the root's whole graph: this is the one step of construction
-// that costs as much as the graph, and the reason it waits for a reader.
+// top delta is the root's whole graph, and a provisional parent over a node on
+// the null graph is evaluated over everything: this is the one step of
+// construction that costs as much as the graph, and the reason it waits for a
+// reader.
 func (dg *DeltaGraph) sealLocked() error {
 	if !dg.spineStale {
 		return nil
@@ -232,7 +257,11 @@ func (dg *DeltaGraph) buildSpineLocked() error {
 // attachRootLocked writes the super-root → root edge, whose delta is the
 // root's full content (the super-root is the null graph).
 func (dg *DeltaGraph) attachRootLocked(root pendingChild) error {
-	rootSnap := graphOf(root, dg.cur.Snapshot())
+	base := graph.NewSnapshot()
+	if !root.onNull {
+		base = dg.cur.Snapshot() // a copy of the graph, for a root that is most of it
+	}
+	rootSnap := graphOf(root, base)
 	d := delta.FromSnapshot(rootSnap)
 	auxDeltas := make([]auxDelta, len(dg.auxes))
 	for i := range dg.auxes {

@@ -115,13 +115,14 @@ func (r *refBuilder) seal(t *testing.T) {
 	}
 }
 
-// payloads reads every record with an id in [from, to) out of a store.
+// payloads reads every record with an id in [from, to) out of a store: the
+// four columns of a graph and the first aux index's.
 func payloads(t *testing.T, store kvstore.Store, partitions int, from, to uint64) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
 	for id := from; id < to; id++ {
 		for p := 0; p < partitions; p++ {
-			for c := kvstore.ComponentStruct; c <= kvstore.ComponentTransient; c++ {
+			for c := kvstore.ComponentStruct; c <= kvstore.ComponentAuxBase; c++ {
 				key := kvstore.EncodeKey(p, id, c)
 				buf, err := store.Get(key)
 				if err == kvstore.ErrNotFound {

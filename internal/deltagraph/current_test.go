@@ -212,9 +212,12 @@ func heapGrowth(build func(), inputs ...any) int64 {
 // durable_bytes_per_event: what an index over the benchmark's seed-1 trace
 // and its pool keep on the heap once built, payloads in a file. It read
 // 13.3 MB when the index held a graph.Snapshot of the current graph beside
-// the pool, and 9.2 to 9.3 MB when the ceiling was set: the pool, which is
-// the current graph, and the pending nodes' patches
-// (IndexStats.PatchElements), about half each.
+// the pool; 9.22 MB with the pool alone, about half of it the pending nodes'
+// patches; 7.06 MB once a promoted group was let go of (half of those patches
+// were of nodes that had a parent); and 5.93 MB, 40 753 patch entries down to
+// 12 791 (IndexStats.PatchElements), with the far level-4 node held from the
+// null graph, when the ceiling was set about a tenth above that: the pool,
+// which is the current graph, and under 1 MB of patches.
 func TestIndexResidentHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocator is not the one the ceiling was measured under")
@@ -231,11 +234,55 @@ func TestIndexResidentHeap(t *testing.T) {
 	}, events)
 	st := dg.StatsUnsealed()
 	t.Logf("index and pool hold %.2f MB of heap for %d events (%d patch entries in pending nodes)", float64(grown)/(1<<20), len(events), st.PatchElements)
-	const ceiling = 10.2 * (1 << 20)
+	const ceiling = 6.5 * (1 << 20)
 	if float64(grown) > ceiling {
 		t.Errorf("index and pool hold %d B of heap, ceiling %.0f", grown, ceiling)
 	}
 	runtime.KeepAlive(dg)
+}
+
+// TestPendingHeapTracksPatchElements: the heap the pending nodes hold is what
+// IndexStats.PatchElements counts, at 50 to 58 B a map entry (64 B for a map
+// that has just grown) and an image with its attributes for those that are not
+// the shared absent one. Dropping dg.pending frees no more than 90 B an entry
+// (75.9 and 69.9 measured) — after the build, and again after enough further
+// events that level 2 has filled and got a parent, when nothing may reach the
+// children that were promoted on the way. Before promoteLocked deleted a
+// promoted group from its level the first reading was 106 B an entry (4.34 MB
+// for 40 753, nearly all of them the absent image), half of it the patches of
+// nodes that had a parent: a level sliced down to nothing kept its array.
+func TestPendingHeapTracksPatchElements(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocator is not the one the bound was measured under")
+	}
+	events := benchTrace(1, 1)
+	// The same history again on other ids, later: every event of it is admitted.
+	last := events[len(events)-1].At
+	more := make(graph.EventList, len(events))
+	for i, ev := range events {
+		ev.At, ev.Node, ev.Node2, ev.Edge = ev.At+last+1, ev.Node+1<<30, ev.Node2+1<<30, ev.Edge+1<<30
+		more[i] = ev
+	}
+	for _, promote := range []bool{false, true} {
+		dg, err := Build(events, Options{Pool: graphpool.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; promote; i++ {
+			if err := dg.Append(more[i]); err != nil {
+				t.Fatal(err)
+			}
+			if st := dg.StatsUnsealed(); st.Leaves%8 == 0 && st.RecentEvents == 1 {
+				break // the eighth leaf of a run: levels 0, 1 and 2 have just emptied
+			}
+		}
+		st := dg.StatsUnsealed()
+		freed := -heapGrowth(func() { dg.pending = nil }, events, more, dg)
+		t.Logf("%d leaves: dropping the pending nodes frees %.2f MB, %d patch entries, %.1f B an entry", st.Leaves, float64(freed)/(1<<20), st.PatchElements, float64(freed)/float64(st.PatchElements))
+		if freed > 90*int64(st.PatchElements) {
+			t.Errorf("%d leaves: the pending nodes hold %d B of heap for %d patch entries, more than 90 B an entry", st.Leaves, freed, st.PatchElements)
+		}
+	}
 }
 
 // headIndex is an index over the benchmark's trace at the given scale, and

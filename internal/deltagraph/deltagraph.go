@@ -110,14 +110,15 @@ func (o *Options) fill() error {
 }
 
 // pendingChild is a node awaiting a permanent parent. Its graph is retained,
-// as a patch against the current graph (patch.go), so the differential
-// function can combine it with its future siblings; its aux snapshots are
-// retained whole.
+// as a patch against the current graph or, once it is far from that one,
+// against the null graph (patch.go), so the differential function can combine
+// it with its future siblings; its aux snapshots are retained whole.
 type pendingChild struct {
-	node  int
-	size  int // element count of the node's graph
-	patch patch
-	aux   []AuxSnapshot
+	node   int
+	size   int // element count of the node's graph
+	patch  patch
+	onNull bool // the patch is the node's whole graph (persistedChild.OnCurrent's mirror)
+	aux    []AuxSnapshot
 }
 
 // DeltaGraph is the index. It is safe for concurrent use: queries and
@@ -151,7 +152,7 @@ type DeltaGraph struct {
 	firstTime graph.Time
 	pending   [][]pendingChild
 	// window is the set of elements changed since the last leaf cut: every
-	// pending node already holds an image of each of them.
+	// pending node on the current graph already holds an image of each of them.
 	window map[elem]struct{}
 
 	// Provisional spine bookkeeping: nodes/edges dropped at the next leaf
@@ -373,8 +374,9 @@ func (dg *DeltaGraph) admitLocked(ev *graph.Event) bool {
 }
 
 // touchLocked keeps the patch invariant ahead of a change to x: the first
-// time a leaf window changes an element, every pending node that holds no
-// image of it yet is given the one the current graph is about to lose.
+// time a leaf window changes an element, every pending node on the current
+// graph that holds no image of it yet is given the one the current graph is
+// about to lose. A node on the null graph says nothing about the current one.
 func (dg *DeltaGraph) touchLocked(x elem) {
 	if _, ok := dg.window[x]; ok {
 		return
@@ -383,7 +385,7 @@ func (dg *DeltaGraph) touchLocked(x elem) {
 	var saved *image
 	for _, level := range dg.pending {
 		for _, c := range level {
-			if _, ok := c.patch[x]; ok {
+			if _, ok := c.patch[x]; ok || c.onNull {
 				continue
 			}
 			if saved == nil {

@@ -1,21 +1,35 @@
 package deltagraph
 
 import (
+	"maps"
+
 	"historygraph/internal/delta"
 	"historygraph/internal/graph"
 )
 
-// A pending node's graph is held as a patch against the current graph: the
-// images of the elements on which the two differ. The invariant every
+// A pending node's graph is held as a patch against a base, as it is stored
+// (persistedChild.OnCurrent): the images of the elements on which the two
+// differ. A node is born on the current graph, where the invariant every
 // holder keeps is
 //
 //	absent from the patch ⇒ equal to the current graph
 //
 // (the converse need not hold: an image may repeat what the current graph
 // says). appendLocked maintains it by saving an element's image into every
-// pending node that lacks one just before the first event of a leaf window
+// such node that lacks one just before the first event of a leaf window
 // changes that element; a parent is then evaluated over the elements its
-// children hold images of and over nothing else (makeParentLocked).
+// children hold images of and over nothing else (makeParentLocked). Such a
+// patch grows with every element changed since the node was made, whatever
+// the node holds. On the null graph (pendingChild.onNull) the patch is the
+// node's graph,
+//
+//	absent from the patch ⇒ absent from the node
+//
+// no append touches it, and a parent over it is evaluated over everything the
+// current graph holds as well. settleLocked moves a node from the first base
+// to the second, once and never back, when the patch has outgrown the node:
+// it runs on a parent as it is made, on every pending node at a leaf cut and
+// at the end of Open. Nothing stored depends on which base a node is held on.
 
 // elem names one element: a node with its attributes, or an edge with its
 // endpoints and attributes. It is the unit the differential functions decide
@@ -39,8 +53,8 @@ type image struct {
 // absent is the image of an element a graph does not hold at all.
 var absent = &image{}
 
-// patch maps the elements a graph differs from the current graph on to their
-// images in that graph.
+// patch maps the elements a graph differs from its base on to their images in
+// that graph.
 type patch map[elem]*image
 
 // imageIn reads x out of s. The attributes alias s's own map.
@@ -153,6 +167,55 @@ func (dg *DeltaGraph) imageCur(x elem) (im image) {
 	return im
 }
 
+// eachCur calls fn once for every element the current graph holds anything of.
+// It walks the pool's view: eachElem over a View.Snapshot of it copies the
+// graph to name its ids (BenchmarkAppend ran 22 % slower on that). fn runs under the
+// pool's read lock and may not read the current graph.
+func (dg *DeltaGraph) eachCur(fn func(elem)) {
+	dg.cur.ForEachHeld(func(n graph.NodeID) { fn(nodeElem(n)) }, func(e graph.EdgeID) { fn(edgeElem(e)) })
+}
+
+// settleLocked is the rule for a pending node's base: a patch with more entries
+// than the node's graph has records costs more than the graph does, so the
+// node is held from the null graph from then on. Afterwards the patch has an
+// entry for each element of the node, never more than its records.
+func (dg *DeltaGraph) settleLocked(c *pendingChild) {
+	if len(c.patch) > c.size {
+		dg.rebaseLocked(c)
+	}
+}
+
+// settlePendingLocked runs the rule on every pending node.
+func (dg *DeltaGraph) settlePendingLocked() {
+	for _, level := range dg.pending {
+		for i := range level {
+			dg.settleLocked(&level[i])
+		}
+	}
+}
+
+// rebaseLocked moves c from the current graph to the null graph: its patch
+// keeps the images that hold something and gains the current graph's image of
+// every element it did not name. Nothing else may hold c's patch.
+func (dg *DeltaGraph) rebaseLocked(c *pendingChild) {
+	if c.onNull {
+		return
+	}
+	var same []elem // no more of them than c has elements
+	dg.eachCur(func(x elem) {
+		if _, ok := c.patch[x]; !ok {
+			same = append(same, x)
+		}
+	})
+	maps.DeleteFunc(c.patch, func(_ elem, im *image) bool { return im.size() == 0 })
+	whole := make(patch, len(c.patch)+len(same)) // made anew: a map that has shrunk keeps its size
+	maps.Copy(whole, c.patch)
+	for _, x := range same {
+		whole[x] = dg.imageCur(x).shared()
+	}
+	c.patch, c.onNull = whole, true
+}
+
 // attrCur returns the value the current graph gives one attribute of x. An
 // element that is there answers for itself; the whole image is read only for
 // one that is not, which may hold values all the same.
@@ -177,19 +240,19 @@ func restrict(cur *graph.Snapshot, ids patch) *graph.Snapshot {
 	return s
 }
 
-// graphOf makes cur, a copy of the current graph whose four outer maps are
-// the caller's own (and cost as much as the graph has elements), into c's
-// whole graph and returns it. The result is read-only: attribute maps alias
-// the patch's, and cur's may alias the caller's. It is for the seal
-// (the root's whole graph is the top delta) and for the pending nodes
-// Checkpoint stores from the null graph, which are the ones far smaller than
-// the current graph. Given the null graph for cur, it returns c's graph cut
-// down to the elements of its patch.
-func graphOf(c pendingChild, cur *graph.Snapshot) *graph.Snapshot {
+// graphOf makes base, a graph of the caller's own, into c's whole graph and
+// returns it: for a node on the null graph base is the null graph, for one on
+// the current graph a copy of that whose four outer maps are the caller's (and
+// cost as much as the graph has elements). The result is read-only: attribute
+// maps alias the patch's, and base's may alias the caller's. It is for the
+// seal (the root's whole graph is the top delta) and for the pending nodes
+// Checkpoint stores from the null graph. Given the null graph for a node on
+// the current one, it returns c's graph cut down to the elements of its patch.
+func graphOf(c pendingChild, base *graph.Snapshot) *graph.Snapshot {
 	for x, im := range c.patch {
-		im.putIn(cur, x)
+		im.putIn(base, x)
 	}
-	return cur
+	return base
 }
 
 // patchOf is graphOf's inverse: the patch that holds, against the current

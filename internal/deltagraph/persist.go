@@ -154,24 +154,27 @@ func (dg *DeltaGraph) Checkpoint() error {
 	for _, level := range dg.pending {
 		row := make([]persistedChild, 0, len(level))
 		for _, c := range level {
-			// The delta from the null graph has c.size records; the one from
-			// the current graph has them on the patch's elements alone, where
-			// both graphs cut down to those elements give the same delta.
-			fromCurrent := 0
-			for x, im := range c.patch {
-				fromCurrent += im.records(imageIn(cur, x))
-			}
-			pc := persistedChild{Node: c.node, OnCurrent: fromCurrent < c.size, Aux: c.aux}
-			if pc.OnCurrent {
-				pc.SnapID, err = putGraph(graphOf(c, graph.NewSnapshot()), restrict(cur, c.patch))
-			} else {
-				whole := &graph.Snapshot{ // putIn replaces entries of these four: the inner attribute maps stay shared
-					Nodes: maps.Clone(cur.Nodes), Edges: maps.Clone(cur.Edges),
-					NodeAttrs: maps.Clone(cur.NodeAttrs), EdgeAttrs: maps.Clone(cur.EdgeAttrs),
+			// A node held from the null graph is stored from it, as it is. For
+			// another the delta from the null graph has c.size records; the one
+			// from the current graph has them on the patch's elements alone,
+			// where both graphs cut down to those elements give the same delta.
+			// g becomes the node's graph (there or whole), from is its base.
+			pc, g, from := persistedChild{Node: c.node, Aux: c.aux}, graph.NewSnapshot(), graph.NewSnapshot()
+			if !c.onNull {
+				fromCurrent := 0
+				for x, im := range c.patch {
+					fromCurrent += im.records(imageIn(cur, x))
 				}
-				pc.SnapID, err = putGraph(graphOf(c, whole), graph.NewSnapshot())
+				if pc.OnCurrent = fromCurrent < c.size; pc.OnCurrent {
+					from = restrict(cur, c.patch)
+				} else {
+					g = &graph.Snapshot{ // putIn replaces entries of these four: the inner attribute maps stay shared
+						Nodes: maps.Clone(cur.Nodes), Edges: maps.Clone(cur.Edges),
+						NodeAttrs: maps.Clone(cur.NodeAttrs), EdgeAttrs: maps.Clone(cur.EdgeAttrs),
+					}
+				}
 			}
-			if err != nil {
+			if pc.SnapID, err = putGraph(graphOf(c, g), from); err != nil {
 				return err
 			}
 			row = append(row, pc)
@@ -382,6 +385,7 @@ func Open(opts Options) (*DeltaGraph, error) {
 		}
 		dg.pending = append(dg.pending, row)
 	}
+	dg.settlePendingLocked()
 	dg.spineStale = true
 	if err := dg.dropPayloads(pi.PrevFirstID, pi.FirstID); err != nil {
 		return nil, err

@@ -47,10 +47,12 @@ type IndexStats struct {
 	// RecentEvents is the size of the unflushed tail.
 	RecentEvents int
 	// PatchElements sums, over the pending nodes, the elements each holds an
-	// image of because it differs from the current graph there (about 45 B
-	// of heap an entry, more for an image with attributes). With the current
-	// graph in the pool alone it is the largest thing the index itself keeps
-	// in memory.
+	// image of: where it differs from the current graph, or, for a node far
+	// from that one and held from the null graph, what it contains (50 to 58 B
+	// of heap a map entry, and the image itself unless it is the shared absent
+	// one). A node's patch outgrows the node's own records by at most one leaf
+	// window (settleLocked). With the current graph in the pool alone it is
+	// what the index itself keeps in memory.
 	PatchElements int
 	// WindowElements is the number of elements changed since the last leaf
 	// cut: the ones every pending node already holds an image of.

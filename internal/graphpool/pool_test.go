@@ -653,6 +653,27 @@ func checkAdjacency(t *testing.T, where string, v *View, s *graph.Snapshot, n gr
 	}
 }
 
+// checkHeld: ForEachHeld visits, once each, the ids the snapshot s of the same
+// graph has anything of, members or not.
+func checkHeld(t *testing.T, where string, v *View, s *graph.Snapshot) {
+	t.Helper()
+	nodes, edges := maps.Clone(s.NodeAttrs), maps.Clone(s.EdgeAttrs) // for their keys
+	for n := range s.Nodes {
+		nodes[n] = nil
+	}
+	for e := range s.Edges {
+		edges[e] = nil
+	}
+	var gotNodes []graph.NodeID
+	var gotEdges []graph.EdgeID
+	v.ForEachHeld(func(n graph.NodeID) { gotNodes = append(gotNodes, n) }, func(e graph.EdgeID) { gotEdges = append(gotEdges, e) })
+	slices.Sort(gotNodes)
+	slices.Sort(gotEdges)
+	if wantNodes, wantEdges := slices.Sorted(maps.Keys(nodes)), slices.Sorted(maps.Keys(edges)); !slices.Equal(gotNodes, wantNodes) || !slices.Equal(gotEdges, wantEdges) {
+		t.Fatalf("%s: ForEachHeld visits nodes %v and edges %v, the graph holds something of %v and %v", where, gotNodes, gotEdges, wantNodes, wantEdges)
+	}
+}
+
 func TestCurrentGraphIsSnapshotApply(t *testing.T) {
 	p := New()
 	for _, ev := range []graph.Event{
@@ -752,6 +773,7 @@ func TestCurrentGraphIsSnapshotApply(t *testing.T) {
 			}
 			where := fmt.Sprintf("seed %d, after event %d (%+v): the current graph", seed, i, ev)
 			checkAdjacency(t, where, cur, want, node)
+			checkHeld(t, where, cur, want)
 			heldView, _ := p.View(heldID)
 			checkAdjacency(t, where+" set beside a graph that", heldView, held, node)
 			if i%16 == 0 { // the other graph once more, as what it differs from the current graph in
@@ -764,6 +786,7 @@ func TestCurrentGraphIsSnapshotApply(t *testing.T) {
 					t.Fatalf("%s has a dependent with edges %v attrs %v, want %v %v", where, got.Edges, got.EdgeAttrs, held.Edges, held.EdgeAttrs)
 				}
 				checkAdjacency(t, where+" has a dependent that", dep, held, node)
+				checkHeld(t, where+" has a dependent that", dep, held)
 				if err := p.Release(depID); err != nil {
 					t.Fatal(err)
 				}

@@ -116,6 +116,38 @@ func (v *View) ForEachEdge(fn func(graph.EdgeID, graph.EdgeInfo) bool) {
 	}
 }
 
+// ForEachHeld calls node, then edge, once for every id this graph holds
+// anything of: a member, or an id that is not one and carries attribute
+// values all the same (see NodeImage), which ForEachNode and ForEachEdge do
+// not visit. It is Snapshot's walk without the copy. The pool's read lock is
+// held for the duration; neither function may call into the pool.
+func (v *View) ForEachHeld(node func(graph.NodeID), edge func(graph.EdgeID)) {
+	v.p.mu.RLock()
+	defer v.p.mu.RUnlock()
+	holds := func(el *element, node bool) bool {
+		if v.entry.m.has(&el.bm) {
+			return true
+		}
+		for i := range el.attrs {
+			if av := &el.attrs[i]; v.entry.m.has(&av.bm) && v.admits(node, v.p.names[av.name]) {
+				return true
+			}
+		}
+		return false
+	}
+	for id, pn := range v.p.nodes {
+		if holds(pn, true) {
+			node(id)
+		}
+	}
+	for id, first := range v.p.edges {
+		// A further record of an id carries membership alone.
+		if holds(&first.element, false) || v.p.held(v.entry.m, id) != nil {
+			edge(id)
+		}
+	}
+}
+
 // Nodes returns all node IDs in this graph (unordered).
 func (v *View) Nodes() []graph.NodeID {
 	out := make([]graph.NodeID, 0, v.NumNodes())

@@ -153,7 +153,7 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 			func(st historygraph.IndexStats) int64 { return st.CheckpointBytes }},
 		{"dg_index_leaves", "Leaf-eventlists cut so far.",
 			func(st historygraph.IndexStats) int64 { return int64(st.Leaves) }},
-		{"dg_index_patch_elements", "Element images the pending index nodes hold in memory, where they differ from the current graph (about 45 B an entry): the index's own resident state, the current graph being the GraphPool's.",
+		{"dg_index_patch_elements", "Element images the pending index nodes hold in memory, where they differ from the current graph or, for a node far from it, all they contain (50 to 58 B an entry and the image): the index's own resident state, the current graph being the GraphPool's.",
 			func(st historygraph.IndexStats) int64 { return int64(st.PatchElements) }},
 		{"dg_index_window_elements", "Elements changed since the last leaf cut.",
 			func(st historygraph.IndexStats) int64 { return int64(st.WindowElements) }},
