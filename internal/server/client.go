@@ -114,7 +114,7 @@ func (c *Client) get(ctx context.Context, path string, q url.Values, out any) er
 		req.Header.Set("Accept", a)
 	}
 	forwardRequestID(ctx, req)
-	forwardEpoch(ctx, req)
+	forwardLeg(ctx, req)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
@@ -151,7 +151,7 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 		req.Header.Set("Accept", a)
 	}
 	forwardRequestID(ctx, req)
-	forwardEpoch(ctx, req)
+	forwardLeg(ctx, req)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
@@ -314,7 +314,7 @@ func (c *Client) SnapshotStreamCtx(ctx context.Context, t historygraph.Time, att
 	}
 	req.Header.Set("Accept", wire.ContentTypeBinaryStream)
 	forwardRequestID(ctx, req)
-	forwardEpoch(ctx, req)
+	forwardLeg(ctx, req)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, err

@@ -34,6 +34,7 @@ const (
 	ridKey ctxKey = iota
 	traceKey
 	epochKey
+	noStoreKey
 )
 
 // WithRequestID returns ctx carrying the request ID.

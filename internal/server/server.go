@@ -375,6 +375,13 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		Annotate(r.Context(), "cache", "encoded-hit")
 		return
 	}
+	for d := range strings.SplitSeq(r.Header.Get("Cache-Control"), ",") {
+		if strings.EqualFold(strings.TrimSpace(d), "no-store") {
+			// The caller keeps the encoded answer (a coordinator's merged
+			// level): serve the same bytes, admit no second copy.
+			ekey = ""
+		}
+	}
 	// Snapshot the invalidation generation before the retrieval so a body
 	// built while an append overlapped cannot register as fresh.
 	gen := s.enc.Gen()

@@ -40,17 +40,29 @@ func WithEpoch(ctx context.Context, epoch uint64) context.Context {
 	return context.WithValue(ctx, epochKey, epoch)
 }
 
+// WithNoStore returns ctx marking the requests the Client builds under it
+// Cache-Control: no-store (RFC 9111 §5.2.1.5): the caller keeps the
+// encoded answer itself, so the server serves it without admitting a copy.
+// A coordinator with its merged level on marks its /snapshot legs so.
+func WithNoStore(ctx context.Context) context.Context {
+	return context.WithValue(ctx, noStoreKey, true)
+}
+
 // epochFrom returns the routing epoch threaded through ctx, if any.
 func epochFrom(ctx context.Context) (uint64, bool) {
 	e, ok := ctx.Value(epochKey).(uint64)
 	return e, ok
 }
 
-// forwardEpoch stamps an outgoing request with the routing epoch carried
-// by ctx (a no-op for direct clients, which never set one).
-func forwardEpoch(ctx context.Context, req *http.Request) {
+// forwardLeg stamps an outgoing request with the coordinator-leg markers
+// ctx carries: the routing epoch (WithEpoch) and Cache-Control: no-store
+// (WithNoStore). A no-op for direct clients, which set neither.
+func forwardLeg(ctx context.Context, req *http.Request) {
 	if e, ok := epochFrom(ctx); ok {
 		req.Header.Set(EpochHeader, strconv.FormatUint(e, 10))
+	}
+	if ctx.Value(noStoreKey) != nil {
+		req.Header.Set("Cache-Control", "no-store")
 	}
 }
 

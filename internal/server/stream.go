@@ -9,7 +9,9 @@ package server
 // Peak response-build memory is proportional to the run size (plus the
 // sorted ID lists), not the snapshot — the property the shard coordinator
 // relies on to keep N concurrent large snapshots from multiplying into
-// N full response buffers.
+// N full response buffers. A body bound for the encoded-bytes cache is
+// also captured whole on the way out; the coordinator's legs are sent
+// no-store while its merged cache is on, so for them it is not.
 
 import (
 	"net/http"

@@ -6,6 +6,8 @@ package server
 // invalidate encoded bodies under the same rules as the pinned views.
 
 import (
+	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -142,6 +144,60 @@ func TestEncodedCacheHitZeroEncode(t *testing.T) {
 		}
 		if snap.NumNodes == 0 {
 			t.Fatalf("%s: empty hit body", wireName)
+		}
+	}
+}
+
+// TestNoStoreServedNotAdmitted: a request carrying Cache-Control: no-store
+// is answered with the bytes an ordinary miss answers with, at one encode
+// and with nothing admitted; a later plain read misses, admits, and then
+// hits with Encodes flat. The probe still runs for a no-store request, so
+// a body admitted by a plain read serves it too.
+func TestNoStoreServedNotAdmitted(t *testing.T) {
+	gm := newTestManager(t)
+	mid := strconv.FormatInt(int64(gm.LastTime()/2), 10)
+	get := func(base, accept, cacheControl string) []byte {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, base+"/snapshot?t="+mid+"&full=1", nil)
+		req.Header.Set("Accept", accept)
+		req.Header.Set("Cache-Control", cacheControl)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET: HTTP %d, %v: %.200s", resp.StatusCode, err, body)
+		}
+		return body
+	}
+	for _, accept := range []string{wire.ContentTypeJSON, wire.ContentTypeBinary, wire.ContentTypeBinaryStream} {
+		svc := New(gm, Config{})
+		base := newHTTPServer(t, svc)
+		ref := newHTTPServer(t, New(gm, Config{}))
+
+		before := svc.Encodes()
+		got := get(base, accept, "max-age=0, No-Store")
+		if want := get(ref, accept, ""); !bytes.Equal(got, want) {
+			t.Fatalf("%s: no-store body differs from an ordinary miss:\n got %.200q\nwant %.200q", accept, got, want)
+		}
+		if n := svc.enc.Len(); n != 0 {
+			t.Fatalf("%s: no-store read admitted %d encoded bodies", accept, n)
+		}
+		if d := svc.Encodes() - before; d != 1 {
+			t.Fatalf("%s: no-store miss ran %d encodes, want 1", accept, d)
+		}
+
+		get(base, accept, "")
+		if n := svc.enc.Len(); n != 1 {
+			t.Fatalf("%s: plain read after no-store admitted %d bodies, want 1", accept, n)
+		}
+		steady := svc.Encodes()
+		get(base, accept, "")
+		get(base, accept, "no-store")
+		if svc.Encodes() != steady {
+			t.Fatalf("%s: reads of an admitted body encoded (%d -> %d)", accept, steady, svc.Encodes())
 		}
 	}
 }

@@ -25,12 +25,16 @@
 //
 //   - Coalescing: concurrent identical /snapshot and /neighbors requests
 //     share one scatter-gather via a FlightGroup, so N clients asking for
-//     the same timepoint cost one fan-out — and each worker coalesces and
-//     caches its own slice underneath.
+//     the same timepoint cost one fan-out — and each worker coalesces its
+//     own slice underneath and keeps its view in its hot-snapshot cache.
 //   - Merged-response cache: an internal/cache level (the workers'
 //     policy: LRU, invalidate-from-t, generation guard, plus an optional
 //     TTL) over complete merged responses, stored as encoded bytes per
 //     encoding — a hit is one write: no fan-out, no merge, no encode.
+//     While it is on it is the only encoded copy of a /snapshot answer:
+//     the legs are sent Cache-Control: no-store (server.WithNoStore), so
+//     a worker encodes its share once and does not store it. With it off
+//     (Config.CacheSize < 0) the workers' encoded level admits instead.
 //     Only complete responses are admitted, and only appends routed
 //     through this coordinator invalidate it: deployments whose writers
 //     can reach a partition primary directly set Config.CacheTTL.

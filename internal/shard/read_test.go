@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"historygraph"
+	"historygraph/internal/server"
+	"historygraph/internal/wire"
 )
 
 // request runs one HTTP request and returns status and body; a transport
@@ -335,6 +337,82 @@ func TestOversizedMergedBodyNotRetained(t *testing.T) {
 		if got := c.co.cache.Len(); got != 0 {
 			t.Fatalf("round %d: merged cache retains %d entries", round, got)
 		}
+	}
+}
+
+// TestMergedLevelKeepsTheOnlyCopy: while the coordinator's merged level is
+// on, its /snapshot legs, whole-message and streamed, are sent no-store,
+// so each leg costs its worker one encode and no worker holds an encoded
+// body; a repeat is a merged hit with no fan-out. With the merged level off
+// the workers' encoded level is the only one on the path: it admits, and a
+// repeat costs the workers no encode.
+func TestMergedLevelKeepsTheOnlyCopy(t *testing.T) {
+	events := testEvents()
+	_, last := events.Span()
+	const k = 4
+	snapshot := func(c *cluster, tp historygraph.Time, accept string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/snapshot?t=%d&full=1", c.client.BaseURL(), tp), nil)
+		req.Header.Set("Accept", accept)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("t=%d %s: HTTP %d: %.200s", tp, accept, resp.StatusCode, body)
+		}
+	}
+	workerEncodes := func(c *cluster) (n int64) {
+		for _, s := range c.services {
+			n += s.Encodes()
+		}
+		return n
+	}
+	workerEntries := func(c *cluster) (n int) {
+		for _, hs := range c.httpSrvs {
+			st, err := server.NewClient(hs.URL).Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += st.Server.EncodedSize
+		}
+		return n
+	}
+	kinds := []string{wire.ContentTypeBinary, wire.ContentTypeBinaryStream}
+	at := func(n int) historygraph.Time { return last * historygraph.Time(n) / (2*k + 1) }
+
+	c := newCluster(t, events, 2, Config{})
+	for i, accept := range kinds {
+		for j := 0; j < k; j++ {
+			before := workerEncodes(c)
+			snapshot(c, at(i*k+j+1), accept)
+			if d := workerEncodes(c) - before; d != int64(len(c.services)) {
+				t.Fatalf("%s read %d: workers ran %d encodes for %d legs", accept, j, d, len(c.services))
+			}
+		}
+		if n := workerEntries(c); n != 0 {
+			t.Fatalf("%s: workers hold %d encoded bodies behind a merged level", accept, n)
+		}
+		fanouts, encodes := c.co.Fanouts(), workerEncodes(c)
+		snapshot(c, at(i*k+1), accept)
+		if c.co.Fanouts() != fanouts || workerEncodes(c) != encodes {
+			t.Fatalf("%s repeat: fan-outs %d -> %d, worker encodes %d -> %d", accept, fanouts, c.co.Fanouts(), encodes, workerEncodes(c))
+		}
+	}
+
+	c = newCluster(t, events, 2, Config{CacheSize: -1})
+	for _, accept := range kinds {
+		snapshot(c, last/2, accept)
+		encodes := workerEncodes(c)
+		snapshot(c, last/2, accept)
+		if workerEncodes(c) != encodes {
+			t.Fatalf("%s repeat with the merged level off: worker encodes %d -> %d", accept, encodes, workerEncodes(c))
+		}
+	}
+	if n := workerEntries(c); n != 2*len(c.services) {
+		t.Fatalf("workers hold %d encoded bodies with the merged level off, want %d", n, 2*len(c.services))
 	}
 }
 

@@ -420,6 +420,17 @@ func cacheKey(key string, name string) string {
 	return key + "|" + name
 }
 
+// snapshotLeg marks a /snapshot leg's context. While the merged level is
+// on it keeps the one encoded copy of the answer, so the leg asks its
+// worker not to store another (Cache-Control: no-store); with the level
+// off the worker's encoded level is the only one on the path and admits.
+func (co *Coordinator) snapshotLeg(ctx context.Context) context.Context {
+	if co.cache.Cache == nil {
+		return ctx
+	}
+	return server.WithNoStore(ctx)
+}
+
 func (co *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	q, ok := server.ReadQuery(w, r, true)
 	if !ok {
@@ -436,7 +447,7 @@ func (co *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	serveRead(co, w, r, read[*wire.Snapshot, wire.Snapshot]{
 		key: key, maxT: q.T, coalesce: true,
 		leg: func(ctx reqCtx, cl *server.Client) (*wire.Snapshot, error) {
-			return cl.SnapshotCtx(ctx, q.T, q.Attrs, q.Full)
+			return cl.SnapshotCtx(co.snapshotLeg(ctx), q.T, q.Attrs, q.Full)
 		},
 		merge: func(parts []*wire.Snapshot, errs []wire.PartitionError) wire.Snapshot {
 			return mergeSnapshots(int64(q.T), parts, errs)

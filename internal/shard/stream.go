@@ -131,7 +131,7 @@ func (co *Coordinator) openStreams(rt *routing, parent context.Context, t histor
 			co.legs.With(part).Inc()
 			begin := time.Now()
 			tctx, cancel := context.WithTimeout(parent, co.streamCap)
-			ctx := server.WithEpoch(tctx, rt.epoch())
+			ctx := co.snapshotLeg(server.WithEpoch(tctx, rt.epoch()))
 			// The open guard cancels the leg if no member has answered
 			// the stream header within the partition timeout; once the
 			// stream is live the guard is disarmed and only streamCap
