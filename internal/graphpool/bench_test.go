@@ -62,6 +62,33 @@ func BenchmarkPoolReleaseClean(b *testing.B) {
 	}
 }
 
+// BenchmarkPoolNeighbors measures the adjacency reads on the same pool:
+// Neighbors, Degree and IncidentEdges of every node, for the current graph
+// and for a held explicit view (the last of the history, which has every
+// edge).
+func BenchmarkPoolNeighbors(b *testing.B) {
+	p, _ := shapedPool()
+	held, err := p.View(GraphID(shapeViews)) // graphs are numbered from 1 as overlaid
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, g := range []struct {
+		name string
+		v    *View
+	}{{"current", p.Current()}, {"held", held}} {
+		b.Run(g.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for n := graph.NodeID(1); n <= shapeNodes; n++ {
+					g.v.Neighbors(n)
+					g.v.Degree(n)
+					g.v.IncidentEdges(n)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPoolApproxBytes measures the size estimate on the same pool: a
 // walk of every element, which is why a metrics scrape reads the cleaner's
 // sample of it (Stats.Bytes) and does not compute it.

@@ -394,10 +394,10 @@ func TestPoolMatchesModel(t *testing.T) {
 		}
 		held := 0
 		for _, pn := range m.p.nodes {
-			held += len(pn.attrs)
+			held += len(pn.attrs())
 		}
 		for _, pe := range m.p.edges {
-			held += len(pe.attrs)
+			held += len(pe.attrs())
 		}
 		t.Logf("seed %d: %d bits at the widest; the current graph ends with %d nodes, %d edges, %d attribute values", seed, maxBits, len(m.cur.Nodes), len(m.cur.Edges), values)
 		if st := m.p.Stats(); st.PoolNodes != len(m.cur.Nodes) || st.PoolEdges != len(m.cur.Edges) || held != values || st.ActiveGraphs != 1 {

@@ -75,10 +75,20 @@ type attrVal struct {
 // element is what the pool keeps of a node, and the head of what it keeps
 // of an edge: the bitmap of graphs the element is in and every attribute
 // value any graph gives it, in one list. Values of one name are adjacent,
-// in the order they were first seen.
+// in the order they were first seen. The list is held by pointer, nil until
+// a graph gives the element a value: most edges are bare, and a nil
+// pointer is 8 bytes of record where an empty slice is 24.
 type element struct {
-	bm    bitset.Bits
-	attrs []attrVal
+	bm   bitset.Bits
+	vals *[]attrVal
+}
+
+// poolNode is the record of a node: the element, and the ids of the edge
+// records at the node, each once. A node that only an edge record names
+// has one too, with no bits and no values, for as long as the edge is there.
+type poolNode struct {
+	element
+	adj []graph.EdgeID
 }
 
 type poolEdge struct {
@@ -86,13 +96,33 @@ type poolEdge struct {
 	info graph.EdgeInfo
 }
 
-// run returns the bounds of the values of name in el.attrs (both
-// len(el.attrs) when there are none).
+// attrs returns the element's attribute values.
+func (el *element) attrs() []attrVal {
+	if el.vals == nil {
+		return nil
+	}
+	return *el.vals
+}
+
+// grown returns s with room for one more element, grown by an eighth when
+// it is full: append's doubling would leave the ten-attribute node of a
+// typical trace paying for sixteen. The capacity is rounded up to what the
+// allocator hands out for it anyway.
+func grown[E any](s []E) []E {
+	if n := len(s); n == cap(s) {
+		return append(slices.Grow([]E(nil), n+1+n/8), s...)
+	}
+	return s
+}
+
+// run returns the bounds of the values of name in el.attrs() (both
+// len(el.attrs()) when there are none).
 func (el *element) run(name uint32) (lo, hi int) {
-	for lo < len(el.attrs) && el.attrs[lo].name != name {
+	attrs := el.attrs()
+	for lo < len(attrs) && attrs[lo].name != name {
 		lo++
 	}
-	for hi = lo; hi < len(el.attrs) && el.attrs[hi].name == name; hi++ {
+	for hi = lo; hi < len(attrs) && attrs[hi].name == name; hi++ {
 	}
 	return lo, hi
 }
@@ -100,31 +130,30 @@ func (el *element) run(name uint32) (lo, hi int) {
 // set marks the value val of name with each of bits, adding it behind the
 // other values of that name if it is new.
 func (el *element) set(name uint32, val string, bits ...int) {
+	attrs := el.attrs()
 	i, hi := el.run(name)
-	for i < hi && el.attrs[i].val != val {
+	for i < hi && attrs[i].val != val {
 		i++
 	}
 	if i == hi {
-		if n := len(el.attrs); n == cap(el.attrs) {
-			// An eighth at a time: append's doubling would leave the
-			// ten-attribute node of a typical trace paying for sixteen.
-			grown := make([]attrVal, n, n+1+n/8)
-			copy(grown, el.attrs)
-			el.attrs = grown
+		if el.vals == nil {
+			el.vals = new([]attrVal) // not &attrs: that would allocate on every call
 		}
-		el.attrs = append(el.attrs, attrVal{})
-		copy(el.attrs[i+1:], el.attrs[i:])
-		el.attrs[i] = attrVal{name: name, val: val}
+		attrs = append(grown(attrs), attrVal{})
+		copy(attrs[i+1:], attrs[i:])
+		attrs[i] = attrVal{name: name, val: val}
+		*el.vals = attrs
 	}
 	for _, b := range bits {
-		el.attrs[i].bm.Set(b)
+		attrs[i].bm.Set(b)
 	}
 }
 
 // setAll is set for every pair of attrs.
 func (p *Pool) setAll(el *element, attrs map[string]string, bits []int) {
-	if el.attrs == nil {
-		el.attrs = make([]attrVal, 0, len(attrs))
+	if el.vals == nil && len(attrs) > 0 {
+		el.vals = new([]attrVal)
+		*el.vals = make([]attrVal, 0, len(attrs))
 	}
 	for k, v := range attrs {
 		el.set(p.nameID(k), v, bits...)
@@ -134,9 +163,10 @@ func (p *Pool) setAll(el *element, attrs map[string]string, bits []int) {
 // except makes every value of name an exception the graph owning the pair
 // {exc, member} does not hold.
 func (el *element) except(name uint32, exc, member int) {
+	attrs := el.attrs()
 	for i, hi := el.run(name); i < hi; i++ {
-		el.attrs[i].bm.Set(exc)
-		el.attrs[i].bm.Clear(member)
+		attrs[i].bm.Set(exc)
+		attrs[i].bm.Clear(member)
 	}
 }
 
@@ -144,23 +174,30 @@ func (el *element) except(name uint32, exc, member int) {
 // drops the values no graph holds any more and returns how many that was.
 func (el *element) clear(mask *bitset.Bits) int {
 	el.bm.AndNot(mask)
-	kept := el.attrs[:0]
-	for i := range el.attrs {
-		av := &el.attrs[i]
+	attrs := el.attrs()
+	kept := attrs[:0]
+	for i := range attrs {
+		av := &attrs[i]
 		if av.bm.AndNot(mask); av.bm.Any() {
 			kept = append(kept, *av)
 		}
 	}
-	removed := len(el.attrs) - len(kept)
-	clear(el.attrs[len(kept):])
-	if el.attrs = kept; len(kept) == 0 {
-		el.attrs = nil
+	removed := len(attrs) - len(kept)
+	clear(attrs[len(kept):])
+	if len(kept) == 0 {
+		el.vals = nil
+	} else {
+		*el.vals = kept
 	}
 	return removed
 }
 
 // dead reports whether no graph holds the element or any value of it.
-func (el *element) dead() bool { return len(el.attrs) == 0 && !el.bm.Any() }
+func (el *element) dead() bool { return el.vals == nil && !el.bm.Any() }
+
+// dead reports whether the node record is dead as an element and no edge
+// record is at the node.
+func (pn *poolNode) dead() bool { return len(pn.adj) == 0 && pn.element.dead() }
 
 // membership is a graph's membership test with its bits resolved, so that
 // evaluating it needs neither the graph table nor the dependency's entry.
@@ -194,9 +231,8 @@ type graphEntry struct {
 // take the write lock, view reads take the read lock.
 type Pool struct {
 	mu     sync.RWMutex
-	nodes  map[graph.NodeID]*element
+	nodes  map[graph.NodeID]*poolNode
 	edges  map[graph.EdgeID]*poolEdge
-	adj    map[graph.NodeID][]graph.EdgeID // the edge ids with a record at the node, each once
 	graphs map[GraphID]*graphEntry
 	nextID GraphID
 	// An edge id names one pair of nodes for life (graph.EdgeID), and a
@@ -225,10 +261,9 @@ type Pool struct {
 // New returns an empty pool containing only the (empty) current graph.
 func New() *Pool {
 	p := &Pool{
-		nodes:   make(map[graph.NodeID]*element),
+		nodes:   make(map[graph.NodeID]*poolNode),
 		edges:   make(map[graph.EdgeID]*poolEdge),
 		alts:    make(map[graph.EdgeID][]*poolEdge),
-		adj:     make(map[graph.NodeID][]graph.EdgeID),
 		graphs:  make(map[GraphID]*graphEntry),
 		nameIDs: make(map[string]uint32),
 		nextID:  1,
@@ -276,10 +311,10 @@ func (p *Pool) register(kind GraphKind, dep GraphID, at graph.Time) *graphEntry 
 	return entry
 }
 
-func (p *Pool) node(id graph.NodeID) *element {
+func (p *Pool) node(id graph.NodeID) *poolNode {
 	n := p.nodes[id]
 	if n == nil {
-		n = &element{}
+		n = &poolNode{}
 		p.nodes[id] = n
 	}
 	return n
@@ -316,11 +351,19 @@ func (p *Pool) edge(id graph.EdgeID, info graph.EdgeInfo) *poolEdge {
 		p.unlink(id, old)
 	}
 	for _, n := range ends(info) {
-		if fresh || !slices.Contains(p.adj[n], id) {
-			p.adj[n] = append(p.adj[n], id)
+		if pn := p.node(n); fresh || !slices.Contains(pn.adj, id) {
+			pn.adj = append(grown(pn.adj), id)
 		}
 	}
 	return e
+}
+
+// adjacent returns the ids of the edge records at node n.
+func (p *Pool) adjacent(n graph.NodeID) []graph.EdgeID {
+	if pn := p.nodes[n]; pn != nil {
+		return pn.adj
+	}
+	return nil
 }
 
 // ends returns the nodes info joins, each once.
@@ -400,7 +443,7 @@ func (p *Pool) markAll(entry *graphEntry, s *graph.Snapshot, bits ...int) {
 		}
 	}
 	for n, attrs := range s.NodeAttrs {
-		p.setAll(p.node(n), attrs, bits)
+		p.setAll(&p.node(n).element, attrs, bits)
 	}
 	for e, attrs := range s.EdgeAttrs {
 		p.setAll(p.values(e), attrs, bits)
@@ -496,7 +539,7 @@ func (p *Pool) OverlayDependent(dep GraphID, d *delta.Delta, at graph.Time, attr
 // sweepNode clears the bits of mask on a node and its attribute values and
 // evicts what no graph holds any more; it returns the number of values and
 // elements evicted. The caller holds the write lock.
-func (p *Pool) sweepNode(id graph.NodeID, pn *element, mask *bitset.Bits) int {
+func (p *Pool) sweepNode(id graph.NodeID, pn *poolNode, mask *bitset.Bits) int {
 	removed := pn.clear(mask)
 	if pn.dead() {
 		delete(p.nodes, id)
@@ -506,25 +549,23 @@ func (p *Pool) sweepNode(id graph.NodeID, pn *element, mask *bitset.Bits) int {
 }
 
 // sweepEdge is sweepNode for the records of an edge id, which also leave the
-// adjacency lists. A first record that no graph holds the edge of takes the
-// place of a further one: it is where the id's values are.
+// adjacency lists and may take an endpoint's record with them. A first
+// record that no graph holds the edge of takes the place of a further one:
+// it is where the id's values are.
 func (p *Pool) sweepEdge(id graph.EdgeID, first *poolEdge, mask *bitset.Bits) int {
 	removed := first.clear(mask)
 	for i := len(p.alts[id]) - 1; i >= 0; i-- {
 		if alt := p.alts[id][i]; alt.clear(mask) == 0 && alt.dead() {
 			p.alts[id] = slices.Delete(p.alts[id], i, i+1)
-			p.unlink(id, alt.info)
-			removed++
+			removed += 1 + p.unlink(id, alt.info)
 		}
 	}
 	if alts, old := p.alts[id], first.info; len(alts) > 0 && !first.bm.Any() {
 		first.bm, first.info, p.alts[id] = alts[0].bm, alts[0].info, alts[1:]
-		p.unlink(id, old)
-		removed++
+		removed += 1 + p.unlink(id, old)
 	} else if first.dead() {
 		delete(p.edges, id)
-		p.unlink(id, old)
-		removed++
+		removed += 1 + p.unlink(id, old)
 	}
 	if len(p.alts[id]) == 0 {
 		delete(p.alts, id) // nil or emptied: no entry
@@ -556,11 +597,12 @@ func (p *Pool) LoadCurrent(s *graph.Snapshot) {
 	p.markAll(p.graphs[CurrentGraph], s, 0)
 }
 
-// retire takes the values at el.attrs[lo:hi] that the current graph holds out
+// retire takes the values at el.attrs()[lo:hi] that the current graph holds out
 // of it (bit 0 to bit 1) and reports whether there were any.
 func (el *element) retire(lo, hi int) (any bool) {
+	attrs := el.attrs()
 	for i := lo; i < hi; i++ {
-		if bm := &el.attrs[i].bm; bm.Get(0) {
+		if bm := &attrs[i].bm; bm.Get(0) {
 			bm.Clear(0)
 			bm.Set(1)
 			any = true
@@ -591,7 +633,7 @@ func (p *Pool) ApplyEvent(ev graph.Event) {
 		el.bm.SetTo(0, in)
 		if !in {
 			el.bm.Set(1)
-			el.retire(0, len(el.attrs))
+			el.retire(0, len(el.attrs()))
 		}
 	}
 	// setAttr takes the current value of the attribute out of the current
@@ -606,9 +648,9 @@ func (p *Pool) ApplyEvent(ev graph.Event) {
 	}
 	switch ev.Type {
 	case graph.AddNode:
-		put(p.node(ev.Node), &cur.nodeCount, true)
+		put(&p.node(ev.Node).element, &cur.nodeCount, true)
 	case graph.DelNode:
-		put(p.node(ev.Node), &cur.nodeCount, false)
+		put(&p.node(ev.Node).element, &cur.nodeCount, false)
 		p.recentNodes = append(p.recentNodes, ev.Node)
 	case graph.AddEdge:
 		put(&p.edge(ev.Edge, graph.EdgeInfo{From: ev.Node, To: ev.Node2, Directed: ev.Directed}).element, &cur.edgeCount, true)
@@ -617,11 +659,11 @@ func (p *Pool) ApplyEvent(ev graph.Event) {
 			put(&pe.element, &cur.edgeCount, false)
 		}
 		if first := p.edges[ev.Edge]; first != nil {
-			first.retire(0, len(first.attrs))
+			first.retire(0, len(first.attrs()))
 		}
 		p.recentEdges = append(p.recentEdges, ev.Edge)
 	case graph.SetNodeAttr:
-		if setAttr(p.node(ev.Node)) {
+		if setAttr(&p.node(ev.Node).element) {
 			p.recentNodes = append(p.recentNodes, ev.Node)
 		}
 	case graph.SetEdgeAttr:
@@ -764,30 +806,29 @@ func (p *Pool) CleanNow() int {
 }
 
 // unlink takes edge e, a record of it between the endpoints info being gone,
-// out of the adjacency list of each of them that no record of e is at now.
-func (p *Pool) unlink(e graph.EdgeID, info graph.EdgeInfo) {
+// out of the adjacency list of each of them that no record of e is at now,
+// and evicts the record of such an endpoint that nothing holds any more. It
+// returns how many it evicted.
+func (p *Pool) unlink(e graph.EdgeID, info graph.EdgeInfo) (removed int) {
 	at := func(pe *poolEdge, n graph.NodeID) bool { return pe != nil && pe.info.Touches(n) }
 	for _, n := range ends(info) {
-		if !at(p.edges[e], n) && !slices.ContainsFunc(p.alts[e], func(alt *poolEdge) bool { return at(alt, n) }) {
-			p.dropAdj(n, e)
+		if at(p.edges[e], n) || slices.ContainsFunc(p.alts[e], func(alt *poolEdge) bool { return at(alt, n) }) {
+			continue
+		}
+		pn := p.nodes[n]
+		if i := slices.Index(pn.adj, e); i >= 0 {
+			last := len(pn.adj) - 1
+			pn.adj[i] = pn.adj[last]
+			if pn.adj = pn.adj[:last]; last == 0 {
+				pn.adj = nil
+			}
+		}
+		if pn.dead() {
+			delete(p.nodes, n)
+			removed++
 		}
 	}
-}
-
-func (p *Pool) dropAdj(n graph.NodeID, e graph.EdgeID) {
-	list := p.adj[n]
-	for i, id := range list {
-		if id == e {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(p.adj, n)
-	} else {
-		p.adj[n] = list
-	}
+	return removed
 }
 
 // MappingRow is one row of the GraphID-bit mapping table (the paper's
@@ -824,7 +865,7 @@ type Stats struct {
 	ActiveGraphs   int // every graph in the graph table, ReleasedGraphs included
 	PinnedGraphs   int // graphs with at least one Pin reference
 	ReleasedGraphs int // released, their bits not yet reclaimed by CleanNow
-	PoolNodes      int // union-graph nodes resident
+	PoolNodes      int // union-graph nodes resident, and nodes only an edge record names
 	PoolEdges      int
 	Bits           int   // bitmap width in use
 	Bytes          int64 // ApproxBytes as of a started Cleaner's last pass (0 before the first)
@@ -868,32 +909,32 @@ func heapSize(n uintptr) int64 {
 // bytes returns the heap the element's bitmap and attribute list own.
 func (el *element) bytes() int64 {
 	n := int64(el.bm.SizeBytes())
-	if cap(el.attrs) > 0 {
-		n += heapSize(uintptr(cap(el.attrs)) * unsafe.Sizeof(attrVal{}))
+	if el.vals != nil {
+		n += heapSize(unsafe.Sizeof(*el.vals)) + heapSize(uintptr(cap(*el.vals))*unsafe.Sizeof(attrVal{}))
 	}
-	for i := range el.attrs {
-		n += int64(len(el.attrs[i].val) + el.attrs[i].bm.SizeBytes())
+	for _, av := range el.attrs() {
+		n += int64(len(av.val) + av.bm.SizeBytes())
 	}
 	return n
 }
 
 // ApproxBytes estimates the pool's memory footprint from its layout: a map
-// entry and a record per element, the attribute lists at their capacity
-// with the value strings, the bitmap words that are not inline, the
-// adjacency lists at their capacity, and each attribute name once. It is
-// the quantity plotted in the paper's Figure 8(a).
+// entry and a record per element, a node's adjacency list at its capacity,
+// the attribute lists (header and values) at their capacity with the value
+// strings, the bitmap words that are not inline, and each attribute name
+// once. It is the quantity plotted in the paper's Figure 8(a).
 func (p *Pool) ApproxBytes() int64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	total := int64(len(p.nodes)) * (mapSlot + heapSize(unsafe.Sizeof(element{})))
+	total := int64(len(p.nodes)) * (mapSlot + heapSize(unsafe.Sizeof(poolNode{})))
 	for _, pn := range p.nodes {
 		total += pn.bytes()
+		if cap(pn.adj) > 0 {
+			total += heapSize(uintptr(cap(pn.adj)) * unsafe.Sizeof(pn.adj[0]))
+		}
 	}
 	for _, pe := range p.records {
 		total += mapSlot + heapSize(unsafe.Sizeof(poolEdge{})) + pe.bytes()
-	}
-	for _, list := range p.adj {
-		total += mapSlot + int64(unsafe.Sizeof(list)) + heapSize(uintptr(cap(list))*unsafe.Sizeof(list[0]))
 	}
 	for _, name := range p.names {
 		total += 2*(mapSlot+int64(unsafe.Sizeof(name))) + int64(len(name))

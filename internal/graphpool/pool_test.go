@@ -549,7 +549,7 @@ func TestClearRecentVisitsOnlyRecentDeletes(t *testing.T) {
 		t.Fatalf("recently deleted nodes must stay resident: %d of %d", got, nodes)
 	}
 	for n := graph.NodeID(1); n <= deletes; n++ {
-		if pn := p.nodes[n]; !pn.bm.Get(1) || !pn.attrs[0].bm.Get(1) {
+		if pn := p.nodes[n]; !pn.bm.Get(1) || !pn.attrs()[0].bm.Get(1) {
 			t.Fatalf("node %d not marked recently deleted", n)
 		}
 	}
@@ -592,10 +592,10 @@ func TestClearRecentEvictsDeadElements(t *testing.T) {
 		t.Fatalf("recently deleted edges must stay resident: %d of %d", got, pairs)
 	}
 	p.ClearRecent()
-	if got, adj := p.Stats().PoolEdges, len(p.adj[1])+len(p.adj[2]); got != 1 || adj != 2 {
+	if got, adj := p.Stats().PoolEdges, len(p.adjacent(1))+len(p.adjacent(2)); got != 1 || adj != 2 {
 		t.Errorf("after ClearRecent the pool holds %d edges and %d adjacency entries, want 1 and 2 (the edge the overlaid graph holds)", got, adj)
 	}
-	if got := len(p.nodes[1].attrs); got != 1 {
+	if got := len(p.nodes[1].attrs()); got != 1 {
 		t.Errorf("node 1 keeps %d values of an attribute replaced %d times, want 1", got, pairs-1)
 	}
 	if p.CleanNow(); p.Stats().PoolEdges != 1 {
@@ -606,6 +606,92 @@ func TestClearRecentEvictsDeadElements(t *testing.T) {
 	}
 	if cur := p.Current(); cur.NumEdges() != 0 || cur.HasEdge(pairs) {
 		t.Error("deleted edge back in the current graph")
+	}
+}
+
+// TestEndpointRecordsLeaveWithTheirEdges: a node that only an edge record
+// names has a record of its own, which holds its adjacency, for as long as
+// the edge record is there and no longer; no graph lists it among its nodes.
+// Three histories leave such a node: an edge between ids never added as
+// nodes, nodes deleted while a held graph keeps the edge between them, and
+// an edge id moved to another pair while a held graph keeps the first pair.
+// Once the held graph is released and cleaned and the deletes are cleared,
+// the pool is what a pool that only ever held the current graph is.
+func TestEndpointRecordsLeaveWithTheirEdges(t *testing.T) {
+	edge := func(typ graph.EventType, e graph.EdgeID, from, to graph.NodeID) graph.Event {
+		return graph.Event{Type: typ, Edge: e, Node: from, Node2: to}
+	}
+	node := func(typ graph.EventType, n graph.NodeID) graph.Event { return graph.Event{Type: typ, Node: n} }
+	edgeAlone := graph.NewSnapshot() // a materialized graph may hold an edge without its ends
+	edgeAlone.Edges[1] = graph.EdgeInfo{From: 1, To: 2}
+	for _, tc := range []struct {
+		name     string
+		before   []graph.Event   // then a graph is overlaid and held
+		held     *graph.Snapshot // nil: the current graph's snapshot, overlaid explicitly
+		after    []graph.Event
+		endpoint []graph.NodeID // the nodes only an edge record names, after
+	}{
+		{"never added", []graph.Event{edge(graph.AddEdge, 1, 10, 11)}, nil,
+			[]graph.Event{edge(graph.DelEdge, 1, 10, 11)}, []graph.NodeID{10, 11}},
+		{"deleted", []graph.Event{node(graph.AddNode, 1), node(graph.AddNode, 2), edge(graph.AddEdge, 1, 1, 2)},
+			edgeAlone,
+			[]graph.Event{edge(graph.DelEdge, 1, 1, 2), node(graph.DelNode, 1), node(graph.DelNode, 2)}, []graph.NodeID{1, 2}},
+		{"moved", []graph.Event{edge(graph.AddEdge, 5, 1, 2)}, nil,
+			[]graph.Event{edge(graph.DelEdge, 5, 1, 2), edge(graph.AddEdge, 5, 3, 4)}, []graph.NodeID{1, 2, 3, 4}},
+	} {
+		p, cur := New(), graph.NewSnapshot()
+		apply := func(evs []graph.Event) {
+			for _, ev := range evs {
+				p.ApplyEvent(ev)
+				cur.Apply(ev)
+			}
+			p.ClearRecent()
+		}
+		apply(tc.before)
+		held, heldID := tc.held, GraphID(0)
+		if held == nil {
+			held = cur.Clone()
+			heldID = p.OverlaySnapshot(held, 1)
+		} else {
+			heldID = p.OverlayMaterialized(held)
+		}
+		apply(tc.after)
+		heldView, _ := p.View(heldID)
+		for _, g := range []struct {
+			v    *View
+			want *graph.Snapshot
+		}{{p.Current(), cur}, {heldView, held}} {
+			where := fmt.Sprintf("%s: graph %d", tc.name, g.v.ID())
+			if got := g.v.Nodes(); len(got) != len(g.want.Nodes) {
+				t.Errorf("%s lists nodes %v, has %d", where, got, len(g.want.Nodes))
+			}
+			checkHeld(t, where, g.v, g.want)
+			for _, n := range tc.endpoint {
+				checkAdjacency(t, where, g.v, g.want, n)
+			}
+		}
+		for _, n := range tc.endpoint {
+			if pn := p.nodes[n]; pn == nil || len(pn.adj) == 0 || !pn.element.dead() {
+				t.Errorf("%s: node %d has record %+v, want one with adjacency alone", tc.name, n, pn)
+			}
+		}
+
+		if err := p.Release(heldID); err != nil {
+			t.Fatal(err)
+		}
+		p.CleanNow()
+		p.ClearRecent()
+		alone := New()
+		alone.LoadCurrent(cur)
+		if got, want := p.Stats(), alone.Stats(); got.PoolNodes != want.PoolNodes || got.PoolEdges != want.PoolEdges || p.ApproxBytes() != alone.ApproxBytes() {
+			t.Errorf("%s: with the held graph gone the pool holds %d nodes, %d edges, %d B; the current graph alone %d, %d, %d B",
+				tc.name, got.PoolNodes, got.PoolEdges, p.ApproxBytes(), want.PoolNodes, want.PoolEdges, alone.ApproxBytes())
+		}
+		for _, n := range tc.endpoint {
+			if _, at := alone.nodes[n]; p.nodes[n] != nil && !at {
+				t.Errorf("%s: node %d keeps a record with no edge at it", tc.name, n)
+			}
+		}
 	}
 }
 
@@ -704,8 +790,12 @@ func TestCurrentGraphIsSnapshotApply(t *testing.T) {
 	if err := p.Release(oldID); err != nil {
 		t.Fatal(err)
 	}
-	if p.CleanNow(); !p.Current().Snapshot().Equal(want) || p.Stats().PoolEdges != 1 || len(p.adj) != 2 {
-		t.Fatalf("with the other graph gone the pool holds %d edge records and %v: want one, between 3 and 4", p.Stats().PoolEdges, p.adj)
+	// Node 1 is in the current graph; 3 and 4 are held by the edge alone, and
+	// 2 by nothing.
+	if p.CleanNow(); !p.Current().Snapshot().Equal(want) || p.Stats().PoolEdges != 1 || p.Stats().PoolNodes != 3 || p.nodes[2] != nil ||
+		len(p.adjacent(1)) != 0 || len(p.adjacent(3)) != 1 || len(p.adjacent(4)) != 1 {
+		t.Fatalf("with the other graph gone the pool holds %d edge records and %d node records: want one, between 3 and 4, and nodes 1, 3 and 4",
+			p.Stats().PoolEdges, p.Stats().PoolNodes)
 	}
 
 	for seed := int64(1); seed <= 8; seed++ {

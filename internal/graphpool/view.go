@@ -128,15 +128,16 @@ func (v *View) ForEachHeld(node func(graph.NodeID), edge func(graph.EdgeID)) {
 		if v.entry.m.has(&el.bm) {
 			return true
 		}
-		for i := range el.attrs {
-			if av := &el.attrs[i]; v.entry.m.has(&av.bm) && v.admits(node, v.p.names[av.name]) {
+		attrs := el.attrs()
+		for i := range attrs {
+			if av := &attrs[i]; v.entry.m.has(&av.bm) && v.admits(node, v.p.names[av.name]) {
 				return true
 			}
 		}
 		return false
 	}
 	for id, pn := range v.p.nodes {
-		if holds(pn, true) {
+		if holds(&pn.element, true) {
 			node(id)
 		}
 	}
@@ -163,7 +164,7 @@ func (v *View) IncidentEdges(n graph.NodeID) []graph.EdgeID {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	var out []graph.EdgeID
-	for _, e := range v.p.adj[n] {
+	for _, e := range v.p.adjacent(n) {
 		if pe := v.p.held(v.entry.m, e); pe != nil && pe.info.Touches(n) {
 			out = append(out, e)
 		}
@@ -179,7 +180,7 @@ func (v *View) Neighbors(n graph.NodeID) []graph.NodeID {
 	defer v.p.mu.RUnlock()
 	seen := make(map[graph.NodeID]struct{})
 	var out []graph.NodeID
-	for _, e := range v.p.adj[n] {
+	for _, e := range v.p.adjacent(n) {
 		pe := v.p.held(v.entry.m, e)
 		if pe == nil || !pe.info.Touches(n) {
 			continue
@@ -198,7 +199,7 @@ func (v *View) Degree(n graph.NodeID) int {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	d := 0
-	for _, e := range v.p.adj[n] {
+	for _, e := range v.p.adjacent(n) {
 		if pe := v.p.held(v.entry.m, e); pe != nil && pe.info.Touches(n) {
 			d++
 		}
@@ -227,9 +228,10 @@ func (v *View) valueOf(el *element, node bool, attr string) (string, bool) {
 	if !ok || !v.admits(node, attr) {
 		return "", false
 	}
+	attrs := el.attrs()
 	for i, hi := el.run(name); i < hi; i++ {
-		if v.entry.m.has(&el.attrs[i].bm) {
-			return el.attrs[i].val, true
+		if v.entry.m.has(&attrs[i].bm) {
+			return attrs[i].val, true
 		}
 	}
 	return "", false
@@ -240,15 +242,16 @@ func (v *View) valueOf(el *element, node bool, attr string) (string, bool) {
 func (v *View) attrsOf(el *element, node bool) map[string]string {
 	var out map[string]string
 	answered := ^uint32(0) // values of one name are adjacent: the first member answers for it
-	for i := range el.attrs {
-		av := &el.attrs[i]
+	attrs := el.attrs()
+	for i := range attrs {
+		av := &attrs[i]
 		if av.name == answered || !v.entry.m.has(&av.bm) {
 			continue
 		}
 		answered = av.name
 		if name := v.p.names[av.name]; v.admits(node, name) {
 			if out == nil {
-				out = make(map[string]string, len(el.attrs)-i) // room for all that may follow
+				out = make(map[string]string, len(attrs)-i) // room for all that may follow
 			}
 			out[name] = av.val
 		}
@@ -264,7 +267,7 @@ func (v *View) NodeAttr(n graph.NodeID, attr string) (string, bool) {
 	if !ok || !v.entry.m.has(&pn.bm) {
 		return "", false
 	}
-	return v.valueOf(pn, true, attr)
+	return v.valueOf(&pn.element, true, attr)
 }
 
 // EdgeAttr returns the value of an edge attribute in this graph.
@@ -285,7 +288,7 @@ func (v *View) NodeAttrs(n graph.NodeID) map[string]string {
 	if !ok || !v.entry.m.has(&pn.bm) {
 		return nil
 	}
-	return v.attrsOf(pn, true)
+	return v.attrsOf(&pn.element, true)
 }
 
 // EdgeAttrs returns all attributes of e in this graph (nil when the edge
@@ -310,7 +313,7 @@ func (v *View) NodeImage(n graph.NodeID) (present bool, attrs map[string]string)
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	if pn := v.p.nodes[n]; pn != nil {
-		present, attrs = v.entry.m.has(&pn.bm), v.attrsOf(pn, true)
+		present, attrs = v.entry.m.has(&pn.bm), v.attrsOf(&pn.element, true)
 	}
 	return present, attrs
 }
@@ -340,7 +343,7 @@ func (v *View) Snapshot() *graph.Snapshot {
 		if v.entry.m.has(&pn.bm) {
 			s.Nodes[id] = struct{}{}
 		}
-		if attrs := v.attrsOf(pn, true); attrs != nil {
+		if attrs := v.attrsOf(&pn.element, true); attrs != nil {
 			s.NodeAttrs[id] = attrs
 		}
 	}

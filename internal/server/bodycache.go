@@ -28,6 +28,11 @@ type BodyCache struct {
 // cap is what bounds their memory.
 func cacheable(n int) bool { return n <= wire.MaxCachedBody }
 
+// exact returns a copy of b at its length, for admission: an encoder's
+// buffer grows by appending, and the cache would hold its slack for as long
+// as it holds the bytes.
+func exact(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
+
 // WriteHit serves the body stored under key, if there is one: one Write,
 // zero encode work.
 func (bc BodyCache) WriteHit(w http.ResponseWriter, key string) bool {
@@ -68,7 +73,7 @@ func (bc BodyCache) Write(w http.ResponseWriter, codec wire.Codec, v, hit any, k
 		}
 	}
 	if cacheable(len(body)) {
-		e.Value = cache.Body{Bytes: body, ContentType: codec.ContentType()}
+		e.Value = cache.Body{Bytes: exact(body), ContentType: codec.ContentType()}
 		bc.Insert(key, e, gen)
 	}
 }
@@ -91,7 +96,7 @@ func (bc BodyCache) Stream(w http.ResponseWriter, runSize int, key string) (se *
 		sink = io.MultiWriter(w, capture)
 		admit = func(e cache.Entry[cache.Body], gen int64) {
 			if !capture.overflow {
-				e.Value = cache.Body{Bytes: capture.buf, ContentType: wire.ContentTypeBinaryStream}
+				e.Value = cache.Body{Bytes: exact(capture.buf), ContentType: wire.ContentTypeBinaryStream}
 				bc.Insert(key, e, gen)
 			}
 		}

@@ -202,6 +202,49 @@ func TestNoStoreServedNotAdmitted(t *testing.T) {
 	}
 }
 
+// TestAdmittedBodyIsExactSize: an encoded body enters the cache at its
+// length, whole message or captured stream — the encoder's buffer grew by
+// appending, and its slack would be held for as long as the body is. A hit
+// serves the admitted bytes.
+func TestAdmittedBodyIsExactSize(t *testing.T) {
+	gm := newTestManager(t)
+	at := gm.LastTime() / 2
+	for _, accept := range []string{wire.ContentTypeJSON, wire.ContentTypeBinary, wire.ContentTypeBinaryStream} {
+		svc := New(gm, Config{})
+		base := newHTTPServer(t, svc)
+		get := func() []byte {
+			t.Helper()
+			req, _ := http.NewRequest(http.MethodGet, base+"/snapshot?t="+strconv.FormatInt(int64(at), 10)+"&full=1", nil)
+			req.Header.Set("Accept", accept)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: HTTP %d, %v", accept, resp.StatusCode, err)
+			}
+			return body
+		}
+		get()
+		name := wire.Negotiate(accept).Name()
+		if accept == wire.ContentTypeBinaryStream {
+			name = wire.NameBinaryStream
+		}
+		body, ok := svc.enc.Get(encKey(at, "", true, name))
+		if !ok {
+			t.Fatalf("%s: a plain miss admitted nothing", accept)
+		}
+		if len(body.Bytes) == 0 || cap(body.Bytes) != len(body.Bytes) {
+			t.Errorf("%s: admitted body has length %d and capacity %d", accept, len(body.Bytes), cap(body.Bytes))
+		}
+		if hit := get(); !bytes.Equal(hit, body.Bytes) {
+			t.Errorf("%s: a hit served %d bytes, not the %d admitted", accept, len(hit), len(body.Bytes))
+		}
+	}
+}
+
 // TestEncodedCacheInvalidation: an append at time t evicts encoded bodies
 // at or after t (and refreshes them on the next miss), while strictly
 // earlier bodies keep hitting — the same cut the pinned-view cache makes.
