@@ -62,6 +62,29 @@ func BenchmarkPoolReleaseClean(b *testing.B) {
 	}
 }
 
+// BenchmarkPoolViewChurn measures the served shape on the same pool: a view
+// cache holding the shapeViews views lets the oldest go and overlays a view
+// of the history in its place, once an op, with no cleaner running — what
+// reclaiming the released views costs is paid on the overlay path, where a
+// view would otherwise take a bit past 63. Compare at one -benchtime: a
+// pool that never reclaims takes new bits every op, so its cost grows with
+// b.N.
+func BenchmarkPoolViewChurn(b *testing.B) {
+	p, history := shapedPool()
+	var held []GraphID
+	for id := GraphID(1); id <= shapeViews; id++ { // graphs are numbered from 1 as overlaid
+		held = append(held, id)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.Release(held[0]); err != nil {
+			b.Fatal(err)
+		}
+		held = append(held[1:], p.OverlaySnapshot(history[i%len(history)], 0))
+	}
+}
+
 // BenchmarkPoolNeighbors measures the adjacency reads on the same pool:
 // Neighbors, Degree and IncidentEdges of every node, for the current graph
 // and for a held explicit view (the last of the history, which has every

@@ -23,6 +23,7 @@ type modelGraph struct {
 	nDeps int         // how many do
 	onMat *modelGraph // the materialized graph this one depends on
 	onCur bool        // depends on the current graph: dropped before the next event
+	crowd bool        // pinned by a crowd of readers (crowd, disperse)
 }
 
 // adjacency lists, for every node of s, the other end of each incident edge.
@@ -57,7 +58,9 @@ var (
 
 const (
 	modelNodes  = 16
-	modelGraphs = 72 // held at once: with the released ones not yet cleaned, more than 128 bits
+	modelGraphs = 128 // held at once before the model lets go of some
+	// From step crowdFrom to crowdTo, readers hold the pool past 128 bits.
+	crowdFrom, crowdTo = 150, 300
 )
 
 // events draws one change that is well formed against s — an edge joins two
@@ -213,6 +216,32 @@ func (m *poolModel) dropUnheld() {
 	m.live = kept
 }
 
+// crowd overlays explicit graphs that a reader pins and the holder then
+// releases, until the pool's bits reach past 128. A released graph a reader
+// pins keeps its bit through a clean pass, so the pool cannot make room
+// below bit 64 for what comes next: the graphs past bit 63 mark words
+// beyond the inline one, as a pool with that many readers must.
+func (m *poolModel) crowd() {
+	for m.p.Stats().Bits <= 128 {
+		s := m.past[m.rng.Intn(len(m.past))]
+		g := m.add(m.p.OverlaySnapshot(s, graph.Time(m.rng.Intn(1000))), s, "pinned in a crowd")
+		if err := m.p.Pin(g.id); err != nil {
+			m.t.Fatalf("pin %s: %v", g.label, err)
+		}
+		g.pins, g.crowd = g.pins+1, true
+		m.release(g)
+	}
+}
+
+// disperse is the crowd's readers finishing.
+func (m *poolModel) disperse() {
+	for _, g := range append([]*modelGraph(nil), m.live...) {
+		if g.crowd {
+			m.unpin(g)
+		}
+	}
+}
+
 func (m *poolModel) step() {
 	rng, p := m.rng, m.p
 	var g *modelGraph
@@ -351,7 +380,8 @@ func (m *poolModel) check(step int) {
 // (adds, deletes, attribute sets, replacements and removals), leaf cuts,
 // explicit, materialized and dependent overlays (on the current graph and
 // on a materialized one, retrieved with and without attributes), pins,
-// releases and clean passes that hand bits out again, up to more than 128
+// releases and clean passes that hand bits out again, and for a stretch a
+// crowd of readers pinning released graphs, which holds the pool past 128
 // bits — with every answer of every live View and of its frozen projection
 // compared, after every step, with a graph.Snapshot kept beside it.
 func TestPoolMatchesModel(t *testing.T) {
@@ -360,7 +390,14 @@ func TestPoolMatchesModel(t *testing.T) {
 		m.past = []*graph.Snapshot{graph.NewSnapshot()}
 		maxBits := 0
 		for step := 0; step < 450; step++ {
-			m.step()
+			switch step {
+			case crowdFrom:
+				m.crowd()
+			case crowdTo:
+				m.disperse()
+			default:
+				m.step()
+			}
 			m.check(step)
 			if b := m.p.Stats().Bits; b > maxBits {
 				maxBits = b

@@ -7,13 +7,16 @@
 // bitmap that records which of the active graphs contain it. Bits 0 and 1
 // are reserved for the current graph: bit 0 is current membership; bit 1
 // marks elements recently deleted from the current graph that are not yet
-// flushed into the DeltaGraph index. Each historical graph is assigned a
-// bit pair {2i, 2i+1}; a materialized graph a single bit.
+// flushed into the DeltaGraph index. A graph overlaid explicitly — a
+// retrieved snapshot or a materialized graph — is assigned one bit, its
+// membership; a dependent graph a pair {b, b+1}. Graphs get the lowest free
+// bits, so that while they fit bits 2–63 no element's bitmap needs a word
+// beyond the one in its record.
 //
 // The bit pair enables the paper's dependent-graph optimization: a
 // historical graph close to a materialized graph (or the current graph)
-// stores only its exceptions. Bit 2i set means "explicit: bit 2i+1 is the
-// membership"; bit 2i clear means "inherit membership from the dependency".
+// stores only its exceptions. Bit b set means "explicit: bit b+1 is the
+// membership"; bit b clear means "inherit membership from the dependency".
 // Only exception elements are touched when such a graph is overlaid.
 package graphpool
 
@@ -150,13 +153,13 @@ func (el *element) set(name uint32, val string, bits ...int) {
 }
 
 // setAll is set for every pair of attrs.
-func (p *Pool) setAll(el *element, attrs map[string]string, bits []int) {
+func (p *Pool) setAll(el *element, attrs map[string]string, bit int) {
 	if el.vals == nil && len(attrs) > 0 {
 		el.vals = new([]attrVal)
 		*el.vals = make([]attrVal, 0, len(attrs))
 	}
 	for k, v := range attrs {
-		el.set(p.nameID(k), v, bits...)
+		el.set(p.nameID(k), v, bit)
 	}
 }
 
@@ -215,7 +218,7 @@ func (m membership) has(bm *bitset.Bits) bool {
 type graphEntry struct {
 	id         GraphID
 	kind       GraphKind
-	bit        int // first bit; historical graphs also own bit+1
+	bit        int // first bit; the current graph and a dependent one also own bit+1
 	m          membership
 	dep        GraphID
 	attrs      graph.AttrOptions // what a dependent graph was retrieved with
@@ -244,10 +247,9 @@ type Pool struct {
 	// Attribute names, interned: an attrVal holds an index into names.
 	names   []string
 	nameIDs map[string]uint32
-	// Bit allocation: historical graphs take pairs, materialized singles.
-	nextBit     int
-	freePairs   []int
-	freeSingles []int
+	// The bits graphs hold: a released graph's are free again once a clean
+	// pass has cleared them on every element.
+	taken bitset.Bits
 	// The elements bit 1 was set on since the last ClearRecent, on the
 	// element or on a value of it (one entry per delete, so an element
 	// deleted twice is listed twice).
@@ -267,43 +269,61 @@ func New() *Pool {
 		graphs:  make(map[GraphID]*graphEntry),
 		nameIDs: make(map[string]uint32),
 		nextID:  1,
-		nextBit: 2, // bits 0 and 1 are the current graph's
 	}
 	p.graphs[CurrentGraph] = &graphEntry{id: CurrentGraph, kind: KindCurrent, m: membership{exc: -1, mem: 0, dep: -1}, dep: NoDependency}
+	p.alloc(2) // bits 0 and 1
 	return p
 }
 
-func (p *Pool) allocPair() int {
-	if n := len(p.freePairs); n > 0 {
-		bit := p.freePairs[n-1]
-		p.freePairs = p.freePairs[:n-1]
-		return bit
+// width returns how many bits the graph holds from its first on: two for
+// the current graph (bit 1 is its recent deletes) and a dependent graph,
+// one for a graph overlaid explicitly.
+func (e *graphEntry) width() int {
+	if e.kind == KindCurrent || e.m.exc >= 0 {
+		return 2
 	}
-	bit := p.nextBit
-	p.nextBit += 2
+	return 1
+}
+
+// alloc takes the lowest n adjacent bits no graph holds and returns the
+// first. A bit past 63 costs every element the graph marks a word beyond
+// the one in its record, so before handing one out alloc reclaims what
+// released graphs hold and looks again: a released graph a reader still
+// pins keeps its bits, and only then does the new graph spill. The caller
+// holds the write lock.
+func (p *Pool) alloc(n int) int {
+	bit := p.lowestFree(n)
+	if bit+n > 64 {
+		p.reclaim() // whatever it evicted, a released graph's bits may be free now
+		bit = p.lowestFree(n)
+	}
+	for b := bit; b < bit+n; b++ {
+		p.taken.Set(b)
+	}
 	return bit
 }
 
-func (p *Pool) allocSingle() int {
-	if n := len(p.freeSingles); n > 0 {
-		bit := p.freeSingles[n-1]
-		p.freeSingles = p.freeSingles[:n-1]
-		return bit
+// lowestFree returns the first of the lowest n adjacent bits no graph holds.
+func (p *Pool) lowestFree(n int) int {
+	bit := 0
+	for b := 0; b < bit+n; b++ {
+		if p.taken.Get(b) {
+			bit = b + 1
+		}
 	}
-	bit := p.nextBit
-	p.nextBit++
 	return bit
 }
 
-// register enters a new graph of the given kind into the graph table. The
+// register enters a new graph of the given kind into the graph table: one
+// bit for a graph with no dependency, a pair for a dependent one. The
 // caller holds the write lock.
 func (p *Pool) register(kind GraphKind, dep GraphID, at graph.Time) *graphEntry {
 	entry := &graphEntry{id: p.nextID, kind: kind, dep: dep, at: at}
-	if kind == KindMaterialized {
-		entry.bit = p.allocSingle()
+	if dep == NoDependency {
+		entry.bit = p.alloc(1)
 		entry.m = membership{exc: -1, mem: entry.bit, dep: -1}
 	} else {
-		entry.bit = p.allocPair()
+		entry.bit = p.alloc(2)
 		entry.m = membership{exc: entry.bit, mem: entry.bit + 1, dep: -1}
 	}
 	p.nextID++
@@ -425,28 +445,21 @@ func (p *Pool) nameID(name string) uint32 {
 	return id
 }
 
-// markAll marks every element and attribute value of s with each of bits
-// and records s's size as entry's — the whole of what overlaying an
-// explicit graph means, whichever bits it lives under. The caller holds
-// the write lock.
-func (p *Pool) markAll(entry *graphEntry, s *graph.Snapshot, bits ...int) {
+// markAll marks every element and attribute value of s with bit and
+// records s's size as entry's — the whole of what overlaying an explicit
+// graph means. The caller holds the write lock.
+func (p *Pool) markAll(entry *graphEntry, s *graph.Snapshot, bit int) {
 	for n := range s.Nodes {
-		pn := p.node(n)
-		for _, b := range bits {
-			pn.bm.Set(b)
-		}
+		p.node(n).bm.Set(bit)
 	}
 	for e, info := range s.Edges {
-		pe := p.edge(e, info)
-		for _, b := range bits {
-			pe.bm.Set(b)
-		}
+		p.edge(e, info).bm.Set(bit)
 	}
 	for n, attrs := range s.NodeAttrs {
-		p.setAll(&p.node(n).element, attrs, bits)
+		p.setAll(&p.node(n).element, attrs, bit)
 	}
 	for e, attrs := range s.EdgeAttrs {
-		p.setAll(p.values(e), attrs, bits)
+		p.setAll(p.values(e), attrs, bit)
 	}
 	entry.nodeCount = len(s.Nodes)
 	entry.edgeCount = len(s.Edges)
@@ -459,7 +472,7 @@ func (p *Pool) OverlaySnapshot(s *graph.Snapshot, at graph.Time) GraphID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	entry := p.register(KindHistorical, NoDependency, at)
-	p.markAll(entry, s, entry.bit, entry.bit+1)
+	p.markAll(entry, s, entry.bit)
 	return entry.id
 }
 
@@ -753,9 +766,10 @@ func (p *Pool) Pins(id GraphID) int {
 }
 
 // Release marks a graph as no longer needed. Its bits are reclaimed by the
-// next CleanNow. Releasing a materialized graph that other graphs still
-// readable (not released, or released and pinned) depend on is an error; the
-// current graph can never be released.
+// next CleanNow, or sooner by an overlay that would otherwise take a bit
+// past 63. Releasing a materialized graph that other graphs still readable
+// (not released, or released and pinned) depend on is an error; the current
+// graph can never be released.
 func (p *Pool) Release(id GraphID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -778,31 +792,36 @@ func (p *Pool) Release(id GraphID) error {
 }
 
 // CleanNow performs the lazy cleanup pass: it clears the bits of every
-// released graph, deletes elements whose bitmaps become empty, and recycles
-// the bits. It returns the number of elements removed from the pool.
-// (The paper performs this periodically in the absence of query load; the
-// library leaves scheduling to the caller — see Cleaner.)
+// released graph no reader pins, deletes elements whose bitmaps become
+// empty, and frees the bits. It returns the number of elements removed from
+// the pool. (The paper performs this periodically in the absence of query
+// load; the library leaves scheduling to the caller — see Cleaner — and
+// runs the pass itself only before an overlay would spill past bit 63.)
 func (p *Pool) CleanNow() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.reclaim()
+}
+
+// reclaim is CleanNow's pass. A bit is free for alloc again only once the
+// pass has cleared it on every element. The caller holds the write lock.
+func (p *Pool) reclaim() int {
 	var mask bitset.Bits
 	for id, entry := range p.graphs {
 		if !entry.released || entry.pins > 0 {
 			continue
 		}
-		mask.Set(entry.bit)
-		if entry.kind == KindHistorical {
-			mask.Set(entry.bit + 1)
-			p.freePairs = append(p.freePairs, entry.bit)
-		} else {
-			p.freeSingles = append(p.freeSingles, entry.bit)
+		for b := entry.bit; b < entry.bit+entry.width(); b++ {
+			mask.Set(b)
 		}
 		delete(p.graphs, id)
 	}
 	if !mask.Any() {
 		return 0
 	}
-	return p.sweepAll(&mask)
+	removed := p.sweepAll(&mask)
+	p.taken.AndNot(&mask)
+	return removed
 }
 
 // unlink takes edge e, a record of it between the endpoints info being gone,
@@ -848,10 +867,8 @@ func (p *Pool) MappingTable() []MappingRow {
 	defer p.mu.RUnlock()
 	rows := make([]MappingRow, 0, len(p.graphs))
 	for _, e := range p.graphs {
-		row := MappingRow{ID: e.id, Kind: e.kind, Dep: e.dep, At: e.at}
-		row.Bits[0] = e.bit
-		row.Bits[1] = -1
-		if e.kind == KindHistorical || e.kind == KindCurrent {
+		row := MappingRow{ID: e.id, Kind: e.kind, Dep: e.dep, At: e.at, Bits: [2]int{e.bit, -1}}
+		if e.width() == 2 {
 			row.Bits[1] = e.bit + 1
 		}
 		rows = append(rows, row)
@@ -867,7 +884,7 @@ type Stats struct {
 	ReleasedGraphs int // released, their bits not yet reclaimed by CleanNow
 	PoolNodes      int // union-graph nodes resident, and nodes only an edge record names
 	PoolEdges      int
-	Bits           int   // bitmap width in use
+	Bits           int   // bitmap width in use: one more than the highest bit a graph holds
 	Bytes          int64 // ApproxBytes as of a started Cleaner's last pass (0 before the first)
 }
 
@@ -879,10 +896,10 @@ func (p *Pool) Stats() Stats {
 		ActiveGraphs: len(p.graphs),
 		PoolNodes:    len(p.nodes),
 		PoolEdges:    len(p.edges),
-		Bits:         p.nextBit,
 		Bytes:        p.sampledBytes.Load(),
 	}
 	for _, e := range p.graphs {
+		st.Bits = max(st.Bits, e.bit+e.width())
 		if e.pins > 0 {
 			st.PinnedGraphs++
 		}

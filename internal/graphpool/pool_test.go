@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"historygraph/internal/bitset"
 	"historygraph/internal/delta"
 	"historygraph/internal/graph"
 )
@@ -348,7 +349,7 @@ func TestReleaseAndCleanup(t *testing.T) {
 	before := p.Stats().Bits
 	p.OverlaySnapshot(buildSnapshot(5), 3)
 	if p.Stats().Bits != before {
-		t.Error("bit pair not recycled")
+		t.Error("bit not recycled")
 	}
 }
 
@@ -443,14 +444,255 @@ func TestMappingTable(t *testing.T) {
 	for _, r := range rows {
 		byID[r.ID] = r
 	}
-	if r := byID[h]; r.Kind != KindHistorical || r.Bits[1] != r.Bits[0]+1 {
+	// An explicit graph holds one bit, a dependent one a pair; each the
+	// lowest free.
+	if r := byID[h]; r.Kind != KindHistorical || r.Bits != [2]int{2, -1} {
 		t.Errorf("historical row wrong: %+v", r)
 	}
-	if r := byID[m]; r.Kind != KindMaterialized || r.Bits[1] != -1 {
+	if r := byID[m]; r.Kind != KindMaterialized || r.Bits != [2]int{3, -1} {
 		t.Errorf("materialized row wrong: %+v", r)
 	}
-	if r := byID[dep]; r.Dep != m {
+	if r := byID[dep]; r.Kind != KindHistorical || r.Dep != m || r.Bits != [2]int{4, 5} {
 		t.Errorf("dependent row wrong: %+v", r)
+	}
+	if got := p.Stats().Bits; got != 6 {
+		t.Errorf("Stats().Bits = %d, want 6", got)
+	}
+	// Bit 2 freed: a pair does not fit there, a single does.
+	p.Release(h)
+	p.CleanNow()
+	dep2, _ := p.OverlayDependent(m, &delta.Delta{}, 10, allAttrs)
+	single := p.OverlaySnapshot(buildSnapshot(2), 11)
+	byID = map[GraphID]MappingRow{}
+	for _, r := range p.MappingTable() {
+		byID[r.ID] = r
+	}
+	if byID[dep2].Bits != [2]int{6, 7} || byID[single].Bits != [2]int{2, -1} {
+		t.Errorf("after bit 2 was freed: a dependent got %v, an explicit graph %v; want [6 7] and [2 -1]", byID[dep2].Bits, byID[single].Bits)
+	}
+}
+
+// TestBitsFallAfterClean: Stats().Bits is the width the graphs hold now, not
+// the most they ever held.
+func TestBitsFallAfterClean(t *testing.T) {
+	p := New()
+	var ids []GraphID
+	for i := range 80 {
+		ids = append(ids, p.OverlaySnapshot(buildSnapshot(5), graph.Time(i)))
+	}
+	if got := p.Stats().Bits; got != 82 {
+		t.Errorf("80 explicit views hold %d bits, want 82", got)
+	}
+	for _, id := range ids {
+		if err := p.Release(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.CleanNow(); p.Stats().Bits != 2 {
+		t.Errorf("with every view released and cleaned the pool holds %d bits, want 2", p.Stats().Bits)
+	}
+}
+
+// randomSnapshot draws a graph over nodes 1–40 and edges 1–30, with an
+// attribute value on some of its nodes and edges.
+func randomSnapshot(rng *rand.Rand) *graph.Snapshot {
+	s := graph.NewSnapshot()
+	for n := graph.NodeID(1); n <= 40; n++ {
+		if rng.Intn(2) == 0 {
+			s.Nodes[n] = struct{}{}
+			if rng.Intn(3) == 0 {
+				s.NodeAttrs[n] = map[string]string{"a": fmt.Sprint(rng.Intn(4))}
+			}
+		}
+	}
+	for e := graph.EdgeID(1); e <= 30; e++ {
+		info := randomEnds(e)
+		_, oku := s.Nodes[info.From]
+		_, okv := s.Nodes[info.To]
+		if oku && okv && rng.Intn(2) == 0 {
+			s.Edges[e] = info
+			if rng.Intn(3) == 0 {
+				s.EdgeAttrs[e] = map[string]string{"w": fmt.Sprint(rng.Intn(4))}
+			}
+		}
+	}
+	return s
+}
+
+// randomEnds returns the nodes edge e joins in every randomSnapshot.
+func randomEnds(e graph.EdgeID) graph.EdgeInfo {
+	return graph.EdgeInfo{From: graph.NodeID(1 + (int(e)*3)%40), To: graph.NodeID(1 + (int(e)*11)%40)}
+}
+
+// countBitmaps returns how many bitmaps in the pool — of node and edge
+// records and of their attribute values — satisfy f.
+func countBitmaps(p *Pool, f func(*bitset.Bits) bool) int {
+	n := 0
+	count := func(el *element) {
+		if f(&el.bm) {
+			n++
+		}
+		attrs := el.attrs()
+		for i := range attrs {
+			if f(&attrs[i].bm) {
+				n++
+			}
+		}
+	}
+	for _, pn := range p.nodes {
+		count(&pn.element)
+	}
+	for _, pe := range p.records {
+		count(&pe.element)
+	}
+	return n
+}
+
+// checkViews holds each graph's view to the snapshot it was overlaid from.
+func checkViews(t *testing.T, where string, p *Pool, want map[GraphID]*graph.Snapshot) {
+	t.Helper()
+	for id, s := range want {
+		if v, err := p.View(id); err != nil || !v.Snapshot().Equal(s) || v.NumNodes() != len(s.Nodes) || v.NumEdges() != len(s.Edges) {
+			t.Fatalf("%s: graph %d (bit %d) does not read the graph it was overlaid from (%v)", where, id, p.graphs[id].bit, err)
+		}
+	}
+}
+
+// TestHeldViewsStayInline is the served shape: a view cache holding 32
+// explicit views lets the oldest go and retrieves a new one on every miss,
+// with no cleaner running. The views keep to bits 2–63 — the pool sweeps
+// the released graphs before it would hand out bit 64 — so no bitmap in the
+// pool carries a word beyond its record's, and every view reads its graph.
+// That holds too when the views are structure-only views of the current
+// graph, whose release frees their bits and evicts nothing.
+func TestHeldViewsStayInline(t *testing.T) {
+	for _, ofCurrent := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(33))
+		p := New()
+		draw := func() *graph.Snapshot { return randomSnapshot(rng) }
+		if ofCurrent {
+			all := graph.NewSnapshot()
+			for n := graph.NodeID(1); n <= 40; n++ {
+				all.Nodes[n] = struct{}{}
+			}
+			for e := graph.EdgeID(1); e <= 30; e++ {
+				all.Edges[e] = randomEnds(e)
+			}
+			p.LoadCurrent(all)
+			draw = func() *graph.Snapshot { return graph.AttrOptions{}.FilterSnapshot(randomSnapshot(rng)) }
+		}
+		var order []GraphID
+		want := map[GraphID]*graph.Snapshot{}
+		overlay := func() {
+			s := draw()
+			id := p.OverlaySnapshot(s, 0)
+			order, want[id] = append(order, id), s
+		}
+		for range 32 {
+			overlay()
+		}
+		for step := range 200 {
+			if err := p.Release(order[0]); err != nil {
+				t.Fatal(err)
+			}
+			delete(want, order[0])
+			order = order[1:]
+			overlay()
+			where := fmt.Sprintf("views of the current graph %v, step %d", ofCurrent, step)
+			if got := p.Stats().Bits; got > 64 {
+				t.Fatalf("%s: the pool holds %d bits, want at most 64", where, got)
+			}
+			if n := countBitmaps(p, func(bm *bitset.Bits) bool { return bm.SizeBytes() > 0 }); n > 0 {
+				t.Fatalf("%s: %d bitmaps carry a word beyond the inline one", where, n)
+			}
+			checkViews(t, where, p, want)
+		}
+	}
+}
+
+// A released graph a reader pins keeps its bit: the sweep an overlay runs
+// before spilling past bit 63 passes it over, the new graph spills, and the
+// pinned view still reads its graph. Once the reader unpins, the next such
+// sweep frees the bit and the next graph gets it.
+func TestPinnedReleasedGraphKeepsItsBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	p := New()
+	want := map[GraphID]*graph.Snapshot{}
+	overlay := func() GraphID {
+		s := randomSnapshot(rng)
+		id := p.OverlaySnapshot(s, 0)
+		want[id] = s
+		return id
+	}
+	reader := overlay()
+	v, _ := p.View(reader)
+	if err := p.Pin(reader); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Release(reader); err != nil {
+		t.Fatal(err)
+	}
+	for range 61 { // bits 3–63
+		overlay()
+	}
+	if got := p.graphs[overlay()].bit; got != 64 {
+		t.Errorf("with bits 2–63 held, one of them by a pinned released graph, the next graph got bit %d, want 64", got)
+	}
+	if !v.Snapshot().Equal(want[reader]) {
+		t.Error("the pinned view no longer reads its graph")
+	}
+	delete(want, reader)
+	checkViews(t, "with the pool spilled", p, want)
+	if err := p.Unpin(reader); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.graphs[overlay()].bit; got != 2 {
+		t.Errorf("once the reader unpinned, the next graph got bit %d, want 2", got)
+	}
+	checkViews(t, "with the pinned graph's bit handed out again", p, want)
+}
+
+// A bit handed out again reads clear on every element: the graph that held
+// it is swept from each before the bit is free, whether the cleaner's pass
+// ran the sweep or an overlay about to spill past bit 63 did.
+func TestReusedBitReadsClear(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	p := New()
+	want := map[GraphID]*graph.Snapshot{}
+	var ids []GraphID
+	for range 62 { // bits 2–63, the first the widest
+		s := randomSnapshot(rng)
+		if len(ids) == 0 {
+			s = buildSnapshot(40)
+		}
+		ids = append(ids, p.OverlaySnapshot(s, 0))
+		want[ids[len(ids)-1]] = s
+	}
+	for i, sweep := range []string{"CleanNow", "an overlay"} {
+		if err := p.Release(ids[i]); err != nil {
+			t.Fatal(err)
+		}
+		delete(want, ids[i])
+		if i == 0 {
+			p.CleanNow()
+		}
+		s := randomSnapshot(rng)
+		id := p.OverlaySnapshot(s, 0)
+		want[id] = s
+		if got := p.graphs[id].bit; got != 2+i {
+			t.Fatalf("after %s freed bit %d the new graph got bit %d", sweep, 2+i, got)
+		}
+		checkViews(t, "after "+sweep+" freed a bit", p, want)
+		marks := len(s.Nodes) + len(s.Edges)
+		for _, attrs := range s.NodeAttrs {
+			marks += len(attrs)
+		}
+		for _, attrs := range s.EdgeAttrs {
+			marks += len(attrs)
+		}
+		if carry := countBitmaps(p, func(bm *bitset.Bits) bool { return bm.Get(2 + i) }); carry != marks {
+			t.Errorf("after %s freed bit %d, %d elements and values carry it; the graph given it has %d", sweep, 2+i, carry, marks)
+		}
 	}
 }
 

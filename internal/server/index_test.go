@@ -141,7 +141,7 @@ func TestPoolGauges(t *testing.T) {
 	want := map[string]float64{
 		"dg_pool_elementsnode": float64(st.PoolNodes), "dg_pool_elementsedge": float64(st.PoolEdges),
 		"dg_pool_graphsactive": 2, "dg_pool_graphspinned": 1, "dg_pool_graphsreleased": 1,
-		"dg_pool_bits": 6, "dg_pool_bytes": 0,
+		"dg_pool_bits": 4, "dg_pool_bytes": 0, // bits 0–1 the current graph's, one bit each view's
 	}
 	if !reflect.DeepEqual(got, want) || st.PoolNodes == 0 || st.PoolEdges == 0 {
 		t.Errorf("pool gauges = %v\nwant %v", got, want)

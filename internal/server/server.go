@@ -174,7 +174,7 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 	graphs.Func(pool(func(st historygraph.PoolStats) int64 { return int64(st.ActiveGraphs - st.ReleasedGraphs) }), "active")
 	graphs.Func(pool(func(st historygraph.PoolStats) int64 { return int64(st.PinnedGraphs) }), "pinned")
 	graphs.Func(pool(func(st historygraph.PoolStats) int64 { return int64(st.ReleasedGraphs) }), "released")
-	reg.GaugeFunc("dg_pool_bits", "GraphPool bitmap width in use: 2 bits for the current graph, 2 a held view, 1 a materialized node. Above 64, an element in a graph with a high bit carries words beyond its inline one.",
+	reg.GaugeFunc("dg_pool_bits", "GraphPool bitmap width in use, one more than the highest bit a graph holds: 2 bits for the current graph, 1 an explicit view or a materialized node, 2 a dependent view, the lowest free first. Above 64, an element in a graph with a high bit carries words beyond its inline one.",
 		pool(func(st historygraph.PoolStats) int64 { return int64(st.Bits) }))
 	reg.GaugeFunc("dg_pool_bytes", "Estimated heap the GraphPool holds (element records, attribute lists, bitmap words, adjacency), as of the pool cleaner's last pass.",
 		pool(func(st historygraph.PoolStats) int64 { return st.Bytes }))
