@@ -1,9 +1,9 @@
-// Benchmarks: one per table/figure of the paper's evaluation. Each
-// exercises the same code paths as the corresponding internal/bench runner
-// (cmd/dgbench prints the full paper-style series; these give -benchmem
-// per-operation costs).
+// Benchmarks: one per table/figure of the paper's evaluation, then the
+// serving, ingest and replication benchmarks. Where a figure's y-axis is
+// not a time, its benchmark reports it beside ns/op (store bytes, bytes
+// read, plan cost, pinned or pool bytes, matches).
 //
-//	go test -bench=. -benchmem
+//	go test -run xxx -bench Fig -benchtime 1x .
 package historygraph_test
 
 import (
@@ -21,7 +21,6 @@ import (
 	"historygraph/internal/analytics"
 	"historygraph/internal/auxindex"
 	"historygraph/internal/baseline"
-	"historygraph/internal/bench"
 	"historygraph/internal/csr"
 	"historygraph/internal/datagen"
 	"historygraph/internal/delta"
@@ -47,31 +46,52 @@ var (
 	allAttrs  = graph.MustParseAttrOptions("+node:all+edge:all")
 )
 
+// datasets generates the paper's Dataset 1, a growing co-authorship graph,
+// and Dataset 2, Dataset 1 with as many edges deleted and added again
+// interleaved. Scale 1 is about 34k and 58k events.
+func datasets(scale float64) (d1, d2 graph.EventList) {
+	d1 = datagen.Coauthorship(datagen.CoauthorshipConfig{
+		Authors: int(2000 * scale), Edges: int(12000 * scale), Years: 35,
+		TicksPerYear: 10000, AttrsPerNode: 10, Seed: 42,
+	})
+	d2 = datagen.Churn(d1, datagen.ChurnConfig{
+		Adds: int(12000 * scale), Dels: int(12000 * scale), Ticks: 120000, Seed: 43,
+	})
+	return d1, d2
+}
+
 func setup(b *testing.B) (d1, d2 graph.EventList, L int) {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchD1, benchD2 = bench.Datasets(benchScale)
+		benchD1, benchD2 = datasets(benchScale)
 		benchL = int(800 * benchScale)
 	})
 	return benchD1, benchD2, benchL
 }
 
-func mustBuild(b *testing.B, events graph.EventList, opts deltagraph.Options) *deltagraph.DeltaGraph {
-	b.Helper()
+func mustBuild(tb testing.TB, events graph.EventList, opts deltagraph.Options) *deltagraph.DeltaGraph {
+	tb.Helper()
 	dg, err := deltagraph.Build(events, opts)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return dg
 }
 
+// uniformTimes returns n times spaced evenly inside the trace's span.
+func uniformTimes(events graph.EventList, n int) []graph.Time {
+	first, last := events.Span()
+	out := make([]graph.Time, n)
+	for i := range out {
+		out[i] = first + graph.Time(int64(last-first)*int64(i+1)/int64(n+1))
+	}
+	return out
+}
+
+// queryLoop retrieves at 25 uniform times in turn.
 func queryLoop(b *testing.B, events graph.EventList, get func(graph.Time) error) {
 	b.Helper()
-	_, last := events.Span()
-	times := make([]graph.Time, 25)
-	for i := range times {
-		times[i] = last * graph.Time(i+1) / 26
-	}
+	times := uniformTimes(events, 25)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := get(times[i%len(times)]); err != nil {
@@ -80,8 +100,98 @@ func queryLoop(b *testing.B, events graph.EventList, get func(graph.Time) error)
 	}
 }
 
-// BenchmarkFig6 compares Copy+Log with DeltaGraph(Intersection) at a
-// matched disk budget (Figure 6).
+// countingStore is an in-memory store that counts the bytes its Gets
+// return: what a retrieval reads, exactly.
+type countingStore struct {
+	kvstore.Store
+	read atomic.Int64
+}
+
+func newCountingStore() *countingStore { return &countingStore{Store: kvstore.NewMemStore()} }
+
+func (c *countingStore) Get(key []byte) ([]byte, error) {
+	v, err := c.Store.Get(key)
+	c.read.Add(int64(len(v)))
+	return v, err
+}
+
+// bytesRead runs get at every one of times and returns the bytes store
+// served.
+func bytesRead(tb testing.TB, store *countingStore, times []graph.Time, get func(graph.Time) error) int64 {
+	tb.Helper()
+	store.read.Store(0)
+	for _, q := range times {
+		if err := get(q); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return store.read.Load()
+}
+
+// latencyStore adds a seek and a per-byte transfer delay to every Get: the
+// disk or network of the paper's EC2 testbed, so that fetching partitions
+// in parallel shows on a small machine (with P partitions each read
+// returns about 1/P of the bytes).
+type latencyStore struct {
+	kvstore.Store
+	base, perByte time.Duration
+}
+
+func (l *latencyStore) Get(key []byte) ([]byte, error) {
+	v, err := l.Store.Get(key)
+	time.Sleep(l.base + time.Duration(len(v))*l.perByte)
+	return v, err
+}
+
+// withLatency makes a store of parts in-memory partitions, each behind a
+// latencyStore.
+func withLatency(parts int, base, perByte time.Duration) *kvstore.Partitioned {
+	stores := make([]kvstore.Store, parts)
+	for i := range stores {
+		stores[i] = &latencyStore{Store: kvstore.NewMemStore(), base: base, perByte: perByte}
+	}
+	return kvstore.NewPartitioned(stores)
+}
+
+// meanPlanCost is the mean PlanCost, in bytes, of retrieving dg at times.
+func meanPlanCost(tb testing.TB, dg *deltagraph.DeltaGraph, times []graph.Time) int64 {
+	tb.Helper()
+	var sum int64
+	for _, q := range times {
+		c, err := dg.PlanCost(q, allAttrs)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sum += c
+	}
+	return sum / int64(len(times))
+}
+
+// disjointBytesPerElement prices the alternative Figure 8(a) compares the
+// pool with: every retrieved snapshot held apart, one record an element.
+const disjointBytesPerElement = 48
+
+// holdRetrievals retrieves dg at every one of times into its pool and keeps
+// them all, returning the pool's size and what the same snapshots held
+// apart would take.
+func holdRetrievals(tb testing.TB, dg *deltagraph.DeltaGraph, times []graph.Time) (pool, disjoint int64) {
+	tb.Helper()
+	for _, q := range times {
+		id, err := dg.Retrieve(q, allAttrs)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		v, err := dg.Pool().View(id)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		disjoint += int64(v.NumNodes()+v.NumEdges()) * disjointBytesPerElement
+	}
+	return dg.Pool().ApproxBytes(), disjoint
+}
+
+// BenchmarkFig6 compares Copy+Log with DeltaGraph(Intersection) and the
+// store bytes each spends (Figure 6).
 func BenchmarkFig6(b *testing.B) {
 	d1, d2, L := setup(b)
 	for _, tc := range []struct {
@@ -95,35 +205,34 @@ func BenchmarkFig6(b *testing.B) {
 		}
 		b.Run(tc.name+"/CopyLog", func(b *testing.B) {
 			queryLoop(b, tc.events, func(q graph.Time) error { _, e := cl.Snapshot(q, allAttrs); return e })
+			b.ReportMetric(float64(cl.DiskBytes()), "store-B")
 		})
 		b.Run(tc.name+"/DeltaGraph", func(b *testing.B) {
 			queryLoop(b, tc.events, func(q graph.Time) error { _, e := dg.GetSnapshot(q, allAttrs); return e })
+			b.ReportMetric(float64(dg.Store().SizeOnDisk()), "store-B")
 		})
 	}
 }
 
 // BenchmarkFig7 compares the in-memory interval tree against DeltaGraph
-// materialization levels (Figure 7).
+// materialization levels, and the memory each holds (Figure 7).
 func BenchmarkFig7(b *testing.B) {
 	_, d2, L := setup(b)
 	it := baseline.BuildIntervalTree(d2)
 	b.Run("IntervalTree", func(b *testing.B) {
 		queryLoop(b, d2, func(q graph.Time) error { _, e := it.Snapshot(q, allAttrs); return e })
+		b.ReportMetric(float64(it.MemoryBytes()), "mem-B")
 	})
-	dgGC := mustBuild(b, d2, deltagraph.Options{LeafSize: L, Arity: 4, Function: delta.Intersection{}})
-	if err := dgGC.MaterializeLevel("grandchildren"); err != nil {
-		b.Fatal(err)
+	for _, tc := range []struct{ name, policy string }{{"DGGrandchildrenMat", "grandchildren"}, {"DGTotalMat", "leaves"}} {
+		dg := mustBuild(b, d2, deltagraph.Options{LeafSize: L, Arity: 4, Function: delta.Intersection{}})
+		if err := dg.MaterializeLevel(tc.policy); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			queryLoop(b, d2, func(q graph.Time) error { _, e := dg.GetSnapshot(q, allAttrs); return e })
+			b.ReportMetric(float64(dg.MaterializedBytes()), "mem-B")
+		})
 	}
-	b.Run("DGGrandchildrenMat", func(b *testing.B) {
-		queryLoop(b, d2, func(q graph.Time) error { _, e := dgGC.GetSnapshot(q, allAttrs); return e })
-	})
-	dgTot := mustBuild(b, d2, deltagraph.Options{LeafSize: L, Arity: 4, Function: delta.Intersection{}})
-	if err := dgTot.MaterializeLevel("leaves"); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("DGTotalMat", func(b *testing.B) {
-		queryLoop(b, d2, func(q graph.Time) error { _, e := dgTot.GetSnapshot(q, allAttrs); return e })
-	})
 }
 
 // BenchmarkLogBaseline measures naive Log replay (Section 7 text).
@@ -137,15 +246,17 @@ func BenchmarkLogBaseline(b *testing.B) {
 }
 
 // BenchmarkFig8aGraphPoolOverlay measures retrieval into the GraphPool
-// with overlap exploitation (Figure 8a's workload).
+// with overlap exploitation (Figure 8a's workload), then holds 100
+// retrievals at once and reports the pool's bytes against the same
+// snapshots held apart.
 func BenchmarkFig8aGraphPoolOverlay(b *testing.B) {
 	d1, _, L := setup(b)
 	pool := graphpool.New()
 	dg := mustBuild(b, d1, deltagraph.Options{LeafSize: L, Arity: 4, Function: delta.Intersection{}, Pool: pool})
-	_, last := d1.Span()
+	times := uniformTimes(d1, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id, err := dg.Retrieve(last*graph.Time(i%100+1)/101, allAttrs)
+		id, err := dg.Retrieve(times[i%len(times)], allAttrs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -156,6 +267,10 @@ func BenchmarkFig8aGraphPoolOverlay(b *testing.B) {
 			pool.CleanNow()
 		}
 	}
+	b.StopTimer()
+	held, disjoint := holdRetrievals(b, dg, times)
+	b.ReportMetric(float64(held), "pool-B")
+	b.ReportMetric(float64(disjoint), "disjoint-B")
 }
 
 // BenchmarkFig8bParallelRetrieval measures partition-parallel fetch
@@ -163,7 +278,7 @@ func BenchmarkFig8aGraphPoolOverlay(b *testing.B) {
 func BenchmarkFig8bParallelRetrieval(b *testing.B) {
 	_, d2, L := setup(b)
 	for _, p := range []int{1, 2, 4} {
-		store := bench.WithLatency(p, 30000, 25)
+		store := withLatency(p, 30000, 25)
 		dg := mustBuild(b, d2, deltagraph.Options{
 			LeafSize: L, Arity: 4, Function: delta.Intersection{}, Partitions: p, Store: store,
 		})
@@ -174,16 +289,18 @@ func BenchmarkFig8bParallelRetrieval(b *testing.B) {
 }
 
 // BenchmarkFig8cMultipoint compares one 5-point multipoint query against
-// five singlepoint queries (Figure 8c).
+// five singlepoint queries, and the store bytes each reads (Figure 8c).
 func BenchmarkFig8cMultipoint(b *testing.B) {
 	d1, _, L := setup(b)
-	dg := mustBuild(b, d1, deltagraph.Options{LeafSize: L, Arity: 4, Function: delta.Intersection{}})
+	store := newCountingStore()
+	dg := mustBuild(b, d1, deltagraph.Options{LeafSize: L, Arity: 4, Function: delta.Intersection{}, Store: store})
 	_, last := d1.Span()
 	ts := make([]graph.Time, 5)
 	for i := range ts {
 		ts[i] = last/2 + graph.Time(i)*800
 	}
 	b.Run("Singlepoints", func(b *testing.B) {
+		store.read.Store(0)
 		for i := 0; i < b.N; i++ {
 			for _, q := range ts {
 				if _, err := dg.GetSnapshot(q, allAttrs); err != nil {
@@ -191,55 +308,65 @@ func BenchmarkFig8cMultipoint(b *testing.B) {
 				}
 			}
 		}
+		b.ReportMetric(float64(store.read.Load())/float64(b.N), "read-B/op")
 	})
 	b.Run("Multipoint", func(b *testing.B) {
+		store.read.Store(0)
 		for i := 0; i < b.N; i++ {
 			if _, err := dg.GetSnapshots(ts, allAttrs); err != nil {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(float64(store.read.Load())/float64(b.N), "read-B/op")
 	})
 }
 
 // BenchmarkFig8dColumnar compares structure-only with structure+attribute
-// retrieval (Figure 8d).
+// retrieval, and the store bytes each reads (Figure 8d).
 func BenchmarkFig8dColumnar(b *testing.B) {
 	_, d2, L := setup(b)
-	dg := mustBuild(b, d2, deltagraph.Options{LeafSize: L, Arity: 4, Function: delta.Intersection{}})
-	b.Run("StructureOnly", func(b *testing.B) {
-		queryLoop(b, d2, func(q graph.Time) error { _, e := dg.GetSnapshot(q, graph.AttrOptions{}); return e })
-	})
-	b.Run("StructurePlusAttrs", func(b *testing.B) {
-		queryLoop(b, d2, func(q graph.Time) error { _, e := dg.GetSnapshot(q, allAttrs); return e })
-	})
+	store := newCountingStore()
+	dg := mustBuild(b, d2, deltagraph.Options{LeafSize: L, Arity: 4, Function: delta.Intersection{}, Store: store})
+	for _, tc := range []struct {
+		name string
+		opts graph.AttrOptions
+	}{{"StructureOnly", graph.AttrOptions{}}, {"StructurePlusAttrs", allAttrs}} {
+		get := func(q graph.Time) error { _, e := dg.GetSnapshot(q, tc.opts); return e }
+		b.Run(tc.name, func(b *testing.B) {
+			queryLoop(b, d2, get)
+			b.ReportMetric(float64(bytesRead(b, store, uniformTimes(d2, 25), get))/25, "read-B/op")
+		})
+	}
 }
 
-// BenchmarkFig9Arity measures query latency across arities (Figure 9a);
-// disk-space numbers come from cmd/dgbench -exp fig9.
+// BenchmarkFig9Arity measures query latency and store bytes across arities
+// (Figure 9a).
 func BenchmarkFig9Arity(b *testing.B) {
 	d1, _, L := setup(b)
 	for _, k := range []int{2, 4, 8} {
 		dg := mustBuild(b, d1, deltagraph.Options{LeafSize: L, Arity: k, Function: delta.Intersection{}})
 		b.Run(map[int]string{2: "K2", 4: "K4", 8: "K8"}[k], func(b *testing.B) {
 			queryLoop(b, d1, func(q graph.Time) error { _, e := dg.GetSnapshot(q, allAttrs); return e })
+			b.ReportMetric(float64(dg.Store().SizeOnDisk()), "store-B")
 		})
 	}
 }
 
-// BenchmarkFig9EventlistSize measures query latency across leaf-eventlist
-// sizes (Figure 9b).
+// BenchmarkFig9EventlistSize measures query latency and store bytes across
+// leaf-eventlist sizes (Figure 9b).
 func BenchmarkFig9EventlistSize(b *testing.B) {
 	d1, _, L := setup(b)
 	for mul, name := range map[int]string{1: "L1x", 4: "L4x"} {
 		dg := mustBuild(b, d1, deltagraph.Options{LeafSize: L * mul, Arity: 4, Function: delta.Intersection{}})
 		b.Run(name, func(b *testing.B) {
 			queryLoop(b, d1, func(q graph.Time) error { _, e := dg.GetSnapshot(q, allAttrs); return e })
+			b.ReportMetric(float64(dg.Store().SizeOnDisk()), "store-B")
 		})
 	}
 }
 
 // BenchmarkFig10Materialization measures retrieval at each materialization
-// depth (Figure 10).
+// depth, its plan cost and the memory it pins (Figure 10).
 func BenchmarkFig10Materialization(b *testing.B) {
 	_, d2, L := setup(b)
 	for _, policy := range []string{"none", "root", "children", "grandchildren"} {
@@ -251,12 +378,14 @@ func BenchmarkFig10Materialization(b *testing.B) {
 		}
 		b.Run(policy, func(b *testing.B) {
 			queryLoop(b, d2, func(q graph.Time) error { _, e := dg.GetSnapshot(q, allAttrs); return e })
+			b.ReportMetric(float64(meanPlanCost(b, dg, uniformTimes(d2, 25))), "plan-B")
+			b.ReportMetric(float64(dg.MaterializedBytes()), "mem-B")
 		})
 	}
 }
 
 // BenchmarkFig11aDiffFunctions compares Intersection and Balanced
-// retrieval (Figure 11a).
+// retrieval and their plan costs (Figure 11a).
 func BenchmarkFig11aDiffFunctions(b *testing.B) {
 	d1, _, L := setup(b)
 	for _, tc := range []struct {
@@ -266,6 +395,7 @@ func BenchmarkFig11aDiffFunctions(b *testing.B) {
 		dg := mustBuild(b, d1, deltagraph.Options{LeafSize: L, Arity: 2, Function: tc.fn})
 		b.Run(tc.name, func(b *testing.B) {
 			queryLoop(b, d1, func(q graph.Time) error { _, e := dg.GetSnapshot(q, allAttrs); return e })
+			b.ReportMetric(float64(meanPlanCost(b, dg, uniformTimes(d1, 25))), "plan-B")
 		})
 	}
 }
@@ -275,6 +405,7 @@ func BenchmarkFig11aDiffFunctions(b *testing.B) {
 func BenchmarkFig11bMixed(b *testing.B) {
 	d1, _, L := setup(b)
 	_, last := d1.Span()
+	q := last * 9 / 10
 	for _, tc := range []struct {
 		name string
 		r    float64
@@ -285,18 +416,22 @@ func BenchmarkFig11bMixed(b *testing.B) {
 		}
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := dg.GetSnapshot(last*9/10, allAttrs); err != nil {
+				if _, err := dg.GetSnapshot(q, allAttrs); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(meanPlanCost(b, dg, []graph.Time{q})), "plan-B")
 		})
 	}
 }
 
 // BenchmarkDataset3PageRank measures the partitioned retrieval + parallel
-// PageRank pipeline (the Section 7 experimental-setup run).
+// PageRank pipeline (the Section 7 experimental-setup run) over the large
+// patent-like Dataset 3, here 19k events.
 func BenchmarkDataset3PageRank(b *testing.B) {
-	events := bench.Dataset3(0.25)
+	events := datagen.PatentLike(datagen.PatentLikeConfig{
+		Nodes: 1500, Edges: 5000, ChurnAdds: 6250, ChurnDels: 6250, Seed: 44,
+	})
 	dg := mustBuild(b, events, deltagraph.Options{
 		LeafSize: 500, Arity: 4, Function: delta.Intersection{}, Partitions: 5,
 	})
@@ -362,12 +497,15 @@ func BenchmarkPatternQuery(b *testing.B) {
 		Edges:  [][2]graph.NodeID{{1, 2}, {2, 3}, {3, 4}},
 	}
 	_, last := labeled.Span()
+	var matches []auxindex.Match
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Match(last, pattern); err != nil {
+		var err error
+		if matches, err = m.Match(last, pattern); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(len(matches)), "matches")
 }
 
 // BenchmarkFig1Evolution measures one step of the Figure 1 workload:

@@ -396,8 +396,8 @@ func (gm *GraphManager) ForceClean() int { return gm.cleaner.ForceClean() }
 // "grandchildren", or "leaves" (total materialization).
 func (gm *GraphManager) Materialize(policy string) error { return gm.dg.MaterializeLevel(policy) }
 
-// DeltaGraph exposes the underlying index for advanced use (experiment
-// harness, custom materialization).
+// DeltaGraph exposes the underlying index for advanced use (plan costs,
+// custom materialization).
 func (gm *GraphManager) DeltaGraph() *deltagraph.DeltaGraph { return gm.dg }
 
 // Pool exposes the underlying GraphPool.

@@ -8,6 +8,7 @@ import (
 
 	"historygraph/internal/deltagraph"
 	"historygraph/internal/graph"
+	"historygraph/internal/kvstore"
 )
 
 // labeledTrace builds a trace of labeled nodes and edges with churn.
@@ -99,25 +100,63 @@ func buildIndexed(t *testing.T, events graph.EventList) (*deltagraph.DeltaGraph,
 	return dg, idx
 }
 
+// checkPaths compares the index's paths at q with a replay of events to q.
+func checkPaths(t *testing.T, dg *deltagraph.DeltaGraph, idx *PathIndex, events graph.EventList, q graph.Time) {
+	t.Helper()
+	aux, err := dg.GetAuxSnapshot(idx.Name(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refPaths(graph.SnapshotAt(events, q))
+	spurious := 0
+	for k := range aux {
+		if _, ok := want[k]; !ok {
+			spurious++
+		}
+	}
+	if missing := len(want) - (len(aux) - spurious); missing != 0 || spurious != 0 {
+		t.Fatalf("t=%d: %d indexed paths, want %d: %d missing, %d spurious", q, len(aux), len(want), missing, spurious)
+	}
+}
+
 func TestPathIndexMatchesReferenceOverHistory(t *testing.T) {
 	events := labeledTrace(1, 14, 220)
 	dg, idx := buildIndexed(t, events)
 	_, last := events.Span()
 	for i := 1; i <= 6; i++ {
-		q := last * graph.Time(i) / 6
-		aux, err := dg.GetAuxSnapshot(idx.Name(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := refPaths(graph.SnapshotAt(events, q))
-		if len(aux) != len(want) {
-			t.Fatalf("t=%d: %d indexed paths, want %d", q, len(aux), len(want))
-		}
-		for k := range aux {
-			if _, ok := want[k]; !ok {
-				t.Fatalf("t=%d: spurious path %s", q, k)
-			}
-		}
+		checkPaths(t, dg, idx, events, last*graph.Time(i)/6)
+	}
+}
+
+// An index reopened from a checkpoint has seen none of the events before
+// it, and must answer as one that saw them all.
+func TestPathIndexAfterReopen(t *testing.T) {
+	events := labeledTrace(1, 14, 220)
+	half := len(events) / 2
+	for events[half].At == events[half-1].At {
+		half++ // a checkpoint does not split a timestamp
+	}
+	store := kvstore.NewMemStore()
+	dg, err := deltagraph.Build(events[:half], deltagraph.Options{
+		LeafSize: 120, Arity: 3, Store: store, AuxIndexes: []deltagraph.AuxIndex{NewPathIndex("label")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dg.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	idx := NewPathIndex("label")
+	re, err := deltagraph.Open(deltagraph.Options{Store: store, AuxIndexes: []deltagraph.AuxIndex{idx}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := re.AppendAll(events[half:]); err != nil {
+		t.Fatal(err)
+	}
+	_, last := events.Span()
+	for i := 1; i <= 6; i++ {
+		checkPaths(t, re, idx, events, last*graph.Time(i)/6)
 	}
 }
 

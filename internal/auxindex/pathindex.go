@@ -20,17 +20,14 @@ import (
 // length 4).
 const PathLen = 4
 
-// PathIndex is a deltagraph.AuxIndex. It maintains its own adjacency and
-// label mirror of the current graph (fed by CreateAuxEvents in event
-// order), so deriving the aux events for one plain event does not rescan
-// the snapshot.
+// PathIndex is a deltagraph.AuxIndex. It keeps no graph of its own: the
+// neighbours and labels an event's paths need are read off the current
+// graph CreateAuxEvents is handed, so an index reopened from a checkpoint
+// answers as one that saw every event.
 type PathIndex struct {
 	// LabelAttr is the node attribute holding the label ("label" if
 	// empty).
 	LabelAttr string
-
-	adj    map[graph.NodeID]map[graph.NodeID]int // neighbor -> parallel edge count
-	labels map[graph.NodeID]string
 }
 
 // NewPathIndex creates the index.
@@ -38,11 +35,7 @@ func NewPathIndex(labelAttr string) *PathIndex {
 	if labelAttr == "" {
 		labelAttr = "label"
 	}
-	return &PathIndex{
-		LabelAttr: labelAttr,
-		adj:       make(map[graph.NodeID]map[graph.NodeID]int),
-		labels:    make(map[graph.NodeID]string),
-	}
+	return &PathIndex{LabelAttr: labelAttr}
 }
 
 // Name implements deltagraph.AuxIndex.
@@ -98,100 +91,73 @@ func ParsePathKey(key string) (Path, bool) {
 	return path, true
 }
 
-// CreateAuxEvents implements deltagraph.AuxIndex.
-func (p *PathIndex) CreateAuxEvents(ev graph.Event, _ *graphpool.View, _ deltagraph.AuxSnapshot) []deltagraph.AuxEvent {
+// CreateAuxEvents implements deltagraph.AuxIndex. g is the current graph
+// before ev.
+func (p *PathIndex) CreateAuxEvents(ev graph.Event, g *graphpool.View, _ deltagraph.AuxSnapshot) []deltagraph.AuxEvent {
+	label := func(n graph.NodeID) string {
+		l, _ := g.NodeAttr(n, p.LabelAttr)
+		return l
+	}
+	u, v := ev.Node, ev.Node2
 	switch ev.Type {
-	case graph.AddNode:
-		// No paths yet; label arrives as an attribute event.
-		return nil
-	case graph.DelNode:
-		delete(p.labels, ev.Node)
-		delete(p.adj, ev.Node) // incident edges were already deleted
-		return nil
 	case graph.SetNodeAttr:
-		if ev.Attr != p.LabelAttr {
-			return nil
+		if ev.Attr == p.LabelAttr {
+			return relabel(ev, g, label)
 		}
-		return p.relabel(ev)
 	case graph.AddEdge:
-		if ev.Node == ev.Node2 {
-			return nil // self-loops form no simple path
+		// Only the first edge between two nodes makes paths; a self-loop
+		// is on no simple path.
+		if u != v && edgesBetween(g, u, v) == 0 {
+			return pathEvents(ev.At, pathsThroughEdge(g, u, v), label, deltagraph.AuxSet)
 		}
-		first := p.link(ev.Node, ev.Node2) == 1
-		if !first {
-			return nil // a parallel edge adds no new node paths
-		}
-		return p.pathEvents(ev.At, ev.Node, ev.Node2, deltagraph.AuxSet)
 	case graph.DelEdge:
-		if ev.Node == ev.Node2 {
-			return nil
+		// Only the last edge between two nodes breaks them.
+		if u != v && edgesBetween(g, u, v) == 1 {
+			return pathEvents(ev.At, pathsThroughEdge(g, u, v), label, deltagraph.AuxDel)
 		}
-		// Enumerate while the edge is still in the mirror, then unlink.
-		var out []deltagraph.AuxEvent
-		if p.adj[ev.Node][ev.Node2] == 1 {
-			out = p.pathEvents(ev.At, ev.Node, ev.Node2, deltagraph.AuxDel)
-		}
-		p.unlink(ev.Node, ev.Node2)
-		return out
 	}
 	return nil
 }
 
-func (p *PathIndex) link(u, v graph.NodeID) int {
-	if p.adj[u] == nil {
-		p.adj[u] = make(map[graph.NodeID]int)
-	}
-	if p.adj[v] == nil {
-		p.adj[v] = make(map[graph.NodeID]int)
-	}
-	p.adj[u][v]++
-	p.adj[v][u] = p.adj[u][v]
-	return p.adj[u][v]
-}
-
-func (p *PathIndex) unlink(u, v graph.NodeID) {
-	if m := p.adj[u]; m != nil {
-		if m[v] <= 1 {
-			delete(m, v)
-		} else {
-			m[v]--
+// edgesBetween counts g's edges between u and v, either way round.
+func edgesBetween(g *graphpool.View, u, v graph.NodeID) int {
+	n := 0
+	for _, e := range g.IncidentEdges(u) {
+		if info, ok := g.EdgeInfo(e); ok && info.Other(u) == v {
+			n++
 		}
 	}
-	if m := p.adj[v]; m != nil {
-		if m[u] <= 1 {
-			delete(m, u)
-		} else {
-			m[u]--
-		}
-	}
+	return n
 }
 
-// relabel removes all paths through the node under its old label and
-// re-adds them under the new one.
-func (p *PathIndex) relabel(ev graph.Event) []deltagraph.AuxEvent {
+// relabel removes every path through the node under its old label and adds
+// it back under the new one (an absent label is the empty one, as a path's
+// key spells it). The other nodes' labels are g's.
+func relabel(ev graph.Event, g *graphpool.View, label func(graph.NodeID) string) []deltagraph.AuxEvent {
+	paths := pathsThroughNode(g, ev.Node)
 	var out []deltagraph.AuxEvent
-	if ev.HadOld {
-		p.labels[ev.Node] = ev.Old
-		for _, path := range p.pathsThroughNode(ev.Node) {
-			out = append(out, p.pathEvent(ev.At, path, deltagraph.AuxDel))
+	for _, step := range [2]struct {
+		own string
+		op  deltagraph.AuxOp
+	}{{ev.Old, deltagraph.AuxDel}, {ev.New, deltagraph.AuxSet}} {
+		labelAs := func(n graph.NodeID) string {
+			if n == ev.Node {
+				return step.own
+			}
+			return label(n)
 		}
-	}
-	if ev.HasNew {
-		p.labels[ev.Node] = ev.New
-		for _, path := range p.pathsThroughNode(ev.Node) {
-			out = append(out, p.pathEvent(ev.At, path, deltagraph.AuxSet))
+		for _, path := range paths {
+			out = append(out, pathEvent(ev.At, path, labelAs, step.op))
 		}
-	} else {
-		delete(p.labels, ev.Node)
 	}
 	return out
 }
 
-// pathEvent builds one aux event for a path (labels looked up live).
-func (p *PathIndex) pathEvent(at graph.Time, path Path, op deltagraph.AuxOp) deltagraph.AuxEvent {
+// pathEvent builds one aux event for a path.
+func pathEvent(at graph.Time, path Path, label func(graph.NodeID) string, op deltagraph.AuxOp) deltagraph.AuxEvent {
 	var labels [PathLen]string
 	for i, n := range path {
-		labels[i] = p.labels[n]
+		labels[i] = label(n)
 	}
 	ev := deltagraph.AuxEvent{At: at, Op: op, Key: pathKey(labels, path)}
 	if op == deltagraph.AuxSet {
@@ -200,28 +166,29 @@ func (p *PathIndex) pathEvent(at graph.Time, path Path, op deltagraph.AuxOp) del
 	return ev
 }
 
-// pathEvents enumerates every simple 4-node path using edge (u, v) and
-// emits one aux event per direction (both directions are stored so a
-// lookup never needs to reverse its quartet).
-func (p *PathIndex) pathEvents(at graph.Time, u, v graph.NodeID, op deltagraph.AuxOp) []deltagraph.AuxEvent {
+// pathEvents emits one aux event per direction of each path (both
+// directions are stored so a lookup never needs to reverse its quartet).
+func pathEvents(at graph.Time, paths []Path, label func(graph.NodeID) string, op deltagraph.AuxOp) []deltagraph.AuxEvent {
 	var out []deltagraph.AuxEvent
-	for _, path := range p.pathsThroughEdge(u, v) {
-		out = append(out, p.pathEvent(at, path, op))
-		out = append(out, p.pathEvent(at, Path{path[3], path[2], path[1], path[0]}, op))
+	for _, path := range paths {
+		out = append(out, pathEvent(at, path, label, op))
+		out = append(out, pathEvent(at, Path{path[3], path[2], path[1], path[0]}, label, op))
 	}
 	return out
 }
 
-// pathsThroughEdge lists simple 4-node paths containing edge (u, v), each
-// once (in one canonical direction; the caller adds the reverse).
-func (p *PathIndex) pathsThroughEdge(u, v graph.NodeID) []Path {
+// pathsThroughEdge lists the simple 4-node paths of g that would use an
+// edge (u, v), each once (in one canonical direction; the caller adds the
+// reverse). Whether g holds that edge yet does not change the list.
+func pathsThroughEdge(g *graphpool.View, u, v graph.NodeID) []Path {
 	var out []Path
 	distinct := func(a, b, c, d graph.NodeID) bool {
 		return a != b && a != c && a != d && b != c && b != d && c != d
 	}
 	// Edge in the middle: x-u-v-y.
-	for x := range p.adj[u] {
-		for y := range p.adj[v] {
+	nv := g.Neighbors(v)
+	for _, x := range g.Neighbors(u) {
+		for _, y := range nv {
 			if distinct(x, u, v, y) {
 				out = append(out, Path{x, u, v, y})
 			}
@@ -230,11 +197,11 @@ func (p *PathIndex) pathsThroughEdge(u, v graph.NodeID) []Path {
 	// Edge at the end: u-v-x-y and v-u-x-y.
 	for _, pair := range [2][2]graph.NodeID{{u, v}, {v, u}} {
 		a, b := pair[0], pair[1]
-		for x := range p.adj[b] {
-			if x == a {
+		for _, x := range g.Neighbors(b) {
+			if x == a || x == b {
 				continue
 			}
-			for y := range p.adj[x] {
+			for _, y := range g.Neighbors(x) {
 				if distinct(a, b, x, y) {
 					out = append(out, Path{a, b, x, y})
 				}
@@ -244,10 +211,9 @@ func (p *PathIndex) pathsThroughEdge(u, v graph.NodeID) []Path {
 	return out
 }
 
-// pathsThroughNode lists simple 4-node paths containing n (each once per
-// direction-canonical orientation; used for relabeling, where both
-// directions are handled by the caller emitting per-direction keys).
-func (p *PathIndex) pathsThroughNode(n graph.NodeID) []Path {
+// pathsThroughNode lists the simple 4-node paths of g containing n, in both
+// directions, each once.
+func pathsThroughNode(g *graphpool.View, n graph.NodeID) []Path {
 	seen := make(map[Path]struct{})
 	var out []Path
 	add := func(path Path) {
@@ -257,8 +223,8 @@ func (p *PathIndex) pathsThroughNode(n graph.NodeID) []Path {
 		}
 	}
 	// Paths where n is at each of the four positions.
-	for a := range p.adj[n] {
-		for _, path := range p.pathsThroughEdge(n, a) {
+	for _, a := range g.Neighbors(n) {
+		for _, path := range pathsThroughEdge(g, n, a) {
 			add(path)
 			add(Path{path[3], path[2], path[1], path[0]})
 		}

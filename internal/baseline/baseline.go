@@ -1,7 +1,7 @@
 // Package baseline implements the snapshot-retrieval approaches the paper
 // compares DeltaGraph against (Sections 4.1 and 7): an in-memory interval
 // tree, the Copy+Log approach, and the naive Log approach. All three agree
-// exactly with the reference replay semantics, so the experiment harness
+// exactly with the reference replay semantics, so the figure benchmarks
 // can swap them freely.
 package baseline
 

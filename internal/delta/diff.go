@@ -11,8 +11,8 @@ import (
 // (Table 2). The result is usually not a valid snapshot of any time point;
 // it only needs to be a good "center" so the child deltas are small.
 type Differential interface {
-	// Name identifies the function (used in skeleton metadata and the
-	// experiment harness).
+	// Name identifies the function; skeleton metadata and checkpoints
+	// record it.
 	Name() string
 	// Combine builds the parent graph from the children, ordered oldest
 	// to newest. Children must not be modified.

@@ -69,7 +69,7 @@ func heapGrowth(build func(), inputs ...any) int64 {
 }
 
 // TestApproxBytesTracksHeap pins ApproxBytes — what graphpool.bytes_per_view,
-// dg_pool_bytes and dgbench's Figure 8(a) table report — to the heap the
+// dg_pool_bytes and BenchmarkFig8aGraphPoolOverlay's pool-B report — to the heap the
 // pool really holds, on the benchmark's shape: within 15 % of the
 // runtime's own count.
 func TestApproxBytesTracksHeap(t *testing.T) {

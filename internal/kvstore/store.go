@@ -20,9 +20,9 @@ type Store interface {
 	Delete(key []byte) error
 	// Len returns the number of live keys.
 	Len() int
-	// SizeOnDisk returns the backing storage footprint in bytes
-	// (0 for purely in-memory stores). The experiment harness uses it to
-	// equalize disk budgets across approaches.
+	// SizeOnDisk returns the backing storage footprint in bytes (an
+	// in-memory store reports the payload bytes it holds). The figure
+	// benchmarks compare approaches' space by it.
 	SizeOnDisk() int64
 	// Sync flushes buffered writes to stable storage.
 	Sync() error

@@ -3,7 +3,8 @@
 // shortest-path weights, under the constant-rate graph-dynamics model
 // (a δ* fraction of events insert an element, a ρ* fraction delete one).
 // The tests validate these formulas against measured DeltaGraph builds on
-// constant-rate traces.
+// constant-rate traces; nothing outside them imports the package, which is
+// kept as that check of the builder against the paper's analysis.
 package model
 
 import "math"
