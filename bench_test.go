@@ -1175,8 +1175,7 @@ func BenchmarkShardBatch(b *testing.B) {
 // plane: the same trivial handler served bare and wrapped in the
 // request-metrics middleware (status-class counter, latency histogram,
 // request-ID mint + echo), driven in-process with no network. The
-// instrumented/bare gap is the budget every endpoint pays per request;
-// the CI bench gate holds it flat.
+// instrumented/bare gap is the budget every endpoint pays per request.
 func BenchmarkMetricsOverhead(b *testing.B) {
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{"ok":true}`))

@@ -1,5 +1,5 @@
 // Command benchdiff turns `go test -bench` output into a JSON benchmark
-// record and gates CI on regressions against a committed baseline.
+// record, and merges records into one.
 //
 // Parse a bench run into JSON (ns/op per benchmark, GOMAXPROCS suffix
 // stripped so records compare across machines):
@@ -7,33 +7,18 @@
 //	go test -run xxx -bench 'BenchmarkServer|BenchmarkShard' -benchtime 3x . \
 //	    | benchdiff parse -o BENCH_2.json
 //
-// Compare a fresh record against the committed baseline; exit non-zero
-// if any benchmark got more than threshold slower:
-//
-//	benchdiff compare -baseline bench_baseline.json -new BENCH_2.json -threshold 0.25
-//
-// With -normalize, each benchmark's slowdown is measured relative to the
-// median slowdown across all shared benchmarks. A hardware change (CI
-// runner vs the machine that produced the baseline) shifts every
-// benchmark together and is divided out; a regression in one code path
-// moves that benchmark against the pack and still trips the gate. The
-// trade-off: a change that slows the majority of benchmarks uniformly is
-// normalized away too — watch the printed raw deltas for that.
-//
 // Merge several records into one (CI folds the load-harness record from
 // cmd/dgtraffic into the same BENCH_N.json artifact the bench job
 // produces; later files win on duplicate names):
 //
 //	benchdiff merge -o BENCH_7.json bench-part.json load-record.json
 //
-// Records may tag entries with units. Unitless entries are ns/op
-// (lower is better); "rps"/"ops/s"/"qps" entries are throughput
-// (higher is better) and the compare gate flips its direction for them
-// automatically — a 30% throughput drop trips the same -threshold 0.25
-// gate that a 30% ns/op rise does, with no sign juggling by hand.
+// Records may tag entries with units. Unitless entries are ns/op; the
+// load harness tags its throughput ("rps") and latency ("ms") entries.
 //
-// To refresh the baseline after an intentional change, commit the new
-// record (CI uploads it as the BENCH artifact) as bench_baseline.json.
+// No command compares records: ns/op from a shared runner measures the
+// runner as much as the code. BENCHMARK.json's end-to-end metrics are the
+// regression check.
 package main
 
 import (
@@ -41,10 +26,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"regexp"
-	"sort"
 	"strconv"
 )
 
@@ -56,27 +39,7 @@ type Record struct {
 	// its value. Duplicate names keep the fastest run.
 	Benchmarks map[string]float64 `json:"benchmarks"`
 	// Units maps benchmark name to its unit; absent names are "ns/op".
-	// The unit orients the compare gate: throughput units ("rps",
-	// "ops/s", "qps") are higher-is-better, everything else (ns/op,
-	// "ms" latencies) lower-is-better.
 	Units map[string]string `json:"units,omitempty"`
-}
-
-// unitOf returns the record's unit for a benchmark ("ns/op" default).
-func (r Record) unitOf(name string) string {
-	if u, ok := r.Units[name]; ok {
-		return u
-	}
-	return "ns/op"
-}
-
-// higherBetter reports whether larger values of the unit are better.
-func higherBetter(unit string) bool {
-	switch unit {
-	case "rps", "ops/s", "qps", "MB/s":
-		return true
-	}
-	return false
 }
 
 func main() {
@@ -86,8 +49,6 @@ func main() {
 	switch os.Args[1] {
 	case "parse":
 		cmdParse(os.Args[2:])
-	case "compare":
-		cmdCompare(os.Args[2:])
 	case "merge":
 		cmdMerge(os.Args[2:])
 	default:
@@ -97,7 +58,6 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: benchdiff parse [-o out.json] [-note text] < bench-output")
-	fmt.Fprintln(os.Stderr, "       benchdiff compare -baseline old.json -new new.json [-threshold 0.25] [-normalize]")
 	fmt.Fprintln(os.Stderr, "       benchdiff merge -o out.json [-note text] a.json b.json ...")
 	os.Exit(2)
 }
@@ -192,96 +152,6 @@ func cmdParse(args []string) {
 		fatal(err)
 	}
 	fmt.Printf("benchdiff: wrote %d benchmarks to %s\n", len(rec.Benchmarks), *out)
-}
-
-func cmdCompare(args []string) {
-	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	basePath := fs.String("baseline", "", "committed baseline record")
-	newPath := fs.String("new", "", "fresh record to check")
-	threshold := fs.Float64("threshold", 0.25, "allowed slowdown fraction (0.25 = +25%)")
-	normalize := fs.Bool("normalize", false, "divide out the median slowdown (machine-speed shift) before gating")
-	fs.Parse(args)
-	if *basePath == "" || *newPath == "" {
-		usage()
-	}
-
-	base := load(*basePath)
-	fresh := load(*newPath)
-
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	// worseRatio orients a comparison by the benchmark's unit: the
-	// returned ratio is > 1 exactly when the fresh value is worse —
-	// slower for ns/op and latency entries, lower for throughput
-	// entries — so the gate below is direction-agnostic.
-	worseRatio := func(name string, old, now float64) float64 {
-		if higherBetter(base.unitOf(name)) {
-			if now == 0 {
-				return math.Inf(+1)
-			}
-			return old / now
-		}
-		if old == 0 {
-			return math.Inf(+1)
-		}
-		return now / old
-	}
-
-	// The median worse-ratio estimates the machine-wide speed shift
-	// between the baseline's hardware and this run's.
-	shift := 1.0
-	if *normalize {
-		var ratios []float64
-		for _, name := range names {
-			if now, ok := fresh.Benchmarks[name]; ok {
-				ratios = append(ratios, worseRatio(name, base.Benchmarks[name], now))
-			}
-		}
-		if n := len(ratios); n > 0 {
-			sort.Float64s(ratios)
-			shift = ratios[n/2]
-			if n%2 == 0 {
-				shift = (ratios[n/2-1] + ratios[n/2]) / 2
-			}
-			fmt.Printf("normalizing by median speed shift %+.1f%%\n", (shift-1)*100)
-		}
-	}
-
-	failed := false
-	fmt.Printf("%-45s %14s %14s %9s %8s\n", "benchmark", "baseline", "new", "delta", "unit")
-	for _, name := range names {
-		old := base.Benchmarks[name]
-		now, ok := fresh.Benchmarks[name]
-		if !ok {
-			fmt.Printf("%-45s %14.0f %14s %9s %8s  MISSING (refresh bench_baseline.json?)\n",
-				name, old, "-", "-", base.unitOf(name))
-			failed = true
-			continue
-		}
-		// delta > 0 means "worse by that fraction" whichever way the
-		// unit points.
-		delta := worseRatio(name, old, now)/shift - 1
-		status := ""
-		if delta > *threshold {
-			status = fmt.Sprintf("  REGRESSION (> +%.0f%%)", *threshold*100)
-			failed = true
-		}
-		fmt.Printf("%-45s %14.1f %14.1f %+8.1f%% %8s%s\n", name, old, now, delta*100, base.unitOf(name), status)
-	}
-	for name := range fresh.Benchmarks {
-		if _, ok := base.Benchmarks[name]; !ok {
-			fmt.Printf("%-45s %14s %14.0f %9s  new (not in baseline)\n", name, "-", fresh.Benchmarks[name], "-")
-		}
-	}
-	if failed {
-		fmt.Println("benchdiff: FAIL")
-		os.Exit(1)
-	}
-	fmt.Println("benchdiff: ok")
 }
 
 func load(path string) Record {

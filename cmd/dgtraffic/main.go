@@ -19,7 +19,7 @@
 // The -out artifact is the full loadgen.Result JSON; -record writes the
 // benchmark-style projection (throughput in rps, per-endpoint p50/p99
 // in ms, each tagged with its unit) that cmd/benchdiff merges into the
-// BENCH_*.json trajectory and compares direction-aware across runs.
+// BENCH_*.json trajectory.
 //
 // Validate scenario files without running anything (CI lints every
 // committed scenario this way):

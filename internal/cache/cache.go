@@ -6,9 +6,7 @@
 //
 // The policy, stated once:
 //
-//   - LRU with a cost window: over capacity, the victim is the
-//     cheapest-to-rebuild entry among the evictionWindow coldest. With
-//     equal costs that is plain LRU.
+//   - LRU: over capacity, the coldest entry goes.
 //   - History is append-only, so an append at time t invalidates exactly
 //     the entries that answer for a timepoint >= t — plus every entry
 //     built by reading through the current graph (DepCur), which reads
@@ -33,11 +31,6 @@ import (
 	"historygraph/internal/graph"
 	"historygraph/internal/metrics"
 )
-
-// evictionWindow bounds how far from the LRU tail cost-aware eviction
-// looks. Recency still dominates — a hot expensive entry is never
-// examined — but within the cold tail, cost decides.
-const evictionWindow = 8
 
 // Levels holds the dg_cache_* metric families every cache level of one
 // process reports under, labelled by level name.
@@ -82,9 +75,8 @@ type Options[V any] struct {
 
 // Entry is one value and what the policy needs to know about it.
 type Entry[V any] struct {
-	At     graph.Time    // latest timepoint the value depends on
-	DepCur bool          // built through the current graph: any append kills it
-	Cost   time.Duration // rebuild cost, the eviction weight (0: plain LRU)
+	At     graph.Time // latest timepoint the value depends on
+	DepCur bool       // built through the current graph: any append kills it
 	Value  V
 }
 
@@ -218,29 +210,10 @@ func (c *Cache[V]) Insert(key string, e Entry[V], gen int64) (resident V, ok boo
 	}
 	c.entries[key] = c.lru.PushFront(&slot[V]{Entry: e, key: key, added: time.Now()})
 	for c.lru.Len() > c.capacity {
-		// The new entry is at the front and the victim window stops
-		// short of it, so eviction never pops the value being returned.
-		c.removeLocked(c.victimLocked())
+		c.removeLocked(c.lru.Back())
 		c.evictions.Inc()
 	}
 	return e.Value, true
-}
-
-// victimLocked picks the cheapest-cost entry among the evictionWindow
-// coldest, never reaching the front entry; ties keep the colder one.
-func (c *Cache[V]) victimLocked() *list.Element {
-	victim := c.lru.Back()
-	best := victim.Value.(*slot[V]).Cost
-	elem := victim
-	for i := 1; i < evictionWindow; i++ {
-		if elem = elem.Prev(); elem == nil || elem == c.lru.Front() {
-			break
-		}
-		if s := elem.Value.(*slot[V]); s.Cost < best {
-			victim, best = elem, s.Cost
-		}
-	}
-	return victim
 }
 
 func (c *Cache[V]) removeLocked(elem *list.Element) {

@@ -28,8 +28,8 @@ func newRig(size int, ttl time.Duration) *rig {
 }
 
 // put inserts value key under key at the current generation.
-func (r *rig) put(key string, at graph.Time, depCur bool, cost time.Duration) {
-	r.Insert(key, Entry[string]{At: at, DepCur: depCur, Cost: cost, Value: key}, r.Gen())
+func (r *rig) put(key string, at graph.Time, depCur bool) {
+	r.Insert(key, Entry[string]{At: at, DepCur: depCur, Value: key}, r.Gen())
 }
 
 // resident lists the cached keys, sorted, without touching recency or
@@ -73,7 +73,7 @@ func TestCachePolicy(t *testing.T) {
 			name: "purge is an invalidation pass",
 			size: 4,
 			run: func(t *testing.T, r *rig) {
-				r.put("a", 1, false, 0)
+				r.put("a", 1, false)
 				gen := r.Gen()
 				r.Purge()
 				if _, ok := r.Insert("late", Entry[string]{At: 1, Value: "late"}, gen); ok {
@@ -86,10 +86,10 @@ func TestCachePolicy(t *testing.T) {
 			name: "invalidate keeps at<t, drops at>=t and every depCur",
 			size: 8,
 			run: func(t *testing.T, r *rig) {
-				r.put("old", 9, false, 0)
-				r.put("edge", 10, false, 0)
-				r.put("new", 11, false, 0)
-				r.put("old-cur", 3, true, 0)
+				r.put("old", 9, false)
+				r.put("edge", 10, false)
+				r.put("new", 11, false)
+				r.put("old-cur", 3, true)
 				if n := r.InvalidateFrom(10); n != 3 {
 					t.Errorf("InvalidateFrom evicted %d entries, want 3", n)
 				}
@@ -102,7 +102,7 @@ func TestCachePolicy(t *testing.T) {
 			size: 4,
 			ttl:  time.Nanosecond,
 			run: func(t *testing.T, r *rig) {
-				r.put("a", 1, false, 0)
+				r.put("a", 1, false)
 				time.Sleep(time.Millisecond)
 				if _, ok := r.Get("a"); ok {
 					t.Error("expired entry served")
@@ -112,28 +112,15 @@ func TestCachePolicy(t *testing.T) {
 			stats:   Stats{Misses: 1, Evictions: 1},
 		},
 		{
-			name: "cost window evicts the cheapest of the cold tail",
-			size: 4,
-			run: func(t *testing.T, r *rig) {
-				r.put("expensive", 1, false, time.Second) // always the coldest
-				for i := 1; i <= 10; i++ {
-					r.put(fmt.Sprintf("cheap%02d", i), 1, false, time.Millisecond)
-				}
-			},
-			resident: "cheap08 cheap09 cheap10 expensive",
-			evicted:  "cheap01 cheap02 cheap03 cheap04 cheap05 cheap06 cheap07",
-			stats:    Stats{Evictions: 7},
-		},
-		{
-			name: "equal costs are plain lru, and a hit refreshes recency",
+			name: "lru evicts the coldest, and a hit refreshes recency",
 			size: 2,
 			run: func(t *testing.T, r *rig) {
-				r.put("k0", 1, false, time.Second)
-				r.put("k1", 1, false, time.Second)
+				r.put("k0", 1, false)
+				r.put("k1", 1, false)
 				if _, ok := r.Get("k0"); !ok {
 					t.Error("k0 should be resident")
 				}
-				r.put("k2", 1, false, time.Second) // k1 is now the tail
+				r.put("k2", 1, false) // k1 is now the tail
 			},
 			resident: "k0 k2",
 			evicted:  "k1",
@@ -143,7 +130,7 @@ func TestCachePolicy(t *testing.T) {
 			name: "duplicate insert keeps and returns the resident value",
 			size: 4,
 			run: func(t *testing.T, r *rig) {
-				r.put("k", 1, false, 0)
+				r.put("k", 1, false)
 				v, ok := r.Insert("k", Entry[string]{At: 1, Value: "second"}, r.Gen())
 				if !ok || v != "k" {
 					t.Errorf("duplicate insert = %q, %v; want the resident value", v, ok)
@@ -155,7 +142,7 @@ func TestCachePolicy(t *testing.T) {
 			name: "recheck is not counted",
 			size: 4,
 			run: func(t *testing.T, r *rig) {
-				r.put("k", 1, false, 0)
+				r.put("k", 1, false)
 				r.Recheck("k")
 				r.Recheck("absent")
 				r.Get("absent")
@@ -168,7 +155,7 @@ func TestCachePolicy(t *testing.T) {
 			size: 0,
 			run: func(t *testing.T, r *rig) {
 				for i := 0; i < 6; i++ {
-					r.put(fmt.Sprintf("k%d", i), 1, false, 0)
+					r.put(fmt.Sprintf("k%d", i), 1, false)
 				}
 			},
 			resident: "k2 k3 k4 k5",

@@ -15,10 +15,9 @@ type Cleaner struct {
 	pool     *Pool
 	interval time.Duration
 
-	mu      sync.Mutex
-	stop    chan struct{}
-	done    chan struct{}
-	cleaned int64
+	mu   sync.Mutex
+	stop chan struct{}
+	done chan struct{}
 }
 
 // NewCleaner creates a cleaner for the pool that runs every interval once
@@ -49,11 +48,8 @@ func (c *Cleaner) run(stop, done chan struct{}) {
 		case <-stop:
 			return
 		case <-ticker.C:
-			n := c.pool.CleanNow()
+			c.pool.CleanNow()
 			c.pool.sampledBytes.Store(c.pool.ApproxBytes())
-			c.mu.Lock()
-			c.cleaned += int64(n)
-			c.mu.Unlock()
 		}
 	}
 }
@@ -74,16 +70,5 @@ func (c *Cleaner) Stop() {
 // ForceClean runs a full cleanup pass synchronously (the "system is running
 // low on memory" path) and returns the number of elements liberated.
 func (c *Cleaner) ForceClean() int {
-	n := c.pool.CleanNow()
-	c.mu.Lock()
-	c.cleaned += int64(n)
-	c.mu.Unlock()
-	return n
-}
-
-// TotalCleaned returns the cumulative number of elements evicted.
-func (c *Cleaner) TotalCleaned() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cleaned
+	return c.pool.CleanNow()
 }

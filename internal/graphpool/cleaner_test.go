@@ -26,9 +26,6 @@ func TestCleanerBackgroundPass(t *testing.T) {
 	if n := p.Stats().PoolNodes; n != 0 {
 		t.Errorf("background cleaner left %d nodes", n)
 	}
-	if c.TotalCleaned() == 0 {
-		t.Error("TotalCleaned = 0")
-	}
 	c.Stop()
 	c.Stop() // double stop is a no-op
 }

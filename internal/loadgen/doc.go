@@ -39,5 +39,5 @@
 // Results serialize to a JSON artifact in the BENCH_*.json family:
 // Result.BenchRecord emits benchmark-style name→value pairs with units
 // ("rps" is higher-is-better, "ms" lower-is-better) that cmd/benchdiff
-// merges and compares direction-aware across runs.
+// merges into one record.
 package loadgen

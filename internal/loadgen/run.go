@@ -123,8 +123,7 @@ type Result struct {
 // BenchRecord projects the result into benchmark name→value pairs plus
 // their units, the shape cmd/benchdiff merges into a BENCH_*.json
 // record. Throughput carries unit "rps" (higher is better); latencies
-// carry "ms" (lower is better) — benchdiff compare reads the unit to
-// orient its regression check.
+// carry "ms" (lower is better).
 func (r *Result) BenchRecord() (benchmarks map[string]float64, units map[string]string) {
 	benchmarks = map[string]float64{}
 	units = map[string]string{}

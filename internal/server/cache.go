@@ -1,8 +1,6 @@
 package server
 
 import (
-	"time"
-
 	"historygraph"
 	"historygraph/internal/cache"
 )
@@ -71,14 +69,14 @@ func pinned(v view, ok bool) (*historygraph.HistGraph, func(), bool) {
 // release means the view was not cached — an invalidation pass ran since
 // gen was snapshotted (the view may be stale) or pinning failed — and the
 // caller still owns h.
-func (c snapCache) InsertAcquire(gm *historygraph.GraphManager, key string, at historygraph.Time, h *historygraph.HistGraph, gen int64, cost time.Duration) (*historygraph.HistGraph, func()) {
+func (c snapCache) InsertAcquire(gm *historygraph.GraphManager, key string, at historygraph.Time, h *historygraph.HistGraph, gen int64) (*historygraph.HistGraph, func()) {
 	// Both references are taken before the view becomes evictable.
 	if err := gm.Pin(h); err != nil { // the cache's own
 		return nil, nil
 	}
 	gm.Pin(h) // the reader's; h is active, this cannot fail
 	res, ok := c.Insert(key, cache.Entry[view]{
-		At: at, DepCur: h.DependsOnCurrent(), Cost: cost, Value: view{gm, h},
+		At: at, DepCur: h.DependsOnCurrent(), Value: view{gm, h},
 	}, gen)
 	if !ok || res.h != h {
 		gm.Unpin(h)

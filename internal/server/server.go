@@ -298,16 +298,14 @@ func (s *Server) acquire(t historygraph.Time, attrs string) (h *historygraph.His
 	}
 	v, shared, err := s.flights.Do(key, func() (any, error) {
 		gen := s.cache.Gen()
-		start := time.Now()
 		h, err := s.retrieve(gm, t, attrs)
 		if err != nil {
 			return nil, err
 		}
 		// The flight keeps a reader pin for its own caller, so the
 		// leader serves its handle directly — no re-lookup that could
-		// race an eviction under cache churn. Plan-execution time rides
-		// along as the entry's cost-aware admission weight.
-		fh, rel := s.cache.InsertAcquire(gm, key, t, h, gen, time.Since(start))
+		// race an eviction under cache churn.
+		fh, rel := s.cache.InsertAcquire(gm, key, t, h, gen)
 		if rel == nil {
 			// Not cached (an append's invalidation pass overlapped the
 			// retrieval, so the view may be stale as a cache entry —
@@ -513,19 +511,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.retrievals.Add(int64(len(missTimes)))
 		gen := s.cache.Gen()
-		start := time.Now()
 		hs, err := gm.GetHistGraphs(missTimes, attrs)
 		if err != nil {
 			WriteError(w, http.StatusUnprocessableEntity, err)
 			return
 		}
-		// The shared-delta plan's cost is amortized evenly across the
-		// views it produced — each entry's admission weight is its share.
-		perView := time.Since(start) / time.Duration(len(hs))
 		for j, h := range hs {
 			t := missTimes[j]
 			var sj wire.Snapshot
-			if fh, rel := s.cache.InsertAcquire(gm, cacheKey(t, attrs), t, h, gen, perView); rel != nil {
+			if fh, rel := s.cache.InsertAcquire(gm, cacheKey(t, attrs), t, h, gen); rel != nil {
 				sj = snapshotOf(fh, t, full, own)
 				rel()
 			} else {

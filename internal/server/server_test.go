@@ -23,7 +23,7 @@ func testSnapCache(size int) snapCache {
 
 // insert hands h to c and drops the reader pin InsertAcquire returns.
 func insert(c snapCache, gm *historygraph.GraphManager, key string, at historygraph.Time, h *historygraph.HistGraph) {
-	if _, release := c.InsertAcquire(gm, key, at, h, c.Gen(), 0); release != nil {
+	if _, release := c.InsertAcquire(gm, key, at, h, c.Gen()); release != nil {
 		release()
 	}
 }
@@ -401,6 +401,32 @@ func TestCacheEvictionRefcount(t *testing.T) {
 	}
 }
 
+// TestViewCacheEvictsColdest: the view cache is plain LRU, whatever a
+// view took to build. An old timepoint (a plan over stored deltas) read
+// before the head (an overlay of the current graph, far cheaper) is the
+// coldest entry when a third timepoint arrives, so it is the one evicted
+// and reading it again retrieves it again.
+func TestViewCacheEvictsColdest(t *testing.T) {
+	gm := newTestManager(t)
+	svc, client := newTestServer(t, gm, Config{CacheSize: 2, EncodedCacheSize: -1})
+	last := gm.LastTime()
+
+	for _, tp := range []historygraph.Time{last / 4, last, last / 2, last / 4} {
+		if _, err := client.Snapshot(tp, "", false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := svc.Retrievals(); got != 4 {
+		t.Fatalf("old, head, third, old again ran %d retrievals, want 4 (the old view evicted)", got)
+	}
+	if _, err := client.Snapshot(last/2, "", false); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.Retrievals(); got != 4 {
+		t.Fatalf("the third timepoint was retrieved again (%d retrievals): it should still be resident", got)
+	}
+}
+
 // TestCacheHitSkipsPlanExecution proves a repeat query at a hot timepoint
 // does not touch the DeltaGraph.
 func TestCacheHitSkipsPlanExecution(t *testing.T) {
@@ -710,7 +736,7 @@ func TestInsertRefusedAfterInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache.InvalidateFrom(last) // a concurrent append's pass
-	if _, rel := cache.InsertAcquire(gm, "k", last/2, h, gen, 0); rel != nil {
+	if _, rel := cache.InsertAcquire(gm, "k", last/2, h, gen); rel != nil {
 		t.Fatal("stale view registered despite an intervening invalidation")
 	}
 	gm.Release(h)
@@ -721,7 +747,7 @@ func TestInsertRefusedAfterInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fh, rel := cache.InsertAcquire(gm, "k", last/2, h2, gen, 0)
+	fh, rel := cache.InsertAcquire(gm, "k", last/2, h2, gen)
 	if rel == nil {
 		t.Fatal("fresh view refused")
 	}
@@ -748,7 +774,7 @@ func TestInsertRefusedAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.Close()
-	if _, rel := svc.cache.InsertAcquire(gm, "k", last/2, h, gen, 0); rel != nil {
+	if _, rel := svc.cache.InsertAcquire(gm, "k", last/2, h, gen); rel != nil {
 		t.Fatal("view registered after Close")
 	}
 	if pins := pool.Pins(h.ID()); pins != 0 {
