@@ -5,7 +5,7 @@
 // Usage:
 //
 //	dgload -in trace.bin -store /path/to/index [-L 4096] [-k 4]
-//	       [-fn intersection] [-partitions 1] [-compress]
+//	       [-fn intersection] [-partitions 1]
 package main
 
 import (
@@ -26,7 +26,6 @@ func main() {
 	arity := flag.Int("k", 4, "arity")
 	fn := flag.String("fn", "intersection", "differential function")
 	partitions := flag.Int("partitions", 1, "horizontal partitions")
-	compress := flag.Bool("compress", false, "compress stored payloads")
 	flag.Parse()
 	if *in == "" || *store == "" {
 		fmt.Fprintln(os.Stderr, "dgload: -in and -store are required")
@@ -50,7 +49,7 @@ func main() {
 	gm, err := historygraph.BuildFrom(events, historygraph.Options{
 		LeafEventlistSize: *leafSize, Arity: *arity,
 		DifferentialFunction: *fn, Partitions: *partitions,
-		StorePath: *store, Compress: *compress,
+		StorePath: *store,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dgload: %v\n", err)

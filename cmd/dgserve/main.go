@@ -84,7 +84,6 @@ func main() {
 	leafSize := flag.Int("L", 0, "leaf eventlist size (new index only)")
 	arity := flag.Int("k", 0, "DeltaGraph arity (new index only)")
 	partitions := flag.Int("partitions", 0, "storage partitions (new index only); in -shard coordinator mode, expected number of peer groups")
-	compress := flag.Bool("compress", false, "compress stored payloads (new index only)")
 	checkpoint := flag.Bool("checkpoint", true, "checkpoint the index on shutdown when -store is set")
 	role := flag.String("shard", "", `cluster role: "" or "worker" serve an index; "coordinator" scatter-gathers across -peers`)
 	peers := flag.String("peers", "", `comma-separated partition peer groups (coordinator role only; order defines partition IDs, "|" separates a group's replicas, first replica is the initial primary)`)
@@ -127,7 +126,6 @@ func main() {
 		LeafEventlistSize: *leafSize,
 		Arity:             *arity,
 		Partitions:        *partitions,
-		Compress:          *compress,
 		StorePath:         *store,
 	}
 	gm, loaded, err := open(opts)

@@ -122,8 +122,6 @@ type Options struct {
 	// index in memory). With Partitions > 1 one file per partition is
 	// created: <path>.p0, <path>.p1, ...
 	StorePath string
-	// Compress enables flate compression of stored payloads.
-	Compress bool
 	// DependentMaxRatio tunes the GraphPool dependent-overlay decision.
 	DependentMaxRatio float64
 	// AuxIndexes registers auxiliary indexes before any event is added.
@@ -143,13 +141,12 @@ func (o Options) store() (kvstore.Store, error) {
 		}
 		return kvstore.NewMemStore(), nil
 	}
-	fo := kvstore.FileOptions{Compress: o.Compress}
 	if parts == 1 {
-		return kvstore.OpenFileStore(o.StorePath, fo)
+		return kvstore.OpenFileStore(o.StorePath, kvstore.FileOptions{})
 	}
 	stores := make([]kvstore.Store, parts)
 	for i := range stores {
-		s, err := kvstore.OpenFileStore(fmt.Sprintf("%s.p%d", o.StorePath, i), fo)
+		s, err := kvstore.OpenFileStore(fmt.Sprintf("%s.p%d", o.StorePath, i), kvstore.FileOptions{})
 		if err != nil {
 			for _, prev := range stores[:i] {
 				prev.Close()

@@ -130,7 +130,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 
 func TestPersistentLifecycle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db")
-	gm, err := Open(Options{LeafEventlistSize: 3, Arity: 2, StorePath: path, Compress: true})
+	gm, err := Open(Options{LeafEventlistSize: 3, Arity: 2, StorePath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestPersistentLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Load(Options{StorePath: path, Compress: true})
+	re, err := Load(Options{StorePath: path})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package deltagraph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -389,9 +390,11 @@ func TestOpenRefusesOldCheckpoints(t *testing.T) {
 // commit before checkpoint layout 4 (950dd6d) wrote: makeTrace(26, 408)
 // ingested live at leaf size 16 and arity 2, then Checkpoint — 24 leaves,
 // pending nodes at levels 3 and 4, eight recent events, every graph a delta
-// from the null graph. Never regenerate it with a current build. The index
-// must answer as naive replay does, take the rest of the history as an index
-// that was never closed would, and checkpoint in layout 4 from then on.
+// from the null graph, every value stored as it is. Never regenerate it with
+// a current build. The index must answer as naive replay does, take the rest
+// of the history as an index that was never closed would, checkpoint in
+// layout 4 from then on, and reopen from a file whose new records are
+// compressed behind the old raw ones.
 func TestOpenReadsV3Checkpoint(t *testing.T) {
 	fixture, err := os.ReadFile("testdata/checkpoint_v3.store")
 	if err != nil {
@@ -400,6 +403,10 @@ func TestOpenReadsV3Checkpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "index")
 	if err := os.WriteFile(path, fixture, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	oldRaw, oldCompressed := storedRecords(t, path)
+	if oldRaw == 0 || oldCompressed != 0 {
+		t.Fatalf("the fixture holds %d raw and %d compressed values", oldRaw, oldCompressed)
 	}
 	fs := openFileStore(t, path)
 	defer fs.Close()
@@ -445,11 +452,60 @@ func TestOpenReadsV3Checkpoint(t *testing.T) {
 	if onCurrent, _ := basesOf(pi); pi.Version != 4 || onCurrent == 0 {
 		t.Fatalf("the next checkpoint is v%d with %d pending nodes stored from the current graph", pi.Version, onCurrent)
 	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if raw, compressed := storedRecords(t, path); raw < oldRaw || compressed == 0 {
+		t.Fatalf("after appends and a checkpoint the file holds %d raw and %d compressed values, the fixture %d raw", raw, compressed, oldRaw)
+	}
+	fs = openFileStore(t, path)
+	defer fs.Close()
 	again, err := Open(Options{Store: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkAgainstReference(t, again, events, allAttrs, reopenTimes(again))
+}
+
+// storedRecords counts the values in a FileStore log by how they are stored:
+// as they are, or flate-compressed (flags bit 1; bit 0 marks a tombstone).
+func storedRecords(t *testing.T, path string) (raw, compressed int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := data[len("HGKV1\n"):]; len(b) > 0; {
+		keyLen, n := binary.Uvarint(b)
+		valLen, m := binary.Uvarint(b[n:])
+		switch flags := b[n+m]; {
+		case flags&1 != 0:
+		case flags&2 != 0:
+			compressed++
+		default:
+			raw++
+		}
+		b = b[n+m+1+int(keyLen)+int(valLen)+4:]
+	}
+	return raw, compressed
+}
+
+// TestGoldenStoredBytes pins the counter behind index_bytes_per_event on
+// retrieve-embedded and serve-hot: the repository benchmark's seed-1 trace,
+// bulk-built at leaf size 4096 into a FileStore, is a file of 737 682 B, 9.22
+// B an event. Before the store compressed every value it was 1 133 554 B.
+// TestOpenReadsV3Checkpoint reads a file of raw values with new compressed
+// ones behind them.
+func TestGoldenStoredBytes(t *testing.T) {
+	events := benchTrace(1, 1)
+	fs := openFileStore(t, filepath.Join(t.TempDir(), "index"))
+	defer fs.Close()
+	if _, err := Build(events, Options{LeafSize: 4096, Store: fs}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.SizeOnDisk(); len(events) != 79999 || got != 737682 {
+		t.Errorf("%d events built a %d B index, was 737682", len(events), got)
+	}
 }
 
 // reopenTimes is every leaf time plus three mid-leaf times.
@@ -749,20 +805,35 @@ func TestLiveIndexIsBulkIndex(t *testing.T) {
 		if !bytes.Equal(files[0], files[1]) {
 			t.Errorf("after %d events: live and bulk index files differ", n)
 		}
-		// No dead records: the file is the payloads the skeleton
-		// references plus 18 to 20 bytes of framing a record.
-		var payload int64
+		// No dead records: the file is the payloads the skeleton references,
+		// a record each, as large as a store that holds them and nothing
+		// else; read back, they are the encoded sizes the edges carry.
+		only := openFileStore(t, filepath.Join(dir, fmt.Sprintf("only%d", i)))
+		defer only.Close()
+		var encoded, read int64
 		for _, e := range live.skel.edges {
 			if e == nil || e.provisional || e.kind == kindMat || e.kind == kindEventBwd {
 				continue
 			}
-			for _, s := range e.sizes {
-				payload += s
+			for c, size := range e.sizes {
+				encoded += size
+				key := kvstore.EncodeKey(0, e.deltaID, kvstore.Component(c))
+				buf, err := liveFS.Get(key)
+				if err == kvstore.ErrNotFound {
+					continue
+				}
+				if err == nil {
+					err = only.Put(key, buf)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				read += int64(len(buf))
 			}
 		}
-		keys := int64(liveFS.Len())
-		if lo, hi := payload+18*keys, payload+20*keys+6; got < lo || got > hi {
-			t.Errorf("after %d events: live index %d B, referenced payloads + framing %d..%d B", n, got, lo, hi)
+		if only.Len() != liveFS.Len() || only.SizeOnDisk() != got || read != encoded {
+			t.Errorf("after %d events: live index %d B in %d records; the referenced payloads %d B in %d records, %d B read back of %d B encoded",
+				n, got, liveFS.Len(), only.SizeOnDisk(), only.Len(), read, encoded)
 		}
 		if st := live.Stats(); st.SpineBytes <= 0 || st.DiskBytes != got {
 			t.Errorf("stats: spine %d B, disk %d B (file %d B)", st.SpineBytes, st.DiskBytes, got)
@@ -822,19 +893,31 @@ func encodedBytes(t testing.TB, d *delta.Delta) int64 {
 
 // TestGoldenCheckpointBytes pins the counter behind ingest-restart's
 // durable_bytes_per_event: at that workload's fixed point, what a checkpoint
-// weighs, which base each pending node is stored from, and that no node
-// weighs more than the lighter of its two deltas — each computed here over
-// whole graphs, not over the patch as Checkpoint does. Layout 3 wrote
-// 638 857 B here: 213 956, 148 129 and 17 668 for the three nodes.
+// weighs encoded (CheckpointBytes, also once reopened) and in the file, which
+// base each pending node is stored from, and that no node weighs more than
+// the lighter of its two deltas — each computed here over whole graphs, not
+// over the patch as Checkpoint does. Layout 3 encoded to 638 857 B here:
+// 213 956, 148 129 and 17 668 for the three nodes.
 func TestGoldenCheckpointBytes(t *testing.T) {
 	dg, fs := benchIndex(t)
 	defer fs.Close()
 	checkBaseCounts(t, dg)
+	before := fs.SizeOnDisk()
 	if err := dg.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if got := dg.StatsUnsealed().CheckpointBytes; got != 354005 {
-		t.Errorf("the checkpoint is %d B, was 354005", got)
+		t.Errorf("the checkpoint encodes to %d B, was 354005", got)
+	}
+	if got := fs.SizeOnDisk() - before; got != 209425 {
+		t.Errorf("the checkpoint grew the file by %d B, was 209425", got)
+	}
+	re, err := Open(Options{Store: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := re.StatsUnsealed().CheckpointBytes; got != 354005 {
+		t.Errorf("reopened, the checkpoint encodes to %d B, was 354005", got)
 	}
 	golden := []struct {
 		level     int
@@ -844,21 +927,21 @@ func TestGoldenCheckpointBytes(t *testing.T) {
 	pi, i := lastCheckpoint(t, fs), 0
 	for level, row := range pi.Pending {
 		for j, pc := range row {
-			var stored int64
+			var encoded int64
 			for c := kvstore.ComponentStruct; c <= kvstore.ComponentEdgeAttr; c++ {
 				if buf, err := fs.Get(kvstore.EncodeKey(0, pc.SnapID, c)); err == nil {
-					stored += int64(len(buf))
+					encoded += int64(len(buf))
 				}
 			}
-			if i >= len(golden) || golden[i].level != level || golden[i].onCurrent != pc.OnCurrent || golden[i].bytes != stored {
-				t.Errorf("pending node %d at level %d: on current %v, %d B; golden rows are %v", i, level, pc.OnCurrent, stored, golden)
+			if i >= len(golden) || golden[i].level != level || golden[i].onCurrent != pc.OnCurrent || golden[i].bytes != encoded {
+				t.Errorf("pending node %d at level %d: on current %v, %d B; golden rows are %v", i, level, pc.OnCurrent, encoded, golden)
 			}
 			i++
 			cur := dg.cur.Snapshot()
 			g := wholeGraph(dg.pending[level][j], cur)
 			whole, fromCurrent := encodedBytes(t, delta.FromSnapshot(g)), encodedBytes(t, delta.Compute(g, cur))
-			if stored > min(whole, fromCurrent) {
-				t.Errorf("pending node at level %d weighs %d B: whole it is %d B, as a delta from the current graph %d B", level, stored, whole, fromCurrent)
+			if encoded > min(whole, fromCurrent) {
+				t.Errorf("pending node at level %d weighs %d B: whole it is %d B, as a delta from the current graph %d B", level, encoded, whole, fromCurrent)
 			}
 		}
 	}
@@ -869,9 +952,9 @@ func TestGoldenCheckpointBytes(t *testing.T) {
 
 // TestCheckpointAppendsToTheLog: the store file is a log, so DiskBytes is
 // not "permanent payloads plus the last checkpoint" once there has been a
-// second one. Each checkpoint adds its own CheckpointBytes, the framing of
-// its records and a tombstone for every payload record of the one before —
-// and no more than that.
+// second one. Each checkpoint adds its own payload and meta records, which
+// read back as its CheckpointBytes, and a tombstone for every payload record
+// of the one before — and no more than that.
 func TestCheckpointAppendsToTheLog(t *testing.T) {
 	cs := &cutStore{FileStore: openFileStore(t, filepath.Join(t.TempDir(), "index"))}
 	defer cs.Close()
@@ -893,15 +976,43 @@ func TestCheckpointAppendsToTheLog(t *testing.T) {
 		}
 		records[i], grew[i] = int64(len(cs.cuts)), cs.SizeOnDisk()-before
 	}
-	ckpt := dg.StatsUnsealed().CheckpointBytes
-	// A record is framed by 18 to 20 bytes, a tombstone is 18 bytes whole.
-	if lo, hi := ckpt+18*records[1], ckpt+20*records[1]; grew[1] < lo || grew[1] > hi {
-		t.Errorf("the second checkpoint (%d B in %d records) grew the file by %d B, want %d..%d", ckpt, records[1], grew[1], lo, hi)
+	// The second checkpoint's records, copied into a store of their own.
+	only := openFileStore(t, filepath.Join(t.TempDir(), "only"))
+	defer only.Close()
+	empty := only.SizeOnDisk()
+	pi := lastCheckpoint(t, cs)
+	keys := [][]byte{metaKey}
+	for id := pi.FirstID; id > pi.NextID; id-- {
+		for c := kvstore.ComponentStruct; c <= kvstore.ComponentTransient; c++ {
+			keys = append(keys, kvstore.EncodeKey(0, id, c))
+		}
 	}
-	if tombstones := records[1] - records[0]; tombstones != records[0]-1 {
+	var encoded int64
+	for _, key := range keys {
+		buf, err := cs.Get(key)
+		if err == kvstore.ErrNotFound {
+			continue
+		}
+		if err == nil {
+			err = only.Put(key, buf)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		encoded += int64(len(buf))
+	}
+	if ckpt := dg.StatsUnsealed().CheckpointBytes; encoded != ckpt {
+		t.Errorf("the second checkpoint's records read back as %d B, CheckpointBytes %d B", encoded, ckpt)
+	}
+	// A tombstone is 18 bytes whole.
+	tombstones := records[1] - int64(only.Len())
+	if tombstones != records[0]-1 {
 		t.Errorf("the second checkpoint wrote %d tombstones over the first one's %d payload records", tombstones, records[0]-1)
 	}
-	if st := dg.StatsUnsealed(); st.DiskBytes != permanent+grew[0]+grew[1] || st.DiskBytes < permanent+2*ckpt {
+	if stored := only.SizeOnDisk() - empty; grew[1] != stored+18*tombstones {
+		t.Errorf("the second checkpoint (%d B in %d records as stored) grew the file by %d B, want %d", stored, only.Len(), grew[1], stored+18*tombstones)
+	}
+	if st := dg.StatsUnsealed(); st.DiskBytes != permanent+grew[0]+grew[1] {
 		t.Errorf("DiskBytes %d: permanent payloads %d B, checkpoints grew the file by %v", st.DiskBytes, permanent, grew)
 	}
 }

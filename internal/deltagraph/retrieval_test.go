@@ -3,6 +3,7 @@ package deltagraph
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -444,5 +445,44 @@ func TestFirstIntervalCost(t *testing.T) {
 		if early >= late {
 			t.Errorf("PlanCost(50) = %d, PlanCost(500) = %d", early, late)
 		}
+	}
+}
+
+// BenchmarkColdRead is retrieve-embedded's read below the serving layer: a
+// GetSnapshot at each of 64 times spread evenly over the repository
+// benchmark's seed-1 trace, bulk-built into a FileStore as that workload
+// builds it, with nothing cached above the store. ms/read is the mean.
+func BenchmarkColdRead(b *testing.B) {
+	events := benchTrace(1, 1)
+	fs := openFileStore(b, filepath.Join(b.TempDir(), "index"))
+	defer fs.Close()
+	dg, err := Build(events, Options{Store: fs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	first, last := events.Span()
+	ts := make([]graph.Time, 64)
+	for i := range ts {
+		ts[i] = first + (last-first)*graph.Time(2*i+1)/graph.Time(2*len(ts))
+	}
+	for _, bc := range []struct {
+		name string
+		opts graph.AttrOptions
+	}{{"struct", graph.AttrOptions{}}, {"attrs", allAttrs}} {
+		b.Run(bc.name, func(b *testing.B) {
+			if _, err := dg.GetSnapshot(ts[0], bc.opts); err != nil { // builds the spine
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, t := range ts {
+					if _, err := dg.GetSnapshot(t, bc.opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N*len(ts)), "ms/read")
+		})
 	}
 }

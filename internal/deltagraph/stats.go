@@ -12,12 +12,12 @@ type IndexStats struct {
 	// DeltaEdges and EventlistEdges count skeleton edges by kind.
 	DeltaEdges     int
 	EventlistEdges int
-	// DiskBytes is the backing store footprint. The store is a log: it
-	// holds the permanent payloads once, and every Checkpoint appends its
-	// own CheckpointBytes plus a tombstone for each payload record of the
-	// checkpoint before — nothing is reclaimed, so after n checkpoints the
-	// file carries n of them, of which the last is live. The provisional
-	// spine is not in it.
+	// DiskBytes is the backing store footprint, in stored (compressed)
+	// bytes. The store is a log: it holds the permanent payloads once, and
+	// every Checkpoint appends its own records (CheckpointBytes, compressed)
+	// plus a tombstone for each payload record of the checkpoint before —
+	// nothing is reclaimed, so after n checkpoints the file carries n of
+	// them, of which the last is live. The provisional spine is not in it.
 	DiskBytes int64
 	// SpineBytes is the memory-resident provisional spine's payload size
 	// (0 while SpineStale).
@@ -31,12 +31,14 @@ type IndexStats struct {
 	// SpineSeals counts the times a read had the spine built since the index
 	// was created or opened: at most once per leaf cut (and once after Open).
 	SpineSeals int64
-	// CheckpointBytes is the last checkpoint's payloads plus meta record
-	// (0 until the index is checkpointed, or opened from a checkpoint).
+	// CheckpointBytes is the last checkpoint's payloads plus meta record,
+	// encoded, before the store compresses them (0 until the index is
+	// checkpointed, or opened from a checkpoint).
 	CheckpointBytes int64
 	// DeltaBytesByLevel sums delta byte sizes by the level of the edge's
 	// source node (level 1 = parents of leaves); the Section 5.3 models
-	// predict these.
+	// predict these. This and EventlistBytes count encoded payloads, before
+	// the store compresses them: the sizes the planner weighs edges by.
 	DeltaBytesByLevel map[int]int64
 	// DeltaRecordsByLevel sums delta record counts likewise.
 	DeltaRecordsByLevel map[int]int

@@ -23,10 +23,12 @@ import (
 //
 //	uvarint keyLen | uvarint storedValLen | byte flags | key | val | uint32 crc
 //
-// flags bit 0 = tombstone, bit 1 = value is flate-compressed. The CRC covers
-// everything before it. On open the log is scanned to rebuild the index;
-// a torn or corrupt tail (e.g. after a crash) is detected by the CRC and
-// ignored, so every previously synced record remains readable.
+// flags bit 0 = tombstone, bit 1 = value is flate-compressed. Put compresses
+// every value of at least minCompress bytes and stores the result where it is
+// smaller; a log may hold both kinds, and every build since the first reads
+// both. The CRC covers everything before it. On open the log is scanned to
+// rebuild the index; a torn or corrupt tail (e.g. after a crash) is detected
+// by the CRC and ignored, so every previously synced record remains readable.
 type FileStore struct {
 	mu       sync.RWMutex
 	f        *os.File
@@ -35,7 +37,6 @@ type FileStore struct {
 	dirty    bool  // buffered records not yet flushed
 	index    map[string]recordLoc
 	liveKeys int
-	opts     FileOptions
 
 	syncObs atomic.Pointer[func(time.Duration)]
 }
@@ -59,16 +60,23 @@ type recordLoc struct {
 	compressed bool
 }
 
-// FileOptions configures a FileStore.
-type FileOptions struct {
-	// Compress enables flate compression of values of at least
-	// CompressMin bytes (mirrors Kyoto Cabinet's built-in compression,
-	// which the paper's Dataset 3 index relied on).
-	Compress bool
-	// CompressMin is the minimum value size to attempt compression for.
-	// Zero means 64 bytes.
-	CompressMin int
-}
+// FileOptions configures a FileStore. It has no fields: compression is always
+// on, as Kyoto Cabinet's was for the paper's Dataset 3 index.
+type FileOptions struct{}
+
+// minCompress is the smallest value Put tries to compress.
+const minCompress = 64
+
+// The flate state is pooled between calls: a writer costs about 1.2 MB to
+// make and a reader some 40 kB. A sync.Pool lets two collections empty it, so
+// a store at rest keeps none of that live.
+var (
+	flateWriters = sync.Pool{New: func() any {
+		fw, _ := flate.NewWriter(nil, flate.BestSpeed) // a valid level never errs
+		return fw
+	}}
+	flateReaders = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
+)
 
 const fileMagic = "HGKV1\n"
 
@@ -76,17 +84,14 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // OpenFileStore opens or creates the log at path and rebuilds the key index
 // by scanning it.
-func OpenFileStore(path string, opts FileOptions) (*FileStore, error) {
-	return openFileStore(path, opts, (*FileStore).indexRecord)
+func OpenFileStore(path string, _ FileOptions) (*FileStore, error) {
+	return openFileStore(path, (*FileStore).indexRecord)
 }
 
 // openFileStore opens or creates the log at path and hands visit every
 // intact record in file order; what to remember of them is the caller's
 // (FileStore keeps a key index, SeqLog its runs).
-func openFileStore(path string, opts FileOptions, visit func(s *FileStore, key string, loc recordLoc, tombstone bool)) (*FileStore, error) {
-	if opts.CompressMin == 0 {
-		opts.CompressMin = 64
-	}
+func openFileStore(path string, visit func(s *FileStore, key string, loc recordLoc, tombstone bool)) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
@@ -94,7 +99,6 @@ func openFileStore(path string, opts FileOptions, visit func(s *FileStore, key s
 	s := &FileStore{
 		f:     f,
 		index: make(map[string]recordLoc),
-		opts:  opts,
 	}
 	if err := s.recover(visit); err != nil {
 		f.Close()
@@ -262,35 +266,50 @@ func (s *FileStore) readValue(loc recordLoc) ([]byte, error) {
 	if !loc.compressed {
 		return buf, nil
 	}
-	fr := flate.NewReader(bytes.NewReader(buf))
-	defer fr.Close()
-	return io.ReadAll(fr)
+	return inflate(buf)
 }
 
-// Put implements Store.
-func (s *FileStore) Put(key, value []byte) error {
-	stored := value
-	compressed := false
-	if s.opts.Compress && len(value) >= s.opts.CompressMin {
-		var cbuf bytes.Buffer
-		fw, err := flate.NewWriter(&cbuf, flate.BestSpeed)
-		if err != nil {
-			return err
-		}
-		if _, err := fw.Write(value); err != nil {
-			return err
-		}
-		if err := fw.Close(); err != nil {
-			return err
-		}
-		if cbuf.Len() < len(value) {
-			stored = cbuf.Bytes()
-			compressed = true
-		}
+// inflate returns the value a compressed record stores as buf, read into a
+// buffer sized at first for twice buf's length: the index's payloads inflate
+// by 1.1 to 2.1, nine in ten of them by less than 2.
+func inflate(buf []byte) ([]byte, error) {
+	fr := flateReaders.Get().(io.ReadCloser)
+	defer flateReaders.Put(fr)
+	if err := fr.(flate.Resetter).Reset(bytes.NewReader(buf), nil); err != nil {
+		return nil, err
 	}
-	var flags byte
-	if compressed {
-		flags |= 2
+	var out bytes.Buffer
+	out.Grow(2 * len(buf))
+	if _, err := out.ReadFrom(fr); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
+}
+
+// compress returns value flate-compressed, or nil where that is not smaller.
+func compress(value []byte) []byte {
+	if len(value) < minCompress {
+		return nil
+	}
+	var buf bytes.Buffer
+	buf.Grow(len(value))
+	fw := flateWriters.Get().(*flate.Writer)
+	fw.Reset(&buf)
+	fw.Write(value) // a bytes.Buffer takes every write
+	fw.Close()
+	fw.Reset(nil) // the pool must not keep buf alive
+	flateWriters.Put(fw)
+	if buf.Len() >= len(value) {
+		return nil
+	}
+	return buf.Bytes()
+}
+
+// Put implements Store. The value is compressed before the lock is taken.
+func (s *FileStore) Put(key, value []byte) error {
+	stored, flags := value, byte(0)
+	if c := compress(value); c != nil {
+		stored, flags = c, 2
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

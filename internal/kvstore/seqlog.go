@@ -42,10 +42,10 @@ type run struct {
 // highest stored sequence number from the record keys alone: in file order
 // the runs must tile 1..max with no gap and no overlap (records are only
 // ever appended, never deleted).
-func OpenSeqLog(path string, opts FileOptions) (*SeqLog, error) {
+func OpenSeqLog(path string, _ FileOptions) (*SeqLog, error) {
 	l := &SeqLog{}
 	var bad error
-	fs, err := openFileStore(path, opts, func(_ *FileStore, key string, loc recordLoc, tombstone bool) {
+	fs, err := openFileStore(path, func(_ *FileStore, key string, loc recordLoc, tombstone bool) {
 		if bad != nil {
 			return
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -162,11 +163,12 @@ func TestPoolGauges(t *testing.T) {
 }
 
 // TestIndexGauges scrapes a worker over a file-backed index: the index
-// gauges lint, agree with IndexStats and /stats, and follow a checkpoint.
+// gauges lint, agree with IndexStats and /stats, and follow a checkpoint:
+// the disk gauge grows to the file's size, in stored bytes.
 func TestIndexGauges(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "index")
 	gm, err := historygraph.BuildFrom(testEvents(), historygraph.Options{
-		LeafEventlistSize: 128, CleanerInterval: time.Hour,
-		StorePath: filepath.Join(t.TempDir(), "index"),
+		LeafEventlistSize: 128, CleanerInterval: time.Hour, StorePath: path,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,8 +195,12 @@ func TestIndexGauges(t *testing.T) {
 	}
 	after := gauges()
 	ckpt := after["dg_index_checkpoint_bytes"]
-	if ckpt <= 0 || after["dg_index_disk_bytes"] < before["dg_index_disk_bytes"]+ckpt {
-		t.Errorf("after a checkpoint: checkpoint %v B, disk %v -> %v B", ckpt, before["dg_index_disk_bytes"], after["dg_index_disk_bytes"])
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if disk := after["dg_index_disk_bytes"]; ckpt <= 0 || disk <= before["dg_index_disk_bytes"] || disk != float64(info.Size()) {
+		t.Errorf("after a checkpoint: checkpoint %v B, disk %v -> %v B, file %d B", ckpt, before["dg_index_disk_bytes"], disk, info.Size())
 	}
 	if after["dg_index_spine_bytes"] != before["dg_index_spine_bytes"] {
 		t.Errorf("a checkpoint moved the spine: %v -> %v B", before["dg_index_spine_bytes"], after["dg_index_spine_bytes"])

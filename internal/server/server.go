@@ -149,7 +149,7 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 			func(st historygraph.IndexStats) int64 { return st.DiskBytes }},
 		{"dg_index_spine_bytes", "Memory-resident provisional spine payloads (never written to the store); 0 from a leaf cut to the next historical read.",
 			func(st historygraph.IndexStats) int64 { return st.SpineBytes }},
-		{"dg_index_checkpoint_bytes", "Payload and meta bytes of the last index checkpoint (0 before the first).",
+		{"dg_index_checkpoint_bytes", "Payload and meta bytes of the last index checkpoint, encoded, before the store compresses them (0 before the first).",
 			func(st historygraph.IndexStats) int64 { return st.CheckpointBytes }},
 		{"dg_index_leaves", "Leaf-eventlists cut so far.",
 			func(st historygraph.IndexStats) int64 { return int64(st.Leaves) }},
