@@ -737,26 +737,40 @@ func BenchmarkShardSnapshot(b *testing.B) {
 	})
 }
 
-// BenchmarkWALAppend measures the durable write-ahead log's append path:
-// encode a 16-event batch, write it as sequenced CRC-checked records, and
-// wait for the covering group sync — the per-batch durability tax every
-// replicated append pays before it can be acked.
-func BenchmarkWALAppend(b *testing.B) {
+// walBatches cuts the repository benchmark's trace into the 256-event
+// batches its ingest-restart workload appends, and opens an empty WAL.
+func walBatches(b *testing.B) ([]graph.EventList, *replica.Log) {
+	events := coauthChurn(1)
+	batches := make([]graph.EventList, 0, len(events)/256+1)
+	for lo := 0; lo < len(events); lo += 256 {
+		batches = append(batches, events[lo:min(lo+256, len(events))])
+	}
 	wal, err := replica.OpenLog(filepath.Join(b.TempDir(), "wal.log"))
 	if err != nil {
 		b.Fatal(err)
 	}
+	return batches, wal
+}
+
+// BenchmarkWALAppend measures the durable write-ahead log's append path:
+// encode a 256-event batch of the repository benchmark's trace as one run
+// (compressed when that is smaller, which it is for nearly all of them),
+// write it as a CRC-checked record, and wait for the covering group sync —
+// the per-batch durability tax every replicated append pays before it can
+// be acked. B/event is the log's size over the events in it.
+func BenchmarkWALAppend(b *testing.B) {
+	batches, wal := walBatches(b)
 	defer wal.Close()
-	batch := make(graph.EventList, 16)
-	for i := range batch {
-		batch[i] = graph.Event{Type: graph.AddNode, At: graph.Time(i + 1), Node: graph.NodeID(i + 1)}
-	}
+	events := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		batch := batches[i%len(batches)]
 		if _, _, err := wal.AppendBatch(batch, ""); err != nil {
 			b.Fatal(err)
 		}
+		events += len(batch)
 	}
+	b.ReportMetric(float64(wal.SizeOnDisk())/float64(events), "B/event")
 }
 
 // BenchmarkWALAppendConcurrent is BenchmarkWALAppend under concurrency:
@@ -764,23 +778,20 @@ func BenchmarkWALAppend(b *testing.B) {
 // amortizes the fsync across everything in flight — per-append cost drops
 // well below the serial sync tax as parallelism rises.
 func BenchmarkWALAppendConcurrent(b *testing.B) {
-	wal, err := replica.OpenLog(filepath.Join(b.TempDir(), "wal.log"))
-	if err != nil {
-		b.Fatal(err)
-	}
+	batches, wal := walBatches(b)
 	defer wal.Close()
-	batch := make(graph.EventList, 16)
-	for i := range batch {
-		batch[i] = graph.Event{Type: graph.AddNode, At: graph.Time(i + 1), Node: graph.NodeID(i + 1)}
-	}
+	var next, events atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
+			batch := batches[next.Add(1)%int64(len(batches))]
 			if _, _, err := wal.AppendBatch(batch, ""); err != nil {
 				b.Fatal(err)
 			}
+			events.Add(int64(len(batch)))
 		}
 	})
+	b.ReportMetric(float64(wal.SizeOnDisk())/float64(events.Load()), "B/event")
 }
 
 // BenchmarkWALReplay measures what a restart pays the log: OpenLog (the

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"historygraph"
+	"historygraph/internal/datagen"
+	"historygraph/internal/kvstore"
 	"historygraph/internal/wire"
 )
 
@@ -57,7 +61,9 @@ var goldenWALEvents = []string{
 }
 
 // goldenWAL is the WAL payload written now: the events as one run behind
-// the 0x01 marker, untagged and under the batch ID "b1".
+// the 0x01 marker, untagged and under the batch ID "b1". A run this short
+// does not shrink under LZW, so it is stored as it is (TestGoldenWALBytes
+// pins the compressed runs).
 var goldenWAL = map[string]string{
 	"":   "0100340a01010e02010013010006041401000004650100086e616d6502780e793c263ee280a846010000040277023107010b040208010125010e010279650100010b00",
 	"b1": "01026231340a01010e02010013010006041401000004650100086e616d6502780e793c263ee280a846010000040277023107010b040208010125010e010279650100010b00",
@@ -153,6 +159,61 @@ func TestEventBytesUnchanged(t *testing.T) {
 	same("/interval JSON", ij, goldenIntervalJSON)
 	ib, _ := wire.Binary{}.Encode(&iv)
 	same("/interval binary", ib, unhex(goldenIntervalBin))
+}
+
+// TestGoldenWALBytes pins the WAL's footprint on the repository benchmark's
+// trace (coauthChurn(1) in bench_test.go) logged in its 256-event batches,
+// the log BenchmarkWALReplay builds: the file as written, the file its runs
+// would make stored as they are, and how many runs were stored compressed.
+// All three are exact; a change to either codec moves them. The runs of
+// the trace's first 59 392 events (what ingest-restart logs) shrink about
+// 1.65 times; the churn at its end, random deletes, hardly at all, and
+// four of those runs are stored as they are.
+func TestGoldenWALBytes(t *testing.T) {
+	base := datagen.Coauthorship(datagen.CoauthorshipConfig{Authors: 4000, Edges: 16000, Years: 20, AttrsPerNode: 10, Seed: 1})
+	events := datagen.Churn(base, datagen.ChurnConfig{Adds: 10000, Dels: 10000, Seed: 2})
+	dir := t.TempDir()
+	wal, err := OpenLog(filepath.Join(dir, "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	raw, err := kvstore.OpenSeqLog(filepath.Join(dir, "raw"), kvstore.FileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	runs, compressed, shrink := 0, 0, 0.0
+	for lo := 0; lo < len(events); lo += 256 {
+		run, batch := events[lo:min(lo+256, len(events))], fmt.Sprintf("batch-%d", lo)
+		if _, _, err := wal.StartAppend(run, batch); err != nil {
+			t.Fatal(err)
+		}
+		p := rawRun(run, batch)
+		if _, _, err := raw.AppendRun(len(run), p); err != nil {
+			t.Fatal(err)
+		}
+		runs++
+		if c := encodeRun(run, batch); c[0] == walLZWMarker {
+			compressed++
+			shrink = max(shrink, float64(len(p)-1)/float64(len(c)))
+		}
+	}
+	if err := wal.WaitDurable(uint64(len(events))); err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	got, want := [3]int64{wal.SizeOnDisk(), raw.SizeOnDisk(), int64(compressed)}, [3]int64{454222, 644542, 309}
+	t.Logf("%d events in %d runs, %d compressed (at most %.2f times): %d B (%.3f B/event), %d B stored as they are (%.3f B/event)",
+		len(events), runs, compressed, shrink, got[0], float64(got[0])/float64(len(events)), got[1], float64(got[1])/float64(len(events)))
+	if got != want {
+		t.Errorf("WAL bytes, raw-run bytes and compressed runs are %v, want %v", got, want)
+	}
+	if shrink > maxRunInflation/4 {
+		t.Errorf("a run shrank %.2f times, too near the %d-times cap a real run must never reach", shrink, maxRunInflation)
+	}
 }
 
 // TestEventTypeNamesOnInput: a type name is accepted in either case and

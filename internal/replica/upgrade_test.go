@@ -43,10 +43,12 @@ func upgradeBatch(b int, tag string) taggedBatch {
 	return taggedBatch{tag: tag, events: events}
 }
 
-// parentFormatBatches is what testdata/wal_parent_format.log holds: six
-// batches, the even ones tagged, written by Log.AppendBatch at the commit
-// before the WAL's record became a run (8e1d3e0) — 59 records of one event
-// each behind the 0x00 marker.
+// parentFormatBatches is what both committed fixtures hold: six batches,
+// the even ones tagged, written by Log.AppendBatch.
+// testdata/wal_parent_format.log was written at the commit before the WAL's
+// record became a run (8e1d3e0) — 59 records of one event each behind the
+// 0x00 marker; testdata/wal_runs_format.log at the commit before runs were
+// compressed (08cc1be) — six runs behind the 0x01 marker.
 func parentFormatBatches() []taggedBatch {
 	batches := make([]taggedBatch, 6)
 	for b := range batches {
@@ -59,15 +61,23 @@ func parentFormatBatches() []taggedBatch {
 	return batches
 }
 
-// TestUpgradeInPlace: a node is upgraded over a WAL the parent commit
-// wrote. The old prefix replays, new batches and a stream pack behind it in
-// the same file, the node restarts over the mixed log, and an empty
+// TestUpgradeInPlace: a node is upgraded over a WAL an earlier build
+// wrote, one event a record or one raw run a record. The old prefix
+// replays, new batches, a stream and a batch long enough to be stored
+// compressed pack behind it in the same file, the node restarts over the
+// mixed log, and an empty
 // follower mirrors it in pages of 7 that cut both the old records and the
 // new runs. Both nodes must end as a naive replay of everything appended,
 // and both must recognize a retry of a batch from either side of the
 // upgrade.
 func TestUpgradeInPlace(t *testing.T) {
-	fixture, err := os.ReadFile("testdata/wal_parent_format.log")
+	for _, name := range []string{"wal_parent_format.log", "wal_runs_format.log"} {
+		t.Run(name, func(t *testing.T) { upgradeInPlace(t, filepath.Join("testdata", name)) })
+	}
+}
+
+func upgradeInPlace(t *testing.T, fixturePath string) {
+	fixture, err := os.ReadFile(fixturePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +121,26 @@ func TestUpgradeInPlace(t *testing.T) {
 	if _, err := stream.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Eight batches' worth under one ID: a run long enough to shrink.
+	wide := upgradeBatch(12, "wide-12")
+	for b := 13; b < 20; b++ {
+		wide.events = append(wide.events, upgradeBatch(b, "").events...)
+	}
+	if _, err := client.AppendBatchCtx(ctx, wide.events, wide.tag); err != nil {
+		t.Fatal(err)
+	}
+	history = append(history, wide)
 	for _, b := range history[6:] {
 		for _, ev := range b.events {
 			want = append(want, Record{Seq: uint64(len(want) + 1), Event: ev, Batch: b.tag})
 		}
 	}
 	last := uint64(len(want))
-	if info, err := os.Stat(pPath); err != nil || info.Size() >= int64(2*len(fixture)) {
+	if info, err := os.Stat(pPath); err != nil || info.Size()-int64(len(fixture)) >= int64(16*(len(want)-old)) {
 		t.Fatalf("the upgraded WAL is %d bytes (%v): %d new events did not pack behind the %d-byte prefix of %d", info.Size(), err, len(want)-old, len(fixture), old)
+	}
+	if _, _, payload, err := primary.log.sl.Run(last); err != nil || payload[0] != walLZWMarker {
+		t.Fatalf("the wide batch was not stored compressed (%v)", err)
 	}
 	if upgraded, err := os.ReadFile(pPath); err != nil || !bytes.HasPrefix(upgraded, fixture) {
 		t.Fatalf("the upgrade rewrote the old prefix (%v)", err)
@@ -182,7 +204,7 @@ func TestUpgradeInPlace(t *testing.T) {
 	// promoted — on the follower, whose runs are cut where its pages were.
 	follower.Promote()
 	for name, n := range map[string]*liveNode{"primary": primary, "follower": follower} {
-		for _, b := range []taggedBatch{history[2], history[7], history[10]} {
+		for _, b := range []taggedBatch{history[2], history[7], history[10], history[12]} {
 			res, err := server.NewClient(n.url).AppendBatchCtx(ctx, b.events, b.tag)
 			if err != nil || !res.Deduped || res.Appended != len(b.events) {
 				t.Errorf("%s: retry of %q: %+v, %v; want it deduped whole", name, b.tag, res, err)

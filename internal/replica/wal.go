@@ -1,9 +1,12 @@
 package replica
 
 import (
+	"bytes"
+	"compress/lzw"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,36 +31,61 @@ type Record struct {
 	Batch string             `json:"batch,omitempty"`
 }
 
-// The first byte of a stored payload names its format. walRunMarker is
-// the one written: the batch ID once, then the run's events as the index
-// stores an eventlist (delta.EncodeEvents). walEventMarker, one event in
-// the wire encoding, is what builds before PR 25 wrote; it still replays.
+// The first byte of a stored payload names its format. A run is the batch
+// ID once, then the run's events as the index stores an eventlist
+// (delta.EncodeEvents). walLZWMarker is the form written: uvarint(n), then
+// that run LZW-compressed (LSB first, 8-bit literals) from n bytes.
+// walRunMarker, the run as it is, is written when compression would not
+// make it smaller. walEventMarker, one event in the wire encoding, is what
+// builds before PR 25 wrote; it still replays.
 const (
 	walEventMarker = 0x00
 	walRunMarker   = 0x01
+	walLZWMarker   = 0x02
 )
 
-// encodeRun renders the payload of one run.
+// maxRunInflation caps a compressed run's declared length at this many
+// times its stored payload, so that no record inflates out of proportion
+// to its bytes. The runs of real batches shrink about 1.65 times, at most
+// 1.85 (TestGoldenWALBytes); one attribute set 1 024 times shrinks 19
+// times, and such a run is stored as it is.
+const maxRunInflation = 16
+
+// encodeRun renders the payload of one run: compressed when that is
+// smaller, as it is otherwise.
 func encodeRun(events historygraph.EventList, batch string) []byte {
-	body := delta.EncodeEvents(events)
-	p := make([]byte, 0, 1+binary.MaxVarintLen32+len(batch)+len(body))
-	p = binary.AppendUvarint(append(p, walRunMarker), uint64(len(batch)))
-	return append(append(p, batch...), body...)
+	raw := rawRun(events, batch)
+	if p := compressRun(raw[1:]); len(p) < len(raw) && len(raw)-1 <= maxRunInflation*len(p) {
+		return p
+	}
+	return raw
 }
 
-// decodeRun reads a payload of either format.
+// rawRun is the walRunMarker payload of a run.
+func rawRun(events historygraph.EventList, batch string) []byte {
+	body := delta.EncodeEvents(events)
+	raw := make([]byte, 0, 1+binary.MaxVarintLen32+len(batch)+len(body))
+	raw = binary.AppendUvarint(append(raw, walRunMarker), uint64(len(batch)))
+	return append(append(raw, batch...), body...)
+}
+
+// decodeRun reads a payload of any format.
 func decodeRun(payload []byte) (events historygraph.EventList, batch string, err error) {
 	switch {
 	case len(payload) == 0:
 		return nil, "", fmt.Errorf("replica: empty WAL payload")
 	case payload[0] == walRunMarker:
+		return decodeRunTail(payload[1:])
+	case payload[0] == walLZWMarker:
 		n, w := binary.Uvarint(payload[1:])
-		if w <= 0 || n > uint64(len(payload)-1-w) {
-			return nil, "", fmt.Errorf("replica: corrupt batch ID in a WAL payload")
+		if w <= 0 || n > maxRunInflation*uint64(len(payload)) {
+			return nil, "", fmt.Errorf("replica: compressed WAL payload of %d bytes declares %d", len(payload), n)
 		}
-		body := payload[1+w:]
-		events, err = delta.DecodeEvents(body[n:])
-		return events, string(body[:n]), err
+		tail, err := inflateRun(payload[1+w:], int(n))
+		if err != nil {
+			return nil, "", err
+		}
+		return decodeRunTail(tail)
 	case payload[0] == walEventMarker:
 		d := wire.NewDecoder(payload[1:])
 		batch = d.String()
@@ -66,6 +94,80 @@ func decodeRun(payload []byte) (events historygraph.EventList, batch string, err
 		return nil, "", fmt.Errorf("replica: WAL payload is in the JSON format no build has written since PR 4 and this build no longer reads: re-seed the node from its replica set, or replay the log with a pre-PR-25 binary")
 	}
 	return nil, "", fmt.Errorf("replica: unknown WAL payload format (leading byte 0x%02x)", payload[0])
+}
+
+// decodeRunTail reads a run after its marker: the batch ID, then the events.
+func decodeRunTail(tail []byte) (events historygraph.EventList, batch string, err error) {
+	n, w := binary.Uvarint(tail)
+	if w <= 0 || n > uint64(len(tail)-w) {
+		return nil, "", fmt.Errorf("replica: corrupt batch ID in a WAL payload")
+	}
+	body := tail[w:]
+	events, err = delta.DecodeEvents(body[n:])
+	return events, string(body[:n]), err
+}
+
+// The LZW writer and reader are pooled: the writer's 64 KB hash table (the
+// reader's tables are 20 KB) would otherwise be allocated for every run.
+var (
+	lzwWriters = sync.Pool{New: func() any { return new(lzwOut) }}
+	lzwReaders = sync.Pool{New: func() any { return new(lzwIn) }}
+)
+
+// lzwOut is a pooled writer and the slice it writes to, which has
+// WriteByte and Flush so that a Reset does not wrap it in a bufio.Writer.
+type lzwOut struct {
+	zw  lzw.Writer
+	out []byte
+}
+
+func (o *lzwOut) Write(p []byte) (int, error) { o.out = append(o.out, p...); return len(p), nil }
+func (o *lzwOut) WriteByte(c byte) error      { o.out = append(o.out, c); return nil }
+func (o *lzwOut) Flush() error                { return nil }
+
+// compressRun returns the walLZWMarker payload of a run's tail.
+func compressRun(tail []byte) []byte {
+	o := lzwWriters.Get().(*lzwOut)
+	o.out = binary.AppendUvarint(append(make([]byte, 0, 1+len(tail)), walLZWMarker), uint64(len(tail)))
+	o.zw.Reset(o, lzw.LSB, 8)
+	_, _ = o.zw.Write(tail) // the output is a slice, so neither call can fail
+	_ = o.zw.Close()
+	p := o.out
+	o.out = nil
+	lzwWriters.Put(o)
+	return p
+}
+
+// lzwIn is a pooled reader and the stream it reads.
+type lzwIn struct {
+	zr  lzw.Reader
+	src bytes.Reader
+}
+
+// inflateRun decompresses a run's tail, refusing a stream that is
+// truncated, is followed by anything, or does not come to exactly n bytes;
+// it reads no more than n+1.
+func inflateRun(stream []byte, n int) ([]byte, error) {
+	in := lzwReaders.Get().(*lzwIn)
+	in.src.Reset(stream)
+	in.zr.Reset(&in.src, lzw.LSB, 8)
+	tail := make([]byte, n+1)
+	got, err := 0, error(nil)
+	for err == nil && got < len(tail) {
+		var k int
+		k, err = in.zr.Read(tail[got:])
+		got += k
+	}
+	trailing := in.src.Len()
+	in.src.Reset(nil)
+	lzwReaders.Put(in)
+	switch {
+	case err != nil && err != io.EOF:
+		return nil, fmt.Errorf("replica: corrupt compressed WAL payload: %w", err)
+	case err == nil || got != n || trailing != 0:
+		return nil, fmt.Errorf("replica: compressed WAL payload declares %d bytes and does not hold them", n)
+	}
+	return tail[:n], nil
 }
 
 // errLogClosed is returned to appenders caught by Close.
