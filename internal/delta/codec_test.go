@@ -1,6 +1,8 @@
 package delta
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -13,30 +15,53 @@ import (
 	"historygraph/internal/graph"
 )
 
-// Property: every delta column round-trips through the codec.
+// layouts are the two stored formats the decoders read: format 4, as the
+// exported encoders write it, and format 3, as a writer of one stream under
+// the kind's format-3 tag makes it — every field of a record written to that
+// stream in turn, which is what builds before format 4 wrote.
+var layouts = []struct {
+	name  string
+	start func(tag byte, sizes ...int) *payloadWriter
+}{
+	{"format 4", newPayload},
+	{"format 3", func(tag byte, _ ...int) *payloadWriter { return newPayload(tag-format3, 0) }},
+}
+
+// encodeDelta is the three columns of d in a layout.
+func encodeDelta(start func(byte, ...int) *payloadWriter, d *Delta) (structCol, nodeAttrCol, edgeAttrCol []byte) {
+	return encodeStructCol(start, d), encodeNodeAttrCol(start, d), encodeEdgeAttrCol(start, d)
+}
+
+// decodeDelta decodes three columns into one delta.
+func decodeDelta(structCol, nodeAttrCol, edgeAttrCol []byte) (*Delta, error) {
+	var d Delta
+	return &d, errors.Join(DecodeStructCol(structCol, &d), DecodeNodeAttrCol(nodeAttrCol, &d), DecodeEdgeAttrCol(edgeAttrCol, &d))
+}
+
+// Property: every delta column round-trips through the codec, in both
+// layouts.
 func TestDeltaCodecRoundTrip(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		src := randomSnapshot(rng)
 		tgt := randomSnapshot(rng)
 		d := Compute(tgt, src)
-
-		var got Delta
-		if err := DecodeStructCol(EncodeStructCol(d), &got); err != nil {
-			return false
-		}
-		if err := DecodeNodeAttrCol(EncodeNodeAttrCol(d), &got); err != nil {
-			return false
-		}
-		if err := DecodeEdgeAttrCol(EncodeEdgeAttrCol(d), &got); err != nil {
-			return false
-		}
-		// The decoded delta must have the same effect.
 		want := src.Clone()
 		d.Apply(want)
-		out := src.Clone()
-		got.Apply(out)
-		return out.Equal(want) && got.Len() == d.Len()
+		for _, l := range layouts {
+			got, err := decodeDelta(encodeDelta(l.start, d))
+			if err != nil {
+				t.Logf("%s: %v", l.name, err)
+				return false
+			}
+			// The decoded delta must have the same effect.
+			out := src.Clone()
+			got.Apply(out)
+			if !out.Equal(want) || got.Len() != d.Len() {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -76,16 +101,18 @@ func TestEventsCodecRoundTrip(t *testing.T) {
 		{Type: 0, At: 14},
 		{Type: graph.DelNode, At: 3, Node: 1, Directed: true, HadOld: true}, // and time going back
 	}
-	got, err := DecodeEvents(EncodeEvents(events))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(events) {
-		t.Fatalf("len = %d, want %d", len(got), len(events))
-	}
-	for i := range events {
-		if got[i] != events[i] {
-			t.Errorf("event %d: %+v != %+v", i, got[i], events[i])
+	for _, l := range layouts {
+		got, err := DecodeEvents(encodeEvents(l.start, events))
+		if err != nil {
+			t.Fatalf("%s: %v", l.name, err)
+		}
+		if len(got) != len(events) {
+			t.Fatalf("%s: len = %d, want %d", l.name, len(got), len(events))
+		}
+		for i := range events {
+			if got[i] != events[i] {
+				t.Errorf("%s: event %d: %+v != %+v", l.name, i, got[i], events[i])
+			}
 		}
 	}
 }
@@ -143,22 +170,41 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 	// Counts and lengths the payload cannot hold: the reader used to make the
 	// slice first (an event count of 2^35 is a 3 TB allocation) and to take a
 	// length of 2^63 or more for a negative one that passes a bounds check.
+	// Format 3's cases are one stream under its tag; format 4's are streams
+	// put together by payload4.
 	huge := binary.AppendUvarint(nil, 1<<35)
 	for name, b := range map[string][]byte{
-		"event count":  append([]byte{tagEvents}, huge...),
-		"node count":   append([]byte{tagStructCol}, huge...),
-		"edge count":   append([]byte{tagStructCol, 0, 0}, huge...),
-		"record count": append([]byte{tagNodeAttrCol}, huge...),
-		"string length 2^63": append([]byte{tagNodeAttrCol, 1, 1},
+		"event count":  append([]byte{tagEvents - format3}, huge...),
+		"node count":   append([]byte{tagStructCol - format3}, huge...),
+		"edge count":   append([]byte{tagStructCol - format3, 0, 0}, huge...),
+		"record count": append([]byte{tagNodeAttrCol - format3}, huge...),
+		"string length 2^63": append([]byte{tagNodeAttrCol - format3, 1, 1},
 			binary.AppendUvarint(nil, 1<<63)...),
-		"string length 2^64-2": append([]byte{tagNodeAttrCol, 1, 1},
+		"string length 2^64-2": append([]byte{tagNodeAttrCol - format3, 1, 1},
 			binary.AppendUvarint(nil, math.MaxUint64-1)...),
-		"string number never given": {tagNodeAttrCol, 1, 1, 0x05},
-		"event type 9":              {tagEvents, 1, 9, 0, 0},
-		"event head with bit 7":     {tagEvents, 1, 0x81, 0, 0},
+		"string number never given": {tagNodeAttrCol - format3, 1, 1, 0x05},
+		"event type 9":              {tagEvents - format3, 1, 9, 0, 0},
+		"event head with bit 7":     {tagEvents - format3, 1, 0x81, 0, 0},
+
+		"format 4: event count":                       payload4(tagEvents, huge, nil, nil, nil, nil, nil, nil, nil),
+		"format 4: edge count":                        payload4(tagStructCol, []byte{0, 0}, huge, nil, nil),
+		"format 4: string length 2^63":                payload4(tagNodeAttrCol, []byte{1, 1, 0}, binary.AppendUvarint(nil, 1<<63), []byte{0}),
+		"format 4: string number never given":         payload4(tagNodeAttrCol, []byte{1, 1, 0}, []byte{0x05}, []byte{0}),
+		"format 4: event type 9":                      payload4(tagEvents, []byte{1, 9}, []byte{0}, []byte{0}, nil, nil, nil, nil, nil),
+		"format 4: truncated length header":           {tagStructCol, 3, 0x80},
+		"format 4: stream past the end":               {tagStructCol, 9, 2, 0, 1, 2, 0, 0, 0},
+		"format 4: trailing bytes in a middle stream": payload4(tagStructCol, []byte{1, 2, 0}, []byte{0, 0}, []byte{7}, nil),
+		"format 4: a count its stream cannot hold":    payload4(tagStructCol, []byte{5, 2}, []byte{0, 0}, []byte{1, 1, 1, 1}, nil),
+		"format 4: too few streams":                   payload4(tagNodeAttrCol, []byte{1, 1, 0}, []byte{2, 'k', 2, 'v'}),
+		"format 3 tag on a format-4 body": append([]byte{tagNodeAttrCol - format3},
+			payload4(tagNodeAttrCol, []byte{1, 0, 0}, []byte{2, 'k'}, []byte{2, 'v'})[1:]...),
 	} {
 		var err error
-		switch b[0] {
+		kind := b[0]
+		if kind < tagStructCol {
+			kind += format3
+		}
+		switch kind {
 		case tagStructCol:
 			err = DecodeStructCol(b, &out)
 		case tagNodeAttrCol:
@@ -170,6 +216,18 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
+	if err := DecodeNodeAttrCol(payload4(tagNodeAttrCol, []byte{1, 1, 0}, []byte{2, 'k'}, []byte{2, 'v'}), &out); err != nil {
+		t.Errorf("the well-formed payload the cases above are made from: %v", err)
+	}
+}
+
+// payload4 puts a format-4 payload together from its streams.
+func payload4(tag byte, streams ...[]byte) []byte {
+	b := []byte{tag}
+	for _, s := range streams[:len(streams)-1] {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+	}
+	return append(b, bytes.Join(streams, nil)...)
 }
 
 // A payload or checkpoint an earlier build wrote is refused by name, with
@@ -193,7 +251,11 @@ func TestFormat2IsRefused(t *testing.T) {
 
 // The sizes of one fixed trace and of the whole graph it builds, pinned: a
 // change to the codec that costs bytes fails here, not months later in the
-// benchmark's index_bytes_per_event. (Format 2 took 27 398, 3 802 and 9 274.)
+// benchmark's index_bytes_per_event. Each is pinned as the payload and as
+// flate at BestSpeed (what FileStore stores) makes it, in format 4 and in
+// format 3. Format 4 adds the stream lengths, a few bytes, and compresses
+// smaller by 5 % (struct), 23 % (eventlist) and 31 % (nodeattr). (Format 2
+// took 27 398, 3 802 and 9 274.)
 func TestCodecGoldenSizes(t *testing.T) {
 	trace := datagen.Churn(
 		datagen.Coauthorship(datagen.CoauthorshipConfig{Authors: 100, Edges: 704, Years: 5, Seed: 1}),
@@ -204,18 +266,32 @@ func TestCodecGoldenSizes(t *testing.T) {
 	s := graph.NewSnapshot()
 	s.ApplyAll(trace)
 	whole := FromSnapshot(s)
+	v4, v3 := layouts[0].start, layouts[1].start
 	for _, c := range []struct {
-		name      string
-		got, want int
+		name string
+		got  []byte
+		want [2]int // payload, flated
 	}{
-		{"eventlist", len(EncodeEvents(trace)), 12835},
-		{"whole-graph struct column", len(EncodeStructCol(whole)), 2330},
-		{"whole-graph nodeattr column", len(EncodeNodeAttrCol(whole)), 5791},
+		{"eventlist", encodeEvents(v4, trace), [2]int{12848, 5685}},
+		{"whole-graph struct column", encodeStructCol(v4, whole), [2]int{2335, 1516}},
+		{"whole-graph nodeattr column", encodeNodeAttrCol(v4, whole), [2]int{5795, 2259}},
+		{"format-3 eventlist", encodeEvents(v3, trace), [2]int{12835, 7376}},
+		{"format-3 whole-graph struct column", encodeStructCol(v3, whole), [2]int{2330, 1603}},
+		{"format-3 whole-graph nodeattr column", encodeNodeAttrCol(v3, whole), [2]int{5791, 3255}},
 	} {
-		if c.got != c.want {
-			t.Errorf("%s: %d bytes, pinned at %d", c.name, c.got, c.want)
+		if got := [2]int{len(c.got), flated(c.got)}; got != c.want {
+			t.Errorf("%s: %d bytes, %d flated, pinned at %d and %d", c.name, got[0], got[1], c.want[0], c.want[1])
 		}
 	}
+}
+
+// flated is the length of b compressed as FileStore compresses a value.
+func flated(b []byte) int {
+	var buf bytes.Buffer
+	fw, _ := flate.NewWriter(&buf, flate.BestSpeed) // a valid level never errs
+	fw.Write(b)
+	fw.Close()
+	return buf.Len()
 }
 
 func TestCodecStringsWithSpecialBytes(t *testing.T) {

@@ -137,10 +137,12 @@ func allocatedWithin(t *testing.T, payload []byte, decode func()) {
 // FuzzPayloadCodec checks the four payload kinds of this package (the fifth
 // stored use, a checkpoint's graphs, is the three columns again; the aux
 // kinds have the same test in internal/deltagraph). The input is used twice:
-// as a payload of every kind, which must decode or be refused without a
-// panic and without allocating out of proportion; and as the recipe for a
-// delta and an eventlist, which must come back from the codec as they went
-// in — unsorted, out of range, or with values in fields they do not use.
+// as the body of a payload of every kind under its format-4 and its format-3
+// tag, which must decode or be refused without a panic and without
+// allocating out of proportion; and as the recipe for a delta and an
+// eventlist, which must come back from the codec as they went in, in both
+// layouts — unsorted, out of range, or with values in fields they do not
+// use.
 func FuzzPayloadCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeStructCol(&Delta{AddNodes: []graph.NodeID{1, 2, 3}, AddEdges: []EdgeRec{{ID: 1 << 40, From: 1, To: 2, Directed: true}}}))
@@ -151,43 +153,52 @@ func FuzzPayloadCodec(f *testing.F) {
 		{Type: graph.SetNodeAttr, At: 4, Node: 100, Attr: "name", Old: "alice", HadOld: true, New: "bob", HasNew: true},
 		{Type: 99, At: 1, Attr: "x"},
 	}))
+	// Format-4 bodies, whole and broken. Every body is also tried under the
+	// format-3 tag of its kind, so each of these is a format-3 tag on a
+	// format-4 body too.
+	for _, body := range [][]byte{
+		payload4(tagNodeAttrCol, []byte{1, 1, 0}, []byte{2, 'k'}, []byte{2, 'v'})[1:],
+		{3, 0x80},                // a truncated length header
+		{9, 2, 0, 1, 2, 0, 0, 0}, // a stream length past the end
+		payload4(tagStructCol, []byte{1, 2, 0}, []byte{0, 0}, []byte{7}, nil)[1:],       // trailing bytes in a middle stream
+		payload4(tagStructCol, []byte{5, 2}, []byte{0, 0}, []byte{1, 1, 1, 1}, nil)[1:], // a count its stream cannot hold
+	} {
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, tag := range []byte{tagStructCol, tagNodeAttrCol, tagEdgeAttrCol, tagEvents} {
-			payload := append([]byte{tag}, data...)
-			allocatedWithin(t, payload, func() {
-				var d Delta
-				_ = DecodeStructCol(payload, &d)
-				_ = DecodeNodeAttrCol(payload, &d)
-				_ = DecodeEdgeAttrCol(payload, &d)
-				_, _ = DecodeEvents(payload)
-			})
+		for _, kind := range []byte{tagStructCol, tagNodeAttrCol, tagEdgeAttrCol, tagEvents} {
+			for _, tag := range []byte{kind, kind - format3} {
+				payload := append([]byte{tag}, data...)
+				allocatedWithin(t, payload, func() {
+					var d Delta
+					_ = DecodeStructCol(payload, &d)
+					_ = DecodeNodeAttrCol(payload, &d)
+					_ = DecodeEdgeAttrCol(payload, &d)
+					_, _ = DecodeEvents(payload)
+				})
+			}
 		}
 
 		want := (&fuzzSource{b: data}).delta()
-		var got Delta
-		if err := DecodeStructCol(EncodeStructCol(want), &got); err != nil {
-			t.Fatal(err)
-		}
-		if err := DecodeNodeAttrCol(EncodeNodeAttrCol(want), &got); err != nil {
-			t.Fatal(err)
-		}
-		if err := DecodeEdgeAttrCol(EncodeEdgeAttrCol(want), &got); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got.AddNodes, want.AddNodes) || !slices.Equal(got.DelNodes, want.DelNodes) ||
-			!slices.Equal(got.AddEdges, want.AddEdges) || !slices.Equal(got.DelEdges, want.DelEdges) ||
-			!slices.Equal(got.SetNodeAttrs, want.SetNodeAttrs) || !slices.Equal(got.DelNodeAttrs, want.DelNodeAttrs) ||
-			!slices.Equal(got.SetEdgeAttrs, want.SetEdgeAttrs) || !slices.Equal(got.DelEdgeAttrs, want.DelEdgeAttrs) {
-			t.Errorf("delta came back as\n%+v, went in as\n%+v", got, *want)
-		}
-
 		wantEvs := (&fuzzSource{b: data}).events()
-		gotEvs, err := DecodeEvents(EncodeEvents(wantEvs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(gotEvs, wantEvs) {
-			t.Errorf("events came back as\n%+v, went in as\n%+v", gotEvs, wantEvs)
+		for _, l := range layouts {
+			got, err := decodeDelta(encodeDelta(l.start, want))
+			if err != nil {
+				t.Fatalf("%s: %v", l.name, err)
+			}
+			if !slices.Equal(got.AddNodes, want.AddNodes) || !slices.Equal(got.DelNodes, want.DelNodes) ||
+				!slices.Equal(got.AddEdges, want.AddEdges) || !slices.Equal(got.DelEdges, want.DelEdges) ||
+				!slices.Equal(got.SetNodeAttrs, want.SetNodeAttrs) || !slices.Equal(got.DelNodeAttrs, want.DelNodeAttrs) ||
+				!slices.Equal(got.SetEdgeAttrs, want.SetEdgeAttrs) || !slices.Equal(got.DelEdgeAttrs, want.DelEdgeAttrs) {
+				t.Errorf("%s: delta came back as\n%+v, went in as\n%+v", l.name, *got, *want)
+			}
+			gotEvs, err := DecodeEvents(encodeEvents(l.start, wantEvs))
+			if err != nil {
+				t.Fatalf("%s: %v", l.name, err)
+			}
+			if !slices.Equal(gotEvs, wantEvs) {
+				t.Errorf("%s: events came back as\n%+v, went in as\n%+v", l.name, gotEvs, wantEvs)
+			}
 		}
 	})
 }

@@ -443,7 +443,13 @@ func TestOpenReadsV3Checkpoint(t *testing.T) {
 	if re.nextDeltaID != never.nextDeltaID {
 		t.Fatalf("next delta id %d, a never-closed index has %d", re.nextDeltaID, never.nextDeltaID)
 	}
-	samePayloads(t, "permanent payloads", payloads(t, fs, 1, 1, re.nextDeltaID), payloads(t, never.store, 1, 1, never.nextDeltaID))
+	// The fixture's payloads are in stored format 3, a never-closed index's
+	// in format 4: they differ in bytes and must decode alike.
+	old, fresh := payloads(t, fs, 1, 1, re.nextDeltaID), payloads(t, never.store, 1, 1, never.nextDeltaID)
+	if first := string(kvstore.EncodeKey(0, 1, kvstore.ComponentStruct)); bytes.Equal(old[first], fresh[first]) {
+		t.Fatal("the fixture's first payload is in the format written now")
+	}
+	samePayloads(t, "permanent payloads, decoded", decodedPayloads(t, old), decodedPayloads(t, fresh))
 
 	if err := re.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -465,6 +471,26 @@ func TestOpenReadsV3Checkpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainstReference(t, again, events, allAttrs, reopenTimes(again))
+}
+
+// decodedPayloads is each payload, a delta column or an eventlist, printed
+// as its decoder reads it, so that payloads of two stored formats compare.
+func decodedPayloads(t *testing.T, ps map[string][]byte) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte, len(ps))
+	for key, buf := range ps {
+		var d delta.Delta
+		if delta.DecodeStructCol(buf, &d) == nil || delta.DecodeNodeAttrCol(buf, &d) == nil || delta.DecodeEdgeAttrCol(buf, &d) == nil {
+			out[key] = fmt.Appendf(nil, "%+v", d)
+			continue
+		}
+		evs, err := delta.DecodeEvents(buf)
+		if err != nil {
+			t.Fatalf("a payload of %d B is no delta column and no eventlist: %v", len(buf), err)
+		}
+		out[key] = fmt.Appendf(nil, "%+v", evs)
+	}
+	return out
 }
 
 // storedRecords counts the values in a FileStore log by how they are stored:
@@ -492,10 +518,11 @@ func storedRecords(t *testing.T, path string) (raw, compressed int) {
 
 // TestGoldenStoredBytes pins the counter behind index_bytes_per_event on
 // retrieve-embedded and serve-hot: the repository benchmark's seed-1 trace,
-// bulk-built at leaf size 4096 into a FileStore, is a file of 737 682 B, 9.22
-// B an event. Before the store compressed every value it was 1 133 554 B.
-// TestOpenReadsV3Checkpoint reads a file of raw values with new compressed
-// ones behind them.
+// bulk-built at leaf size 4096 into a FileStore, is a file of 572 115 B, 7.15
+// B an event. It was 737 682 B in stored format 3, whose payloads interleave
+// each record's fields, and 1 133 554 B before the store compressed every
+// value. TestOpenReadsV3Checkpoint reads a file of raw values with new
+// compressed ones behind them.
 func TestGoldenStoredBytes(t *testing.T) {
 	events := benchTrace(1, 1)
 	fs := openFileStore(t, filepath.Join(t.TempDir(), "index"))
@@ -503,8 +530,8 @@ func TestGoldenStoredBytes(t *testing.T) {
 	if _, err := Build(events, Options{LeafSize: 4096, Store: fs}); err != nil {
 		t.Fatal(err)
 	}
-	if got := fs.SizeOnDisk(); len(events) != 79999 || got != 737682 {
-		t.Errorf("%d events built a %d B index, was 737682", len(events), got)
+	if got := fs.SizeOnDisk(); len(events) != 79999 || got != 572115 {
+		t.Errorf("%d events built a %d B index, was 572115", len(events), got)
 	}
 }
 
@@ -897,7 +924,9 @@ func encodedBytes(t testing.TB, d *delta.Delta) int64 {
 // base each pending node is stored from, and that no node weighs more than
 // the lighter of its two deltas — each computed here over whole graphs, not
 // over the patch as Checkpoint does. Layout 3 encoded to 638 857 B here:
-// 213 956, 148 129 and 17 668 for the three nodes.
+// 213 956, 148 129 and 17 668 for the three nodes. Stored format 4 added the
+// stream lengths (354 005 → 354 061 B encoded) and took the file's growth
+// from 209 425 to 157 295 B.
 func TestGoldenCheckpointBytes(t *testing.T) {
 	dg, fs := benchIndex(t)
 	defer fs.Close()
@@ -906,24 +935,24 @@ func TestGoldenCheckpointBytes(t *testing.T) {
 	if err := dg.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := dg.StatsUnsealed().CheckpointBytes; got != 354005 {
-		t.Errorf("the checkpoint encodes to %d B, was 354005", got)
+	if got := dg.StatsUnsealed().CheckpointBytes; got != 354061 {
+		t.Errorf("the checkpoint encodes to %d B, was 354061", got)
 	}
-	if got := fs.SizeOnDisk() - before; got != 209425 {
-		t.Errorf("the checkpoint grew the file by %d B, was 209425", got)
+	if got := fs.SizeOnDisk() - before; got != 157295 {
+		t.Errorf("the checkpoint grew the file by %d B, was 157295", got)
 	}
 	re, err := Open(Options{Store: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := re.StatsUnsealed().CheckpointBytes; got != 354005 {
-		t.Errorf("reopened, the checkpoint encodes to %d B, was 354005", got)
+	if got := re.StatsUnsealed().CheckpointBytes; got != 354061 {
+		t.Errorf("reopened, the checkpoint encodes to %d B, was 354061", got)
 	}
 	golden := []struct {
 		level     int
 		onCurrent bool
 		bytes     int64
-	}{{1, true, 16287}, {2, true, 60910}, {3, false, 17668}}
+	}{{1, true, 16297}, {2, true, 60920}, {3, false, 17678}}
 	pi, i := lastCheckpoint(t, fs), 0
 	for level, row := range pi.Pending {
 		for j, pc := range row {

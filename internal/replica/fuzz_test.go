@@ -138,7 +138,7 @@ func lzwCases() []lzwCase {
 }
 
 // repeatedRun is one attribute set 1 024 times: LZW shrinks its run about
-// 19 times, past maxRunInflation.
+// 20 times, past maxRunInflation.
 func repeatedRun() historygraph.EventList {
 	events := make(historygraph.EventList, 1024)
 	for i := range events {

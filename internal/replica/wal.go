@@ -46,8 +46,8 @@ const (
 
 // maxRunInflation caps a compressed run's declared length at this many
 // times its stored payload, so that no record inflates out of proportion
-// to its bytes. The runs of real batches shrink about 1.65 times, at most
-// 1.85 (TestGoldenWALBytes); one attribute set 1 024 times shrinks 19
+// to its bytes. The runs of real batches shrink about 1.85 times, at most
+// 2.11 (TestGoldenWALBytes); one attribute set 1 024 times shrinks 20
 // times, and such a run is stored as it is.
 const maxRunInflation = 16
 
