@@ -977,13 +977,14 @@ func BenchmarkWireEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkShardSnapshotBinary measures the data plane the wire refactor
-// targets end-to-end: large full-element snapshots through the
-// 4-partition scatter-gather, JSON legs + JSON client vs binary legs +
-// binary client. The coordinator cache is off so every request pays leg
-// decode + merge + response encode + client decode; worker hot caches are
-// on so the DeltaGraph plan cost (identical either way) does not drown
-// the wire path being compared.
+// BenchmarkShardSnapshotBinary measures large full-element snapshots
+// through the 4-partition scatter-gather end to end, read by a JSON client
+// and by a binary one. The legs are binary either way, so only the
+// coordinator's response encode and the client's decode differ. The
+// coordinator cache is off so every request pays leg decode + merge +
+// response encode + client decode; worker hot caches are on so the
+// DeltaGraph plan cost (identical either way) does not drown the wire
+// path being compared.
 func BenchmarkShardSnapshotBinary(b *testing.B) {
 	events := datagen.Coauthorship(datagen.CoauthorshipConfig{
 		Authors: 6000, Edges: 7000, Years: 6, AttrsPerNode: 2, Seed: 7,
@@ -1003,7 +1004,7 @@ func BenchmarkShardSnapshotBinary(b *testing.B) {
 			b.Cleanup(func() { httpSrv.Close(); svc.Close() })
 			urls = append(urls, httpSrv.URL)
 		}
-		co, err := shard.New(urls, shard.Config{CacheSize: -1, Wire: wireName})
+		co, err := shard.New(urls, shard.Config{CacheSize: -1})
 		if err != nil {
 			b.Fatal(err)
 		}

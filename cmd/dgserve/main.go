@@ -21,8 +21,8 @@
 // One binary also runs either role of a horizontally sharded cluster
 // (internal/shard): partition workers are ordinary servers, each owning
 // one hash slice of the node space, and a coordinator scatter-gathers
-// across them. With -wal-dir a worker is a replica-set member
-// (internal/replica): the first URL of each "|"-separated peer group is
+// across them over binary legs. With -wal-dir a worker is a replica-set
+// member (internal/replica): the first URL of each "|"-separated peer group is
 // the partition's initial primary, the rest are followers started with
 // -primary, tailing the primary's WAL and applying events in order.
 // -sync-followers 1 on the primary delays append acks until a follower
@@ -74,7 +74,6 @@ import (
 	"historygraph/internal/replica"
 	"historygraph/internal/server"
 	"historygraph/internal/shard"
-	"historygraph/internal/wire"
 )
 
 func main() {
@@ -91,7 +90,6 @@ func main() {
 	replicas := flag.Int("replicas", 0, "expected replicas per partition (coordinator role only; validates -peers)")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "replica health-check period (coordinator role only; 0 disables)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "max age of a merged-response cache entry (coordinator role only; 0 keeps entries until an append through this coordinator invalidates them — set when writers can reach partition primaries directly)")
-	wireName := flag.String("wire", "json", `codec for this process's outbound data-plane requests: "json" (default) or "binary"; in coordinator role it selects the scatter-leg encoding (external responses negotiate per request via Accept and are byte-identical either way)`)
 	encCache := flag.Int("enc-cache", server.DefaultEncodedCacheSize, "encoded-bytes cache capacity: fully encoded /snapshot bodies served with zero re-encode on a hit (0 disables; worker/single role only; stays empty behind a coordinator with -cache > 0, whose /snapshot legs ask no-store)")
 	csrCache := flag.Int("csr-cache", server.DefaultCSRCacheSize, "materialized CSR snapshot cache capacity for the /analytics scan path (0 disables; worker/single role only)")
 	walDir := flag.String("wal-dir", "", "directory for the durable write-ahead event log; enables WAL durability and the replication endpoints")
@@ -101,14 +99,9 @@ func main() {
 	readyMaxLag := flag.Uint64("ready-max-lag", 0, "WAL records a follower may trail its primary and still answer GET /readyz with 200 (requires -wal-dir; 0 requires full catch-up)")
 	flag.Parse()
 
-	if _, err := wire.ByName(*wireName); err != nil {
-		fmt.Fprintf(os.Stderr, "dgserve: %v\n", err)
-		os.Exit(2)
-	}
-
 	switch *role {
 	case "coordinator", "coord":
-		runCoordinator(*addr, *peers, *partitions, *replicas, *peerTimeout, *healthInterval, *cacheSize, *cacheTTL, *wireName, *slowQuery)
+		runCoordinator(*addr, *peers, *partitions, *replicas, *peerTimeout, *healthInterval, *cacheSize, *cacheTTL, *slowQuery)
 		return
 	case "", "worker", "single":
 		// An index-serving process; a worker is just a server whose
@@ -237,7 +230,7 @@ func capacity(flagValue int) int {
 // runCoordinator serves the scatter-gather front of a sharded cluster: no
 // local index, every query fans out across the -peers partition replica
 // sets and merges.
-func runCoordinator(addr, peers string, expected, replicas int, timeout, healthInterval time.Duration, cacheSize int, cacheTTL time.Duration, wireName string, slowQuery time.Duration) {
+func runCoordinator(addr, peers string, expected, replicas int, timeout, healthInterval time.Duration, cacheSize int, cacheTTL time.Duration, slowQuery time.Duration) {
 	// shard.New owns the peer-spec grammar ("," between partitions, "|"
 	// between a partition's replicas); this just splits the flag.
 	var specs []string
@@ -259,7 +252,6 @@ func runCoordinator(addr, peers string, expected, replicas int, timeout, healthI
 		HealthInterval:     healthInterval,
 		CacheSize:          capacity(cacheSize),
 		CacheTTL:           cacheTTL,
-		Wire:               wireName,
 		SlowQueryThreshold: slowQuery,
 	})
 	if err != nil {

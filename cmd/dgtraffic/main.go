@@ -8,7 +8,7 @@
 // run the smoke scenario (what CI's loadtest job does):
 //
 //	dgtraffic -launch 2x2 -scenario examples/loadtest/smoke.json \
-//	    -out load-result.json -record load-record.json
+//	    -out load-result.json
 //
 // Attach to an already-running coordinator instead (the scenario must
 // then pin time_max/node_max, and chaos events are rejected — there is
@@ -16,10 +16,9 @@
 //
 //	dgtraffic -target http://localhost:8086 -scenario mix.json
 //
-// The -out artifact is the full loadgen.Result JSON; -record writes the
-// benchmark-style projection (throughput in rps, per-endpoint p50/p99
-// in ms, each tagged with its unit) that cmd/benchdiff merges into the
-// BENCH_*.json trajectory.
+// The -out artifact is the full loadgen.Result JSON: throughput,
+// per-endpoint latency quantiles, error samples and the server
+// cross-check.
 //
 // Validate scenario files without running anything (CI lints every
 // committed scenario this way):
@@ -52,8 +51,6 @@ func main() {
 	preload := flag.Int("preload", 0, "launch mode: authors in the preloaded trace (0 picks the default, 500; edges scale 3x)")
 	wire := flag.String("wire", "", "override the scenario's wire selection (json, binary, stream)")
 	out := flag.String("out", "", "write the full result JSON here")
-	record := flag.String("record", "", "write the benchmark-record projection (BENCH_*.json family) here")
-	note := flag.String("note", "", "provenance note stored in the -record file")
 	gate := flag.Bool("gate", true, "exit 1 on non-chaos errors, empty histograms, or a failed server cross-check")
 	validate := flag.Bool("validate", false, "parse and validate the scenario files given as arguments, then exit")
 	flag.Parse()
@@ -152,19 +149,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("dgtraffic: wrote result to %s\n", *out)
-	}
-	if *record != "" {
-		benchmarks, units := res.BenchRecord()
-		rec := struct {
-			Note       string             `json:"note,omitempty"`
-			Benchmarks map[string]float64 `json:"benchmarks"`
-			Units      map[string]string  `json:"units,omitempty"`
-		}{Note: *note, Benchmarks: benchmarks, Units: units}
-		if err := writeJSON(*record, rec); err != nil {
-			fmt.Fprintf(os.Stderr, "dgtraffic: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("dgtraffic: wrote benchmark record to %s\n", *record)
 	}
 
 	if *gate {

@@ -122,8 +122,6 @@ type Options struct {
 	// index in memory). With Partitions > 1 one file per partition is
 	// created: <path>.p0, <path>.p1, ...
 	StorePath string
-	// DependentMaxRatio tunes the GraphPool dependent-overlay decision.
-	DependentMaxRatio float64
 	// AuxIndexes registers auxiliary indexes before any event is added.
 	AuxIndexes []AuxIndex
 	// CleanerInterval is the lazy GraphPool cleaner period (default 1s).
@@ -168,14 +166,13 @@ func (o Options) deltagraphOptions(store kvstore.Store, pool *graphpool.Pool) (d
 		}
 	}
 	return deltagraph.Options{
-		LeafSize:          o.LeafEventlistSize,
-		Arity:             o.Arity,
-		Function:          fn,
-		Partitions:        o.Partitions,
-		Store:             store,
-		Pool:              pool,
-		DependentMaxRatio: o.DependentMaxRatio,
-		AuxIndexes:        o.AuxIndexes,
+		LeafSize:   o.LeafEventlistSize,
+		Arity:      o.Arity,
+		Function:   fn,
+		Partitions: o.Partitions,
+		Store:      store,
+		Pool:       pool,
+		AuxIndexes: o.AuxIndexes,
 	}, nil
 }
 
@@ -247,9 +244,7 @@ func Load(opts Options) (*GraphManager, error) {
 	}
 	pool := graphpool.New()
 	dg, err := deltagraph.Open(deltagraph.Options{
-		Store: store, Pool: pool,
-		DependentMaxRatio: opts.DependentMaxRatio,
-		AuxIndexes:        opts.AuxIndexes,
+		Store: store, Pool: pool, AuxIndexes: opts.AuxIndexes,
 	})
 	if err != nil {
 		store.Close()

@@ -21,30 +21,27 @@ import (
 // ClusterConfig sizes the in-process cluster cmd/dgtraffic launches
 // when not attaching to an external deployment. Zero values take the
 // documented defaults.
+//
+// The rest of the shape is fixed: with Replicas > 1 each primary acks an
+// append once one follower durably logged it, the WALs live in a temp dir
+// removed on Close, and the coordinator health-checks its replicas every
+// clusterHealthInterval.
 type ClusterConfig struct {
 	// Partitions × Replicas is the cluster shape (default 2×2).
 	Partitions int
 	Replicas   int
-	// SyncFollowers delays each primary's append ack until this many
-	// followers durably logged the batch (default 1 when Replicas > 1).
-	SyncFollowers int
-	// Wire selects the coordinator's scatter-leg codec ("" = json).
-	Wire string
-	// Dir holds the worker WALs; "" creates a temp dir removed on Close.
-	Dir string
-	// PreloadAuthors/Edges/Years size the datagen.Coauthorship trace
-	// appended through the coordinator before the run (defaults
-	// 500/1500/5); Seed drives it. The preload teaches the harness the
-	// TimeMax/NodeMax read domains.
+	// PreloadAuthors sizes the datagen.Coauthorship trace appended through
+	// the coordinator before the run (default 500, with three times as
+	// many edges over 5 years); Seed drives it. The preload teaches the
+	// harness the TimeMax/NodeMax read domains.
 	PreloadAuthors int
-	PreloadEdges   int
-	PreloadYears   int
 	Seed           int64
-	// HealthInterval is the coordinator's replica health-check period
-	// (default 250ms — fast enough that a killed replica is routed
-	// around within the chaos grace window).
-	HealthInterval time.Duration
 }
+
+// clusterHealthInterval is the coordinator's replica health-check period:
+// fast enough that a killed replica is routed around within the chaos
+// grace window.
+const clusterHealthInterval = 250 * time.Millisecond
 
 // clusterWorker is one replica-set member plus its chaos controls.
 type clusterWorker struct {
@@ -85,8 +82,7 @@ type Cluster struct {
 	front   *http.Server
 	url     string
 	workers [][]*clusterWorker // [partition][member]; member 0 = initial primary
-	dir     string
-	ownDir  bool
+	dir     string             // temp dir holding the worker WALs, removed on Close
 	timers  []*time.Timer
 	timeMax int64
 	nodeMax int64
@@ -102,34 +98,19 @@ func (cfg *ClusterConfig) normalize() {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 2
 	}
-	if cfg.SyncFollowers == 0 && cfg.Replicas > 1 {
-		cfg.SyncFollowers = 1
-	}
 	if cfg.PreloadAuthors == 0 {
 		cfg.PreloadAuthors = 500
-	}
-	if cfg.PreloadEdges == 0 {
-		cfg.PreloadEdges = 3 * cfg.PreloadAuthors
-	}
-	if cfg.PreloadYears == 0 {
-		cfg.PreloadYears = 5
-	}
-	if cfg.HealthInterval == 0 {
-		cfg.HealthInterval = 250 * time.Millisecond
 	}
 }
 
 // LaunchCluster boots the cluster and preloads it. Callers must Close.
 func LaunchCluster(cfg ClusterConfig) (*Cluster, error) {
 	cfg.normalize()
-	c := &Cluster{cfg: cfg, dir: cfg.Dir}
-	if c.dir == "" {
-		dir, err := os.MkdirTemp("", "dgtraffic")
-		if err != nil {
-			return nil, err
-		}
-		c.dir, c.ownDir = dir, true
+	dir, err := os.MkdirTemp("", "dgtraffic")
+	if err != nil {
+		return nil, err
 	}
+	c := &Cluster{cfg: cfg, dir: dir}
 	fail := func(err error) (*Cluster, error) {
 		c.Close()
 		return nil, err
@@ -138,30 +119,16 @@ func LaunchCluster(cfg ClusterConfig) (*Cluster, error) {
 	sets := make([][]string, cfg.Partitions)
 	c.workers = make([][]*clusterWorker, cfg.Partitions)
 	for p := 0; p < cfg.Partitions; p++ {
-		for m := 0; m < cfg.Replicas; m++ {
-			rcfg := replica.Config{SelfID: fmt.Sprintf("p%d-m%d", p, m)}
-			if m == 0 {
-				rcfg.Role = replica.RolePrimary
-				if cfg.Replicas > 1 {
-					rcfg.SyncFollowers = cfg.SyncFollowers
-				}
-			} else {
-				rcfg.Role = replica.RoleFollower
-				rcfg.PrimaryURL = c.workers[p][0].url
-			}
-			w, err := startClusterWorker(filepath.Join(c.dir, fmt.Sprintf("p%d-m%d.wal", p, m)), rcfg)
-			if err != nil {
-				return fail(err)
-			}
-			c.workers[p] = append(c.workers[p], w)
-			sets[p] = append(sets[p], w.url)
+		set, err := c.startSet(p)
+		if err != nil {
+			return fail(err)
 		}
+		c.workers[p], sets[p] = set, urls(set)
 	}
 
 	co, err := shard.NewReplicated(sets, shard.Config{
 		PartitionTimeout: 5 * time.Second,
-		HealthInterval:   cfg.HealthInterval,
-		Wire:             cfg.Wire,
+		HealthInterval:   clusterHealthInterval,
 	})
 	if err != nil {
 		return fail(err)
@@ -180,8 +147,8 @@ func LaunchCluster(cfg ClusterConfig) (*Cluster, error) {
 	// partition and is durably logged + replicated, exactly like
 	// production ingest.
 	events := datagen.Coauthorship(datagen.CoauthorshipConfig{
-		Authors: cfg.PreloadAuthors, Edges: cfg.PreloadEdges,
-		Years: cfg.PreloadYears, AttrsPerNode: 2, Seed: cfg.Seed,
+		Authors: cfg.PreloadAuthors, Edges: 3 * cfg.PreloadAuthors,
+		Years: 5, AttrsPerNode: 2, Seed: cfg.Seed,
 	})
 	res, err := server.NewClient(c.url).Append(events)
 	if err != nil {
@@ -193,6 +160,43 @@ func LaunchCluster(cfg ClusterConfig) (*Cluster, error) {
 	c.timeMax = res.LastTime
 	c.nodeMax = int64(cfg.PreloadAuthors)
 	return c, nil
+}
+
+// startSet starts partition p's replica set in provisioning order: member
+// 0 the primary, acking once one follower logged a batch when there are
+// followers, the rest tailing it. On failure it stops what it started.
+func (c *Cluster) startSet(p int) ([]*clusterWorker, error) {
+	var set []*clusterWorker
+	for m := 0; m < c.cfg.Replicas; m++ {
+		rcfg := replica.Config{SelfID: fmt.Sprintf("p%d-m%d", p, m)}
+		if m == 0 {
+			rcfg.Role = replica.RolePrimary
+			if c.cfg.Replicas > 1 {
+				rcfg.SyncFollowers = 1
+			}
+		} else {
+			rcfg.Role = replica.RoleFollower
+			rcfg.PrimaryURL = set[0].url
+		}
+		w, err := startClusterWorker(filepath.Join(c.dir, fmt.Sprintf("p%d-m%d.wal", p, m)), rcfg)
+		if err != nil {
+			for _, w := range set {
+				w.stop()
+			}
+			return nil, err
+		}
+		set = append(set, w)
+	}
+	return set, nil
+}
+
+// urls lists a set's base URLs, member 0 first.
+func urls(set []*clusterWorker) []string {
+	out := make([]string, len(set))
+	for i, w := range set {
+		out[i] = w.url
+	}
+	return out
 }
 
 func startClusterWorker(walPath string, rcfg replica.Config) (*clusterWorker, error) {
@@ -329,48 +333,28 @@ func (c *Cluster) Reshard(mode string, merge []int) error {
 	p := len(c.workers)
 	c.mu.Unlock()
 
-	var set []*clusterWorker
-	var urls []string
-	fail := func(err error) error {
-		for _, w := range set {
-			w.stop()
-		}
+	set, err := c.startSet(p)
+	if err != nil {
 		return err
 	}
-	for m := 0; m < c.cfg.Replicas; m++ {
-		rcfg := replica.Config{SelfID: fmt.Sprintf("p%d-m%d", p, m)}
-		if m == 0 {
-			rcfg.Role = replica.RolePrimary
-			if c.cfg.Replicas > 1 {
-				rcfg.SyncFollowers = c.cfg.SyncFollowers
-			}
-		} else {
-			rcfg.Role = replica.RoleFollower
-			rcfg.PrimaryURL = urls[0]
-		}
-		w, err := startClusterWorker(filepath.Join(c.dir, fmt.Sprintf("p%d-m%d.wal", p, m)), rcfg)
-		if err != nil {
-			return fail(err)
-		}
-		set = append(set, w)
-		urls = append(urls, w.url)
-	}
-
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return fail(fmt.Errorf("cluster closed"))
+		for _, w := range set {
+			w.stop()
+		}
+		return fmt.Errorf("cluster closed")
 	}
 	c.workers = append(c.workers, set)
 	c.mu.Unlock()
 
-	req := shard.ReshardRequest{Target: urls}
+	req := shard.ReshardRequest{Target: urls(set)}
 	if mode == "merge" {
 		req.Merge = merge
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), reshardBound)
 	defer cancel()
-	_, _, err := c.co.Reshard(ctx, req)
+	_, _, err = c.co.Reshard(ctx, req)
 	return err
 }
 
@@ -398,7 +382,5 @@ func (c *Cluster) Close() {
 			w.stop()
 		}
 	}
-	if c.ownDir && c.dir != "" {
-		os.RemoveAll(c.dir)
-	}
+	os.RemoveAll(c.dir)
 }

@@ -36,8 +36,6 @@
 //     replica, slow a partition mid-run — so scenarios can assert the
 //     cluster degrades to partials and failover rather than errors.
 //
-// Results serialize to a JSON artifact in the BENCH_*.json family:
-// Result.BenchRecord emits benchmark-style name→value pairs with units
-// ("rps" is higher-is-better, "ms" lower-is-better) that cmd/benchdiff
-// merges into one record.
+// A Result serializes to the JSON artifact cmd/dgtraffic -out writes;
+// Result.GateErrors is the pass/fail verdict on it.
 package loadgen

@@ -42,10 +42,6 @@ type Options struct {
 	// Target is the base URL the workload is aimed at (a coordinator or
 	// a single server).
 	Target string
-	// HTTPClient overrides the transport (defaults to a pooled client
-	// sized for the scenario's concurrency, no global timeout — each
-	// request is bounded by the scenario's request_timeout).
-	HTTPClient *http.Client
 	// Chaos executes the scenario's chaos events; nil with a chaotic
 	// scenario is an error.
 	Chaos Chaos
@@ -55,9 +51,6 @@ type Options struct {
 	NodeMax int64
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
-	// SkipServerCheck disables the post-run /metrics scrape cross-check
-	// (for targets without a metrics plane).
-	SkipServerCheck bool
 }
 
 // EndpointStats is one endpoint's share of a Result.
@@ -99,8 +92,7 @@ type ServerCheck struct {
 }
 
 // Result is one run's artifact. It marshals to the JSON file
-// cmd/dgtraffic writes; BenchRecord projects it into the BENCH_*.json
-// benchmark family for cmd/benchdiff.
+// cmd/dgtraffic writes.
 type Result struct {
 	Scenario       string                    `json:"scenario"`
 	Target         string                    `json:"target"`
@@ -118,32 +110,6 @@ type Result struct {
 	Endpoints      map[string]*EndpointStats `json:"endpoints"`
 	ChaosApplied   []string                  `json:"chaos_applied,omitempty"`
 	Server         *ServerCheck              `json:"server_check,omitempty"`
-}
-
-// BenchRecord projects the result into benchmark name→value pairs plus
-// their units, the shape cmd/benchdiff merges into a BENCH_*.json
-// record. Throughput carries unit "rps" (higher is better); latencies
-// carry "ms" (lower is better).
-func (r *Result) BenchRecord() (benchmarks map[string]float64, units map[string]string) {
-	benchmarks = map[string]float64{}
-	units = map[string]string{}
-	prefix := "Load/" + r.Scenario
-	benchmarks[prefix+"/throughput_rps"] = r.AchievedRPS
-	units[prefix+"/throughput_rps"] = "rps"
-	for name, ep := range r.Endpoints {
-		if ep.Count == 0 {
-			continue
-		}
-		for _, q := range []struct {
-			suffix string
-			value  float64
-		}{{"p50_ms", ep.P50Ms}, {"p99_ms", ep.P99Ms}} {
-			key := prefix + "/" + name + "_" + q.suffix
-			benchmarks[key] = q.value
-			units[key] = "ms"
-		}
-	}
-	return benchmarks, units
 }
 
 // GateErrors returns a non-nil error when the run should fail a CI
@@ -258,15 +224,14 @@ func Run(ctx context.Context, sc *Scenario, opts Options) (*Result, error) {
 		logf = func(string, ...any) {}
 	}
 
-	hc := opts.HTTPClient
-	if hc == nil {
-		tr := &http.Transport{
-			MaxIdleConns:        sc.Clients * 2,
-			MaxIdleConnsPerHost: sc.Clients * 2,
-		}
-		hc = &http.Client{Transport: tr}
-		defer tr.CloseIdleConnections()
+	// A pooled client sized for the scenario's concurrency, with no global
+	// timeout: each request is bounded by the scenario's request_timeout.
+	tr := &http.Transport{
+		MaxIdleConns:        sc.Clients * 2,
+		MaxIdleConnsPerHost: sc.Clients * 2,
 	}
+	hc := &http.Client{Transport: tr}
+	defer tr.CloseIdleConnections()
 
 	st := &runState{
 		sc:   sc,
@@ -427,9 +392,7 @@ func Run(ctx context.Context, sc *Scenario, opts Options) (*Result, error) {
 	if measured > 0 {
 		res.AchievedRPS = float64(successes) / measured
 	}
-	if !opts.SkipServerCheck {
-		res.Server = scrapeCheck(ctx, hc, opts.Target, names, successes)
-	}
+	res.Server = scrapeCheck(ctx, hc, opts.Target, names, successes)
 	return res, nil
 }
 

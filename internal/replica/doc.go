@@ -20,7 +20,8 @@
 //     Config.SyncFollowers followers have durably logged the batch.
 //     Restart replays the local WAL through the same applier.
 //   - Follower role: rejects external appends and tails its primary's
-//     WAL over long-poll GET /replicate?from=<seq>, writing each page
+//     WAL over long-poll GET /replicate?from=<seq> (binary pages only;
+//     the JSON one a plain curl gets is refused), writing each page
 //     to its own WAL (synced) before applying, so its log stays a
 //     prefix of the primary's, Record by Record (its runs are cut where
 //     its pages were, so not byte by byte), and catch-up after downtime

@@ -7,7 +7,6 @@ package replica
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -112,8 +111,8 @@ func (n *Node) fetch(ctx context.Context, primary string) ([]Record, error) {
 }
 
 // fetchReplicate runs one GET against a /replicate URL and decodes the
-// response. It advertises the binary stream; a primary that predates it
-// answers JSON and the Content-Type tells the two apart. The tail loop,
+// response. It asks for binary, and takes nothing else: a JSON page (the
+// answer to a plain curl) is refused by its Content-Type. The tail loop,
 // the lineage handshake, and the migration puller all fetch through it.
 func (n *Node) fetchReplicate(ctx context.Context, url string) (replicateResponse, error) {
 	reqCtx, cancel := context.WithTimeout(ctx, n.pollWait+10*time.Second)
@@ -131,18 +130,14 @@ func (n *Node) fetchReplicate(ctx context.Context, url string) (replicateRespons
 	if resp.StatusCode != http.StatusOK {
 		return replicateResponse{}, fmt.Errorf("replica: primary answered HTTP %d", resp.StatusCode)
 	}
+	if ct := resp.Header.Get("Content-Type"); wire.ForContentType(ct).Name() != wire.NameBinary {
+		return replicateResponse{}, fmt.Errorf("replica: primary answered /replicate as %q, want %s", ct, wire.ContentTypeBinary)
+	}
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return replicateResponse{}, err
 	}
-	if wire.ForContentType(resp.Header.Get("Content-Type")).Name() == wire.NameBinary {
-		return decodeReplicate(raw)
-	}
-	var body replicateResponse
-	if err := json.Unmarshal(raw, &body); err != nil {
-		return replicateResponse{}, err
-	}
-	return body, nil
+	return decodeReplicate(raw)
 }
 
 // noteHead records the primary's durable log end from a fetch response;

@@ -118,8 +118,8 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Followers ask for the binary stream (one encoder per batch, interned
-	// keys, no per-record JSON); anything else gets the JSON body so old
-	// followers keep tailing a new primary.
+	// keys, no per-record JSON) and read nothing else; anything else — a
+	// plain curl — gets the JSON body.
 	if wire.Negotiate(r.Header.Get("Accept")).Name() == wire.NameBinary {
 		w.Header().Set("Content-Type", wire.ContentTypeBinary)
 		w.WriteHeader(http.StatusOK)

@@ -1,7 +1,12 @@
 package replica
 
 import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"historygraph"
@@ -43,5 +48,24 @@ func TestReplicateStreamRoundTrip(t *testing.T) {
 	body := encodeReplicate(replicateResponse{Records: []Record{{Seq: 1, Event: historygraph.Event{Type: historygraph.AddNode, At: 1}}}, LastSeq: 1}, false)
 	for cut := 0; cut < len(body); cut++ {
 		_, _ = decodeReplicate(body[:cut])
+	}
+}
+
+// TestFetchReplicateRefusesJSON: a follower reads /replicate only in
+// binary. A primary that answers a well-formed JSON page instead fails the
+// fetch, and the error names the content type it answered in.
+func TestFetchReplicateRefusesJSON(t *testing.T) {
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(replicateResponse{
+			Records: []Record{{Seq: 1, Event: historygraph.Event{Type: historygraph.AddNode, At: 1, Node: 7}}},
+			LastSeq: 1,
+		})
+	}))
+	defer hs.Close()
+	n := &Node{hc: hs.Client()}
+	page, err := n.fetchReplicate(context.Background(), hs.URL+"/replicate?from=1")
+	if err == nil || !strings.Contains(err.Error(), "application/json") {
+		t.Fatalf("JSON /replicate page: got %+v, err %v; want an error naming application/json", page, err)
 	}
 }

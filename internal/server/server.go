@@ -40,10 +40,6 @@ type Config struct {
 	// the streaming /snapshot path; peak response-build memory is
 	// proportional to it. 0 picks wire.DefaultRunSize.
 	StreamRun int
-	// Metrics is the registry the server registers its collectors on;
-	// nil creates a private one. The replication node shares the
-	// server's registry so one GET /metrics covers both layers.
-	Metrics *metrics.Registry
 	// SlowQueryThreshold, when positive, logs one line for every
 	// request slower than it (method, endpoint, query, handler
 	// annotations, status, duration, request ID). Zero disables the
@@ -113,10 +109,7 @@ var serverEndpoints = []string{
 func New(gm *historygraph.GraphManager, cfg Config) *Server {
 	s := &Server{}
 	s.gm.Store(gm)
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry()
 	s.reg = reg
 	s.retrievals = reg.Counter("dg_retrievals_total", "Underlying GetHistGraph plan executions.")
 	lv := cache.NewLevels(reg)

@@ -79,15 +79,12 @@ type replicaSet struct {
 	failMu  sync.Mutex    // serializes failovers for this set
 }
 
-func newReplicaSet(urls []string, hc *http.Client, wireName string) *replicaSet {
+// newReplicaSet builds a set whose members' clients speak binary: every
+// scatter leg between our own processes is binary.
+func newReplicaSet(urls []string, hc *http.Client) *replicaSet {
 	rs := &replicaSet{}
 	for _, u := range urls {
-		cl, err := server.NewClientHTTP(u, hc).SetWire(wireName)
-		if err != nil {
-			// The coordinator validated the name already; fall back to the
-			// client's JSON default rather than fail a whole set.
-			cl = server.NewClientHTTP(u, hc)
-		}
+		cl, _ := server.NewClientHTTP(u, hc).SetWire(wire.NameBinary) // fails only for an unknown name
 		m := &member{url: strings.TrimRight(u, "/"), client: cl}
 		m.healthy.Store(true)
 		m.insync.Store(true)

@@ -201,7 +201,7 @@ type reshardPlan struct {
 // resolves the successor layout.
 func (co *Coordinator) planReshard(rt *routing, req ReshardRequest) (*reshardPlan, int, error) {
 	n := len(rt.sets)
-	targetSet := newReplicaSet(targetURLs(req.Target), co.hc, co.legWire)
+	targetSet := newReplicaSet(targetURLs(req.Target), co.hc)
 	if len(req.Merge) > 0 {
 		if len(req.Slots) > 0 {
 			return nil, http.StatusBadRequest, fmt.Errorf("shard: merge and slots are mutually exclusive")

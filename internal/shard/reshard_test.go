@@ -650,7 +650,7 @@ func TestStaleEpochReadReroutedOnce(t *testing.T) {
 		fences.Add(1)
 		next := DefaultSlotTable(1)
 		next.Epoch = 2
-		co.installRouting(&routing{table: next, sets: []*replicaSet{newReplicaSet([]string{hs.URL}, co.hc, co.legWire)}})
+		co.installRouting(&routing{table: next, sets: []*replicaSet{newReplicaSet([]string{hs.URL}, co.hc)}})
 		server.WriteError(w, http.StatusGone, fmt.Errorf("routing epoch 1 does not match installed epoch 2"))
 	}))
 	t.Cleanup(proxy.Close)
@@ -746,7 +746,7 @@ func TestStaleEpochAppendRerouteDeduped(t *testing.T) {
 		}
 		next := DefaultSlotTable(1)
 		next.Epoch = 2
-		co.installRouting(&routing{table: next, sets: []*replicaSet{newReplicaSet([]string{primary.url}, co.hc, co.legWire)}})
+		co.installRouting(&routing{table: next, sets: []*replicaSet{newReplicaSet([]string{primary.url}, co.hc)}})
 		server.WriteError(w, http.StatusGone, fmt.Errorf("routing epoch 1 does not match installed epoch 2"))
 	}))
 	t.Cleanup(proxy.Close)

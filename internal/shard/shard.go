@@ -70,23 +70,17 @@ type Config struct {
 	// HTTPClient overrides the pooled transport used for fan-out
 	// requests (tests inject clients wired to in-process servers).
 	HTTPClient *http.Client
-	// Wire selects the codec the coordinator's scatter legs use when
-	// talking to partition workers: "json" (the default) or "binary".
-	// Binary legs skip the per-element JSON encode on every worker and the
-	// matching decode on the coordinator; the merge operates on the decoded
-	// structs either way, so external responses are byte-identical
-	// whichever leg codec is picked. Streamed full-snapshot requests
-	// (Accept: application/x-deltagraph-bin-stream) always use streaming
-	// scatter legs regardless of this setting.
+	// Wire is ignored.
+	//
+	// Deprecated: scatter legs always speak binary (streamed full-snapshot
+	// requests use streaming legs); the field is kept only so existing
+	// callers compile.
 	Wire string
 	// StreamRun is how many elements one merged stream frame carries on
 	// the streaming /snapshot path; coordinator peak memory under
 	// concurrent large snapshots is proportional to it (times the
 	// partition count). 0 picks wire.DefaultRunSize.
 	StreamRun int
-	// Metrics is the registry the coordinator registers its collectors
-	// on (and serves at GET /metrics); nil creates a private one.
-	Metrics *metrics.Registry
 	// SlowQueryThreshold, when positive, logs one line for every request
 	// slower than it. Zero disables the log.
 	SlowQueryThreshold time.Duration
@@ -110,7 +104,6 @@ func (rt *routing) epoch() uint64 { return rt.table.Epoch }
 type Coordinator struct {
 	routing   atomic.Pointer[routing]
 	hc        *http.Client
-	legWire   string // codec name scatter-leg clients are built with
 	timeout   time.Duration
 	streamCap time.Duration // total merged-stream delivery bound
 	runSize   int           // elements per merged stream frame (0: the wire default)
@@ -206,19 +199,11 @@ func NewReplicated(peerSets [][]string, cfg Config) (*Coordinator, error) {
 	if timeout <= 0 {
 		timeout = DefaultPartitionTimeout
 	}
-	legWire, err := wire.ByName(cfg.Wire)
-	if err != nil {
-		return nil, err
-	}
 	co := &Coordinator{
-		hc: hc, legWire: legWire.Name(),
-		timeout: timeout, streamCap: streamTimeoutFactor * timeout, runSize: cfg.StreamRun,
+		hc: hc, timeout: timeout, streamCap: streamTimeoutFactor * timeout, runSize: cfg.StreamRun,
 		stop: make(chan struct{}),
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry()
 	co.reg = reg
 	co.fanouts = reg.Counter("dg_shard_fanouts_total", "Scatter-gather executions.")
 	co.partials = reg.Counter("dg_shard_partial_responses_total", "Responses missing at least one partition.")
@@ -250,7 +235,7 @@ func NewReplicated(peerSets [][]string, cfg Config) (*Coordinator, error) {
 		if len(set) == 0 {
 			return nil, fmt.Errorf("shard: partition %d has no members", p)
 		}
-		sets = append(sets, newReplicaSet(set, hc, co.legWire))
+		sets = append(sets, newReplicaSet(set, hc))
 	}
 	// Boot routing: the default table (slot i -> partition i mod n) at
 	// epoch 1, which routes identically to the historical fixed hash.

@@ -1,15 +1,17 @@
 package shard
 
-// Wire-codec coverage at the cluster level: binary scatter legs must be
-// invisible in the external JSON bytes, a binary client must decode the
-// same structs a JSON client does, and a merged-response cache hit must
-// serve pre-encoded bytes with zero encode work.
+// Wire-codec coverage at the cluster level: scatter legs are binary, a
+// binary client must decode the same structs a JSON client does, and a
+// merged-response cache hit must serve pre-encoded bytes with zero encode
+// work. That binary legs are invisible in the external JSON bytes is
+// TestShardedMatchesUnsharded.
 
 import (
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,51 +21,57 @@ import (
 	"historygraph/internal/wire"
 )
 
-// TestShardedBinaryLegsMatchUnsharded re-runs the byte-identity oracle
-// with the coordinator's scatter legs speaking binary: the workers encode
-// binary, the coordinator decodes and merges structs, and the external
-// JSON answer must still be byte-identical to the unsharded server's.
-func TestShardedBinaryLegsMatchUnsharded(t *testing.T) {
+// TestCoordinatorLegsAreBinary: a coordinator built with no options asks
+// its workers for binary on every read leg and sends its append legs
+// encoded in binary, whatever codec its own client spoke.
+func TestCoordinatorLegsAreBinary(t *testing.T) {
 	events := testEvents()
-	gm, _, ourl := oracle(t, events)
-	c := newCluster(t, events, 4, Config{Wire: "binary"})
-	last := gm.LastTime()
+	var mu sync.Mutex
+	seen := map[string][]string{} // worker path -> "Accept|Content-Type" of each leg
+	var urls []string
+	for _, slice := range PartitionEvents(events, 2) {
+		svc := server.New(buildManager(t, slice), server.Config{})
+		h := svc.Handler()
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			seen[r.URL.Path] = append(seen[r.URL.Path], r.Header.Get("Accept")+"|"+r.Header.Get("Content-Type"))
+			mu.Unlock()
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() { hs.Close(); svc.Close() })
+		urls = append(urls, hs.URL)
+	}
+	co, err := New(urls, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(co.Close)
+	front := httptest.NewServer(co.Handler())
+	t.Cleanup(front.Close)
 
-	frontURL := c.client.BaseURL()
-	for _, tp := range []historygraph.Time{last / 4, last / 2, last} {
-		// /snapshot is the byte-identity surface (the same one the JSON-leg
-		// oracle test asserts); /neighbors merges to a sorted union, so it
-		// is compared semantically below.
-		for _, query := range []string{
-			fmt.Sprintf("/snapshot?t=%d&full=1", tp),
-			fmt.Sprintf("/snapshot?t=%d&attrs=%%2Bnode:all%%2Bedge:all&full=1", tp),
-			fmt.Sprintf("/snapshot?t=%d", tp),
-		} {
-			want := rawGET(t, ourl+query)
-			got := rawGET(t, frontURL+query)
-			if string(got) != string(want) {
-				t.Fatalf("binary-leg cluster %s diverges from unsharded:\n got: %.400s\nwant: %.400s", query, got, want)
-			}
+	cl := server.NewClient(front.URL) // a JSON client
+	_, last := events.Span()
+	if _, err := cl.Snapshot(last/2, "", true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Neighbors(last/2, 7, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Snapshots([]historygraph.Time{last / 4, last / 2}, "", false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Append(historygraph.EventList{{Type: historygraph.AddNode, At: last + 10, Node: 999999}}); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for path, body := range map[string]string{"/snapshot": "", "/neighbors": "", "/batch": "", "/append": wire.ContentTypeBinary} {
+		if len(seen[path]) == 0 {
+			t.Errorf("no %s leg reached a worker", path)
 		}
-		oc := server.NewClient(ourl)
-		wantN, err := oc.Neighbors(tp, 7, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotN, err := c.client.Neighbors(tp, 7, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotN.Degree != wantN.Degree || len(gotN.Neighbors) != len(wantN.Neighbors) {
-			t.Fatalf("t=%d neighbors diverge: got %+v want %+v", tp, gotN, wantN)
-		}
-		wantSet := make(map[int64]bool, len(wantN.Neighbors))
-		for _, n := range wantN.Neighbors {
-			wantSet[n] = true
-		}
-		for _, n := range gotN.Neighbors {
-			if !wantSet[n] {
-				t.Fatalf("t=%d: merged neighbors contain %d, oracle does not", tp, n)
+		for _, leg := range seen[path] {
+			if want := wire.ContentTypeBinary + "|" + body; leg != want {
+				t.Errorf("%s leg sent Accept|Content-Type %q, want %q", path, leg, want)
 			}
 		}
 	}
@@ -242,7 +250,7 @@ func TestEWMARoutesAroundSlowMember(t *testing.T) {
 				urls = []string{fast.URL, slow.URL}
 			}
 
-			rs := newReplicaSet(urls, http.DefaultClient, "json")
+			rs := newReplicaSet(urls, http.DefaultClient)
 			ctx := t.Context()
 			read := func() {
 				t.Helper()

@@ -151,8 +151,8 @@ func TestBinaryRoundTripExpr(t *testing.T) {
 
 // TestCrossCodecOracle is the codec-equivalence check: for every sample,
 // a binary round trip and a JSON round trip must land on the same struct
-// — a coordinator decoding a binary worker leg sees exactly what it would
-// have seen decoding the JSON leg. Samples here are JSON-normal (no
+// — a coordinator decoding a binary worker leg sees exactly what a JSON
+// client of that worker would have decoded. Samples here are JSON-normal (no
 // empty-but-non-nil lists, which JSON's omitempty cannot represent).
 func TestCrossCodecOracle(t *testing.T) {
 	samples := []any{
