@@ -1,10 +1,9 @@
 package shard
 
-// Wire-codec coverage at the cluster level: scatter legs are binary, a
-// binary client must decode the same structs a JSON client does, and a
-// merged-response cache hit must serve pre-encoded bytes with zero encode
-// work. That binary legs are invisible in the external JSON bytes is
-// TestShardedMatchesUnsharded.
+// Wire-codec coverage at the cluster level: scatter legs are binary and
+// must be invisible in the external JSON bytes, a binary client must
+// decode the same structs a JSON client does, and a merged-response cache
+// hit must serve pre-encoded bytes with zero encode work.
 
 import (
 	"fmt"
@@ -20,6 +19,54 @@ import (
 	"historygraph/internal/server"
 	"historygraph/internal/wire"
 )
+
+// TestShardedBinaryLegsMatchUnsharded re-runs the byte-identity oracle
+// over the coordinator's binary scatter legs: the workers encode binary,
+// the coordinator decodes and merges structs, and the external JSON answer
+// must still be byte-identical to the unsharded server's.
+func TestShardedBinaryLegsMatchUnsharded(t *testing.T) {
+	events := testEvents()
+	gm, oclient, ourl := oracle(t, events)
+	c := newCluster(t, events, 4, Config{})
+	last := gm.LastTime()
+
+	frontURL := c.client.BaseURL()
+	for _, tp := range []historygraph.Time{last / 4, last / 2, last} {
+		// /snapshot is the byte-identity surface; /neighbors merges to a
+		// sorted union, so it is compared as a set below.
+		for _, query := range []string{
+			fmt.Sprintf("/snapshot?t=%d&full=1", tp),
+			fmt.Sprintf("/snapshot?t=%d&attrs=%%2Bnode:all%%2Bedge:all&full=1", tp),
+			fmt.Sprintf("/snapshot?t=%d", tp),
+		} {
+			want := rawGET(t, ourl+query)
+			got := rawGET(t, frontURL+query)
+			if string(got) != string(want) {
+				t.Fatalf("binary-leg cluster %s diverges from unsharded:\n got: %.400s\nwant: %.400s", query, got, want)
+			}
+		}
+		wantN, err := oclient.Neighbors(tp, 7, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotN, err := c.client.Neighbors(tp, 7, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotN.Degree != wantN.Degree || len(gotN.Neighbors) != len(wantN.Neighbors) {
+			t.Fatalf("t=%d neighbors diverge: got %+v want %+v", tp, gotN, wantN)
+		}
+		wantSet := make(map[int64]bool, len(wantN.Neighbors))
+		for _, n := range wantN.Neighbors {
+			wantSet[n] = true
+		}
+		for _, n := range gotN.Neighbors {
+			if !wantSet[n] {
+				t.Fatalf("t=%d: merged neighbors contain %d, oracle does not", tp, n)
+			}
+		}
+	}
+}
 
 // TestCoordinatorLegsAreBinary: a coordinator built with no options asks
 // its workers for binary on every read leg and sends its append legs
