@@ -84,11 +84,14 @@ func FuzzPayloadCodec(f *testing.F) {
 }
 
 // FuzzRetrieval drives checkRetrievals: the bytes choose the index, how it is
-// built and the times asked for, and every answer must be the replay's.
+// built, whether it is checkpointed and reopened before the rest of the trace,
+// and the times asked for, and every answer must be the replay's.
 func FuzzRetrieval(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{1, 40, 10, 0, 0, 2, 3, 0, 7, 0, 9, 1, 3, 2, 128, 3, 0, 4, 5, 5, 0, 6, 77})  // appended, children pinned at 3/4, one of each kind of time
-	f.Add([]byte{2, 90, 100, 2, 1, 4, 1, 1, 3, 1, 0, 1, 1, 2, 255})                          // Union, leaves pinned half way, leaf times and the tail
-	f.Add([]byte{3, 0, 250, 1, 2, 1, 0, 0, 7, 6, 10, 6, 200, 5, 0, 3, 0, 4, 0, 0, 0, 6, 50}) // Empty, leaves wider than the trace is long at 1/4
+	for _, reopen := range []byte{0, 1} {
+		f.Add([]byte{1, 40, 10, 0, 0, 2, 3, 0, reopen, 7, 0, 9, 1, 3, 2, 128, 3, 0, 4, 5, 5, 0, 6, 77})  // appended, children pinned at 3/4, one of each kind of time
+		f.Add([]byte{2, 90, 100, 2, 1, 4, 1, 1, reopen, 3, 1, 0, 1, 1, 2, 255})                          // Union, leaves pinned half way, leaf times and the tail
+		f.Add([]byte{3, 0, 250, 1, 2, 1, 0, 0, reopen, 7, 6, 10, 6, 200, 5, 0, 3, 0, 4, 0, 0, 0, 6, 50}) // Empty, leaves wider than the trace is long at 1/4
+	}
 	f.Fuzz(checkRetrievals)
 }

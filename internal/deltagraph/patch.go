@@ -3,21 +3,20 @@ package deltagraph
 import (
 	"maps"
 
-	"historygraph/internal/delta"
 	"historygraph/internal/graph"
 )
 
-// A pending node's graph is held as a patch against a base, as it is stored
-// (persistedChild.OnCurrent): the images of the elements on which the two
-// differ. A node is born on the current graph, where the invariant every
-// holder keeps is
+// A pending node's graph is held as a patch against a base: the images of the
+// elements on which the two differ. A node is born on the current graph,
+// where the invariant every holder keeps is
 //
 //	absent from the patch ⇒ equal to the current graph
 //
 // (the converse need not hold: an image may repeat what the current graph
 // says). appendLocked maintains it by saving an element's image into every
 // such node that lacks one just before the first event of a leaf window
-// changes that element; a parent is then evaluated over the elements its
+// changes that element, and Open builds it the same way along its walk to
+// the current graph (walkPending); a parent is then evaluated over the elements its
 // children hold images of and over nothing else (makeParentLocked). Such a
 // patch grows with every element changed since the node was made, whatever
 // the node holds. On the null graph (pendingChild.onNull) the patch is the
@@ -230,24 +229,15 @@ func (dg *DeltaGraph) attrCur(x elem, name string) (string, bool) {
 	return val, ok
 }
 
-// restrict returns the graph cur cut down to the elements in ids (attribute
-// maps are aliased).
-func restrict(cur *graph.Snapshot, ids patch) *graph.Snapshot {
-	s := graph.NewSnapshot()
-	for x := range ids {
-		imageIn(cur, x).putIn(s, x)
-	}
-	return s
-}
-
 // graphOf makes base, a graph of the caller's own, into c's whole graph and
 // returns it: for a node on the null graph base is the null graph, for one on
 // the current graph a copy of that whose four outer maps are the caller's (and
 // cost as much as the graph has elements). The result is read-only: attribute
 // maps alias the patch's, and base's may alias the caller's. It is for the
-// seal (the root's whole graph is the top delta) and for the pending nodes
-// Checkpoint stores from the null graph. Given the null graph for a node on
-// the current one, it returns c's graph cut down to the elements of its patch.
+// seal (the root's whole graph is the top delta) and for Checkpoint, which
+// compares every pending node with its first leaf whole. Given the null graph
+// for a node on the current one, it returns c's graph cut down to the
+// elements of its patch.
 func graphOf(c pendingChild, base *graph.Snapshot) *graph.Snapshot {
 	for x, im := range c.patch {
 		im.putIn(base, x)
@@ -255,12 +245,11 @@ func graphOf(c pendingChild, base *graph.Snapshot) *graph.Snapshot {
 	return base
 }
 
-// patchOf is graphOf's inverse: the patch that holds, against the current
-// graph cur, the graph d builds from the null graph. Open calls it for the
-// pending nodes a checkpoint stored that way; it walks both graphs.
-func patchOf(d *delta.Delta, cur *graph.Snapshot) patch {
-	p, g := make(patch), graph.NewSnapshot()
-	d.Apply(g)
+// patchOf is graphOf's inverse: the patch that holds g against the current
+// graph cur. Open calls it for the pending nodes of a layout 3 or 4
+// checkpoint, which stores the current graph whole; it walks both graphs.
+func patchOf(g, cur *graph.Snapshot) patch {
+	p := make(patch)
 	eachElem(g, func(x elem) {
 		if im := imageIn(g, x); im.records(imageIn(cur, x)) > 0 {
 			p[x] = im.shared()
@@ -271,27 +260,5 @@ func patchOf(d *delta.Delta, cur *graph.Snapshot) patch {
 			p[x] = absent
 		}
 	})
-	return p
-}
-
-// patchFrom is the patch of the graph d builds from the current graph cur: the
-// images, after d, of the elements d has a record on. Open calls it for the
-// pending nodes a checkpoint stored from the current graph; it costs what d
-// holds.
-func patchFrom(d *delta.Delta, cur *graph.Snapshot) patch {
-	// What d adds to the null graph, and what its deletions would, name
-	// between them every element it touches.
-	adds, dels := graph.NewSnapshot(), graph.NewSnapshot()
-	d.Apply(adds)
-	(&delta.Delta{AddNodes: d.DelNodes, AddEdges: d.DelEdges, SetNodeAttrs: d.DelNodeAttrs, SetEdgeAttrs: d.DelEdgeAttrs}).Apply(dels)
-	p := make(patch)
-	for _, s := range []*graph.Snapshot{adds, dels} {
-		eachElem(s, func(x elem) { p[x] = nil })
-	}
-	s := restrict(cur, p).Clone() // Apply writes the attribute maps
-	d.Apply(s)
-	for x := range p {
-		p[x] = imageIn(s, x).shared()
-	}
 	return p
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 
 	"historygraph/internal/delta"
 	"historygraph/internal/graph"
@@ -12,23 +13,26 @@ import (
 )
 
 // Checkpoint/Open persist the in-memory DeltaGraph state — the permanent
-// skeleton, builder state (pending nodes, recent eventlist, current graph),
-// and materialization set — into the same key-value store that holds the
-// deltas, so an index can be closed and reopened for querying and further
-// appends. A checkpoint is a set of payload records (every graph through the
-// delta column codec, the recent eventlist through the event codec, all in
-// partition 0) followed by one small JSON meta record that names them and is
-// the commit point. The provisional spine is derived from the pending nodes:
-// it is not stored, and not rebuilt before a read of the reopened index asks
-// for it.
+// skeleton, builder state (pending nodes, recent eventlist), and
+// materialization set — into the same key-value store that holds the deltas,
+// so an index can be closed and reopened for querying and further appends. A
+// checkpoint stores only what the permanent payloads cannot rebuild: a set of
+// payload records (pending nodes' graphs through the delta column codec, the
+// recent eventlist through the event codec, all in partition 0) followed by
+// one small JSON meta record that names them and is the commit point. The
+// provisional spine is derived from the pending nodes: it is not stored, and
+// not rebuilt before a read of the reopened index asks for it.
 //
-// Every graph payload is delta.Compute(graph, base) through putCols. The
-// current graph's base is the null graph. A pending node's is whichever of the
-// null graph and the current graph is nearer, in records: the builder holds the
-// node as a patch against the current graph, so the delta from there costs what
-// the two differ in, which for a node cut recently is a fraction of the node
-// and for an old intersection (small itself, far from a grown current graph)
-// is several times the node. persistedChild.OnCurrent records the choice.
+// The pending nodes' subtrees cover the leaves in order, oldest and highest
+// level first, and walkPending reaches each node's first leaf from the node
+// before it over permanent payloads. A pending node's payload is
+// delta.Compute(node, base), the base being its first leaf or, where that is
+// lighter in records, the null graph (persistedChild.OnLeaf); a delta with no
+// records is not written. A pending leaf is its own first leaf, and a node
+// over a history that only grew equals it, so most write nothing. The current
+// graph is not stored either: it is the last pending node's last leaf plus the
+// recent eventlist. Checkpoint and Open compute the same bases by the same
+// walk, so every rebuilt graph is exact whatever an eventlist replay yields.
 
 const (
 	metaDeltaID   = math.MaxUint64
@@ -37,9 +41,10 @@ const (
 	// the JSON meta record, and the spine is not stored. 3: those payloads,
 	// and every other in the store, are in stored format 3 (delta/codec.go).
 	// 4: a pending node's payload may be a delta from the current graph, so a
-	// v3 checkpoint is a v4 one with every node on the null graph and Open
-	// reads both.
-	checkpointVersion = 4
+	// v3 checkpoint is a v4 one with every node on the null graph. 5: the
+	// current graph is not stored, and a pending node's payload is a delta
+	// from its first leaf or the null graph. Open reads all three.
+	checkpointVersion = 5
 )
 
 type persistedNode struct {
@@ -63,11 +68,15 @@ type persistedEdge struct {
 }
 
 type persistedChild struct {
-	Node   int    `json:"node"`
-	SnapID uint64 `json:"snap_id"` // payload id of the node's graph
-	// OnCurrent: the payload builds the graph from the current graph, not
-	// from the null graph.
+	Node int `json:"node"`
+	// SnapID is the payload id of the node's graph; 0 (layout 5) when the
+	// graph is its base.
+	SnapID uint64 `json:"snap_id"`
+	// The payload builds the graph from the current graph (OnCurrent, layout
+	// 4), from the node's first leaf (OnLeaf, layout 5), or else from the
+	// null graph.
 	OnCurrent bool          `json:"on_current,omitempty"`
+	OnLeaf    bool          `json:"on_leaf,omitempty"`
 	Aux       []AuxSnapshot `json:"aux,omitempty"`
 }
 
@@ -82,8 +91,9 @@ type persistedIndex struct {
 	Nodes       []persistedNode `json:"nodes"`
 	Edges       []persistedEdge `json:"edges"`
 	Leaves      []int           `json:"leaves"`
-	// CurrentID is the payload id of the current graph; the recent
-	// eventlist, when not empty, is that payload's transient component.
+	// CurrentID is the payload whose transient component is the recent
+	// eventlist, when that is not empty. Before layout 5 its other components
+	// are the current graph.
 	CurrentID uint64             `json:"current_id"`
 	Pending   [][]persistedChild `json:"pending"`
 	// RematRoot: the provisional root was materialized; Open pins the
@@ -134,52 +144,49 @@ func (dg *DeltaGraph) Checkpoint() error {
 	}
 
 	sizes := make(componentSizes, 4)
-	putGraph := func(g, base *graph.Snapshot) (uint64, error) {
+	newID := func() (uint64, error) {
 		id := pi.NextID
 		pi.NextID--
 		// A checkpoint that a crash cut short may have left columns here.
-		if err := dg.dropPayloads(id, id-1); err != nil {
-			return 0, err
-		}
-		return id, putCols(dg.store, 0, id, delta.Compute(g, base), true, sizes)
+		return id, dg.dropPayloads(id, id-1)
 	}
 	var err error
-	cur := dg.cur.Snapshot() // one copy out of the pool for everything below
-	if pi.CurrentID, err = putGraph(cur, graph.NewSnapshot()); err == nil && len(dg.recent) > 0 {
+	if pi.CurrentID, err = newID(); err == nil && len(dg.recent) > 0 {
 		err = putCol(dg.store, 0, pi.CurrentID, kvstore.ComponentTransient, delta.EncodeEvents(dg.recent), sizes)
 	}
 	if err != nil {
 		return err
 	}
-	for _, level := range dg.pending {
-		row := make([]persistedChild, 0, len(level))
-		for _, c := range level {
-			// A node held from the null graph is stored from it, as it is. For
-			// another the delta from the null graph has c.size records; the one
-			// from the current graph has them on the patch's elements alone,
-			// where both graphs cut down to those elements give the same delta.
-			// g becomes the node's graph (there or whole), from is its base.
-			pc, g, from := persistedChild{Node: c.node, Aux: c.aux}, graph.NewSnapshot(), graph.NewSnapshot()
-			if !c.onNull {
-				fromCurrent := 0
-				for x, im := range c.patch {
-					fromCurrent += im.records(imageIn(cur, x))
-				}
-				if pc.OnCurrent = fromCurrent < c.size; pc.OnCurrent {
-					from = restrict(cur, c.patch)
-				} else {
-					g = &graph.Snapshot{ // putIn replaces entries of these four: the inner attribute maps stay shared
-						Nodes: maps.Clone(cur.Nodes), Edges: maps.Clone(cur.Edges),
-						NodeAttrs: maps.Clone(cur.NodeAttrs), EdgeAttrs: maps.Clone(cur.EdgeAttrs),
-					}
-				}
+	var cur *graph.Snapshot // one copy out of the pool, for the nodes held against it
+	pi.Pending = make([][]persistedChild, len(dg.pending))
+	_, err = dg.walkPending(func(*graph.Snapshot, elem) {}, func(level, i int, leaf *graph.Snapshot) error {
+		c, g := dg.pending[level][i], graph.NewSnapshot()
+		if !c.onNull {
+			if cur == nil {
+				cur = dg.cur.Snapshot()
 			}
-			if pc.SnapID, err = putGraph(graphOf(c, g), from); err != nil {
-				return err
+			g = &graph.Snapshot{ // putIn replaces entries of these four: the inner attribute maps stay shared
+				Nodes: maps.Clone(cur.Nodes), Edges: maps.Clone(cur.Edges),
+				NodeAttrs: maps.Clone(cur.NodeAttrs), EdgeAttrs: maps.Clone(cur.EdgeAttrs),
 			}
-			row = append(row, pc)
 		}
-		pi.Pending = append(pi.Pending, row)
+		g = graphOf(c, g)
+		pc, d := persistedChild{Node: c.node, Aux: c.aux, OnLeaf: true}, delta.Compute(g, leaf)
+		d.Apply(leaf) // the walk goes on from the node's graph
+		if d.Len() > c.size {
+			d, pc.OnLeaf = delta.FromSnapshot(g), false
+		}
+		var err error
+		if d.Len() > 0 {
+			if pc.SnapID, err = newID(); err == nil {
+				err = putCols(dg.store, 0, pc.SnapID, d, true, sizes)
+			}
+		}
+		pi.Pending[level] = append(pi.Pending[level], pc)
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	for _, n := range sizes {
 		pi.PayloadBytes += n
@@ -247,10 +254,10 @@ func (dg *DeltaGraph) dropPayloads(hi, lo uint64) error {
 }
 
 // loadDelta reads a graph payload written by Checkpoint: the delta that builds
-// the graph from its base.
+// the graph from its base (id 0: none, the graph is its base).
 func (dg *DeltaGraph) loadDelta(id uint64) (*delta.Delta, error) {
 	d := &delta.Delta{}
-	for c := kvstore.ComponentStruct; c <= kvstore.ComponentEdgeAttr; c++ {
+	for c := kvstore.ComponentStruct; c <= kvstore.ComponentEdgeAttr && id != 0; c++ {
 		buf, err := dg.store.Get(kvstore.EncodeKey(0, id, c))
 		if err == kvstore.ErrNotFound && c != kvstore.ComponentStruct {
 			continue // empty attribute column
@@ -263,6 +270,100 @@ func (dg *DeltaGraph) loadDelta(id uint64) (*delta.Delta, error) {
 		}
 	}
 	return d, nil
+}
+
+// allColumns fetches every column that makes a graph.
+var allColumns = fetchSpec{nodeAttr: true, edgeAttr: true}
+
+// walkPending takes one graph, w, from the null graph through every pending
+// node, oldest first (the highest level first, each level in order), and on to
+// the last leaf, which it returns. For each node it makes w the node's first
+// leaf and hands it to fn, which must make it the node's graph (applyTouching)
+// and may not keep it: the oldest node's first leaf is stored eventlist 0
+// applied to the null graph, a later node's is the node before it taken to its
+// last leaf (toLastLeaf) and through the stored eventlist after that. touch is
+// told of every element the walk is about to change. The walk reads permanent
+// payloads only, which no checkpoint deletes.
+func (dg *DeltaGraph) walkPending(touch func(*graph.Snapshot, elem), fn func(level, i int, w *graph.Snapshot) error) (*graph.Snapshot, error) {
+	w, prev := graph.NewSnapshot(), dg.skel.leaves[0] // the anchor leaf: the null graph
+	for level := len(dg.pending) - 1; level >= 0; level-- {
+		for i, c := range dg.pending[level] {
+			if err := dg.toLastLeaf(prev, w, touch); err != nil {
+				return nil, err
+			}
+			// The stored eventlist that ends at the node's first leaf, whose
+			// time the node has.
+			list := dg.skel.locate(dg.skel.nodes[c.node].at) - 1
+			e := dg.eventEdge(list)
+			if e == nil {
+				return nil, fmt.Errorf("deltagraph: missing eventlist %d", list)
+			}
+			evs, err := dg.fetchEvents(e, allColumns)
+			if err != nil {
+				return nil, err
+			}
+			applyEvents(w, evs, touch)
+			if err := fn(level, i, w); err != nil {
+				return nil, err
+			}
+			prev = c.node
+		}
+	}
+	return w, dg.toLastLeaf(prev, w, touch)
+}
+
+// toLastLeaf takes w, node's graph, down the node's right edge of permanent
+// deltas to its last leaf.
+func (dg *DeltaGraph) toLastLeaf(node int, w *graph.Snapshot, touch func(*graph.Snapshot, elem)) error {
+	for n := dg.skel.nodes[node]; n.level > 0; {
+		child := n.children[len(n.children)-1]
+		i := slices.IndexFunc(dg.skel.out[n.id], func(ei int) bool {
+			e := dg.skel.edges[ei]
+			return e != nil && e.kind == kindDelta && e.to == child
+		})
+		if i < 0 {
+			return fmt.Errorf("deltagraph: no delta from node %d to %d", n.id, child)
+		}
+		d, err := dg.fetchDelta(dg.skel.edges[dg.skel.out[n.id][i]], allColumns)
+		if err != nil {
+			return err
+		}
+		applyTouching(w, d, touch)
+		n = dg.skel.nodes[child]
+	}
+	return nil
+}
+
+// applyTouching applies d to w, first telling touch of every element d has a
+// record on.
+func applyTouching(w *graph.Snapshot, d *delta.Delta, touch func(*graph.Snapshot, elem)) {
+	for _, n := range slices.Concat(d.AddNodes, d.DelNodes) {
+		touch(w, nodeElem(n))
+	}
+	for _, e := range slices.Concat(d.AddEdges, d.DelEdges) {
+		touch(w, edgeElem(e.ID))
+	}
+	for _, r := range slices.Concat(d.SetNodeAttrs, d.DelNodeAttrs) {
+		touch(w, nodeElem(r.Node))
+	}
+	for _, r := range slices.Concat(d.SetEdgeAttrs, d.DelEdgeAttrs) {
+		touch(w, edgeElem(r.Edge))
+	}
+	d.Apply(w)
+}
+
+// applyEvents applies evs to w, telling touch of the element each changes
+// just before it does.
+func applyEvents(w *graph.Snapshot, evs graph.EventList, touch func(*graph.Snapshot, elem)) {
+	for _, ev := range evs {
+		switch ev.Type {
+		case graph.AddEdge, graph.DelEdge, graph.SetEdgeAttr:
+			touch(w, edgeElem(ev.Edge))
+		case graph.AddNode, graph.DelNode, graph.SetNodeAttr:
+			touch(w, nodeElem(ev.Node))
+		}
+		w.Apply(ev)
+	}
 }
 
 // Open restores a checkpointed index from the store. The options must
@@ -280,7 +381,7 @@ func Open(opts Options) (*DeltaGraph, error) {
 	if err := json.Unmarshal(buf, &pi); err != nil {
 		return nil, fmt.Errorf("deltagraph: corrupt checkpoint: %w", err)
 	}
-	if pi.Version != 3 && pi.Version != checkpointVersion {
+	if pi.Version < 3 || pi.Version > checkpointVersion {
 		return nil, fmt.Errorf("deltagraph: checkpoint has format v%d, this build reads only v3–v%d: "+
 			"replay the WAL into an empty store, or rebuild the index from its trace with dgload",
 			pi.Version, checkpointVersion)
@@ -310,17 +411,6 @@ func Open(opts Options) (*DeltaGraph, error) {
 	if pi.AuxRecent != nil {
 		dg.auxRecent = pi.AuxRecent
 	}
-	d, err := dg.loadDelta(pi.CurrentID)
-	if err != nil {
-		return nil, err
-	}
-	// The stored current graph is decoded into a scratch snapshot, which the
-	// pending nodes below are read against and which is dropped once the pool
-	// holds it.
-	cur := graph.NewSnapshot()
-	d.Apply(cur)
-	dg.pool.LoadCurrent(cur)
-	dg.curSize = cur.Size()
 	buf, err = dg.store.Get(kvstore.EncodeKey(0, pi.CurrentID, kvstore.ComponentTransient))
 	if err == nil {
 		dg.recent, err = delta.DecodeEvents(buf)
@@ -364,27 +454,82 @@ func Open(opts Options) (*DeltaGraph, error) {
 	}
 
 	// Restore builder pending state, each graph as a patch against the
-	// current one. The spine waits for the first read (or for a pinned node
-	// below, whose path starts at the root).
-	dg.pending = nil
-	for _, level := range pi.Pending {
-		row := make([]pendingChild, 0, len(level))
-		for _, c := range level {
-			d, err := dg.loadDelta(c.SnapID)
-			if err != nil {
-				return nil, err
-			}
+	// current one, which is decoded or rebuilt into a scratch snapshot that
+	// is dropped once the pool holds it. The spine waits for the first read
+	// (or for a pinned node below, whose path starts at the root).
+	dg.pending = make([][]pendingChild, len(pi.Pending))
+	for level, row := range pi.Pending {
+		for _, c := range row {
 			if c.Aux == nil {
 				c.Aux = dg.emptyAux()
 			}
-			toPatch := patchOf
-			if c.OnCurrent {
-				toPatch = patchFrom
-			}
-			row = append(row, pendingChild{node: c.Node, size: dg.skel.nodes[c.Node].size, patch: toPatch(d, cur), aux: c.Aux})
+			dg.pending[level] = append(dg.pending[level], pendingChild{node: c.Node, size: dg.skel.nodes[c.Node].size, aux: c.Aux})
 		}
-		dg.pending = append(dg.pending, row)
 	}
+	cur := graph.NewSnapshot()
+	if pi.Version < 5 {
+		// The current graph is stored whole, and every node from it or from
+		// the null graph.
+		d, err := dg.loadDelta(pi.CurrentID)
+		if err != nil {
+			return nil, err
+		}
+		d.Apply(cur)
+		for level, row := range pi.Pending {
+			for i, c := range row {
+				g := graph.NewSnapshot()
+				if c.OnCurrent {
+					g = cur.Clone()
+				}
+				if d, err = dg.loadDelta(c.SnapID); err != nil {
+					return nil, err
+				}
+				d.Apply(g)
+				dg.pending[level][i].patch = patchOf(g, cur)
+			}
+		}
+	} else {
+		// The walk ends at the last leaf, and the recent eventlist takes that
+		// to the current graph. Every node's patch starts empty where the walk
+		// makes the node, and is given the image of each element the walk
+		// changes after that, as appendLocked gives a pending node.
+		var passed []patch
+		touch := func(w *graph.Snapshot, x elem) {
+			var saved *image
+			for _, p := range passed {
+				if _, ok := p[x]; !ok {
+					if saved == nil {
+						im := imageIn(w, x)
+						im.attrs = maps.Clone(im.attrs) // w goes on changing its own
+						saved = im.shared()
+					}
+					p[x] = saved
+				}
+			}
+		}
+		cur, err = dg.walkPending(touch, func(level, i int, w *graph.Snapshot) error {
+			c := pi.Pending[level][i]
+			d, err := dg.loadDelta(c.SnapID)
+			if err != nil {
+				return err
+			}
+			if !c.OnLeaf {
+				g := graph.NewSnapshot()
+				d.Apply(g)
+				d = delta.Compute(g, w)
+			}
+			applyTouching(w, d, touch)
+			dg.pending[level][i].patch = make(patch)
+			passed = append(passed, dg.pending[level][i].patch)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		applyEvents(cur, dg.recent, touch)
+	}
+	dg.pool.LoadCurrent(cur)
+	dg.curSize = cur.Size()
 	dg.settlePendingLocked()
 	dg.spineStale = true
 	if err := dg.dropPayloads(pi.PrevFirstID, pi.FirstID); err != nil {

@@ -72,8 +72,9 @@ func lastCheckpoint(t testing.TB, store kvstore.Store) persistedIndex {
 	return pi
 }
 
-// pendingChildren lists a checkpoint's pending nodes, lowest level first: the
-// order Checkpoint writes their payloads in.
+// pendingChildren lists a checkpoint's pending nodes, lowest level first, as
+// the meta record holds them (Checkpoint writes their payloads highest level
+// first, the order of the walk).
 func (pi persistedIndex) pendingChildren() []persistedChild {
 	var out []persistedChild
 	for _, row := range pi.Pending {
@@ -82,17 +83,20 @@ func (pi persistedIndex) pendingChildren() []persistedChild {
 	return out
 }
 
-// basesOf counts a checkpoint's pending nodes by the base their payload
-// builds on.
-func basesOf(pi persistedIndex) (onCurrent, onNull int) {
+// basesOf counts a checkpoint's pending node payloads by the base they build
+// on, and the nodes that need none (bare: the graph is its base).
+func basesOf(pi persistedIndex) (onLeaf, onNull, bare int) {
 	for _, c := range pi.pendingChildren() {
-		if c.OnCurrent {
-			onCurrent++
-		} else {
+		switch {
+		case c.SnapID == 0:
+			bare++
+		case c.OnLeaf:
+			onLeaf++
+		default:
 			onNull++
 		}
 	}
-	return onCurrent, onNull
+	return onLeaf, onNull, bare
 }
 
 // wholeGraph is c's graph built from the base c is held on, cur being a copy
@@ -104,9 +108,11 @@ func wholeGraph(c pendingChild, cur *graph.Snapshot) *graph.Snapshot {
 	return graphOf(c, cur.Clone())
 }
 
-// checkBaseCounts: the two record counts Checkpoint picks a pending node's
-// base by are the lengths of the two deltas it picks between (a node held
-// from the null graph is stored from it uncounted).
+// checkBaseCounts: a pending node's size, which Checkpoint weighs the delta
+// from its first leaf against, is the length of its delta from the null
+// graph; and the records counted over a patch against the current graph
+// (image.records, by which Open's patchOf tells differing images) are the
+// length of the delta from there.
 func checkBaseCounts(t testing.TB, dg *DeltaGraph) {
 	t.Helper()
 	cur := dg.cur.Snapshot()
@@ -130,18 +136,20 @@ func checkBaseCounts(t testing.TB, dg *DeltaGraph) {
 // boundary of two successive checkpoints (and inside a payload and a meta
 // record): Open must see no checkpoint, exactly the first, or exactly the
 // second — and the index it returns must take the rest of the history. Under
-// intersection the second checkpoint stores pending nodes on both bases;
-// under union every one is a delta from the current graph, so the boundary
-// just before the meta record lies between such a payload and its commit.
+// intersection the second checkpoint stores payloads from first leaves beside
+// a pending leaf that needs none, so the current graph is rebuilt through the
+// walk; under union every payload, the last one too, is from a first leaf,
+// so the boundary just before the meta record lies between such a payload
+// and its commit.
 func TestCheckpointCrashAtomic(t *testing.T) {
 	t.Run("intersection", func(t *testing.T) { crashAtomic(t, delta.Intersection{}, 700, 1000, false) })
 	t.Run("union", func(t *testing.T) { crashAtomic(t, delta.Union{}, 300, 560, true) })
 }
 
 // crashAtomic checkpoints after nA and after nB events. The second checkpoint
-// must store pending nodes from both bases, or, if lastOnCurrent, its last
-// payload from the current graph.
-func crashAtomic(t *testing.T, fn delta.Differential, nA, nB int, lastOnCurrent bool) {
+// must store payloads from first leaves and a node with none, or, if
+// lastOnLeaf, payloads from first leaves alone.
+func crashAtomic(t *testing.T, fn delta.Differential, nA, nB int, lastOnLeaf bool) {
 	events := makeTrace(21, 1300)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "index")
@@ -169,12 +177,10 @@ func crashAtomic(t *testing.T, fn delta.Differential, nA, nB int, lastOnCurrent 
 	if cs.firstTomb <= metaB {
 		t.Fatalf("checkpoint A's payloads were deleted at offset %d, before B's meta was written (ends at %d)", cs.firstTomb, metaB)
 	}
-	pi := lastCheckpoint(t, cs)
-	pending := pi.pendingChildren()
-	onCurrent, onNull := basesOf(pi)
-	if lastOnCurrent && !pending[len(pending)-1].OnCurrent || !lastOnCurrent && (onCurrent == 0 || onNull == 0) {
-		t.Fatalf("checkpoint B stores %d pending nodes from the current graph and %d from the null graph (last payload on current: %v): the cuts miss a case",
-			onCurrent, onNull, pending[len(pending)-1].OnCurrent)
+	onLeaf, onNull, bare := basesOf(lastCheckpoint(t, cs))
+	if lastOnLeaf && (onLeaf == 0 || onNull > 0) || !lastOnLeaf && (onLeaf == 0 || bare == 0) {
+		t.Fatalf("checkpoint B stores %d payloads from first leaves and %d from the null graph, and %d pending nodes without one: the cuts miss a case",
+			onLeaf, onNull, bare)
 	}
 	if err := dg.Flush(); err != nil { // the tombstones reach the file
 		t.Fatal(err)
@@ -251,37 +257,49 @@ func crashAtomic(t *testing.T, fn delta.Differential, nA, nB int, lastOnCurrent 
 
 // TestCheckpointOverTornOne: a checkpoint cut short by a crash leaves
 // payloads under ids the next one takes again. None of their columns may
-// show through, even where the new graph has no such column. In the first
-// case the column belongs to a graph stored from the null graph, in the second
-// to a pending leaf stored from the current graph (the leaf holds an attribute
-// the current graph has lost: a set record, which would show on any node the
-// id passes to).
+// show through, even where the new graph has no such column. In both cases
+// the torn checkpoint stores its level-1 node with an attribute column: from
+// the null graph (an intersection far from its first leaf, holding an
+// attribute) or from that leaf (a union holding an attribute the leaf lacks).
+// In the history that came true the node takes the same id with no such
+// column.
+// (Both histories give the stored eventlists the same columns: a permanent
+// payload rewritten by another history is not what this is about.)
 func TestCheckpointOverTornOne(t *testing.T) {
-	attr := func(at graph.Time, set bool) graph.Event {
-		return graph.Event{Type: graph.SetNodeAttr, At: at, Node: 1, Attr: "name", Old: "x", HadOld: !set, New: "x", HasNew: set}
+	attr := func(at graph.Time, name string, set bool) graph.Event {
+		return graph.Event{Type: graph.SetNodeAttr, At: at, Node: 1, Attr: name, New: "x", HasNew: set}
 	}
-	node := func(n int) graph.Event {
-		return graph.Event{Type: graph.AddNode, At: graph.Time(n), Node: graph.NodeID(n)}
+	node := func(at graph.Time, n int) graph.Event {
+		return graph.Event{Type: graph.AddNode, At: at, Node: graph.NodeID(n)}
+	}
+	del := func(at graph.Time, n int) graph.Event {
+		return graph.Event{Type: graph.DelNode, At: at, Node: graph.NodeID(n)}
 	}
 	for name, tc := range map[string]struct {
-		arity, bare int
+		fn          delta.Differential
+		leaf        int
+		onLeaf      bool // the torn payload's base
+		bare        graph.EventList
 		torn, other graph.EventList // the history the torn checkpoint saw, and the one that came true
 	}{
-		"on-null":    {2, 10, graph.EventList{attr(11, true)}, graph.EventList{node(11)}},
-		"on-current": {3, 14, graph.EventList{attr(15, true), node(16), attr(17, false)}, graph.EventList{node(15), node(16), node(17)}},
+		"on-null": {delta.Intersection{}, 5, false,
+			graph.EventList{node(1, 1), attr(2, "name", true), node(3, 2), node(4, 3), node(5, 4)},
+			graph.EventList{del(6, 2), del(7, 3), del(8, 4), node(9, 5), node(10, 6), node(11, 7)},
+			graph.EventList{node(6, 5), del(7, 2), node(8, 6), node(9, 7), node(10, 8), node(11, 9)}},
+		"on-leaf": {delta.Union{}, 4, true,
+			graph.EventList{node(1, 1), node(2, 2), node(3, 3), attr(4, "name", true)},
+			graph.EventList{attr(5, "age", true), node(6, 6), node(7, 7), node(8, 8), node(9, 9)},
+			graph.EventList{attr(5, "name", false), node(6, 6), node(7, 7), node(8, 8), node(9, 9)}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "index")
 			cs := &cutStore{FileStore: openFileStore(t, path)}
-			dg, err := New(Options{LeafSize: 4, Arity: tc.arity, Store: cs})
+			dg, err := New(Options{LeafSize: tc.leaf, Arity: 2, Function: tc.fn, Store: cs})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var bare graph.EventList
-			for i := 1; i <= tc.bare; i++ {
-				bare = append(bare, node(i))
-			}
+			bare := tc.bare
 			if err := dg.AppendAll(bare); err != nil {
 				t.Fatal(err)
 			}
@@ -299,14 +317,14 @@ func TestCheckpointOverTornOne(t *testing.T) {
 				_, err := store.Get(kvstore.EncodeKey(0, c.SnapID, kvstore.ComponentNodeAttr))
 				return err == nil
 			}
-			var tornID uint64 // an on-current payload of the torn checkpoint with that column
+			var tornID uint64 // the torn checkpoint's payload with that column
 			for _, c := range lastCheckpoint(t, cs).pendingChildren() {
-				if c.OnCurrent && withAttrs(cs, c) {
+				if c.SnapID != 0 && c.OnLeaf == tc.onLeaf && withAttrs(cs, c) {
 					tornID = c.SnapID
 				}
 			}
-			if (tornID != 0) != (name == "on-current") {
-				t.Fatalf("the torn checkpoint's on-current payload with an attribute column: id %d", tornID)
+			if tornID == 0 {
+				t.Fatal("the torn checkpoint has no payload with an attribute column on the base the case is for")
 			}
 			tornAt := int64(0) // the boundary just before its meta record
 			for _, c := range cs.cuts {
@@ -328,7 +346,7 @@ func TestCheckpointOverTornOne(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// History continues differently, without the attribute.
+			// History continues differently, without the torn node's attribute.
 			other := append(bare, tc.other...)
 			if err := re.AppendAll(tc.other); err != nil {
 				t.Fatal(err)
@@ -336,10 +354,16 @@ func TestCheckpointOverTornOne(t *testing.T) {
 			if err := re.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
+			reused := false
 			for _, c := range lastCheckpoint(t, fs).pendingChildren() {
-				if c.SnapID == tornID && (!c.OnCurrent || withAttrs(fs, c)) {
-					t.Fatalf("payload %d of the new checkpoint: on current %v, attribute column %v", tornID, c.OnCurrent, withAttrs(fs, c))
+				if c.SnapID == tornID {
+					if reused = true; withAttrs(fs, c) {
+						t.Fatalf("payload %d of the new checkpoint has an attribute column", tornID)
+					}
 				}
+			}
+			if !reused {
+				t.Fatalf("the new checkpoint does not store a pending node under the torn payload's id %d", tornID)
 			}
 			again, err := Open(Options{Store: fs})
 			if err != nil {
@@ -378,7 +402,7 @@ func TestOpenRefusesOldCheckpoints(t *testing.T) {
 		if err == nil {
 			t.Fatalf("Open of a %s checkpoint succeeded", version)
 		}
-		for _, want := range []string{version, "reads only v3–v4", "WAL", "dgload", "rebuild"} {
+		for _, want := range []string{version, "reads only v3–v5", "WAL", "dgload", "rebuild"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("Open of a %s checkpoint = %v, want a refusal with %q in it", version, err, want)
 			}
@@ -393,7 +417,7 @@ func TestOpenRefusesOldCheckpoints(t *testing.T) {
 // from the null graph, every value stored as it is. Never regenerate it with
 // a current build. The index must answer as naive replay does, take the rest
 // of the history as an index that was never closed would, checkpoint in
-// layout 4 from then on, and reopen from a file whose new records are
+// layout 5 from then on, and reopen from a file whose new records are
 // compressed behind the old raw ones.
 func TestOpenReadsV3Checkpoint(t *testing.T) {
 	fixture, err := os.ReadFile("testdata/checkpoint_v3.store")
@@ -413,8 +437,8 @@ func TestOpenReadsV3Checkpoint(t *testing.T) {
 	const held = 408
 	events := makeTrace(26, held+4*16)
 	pi := lastCheckpoint(t, fs)
-	if onCurrent, onNull := basesOf(pi); pi.Version != 3 || onCurrent != 0 || onNull < 2 {
-		t.Fatalf("the fixture is a v%d checkpoint with %d + %d pending nodes", pi.Version, onCurrent, onNull)
+	if onLeaf, onNull, _ := basesOf(pi); pi.Version != 3 || onLeaf != 0 || onNull < 2 {
+		t.Fatalf("the fixture is a v%d checkpoint with %d + %d pending nodes", pi.Version, onLeaf, onNull)
 	}
 	re, err := Open(Options{Store: fs})
 	if err != nil {
@@ -455,8 +479,8 @@ func TestOpenReadsV3Checkpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi = lastCheckpoint(t, fs)
-	if onCurrent, _ := basesOf(pi); pi.Version != 4 || onCurrent == 0 {
-		t.Fatalf("the next checkpoint is v%d with %d pending nodes stored from the current graph", pi.Version, onCurrent)
+	if onLeaf, _, _ := basesOf(pi); pi.Version != 5 || onLeaf == 0 {
+		t.Fatalf("the next checkpoint is v%d with %d pending nodes stored from their first leaves", pi.Version, onLeaf)
 	}
 	if err := fs.Close(); err != nil {
 		t.Fatal(err)
@@ -471,6 +495,105 @@ func TestOpenReadsV3Checkpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainstReference(t, again, events, allAttrs, reopenTimes(again))
+}
+
+// TestOpenReadsV4Checkpoint opens testdata/checkpoint_v4.store, which the
+// commit before checkpoint layout 5 (28bc215) wrote: makeTrace(26, 500)
+// appended at leaf size 16 and arity 2, then Checkpoint — 30 leaves, pending
+// nodes at levels 1 to 4, three stored from the current graph and one from
+// the null graph, beside the current graph whole. Never regenerate it with a
+// current build. The index must answer as naive replay does at every leaf
+// time and the head, again after two more leaves, and once more reopened
+// from the layout-5 checkpoint it takes then.
+func TestOpenReadsV4Checkpoint(t *testing.T) {
+	fixture, err := os.ReadFile("testdata/checkpoint_v4.store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "index")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs := openFileStore(t, path)
+	defer fs.Close()
+	const held = 500
+	events := makeTrace(26, held+2*16)
+	pi, onCurrent := lastCheckpoint(t, fs), 0
+	for _, c := range pi.pendingChildren() {
+		if c.OnCurrent {
+			onCurrent++
+		}
+	}
+	if pi.Version != 4 || onCurrent == 0 || onCurrent == len(pi.pendingChildren()) {
+		t.Fatalf("the fixture is a v%d checkpoint with %d of %d pending nodes stored from the current graph", pi.Version, onCurrent, len(pi.pendingChildren()))
+	}
+	re, err := Open(Options{Store: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.LastTime() != events[held-1].At || !re.CurrentSnapshot().Equal(graph.SnapshotAt(events[:held], events[held-1].At)) {
+		t.Fatalf("the reopened index ends at %d, the fixture's events at %d", re.LastTime(), events[held-1].At)
+	}
+	checkAgainstReference(t, re, events[:held], allAttrs, append(reopenTimes(re), re.LastTime()))
+
+	leaves := len(re.LeafTimes())
+	if err := re.AppendAll(events[held:]); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(re.LeafTimes()); got < leaves+2 {
+		t.Fatalf("leaves after reopen went %d -> %d, want two more", leaves, got)
+	}
+	checkAgainstReference(t, re, events, allAttrs, append(reopenTimes(re), re.LastTime()))
+	if err := re.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if v := lastCheckpoint(t, fs).Version; v != 5 {
+		t.Fatalf("the next checkpoint is v%d", v)
+	}
+	again, err := Open(Options{Store: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstReference(t, again, events, allAttrs, append(reopenTimes(again), again.LastTime()))
+}
+
+// TestGrowingHistoryCheckpointsNoGraph: where the history only adds, every
+// pending node equals its first leaf, so a checkpoint writes the recent
+// eventlist and the meta record and no graph payload — and reopens exact.
+func TestGrowingHistoryCheckpointsNoGraph(t *testing.T) {
+	var events graph.EventList
+	for i := 1; i <= 700; i++ {
+		events = append(events, graph.Event{Type: graph.AddNode, At: graph.Time(i), Node: graph.NodeID(i)},
+			graph.Event{Type: graph.SetNodeAttr, At: graph.Time(i), Node: graph.NodeID(i), Attr: "name", New: "n", HasNew: true})
+		if i > 1 {
+			events = append(events, graph.Event{Type: graph.AddEdge, At: graph.Time(i), Edge: graph.EdgeID(i), Node: graph.NodeID(i - 1), Node2: graph.NodeID(i)})
+		}
+	}
+	cs := &cutStore{FileStore: openFileStore(t, filepath.Join(t.TempDir(), "index"))}
+	defer cs.Close()
+	dg, err := New(Options{LeafSize: 64, Arity: 2, Store: cs})
+	if err == nil {
+		err = dg.AppendAll(events)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.cuts = nil
+	if err := dg.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	pi := lastCheckpoint(t, cs)
+	if _, _, bare := basesOf(pi); len(pi.Pending) < 3 || bare != len(pi.pendingChildren()) || len(dg.recent) == 0 {
+		t.Fatalf("pending levels %d, %d of %d pending nodes without a payload, %d recent events", len(pi.Pending), bare, len(pi.pendingChildren()), len(dg.recent))
+	}
+	if _, err := cs.Get(kvstore.EncodeKey(0, pi.CurrentID, kvstore.ComponentTransient)); err != nil || len(cs.cuts) != 2 {
+		t.Fatalf("the checkpoint wrote %d records (the recent eventlist: %v), want it and the meta record", len(cs.cuts), err)
+	}
+	re, err := Open(Options{Store: cs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstReference(t, re, events, allAttrs, append(reopenTimes(re), re.LastTime()))
 }
 
 // decodedPayloads is each payload, a delta column or an eventlist, printed
@@ -657,9 +780,10 @@ func TestReopenDifferential(t *testing.T) {
 
 	// One shape under every differential function (empty is the one that is
 	// not element-wise) and with an auxiliary index. Its checkpoint stores
-	// pending nodes from both bases side by side — except under union, whose
-	// nodes all stay near the current graph — and the reopened index goes on
-	// to write the bytes an index that was never closed writes.
+	// interior nodes as deltas from their first leaves — except under empty,
+	// whose interior nodes are the null graph — and a pending leaf with no
+	// payload, and the reopened index goes on to write the bytes an index
+	// that was never closed writes.
 	for _, fn := range []string{"intersection", "union", "balanced", "skewed:0.3", "rightskewed:0.5", "leftskewed:0.5", "empty"} {
 		t.Run("bases/"+fn, func(t *testing.T) {
 			const held = 2800
@@ -690,8 +814,8 @@ func TestReopenDifferential(t *testing.T) {
 			if err := dg.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			if onCurrent, onNull := basesOf(lastCheckpoint(t, fs)); onCurrent == 0 || (onNull == 0 && fn != "union") {
-				t.Fatalf("the checkpoint stores %d pending nodes from the current graph and %d from the null graph", onCurrent, onNull)
+			if onLeaf, _, bare := basesOf(lastCheckpoint(t, fs)); (onLeaf == 0) != (fn == "empty") || bare == 0 {
+				t.Fatalf("the checkpoint stores %d pending nodes from their first leaves and %d with no payload", onLeaf, bare)
 			}
 			if err := fs.Close(); err != nil {
 				t.Fatal(err)
@@ -730,11 +854,11 @@ func TestReopenDifferential(t *testing.T) {
 
 // TestReopenAtEveryStep closes and reopens an index again and again while it
 // takes a messy trace (duplicate adds, attributes on absent elements, deletes
-// of nothing), so pending nodes go through both payload bases many times
-// over: the permanent payloads must come out as those of an index that was
+// of nothing), so pending nodes go through both payload bases, and through
+// needing none, many times over: the permanent payloads must come out as those of an index that was
 // never closed.
 func TestReopenAtEveryStep(t *testing.T) {
-	var onCurrent, onNull int
+	var onLeaf, onNull, bare int
 	for seed := 0; seed < 12; seed++ {
 		for _, fn := range []delta.Differential{delta.Intersection{}, delta.Union{}, delta.Balanced(), delta.Empty{}} {
 			events := datagen.MessyTrace(int64(200+seed), 1500)
@@ -760,8 +884,8 @@ func TestReopenAtEveryStep(t *testing.T) {
 				if err := dg.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
-				c, n := basesOf(lastCheckpoint(t, store))
-				onCurrent, onNull = onCurrent+c, onNull+n
+				l, n, b := basesOf(lastCheckpoint(t, store))
+				onLeaf, onNull, bare = onLeaf+l, onNull+n, bare+b
 				if dg, err = Open(Options{Store: store}); err != nil {
 					t.Fatal(err)
 				}
@@ -774,8 +898,8 @@ func TestReopenAtEveryStep(t *testing.T) {
 			checkAgainstReference(t, dg, events, allAttrs, probeTimes(events, 20))
 		}
 	}
-	if onCurrent < 100 || onNull < 100 {
-		t.Errorf("%d pending nodes were stored from the current graph and %d from the null graph: one base is hardly covered", onCurrent, onNull)
+	if onLeaf < 100 || onNull < 50 || bare < 100 {
+		t.Errorf("%d pending nodes were stored from their first leaves, %d from the null graph and %d needed no payload: one case is hardly covered", onLeaf, onNull, bare)
 	}
 }
 
@@ -922,55 +1046,57 @@ func encodedBytes(t testing.TB, d *delta.Delta) int64 {
 // durable_bytes_per_event: at that workload's fixed point, what a checkpoint
 // weighs encoded (CheckpointBytes, also once reopened) and in the file, which
 // base each pending node is stored from, and that no node weighs more than
-// the lighter of its two deltas — each computed here over whole graphs, not
-// over the patch as Checkpoint does. Layout 3 encoded to 638 857 B here:
-// 213 956, 148 129 and 17 668 for the three nodes. Stored format 4 added the
-// stream lengths (354 005 → 354 061 B encoded) and took the file's growth
-// from 209 425 to 157 295 B.
+// the lighter of its two deltas — each computed here over whole graphs, its
+// first leaf replayed from the trace. Layout 3 encoded to 638 857 B here and
+// layout 4 to 354 061 B (16 297, 60 920 and 17 678 for the three nodes, the
+// current graph whole beside them), growing the file by 157 295 B. In layout
+// 5 the history only grew, so each node equals its first leaf and writes
+// nothing: what is left is the recent eventlist and the meta record.
 func TestGoldenCheckpointBytes(t *testing.T) {
 	dg, fs := benchIndex(t)
 	defer fs.Close()
+	events := benchTrace(1, 1)[:59392]
 	checkBaseCounts(t, dg)
 	before := fs.SizeOnDisk()
 	if err := dg.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := dg.StatsUnsealed().CheckpointBytes; got != 354061 {
-		t.Errorf("the checkpoint encodes to %d B, was 354061", got)
+	if got := dg.StatsUnsealed().CheckpointBytes; got != 20887 {
+		t.Errorf("the checkpoint encodes to %d B, was 20887", got)
 	}
-	if got := fs.SizeOnDisk() - before; got != 157295 {
-		t.Errorf("the checkpoint grew the file by %d B, was 157295", got)
+	if got := fs.SizeOnDisk() - before; got != 7919 {
+		t.Errorf("the checkpoint grew the file by %d B, was 7919", got)
 	}
 	re, err := Open(Options{Store: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := re.StatsUnsealed().CheckpointBytes; got != 354061 {
-		t.Errorf("reopened, the checkpoint encodes to %d B, was 354061", got)
+	if got := re.StatsUnsealed().CheckpointBytes; got != 20887 {
+		t.Errorf("reopened, the checkpoint encodes to %d B, was 20887", got)
 	}
 	golden := []struct {
-		level     int
-		onCurrent bool
-		bytes     int64
-	}{{1, true, 16297}, {2, true, 60920}, {3, false, 17678}}
+		level  int
+		onLeaf bool
+		bytes  int64
+	}{{1, true, 0}, {2, true, 0}, {3, true, 0}}
 	pi, i := lastCheckpoint(t, fs), 0
 	for level, row := range pi.Pending {
 		for j, pc := range row {
 			var encoded int64
-			for c := kvstore.ComponentStruct; c <= kvstore.ComponentEdgeAttr; c++ {
+			for c := kvstore.ComponentStruct; c <= kvstore.ComponentEdgeAttr && pc.SnapID != 0; c++ {
 				if buf, err := fs.Get(kvstore.EncodeKey(0, pc.SnapID, c)); err == nil {
 					encoded += int64(len(buf))
 				}
 			}
-			if i >= len(golden) || golden[i].level != level || golden[i].onCurrent != pc.OnCurrent || golden[i].bytes != encoded {
-				t.Errorf("pending node %d at level %d: on current %v, %d B; golden rows are %v", i, level, pc.OnCurrent, encoded, golden)
+			if i >= len(golden) || golden[i].level != level || golden[i].onLeaf != pc.OnLeaf || golden[i].bytes != encoded {
+				t.Errorf("pending node %d at level %d: on its first leaf %v, %d B; golden rows are %v", i, level, pc.OnLeaf, encoded, golden)
 			}
 			i++
-			cur := dg.cur.Snapshot()
-			g := wholeGraph(dg.pending[level][j], cur)
-			whole, fromCurrent := encodedBytes(t, delta.FromSnapshot(g)), encodedBytes(t, delta.Compute(g, cur))
-			if encoded > min(whole, fromCurrent) {
-				t.Errorf("pending node at level %d weighs %d B: whole it is %d B, as a delta from the current graph %d B", level, encoded, whole, fromCurrent)
+			c := dg.pending[level][j]
+			g, leaf := wholeGraph(c, dg.cur.Snapshot()), graph.SnapshotAt(events, dg.skel.nodes[c.node].at)
+			whole, fromLeaf := encodedBytes(t, delta.FromSnapshot(g)), encodedBytes(t, delta.Compute(g, leaf))
+			if encoded > min(whole, fromLeaf) {
+				t.Errorf("pending node at level %d weighs %d B: whole it is %d B, as a delta from its first leaf %d B", level, encoded, whole, fromLeaf)
 			}
 		}
 	}

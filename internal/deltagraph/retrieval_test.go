@@ -173,7 +173,8 @@ func goldenRow(t testing.TB, dg *DeltaGraph, cs *countingStore, q graph.Time) (r
 // checkRetrievals reads out of in an index (trace, leaf size, arity,
 // differential function), a way to build it (sealed by Build or appended, a
 // materialization policy applied part of the way through, so that what follows
-// leaves the spine stale) and a list of times (before the first event, on a
+// leaves the spine stale, and there a checkpoint the index is reopened from or
+// not) and a list of times (before the first event, on a
 // leaf, in the tail, at the head, past it, anywhere, or the one before again),
 // and compares every kind of retrieval at those times, under three attribute
 // options, with a replay of the trace. TestMultipointMatchesSinglepoint and
@@ -208,6 +209,14 @@ func checkRetrievals(t *testing.T, in []byte) {
 	}
 	if policy != "" && len(dg.LeafTimes()) > 0 {
 		if err := dg.MaterializeLevel(policy); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if next()%2 == 1 { // checkpoint, and go on from the index reopened on the same store
+		if err := dg.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if dg, err = Open(Options{Store: dg.Store(), AuxIndexes: opts.AuxIndexes}); err != nil {
 			t.Fatal(err)
 		}
 	}

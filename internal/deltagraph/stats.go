@@ -14,10 +14,12 @@ type IndexStats struct {
 	EventlistEdges int
 	// DiskBytes is the backing store footprint, in stored (compressed)
 	// bytes. The store is a log: it holds the permanent payloads once, and
-	// every Checkpoint appends its own records (CheckpointBytes, compressed)
-	// plus a tombstone for each payload record of the checkpoint before —
-	// nothing is reclaimed, so after n checkpoints the file carries n of
-	// them, of which the last is live. The provisional spine is not in it.
+	// every Checkpoint appends its own records (CheckpointBytes, compressed:
+	// the recent eventlist, the pending nodes that differ from their bases
+	// and the meta record, never the current graph) plus a tombstone for
+	// each payload record of the checkpoint before — nothing is reclaimed,
+	// so after n checkpoints the file carries n of them, of which the last
+	// is live. The provisional spine is not in it.
 	DiskBytes int64
 	// SpineBytes is the memory-resident provisional spine's payload size
 	// (0 while SpineStale).
@@ -33,7 +35,10 @@ type IndexStats struct {
 	SpineSeals int64
 	// CheckpointBytes is the last checkpoint's payloads plus meta record,
 	// encoded, before the store compresses them (0 until the index is
-	// checkpointed, or opened from a checkpoint).
+	// checkpointed, or opened from a checkpoint). Since checkpoint layout 5
+	// it holds what the permanent payloads cannot rebuild, and no graph a
+	// walk over them gives: 20 887 B at the benchmark's 59 392-event fixed
+	// point, where layout 4 wrote 354 061 B.
 	CheckpointBytes int64
 	// DeltaBytesByLevel sums delta byte sizes by the level of the edge's
 	// source node (level 1 = parents of leaves); the Section 5.3 models

@@ -266,11 +266,17 @@ func TestKeyCodec(t *testing.T) {
 }
 
 func TestComponentString(t *testing.T) {
-	if ComponentStruct.String() != "struct" || ComponentTransient.String() != "transient" {
-		t.Error("component names wrong")
-	}
-	if ComponentAuxBase.String() != "aux0" || (ComponentAuxBase+1).String() != "aux1" {
-		t.Error("aux component names wrong")
+	for c, want := range map[Component]string{
+		ComponentStruct:       "struct",
+		ComponentTransient:    "transient",
+		ComponentAuxBase:      "aux0",
+		ComponentAuxBase + 1:  "aux1",
+		ComponentAuxBase + 10: "aux10",  // printed "aux:" once
+		250:                   "aux246", // the checkpoint meta record's component; printed "auxĦ" once
+	} {
+		if got := c.String(); got != want {
+			t.Errorf("component %d is %q, want %q", c, got, want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ package kvstore
 import (
 	"encoding/binary"
 	"errors"
+	"strconv"
 )
 
 // ErrNotFound is returned by Get when the key is absent.
@@ -51,7 +52,7 @@ func (c Component) String() string {
 	if int(c) < len(componentNames) {
 		return componentNames[c]
 	}
-	return "aux" + string(rune('0'+int(c-ComponentAuxBase)))
+	return "aux" + strconv.Itoa(int(c-ComponentAuxBase))
 }
 
 // EncodeKey builds the storage key <partition_id, delta_id, component>
