@@ -707,8 +707,10 @@ func shardSetup(b *testing.B, cfg shard.Config) (*server.Client, graph.Time) {
 func BenchmarkShardSnapshot(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		client, last := shardSetup(b, shard.Config{})
-		if _, err := client.Snapshot(last/2, "", false); err != nil {
-			b.Fatal(err) // warm every partition's cache
+		for range 2 { // warm every cache: the merged level admits on the second request
+			if _, err := client.Snapshot(last/2, "", false); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
@@ -893,8 +895,10 @@ func replicatedSetup(b *testing.B, cfg shard.Config) (*server.Client, graph.Time
 func BenchmarkReplicatedSnapshot(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		client, last := replicatedSetup(b, shard.Config{})
-		if _, err := client.Snapshot(last/2, "", false); err != nil {
-			b.Fatal(err) // warm the merged-response cache
+		for range 2 { // warm the merged-response cache, which admits on the second request
+			if _, err := client.Snapshot(last/2, "", false); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
@@ -1143,8 +1147,10 @@ func BenchmarkWorkerEncodedCacheHit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := client.Snapshot(last, "+node:all+edge:all", true); err != nil {
-			b.Fatal(err) // warm both caches
+		for range 2 { // warm both caches: the encoded level admits on the second request
+			if _, err := client.Snapshot(last, "+node:all+edge:all", true); err != nil {
+				b.Fatal(err)
+			}
 		}
 		encodesBefore := svc.Encodes()
 		b.ReportAllocs()
@@ -1276,8 +1282,10 @@ func BenchmarkShardedDegreeDist(b *testing.B) {
 	ctx := context.Background()
 	b.Run("cached", func(b *testing.B) {
 		client, last := shardSetup(b, shard.Config{})
-		if _, err := client.AnalyticsDegreeCtx(ctx, last/2, ""); err != nil {
-			b.Fatal(err)
+		for range 2 { // the merged level admits on the second request
+			if _, err := client.AnalyticsDegreeCtx(ctx, last/2, ""); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {

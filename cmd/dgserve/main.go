@@ -79,7 +79,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8086", "listen address")
 	store := flag.String("store", "", "index path prefix; loads an existing checkpoint if present, else creates")
-	cacheSize := flag.Int("cache", server.DefaultCacheSize, "hot-snapshot cache capacity (0 disables); in coordinator role, the merged-response cache capacity")
+	cacheSize := flag.Int("cache", server.DefaultCacheSize, "hot-snapshot cache capacity (0 disables); in coordinator role, the merged-response cache capacity (a body is admitted on its key's second request)")
 	leafSize := flag.Int("L", 0, "leaf eventlist size (new index only)")
 	arity := flag.Int("k", 0, "DeltaGraph arity (new index only)")
 	partitions := flag.Int("partitions", 0, "storage partitions (new index only); in -shard coordinator mode, expected number of peer groups")
@@ -90,7 +90,7 @@ func main() {
 	replicas := flag.Int("replicas", 0, "expected replicas per partition (coordinator role only; validates -peers)")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "replica health-check period (coordinator role only; 0 disables)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "max age of a merged-response cache entry (coordinator role only; 0 keeps entries until an append through this coordinator invalidates them — set when writers can reach partition primaries directly)")
-	encCache := flag.Int("enc-cache", server.DefaultEncodedCacheSize, "encoded-bytes cache capacity: fully encoded /snapshot bodies served with zero re-encode on a hit (0 disables; worker/single role only; stays empty behind a coordinator with -cache > 0, whose /snapshot legs ask no-store)")
+	encCache := flag.Int("enc-cache", server.DefaultEncodedCacheSize, "encoded-bytes cache capacity: fully encoded /snapshot bodies, admitted on a key's second request, served with zero re-encode on a hit (0 disables; worker/single role only; stays empty behind a coordinator with -cache > 0, whose /snapshot legs ask no-store)")
 	csrCache := flag.Int("csr-cache", server.DefaultCSRCacheSize, "materialized CSR snapshot cache capacity for the /analytics scan path (0 disables; worker/single role only)")
 	walDir := flag.String("wal-dir", "", "directory for the durable write-ahead event log; enables WAL durability and the replication endpoints")
 	primary := flag.String("primary", "", "base URL of this replica's primary; makes the node a follower tailing that WAL (requires -wal-dir)")

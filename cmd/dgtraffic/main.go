@@ -35,8 +35,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -212,6 +214,13 @@ func printSummary(res *loadgen.Result) {
 			}
 			fmt.Printf("server /metrics: %d 2xx requests vs %d client-measured (%s); server-side p50 %.2fms p99 %.2fms\n",
 				sc.Requests2xx, sc.ClientMeasured, state, sc.P50Ms, sc.P99Ms)
+			for _, level := range slices.Sorted(maps.Keys(sc.Caches)) {
+				fmt.Printf("cache %-7s", level)
+				for _, family := range slices.Sorted(maps.Keys(sc.Caches[level])) {
+					fmt.Printf(" %s %d", family, sc.Caches[level][family])
+				}
+				fmt.Println()
+			}
 		} else {
 			fmt.Printf("server /metrics: not scraped (%s)\n", sc.Note)
 		}

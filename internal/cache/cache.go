@@ -17,6 +17,9 @@
 //     predate events the pass already declared visible.
 //   - An optional TTL bounds how old a served entry can be, checked when
 //     the entry is read.
+//   - An optional second-request rule (Options.SecondRequest) admits a
+//     value only once its key has missed twice: a value read once never
+//     takes a slot from one read twice.
 //
 // A nil *Cache is a disabled cache: lookups miss, inserts are refused,
 // invalidation is a no-op. Call sites need no "is caching on" branch.
@@ -35,8 +38,8 @@ import (
 // Levels holds the dg_cache_* metric families every cache level of one
 // process reports under, labelled by level name.
 type Levels struct {
-	hits, misses, evictions *metrics.CounterVec
-	entries, capacity       *metrics.GaugeVec
+	hits, misses, evictions, refused *metrics.CounterVec
+	entries, capacity                *metrics.GaugeVec
 }
 
 // NewLevels registers the cache metric families on reg.
@@ -45,6 +48,7 @@ func NewLevels(reg *metrics.Registry) Levels {
 		hits:      reg.CounterVec("dg_cache_hits_total", "Cache hits by cache level.", "cache"),
 		misses:    reg.CounterVec("dg_cache_misses_total", "Cache misses by cache level.", "cache"),
 		evictions: reg.CounterVec("dg_cache_evictions_total", "Cache evictions by cache level.", "cache"),
+		refused:   reg.CounterVec("dg_cache_refused_total", "Values not admitted because their key had missed only once, by cache level (second-request levels only).", "cache"),
 		entries:   reg.GaugeVec("dg_cache_entries", "Resident entries by cache level.", "cache"),
 		capacity:  reg.GaugeVec("dg_cache_capacity", "Configured capacity by cache level.", "cache"),
 	}
@@ -71,6 +75,13 @@ type Options[V any] struct {
 	// OnEvict runs exactly once for every value that leaves the cache,
 	// whatever the reason.
 	OnEvict func(V)
+	// SecondRequest makes Admit refuse a value whose key has missed only
+	// once. Every counted miss is remembered by key, without a value, for
+	// the last capacity keys that missed; a key that misses again while
+	// remembered — later, or concurrently with the first — is admitted. A
+	// level whose values are cheap to recompute but large to hold (encoded
+	// bodies) so keeps only what was asked for twice.
+	SecondRequest bool
 }
 
 // Entry is one value and what the policy needs to know about it.
@@ -102,14 +113,24 @@ type Stats struct {
 
 // Cache is a mutex-guarded LRU under the package policy.
 type Cache[V any] struct {
-	capacity                int
-	opt                     Options[V]
-	hits, misses, evictions *metrics.Counter
+	capacity                         int
+	opt                              Options[V]
+	hits, misses, evictions, refused *metrics.Counter
 
 	mu      sync.Mutex
 	entries map[string]*list.Element // values are *slot[V]
 	lru     *list.List               // front = most recently used
 	gen     int64                    // invalidation passes so far
+	// seen remembers the keys that missed, the least recent at the back of
+	// seenOrder (SecondRequest only).
+	seen      map[string]*list.Element // values are *missed
+	seenOrder *list.List
+}
+
+// missed is a remembered key and whether it missed more than once.
+type missed struct {
+	key   string
+	again bool
 }
 
 // New builds the cache level called name and registers its series on lv.
@@ -126,6 +147,10 @@ func New[V any](lv Levels, name string, size, def int, opt Options[V]) *Cache[V]
 		hits: lv.hits.With(name), misses: lv.misses.With(name), evictions: lv.evictions.With(name),
 		entries: make(map[string]*list.Element),
 		lru:     list.New(),
+	}
+	if opt.SecondRequest {
+		c.refused = lv.refused.With(name)
+		c.seen, c.seenOrder = make(map[string]*list.Element), list.New()
 	}
 	lv.entries.Func(func() float64 { return float64(c.Len()) }, name)
 	lv.capacity.With(name).Set(float64(size))
@@ -154,9 +179,26 @@ func (c *Cache[V]) get(key string, count bool) (v V, ok bool) {
 			c.hits.Inc()
 		} else {
 			c.misses.Inc()
+			c.rememberLocked(key)
 		}
 	}
 	return v, ok
+}
+
+// rememberLocked notes a counted miss of key for Admit (SecondRequest only).
+func (c *Cache[V]) rememberLocked(key string) {
+	if c.seen == nil {
+		return
+	}
+	if elem, ok := c.seen[key]; ok {
+		elem.Value.(*missed).again = true
+		c.seenOrder.MoveToFront(elem)
+		return
+	}
+	c.seen[key] = c.seenOrder.PushFront(&missed{key: key})
+	if c.seenOrder.Len() > c.capacity {
+		delete(c.seen, c.seenOrder.Remove(c.seenOrder.Back()).(*missed).key)
+	}
 }
 
 // liveLocked returns key's entry, refreshed as most recently used, or nil
@@ -189,6 +231,30 @@ func (c *Cache[V]) Gen() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.gen
+}
+
+// Admit reports whether a value for key, about to be computed for Insert
+// after a Get missed, should be. It always is, except under SecondRequest:
+// there only a key that missed twice while remembered is admitted (and
+// forgotten). Only the last capacity keys that missed are remembered, so a
+// key asked for again after that many others is refused again. A nil cache
+// admits nothing.
+func (c *Cache[V]) Admit(key string) bool {
+	if c == nil {
+		return false
+	}
+	if c.seen == nil {
+		return true
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if elem, ok := c.seen[key]; ok && elem.Value.(*missed).again {
+		c.seenOrder.Remove(elem)
+		delete(c.seen, key)
+		return true
+	}
+	c.refused.Inc()
+	return false
 }
 
 // Insert registers e under key unless an invalidation pass ran since gen

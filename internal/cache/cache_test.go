@@ -223,6 +223,69 @@ func TestOnHitRefusal(t *testing.T) {
 	}
 }
 
+// TestSecondRequest: under SecondRequest a value is admitted only once its
+// key has missed twice while remembered — later or concurrently — and only
+// the last capacity keys that missed are remembered. Without the option
+// every value is admitted.
+func TestSecondRequest(t *testing.T) {
+	const size = 3
+	c := New(NewLevels(metrics.NewRegistry()), "t", size, size, Options[string]{SecondRequest: true})
+	miss := func(key string) bool {
+		t.Helper()
+		if _, ok := c.Get(key); ok {
+			t.Fatalf("%s: unexpected hit", key)
+		}
+		return c.Admit(key)
+	}
+	if miss("a") {
+		t.Error("a value was admitted on its key's first miss")
+	}
+	if !miss("a") {
+		t.Error("a value was refused on its key's second miss")
+	}
+	c.Insert("a", Entry[string]{At: 1, Value: "a"}, c.Gen())
+	if v, ok := c.Get("a"); !ok || v != "a" {
+		t.Errorf("third request = %q, %v; want the admitted value", v, ok)
+	}
+
+	// Two requests that miss before either computes its value: the second
+	// one is the first's repeat.
+	c.Get("b")
+	c.Get("b")
+	if !c.Admit("b") {
+		t.Error("concurrent duplicate misses were refused")
+	}
+	if c.Admit("b") {
+		t.Error("an admission did not forget its key")
+	}
+
+	// An admitted key, once invalidated, starts over.
+	c.InvalidateFrom(0)
+	if miss("a") {
+		t.Error("an invalidated key was admitted on its next first miss")
+	}
+
+	// Remembered keys are bounded by the capacity, least recent out first.
+	for _, k := range []string{"c", "d", "e"} {
+		miss(k)
+	}
+	if miss("a") {
+		t.Error("a key pushed out by capacity newer misses was still remembered")
+	}
+	if n := len(c.seen); n != size {
+		t.Errorf("%d keys remembered, want %d", n, size)
+	}
+	// Refusals: a, b (the second Admit), a, c, d, e, a.
+	if got := c.refused.Value(); got != 7 {
+		t.Errorf("refused = %d, want 7", got)
+	}
+
+	plain := New(NewLevels(metrics.NewRegistry()), "t", size, size, Options[string]{})
+	if !plain.Admit("x") {
+		t.Error("a level without SecondRequest refused a first request")
+	}
+}
+
 // TestNilCacheIsInert: a disabled level needs no branch at its call sites.
 func TestNilCacheIsInert(t *testing.T) {
 	reg := metrics.NewRegistry()
@@ -238,6 +301,9 @@ func TestNilCacheIsInert(t *testing.T) {
 	}
 	if _, ok := c.Insert("k", Entry[string]{Value: "v"}, c.Gen()); ok {
 		t.Error("nil cache accepted an insert")
+	}
+	if c.Admit("k") {
+		t.Error("nil cache admitted a value")
 	}
 	if n := c.InvalidateFrom(0); n != 0 {
 		t.Errorf("nil cache invalidated %d", n)
@@ -258,7 +324,7 @@ func TestNilCacheIsInert(t *testing.T) {
 // TestConcurrentUse drives every entry point from several goroutines for
 // the race detector; the only invariant checked is the capacity bound.
 func TestConcurrentUse(t *testing.T) {
-	c := New(NewLevels(metrics.NewRegistry()), "t", 8, 8, Options[int]{TTL: time.Hour, OnEvict: func(int) {}})
+	c := New(NewLevels(metrics.NewRegistry()), "t", 8, 8, Options[int]{TTL: time.Hour, OnEvict: func(int) {}, SecondRequest: true})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -266,7 +332,7 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k%d", (g+i)%24)
-				if _, ok := c.Get(key); !ok {
+				if _, ok := c.Get(key); !ok && c.Admit(key) {
 					c.Insert(key, Entry[int]{At: graph.Time(i), DepCur: i%7 == 0, Value: i}, c.Gen())
 				}
 				switch {

@@ -88,7 +88,12 @@ type ServerCheck struct {
 	// number an operator's dashboard would show for the same window.
 	P50Ms float64 `json:"p50_ms,omitempty"`
 	P99Ms float64 `json:"p99_ms,omitempty"`
-	Note  string  `json:"note,omitempty"`
+	// Caches holds the target's dg_cache_* series by level (the
+	// coordinator's merged and flight levels behind a launched cluster),
+	// then by family without its prefix and _total ("hits", "refused",
+	// "entries", …), warmup included: the run's cache verdict.
+	Caches map[string]map[string]int64 `json:"caches,omitempty"`
+	Note   string                      `json:"note,omitempty"`
 }
 
 // Result is one run's artifact. It marshals to the JSON file
@@ -772,7 +777,17 @@ func scrapeCheck(ctx context.Context, hc *http.Client, target string, endpoints 
 		sum uint64
 	}
 	leSums := map[float64]uint64{}
+	check.Caches = map[string]map[string]int64{}
 	for _, s := range samples {
+		if family, ok := strings.CutPrefix(s.Name, "dg_cache_"); ok {
+			level := check.Caches[s.Labels["cache"]]
+			if level == nil {
+				level = map[string]int64{}
+				check.Caches[s.Labels["cache"]] = level
+			}
+			level[strings.TrimSuffix(family, "_total")] = int64(s.Value)
+			continue
+		}
 		switch s.Name {
 		case "dg_http_requests_total":
 			if driven[s.Labels["endpoint"]] && strings.HasPrefix(s.Labels["code"], "2") {

@@ -94,6 +94,11 @@ func TestRunE2E(t *testing.T) {
 	if res.Server.P99Ms <= 0 {
 		t.Errorf("server-side p99 not extracted: %+v", res.Server)
 	}
+	// Every /snapshot probes the encoded level, and the first read of each
+	// timepoint is refused there.
+	if enc := res.Server.Caches["encoded"]; enc["hits"]+enc["misses"] < res.Endpoints["snapshot"].Count || enc["refused"] == 0 {
+		t.Errorf("encoded-level counters not extracted: %+v", enc)
+	}
 	if err := res.GateErrors(); err != nil {
 		t.Errorf("gate failed: %v", err)
 	}

@@ -207,7 +207,11 @@ func TestReplicatedClusterOracle(t *testing.T) {
 		PollWait: 250 * time.Millisecond,
 	})
 	waitCaughtUp(t, followers[0].url, primarySeq)
-	compare("after worker restart", last/3, last*2/3, last)
+	// Fresh timepoints, as after the failover below: a second request for
+	// one asked before is where both deployments admit its body, and the
+	// cached flag of that answer comes from views the restart dropped on
+	// one side only.
+	compare("after worker restart", last/3, last*2/3, last-1)
 
 	// (b) Kill a primary, then keep appending: the coordinator promotes
 	// the (fully caught-up) follower and the append lands without a

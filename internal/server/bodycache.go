@@ -13,8 +13,10 @@ import (
 // coordinator's "merged" — together with the one way either role answers
 // through it: a hit is a single Write of the stored bytes, a miss is
 // encoded, written, and admitted in the form a later hit should replay.
-// A nil Cache is a disabled level: hits miss, nothing is admitted, and no
-// hit form is encoded for it.
+// Both levels are built with cache.Options.SecondRequest, so a body is
+// admitted on its key's second request: a body read once is never held,
+// and no hit form is encoded for it. A nil Cache is a disabled level: hits
+// miss, nothing is admitted, and no hit form is encoded for it.
 type BodyCache struct {
 	*cache.Cache[cache.Body]
 	// Encodes counts body encode executions; a hit performs none, and
@@ -45,12 +47,12 @@ func (bc BodyCache) WriteHit(w http.ResponseWriter, key string) bool {
 	return ok
 }
 
-// Write answers 200 with v encoded by codec and then, unless key is empty,
-// admits the response under key at generation gen; e carries the entry's
-// invalidation facts and its Value is filled in here. hit is the form a
-// later hit answers with when that differs from v (the Cached flag flips
-// on) and costs one more encode, once per key per invalidation epoch; nil
-// stores the served bytes themselves.
+// Write answers 200 with v encoded by codec and then, unless key is empty
+// or this is its first request, admits the response under key at
+// generation gen; e carries the entry's invalidation facts and its Value
+// is filled in here. hit is the form a later hit answers with when that
+// differs from v (the Cached flag flips on) and costs one more encode,
+// once per admission; nil stores the served bytes themselves.
 func (bc BodyCache) Write(w http.ResponseWriter, codec wire.Codec, v, hit any, key string, e cache.Entry[cache.Body], gen int64) {
 	bc.Encodes.Inc()
 	body, err := codec.Encode(v)
@@ -63,7 +65,7 @@ func (bc BodyCache) Write(w http.ResponseWriter, codec wire.Codec, v, hit any, k
 	w.Header().Set("Content-Type", codec.ContentType())
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
-	if key == "" || bc.Cache == nil {
+	if key == "" || !bc.Admit(key) {
 		return
 	}
 	if hit != nil {
@@ -80,18 +82,18 @@ func (bc BodyCache) Write(w http.ResponseWriter, codec wire.Codec, v, hit any, k
 
 // Stream commits w to a 200 chunked snapshot-stream response and returns
 // its encoder, which cuts runs of runSize elements and flushes each to
-// the client as it fills. Unless key is empty the stream's bytes are
-// captured on the way out, and admit — to be called once the summary
-// frame is written, with the entry's invalidation facts — registers them
-// under key. A stream hit replays the stored body as it was served (no
-// Cached flip: re-streaming a variant would cost the very encode the
-// cache exists to skip).
+// the client as it fills. Unless key is empty or this is its first
+// request, the stream's bytes are captured on the way out, and admit — to
+// be called once the summary frame is written, with the entry's
+// invalidation facts — registers them under key. A stream hit replays
+// the stored body as it was served (no Cached flip: re-streaming a
+// variant would cost the very encode the cache exists to skip).
 func (bc BodyCache) Stream(w http.ResponseWriter, runSize int, key string) (se *wire.StreamEncoder, admit func(e cache.Entry[cache.Body], gen int64)) {
 	w.Header().Set("Content-Type", wire.ContentTypeBinaryStream)
 	w.WriteHeader(http.StatusOK)
 	var sink io.Writer = w
 	admit = func(cache.Entry[cache.Body], int64) {}
-	if key != "" && bc.Cache != nil {
+	if key != "" && bc.Admit(key) {
 		capture := &cappedBuffer{}
 		sink = io.MultiWriter(w, capture)
 		admit = func(e cache.Entry[cache.Body], gen int64) {

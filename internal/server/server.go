@@ -29,7 +29,8 @@ type Config struct {
 	// EncodedCacheSize is the capacity of the encoded-bytes cache: fully
 	// encoded /snapshot bodies kept per (timepoint, attrs, full,
 	// encoding), so a hot-timepoint hit is a single write with zero
-	// encode work. 0 picks the default (64); negative disables it.
+	// encode work. A body is admitted on its key's second request.
+	// 0 picks the default (64); negative disables it.
 	EncodedCacheSize int
 	// CSRCacheSize is the capacity of the materialized-CSR cache the
 	// /analytics scan path reads (one entry per timepoint+attrs, built
@@ -116,7 +117,7 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 	s.flights.Hits, s.flights.Misses = lv.Flight()
 	s.cache = newSnapCache(lv, cfg.CacheSize)
 	s.enc = BodyCache{
-		Cache:   cache.New(lv, "encoded", cfg.EncodedCacheSize, DefaultEncodedCacheSize, cache.Options[cache.Body]{}),
+		Cache:   cache.New(lv, "encoded", cfg.EncodedCacheSize, DefaultEncodedCacheSize, cache.Options[cache.Body]{SecondRequest: true}),
 		Encodes: reg.Counter("dg_encodes_total", "Snapshot response-body encode executions."),
 	}
 	s.an.csr = cache.New(lv, "csr", cfg.CSRCacheSize, DefaultCSRCacheSize, cache.Options[*csr.Graph]{})

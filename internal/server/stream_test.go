@@ -113,10 +113,10 @@ func TestStreamContentTypeNegotiation(t *testing.T) {
 	}
 }
 
-// TestEncodedCacheHitZeroEncode: the second identical request is served
+// TestEncodedCacheHitZeroEncode: the third identical request is served
 // from the encoded-bytes cache — no view work, no encode execution, and
-// the body says Cached. The worker-side analogue of
-// TestCoordinatorCacheHitZeroEncode.
+// the body says Cached. The first request is not admitted and the second
+// is. The worker-side analogue of TestCoordinatorCacheHitZeroEncode.
 func TestEncodedCacheHitZeroEncode(t *testing.T) {
 	gm := newTestManager(t)
 	svc, client := newTestServer(t, gm, Config{})
@@ -126,8 +126,10 @@ func TestEncodedCacheHitZeroEncode(t *testing.T) {
 		if _, err := client.SetWire(wireName); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := client.Snapshot(mid, "", true); err != nil {
-			t.Fatal(err)
+		for range 2 {
+			if _, err := client.Snapshot(mid, "", true); err != nil {
+				t.Fatal(err)
+			}
 		}
 		before := svc.Encodes()
 		snap, err := client.Snapshot(mid, "", true)
@@ -150,9 +152,10 @@ func TestEncodedCacheHitZeroEncode(t *testing.T) {
 
 // TestNoStoreServedNotAdmitted: a request carrying Cache-Control: no-store
 // is answered with the bytes an ordinary miss answers with, at one encode
-// and with nothing admitted; a later plain read misses, admits, and then
-// hits with Encodes flat. The probe still runs for a no-store request, so
-// a body admitted by a plain read serves it too.
+// and with nothing admitted; a later plain read misses, admits (the no-store
+// read was the key's first request), and then hits with Encodes flat. The
+// probe still runs for a no-store request, so a body admitted by a plain
+// read serves it too.
 func TestNoStoreServedNotAdmitted(t *testing.T) {
 	gm := newTestManager(t)
 	mid := strconv.FormatInt(int64(gm.LastTime()/2), 10)
@@ -204,8 +207,9 @@ func TestNoStoreServedNotAdmitted(t *testing.T) {
 
 // TestAdmittedBodyIsExactSize: an encoded body enters the cache at its
 // length, whole message or captured stream — the encoder's buffer grew by
-// appending, and its slack would be held for as long as the body is. A hit
-// serves the admitted bytes.
+// appending, and its slack would be held for as long as the body is. A
+// first request admits nothing, the second admits, and a hit serves the
+// admitted bytes.
 func TestAdmittedBodyIsExactSize(t *testing.T) {
 	gm := newTestManager(t)
 	at := gm.LastTime() / 2
@@ -228,13 +232,17 @@ func TestAdmittedBodyIsExactSize(t *testing.T) {
 			return body
 		}
 		get()
+		if n := svc.enc.Len(); n != 0 {
+			t.Fatalf("%s: a first request admitted %d bodies", accept, n)
+		}
+		get()
 		name := wire.Negotiate(accept).Name()
 		if accept == wire.ContentTypeBinaryStream {
 			name = wire.NameBinaryStream
 		}
 		body, ok := svc.enc.Get(encKey(at, "", true, name))
 		if !ok {
-			t.Fatalf("%s: a plain miss admitted nothing", accept)
+			t.Fatalf("%s: a second plain miss admitted nothing", accept)
 		}
 		if len(body.Bytes) == 0 || cap(body.Bytes) != len(body.Bytes) {
 			t.Errorf("%s: admitted body has length %d and capacity %d", accept, len(body.Bytes), cap(body.Bytes))
@@ -263,6 +271,8 @@ func TestEncodedCacheInvalidation(t *testing.T) {
 		return snap
 	}
 	warm(early)
+	warm(early)
+	warm(late)
 	warm(late)
 	preLate := warm(late)
 	steady := svc.Encodes()

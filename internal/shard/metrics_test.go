@@ -58,7 +58,8 @@ func sampleValue(samples []metrics.Sample, name string, labels map[string]string
 
 // TestClusterMetricsExposition: scrape a live 2-partition cluster and
 // assert the tentpole series exist and move — coordinator fan-outs and
-// per-leg activity after a query, a merged-cache hit after a repeat, and
+// per-leg activity after a query, a refused first request and a
+// merged-cache hit after two repeats, and
 // worker-side request and view-cache series after the legs land.
 func TestClusterMetricsExposition(t *testing.T) {
 	events := testEvents()
@@ -67,11 +68,10 @@ func TestClusterMetricsExposition(t *testing.T) {
 	t.Cleanup(front.Close)
 	mid := events[len(events)-1].At / 2
 
-	if _, err := c.client.Snapshot(mid, "+node:all", true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.client.Snapshot(mid, "+node:all", true); err != nil {
-		t.Fatal(err)
+	for range 3 { // refused, admitted, hit
+		if _, err := c.client.Snapshot(mid, "+node:all", true); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Analytics traffic: a repeated degree scan (second run hits the
@@ -95,6 +95,9 @@ func TestClusterMetricsExposition(t *testing.T) {
 	mergedHits, ok := sampleValue(co, "dg_cache_hits_total", map[string]string{"cache": "merged"})
 	if !ok || mergedHits < 1 {
 		t.Fatalf(`dg_cache_hits_total{cache="merged"} = %v, %v; want >= 1 (repeat query missed the merged cache)`, mergedHits, ok)
+	}
+	if refused, ok := sampleValue(co, "dg_cache_refused_total", map[string]string{"cache": "merged"}); !ok || refused < 1 {
+		t.Fatalf(`dg_cache_refused_total{cache="merged"} = %v, %v; want >= 1 (the first query was admitted)`, refused, ok)
 	}
 	for part := 0; part < 2; part++ {
 		p := strconv.Itoa(part)

@@ -121,8 +121,9 @@ func partialOf(t *testing.T, body []byte) []json.RawMessage {
 
 // TestCoordinatorReadCore drives the one coordinator read path through
 // every endpoint that is built on it, asserting the same five observable
-// steps for each: a miss fans out once; a repeat is a merged-response hit
-// with no fan-out and no encode; concurrent identical requests coalesce
+// steps for each: a miss fans out once; the second request fans out and
+// admits, and the third is a merged-response hit with no fan-out and no
+// encode; concurrent identical requests coalesce
 // onto one fan-out; one dead partition yields a partial answer that is not
 // cached; every partition dead yields the all-failed error. /interval and
 // /expr share the scatter→merge half only, so the cache steps are asserted
@@ -190,7 +191,17 @@ func TestCoordinatorReadCore(t *testing.T) {
 				annotated("miss", "")
 			}
 
-			// 2. A repeat is a merged-response hit: no fan-out, no encode.
+			// 2. The first request is not admitted, so the second fans out
+			// again and admits; the third is a merged-response hit: no
+			// fan-out, no encode.
+			admitted := first
+			if ep.cached {
+				admitted = mustGet("admit", t1)
+				annotated("admit", "cache=miss")
+				if got := c.co.Fanouts(); got != 2 {
+					t.Fatalf("admit: %d fan-outs, want 2", got)
+				}
+			}
 			encodes := c.co.Encodes()
 			again := mustGet("repeat", t1)
 			switch {
@@ -201,14 +212,16 @@ func TestCoordinatorReadCore(t *testing.T) {
 				}
 			default:
 				annotated("repeat", "cache=merged-hit")
-				if c.co.Fanouts() != 1 || c.co.Encodes() != encodes {
-					t.Fatalf("repeat did work: fan-outs %d (want 1), encodes %d -> %d", c.co.Fanouts(), encodes, c.co.Encodes())
+				if c.co.Fanouts() != 2 || c.co.Encodes() != encodes {
+					t.Fatalf("repeat did work: fan-outs %d (want 2), encodes %d -> %d", c.co.Fanouts(), encodes, c.co.Encodes())
 				}
-				if ep.marked != bytes.Contains(again, []byte(`"cached":true`)) {
-					t.Fatalf("repeat marked=%v, want %v: %.300s", !ep.marked, ep.marked, again)
+				// An unmarked hit replays the admitted bytes, which carry the
+				// workers' view-cache verdicts of the admitting request.
+				if ep.marked && !bytes.Contains(again, []byte(`"cached":true`)) {
+					t.Fatalf("repeat not marked cached: %.300s", again)
 				}
-				if !ep.marked && !bytes.Equal(again, first) {
-					t.Fatalf("unmarked hit is not the served bytes:\n%.300s\n%.300s", again, first)
+				if !ep.marked && !bytes.Equal(again, admitted) {
+					t.Fatalf("unmarked hit is not the admitted bytes:\n%.300s\n%.300s", again, admitted)
 				}
 			}
 
@@ -343,9 +356,10 @@ func TestOversizedMergedBodyNotRetained(t *testing.T) {
 // TestMergedLevelKeepsTheOnlyCopy: while the coordinator's merged level is
 // on, its /snapshot legs, whole-message and streamed, are sent no-store,
 // so each leg costs its worker one encode and no worker holds an encoded
-// body; a repeat is a merged hit with no fan-out. With the merged level off
-// the workers' encoded level is the only one on the path: it admits, and a
-// repeat costs the workers no encode.
+// body; the third request for a time is a merged hit with no fan-out. With
+// the merged level off the workers' encoded level is the only one on the
+// path: it admits on the second request, and the third costs the workers
+// no encode.
 func TestMergedLevelKeepsTheOnlyCopy(t *testing.T) {
 	events := testEvents()
 	_, last := events.Span()
@@ -395,6 +409,7 @@ func TestMergedLevelKeepsTheOnlyCopy(t *testing.T) {
 		if n := workerEntries(c); n != 0 {
 			t.Fatalf("%s: workers hold %d encoded bodies behind a merged level", accept, n)
 		}
+		snapshot(c, at(i*k+1), accept) // the second request admits
 		fanouts, encodes := c.co.Fanouts(), workerEncodes(c)
 		snapshot(c, at(i*k+1), accept)
 		if c.co.Fanouts() != fanouts || workerEncodes(c) != encodes {
@@ -405,6 +420,7 @@ func TestMergedLevelKeepsTheOnlyCopy(t *testing.T) {
 	c = newCluster(t, events, 2, Config{CacheSize: -1})
 	for _, accept := range kinds {
 		snapshot(c, last/2, accept)
+		snapshot(c, last/2, accept)
 		encodes := workerEncodes(c)
 		snapshot(c, last/2, accept)
 		if workerEncodes(c) != encodes {
@@ -413,6 +429,48 @@ func TestMergedLevelKeepsTheOnlyCopy(t *testing.T) {
 	}
 	if n := workerEntries(c); n != 2*len(c.services) {
 		t.Fatalf("workers hold %d encoded bodies with the merged level off, want %d", n, 2*len(c.services))
+	}
+}
+
+// TestOneShotReadsHoldNoBodies: a scan that asks each timepoint once — the
+// shape of the repository benchmark's serve-mixed warm-up — leaves the
+// merged level empty, each read counted as refused, and costs one encode a
+// read (no hit form for a body that is not kept). Reading the scan again
+// admits it, up to the level's capacity.
+func TestOneShotReadsHoldNoBodies(t *testing.T) {
+	events := testEvents()
+	_, last := events.Span()
+	const n, capacity = 8, 4
+	c := newCluster(t, events, 2, Config{CacheSize: capacity})
+	scan := func() {
+		for i := 1; i <= n; i++ {
+			rawGET(t, fmt.Sprintf("%s/snapshot?t=%d", c.client.BaseURL(), last*historygraph.Time(i)/(n+1)))
+		}
+	}
+	scan()
+	if got := c.co.cache.Len(); got != 0 {
+		t.Fatalf("a one-shot scan of %d times left %d merged bodies, want 0", n, got)
+	}
+	if got := c.co.Encodes(); got != n {
+		t.Fatalf("a one-shot scan of %d times ran %d encodes, want %d", n, got, n)
+	}
+	co := scrape(t, c.client.BaseURL())
+	if refused, _ := sampleValue(co, "dg_cache_refused_total", map[string]string{"cache": "merged"}); refused != n {
+		t.Fatalf(`dg_cache_refused_total{cache="merged"} = %v, want %d`, refused, n)
+	}
+
+	// The level remembers only the last capacity keys that missed, so a
+	// second pass over twice that many finds each key forgotten: what it
+	// would evict before reuse it does not admit.
+	scan()
+	if got := c.co.cache.Len(); got != 0 {
+		t.Fatalf("a second scan wider than the level admitted %d bodies, want 0", got)
+	}
+	for i := 0; i < 2; i++ {
+		rawGET(t, fmt.Sprintf("%s/snapshot?t=%d", c.client.BaseURL(), last/2))
+	}
+	if got := c.co.cache.Len(); got != 1 {
+		t.Fatalf("a time read twice in a row left %d merged bodies, want 1", got)
 	}
 }
 

@@ -51,8 +51,9 @@ type Config struct {
 	// reported in the response's partial list. 0 picks
 	// DefaultPartitionTimeout.
 	PartitionTimeout time.Duration
-	// CacheSize is the merged-response LRU capacity. 0 picks the default
-	// (64); negative disables the coordinator cache.
+	// CacheSize is the merged-response LRU capacity; a body is admitted
+	// on its key's second request. 0 picks the default (64); negative
+	// disables the coordinator cache.
 	CacheSize int
 	// CacheTTL bounds the age of a merged-response cache entry. Appends
 	// routed through this coordinator invalidate the cache exactly, but an
@@ -227,7 +228,7 @@ func NewReplicated(peerSets [][]string, cfg Config) (*Coordinator, error) {
 	lv := cache.NewLevels(reg)
 	co.flights.Hits, co.flights.Misses = lv.Flight()
 	co.cache = server.BodyCache{
-		Cache:   cache.New(lv, "merged", cfg.CacheSize, DefaultCacheSize, cache.Options[cache.Body]{TTL: cfg.CacheTTL}),
+		Cache:   cache.New(lv, "merged", cfg.CacheSize, DefaultCacheSize, cache.Options[cache.Body]{TTL: cfg.CacheTTL, SecondRequest: true}),
 		Encodes: reg.Counter("dg_encodes_total", "Merged-response body encode executions."),
 	}
 	var sets []*replicaSet

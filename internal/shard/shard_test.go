@@ -459,9 +459,9 @@ func TestShardCoalescing(t *testing.T) {
 	}
 }
 
-// TestCoordinatorCache: a repeat query at a hot timepoint is served from
-// the coordinator's merged-response LRU — no second fan-out — and an
-// append at or before that timepoint invalidates it.
+// TestCoordinatorCache: a query asked for a third time is served from the
+// coordinator's merged-response LRU — the second admitted it, so no third
+// fan-out — and an append at or before that timepoint invalidates it.
 func TestCoordinatorCache(t *testing.T) {
 	events := testEvents()
 	c := newCluster(t, events, 2, Config{})
@@ -476,19 +476,23 @@ func TestCoordinatorCache(t *testing.T) {
 	// history's end.
 	target := last
 
-	first, err := c.client.Snapshot(target, "", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.co.Fanouts(); got != 1 {
-		t.Fatalf("first query: %d fan-outs, want 1", got)
+	var first *wire.Snapshot
+	for n := int64(1); n <= 2; n++ { // refused, then admitted
+		snap, err := c.client.Snapshot(target, "", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.co.Fanouts(); got != n {
+			t.Fatalf("query %d: %d fan-outs, want %d", n, got, n)
+		}
+		first = snap
 	}
 	again, err := c.client.Snapshot(target, "", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.co.Fanouts(); got != 1 {
-		t.Fatalf("repeat query re-scattered: %d fan-outs, want 1", got)
+	if got := c.co.Fanouts(); got != 2 {
+		t.Fatalf("repeat query re-scattered: %d fan-outs, want 2", got)
 	}
 	if !again.Cached {
 		t.Fatal("repeat query not marked cached")
@@ -499,8 +503,10 @@ func TestCoordinatorCache(t *testing.T) {
 
 	// Batches are cached whole too.
 	ts := []historygraph.Time{last / 4, last / 3}
-	if _, err := c.client.Snapshots(ts, "", false); err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if _, err := c.client.Snapshots(ts, "", false); err != nil {
+			t.Fatal(err)
+		}
 	}
 	batchFanouts := c.co.Fanouts()
 	if _, err := c.client.Snapshots(ts, "", false); err != nil {
@@ -547,14 +553,16 @@ func TestCoordinatorCacheTTL(t *testing.T) {
 	}
 	target := last / 2
 
-	if _, err := c.client.Snapshot(target, "", false); err != nil {
-		t.Fatal(err)
+	for range 2 { // refused, then admitted
+		if _, err := c.client.Snapshot(target, "", false); err != nil {
+			t.Fatal(err)
+		}
 	}
 	hit, err := c.client.Snapshot(target, "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit.Cached || c.co.Fanouts() != 1 {
+	if !hit.Cached || c.co.Fanouts() != 2 {
 		t.Fatalf("pre-TTL repeat should be a cache hit (cached=%v, fanouts=%d)", hit.Cached, c.co.Fanouts())
 	}
 
@@ -565,8 +573,8 @@ func TestCoordinatorCacheTTL(t *testing.T) {
 	if _, err := c.client.Snapshot(target, "", false); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.co.Fanouts(); got != 2 {
-		t.Fatalf("expired entry should re-scatter: %d fan-outs, want 2", got)
+	if got := c.co.Fanouts(); got != 3 {
+		t.Fatalf("expired entry should re-scatter: %d fan-outs, want 3", got)
 	}
 }
 

@@ -63,9 +63,10 @@ func TestShardedStreamMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestStreamCoordinatorCacheHit: the merged stream body lands in the
-// coordinator cache; a repeat request replays it with no additional
-// fan-out and still assembles exactly.
+// TestStreamCoordinatorCacheHit: the merged stream body is not captured on
+// its first request and lands in the coordinator cache on its second; a
+// third request replays it with no additional fan-out and still assembles
+// exactly.
 func TestStreamCoordinatorCacheHit(t *testing.T) {
 	events := testEvents()
 	c := newCluster(t, events, 4, Config{})
@@ -73,9 +74,16 @@ func TestStreamCoordinatorCacheHit(t *testing.T) {
 	if _, err := c.client.SetWire("stream"); err != nil {
 		t.Fatal(err)
 	}
-	first, err := c.client.Snapshot(mid, "", true)
-	if err != nil {
-		t.Fatal(err)
+	var first *wire.Snapshot
+	for n := 1; n <= 2; n++ {
+		snap, err := c.client.Snapshot(mid, "", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.co.cache.Len(); got != n-1 {
+			t.Fatalf("after request %d the merged cache holds %d bodies, want %d", n, got, n-1)
+		}
+		first = snap
 	}
 	fanouts := c.co.Fanouts()
 	second, err := c.client.Snapshot(mid, "", true)

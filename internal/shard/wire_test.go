@@ -223,10 +223,14 @@ func TestCoordinatorCacheHitZeroEncode(t *testing.T) {
 	}
 	url := c.client.BaseURL() + fmt.Sprintf("/snapshot?t=%d&full=1", last/2)
 
-	rawGET(t, url) // miss: fan-out + encode + insert
+	rawGET(t, url) // first miss: fan-out + encode, nothing admitted
+	if encodes := c.co.Encodes(); encodes != 1 {
+		t.Fatalf("first miss ran %d encodes, want 1 (no hit form for a body not admitted)", encodes)
+	}
+	rawGET(t, url) // second miss: fan-out + encode + hit-form encode + insert
 	fanouts, encodes := c.co.Fanouts(), c.co.Encodes()
-	if encodes == 0 {
-		t.Fatal("miss did not count an encode")
+	if encodes != 3 {
+		t.Fatalf("an admitting miss brought encodes to %d, want 3", encodes)
 	}
 	hit := rawGET(t, url)
 	if c.co.Fanouts() != fanouts {
@@ -255,7 +259,8 @@ func TestCoordinatorCacheHitZeroEncode(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		return body
 	}
-	get() // binary miss (fan-out coalesced? no — distinct time window; it refans)
+	get() // binary misses: the second admits
+	get()
 	fanouts, encodes = c.co.Fanouts(), c.co.Encodes()
 	bhit := get()
 	if c.co.Fanouts() != fanouts || c.co.Encodes() != encodes {
