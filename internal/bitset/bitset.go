@@ -31,8 +31,8 @@ func (b *Bits) words() int {
 	return 1 + len(*b.rest)
 }
 
-// word returns word w of the bitmap (word 0 is bits 0–63; 0 beyond the last).
-func (b *Bits) word(w int) uint64 {
+// Word returns word w of the bitmap (word 0 is bits 0–63; 0 beyond the last).
+func (b *Bits) Word(w int) uint64 {
 	if w == 0 {
 		return b.first
 	}
@@ -75,7 +75,7 @@ func (b *Bits) Get(i int) bool {
 	if i < wordBits {
 		return b.first&(1<<i) != 0
 	}
-	return b.word(i/wordBits)&(1<<(i%wordBits)) != 0
+	return b.Word(i/wordBits)&(1<<(i%wordBits)) != 0
 }
 
 // SetTo sets bit i to v.
@@ -101,7 +101,7 @@ func (b *Bits) AnyExcept(except ...int) bool {
 
 func (b *Bits) anyExcept(mask *Bits) bool {
 	for w := range b.words() {
-		if b.word(w)&^mask.word(w) != 0 {
+		if b.Word(w)&^mask.Word(w) != 0 {
 			return true
 		}
 	}
@@ -117,7 +117,7 @@ func (b *Bits) AndNot(mask *Bits) {
 	}
 	var left uint64
 	for i := range *b.rest {
-		(*b.rest)[i] &^= mask.word(i + 1)
+		(*b.rest)[i] &^= mask.Word(i + 1)
 		left |= (*b.rest)[i]
 	}
 	if left == 0 {
@@ -129,7 +129,7 @@ func (b *Bits) AndNot(mask *Bits) {
 func (b *Bits) Count() int {
 	n := 0
 	for w := range b.words() {
-		n += bits.OnesCount64(b.word(w))
+		n += bits.OnesCount64(b.Word(w))
 	}
 	return n
 }
@@ -168,7 +168,7 @@ func (b *Bits) String() string {
 	var sb strings.Builder
 	sb.WriteByte('{')
 	for wi := range b.words() {
-		for w := b.word(wi); w != 0; w &= w - 1 {
+		for w := b.Word(wi); w != 0; w &= w - 1 {
 			if sb.Len() > 1 {
 				sb.WriteByte(',')
 			}

@@ -726,6 +726,7 @@ func TestReopenDifferential(t *testing.T) {
 				for _, mat := range []bool{false, true} {
 					name := fmt.Sprintf("k%d/L%d/live=%v/mat=%v", arity, leaf, live, mat)
 					t.Run(name, func(t *testing.T) {
+						t.Parallel()
 						held := len(events) - 2*leaf - leaf/2
 						path := filepath.Join(t.TempDir(), "index")
 						fs := openFileStore(t, path)

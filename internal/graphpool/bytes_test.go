@@ -3,8 +3,10 @@ package graphpool
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"historygraph/internal/graph"
 )
@@ -114,13 +116,16 @@ func TestApproxBytesTracksHeap(t *testing.T) {
 // TestPoolBytesPerElement is the golden cost behind heap_live_mb, as
 // TestGoldenCheckpointBytes is behind durable_bytes_per_event: what a node
 // with ten attributes and what a bare edge cost on the heap, measured, under
-// ceilings a layout regression breaks (525 B and 102 B when they were set). The
-// bytes of the value strings are the events' own and not in the measure.
-// With a map of one-element slices of pointers to 48-byte values per element
-// and every bitmap word allocated apart, the same measurement read 1 510 B
-// a node and 153 B an edge; with the adjacency lists in a map of their own,
-// growing by doubling, and an empty attribute-list header on every edge,
-// 501 B and 143 B.
+// ceilings a layout regression breaks, a tenth above the 429 B and 86 B
+// measured when they were set. The bytes of the value strings are the
+// events' own and not in the measure. With a map of one-element slices of pointers to
+// 48-byte values per element and every bitmap word allocated apart, the same
+// measurement read 1 510 B a node and 153 B an edge; with the adjacency lists
+// in a map of their own, growing by doubling, and an empty attribute-list
+// header on every edge, 501 B and 143 B; with the adjacency on the node
+// record, 525 B and 102 B, when a bitmap was a bitset.Bits (16 B, its words
+// past bit 63 behind a pointer), an attribute value 40 B and an edge record
+// 48 B, the id's values on it.
 func TestPoolBytesPerElement(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	nodes, edges := shapeNodeEvents(rng), shapeEdgeEvents(rng)
@@ -135,7 +140,7 @@ func TestPoolBytesPerElement(t *testing.T) {
 	perNode := float64(heapGrowth(apply(nodes), nodes, edges)) / shapeNodes
 	perEdge := float64(heapGrowth(apply(edges), edges)) / shapeEdges
 	t.Logf("%.0f B per node with %d attributes, %.0f B per bare edge", perNode, shapeAttrs, perEdge)
-	const nodeCeiling, edgeCeiling = 550, 110
+	const nodeCeiling, edgeCeiling = 470, 95
 	if perNode > nodeCeiling {
 		t.Errorf("a node with %d attributes costs %.0f B of heap, ceiling %d", shapeAttrs, perNode, nodeCeiling)
 	}
@@ -143,4 +148,41 @@ func TestPoolBytesPerElement(t *testing.T) {
 		t.Errorf("a bare edge costs %.0f B of heap, ceiling %d", perEdge, edgeCeiling)
 	}
 	runtime.KeepAlive(p)
+}
+
+// TestRecordLayout guards the layout the heap figures above rest on: an
+// attribute value and an edge record are 32 B each, and an edge record holds
+// no pointer, so the collector never scans one. With the bitmap a
+// bitset.Bits, its words past bit 63 behind a pointer, and an edge id's
+// values on its record, they were 40 B and 48 B.
+func TestRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(attrVal{}); got != 32 {
+		t.Errorf("an attribute value is %d B, want 32", got)
+	}
+	if got := unsafe.Sizeof(poolEdge{}); got != 32 {
+		t.Errorf("an edge record is %d B, want 32", got)
+	}
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				if !pointerFree(typ.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		case reflect.Array:
+			return pointerFree(typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String, reflect.Interface, reflect.Func, reflect.Chan:
+			return false
+		}
+		return true
+	}
+	typ := reflect.TypeOf(poolEdge{})
+	for i := range typ.NumField() {
+		if f := typ.Field(i); !pointerFree(f.Type) {
+			t.Errorf("edge record field %s (%s) holds a pointer", f.Name, f.Type)
+		}
+	}
 }

@@ -1,9 +1,6 @@
 package graphpool
 
-import (
-	"historygraph/internal/bitset"
-	"historygraph/internal/graph"
-)
+import "historygraph/internal/graph"
 
 // FrozenView is a lock-free, immutable projection of a View for iterative
 // analytics (the paper runs PageRank directly over the pool). Freezing
@@ -51,27 +48,27 @@ func (v *View) Freeze() *FrozenView {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	m := v.entry.m
-	pack := func(bm *bitset.Bits) (w uint64) {
-		if m.exc < 0 || bm.Get(m.exc) {
+	pack := func(b bitmap) (w uint64) {
+		if m.exc < 0 || v.p.bit(b, m.exc) {
 			w |= frozenExc
 		}
-		if bm.Get(m.mem) {
+		if v.p.bit(b, m.mem) {
 			w |= frozenMem
 		}
-		if m.dep >= 0 && bm.Get(m.dep) {
+		if m.dep >= 0 && v.p.bit(b, m.dep) {
 			w |= frozenDep
 		}
 		return w
 	}
 	f := &FrozenView{adj: make(map[graph.NodeID][]frozenEdge), numNode: v.entry.nodeCount}
 	for id, pn := range v.p.nodes {
-		f.nodes = append(f.nodes, frozenNode{id: id, word: pack(&pn.bm)})
+		f.nodes = append(f.nodes, frozenNode{id: id, word: pack(pn.bits())})
 	}
 	for _, pe := range v.p.records {
-		w := pack(&pe.bm)
-		f.adj[pe.info.From] = append(f.adj[pe.info.From], frozenEdge{other: pe.info.To, word: w})
-		if pe.info.To != pe.info.From {
-			f.adj[pe.info.To] = append(f.adj[pe.info.To], frozenEdge{other: pe.info.From, word: w})
+		w := pack(pe.bits())
+		f.adj[pe.from] = append(f.adj[pe.from], frozenEdge{other: pe.to, word: w})
+		if pe.to != pe.from {
+			f.adj[pe.to] = append(f.adj[pe.to], frozenEdge{other: pe.from, word: w})
 		}
 	}
 	return f

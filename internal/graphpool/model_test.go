@@ -431,15 +431,20 @@ func TestPoolMatchesModel(t *testing.T) {
 		}
 		held := 0
 		for _, pn := range m.p.nodes {
-			held += len(pn.attrs())
+			held += len(pn.vals.all())
 		}
-		for _, pe := range m.p.edges {
-			held += len(pe.attrs())
+		for _, l := range m.p.edgeVals {
+			held += len(*l)
 		}
 		t.Logf("seed %d: %d bits at the widest; the current graph ends with %d nodes, %d edges, %d attribute values", seed, maxBits, len(m.cur.Nodes), len(m.cur.Edges), values)
 		if st := m.p.Stats(); st.PoolNodes != len(m.cur.Nodes) || st.PoolEdges != len(m.cur.Edges) || held != values || st.ActiveGraphs != 1 {
 			t.Errorf("seed %d: with only the current graph left the pool holds %d nodes, %d edges, %d values in %d graphs; the graph has %d, %d, %d",
 				seed, st.PoolNodes, st.PoolEdges, held, st.ActiveGraphs, len(m.cur.Nodes), len(m.cur.Edges), values)
+		}
+		// Bits 0 and 1 are inline: whatever spilled past bit 63 on the way
+		// has given its slot back.
+		if n := spilled(m.p); n > 0 {
+			t.Errorf("seed %d: with only the current graph left %d bitmaps hold a spill slot", seed, n)
 		}
 	}
 }

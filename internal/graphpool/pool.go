@@ -11,7 +11,10 @@
 // retrieved snapshot or a materialized graph — is assigned one bit, its
 // membership; a dependent graph a pair {b, b+1}. Graphs get the lowest free
 // bits, so that while they fit bits 2–63 no element's bitmap needs a word
-// beyond the one in its record.
+// beyond the one in its record. The words above live in a slot of a table
+// the pool owns, which the record names by a 4-byte index, so a bitmap costs
+// its record no pointer: a value of an attribute is 32 B, and so is an edge
+// record, which holds no pointer at all (its id's values are kept apart).
 //
 // The bit pair enables the paper's dependent-graph optimization: a
 // historical graph close to a materialized graph (or the current graph)
@@ -68,43 +71,148 @@ func (k GraphKind) String() string {
 }
 
 // attrVal is one value of one attribute with the bitmap of graphs holding
-// it. The name is an index into Pool.names.
+// it (first and more, see bitmap). The name is an index into Pool.names.
 type attrVal struct {
-	name uint32
-	val  string
-	bm   bitset.Bits
+	val   string
+	first uint64
+	more  uint32
+	name  uint32
 }
 
-// element is what the pool keeps of a node, and the head of what it keeps
-// of an edge: the bitmap of graphs the element is in and every attribute
-// value any graph gives it, in one list. Values of one name are adjacent,
-// in the order they were first seen. The list is held by pointer, nil until
-// a graph gives the element a value: most edges are bare, and a nil
-// pointer is 8 bytes of record where an empty slice is 24.
-type element struct {
-	bm   bitset.Bits
-	vals *[]attrVal
-}
+// attrList is every attribute value any graph gives one element, in one
+// list. Values of one name are adjacent, in the order they were first seen.
+// A node's list is held by pointer, nil until a graph gives the node a value;
+// an edge id's is in Pool.edgeVals while it has one.
+type attrList []attrVal
 
-// poolNode is the record of a node: the element, and the ids of the edge
-// records at the node, each once. A node that only an edge record names
-// has one too, with no bits and no values, for as long as the edge is there.
+// poolNode is the record of a node: its bitmap, its attribute values, and
+// the ids of the edge records at the node, each once. A node that only an
+// edge record names has one too, with no bits and no values, for as long as
+// the edge is there.
 type poolNode struct {
-	element
-	adj []graph.EdgeID
+	first uint64
+	more  uint32
+	vals  *attrList
+	adj   []graph.EdgeID
 }
 
+// poolEdge is a record of an edge: its bitmap and its endpoints. It holds no
+// pointer, so the collector never scans it; the attribute values of an edge
+// id are not on it but in Pool.edgeVals.
 type poolEdge struct {
-	element
-	info graph.EdgeInfo
+	first    uint64
+	more     uint32
+	directed bool
+	from, to graph.NodeID
 }
 
-// attrs returns the element's attribute values.
-func (el *element) attrs() []attrVal {
-	if el.vals == nil {
+func (pe *poolEdge) info() graph.EdgeInfo {
+	return graph.EdgeInfo{From: pe.from, To: pe.to, Directed: pe.directed}
+}
+
+func (pe *poolEdge) setInfo(info graph.EdgeInfo) {
+	pe.from, pe.to, pe.directed = info.From, info.To, info.Directed
+}
+
+// bitmap addresses the bitmap of graphs one record or value is in, where it
+// lives: bits 0–63 are the word at first, and once a bit past 63 is set, the
+// words above are the Pool.spill slot that more names (0: none). A bitmap
+// holds a slot exactly while one of the slot's bits is set.
+type bitmap struct {
+	first *uint64
+	more  *uint32
+}
+
+func (pn *poolNode) bits() bitmap { return bitmap{&pn.first, &pn.more} }
+func (pe *poolEdge) bits() bitmap { return bitmap{&pe.first, &pe.more} }
+func (av *attrVal) bits() bitmap  { return bitmap{&av.first, &av.more} }
+
+// empty reports whether no bit of b is set.
+func (b bitmap) empty() bool { return *b.first == 0 && *b.more == 0 }
+
+// slot returns the words of spill slot more.
+func (p *Pool) slot(more uint32) []uint64 {
+	k := int(more-1) * p.stride
+	return p.spill[k : k+p.stride]
+}
+
+// bit reports whether bit i of b is set.
+func (p *Pool) bit(b bitmap, i int) bool {
+	if i < 64 {
+		return *b.first&(1<<i) != 0
+	}
+	w := i/64 - 1
+	return *b.more != 0 && w < p.stride && p.slot(*b.more)[w]&(1<<(i%64)) != 0
+}
+
+// mark sets bit i of b, giving b a slot — a free one if there is one — if
+// it has none, and every slot a word more if the bit needs it.
+func (p *Pool) mark(b bitmap, i int) {
+	if i < 64 {
+		*b.first |= 1 << i
+		return
+	}
+	if w := i / 64; w > p.stride {
+		spill := make([]uint64, len(p.spill)/p.stride*w)
+		for k := 0; k*p.stride < len(p.spill); k++ {
+			copy(spill[k*w:], p.spill[k*p.stride:(k+1)*p.stride])
+		}
+		p.spill, p.stride = spill, w
+	}
+	if n := len(p.free); *b.more == 0 && n > 0 {
+		*b.more, p.free = p.free[n-1], p.free[:n-1]
+	} else if *b.more == 0 {
+		p.spill = append(p.spill, make([]uint64, p.stride)...)
+		*b.more = uint32(len(p.spill) / p.stride)
+	}
+	p.slot(*b.more)[i/64-1] |= 1 << (i % 64)
+}
+
+// unmark clears bit i of b.
+func (p *Pool) unmark(b bitmap, i int) {
+	if i < 64 {
+		*b.first &^= 1 << i
+	} else if w := i/64 - 1; *b.more != 0 && w < p.stride {
+		p.slot(*b.more)[w] &^= 1 << (i % 64)
+		p.tidy(b)
+	}
+}
+
+// andNot clears every bit of b that is set in mask.
+func (p *Pool) andNot(b bitmap, mask *bitset.Bits) {
+	*b.first &^= mask.Word(0)
+	if *b.more != 0 {
+		words := p.slot(*b.more)
+		for w := range words {
+			words[w] &^= mask.Word(w + 1)
+		}
+		p.tidy(b)
+	}
+}
+
+// tidy puts b's slot on the free list once none of its bits is set (the
+// greatest of its words is 0).
+func (p *Pool) tidy(b bitmap) {
+	if slices.Max(p.slot(*b.more)) == 0 {
+		p.free = append(p.free, *b.more)
+		*b.more = 0
+	}
+}
+
+// all returns the values in the list (nil for a nil list).
+func (l *attrList) all() []attrVal {
+	if l == nil {
 		return nil
 	}
-	return *el.vals
+	return *l
+}
+
+// list returns the node's attribute values, made empty if it has none.
+func (pn *poolNode) list() *attrList {
+	if pn.vals == nil {
+		pn.vals = new(attrList)
+	}
+	return pn.vals
 }
 
 // grown returns s with room for one more element, grown by an eighth when
@@ -118,10 +226,10 @@ func grown[E any](s []E) []E {
 	return s
 }
 
-// run returns the bounds of the values of name in el.attrs() (both
-// len(el.attrs()) when there are none).
-func (el *element) run(name uint32) (lo, hi int) {
-	attrs := el.attrs()
+// run returns the bounds of the values of name in the list (both its length
+// when there are none).
+func (l *attrList) run(name uint32) (lo, hi int) {
+	attrs := l.all()
 	for lo < len(attrs) && attrs[lo].name != name {
 		lo++
 	}
@@ -130,77 +238,70 @@ func (el *element) run(name uint32) (lo, hi int) {
 	return lo, hi
 }
 
-// set marks the value val of name with each of bits, adding it behind the
-// other values of that name if it is new.
-func (el *element) set(name uint32, val string, bits ...int) {
-	attrs := el.attrs()
-	i, hi := el.run(name)
+// setValue marks the value val of name in l with each of bits, adding it
+// behind the other values of that name if it is new.
+func (p *Pool) setValue(l *attrList, name uint32, val string, bits ...int) {
+	attrs := *l
+	i, hi := l.run(name)
 	for i < hi && attrs[i].val != val {
 		i++
 	}
 	if i == hi {
-		if el.vals == nil {
-			el.vals = new([]attrVal) // not &attrs: that would allocate on every call
-		}
 		attrs = append(grown(attrs), attrVal{})
 		copy(attrs[i+1:], attrs[i:])
 		attrs[i] = attrVal{name: name, val: val}
-		*el.vals = attrs
+		*l = attrs
 	}
 	for _, b := range bits {
-		attrs[i].bm.Set(b)
+		p.mark(attrs[i].bits(), b)
 	}
 }
 
-// setAll is set for every pair of attrs.
-func (p *Pool) setAll(el *element, attrs map[string]string, bit int) {
-	if el.vals == nil && len(attrs) > 0 {
-		el.vals = new([]attrVal)
-		*el.vals = make([]attrVal, 0, len(attrs))
+// setAll is setValue for every pair of attrs.
+func (p *Pool) setAll(l *attrList, attrs map[string]string, bit int) {
+	if cap(*l) == 0 {
+		*l = make(attrList, 0, len(attrs))
 	}
 	for k, v := range attrs {
-		el.set(p.nameID(k), v, bit)
+		p.setValue(l, p.nameID(k), v, bit)
 	}
 }
 
-// except makes every value of name an exception the graph owning the pair
-// {exc, member} does not hold.
-func (el *element) except(name uint32, exc, member int) {
-	attrs := el.attrs()
-	for i, hi := el.run(name); i < hi; i++ {
-		attrs[i].bm.Set(exc)
-		attrs[i].bm.Clear(member)
+// except makes every value of name in l an exception the graph owning the
+// pair {exc, member} does not hold.
+func (p *Pool) except(l *attrList, name uint32, exc, member int) {
+	attrs := l.all()
+	for i, hi := l.run(name); i < hi; i++ {
+		p.mark(attrs[i].bits(), exc)
+		p.unmark(attrs[i].bits(), member)
 	}
 }
 
-// clear clears the bits of mask on the element and on its attribute values,
-// drops the values no graph holds any more and returns how many that was.
-func (el *element) clear(mask *bitset.Bits) int {
-	el.bm.AndNot(mask)
-	attrs := el.attrs()
+// sweepValues clears the bits of mask on the values in l, drops those no
+// graph holds any more and returns the list (nil once it is empty) and how
+// many values it dropped.
+func (p *Pool) sweepValues(l *attrList, mask *bitset.Bits) (*attrList, int) {
+	attrs := l.all()
 	kept := attrs[:0]
 	for i := range attrs {
 		av := &attrs[i]
-		if av.bm.AndNot(mask); av.bm.Any() {
+		if p.andNot(av.bits(), mask); !av.bits().empty() {
 			kept = append(kept, *av)
 		}
 	}
-	removed := len(attrs) - len(kept)
 	clear(attrs[len(kept):])
 	if len(kept) == 0 {
-		el.vals = nil
-	} else {
-		*el.vals = kept
+		return nil, len(attrs)
 	}
-	return removed
+	*l = kept
+	return l, len(attrs) - len(kept)
 }
 
-// dead reports whether no graph holds the element or any value of it.
-func (el *element) dead() bool { return el.vals == nil && !el.bm.Any() }
-
-// dead reports whether the node record is dead as an element and no edge
-// record is at the node.
-func (pn *poolNode) dead() bool { return len(pn.adj) == 0 && pn.element.dead() }
+// dead reports whether no graph holds the node or any value of it and no
+// edge record is at it.
+func (pn *poolNode) dead() bool {
+	return pn.bits().empty() && len(pn.vals.all()) == 0 && len(pn.adj) == 0
+}
 
 // membership is a graph's membership test with its bits resolved, so that
 // evaluating it needs neither the graph table nor the dependency's entry.
@@ -208,11 +309,13 @@ func (pn *poolNode) dead() bool { return len(pn.adj) == 0 && pn.element.dead() }
 // one); dep < 0: no dependency to inherit from.
 type membership struct{ exc, mem, dep int }
 
-func (m membership) has(bm *bitset.Bits) bool {
-	if m.exc < 0 || bm.Get(m.exc) {
-		return bm.Get(m.mem)
+// has reports whether the graph with the membership test m holds what b is
+// the bitmap of.
+func (p *Pool) has(m membership, b bitmap) bool {
+	if m.exc < 0 || p.bit(b, m.exc) {
+		return p.bit(b, m.mem)
 	}
-	return m.dep >= 0 && bm.Get(m.dep)
+	return m.dep >= 0 && p.bit(b, m.dep)
 }
 
 type graphEntry struct {
@@ -241,9 +344,18 @@ type Pool struct {
 	// An edge id names one pair of nodes for life (graph.EdgeID), and a
 	// history that gives an id to another pair later is held all the same:
 	// alts has the records of such an id after the first, one for each
-	// further pair, for as long as a graph holds the edge between them. They
-	// carry membership alone; the attribute values of an id are on edges[id].
+	// further pair, for as long as a graph holds the edge between them.
 	alts map[graph.EdgeID][]*poolEdge
+	// The attribute values of each edge id that has any, whatever records
+	// the id has (none, if no graph holds the edge).
+	edgeVals map[graph.EdgeID]*attrList
+	// The words of the bitmaps past bit 63: slot k (a bitmap's more is k+1)
+	// is spill[k*stride:(k+1)*stride]. A slot no bitmap holds is all zero
+	// and on free, the next to be handed out; every slot widens at once when
+	// a bit needs a word beyond them.
+	spill  []uint64
+	stride int
+	free   []uint32
 	// Attribute names, interned: an attrVal holds an index into names.
 	names   []string
 	nameIDs map[string]uint32
@@ -263,12 +375,14 @@ type Pool struct {
 // New returns an empty pool containing only the (empty) current graph.
 func New() *Pool {
 	p := &Pool{
-		nodes:   make(map[graph.NodeID]*poolNode),
-		edges:   make(map[graph.EdgeID]*poolEdge),
-		alts:    make(map[graph.EdgeID][]*poolEdge),
-		graphs:  make(map[GraphID]*graphEntry),
-		nameIDs: make(map[string]uint32),
-		nextID:  1,
+		nodes:    make(map[graph.NodeID]*poolNode),
+		edges:    make(map[graph.EdgeID]*poolEdge),
+		alts:     make(map[graph.EdgeID][]*poolEdge),
+		edgeVals: make(map[graph.EdgeID]*attrList),
+		graphs:   make(map[GraphID]*graphEntry),
+		nameIDs:  make(map[string]uint32),
+		nextID:   1,
+		stride:   1,
 	}
 	p.graphs[CurrentGraph] = &graphEntry{id: CurrentGraph, kind: KindCurrent, m: membership{exc: -1, mem: 0, dep: -1}, dep: NoDependency}
 	p.alloc(2) // bits 0 and 1
@@ -341,33 +455,34 @@ func (p *Pool) node(id graph.NodeID) *poolNode {
 }
 
 // edge returns the record of edge id between the endpoints info, made if
-// there is none. The first record of an id may be there for the attribute
-// values alone — a history may set an attribute on an edge it never added, or
-// on one it deleted — and what such a record says of the endpoints binds no
-// graph (bit 1 aside, which is read by nobody): it takes info in their place.
-// One that a graph does hold the edge of keeps its endpoints for that graph,
-// and the id gets a further record.
+// there is none. What the first record of an id says of the endpoints binds
+// no graph while no bit but bit 1 is set on it (the current graph deleted
+// the edge since the last leaf cut, and bit 1 is read by nobody): it takes
+// info in their place. One that a graph does hold the edge of keeps its
+// endpoints for that graph, and the id gets a further record.
 func (p *Pool) edge(id graph.EdgeID, info graph.EdgeInfo) *poolEdge {
 	e := p.edges[id]
 	fresh := e == nil
-	if !fresh && e.info == info {
+	if !fresh && e.info() == info {
 		return e
 	}
 	for _, alt := range p.alts[id] {
-		if alt.info == info {
+		if alt.info() == info {
 			return alt
 		}
 	}
+	old := info
 	switch {
 	case fresh:
-		e = &poolEdge{info: info}
+		e = new(poolEdge)
 		p.edges[id] = e
-	case e.bm.AnyExcept(1):
-		e = &poolEdge{info: info}
+	case e.first&^(1<<1) != 0 || e.more != 0:
+		e = new(poolEdge)
 		p.alts[id] = append(p.alts[id], e)
 	default:
-		old := e.info
-		e.info = info
+		old = e.info()
+	}
+	if e.setInfo(info); old != info {
 		p.unlink(id, old)
 	}
 	for _, n := range ends(info) {
@@ -398,24 +513,25 @@ func ends(info graph.EdgeInfo) []graph.NodeID {
 // holds the edge on, nil if it does not hold the edge.
 func (p *Pool) held(m membership, id graph.EdgeID) *poolEdge {
 	first := p.edges[id]
-	if first == nil || m.has(&first.bm) {
+	if first == nil || p.has(m, first.bits()) {
 		return first
 	}
 	for _, alt := range p.alts[id] {
-		if m.has(&alt.bm) {
+		if p.has(m, alt.bits()) {
 			return alt
 		}
 	}
 	return nil
 }
 
-// values returns the element that holds the attribute values of edge id, its
-// first record, made between no nodes yet if the pool knows nothing of id.
-func (p *Pool) values(id graph.EdgeID) *element {
-	if first := p.edges[id]; first != nil {
-		return &first.element
+// values returns the attribute values of edge id, made empty if it has none.
+func (p *Pool) values(id graph.EdgeID) *attrList {
+	l := p.edgeVals[id]
+	if l == nil {
+		l = new(attrList)
+		p.edgeVals[id] = l
 	}
-	return &p.edge(id, graph.EdgeInfo{}).element
+	return l
 }
 
 // records yields every record of every edge id.
@@ -450,13 +566,13 @@ func (p *Pool) nameID(name string) uint32 {
 // graph means. The caller holds the write lock.
 func (p *Pool) markAll(entry *graphEntry, s *graph.Snapshot, bit int) {
 	for n := range s.Nodes {
-		p.node(n).bm.Set(bit)
+		p.mark(p.node(n).bits(), bit)
 	}
 	for e, info := range s.Edges {
-		p.edge(e, info).bm.Set(bit)
+		p.mark(p.edge(e, info).bits(), bit)
 	}
 	for n, attrs := range s.NodeAttrs {
-		p.setAll(&p.node(n).element, attrs, bit)
+		p.setAll(p.node(n).list(), attrs, bit)
 	}
 	for e, attrs := range s.EdgeAttrs {
 		p.setAll(p.values(e), attrs, bit)
@@ -508,41 +624,42 @@ func (p *Pool) OverlayDependent(dep GraphID, d *delta.Delta, at graph.Time, attr
 	depEntry.dependents++
 
 	exc, member := entry.bit, entry.bit+1
-	explicit := func(bm *bitset.Bits, in bool) {
-		bm.Set(exc)
-		bm.SetTo(member, in)
+	explicit := func(b bitmap, in bool) {
+		if p.mark(b, exc); in {
+			p.mark(b, member)
+		} else {
+			p.unmark(b, member)
+		}
 	}
 	for _, n := range d.AddNodes {
-		explicit(&p.node(n).bm, true)
+		explicit(p.node(n).bits(), true)
 	}
 	for _, n := range d.DelNodes {
-		explicit(&p.node(n).bm, false)
+		explicit(p.node(n).bits(), false)
 	}
 	for _, e := range d.AddEdges {
-		explicit(&p.edge(e.ID, graph.EdgeInfo{From: e.From, To: e.To, Directed: e.Directed}).bm, true)
+		explicit(p.edge(e.ID, graph.EdgeInfo{From: e.From, To: e.To, Directed: e.Directed}).bits(), true)
 	}
 	for _, e := range d.DelEdges {
-		explicit(&p.edge(e.ID, graph.EdgeInfo{From: e.From, To: e.To, Directed: e.Directed}).bm, false)
+		explicit(p.edge(e.ID, graph.EdgeInfo{From: e.From, To: e.To, Directed: e.Directed}).bits(), false)
 	}
 	// A set or deleted attribute excludes every value the element has under
 	// that name; a set one then includes the new value.
 	for _, rec := range d.SetNodeAttrs {
-		pn, name := p.node(rec.Node), p.nameID(rec.Attr)
-		pn.except(name, exc, member)
-		pn.set(name, rec.Val, exc, member)
+		l, name := p.node(rec.Node).list(), p.nameID(rec.Attr)
+		p.except(l, name, exc, member)
+		p.setValue(l, name, rec.Val, exc, member)
 	}
 	for _, rec := range d.DelNodeAttrs {
-		p.node(rec.Node).except(p.nameID(rec.Attr), exc, member)
+		p.except(p.node(rec.Node).vals, p.nameID(rec.Attr), exc, member)
 	}
 	for _, rec := range d.SetEdgeAttrs {
-		pe, name := p.values(rec.Edge), p.nameID(rec.Attr)
-		pe.except(name, exc, member)
-		pe.set(name, rec.Val, exc, member)
+		l, name := p.values(rec.Edge), p.nameID(rec.Attr)
+		p.except(l, name, exc, member)
+		p.setValue(l, name, rec.Val, exc, member)
 	}
 	for _, rec := range d.DelEdgeAttrs {
-		if pe, ok := p.edges[rec.Edge]; ok {
-			pe.except(p.nameID(rec.Attr), exc, member)
-		}
+		p.except(p.edgeVals[rec.Edge], p.nameID(rec.Attr), exc, member)
 	}
 	entry.nodeCount = depEntry.nodeCount + len(d.AddNodes) - len(d.DelNodes)
 	entry.edgeCount = depEntry.edgeCount + len(d.AddEdges) - len(d.DelEdges)
@@ -553,7 +670,9 @@ func (p *Pool) OverlayDependent(dep GraphID, d *delta.Delta, at graph.Time, attr
 // evicts what no graph holds any more; it returns the number of values and
 // elements evicted. The caller holds the write lock.
 func (p *Pool) sweepNode(id graph.NodeID, pn *poolNode, mask *bitset.Bits) int {
-	removed := pn.clear(mask)
+	p.andNot(pn.bits(), mask)
+	var removed int
+	pn.vals, removed = p.sweepValues(pn.vals, mask)
 	if pn.dead() {
 		delete(p.nodes, id)
 		removed++
@@ -563,20 +682,21 @@ func (p *Pool) sweepNode(id graph.NodeID, pn *poolNode, mask *bitset.Bits) int {
 
 // sweepEdge is sweepNode for the records of an edge id, which also leave the
 // adjacency lists and may take an endpoint's record with them. A first
-// record that no graph holds the edge of takes the place of a further one:
-// it is where the id's values are.
+// record that no graph holds the edge of takes the place of a further one.
 func (p *Pool) sweepEdge(id graph.EdgeID, first *poolEdge, mask *bitset.Bits) int {
-	removed := first.clear(mask)
+	removed := 0
+	p.andNot(first.bits(), mask)
 	for i := len(p.alts[id]) - 1; i >= 0; i-- {
-		if alt := p.alts[id][i]; alt.clear(mask) == 0 && alt.dead() {
+		alt := p.alts[id][i]
+		if p.andNot(alt.bits(), mask); alt.bits().empty() {
 			p.alts[id] = slices.Delete(p.alts[id], i, i+1)
-			removed += 1 + p.unlink(id, alt.info)
+			removed += 1 + p.unlink(id, alt.info())
 		}
 	}
-	if alts, old := p.alts[id], first.info; len(alts) > 0 && !first.bm.Any() {
-		first.bm, first.info, p.alts[id] = alts[0].bm, alts[0].info, alts[1:]
+	if alts, old := p.alts[id], first.info(); len(alts) > 0 && first.bits().empty() {
+		*first, p.alts[id] = *alts[0], alts[1:]
 		removed += 1 + p.unlink(id, old)
-	} else if first.dead() {
+	} else if first.bits().empty() {
 		delete(p.edges, id)
 		removed += 1 + p.unlink(id, old)
 	}
@@ -595,6 +715,19 @@ func (p *Pool) sweepAll(mask *bitset.Bits) int {
 	for id, pe := range p.edges {
 		removed += p.sweepEdge(id, pe, mask)
 	}
+	for id, l := range p.edgeVals {
+		removed += p.sweepEdgeValues(id, l, mask)
+	}
+	return removed
+}
+
+// sweepEdgeValues is sweepValues for the values of edge id, which leave
+// edgeVals with the last of them.
+func (p *Pool) sweepEdgeValues(id graph.EdgeID, l *attrList, mask *bitset.Bits) int {
+	l, removed := p.sweepValues(l, mask)
+	if l == nil {
+		delete(p.edgeVals, id)
+	}
 	return removed
 }
 
@@ -610,14 +743,14 @@ func (p *Pool) LoadCurrent(s *graph.Snapshot) {
 	p.markAll(p.graphs[CurrentGraph], s, 0)
 }
 
-// retire takes the values at el.attrs()[lo:hi] that the current graph holds out
-// of it (bit 0 to bit 1) and reports whether there were any.
-func (el *element) retire(lo, hi int) (any bool) {
-	attrs := el.attrs()
+// retire takes the values at l.all()[lo:hi] that the current graph holds out
+// of it (bit 0 to bit 1, both in the inline word) and reports whether there
+// were any.
+func (l *attrList) retire(lo, hi int) (any bool) {
+	attrs := l.all()
 	for i := lo; i < hi; i++ {
-		if bm := &attrs[i].bm; bm.Get(0) {
-			bm.Clear(0)
-			bm.Set(1)
+		if av := &attrs[i]; av.first&1 != 0 {
+			av.first = av.first&^1 | 1<<1
 			any = true
 		}
 	}
@@ -636,51 +769,53 @@ func (p *Pool) ApplyEvent(ev graph.Event) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	cur := p.graphs[CurrentGraph]
-	// put moves an element into or out of the current graph and keeps count.
-	put := func(el *element, count *int, in bool) {
-		if in && !el.bm.Get(0) {
+	// put moves a record into or out of the current graph (bit 0, and bit 1
+	// on the way out) and keeps count.
+	put := func(first *uint64, count *int, in bool) {
+		if in && *first&1 == 0 {
 			*count++
-		} else if !in && el.bm.Get(0) {
-			*count--
-		}
-		el.bm.SetTo(0, in)
-		if !in {
-			el.bm.Set(1)
-			el.retire(0, len(el.attrs()))
+			*first |= 1
+		} else if !in {
+			if *first&1 != 0 {
+				*count--
+			}
+			*first = *first&^1 | 1<<1
 		}
 	}
-	// setAttr takes the current value of the attribute out of the current
-	// graph and puts the new one, if any, in; it reports whether a value left.
-	setAttr := func(el *element) (deleted bool) {
+	// setAttr takes the current value of the attribute in l out of the
+	// current graph and puts the new one, if any, into the list made returns;
+	// it reports whether a value left.
+	setAttr := func(l *attrList, made func() *attrList) (deleted bool) {
 		name := p.nameID(ev.Attr)
-		deleted = el.retire(el.run(name))
+		deleted = l.retire(l.run(name))
 		if ev.HasNew {
-			el.set(name, ev.New, 0)
+			p.setValue(made(), name, ev.New, 0)
 		}
 		return deleted
 	}
 	switch ev.Type {
 	case graph.AddNode:
-		put(&p.node(ev.Node).element, &cur.nodeCount, true)
+		put(&p.node(ev.Node).first, &cur.nodeCount, true)
 	case graph.DelNode:
-		put(&p.node(ev.Node).element, &cur.nodeCount, false)
+		pn := p.node(ev.Node)
+		put(&pn.first, &cur.nodeCount, false)
+		pn.vals.retire(0, len(pn.vals.all()))
 		p.recentNodes = append(p.recentNodes, ev.Node)
 	case graph.AddEdge:
-		put(&p.edge(ev.Edge, graph.EdgeInfo{From: ev.Node, To: ev.Node2, Directed: ev.Directed}).element, &cur.edgeCount, true)
+		put(&p.edge(ev.Edge, graph.EdgeInfo{From: ev.Node, To: ev.Node2, Directed: ev.Directed}).first, &cur.edgeCount, true)
 	case graph.DelEdge:
 		if pe := p.held(cur.m, ev.Edge); pe != nil {
-			put(&pe.element, &cur.edgeCount, false)
+			put(&pe.first, &cur.edgeCount, false)
 		}
-		if first := p.edges[ev.Edge]; first != nil {
-			first.retire(0, len(first.attrs()))
-		}
+		p.edgeVals[ev.Edge].retire(0, len(p.edgeVals[ev.Edge].all()))
 		p.recentEdges = append(p.recentEdges, ev.Edge)
 	case graph.SetNodeAttr:
-		if setAttr(&p.node(ev.Node).element) {
+		pn := p.node(ev.Node)
+		if setAttr(pn.vals, pn.list) {
 			p.recentNodes = append(p.recentNodes, ev.Node)
 		}
 	case graph.SetEdgeAttr:
-		if setAttr(p.values(ev.Edge)) {
+		if setAttr(p.edgeVals[ev.Edge], func() *attrList { return p.values(ev.Edge) }) {
 			p.recentEdges = append(p.recentEdges, ev.Edge)
 		}
 	}
@@ -706,6 +841,7 @@ func (p *Pool) ClearRecent() int {
 		if pe := p.edges[id]; pe != nil {
 			p.sweepEdge(id, pe, &mask)
 		}
+		p.sweepEdgeValues(id, p.edgeVals[id], &mask)
 	}
 	n := len(p.recentNodes) + len(p.recentEdges)
 	p.recentNodes, p.recentEdges = p.recentNodes[:0], p.recentEdges[:0]
@@ -829,7 +965,7 @@ func (p *Pool) reclaim() int {
 // and evicts the record of such an endpoint that nothing holds any more. It
 // returns how many it evicted.
 func (p *Pool) unlink(e graph.EdgeID, info graph.EdgeInfo) (removed int) {
-	at := func(pe *poolEdge, n graph.NodeID) bool { return pe != nil && pe.info.Touches(n) }
+	at := func(pe *poolEdge, n graph.NodeID) bool { return pe != nil && pe.info().Touches(n) }
 	for _, n := range ends(info) {
 		if at(p.edges[e], n) || slices.ContainsFunc(p.alts[e], func(alt *poolEdge) bool { return at(alt, n) }) {
 			continue
@@ -923,14 +1059,15 @@ func heapSize(n uintptr) int64 {
 	return int64((n + step - 1) &^ (step - 1))
 }
 
-// bytes returns the heap the element's bitmap and attribute list own.
-func (el *element) bytes() int64 {
-	n := int64(el.bm.SizeBytes())
-	if el.vals != nil {
-		n += heapSize(unsafe.Sizeof(*el.vals)) + heapSize(uintptr(cap(*el.vals))*unsafe.Sizeof(attrVal{}))
+// bytes returns the heap the attribute list owns: its header and values at
+// their capacity, and the value strings.
+func (l *attrList) bytes() int64 {
+	if l == nil {
+		return 0
 	}
-	for _, av := range el.attrs() {
-		n += int64(len(av.val) + av.bm.SizeBytes())
+	n := heapSize(unsafe.Sizeof(*l)) + heapSize(uintptr(cap(*l))*unsafe.Sizeof(attrVal{}))
+	for _, av := range *l {
+		n += int64(len(av.val))
 	}
 	return n
 }
@@ -938,21 +1075,25 @@ func (el *element) bytes() int64 {
 // ApproxBytes estimates the pool's memory footprint from its layout: a map
 // entry and a record per element, a node's adjacency list at its capacity,
 // the attribute lists (header and values) at their capacity with the value
-// strings, the bitmap words that are not inline, and each attribute name
-// once. It is the quantity plotted in the paper's Figure 8(a).
+// strings, the spill table and its free list, and each attribute name once.
+// It is the quantity plotted in the paper's Figure 8(a).
 func (p *Pool) ApproxBytes() int64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	total := int64(len(p.nodes)) * (mapSlot + heapSize(unsafe.Sizeof(poolNode{})))
 	for _, pn := range p.nodes {
-		total += pn.bytes()
+		total += pn.vals.bytes()
 		if cap(pn.adj) > 0 {
 			total += heapSize(uintptr(cap(pn.adj)) * unsafe.Sizeof(pn.adj[0]))
 		}
 	}
-	for _, pe := range p.records {
-		total += mapSlot + heapSize(unsafe.Sizeof(poolEdge{})) + pe.bytes()
+	for range p.records {
+		total += mapSlot + heapSize(unsafe.Sizeof(poolEdge{}))
 	}
+	for _, l := range p.edgeVals {
+		total += mapSlot + l.bytes()
+	}
+	total += heapSize(uintptr(cap(p.spill))*8) + heapSize(uintptr(cap(p.free))*4)
 	for _, name := range p.names {
 		total += 2*(mapSlot+int64(unsafe.Sizeof(name))) + int64(len(name))
 	}

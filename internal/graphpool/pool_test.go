@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"historygraph/internal/bitset"
 	"historygraph/internal/delta"
 	"historygraph/internal/graph"
 )
@@ -525,28 +524,35 @@ func randomEnds(e graph.EdgeID) graph.EdgeInfo {
 }
 
 // countBitmaps returns how many bitmaps in the pool — of node and edge
-// records and of their attribute values — satisfy f.
-func countBitmaps(p *Pool, f func(*bitset.Bits) bool) int {
+// records and of attribute values — satisfy f.
+func countBitmaps(p *Pool, f func(bitmap) bool) int {
 	n := 0
-	count := func(el *element) {
-		if f(&el.bm) {
+	count := func(b bitmap) {
+		if f(b) {
 			n++
 		}
-		attrs := el.attrs()
+	}
+	values := func(l *attrList) {
+		attrs := l.all()
 		for i := range attrs {
-			if f(&attrs[i].bm) {
-				n++
-			}
+			count(attrs[i].bits())
 		}
 	}
 	for _, pn := range p.nodes {
-		count(&pn.element)
+		count(pn.bits())
+		values(pn.vals)
 	}
 	for _, pe := range p.records {
-		count(&pe.element)
+		count(pe.bits())
+	}
+	for _, l := range p.edgeVals {
+		values(l)
 	}
 	return n
 }
+
+// spilled returns how many slots of the pool's spill table a bitmap holds.
+func spilled(p *Pool) int { return len(p.spill)/p.stride - len(p.free) }
 
 // checkViews holds each graph's view to the snapshot it was overlaid from.
 func checkViews(t *testing.T, where string, p *Pool, want map[GraphID]*graph.Snapshot) {
@@ -602,7 +608,7 @@ func TestHeldViewsStayInline(t *testing.T) {
 			if got := p.Stats().Bits; got > 64 {
 				t.Fatalf("%s: the pool holds %d bits, want at most 64", where, got)
 			}
-			if n := countBitmaps(p, func(bm *bitset.Bits) bool { return bm.SizeBytes() > 0 }); n > 0 {
+			if n := spilled(p); n > 0 {
 				t.Fatalf("%s: %d bitmaps carry a word beyond the inline one", where, n)
 			}
 			checkViews(t, where, p, want)
@@ -690,7 +696,7 @@ func TestReusedBitReadsClear(t *testing.T) {
 		for _, attrs := range s.EdgeAttrs {
 			marks += len(attrs)
 		}
-		if carry := countBitmaps(p, func(bm *bitset.Bits) bool { return bm.Get(2 + i) }); carry != marks {
+		if carry := countBitmaps(p, func(b bitmap) bool { return p.bit(b, 2+i) }); carry != marks {
 			t.Errorf("after %s freed bit %d, %d elements and values carry it; the graph given it has %d", sweep, 2+i, carry, marks)
 		}
 	}
@@ -791,7 +797,7 @@ func TestClearRecentVisitsOnlyRecentDeletes(t *testing.T) {
 		t.Fatalf("recently deleted nodes must stay resident: %d of %d", got, nodes)
 	}
 	for n := graph.NodeID(1); n <= deletes; n++ {
-		if pn := p.nodes[n]; !pn.bm.Get(1) || !pn.attrs()[0].bm.Get(1) {
+		if pn := p.nodes[n]; !p.bit(pn.bits(), 1) || !p.bit(pn.vals.all()[0].bits(), 1) {
 			t.Fatalf("node %d not marked recently deleted", n)
 		}
 	}
@@ -837,7 +843,7 @@ func TestClearRecentEvictsDeadElements(t *testing.T) {
 	if got, adj := p.Stats().PoolEdges, len(p.adjacent(1))+len(p.adjacent(2)); got != 1 || adj != 2 {
 		t.Errorf("after ClearRecent the pool holds %d edges and %d adjacency entries, want 1 and 2 (the edge the overlaid graph holds)", got, adj)
 	}
-	if got := len(p.nodes[1].attrs()); got != 1 {
+	if got := len(p.nodes[1].vals.all()); got != 1 {
 		t.Errorf("node 1 keeps %d values of an attribute replaced %d times, want 1", got, pairs-1)
 	}
 	if p.CleanNow(); p.Stats().PoolEdges != 1 {
@@ -913,7 +919,7 @@ func TestEndpointRecordsLeaveWithTheirEdges(t *testing.T) {
 			}
 		}
 		for _, n := range tc.endpoint {
-			if pn := p.nodes[n]; pn == nil || len(pn.adj) == 0 || !pn.element.dead() {
+			if pn := p.nodes[n]; pn == nil || len(pn.adj) == 0 || !pn.bits().empty() || pn.vals != nil {
 				t.Errorf("%s: node %d has record %+v, want one with adjacency alone", tc.name, n, pn)
 			}
 		}

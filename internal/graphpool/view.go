@@ -34,6 +34,10 @@ func (p *Pool) Current() *View {
 	return v
 }
 
+// has reports whether this graph holds what b is the bitmap of. The caller
+// holds the read lock.
+func (v *View) has(b bitmap) bool { return v.p.has(v.entry.m, b) }
+
 // ID returns the view's graph ID.
 func (v *View) ID() GraphID { return v.entry.id }
 
@@ -68,7 +72,7 @@ func (v *View) HasNode(n graph.NodeID) bool {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	pn, ok := v.p.nodes[n]
-	return ok && v.entry.m.has(&pn.bm)
+	return ok && v.has(pn.bits())
 }
 
 // HasEdge reports whether the edge is in this graph.
@@ -83,7 +87,7 @@ func (v *View) EdgeInfo(e graph.EdgeID) (graph.EdgeInfo, bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	if pe := v.p.held(v.entry.m, e); pe != nil {
-		return pe.info, true
+		return pe.info(), true
 	}
 	return graph.EdgeInfo{}, false
 }
@@ -95,7 +99,7 @@ func (v *View) ForEachNode(fn func(graph.NodeID) bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	for id, pn := range v.p.nodes {
-		if v.entry.m.has(&pn.bm) {
+		if v.has(pn.bits()) {
 			if !fn(id) {
 				return
 			}
@@ -108,8 +112,8 @@ func (v *View) ForEachEdge(fn func(graph.EdgeID, graph.EdgeInfo) bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	for id, pe := range v.p.records {
-		if v.entry.m.has(&pe.bm) {
-			if !fn(id, pe.info) {
+		if v.has(pe.bits()) {
+			if !fn(id, pe.info()) {
 				return
 			}
 		}
@@ -124,26 +128,27 @@ func (v *View) ForEachEdge(fn func(graph.EdgeID, graph.EdgeInfo) bool) {
 func (v *View) ForEachHeld(node func(graph.NodeID), edge func(graph.EdgeID)) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	holds := func(el *element, node bool) bool {
-		if v.entry.m.has(&el.bm) {
-			return true
-		}
-		attrs := el.attrs()
+	holds := func(l *attrList, node bool) bool {
+		attrs := l.all()
 		for i := range attrs {
-			if av := &attrs[i]; v.entry.m.has(&av.bm) && v.admits(node, v.p.names[av.name]) {
+			if av := &attrs[i]; v.has(av.bits()) && v.admits(node, v.p.names[av.name]) {
 				return true
 			}
 		}
 		return false
 	}
 	for id, pn := range v.p.nodes {
-		if holds(&pn.element, true) {
+		if v.has(pn.bits()) || holds(pn.vals, true) {
 			node(id)
 		}
 	}
-	for id, first := range v.p.edges {
-		// A further record of an id carries membership alone.
-		if holds(&first.element, false) || v.p.held(v.entry.m, id) != nil {
+	for id := range v.p.edges {
+		if v.p.held(v.entry.m, id) != nil {
+			edge(id)
+		}
+	}
+	for id, l := range v.p.edgeVals {
+		if holds(l, false) && v.p.held(v.entry.m, id) == nil {
 			edge(id)
 		}
 	}
@@ -165,7 +170,7 @@ func (v *View) IncidentEdges(n graph.NodeID) []graph.EdgeID {
 	defer v.p.mu.RUnlock()
 	var out []graph.EdgeID
 	for _, e := range v.p.adjacent(n) {
-		if pe := v.p.held(v.entry.m, e); pe != nil && pe.info.Touches(n) {
+		if pe := v.p.held(v.entry.m, e); pe != nil && pe.info().Touches(n) {
 			out = append(out, e)
 		}
 	}
@@ -182,10 +187,10 @@ func (v *View) Neighbors(n graph.NodeID) []graph.NodeID {
 	var out []graph.NodeID
 	for _, e := range v.p.adjacent(n) {
 		pe := v.p.held(v.entry.m, e)
-		if pe == nil || !pe.info.Touches(n) {
+		if pe == nil || !pe.info().Touches(n) {
 			continue
 		}
-		other := pe.info.Other(n)
+		other := pe.info().Other(n)
 		if _, dup := seen[other]; !dup {
 			seen[other] = struct{}{}
 			out = append(out, other)
@@ -200,7 +205,7 @@ func (v *View) Degree(n graph.NodeID) int {
 	defer v.p.mu.RUnlock()
 	d := 0
 	for _, e := range v.p.adjacent(n) {
-		if pe := v.p.held(v.entry.m, e); pe != nil && pe.info.Touches(n) {
+		if pe := v.p.held(v.entry.m, e); pe != nil && pe.info().Touches(n) {
 			d++
 		}
 	}
@@ -221,31 +226,31 @@ func (v *View) admits(node bool, name string) bool {
 	return v.entry.attrs.WantEdgeAttr(name)
 }
 
-// valueOf returns the value of the named attribute of el in this graph: the
+// valueOf returns the value of the named attribute in l in this graph: the
 // first of the name's values the graph holds. The caller holds the read lock.
-func (v *View) valueOf(el *element, node bool, attr string) (string, bool) {
+func (v *View) valueOf(l *attrList, node bool, attr string) (string, bool) {
 	name, ok := v.p.nameIDs[attr]
 	if !ok || !v.admits(node, attr) {
 		return "", false
 	}
-	attrs := el.attrs()
-	for i, hi := el.run(name); i < hi; i++ {
-		if v.entry.m.has(&attrs[i].bm) {
+	attrs := l.all()
+	for i, hi := l.run(name); i < hi; i++ {
+		if v.has(attrs[i].bits()) {
 			return attrs[i].val, true
 		}
 	}
 	return "", false
 }
 
-// attrsOf collects the attributes of one node (else edge) in this graph
+// attrsOf collects the attributes in l of one node (else edge) in this graph
 // (nil when there are none). The caller holds the read lock.
-func (v *View) attrsOf(el *element, node bool) map[string]string {
+func (v *View) attrsOf(l *attrList, node bool) map[string]string {
 	var out map[string]string
 	answered := ^uint32(0) // values of one name are adjacent: the first member answers for it
-	attrs := el.attrs()
+	attrs := l.all()
 	for i := range attrs {
 		av := &attrs[i]
-		if av.name == answered || !v.entry.m.has(&av.bm) {
+		if av.name == answered || !v.has(av.bits()) {
 			continue
 		}
 		answered = av.name
@@ -264,10 +269,10 @@ func (v *View) NodeAttr(n graph.NodeID, attr string) (string, bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	pn, ok := v.p.nodes[n]
-	if !ok || !v.entry.m.has(&pn.bm) {
+	if !ok || !v.has(pn.bits()) {
 		return "", false
 	}
-	return v.valueOf(&pn.element, true, attr)
+	return v.valueOf(pn.vals, true, attr)
 }
 
 // EdgeAttr returns the value of an edge attribute in this graph.
@@ -277,7 +282,7 @@ func (v *View) EdgeAttr(e graph.EdgeID, attr string) (string, bool) {
 	if v.p.held(v.entry.m, e) == nil {
 		return "", false
 	}
-	return v.valueOf(&v.p.edges[e].element, false, attr)
+	return v.valueOf(v.p.edgeVals[e], false, attr)
 }
 
 // NodeAttrs returns all attributes of n in this graph.
@@ -285,10 +290,10 @@ func (v *View) NodeAttrs(n graph.NodeID) map[string]string {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	pn, ok := v.p.nodes[n]
-	if !ok || !v.entry.m.has(&pn.bm) {
+	if !ok || !v.has(pn.bits()) {
 		return nil
 	}
-	return v.attrsOf(&pn.element, true)
+	return v.attrsOf(pn.vals, true)
 }
 
 // EdgeAttrs returns all attributes of e in this graph (nil when the edge
@@ -301,7 +306,7 @@ func (v *View) EdgeAttrs(e graph.EdgeID) map[string]string {
 	if v.p.held(v.entry.m, e) == nil {
 		return nil
 	}
-	return v.attrsOf(&v.p.edges[e].element, false)
+	return v.attrsOf(v.p.edgeVals[e], false)
 }
 
 // NodeImage returns what this graph holds of node n: whether n is in it,
@@ -313,7 +318,7 @@ func (v *View) NodeImage(n graph.NodeID) (present bool, attrs map[string]string)
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	if pn := v.p.nodes[n]; pn != nil {
-		present, attrs = v.entry.m.has(&pn.bm), v.attrsOf(&pn.element, true)
+		present, attrs = v.has(pn.bits()), v.attrsOf(pn.vals, true)
 	}
 	return present, attrs
 }
@@ -324,12 +329,9 @@ func (v *View) EdgeImage(e graph.EdgeID) (info graph.EdgeInfo, present bool, att
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	if pe := v.p.held(v.entry.m, e); pe != nil {
-		info, present = pe.info, true
+		info, present = pe.info(), true
 	}
-	if first := v.p.edges[e]; first != nil {
-		attrs = v.attrsOf(&first.element, false)
-	}
-	return info, present, attrs
+	return info, present, v.attrsOf(v.p.edgeVals[e], false)
 }
 
 // Snapshot extracts a full set-based copy of this graph out of the pool:
@@ -340,18 +342,20 @@ func (v *View) Snapshot() *graph.Snapshot {
 	defer v.p.mu.RUnlock()
 	s := graph.NewSnapshot()
 	for id, pn := range v.p.nodes {
-		if v.entry.m.has(&pn.bm) {
+		if v.has(pn.bits()) {
 			s.Nodes[id] = struct{}{}
 		}
-		if attrs := v.attrsOf(&pn.element, true); attrs != nil {
+		if attrs := v.attrsOf(pn.vals, true); attrs != nil {
 			s.NodeAttrs[id] = attrs
 		}
 	}
 	for id, pe := range v.p.records {
-		if v.entry.m.has(&pe.bm) {
-			s.Edges[id] = pe.info
+		if v.has(pe.bits()) {
+			s.Edges[id] = pe.info()
 		}
-		if attrs := v.attrsOf(&pe.element, false); attrs != nil {
+	}
+	for id, l := range v.p.edgeVals {
+		if attrs := v.attrsOf(l, false); attrs != nil {
 			s.EdgeAttrs[id] = attrs
 		}
 	}
