@@ -36,19 +36,23 @@ import (
 // leaf skeleton node, persists the leaf-eventlist on the edge to the
 // previous leaf, and bubbles complete arity-k groups upward.
 func (dg *DeltaGraph) cutLeafLocked() error {
-	if len(dg.recent) == 0 {
+	if dg.recent.len() == 0 {
 		return nil
 	}
 	defer func(start time.Time) { dg.cutTimes = append(dg.cutTimes, time.Since(start)) }(time.Now())
+	events, err := dg.recent.all()
+	if err != nil {
+		return err
+	}
 	leaf := dg.skel.addNode(&skelNode{level: 0, at: dg.lastTime, size: dg.curSize})
 	prevLeaf := dg.skel.leaves[len(dg.skel.leaves)-1]
 	dg.skel.leaves = append(dg.skel.leaves, leaf)
 
 	evIndex := len(dg.skel.leaves) - 2 // eventlist ordinal between prevLeaf and leaf
 	if evIndex == 0 {
-		dg.firstTime = dg.recent[0].At
+		dg.firstTime = events[0].At
 	}
-	deltaID, sizes, count, err := dg.storeEvents(dg.recent, dg.auxRecent)
+	deltaID, sizes, count, err := dg.storeEvents(events, dg.auxRecent)
 	if err != nil {
 		return err
 	}
@@ -63,8 +67,7 @@ func (dg *DeltaGraph) cutLeafLocked() error {
 	}
 	dg.settlePendingLocked()
 	dg.pending[0] = append(dg.pending[0], pendingChild{node: leaf, size: dg.curSize, patch: make(patch), aux: auxCopies})
-	dg.recent = nil
-	clear(dg.window)
+	dg.recent = newRecentList(dg.opts.LeafSize)
 	dg.auxRecent = make([][]AuxEvent, len(dg.auxes))
 	dg.pool.ClearRecent() // deleted elements are now on disk
 	dg.clearSpineLocked()

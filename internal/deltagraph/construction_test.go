@@ -215,6 +215,7 @@ func TestConstructionDifferential(t *testing.T) {
 				for _, live := range []bool{false, true} {
 					name := fmt.Sprintf("%s/k%d/L%d/live=%v", fn, arity, leaf, live)
 					t.Run(name, func(t *testing.T) {
+						t.Parallel()
 						f, err := delta.ByName(fn)
 						if err != nil {
 							t.Fatal(err)
@@ -227,6 +228,7 @@ func TestConstructionDifferential(t *testing.T) {
 		}
 	}
 	t.Run("partitioned", func(t *testing.T) {
+		t.Parallel()
 		opts := Options{LeafSize: 64, Arity: 2, Partitions: 3}
 		differential(t, events, canon, opts, true)
 	})

@@ -144,16 +144,13 @@ type DeltaGraph struct {
 	// Builder state (Section 4.6 bulk construction + live updates).
 	cur      *graphpool.View // the graph after every appended event: the pool's bit 0
 	curSize  int             // its graph.Snapshot.Size, kept by appendLocked
-	recent   graph.EventList // events after the last leaf cut
+	recent   recentList      // events after the last leaf cut
 	lastTime graph.Time      // timestamp of the newest appended event
 	// firstTime is the timestamp of the first event of stored eventlist 0.
 	// The list's leaf, the empty anchor, stands before all time, so the
 	// planner takes the list's span in time from here (listStep).
 	firstTime graph.Time
 	pending   [][]pendingChild
-	// window is the set of elements changed since the last leaf cut: every
-	// pending node on the current graph already holds an image of each of them.
-	window map[elem]struct{}
 
 	// Provisional spine bookkeeping: nodes/edges dropped at the next leaf
 	// cut.
@@ -203,7 +200,7 @@ func New(opts Options) (*DeltaGraph, error) {
 		pool:        opts.Pool,
 		spine:       kvstore.NewMemStore(),
 		cur:         opts.Pool.Current(),
-		window:      make(map[elem]struct{}),
+		recent:      newRecentList(opts.LeafSize),
 		nextDeltaID: 1,
 		ckptFirstID: metaDeltaID - 1,
 		ckptNextID:  metaDeltaID - 1,
@@ -286,7 +283,7 @@ func (dg *DeltaGraph) appendLocked(ev graph.Event) error {
 	if ev.At < dg.lastTime {
 		return fmt.Errorf("deltagraph: event at %d is older than last event at %d", ev.At, dg.lastTime)
 	}
-	if len(dg.recent) >= dg.opts.LeafSize && ev.At > dg.lastTime {
+	if dg.recent.len() >= dg.opts.LeafSize && ev.At > dg.lastTime {
 		if err := dg.cutLeafLocked(); err != nil {
 			return err
 		}
@@ -308,7 +305,7 @@ func (dg *DeltaGraph) appendLocked(ev graph.Event) error {
 		dg.auxRecent[i] = append(dg.auxRecent[i], auxEvs...)
 	}
 	dg.pool.ApplyEvent(ev)
-	dg.recent = append(dg.recent, ev)
+	dg.recent.add(ev)
 	return nil
 }
 
@@ -373,19 +370,16 @@ func (dg *DeltaGraph) admitLocked(ev *graph.Event) bool {
 	return true
 }
 
-// touchLocked keeps the patch invariant ahead of a change to x: the first
-// time a leaf window changes an element, every pending node on the current
-// graph that holds no image of it yet is given the one the current graph is
-// about to lose. A node on the null graph says nothing about the current one.
+// touchLocked keeps the patch invariant ahead of a change to x: every pending
+// node on the current graph that holds no image of x yet is given the one the
+// current graph is about to lose. After the first change to x in a leaf
+// window every such node holds one, and this is a map lookup a node. A node
+// on the null graph says nothing about the current one.
 func (dg *DeltaGraph) touchLocked(x elem) {
-	if _, ok := dg.window[x]; ok {
-		return
-	}
-	dg.window[x] = struct{}{}
 	var saved *image
 	for _, level := range dg.pending {
 		for _, c := range level {
-			if _, ok := c.patch[x]; ok || c.onNull {
+			if c.onNull || c.patch[x] != nil { // a patch holds no nil image
 				continue
 			}
 			if saved == nil {

@@ -151,8 +151,11 @@ func (dg *DeltaGraph) Checkpoint() error {
 		return id, dg.dropPayloads(id, id-1)
 	}
 	var err error
-	if pi.CurrentID, err = newID(); err == nil && len(dg.recent) > 0 {
-		err = putCol(dg.store, 0, pi.CurrentID, kvstore.ComponentTransient, delta.EncodeEvents(dg.recent), sizes)
+	if pi.CurrentID, err = newID(); err == nil && dg.recent.len() > 0 {
+		var recent graph.EventList
+		if recent, err = dg.recent.all(); err == nil {
+			err = putCol(dg.store, 0, pi.CurrentID, kvstore.ComponentTransient, delta.EncodeEvents(recent), sizes)
+		}
 	}
 	if err != nil {
 		return err
@@ -411,12 +414,16 @@ func Open(opts Options) (*DeltaGraph, error) {
 	if pi.AuxRecent != nil {
 		dg.auxRecent = pi.AuxRecent
 	}
+	var recent graph.EventList
 	buf, err = dg.store.Get(kvstore.EncodeKey(0, pi.CurrentID, kvstore.ComponentTransient))
 	if err == nil {
-		dg.recent, err = delta.DecodeEvents(buf)
+		recent, err = delta.DecodeEvents(buf)
 	}
 	if err != nil && err != kvstore.ErrNotFound { // not found: the eventlist was empty
 		return nil, fmt.Errorf("deltagraph: checkpoint recent eventlist: %w", err)
+	}
+	for _, ev := range recent {
+		dg.recent.add(ev)
 	}
 
 	// Rebuild the permanent skeleton with its original node IDs.
@@ -526,7 +533,7 @@ func Open(opts Options) (*DeltaGraph, error) {
 		if err != nil {
 			return nil, err
 		}
-		applyEvents(cur, dg.recent, touch)
+		applyEvents(cur, recent, touch)
 	}
 	dg.pool.LoadCurrent(cur)
 	dg.curSize = cur.Size()

@@ -583,8 +583,8 @@ func TestGrowingHistoryCheckpointsNoGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi := lastCheckpoint(t, cs)
-	if _, _, bare := basesOf(pi); len(pi.Pending) < 3 || bare != len(pi.pendingChildren()) || len(dg.recent) == 0 {
-		t.Fatalf("pending levels %d, %d of %d pending nodes without a payload, %d recent events", len(pi.Pending), bare, len(pi.pendingChildren()), len(dg.recent))
+	if _, _, bare := basesOf(pi); len(pi.Pending) < 3 || bare != len(pi.pendingChildren()) || dg.recent.len() == 0 {
+		t.Fatalf("pending levels %d, %d of %d pending nodes without a payload, %d recent events", len(pi.Pending), bare, len(pi.pendingChildren()), dg.recent.len())
 	}
 	if _, err := cs.Get(kvstore.EncodeKey(0, pi.CurrentID, kvstore.ComponentTransient)); err != nil || len(cs.cuts) != 2 {
 		t.Fatalf("the checkpoint wrote %d records (the recent eventlist: %v), want it and the meta record", len(cs.cuts), err)

@@ -107,7 +107,7 @@ func (dg *DeltaGraph) leafSteps(from, to graph.Time, sel weightSelector) (route,
 		steps = append(steps, st)
 	}
 	if tail := max(from, dg.skel.leafTime(last)); tail < to {
-		n := dg.recent.SearchTime(to) - dg.recent.SearchTime(tail)
+		n := dg.recent.search(to) - dg.recent.search(tail)
 		steps = append(steps, step{kind: applyRecent, lo: tail, hi: to, cost: int64(n) * bytesPerRecentEvent, records: n})
 	}
 	return steps, nil
@@ -388,30 +388,36 @@ func (spec fetchSpec) wants(ev graph.Event) bool {
 }
 
 // graphRun applies steps to graphs under one fetch spec, for one call. It
-// keeps the stored eventlists it has fetched: a list can stand in several
-// steps of a plan, clipped differently (a delta cannot: every node of the
-// skeleton is reached by one path of the shortest-path tree).
+// keeps the stored eventlists it has fetched and the recent chunks it has
+// decoded: a list can stand in several steps of a plan, clipped differently (a
+// delta cannot: every node of the skeleton is reached by one path of the
+// shortest-path tree).
 type graphRun struct {
-	dg    *DeltaGraph
-	spec  fetchSpec
-	lists map[*skelEdge]graph.EventList
+	dg     *DeltaGraph
+	spec   fetchSpec
+	lists  map[*skelEdge]graph.EventList
+	recent []graph.EventList // the recent chunks decoded so far (recentList.events)
 }
 
 // events returns an eventlist step's events, oldest first.
 func (r *graphRun) events(st step) (graph.EventList, error) {
-	evs := r.dg.recent
-	if st.kind == applyList {
-		var ok bool
-		if evs, ok = r.lists[st.edge]; !ok {
-			var err error
-			if evs, err = r.dg.fetchEvents(st.edge, r.spec); err != nil {
-				return nil, err
-			}
-			if r.lists == nil {
-				r.lists = make(map[*skelEdge]graph.EventList)
-			}
-			r.lists[st.edge] = evs
+	if st.kind == applyRecent {
+		l := &r.dg.recent
+		if r.recent == nil {
+			r.recent = make([]graph.EventList, len(l.chunks)+1)
 		}
+		return l.events(l.search(st.lo), l.search(st.hi), r.recent)
+	}
+	evs, ok := r.lists[st.edge]
+	if !ok {
+		var err error
+		if evs, err = r.dg.fetchEvents(st.edge, r.spec); err != nil {
+			return nil, err
+		}
+		if r.lists == nil {
+			r.lists = make(map[*skelEdge]graph.EventList)
+		}
+		r.lists[st.edge] = evs
 	}
 	return evs[evs.SearchTime(st.lo):evs.SearchTime(st.hi)], nil
 }

@@ -61,9 +61,6 @@ type IndexStats struct {
 	// window (settleLocked). With the current graph in the pool alone it is
 	// what the index itself keeps in memory.
 	PatchElements int
-	// WindowElements is the number of elements changed since the last leaf
-	// cut: the ones every pending node already holds an image of.
-	WindowElements int
 	// PlanExecutions counts, since the index was created or opened, the
 	// graphs that snapshot queries built from a source (the null graph, a
 	// materialized node, the current graph): one for a singlepoint query,
@@ -103,8 +100,7 @@ func (dg *DeltaGraph) statsLocked() IndexStats {
 		CheckpointBytes:     dg.ckptBytes.Load(),
 		DeltaBytesByLevel:   make(map[int]int64),
 		DeltaRecordsByLevel: make(map[int]int),
-		RecentEvents:        len(dg.recent),
-		WindowElements:      len(dg.window),
+		RecentEvents:        dg.recent.len(),
 		PlanExecutions:      dg.planExecs.Load(),
 	}
 	for _, level := range dg.pending {

@@ -181,13 +181,13 @@ func TestIndexGauges(t *testing.T) {
 	for name, want := range map[string]int64{
 		"dg_index_disk_bytes": st.DiskBytes, "dg_index_spine_bytes": st.SpineBytes,
 		"dg_index_checkpoint_bytes": 0, "dg_index_leaves": int64(st.Leaves),
-		"dg_index_patch_elements": int64(st.PatchElements), "dg_index_window_elements": int64(st.WindowElements),
+		"dg_index_patch_elements": int64(st.PatchElements),
 	} {
 		if got, ok := before[name]; !ok || got != float64(want) {
 			t.Errorf("%s = %v (present %v), want %d", name, got, ok, want)
 		}
 	}
-	if st.DiskBytes <= 0 || st.SpineBytes <= 0 || st.Leaves <= 0 || st.PatchElements <= 0 || st.WindowElements <= 0 {
+	if st.DiskBytes <= 0 || st.SpineBytes <= 0 || st.Leaves <= 0 || st.PatchElements <= 0 || st.RecentEvents <= 0 {
 		t.Fatalf("index stats look empty: %+v", st)
 	}
 	if err := gm.Checkpoint(); err != nil {

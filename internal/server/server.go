@@ -149,8 +149,6 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 			func(st historygraph.IndexStats) int64 { return int64(st.Leaves) }},
 		{"dg_index_patch_elements", "Element images the pending index nodes hold in memory, where they differ from the current graph or, for a node far from it, all they contain (50 to 58 B an entry and the image): the index's own resident state, the current graph being the GraphPool's.",
 			func(st historygraph.IndexStats) int64 { return int64(st.PatchElements) }},
-		{"dg_index_window_elements", "Elements changed since the last leaf cut.",
-			func(st historygraph.IndexStats) int64 { return int64(st.WindowElements) }},
 	} {
 		reg.GaugeFunc(g.name, g.help, func() float64 { return float64(g.of(s.gm.Load().IndexStatsUnsealed())) })
 	}
