@@ -36,7 +36,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dgload: %v\n", err)
 		os.Exit(1)
 	}
-	events, err := delta.DecodeEvents(buf)
+	events, err := delta.DecodeEvents(nil, buf)
 	if errors.Is(err, delta.ErrOldFormat) {
 		fmt.Fprintf(os.Stderr, "dgload: %s was written by an earlier build's dggen, in a trace format this build no longer reads: generate it again with this build's dggen\n", *in)
 		os.Exit(1)

@@ -115,7 +115,7 @@ func (cl *CopyLog) Snapshot(t graph.Time, opts graph.AttrOptions) (*graph.Snapsh
 		if err != nil {
 			return nil, err
 		}
-		evs, err := delta.DecodeEvents(buf)
+		evs, err := delta.DecodeEvents(nil, buf)
 		if err != nil {
 			return nil, err
 		}

@@ -1,10 +1,30 @@
 package bitset
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// set returns the bits set in b, lowest first.
+func set(b *Bits) []int {
+	var out []int
+	for wi := range b.words() {
+		for w := b.Word(wi); w != 0; w &= w - 1 {
+			out = append(out, wi*wordBits+bits.TrailingZeros64(w))
+		}
+	}
+	return out
+}
+
+// clearBit clears bit i, the one way a program clears bits.
+func clearBit(b *Bits, i int) {
+	var mask Bits
+	mask.Set(i)
+	b.AndNot(&mask)
+}
 
 func TestSetGetClear(t *testing.T) {
 	var b Bits
@@ -23,98 +43,20 @@ func TestSetGetClear(t *testing.T) {
 	if b.Get(1) || b.Get(199) {
 		t.Error("unset bit reads set")
 	}
-	if b.Count() != 4 {
-		t.Errorf("Count = %d, want 4", b.Count())
+	if got := len(set(&b)); got != 4 {
+		t.Errorf("%d bits set, want 4", got)
 	}
-	b.Clear(64)
+	clearBit(&b, 64)
 	if b.Get(64) {
-		t.Error("Clear failed")
+		t.Error("clearing bit 64 failed")
 	}
-	b.Clear(100000) // beyond length: no-op
-	if b.Count() != 3 {
-		t.Errorf("Count after clear = %d", b.Count())
+	clearBit(&b, 100000) // beyond length: no-op
+	if got := len(set(&b)); got != 3 {
+		t.Errorf("%d bits set after clearing, want 3", got)
 	}
-}
-
-func TestSetTo(t *testing.T) {
-	var b Bits
-	b.SetTo(5, true)
-	if !b.Get(5) {
-		t.Error("SetTo(true) failed")
-	}
-	b.SetTo(5, false)
-	if b.Get(5) {
-		t.Error("SetTo(false) failed")
-	}
-}
-
-func TestAnyExcept(t *testing.T) {
-	var b Bits
-	b.Set(3)
-	if b.AnyExcept(3) {
-		t.Error("AnyExcept(3) with only bit 3 set")
-	}
-	if !b.AnyExcept(2) {
-		t.Error("AnyExcept(2) should see bit 3")
-	}
-	b.Set(100)
-	if !b.AnyExcept(3) {
-		t.Error("AnyExcept(3) should see bit 100")
-	}
-	if b.AnyExcept(3, 100) {
-		t.Error("AnyExcept(3,100) should be false")
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	var b Bits
-	b.Set(7)
-	c := b.Clone()
-	c.Set(8)
-	if b.Get(8) {
-		t.Error("clone shares storage")
-	}
-	if !c.Get(7) {
-		t.Error("clone lost bit")
-	}
-}
-
-func TestClearAllAndString(t *testing.T) {
-	var b Bits
-	b.Set(0)
-	b.Set(65)
-	if got := b.String(); got != "{0,65}" {
-		t.Errorf("String = %q", got)
-	}
-	b.ClearAll()
-	if b.Any() {
-		t.Error("ClearAll left bits")
-	}
-	if got := b.String(); got != "{}" {
-		t.Errorf("empty String = %q", got)
-	}
-}
-
-// SizeBytes is the heap a Bits owns outside the 16 bytes of the value itself
-// (which its owner accounts for as part of its own record): nothing while
-// the bitmap fits the inline word, then a slice header and the words above
-// the first.
-func TestSizeBytes(t *testing.T) {
-	var b Bits
-	if b.SizeBytes() != 0 {
-		t.Error("empty bitset should report 0 bytes")
-	}
-	b.Set(0)
-	b.Set(63)
-	if b.SizeBytes() != 0 {
-		t.Errorf("SizeBytes = %d with every bit in the inline word, want 0", b.SizeBytes())
-	}
-	if got := testing.AllocsPerRun(10, func() { var c Bits; c.Set(63); c.Clear(63); _ = c.Any() }); got != 0 {
+	// A bitmap that stays below bit 64 lives in its own 16 bytes.
+	if got := testing.AllocsPerRun(10, func() { var c Bits; c.Set(63); clearBit(&c, 63); _ = c.Any() }); got != 0 {
 		t.Errorf("a bitmap below 64 bits allocated %v times", got)
-	}
-	b.Set(200)
-	if b.SizeBytes() != 24+3*8 {
-		t.Errorf("SizeBytes = %d, want 48 (slice header + words 1..3)", b.SizeBytes())
 	}
 }
 
@@ -127,14 +69,14 @@ func TestAndNot(t *testing.T) {
 	mask.Set(64)
 	mask.Set(500) // wider than b
 	b.AndNot(&mask)
-	if got := b.String(); got != "{0,63,130}" {
-		t.Errorf("after AndNot: %s", got)
+	if got := set(&b); !slices.Equal(got, []int{0, 63, 130}) {
+		t.Errorf("after AndNot: %v", got)
 	}
 	var high Bits
 	high.Set(130)
 	b.AndNot(&high)
-	if got := b.String(); got != "{0,63}" || b.SizeBytes() != 0 {
-		t.Errorf("after clearing the last high bit: %s, %d bytes above the inline word (want none)", got, b.SizeBytes())
+	if got := set(&b); !slices.Equal(got, []int{0, 63}) || b.rest != nil {
+		t.Errorf("after clearing the last high bit: %v, words above the inline one %v (want none)", got, b.rest)
 	}
 	b.AndNot(&b)
 	if b.Any() {
@@ -164,7 +106,7 @@ func TestBitsMatchesMapModel(t *testing.T) {
 				b.Set(bit)
 				model[bit] = true
 			case 1:
-				b.Clear(bit)
+				clearBit(&b, bit)
 				delete(model, bit)
 			case 2:
 				if b.Get(bit) != model[bit] {
@@ -172,11 +114,7 @@ func TestBitsMatchesMapModel(t *testing.T) {
 				}
 			}
 		}
-		count := 0
-		for range model {
-			count++
-		}
-		return b.Count() == count
+		return len(set(&b)) == len(model) && b.Any() == (len(model) > 0)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -25,7 +25,7 @@ func BenchmarkCodec(b *testing.B) {
 	}{
 		{"struct", func() []byte { return EncodeStructCol(whole) }, func(p []byte) error { return DecodeStructCol(p, &Delta{}) }},
 		{"nodeattr", func() []byte { return EncodeNodeAttrCol(whole) }, func(p []byte) error { return DecodeNodeAttrCol(p, &Delta{}) }},
-		{"eventlist", func() []byte { return EncodeEvents(list) }, func(p []byte) error { _, err := DecodeEvents(p); return err }},
+		{"eventlist", func() []byte { return EncodeEvents(list) }, func(p []byte) error { _, err := DecodeEvents(nil, p); return err }},
 	} {
 		payload := c.encode()
 		sizes := func(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"historygraph/internal/graph"
 )
@@ -641,12 +642,16 @@ func encodeEvents(start func(byte, ...int) *payloadWriter, events []graph.Event)
 	return heads.Bytes()
 }
 
-// DecodeEvents decodes a run of events encoded by EncodeEvents.
-func DecodeEvents(b []byte) ([]graph.Event, error) {
+// DecodeEvents decodes a run of events encoded by EncodeEvents and appends
+// them to dst, growing it at most once; pass nil for a fresh slice. On an
+// error it returns dst as it was given.
+func DecodeEvents(dst []graph.Event, b []byte) ([]graph.Event, error) {
 	p := openPayload(b, tagEvents, 8)
 	heads, ats, nodes, edges, node2s := p.stream(0), p.stream(1), p.stream(2), p.stream(3), p.stream(4)
 	attrs, olds, news := p.stream(5), p.stream(6), p.stream(7)
-	events := make([]graph.Event, heads.Count(3))
+	n := heads.Count(3)
+	out := slices.Grow(dst, n)[:len(dst)+n]
+	events := out[len(dst):]
 	var prev graph.Event
 	for i := range events {
 		head := heads.Byte()
@@ -683,7 +688,7 @@ func DecodeEvents(b []byte) ([]graph.Event, error) {
 		events[i] = ev
 	}
 	if err := heads.Err(); err != nil {
-		return nil, fmt.Errorf("eventlist: %w", err)
+		return dst, fmt.Errorf("eventlist: %w", err)
 	}
-	return events, nil
+	return out, nil
 }

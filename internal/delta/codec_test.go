@@ -102,7 +102,7 @@ func TestEventsCodecRoundTrip(t *testing.T) {
 		{Type: graph.DelNode, At: 3, Node: 1, Directed: true, HadOld: true}, // and time going back
 	}
 	for _, l := range layouts {
-		got, err := DecodeEvents(encodeEvents(l.start, events))
+		got, err := DecodeEvents(nil, encodeEvents(l.start, events))
 		if err != nil {
 			t.Fatalf("%s: %v", l.name, err)
 		}
@@ -138,7 +138,7 @@ func TestEventsCodecIsTypeSpecific(t *testing.T) {
 	}
 }
 func TestEventsCodecEmpty(t *testing.T) {
-	got, err := DecodeEvents(EncodeEvents(nil))
+	got, err := DecodeEvents(nil, EncodeEvents(nil))
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty round trip: %v, %v", got, err)
 	}
@@ -161,7 +161,7 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 	if err := DecodeNodeAttrCol(buf, &out); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("wrong column tag: %v", err)
 	}
-	if _, err := DecodeEvents([]byte{0x77}); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeEvents(nil, []byte{0x77}); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("wrong events tag: %v", err)
 	}
 	if out.Len() != 0 {
@@ -210,7 +210,7 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 		case tagNodeAttrCol:
 			err = DecodeNodeAttrCol(b, &out)
 		case tagEvents:
-			_, err = DecodeEvents(b)
+			_, err = DecodeEvents(nil, b)
 		}
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: %v", name, err)
@@ -236,7 +236,7 @@ func TestFormat2IsRefused(t *testing.T) {
 	var out Delta
 	structCol2 := []byte{0x01, 1, 2, 0, 0, 0}             // format 2: AddNodes = [1]
 	events2 := []byte{0x04, 1, 1, 2, 4, 0, 0, 0, 0, 0, 0} // format 2: one AddNode
-	_, evErr := DecodeEvents(events2)
+	_, evErr := DecodeEvents(nil, events2)
 	for name, err := range map[string]error{
 		"struct column":   DecodeStructCol(structCol2, &out),
 		"nodeattr column": DecodeNodeAttrCol([]byte{0x02, 0, 0}, &out),

@@ -115,7 +115,7 @@ func (s *fuzzSource) events() []graph.Event {
 
 // allocatedWithin runs decode and fails the test if it allocated more than a
 // small multiple of the payload it was given: 48 bytes a payload byte (a
-// decoded event is 104 bytes and takes at least 3) plus a constant. The
+// decoded event is 88 bytes and takes at least 3) plus a constant. The
 // counter is the whole process's and a fuzz worker has goroutines of its own,
 // so an excess has to show three times in a row.
 func allocatedWithin(t *testing.T, payload []byte, decode func()) {
@@ -142,8 +142,12 @@ func allocatedWithin(t *testing.T, payload []byte, decode func()) {
 // allocating out of proportion; and as the recipe for a delta and an
 // eventlist, which must come back from the codec as they went in, in both
 // layouts — unsorted, out of range, or with values in fields they do not
-// use.
+// use — and the eventlist decoded onto a list that holds events already.
 func FuzzPayloadCodec(f *testing.F) {
+	held := []graph.Event{
+		{Type: graph.AddNode, At: 1, Node: 7},
+		{Type: graph.SetNodeAttr, At: 1, Node: 7, Attr: "k", New: "v", HasNew: true},
+	}
 	f.Add([]byte{})
 	f.Add(EncodeStructCol(&Delta{AddNodes: []graph.NodeID{1, 2, 3}, AddEdges: []EdgeRec{{ID: 1 << 40, From: 1, To: 2, Directed: true}}}))
 	f.Add(EncodeNodeAttrCol(&Delta{SetNodeAttrs: []NodeAttrRec{{Node: 1, Attr: "k", Val: "v"}, {Node: 1, Attr: "l", Val: "v"}}}))
@@ -174,7 +178,7 @@ func FuzzPayloadCodec(f *testing.F) {
 					_ = DecodeStructCol(payload, &d)
 					_ = DecodeNodeAttrCol(payload, &d)
 					_ = DecodeEdgeAttrCol(payload, &d)
-					_, _ = DecodeEvents(payload)
+					_, _ = DecodeEvents(nil, payload)
 				})
 			}
 		}
@@ -192,12 +196,22 @@ func FuzzPayloadCodec(f *testing.F) {
 				!slices.Equal(got.SetEdgeAttrs, want.SetEdgeAttrs) || !slices.Equal(got.DelEdgeAttrs, want.DelEdgeAttrs) {
 				t.Errorf("%s: delta came back as\n%+v, went in as\n%+v", l.name, *got, *want)
 			}
-			gotEvs, err := DecodeEvents(encodeEvents(l.start, wantEvs))
+			gotEvs, err := DecodeEvents(nil, encodeEvents(l.start, wantEvs))
 			if err != nil {
 				t.Fatalf("%s: %v", l.name, err)
 			}
 			if !slices.Equal(gotEvs, wantEvs) {
 				t.Errorf("%s: events came back as\n%+v, went in as\n%+v", l.name, gotEvs, wantEvs)
+			}
+			// Decoded onto a list that holds events already, with and
+			// without the room for them: the list is left as it was and
+			// what follows it is the fresh decode.
+			for _, room := range []int{0, len(gotEvs)} {
+				dst := append(make([]graph.Event, 0, len(held)+room), held...)
+				got, err := DecodeEvents(dst, encodeEvents(l.start, wantEvs))
+				if err != nil || !slices.Equal(got[:len(held)], held) || !slices.Equal(got[len(held):], gotEvs) {
+					t.Errorf("%s: decoded after %d events (room for %d more): %+v, %v", l.name, len(held), room, got, err)
+				}
 			}
 		}
 	})

@@ -386,23 +386,28 @@ func (dg *DeltaGraph) storeEvents(events graph.EventList, auxEvents [][]AuxEvent
 	id := dg.nextDeltaID
 	dg.nextDeltaID++
 	sizes := make(componentSizes, 4+len(dg.auxes))
-	// Split events by partition, then by column.
-	byPart := make([][]graph.Event, dg.opts.Partitions)
-	if dg.opts.Partitions == 1 {
-		byPart[0] = events
-	} else {
-		for _, ev := range events {
-			p := graph.PartitionOfEvent(ev, dg.opts.Partitions)
-			byPart[p] = append(byPart[p], ev)
+	// Split events by partition, then by column (indexed like
+	// kvstore.Component). Each list is counted first and carved out of one
+	// array at its exact size: an event is copied once, into its list.
+	parts := dg.opts.Partitions
+	counts := make([][4]int, parts)
+	for _, ev := range events {
+		counts[graph.PartitionOfEvent(ev, parts)][eventColumn(ev)]++
+	}
+	cols := make([][4]graph.EventList, parts)
+	free := make(graph.EventList, len(events))
+	for p := range cols {
+		for c, n := range counts[p] {
+			cols[p][c], free = free[:0:n], free[n:]
 		}
 	}
-	for p, evs := range byPart {
-		var cols [4]graph.EventList // indexed like kvstore.Component
-		for _, ev := range evs {
-			cols[eventColumn(ev)] = append(cols[eventColumn(ev)], ev)
-		}
-		for c, col := range cols {
-			if len(col) == 0 && !(dg.opts.Partitions == 1 && c == 0) {
+	for _, ev := range events {
+		p, c := graph.PartitionOfEvent(ev, parts), eventColumn(ev)
+		cols[p][c] = append(cols[p][c], ev)
+	}
+	for p := range cols {
+		for c, col := range cols[p] {
+			if len(col) == 0 && !(parts == 1 && c == 0) {
 				continue
 			}
 			if err := putCol(dg.store, p, id, kvstore.Component(c), delta.EncodeEvents(col), sizes); err != nil {
@@ -494,13 +499,9 @@ func (dg *DeltaGraph) fetchDelta(e *skelEdge, spec fetchSpec) (*delta.Delta, err
 // and returns the merged, chronologically ordered events.
 func (dg *DeltaGraph) fetchEvents(e *skelEdge, spec fetchSpec) (graph.EventList, error) {
 	comps := deltaComps(spec, true)
-	parts, err := fetchPerPartition(dg, e, comps, func(_ kvstore.Component, buf []byte, el *graph.EventList) error {
-		evs, err := delta.DecodeEvents(buf)
-		if err != nil {
-			return err
-		}
-		*el = append(*el, evs...)
-		return nil
+	parts, err := fetchPerPartition(dg, e, comps, func(_ kvstore.Component, buf []byte, el *graph.EventList) (err error) {
+		*el, err = delta.DecodeEvents(*el, buf)
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -417,7 +417,7 @@ func Open(opts Options) (*DeltaGraph, error) {
 	var recent graph.EventList
 	buf, err = dg.store.Get(kvstore.EncodeKey(0, pi.CurrentID, kvstore.ComponentTransient))
 	if err == nil {
-		recent, err = delta.DecodeEvents(buf)
+		recent, err = delta.DecodeEvents(nil, buf)
 	}
 	if err != nil && err != kvstore.ErrNotFound { // not found: the eventlist was empty
 		return nil, fmt.Errorf("deltagraph: checkpoint recent eventlist: %w", err)

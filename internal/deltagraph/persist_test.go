@@ -607,7 +607,7 @@ func decodedPayloads(t *testing.T, ps map[string][]byte) map[string][]byte {
 			out[key] = fmt.Appendf(nil, "%+v", d)
 			continue
 		}
-		evs, err := delta.DecodeEvents(buf)
+		evs, err := delta.DecodeEvents(nil, buf)
 		if err != nil {
 			t.Fatalf("a payload of %d B is no delta column and no eventlist: %v", len(buf), err)
 		}

@@ -54,7 +54,7 @@ func (l *recentList) events(a, b int, decoded []graph.EventList) (graph.EventLis
 	for c := a / l.size; c*l.size < b; c++ {
 		if decoded[c] == nil && c < len(l.chunks) {
 			var err error
-			if decoded[c], err = delta.DecodeEvents(l.chunks[c]); err != nil {
+			if decoded[c], err = delta.DecodeEvents(nil, l.chunks[c]); err != nil {
 				return nil, err
 			}
 		} else if decoded[c] == nil {
@@ -65,7 +65,15 @@ func (l *recentList) events(a, b int, decoded []graph.EventList) (graph.EventLis
 	return evs, nil
 }
 
-// all returns every event of the list, oldest first.
+// all returns every event of the list, oldest first, each chunk decoded
+// straight into one slice of the list's length.
 func (l *recentList) all() (graph.EventList, error) {
-	return l.events(0, l.len(), make([]graph.EventList, len(l.chunks)+1))
+	evs := make(graph.EventList, 0, l.len())
+	for _, chunk := range l.chunks {
+		var err error
+		if evs, err = delta.DecodeEvents(evs, chunk); err != nil {
+			return nil, err
+		}
+	}
+	return append(evs, l.tail...), nil
 }

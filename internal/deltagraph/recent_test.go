@@ -3,8 +3,11 @@ package deltagraph
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
+	"historygraph/internal/delta"
 	"historygraph/internal/graph"
 	"historygraph/internal/graphpool"
 	"historygraph/internal/kvstore"
@@ -198,10 +201,11 @@ func TestOpenLeafMatchesReplay(t *testing.T) {
 
 // TestOpenLeafHeap: the recent eventlist at the benchmark's fixed point (the
 // seed-1 trace, 2 108 events after the last leaf) holds at most 24 B of heap
-// an event. Held decoded, as a graph.EventList, it took 104.9 B. As four
-// encoded chunks of L/8 events, each event's time beside them, and a decoded
-// tail of 60 it takes 21.0: 8.1 B of payload an event, 8 of time, the rest
-// the tail and allocation size classes.
+// an event. Held decoded, as a graph.EventList of 104-byte events, it took
+// 104.9 B. As four encoded chunks of L/8 events, each event's time beside
+// them, and a decoded tail of 60 it takes 21.0, and 20.0 with an event 88
+// bytes: 8.1 B of payload an event, 8 of time, the rest the tail and
+// allocation size classes.
 func TestOpenLeafHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocator is not the one the bound was measured under")
@@ -218,6 +222,73 @@ func TestOpenLeafHeap(t *testing.T) {
 	if perEvent > 24 {
 		t.Errorf("the open leaf holds %.1f B an event, want at most 24", perEvent)
 	}
+}
+
+// TestLeafCutAllocations: a leaf cut copies each event twice, decoding the
+// open leaf's chunks straight into one list and that list into its columns,
+// each counted first and carved out of one array at its exact size. So on a
+// mixed window of 4 096 events the cut allocates what decoding the chunks and
+// encoding the columns do, one array of the window's events (360 kB), and
+// 33 kB beside (keys, the store's copies). It allocated 1.5 MB beyond when
+// the chunks were decoded apart and copied into one list and each column
+// grew by append; the smallest column regrowing would show 118 kB.
+func TestLeafCutAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocator is not the one the bound was measured under")
+	}
+	window := openLeafEvents(1, 1<<32, 400)[:4096]
+	dg, err := New(Options{Store: kvstore.NewMemStore(), LeafSize: 2 * len(window)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cols [4]graph.EventList
+	for _, ev := range window {
+		dg.recent.add(ev)
+		cols[eventColumn(ev)] = append(cols[eventColumn(ev)], ev)
+	}
+	for c, col := range cols {
+		if len(col) < len(window)/10 {
+			t.Fatalf("column %d has %d of the window's %d events: want a mixed window", c, len(col), len(window))
+		}
+	}
+	decode := allocated(func() {
+		for _, chunk := range dg.recent.chunks {
+			_, _ = delta.DecodeEvents(nil, chunk)
+		}
+	})
+	encode := allocated(func() {
+		for _, col := range cols {
+			_ = delta.EncodeEvents(col)
+		}
+	})
+	limit := decode + encode + uint64(len(window))*uint64(unsafe.Sizeof(graph.Event{})) + 64<<10
+	var got uint64
+	for try := 0; try < 3; try++ { // the counter is the process's: an excess has to show three times
+		if got = allocated(func() {
+			events, err := dg.recent.all()
+			if err == nil {
+				_, _, _, err = dg.storeEvents(events, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}); got <= limit {
+			break
+		}
+	}
+	t.Logf("the cut allocated %d B: %d decoding, %d encoding, %d beside", got, decode, encode, int64(got)-int64(decode+encode))
+	if got > limit {
+		t.Errorf("the cut allocated %d B, more than %d", got, limit)
+	}
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // dropValue sets *p to its zero value, whatever the type of the recent

@@ -87,15 +87,20 @@ func (t EventType) IsTransient() bool { return t == TransientEdge || t == Transi
 //
 // Edge-attribute events carry the endpoints as well so that horizontal
 // partitioning can route them without a lookup.
+//
+// The fields are in alignment order, the 8-byte ones first and the four
+// 1-byte ones sharing the last word, so an Event is 88 bytes with no padding
+// but that word's tail. Every list of events (a trace, a WAL run, an apply
+// queue, the open leaf's tail) is made of them.
 type Event struct {
-	Type     EventType
 	At       Time
 	Node     NodeID
 	Node2    NodeID
 	Edge     EdgeID
-	Directed bool
 	Attr     string
 	Old, New string
+	Type     EventType
+	Directed bool
 	HadOld   bool
 	HasNew   bool
 }

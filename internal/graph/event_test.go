@@ -5,7 +5,27 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestEventLayout pins an Event at 88 bytes: eleven words, the four 1-byte
+// fields sharing the last. Declared in their natural order (Type first,
+// Directed between the ids and the strings) each of those started a word of
+// its own, and an Event was 104 bytes, 16 of them padding.
+func TestEventLayout(t *testing.T) {
+	var ev Event
+	if size := unsafe.Sizeof(ev); size != 88 {
+		t.Errorf("an Event is %d bytes, want 88", size)
+	}
+	for name, off := range map[string]uintptr{
+		"Type": unsafe.Offsetof(ev.Type), "Directed": unsafe.Offsetof(ev.Directed),
+		"HadOld": unsafe.Offsetof(ev.HadOld), "HasNew": unsafe.Offsetof(ev.HasNew),
+	} {
+		if off < 80 {
+			t.Errorf("%s is at offset %d, want it in the last word (80 and up)", name, off)
+		}
+	}
+}
 
 func TestEventTypeString(t *testing.T) {
 	cases := map[EventType]string{

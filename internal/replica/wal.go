@@ -103,7 +103,7 @@ func decodeRunTail(tail []byte) (events historygraph.EventList, batch string, er
 		return nil, "", fmt.Errorf("replica: corrupt batch ID in a WAL payload")
 	}
 	body := tail[w:]
-	events, err = delta.DecodeEvents(body[n:])
+	events, err = delta.DecodeEvents(nil, body[n:])
 	return events, string(body[:n]), err
 }
 
