@@ -7,6 +7,7 @@ import (
 
 	"historygraph/internal/delta"
 	"historygraph/internal/graph"
+	"historygraph/internal/graphpool"
 	"historygraph/internal/kvstore"
 )
 
@@ -280,12 +281,15 @@ func (dg *DeltaGraph) attachRootLocked(root pendingChild) error {
 	idx := dg.skel.addEdge(&skelEdge{from: dg.skel.superRoot, to: root.node, kind: kindDelta, deltaID: deltaID, sizes: sizes, counts: count, evIndex: -1, provisional: true})
 	dg.provEdgeIdxs = append(dg.provEdgeIdxs, idx)
 	// Materialization follows the root across leaf cuts: if the torn down
-	// root was pinned, pin the new one (its content is already in hand, so
-	// this costs no retrieval).
+	// root was pinned, pin the new one (its delta from the null graph is
+	// already in hand, so this costs no retrieval; a build from the empty
+	// graph cannot fail).
 	if dg.rematRoot {
 		dg.rematRoot = false
 		if !dg.skel.nodes[root.node].materialized {
-			dg.pinLocked(root.node, rootSnap.Clone())
+			b, _ := dg.pool.NewBuild(graphpool.NoDependency, false, allAttrOptions)
+			b.ApplyDelta(d)
+			dg.pinLocked(root.node, b.Commit(graphpool.KindMaterialized, 0))
 		}
 	}
 	return nil
@@ -479,20 +483,26 @@ func decodeCol(comp kvstore.Component, buf []byte, d *delta.Delta) error {
 	}
 }
 
-// fetchDelta loads and assembles the requested columns of the delta on edge
-// e. When the index is partitioned, both the reads and the decoding run in
-// one goroutine per partition ("machine"), mirroring the paper's distributed
-// retrieval where each machine reconstructs its piece independently.
-func (dg *DeltaGraph) fetchDelta(e *skelEdge, spec fetchSpec) (*delta.Delta, error) {
-	parts, err := fetchPerPartition(dg, e, deltaComps(spec, false), decodeCol)
-	if err != nil {
-		return nil, err
+// fetchDelta loads the requested columns of the delta on edge e, one part a
+// partition. When the index is partitioned, both the reads and the decoding
+// run in one goroutine per partition ("machine"), mirroring the paper's
+// distributed retrieval where each machine reconstructs its piece
+// independently.
+func (dg *DeltaGraph) fetchDelta(e *skelEdge, spec fetchSpec) ([]*delta.Delta, error) {
+	return fetchPerPartition(dg, e, deltaComps(spec, false), decodeCol)
+}
+
+// applyParts applies a delta fetched a part a partition to s: every part's
+// deletions before any part's additions, as delta.Delta.Apply orders one
+// delta's, since an edge id a delta moves from one pair to another is deleted
+// in its old From's part and added in its new one's.
+func applyParts(s *graph.Snapshot, parts ...*delta.Delta) {
+	for _, d := range parts {
+		(&delta.Delta{DelNodes: d.DelNodes, DelEdges: d.DelEdges, DelNodeAttrs: d.DelNodeAttrs, DelEdgeAttrs: d.DelEdgeAttrs}).Apply(s)
 	}
-	out := &delta.Delta{}
-	for _, part := range parts {
-		mergeDelta(out, part)
+	for _, d := range parts {
+		(&delta.Delta{AddNodes: d.AddNodes, AddEdges: d.AddEdges, SetNodeAttrs: d.SetNodeAttrs, SetEdgeAttrs: d.SetEdgeAttrs}).Apply(s)
 	}
-	return out, nil
 }
 
 // fetchEvents loads the requested columns of the leaf-eventlist on edge e
@@ -570,18 +580,6 @@ func (dg *DeltaGraph) payloadStore(e *skelEdge) kvstore.Store {
 		return dg.spine
 	}
 	return dg.store
-}
-
-// mergeDelta appends src's records into dst.
-func mergeDelta(dst, src *delta.Delta) {
-	dst.AddNodes = append(dst.AddNodes, src.AddNodes...)
-	dst.DelNodes = append(dst.DelNodes, src.DelNodes...)
-	dst.AddEdges = append(dst.AddEdges, src.AddEdges...)
-	dst.DelEdges = append(dst.DelEdges, src.DelEdges...)
-	dst.SetNodeAttrs = append(dst.SetNodeAttrs, src.SetNodeAttrs...)
-	dst.DelNodeAttrs = append(dst.DelNodeAttrs, src.DelNodeAttrs...)
-	dst.SetEdgeAttrs = append(dst.SetEdgeAttrs, src.SetEdgeAttrs...)
-	dst.DelEdgeAttrs = append(dst.DelEdgeAttrs, src.DelEdgeAttrs...)
 }
 
 // Flush syncs the store. (The skeleton itself is persisted by Checkpoint;

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"historygraph/internal/datagen"
+	"historygraph/internal/delta"
 	"historygraph/internal/graph"
 	"historygraph/internal/graphpool"
 )
@@ -126,7 +127,12 @@ func TestCurrentGraphIsOneGraph(t *testing.T) {
 					}
 				}
 				held = want
-				heldID = pool.OverlaySnapshot(held, ev.At)
+				b, err := pool.NewBuild(graphpool.NoDependency, false, allAttrs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.ApplyDelta(delta.FromSnapshot(held))
+				heldID = b.Commit(graphpool.KindHistorical, ev.At)
 			}
 			id, err := dg.Retrieve(ev.At, allAttrs)
 			if err != nil {

@@ -212,7 +212,7 @@ func New(opts Options) (*DeltaGraph, error) {
 	// precede the first cut. It stays out of the interior hierarchy and
 	// is permanently materialized (the empty graph is free to hold), so
 	// the super-root reaches it at zero cost.
-	leaf0 := dg.skel.addNode(&skelNode{level: 0, at: math.MinInt64, materialized: true, matSnapshot: graph.NewSnapshot()})
+	leaf0 := dg.skel.addNode(&skelNode{level: 0, at: math.MinInt64, materialized: true})
 	dg.skel.leaves = append(dg.skel.leaves, leaf0)
 	dg.skel.addEdge(&skelEdge{from: dg.skel.superRoot, to: leaf0, kind: kindMat, sizes: make(componentSizes, 4), evIndex: -1})
 	dg.pending = append(dg.pending, nil)

@@ -592,3 +592,144 @@ func TestQueryAtTimeZeroAndEarly(t *testing.T) {
 		}
 	}
 }
+
+// TestRetrieveMatchesGetSnapshot: a graph Retrieve or RetrieveMany builds in
+// the pool reads back (View.Snapshot) as the map GetSnapshot builds on the
+// same plan — at random times, structure only, with one node attribute and
+// with all, on indexes with nothing, the root and every leaf materialized,
+// one of them partitioned, and on a trace that sets attributes on absent
+// elements and moves edge ids. Between them the reads build every kind of
+// graph: a dependent of the current graph, a dependent of a materialized
+// one, an explicit one, and multipoint plans that fork. Once every graph is
+// released and cleaned the pool holds what it held before the reads, to the
+// byte.
+func TestRetrieveMatchesGetSnapshot(t *testing.T) {
+	kinds := map[string]int{}
+	for _, tc := range []struct {
+		trace  string
+		events graph.EventList
+		parts  int
+	}{{"makeTrace", makeTrace(31, 3000), 1}, {"makeTrace", makeTrace(32, 3000), 3}, {"lenientTrace", lenientTrace(31, 3000), 1}} {
+		for _, policy := range []string{"", "root", "leaves"} {
+			name := fmt.Sprintf("%s/P=%d/materialized=%q", tc.trace, tc.parts, policy)
+			pool := graphpool.New()
+			dg, err := Build(tc.events, Options{LeafSize: 100, Arity: 2, Pool: pool, Partitions: tc.parts, DependentMaxRatio: 0.5})
+			if err == nil && policy != "" {
+				err = dg.MaterializeLevel(policy)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(len(policy))))
+			first, last := tc.events.Span()
+			draw := func() graph.Time { return first - 2 + graph.Time(rng.Int63n(int64(last-first+5))) }
+			type read struct {
+				ts   []graph.Time
+				opts graph.AttrOptions
+			}
+			var reads []read
+			for i := 0; i < 15; i++ {
+				ts := []graph.Time{draw()}
+				if i%3 == 0 { // the head and near it, where reads start at the current graph
+					ts[0] = last - graph.Time(rng.Intn(20))
+				}
+				for j := rng.Intn(4); j > 0; j-- { // close times, so that plans share steps
+					ts = append(ts, ts[len(ts)-1]+graph.Time(rng.Intn(40)))
+				}
+				reads = append(reads, read{ts, graph.MustParseAttrOptions([]string{"", "+node:name", "+node:all+edge:all"}[i%3])})
+			}
+			// Once to grow what the reads grow (a node's list of values, the
+			// spill table), which a clean pass does not shrink, then again.
+			for pass := 0; pass < 2; pass++ {
+				pool.CleanNow()
+				bytes, st := pool.ApproxBytes(), pool.Stats()
+				var held []graphpool.GraphID
+				for _, rd := range reads {
+					// Each against the map built on the same plan: a multipoint
+					// plan may undo an eventlist a singlepoint one applies, and
+					// on lenientTrace that is not the same graph (an undone
+					// delete does not bring back the attributes it took).
+					single, err := dg.GetSnapshot(rd.ts[0], rd.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := dg.GetSnapshots(rd.ts, rd.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					one, err := dg.Retrieve(rd.ts[0], rd.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					many, err := dg.RetrieveMany(rd.ts, rd.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, id := range append([]graphpool.GraphID{one}, many...) {
+						w := single
+						if i > 0 {
+							w = want[i-1]
+						}
+						v, err := pool.View(id)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := v.Snapshot(); !got.Equal(w) || v.NumNodes() != len(w.Nodes) || v.NumEdges() != len(w.Edges) {
+							t.Fatalf("%s: graph %d of Retrieve(%v) and RetrieveMany(%v, %v) differs from GetSnapshot(s)", name, i, rd.ts[0], rd.ts, rd.opts)
+						}
+					}
+					held = append(append(held, one), many...)
+					for _, row := range pool.MappingTable() {
+						switch {
+						case row.ID != one:
+						case row.Dep == graphpool.CurrentGraph:
+							kinds["dependent on the current graph"]++
+						case row.Dep != graphpool.NoDependency:
+							kinds["dependent on a materialized graph"]++
+						default:
+							kinds["explicit"]++
+						}
+					}
+					dg.mu.RLock()
+					tree, _, err := dg.planLocked(rd.ts, selectorFor(rd.opts, nil))
+					dg.mu.RUnlock()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if forks(tree.kids...) > 0 {
+						kinds["multipoint, forked"]++
+					}
+				}
+				for _, id := range held {
+					if err := pool.Release(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				pool.CleanNow()
+				after := pool.Stats()
+				if got := pool.ApproxBytes(); pass == 1 && (got != bytes || after.PoolNodes != st.PoolNodes || after.PoolEdges != st.PoolEdges || after.ActiveGraphs != st.ActiveGraphs) {
+					t.Errorf("%s: released and cleaned, the pool holds %d B, %d nodes, %d edges in %d graphs; before the reads %d B, %d, %d in %d",
+						name, got, after.PoolNodes, after.PoolEdges, after.ActiveGraphs, bytes, st.PoolNodes, st.PoolEdges, st.ActiveGraphs)
+				}
+			}
+		}
+	}
+	t.Logf("graphs built: %v", kinds)
+	for _, kind := range []string{"dependent on the current graph", "dependent on a materialized graph", "explicit", "multipoint, forked"} {
+		if kinds[kind] == 0 {
+			t.Errorf("no read built a graph %s", kind)
+		}
+	}
+}
+
+// forks counts the nodes of a plan, below its root, that more than one graph
+// goes on from.
+func forks(nodes ...*planNode) (n int) {
+	for _, pn := range nodes {
+		if len(pn.outs)+len(pn.kids) > 1 {
+			n++
+		}
+		n += forks(pn.kids...)
+	}
+	return n
+}

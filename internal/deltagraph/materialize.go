@@ -6,7 +6,11 @@ import (
 	"sort"
 
 	"historygraph/internal/graph"
+	"historygraph/internal/graphpool"
 )
+
+// allAttrOptions asks for every attribute: what a materialized graph holds.
+var allAttrOptions = graph.AttrOptions{NodeAll: true, EdgeAll: true}
 
 // Memory materialization (Section 4.5): any DeltaGraph node can be
 // pre-fetched and pinned in memory. A zero-weight edge from the super-root
@@ -106,7 +110,7 @@ func (dg *DeltaGraph) materializeLocked(ids []int) error {
 	if err := dg.sealLocked(); err != nil { // the paths to the nodes start at the root
 		return err
 	}
-	p := planner{dg: dg, sel: selectorFor(graph.MustParseAttrOptions("+node:all+edge:all"), dg.auxComponentIDs())}
+	p := planner{dg: dg, sel: selectorFor(allAttrOptions, dg.auxComponentIDs())}
 	tree := &planNode{}
 	for i, id := range todo {
 		r, err := p.reach(id)
@@ -118,25 +122,23 @@ func (dg *DeltaGraph) materializeLocked(ids []int) error {
 		}
 		tree.insert(r, i)
 	}
-	snaps := make([]*graph.Snapshot, len(todo))
-	run := graphRun{dg: dg, spec: fetchSpec{nodeAttr: true, edgeAttr: true}}
-	if err := execute(tree, graph.NewSnapshot(), (*graph.Snapshot).Clone, run.apply, snaps); err != nil {
+	gids, err := dg.buildLocked(tree, make([]graph.Time, len(todo)), graphpool.KindMaterialized, allAttrOptions, false)
+	if err != nil {
 		return err
 	}
 	for i, id := range todo {
-		dg.pinLocked(id, snaps[i])
+		dg.pinLocked(id, gids[i])
 	}
 	return nil
 }
 
-// pinLocked makes snap the materialized graph of a skeleton node: it is held
-// in memory (and in the pool), and a zero-weight edge from the super-root
-// offers it to every later plan.
-func (dg *DeltaGraph) pinLocked(id int, snap *graph.Snapshot) {
-	node := dg.skel.nodes[id]
-	node.materialized, node.matSnapshot = true, snap
+// pinLocked makes the pool graph gid the materialized graph of a skeleton
+// node, held in memory once, in the pool; a zero-weight edge from the
+// super-root offers it to every later plan.
+func (dg *DeltaGraph) pinLocked(id int, gid graphpool.GraphID) {
+	dg.skel.nodes[id].materialized = true
 	dg.skel.addEdge(&skelEdge{from: dg.skel.superRoot, to: id, kind: kindMat, sizes: make(componentSizes, 4+len(dg.auxes)), evIndex: -1})
-	dg.matGraphs[id] = dg.pool.OverlayMaterialized(snap)
+	dg.matGraphs[id] = gid
 }
 
 // Unmaterialize releases a materialized node: the zero-weight edge is
@@ -149,7 +151,7 @@ func (dg *DeltaGraph) Unmaterialize(ref NodeRef) error {
 	if id < 0 || id >= len(dg.skel.nodes) || !dg.skel.nodes[id].materialized {
 		return fmt.Errorf("deltagraph: node %d not materialized", id)
 	}
-	if dg.skel.nodes[id].matSnapshot != nil && id == dg.skel.leaves[0] {
+	if id == dg.skel.leaves[0] {
 		return fmt.Errorf("deltagraph: the empty anchor leaf stays materialized")
 	}
 	if gid, ok := dg.matGraphs[id]; ok {
@@ -158,9 +160,7 @@ func (dg *DeltaGraph) Unmaterialize(ref NodeRef) error {
 		}
 		delete(dg.matGraphs, id)
 	}
-	node := dg.skel.nodes[id]
-	node.materialized = false
-	node.matSnapshot = nil
+	dg.skel.nodes[id].materialized = false
 	for _, ei := range dg.skel.out[dg.skel.superRoot] {
 		e := dg.skel.edges[ei]
 		if e != nil && e.kind == kindMat && e.to == id {
@@ -207,18 +207,18 @@ func (dg *DeltaGraph) MaterializeLevel(policy string) error {
 	return dg.materializeLocked(ids)
 }
 
-// MaterializedBytes estimates the memory pinned by materialization
-// (element counts weighted like GraphPool's accounting), for the
-// memory-vs-latency experiments.
+// MaterializedBytes is the memory pinned by materialization, for the
+// memory-vs-latency experiments: the pool's records and values that each
+// materialized graph holds (View.Bytes).
 func (dg *DeltaGraph) MaterializedBytes() int64 {
 	if dg.rlockSealed() != nil { // a pinned root is re-pinned by the seal
 		return 0
 	}
 	defer dg.mu.RUnlock()
 	var total int64
-	for _, n := range dg.skel.nodes {
-		if n != nil && n.materialized && n.matSnapshot != nil {
-			total += int64(n.matSnapshot.Size()) * 48
+	for _, id := range dg.matGraphs {
+		if v, err := dg.pool.View(id); err == nil {
+			total += v.Bytes()
 		}
 	}
 	return total

@@ -327,32 +327,34 @@ func (dg *DeltaGraph) toLastLeaf(node int, w *graph.Snapshot, touch func(*graph.
 		if i < 0 {
 			return fmt.Errorf("deltagraph: no delta from node %d to %d", n.id, child)
 		}
-		d, err := dg.fetchDelta(dg.skel.edges[dg.skel.out[n.id][i]], allColumns)
+		parts, err := dg.fetchDelta(dg.skel.edges[dg.skel.out[n.id][i]], allColumns)
 		if err != nil {
 			return err
 		}
-		applyTouching(w, d, touch)
+		applyTouching(w, touch, parts...)
 		n = dg.skel.nodes[child]
 	}
 	return nil
 }
 
-// applyTouching applies d to w, first telling touch of every element d has a
-// record on.
-func applyTouching(w *graph.Snapshot, d *delta.Delta, touch func(*graph.Snapshot, elem)) {
-	for _, n := range slices.Concat(d.AddNodes, d.DelNodes) {
-		touch(w, nodeElem(n))
+// applyTouching applies the parts of a delta to w (applyParts), first
+// telling touch of every element they have a record on.
+func applyTouching(w *graph.Snapshot, touch func(*graph.Snapshot, elem), parts ...*delta.Delta) {
+	for _, d := range parts {
+		for _, n := range slices.Concat(d.AddNodes, d.DelNodes) {
+			touch(w, nodeElem(n))
+		}
+		for _, e := range slices.Concat(d.AddEdges, d.DelEdges) {
+			touch(w, edgeElem(e.ID))
+		}
+		for _, r := range slices.Concat(d.SetNodeAttrs, d.DelNodeAttrs) {
+			touch(w, nodeElem(r.Node))
+		}
+		for _, r := range slices.Concat(d.SetEdgeAttrs, d.DelEdgeAttrs) {
+			touch(w, edgeElem(r.Edge))
+		}
 	}
-	for _, e := range slices.Concat(d.AddEdges, d.DelEdges) {
-		touch(w, edgeElem(e.ID))
-	}
-	for _, r := range slices.Concat(d.SetNodeAttrs, d.DelNodeAttrs) {
-		touch(w, nodeElem(r.Node))
-	}
-	for _, r := range slices.Concat(d.SetEdgeAttrs, d.DelEdgeAttrs) {
-		touch(w, edgeElem(r.Edge))
-	}
-	d.Apply(w)
+	applyParts(w, parts...)
 }
 
 // applyEvents applies evs to w, telling touch of the element each changes
@@ -525,7 +527,7 @@ func Open(opts Options) (*DeltaGraph, error) {
 				d.Apply(g)
 				d = delta.Compute(g, w)
 			}
-			applyTouching(w, d, touch)
+			applyTouching(w, touch, d)
 			dg.pending[level][i].patch = make(patch)
 			passed = append(passed, dg.pending[level][i].patch)
 			return nil

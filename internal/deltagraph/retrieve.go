@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 
-	"historygraph/internal/delta"
 	"historygraph/internal/graph"
 	"historygraph/internal/graphpool"
 )
@@ -28,7 +27,11 @@ import (
 //     (the Steiner-tree 2-approximation); materialization has skeleton nodes
 //     for targets. Plans that share steps share them in the tree.
 //   - One executor walks the tree once, copying what it builds where the tree
-//     branches. Nothing stored is read twice in one call.
+//     branches. Nothing stored is read twice in one call. It builds in one of
+//     two states: graph.Snapshot maps for the calls that hand back maps, and
+//     graphs under construction in the GraphPool for those that answer with
+//     a pool graph (Retrieve, RetrieveMany, materialization), which never
+//     build a map.
 
 const bytesPerRecentEvent = 24 // planning estimate for in-memory events
 
@@ -288,7 +291,8 @@ func execute[S any](n *planNode, s S, fork func(S) S, apply func(S, step) (S, er
 	return nil
 }
 
-// planLocked plans the graphs at ts as one tree (Section 4.4). The terminal
+// planLocked plans the graphs at ts as one tree (Section 4.4), and counts
+// those built from a source (IndexStats.PlanExecutions). The terminal
 // graph joins every timepoint to the null graph, at the cost of its own
 // cheapest route, and to its neighbour in time, at the cost of the leaf level
 // between them; a minimum spanning tree of it decides which timepoints are
@@ -368,6 +372,9 @@ func (dg *DeltaGraph) planLocked(ts []graph.Time, sel weightSelector) (*planNode
 	tree := &planNode{}
 	for i, oi := range order {
 		tree.insert(paths[i], oi)
+		if routes[oi] != nil {
+			dg.planExecs.Add(1)
+		}
 	}
 	return tree, routes, nil
 }
@@ -397,6 +404,12 @@ type graphRun struct {
 	spec   fetchSpec
 	lists  map[*skelEdge]graph.EventList
 	recent []graph.EventList // the recent chunks decoded so far (recentList.events)
+	// In the pool (build): the options the graphs are retrieved with, whether
+	// a graph stays a dependent of the graph its route starts from, and every
+	// graph under construction begun so far.
+	attrs     graph.AttrOptions
+	dependent bool
+	begun     []*graphpool.Build
 }
 
 // events returns an eventlist step's events, oldest first.
@@ -422,24 +435,38 @@ func (r *graphRun) events(st step) (graph.EventList, error) {
 	return evs[evs.SearchTime(st.lo):evs.SearchTime(st.hi)], nil
 }
 
+// pinned returns the pool graph of the node a fromPinned step starts from:
+// NoDependency for the empty anchor leaf, which has none.
+func (dg *DeltaGraph) pinned(st step) (graphpool.GraphID, error) {
+	node := dg.skel.nodes[st.edge.to]
+	if id, ok := dg.matGraphs[node.id]; ok {
+		return id, nil
+	}
+	if node.id == dg.skel.leaves[0] {
+		return graphpool.NoDependency, nil
+	}
+	return 0, fmt.Errorf("deltagraph: node %d not materialized", node.id)
+}
+
 // apply applies one step to s. Transient events never modify it.
 func (r *graphRun) apply(s *graph.Snapshot, st step) (*graph.Snapshot, error) {
 	switch st.kind {
 	case fromPinned:
-		node := r.dg.skel.nodes[st.edge.to]
-		if node.matSnapshot == nil {
-			return nil, fmt.Errorf("deltagraph: node %d not materialized", node.id)
+		id, err := r.dg.pinned(st)
+		if err != nil || id == graphpool.NoDependency {
+			return graph.NewSnapshot(), err
 		}
-		return node.matSnapshot.Clone(), nil
-	case fromCurrent:
-		return r.dg.cur.Snapshot(), nil
-	case applyDelta:
-		d, err := r.dg.fetchDelta(st.edge, r.spec)
+		v, err := r.dg.pool.View(id)
 		if err != nil {
 			return nil, err
 		}
-		d.Apply(s)
-		return s, nil
+		return v.Snapshot(), nil
+	case fromCurrent:
+		return r.dg.cur.Snapshot(), nil
+	case applyDelta:
+		parts, err := r.dg.fetchDelta(st.edge, r.spec)
+		applyParts(s, parts...)
+		return s, err
 	}
 	evs, err := r.events(st)
 	if err != nil {
@@ -459,6 +486,77 @@ func (r *graphRun) apply(s *graph.Snapshot, st step) (*graph.Snapshot, error) {
 		}
 	}
 	return s, nil
+}
+
+// begin begins a graph under construction in the pool, at from.
+func (r *graphRun) begin(from graphpool.GraphID) (*graphpool.Build, error) {
+	b, err := r.dg.pool.NewBuild(from, r.dependent, r.attrs)
+	if err == nil {
+		r.begun = append(r.begun, b)
+	}
+	return b, err
+}
+
+// fork is the pool's Fork for execute; nil, the null graph not begun yet,
+// stays nil.
+func (r *graphRun) fork(b *graphpool.Build) *graphpool.Build {
+	if b == nil {
+		return nil
+	}
+	b = b.Fork()
+	r.begun = append(r.begun, b)
+	return b
+}
+
+// build is apply in the pool: it applies one step to b, a graph under
+// construction (nil: the null graph, which the first step that writes
+// begins). Fetching and decoding hold no pool lock; the step's bit writes do.
+func (r *graphRun) build(b *graphpool.Build, st step) (*graphpool.Build, error) {
+	switch st.kind {
+	case fromPinned:
+		id, err := r.dg.pinned(st)
+		if err != nil {
+			return nil, err
+		}
+		return r.begin(id)
+	case fromCurrent:
+		return r.begin(graphpool.CurrentGraph)
+	}
+	if b == nil {
+		var err error
+		if b, err = r.begin(graphpool.NoDependency); err != nil {
+			return nil, err
+		}
+	}
+	if st.kind == applyDelta {
+		parts, err := r.dg.fetchDelta(st.edge, r.spec)
+		b.ApplyDelta(parts...)
+		return b, err
+	}
+	evs, err := r.events(st)
+	b.ApplyEvents(evs, st.back)
+	return b, err
+}
+
+// buildLocked runs a plan in the pool and commits what it builds: a graph of
+// the given kind for each position of the tree's outs, retrieved for the time
+// at that position of ts, a dependent of the graph its route starts from if
+// dependent is set, else explicit. If any step fails it gives up every graph
+// it began.
+func (dg *DeltaGraph) buildLocked(tree *planNode, ts []graph.Time, kind graphpool.GraphKind, opts graph.AttrOptions, dependent bool) ([]graphpool.GraphID, error) {
+	run := graphRun{dg: dg, spec: specFor(opts), attrs: opts, dependent: dependent}
+	builds := make([]*graphpool.Build, len(ts))
+	if err := execute(tree, nil, run.fork, run.build, builds); err != nil {
+		for _, b := range run.begun {
+			b.Abort()
+		}
+		return nil, err
+	}
+	ids := make([]graphpool.GraphID, len(ts))
+	for i, b := range builds {
+		ids[i] = b.Commit(kind, ts[i])
+	}
+	return ids, nil
 }
 
 // GetSnapshot retrieves the graph as of time t with the requested
@@ -493,34 +591,27 @@ func (dg *DeltaGraph) GetSnapshots(ts []graph.Time, opts graph.AttrOptions) ([]*
 		return nil, err
 	}
 	defer dg.mu.RUnlock()
-	snaps, _, err := dg.snapshotsLocked(ts, opts)
-	return snaps, err
+	return dg.snapshotsLocked(ts, opts)
 }
 
-// snapshotsLocked plans and builds the graphs at ts. Besides them it returns
-// planLocked's routes.
-func (dg *DeltaGraph) snapshotsLocked(ts []graph.Time, opts graph.AttrOptions) ([]*graph.Snapshot, []route, error) {
+// snapshotsLocked plans and builds the graphs at ts as maps.
+func (dg *DeltaGraph) snapshotsLocked(ts []graph.Time, opts graph.AttrOptions) ([]*graph.Snapshot, error) {
 	if len(ts) == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
-	tree, routes, err := dg.planLocked(ts, selectorFor(opts, nil))
+	tree, _, err := dg.planLocked(ts, selectorFor(opts, nil))
 	if err != nil {
-		return nil, nil, err
-	}
-	for _, r := range routes {
-		if r != nil {
-			dg.planExecs.Add(1)
-		}
+		return nil, err
 	}
 	snaps := make([]*graph.Snapshot, len(ts))
 	run := graphRun{dg: dg, spec: specFor(opts)}
 	if err := execute(tree, graph.NewSnapshot(), (*graph.Snapshot).Clone, run.apply, snaps); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, s := range snaps {
 		opts.FilterSnapshot(s)
 	}
-	return snaps, routes, nil
+	return snaps, nil
 }
 
 // IntervalResult is the answer to GetHistGraphInterval: the graph over all
@@ -634,7 +725,7 @@ func (dg *DeltaGraph) GetExpression(tex TimeExpression, opts graph.AttrOptions) 
 	if err := dg.rlockAt(tex.Times...); err != nil {
 		return nil, err
 	}
-	snaps, _, err := dg.snapshotsLocked(tex.Times, opts)
+	snaps, err := dg.snapshotsLocked(tex.Times, opts)
 	dg.mu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -717,55 +808,55 @@ func (dg *DeltaGraph) Retrieve(t graph.Time, opts graph.AttrOptions) (graphpool.
 	if err := dg.rlockAt(t); err != nil {
 		return 0, err
 	}
-	// Held through the overlay: a dependent of the current graph is registered
-	// against the current graph it was computed from.
+	// Held through the commit: a dependent of the current graph is registered
+	// against the current graph it was built on.
 	defer dg.mu.RUnlock()
 	if t >= dg.lastTime {
 		// The head (routeTo) is the current graph as it stands: a dependent of
 		// it with no exceptions, which touches no element.
 		dg.planExecs.Add(1)
-		return dg.pool.OverlayDependent(graphpool.CurrentGraph, &delta.Delta{}, t, opts)
+		b, err := dg.pool.NewBuild(graphpool.CurrentGraph, true, opts)
+		if err != nil {
+			return 0, err
+		}
+		return b.Commit(graphpool.KindHistorical, t), nil
 	}
-	snaps, routes, err := dg.snapshotsLocked([]graph.Time{t}, opts)
+	tree, routes, err := dg.planLocked([]graph.Time{t}, selectorFor(opts, nil))
 	if err != nil {
 		return 0, err
 	}
-	s, r := snaps[0], routes[0]
 	// Dependent-overlay decision from the route (Section 6).
-	var (
-		base     func() *graph.Snapshot // a copy of the route's source, the caller's own
-		baseID   graphpool.GraphID
-		baseSize int
-	)
+	r, baseSize := routes[0], 0
 	switch r[0].kind {
 	case fromCurrent:
-		base, baseID, baseSize = dg.cur.Snapshot, graphpool.CurrentGraph, dg.curSize
+		baseSize = dg.curSize
 	case fromPinned:
-		node := dg.skel.nodes[r[0].edge.to]
-		if id, ok := dg.matGraphs[node.id]; ok {
-			base, baseID, baseSize = node.matSnapshot.Clone, id, node.matSnapshot.Size()
+		if _, ok := dg.matGraphs[r[0].edge.to]; ok {
+			baseSize = dg.skel.nodes[r[0].edge.to].size
 		}
 	}
-	if baseSize > 0 && float64(r.records()) <= dg.opts.DependentMaxRatio*float64(baseSize) {
-		return dg.pool.OverlayDependent(baseID, delta.Compute(s, opts.FilterSnapshot(base())), t, opts)
+	dependent := baseSize > 0 && float64(r.records()) <= dg.opts.DependentMaxRatio*float64(baseSize)
+	ids, err := dg.buildLocked(tree, []graph.Time{t}, graphpool.KindHistorical, opts, dependent)
+	if err != nil {
+		return 0, err
 	}
-	return dg.pool.OverlaySnapshot(s, t), nil
+	return ids[0], nil
 }
 
 // RetrieveMany loads many snapshots into the pool using multipoint
-// retrieval, returning graph IDs in the order of ts.
+// retrieval, returning graph IDs in the order of ts. Every graph is overlaid
+// explicitly.
 func (dg *DeltaGraph) RetrieveMany(ts []graph.Time, opts graph.AttrOptions) ([]graphpool.GraphID, error) {
+	if len(ts) == 0 {
+		return nil, nil
+	}
 	if err := dg.rlockAt(ts...); err != nil {
 		return nil, err
 	}
-	snaps, _, err := dg.snapshotsLocked(ts, opts)
-	dg.mu.RUnlock()
+	defer dg.mu.RUnlock()
+	tree, _, err := dg.planLocked(ts, selectorFor(opts, nil))
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]graphpool.GraphID, len(snaps))
-	for i, s := range snaps {
-		ids[i] = dg.pool.OverlaySnapshot(s, ts[i])
-	}
-	return ids, nil
+	return dg.buildLocked(tree, ts, graphpool.KindHistorical, opts, false)
 }

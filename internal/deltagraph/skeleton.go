@@ -42,9 +42,9 @@ type skelNode struct {
 	size        int // element count of the node's graph at build time
 	children    []int
 	provisional bool
-	// Materialization state (Section 4.5).
+	// Materialization state (Section 4.5): the graph is DeltaGraph.matGraphs'
+	// (none for the empty anchor leaf).
 	materialized bool
-	matSnapshot  *graph.Snapshot
 }
 
 // skelEdge is one skeleton edge with its delta/eventlist identity and

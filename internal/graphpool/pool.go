@@ -238,9 +238,9 @@ func (l *attrList) run(name uint32) (lo, hi int) {
 	return lo, hi
 }
 
-// setValue marks the value val of name in l with each of bits, adding it
+// value returns the bitmap of the value val of name in l, adding the value
 // behind the other values of that name if it is new.
-func (p *Pool) setValue(l *attrList, name uint32, val string, bits ...int) {
+func (l *attrList) value(name uint32, val string) bitmap {
 	attrs := *l
 	i, hi := l.run(name)
 	for i < hi && attrs[i].val != val {
@@ -252,29 +252,7 @@ func (p *Pool) setValue(l *attrList, name uint32, val string, bits ...int) {
 		attrs[i] = attrVal{name: name, val: val}
 		*l = attrs
 	}
-	for _, b := range bits {
-		p.mark(attrs[i].bits(), b)
-	}
-}
-
-// setAll is setValue for every pair of attrs.
-func (p *Pool) setAll(l *attrList, attrs map[string]string, bit int) {
-	if cap(*l) == 0 {
-		*l = make(attrList, 0, len(attrs))
-	}
-	for k, v := range attrs {
-		p.setValue(l, p.nameID(k), v, bit)
-	}
-}
-
-// except makes every value of name in l an exception the graph owning the
-// pair {exc, member} does not hold.
-func (p *Pool) except(l *attrList, name uint32, exc, member int) {
-	attrs := l.all()
-	for i, hi := l.run(name); i < hi; i++ {
-		p.mark(attrs[i].bits(), exc)
-		p.unmark(attrs[i].bits(), member)
-	}
+	return attrs[i].bits()
 }
 
 // sweepValues clears the bits of mask on the values in l, drops those no
@@ -295,6 +273,14 @@ func (p *Pool) sweepValues(l *attrList, mask *bitset.Bits) (*attrList, int) {
 	}
 	*l = kept
 	return l, len(attrs) - len(kept)
+}
+
+// values returns the node's attribute values (nil for a nil node).
+func (pn *poolNode) values() *attrList {
+	if pn == nil {
+		return nil
+	}
+	return pn.vals
 }
 
 // dead reports whether no graph holds the node or any value of it and no
@@ -324,13 +310,19 @@ type graphEntry struct {
 	bit        int // first bit; the current graph and a dependent one also own bit+1
 	m          membership
 	dep        GraphID
-	attrs      graph.AttrOptions // what a dependent graph was retrieved with
+	attrs      graph.AttrOptions // what the graph was retrieved with
 	at         graph.Time
 	released   bool
 	dependents int
 	pins       int
 	nodeCount  int
 	edgeCount  int
+	// The elements something left the graph from (one entry each time, so an
+	// element twice deleted is listed twice): the current graph's recent
+	// deletes, which bit 1 marks until ClearRecent; a graph under
+	// construction's, for Commit to settle.
+	outNodes []graph.NodeID
+	outEdges []graph.EdgeID
 }
 
 // Pool is the GraphPool. It is safe for concurrent use; retrieval overlays
@@ -359,14 +351,10 @@ type Pool struct {
 	// Attribute names, interned: an attrVal holds an index into names.
 	names   []string
 	nameIDs map[string]uint32
-	// The bits graphs hold: a released graph's are free again once a clean
-	// pass has cleared them on every element.
+	// The bits graphs hold, and graphs under construction: a released
+	// graph's are free again once a clean pass has cleared them on every
+	// element.
 	taken bitset.Bits
-	// The elements bit 1 was set on since the last ClearRecent, on the
-	// element or on a value of it (one entry per delete, so an element
-	// deleted twice is listed twice).
-	recentNodes []graph.NodeID
-	recentEdges []graph.EdgeID
 	// ApproxBytes as a Cleaner last sampled it: a walk of the whole pool,
 	// which a metrics scrape must not pay for.
 	sampledBytes atomic.Int64
@@ -384,7 +372,8 @@ func New() *Pool {
 		nextID:   1,
 		stride:   1,
 	}
-	p.graphs[CurrentGraph] = &graphEntry{id: CurrentGraph, kind: KindCurrent, m: membership{exc: -1, mem: 0, dep: -1}, dep: NoDependency}
+	p.graphs[CurrentGraph] = &graphEntry{id: CurrentGraph, kind: KindCurrent, m: membership{exc: -1, mem: 0, dep: -1}, dep: NoDependency,
+		attrs: graph.AttrOptions{NodeAll: true, EdgeAll: true}}
 	p.alloc(2) // bits 0 and 1
 	return p
 }
@@ -428,23 +417,6 @@ func (p *Pool) lowestFree(n int) int {
 	return bit
 }
 
-// register enters a new graph of the given kind into the graph table: one
-// bit for a graph with no dependency, a pair for a dependent one. The
-// caller holds the write lock.
-func (p *Pool) register(kind GraphKind, dep GraphID, at graph.Time) *graphEntry {
-	entry := &graphEntry{id: p.nextID, kind: kind, dep: dep, at: at}
-	if dep == NoDependency {
-		entry.bit = p.alloc(1)
-		entry.m = membership{exc: -1, mem: entry.bit, dep: -1}
-	} else {
-		entry.bit = p.alloc(2)
-		entry.m = membership{exc: entry.bit, mem: entry.bit + 1, dep: -1}
-	}
-	p.nextID++
-	p.graphs[entry.id] = entry
-	return entry
-}
-
 func (p *Pool) node(id graph.NodeID) *poolNode {
 	n := p.nodes[id]
 	if n == nil {
@@ -454,16 +426,10 @@ func (p *Pool) node(id graph.NodeID) *poolNode {
 	return n
 }
 
-// edge returns the record of edge id between the endpoints info, made if
-// there is none. What the first record of an id says of the endpoints binds
-// no graph while no bit but bit 1 is set on it (the current graph deleted
-// the edge since the last leaf cut, and bit 1 is read by nobody): it takes
-// info in their place. One that a graph does hold the edge of keeps its
-// endpoints for that graph, and the id gets a further record.
-func (p *Pool) edge(id graph.EdgeID, info graph.EdgeInfo) *poolEdge {
-	e := p.edges[id]
-	fresh := e == nil
-	if !fresh && e.info() == info {
+// record returns the record of edge id between the endpoints info, nil if
+// there is none.
+func (p *Pool) record(id graph.EdgeID, info graph.EdgeInfo) *poolEdge {
+	if e := p.edges[id]; e == nil || e.info() == info {
 		return e
 	}
 	for _, alt := range p.alts[id] {
@@ -471,6 +437,21 @@ func (p *Pool) edge(id graph.EdgeID, info graph.EdgeInfo) *poolEdge {
 			return alt
 		}
 	}
+	return nil
+}
+
+// edge returns the record of edge id between the endpoints info, made if
+// there is none. What the first record of an id says of the endpoints binds
+// no graph while no bit but bit 1 is set on it (the current graph deleted
+// the edge since the last leaf cut, and bit 1 is read by nobody): it takes
+// info in their place. One that a graph does hold the edge of keeps its
+// endpoints for that graph, and the id gets a further record.
+func (p *Pool) edge(id graph.EdgeID, info graph.EdgeInfo) *poolEdge {
+	if e := p.record(id, info); e != nil {
+		return e
+	}
+	e := p.edges[id]
+	fresh := e == nil
 	old := info
 	switch {
 	case fresh:
@@ -561,111 +542,6 @@ func (p *Pool) nameID(name string) uint32 {
 	return id
 }
 
-// markAll marks every element and attribute value of s with bit and
-// records s's size as entry's — the whole of what overlaying an explicit
-// graph means. The caller holds the write lock.
-func (p *Pool) markAll(entry *graphEntry, s *graph.Snapshot, bit int) {
-	for n := range s.Nodes {
-		p.mark(p.node(n).bits(), bit)
-	}
-	for e, info := range s.Edges {
-		p.mark(p.edge(e, info).bits(), bit)
-	}
-	for n, attrs := range s.NodeAttrs {
-		p.setAll(p.node(n).list(), attrs, bit)
-	}
-	for e, attrs := range s.EdgeAttrs {
-		p.setAll(p.values(e), attrs, bit)
-	}
-	entry.nodeCount = len(s.Nodes)
-	entry.edgeCount = len(s.Edges)
-}
-
-// OverlaySnapshot registers a retrieved historical snapshot, overlaying
-// every element explicitly (no dependency). at records the query timepoint
-// for the mapping table.
-func (p *Pool) OverlaySnapshot(s *graph.Snapshot, at graph.Time) GraphID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	entry := p.register(KindHistorical, NoDependency, at)
-	p.markAll(entry, s, entry.bit)
-	return entry.id
-}
-
-// OverlayMaterialized registers a materialized DeltaGraph node's graph
-// (which may not be a valid snapshot of any time point) under a single bit.
-func (p *Pool) OverlayMaterialized(s *graph.Snapshot) GraphID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	entry := p.register(KindMaterialized, NoDependency, 0)
-	p.markAll(entry, s, entry.bit)
-	return entry.id
-}
-
-// OverlayDependent registers a historical graph stored as exceptions
-// relative to dep (a materialized graph or the current graph): d is the
-// delta that transforms dep's graph into the snapshot being registered.
-// Only the exception elements are touched — the optimization the bit pair
-// exists for. attrs are the options the snapshot was retrieved with: the
-// dependency may hold attributes the snapshot did not ask for, and views
-// of the new graph must not inherit those.
-func (p *Pool) OverlayDependent(dep GraphID, d *delta.Delta, at graph.Time, attrs graph.AttrOptions) (GraphID, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	depEntry, ok := p.graphs[dep]
-	if !ok || depEntry.released {
-		return 0, fmt.Errorf("graphpool: dependency graph %d not active", dep)
-	}
-	if depEntry.kind == KindHistorical {
-		return 0, fmt.Errorf("graphpool: dependency must be the current graph or a materialized graph")
-	}
-	entry := p.register(KindHistorical, dep, at)
-	entry.attrs, entry.m.dep = attrs, depEntry.bit
-	depEntry.dependents++
-
-	exc, member := entry.bit, entry.bit+1
-	explicit := func(b bitmap, in bool) {
-		if p.mark(b, exc); in {
-			p.mark(b, member)
-		} else {
-			p.unmark(b, member)
-		}
-	}
-	for _, n := range d.AddNodes {
-		explicit(p.node(n).bits(), true)
-	}
-	for _, n := range d.DelNodes {
-		explicit(p.node(n).bits(), false)
-	}
-	for _, e := range d.AddEdges {
-		explicit(p.edge(e.ID, graph.EdgeInfo{From: e.From, To: e.To, Directed: e.Directed}).bits(), true)
-	}
-	for _, e := range d.DelEdges {
-		explicit(p.edge(e.ID, graph.EdgeInfo{From: e.From, To: e.To, Directed: e.Directed}).bits(), false)
-	}
-	// A set or deleted attribute excludes every value the element has under
-	// that name; a set one then includes the new value.
-	for _, rec := range d.SetNodeAttrs {
-		l, name := p.node(rec.Node).list(), p.nameID(rec.Attr)
-		p.except(l, name, exc, member)
-		p.setValue(l, name, rec.Val, exc, member)
-	}
-	for _, rec := range d.DelNodeAttrs {
-		p.except(p.node(rec.Node).vals, p.nameID(rec.Attr), exc, member)
-	}
-	for _, rec := range d.SetEdgeAttrs {
-		l, name := p.values(rec.Edge), p.nameID(rec.Attr)
-		p.except(l, name, exc, member)
-		p.setValue(l, name, rec.Val, exc, member)
-	}
-	for _, rec := range d.DelEdgeAttrs {
-		p.except(p.edgeVals[rec.Edge], p.nameID(rec.Attr), exc, member)
-	}
-	entry.nodeCount = depEntry.nodeCount + len(d.AddNodes) - len(d.DelNodes)
-	entry.edgeCount = depEntry.edgeCount + len(d.AddEdges) - len(d.DelEdges)
-	return entry.id, nil
-}
-
 // sweepNode clears the bits of mask on a node and its attribute values and
 // evicts what no graph holds any more; it returns the number of values and
 // elements evicted. The caller holds the write lock.
@@ -706,6 +582,22 @@ func (p *Pool) sweepEdge(id graph.EdgeID, first *poolEdge, mask *bitset.Bits) in
 	return removed
 }
 
+// sweepOut sweeps the elements in e's out lists, and empties them.
+func (p *Pool) sweepOut(e *graphEntry, mask *bitset.Bits) {
+	for _, id := range e.outNodes {
+		if pn := p.nodes[id]; pn != nil {
+			p.sweepNode(id, pn, mask)
+		}
+	}
+	for _, id := range e.outEdges {
+		if pe := p.edges[id]; pe != nil {
+			p.sweepEdge(id, pe, mask)
+		}
+		p.sweepEdgeValues(id, p.edgeVals[id], mask)
+	}
+	e.outNodes, e.outEdges = e.outNodes[:0], e.outEdges[:0]
+}
+
 // sweepAll sweeps every element of the pool.
 func (p *Pool) sweepAll(mask *bitset.Bits) int {
 	removed := 0
@@ -740,84 +632,187 @@ func (p *Pool) LoadCurrent(s *graph.Snapshot) {
 	var mask bitset.Bits
 	mask.Set(0)
 	p.sweepAll(&mask)
-	p.markAll(p.graphs[CurrentGraph], s, 0)
+	cur := p.graphs[CurrentGraph]
+	for n := range s.Nodes {
+		p.mark(p.node(n).bits(), 0)
+	}
+	for e, info := range s.Edges {
+		p.mark(p.edge(e, info).bits(), 0)
+	}
+	for n, attrs := range s.NodeAttrs {
+		p.setAll(p.node(n).list(), attrs)
+	}
+	for e, attrs := range s.EdgeAttrs {
+		p.setAll(p.values(e), attrs)
+	}
+	cur.nodeCount, cur.edgeCount = len(s.Nodes), len(s.Edges)
 }
 
-// retire takes the values at l.all()[lo:hi] that the current graph holds out
-// of it (bit 0 to bit 1, both in the inline word) and reports whether there
-// were any.
-func (l *attrList) retire(lo, hi int) (any bool) {
+// setAll marks the value of every pair of attrs in l with bit 0, the
+// current graph's.
+func (p *Pool) setAll(l *attrList, attrs map[string]string) {
+	if cap(*l) == 0 {
+		*l = make(attrList, 0, len(attrs))
+	}
+	for k, v := range attrs {
+		p.mark(l.value(p.nameID(k), v), 0)
+	}
+}
+
+// ApplyEvent updates the current graph in place (bits 0 and 1), to the
+// letter of graph.Snapshot.Apply for every event the index admits (an add of
+// an element that is there is not one). What leaves keeps bit 1 set until
+// ClearRecent is called, marking it as "recently deleted but not yet in the
+// DeltaGraph index".
+func (p *Pool) ApplyEvent(ev graph.Event) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.applyEvent(p.graphs[CurrentGraph], ev)
+}
+
+// applyEvent applies ev to the graph e in place, as graph.Snapshot.Apply
+// does: a delete takes the element's attribute values with it, an attribute
+// may be set on an element that is not there, and an edge added again has
+// the endpoints the add names, whatever another graph holds the id between.
+// The caller holds the write lock.
+func (p *Pool) applyEvent(e *graphEntry, ev graph.Event) {
+	switch ev.Type {
+	case graph.AddNode:
+		e.nodeCount += p.put(e, p.node(ev.Node).bits(), true)
+	case graph.DelNode:
+		pn := p.node(ev.Node)
+		e.nodeCount += p.put(e, pn.bits(), false)
+		p.retire(e, pn.vals, 0, len(pn.vals.all()))
+		e.outNodes = append(e.outNodes, ev.Node)
+	case graph.AddEdge:
+		e.edgeCount += p.put(e, p.edge(ev.Edge, graph.EdgeInfo{From: ev.Node, To: ev.Node2, Directed: ev.Directed}).bits(), true)
+	case graph.DelEdge:
+		if pe := p.held(e.m, ev.Edge); pe != nil {
+			e.edgeCount += p.put(e, pe.bits(), false)
+		}
+		p.retire(e, p.edgeVals[ev.Edge], 0, len(p.edgeVals[ev.Edge].all()))
+		e.outEdges = append(e.outEdges, ev.Edge)
+	case graph.SetNodeAttr:
+		p.setNodeAttr(e, ev.Node, ev.Attr, ev.New, ev.HasNew)
+	case graph.SetEdgeAttr:
+		p.setEdgeAttr(e, ev.Edge, ev.Attr, ev.New, ev.HasNew)
+	}
+}
+
+// applyDelta applies d to the graph e in place, as delta.Delta.Apply does:
+// its deletions, then its additions, so that a structural delete takes no
+// attribute with it. The caller holds the write lock.
+func (p *Pool) applyDelta(e *graphEntry, d *delta.Delta) {
+	for _, rec := range d.DelNodeAttrs {
+		p.setNodeAttr(e, rec.Node, rec.Attr, "", false)
+	}
+	for _, rec := range d.DelEdgeAttrs {
+		p.setEdgeAttr(e, rec.Edge, rec.Attr, "", false)
+	}
+	for _, rec := range d.DelEdges {
+		if pe := p.record(rec.ID, graph.EdgeInfo{From: rec.From, To: rec.To, Directed: rec.Directed}); pe != nil {
+			e.edgeCount += p.put(e, pe.bits(), false)
+			e.outEdges = append(e.outEdges, rec.ID)
+		}
+	}
+	for _, n := range d.DelNodes {
+		if pn := p.nodes[n]; pn != nil {
+			e.nodeCount += p.put(e, pn.bits(), false)
+			e.outNodes = append(e.outNodes, n)
+		}
+	}
+	for _, n := range d.AddNodes {
+		e.nodeCount += p.put(e, p.node(n).bits(), true)
+	}
+	for _, rec := range d.AddEdges {
+		e.edgeCount += p.put(e, p.edge(rec.ID, graph.EdgeInfo{From: rec.From, To: rec.To, Directed: rec.Directed}).bits(), true)
+	}
+	for _, rec := range d.SetNodeAttrs {
+		p.setNodeAttr(e, rec.Node, rec.Attr, rec.Val, true)
+	}
+	for _, rec := range d.SetEdgeAttrs {
+		p.setEdgeAttr(e, rec.Edge, rec.Attr, rec.Val, true)
+	}
+}
+
+// put makes what b is the bitmap of a member of the graph e, or not (in),
+// and returns what that adds to e's count of such members. What leaves the
+// current graph is marked with bit 1; a dependent graph holds an exception
+// where it differs from its dependency, and none where it does not.
+func (p *Pool) put(e *graphEntry, b bitmap, in bool) int {
+	var was bool
+	switch {
+	case e.kind == KindCurrent: // bits 0 and 1, both in the inline word
+		if was = *b.first&1 != 0; in {
+			*b.first |= 1
+		} else {
+			*b.first = *b.first&^1 | 1<<1
+		}
+	case e.m.exc >= 0 && in == p.bit(b, e.m.dep):
+		was = p.has(e.m, b)
+		p.unmark(b, e.m.exc)
+		p.unmark(b, e.m.mem)
+	default:
+		if was = p.has(e.m, b); e.m.exc >= 0 {
+			p.mark(b, e.m.exc)
+		}
+		if in {
+			p.mark(b, e.m.mem)
+		} else {
+			p.unmark(b, e.m.mem)
+		}
+	}
+	if in == was {
+		return 0
+	} else if in {
+		return 1
+	}
+	return -1
+}
+
+// retire takes the values at l.all()[lo:hi] that e holds out of it and
+// reports whether there were any.
+func (p *Pool) retire(e *graphEntry, l *attrList, lo, hi int) (any bool) {
 	attrs := l.all()
 	for i := lo; i < hi; i++ {
-		if av := &attrs[i]; av.first&1 != 0 {
-			av.first = av.first&^1 | 1<<1
+		if b := attrs[i].bits(); p.has(e.m, b) {
+			p.put(e, b, false)
 			any = true
 		}
 	}
 	return any
 }
 
-// ApplyEvent updates the current graph in place (bits 0 and 1), to the
-// letter of graph.Snapshot.Apply for every event the index admits (an add of
-// an element that is there is not one): a delete takes the element's
-// attribute values with it, an attribute may be set on an element that is
-// not there, and an edge added again has the endpoints the add names,
-// whatever another graph holds the id between. What leaves keeps bit 1 set
-// until ClearRecent is called, marking it as "recently deleted but not yet in
-// the DeltaGraph index".
-func (p *Pool) ApplyEvent(ev graph.Event) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	cur := p.graphs[CurrentGraph]
-	// put moves a record into or out of the current graph (bit 0, and bit 1
-	// on the way out) and keeps count.
-	put := func(first *uint64, count *int, in bool) {
-		if in && *first&1 == 0 {
-			*count++
-			*first |= 1
-		} else if !in {
-			if *first&1 != 0 {
-				*count--
-			}
-			*first = *first&^1 | 1<<1
-		}
+// setNodeAttr takes the value the graph e gives attribute attr of node n out
+// of it and, if set, puts val in, unless e was not retrieved with attr.
+func (p *Pool) setNodeAttr(e *graphEntry, n graph.NodeID, attr, val string, set bool) {
+	if !e.attrs.WantNodeAttr(attr) {
+		return
 	}
-	// setAttr takes the current value of the attribute in l out of the
-	// current graph and puts the new one, if any, into the list made returns;
-	// it reports whether a value left.
-	setAttr := func(l *attrList, made func() *attrList) (deleted bool) {
-		name := p.nameID(ev.Attr)
-		deleted = l.retire(l.run(name))
-		if ev.HasNew {
-			p.setValue(made(), name, ev.New, 0)
-		}
-		return deleted
+	pn := p.nodes[n]
+	if set && pn == nil {
+		pn = p.node(n)
 	}
-	switch ev.Type {
-	case graph.AddNode:
-		put(&p.node(ev.Node).first, &cur.nodeCount, true)
-	case graph.DelNode:
-		pn := p.node(ev.Node)
-		put(&pn.first, &cur.nodeCount, false)
-		pn.vals.retire(0, len(pn.vals.all()))
-		p.recentNodes = append(p.recentNodes, ev.Node)
-	case graph.AddEdge:
-		put(&p.edge(ev.Edge, graph.EdgeInfo{From: ev.Node, To: ev.Node2, Directed: ev.Directed}).first, &cur.edgeCount, true)
-	case graph.DelEdge:
-		if pe := p.held(cur.m, ev.Edge); pe != nil {
-			put(&pe.first, &cur.edgeCount, false)
-		}
-		p.edgeVals[ev.Edge].retire(0, len(p.edgeVals[ev.Edge].all()))
-		p.recentEdges = append(p.recentEdges, ev.Edge)
-	case graph.SetNodeAttr:
-		pn := p.node(ev.Node)
-		if setAttr(pn.vals, pn.list) {
-			p.recentNodes = append(p.recentNodes, ev.Node)
-		}
-	case graph.SetEdgeAttr:
-		if setAttr(p.edgeVals[ev.Edge], func() *attrList { return p.values(ev.Edge) }) {
-			p.recentEdges = append(p.recentEdges, ev.Edge)
-		}
+	name, l := p.nameID(attr), pn.values()
+	if lo, hi := l.run(name); p.retire(e, l, lo, hi) {
+		e.outNodes = append(e.outNodes, n)
+	}
+	if set {
+		p.put(e, pn.list().value(name, val), true)
+	}
+}
+
+// setEdgeAttr is setNodeAttr for edge id.
+func (p *Pool) setEdgeAttr(e *graphEntry, id graph.EdgeID, attr, val string, set bool) {
+	if !e.attrs.WantEdgeAttr(attr) {
+		return
+	}
+	name, l := p.nameID(attr), p.edgeVals[id]
+	if lo, hi := l.run(name); p.retire(e, l, lo, hi) {
+		e.outEdges = append(e.outEdges, id)
+	}
+	if set {
+		p.put(e, p.values(id).value(name, val), true)
 	}
 }
 
@@ -832,19 +827,9 @@ func (p *Pool) ClearRecent() int {
 	defer p.mu.Unlock()
 	var mask bitset.Bits
 	mask.Set(1)
-	for _, id := range p.recentNodes {
-		if pn := p.nodes[id]; pn != nil {
-			p.sweepNode(id, pn, &mask)
-		}
-	}
-	for _, id := range p.recentEdges {
-		if pe := p.edges[id]; pe != nil {
-			p.sweepEdge(id, pe, &mask)
-		}
-		p.sweepEdgeValues(id, p.edgeVals[id], &mask)
-	}
-	n := len(p.recentNodes) + len(p.recentEdges)
-	p.recentNodes, p.recentEdges = p.recentNodes[:0], p.recentEdges[:0]
+	cur := p.graphs[CurrentGraph]
+	n := len(cur.outNodes) + len(cur.outEdges)
+	p.sweepOut(cur, &mask)
 	return n
 }
 

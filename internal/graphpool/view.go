@@ -2,6 +2,7 @@ package graphpool
 
 import (
 	"fmt"
+	"unsafe"
 
 	"historygraph/internal/graph"
 )
@@ -213,12 +214,13 @@ func (v *View) Degree(n graph.NodeID) int {
 }
 
 // admits reports whether this graph may show the named node (else edge)
-// attribute. A dependent graph inherits its dependency's attribute values,
-// so it admits only the names it was retrieved with; an explicit graph
-// holds exactly what was overlaid.
+// attribute. A retrieved graph shows only those it was retrieved with: a
+// dependent one inherits its dependency's values, and an explicit one copied
+// from the current graph or a pinned one holds them all. The current graph
+// and a materialized one show everything they hold.
 func (v *View) admits(node bool, name string) bool {
 	switch {
-	case v.entry.dep == NoDependency:
+	case v.entry.kind != KindHistorical:
 		return true
 	case node:
 		return v.entry.attrs.WantNodeAttr(name)
@@ -360,4 +362,36 @@ func (v *View) Snapshot() *graph.Snapshot {
 		}
 	}
 	return s
+}
+
+// Bytes is what the pool holds for this graph, costed as ApproxBytes costs
+// it: the records of its nodes and edges and the attribute values it holds,
+// each whole though other graphs may share it.
+func (v *View) Bytes() int64 {
+	v.p.mu.RLock()
+	defer v.p.mu.RUnlock()
+	values := func(l *attrList) (n int64) {
+		for _, av := range l.all() {
+			if v.has(av.bits()) {
+				n += int64(unsafe.Sizeof(av)) + int64(len(av.val))
+			}
+		}
+		return n
+	}
+	var n int64
+	for _, pn := range v.p.nodes {
+		if v.has(pn.bits()) {
+			n += mapSlot + heapSize(unsafe.Sizeof(*pn))
+		}
+		n += values(pn.vals)
+	}
+	for _, pe := range v.p.records {
+		if v.has(pe.bits()) {
+			n += mapSlot + heapSize(unsafe.Sizeof(*pe))
+		}
+	}
+	for _, l := range v.p.edgeVals {
+		n += values(l)
+	}
+	return n
 }

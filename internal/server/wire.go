@@ -6,9 +6,7 @@ package server
 // client, the shard coordinator's merge layer and the replication stream.
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"strconv"
 
 	"historygraph"
@@ -89,13 +87,13 @@ func walkSnapshot(src elements, own *slotOwnership, node func(wire.Node) error, 
 	if !collect {
 		return nodes, edges, nil
 	}
-	slices.Sort(ids)
+	sortByKey(ids, func(n *historygraph.NodeID) int64 { return int64(*n) })
 	for _, n := range ids {
 		if err := node(wire.Node{ID: int64(n), Attrs: src.NodeAttrs(n)}); err != nil {
 			return nodes, edges, err
 		}
 	}
-	slices.SortFunc(ends, func(a, b wire.Edge) int { return cmp.Compare(a.ID, b.ID) })
+	sortByKey(ends, func(e *wire.Edge) int64 { return e.ID })
 	for _, e := range ends {
 		e.Attrs = src.EdgeAttrs(historygraph.EdgeID(e.ID))
 		if err := edge(e); err != nil {
@@ -103,6 +101,43 @@ func walkSnapshot(src elements, own *slotOwnership, node func(wire.Node) error, 
 		}
 	}
 	return nodes, edges, nil
+}
+
+// sortByKey puts s in ascending order of key in linear time: a least
+// significant digit radix sort, one stable pass for each byte of the key
+// (its sign bit flipped, so that negative keys come first) but for the bytes
+// every key has alike, which most are.
+func sortByKey[T any](s []T, key func(*T) int64) {
+	if len(s) < 2 {
+		return
+	}
+	digit := func(x *T, d int) byte { return byte((uint64(key(x)) ^ 1<<63) >> (8 * d)) }
+	var counts [8][256]int
+	for i := range s {
+		for d := range counts {
+			counts[d][digit(&s[i], d)]++
+		}
+	}
+	src, dst := s, make([]T, len(s))
+	for d := range counts {
+		c := &counts[d]
+		if c[digit(&src[0], d)] == len(s) {
+			continue
+		}
+		at := 0
+		for b, n := range c {
+			c[b], at = at, at+n
+		}
+		for i := range src {
+			b := digit(&src[i], d)
+			dst[c[b]] = src[i]
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &s[0] {
+		copy(s, src)
+	}
 }
 
 // snapshotOf builds the whole-message answer for src under own: counts

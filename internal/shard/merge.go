@@ -5,14 +5,41 @@ package shard
 // one partition (nodes and node attributes hash by node ID; edges and
 // edge attributes hash by the edge's From endpoint, which every edge
 // event carries). Partial snapshots are therefore disjoint, so a merge
-// is a union — counts add, element lists concatenate — and re-sorting by
-// ID reproduces the exact bytes an unsharded server would emit.
+// is a union — counts add — and since every leg lists its elements in
+// ascending ID order (WIRE.md), merging the lists in one pass reproduces the
+// exact bytes an unsharded server would emit.
 
 import (
+	"slices"
 	"sort"
 
 	"historygraph/internal/wire"
 )
+
+// mergeByID merges lists, each in ascending order of id and disjoint, into
+// one in ascending order, in one pass over the elements (nil when they are
+// all empty, as appending them would leave it).
+func mergeByID[T any](lists [][]T, id func(*T) int64) (out []T) {
+	for _, l := range lists {
+		out = slices.Grow(out, len(l))
+	}
+	for {
+		best := -1
+		for i, l := range lists {
+			if len(l) > 0 && (best < 0 || id(&l[0]) < id(&lists[best][0])) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		out = append(out, lists[best][0])
+		lists[best] = lists[best][1:]
+	}
+}
+
+func nodeID(n *wire.Node) int64 { return n.ID }
+func edgeID(e *wire.Edge) int64 { return e.ID }
 
 // mergeSnapshots unions partial snapshots into one response. Failed
 // partitions (nil entries) are skipped and reported via errs. The merged
@@ -21,6 +48,8 @@ import (
 func mergeSnapshots(at int64, parts []*wire.Snapshot, errs []wire.PartitionError) wire.Snapshot {
 	out := wire.Snapshot{At: at, Partial: errs}
 	cached := len(errs) == 0
+	var nodes [][]wire.Node
+	var edges [][]wire.Edge
 	for _, p := range parts {
 		if p == nil {
 			continue
@@ -28,12 +57,10 @@ func mergeSnapshots(at int64, parts []*wire.Snapshot, errs []wire.PartitionError
 		out.NumNodes += p.NumNodes
 		out.NumEdges += p.NumEdges
 		cached = cached && p.Cached
-		out.Nodes = append(out.Nodes, p.Nodes...)
-		out.Edges = append(out.Edges, p.Edges...)
+		nodes, edges = append(nodes, p.Nodes), append(edges, p.Edges)
 	}
 	out.Cached = cached
-	sort.Slice(out.Nodes, func(i, j int) bool { return out.Nodes[i].ID < out.Nodes[j].ID })
-	sort.Slice(out.Edges, func(i, j int) bool { return out.Edges[i].ID < out.Edges[j].ID })
+	out.Nodes, out.Edges = mergeByID(nodes, nodeID), mergeByID(edges, edgeID)
 	return out
 }
 
@@ -72,6 +99,8 @@ func mergeNeighbors(at, node int64, parts []*wire.Neighbors, errs []wire.Partiti
 func mergeIntervals(parts []*wire.Interval, errs []wire.PartitionError) wire.Interval {
 	out := wire.Interval{Partial: errs}
 	first := true
+	var nodes [][]wire.Node
+	var edges [][]wire.Edge
 	for _, p := range parts {
 		if p == nil {
 			continue
@@ -82,12 +111,10 @@ func mergeIntervals(parts []*wire.Interval, errs []wire.PartitionError) wire.Int
 		}
 		out.NumNodes += p.NumNodes
 		out.NumEdges += p.NumEdges
-		out.Nodes = append(out.Nodes, p.Nodes...)
-		out.Edges = append(out.Edges, p.Edges...)
+		nodes, edges = append(nodes, p.Nodes), append(edges, p.Edges)
 		out.Transients = append(out.Transients, p.Transients...)
 	}
-	sort.Slice(out.Nodes, func(i, j int) bool { return out.Nodes[i].ID < out.Nodes[j].ID })
-	sort.Slice(out.Edges, func(i, j int) bool { return out.Edges[i].ID < out.Edges[j].ID })
+	out.Nodes, out.Edges = mergeByID(nodes, nodeID), mergeByID(edges, edgeID)
 	out.Transients.Sort()
 	return out
 }
