@@ -981,14 +981,35 @@ func BenchmarkWireEncode(b *testing.B) {
 	}
 }
 
+// consumeStream reads the full snapshot at t as a stream, run by run, and
+// counts its elements.
+func consumeStream(client *server.Client, t graph.Time) (elements int, err error) {
+	ss, err := client.SnapshotStreamCtx(context.Background(), t, "+node:all+edge:all")
+	if err != nil {
+		return 0, err
+	}
+	defer ss.Close()
+	for {
+		frame, err := ss.Next()
+		if err != nil {
+			return elements, err
+		}
+		elements += len(frame.Nodes) + len(frame.Edges)
+		if frame.Summary != nil {
+			return elements, nil
+		}
+	}
+}
+
 // BenchmarkShardSnapshotBinary measures large full-element snapshots
-// through the 4-partition scatter-gather end to end, read by a JSON client
-// and by a binary one. The legs are binary either way, so only the
-// coordinator's response encode and the client's decode differ. The
-// coordinator cache is off so every request pays leg decode + merge +
-// response encode + client decode; worker hot caches are on so the
-// DeltaGraph plan cost (identical either way) does not drown the wire
-// path being compared.
+// through the 4-partition scatter-gather end to end, read by a JSON client,
+// by a binary one, and as a stream read run by run. The first two legs are
+// whole binary messages, so only the coordinator's response encode and the
+// client's decode differ; the stream's legs are streams, merged run by run
+// into the response. The coordinator cache is off so every request pays
+// leg decode + merge + response encode + client decode; worker hot caches
+// are on so the DeltaGraph plan cost (identical either way) does not drown
+// the wire path being compared.
 func BenchmarkShardSnapshotBinary(b *testing.B) {
 	events := datagen.Coauthorship(datagen.CoauthorshipConfig{
 		Authors: 6000, Edges: 7000, Years: 6, AttrsPerNode: 2, Seed: 7,
@@ -1039,6 +1060,20 @@ func BenchmarkShardSnapshotBinary(b *testing.B) {
 			}
 		})
 	}
+	b.Run("stream", func(b *testing.B) {
+		client := setup(b, "binary")
+		if n, err := consumeStream(client, last); err != nil {
+			b.Fatal(err) // warm the worker caches
+		} else if n < 10000 {
+			b.Fatalf("benchmark snapshot too small: %d elements", n)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := consumeStream(client, last); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkServerSnapshotStream compares the two binary shapes of a
@@ -1090,24 +1125,7 @@ func BenchmarkServerSnapshotStream(b *testing.B) {
 	})
 	b.Run("stream", func(b *testing.B) {
 		client := setup(b)
-		consume := func() (elements int, err error) {
-			ss, err := client.SnapshotStreamCtx(context.Background(), last, "+node:all+edge:all")
-			if err != nil {
-				return 0, err
-			}
-			defer ss.Close()
-			for {
-				frame, err := ss.Next()
-				if err != nil {
-					return elements, err
-				}
-				elements += len(frame.Nodes) + len(frame.Edges)
-				if frame.Summary != nil {
-					return elements, nil
-				}
-			}
-		}
-		if n, err := consume(); err != nil {
+		if n, err := consumeStream(client, last); err != nil {
 			b.Fatal(err)
 		} else if n < 10000 {
 			b.Fatalf("benchmark snapshot too small: %d elements", n)
@@ -1115,7 +1133,7 @@ func BenchmarkServerSnapshotStream(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := consume(); err != nil {
+			if _, err := consumeStream(client, last); err != nil {
 				b.Fatal(err)
 			}
 		}

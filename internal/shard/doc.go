@@ -17,8 +17,9 @@
 // entire event history lands on exactly one partition: node events hash
 // by node ID, and edge events (including edge-attribute updates) hash by
 // their From endpoint. Partial snapshots are therefore disjoint, and
-// merging is a union — counts add, element lists concatenate and
-// re-sort, reproducing the exact bytes an unsharded server would emit.
+// merging is a union — counts add, and the legs' ID-ordered element lists
+// merge in one pass, reproducing the exact bytes an unsharded server
+// would emit.
 //
 // The coordinator preserves the serving-layer mechanisms end-to-end and
 // adds the availability layer:
@@ -38,12 +39,12 @@
 //     Only complete responses are admitted, and only appends routed
 //     through this coordinator invalidate it: deployments whose writers
 //     can reach a partition primary directly set Config.CacheTTL.
-//   - Streaming merge: a full /snapshot requested as a chunked stream is
-//     answered by consuming every leg's stream run by run and k-way
-//     merging in ID order, so coordinator peak memory under concurrent
-//     large snapshots is bounded by run size × partitions, not snapshot
-//     size. A leg dying mid-stream is dropped and reported in the
-//     terminating summary frame's partial list — never a truncated
+//   - Streaming merge: a full /snapshot requested as a chunked stream
+//     fans out like any read, each leg a worker's stream, and the one
+//     merge reads the legs run by run, so coordinator peak memory under
+//     concurrent large snapshots is bounded by run size × partitions, not
+//     snapshot size. A leg dying mid-stream is dropped and reported in
+//     the terminating summary frame's partial list — never a truncated
 //     merge.
 //   - Replica routing: reads spread round-robin across each set's
 //     in-sync members with latency-EWMA demotion, retrying the next

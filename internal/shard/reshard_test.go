@@ -626,7 +626,8 @@ func TestReshardTargetCrashAborts(t *testing.T) {
 
 // TestStaleEpochReadReroutedOnce: a read leg fenced with 410 Gone is
 // replanned exactly once against the freshly installed table and
-// succeeds; the worker that fenced is never asked again.
+// succeeds; the worker that fenced is never asked again. The whole-message
+// /snapshot and the streamed one take the same reroute.
 func TestStaleEpochReadReroutedOnce(t *testing.T) {
 	events := testEvents()
 	gm := buildManager(t, events)
@@ -635,61 +636,73 @@ func TestStaleEpochReadReroutedOnce(t *testing.T) {
 	t.Cleanup(func() { hs.Close(); svc.Close() })
 	last := gm.LastTime()
 
-	var co *Coordinator
-	coReady := make(chan struct{})
-	var fences atomic.Int64
-	// The fencing worker: data reads get 410 after the successor routing
-	// (epoch 2, pointing straight at the real worker) is installed —
-	// the worker-pushed-before-install window of a real cutover.
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/snapshot" {
-			http.NotFound(w, r)
-			return
-		}
-		<-coReady
-		fences.Add(1)
-		next := DefaultSlotTable(1)
-		next.Epoch = 2
-		co.installRouting(&routing{table: next, sets: []*replicaSet{newReplicaSet([]string{hs.URL}, co.hc)}})
-		server.WriteError(w, http.StatusGone, fmt.Errorf("routing epoch 1 does not match installed epoch 2"))
-	}))
-	t.Cleanup(proxy.Close)
+	for _, shape := range []string{"json", wire.NameBinaryStream} {
+		t.Run(shape, func(t *testing.T) {
+			var co *Coordinator
+			coReady := make(chan struct{})
+			var fences atomic.Int64
+			// The fencing worker: data reads get 410 after the successor
+			// routing (epoch 2, pointing straight at the real worker) is
+			// installed — the worker-pushed-before-install window of a real
+			// cutover.
+			proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/snapshot" {
+					http.NotFound(w, r)
+					return
+				}
+				<-coReady
+				fences.Add(1)
+				next := DefaultSlotTable(1)
+				next.Epoch = 2
+				co.installRouting(&routing{table: next, sets: []*replicaSet{newReplicaSet([]string{hs.URL}, co.hc)}})
+				server.WriteError(w, http.StatusGone, fmt.Errorf("routing epoch 1 does not match installed epoch 2"))
+			}))
+			t.Cleanup(proxy.Close)
 
-	var err error
-	co, err = New([]string{proxy.URL}, Config{PartitionTimeout: time.Second, CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	close(coReady)
-	front := httptest.NewServer(co.Handler())
-	defer front.Close()
+			var err error
+			co, err = New([]string{proxy.URL}, Config{PartitionTimeout: time.Second, CacheSize: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer co.Close()
+			close(coReady)
+			front := httptest.NewServer(co.Handler())
+			defer front.Close()
+			// A streamed read asks with Accept: wire.ContentTypeBinaryStream.
+			client, err := server.NewClient(front.URL).SetWire(shape)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	query := fmt.Sprintf("/snapshot?t=%d&full=1", last/2)
-	var got, want wire.Snapshot
-	if err := json.Unmarshal(rawGET(t, front.URL+query), &got); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(rawGET(t, hs.URL+query), &want); err != nil {
-		t.Fatal(err)
-	}
-	if got.NumNodes != want.NumNodes || got.NumEdges != want.NumEdges {
-		t.Fatalf("rerouted read answered %d/%d, worker holds %d/%d",
-			got.NumNodes, got.NumEdges, want.NumNodes, want.NumEdges)
-	}
-	if got := co.reroutes.Value(); got != 1 {
-		t.Errorf("reroutes = %d, want exactly 1", got)
-	}
-	if got := fences.Load(); got != 1 {
-		t.Errorf("fenced worker was asked %d times, want 1", got)
-	}
-	// Later reads run against the installed table: no further fences.
-	rawGET(t, front.URL+query)
-	if got := co.reroutes.Value(); got != 1 {
-		t.Errorf("reroutes after settled read = %d, want 1", got)
-	}
-	if got := fences.Load(); got != 1 {
-		t.Errorf("settled read went back to the fenced worker (%d hits)", got)
+			got, err := client.Snapshot(last/2, "", true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := server.NewClient(hs.URL).Snapshot(last/2, "", true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.NumNodes != want.NumNodes || got.NumEdges != want.NumEdges || len(got.Nodes) != len(want.Nodes) || len(got.Partial) != 0 {
+				t.Fatalf("rerouted read answered %d/%d (%d listed, partial %v), worker holds %d/%d",
+					got.NumNodes, got.NumEdges, len(got.Nodes), got.Partial, want.NumNodes, want.NumEdges)
+			}
+			if got := co.reroutes.Value(); got != 1 {
+				t.Errorf("reroutes = %d, want exactly 1", got)
+			}
+			if got := fences.Load(); got != 1 {
+				t.Errorf("fenced worker was asked %d times, want 1", got)
+			}
+			// Later reads run against the installed table: no further fences.
+			if _, err := client.Snapshot(last/2, "", true); err != nil {
+				t.Fatal(err)
+			}
+			if got := co.reroutes.Value(); got != 1 {
+				t.Errorf("reroutes after settled read = %d, want 1", got)
+			}
+			if got := fences.Load(); got != 1 {
+				t.Errorf("settled read went back to the fenced worker (%d hits)", got)
+			}
+		})
 	}
 }
 

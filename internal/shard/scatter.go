@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -29,7 +28,9 @@ type reqCtx struct {
 // of letting them run out the timeout against workers nobody is waiting
 // for. Every leg is stamped with the snapshot's routing epoch, so a
 // worker that has moved on answers 410 Gone instead of serving a stale
-// ownership view. results[i] holds partition i's answer (the zero value
+// ownership view. A leg's context ends when call returns, so an answer
+// read after that (a streamed leg's body) needs a context of its own.
+// results[i] holds partition i's answer (the zero value
 // where it failed); errs lists the failed partitions in partition order.
 // The call itself never fails — total failure is the caller's decision
 // (len(errs) == len(rt.sets)).
@@ -39,8 +40,8 @@ type reqCtx struct {
 // — the partition did nothing wrong) and to leg_failures otherwise.
 func scatter[T any](co *Coordinator, rt *routing, parent context.Context, call func(ctx reqCtx, rs *replicaSet) (T, error)) (results []T, errs []wire.PartitionError) {
 	results = make([]T, len(rt.sets))
+	failed := make([]error, len(rt.sets))
 	var wg sync.WaitGroup
-	var mu sync.Mutex
 	for i := range rt.sets {
 		wg.Add(1)
 		go func(i int) {
@@ -61,16 +62,18 @@ func scatter[T any](co *Coordinator, rt *routing, parent context.Context, call f
 				} else {
 					co.legFails.With(part).Inc()
 				}
-				mu.Lock()
-				errs = append(errs, partitionError(i, err))
-				mu.Unlock()
+				failed[i] = err
 				return
 			}
 			results[i] = v
 		}(i)
 	}
 	wg.Wait()
-	sort.Slice(errs, func(a, b int) bool { return errs[a].Partition < errs[b].Partition })
+	for i, err := range failed {
+		if err != nil {
+			errs = append(errs, partitionError(i, err))
+		}
+	}
 	return results, errs
 }
 
@@ -137,8 +140,10 @@ func (co *Coordinator) epochWait() time.Duration {
 // Reads are not gated during a reshard cutover, so a scatter planned
 // against the old table can reach workers already fenced to the new
 // epoch; their 410s trigger exactly one re-scatter against the freshly
-// installed routing. The routing the final attempt ran over is returned
-// so callers judge totals against the right partition count.
+// installed routing; the streamed legs the discarded attempt opened are
+// closed, or they would hold their connections until the request ends. The
+// routing the final attempt ran over is returned so callers judge totals
+// against the right partition count.
 func scatterRead[T any](co *Coordinator, parent context.Context, call func(ctx reqCtx, cl *server.Client) (T, error)) ([]T, []wire.PartitionError, *routing) {
 	rt := co.rt()
 	for retried := false; ; {
@@ -150,6 +155,11 @@ func scatterRead[T any](co *Coordinator, parent context.Context, call func(ctx r
 		if !retried && staleEpoch(errs) {
 			if fresh := co.awaitEpochChange(rt.epoch(), co.epochWait()); fresh != nil {
 				co.reroutes.Inc()
+				for _, v := range results {
+					if l, ok := any(v).(*leg); ok && l != nil {
+						l.close()
+					}
+				}
 				rt, retried = fresh, true
 				continue
 			}

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"historygraph"
 	"historygraph/internal/server"
@@ -221,4 +222,96 @@ func TestStreamPartialOnMidStreamWorkerDeath(t *testing.T) {
 	if gotAlive != wantAlive {
 		t.Fatalf("surviving partitions delivered %d nodes, oracle holds %d", gotAlive, wantAlive)
 	}
+}
+
+// TestStreamLegTimeBounds: the partition timeout bounds a streamed leg's
+// open, not its body. A member that never sends the stream header is given
+// up after the timeout, long before the stream cap; a body paced past the
+// timeout still merges complete, with no leg failure.
+func TestStreamLegTimeBounds(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	events := testEvents()
+	last := events[len(events)-1].At
+	// launch serves two partitions, each through wrap, and a coordinator
+	// whose client reads the merged stream.
+	launch := func(t *testing.T, wrap func(part int, inner http.Handler) http.Handler) (*Coordinator, *server.Client) {
+		var urls []string
+		for p, slice := range PartitionEvents(events, 2) {
+			svc := server.New(buildManager(t, slice), server.Config{CacheSize: 32, StreamRun: 8})
+			hs := httptest.NewServer(wrap(p, svc.Handler()))
+			t.Cleanup(func() { hs.Close(); svc.Close() })
+			urls = append(urls, hs.URL)
+		}
+		co, err := New(urls, Config{PartitionTimeout: timeout, StreamRun: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(co.Close)
+		front := httptest.NewServer(co.Handler())
+		t.Cleanup(front.Close)
+		client, err := server.NewClient(front.URL).SetWire(wire.NameBinaryStream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return co, client
+	}
+
+	t.Run("header", func(t *testing.T) {
+		const mute = 1
+		co, client := launch(t, func(part int, inner http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if part == mute && wire.WantsStream(r.Header.Get("Accept")) {
+					<-r.Context().Done() // never sends the header
+					return
+				}
+				inner.ServeHTTP(w, r)
+			})
+		})
+		begin := time.Now()
+		snap, err := client.Snapshot(last, "", true)
+		took := time.Since(begin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Partial) != 1 || snap.Partial[0].Partition != mute {
+			t.Fatalf("partial = %+v, want exactly partition %d", snap.Partial, mute)
+		}
+		if took < timeout || took > co.streamCap/2 {
+			t.Fatalf("answered after %v, want between the partition timeout %v and half the stream cap %v", took, timeout, co.streamCap)
+		}
+	})
+
+	t.Run("body", func(t *testing.T) {
+		co, client := launch(t, func(_ int, inner http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if wire.WantsStream(r.Header.Get("Accept")) {
+					inner.ServeHTTP(&slowFlushWriter{ResponseWriter: w, delay: 20 * time.Millisecond}, r)
+					return
+				}
+				inner.ServeHTTP(w, r)
+			})
+		})
+		_, oclient, _ := oracle(t, events)
+		want, err := oclient.Snapshot(last, "", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		begin := time.Now()
+		got, err := client.Snapshot(last, "", true)
+		took := time.Since(begin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Cached, got.Coalesced = want.Cached, want.Coalesced
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("paced merged stream differs from the oracle: %d/%d vs %d/%d nodes/edges, partial %v",
+				got.NumNodes, got.NumEdges, want.NumNodes, want.NumEdges, got.Partial)
+		}
+		if fails := co.legFails.Total(); fails != 0 {
+			t.Fatalf("%d leg failures on a stream paced past the partition timeout", fails)
+		}
+		if took < 2*timeout {
+			t.Fatalf("the paced stream took %v, not past the partition timeout %v", took, timeout)
+		}
+	})
 }
