@@ -2,10 +2,13 @@ package replica_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -107,5 +110,160 @@ func TestUnknownEventTypeIs400Everywhere(t *testing.T) {
 	}
 	if seq := node.log.LastSeq(); seq != 1 {
 		t.Errorf("node logged %d records, want the stream's first frame only", seq)
+	}
+}
+
+// TestAppendFormsAgree: a POST /append batch is an append stream of one
+// frame, so on every role — a plain worker, a WAL-backed node, a
+// coordinator over two WAL primaries — the same events sent as a JSON
+// batch, a binary batch, a one-frame stream or a three-frame stream get
+// the same answer, last_time and invalidations included, and leave the
+// same head snapshot. An empty batch and an empty stream agree the same
+// way: every partition answers, so last_time is the head's, not zero.
+func TestAppendFormsAgree(t *testing.T) {
+	seed := historygraph.EventList{
+		{Type: historygraph.AddNode, At: 1, Node: 1},
+		{Type: historygraph.AddNode, At: 1, Node: 2},
+		{Type: historygraph.AddNode, At: 2, Node: 3},
+	}
+	var fresh historygraph.EventList
+	for f := 0; f < 3; f++ {
+		at := historygraph.Time(3 + f)
+		base := historygraph.NodeID(100 + 10*f)
+		fresh = append(fresh,
+			historygraph.Event{Type: historygraph.AddNode, At: at, Node: base},
+			historygraph.Event{Type: historygraph.AddNode, At: at, Node: base + 1},
+			historygraph.Event{Type: historygraph.AddEdge, At: at, Edge: historygraph.EdgeID(f + 1), Node: base, Node2: base + 1},
+		)
+	}
+	streamOf := func(frames ...historygraph.EventList) []byte {
+		var buf bytes.Buffer
+		enc := wire.NewAppendStreamEncoder(&buf)
+		for _, f := range frames {
+			if err := enc.Events("", f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := enc.End(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	js, _ := wire.JSON{}.Encode(fresh)
+	bin, _ := wire.Binary{}.Encode(fresh)
+	emptyJS, _ := wire.JSON{}.Encode(historygraph.EventList{})
+	type form struct {
+		name, path, contentType string
+		body                    []byte
+	}
+	groups := []struct {
+		head  historygraph.Time
+		forms []form
+	}{
+		{5, []form{
+			{"JSON batch", "/append", wire.ContentTypeJSON, js},
+			{"binary batch", "/append", wire.ContentTypeBinary, bin},
+			{"one-frame stream", "/append?stream=1", wire.ContentTypeAppendStream, streamOf(fresh)},
+			{"three-frame stream", "/append?stream=1", wire.ContentTypeAppendStream, streamOf(fresh[:3], fresh[3:6], fresh[6:])},
+		}},
+		{2, []form{
+			{"empty batch", "/append", wire.ContentTypeJSON, emptyJS},
+			{"empty stream", "/append?stream=1", wire.ContentTypeAppendStream, streamOf(historygraph.EventList{})},
+		}},
+	}
+
+	roles := []struct {
+		name  string
+		start func(t *testing.T) string
+	}{
+		{"worker", func(t *testing.T) string {
+			gm, err := historygraph.Open(historygraph.Options{LeafEventlistSize: 128, CleanerInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { gm.Close() })
+			svc := server.New(gm, server.Config{CacheSize: 16})
+			t.Cleanup(svc.Close)
+			hs := httptest.NewServer(svc.Handler())
+			t.Cleanup(hs.Close)
+			return hs.URL
+		}},
+		{"node", func(t *testing.T) string {
+			return launch(t, filepath.Join(t.TempDir(), "node.wal"), "", replica.Config{Role: replica.RolePrimary}).url
+		}},
+		{"coordinator", func(t *testing.T) string {
+			dir := t.TempDir()
+			p0 := launch(t, filepath.Join(dir, "p0.wal"), "", replica.Config{Role: replica.RolePrimary})
+			p1 := launch(t, filepath.Join(dir, "p1.wal"), "", replica.Config{Role: replica.RolePrimary})
+			co, err := shard.NewReplicated([][]string{{p0.url}, {p1.url}}, shard.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(co.Close)
+			front := httptest.NewServer(co.Handler())
+			t.Cleanup(front.Close)
+			return front.URL
+		}},
+	}
+
+	post := func(t *testing.T, url, contentType string, body []byte) []byte {
+		t.Helper()
+		resp, err := http.Post(url, contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: HTTP %d %s", url, resp.StatusCode, msg)
+		}
+		return msg
+	}
+	get := func(t *testing.T, url string) []byte {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d %s", url, resp.StatusCode, body)
+		}
+		return body
+	}
+	// send runs one form against a fresh deployment: the seed, a head
+	// read (so the append has a cached view to invalidate), the form, and
+	// the head snapshot after it.
+	send := func(t *testing.T, start func(*testing.T) string, f form, head historygraph.Time) (wire.AppendResult, []byte) {
+		url := start(t)
+		seedJS, _ := wire.JSON{}.Encode(seed)
+		post(t, url+"/append", wire.ContentTypeJSON, seedJS)
+		get(t, url+"/snapshot?t=2&full=1")
+		var res wire.AppendResult
+		if err := json.Unmarshal(post(t, url+f.path, f.contentType, f.body), &res); err != nil {
+			t.Fatal(err)
+		}
+		return res, get(t, url+"/snapshot?full=1&t="+strconv.Itoa(int(head)))
+	}
+
+	for _, role := range roles {
+		t.Run(role.name, func(t *testing.T) {
+			for _, g := range groups {
+				want, wantSnap := send(t, role.start, g.forms[0], g.head)
+				if want.LastTime != int64(g.head) {
+					t.Errorf("%s answered last_time %d, want %d", g.forms[0].name, want.LastTime, g.head)
+				}
+				for _, f := range g.forms[1:] {
+					got, snap := send(t, role.start, f, g.head)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s answered %+v, %s answered %+v", f.name, got, g.forms[0].name, want)
+					}
+					if !bytes.Equal(snap, wantSnap) {
+						t.Errorf("head snapshot after %s:\n%s\nafter %s:\n%s", f.name, snap, g.forms[0].name, wantSnap)
+					}
+				}
+			}
+		})
 	}
 }

@@ -711,8 +711,33 @@ func TestStaleEpochReadReroutedOnce(t *testing.T) {
 // driven outside this coordinator's gate — is resent under the freshly
 // installed table with the leg's ORIGINAL batch ID, and the new owner's
 // batch-ID machinery absorbs the duplicate: one WAL record per event,
-// counted once, with the retry acked as deduped.
+// counted once, with the retry acked as deduped. A batch and a one-frame
+// append stream are the same request to the coordinator, so both forms
+// are re-routed alike.
 func TestStaleEpochAppendRerouteDeduped(t *testing.T) {
+	for _, form := range []struct {
+		name string
+		send func(*server.Client, historygraph.EventList) (*wire.AppendResult, error)
+	}{
+		{"batch", (*server.Client).Append},
+		{"stream", func(cl *server.Client, events historygraph.EventList) (*wire.AppendResult, error) {
+			stream, err := cl.AppendStream()
+			if err != nil {
+				return nil, err
+			}
+			if err := stream.Send(events); err != nil {
+				return nil, err
+			}
+			return stream.Close()
+		}},
+	} {
+		t.Run(form.name, func(t *testing.T) {
+			testStaleEpochAppendReroute(t, form.send)
+		})
+	}
+}
+
+func testStaleEpochAppendReroute(t *testing.T, send func(*server.Client, historygraph.EventList) (*wire.AppendResult, error)) {
 	events := testEvents()
 	dir := t.TempDir()
 	primary := launchRNode(t, filepath.Join(dir, "p.wal"), replica.Config{Role: replica.RolePrimary})
@@ -782,7 +807,7 @@ func TestStaleEpochAppendRerouteDeduped(t *testing.T) {
 			Type: historygraph.AddNode, At: last + 1, Node: historygraph.NodeID(1<<21 + i),
 		})
 	}
-	res, err := client.Append(batch)
+	res, err := send(client, batch)
 	if err != nil {
 		t.Fatalf("append across the fence: %v", err)
 	}
