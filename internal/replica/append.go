@@ -13,58 +13,8 @@ import (
 	"time"
 
 	"historygraph"
-	"historygraph/internal/server"
 	"historygraph/internal/wire"
 )
-
-func (n *Node) handleAppend(w http.ResponseWriter, r *http.Request) {
-	if !n.srv.CheckEpoch(w, r) {
-		return
-	}
-	if n.Role() != RolePrimary {
-		n.mu.Lock()
-		primary := n.primaryURL
-		n.mu.Unlock()
-		server.WriteJSON(w, http.StatusMisdirectedRequest, map[string]string{
-			"error":   "replica: this node is a follower; appends go to the primary",
-			"primary": primary,
-		})
-		return
-	}
-	if server.BoolParam(r.URL.Query().Get("stream")) {
-		n.handleAppendStream(w, r)
-		return
-	}
-	var events historygraph.EventList
-	if err := server.ReadBody(r, &events); err != nil {
-		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad append body: %w", err))
-		return
-	}
-	res, status, err := n.append(events, r.URL.Query().Get("batch"))
-	if err != nil {
-		server.WriteError(w, status, err)
-		return
-	}
-	server.WriteWire(w, r, http.StatusOK, res)
-}
-
-// append runs one batch through the pipeline end to end: admit (validate +
-// log + ticket), wait for the applier's answer, then the follower-ack
-// wait. It returns the HTTP status to use on error.
-func (n *Node) append(events historygraph.EventList, batch string) (wire.AppendResult, int, error) {
-	ad, status, err := n.admit(events, batch)
-	if err != nil {
-		return wire.AppendResult{}, status, err
-	}
-	res, err := n.settle(ad)
-	if err != nil {
-		return wire.AppendResult{}, http.StatusInternalServerError, err
-	}
-	if err := n.confirm(ad.acked, "the batch"); err != nil {
-		return wire.AppendResult{}, http.StatusServiceUnavailable, err
-	}
-	return res, http.StatusOK, nil
-}
 
 // confirm is the ack stage: wait until SyncFollowers followers have
 // durably logged everything through seq (0: nothing to confirm).

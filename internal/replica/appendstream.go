@@ -1,18 +1,18 @@
 package replica
 
-// Streaming ingest: POST /append?stream=1 carries many batches on one
-// long-lived connection as binary frames (internal/wire append-stream
-// encoding). Each frame is admitted through the same pipeline stage as a
-// standalone POST /append — same dedup table, same order validation, same
-// WAL write — so a frame and a request with the same batch ID are
-// interchangeable across retries. The handler keeps a window of admitted-
-// but-unsettled frames: inside the window it reads the next frame while
-// earlier ones are still syncing and applying (this is where the
-// throughput comes from), at the window edge it settles the oldest before
-// reading more. Because settling blocks the read loop, the client's TCP
-// send buffer eventually fills and its writes stall — the transport
-// itself is the backpressure; no ack frames flow upstream (HTTP/1.1 gives
-// the client no response bytes to read while it is still writing).
+// POST /append, a batch and an append stream alike: server.AppendFrames
+// yields the body's frames (a batch is one, tagged with ?batch=), and each
+// frame is admitted through the pipeline's admission stage — dedup table,
+// order validation, WAL write — so a frame and a batch with the same ID
+// are interchangeable across retries. The handler keeps a window of
+// admitted-but-unsettled frames: inside the window it reads the next
+// frame while earlier ones are still syncing and applying (this is where
+// a stream's throughput comes from), at the window edge it settles the
+// oldest before reading more. Because settling blocks the read loop, the
+// client's TCP send buffer eventually fills and its writes stall — the
+// transport itself is the backpressure; no ack frames flow upstream
+// (HTTP/1.1 gives the client no response bytes to read while it is still
+// writing). One follower-ack wait ends the request.
 
 import (
 	"fmt"
@@ -23,8 +23,21 @@ import (
 	"historygraph/internal/wire"
 )
 
-func (n *Node) handleAppendStream(w http.ResponseWriter, r *http.Request) {
-	dec, err := wire.NewAppendStreamDecoder(r.Body)
+func (n *Node) handleAppend(w http.ResponseWriter, r *http.Request) {
+	if !n.srv.CheckEpoch(w, r) {
+		return
+	}
+	if n.Role() != RolePrimary {
+		n.mu.Lock()
+		primary := n.primaryURL
+		n.mu.Unlock()
+		server.WriteJSON(w, http.StatusMisdirectedRequest, map[string]string{
+			"error":   "replica: this node is a follower; appends go to the primary",
+			"primary": primary,
+		})
+		return
+	}
+	frames, err := server.AppendFrames(r)
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, err)
 		return
@@ -33,7 +46,7 @@ func (n *Node) handleAppendStream(w http.ResponseWriter, r *http.Request) {
 		agg     wire.AppendResult
 		pending []admitted // admitted frames not yet settled, oldest first
 		acked   uint64     // highest seq the follower-ack wait must cover
-		frames  int        // frames admitted so far
+		count   int        // frames admitted so far
 	)
 	// settleOne folds the oldest pending admission into the aggregate.
 	settleOne := func() error {
@@ -45,7 +58,7 @@ func (n *Node) handleAppendStream(w http.ResponseWriter, r *http.Request) {
 		}
 		agg.Fold(res)
 		// Frames settle in log order on this node's own log, so the
-		// stream's sequence number is the newest frame's.
+		// request's sequence number is the newest frame's.
 		agg.Seq = max(agg.Seq, res.Seq)
 		return nil
 	}
@@ -57,21 +70,18 @@ func (n *Node) handleAppendStream(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	}
-	// fail aborts the stream. Frames admitted before the failure are
-	// durably logged and will apply regardless of the error answer — the
-	// message tells the client exactly how far the stream got, so a
-	// resuming client replays from that frame (batch IDs make the overlap
-	// safe).
+	// fail aborts the request. Frames admitted before the failure are
+	// durably logged and will apply regardless of the error answer.
 	fail := func(status int, cause error) {
 		settleErr := settleAll()
-		msg := fmt.Errorf("append stream failed at frame %d: %w (earlier frames were admitted and are durable)", frames, cause)
+		msg := frames.Fail(count, cause, "admitted and are durable")
 		if settleErr != nil {
 			msg = fmt.Errorf("%w; settle error: %v", msg, settleErr)
 		}
 		server.WriteError(w, status, msg)
 	}
 	for {
-		frame, err := dec.Next()
+		frame, err := frames.Next()
 		if err == io.EOF {
 			break
 		}
@@ -84,11 +94,9 @@ func (n *Node) handleAppendStream(w http.ResponseWriter, r *http.Request) {
 			fail(status, err)
 			return
 		}
-		if ad.acked > acked {
-			acked = ad.acked
-		}
+		acked = max(acked, ad.acked)
 		pending = append(pending, ad)
-		frames++
+		count++
 		// Window edge: settle the oldest before reading another frame.
 		// Blocking here (instead of reading on) is the per-stream
 		// backpressure that bounds this connection's claim on the shared
@@ -104,10 +112,13 @@ func (n *Node) handleAppendStream(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusInternalServerError, err)
 		return
 	}
-	// One follower-ack wait covers the whole stream: acks are seq-watermark
-	// based, so confirming the highest admitted sequence confirms every
-	// frame.
-	if err := n.confirm(acked, fmt.Sprintf("the stream of %d frames", frames)); err != nil {
+	// One follower-ack wait covers every frame: acks are seq-watermark
+	// based, so confirming the highest admitted sequence confirms all.
+	what := "the batch"
+	if frames.Stream() {
+		what = fmt.Sprintf("the stream of %d frames", count)
+	}
+	if err := n.confirm(acked, what); err != nil {
 		server.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	}

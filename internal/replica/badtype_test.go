@@ -267,3 +267,132 @@ func TestAppendFormsAgree(t *testing.T) {
 		})
 	}
 }
+
+// TestBatchErrorAnswers pins a batch's error answers, status and text, on
+// every role: 400 for a bad body, 422 for an order violation or an
+// unroutable event, 503 when the follower acks do not come. A
+// coordinator's partial entry for a batch names no frame; the same events
+// streamed name the frame that failed.
+func TestBatchErrorAnswers(t *testing.T) {
+	gm, err := historygraph.Open(historygraph.Options{LeafEventlistSize: 128, CleanerInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gm.Close()
+	svc := server.New(gm, server.Config{})
+	defer svc.Close()
+	worker := httptest.NewServer(svc.Handler())
+	defer worker.Close()
+	dir := t.TempDir()
+	node := launch(t, filepath.Join(dir, "node.wal"), "", replica.Config{Role: replica.RolePrimary})
+	unacked := launch(t, filepath.Join(dir, "unacked.wal"), "", replica.Config{
+		Role: replica.RolePrimary, SyncFollowers: 1, AckTimeout: 50 * time.Millisecond,
+	})
+	parts := []*cnode{
+		launch(t, filepath.Join(dir, "p0.wal"), "", replica.Config{Role: replica.RolePrimary}),
+		launch(t, filepath.Join(dir, "p1.wal"), "", replica.Config{Role: replica.RolePrimary}),
+	}
+	co, err := shard.NewReplicated([][]string{{parts[0].url}, {parts[1].url}}, shard.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	front := httptest.NewServer(co.Handler())
+	defer front.Close()
+
+	// nodeOn returns the smallest node ID from 1 the coordinator routes
+	// to partition p of two.
+	nodeOn := func(p int) historygraph.NodeID {
+		for id := historygraph.NodeID(1); ; id++ {
+			if shard.PartitionOf(historygraph.Event{Type: historygraph.AddNode, Node: id}, 2) == p {
+				return id
+			}
+		}
+	}
+	n0, n1 := nodeOn(0), nodeOn(1)
+	post := func(t *testing.T, url string, body []byte) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(url+"/append", wire.ContentTypeJSON, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, msg
+	}
+	at := func(t historygraph.Time) []byte {
+		b, _ := wire.JSON{}.Encode(historygraph.EventList{
+			{Type: historygraph.AddNode, At: t, Node: n0}, {Type: historygraph.AddNode, At: t, Node: n1},
+		})
+		return b
+	}
+	for _, url := range []string{worker.URL, node.url, front.URL} {
+		if status, msg := post(t, url, at(10)); status != http.StatusOK {
+			t.Fatalf("seed %s: HTTP %d %s", url, status, msg)
+		}
+	}
+	unroutable, _ := wire.JSON{}.Encode(historygraph.EventList{{Type: historygraph.DelEdge, At: 11, Edge: 3}})
+	fresh, _ := wire.JSON{}.Encode(historygraph.EventList{{Type: historygraph.AddNode, At: 1, Node: 1}})
+	var list historygraph.EventList
+	badBody := "bad append body: " + wire.JSON{}.Decode([]byte("{"), &list).Error()
+
+	for _, c := range []struct {
+		name, url string
+		body      []byte
+		status    int
+		msg       string
+	}{
+		{"worker/bad body", worker.URL, []byte("{"), 400, badBody},
+		{"worker/order", worker.URL, at(1), 422, "deltagraph: event at 1 is older than last event at 10"},
+		{"node/bad body", node.url, []byte("{"), 400, badBody},
+		{"node/order", node.url, at(1), 422, "replica: event at 1 is older than last event at 10"},
+		{"node/ack timeout", unacked.url, fresh, 503, "replica: 1 follower(s) did not confirm seq 1 within 50ms (the events are logged and will replicate; the batch was NOT acked)"},
+		{"coordinator/bad body", front.URL, []byte("{"), 400, badBody},
+		{"coordinator/unroutable", front.URL, unroutable, 422, "event 0: DE event for edge 3 carries no endpoints; a sharded cluster routes edge events by their From node"},
+		{"coordinator/order", front.URL, at(1), 422, "shard: all 2 partitions failed (partition 0: server: replica: event at 1 is older than last event at 10 (HTTP 422))"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			status, body := post(t, c.url, c.body)
+			var got wire.Error
+			if err := json.Unmarshal(body, &got); err != nil {
+				t.Fatalf("HTTP %d %s: %v", status, body, err)
+			}
+			if status != c.status || got.Error != c.msg {
+				t.Fatalf("HTTP %d %q, want %d %q", status, got.Error, c.status, c.msg)
+			}
+		})
+	}
+
+	t.Run("coordinator/partial", func(t *testing.T) {
+		// Partition 1 runs ahead, so a batch at 11 lands on 0 and is
+		// refused by 1.
+		if _, err := server.NewClient(parts[1].url).Append(historygraph.EventList{{Type: historygraph.AddNode, At: 20, Node: n1}}); err != nil {
+			t.Fatal(err)
+		}
+		status, body := post(t, front.URL, at(11))
+		var got wire.AppendResult
+		if err := json.Unmarshal(body, &got); err != nil || status != http.StatusOK {
+			t.Fatalf("HTTP %d %s: %v", status, body, err)
+		}
+		want := []wire.PartitionError{{Partition: 1, Status: 422, Error: "server: replica: event at 11 is older than last event at 20 (HTTP 422)"}}
+		if got.Appended != 1 || !reflect.DeepEqual(got.Partial, want) {
+			t.Fatalf("batch answered %+v, want 1 appended and partial %+v", got, want)
+		}
+		cl := server.NewClient(front.URL)
+		stream, err := cl.AppendStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stream.Send(historygraph.EventList{{Type: historygraph.AddNode, At: 12, Node: n0}, {Type: historygraph.AddNode, At: 12, Node: n1}}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := stream.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[0].Error = "frame 0: server: replica: event at 12 is older than last event at 20 (HTTP 422)"
+		if !reflect.DeepEqual(res.Partial, want) {
+			t.Fatalf("stream answered partial %+v, want %+v", res.Partial, want)
+		}
+	})
+}

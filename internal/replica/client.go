@@ -13,23 +13,8 @@ import (
 // Status fetches a node's GET /replstatus — the coordinator's view into a
 // replica-set member's role and catch-up position.
 func Status(ctx context.Context, hc *http.Client, baseURL string) (*StatusJSON, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimRight(baseURL, "/")+"/replstatus", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-		return nil, fmt.Errorf("replica: %s/replstatus: HTTP %d: %s",
-			baseURL, resp.StatusCode, strings.TrimSpace(string(body)))
-	}
 	var out StatusJSON
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := call(ctx, hc, http.MethodGet, baseURL, "/replstatus", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -40,28 +25,8 @@ func Status(ctx context.Context, hc *http.Client, baseURL string) (*StatusJSON, 
 // tear the ingest down (Stop) — and returns the resulting status. The
 // coordinator's reshard driver is the caller.
 func Migrate(ctx context.Context, hc *http.Client, baseURL string, mr MigrateRequest) (*MigrateStatus, error) {
-	buf, err := json.Marshal(mr)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimRight(baseURL, "/")+"/admin/migrate", bytes.NewReader(buf))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-		return nil, fmt.Errorf("replica: %s/admin/migrate: HTTP %d: %s",
-			baseURL, resp.StatusCode, strings.TrimSpace(string(raw)))
-	}
 	var out MigrateStatus
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := call(ctx, hc, http.MethodPost, baseURL, "/admin/migrate", mr, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -69,23 +34,8 @@ func Migrate(ctx context.Context, hc *http.Client, baseURL string, mr MigrateReq
 
 // MigrationStatus fetches a node's GET /admin/migrate.
 func MigrationStatus(ctx context.Context, hc *http.Client, baseURL string) (*MigrateStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimRight(baseURL, "/")+"/admin/migrate", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-		return nil, fmt.Errorf("replica: %s/admin/migrate: HTTP %d: %s",
-			baseURL, resp.StatusCode, strings.TrimSpace(string(raw)))
-	}
 	var out MigrateStatus
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := call(ctx, hc, http.MethodGet, baseURL, "/admin/migrate", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -95,17 +45,28 @@ func MigrationStatus(ctx context.Context, hc *http.Client, baseURL string) (*Mig
 // ignored) or point at a new primary as follower. The coordinator's
 // failover path drives promotions through it.
 func SetRole(ctx context.Context, hc *http.Client, baseURL string, role Role, primaryURL string) error {
-	body := RoleRequest{Role: role.String(), Primary: primaryURL}
-	buf, err := json.Marshal(body)
+	return call(ctx, hc, http.MethodPost, baseURL, "/role", RoleRequest{Role: role.String(), Primary: primaryURL}, nil)
+}
+
+// call is one JSON request to a node's control endpoint: in (nil for
+// none) is the request body, out (nil to ignore) receives a 200 answer,
+// and any other status is an error quoting the node's answer.
+func call(ctx context.Context, hc *http.Client, method, baseURL, path string, in, out any) error {
+	var body io.Reader
+	if in != nil {
+		buf, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(buf)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(baseURL, "/")+path, body)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimRight(baseURL, "/")+"/role", bytes.NewReader(buf))
-	if err != nil {
-		return err
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := hc.Do(req)
 	if err != nil {
 		return err
@@ -113,8 +74,11 @@ func SetRole(ctx context.Context, hc *http.Client, baseURL string, role Role, pr
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-		return fmt.Errorf("replica: %s/role: HTTP %d: %s",
-			baseURL, resp.StatusCode, strings.TrimSpace(string(raw)))
+		return fmt.Errorf("replica: %s%s: HTTP %d: %s",
+			baseURL, path, resp.StatusCode, strings.TrimSpace(string(raw)))
 	}
-	return nil
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }

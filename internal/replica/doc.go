@@ -8,17 +8,19 @@
 //
 // A Node wraps an internal/server.Server:
 //
-//   - Primary role: POST /append runs a staged pipeline. Admission
-//     (one short lock) checks the batch against the admitted clock — a
-//     client error can never poison the log — writes the batch to the
-//     WAL as one packed record (replica.Log over kvstore.SeqLog's
-//     CRC-checked runs: one payload under as many sequence numbers as
-//     the batch has events) without waiting for the sync, and hands the
-//     applier a ticket for the records. The applier waits for the group
-//     commit covering them and applies them in sequence order; the
-//     append then acks, after optionally waiting until
-//     Config.SyncFollowers followers have durably logged the batch.
-//     Restart replays the local WAL through the same applier.
+//   - Primary role: POST /append runs a staged pipeline, one loop over
+//     the body's frames (server.AppendFrames: a batch is one frame, an
+//     append stream many). Admission (one short lock) checks a frame
+//     against the admitted clock — a client error can never poison the
+//     log — writes it to the WAL as one packed record (replica.Log over
+//     kvstore.SeqLog's CRC-checked runs: one payload under as many
+//     sequence numbers as the frame has events) without waiting for the
+//     sync, and hands the applier a ticket for the records. The loop
+//     admits up to StreamWindow frames ahead of their settling. The
+//     applier waits for the group commit covering them and applies them
+//     in sequence order; the request then acks, after optionally waiting
+//     once until Config.SyncFollowers followers have durably logged its
+//     last frame. Restart replays the local WAL through the same applier.
 //   - Follower role: rejects external appends and tails its primary's
 //     WAL over long-poll GET /replicate?from=<seq> (binary pages only;
 //     the JSON one a plain curl gets is refused), writing each page

@@ -1,13 +1,17 @@
 package server
 
-// Streaming ingest, both sides of the wire. The server side drains a
-// POST /append?stream=1 body frame by frame; the client side (AppendStream)
-// holds one long-lived connection and encodes a frame per Send, so a
-// sustained writer pays connection setup, HTTP headers, and response
-// parsing once per stream instead of once per batch. A WAL-backed replica
-// node intercepts the same endpoint with its pipelined variant
-// (internal/replica); this plain handler applies frames sequentially —
-// there is no log to overlap against.
+// POST /append, both sides of the wire. A body is a run of frames, each
+// one batch of events under an optional idempotency ID: an append stream
+// (?stream=1) is decoded frame by frame, and a whole batch is one frame
+// tagged with ?batch=. AppendFrames is that frame source, and every
+// role's append handler is one loop over it that serves both forms: this
+// plain handler applies frames sequentially (there is no log to overlap
+// against); a WAL-backed replica node (internal/replica) admits a window
+// of frames ahead of their settling; the coordinator (internal/shard)
+// routes each frame into per-partition lanes. The client side
+// (AppendStream) holds one long-lived connection and encodes a frame per
+// Send, so a sustained writer pays connection setup, HTTP headers, and
+// response parsing once per stream instead of once per batch.
 
 import (
 	"context"
@@ -19,34 +23,85 @@ import (
 	"historygraph/internal/wire"
 )
 
-// handleAppendStream drains a streaming ingest body, applying each frame
-// as it arrives and answering one aggregated AppendResult after the end
-// frame.
-func (s *Server) handleAppendStream(w http.ResponseWriter, r *http.Request) {
-	dec, err := wire.NewAppendStreamDecoder(r.Body)
+// Frames is the frame source of one POST /append body.
+type Frames struct {
+	dec   *wire.AppendStreamDecoder // nil for a batch
+	batch *wire.AppendFrame         // a batch's one frame, until Next hands it out
+}
+
+// AppendFrames opens r's body as frames: the append-stream decoder under
+// ?stream=1, otherwise the body read by ReadBody as one frame tagged with
+// ?batch=. Its error is the client's (a 400).
+func AppendFrames(r *http.Request) (*Frames, error) {
+	if BoolParam(r.URL.Query().Get("stream")) {
+		dec, err := wire.NewAppendStreamDecoder(r.Body)
+		if err != nil {
+			return nil, err
+		}
+		return &Frames{dec: dec}, nil
+	}
+	var events historygraph.EventList
+	if err := ReadBody(r, &events); err != nil {
+		return nil, fmt.Errorf("bad append body: %w", err)
+	}
+	return &Frames{batch: &wire.AppendFrame{Batch: r.URL.Query().Get("batch"), Events: events}}, nil
+}
+
+// Next returns the next frame, and io.EOF after the last. A stream's
+// other errors are the client's: a corrupt or truncated frame.
+func (f *Frames) Next() (*wire.AppendFrame, error) {
+	if f.dec != nil {
+		return f.dec.Next()
+	}
+	frame := f.batch
+	if frame == nil {
+		return nil, io.EOF
+	}
+	f.batch = nil
+	return frame, nil
+}
+
+// Stream reports whether the body is an append stream.
+func (f *Frames) Stream() bool { return f.dec != nil }
+
+// Fail is the error that stops the request at frame n. A batch answers
+// its cause unchanged; a stream also names the frame, and says what
+// became of the frames before it ("earlier frames were " + earlier), so a
+// resuming client knows where to replay from.
+func (f *Frames) Fail(n int, cause error, earlier string) error {
+	if f.dec == nil {
+		return cause
+	}
+	return fmt.Errorf("append stream failed at frame %d: %w (earlier frames were %s)", n, cause, earlier)
+}
+
+// handleAppend applies a POST /append body frame by frame and answers one
+// AppendResult for the whole body.
+func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
+	if !s.CheckEpoch(w, r) {
+		return
+	}
+	frames, err := AppendFrames(r)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	var agg wire.AppendResult
-	frames := 0
-	for {
-		frame, err := dec.Next()
+	for n := 0; ; n++ {
+		frame, err := frames.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			WriteError(w, http.StatusBadRequest, fmt.Errorf("append stream failed at frame %d: %w (earlier frames were applied)", frames, err))
+			WriteError(w, http.StatusBadRequest, frames.Fail(n, err, "applied"))
 			return
 		}
 		res, appendErr := s.ApplyEvents(frame.Events)
 		agg.Fold(res)
 		if appendErr != nil {
-			WriteError(w, http.StatusUnprocessableEntity,
-				fmt.Errorf("append stream frame %d: %w (earlier frames were applied)", frames, appendErr))
+			WriteError(w, http.StatusUnprocessableEntity, frames.Fail(n, appendErr, "applied"))
 			return
 		}
-		frames++
 	}
 	WriteWire(w, r, http.StatusOK, agg)
 }

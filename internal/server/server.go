@@ -633,27 +633,6 @@ func (s *Server) ReplaceManager(gm *historygraph.GraphManager) *historygraph.Gra
 	return old
 }
 
-func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	if !s.CheckEpoch(w, r) {
-		return
-	}
-	if BoolParam(r.URL.Query().Get("stream")) {
-		s.handleAppendStream(w, r)
-		return
-	}
-	var events historygraph.EventList
-	if err := ReadBody(r, &events); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad append body: %w", err))
-		return
-	}
-	res, appendErr := s.ApplyEvents(events)
-	if appendErr != nil {
-		WriteError(w, http.StatusUnprocessableEntity, appendErr)
-		return
-	}
-	WriteWire(w, r, http.StatusOK, res)
-}
-
 // handleStats re-derives the /stats JSON from the metrics registry's
 // collectors — the exact values /metrics exposes — so the two surfaces
 // cannot drift.
@@ -807,8 +786,9 @@ func WriteWire(w http.ResponseWriter, r *http.Request, code int, v any) {
 }
 
 // ReadBody decodes a request body with the codec its Content-Type names
-// (JSON unless the binary type is declared). The shard coordinator and
-// replica node share it so every append path accepts both encodings.
+// (JSON unless the binary type is declared). AppendFrames reads a batch
+// with it, and every role's request bodies go through it, so each accepts
+// both encodings.
 func ReadBody(r *http.Request, v any) error {
 	data, err := io.ReadAll(r.Body)
 	if err != nil {

@@ -46,6 +46,12 @@
 //     snapshot size. A leg dying mid-stream is dropped and reported in
 //     the terminating summary frame's partial list — never a truncated
 //     merge.
+//   - Append lanes: POST /append, a batch or an append stream alike
+//     (server.AppendFrames), is routed frame by frame into one lane per
+//     partition that sends its slices to the set's primary in order.
+//     Every partition answers once per request (a lane that got no slice
+//     sends an empty one), and a slice fenced by a reshard at the lane's
+//     end is re-routed under its batch ID, so both forms answer alike.
 //   - Replica routing: reads spread round-robin across each set's
 //     in-sync members with latency-EWMA demotion, retrying the next
 //     replica when one fails; appends go to the set's primary, and a

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -19,6 +20,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -738,30 +740,93 @@ func TestStaleEpochAppendRerouteDeduped(t *testing.T) {
 }
 
 func testStaleEpochAppendReroute(t *testing.T, send func(*server.Client, historygraph.EventList) (*wire.AppendResult, error)) {
-	events := testEvents()
-	dir := t.TempDir()
-	primary := launchRNode(t, filepath.Join(dir, "p.wal"), replica.Config{Role: replica.RolePrimary})
-	pcl := server.NewClient(primary.url)
-	if _, err := pcl.Append(events); err != nil {
+	f := newFencedAppend(t)
+	const n = 20
+	res, err := send(f.client, f.fresh(0, n))
+	if err != nil {
+		t.Fatalf("append across the fence: %v", err)
+	}
+	if len(res.Partial) > 0 {
+		t.Fatalf("append reported partial: %+v", res.Partial)
+	}
+	if !res.Deduped {
+		t.Error("rerouted append was not absorbed by the batch-ID dedup")
+	}
+	if got := f.primary.log.LastSeq(); got != f.preSeq+n {
+		t.Fatalf("primary logged %d records, want %d: the dual-written batch must land exactly once", got, f.preSeq+n)
+	}
+	if got := f.co.reroutes.Value(); got != 1 {
+		t.Errorf("reroutes = %d, want exactly 1", got)
+	}
+	if got := f.fences.Load(); got != 1 {
+		t.Errorf("fenced worker saw %d appends, want 1", got)
+	}
+}
+
+// TestStaleEpochStreamFencedMidStream: a stream whose lane is fenced at
+// frame 0 of two drops frame 1's slice, so re-routing frame 0 alone would
+// answer success over a hole. The fence stands: the stream fails naming
+// frame 0, nothing is re-routed, and only frame 0's events were logged
+// (the fencing proxy applied them).
+func TestStaleEpochStreamFencedMidStream(t *testing.T) {
+	f := newFencedAppend(t)
+	stream, err := f.client.AppendStream()
+	if err != nil {
 		t.Fatal(err)
 	}
-	preSeq := primary.log.LastSeq()
-	_, last := events.Span()
+	const n = 5
+	for frame := 0; frame < 2; frame++ {
+		if err := stream.Send(f.fresh(frame, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = stream.Close()
+	var he *server.HTTPError
+	if !errors.As(err, &he) || he.Status != http.StatusGone || !strings.Contains(err.Error(), "frame 0:") {
+		t.Fatalf("stream fenced at frame 0 answered %v, want a 410 naming frame 0", err)
+	}
+	if got := f.primary.log.LastSeq(); got != f.preSeq+n {
+		t.Errorf("primary logged %d records, want frame 0's %d", got-f.preSeq, n)
+	}
+	if got := f.co.reroutes.Value(); got != 0 {
+		t.Errorf("reroutes = %d, want 0", got)
+	}
+	if got := f.fences.Load(); got != 1 {
+		t.Errorf("fenced worker saw %d appends, want 1", got)
+	}
+}
 
-	var co *Coordinator
+// fencedAppend is a one-partition coordinator whose only member is a
+// fencing proxy in front of a WAL-backed primary: the proxy forwards an
+// append verbatim (batch ID, epoch stamp and all) to the primary, which
+// durably applies it — then moves the coordinator's routing on to epoch 2
+// (the same primary) and answers 410, as a worker that cut over
+// mid-request would. Later appends go straight to the primary.
+type fencedAppend struct {
+	primary *rnode
+	co      *Coordinator
+	client  *server.Client
+	fences  *atomic.Int64
+	preSeq  uint64
+	last    historygraph.Time
+}
+
+func newFencedAppend(t *testing.T) *fencedAppend {
+	events := testEvents()
+	primary := launchRNode(t, filepath.Join(t.TempDir(), "p.wal"), replica.Config{Role: replica.RolePrimary})
+	if _, err := server.NewClient(primary.url).Append(events); err != nil {
+		t.Fatal(err)
+	}
+	_, last := events.Span()
+	f := &fencedAppend{primary: primary, fences: new(atomic.Int64), preSeq: primary.log.LastSeq(), last: last}
 	coReady := make(chan struct{})
-	var fences atomic.Int64
-	// The fencing proxy: forwards the append verbatim (batch ID, epoch
-	// stamp and all) to the primary, which durably applies it — then
-	// moves the routing on and answers 410, as a worker that cut over
-	// mid-request would.
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost || r.URL.Path != "/append" {
 			http.NotFound(w, r)
 			return
 		}
 		<-coReady
-		fences.Add(1)
+		f.fences.Add(1)
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
 			t.Errorf("proxy read: %v", err)
@@ -784,48 +849,33 @@ func testStaleEpochAppendReroute(t *testing.T, send func(*server.Client, history
 		}
 		next := DefaultSlotTable(1)
 		next.Epoch = 2
-		co.installRouting(&routing{table: next, sets: []*replicaSet{newReplicaSet([]string{primary.url}, co.hc)}})
+		f.co.installRouting(&routing{table: next, sets: []*replicaSet{newReplicaSet([]string{primary.url}, f.co.hc)}})
 		server.WriteError(w, http.StatusGone, fmt.Errorf("routing epoch 1 does not match installed epoch 2"))
 	}))
 	t.Cleanup(proxy.Close)
 
-	var err error
-	co, err = New([]string{proxy.URL}, Config{PartitionTimeout: 2 * time.Second})
+	co, err := New([]string{proxy.URL}, Config{PartitionTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer co.Close()
+	t.Cleanup(co.Close)
+	f.co = co
 	close(coReady)
 	front := httptest.NewServer(co.Handler())
-	defer front.Close()
-	client := server.NewClient(front.URL)
+	t.Cleanup(front.Close)
+	f.client = server.NewClient(front.URL)
+	return f
+}
 
-	const n = 20
+// fresh is frame's batch of n new nodes, one timestamp past the seed each.
+func (f *fencedAppend) fresh(frame, n int) historygraph.EventList {
 	batch := make(historygraph.EventList, 0, n)
 	for i := 0; i < n; i++ {
 		batch = append(batch, historygraph.Event{
-			Type: historygraph.AddNode, At: last + 1, Node: historygraph.NodeID(1<<21 + i),
+			Type: historygraph.AddNode, At: f.last + 1 + historygraph.Time(frame), Node: historygraph.NodeID(1<<21 + frame<<10 + i),
 		})
 	}
-	res, err := send(client, batch)
-	if err != nil {
-		t.Fatalf("append across the fence: %v", err)
-	}
-	if len(res.Partial) > 0 {
-		t.Fatalf("append reported partial: %+v", res.Partial)
-	}
-	if !res.Deduped {
-		t.Error("rerouted append was not absorbed by the batch-ID dedup")
-	}
-	if got := primary.log.LastSeq(); got != preSeq+n {
-		t.Fatalf("primary logged %d records, want %d: the dual-written batch must land exactly once", got, preSeq+n)
-	}
-	if got := co.reroutes.Value(); got != 1 {
-		t.Errorf("reroutes = %d, want exactly 1", got)
-	}
-	if got := fences.Load(); got != 1 {
-		t.Errorf("fenced worker saw %d appends, want 1", got)
-	}
+	return batch
 }
 
 // TestReshardValidation pins the admission errors: a target already in

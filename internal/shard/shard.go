@@ -526,70 +526,6 @@ func (co *Coordinator) handleExpr(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (co *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
-	if server.BoolParam(r.URL.Query().Get("stream")) {
-		co.handleAppendStream(w, r)
-		return
-	}
-	var body historygraph.EventList
-	if err := server.ReadBody(r, &body); err != nil {
-		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad append body: %w", err))
-		return
-	}
-	// The append gate is held shared across the split and the scatter: a
-	// reshard cutover takes it exclusively, so the routing captured here
-	// stays installed for the whole append and the cutover's head freeze
-	// sees every in-flight batch durable.
-	co.appendGate.RLock()
-	defer co.appendGate.RUnlock()
-	rt := co.rt()
-	perPart, minAt, err := routeEvents(rt, body)
-	if err != nil {
-		server.WriteError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	// Every partition's primary gets its slice (possibly empty — an empty
-	// append still reports the worker's last_time, keeping the merged
-	// clock exact). A dead primary triggers failover inside the scatter
-	// call. Batch IDs are fixed up front so a leg fenced with 410 can be
-	// re-split and resent under the SAME ID — a fenced leg logged nothing
-	// locally, and any events the migration already copied to the new
-	// owner registered the ID there, so the resend dedupes instead of
-	// double-applying. Appends detach from the client's cancellation:
-	// aborting half-landed slices on a disconnect would leave the
-	// partitions inconsistent with no response to report the split.
-	server.Annotate(r.Context(), "partitions", strconv.Itoa(len(rt.sets)))
-	ids := make([]string, len(rt.sets))
-	for i := range ids {
-		ids[i] = partBatchID(r.URL.Query().Get("batch"), i)
-	}
-	detached := context.WithoutCancel(r.Context())
-	parts, errs := scatter(co, rt, detached, func(ctx reqCtx, rs *replicaSet) (*wire.AppendResult, error) {
-		return co.appendBatchToSet(ctx, rs, perPart[ctx.part], ids[ctx.part])
-	})
-	if staleEpoch(errs) {
-		parts, errs = co.retryGoneAppends(detached, rt, parts, errs, perPart, ids)
-	}
-	// Invalidate merged responses even on partial failure: some
-	// partitions' slices landed, so any cached merge depending on a
-	// timepoint >= minAt is stale.
-	if len(body) > 0 {
-		co.cache.InvalidateFrom(minAt)
-	}
-	if len(errs) > 0 && len(errs) == len(rt.sets) {
-		writeAllFailed(w, co.allFailed(errs))
-		return
-	}
-	co.notePartial(errs, len(rt.sets))
-	out := wire.AppendResult{Partial: errs}
-	for _, p := range parts {
-		if p != nil {
-			out.Fold(*p)
-		}
-	}
-	server.WriteWire(w, r, http.StatusOK, out)
-}
-
 // routeEvents splits one batch by owning partition under rt, for the
 // per-request and the streaming append alike. It refuses the whole batch
 // before anything is scattered: an unroutable edge event is a 422 — it
@@ -611,66 +547,6 @@ func routeEvents(rt *routing, body historygraph.EventList) (perPart []historygra
 		}
 	}
 	return perPart, minAt, nil
-}
-
-// retryGoneAppends re-routes the 410-fenced legs of an append scatter: a
-// fenced leg was planned against a routing table the workers have moved
-// past (a cutover driven outside this coordinator's append gate — an
-// operator slot push or another coordinator's reshard). Each fenced
-// leg's events are re-split under the freshly installed table and resent
-// under the leg's ORIGINAL batch ID: the fenced leg logged nothing, and
-// any of its events the migration already copied to a new owner
-// registered the ID there, so the resend dedupes instead of
-// double-applying. One round only — a leg fenced again surfaces as an
-// error.
-func (co *Coordinator) retryGoneAppends(parent context.Context, old *routing, parts []*wire.AppendResult, errs []wire.PartitionError, perPart []historygraph.EventList, ids []string) ([]*wire.AppendResult, []wire.PartitionError) {
-	fresh := co.rt()
-	if fresh.epoch() == old.epoch() {
-		// Nothing newer installed here: the workers are ahead of this
-		// coordinator (see the OPERATIONS.md note on coordinator restarts)
-		// and the fence has to stand.
-		return parts, errs
-	}
-	co.reroutes.Inc()
-	var kept []wire.PartitionError
-	for _, pe := range errs {
-		if pe.Status != http.StatusGone {
-			kept = append(kept, pe)
-			continue
-		}
-		resplit := make([]historygraph.EventList, len(fresh.sets))
-		for _, ev := range perPart[pe.Partition] {
-			np := fresh.table.Partition(ev)
-			resplit[np] = append(resplit[np], ev)
-		}
-		agg := &wire.AppendResult{}
-		var ferr error
-		for np, slice := range resplit {
-			if len(slice) == 0 {
-				continue
-			}
-			res, err := co.sendAppendLeg(parent, fresh, np, slice, ids[pe.Partition])
-			if err != nil {
-				ferr = fmt.Errorf("rerouted to partition %d: %w", np, err)
-				break
-			}
-			agg.Fold(*res)
-		}
-		if ferr != nil {
-			kept = append(kept, partitionError(pe.Partition, ferr))
-			continue
-		}
-		parts[pe.Partition] = agg
-	}
-	return parts, kept
-}
-
-// sendAppendLeg sends one re-routed append slice to partition np of rt,
-// stamped with rt's epoch and bounded by the partition timeout.
-func (co *Coordinator) sendAppendLeg(parent context.Context, rt *routing, np int, events historygraph.EventList, batch string) (*wire.AppendResult, error) {
-	ctx, cancel := context.WithTimeout(parent, co.timeout)
-	defer cancel()
-	return co.appendBatchToSet(server.WithEpoch(ctx, rt.epoch()), rt.sets[np], events, batch)
 }
 
 // PartitionStatsJSON is one partition's section of the coordinator's
