@@ -240,8 +240,9 @@ func (co *Coordinator) retryGoneAppends(base context.Context, old *routing, lane
 			sl.events = slice
 			res, err := co.appendLeg(base, fresh, np, sl)
 			if err != nil {
-				// The lane's answer is dropped with its error, so what
-				// landed before this piece needs no undoing here.
+				// A lane with an error is left out of the answer, so
+				// the pieces folded into it before this one are not
+				// counted.
 				ln.err = fmt.Errorf("rerouted to partition %d: %w", np, err)
 				break
 			}
