@@ -564,7 +564,8 @@ func BenchmarkIndexConstruction(b *testing.B) {
 // workload feeds a node — the first 59 392 events of its trace in batches of
 // 256 — to an index on a FileStore, with no read in between: us/event is the
 // builder's live cost, max-cut-ms the longest a leaf cut held the write lock
-// (the stall a concurrent reader would have seen).
+// (the stall a concurrent reader would have seen). The Flush counts the
+// builder goroutine's work, which may end after the last batch.
 func BenchmarkLiveIngest(b *testing.B) {
 	events := coauthChurn(1)[:59392]
 	var maxCut time.Duration
@@ -585,6 +586,9 @@ func BenchmarkLiveIngest(b *testing.B) {
 			if err := dg.AppendAll(events[lo:min(lo+256, len(events))]); err != nil {
 				b.Fatal(err)
 			}
+		}
+		if err := dg.Flush(); err != nil {
+			b.Fatal(err)
 		}
 		b.StopTimer()
 		if st := dg.StatsUnsealed(); st.SpineSeals != 0 || st.Leaves == 0 {

@@ -213,7 +213,9 @@ func Open(opts Options) (*GraphManager, error) {
 }
 
 // BuildFrom bulk-loads a chronological event trace (Section 4.6) and
-// returns a queryable database.
+// returns a queryable database once every payload is stored. The index's
+// provisional spine is built by the first historical read, not here: a
+// database built to be checkpointed or closed never pays for it.
 func BuildFrom(events EventList, opts Options) (*GraphManager, error) {
 	store, err := opts.store()
 	if err != nil {
@@ -418,11 +420,16 @@ func (gm *GraphManager) PoolStats() PoolStats { return gm.pool.Stats() }
 // Checkpoint persists the index state so Load can reopen it.
 func (gm *GraphManager) Checkpoint() error { return gm.dg.Checkpoint() }
 
-// Close checkpoints nothing, stops the cleaner, and closes the store.
-// Call Checkpoint first to make the index reloadable.
+// Close checkpoints nothing: it waits for the index's builder to store what
+// the leaf cuts queued, stops the cleaner, and closes the store. Call
+// Checkpoint first to make the index reloadable.
 func (gm *GraphManager) Close() error {
+	err := gm.dg.Close()
 	gm.cleaner.Stop()
-	return gm.store.Close()
+	if cerr := gm.store.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // MustParseAttrOptions re-exports the attr_options parser for callers that

@@ -54,6 +54,11 @@ func appendRebasing(t *testing.T, built, forced *DeltaGraph, events graph.EventL
 // the same spine.
 func sameIndexBytes(t *testing.T, what string, built, forced *DeltaGraph) {
 	t.Helper()
+	for _, dg := range []*DeltaGraph{built, forced} {
+		if err := dg.Flush(); err != nil { // the builder's puts reach the store
+			t.Fatal(err)
+		}
+	}
 	if built.nextDeltaID != forced.nextDeltaID {
 		t.Fatalf("%s: next delta id %d, as built %d", what, forced.nextDeltaID, built.nextDeltaID)
 	}

@@ -34,14 +34,18 @@ import (
 // asks for it, not at every cut.
 
 // cutLeafLocked turns the recent eventlist into a new leaf: it creates the
-// leaf skeleton node, persists the leaf-eventlist on the edge to the
-// previous leaf, and bubbles complete arity-k groups upward.
+// leaf skeleton node, queues the leaf-eventlist for the builder to store on
+// the edges to and from the previous leaf, and bubbles complete arity-k groups
+// upward.
 func (dg *DeltaGraph) cutLeafLocked() error {
 	if dg.recent.len() == 0 {
 		return nil
 	}
 	defer func(start time.Time) { dg.cutTimes = append(dg.cutTimes, time.Since(start)) }(time.Now())
 	events, err := dg.recent.all()
+	if err == nil {
+		err = dg.publishStoredLocked()
+	}
 	if err != nil {
 		return err
 	}
@@ -53,12 +57,18 @@ func (dg *DeltaGraph) cutLeafLocked() error {
 	if evIndex == 0 {
 		dg.firstTime = events[0].At
 	}
-	deltaID, sizes, count, err := dg.storeEvents(events, dg.auxRecent)
-	if err != nil {
-		return err
-	}
-	dg.skel.addEdge(&skelEdge{from: prevLeaf, to: leaf, kind: kindEventFwd, deltaID: deltaID, sizes: sizes, counts: count, evIndex: evIndex})
-	dg.skel.addEdge(&skelEdge{from: leaf, to: prevLeaf, kind: kindEventBwd, deltaID: deltaID, sizes: sizes, counts: count, evIndex: evIndex})
+	id, auxEvents := dg.nextDeltaID, dg.auxRecent
+	dg.nextDeltaID++
+	dg.build.enqueue(func() ([]*skelEdge, error) {
+		sizes, err := dg.putEvents(id, events, auxEvents)
+		if err != nil {
+			return nil, err
+		}
+		return []*skelEdge{
+			{from: prevLeaf, to: leaf, kind: kindEventFwd, deltaID: id, sizes: sizes, counts: len(events), evIndex: evIndex},
+			{from: leaf, to: prevLeaf, kind: kindEventBwd, deltaID: id, sizes: sizes, counts: len(events), evIndex: evIndex},
+		}, nil
+	})
 
 	// The leaf is the current graph: an empty patch retains it for parent
 	// construction.
@@ -70,7 +80,7 @@ func (dg *DeltaGraph) cutLeafLocked() error {
 	dg.pending[0] = append(dg.pending[0], pendingChild{node: leaf, size: dg.curSize, patch: make(patch), aux: auxCopies})
 	dg.recent = newRecentList(dg.opts.LeafSize)
 	dg.auxRecent = make([][]AuxEvent, len(dg.auxes))
-	dg.pool.ClearRecent() // deleted elements are now on disk
+	dg.pool.ClearRecent() // deleted elements are in the queued eventlist, which reads wait for
 	dg.clearSpineLocked()
 	dg.spineStale = true
 	return dg.promoteLocked(0)
@@ -174,34 +184,63 @@ func (dg *DeltaGraph) makeParentLocked(level int, group []pendingChild, provisio
 	if provisional {
 		dg.provNodes = append(dg.provNodes, parent.node)
 	}
+	// What is left, a delta to each child, reads the cut-down graphs, the aux
+	// snapshots and the node, none of which changes again: it runs on the
+	// builder for a permanent parent. group is a window on a pending level,
+	// which moves under it, so the children's aux snapshots are copied out.
+	kidAux, parentAux := make([][]AuxSnapshot, len(group)), parent.aux
 	for i, c := range group {
-		d := delta.Compute(snaps[i], parentSnap)
-		auxDeltas := make([]auxDelta, len(dg.auxes))
-		for j := range dg.auxes {
-			auxDeltas[j] = computeAuxDelta(c.aux[j], parent.aux[j])
+		node.children, kidAux[i] = append(node.children, c.node), c.aux
+	}
+	store, next := dg.store, &dg.nextDeltaID
+	if provisional {
+		store, next = dg.spine, &dg.nextSpineID
+	}
+	firstID := *next
+	*next += uint64(len(group))
+	deltas := func() ([]*skelEdge, error) {
+		edges := make([]*skelEdge, len(snaps))
+		for i, kid := range node.children {
+			d := delta.Compute(snaps[i], parentSnap)
+			auxDeltas := make([]auxDelta, len(parentAux))
+			for j := range auxDeltas {
+				auxDeltas[j] = computeAuxDelta(kidAux[i][j], parentAux[j])
+			}
+			id := firstID + uint64(i)
+			sizes, err := dg.putDelta(store, id, d, auxDeltas)
+			if err != nil {
+				return nil, err
+			}
+			edges[i] = &skelEdge{from: node.id, to: kid, kind: kindDelta, deltaID: id, sizes: sizes, counts: d.Len(), evIndex: -1, provisional: provisional}
 		}
-		deltaID, sizes, count, err := dg.storeDelta(d, auxDeltas, provisional)
+		return edges, nil
+	}
+	if provisional {
+		edges, err := deltas()
 		if err != nil {
 			return pendingChild{}, err
 		}
-		idx := dg.skel.addEdge(&skelEdge{from: parent.node, to: c.node, kind: kindDelta, deltaID: deltaID, sizes: sizes, counts: count, evIndex: -1, provisional: provisional})
-		node.children = append(node.children, c.node)
-		if provisional {
-			dg.provEdgeIdxs = append(dg.provEdgeIdxs, idx)
+		for _, e := range edges {
+			dg.provEdgeIdxs = append(dg.provEdgeIdxs, dg.skel.addEdge(e))
 		}
+	} else {
+		dg.build.enqueue(deltas)
 	}
 	dg.settleLocked(&parent)
 	return parent, nil
 }
 
-// sealLocked builds the provisional spine if a leaf cut has dropped it. Its
-// top delta is the root's whole graph, and a provisional parent over a node on
-// the null graph is evaluated over everything: this is the one step of
-// construction that costs as much as the graph, and the reason it waits for a
-// reader.
+// sealLocked builds the provisional spine if a leaf cut has dropped it, once
+// the builder has stored what the cuts queued. Its top delta is the root's
+// whole graph, and a provisional parent over a node on the null graph is
+// evaluated over everything: this is the one step of construction that costs
+// as much as the graph, and the reason it waits for a reader.
 func (dg *DeltaGraph) sealLocked() error {
 	if !dg.spineStale {
 		return nil
+	}
+	if err := dg.publishLocked(); err != nil {
+		return err
 	}
 	if err := dg.buildSpineLocked(); err != nil {
 		return err
@@ -271,14 +310,16 @@ func (dg *DeltaGraph) attachRootLocked(root pendingChild) error {
 	for i := range dg.auxes {
 		auxDeltas[i] = computeAuxDelta(root.aux[i], AuxSnapshot{})
 	}
-	deltaID, sizes, count, err := dg.storeDelta(d, auxDeltas, true)
+	deltaID := dg.nextSpineID
+	dg.nextSpineID++
+	sizes, err := dg.putDelta(dg.spine, deltaID, d, auxDeltas)
 	if err != nil {
 		return err
 	}
 	// The super-root edge is torn down with the spine even when the root
 	// node itself is permanent, because a future append can grow a new
 	// root above it.
-	idx := dg.skel.addEdge(&skelEdge{from: dg.skel.superRoot, to: root.node, kind: kindDelta, deltaID: deltaID, sizes: sizes, counts: count, evIndex: -1, provisional: true})
+	idx := dg.skel.addEdge(&skelEdge{from: dg.skel.superRoot, to: root.node, kind: kindDelta, deltaID: deltaID, sizes: sizes, counts: d.Len(), evIndex: -1, provisional: true})
 	dg.provEdgeIdxs = append(dg.provEdgeIdxs, idx)
 	// Materialization follows the root across leaf cuts: if the torn down
 	// root was pinned, pin the new one (its delta from the null graph is
@@ -351,23 +392,17 @@ func putCols(store kvstore.Store, p int, id uint64, d *delta.Delta, always bool,
 	return nil
 }
 
-// storeDelta writes a delta's columns (split across partitions) and returns
-// its id, per-component byte sizes, and record count. A provisional delta
-// goes to the memory-resident spine store under an id of the spine's own, so
-// the keys of permanent payloads depend on the history alone, not on how
-// often the spine was rebuilt: replaying events over a reopened index
-// rewrites the same records.
-func (dg *DeltaGraph) storeDelta(d *delta.Delta, auxDeltas []auxDelta, provisional bool) (uint64, componentSizes, int, error) {
-	store, next := dg.store, &dg.nextDeltaID
-	if provisional {
-		store, next = dg.spine, &dg.nextSpineID
-	}
-	id := *next
-	*next++
+// putDelta writes a delta's columns (split across partitions) under id into
+// store, and returns their per-component byte sizes. A provisional delta goes
+// to the memory-resident spine store under an id of the spine's own, so the
+// keys of permanent payloads depend on the history alone, not on how often
+// the spine was rebuilt: replaying events over a reopened index rewrites the
+// same records.
+func (dg *DeltaGraph) putDelta(store kvstore.Store, id uint64, d *delta.Delta, auxDeltas []auxDelta) (componentSizes, error) {
 	sizes := make(componentSizes, 4+len(dg.auxes))
 	for p, part := range d.Split(dg.opts.Partitions) {
 		if err := putCols(store, p, id, part, dg.opts.Partitions == 1, sizes); err != nil {
-			return 0, nil, 0, err
+			return nil, err
 		}
 	}
 	// Aux columns are not node-partitioned (their keys are opaque): they
@@ -377,18 +412,16 @@ func (dg *DeltaGraph) storeDelta(d *delta.Delta, auxDeltas []auxDelta, provision
 			continue
 		}
 		if err := putCol(store, 0, id, kvstore.ComponentAuxBase+kvstore.Component(i), encodeAuxDelta(ad), sizes); err != nil {
-			return 0, nil, 0, err
+			return nil, err
 		}
 	}
-	return id, sizes, d.Len(), nil
+	return sizes, nil
 }
 
-// storeEvents persists a leaf-eventlist, columnar: structure, node-attr,
+// putEvents persists leaf-eventlist id, columnar: structure, node-attr,
 // edge-attr and transient events are separate components, plus one aux
 // eventlist per registered index.
-func (dg *DeltaGraph) storeEvents(events graph.EventList, auxEvents [][]AuxEvent) (uint64, componentSizes, int, error) {
-	id := dg.nextDeltaID
-	dg.nextDeltaID++
+func (dg *DeltaGraph) putEvents(id uint64, events graph.EventList, auxEvents [][]AuxEvent) (componentSizes, error) {
 	sizes := make(componentSizes, 4+len(dg.auxes))
 	// Split events by partition, then by column (indexed like
 	// kvstore.Component). Each list is counted first and carved out of one
@@ -415,7 +448,7 @@ func (dg *DeltaGraph) storeEvents(events graph.EventList, auxEvents [][]AuxEvent
 				continue
 			}
 			if err := putCol(dg.store, p, id, kvstore.Component(c), delta.EncodeEvents(col), sizes); err != nil {
-				return 0, nil, 0, err
+				return nil, err
 			}
 		}
 	}
@@ -424,10 +457,10 @@ func (dg *DeltaGraph) storeEvents(events graph.EventList, auxEvents [][]AuxEvent
 			continue
 		}
 		if err := putCol(dg.store, 0, id, kvstore.ComponentAuxBase+kvstore.Component(i), encodeAuxEvents(evs), sizes); err != nil {
-			return 0, nil, 0, err
+			return nil, err
 		}
 	}
-	return id, sizes, len(events), nil
+	return sizes, nil
 }
 
 // eventColumn maps an event to its storage column, numbered like the
@@ -582,10 +615,166 @@ func (dg *DeltaGraph) payloadStore(e *skelEdge) kvstore.Store {
 	return dg.store
 }
 
-// Flush syncs the store. (The skeleton itself is persisted by Checkpoint;
-// see persist.go.)
+// Flush waits for the builder, then syncs the store. (The skeleton itself is
+// persisted by Checkpoint; see persist.go.)
 func (dg *DeltaGraph) Flush() error {
+	dg.build.wait() // off the lock, so reads go on meanwhile
 	dg.mu.Lock()
-	defer dg.mu.Unlock()
+	defer dg.unlock()
+	if err := dg.publishLocked(); err != nil {
+		return err
+	}
 	return dg.store.Sync()
+}
+
+// Close waits for the builder to store what the leaf cuts queued and returns
+// the first error a put met. Close the store after it, not before: it is the
+// caller's. The index stays usable.
+func (dg *DeltaGraph) Close() error { return dg.build.wait() }
+
+// --- the builder -----------------------------------------------------
+//
+// A leaf cut keeps under the write lock only what must see the current
+// graph: it takes the leaf's events, reserves their payload ids, adds the
+// skeleton nodes and evaluates each new parent's children, Combine and patch.
+// The rest — delta.Compute and the aux deltas to every child, and encoding,
+// compressing and putting every permanent payload, leaf-eventlists included —
+// it queues for one builder goroutine, which runs the queue one job at a
+// time, in id order: the store holds the records in the order a cut that did
+// it all would have put them. The goroutine starts when a job is queued and
+// exits when the queue is empty, so an index at rest holds none.
+//
+// An edge enters the skeleton under the write lock, and only once its payload
+// is stored: the builder hands back the edges it stored for, and the next
+// holder of the write lock publishes them (publishStoredLocked at every cut,
+// publishLocked wherever the whole skeleton is needed). A reader that plans
+// over stored payloads waits for the builder as it waits for the seal
+// (rlockSealed); one that reads the skeleton without sealing takes
+// rlockBuilt.
+
+// storeJob is one queued payload: run stores it and returns the edges that
+// carry it.
+type storeJob struct {
+	run  func() ([]*skelEdge, error)
+	done chan struct{} // closed once run has returned
+}
+
+type builder struct {
+	mu      sync.Mutex
+	queue   []storeJob
+	last    chan struct{} // the newest job's done
+	running bool          // a goroutine drains the queue
+	stored  []*skelEdge   // in id order, not yet in the skeleton
+	err     error         // the first failed put's; every job after it is dropped
+}
+
+// enqueue queues run, starting the builder goroutine if none runs.
+func (b *builder) enqueue(run func() ([]*skelEdge, error)) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.last = make(chan struct{})
+	b.queue = append(b.queue, storeJob{run, b.last})
+	if !b.running {
+		b.running = true
+		go b.drain()
+	}
+}
+
+// drain runs the queue one job at a time, in order, and exits when it is
+// empty.
+func (b *builder) drain() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for len(b.queue) > 0 {
+		job := b.queue[0]
+		b.queue[0], b.queue = storeJob{}, b.queue[1:]
+		if b.err == nil {
+			b.mu.Unlock()
+			edges, err := job.run()
+			b.mu.Lock()
+			b.stored, b.err = append(b.stored, edges...), err
+		}
+		close(job.done)
+	}
+	b.queue, b.running = nil, false
+}
+
+// wait returns once every job queued before it is done, with the first put
+// error. It waits for those jobs, not for an empty queue, which a steady
+// appender may never leave.
+func (b *builder) wait() error {
+	b.mu.Lock()
+	last := b.last
+	b.mu.Unlock()
+	<-last
+	return b.failed()
+}
+
+// failed returns the first put error.
+func (b *builder) failed() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.err
+}
+
+// take hands over the edges stored so far, with the first put error.
+func (b *builder) take() ([]*skelEdge, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	edges := b.stored
+	b.stored = nil
+	return edges, b.err
+}
+
+// settled reports whether every queued payload is stored and published. With
+// the read lock held nothing can be queued or published meanwhile.
+func (b *builder) settled() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	select {
+	case <-b.last:
+		return len(b.stored) == 0
+	default:
+		return false
+	}
+}
+
+// publishStoredLocked adds the edges the builder has stored so far to the
+// skeleton, without waiting for the rest.
+func (dg *DeltaGraph) publishStoredLocked() error {
+	edges, err := dg.build.take()
+	for _, e := range edges {
+		dg.skel.addEdge(e)
+	}
+	return err
+}
+
+// publishLocked waits for the builder to finish the queue (holding the write
+// lock: only a cut queues, and none can) and adds every edge it stored to the
+// skeleton.
+func (dg *DeltaGraph) publishLocked() error {
+	if err := dg.build.wait(); err != nil {
+		return err
+	}
+	return dg.publishStoredLocked()
+}
+
+// rlockBuilt takes the read lock with every queued payload stored and its
+// edges in the skeleton, for a caller that reads stored payloads or the
+// skeleton's edges but plans over no spine. It takes the write lock only if
+// there is something to publish.
+func (dg *DeltaGraph) rlockBuilt() error {
+	err := dg.build.wait()
+	dg.mu.RLock()
+	for err == nil && !dg.build.settled() {
+		dg.mu.RUnlock()
+		dg.mu.Lock()
+		err = dg.publishLocked()
+		dg.unlock()
+		dg.mu.RLock() // a cut may have slipped in: look again
+	}
+	if err != nil {
+		dg.mu.RUnlock()
+	}
+	return err
 }

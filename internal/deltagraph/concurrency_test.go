@@ -1,17 +1,22 @@
 package deltagraph
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"historygraph/internal/baseline"
 	"historygraph/internal/datagen"
 	"historygraph/internal/graph"
 	"historygraph/internal/graphpool"
+	"historygraph/internal/kvstore"
 )
 
 // Queries must be able to run concurrently with appends, with checkpoints
@@ -230,7 +235,7 @@ func (e errMismatch) Error() string { return "snapshot mismatch under concurrenc
 // naive replay at its time; a wrong lock order is a deadlock the test timeout
 // reports. Run with -race.
 func TestAppendWhileReading(t *testing.T) {
-	events := datagen.MessyTrace(31, 6000)
+	events := datagen.MessyTrace(31, 18000)
 	pool := graphpool.New()
 	cleaner := graphpool.NewCleaner(pool, time.Millisecond)
 	cleaner.Start()
@@ -347,5 +352,269 @@ func TestAppendWhileReading(t *testing.T) {
 	checkAgainstReference(t, dg, events, allAttrs, probeTimes(events, 9))
 	if !dg.CurrentSnapshot().Equal(graph.SnapshotAt(events, graph.MaxTime)) {
 		t.Fatal("the current graph differs from a replay of the whole trace")
+	}
+}
+
+// intervalOf is GetInterval's graph by replay: every add and attribute set in
+// [ts, te) applied to the null graph. events must hold no event the index
+// drops (canonical).
+func intervalOf(events graph.EventList, ts, te graph.Time) *graph.Snapshot {
+	g := graph.NewSnapshot()
+	for _, ev := range events[events.SearchTime(ts-1):events.SearchTime(te-1)] {
+		switch ev.Type {
+		case graph.AddNode, graph.AddEdge, graph.SetNodeAttr, graph.SetEdgeAttr:
+			g.Apply(ev)
+		}
+	}
+	return g
+}
+
+// TestBuilderSeamUnderRace is the seam between a leaf cut and the builder
+// goroutine that stores what the cut queued: an appender crosses dozens of
+// cuts in 256-event batches while readers ask for past times on every path
+// that reads stored payloads or the skeleton — GetSnapshot, Retrieve,
+// GetInterval, Leaves and Children, StatsUnsealed — and two checkpointers
+// write into the same store. Every answer equals a naive replay of the log,
+// StatsUnsealed never counts a leaf whose eventlist edge is not in the
+// skeleton, and the last checkpoint reopens exact. Run with -race.
+func TestBuilderSeamUnderRace(t *testing.T) {
+	events := canonical(makeTrace(34, 10000))
+	naive, err := baseline.BuildNaiveLog(events, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := graphpool.New()
+	dg, err := New(Options{LeafSize: 48, Arity: 2, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var settled atomic.Int64 // every event at or before it has been appended
+	settled.Store(-1)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	fail := func(err error) {
+		select {
+		case errs <- err:
+		default:
+		}
+	}
+	wg.Add(1)
+	go func() { // the appender
+		defer wg.Done()
+		defer close(done)
+		for lo := 0; lo < len(events); lo += 256 {
+			hi := min(lo+256, len(events))
+			if err := dg.AppendAll(events[lo:hi]); err != nil {
+				fail(err)
+				return
+			}
+			settled.Store(int64(events[hi-1].At) - 1)
+		}
+	}()
+	var reads [6]atomic.Int64 // by reader
+	reading := func(seed int64, read func(rng *rand.Rand, settled graph.Time) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				at := graph.Time(settled.Load())
+				if at < 0 {
+					runtime.Gosched()
+					continue
+				}
+				if err := read(rng, at); err != nil {
+					fail(err)
+					return
+				}
+				reads[seed-1].Add(1)
+			}
+		}()
+	}
+	past := func(rng *rand.Rand, settled graph.Time) graph.Time { return graph.Time(rng.Int63n(int64(settled) + 1)) }
+	reading(1, func(rng *rand.Rand, settled graph.Time) error {
+		q := past(rng, settled)
+		want, err := naive.Snapshot(q, allAttrs)
+		if err != nil {
+			return err
+		}
+		got, err := dg.GetSnapshot(q, allAttrs)
+		if err == nil && !got.Equal(want) {
+			err = fmt.Errorf("GetSnapshot(%d): %w", q, errMismatch(q))
+		}
+		return err
+	})
+	reading(2, func(rng *rand.Rand, settled graph.Time) error {
+		q := past(rng, settled)
+		want, err := naive.Snapshot(q, allAttrs)
+		if err != nil {
+			return err
+		}
+		id, err := dg.Retrieve(q, allAttrs)
+		if err != nil {
+			return err
+		}
+		view, err := pool.View(id)
+		if err != nil {
+			return err
+		}
+		if !view.DependsOnCurrent() && !view.Snapshot().Equal(want) {
+			return fmt.Errorf("Retrieve(%d): %w", q, errMismatch(q))
+		}
+		return pool.Release(id)
+	})
+	reading(3, func(rng *rand.Rand, settled graph.Time) error {
+		lo := past(rng, settled)
+		hi := min(lo+1+graph.Time(rng.Intn(200)), settled+1)
+		res, err := dg.GetInterval(lo, hi, allAttrs)
+		if err == nil && !res.Graph.Equal(intervalOf(events, lo, hi)) {
+			err = fmt.Errorf("GetInterval(%d, %d) differs from the replay", lo, hi)
+		}
+		return err
+	})
+	reading(4, func(rng *rand.Rand, settled graph.Time) error {
+		leaves, times := dg.Leaves(), dg.LeafTimes()
+		if len(leaves) == 0 {
+			return nil
+		}
+		i := rng.Intn(min(len(leaves), len(times)))
+		if kids := dg.Children(leaves[i]); len(kids) != 0 {
+			return fmt.Errorf("leaf %d has children %v", leaves[i], kids)
+		}
+		if q := times[i]; q <= settled {
+			want, err := naive.Snapshot(q, allAttrs)
+			if err != nil {
+				return err
+			}
+			if got, err := dg.GetSnapshot(q, allAttrs); err != nil || !got.Equal(want) {
+				return fmt.Errorf("at leaf time %d (%v): %w", q, err, errMismatch(q))
+			}
+		}
+		st := dg.StatsUnsealed()
+		if st.EventlistEdges != st.Leaves {
+			return fmt.Errorf("StatsUnsealed counts %d leaves and %d eventlist edges", st.Leaves, st.EventlistEdges)
+		}
+		return nil
+	})
+	for c := int64(0); c < 2; c++ {
+		reading(5+c, func(*rand.Rand, graph.Time) error { return dg.Checkpoint() })
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	var counts []int64
+	for i := range reads {
+		counts = append(counts, reads[i].Load())
+	}
+	if st := dg.StatsUnsealed(); st.Leaves < 20 || slices.Min(counts) == 0 {
+		t.Fatalf("%d leaves were cut under %v reads by each reader: the appender and the readers hardly met", st.Leaves, counts)
+	}
+	t.Logf("%v reads by each reader while %d leaves were cut", counts, dg.StatsUnsealed().Leaves)
+	checkAgainstReference(t, dg, events, allAttrs, probeTimes(events, 9))
+	re, err := Open(Options{Store: dg.Store()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var probes []graph.Time
+	for _, q := range probeTimes(events, 12) {
+		if q < re.LastTime() {
+			probes = append(probes, q)
+		}
+	}
+	checkAgainstReference(t, re, events, allAttrs, probes)
+}
+
+// TestClosedIndexHoldsNothing: the builder goroutine lives only while there
+// is work, so an index that is built, takes more events live and is closed
+// leaves no goroutine behind, and nothing keeps it or its store reachable.
+func TestClosedIndexHoldsNothing(t *testing.T) {
+	events := makeTrace(35, 3000)
+	base := runtime.NumGoroutine()
+	var finalized atomic.Int32
+	for i := 0; i < 3; i++ {
+		fs := openFileStore(t, filepath.Join(t.TempDir(), "index"))
+		dg, err := Build(events[:2000], Options{LeafSize: 64, Arity: 2, Store: fs})
+		if err == nil {
+			err = appendBatches(dg, events[2000:])
+		}
+		if err == nil {
+			err = dg.Close()
+		}
+		if err == nil {
+			err = fs.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(fs, func(*kvstore.FileStore) { finalized.Add(1) })
+	}
+	for deadline := time.Now().Add(10 * time.Second); finalized.Load() < 3 || runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 3 closed stores were collected, %d goroutines run (%d before)", finalized.Load(), runtime.NumGoroutine(), base)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// failingStore fails every Put once fail is set.
+type failingStore struct {
+	kvstore.Store
+	fail atomic.Bool
+}
+
+var errPutFailed = errors.New("put failed")
+
+func (s *failingStore) Put(key, val []byte) error {
+	if s.fail.Load() {
+		return errPutFailed
+	}
+	return s.Store.Put(key, val)
+}
+
+// TestBuilderPutErrorIsKept: a put the builder fails is not lost with the
+// goroutine that met it. The next append, read, Checkpoint and Close return
+// it, and so does a read at the head while the spine waits for the lost
+// payload.
+func TestBuilderPutErrorIsKept(t *testing.T) {
+	events := makeTrace(36, 1000)
+	store := &failingStore{Store: kvstore.NewMemStore()}
+	dg, err := New(Options{LeafSize: 64, Arity: 2, Store: store})
+	if err == nil {
+		err = dg.AppendAll(events[:500])
+	}
+	if err == nil {
+		err = dg.Flush()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.fail.Store(true)
+	// These cuts queue the failing puts. They do not wait for them, but a
+	// later cut of the same run may find the first one failed.
+	if err := dg.AppendAll(events[500:700]); err != nil && !errors.Is(err, errPutFailed) {
+		t.Fatal(err)
+	}
+	past := events[100].At
+	for what, call := range map[string]func() error{
+		"Close":       dg.Close,
+		"AppendAll":   func() error { return dg.AppendAll(events[700:]) },
+		"GetSnapshot": func() error { _, err := dg.GetSnapshot(past, allAttrs); return err },
+		"at the head": func() error { _, err := dg.GetSnapshot(dg.LastTime(), allAttrs); return err },
+		"GetInterval": func() error { _, err := dg.GetInterval(past, past+10, allAttrs); return err },
+		"Checkpoint":  dg.Checkpoint,
+		"Flush":       dg.Flush,
+	} {
+		if err := call(); !errors.Is(err, errPutFailed) {
+			t.Errorf("%s after a failed put: %v", what, err)
+		}
 	}
 }

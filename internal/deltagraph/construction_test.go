@@ -52,9 +52,10 @@ func (r *refBuilder) appendAll(t *testing.T, events graph.EventList) {
 
 func (r *refBuilder) cut(t *testing.T) {
 	t.Helper()
-	if _, _, _, err := r.st.storeEvents(r.recent, nil); err != nil {
+	if _, err := r.st.putEvents(r.st.nextDeltaID, r.recent, nil); err != nil {
 		t.Fatal(err)
 	}
+	r.st.nextDeltaID++
 	r.recent = nil
 	r.sizes = append(r.sizes, r.current.Size())
 	r.pending[0] = append(r.pending[0], r.current.Clone())
@@ -76,11 +77,23 @@ func (r *refBuilder) parent(t *testing.T, group []*graph.Snapshot, provisional b
 		r.sizes = append(r.sizes, p.Size())
 	}
 	for _, c := range group {
-		if _, _, _, err := r.st.storeDelta(delta.Compute(c, p), nil, provisional); err != nil {
-			t.Fatal(err)
-		}
+		r.put(t, delta.Compute(c, p), provisional)
 	}
 	return p
+}
+
+// put writes a delta under the next id of the store it belongs in, the spine
+// store for a provisional one.
+func (r *refBuilder) put(t *testing.T, d *delta.Delta, provisional bool) {
+	t.Helper()
+	store, next := r.st.store, &r.st.nextDeltaID
+	if provisional {
+		store, next = r.st.spine, &r.st.nextSpineID
+	}
+	if _, err := r.st.putDelta(store, *next, d, nil); err != nil {
+		t.Fatal(err)
+	}
+	*next++
 }
 
 // seal builds the provisional spine into r.st.spine, from scratch.
@@ -103,9 +116,7 @@ func (r *refBuilder) seal(t *testing.T) {
 		switch {
 		case len(group) == 0:
 		case len(group) == 1 && !higher:
-			if _, _, _, err := r.st.storeDelta(delta.FromSnapshot(group[0]), nil, true); err != nil {
-				t.Fatal(err)
-			}
+			r.put(t, delta.FromSnapshot(group[0]), true)
 			return
 		case len(group) == 1:
 			carry = group[0]
@@ -156,6 +167,9 @@ func samePayloads(t *testing.T, what string, got, want map[string][]byte) {
 // the spine's payloads.
 func (r *refBuilder) compare(t *testing.T, dg *DeltaGraph) {
 	t.Helper()
+	if err := dg.Flush(); err != nil { // the builder's puts reach the store
+		t.Fatal(err)
+	}
 	P := dg.opts.Partitions
 	if dg.nextDeltaID != r.st.nextDeltaID {
 		t.Fatalf("next delta id %d, reference %d", dg.nextDeltaID, r.st.nextDeltaID)

@@ -201,12 +201,17 @@ func benchTrace(seed int64, scale int) graph.EventList {
 // heapGrowth returns the live heap build leaves behind: HeapAlloc after it
 // and a collection, less HeapAlloc after a collection before it. inputs are
 // what build reads; they are kept alive across both readings, so that
-// their collection is not counted against the growth.
+// their collection is not counted against the growth. Each collection is
+// two, as the repository benchmark's heap_live_mb takes: a sync.Pool's
+// victim cache outlives one, and the store's pooled flate writers (about
+// 1 MB each) would count as the index's when the last put came just before.
 func heapGrowth(build func(), inputs ...any) int64 {
 	var before, after runtime.MemStats
 	runtime.GC()
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	build()
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(inputs)
@@ -358,7 +363,8 @@ func BenchmarkRetrieveHead(b *testing.B) {
 }
 
 // BenchmarkAppend is the builder with storage out of the way and a pool
-// attached: every event is admitted against the pool's current graph.
+// attached: every event is admitted against the pool's current graph. The
+// Flush counts the builder goroutine's work, which may end after the appends.
 func BenchmarkAppend(b *testing.B) {
 	events := benchTrace(1, 1)
 	b.ReportAllocs()
@@ -367,6 +373,9 @@ func BenchmarkAppend(b *testing.B) {
 		dg, err := New(Options{Pool: graphpool.New()})
 		if err == nil {
 			_, err = dg.AppendAllCounted(events)
+		}
+		if err == nil {
+			err = dg.Flush()
 		}
 		if err != nil {
 			b.Fatal(err)

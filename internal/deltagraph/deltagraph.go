@@ -123,7 +123,9 @@ type pendingChild struct {
 
 // DeltaGraph is the index. It is safe for concurrent use: queries and
 // Checkpoint take the read lock; Append, materialization, Flush and the
-// sealing of a stale spine (rlockSealed) take the write lock.
+// sealing of a stale spine (rlockSealed) take the write lock. Payloads a leaf
+// cut queues are stored by the builder goroutine (builder.go), which takes
+// neither.
 type DeltaGraph struct {
 	mu    sync.RWMutex
 	opts  Options
@@ -140,6 +142,7 @@ type DeltaGraph struct {
 	spineSeals  int64
 
 	nextDeltaID uint64
+	build       builder // stores the payloads leaf cuts queue, in id order
 
 	// Builder state (Section 4.6 bulk construction + live updates).
 	cur      *graphpool.View // the graph after every appended event: the pool's bit 0
@@ -207,6 +210,8 @@ func New(opts Options) (*DeltaGraph, error) {
 		matGraphs:   make(map[int]graphpool.GraphID),
 		auxes:       opts.AuxIndexes,
 	}
+	dg.build.last = make(chan struct{}) // no job yet: as if one were done
+	close(dg.build.last)
 	dg.skel.superRoot = dg.skel.addNode(&skelNode{level: math.MaxInt32, at: graph.MaxTime})
 	// Leaf 0 is the empty graph "before time": it anchors queries that
 	// precede the first cut. It stays out of the interior hierarchy and
@@ -230,8 +235,9 @@ func (dg *DeltaGraph) emptyAux() []AuxSnapshot {
 }
 
 // Build bulk-constructs a DeltaGraph from a chronological event trace in a
-// single pass (Section 4.6), then seals the spine so the index is
-// immediately queryable.
+// single pass (Section 4.6) and returns once the builder has stored every
+// payload. The spine is left to the first historical read, as after any leaf
+// cut: an index built to be checkpointed or closed never pays for it.
 func Build(events graph.EventList, opts Options) (*DeltaGraph, error) {
 	dg, err := New(opts)
 	if err != nil {
@@ -240,9 +246,10 @@ func Build(events graph.EventList, opts Options) (*DeltaGraph, error) {
 	if err := dg.AppendAll(events); err != nil {
 		return nil, err
 	}
+	dg.build.wait() // off the lock; a put error is publishLocked's
 	dg.mu.Lock()
 	defer dg.unlock()
-	return dg, dg.sealLocked()
+	return dg, dg.publishLocked()
 }
 
 // Append records one event: it updates the current graph (the pool's
@@ -250,9 +257,8 @@ func Build(events graph.EventList, opts Options) (*DeltaGraph, error) {
 // recent eventlist reaches L and the timestamp advances — cuts a new leaf
 // and extends the index (Section 6, "Updates to the Current graph").
 func (dg *DeltaGraph) Append(ev graph.Event) error {
-	dg.mu.Lock()
-	defer dg.unlock()
-	return dg.appendLocked(ev)
+	_, err := dg.AppendAllCounted(graph.EventList{ev})
+	return err
 }
 
 // AppendAll appends a run of events.
@@ -269,6 +275,9 @@ func (dg *DeltaGraph) AppendAll(events graph.EventList) error {
 func (dg *DeltaGraph) AppendAllCounted(events graph.EventList) (int, error) {
 	dg.mu.Lock()
 	defer dg.unlock()
+	if err := dg.publishStoredLocked(); err != nil { // a put the builder failed
+		return 0, err
+	}
 	for i, ev := range events {
 		if err := dg.appendLocked(ev); err != nil {
 			return i, err
@@ -392,15 +401,20 @@ func (dg *DeltaGraph) touchLocked(x elem) {
 
 // rlockSealed takes the read lock with the provisional spine in place, for
 // a caller about to plan over the skeleton. A stale spine is sealed first,
-// under the write lock: the first such caller after a leaf cut pays for it,
-// the others find it done.
+// under the write lock, once the builder has stored what the cuts queued: the
+// first such caller after a leaf cut pays for it, the others find it done. A
+// spine that is not stale was sealed after every queued payload was
+// published.
 func (dg *DeltaGraph) rlockSealed() error {
 	dg.mu.RLock()
 	for dg.spineStale {
 		dg.mu.RUnlock()
-		dg.mu.Lock()
-		err := dg.sealLocked()
-		dg.unlock()
+		err := dg.build.wait() // off the lock: other readers go on meanwhile
+		if err == nil {
+			dg.mu.Lock()
+			err = dg.sealLocked()
+			dg.unlock()
+		}
 		if err != nil {
 			return err
 		}
@@ -414,8 +428,15 @@ func (dg *DeltaGraph) rlockSealed() error {
 // holds (routeTo), and leaves a stale spine as it is.
 func (dg *DeltaGraph) rlockAt(ts ...graph.Time) error {
 	dg.mu.RLock()
-	if !dg.spineStale || !slices.ContainsFunc(ts, func(t graph.Time) bool { return t < dg.lastTime }) {
+	if !dg.spineStale {
 		return nil
+	}
+	if !slices.ContainsFunc(ts, func(t graph.Time) bool { return t < dg.lastTime }) {
+		err := dg.build.failed()
+		if err != nil {
+			dg.mu.RUnlock()
+		}
+		return err
 	}
 	dg.mu.RUnlock()
 	return dg.rlockSealed()

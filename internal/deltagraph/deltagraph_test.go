@@ -74,7 +74,9 @@ var allAttrs = graph.MustParseAttrOptions("+node:all+edge:all")
 // validateInvariant checks that every leaf is reachable from the super-root
 // (the spine is in place).
 func (dg *DeltaGraph) validateInvariant() error {
-	dg.mu.RLock()
+	if err := dg.rlockSealed(); err != nil { // the spine reaches the newest leaves
+		return err
+	}
 	defer dg.mu.RUnlock()
 	dist, _ := dg.skel.shortestPaths(dg.skel.superRoot, selectorFor(graph.AttrOptions{}, nil))
 	for _, leaf := range dg.skel.leaves {

@@ -116,12 +116,14 @@ var metaKey = kvstore.EncodeKey(0, metaDeltaID, metaComponent)
 
 // Checkpoint persists the index state into the store so Open can restore
 // it. Call it after bulk construction or periodically during appends. It
-// only reads the index, so queries keep running; appends wait. It never
-// seals a stale spine.
+// waits for the builder, then only reads the index, so queries keep running;
+// appends wait. It never seals a stale spine.
 func (dg *DeltaGraph) Checkpoint() error {
 	dg.ckptMu.Lock()
 	defer dg.ckptMu.Unlock()
-	dg.mu.RLock()
+	if err := dg.rlockBuilt(); err != nil {
+		return err
+	}
 	defer dg.mu.RUnlock()
 	pi := persistedIndex{
 		Version:     checkpointVersion,

@@ -160,7 +160,11 @@ func crashAtomic(t *testing.T, fn delta.Differential, nA, nB int, lastOnLeaf boo
 	}
 	step := func(evs graph.EventList) (cuts []int64, metaEnd int64) {
 		t.Helper()
-		if err := dg.AppendAll(evs); err != nil {
+		err := dg.AppendAll(evs)
+		if err == nil {
+			err = dg.Flush() // the builder's puts come before the checkpoint
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		cs.cuts = []int64{cs.SizeOnDisk()} // the state just before the checkpoint
@@ -461,6 +465,9 @@ func TestOpenReadsV3Checkpoint(t *testing.T) {
 	if err == nil {
 		err = never.AppendAll(events)
 	}
+	if err == nil {
+		err = never.Flush() // the builder's puts reach the store
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,6 +581,9 @@ func TestGrowingHistoryCheckpointsNoGraph(t *testing.T) {
 	dg, err := New(Options{LeafSize: 64, Arity: 2, Store: cs})
 	if err == nil {
 		err = dg.AppendAll(events)
+	}
+	if err == nil {
+		err = dg.Flush() // the builder's puts are not the checkpoint's
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -797,6 +807,9 @@ func TestReopenDifferential(t *testing.T) {
 			if err == nil {
 				err = appendBatches(never, events)
 			}
+			if err == nil {
+				err = never.Flush() // the builder's puts reach the store
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -868,6 +881,9 @@ func TestReopenAtEveryStep(t *testing.T) {
 			if err == nil {
 				err = never.AppendAll(events)
 			}
+			if err == nil {
+				err = never.Flush() // the builder's puts reach the store
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -929,7 +945,11 @@ func TestLiveIndexIsBulkIndex(t *testing.T) {
 	}
 	fed := 0
 	for i, n := range []int{len(events) - 10*leaf - leaf/2, len(events)} {
-		if err := appendBatches(live, events[fed:n]); err != nil {
+		err := appendBatches(live, events[fed:n])
+		if err == nil {
+			err = live.Flush() // the builder's puts reach the file
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		fed = n
@@ -1027,6 +1047,9 @@ func benchIndex(b testing.TB) (*DeltaGraph, *kvstore.FileStore) {
 	if err == nil {
 		err = appendBatches(dg, events)
 	}
+	if err == nil {
+		err = dg.Flush() // the builder's puts reach the file
+	}
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1117,6 +1140,9 @@ func TestCheckpointAppendsToTheLog(t *testing.T) {
 	dg, err := New(Options{LeafSize: 64, Arity: 2, Store: cs})
 	if err == nil {
 		err = dg.AppendAll(makeTrace(27, 1500))
+	}
+	if err == nil {
+		err = dg.Flush() // the builder's puts are not the checkpoints'
 	}
 	if err != nil {
 		t.Fatal(err)

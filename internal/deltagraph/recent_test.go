@@ -267,7 +267,7 @@ func TestLeafCutAllocations(t *testing.T) {
 		if got = allocated(func() {
 			events, err := dg.recent.all()
 			if err == nil {
-				_, _, _, err = dg.storeEvents(events, nil)
+				_, err = dg.putEvents(uint64(try+1), events, nil)
 			}
 			if err != nil {
 				t.Fatal(err)

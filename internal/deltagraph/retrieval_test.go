@@ -171,7 +171,7 @@ func goldenRow(t testing.TB, dg *DeltaGraph, cs *countingStore, q graph.Time) (r
 }
 
 // checkRetrievals reads out of in an index (trace, leaf size, arity,
-// differential function), a way to build it (sealed by Build or appended, a
+// differential function), a way to build it (by Build or by appends, a
 // materialization policy applied part of the way through, so that what follows
 // leaves the spine stale, and there a checkpoint the index is reopened from or
 // not) and a list of times (before the first event, on a

@@ -629,7 +629,9 @@ func (dg *DeltaGraph) GetInterval(ts, te graph.Time, opts graph.AttrOptions) (*I
 	if te <= ts {
 		return nil, fmt.Errorf("deltagraph: empty interval [%d, %d)", ts, te)
 	}
-	dg.mu.RLock()
+	if err := dg.rlockBuilt(); err != nil { // the stored eventlists, not the spine
+		return nil, err
+	}
 	defer dg.mu.RUnlock()
 	run := graphRun{dg: dg, spec: specFor(opts)}
 	run.spec.transient = true

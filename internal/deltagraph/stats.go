@@ -83,9 +83,12 @@ func (dg *DeltaGraph) Stats() IndexStats {
 
 // StatsUnsealed is Stats for a caller that must not disturb what it
 // observes (a metrics scrape): a stale spine stays stale and is reported as
-// such.
+// such. It waits for the builder, so the edges and bytes it counts are every
+// leaf cut's.
 func (dg *DeltaGraph) StatsUnsealed() IndexStats {
-	dg.mu.RLock()
+	if dg.rlockBuilt() != nil {
+		dg.mu.RLock() // a put failed: report what there is
+	}
 	defer dg.mu.RUnlock()
 	return dg.statsLocked()
 }
