@@ -717,15 +717,6 @@ func (b *builder) failed() error {
 	return b.err
 }
 
-// take hands over the edges stored so far, with the first put error.
-func (b *builder) take() ([]*skelEdge, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	edges := b.stored
-	b.stored = nil
-	return edges, b.err
-}
-
 // settled reports whether every queued payload is stored and published. With
 // the read lock held nothing can be queued or published meanwhile.
 func (b *builder) settled() bool {
@@ -740,13 +731,16 @@ func (b *builder) settled() bool {
 }
 
 // publishStoredLocked adds the edges the builder has stored so far to the
-// skeleton, without waiting for the rest.
+// skeleton, without waiting for the rest, and returns the first put error.
 func (dg *DeltaGraph) publishStoredLocked() error {
-	edges, err := dg.build.take()
-	for _, e := range edges {
+	b := &dg.build
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, e := range b.stored {
 		dg.skel.addEdge(e)
 	}
-	return err
+	b.stored = nil
+	return b.err
 }
 
 // publishLocked waits for the builder to finish the queue (holding the write
