@@ -603,6 +603,13 @@ func TestBuilderPutErrorIsKept(t *testing.T) {
 	if err := dg.AppendAll(events[500:700]); err != nil && !errors.Is(err, errPutFailed) {
 		t.Fatal(err)
 	}
+	// The calls below run in map order: wait for the builder to meet the
+	// failing put, so that none of them runs before it has.
+	for deadline := time.Now().Add(10 * time.Second); dg.build.failed() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the builder never met the failing put")
+		}
+	}
 	past := events[100].At
 	for what, call := range map[string]func() error{
 		"Close":       dg.Close,
