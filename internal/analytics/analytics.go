@@ -171,31 +171,6 @@ func TopK(scores map[graph.NodeID]float64, k int) []graph.NodeID {
 	return ids
 }
 
-// Degrees returns the degree of every node.
-func Degrees(g Graph) map[graph.NodeID]int {
-	out := make(map[graph.NodeID]int, g.NumNodes())
-	g.ForEachNode(func(n graph.NodeID) bool {
-		out[n] = len(g.Neighbors(n))
-		return true
-	})
-	return out
-}
-
-// AverageDegree returns the mean degree (the paper's "average monthly
-// density" style of aggregate).
-func AverageDegree(g Graph) float64 {
-	n := g.NumNodes()
-	if n == 0 {
-		return 0
-	}
-	total := 0
-	g.ForEachNode(func(id graph.NodeID) bool {
-		total += len(g.Neighbors(id))
-		return true
-	})
-	return float64(total) / float64(n)
-}
-
 // ConnectedComponents labels every node with a component representative
 // and returns the number of components (directed edges treated as
 // undirected).

@@ -74,20 +74,6 @@ func TestRankOfAndTopK(t *testing.T) {
 	}
 }
 
-func TestDegrees(t *testing.T) {
-	g := lineGraph(4)
-	d := Degrees(g)
-	if d[1] != 1 || d[2] != 2 || d[4] != 1 {
-		t.Errorf("degrees = %v", d)
-	}
-	if avg := AverageDegree(g); math.Abs(avg-1.5) > 1e-9 {
-		t.Errorf("avg degree = %g, want 1.5", avg)
-	}
-	if AverageDegree(FromSnapshot(graph.NewSnapshot())) != 0 {
-		t.Error("empty avg degree")
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	s := graph.NewSnapshot()
 	for i := 1; i <= 6; i++ {

@@ -256,38 +256,41 @@ type DiffSource interface {
 }
 
 // EvolutionPartOf diffs one partition's two pinned views. Every element's
-// full history lives on one partition, so the counters sum exactly.
+// full history lives on one partition, so the counters sum exactly. Each
+// view's ids are collected by one walk and tested against the other view
+// after it: a view's walk holds its pool's read lock, and a test made inside
+// it would take that lock again, behind any writer queued meanwhile, which
+// waits for the walk.
 func EvolutionPartOf(g1, g2 DiffSource, t1, t2 graph.Time) *wire.EvolutionPart {
-	part := &wire.EvolutionPart{
+	return &wire.EvolutionPart{
 		T1: int64(t1), T2: int64(t2),
 		NodesT1: int64(g1.NumNodes()), NodesT2: int64(g2.NumNodes()),
 		EdgesT1: int64(g1.NumEdges()), EdgesT2: int64(g2.NumEdges()),
+		NodesAdded:   missing(nodeIDs(g2), g1.HasNode),
+		NodesRemoved: missing(nodeIDs(g1), g2.HasNode),
+		EdgesAdded:   missing(edgeIDs(g2), g1.HasEdge),
+		EdgesRemoved: missing(edgeIDs(g1), g2.HasEdge),
 	}
-	g2.ForEachNode(func(n graph.NodeID) bool {
-		if !g1.HasNode(n) {
-			part.NodesAdded++
+}
+
+func nodeIDs(g DiffSource) (ids []graph.NodeID) {
+	g.ForEachNode(func(n graph.NodeID) bool { ids = append(ids, n); return true })
+	return ids
+}
+
+func edgeIDs(g DiffSource) (ids []graph.EdgeID) {
+	g.ForEachEdge(func(e graph.EdgeID, _ graph.EdgeInfo) bool { ids = append(ids, e); return true })
+	return ids
+}
+
+// missing counts the ids has says no to.
+func missing[ID any](ids []ID, has func(ID) bool) (n int64) {
+	for _, id := range ids {
+		if !has(id) {
+			n++
 		}
-		return true
-	})
-	g1.ForEachNode(func(n graph.NodeID) bool {
-		if !g2.HasNode(n) {
-			part.NodesRemoved++
-		}
-		return true
-	})
-	g2.ForEachEdge(func(id graph.EdgeID, _ graph.EdgeInfo) bool {
-		if !g1.HasEdge(id) {
-			part.EdgesAdded++
-		}
-		return true
-	})
-	g1.ForEachEdge(func(id graph.EdgeID, _ graph.EdgeInfo) bool {
-		if !g2.HasEdge(id) {
-			part.EdgesRemoved++
-		}
-		return true
-	})
-	return part
+	}
+	return n
 }
 
 // MergeEvolution sums partition evolution counters.

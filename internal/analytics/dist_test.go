@@ -3,21 +3,70 @@ package analytics_test
 // The merge-exactness property the distributed analytics plane rests on:
 // partition scans over per-partition CSR slices, merged at the
 // coordinator, must equal the single-part scan over the whole graph —
-// which is itself anchored against the pre-existing whole-graph
-// algorithms (Degrees, ConnectedComponents) here, so the sharded path,
-// the unsharded path, and the reference implementation all agree.
+// which is itself anchored against whole-graph algorithms (degrees here,
+// ConnectedComponents), so the sharded path, the unsharded path, and the
+// reference implementation all agree.
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"historygraph/internal/analytics"
 	"historygraph/internal/csr"
 	"historygraph/internal/graph"
+	"historygraph/internal/graphpool"
 	"historygraph/internal/wire"
 )
+
+// degrees returns the degree of every node: the reference the degree scans
+// are held against. It calls Neighbors inside ForEachNode, so it is for
+// graphs that hold no lock, not for pool views.
+func degrees(g analytics.Graph) map[graph.NodeID]int {
+	out := make(map[graph.NodeID]int, g.NumNodes())
+	g.ForEachNode(func(n graph.NodeID) bool {
+		out[n] = len(g.Neighbors(n))
+		return true
+	})
+	return out
+}
+
+// averageDegree returns the mean degree.
+func averageDegree(g analytics.Graph) float64 {
+	if g.NumNodes() == 0 {
+		return 0
+	}
+	total := 0
+	for _, d := range degrees(g) {
+		total += d
+	}
+	return float64(total) / float64(g.NumNodes())
+}
+
+func TestDegrees(t *testing.T) {
+	s := graph.NewSnapshot()
+	for i := 1; i <= 4; i++ {
+		s.Nodes[graph.NodeID(i)] = struct{}{}
+	}
+	for i := 1; i < 4; i++ {
+		s.Edges[graph.EdgeID(i)] = graph.EdgeInfo{From: graph.NodeID(i), To: graph.NodeID(i + 1)}
+	}
+	g := analytics.FromSnapshot(s)
+	d := degrees(g)
+	if d[1] != 1 || d[2] != 2 || d[4] != 1 {
+		t.Errorf("degrees = %v", d)
+	}
+	if avg := averageDegree(g); math.Abs(avg-1.5) > 1e-9 {
+		t.Errorf("avg degree = %g, want 1.5", avg)
+	}
+	if averageDegree(analytics.FromSnapshot(graph.NewSnapshot())) != 0 {
+		t.Error("empty avg degree")
+	}
+}
 
 // fakeSource mirrors the csr package's test source: explicit nodes and
 // edges, ghosts and multi-edges legal.
@@ -132,7 +181,7 @@ func TestSinglePartMatchesReference(t *testing.T) {
 
 	dd := analytics.MergeDegree(int64(full.at),
 		[]*wire.DegreePart{analytics.DegreePartOf(g, full.at, 1, 0)})
-	ref := analytics.Degrees(g)
+	ref := degrees(g)
 	if int(dd.NumNodes) != len(ref) {
 		t.Fatalf("NumNodes = %d, want %d", dd.NumNodes, len(ref))
 	}
@@ -259,5 +308,47 @@ func TestShardedEvolutionSums(t *testing.T) {
 	got := analytics.MergeEvolution(shardedParts)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("sharded evolution %+v, want %+v", got, want)
+	}
+}
+
+// queueingWriter is a pool view whose first HasEdge queues a writer on the
+// pool (a clean pass) and gives it time to start waiting for the lock.
+type queueingWriter struct {
+	*graphpool.View
+	pool *graphpool.Pool
+	once sync.Once
+}
+
+func (q *queueingWriter) HasEdge(e graph.EdgeID) bool {
+	q.once.Do(func() {
+		go q.pool.CleanNow()
+		time.Sleep(50 * time.Millisecond)
+	})
+	return q.View.HasEdge(e)
+}
+
+// TestEvolutionDoesNotWedgeThePool: the evolution diff tests one view's
+// elements against the other's, and a writer queued on the pool meanwhile
+// must not wedge it. A test made inside the other view's walk takes the read
+// lock the walk holds, behind the writer, which waits for the walk.
+func TestEvolutionDoesNotWedgeThePool(t *testing.T) {
+	pool := graphpool.New()
+	for i, ev := range []graph.Event{
+		{Type: graph.AddNode, Node: 1}, {Type: graph.AddNode, Node: 2}, {Type: graph.AddNode, Node: 3},
+		{Type: graph.AddEdge, Edge: 1, Node: 1, Node2: 2}, {Type: graph.AddEdge, Edge: 2, Node: 2, Node2: 3},
+	} {
+		ev.At = graph.Time(i + 1)
+		pool.ApplyEvent(ev)
+	}
+	cur := pool.Current()
+	done := make(chan *wire.EvolutionPart, 1)
+	go func() { done <- analytics.EvolutionPartOf(&queueingWriter{View: cur, pool: pool}, cur, 1, 2) }()
+	select {
+	case part := <-done:
+		if part.NodesT1 != 3 || part.EdgesT2 != 2 || part.NodesAdded+part.NodesRemoved+part.EdgesAdded+part.EdgesRemoved != 0 {
+			t.Errorf("a graph diffed with itself: %+v", part)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("EvolutionPartOf wedged behind a writer queued on the pool")
 	}
 }

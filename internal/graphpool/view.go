@@ -94,8 +94,9 @@ func (v *View) EdgeInfo(e graph.EdgeID) (graph.EdgeInfo, bool) {
 }
 
 // ForEachNode calls fn for every node in this graph until fn returns false.
-// The pool's read lock is held for the duration; fn must not call pool
-// methods that take the write lock.
+// The pool's read lock is held for the duration, and fn may call no pool
+// method at all, a read included: one that takes the read lock again waits
+// behind any writer queued meanwhile, which waits for the walk.
 func (v *View) ForEachNode(fn func(graph.NodeID) bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
@@ -109,6 +110,8 @@ func (v *View) ForEachNode(fn func(graph.NodeID) bool) {
 }
 
 // ForEachEdge calls fn for every edge in this graph until fn returns false.
+// The pool's read lock is held for the duration; fn may call no pool method
+// (ForEachNode).
 func (v *View) ForEachEdge(fn func(graph.EdgeID, graph.EdgeInfo) bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
