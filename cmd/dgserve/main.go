@@ -128,10 +128,8 @@ func main() {
 	}
 	defer gm.Close()
 	if loaded {
-		// Unsealed: the spine waits for the first historical read, not for
-		// a start-up message.
 		fmt.Printf("dgserve: loaded index from %s (%d leaves, last event t=%d)\n",
-			*store, gm.IndexStatsUnsealed().Leaves, gm.LastTime())
+			*store, gm.IndexStats().Leaves, gm.LastTime())
 	} else {
 		fmt.Println("dgserve: starting with an empty index (ingest via POST /append)")
 	}

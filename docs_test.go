@@ -170,7 +170,7 @@ func TestDocsMetricNames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, want := range []string{"dg_index_disk_bytes", "dg_index_spine_bytes", "dg_index_checkpoint_bytes", "dg_index_leaves"} {
+	for _, want := range []string{"dg_index_disk_bytes", "dg_index_checkpoint_bytes", "dg_index_leaves"} {
 		if names[want] == "" {
 			t.Errorf("index gauge %s is not registered anywhere under internal/ or cmd/", want)
 		}

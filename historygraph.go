@@ -213,9 +213,7 @@ func Open(opts Options) (*GraphManager, error) {
 }
 
 // BuildFrom bulk-loads a chronological event trace (Section 4.6) and
-// returns a queryable database once every payload is stored. The index's
-// provisional spine is built by the first historical read, not here: a
-// database built to be checkpointed or closed never pays for it.
+// returns a queryable database once every payload is stored.
 func BuildFrom(events EventList, opts Options) (*GraphManager, error) {
 	store, err := opts.store()
 	if err != nil {
@@ -397,22 +395,13 @@ func (gm *GraphManager) DeltaGraph() *deltagraph.DeltaGraph { return gm.dg }
 // Pool exposes the underlying GraphPool.
 func (gm *GraphManager) Pool() *graphpool.Pool { return gm.pool }
 
-// IndexStats reports the DeltaGraph shape and cost. It counts the
-// provisional spine, so the first call after a leaf cut has it built.
+// IndexStats reports the DeltaGraph shape and cost.
 func (gm *GraphManager) IndexStats() IndexStats { return gm.dg.Stats() }
 
-// IndexStatsUnsealed is IndexStats for a metrics scrape: it never builds
-// the spine, and says so in IndexStats.SpineStale when its counts are
-// missing it.
-func (gm *GraphManager) IndexStatsUnsealed() IndexStats { return gm.dg.StatsUnsealed() }
-
-// ObserveIndex registers callbacks for the index builder's two stalls: cut
-// receives the time each leaf cut held the index write lock, seal is called
-// each time a read had the provisional spine built (see
+// ObserveIndex registers a callback for the index builder's stall: cut
+// receives the time each leaf cut held the index write lock (see
 // deltagraph.DeltaGraph.SetObserver).
-func (gm *GraphManager) ObserveIndex(cut func(time.Duration), seal func()) {
-	gm.dg.SetObserver(cut, seal)
-}
+func (gm *GraphManager) ObserveIndex(cut func(time.Duration)) { gm.dg.SetObserver(cut) }
 
 // PoolStats reports GraphPool contents.
 func (gm *GraphManager) PoolStats() PoolStats { return gm.pool.Stats() }

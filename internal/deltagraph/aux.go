@@ -188,7 +188,7 @@ func (dg *DeltaGraph) auxIndexByName(name string) (int, error) {
 // GetAuxSnapshot reconstructs the auxiliary snapshot of the named index as
 // of time t (the paper's GetAuxSnapshot, backing AuxHistQueryPoint).
 func (dg *DeltaGraph) GetAuxSnapshot(name string, t graph.Time) (AuxSnapshot, error) {
-	if err := dg.rlockSealed(); err != nil {
+	if err := dg.rlockBuilt(); err != nil {
 		return nil, err
 	}
 	defer dg.mu.RUnlock()
@@ -223,6 +223,8 @@ func (r auxRun) apply(aux AuxSnapshot, st step) (AuxSnapshot, error) {
 		return AuxSnapshot{}, nil
 	case fromCurrent:
 		return r.dg.auxCur[r.idx].clone(), nil
+	case applyPatch: // a pending node holds its aux snapshots whole
+		return r.dg.pendingNode(st.node).aux[r.idx].clone(), nil
 	case applyDelta, applyList:
 		buf, err := r.col(st.edge)
 		if err != nil || buf == nil {
@@ -251,11 +253,10 @@ func (r auxRun) apply(aux AuxSnapshot, st step) (AuxSnapshot, error) {
 	return aux, nil
 }
 
-// col loads edge e's column of the aux index from the store that holds the
-// edge's payload; nil when the column is empty.
+// col loads edge e's column of the aux index; nil when the column is empty.
 func (r auxRun) col(e *skelEdge) ([]byte, error) {
 	comp := kvstore.ComponentAuxBase + kvstore.Component(r.idx)
-	buf, err := r.dg.payloadStore(e).Get(kvstore.EncodeKey(0, e.deltaID, comp))
+	buf, err := r.dg.store.Get(kvstore.EncodeKey(0, e.deltaID, comp))
 	if err == kvstore.ErrNotFound {
 		return nil, nil
 	}

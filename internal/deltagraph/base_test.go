@@ -3,6 +3,7 @@ package deltagraph
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"historygraph/internal/baseline"
@@ -50,8 +51,8 @@ func appendRebasing(t *testing.T, built, forced *DeltaGraph, events graph.EventL
 	}
 }
 
-// sameIndexBytes: the two indexes hold the same permanent payloads and, sealed,
-// the same spine.
+// sameIndexBytes: the two indexes hold the same permanent payloads and the
+// same pending graphs.
 func sameIndexBytes(t *testing.T, what string, built, forced *DeltaGraph) {
 	t.Helper()
 	for _, dg := range []*DeltaGraph{built, forced} {
@@ -63,9 +64,35 @@ func sameIndexBytes(t *testing.T, what string, built, forced *DeltaGraph) {
 		t.Fatalf("%s: next delta id %d, as built %d", what, forced.nextDeltaID, built.nextDeltaID)
 	}
 	samePayloads(t, what+": index store", payloads(t, forced.store, 1, 1, forced.nextDeltaID), payloads(t, built.store, 1, 1, built.nextDeltaID))
-	built.Stats() // seals
-	forced.Stats()
-	samePayloads(t, what+": spine", payloads(t, forced.spine, 1, 0, forced.nextSpineID), payloads(t, built.spine, 1, 0, built.nextSpineID))
+	want, wantAux := pendingGraphs(built)
+	got, gotAux := pendingGraphs(forced)
+	if len(got) != len(want) || !reflect.DeepEqual(gotAux, wantAux) {
+		t.Fatalf("%s: %d pending nodes with aux snapshots %v, as built %d with %v", what, len(got), gotAux, len(want), wantAux)
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("%s: pending node %d holds another graph than as built", what, i)
+		}
+	}
+}
+
+// pendingGraphs returns the graph and the aux snapshots of every pending node
+// of dg, highest level first, each level in order.
+func pendingGraphs(dg *DeltaGraph) ([]*graph.Snapshot, [][]AuxSnapshot) {
+	dg.mu.RLock()
+	defer dg.mu.RUnlock()
+	var graphs []*graph.Snapshot
+	var aux [][]AuxSnapshot
+	for level := len(dg.pending) - 1; level >= 0; level-- {
+		for _, c := range dg.pending[level] {
+			base := graph.NewSnapshot()
+			if !c.onNull {
+				base = dg.cur.Snapshot()
+			}
+			graphs, aux = append(graphs, graphOf(c, base)), append(aux, c.aux)
+		}
+	}
+	return graphs, aux
 }
 
 // leafAndMidTimes lists every leaf's time and a time inside every leaf.
@@ -83,10 +110,10 @@ func leafAndMidTimes(dg *DeltaGraph) []graph.Time {
 // stored byte and in no answer. Two indexes take the same events; one is as
 // the builder makes it, in the other every pending node is moved to the null
 // graph after every leaf cut, the leaves among them, which the rule would
-// never move. The permanent payloads and the spine stay byte-equal, every past
-// time reads as naive replay has it on both, and the two checkpoints, which
-// do differ (a node held from the null graph is stored from it), reopen into
-// indexes that go on writing the same bytes.
+// never move. The permanent payloads stay byte-equal, the pending graphs
+// equal, every past time reads as naive replay has it on both, and the two
+// checkpoints, which do differ (a node held from the null graph is stored from
+// it), reopen into indexes that go on writing the same bytes.
 func TestPendingBaseIsInvisible(t *testing.T) {
 	events := datagen.MessyTrace(30, 1400)
 	const leaf = 24
@@ -139,9 +166,9 @@ func TestPendingBaseIsInvisible(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				before := pair[0].StatsUnsealed().Leaves
+				before := pair[0].Stats().Leaves
 				appendRebasing(t, pair[0], pair[1], events[split:], nil)
-				if got := pair[0].StatsUnsealed().Leaves - before; got < 2 {
+				if got := pair[0].Stats().Leaves - before; got < 2 {
 					t.Fatalf("only %d leaves cut after the reopen", got)
 				}
 				check("after the reopen", len(events))

@@ -7,14 +7,13 @@ import (
 
 	"historygraph/internal/delta"
 	"historygraph/internal/graph"
-	"historygraph/internal/graphpool"
 	"historygraph/internal/kvstore"
 )
 
-// This file contains the index-construction machinery: leaf cuts, interior
-// node creation (Section 4.6's single-pass bottom-up bulkload), and the
-// provisional "right spine" that keeps the index connected and queryable
-// between full arity-k groups.
+// This file contains the index-construction machinery: leaf cuts and interior
+// node creation (Section 4.6's single-pass bottom-up bulkload). Between full
+// arity-k groups the index is kept queryable by its pending nodes, which a
+// read reaches through their patches (retrieve.go).
 //
 // Construction costs what changed, not what exists. A pending node holds
 // its graph as a patch against the current graph (patch.go), and a parent
@@ -29,9 +28,7 @@ import (
 // and is silent where it lacks what the current graph has. The second is the
 // same set of differing elements the child spelled out as absent images while
 // it stood on the current graph, so the bytes are the same; it happens when a
-// high level fills and at the seal. Only the spine is as large as the graph
-// (its top delta builds the root from nothing), so it is built when a read
-// asks for it, not at every cut.
+// high level fills.
 
 // cutLeafLocked turns the recent eventlist into a new leaf: it creates the
 // leaf skeleton node, queues the leaf-eventlist for the builder to store on
@@ -81,25 +78,21 @@ func (dg *DeltaGraph) cutLeafLocked() error {
 	dg.recent = newRecentList(dg.opts.LeafSize)
 	dg.auxRecent = make([][]AuxEvent, len(dg.auxes))
 	dg.pool.ClearRecent() // deleted elements are in the queued eventlist, which reads wait for
-	dg.clearSpineLocked()
-	dg.spineStale = true
-	return dg.promoteLocked(0)
+	dg.promoteLocked(0)
+	return nil
 }
 
 // promoteLocked creates a permanent parent whenever a level has a full
 // arity-k group, recursively upward. The group is deleted from its level, not
 // sliced off it: a slice cut down to nothing still points at its array, and
 // the children's patches would stay on the heap until the level next fills.
-func (dg *DeltaGraph) promoteLocked(level int) error {
+func (dg *DeltaGraph) promoteLocked(level int) {
 	for len(dg.pending) <= level+1 {
 		dg.pending = append(dg.pending, nil)
 	}
 	for len(dg.pending[level]) >= dg.opts.Arity {
 		group := dg.pending[level][:dg.opts.Arity]
-		parent, err := dg.makeParentLocked(level, group, false)
-		if err != nil {
-			return err
-		}
+		parent := dg.makeParentLocked(level, group)
 		dg.pending[level] = slices.Delete(dg.pending[level], 0, dg.opts.Arity)
 		dg.pending[level+1] = append(dg.pending[level+1], parent)
 		level++
@@ -107,14 +100,13 @@ func (dg *DeltaGraph) promoteLocked(level int) error {
 			dg.pending = append(dg.pending, nil)
 		}
 	}
-	return nil
 }
 
 // makeParentLocked builds one interior node: parent graph = f(children),
 // with one delta edge to each child (Section 4.2), both evaluated over the
 // elements some child holds an image of — and over everything the current
 // graph holds beside, when that is not every element a child may differ on.
-func (dg *DeltaGraph) makeParentLocked(level int, group []pendingChild, provisional bool) (pendingChild, error) {
+func (dg *DeltaGraph) makeParentLocked(level int, group []pendingChild) pendingChild {
 	// The parent's patch starts as the set of elements to evaluate and is
 	// filled in below.
 	parent := pendingChild{patch: make(patch, len(group[0].patch))}
@@ -171,34 +163,26 @@ func (dg *DeltaGraph) makeParentLocked(level int, group []pendingChild, provisio
 	first := dg.skel.nodes[group[0].node]
 	last := dg.skel.nodes[group[len(group)-1].node]
 	node := &skelNode{
-		level:       level + 1,
-		at:          first.at,
-		spanEnd:     last.spanEnd,
-		size:        parent.size,
-		provisional: provisional,
+		level:   level + 1,
+		at:      first.at,
+		spanEnd: last.spanEnd,
+		size:    parent.size,
 	}
 	if last.spanEnd == 0 {
 		node.spanEnd = last.at
 	}
 	parent.node = dg.skel.addNode(node)
-	if provisional {
-		dg.provNodes = append(dg.provNodes, parent.node)
-	}
 	// What is left, a delta to each child, reads the cut-down graphs, the aux
 	// snapshots and the node, none of which changes again: it runs on the
-	// builder for a permanent parent. group is a window on a pending level,
-	// which moves under it, so the children's aux snapshots are copied out.
+	// builder. group is a window on a pending level, which moves under it, so
+	// the children's aux snapshots are copied out.
 	kidAux, parentAux := make([][]AuxSnapshot, len(group)), parent.aux
 	for i, c := range group {
 		node.children, kidAux[i] = append(node.children, c.node), c.aux
 	}
-	store, next := dg.store, &dg.nextDeltaID
-	if provisional {
-		store, next = dg.spine, &dg.nextSpineID
-	}
-	firstID := *next
-	*next += uint64(len(group))
-	deltas := func() ([]*skelEdge, error) {
+	firstID := dg.nextDeltaID
+	dg.nextDeltaID += uint64(len(group))
+	dg.build.enqueue(func() ([]*skelEdge, error) {
 		edges := make([]*skelEdge, len(snaps))
 		for i, kid := range node.children {
 			d := delta.Compute(snaps[i], parentSnap)
@@ -207,161 +191,16 @@ func (dg *DeltaGraph) makeParentLocked(level int, group []pendingChild, provisio
 				auxDeltas[j] = computeAuxDelta(kidAux[i][j], parentAux[j])
 			}
 			id := firstID + uint64(i)
-			sizes, err := dg.putDelta(store, id, d, auxDeltas)
+			sizes, err := dg.putDelta(id, d, auxDeltas)
 			if err != nil {
 				return nil, err
 			}
-			edges[i] = &skelEdge{from: node.id, to: kid, kind: kindDelta, deltaID: id, sizes: sizes, counts: d.Len(), evIndex: -1, provisional: provisional}
+			edges[i] = &skelEdge{from: node.id, to: kid, kind: kindDelta, deltaID: id, sizes: sizes, counts: d.Len(), evIndex: -1}
 		}
 		return edges, nil
-	}
-	if provisional {
-		edges, err := deltas()
-		if err != nil {
-			return pendingChild{}, err
-		}
-		for _, e := range edges {
-			dg.provEdgeIdxs = append(dg.provEdgeIdxs, dg.skel.addEdge(e))
-		}
-	} else {
-		dg.build.enqueue(deltas)
-	}
+	})
 	dg.settleLocked(&parent)
-	return parent, nil
-}
-
-// sealLocked builds the provisional spine if a leaf cut has dropped it, once
-// the builder has stored what the cuts queued. Its top delta is the root's
-// whole graph, and a provisional parent over a node on the null graph is
-// evaluated over everything: this is the one step of construction that costs
-// as much as the graph, and the reason it waits for a reader.
-func (dg *DeltaGraph) sealLocked() error {
-	if !dg.spineStale {
-		return nil
-	}
-	if err := dg.publishLocked(); err != nil {
-		return err
-	}
-	if err := dg.buildSpineLocked(); err != nil {
-		return err
-	}
-	dg.spineStale = false
-	dg.spineSeals++
-	dg.sealed++
-	return nil
-}
-
-// buildSpineLocked removes any previous provisional spine and builds a
-// fresh one so that every leaf is reachable from the super-root: pending
-// nodes at each level (at most k-1, plus one carried provisional parent)
-// are combined into provisional parents up to a single root, and the
-// super-root → root delta is written. The spine is a function of pending
-// alone, so its payloads live in dg.spine (memory) and are never persisted.
-func (dg *DeltaGraph) buildSpineLocked() error {
-	dg.clearSpineLocked()
-
-	carry := pendingChild{node: -1}
-	for level := 0; level < len(dg.pending) || carry.node != -1; level++ {
-		var group []pendingChild
-		if level < len(dg.pending) {
-			group = append(group, dg.pending[level]...)
-		}
-		if carry.node != -1 {
-			group = append(group, carry)
-			carry = pendingChild{node: -1}
-		}
-		higher := false
-		for l := level + 1; l < len(dg.pending); l++ {
-			if len(dg.pending[l]) > 0 {
-				higher = true
-				break
-			}
-		}
-		switch {
-		case len(group) == 0:
-			continue
-		case len(group) == 1 && !higher:
-			// Single node at the top: it is the root.
-			return dg.attachRootLocked(group[0])
-		case len(group) == 1:
-			carry = group[0]
-		default:
-			parent, err := dg.makeParentLocked(level, group, true)
-			if err != nil {
-				return err
-			}
-			carry = parent
-		}
-	}
-	// No nodes at all (empty index): nothing to attach.
-	return nil
-}
-
-// attachRootLocked writes the super-root → root edge, whose delta is the
-// root's full content (the super-root is the null graph).
-func (dg *DeltaGraph) attachRootLocked(root pendingChild) error {
-	base := graph.NewSnapshot()
-	if !root.onNull {
-		base = dg.cur.Snapshot() // a copy of the graph, for a root that is most of it
-	}
-	rootSnap := graphOf(root, base)
-	d := delta.FromSnapshot(rootSnap)
-	auxDeltas := make([]auxDelta, len(dg.auxes))
-	for i := range dg.auxes {
-		auxDeltas[i] = computeAuxDelta(root.aux[i], AuxSnapshot{})
-	}
-	deltaID := dg.nextSpineID
-	dg.nextSpineID++
-	sizes, err := dg.putDelta(dg.spine, deltaID, d, auxDeltas)
-	if err != nil {
-		return err
-	}
-	// The super-root edge is torn down with the spine even when the root
-	// node itself is permanent, because a future append can grow a new
-	// root above it.
-	idx := dg.skel.addEdge(&skelEdge{from: dg.skel.superRoot, to: root.node, kind: kindDelta, deltaID: deltaID, sizes: sizes, counts: d.Len(), evIndex: -1, provisional: true})
-	dg.provEdgeIdxs = append(dg.provEdgeIdxs, idx)
-	// Materialization follows the root across leaf cuts: if the torn down
-	// root was pinned, pin the new one (its delta from the null graph is
-	// already in hand, so this costs no retrieval; a build from the empty
-	// graph cannot fail).
-	if dg.rematRoot {
-		dg.rematRoot = false
-		if !dg.skel.nodes[root.node].materialized {
-			b, _ := dg.pool.NewBuild(graphpool.NoDependency, false, allAttrOptions)
-			b.ApplyDelta(d)
-			dg.pinLocked(root.node, b.Commit(graphpool.KindMaterialized, 0))
-		}
-	}
-	return nil
-}
-
-// clearSpineLocked removes provisional nodes and edges and drops their
-// payloads with the store that held them.
-func (dg *DeltaGraph) clearSpineLocked() {
-	for _, idx := range dg.provEdgeIdxs {
-		dg.skel.removeEdge(idx)
-	}
-	dg.provEdgeIdxs = nil
-	dg.spine, dg.nextSpineID = kvstore.NewMemStore(), 0
-	for _, nid := range dg.provNodes {
-		if dg.skel.nodes[nid].materialized {
-			// Remember to pin the replacement root; release the stale
-			// pool copy.
-			dg.rematRoot = true
-			if gid, ok := dg.matGraphs[nid]; ok {
-				if err := dg.pool.Release(gid); err == nil {
-					dg.pool.CleanNow()
-				}
-			}
-		}
-		// Remove remaining out-edges (already tombstoned above) and any
-		// materialization bookkeeping.
-		dg.skel.out[nid] = nil
-		delete(dg.matGraphs, nid)
-		dg.skel.nodes[nid] = &skelNode{id: nid, level: -1} // tombstone
-	}
-	dg.provNodes = nil
+	return parent
 }
 
 // --- payload storage -------------------------------------------------
@@ -393,15 +232,11 @@ func putCols(store kvstore.Store, p int, id uint64, d *delta.Delta, always bool,
 }
 
 // putDelta writes a delta's columns (split across partitions) under id into
-// store, and returns their per-component byte sizes. A provisional delta goes
-// to the memory-resident spine store under an id of the spine's own, so the
-// keys of permanent payloads depend on the history alone, not on how often
-// the spine was rebuilt: replaying events over a reopened index rewrites the
-// same records.
-func (dg *DeltaGraph) putDelta(store kvstore.Store, id uint64, d *delta.Delta, auxDeltas []auxDelta) (componentSizes, error) {
+// the index store, and returns their per-component byte sizes.
+func (dg *DeltaGraph) putDelta(id uint64, d *delta.Delta, auxDeltas []auxDelta) (componentSizes, error) {
 	sizes := make(componentSizes, 4+len(dg.auxes))
 	for p, part := range d.Split(dg.opts.Partitions) {
-		if err := putCols(store, p, id, part, dg.opts.Partitions == 1, sizes); err != nil {
+		if err := putCols(dg.store, p, id, part, dg.opts.Partitions == 1, sizes); err != nil {
 			return nil, err
 		}
 	}
@@ -411,7 +246,7 @@ func (dg *DeltaGraph) putDelta(store kvstore.Store, id uint64, d *delta.Delta, a
 		if ad.empty() {
 			continue
 		}
-		if err := putCol(store, 0, id, kvstore.ComponentAuxBase+kvstore.Component(i), encodeAuxDelta(ad), sizes); err != nil {
+		if err := putCol(dg.store, 0, id, kvstore.ComponentAuxBase+kvstore.Component(i), encodeAuxDelta(ad), sizes); err != nil {
 			return nil, err
 		}
 	}
@@ -568,7 +403,7 @@ func fetchPerPartition[T any](dg *DeltaGraph, e *skelEdge, comps []kvstore.Compo
 	fetchOne := func(p int) error {
 		parts[p] = new(T)
 		for _, c := range comps {
-			buf, err := dg.payloadStore(e).Get(kvstore.EncodeKey(p, e.deltaID, c))
+			buf, err := dg.store.Get(kvstore.EncodeKey(p, e.deltaID, c))
 			if err != nil {
 				if err == kvstore.ErrNotFound {
 					continue
@@ -605,16 +440,6 @@ func fetchPerPartition[T any](dg *DeltaGraph, e *skelEdge, comps []kvstore.Compo
 	return parts, nil
 }
 
-// payloadStore returns the store holding edge e's payload: the spine store
-// for a provisional edge, else the index store (which routes a key to its
-// partition itself).
-func (dg *DeltaGraph) payloadStore(e *skelEdge) kvstore.Store {
-	if e.provisional {
-		return dg.spine
-	}
-	return dg.store
-}
-
 // Flush waits for the builder, then syncs the store. (The skeleton itself is
 // persisted by Checkpoint; see persist.go.)
 func (dg *DeltaGraph) Flush() error {
@@ -648,9 +473,7 @@ func (dg *DeltaGraph) Close() error { return dg.build.wait() }
 // is stored: the builder hands back the edges it stored for, and the next
 // holder of the write lock publishes them (publishStoredLocked at every cut,
 // publishLocked wherever the whole skeleton is needed). A reader that plans
-// over stored payloads waits for the builder as it waits for the seal
-// (rlockSealed); one that reads the skeleton without sealing takes
-// rlockBuilt.
+// over the skeleton or reads stored payloads takes rlockBuilt.
 
 // storeJob is one queued payload: run stores it and returns the edges that
 // carry it.
@@ -754,9 +577,9 @@ func (dg *DeltaGraph) publishLocked() error {
 }
 
 // rlockBuilt takes the read lock with every queued payload stored and its
-// edges in the skeleton, for a caller that reads stored payloads or the
-// skeleton's edges but plans over no spine. It takes the write lock only if
-// there is something to publish.
+// edges in the skeleton, for a caller that reads stored payloads or plans over
+// the skeleton's edges. It takes the write lock only if there is something to
+// publish.
 func (dg *DeltaGraph) rlockBuilt() error {
 	err := dg.build.wait()
 	dg.mu.RLock()

@@ -102,7 +102,7 @@ func TestConcurrentQueriesAndAppends(t *testing.T) {
 					errs <- err
 					return
 				}
-				if st := dg.Stats(); st.CheckpointBytes <= 0 || st.SpineBytes <= 0 {
+				if st := dg.Stats(); st.CheckpointBytes <= 0 {
 					errs <- fmt.Errorf("stats after a checkpoint: %+v", st)
 					return
 				}
@@ -135,12 +135,12 @@ func TestConcurrentQueriesAndAppends(t *testing.T) {
 	checkAgainstReference(t, re, events, allAttrs, probes)
 }
 
-// TestSealOnDemandUnderConcurrency: a leaf cut drops the spine and the first
-// reader after it builds it again, under the write lock it has to trade its
-// read lock for. Readers at random past times race an appender across more
-// than twenty cuts: every answer equals the oracle, the spine is sealed at
-// most once per cut, and not at all before the first read.
-func TestSealOnDemandUnderConcurrency(t *testing.T) {
+// TestPatchReadsUnderConcurrency: a read reaches the pending nodes through
+// their patches, which only a leaf cut or an append changes, under the write
+// lock. Readers at random past times race an appender across more than twenty
+// cuts: every answer equals the oracle, and the skeleton holds nothing the
+// cuts did not add.
+func TestPatchReadsUnderConcurrency(t *testing.T) {
 	events := makeTrace(31, 5000)
 	const quiet = 2000 // events ingested before any reader starts
 	dg, err := New(Options{LeafSize: 100, Arity: 2})
@@ -150,12 +150,9 @@ func TestSealOnDemandUnderConcurrency(t *testing.T) {
 	if err := appendBatches(dg, events[:quiet]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dg.GetSnapshot(dg.LastTime(), allAttrs); err != nil { // a head read is no reason to seal
-		t.Fatal(err)
-	}
-	st := dg.StatsUnsealed()
-	if st.Leaves < 10 || st.SpineSeals != 0 || !st.SpineStale || st.SpineBytes != 0 {
-		t.Fatalf("an ingest of %d leaves with no historical read: %+v", st.Leaves, st)
+	st := dg.Stats()
+	if st.Leaves < 10 {
+		t.Fatalf("an ingest of %d leaves", st.Leaves)
 	}
 	stable := events[quiet-1].At // history up to here never changes again
 
@@ -206,15 +203,13 @@ func TestSealOnDemandUnderConcurrency(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	end := dg.StatsUnsealed()
+	end := dg.Stats()
 	cuts := end.Leaves - st.Leaves
 	if cuts < 20 {
 		t.Fatalf("only %d leaf cuts raced the readers", cuts)
 	}
-	// One seal for the stale spine the readers found, then at most one a
-	// cut: never more seals than cuts, whichever cuts are counted.
-	if end.SpineSeals < 1 || end.SpineSeals > int64(cuts)+1 || end.SpineSeals > int64(end.Leaves) {
-		t.Errorf("%d seals over %d cuts raced (%d in all)", end.SpineSeals, cuts, end.Leaves)
+	if err := dg.onlyWhatCutsAdd(); err != nil {
+		t.Error(err)
 	}
 	checkAgainstReference(t, dg, events, allAttrs, probeTimes(events, 9))
 	if err := dg.validateInvariant(); err != nil {
@@ -345,10 +340,10 @@ func TestAppendWhileReading(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if st := dg.StatsUnsealed(); st.Leaves < 20 || reads.Load() < 100 {
+	if st := dg.Stats(); st.Leaves < 20 || reads.Load() < 100 {
 		t.Fatalf("%d leaves were cut under %d reads: the appender and the readers hardly met", st.Leaves, reads.Load())
 	}
-	t.Logf("%d reads while %d leaves were cut", reads.Load(), dg.StatsUnsealed().Leaves)
+	t.Logf("%d reads while %d leaves were cut", reads.Load(), dg.Stats().Leaves)
 	checkAgainstReference(t, dg, events, allAttrs, probeTimes(events, 9))
 	if !dg.CurrentSnapshot().Equal(graph.SnapshotAt(events, graph.MaxTime)) {
 		t.Fatal("the current graph differs from a replay of the whole trace")
@@ -373,9 +368,9 @@ func intervalOf(events graph.EventList, ts, te graph.Time) *graph.Snapshot {
 // goroutine that stores what the cut queued: an appender crosses dozens of
 // cuts in 256-event batches while readers ask for past times on every path
 // that reads stored payloads or the skeleton — GetSnapshot, Retrieve,
-// GetInterval, Leaves and Children, StatsUnsealed — and two checkpointers
+// GetInterval, Leaves and Children, Stats — and two checkpointers
 // write into the same store. Every answer equals a naive replay of the log,
-// StatsUnsealed never counts a leaf whose eventlist edge is not in the
+// Stats never counts a leaf whose eventlist edge is not in the
 // skeleton, and the last checkpoint reopens exact. Run with -race.
 func TestBuilderSeamUnderRace(t *testing.T) {
 	events := canonical(makeTrace(34, 10000))
@@ -496,9 +491,9 @@ func TestBuilderSeamUnderRace(t *testing.T) {
 				return fmt.Errorf("at leaf time %d (%v): %w", q, err, errMismatch(q))
 			}
 		}
-		st := dg.StatsUnsealed()
+		st := dg.Stats()
 		if st.EventlistEdges != st.Leaves {
-			return fmt.Errorf("StatsUnsealed counts %d leaves and %d eventlist edges", st.Leaves, st.EventlistEdges)
+			return fmt.Errorf("Stats counts %d leaves and %d eventlist edges", st.Leaves, st.EventlistEdges)
 		}
 		return nil
 	})
@@ -514,10 +509,10 @@ func TestBuilderSeamUnderRace(t *testing.T) {
 	for i := range reads {
 		counts = append(counts, reads[i].Load())
 	}
-	if st := dg.StatsUnsealed(); st.Leaves < 20 || slices.Min(counts) == 0 {
+	if st := dg.Stats(); st.Leaves < 20 || slices.Min(counts) == 0 {
 		t.Fatalf("%d leaves were cut under %v reads by each reader: the appender and the readers hardly met", st.Leaves, counts)
 	}
-	t.Logf("%v reads by each reader while %d leaves were cut", counts, dg.StatsUnsealed().Leaves)
+	t.Logf("%v reads by each reader while %d leaves were cut", counts, dg.Stats().Leaves)
 	checkAgainstReference(t, dg, events, allAttrs, probeTimes(events, 9))
 	re, err := Open(Options{Store: dg.Store()})
 	if err != nil {

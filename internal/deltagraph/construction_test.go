@@ -61,7 +61,7 @@ func (r *refBuilder) cut(t *testing.T) {
 	r.pending[0] = append(r.pending[0], r.current.Clone())
 	k := r.st.opts.Arity
 	for level := 0; len(r.pending[level]) >= k; level++ {
-		parent := r.parent(t, r.pending[level][:k], false)
+		parent := r.parent(t, r.pending[level][:k])
 		r.pending[level] = r.pending[level][k:]
 		if len(r.pending) == level+1 {
 			r.pending = append(r.pending, nil)
@@ -70,60 +70,17 @@ func (r *refBuilder) cut(t *testing.T) {
 	}
 }
 
-func (r *refBuilder) parent(t *testing.T, group []*graph.Snapshot, provisional bool) *graph.Snapshot {
+func (r *refBuilder) parent(t *testing.T, group []*graph.Snapshot) *graph.Snapshot {
 	t.Helper()
 	p := r.st.opts.Function.Combine(group)
-	if !provisional {
-		r.sizes = append(r.sizes, p.Size())
-	}
+	r.sizes = append(r.sizes, p.Size())
 	for _, c := range group {
-		r.put(t, delta.Compute(c, p), provisional)
+		if _, err := r.st.putDelta(r.st.nextDeltaID, delta.Compute(c, p), nil); err != nil {
+			t.Fatal(err)
+		}
+		r.st.nextDeltaID++
 	}
 	return p
-}
-
-// put writes a delta under the next id of the store it belongs in, the spine
-// store for a provisional one.
-func (r *refBuilder) put(t *testing.T, d *delta.Delta, provisional bool) {
-	t.Helper()
-	store, next := r.st.store, &r.st.nextDeltaID
-	if provisional {
-		store, next = r.st.spine, &r.st.nextSpineID
-	}
-	if _, err := r.st.putDelta(store, *next, d, nil); err != nil {
-		t.Fatal(err)
-	}
-	*next++
-}
-
-// seal builds the provisional spine into r.st.spine, from scratch.
-func (r *refBuilder) seal(t *testing.T) {
-	t.Helper()
-	r.st.spine, r.st.nextSpineID = kvstore.NewMemStore(), 0
-	var carry *graph.Snapshot
-	for level := 0; level < len(r.pending) || carry != nil; level++ {
-		var group []*graph.Snapshot
-		if level < len(r.pending) {
-			group = append(group, r.pending[level]...)
-		}
-		if carry != nil {
-			group, carry = append(group, carry), nil
-		}
-		higher := false
-		for l := level + 1; l < len(r.pending); l++ {
-			higher = higher || len(r.pending[l]) > 0
-		}
-		switch {
-		case len(group) == 0:
-		case len(group) == 1 && !higher:
-			r.put(t, delta.FromSnapshot(group[0]), true)
-			return
-		case len(group) == 1:
-			carry = group[0]
-		default:
-			carry = r.parent(t, group, true)
-		}
-	}
 }
 
 // payloads reads every record with an id in [from, to) out of a store: the
@@ -163,8 +120,7 @@ func samePayloads(t *testing.T, what string, got, want map[string][]byte) {
 }
 
 // compare holds dg against the reference: the permanent payloads key by key,
-// the sizes carried on the permanent skeleton nodes, and — sealing both —
-// the spine's payloads.
+// the sizes carried on the skeleton nodes, and the pending nodes' graphs.
 func (r *refBuilder) compare(t *testing.T, dg *DeltaGraph) {
 	t.Helper()
 	if err := dg.Flush(); err != nil { // the builder's puts reach the store
@@ -175,17 +131,23 @@ func (r *refBuilder) compare(t *testing.T, dg *DeltaGraph) {
 		t.Fatalf("next delta id %d, reference %d", dg.nextDeltaID, r.st.nextDeltaID)
 	}
 	samePayloads(t, "index store", payloads(t, dg.store, P, 1, dg.nextDeltaID), payloads(t, r.st.store, P, 1, r.st.nextDeltaID))
-
-	r.seal(t)
-	st := dg.Stats() // seals
-	if st.SpineStale || st.SpineBytes != r.st.spine.SizeOnDisk() {
-		t.Errorf("spine: stale %v, %d B, reference %d B", st.SpineStale, st.SpineBytes, r.st.spine.SizeOnDisk())
+	var want []*graph.Snapshot
+	for level := len(r.pending) - 1; level >= 0; level-- {
+		want = append(want, r.pending[level]...)
 	}
-	samePayloads(t, "spine", payloads(t, dg.spine, P, 0, dg.nextSpineID), payloads(t, r.st.spine, P, 0, r.st.nextSpineID))
+	got, _ := pendingGraphs(dg)
+	if len(got) != len(want) {
+		t.Fatalf("%d pending nodes, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("pending node %d holds another graph than the reference's", i)
+		}
+	}
 
 	var sizes []int
 	for _, n := range dg.skel.nodes[2:] { // past the super-root and the anchor leaf
-		if n.level >= 0 && !n.provisional {
+		if n.level >= 0 {
 			sizes = append(sizes, n.size)
 		}
 	}
@@ -267,9 +229,9 @@ func differential(t *testing.T, events, canon graph.EventList, opts Options, liv
 				t.Fatal(err)
 			}
 			if (lo/256)%3 == 2 {
-				// A read in the middle of a leaf window seals the spine over
-				// pending nodes whose patches are not empty; the parents made
-				// after it must not notice.
+				// A read in the middle of a leaf window reaches pending nodes
+				// whose patches are not empty; the parents made after it must
+				// not notice.
 				n := len(canonical(events[:hi]))
 				ref.appendAll(t, canon[fed:n])
 				fed = n
@@ -296,14 +258,11 @@ func differential(t *testing.T, events, canon graph.EventList, opts Options, liv
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := re.StatsUnsealed(); !st.SpineStale || st.SpineSeals != 0 || st.SpineBytes != 0 {
-		t.Errorf("a reopened index built its spine before any read: %+v", st)
-	}
-	before := re.StatsUnsealed().Leaves
+	before := re.Stats().Leaves
 	if err := appendBatches(re, events[split:]); err != nil {
 		t.Fatal(err)
 	}
-	if got := re.StatsUnsealed().Leaves - before; got < 2 {
+	if got := re.Stats().Leaves - before; got < 2 {
 		t.Fatalf("only %d leaves cut after the reopen", got)
 	}
 	ref.appendAll(t, canon[canonSplit:])

@@ -169,7 +169,7 @@ func TestCurrentGraphIsOneGraph(t *testing.T) {
 				}
 			}
 		}
-		if st := dg.StatsUnsealed(); st.Leaves < 10 || attributedDeletes < 10 || orphans < 10 || moved < 5 {
+		if st := dg.Stats(); st.Leaves < 10 || attributedDeletes < 10 || orphans < 10 || moved < 5 {
 			t.Fatalf("seed %d: %d leaves, %d attributed deletes, %d reads with attributes on an absent node, %d with an edge a reader holds between other nodes: the trace does not cover what it is for",
 				seed, st.Leaves, attributedDeletes, orphans, moved)
 		}
@@ -248,11 +248,67 @@ func TestIndexResidentHeap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}, events)
-	st := dg.StatsUnsealed()
+	st := dg.Stats()
 	t.Logf("index and pool hold %.2f MB of heap for %d events (%d patch entries in pending nodes)", float64(grown)/(1<<20), len(events), st.PatchElements)
 	const ceiling = 4.8 * (1 << 20)
 	if float64(grown) > ceiling {
 		t.Errorf("index and pool hold %d B of heap, ceiling %.0f", grown, ceiling)
+	}
+	runtime.KeepAlive(dg)
+}
+
+// TestReadLeavesNoIndexState: a read builds nothing the index keeps. Bulk
+// built from the benchmark's seed-1 trace, less ten leaves' worth, the index
+// is left with under 16 kB more live heap by its first historical read (the
+// read built the provisional spine, 0.255 MB on the whole trace, until reads
+// came to reach the pending nodes by their patches). Then ten live leaf
+// cuts, each followed by a historical read, leave the skeleton the nodes and
+// edges the cuts add, and nothing else: a rebuilt spine used to leave its
+// nodes and edges behind as tombstones.
+func TestReadLeavesNoIndexState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocator is not the one the ceiling was measured under")
+	}
+	const leaf, cuts = 4096, 10
+	events := benchTrace(1, 1)
+	split := len(events) - (cuts+1)*leaf
+	fs := openFileStore(t, filepath.Join(t.TempDir(), "index"))
+	defer fs.Close()
+	dg, err := Build(events[:split], Options{LeafSize: leaf, Store: fs, Pool: graphpool.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	past := events[split/2].At
+	if grown := heapGrowth(func() {
+		if _, err := dg.GetSnapshot(past, allAttrs); err != nil {
+			t.Fatal(err)
+		}
+	}, events); grown >= 16<<10 {
+		t.Errorf("the first historical read left %d B of live heap", grown)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for lo, end := split, len(dg.LeafTimes())+cuts; len(dg.LeafTimes()) < end; lo += 256 {
+		if lo >= len(events) {
+			t.Fatalf("the trace ran out %d leaves short", end-len(dg.LeafTimes()))
+		}
+		leaves := len(dg.LeafTimes())
+		if err := dg.AppendAll(events[lo:min(lo+256, len(events))]); err != nil {
+			t.Fatal(err)
+		}
+		if len(dg.LeafTimes()) == leaves {
+			continue
+		}
+		q := events[rng.Intn(lo)].At
+		got, err := dg.GetSnapshot(q, allAttrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(graph.SnapshotAt(events, q)) {
+			t.Fatalf("snapshot at %d differs from replay", q)
+		}
+		if err := dg.onlyWhatCutsAdd(); err != nil {
+			t.Fatalf("after %d leaves: %v", len(dg.LeafTimes()), err)
+		}
 	}
 	runtime.KeepAlive(dg)
 }
@@ -288,11 +344,11 @@ func TestPendingHeapTracksPatchElements(t *testing.T) {
 			if err := dg.Append(more[i]); err != nil {
 				t.Fatal(err)
 			}
-			if st := dg.StatsUnsealed(); st.Leaves%8 == 0 && st.RecentEvents == 1 {
+			if st := dg.Stats(); st.Leaves%8 == 0 && st.RecentEvents == 1 {
 				break // the eighth leaf of a run: levels 0, 1 and 2 have just emptied
 			}
 		}
-		st := dg.StatsUnsealed()
+		st := dg.Stats()
 		freed := -heapGrowth(func() { dg.pending = nil }, events, more, dg)
 		t.Logf("%d leaves: dropping the pending nodes frees %.2f MB, %d patch entries, %.1f B an entry", st.Leaves, float64(freed)/(1<<20), st.PatchElements, float64(freed)/float64(st.PatchElements))
 		if freed > 90*int64(st.PatchElements) {

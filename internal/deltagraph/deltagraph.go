@@ -7,8 +7,9 @@
 // network (never stored explicitly); interior nodes are synthetic graphs
 // built by a differential function over their children; every edge carries
 // the delta that constructs its target from its source. A snapshot query is
-// answered by the lowest-weight path from the empty super-root to the query
-// point (Dijkstra over the in-memory skeleton); a multipoint query by a
+// answered by the lowest-weight path from the empty super-root, the current
+// graph or a pending node's patch to the query point (Dijkstra over the
+// in-memory skeleton); a multipoint query by a
 // Steiner tree (2-approximation) over the same skeleton. Either is a tree of
 // steps, each "apply this payload", that one executor walks once, reading no
 // stored payload twice (retrieve.go). Deltas are stored columnar in a
@@ -28,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,24 +122,16 @@ type pendingChild struct {
 }
 
 // DeltaGraph is the index. It is safe for concurrent use: queries and
-// Checkpoint take the read lock; Append, materialization, Flush and the
-// sealing of a stale spine (rlockSealed) take the write lock. Payloads a leaf
-// cut queues are stored by the builder goroutine (builder.go), which takes
-// neither.
+// Checkpoint take the read lock; Append, materialization and Flush take the
+// write lock. Payloads a leaf cut queues are stored by the builder goroutine
+// (builder.go), which takes neither. A pending node's patch changes only under
+// the write lock, so a read sees one patch throughout.
 type DeltaGraph struct {
 	mu    sync.RWMutex
 	opts  Options
 	skel  *skeleton
 	store kvstore.Store
 	pool  *graphpool.Pool
-	// spine holds the provisional spine's payloads, keyed by ids counted
-	// from nextSpineID. They are derived from pending and never persisted. A
-	// leaf cut drops them and sets spineStale; the first call that plans
-	// over the skeleton afterwards builds them again (sealLocked).
-	spine       *kvstore.MemStore
-	nextSpineID uint64
-	spineStale  bool
-	spineSeals  int64
 
 	nextDeltaID uint64
 	build       builder // stores the payloads leaf cuts queue, in id order
@@ -155,20 +147,10 @@ type DeltaGraph struct {
 	firstTime graph.Time
 	pending   [][]pendingChild
 
-	// Provisional spine bookkeeping: nodes/edges dropped at the next leaf
-	// cut.
-	provNodes    []int
-	provEdgeIdxs []int
-	// rematRoot requests pinning the new root when the spine is sealed
-	// after a cut tore down a materialized provisional root.
-	rematRoot bool
-
-	// SetObserver's callbacks, and what has happened under the write lock
-	// that they have not been told yet (unlock tells them).
+	// SetObserver's callback, and the leaf cuts under the write lock that it
+	// has not been told of yet (unlock tells it).
 	onCut    func(time.Duration)
-	onSeal   func()
 	cutTimes []time.Duration
-	sealed   int
 
 	// Materialization: skeleton node -> pool graph id.
 	matGraphs map[int]graphpool.GraphID
@@ -201,7 +183,6 @@ func New(opts Options) (*DeltaGraph, error) {
 		skel:        newSkeleton(),
 		store:       opts.Store,
 		pool:        opts.Pool,
-		spine:       kvstore.NewMemStore(),
 		cur:         opts.Pool.Current(),
 		recent:      newRecentList(opts.LeafSize),
 		nextDeltaID: 1,
@@ -236,8 +217,7 @@ func (dg *DeltaGraph) emptyAux() []AuxSnapshot {
 
 // Build bulk-constructs a DeltaGraph from a chronological event trace in a
 // single pass (Section 4.6) and returns once the builder has stored every
-// payload. The spine is left to the first historical read, as after any leaf
-// cut: an index built to be checkpointed or closed never pays for it.
+// payload.
 func Build(events graph.EventList, opts Options) (*DeltaGraph, error) {
 	dg, err := New(opts)
 	if err != nil {
@@ -399,72 +379,25 @@ func (dg *DeltaGraph) touchLocked(x elem) {
 	}
 }
 
-// rlockSealed takes the read lock with the provisional spine in place, for
-// a caller about to plan over the skeleton. A stale spine is sealed first,
-// under the write lock, once the builder has stored what the cuts queued: the
-// first such caller after a leaf cut pays for it, the others find it done. A
-// spine that is not stale was sealed after every queued payload was
-// published.
-func (dg *DeltaGraph) rlockSealed() error {
-	dg.mu.RLock()
-	for dg.spineStale {
-		dg.mu.RUnlock()
-		err := dg.build.wait() // off the lock: other readers go on meanwhile
-		if err == nil {
-			dg.mu.Lock()
-			err = dg.sealLocked()
-			dg.unlock()
-		}
-		if err != nil {
-			return err
-		}
-		dg.mu.RLock() // a cut may have slipped in: look again
-	}
-	return nil
-}
-
-// rlockAt is rlockSealed for a query at the given times. A query at or past
-// the newest event is answered from the current graph, whatever the skeleton
-// holds (routeTo), and leaves a stale spine as it is.
-func (dg *DeltaGraph) rlockAt(ts ...graph.Time) error {
-	dg.mu.RLock()
-	if !dg.spineStale {
-		return nil
-	}
-	if !slices.ContainsFunc(ts, func(t graph.Time) bool { return t < dg.lastTime }) {
-		err := dg.build.failed()
-		if err != nil {
-			dg.mu.RUnlock()
-		}
-		return err
-	}
-	dg.mu.RUnlock()
-	return dg.rlockSealed()
-}
-
-// SetObserver registers callbacks for the two costs of construction that a
+// SetObserver registers a callback for the cost of construction that a
 // caller can feel: cut is given the time every leaf cut held the write lock,
-// seal is called whenever a read had the spine built. Both are called after
-// the lock is released. Either may be nil.
-func (dg *DeltaGraph) SetObserver(cut func(time.Duration), seal func()) {
+// after the lock is released. It may be nil.
+func (dg *DeltaGraph) SetObserver(cut func(time.Duration)) {
 	dg.mu.Lock()
 	defer dg.mu.Unlock()
-	dg.onCut, dg.onSeal = cut, seal
+	dg.onCut = cut
 }
 
 // unlock releases the write lock, then tells the observer of the leaf cuts
-// and seals that happened under it.
+// that happened under it.
 func (dg *DeltaGraph) unlock() {
-	onCut, cuts, onSeal, sealed := dg.onCut, dg.cutTimes, dg.onSeal, dg.sealed
-	dg.cutTimes, dg.sealed = nil, 0
+	onCut, cuts := dg.onCut, dg.cutTimes
+	dg.cutTimes = nil
 	dg.mu.Unlock()
 	if onCut != nil {
 		for _, d := range cuts {
 			onCut(d)
 		}
-	}
-	for ; onSeal != nil && sealed > 0; sealed-- {
-		onSeal()
 	}
 }
 

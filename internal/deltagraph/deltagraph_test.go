@@ -2,7 +2,6 @@ package deltagraph
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -72,17 +71,36 @@ func makeTrace(seed int64, n int) graph.EventList {
 var allAttrs = graph.MustParseAttrOptions("+node:all+edge:all")
 
 // validateInvariant checks that every leaf is reachable from the super-root
-// (the spine is in place).
+// or a pending node's patch.
 func (dg *DeltaGraph) validateInvariant() error {
-	if err := dg.rlockSealed(); err != nil { // the spine reaches the newest leaves
+	if err := dg.rlockBuilt(); err != nil {
 		return err
 	}
 	defer dg.mu.RUnlock()
-	dist, _ := dg.skel.shortestPaths(dg.skel.superRoot, selectorFor(graph.AttrOptions{}, nil))
+	p := planner{dg: dg, sel: selectorFor(graph.AttrOptions{}, nil)}
 	for _, leaf := range dg.skel.leaves {
-		if dist[leaf] == math.MaxInt64 {
-			return fmt.Errorf("leaf %d unreachable", leaf)
+		if r, err := p.reach(leaf); err != nil || r == nil {
+			return fmt.Errorf("leaf %d unreachable (%v)", leaf, err)
 		}
+	}
+	return nil
+}
+
+// onlyWhatCutsAdd checks that the skeleton holds the nodes and edges of the
+// index and nothing else: the super-root, the anchor leaf and its
+// materialization edge, every leaf with its two eventlist edges, every
+// interior node with its delta edges, and a materialization edge for each
+// pinned node.
+func (dg *DeltaGraph) onlyWhatCutsAdd() error {
+	st := dg.Stats()
+	dg.mu.RLock()
+	defer dg.mu.RUnlock()
+	nodes, edges := len(dg.skel.nodes), len(dg.skel.edges)
+	if want := 2 + st.Leaves + st.InteriorNodes; nodes != want {
+		return fmt.Errorf("the skeleton holds %d nodes, the index %d", nodes, want)
+	}
+	if want := 1 + 2*st.EventlistEdges + st.DeltaEdges + len(dg.matGraphs); edges != want {
+		return fmt.Errorf("the skeleton holds %d edges, the index %d", edges, want)
 	}
 	return nil
 }

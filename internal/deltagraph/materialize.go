@@ -21,13 +21,11 @@ var allAttrOptions = graph.AttrOptions{NodeAll: true, EdgeAll: true}
 // NodeRef identifies a skeleton node for materialization calls.
 type NodeRef int
 
-// Root returns a reference to the current root (the child of the
-// super-root reached through the delta hierarchy), or an error if the
-// index is empty.
+// Root returns a reference to the root: the highest pending node, the oldest
+// of the highest level that has one, whose subtree covers the most leaves. It
+// is an error if the index has no leaf yet.
 func (dg *DeltaGraph) Root() (NodeRef, error) {
-	if err := dg.rlockSealed(); err != nil {
-		return 0, err
-	}
+	dg.mu.RLock()
 	defer dg.mu.RUnlock()
 	id := dg.rootLocked()
 	if id < 0 {
@@ -37,10 +35,9 @@ func (dg *DeltaGraph) Root() (NodeRef, error) {
 }
 
 func (dg *DeltaGraph) rootLocked() int {
-	for _, ei := range dg.skel.out[dg.skel.superRoot] {
-		e := dg.skel.edges[ei]
-		if e != nil && e.kind == kindDelta {
-			return e.to
+	for level := len(dg.pending) - 1; level >= 0; level-- {
+		if len(dg.pending[level]) > 0 {
+			return dg.pending[level][0].node
 		}
 	}
 	return -1
@@ -107,7 +104,7 @@ func (dg *DeltaGraph) materializeLocked(ids []int) error {
 	if len(todo) == 0 {
 		return nil
 	}
-	if err := dg.sealLocked(); err != nil { // the paths to the nodes start at the root
+	if err := dg.publishLocked(); err != nil { // the paths to the nodes are stored deltas
 		return err
 	}
 	p := planner{dg: dg, sel: selectorFor(allAttrOptions, dg.auxComponentIDs())}
@@ -171,38 +168,36 @@ func (dg *DeltaGraph) Unmaterialize(ref NodeRef) error {
 	return nil
 }
 
-// MaterializeLevel applies a named policy: "root", "children" (root's
-// children), "grandchildren" (root's grandchildren), or "leaves" (total
-// materialization — the Copy+Log-in-memory extreme of Section 4.5).
+// MaterializeLevel applies a named policy: "root" (Root), "children" (the
+// root's children), "grandchildren" (the root's grandchildren), or "leaves"
+// (total materialization — the Copy+Log-in-memory extreme of Section 4.5). A
+// node without children stands for its own. A pinned node stays pinned across
+// leaf cuts, which keep its id; the leaves outside the root's subtree are
+// reached through the other pending nodes' patches.
 func (dg *DeltaGraph) MaterializeLevel(policy string) error {
+	depth, ok := map[string]int{"root": 0, "children": 1, "grandchildren": 2}[policy]
 	dg.mu.Lock()
 	defer dg.unlock()
-	switch policy {
-	case "leaves":
+	if policy == "leaves" {
 		return dg.materializeLocked(dg.skel.leaves[1:])
-	case "root", "children", "grandchildren":
-	default:
+	} else if !ok {
 		return fmt.Errorf("deltagraph: unknown materialization policy %q", policy)
-	}
-	if err := dg.sealLocked(); err != nil { // the root hangs off the spine
-		return err
 	}
 	root := dg.rootLocked()
 	if root < 0 {
 		return fmt.Errorf("deltagraph: index has no root yet")
 	}
 	ids := []int{root}
-	if policy != "root" {
-		ids = dg.skel.nodes[root].children
-	}
-	if policy == "grandchildren" {
-		var gc []int
-		for _, c := range ids {
-			gc = append(gc, dg.skel.nodes[c].children...)
+	for ; depth > 0; depth-- {
+		var below []int
+		for _, id := range ids {
+			if kids := dg.skel.nodes[id].children; len(kids) > 0 {
+				below = append(below, kids...)
+			} else {
+				below = append(below, id)
+			}
 		}
-		if len(gc) > 0 {
-			ids = gc
-		}
+		ids = below
 	}
 	return dg.materializeLocked(ids)
 }
@@ -211,9 +206,7 @@ func (dg *DeltaGraph) MaterializeLevel(policy string) error {
 // memory-vs-latency experiments: the pool's records and values that each
 // materialized graph holds (View.Bytes).
 func (dg *DeltaGraph) MaterializedBytes() int64 {
-	if dg.rlockSealed() != nil { // a pinned root is re-pinned by the seal
-		return 0
-	}
+	dg.mu.RLock()
 	defer dg.mu.RUnlock()
 	var total int64
 	for _, id := range dg.matGraphs {
@@ -227,9 +220,7 @@ func (dg *DeltaGraph) MaterializedBytes() int64 {
 // MaterializedNodes lists currently materialized skeleton nodes (excluding
 // the empty anchor).
 func (dg *DeltaGraph) MaterializedNodes() []NodeRef {
-	if dg.rlockSealed() != nil {
-		return nil
-	}
+	dg.mu.RLock()
 	defer dg.mu.RUnlock()
 	var out []NodeRef
 	for _, n := range dg.skel.nodes {

@@ -19,9 +19,7 @@ import (
 // checkpoint stores only what the permanent payloads cannot rebuild: a set of
 // payload records (pending nodes' graphs through the delta column codec, the
 // recent eventlist through the event codec, all in partition 0) followed by
-// one small JSON meta record that names them and is the commit point. The
-// provisional spine is derived from the pending nodes: it is not stored, and
-// not rebuilt before a read of the reopened index asks for it.
+// one small JSON meta record that names them and is the commit point.
 //
 // The pending nodes' subtrees cover the leaves in order, oldest and highest
 // level first, and walkPending reaches each node's first leaf from the node
@@ -38,7 +36,7 @@ const (
 	metaDeltaID   = math.MaxUint64
 	metaComponent = kvstore.Component(250)
 	// Version of the checkpoint layout. 2: graphs are codec payloads beside
-	// the JSON meta record, and the spine is not stored. 3: those payloads,
+	// the JSON meta record. 3: those payloads,
 	// and every other in the store, are in stored format 3 (delta/codec.go).
 	// 4: a pending node's payload may be a delta from the current graph, so a
 	// v3 checkpoint is a v4 one with every node on the null graph. 5: the
@@ -96,9 +94,6 @@ type persistedIndex struct {
 	// are the current graph.
 	CurrentID uint64             `json:"current_id"`
 	Pending   [][]persistedChild `json:"pending"`
-	// RematRoot: the provisional root was materialized; Open pins the
-	// rebuilt one.
-	RematRoot bool `json:"remat_root,omitempty"`
 	// Payload ids descend from metaDeltaID-1. This checkpoint's are
 	// FirstID down to NextID+1; PrevFirstID down to FirstID+1 were those of
 	// the checkpoint it replaced, deleted once this meta is durable (Open
@@ -117,7 +112,7 @@ var metaKey = kvstore.EncodeKey(0, metaDeltaID, metaComponent)
 // Checkpoint persists the index state into the store so Open can restore
 // it. Call it after bulk construction or periodically during appends. It
 // waits for the builder, then only reads the index, so queries keep running;
-// appends wait. It never seals a stale spine.
+// appends wait.
 func (dg *DeltaGraph) Checkpoint() error {
 	dg.ckptMu.Lock()
 	defer dg.ckptMu.Unlock()
@@ -134,7 +129,6 @@ func (dg *DeltaGraph) Checkpoint() error {
 		NextDeltaID: dg.nextDeltaID,
 		LastTime:    dg.lastTime,
 		Leaves:      dg.skel.leaves,
-		RematRoot:   dg.rematRoot,
 		FirstID:     dg.ckptNextID,
 		NextID:      dg.ckptNextID,
 		PrevFirstID: dg.ckptFirstID,
@@ -201,18 +195,14 @@ func (dg *DeltaGraph) Checkpoint() error {
 		if n.level < 0 {
 			continue
 		}
-		if n.provisional {
-			pi.RematRoot = pi.RematRoot || n.materialized
-			continue
-		}
 		pi.Nodes = append(pi.Nodes, persistedNode{
 			ID: n.id, Level: n.level, At: n.at, SpanEnd: n.spanEnd, Size: n.size,
 			Children: n.children, Materialized: n.materialized,
 		})
 	}
 	for _, e := range dg.skel.edges {
-		if e == nil || e.provisional || e.kind == kindMat {
-			continue // the spine and materialization edges are rebuilt by Open
+		if e == nil || e.kind == kindMat {
+			continue // materialization edges are rebuilt by Open
 		}
 		pi.Edges = append(pi.Edges, persistedEdge{
 			From: e.from, To: e.to, Kind: uint8(e.kind),
@@ -409,7 +399,7 @@ func Open(opts Options) (*DeltaGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	dg.lastTime, dg.nextDeltaID, dg.rematRoot = pi.LastTime, pi.NextDeltaID, pi.RematRoot
+	dg.lastTime, dg.nextDeltaID = pi.LastTime, pi.NextDeltaID
 	dg.ckptFirstID, dg.ckptNextID = pi.FirstID, pi.NextID
 	dg.ckptBytes.Store(pi.PayloadBytes + int64(len(buf)))
 	if pi.AuxCur != nil {
@@ -466,8 +456,7 @@ func Open(opts Options) (*DeltaGraph, error) {
 
 	// Restore builder pending state, each graph as a patch against the
 	// current one, which is decoded or rebuilt into a scratch snapshot that
-	// is dropped once the pool holds it. The spine waits for the first read
-	// (or for a pinned node below, whose path starts at the root).
+	// is dropped once the pool holds it.
 	dg.pending = make([][]pendingChild, len(pi.Pending))
 	for level, row := range pi.Pending {
 		for _, c := range row {
@@ -542,7 +531,6 @@ func Open(opts Options) (*DeltaGraph, error) {
 	dg.pool.LoadCurrent(cur)
 	dg.curSize = cur.Size()
 	dg.settlePendingLocked()
-	dg.spineStale = true
 	if err := dg.dropPayloads(pi.PrevFirstID, pi.FirstID); err != nil {
 		return nil, err
 	}

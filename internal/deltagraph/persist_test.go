@@ -680,7 +680,7 @@ func reopenTimes(dg *DeltaGraph) []graph.Time {
 // TestReopenDifferential closes and reopens indexes of many shapes and
 // checks every answer, as a snapshot and as a view in the pool, against the
 // one before closing and against naive log replay, then grows the reopened index by two more leaves and checks again:
-// that is what proves the rebuilt spine and the restored pending nodes.
+// that is what proves the restored pending nodes.
 func TestReopenDifferential(t *testing.T) {
 	events := makeTrace(22, 3400)
 	structOnly := graph.AttrOptions{}
@@ -984,7 +984,7 @@ func TestLiveIndexIsBulkIndex(t *testing.T) {
 		defer only.Close()
 		var encoded, read int64
 		for _, e := range live.skel.edges {
-			if e == nil || e.provisional || e.kind == kindMat || e.kind == kindEventBwd {
+			if e == nil || e.kind == kindMat || e.kind == kindEventBwd {
 				continue
 			}
 			for c, size := range e.sizes {
@@ -1007,8 +1007,8 @@ func TestLiveIndexIsBulkIndex(t *testing.T) {
 			t.Errorf("after %d events: live index %d B in %d records; the referenced payloads %d B in %d records, %d B read back of %d B encoded",
 				n, got, liveFS.Len(), only.SizeOnDisk(), only.Len(), read, encoded)
 		}
-		if st := live.Stats(); st.SpineBytes <= 0 || st.DiskBytes != got {
-			t.Errorf("stats: spine %d B, disk %d B (file %d B)", st.SpineBytes, st.DiskBytes, got)
+		if st := live.Stats(); st.DiskBytes != got {
+			t.Errorf("stats: disk %d B (file %d B)", st.DiskBytes, got)
 		}
 	}
 }
@@ -1085,7 +1085,7 @@ func TestGoldenCheckpointBytes(t *testing.T) {
 	if err := dg.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := dg.StatsUnsealed().CheckpointBytes; got != 20887 {
+	if got := dg.Stats().CheckpointBytes; got != 20887 {
 		t.Errorf("the checkpoint encodes to %d B, was 20887", got)
 	}
 	if got := fs.SizeOnDisk() - before; got != 7919 {
@@ -1095,7 +1095,7 @@ func TestGoldenCheckpointBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := re.StatsUnsealed().CheckpointBytes; got != 20887 {
+	if got := re.Stats().CheckpointBytes; got != 20887 {
 		t.Errorf("reopened, the checkpoint encodes to %d B, was 20887", got)
 	}
 	golden := []struct {
@@ -1183,7 +1183,7 @@ func TestCheckpointAppendsToTheLog(t *testing.T) {
 		}
 		encoded += int64(len(buf))
 	}
-	if ckpt := dg.StatsUnsealed().CheckpointBytes; encoded != ckpt {
+	if ckpt := dg.Stats().CheckpointBytes; encoded != ckpt {
 		t.Errorf("the second checkpoint's records read back as %d B, CheckpointBytes %d B", encoded, ckpt)
 	}
 	// A tombstone is 18 bytes whole.
@@ -1194,7 +1194,7 @@ func TestCheckpointAppendsToTheLog(t *testing.T) {
 	if stored := only.SizeOnDisk() - empty; grew[1] != stored+18*tombstones {
 		t.Errorf("the second checkpoint (%d B in %d records as stored) grew the file by %d B, want %d", stored, only.Len(), grew[1], stored+18*tombstones)
 	}
-	if st := dg.StatsUnsealed(); st.DiskBytes != permanent+grew[0]+grew[1] {
+	if st := dg.Stats(); st.DiskBytes != permanent+grew[0]+grew[1] {
 		t.Errorf("DiskBytes %d: permanent payloads %d B, checkpoints grew the file by %v", st.DiskBytes, permanent, grew)
 	}
 }
@@ -1212,35 +1212,6 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 	b.ReportMetric(float64(fs.SizeOnDisk()-start)/float64(b.N), "written-B/op")
 	b.ReportMetric(float64(dg.Stats().CheckpointBytes), "checkpoint-B")
-}
-
-// BenchmarkSeal is what the first historical read after a leaf cut pays: the
-// spine built over the pending nodes of the benchmark-shaped index one leaf
-// on, whose root, an intersection far from the current graph, is held from the
-// null graph. While it was held from the current graph the seal copied that
-// graph out of the pool to say what the root is.
-func BenchmarkSeal(b *testing.B) {
-	dg, fs := benchIndex(b)
-	defer fs.Close()
-	rest := benchTrace(1, 1)[59392:]
-	for i, leaves := 0, len(dg.skel.leaves); len(dg.skel.leaves) == leaves; i++ {
-		if err := dg.Append(rest[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dg.mu.Lock()
-		dg.clearSpineLocked() // as the cut left it
-		dg.spineStale = true
-		err := dg.sealLocked()
-		dg.unlock()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(dg.StatsUnsealed().SpineBytes), "spine-B")
 }
 
 var benchOpened *DeltaGraph
@@ -1261,5 +1232,4 @@ func BenchmarkOpen(b *testing.B) {
 		benchOpened = re
 	}
 	b.ReportMetric(float64(benchOpened.Stats().CheckpointBytes), "checkpoint-B")
-	b.ReportMetric(float64(benchOpened.Stats().SpineBytes), "spine-B")
 }

@@ -181,12 +181,12 @@ func TestOpenLeafMatchesReplay(t *testing.T) {
 	holdsOpen(re)
 	checkOpenLeaf(t, re, history)
 
-	leaves := re.StatsUnsealed().Leaves
+	leaves := re.Stats().Leaves
 	more := openLeafEvents(history[len(history)-1].At+1, 1<<33, 2)
 	if err := re.AppendAll(more); err != nil {
 		t.Fatal(err)
 	}
-	if re.StatsUnsealed().Leaves != leaves+1 {
+	if re.Stats().Leaves != leaves+1 {
 		t.Fatal("no leaf was cut")
 	}
 	history = append(history, more...)
@@ -215,7 +215,7 @@ func TestOpenLeafHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := dg.StatsUnsealed().RecentEvents
+	n := dg.Stats().RecentEvents
 	freed := -heapGrowth(func() { dropValue(&dg.recent) }, events, dg)
 	perEvent := float64(freed) / float64(n)
 	t.Logf("the open leaf holds %d B for %d events, %.1f B an event", freed, n, perEvent)

@@ -172,8 +172,8 @@ func goldenRow(t testing.TB, dg *DeltaGraph, cs *countingStore, q graph.Time) (r
 
 // checkRetrievals reads out of in an index (trace, leaf size, arity,
 // differential function), a way to build it (by Build or by appends, a
-// materialization policy applied part of the way through, so that what follows
-// leaves the spine stale, and there a checkpoint the index is reopened from or
+// materialization policy applied part of the way through, so that later cuts
+// have no pinned ancestor, and there a checkpoint the index is reopened from or
 // not) and a list of times (before the first event, on a
 // leaf, in the tail, at the head, past it, anywhere, or the one before again),
 // and compares every kind of retrieval at those times, under three attribute
@@ -326,7 +326,10 @@ func replayInterval(events graph.EventList, from, to graph.Time) (*graph.Snapsho
 // its time, and now walks forward from the empty leaf when that is cheaper.
 // Every cost and byte count was measured again when stored format 4 gave
 // each payload its stream lengths (a few bytes a payload); the reads did not
-// move.
+// move. The rows from t=7539 on were measured again when the provisional
+// spine went: a read reaches a pending node through its patch, from the
+// current graph or the null graph, where it took the spine's deltas down from
+// the root's whole graph (which the store did not count).
 var goldenPlanCosts = [64][9]int64{
 	{0, 1, 1632, 0, 3, 7147, 0, 2, 7147},                  // t=0
 	{82, 1, 1632, 352, 3, 7147, 352, 2, 7147},             // t=396
@@ -347,49 +350,49 @@ var goldenPlanCosts = [64][9]int64{
 	{1325, 1, 1632, 5637, 3, 7147, 5637, 2, 7147},         // t=6348
 	{1408, 1, 1632, 5990, 3, 7147, 5990, 2, 7147},         // t=6745
 	{1491, 1, 1632, 6342, 3, 7147, 6342, 2, 7147},         // t=7142
-	{1467, 5, 1796, 5996, 15, 7311, 5996, 10, 7311},       // t=7539
-	{1384, 5, 1796, 5645, 15, 7311, 5645, 10, 7311},       // t=7935
-	{1524, 5, 1855, 6223, 15, 7413, 6223, 10, 7413},       // t=8332
-	{1857, 5, 1855, 7613, 15, 7413, 7613, 10, 7413},       // t=8729
-	{2191, 5, 1855, 9004, 15, 7413, 9004, 10, 7413},       // t=9126
-	{2525, 5, 1855, 10394, 15, 7413, 10394, 10, 7413},     // t=9523
-	{2555, 5, 2822, 11630, 15, 12550, 11630, 10, 12550},   // t=9919
-	{2454, 5, 3340, 11077, 15, 12646, 11077, 10, 12646},   // t=10316
-	{2972, 5, 3340, 12768, 15, 12646, 12768, 10, 12646},   // t=10713
-	{3491, 5, 3340, 14458, 15, 12646, 14458, 10, 12646},   // t=11110
-	{4009, 5, 3340, 16149, 15, 12646, 16149, 10, 12646},   // t=11507
-	{3737, 5, 4706, 15348, 15, 17185, 15348, 10, 17185},   // t=11903
-	{4281, 5, 4409, 17470, 15, 17359, 17470, 10, 17359},   // t=12300
-	{4961, 5, 4409, 20078, 15, 17359, 20078, 10, 17359},   // t=12697
-	{4871, 5, 5588, 20608, 15, 22758, 20608, 10, 22758},   // t=13094
-	{5664, 5, 5733, 23426, 15, 22720, 23426, 10, 22720},   // t=13490
-	{6490, 5, 5733, 25225, 15, 25651, 25225, 10, 25651},   // t=13887
-	{6524, 5, 6987, 24882, 15, 25686, 24882, 10, 25686},   // t=14284
-	{7469, 5, 6987, 28302, 15, 25686, 28302, 10, 25686},   // t=14681
-	{7650, 5, 8312, 29668, 15, 31235, 29668, 10, 31235},   // t=15078
-	{8737, 5, 8312, 33627, 15, 31235, 33627, 10, 31235},   // t=15474
-	{9032, 5, 9526, 34749, 15, 35952, 34749, 10, 35952},   // t=15871
-	{10206, 5, 9526, 39194, 15, 35952, 39194, 10, 35952},  // t=16268
-	{10660, 5, 10834, 41570, 15, 41409, 41570, 10, 41409}, // t=16665
-	{11434, 5, 12108, 40334, 15, 42011, 40334, 10, 42011}, // t=17062
-	{12508, 5, 12265, 43989, 15, 42057, 43989, 10, 42057}, // t=17458
-	{13109, 5, 13426, 46915, 15, 47595, 46915, 10, 47595}, // t=17855
-	{13984, 5, 14649, 50354, 15, 52383, 50354, 10, 52383}, // t=18252
-	{15401, 5, 14792, 55471, 15, 52397, 55471, 10, 52397}, // t=18649
-	{16275, 5, 16042, 59498, 15, 57916, 59498, 10, 57916}, // t=19046
-	{17287, 5, 17575, 61260, 15, 61017, 61260, 10, 61017}, // t=19442
-	{18437, 5, 21442, 64976, 15, 66615, 64976, 10, 66615}, // t=19839
-	{20398, 5, 22216, 69250, 15, 66615, 69250, 10, 66615}, // t=20236
-	{19790, 5, 25093, 67906, 15, 69074, 67906, 10, 69074}, // t=20633
-	{22450, 5, 25206, 70566, 15, 69187, 70566, 10, 69187}, // t=21030
-	{19509, 5, 25206, 67625, 15, 69187, 67625, 10, 69187}, // t=21426
-	{21140, 5, 25223, 67874, 6, 9726, 67874, 4, 9726},     // t=21823
-	{21405, 2, 9726, 64919, 6, 9726, 64919, 4, 9726},      // t=22220
-	{19616, 2, 9780, 63130, 6, 9780, 63130, 4, 9780},      // t=22617
-	{22591, 2, 9780, 66105, 6, 9780, 66105, 4, 9780},      // t=23014
-	{20389, 2, 9991, 63903, 6, 9991, 63903, 4, 9991},      // t=23410
-	{21071, 2, 9989, 64585, 6, 9989, 64585, 4, 9989},      // t=23807
-	{22348, 1, 7608, 65862, 3, 7608, 65862, 2, 7608},      // t=24204
+	{1574, 1, 1632, 6695, 3, 7147, 6695, 2, 7147},         // t=7539
+	{1657, 1, 1632, 7046, 3, 7147, 7046, 2, 7147},         // t=7935
+	{1818, 5, 1855, 7953, 6, 14396, 7953, 4, 14396},       // t=8332
+	{2151, 5, 1855, 9343, 6, 14396, 9343, 4, 14396},       // t=8729
+	{2485, 5, 1855, 10734, 6, 14396, 10734, 4, 14396},     // t=9126
+	{2819, 5, 1855, 12124, 6, 14396, 12124, 4, 14396},     // t=9523
+	{2849, 5, 2822, 13511, 6, 14396, 13511, 4, 14396},     // t=9919
+	{2748, 5, 3340, 13336, 15, 12646, 13336, 10, 12646},   // t=10316
+	{3266, 5, 3340, 15027, 15, 12646, 15027, 10, 12646},   // t=10713
+	{3785, 5, 3340, 16717, 15, 12646, 16717, 10, 12646},   // t=11110
+	{4303, 5, 3340, 18408, 15, 12646, 18408, 10, 12646},   // t=11507
+	{4031, 5, 4706, 17607, 15, 17185, 17607, 10, 17185},   // t=11903
+	{4575, 5, 4409, 19729, 15, 17359, 19729, 10, 17359},   // t=12300
+	{5255, 5, 4409, 22337, 15, 17359, 22337, 10, 17359},   // t=12697
+	{5165, 5, 5588, 22867, 15, 22758, 22867, 10, 22758},   // t=13094
+	{5958, 5, 5733, 25685, 15, 22720, 25685, 10, 22720},   // t=13490
+	{6784, 5, 5733, 27484, 15, 25651, 27484, 10, 25651},   // t=13887
+	{6818, 5, 6987, 27141, 15, 25686, 27141, 10, 25686},   // t=14284
+	{7763, 5, 6987, 30561, 15, 25686, 30561, 10, 25686},   // t=14681
+	{7944, 5, 8312, 31927, 15, 31235, 31927, 10, 31235},   // t=15078
+	{9031, 5, 8312, 35886, 15, 31235, 35886, 10, 31235},   // t=15474
+	{9326, 5, 9526, 37008, 15, 35952, 37008, 10, 35952},   // t=15871
+	{10500, 5, 9526, 41453, 15, 35952, 41453, 10, 35952},  // t=16268
+	{10954, 5, 10834, 43829, 15, 41409, 43829, 10, 41409}, // t=16665
+	{11728, 5, 12108, 42593, 15, 42011, 42593, 10, 42011}, // t=17062
+	{12802, 5, 12265, 46248, 15, 42057, 46248, 10, 42057}, // t=17458
+	{13403, 5, 13426, 49174, 15, 47595, 49174, 10, 47595}, // t=17855
+	{14278, 5, 14649, 52613, 15, 52383, 52613, 10, 52383}, // t=18252
+	{15695, 5, 14792, 57730, 15, 52397, 57730, 10, 52397}, // t=18649
+	{16569, 5, 16042, 61757, 15, 57916, 61757, 10, 57916}, // t=19046
+	{17581, 5, 17575, 63519, 15, 61017, 63519, 10, 61017}, // t=19442
+	{18731, 5, 21442, 67235, 15, 66615, 67235, 10, 66615}, // t=19839
+	{20692, 5, 22216, 71509, 15, 66615, 71509, 10, 66615}, // t=20236
+	{20084, 5, 25093, 70165, 15, 69074, 70165, 10, 69074}, // t=20633
+	{22744, 5, 25206, 72825, 15, 69187, 72825, 10, 69187}, // t=21030
+	{19803, 5, 25206, 69884, 15, 69187, 69884, 10, 69187}, // t=21426
+	{21434, 5, 25223, 71515, 15, 69204, 71515, 10, 69204}, // t=21823
+	{24389, 5, 25223, 74470, 15, 69204, 74470, 10, 69204}, // t=22220
+	{27347, 6, 32833, 77428, 18, 76814, 77428, 12, 76814}, // t=22617
+	{30322, 6, 32833, 80403, 18, 76814, 80403, 12, 76814}, // t=23014
+	{30442, 2, 15218, 78242, 6, 15218, 78242, 4, 15218},   // t=23410
+	{27467, 1, 7608, 75267, 3, 7608, 75267, 2, 7608},      // t=23807
+	{24493, 1, 7608, 72293, 3, 7608, 72293, 2, 7608},      // t=24204
 	{9528, 0, 0, 9528, 0, 0, 9528, 0, 0},                  // t=24601
 	{0, 0, 0, 0, 0, 0, 0, 0, 0},                           // t=24998
 }
@@ -425,7 +428,7 @@ func TestFirstIntervalCost(t *testing.T) {
 	}
 	sel := selectorFor(graph.AttrOptions{}, nil)
 	for _, dg := range []*DeltaGraph{dg, reopened} {
-		if err := dg.rlockSealed(); err != nil {
+		if err := dg.rlockBuilt(); err != nil {
 			t.Fatal(err)
 		}
 		// Forward from the left leaf costs more the further a time is into the
@@ -485,7 +488,7 @@ func BenchmarkColdRead(b *testing.B) {
 		opts graph.AttrOptions
 	}{{"struct", graph.AttrOptions{}}, {"attrs", allAttrs}} {
 		b.Run(bc.name, func(b *testing.B) {
-			if _, err := dg.GetSnapshot(ts[0], bc.opts); err != nil { // builds the spine
+			if _, err := dg.GetSnapshot(ts[0], bc.opts); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()

@@ -10,19 +10,24 @@ import (
 
 	"historygraph/internal/graph"
 	"historygraph/internal/graphpool"
+	"historygraph/internal/kvstore"
 )
 
 // This file is retrieval. A snapshot, many snapshots, a node to materialize, an
 // aux snapshot and an interval are all answered the same way:
 //
 //   - A step is "apply this payload": a pinned graph or the current one to
-//     start from, a delta, or an eventlist (stored, or the in-memory recent
-//     one) applied or undone and clipped to (lo, hi]. leafSteps yields the
-//     steps between any two times along the leaf level, with their costs.
+//     start from, a pending node's patch, a delta, or an eventlist (stored, or
+//     the in-memory recent one) applied or undone and clipped to (lo, hi].
+//     leafSteps yields the steps between any two times along the leaf level,
+//     with their costs.
 //   - A plan is a tree of steps hanging off the null graph. A singlepoint
 //     query (Section 4.3) is the cheapest of "a graph that can be had whole on
 //     either side of t, then along the leaf level to t", over one run of
-//     Dijkstra; a multipoint query (Section 4.4) joins its timepoints to the
+//     Dijkstra; the index is held queryable while it grows (Section 6) by its
+//     pending nodes, each reached through its patch from the current graph or
+//     the null graph, and every permanent node below them through the stored
+//     deltas. A multipoint query (Section 4.4) joins its timepoints to the
 //     null graph and to their neighbours in time by a minimum spanning tree
 //     (the Steiner-tree 2-approximation); materialization has skeleton nodes
 //     for targets. Plans that share steps share them in the tree.
@@ -35,11 +40,18 @@ import (
 
 const bytesPerRecentEvent = 24 // planning estimate for in-memory events
 
+// bytesPerRecord is the planning estimate for a record set from memory that
+// a stored delta record would set, in the bytes that record is stored in:
+// the structure column of the benchmark's whole graph as one delta is 81.6 kB
+// for about 20 000 elements (patchStep).
+const bytesPerRecord = 4
+
 type stepKind uint8
 
 const (
 	fromPinned  stepKind = iota // start from the graph a materialized node pins
 	fromCurrent                 // start from the current graph
+	applyPatch                  // make a pending node's graph out of its base by its patch
 	applyDelta                  // a stored delta
 	applyList                   // a stored leaf-eventlist
 	applyRecent                 // the in-memory eventlist past the last leaf
@@ -52,6 +64,8 @@ type step struct {
 	// edge holds the payload: the materialization edge of fromPinned, the
 	// delta edge of applyDelta, the forward eventlist edge of applyList.
 	edge *skelEdge
+	// node is the pending node whose patch applyPatch applies.
+	node int
 	// An eventlist step applies the events in (lo, hi]; with back set it
 	// undoes them, newest first.
 	lo, hi graph.Time
@@ -158,9 +172,53 @@ func (dg *DeltaGraph) eventEdge(i int) *skelEdge {
 	return nil
 }
 
+// pendingNode returns the pending node with skeleton id node, nil if it is
+// not pending.
+func (dg *DeltaGraph) pendingNode(node int) *pendingChild {
+	for _, level := range dg.pending {
+		for i := range level {
+			if level[i].node == node {
+				return &level[i]
+			}
+		}
+	}
+	return nil
+}
+
+// patchStep is the step that makes pending node c's graph out of its base by
+// setting every element of its patch to its image. An image is weighed as the
+// stored record that would set the element, or, for a read that wants
+// attributes, which the image sets too, as an in-memory event. From the
+// current graph the step also pays for a copy of that graph, a record at a
+// time, since the graph it builds is not a dependent of it (Retrieve). An aux
+// query copies the node's aux snapshot instead, a record a pair.
+func (dg *DeltaGraph) patchStep(c *pendingChild, sel weightSelector) step {
+	attrs := sel.wantNodeAttr || sel.wantEdgeAttr
+	var cost int64
+	switch {
+	case !sel.wantStruct:
+		for _, comp := range sel.auxComponents {
+			cost += int64(len(c.aux[comp-int(kvstore.ComponentAuxBase)])) * bytesPerRecord
+		}
+	case attrs:
+		cost = int64(len(c.patch)) * bytesPerRecentEvent
+	default:
+		cost = int64(len(c.patch)) * bytesPerRecord
+	}
+	if !c.onNull && sel.wantStruct {
+		base := dg.cur.NumNodes() + dg.cur.NumEdges()
+		if attrs {
+			base = dg.curSize
+		}
+		cost += int64(base) * bytesPerRecord
+	}
+	return step{kind: applyPatch, node: c.node, cost: cost, records: len(c.patch)}
+}
+
 // planner finds routes from the null graph for one query, over one run of
-// Dijkstra from the super-root (made when the first route needs it: a query at
-// the head does not).
+// Dijkstra from the super-root and every pending node, each at the cost of
+// its patch step (made when the first route needs it: a query at the head does
+// not).
 type planner struct {
 	dg       *DeltaGraph
 	sel      weightSelector
@@ -171,22 +229,35 @@ type planner struct {
 // reach returns the cheapest route from the null graph to a skeleton node's
 // graph, nil if there is none.
 func (p *planner) reach(node int) (route, error) {
-	skel := p.dg.skel
+	dg, skel := p.dg, p.dg.skel
 	if p.dist == nil {
-		p.dist, p.prevEdge = skel.shortestPaths(skel.superRoot, p.sel)
+		var patches []dijkstraItem
+		for _, level := range dg.pending {
+			for i := range level {
+				patches = append(patches, dijkstraItem{level[i].node, dg.patchStep(&level[i], p.sel).cost})
+			}
+		}
+		p.dist, p.prevEdge = skel.shortestPaths(patches, p.sel)
 	}
 	if p.dist[node] == math.MaxInt64 {
 		return nil, nil
 	}
 	var r route
-	for at := node; p.prevEdge[at] != -1; {
+	at := node
+	for p.prevEdge[at] != -1 {
 		e := skel.edges[p.prevEdge[at]]
-		st, err := p.dg.hopStep(e, p.sel)
+		st, err := dg.hopStep(e, p.sel)
 		if err != nil {
 			return nil, err
 		}
 		r = append(r, st)
 		at = e.from
+	}
+	if c := dg.pendingNode(at); c != nil { // the route starts at a patch
+		r = append(r, dg.patchStep(c, p.sel))
+		if !c.onNull {
+			r = append(r, step{kind: fromCurrent})
+		}
 	}
 	slices.Reverse(r)
 	return r, nil
@@ -237,7 +308,7 @@ func (p *planner) routeTo(t graph.Time) (route, error) {
 		}
 	}
 	if best == nil {
-		return nil, fmt.Errorf("deltagraph: no route to time %d (index not sealed?)", t)
+		return nil, fmt.Errorf("deltagraph: no route to time %d", t)
 	}
 	return best, nil
 }
@@ -462,7 +533,17 @@ func (r *graphRun) apply(s *graph.Snapshot, st step) (*graph.Snapshot, error) {
 		}
 		return v.Snapshot(), nil
 	case fromCurrent:
+		if !r.spec.nodeAttr && !r.spec.edgeAttr {
+			return r.dg.cur.Structure(), nil // no value to copy that the call would drop
+		}
 		return r.dg.cur.Snapshot(), nil
+	case applyPatch:
+		for x, im := range r.dg.pendingNode(st.node).patch {
+			own := *im
+			own.attrs = maps.Clone(im.attrs) // s is the caller's to change
+			own.putIn(s, x)
+		}
+		return s, nil
 	case applyDelta:
 		parts, err := r.dg.fetchDelta(st.edge, r.spec)
 		applyParts(s, parts...)
@@ -528,7 +609,17 @@ func (r *graphRun) build(b *graphpool.Build, st step) (*graphpool.Build, error) 
 			return nil, err
 		}
 	}
-	if st.kind == applyDelta {
+	switch st.kind {
+	case applyPatch:
+		for x, im := range r.dg.pendingNode(st.node).patch {
+			if x.edge {
+				b.SetEdge(graph.EdgeID(x.id), im.info, im.present, im.attrs)
+			} else {
+				b.SetNode(graph.NodeID(x.id), im.present, im.attrs)
+			}
+		}
+		return b, nil
+	case applyDelta:
 		parts, err := r.dg.fetchDelta(st.edge, r.spec)
 		b.ApplyDelta(parts...)
 		return b, err
@@ -572,7 +663,7 @@ func (dg *DeltaGraph) GetSnapshot(t graph.Time, opts graph.AttrOptions) (*graph.
 // PlanCost returns the planner's estimated cost for a singlepoint query;
 // the experiment harness uses it to study weight distributions.
 func (dg *DeltaGraph) PlanCost(t graph.Time, opts graph.AttrOptions) (int64, error) {
-	if err := dg.rlockAt(t); err != nil {
+	if err := dg.rlockBuilt(); err != nil {
 		return 0, err
 	}
 	defer dg.mu.RUnlock()
@@ -587,7 +678,7 @@ func (dg *DeltaGraph) PlanCost(t graph.Time, opts graph.AttrOptions) (int64, err
 // those that do pay it share the part they have in common. Results are
 // returned in the order of ts.
 func (dg *DeltaGraph) GetSnapshots(ts []graph.Time, opts graph.AttrOptions) ([]*graph.Snapshot, error) {
-	if err := dg.rlockAt(ts...); err != nil {
+	if err := dg.rlockBuilt(); err != nil {
 		return nil, err
 	}
 	defer dg.mu.RUnlock()
@@ -629,7 +720,7 @@ func (dg *DeltaGraph) GetInterval(ts, te graph.Time, opts graph.AttrOptions) (*I
 	if te <= ts {
 		return nil, fmt.Errorf("deltagraph: empty interval [%d, %d)", ts, te)
 	}
-	if err := dg.rlockBuilt(); err != nil { // the stored eventlists, not the spine
+	if err := dg.rlockBuilt(); err != nil {
 		return nil, err
 	}
 	defer dg.mu.RUnlock()
@@ -724,7 +815,7 @@ func (dg *DeltaGraph) GetExpression(tex TimeExpression, opts graph.AttrOptions) 
 	if len(tex.Times) == 0 || tex.Expr == nil {
 		return nil, fmt.Errorf("deltagraph: empty TimeExpression")
 	}
-	if err := dg.rlockAt(tex.Times...); err != nil {
+	if err := dg.rlockBuilt(); err != nil {
 		return nil, err
 	}
 	snaps, err := dg.snapshotsLocked(tex.Times, opts)
@@ -803,11 +894,11 @@ func attrsSatisfying[ID comparable](snaps []*graph.Snapshot, expr TimeExpr,
 
 // Retrieve loads the snapshot at t into the GraphPool and returns its
 // graph ID. When the route starts at a materialized node (or the current
-// graph) and the applied records are a small fraction of the base size,
-// the snapshot is overlaid as a dependent graph — the paper's bit-pair
-// optimization.
+// graph, and takes no patch step) and the applied records are a small
+// fraction of the base size, the snapshot is overlaid as a dependent graph —
+// the paper's bit-pair optimization.
 func (dg *DeltaGraph) Retrieve(t graph.Time, opts graph.AttrOptions) (graphpool.GraphID, error) {
-	if err := dg.rlockAt(t); err != nil {
+	if err := dg.rlockBuilt(); err != nil {
 		return 0, err
 	}
 	// Held through the commit: a dependent of the current graph is registered
@@ -831,7 +922,9 @@ func (dg *DeltaGraph) Retrieve(t graph.Time, opts graph.AttrOptions) (graphpool.
 	r, baseSize := routes[0], 0
 	switch r[0].kind {
 	case fromCurrent:
-		baseSize = dg.curSize
+		if !slices.ContainsFunc(r, func(st step) bool { return st.kind == applyPatch }) {
+			baseSize = dg.curSize
+		}
 	case fromPinned:
 		if _, ok := dg.matGraphs[r[0].edge.to]; ok {
 			baseSize = dg.skel.nodes[r[0].edge.to].size
@@ -852,7 +945,7 @@ func (dg *DeltaGraph) RetrieveMany(ts []graph.Time, opts graph.AttrOptions) ([]g
 	if len(ts) == 0 {
 		return nil, nil
 	}
-	if err := dg.rlockAt(ts...); err != nil {
+	if err := dg.rlockBuilt(); err != nil {
 		return nil, err
 	}
 	defer dg.mu.RUnlock()

@@ -37,11 +37,10 @@ type skelNode struct {
 	level int // 0 = leaf, increasing upward; superRoot has the top level + 1
 	// at is the snapshot timepoint for leaves (the time of the last event
 	// the leaf includes); interior nodes keep the span covered.
-	at          graph.Time
-	spanEnd     graph.Time
-	size        int // element count of the node's graph at build time
-	children    []int
-	provisional bool
+	at       graph.Time
+	spanEnd  graph.Time
+	size     int // element count of the node's graph at build time
+	children []int
 	// Materialization state (Section 4.5): the graph is DeltaGraph.matGraphs'
 	// (none for the empty anchor leaf).
 	materialized bool
@@ -57,9 +56,6 @@ type skelEdge struct {
 	counts   int // total record/event count (plan statistics)
 	// evIndex is the eventlist ordinal for eventlist edges (-1 otherwise).
 	evIndex int
-	// provisional marks a spine edge: its payload is in the DeltaGraph's
-	// memory-resident spine store, not the index store.
-	provisional bool
 }
 
 type skeleton struct {
@@ -89,8 +85,8 @@ func (s *skeleton) addEdge(e *skelEdge) int {
 	return idx
 }
 
-// removeEdges drops the given edge indices (used when provisional spine
-// nodes are rebuilt). Indices must be valid; the edge slots are tombstoned.
+// removeEdge drops edge idx, a materialization edge (Unmaterialize). The
+// index must be valid; the edge slot is tombstoned.
 func (s *skeleton) removeEdge(idx int) {
 	e := s.edges[idx]
 	if e == nil {
@@ -206,17 +202,20 @@ func (p *dijkstraPQ) Pop() interface{} {
 	return item
 }
 
-// shortestPaths runs Dijkstra from src over the skeleton with the given
-// weights. It returns dist and predecessor-edge-index arrays.
-func (s *skeleton) shortestPaths(src int, w weightSelector) ([]int64, []int) {
+// shortestPaths runs Dijkstra over the skeleton with the given weights from
+// the super-root and from more sources, each at its distance. It returns dist
+// and predecessor-edge-index arrays; a source has none.
+func (s *skeleton) shortestPaths(sources []dijkstraItem, w weightSelector) ([]int64, []int) {
 	dist := make([]int64, len(s.nodes))
 	prev := make([]int, len(s.nodes))
 	for i := range dist {
 		dist[i] = math.MaxInt64
 		prev[i] = -1
 	}
-	dist[src] = 0
-	pq := dijkstraPQ{{node: src}}
+	pq := append(dijkstraPQ{{node: s.superRoot}}, sources...)
+	for _, src := range pq {
+		dist[src.node] = src.dist
+	}
 	heap.Init(&pq)
 	for pq.Len() > 0 {
 		item := heap.Pop(&pq).(dijkstraItem)

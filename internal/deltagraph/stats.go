@@ -5,9 +5,10 @@ package deltagraph
 type IndexStats struct {
 	// Leaves is the number of real leaves (excluding the empty anchor).
 	Leaves int
-	// InteriorNodes counts permanent + provisional interior nodes.
+	// InteriorNodes counts the interior nodes, pending ones included.
 	InteriorNodes int
-	// Height is the number of levels above the leaves (root inclusive).
+	// Height is the number of levels above the leaves: the level of the
+	// highest node, which is pending (Root).
 	Height int
 	// DeltaEdges and EventlistEdges count skeleton edges by kind.
 	DeltaEdges     int
@@ -19,20 +20,8 @@ type IndexStats struct {
 	// and the meta record, never the current graph) plus a tombstone for
 	// each payload record of the checkpoint before — nothing is reclaimed,
 	// so after n checkpoints the file carries n of them, of which the last
-	// is live. The provisional spine is not in it.
+	// is live.
 	DiskBytes int64
-	// SpineBytes is the memory-resident provisional spine's payload size
-	// (0 while SpineStale).
-	SpineBytes int64
-	// SpineStale: a leaf was cut and no read has asked for the spine since,
-	// so it is not built. The fields that count interior nodes and delta
-	// edges (InteriorNodes, Height, DeltaEdges, the ByLevel maps, RootSize)
-	// then cover the permanent index only. Stats seals before it counts, so
-	// only StatsUnsealed ever reports true.
-	SpineStale bool
-	// SpineSeals counts the times a read had the spine built since the index
-	// was created or opened: at most once per leaf cut (and once after Open).
-	SpineSeals int64
 	// CheckpointBytes is the last checkpoint's payloads plus meta record,
 	// encoded, before the store compresses them (0 until the index is
 	// checkpointed, or opened from a checkpoint). Since checkpoint layout 5
@@ -49,7 +38,7 @@ type IndexStats struct {
 	DeltaRecordsByLevel map[int]int
 	// EventlistBytes sums all leaf-eventlist payload sizes.
 	EventlistBytes int64
-	// RootSize is the element count of the root's graph (0 if no root).
+	// RootSize is the element count of Root's graph (0 if no root).
 	RootSize int
 	// RecentEvents is the size of the unflushed tail.
 	RecentEvents int
@@ -59,7 +48,8 @@ type IndexStats struct {
 	// of heap a map entry, and the image itself unless it is the shared absent
 	// one). A node's patch outgrows the node's own records by at most one leaf
 	// window (settleLocked). With the current graph in the pool alone it is
-	// what the index itself keeps in memory.
+	// what the index itself keeps in memory, and a read reaches a pending node
+	// by its patch.
 	PatchElements int
 	// PlanExecutions counts, since the index was created or opened, the
 	// graphs that snapshot queries built from a source (the null graph, a
@@ -71,21 +61,9 @@ type IndexStats struct {
 	PlanExecutions int64
 }
 
-// Stats computes current index statistics. They describe the whole index,
-// provisional spine included, so a stale spine is sealed first.
+// Stats computes current index statistics. It waits for the builder, so the
+// edges and bytes it counts are every leaf cut's.
 func (dg *DeltaGraph) Stats() IndexStats {
-	if dg.rlockSealed() != nil {
-		dg.mu.RLock() // the spine's store is memory and does not fail; report what there is
-	}
-	defer dg.mu.RUnlock()
-	return dg.statsLocked()
-}
-
-// StatsUnsealed is Stats for a caller that must not disturb what it
-// observes (a metrics scrape): a stale spine stays stale and is reported as
-// such. It waits for the builder, so the edges and bytes it counts are every
-// leaf cut's.
-func (dg *DeltaGraph) StatsUnsealed() IndexStats {
 	if dg.rlockBuilt() != nil {
 		dg.mu.RLock() // a put failed: report what there is
 	}
@@ -97,9 +75,6 @@ func (dg *DeltaGraph) statsLocked() IndexStats {
 	st := IndexStats{
 		Leaves:              len(dg.skel.leaves) - 1,
 		DiskBytes:           dg.store.SizeOnDisk(),
-		SpineBytes:          dg.spine.SizeOnDisk(),
-		SpineStale:          dg.spineStale,
-		SpineSeals:          dg.spineSeals,
 		CheckpointBytes:     dg.ckptBytes.Load(),
 		DeltaBytesByLevel:   make(map[int]int64),
 		DeltaRecordsByLevel: make(map[int]int),
@@ -111,19 +86,12 @@ func (dg *DeltaGraph) statsLocked() IndexStats {
 			st.PatchElements += len(c.patch)
 		}
 	}
-	height := 0
 	for _, n := range dg.skel.nodes {
-		if n == nil || n.level <= 0 || n.level == int(^uint32(0)>>1) {
-			continue
-		}
-		if n.level < 1<<20 { // exclude the super-root sentinel level
+		if n.level > 0 && n.id != dg.skel.superRoot {
 			st.InteriorNodes++
-			if n.level > height {
-				height = n.level
-			}
+			st.Height = max(st.Height, n.level)
 		}
 	}
-	st.Height = height
 	for _, e := range dg.skel.edges {
 		if e == nil {
 			continue
@@ -136,9 +104,6 @@ func (dg *DeltaGraph) statsLocked() IndexStats {
 				total += s
 			}
 			lvl := dg.skel.nodes[e.from].level
-			if lvl > 1<<20 {
-				lvl = height + 1 // super-root edge
-			}
 			st.DeltaBytesByLevel[lvl] += total
 			st.DeltaRecordsByLevel[lvl] += e.counts
 		case kindEventFwd:

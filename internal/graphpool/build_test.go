@@ -11,7 +11,7 @@ import (
 // takes out again before it is committed — a node with a value, an edge
 // with a value, a value given and taken back — leaves no record, value or
 // exception behind, whether the graph is explicit or a dependent of the
-// current graph, built from events, undone events or a delta. The pool then
+// current graph, built from events, undone events, a delta or images. The pool then
 // holds the elements it held before the build while the graph is held, and,
 // once the lists the build grew are grown, as many bytes.
 func TestBuildLeavesNothingBehind(t *testing.T) {
@@ -42,7 +42,7 @@ func TestBuildLeavesNothingBehind(t *testing.T) {
 	there.ApplyAll(passing[:4])
 	for pass := 0; pass < 2; pass++ {
 		for _, dependent := range []bool{false, true} {
-			for _, how := range []string{"events", "undone", "delta"} {
+			for _, how := range []string{"events", "undone", "delta", "images"} {
 				before, st := p.ApproxBytes(), p.Stats()
 				b, err := p.NewBuild(CurrentGraph, dependent, allAttrs)
 				if err != nil {
@@ -58,6 +58,15 @@ func TestBuildLeavesNothingBehind(t *testing.T) {
 					b.ApplyDelta(delta.FromSnapshot(there))
 					b.ApplyDelta(&delta.Delta{DelNodes: []graph.NodeID{9}, DelEdges: []delta.EdgeRec{{ID: 7, From: 9, To: 1}},
 						DelNodeAttrs: []delta.NodeAttrRec{{Node: 9, Attr: "a"}}, DelEdgeAttrs: []delta.EdgeAttrRec{{Edge: 7, From: 9, Attr: "w"}}})
+				case "images": // each element set to what another graph has, edge 1 between other nodes, then set back
+					b.SetNode(9, true, map[string]string{"a": "y"})
+					b.SetEdge(7, graph.EdgeInfo{From: 9, To: 1}, true, map[string]string{"w": "2"})
+					b.SetNode(1, true, map[string]string{"a": "z"})
+					b.SetEdge(1, graph.EdgeInfo{From: 2, To: 1}, true, nil)
+					b.SetEdge(1, graph.EdgeInfo{From: 1, To: 2}, true, nil)
+					b.SetNode(1, true, map[string]string{"a": "x"})
+					b.SetEdge(7, graph.EdgeInfo{}, false, nil)
+					b.SetNode(9, false, nil)
 				}
 				id := b.Commit(KindHistorical, 1)
 				v, _ := p.View(id)

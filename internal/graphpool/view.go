@@ -367,6 +367,25 @@ func (v *View) Snapshot() *graph.Snapshot {
 	return s
 }
 
+// Structure is Snapshot without the attribute values: a copy of this graph's
+// nodes and edges.
+func (v *View) Structure() *graph.Snapshot {
+	v.p.mu.RLock()
+	defer v.p.mu.RUnlock()
+	s := graph.NewSnapshot()
+	for id, pn := range v.p.nodes {
+		if v.has(pn.bits()) {
+			s.Nodes[id] = struct{}{}
+		}
+	}
+	for id, pe := range v.p.records {
+		if v.has(pe.bits()) {
+			s.Edges[id] = pe.info()
+		}
+	}
+	return s
+}
+
 // Bytes is what the pool holds for this graph, costed as ApproxBytes costs
 // it: the records of its nodes and edges and the attribute values it holds,
 // each whole though other graphs may share it.

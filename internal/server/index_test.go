@@ -179,7 +179,7 @@ func TestIndexGauges(t *testing.T) {
 	st := gm.IndexStats()
 	before := gauges()
 	for name, want := range map[string]int64{
-		"dg_index_disk_bytes": st.DiskBytes, "dg_index_spine_bytes": st.SpineBytes,
+		"dg_index_disk_bytes":       st.DiskBytes,
 		"dg_index_checkpoint_bytes": 0, "dg_index_leaves": int64(st.Leaves),
 		"dg_index_patch_elements": int64(st.PatchElements),
 	} {
@@ -187,7 +187,7 @@ func TestIndexGauges(t *testing.T) {
 			t.Errorf("%s = %v (present %v), want %d", name, got, ok, want)
 		}
 	}
-	if st.DiskBytes <= 0 || st.SpineBytes <= 0 || st.Leaves <= 0 || st.PatchElements <= 0 || st.RecentEvents <= 0 {
+	if st.DiskBytes <= 0 || st.Leaves <= 0 || st.PatchElements <= 0 || st.RecentEvents <= 0 {
 		t.Fatalf("index stats look empty: %+v", st)
 	}
 	if err := gm.Checkpoint(); err != nil {
@@ -202,15 +202,12 @@ func TestIndexGauges(t *testing.T) {
 	if disk := after["dg_index_disk_bytes"]; ckpt <= 0 || disk <= before["dg_index_disk_bytes"] || disk != float64(info.Size()) {
 		t.Errorf("after a checkpoint: checkpoint %v B, disk %v -> %v B, file %d B", ckpt, before["dg_index_disk_bytes"], disk, info.Size())
 	}
-	if after["dg_index_spine_bytes"] != before["dg_index_spine_bytes"] {
-		t.Errorf("a checkpoint moved the spine: %v -> %v B", before["dg_index_spine_bytes"], after["dg_index_spine_bytes"])
-	}
 	stats, err := client.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if float64(stats.Index.CheckpointBytes) != ckpt || stats.Index.SpineBytes != st.SpineBytes {
-		t.Errorf("/stats index = %+v, /metrics checkpoint %v spine %d", stats.Index, ckpt, st.SpineBytes)
+	if float64(stats.Index.CheckpointBytes) != ckpt {
+		t.Errorf("/stats index = %+v, /metrics checkpoint %v", stats.Index, ckpt)
 	}
 }
 
@@ -247,11 +244,10 @@ func TestDuplicateAddServed(t *testing.T) {
 	}
 }
 
-// TestSealMetrics follows the builder's two stalls on /metrics and /stats:
-// every leaf cut is observed, a scrape and a head read leave a stale spine
-// alone (dg_index_spine_bytes reads 0), and the first historical read after
-// the cuts seals it once.
-func TestSealMetrics(t *testing.T) {
+// TestLeafCutMetrics follows the builder's stall on /metrics and /stats:
+// every leaf cut is observed, and reads, at the head or in the past, leave
+// the index as they found it.
+func TestLeafCutMetrics(t *testing.T) {
 	gm, err := historygraph.Open(historygraph.Options{LeafEventlistSize: 64, CleanerInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -263,34 +259,27 @@ func TestSealMetrics(t *testing.T) {
 	if _, err := client.Append(events); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Snapshot(gm.LastTime(), "", false); err != nil { // a head read
-		t.Fatal(err)
+	before := scrape()
+	cuts := before["dg_index_leaf_cut_seconds_count"]
+	if cuts < 10 || cuts != before["dg_index_leaves"] {
+		t.Fatalf("%v leaf cuts observed over %v leaves", cuts, before["dg_index_leaves"])
 	}
-	m := scrape()
-	cuts := m["dg_index_leaf_cut_seconds_count"]
-	if cuts < 10 || cuts != m["dg_index_leaves"] {
-		t.Fatalf("%v leaf cuts observed over %v leaves", cuts, m["dg_index_leaves"])
-	}
-	if m["dg_index_spine_seals_total"] != 0 || m["dg_index_spine_bytes"] != 0 {
-		t.Fatalf("an ingest, a head read and a scrape built the spine: %v seals, %v B", m["dg_index_spine_seals_total"], m["dg_index_spine_bytes"])
-	}
-	if st := gm.IndexStatsUnsealed(); !st.SpineStale || st.SpineSeals != 0 {
-		t.Fatalf("unsealed stats %+v", st)
-	}
-	for i := 1; i <= 3; i++ { // historical reads: the first one seals
+	for i := 1; i <= 4; i++ { // three historical reads and one at the head
 		if _, err := client.Snapshot(gm.LastTime()*historygraph.Time(i)/4, "", false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	m = scrape()
-	if m["dg_index_spine_seals_total"] != 1 || m["dg_index_spine_bytes"] <= 0 {
-		t.Errorf("after historical reads: %v seals, spine %v B", m["dg_index_spine_seals_total"], m["dg_index_spine_bytes"])
+	after := scrape()
+	for _, name := range []string{"dg_index_disk_bytes", "dg_index_leaves", "dg_index_patch_elements", "dg_index_leaf_cut_seconds_count"} {
+		if after[name] != before[name] {
+			t.Errorf("reads moved %s: %v -> %v", name, before[name], after[name])
+		}
 	}
 	stats, err := client.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Index.SpineSeals != 1 || stats.Index.SpineStale || float64(stats.Index.SpineBytes) != m["dg_index_spine_bytes"] {
-		t.Errorf("/stats index %+v against %v spine bytes on /metrics", stats.Index, m["dg_index_spine_bytes"])
+	if float64(stats.Index.Leaves) != after["dg_index_leaves"] || float64(stats.Index.PatchElements) != after["dg_index_patch_elements"] {
+		t.Errorf("/stats index %+v against %v leaves and %v patch elements on /metrics", stats.Index, after["dg_index_leaves"], after["dg_index_patch_elements"])
 	}
 }

@@ -83,12 +83,11 @@ type Server struct {
 	ins        *Instrumentation
 	retrievals *metrics.Counter   // underlying GetHistGraph executions
 	leafCuts   *metrics.Histogram // write-lock hold time of index leaf cuts
-	spineSeals *metrics.Counter   // provisional-spine builds forced by reads
 }
 
 // observeIndex points gm's builder callbacks at this server's metrics.
 func (s *Server) observeIndex(gm *historygraph.GraphManager) {
-	gm.ObserveIndex(func(d time.Duration) { s.leafCuts.Observe(d.Seconds()) }, s.spineSeals.Inc)
+	gm.ObserveIndex(func(d time.Duration) { s.leafCuts.Observe(d.Seconds()) })
 }
 
 // serverEndpoints is the endpoint-label whitelist for request metrics;
@@ -130,19 +129,15 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 		"PageRank partition supersteps executed.")
 	s.leafCuts = reg.Histogram("dg_index_leaf_cut_seconds",
 		"Time a leaf cut held the index write lock: flushing the eventlist and building the parents it completes.", nil)
-	s.spineSeals = reg.Counter("dg_index_spine_seals_total",
-		"Times a read had the provisional spine built after a leaf cut dropped it.")
 	s.observeIndex(gm)
 	// Index gauges read the manager at scrape time, so they follow a
-	// manager swapped in by a re-seed; a scrape never seals the spine.
+	// manager swapped in by a re-seed.
 	for _, g := range []struct {
 		name, help string
 		of         func(historygraph.IndexStats) int64
 	}{
 		{"dg_index_disk_bytes", "Index store file size: permanent delta and eventlist payloads plus every checkpoint taken so far (the file is a log; only the last one is live).",
 			func(st historygraph.IndexStats) int64 { return st.DiskBytes }},
-		{"dg_index_spine_bytes", "Memory-resident provisional spine payloads (never written to the store); 0 from a leaf cut to the next historical read.",
-			func(st historygraph.IndexStats) int64 { return st.SpineBytes }},
 		{"dg_index_checkpoint_bytes", "Payload and meta bytes of the last index checkpoint, encoded, before the store compresses them (0 before the first).",
 			func(st historygraph.IndexStats) int64 { return st.CheckpointBytes }},
 		{"dg_index_leaves", "Leaf-eventlists cut so far.",
@@ -150,7 +145,7 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 		{"dg_index_patch_elements", "Element images the pending index nodes hold in memory, where they differ from the current graph or, for a node far from it, all they contain (50 to 58 B an entry and the image): the index's own resident state, the current graph being the GraphPool's.",
 			func(st historygraph.IndexStats) int64 { return int64(st.PatchElements) }},
 	} {
-		reg.GaugeFunc(g.name, g.help, func() float64 { return float64(g.of(s.gm.Load().IndexStatsUnsealed())) })
+		reg.GaugeFunc(g.name, g.help, func() float64 { return float64(g.of(s.gm.Load().IndexStats())) })
 	}
 	// Pool gauges read the same way. dg_pool_bytes is the pool cleaner's
 	// sample, at most one cleaner interval old: the estimate walks every
