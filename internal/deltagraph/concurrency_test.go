@@ -576,9 +576,8 @@ func (s *failingStore) Put(key, val []byte) error {
 }
 
 // TestBuilderPutErrorIsKept: a put the builder fails is not lost with the
-// goroutine that met it. The next append, read, Checkpoint and Close return
-// it, and so does a read at the head while the spine waits for the lost
-// payload.
+// goroutine that met it. The next append, read (at the head too), Checkpoint
+// and Close return it.
 func TestBuilderPutErrorIsKept(t *testing.T) {
 	events := makeTrace(36, 1000)
 	store := &failingStore{Store: kvstore.NewMemStore()}

@@ -233,9 +233,9 @@ func (dg *DeltaGraph) attrCur(x elem, name string) (string, bool) {
 // returns it: for a node on the null graph base is the null graph, for one on
 // the current graph a copy of that whose four outer maps are the caller's (and
 // cost as much as the graph has elements). The result is read-only: attribute
-// maps alias the patch's, and base's may alias the caller's. It is for the
-// seal (the root's whole graph is the top delta) and for Checkpoint, which
-// compares every pending node with its first leaf whole. Given the null graph
+// maps alias the patch's, and base's may alias the caller's. It is for
+// Checkpoint, which compares every pending node with its first leaf whole; a
+// read applies the patch step without it (retrieve.go). Given the null graph
 // for a node on the current one, it returns c's graph cut down to the
 // elements of its patch.
 func graphOf(c pendingChild, base *graph.Snapshot) *graph.Snapshot {
