@@ -219,12 +219,13 @@ type auxRun struct {
 func (r auxRun) apply(aux AuxSnapshot, st step) (AuxSnapshot, error) {
 	evs := r.dg.auxRecent[r.idx] // applyRecent's events; applyList decodes its own
 	switch st.kind {
-	case fromPinned: // the empty anchor leaf: the planner was told to skip the others
+	case fromPinned: // a pending node, which holds its aux snapshots whole, or the empty anchor leaf
+		if c := r.dg.pendingNode(st.node); c != nil {
+			return c.aux[r.idx].clone(), nil
+		}
 		return AuxSnapshot{}, nil
 	case fromCurrent:
 		return r.dg.auxCur[r.idx].clone(), nil
-	case applyPatch: // a pending node holds its aux snapshots whole
-		return r.dg.pendingNode(st.node).aux[r.idx].clone(), nil
 	case applyDelta, applyList:
 		buf, err := r.col(st.edge)
 		if err != nil || buf == nil {

@@ -2,6 +2,7 @@ package deltagraph
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -13,42 +14,37 @@ import (
 	"historygraph/internal/kvstore"
 )
 
-// rebaseEveryNode moves every pending node of dg, leaves included, to the
-// null graph, whatever the rule says of it, and returns how many it moved.
-func rebaseEveryNode(dg *DeltaGraph) (moved int) {
-	dg.mu.Lock()
-	defer dg.mu.Unlock()
-	for _, level := range dg.pending {
-		for i := range level {
-			if !level[i].onNull {
-				moved++
-			}
-			dg.rebaseLocked(&level[i])
-		}
-	}
-	return moved
-}
-
-// appendRebasing appends events to both indexes one at a time, and after every
-// leaf cut calls onCut (if any) and then moves every pending node of forced to
-// the null graph.
-func appendRebasing(t *testing.T, built, forced *DeltaGraph, events graph.EventList, onCut func()) {
+// appendReopening appends events to both indexes one at a time, and after
+// every leaf cut checkpoints *reopened and opens it again, so that every
+// pending node of it is one Open committed from what the checkpoint stored.
+func appendReopening(t *testing.T, built *DeltaGraph, reopened **DeltaGraph, events graph.EventList) {
 	t.Helper()
-	leaves := len(forced.skel.leaves)
+	leaves := len((*reopened).skel.leaves)
 	for _, ev := range events {
-		for _, dg := range []*DeltaGraph{built, forced} {
+		for _, dg := range []*DeltaGraph{built, *reopened} {
 			if err := dg.Append(ev); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if n := len(forced.skel.leaves); n != leaves {
+		if n := len((*reopened).skel.leaves); n != leaves {
 			leaves = n
-			if onCut != nil {
-				onCut()
-			}
-			rebaseEveryNode(forced)
+			reopen(t, reopened)
 		}
 	}
+}
+
+// reopen checkpoints *dg and replaces it with the index Open makes of its
+// store.
+func reopen(t *testing.T, dg **DeltaGraph) {
+	t.Helper()
+	if err := (*dg).Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(Options{Store: (*dg).Store(), AuxIndexes: (*dg).auxes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	*dg = re
 }
 
 // sameIndexBytes: the two indexes hold the same permanent payloads and the
@@ -85,11 +81,7 @@ func pendingGraphs(dg *DeltaGraph) ([]*graph.Snapshot, [][]AuxSnapshot) {
 	var aux [][]AuxSnapshot
 	for level := len(dg.pending) - 1; level >= 0; level-- {
 		for _, c := range dg.pending[level] {
-			base := graph.NewSnapshot()
-			if !c.onNull {
-				base = dg.cur.Snapshot()
-			}
-			graphs, aux = append(graphs, graphOf(c, base)), append(aux, c.aux)
+			graphs, aux = append(graphs, c.graph.Snapshot()), append(aux, c.aux)
 		}
 	}
 	return graphs, aux
@@ -106,14 +98,14 @@ func leafAndMidTimes(dg *DeltaGraph) []graph.Time {
 	return ts
 }
 
-// TestPendingBaseIsInvisible: which base a pending node is held on shows in no
-// stored byte and in no answer. Two indexes take the same events; one is as
-// the builder makes it, in the other every pending node is moved to the null
-// graph after every leaf cut, the leaves among them, which the rule would
-// never move. The permanent payloads stay byte-equal, the pending graphs
-// equal, every past time reads as naive replay has it on both, and the two
-// checkpoints, which do differ (a node held from the null graph is stored from
-// it), reopen into indexes that go on writing the same bytes.
+// TestPendingBaseIsInvisible: which base a checkpoint stores a pending node
+// from, its first leaf or the null graph, shows in no stored byte and in no
+// answer. Two indexes take the same events; one is as the builder makes it,
+// the other is checkpointed and opened again after every leaf cut, so that
+// each of its pending nodes is a graph Open rebuilt from its base. The
+// permanent payloads stay byte-equal, the pending graphs equal, every past
+// time reads as naive replay has it on both, and both, checkpointed and
+// reopened once more, go on writing the same bytes.
 func TestPendingBaseIsInvisible(t *testing.T) {
 	events := datagen.MessyTrace(30, 1400)
 	const leaf = 24
@@ -125,7 +117,7 @@ func TestPendingBaseIsInvisible(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var pair [2]*DeltaGraph // as built, forced
+				var pair [2]*DeltaGraph // as built, reopened at every cut
 				for i := range pair {
 					if pair[i], err = New(Options{LeafSize: leaf, Arity: arity, Function: f, AuxIndexes: []AuxIndex{degreeAux{}}}); err != nil {
 						t.Fatal(err)
@@ -152,22 +144,14 @@ func TestPendingBaseIsInvisible(t *testing.T) {
 				}
 				for lo := 0; lo < split; lo += 150 {
 					hi := min(lo+150, split)
-					appendRebasing(t, pair[0], pair[1], events[lo:hi], nil)
+					appendReopening(t, pair[0], &pair[1], events[lo:hi])
 					check(fmt.Sprintf("after %d events", hi), hi)
 				}
-				if rebaseEveryNode(pair[1]) != 0 {
-					t.Fatal("a pending node of the forced index was left on the current graph")
-				}
-				for i, dg := range pair {
-					if err := dg.Checkpoint(); err != nil {
-						t.Fatal(err)
-					}
-					if pair[i], err = Open(Options{Store: dg.Store(), AuxIndexes: []AuxIndex{degreeAux{}}}); err != nil {
-						t.Fatal(err)
-					}
+				for i := range pair {
+					reopen(t, &pair[i])
 				}
 				before := pair[0].Stats().Leaves
-				appendRebasing(t, pair[0], pair[1], events[split:], nil)
+				appendReopening(t, pair[0], &pair[1], events[split:])
 				if got := pair[0].Stats().Leaves - before; got < 2 {
 					t.Fatalf("only %d leaves cut after the reopen", got)
 				}
@@ -189,29 +173,34 @@ func orphanTrace(seed int64, n int) graph.EventList {
 	var events graph.EventList
 	for len(events) < n {
 		ev := graph.Event{At: graph.Time(len(events) + 1)}
-		x := nodeElem(graph.NodeID(1 + rng.Intn(nodes+never)))
-		if rng.Intn(2) == 0 {
-			x = edgeElem(graph.EdgeID(1 + rng.Intn(edges+never)))
+		edge := rng.Intn(2) == 0
+		id := int64(1 + rng.Intn(nodes+never))
+		_, present := s.Nodes[graph.NodeID(id)]
+		attrs := s.NodeAttrs[graph.NodeID(id)]
+		var info graph.EdgeInfo
+		if edge {
+			id = int64(1 + rng.Intn(edges+never))
+			info, present = s.Edges[graph.EdgeID(id)]
+			attrs = s.EdgeAttrs[graph.EdgeID(id)]
 		}
-		im := imageIn(s, x)
-		addable := !im.present && len(im.attrs) == 0 && (x.edge && x.id <= edges || !x.edge && x.id <= nodes)
+		addable := !present && len(attrs) == 0 && (edge && id <= edges || !edge && id <= nodes)
 		switch k := rng.Intn(8); {
 		case k < 2 && addable:
-			ev.Type, ev.Node = graph.AddNode, graph.NodeID(x.id)
-			if x.edge {
-				ev.Type, ev.Edge, ev.Node, ev.Node2 = graph.AddEdge, graph.EdgeID(x.id), graph.NodeID(x.id%nodes+1), graph.NodeID(x.id*7%nodes+1)
+			ev.Type, ev.Node = graph.AddNode, graph.NodeID(id)
+			if edge {
+				ev.Type, ev.Edge, ev.Node, ev.Node2 = graph.AddEdge, graph.EdgeID(id), graph.NodeID(id%nodes+1), graph.NodeID(id*7%nodes+1)
 			}
-		case k < 4 && im.present && len(im.attrs) == 0:
-			ev.Type, ev.Node = graph.DelNode, graph.NodeID(x.id)
-			if x.edge {
-				ev.Type, ev.Edge, ev.Node, ev.Node2 = graph.DelEdge, graph.EdgeID(x.id), im.info.From, im.info.To
+		case k < 4 && present && len(attrs) == 0:
+			ev.Type, ev.Node = graph.DelNode, graph.NodeID(id)
+			if edge {
+				ev.Type, ev.Edge, ev.Node, ev.Node2 = graph.DelEdge, graph.EdgeID(id), info.From, info.To
 			}
 		default: // an attribute set, changed or removed, whether the element is there or not
-			ev.Type, ev.Node, ev.Attr = graph.SetNodeAttr, graph.NodeID(x.id), []string{"a", "b"}[rng.Intn(2)]
-			if x.edge {
-				ev.Type, ev.Edge, ev.Node = graph.SetEdgeAttr, graph.EdgeID(x.id), 0
+			ev.Type, ev.Node, ev.Attr = graph.SetNodeAttr, graph.NodeID(id), []string{"a", "b"}[rng.Intn(2)]
+			if edge {
+				ev.Type, ev.Edge, ev.Node = graph.SetEdgeAttr, graph.EdgeID(id), 0
 			}
-			if ev.Old, ev.HadOld = im.attrs[ev.Attr]; !ev.HadOld || rng.Intn(3) != 0 {
+			if ev.Old, ev.HadOld = attrs[ev.Attr]; !ev.HadOld || rng.Intn(3) != 0 {
 				ev.New, ev.HasNew = []string{"x", "y", "z"}[rng.Intn(3)], true
 			}
 		}
@@ -221,64 +210,78 @@ func orphanTrace(seed int64, n int) graph.EventList {
 	return events
 }
 
-// TestFarNodeKeepsAttributesOfAbsentElements: "every element the current graph
-// holds anything of" counts the ids that hold attribute values and are not in
-// the graph, which ForEachNode and ForEachEdge pass over. A node moved to the
-// null graph takes such an id's values from the current graph when its patch
-// does not name the id, and a parent over a node on the null graph is
-// evaluated there even when no child names it. With either walk over members
-// only, the forced index below writes other bytes than the one as built and
-// both answer wrongly at leaf times.
+// TestFarNodeKeepsAttributesOfAbsentElements: "every element a graph holds
+// anything of" counts the ids that hold attribute values and are not in the
+// graph, which ForEachNode and ForEachEdge pass over. A pending leaf copied
+// from the current graph keeps such an id's values, a parent is evaluated on
+// an id whose values alone differ between a child and the current graph (one
+// no edge record is left for, too), and a function that is not element-wise
+// is evaluated on every such id the current graph holds. With any of these
+// over members only, the index writes other bytes than whole-graph
+// construction does (refBuilder), and answers wrongly at leaf times.
 func TestFarNodeKeepsAttributesOfAbsentElements(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		events := orphanTrace(seed, 700)
-		var pair [2]*DeltaGraph // as built, forced
-		for i := range pair {
-			var err error
-			if pair[i], err = New(Options{LeafSize: 8, Arity: 2}); err != nil {
+	for _, fn := range []string{"intersection", "empty"} {
+		for seed := int64(1); seed <= 3; seed++ {
+			f, err := delta.ByName(fn)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		byRule, taken := 0, 0
-		// At a leaf cut: what the forced move is about to read out of the
-		// current graph (ids not in it, with values no patch names), and the
-		// nodes the rule has moved in the index as built, counted at every
-		// cut they live through.
-		onCut := func() {
-			cur := pair[1].CurrentSnapshot()
-			for _, level := range pair[1].pending {
-				for _, c := range level {
-					eachElem(cur, func(x elem) {
-						if _, named := c.patch[x]; !named && !c.onNull && !imageIn(cur, x).present {
-							taken++
+			events := orphanTrace(seed, 700)
+			opts := Options{LeafSize: 8, Arity: 2, Function: f}
+			dg, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefBuilder(t, opts)
+			// held counts, at every check, the values the pending graphs give
+			// ids they do not contain where the current graph gives others, and
+			// orphans the values the current graph gives ids it does not contain.
+			held, orphans := 0, 0
+			for lo := 0; lo < len(events); lo += 50 {
+				hi := lo + 50
+				if err := dg.AppendAll(events[lo:hi]); err != nil {
+					t.Fatal(err)
+				}
+				ref.appendAll(t, canonical(events[:hi])[len(canonical(events[:lo])):])
+				ref.compare(t, dg)
+				graphs, _ := pendingGraphs(dg)
+				cur := dg.CurrentSnapshot()
+				for n := range cur.NodeAttrs {
+					if _, in := cur.Nodes[n]; !in {
+						orphans++
+					}
+				}
+				for e := range cur.EdgeAttrs {
+					if _, in := cur.Edges[e]; !in {
+						orphans++
+					}
+				}
+				for _, g := range graphs {
+					for n, attrs := range g.NodeAttrs {
+						if _, in := g.Nodes[n]; !in && !maps.Equal(attrs, cur.NodeAttrs[n]) {
+							held++
 						}
-					})
-				}
-			}
-			for _, level := range pair[0].pending {
-				for _, c := range level {
-					if c.onNull {
-						byRule++
+					}
+					for e, attrs := range g.EdgeAttrs {
+						if _, in := g.Edges[e]; !in && !maps.Equal(attrs, cur.EdgeAttrs[e]) {
+							held++
+						}
 					}
 				}
-			}
-		}
-		for lo := 0; lo < len(events); lo += 50 {
-			appendRebasing(t, pair[0], pair[1], events[lo:lo+50], onCut)
-			hi := lo + 50
-			sameIndexBytes(t, fmt.Sprintf("seed %d, after %d events", seed, hi), pair[0], pair[1])
-			for _, q := range pair[0].LeafTimes() {
-				want := graph.SnapshotAt(events[:hi], q)
-				for i, dg := range pair {
+				for _, q := range dg.LeafTimes() {
+					want := graph.SnapshotAt(events[:hi], q)
 					if got, err := dg.GetSnapshot(q, allAttrs); err != nil || !got.Equal(want) {
-						t.Fatalf("seed %d, after %d events: index %d at leaf time %d has node attrs %v, edge attrs %v; replay has %v, %v (%v)",
-							seed, hi, i, q, got.NodeAttrs, got.EdgeAttrs, want.NodeAttrs, want.EdgeAttrs, err)
+						t.Fatalf("%s, seed %d, after %d events: at leaf time %d node attrs %v, edge attrs %v; replay has %v, %v (%v)",
+							fn, seed, hi, q, got.NodeAttrs, got.EdgeAttrs, want.NodeAttrs, want.EdgeAttrs, err)
 					}
 				}
 			}
-		}
-		if byRule == 0 || taken < 50 {
-			t.Fatalf("seed %d: the rule held a node from the null graph at %d cuts, and the forced moves read %d absent elements' values out of the current graph: the trace does not cover what it is for", seed, byRule, taken)
+			// What each case is for: the walk over the differing elements must
+			// find the first, the walk over the current graph the second.
+			if covered := map[bool]int{true: held, false: orphans}[f.Elementwise()]; covered < 50 {
+				t.Fatalf("%s, seed %d: the pending graphs gave ids they do not contain values the current graph does not %d times, and the current graph gave values to ids it does not contain %d times: the trace does not cover what it is for",
+					fn, seed, held, orphans)
+			}
 		}
 	}
 }

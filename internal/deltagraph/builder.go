@@ -7,28 +7,31 @@ import (
 
 	"historygraph/internal/delta"
 	"historygraph/internal/graph"
+	"historygraph/internal/graphpool"
 	"historygraph/internal/kvstore"
 )
 
 // This file contains the index-construction machinery: leaf cuts and interior
 // node creation (Section 4.6's single-pass bottom-up bulkload). Between full
-// arity-k groups the index is kept queryable by its pending nodes, which a
-// read reaches through their patches (retrieve.go).
+// arity-k groups the index is kept queryable by its pending nodes, each an
+// explicit graph in the pool (Section 6) that a read starts from as it starts
+// from a materialized node (retrieve.go).
 //
-// Construction costs what changed, not what exists. A pending node holds
-// its graph as a patch against the current graph (patch.go), and a parent
-// is evaluated over the elements its children hold images of: everywhere
-// else the children equal the current graph, hence each other, hence — the
-// differential function being element-wise and idempotent — the parent, and
-// no delta between them has a record there. Running Combine and Compute on
-// the children cut down to those elements therefore writes the very bytes
-// the whole graphs would. A parent is evaluated over everything the current
-// graph holds as well in two cases: the function is not element-wise (Empty),
-// or a child is held from the null graph, whose patch names what it contains
-// and is silent where it lacks what the current graph has. The second is the
-// same set of differing elements the child spelled out as absent images while
-// it stood on the current graph, so the bytes are the same; it happens when a
-// high level fills.
+// Construction costs what changed, not what exists. A parent is evaluated over
+// the elements on which some child's bits differ from the current graph's
+// (graphpool.Pool.ForEachDiffering): everywhere else the children equal the
+// current graph, hence each other, hence — the differential function being
+// element-wise and idempotent — the parent, and no delta between them has a
+// record there. Running Combine and Compute on the children cut down to those
+// elements therefore writes the very bytes the whole graphs would. A function
+// that is not element-wise (Empty) is evaluated over everything the current
+// graph holds as well.
+//
+// A cut holds no more bits at any moment than it does after it: a leaf that
+// completes a group is read from the current graph and never gets a bit of
+// its own, and the children of a parent are released before the parent takes
+// one. Appends never touch a pending node: an explicit graph's bit does not
+// follow bit 0.
 
 // cutLeafLocked turns the recent eventlist into a new leaf: it creates the
 // leaf skeleton node, queues the leaf-eventlist for the builder to store on
@@ -67,14 +70,18 @@ func (dg *DeltaGraph) cutLeafLocked() error {
 		}, nil
 	})
 
-	// The leaf is the current graph: an empty patch retains it for parent
-	// construction.
+	// The leaf is the current graph. It is copied onto a bit of its own only
+	// if it has to wait for siblings; one that completes a group is read where
+	// it is.
 	auxCopies := make([]AuxSnapshot, len(dg.auxCur))
 	for i, a := range dg.auxCur {
 		auxCopies[i] = a.clone()
 	}
-	dg.settlePendingLocked()
-	dg.pending[0] = append(dg.pending[0], pendingChild{node: leaf, size: dg.curSize, patch: make(patch), aux: auxCopies})
+	c := pendingChild{node: leaf, size: dg.curSize, graph: dg.cur, aux: auxCopies}
+	if len(dg.pending[0])+1 < dg.opts.Arity {
+		c.graph = dg.commitLocked(graphpool.CurrentGraph, nil)
+	}
+	dg.pending[0] = append(dg.pending[0], c)
 	dg.recent = newRecentList(dg.opts.LeafSize)
 	dg.auxRecent = make([][]AuxEvent, len(dg.auxes))
 	dg.pool.ClearRecent() // deleted elements are in the queued eventlist, which reads wait for
@@ -82,10 +89,28 @@ func (dg *DeltaGraph) cutLeafLocked() error {
 	return nil
 }
 
+// commitLocked enters a pending node's graph into the pool: the graph from
+// (the current graph, or with graphpool.NoDependency the null graph) copied
+// onto a bit of its own, with the elements set fills in set to their images
+// there. It returns the graph's view.
+func (dg *DeltaGraph) commitLocked(from graphpool.GraphID, set func(*graphpool.Build)) *graphpool.View {
+	b, err := dg.pool.NewBuild(from, false, allAttrOptions)
+	if err != nil {
+		panic(err) // from is the current graph or the null graph, which are always there
+	}
+	if set != nil {
+		set(b)
+	}
+	v, err := dg.pool.View(b.Commit(graphpool.KindMaterialized, 0))
+	if err != nil {
+		panic(err) // just committed
+	}
+	return v
+}
+
 // promoteLocked creates a permanent parent whenever a level has a full
 // arity-k group, recursively upward. The group is deleted from its level, not
-// sliced off it: a slice cut down to nothing still points at its array, and
-// the children's patches would stay on the heap until the level next fills.
+// sliced off it: a slice cut down to nothing still points at its array.
 func (dg *DeltaGraph) promoteLocked(level int) {
 	for len(dg.pending) <= level+1 {
 		dg.pending = append(dg.pending, nil)
@@ -104,53 +129,56 @@ func (dg *DeltaGraph) promoteLocked(level int) {
 
 // makeParentLocked builds one interior node: parent graph = f(children),
 // with one delta edge to each child (Section 4.2), both evaluated over the
-// elements some child holds an image of — and over everything the current
-// graph holds beside, when that is not every element a child may differ on.
+// elements on which some child differs from the current graph — or over
+// everything the current graph holds beside, for a function that is not
+// element-wise. The children are released once read, unless a
+// materialization pins them, and their bits reclaimed before the parent takes
+// one: what only they held leaves the pool then, not whenever a cleaner runs.
 func (dg *DeltaGraph) makeParentLocked(level int, group []pendingChild) pendingChild {
-	// The parent's patch starts as the set of elements to evaluate and is
-	// filled in below.
-	parent := pendingChild{patch: make(patch, len(group[0].patch))}
-	// The function may disagree with children that all agree; a child on the
-	// null graph names what it holds, not where it differs.
-	everything := !dg.opts.Function.Elementwise()
-	for _, c := range group {
-		for x := range c.patch {
-			parent.patch[x] = nil
-		}
-		everything = everything || c.onNull
+	nodes, edges := make(map[graph.NodeID]struct{}), make(map[graph.EdgeID]struct{})
+	addNode := func(n graph.NodeID) { nodes[n] = struct{}{} }
+	addEdge := func(e graph.EdgeID) { edges[e] = struct{}{} }
+	ids := make([]graphpool.GraphID, len(group))
+	for i, c := range group {
+		ids[i] = c.graph.ID()
 	}
-	if everything {
-		dg.eachCur(func(x elem) { parent.patch[x] = nil })
+	dg.pool.ForEachDiffering(ids, addNode, addEdge)
+	if !dg.opts.Function.Elementwise() { // it may disagree with children that all agree
+		dg.cur.ForEachHeld(addNode, addEdge)
 	}
-	// The children cut down to those elements: small read-only graphs
-	// (attribute maps are aliased) the function and delta.Compute run on as
-	// they would on the whole ones. A child that holds no image of an element
-	// equals its base there.
+	// The children cut down to those elements: small graphs the function and
+	// delta.Compute run on as they would on the whole ones.
 	snaps := make([]*graph.Snapshot, len(group))
-	for i := range snaps {
-		snaps[i] = graph.NewSnapshot()
-	}
-	for x := range parent.patch {
-		var now image // the current graph's, read for the first child that stands on it
-		read := false
-		for i, c := range group {
-			im := c.patch[x] // a pending node's patch holds no nil image
-			if im == nil && c.onNull {
-				im = absent
-			} else if im == nil {
-				if !read {
-					now, read = dg.imageCur(x), true
-				}
-				im = &now
-			}
-			im.putIn(snaps[i], x)
+	for i, c := range group {
+		s := graph.NewSnapshot()
+		for n := range nodes {
+			present, attrs := c.graph.NodeImage(n)
+			setImage(s.Nodes, s.NodeAttrs, n, struct{}{}, present, attrs)
 		}
+		for e := range edges {
+			info, present, attrs := c.graph.EdgeImage(e)
+			setImage(s.Edges, s.EdgeAttrs, e, info, present, attrs)
+		}
+		snaps[i] = s
 	}
 	parentSnap := dg.opts.Function.Combine(snaps)
-	for x := range parent.patch {
-		parent.patch[x] = imageIn(parentSnap, x).shared()
+	for _, c := range group {
+		if id, pinned := dg.matGraphs[c.node]; c.graph != dg.cur && (!pinned || id != c.graph.ID()) {
+			_ = dg.pool.Release(c.graph.ID()) // a pending node's graph has no dependents (Retrieve)
+		}
 	}
-	parent.size = group[0].size + parentSnap.Size() - snaps[0].Size()
+	dg.pool.CleanNow()
+	parent := pendingChild{size: group[0].size + parentSnap.Size() - snaps[0].Size()}
+	parent.graph = dg.commitLocked(graphpool.CurrentGraph, func(b *graphpool.Build) {
+		for n := range nodes {
+			_, present := parentSnap.Nodes[n]
+			b.SetNode(n, present, parentSnap.NodeAttrs[n])
+		}
+		for e := range edges {
+			info, present := parentSnap.Edges[e]
+			b.SetEdge(e, info, present, parentSnap.EdgeAttrs[e])
+		}
+	})
 	parent.aux = make([]AuxSnapshot, len(dg.auxes))
 	for i, aux := range dg.auxes {
 		children := make([]AuxSnapshot, len(group))
@@ -199,8 +227,19 @@ func (dg *DeltaGraph) makeParentLocked(level int, group []pendingChild) pendingC
 		}
 		return edges, nil
 	})
-	dg.settleLocked(&parent)
 	return parent
+}
+
+// setImage makes one element of a snapshot what a graph holds of it: a
+// member with the value v (struct{}{} for a node, the endpoints for an edge)
+// if present, and the attribute values attrs, if any.
+func setImage[K comparable, V any](members map[K]V, values map[K]map[string]string, id K, v V, present bool, attrs map[string]string) {
+	if present {
+		members[id] = v
+	}
+	if len(attrs) > 0 {
+		values[id] = attrs
+	}
 }
 
 // --- payload storage -------------------------------------------------
@@ -461,7 +500,7 @@ func (dg *DeltaGraph) Close() error { return dg.build.wait() }
 //
 // A leaf cut keeps under the write lock only what must see the current
 // graph: it takes the leaf's events, reserves their payload ids, adds the
-// skeleton nodes and evaluates each new parent's children, Combine and patch.
+// skeleton nodes and evaluates each new parent's children, Combine and graph.
 // The rest — delta.Compute and the aux deltas to every child, and encoding,
 // compressing and putting every permanent payload, leaf-eventlists included —
 // it queues for one builder goroutine, which runs the queue one job at a

@@ -135,12 +135,12 @@ func TestConcurrentQueriesAndAppends(t *testing.T) {
 	checkAgainstReference(t, re, events, allAttrs, probes)
 }
 
-// TestPatchReadsUnderConcurrency: a read reaches the pending nodes through
-// their patches, which only a leaf cut or an append changes, under the write
-// lock. Readers at random past times race an appender across more than twenty
+// TestPendingReadsUnderConcurrency: a read starts from the pending nodes'
+// graphs in the pool, which only a leaf cut makes and lets go of, under the
+// write lock. Readers at random past times race an appender across more than twenty
 // cuts: every answer equals the oracle, and the skeleton holds nothing the
 // cuts did not add.
-func TestPatchReadsUnderConcurrency(t *testing.T) {
+func TestPendingReadsUnderConcurrency(t *testing.T) {
 	events := makeTrace(31, 5000)
 	const quiet = 2000 // events ingested before any reader starts
 	dg, err := New(Options{LeafSize: 100, Arity: 2})

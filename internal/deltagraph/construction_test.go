@@ -14,7 +14,7 @@ import (
 )
 
 // refBuilder constructs an index the way the builder did before it worked
-// from patches: every pending node is a whole-graph clone, every parent a
+// over the elements that differ: every pending node is a whole-graph clone, every parent a
 // whole-graph Combine, every delta a whole-graph Compute. It is the
 // reference the construction differential compares payload bytes against,
 // and the only place the whole-graph construction survives. It borrows a
@@ -159,14 +159,17 @@ func (r *refBuilder) compare(t *testing.T, dg *DeltaGraph) {
 	}
 }
 
-// canonical drops the events of a makeTrace trace that change nothing (an
-// attribute set to the value it has), which the builder does not record:
-// the reference is fed what is left.
+// canonical drops the events of a trace that change nothing (an attribute
+// set to the value it has), which the builder does not record: the reference
+// is fed what is left.
 func canonical(events graph.EventList) graph.EventList {
 	s := graph.NewSnapshot()
 	var out graph.EventList
 	for _, ev := range events {
 		if held, ok := s.NodeAttrs[ev.Node][ev.Attr]; ev.Type == graph.SetNodeAttr && ok && held == ev.New {
+			continue
+		}
+		if held, ok := s.EdgeAttrs[ev.Edge][ev.Attr]; ev.Type == graph.SetEdgeAttr && ok && held == ev.New {
 			continue
 		}
 		s.Apply(ev)
@@ -175,8 +178,8 @@ func canonical(events graph.EventList) graph.EventList {
 	return out
 }
 
-// TestConstructionDifferential is the licence for building parents from
-// patches over touched elements: whatever the differential function, arity,
+// TestConstructionDifferential is the licence for building parents over the
+// elements on which a child differs from the current graph: whatever the differential function, arity,
 // leaf size and way of feeding, every stored byte equals what whole-graph
 // construction writes, before and after a Checkpoint → Open.
 func TestConstructionDifferential(t *testing.T) {
@@ -229,9 +232,9 @@ func differential(t *testing.T, events, canon graph.EventList, opts Options, liv
 				t.Fatal(err)
 			}
 			if (lo/256)%3 == 2 {
-				// A read in the middle of a leaf window reaches pending nodes
-				// whose patches are not empty; the parents made after it must
-				// not notice.
+				// A read in the middle of a leaf window starts from pending
+				// nodes the current graph has moved away from; the parents
+				// made after it must not notice.
 				n := len(canonical(events[:hi]))
 				ref.appendAll(t, canon[fed:n])
 				fed = n
@@ -248,9 +251,9 @@ func differential(t *testing.T, events, canon graph.EventList, opts Options, liv
 	ref.compare(t, dg)
 	checkAgainstReference(t, dg, events[:split], allAttrs, probeTimes(events[:split], 9))
 
-	// Checkpoint → Open: the restored pending nodes come back as whole
-	// graphs and must be turned into the right patches, for the leaves cut
-	// afterwards to find the right parents.
+	// Checkpoint → Open: the restored pending nodes come back as graphs
+	// committed to the pool along the walk, and must be the right ones for
+	// the leaves cut afterwards to find the right parents.
 	if err := dg.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

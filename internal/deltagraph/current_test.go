@@ -22,6 +22,10 @@ import (
 func lenientTrace(seed int64, n int) graph.EventList {
 	rng := rand.New(rand.NewSource(seed))
 	const ids = 10
+	type elem struct {
+		edge bool
+		id   int64
+	}
 	var (
 		events  graph.EventList
 		now     graph.Time
@@ -42,9 +46,9 @@ func lenientTrace(seed int64, n int) graph.EventList {
 				ev.Node, ev.Node2 = ev.Node2%ids+1, ev.Node%ids+1
 			}
 		}
-		x := nodeElem(node)
+		x := elem{id: int64(node)}
 		if ev.Edge != 0 {
-			x = edgeElem(edge)
+			x = elem{edge: true, id: int64(edge)}
 		}
 		switch k := rng.Intn(5); {
 		case k < 2: // an add, of a live element or not
@@ -226,14 +230,17 @@ func heapGrowth(build func(), inputs ...any) int64 {
 // the pool; 9.22 MB with the pool alone, about half of it the pending nodes'
 // patches; 7.06 MB once a promoted group was let go of (half of those patches
 // were of nodes that had a parent); 5.93 MB, 40 753 patch entries down to
-// 12 791 (IndexStats.PatchElements), with the far level-4 node held from the
+// 12 791, with the far level-4 node held from the
 // null graph; 5.35 MB with each node's adjacency on its pool record and no
 // attribute-list header on a bare edge (5.34 MB with one bit an explicit view,
 // ceiling 5.9 MB); 4.72 MB with 32-byte attribute values and edge records in
-// the pool (ceiling 5.2 MB); and 4.34 MB with the open leaf held as encoded
-// chunks and no set of the elements it changed, when the ceiling was set about
-// a tenth above that: the pool, which is the current graph, under 1 MB of
-// patches, and 44 kB of open leaf (TestOpenLeafHeap).
+// the pool (ceiling 5.2 MB); 4.34 MB with the open leaf held as encoded
+// chunks and no set of the elements it changed; 4.09 MB once Build stopped
+// building a spine (ceiling 4.8 MB); and 3.23 MB with the pending nodes held
+// as graphs in the pool, a bit each, where their patches beside it held about
+// 1 MB, when the ceiling was set about a tenth above that: the pool, which is
+// the current graph and the pending nodes, and 44 kB of open leaf
+// (TestOpenLeafHeap).
 func TestIndexResidentHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocator is not the one the ceiling was measured under")
@@ -248,9 +255,8 @@ func TestIndexResidentHeap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}, events)
-	st := dg.Stats()
-	t.Logf("index and pool hold %.2f MB of heap for %d events (%d patch entries in pending nodes)", float64(grown)/(1<<20), len(events), st.PatchElements)
-	const ceiling = 4.8 * (1 << 20)
+	t.Logf("index and pool hold %.2f MB of heap for %d events (the pool holds %d bits)", float64(grown)/(1<<20), len(events), dg.pool.Stats().Bits)
+	const ceiling = 3.55 * (1 << 20)
 	if float64(grown) > ceiling {
 		t.Errorf("index and pool hold %d B of heap, ceiling %.0f", grown, ceiling)
 	}
@@ -315,17 +321,14 @@ func TestReadLeavesNoIndexState(t *testing.T) {
 	runtime.KeepAlive(dg)
 }
 
-// TestPendingHeapTracksPatchElements: the heap the pending nodes hold is what
-// IndexStats.PatchElements counts, at 50 to 58 B a map entry (64 B for a map
-// that has just grown) and an image with its attributes for those that are not
-// the shared absent one. Dropping dg.pending frees no more than 90 B an entry
-// (75.9 and 69.9 measured) — after the build, and again after enough further
-// events that level 2 has filled and got a parent, when nothing may reach the
-// children that were promoted on the way. Before promoteLocked deleted a
-// promoted group from its level the first reading was 106 B an entry (4.34 MB
-// for 40 753, nearly all of them the absent image), half of it the patches of
-// nodes that had a parent: a level sliced down to nothing kept its array.
-func TestPendingHeapTracksPatchElements(t *testing.T) {
+// TestPendingGraphsCostLittle: the pending nodes are graphs in the pool, a
+// bit each on records the current graph and the other graphs share, so
+// letting go of them — releasing their graphs and cleaning the pool — frees
+// under 100 kB (64 kB measured) after the build, and again after enough
+// further events that level 2 has filled and got a parent, when nothing may
+// hold the children that were promoted on the way. As patches beside the
+// pool they held 0.97 MB, 12 791 element images.
+func TestPendingGraphsCostLittle(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocator is not the one the bound was measured under")
 	}
@@ -350,11 +353,22 @@ func TestPendingHeapTracksPatchElements(t *testing.T) {
 				break // the eighth leaf of a run: levels 0, 1 and 2 have just emptied
 			}
 		}
-		st := dg.Stats()
-		freed := -heapGrowth(func() { dg.pending = nil }, events, more, dg)
-		t.Logf("%d leaves: dropping the pending nodes frees %.2f MB, %d patch entries, %.1f B an entry", st.Leaves, float64(freed)/(1<<20), st.PatchElements, float64(freed)/float64(st.PatchElements))
-		if freed > 90*int64(st.PatchElements) {
-			t.Errorf("%d leaves: the pending nodes hold %d B of heap for %d patch entries, more than 90 B an entry", st.Leaves, freed, st.PatchElements)
+		leaves, bits, graphs := dg.Stats().Leaves, dg.pool.Stats().Bits, 0
+		freed := -heapGrowth(func() {
+			for _, level := range dg.pending {
+				for _, c := range level {
+					if err := dg.pool.Release(c.graph.ID()); err != nil {
+						t.Fatal(err)
+					}
+					graphs++
+				}
+			}
+			dg.pending = nil
+			dg.pool.CleanNow()
+		}, events, more, dg)
+		t.Logf("%d leaves: letting go of %d pending graphs (the pool held %d bits) frees %.1f kB", leaves, graphs, bits, float64(freed)/(1<<10))
+		if freed > 100<<10 {
+			t.Errorf("%d leaves: the %d pending graphs hold %d B of heap, more than 100 kB", leaves, graphs, freed)
 		}
 	}
 }

@@ -8,7 +8,7 @@
 // built by a differential function over their children; every edge carries
 // the delta that constructs its target from its source. A snapshot query is
 // answered by the lowest-weight path from the empty super-root, the current
-// graph or a pending node's patch to the query point (Dijkstra over the
+// graph or a pending node's graph to the query point (Dijkstra over the
 // in-memory skeleton); a multipoint query by a
 // Steiner tree (2-approximation) over the same skeleton. Either is a tree of
 // steps, each "apply this payload", that one executor walks once, reading no
@@ -109,23 +109,22 @@ func (o *Options) fill() error {
 	return nil
 }
 
-// pendingChild is a node awaiting a permanent parent. Its graph is retained,
-// as a patch against the current graph or, once it is far from that one,
-// against the null graph (patch.go), so the differential function can combine
-// it with its future siblings; its aux snapshots are retained whole.
+// pendingChild is a node awaiting a permanent parent. Its graph is an
+// explicit graph in the pool, on a bit of its own, which the index holds
+// until the node gets a parent, so the differential function can combine it
+// with its future siblings; its aux snapshots are retained whole.
 type pendingChild struct {
-	node   int
-	size   int // element count of the node's graph
-	patch  patch
-	onNull bool // the patch is the node's whole graph (persistedChild.OnCurrent's mirror)
-	aux    []AuxSnapshot
+	node  int
+	size  int // element count of the node's graph
+	graph *graphpool.View
+	aux   []AuxSnapshot
 }
 
 // DeltaGraph is the index. It is safe for concurrent use: queries and
 // Checkpoint take the read lock; Append, materialization and Flush take the
 // write lock. Payloads a leaf cut queues are stored by the builder goroutine
-// (builder.go), which takes neither. A pending node's patch changes only under
-// the write lock, so a read sees one patch throughout.
+// (builder.go), which takes neither. The pending nodes change only under the
+// write lock, so a read sees one set of them throughout.
 type DeltaGraph struct {
 	mu    sync.RWMutex
 	opts  Options
@@ -301,48 +300,40 @@ func (dg *DeltaGraph) appendLocked(ev graph.Event) error {
 // admitLocked looks up what ev is about to do to the current graph and
 // reports whether it belongs in the history: an event that changes nothing
 // (an add of a live element, a delete of an absent one, an attribute set to
-// the value it has) does not. For one that does, the element it changes is
-// touched and the graph's size carried forward, and what the graph knows
-// better than the sender is written into ev so that the event plays backward
-// exactly: the value an attribute event replaces, the endpoints of an edge
-// being deleted.
+// the value it has) does not. For one that does, the graph's size is carried
+// forward, and what the graph knows better than the sender is written into ev
+// so that the event plays backward exactly: the value an attribute event
+// replaces, the endpoints of an edge being deleted.
 func (dg *DeltaGraph) admitLocked(ev *graph.Event) bool {
-	var (
-		x    elem
-		grow int
-	)
+	grow := 0
 	switch ev.Type {
 	case graph.AddNode:
 		if dg.cur.HasNode(ev.Node) {
 			return false
 		}
-		x, grow = nodeElem(ev.Node), 1
+		grow = 1
 	case graph.AddEdge:
 		// Edge ids are never reused: an add of a live edge is a duplicate
 		// whatever endpoints it names.
 		if dg.cur.HasEdge(ev.Edge) {
 			return false
 		}
-		x, grow = edgeElem(ev.Edge), 1
-	case graph.DelNode, graph.DelEdge:
-		x = nodeElem(ev.Node)
-		if ev.Type == graph.DelEdge {
-			x = edgeElem(ev.Edge)
-		}
-		im := dg.imageCur(x)
-		if im.size() == 0 {
+		grow = 1
+	case graph.DelNode:
+		present, attrs := dg.cur.NodeImage(ev.Node)
+		if grow = -held(present, attrs); grow == 0 {
 			return false
 		}
-		if x.edge && im.present {
-			ev.Node, ev.Node2, ev.Directed = im.info.From, im.info.To, im.info.Directed
+	case graph.DelEdge:
+		info, present, attrs := dg.cur.EdgeImage(ev.Edge)
+		if grow = -held(present, attrs); grow == 0 {
+			return false
 		}
-		grow = -im.size()
+		if present {
+			ev.Node, ev.Node2, ev.Directed = info.From, info.To, info.Directed
+		}
 	case graph.SetNodeAttr, graph.SetEdgeAttr:
-		x = nodeElem(ev.Node)
-		if ev.Type == graph.SetEdgeAttr {
-			x = edgeElem(ev.Edge)
-		}
-		ev.Old, ev.HadOld = dg.attrCur(x, ev.Attr)
+		ev.Old, ev.HadOld = dg.attrCur(ev)
 		switch {
 		case ev.HasNew && !ev.HadOld:
 			grow = 1
@@ -351,32 +342,38 @@ func (dg *DeltaGraph) admitLocked(ev *graph.Event) bool {
 		case !ev.HasNew:
 			grow = -1
 		}
-	default:
-		return true // transient: it changes no graph, but it happened
 	}
-	dg.touchLocked(x)
 	dg.curSize += grow
 	return true
 }
 
-// touchLocked keeps the patch invariant ahead of a change to x: every pending
-// node on the current graph that holds no image of x yet is given the one the
-// current graph is about to lose. After the first change to x in a leaf
-// window every such node holds one, and this is a map lookup a node. A node
-// on the null graph says nothing about the current one.
-func (dg *DeltaGraph) touchLocked(x elem) {
-	var saved *image
-	for _, level := range dg.pending {
-		for _, c := range level {
-			if c.onNull || c.patch[x] != nil { // a patch holds no nil image
-				continue
-			}
-			if saved == nil {
-				saved = dg.imageCur(x).shared()
-			}
-			c.patch[x] = saved
-		}
+// held counts what a graph holds of one element as graph.Snapshot.Size
+// counts it.
+func held(present bool, attrs map[string]string) int {
+	if present {
+		return 1 + len(attrs)
 	}
+	return len(attrs)
+}
+
+// attrCur returns the value the current graph gives the attribute an
+// attribute event names. An element that is there answers for itself; the
+// whole image is read only for one that is not, which may hold values all the
+// same.
+func (dg *DeltaGraph) attrCur(ev *graph.Event) (string, bool) {
+	var attrs map[string]string
+	switch {
+	case ev.Type == graph.SetEdgeAttr && dg.cur.HasEdge(ev.Edge):
+		return dg.cur.EdgeAttr(ev.Edge, ev.Attr)
+	case ev.Type == graph.SetEdgeAttr:
+		_, _, attrs = dg.cur.EdgeImage(ev.Edge)
+	case dg.cur.HasNode(ev.Node):
+		return dg.cur.NodeAttr(ev.Node, ev.Attr)
+	default:
+		_, attrs = dg.cur.NodeImage(ev.Node)
+	}
+	val, ok := attrs[ev.Attr]
+	return val, ok
 }
 
 // SetObserver registers a callback for the cost of construction that a

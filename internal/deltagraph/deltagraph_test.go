@@ -71,7 +71,7 @@ func makeTrace(seed int64, n int) graph.EventList {
 var allAttrs = graph.MustParseAttrOptions("+node:all+edge:all")
 
 // validateInvariant checks that every leaf is reachable from the super-root
-// or a pending node's patch.
+// or a pending node's graph.
 func (dg *DeltaGraph) validateInvariant() error {
 	if err := dg.rlockBuilt(); err != nil {
 		return err

@@ -97,7 +97,9 @@ func (dg *DeltaGraph) materializeLocked(ids []int) error {
 		if dg.skel.nodes[id].level < 0 {
 			return fmt.Errorf("deltagraph: node %d was removed", id)
 		}
-		if !dg.skel.nodes[id].materialized && !slices.Contains(todo, id) {
+		if c := dg.pendingNode(id); c != nil && !dg.skel.nodes[id].materialized {
+			dg.pinLocked(id, c.graph.ID()) // its graph is in the pool already
+		} else if !dg.skel.nodes[id].materialized && !slices.Contains(todo, id) {
 			todo = append(todo, id)
 		}
 	}
@@ -131,7 +133,8 @@ func (dg *DeltaGraph) materializeLocked(ids []int) error {
 
 // pinLocked makes the pool graph gid the materialized graph of a skeleton
 // node, held in memory once, in the pool; a zero-weight edge from the
-// super-root offers it to every later plan.
+// super-root offers it to every later plan. A pending node's graph is pinned
+// where it is: when the node gets a parent the graph stays, materialized.
 func (dg *DeltaGraph) pinLocked(id int, gid graphpool.GraphID) {
 	dg.skel.nodes[id].materialized = true
 	dg.skel.addEdge(&skelEdge{from: dg.skel.superRoot, to: id, kind: kindMat, sizes: make(componentSizes, 4+len(dg.auxes)), evIndex: -1})
@@ -139,8 +142,8 @@ func (dg *DeltaGraph) pinLocked(id int, gid graphpool.GraphID) {
 }
 
 // Unmaterialize releases a materialized node: the zero-weight edge is
-// removed and the pinned snapshot dropped. It fails if the pool copy has
-// dependent graphs.
+// removed and the pinned snapshot dropped, unless the node is pending and
+// holds it still. It fails if the pool copy has dependent graphs.
 func (dg *DeltaGraph) Unmaterialize(ref NodeRef) error {
 	dg.mu.Lock()
 	defer dg.mu.Unlock()
@@ -152,8 +155,10 @@ func (dg *DeltaGraph) Unmaterialize(ref NodeRef) error {
 		return fmt.Errorf("deltagraph: the empty anchor leaf stays materialized")
 	}
 	if gid, ok := dg.matGraphs[id]; ok {
-		if err := dg.pool.Release(gid); err != nil {
-			return err
+		if dg.pendingNode(id) == nil {
+			if err := dg.pool.Release(gid); err != nil {
+				return err
+			}
 		}
 		delete(dg.matGraphs, id)
 	}
@@ -173,7 +178,7 @@ func (dg *DeltaGraph) Unmaterialize(ref NodeRef) error {
 // (total materialization — the Copy+Log-in-memory extreme of Section 4.5). A
 // node without children stands for its own. A pinned node stays pinned across
 // leaf cuts, which keep its id; the leaves outside the root's subtree are
-// reached through the other pending nodes' patches.
+// reached through the other pending nodes' graphs.
 func (dg *DeltaGraph) MaterializeLevel(policy string) error {
 	depth, ok := map[string]int{"root": 0, "children": 1, "grandchildren": 2}[policy]
 	dg.mu.Lock()

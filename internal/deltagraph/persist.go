@@ -3,12 +3,12 @@ package deltagraph
 import (
 	"encoding/json"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 
 	"historygraph/internal/delta"
 	"historygraph/internal/graph"
+	"historygraph/internal/graphpool"
 	"historygraph/internal/kvstore"
 )
 
@@ -156,22 +156,11 @@ func (dg *DeltaGraph) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	var cur *graph.Snapshot // one copy out of the pool, for the nodes held against it
 	pi.Pending = make([][]persistedChild, len(dg.pending))
-	_, err = dg.walkPending(func(*graph.Snapshot, elem) {}, func(level, i int, leaf *graph.Snapshot) error {
-		c, g := dg.pending[level][i], graph.NewSnapshot()
-		if !c.onNull {
-			if cur == nil {
-				cur = dg.cur.Snapshot()
-			}
-			g = &graph.Snapshot{ // putIn replaces entries of these four: the inner attribute maps stay shared
-				Nodes: maps.Clone(cur.Nodes), Edges: maps.Clone(cur.Edges),
-				NodeAttrs: maps.Clone(cur.NodeAttrs), EdgeAttrs: maps.Clone(cur.EdgeAttrs),
-			}
-		}
-		g = graphOf(c, g)
+	_, err = dg.walkPending(func(level, i int, leaf *graph.Snapshot) (*graph.Snapshot, error) {
+		c := dg.pending[level][i]
+		g := c.graph.Snapshot() // the walk goes on from the node's graph
 		pc, d := persistedChild{Node: c.node, Aux: c.aux, OnLeaf: true}, delta.Compute(g, leaf)
-		d.Apply(leaf) // the walk goes on from the node's graph
 		if d.Len() > c.size {
 			d, pc.OnLeaf = delta.FromSnapshot(g), false
 		}
@@ -182,7 +171,7 @@ func (dg *DeltaGraph) Checkpoint() error {
 			}
 		}
 		pi.Pending[level] = append(pi.Pending[level], pc)
-		return err
+		return g, err
 	})
 	if err != nil {
 		return err
@@ -270,20 +259,19 @@ func (dg *DeltaGraph) loadDelta(id uint64) (*delta.Delta, error) {
 // allColumns fetches every column that makes a graph.
 var allColumns = fetchSpec{nodeAttr: true, edgeAttr: true}
 
-// walkPending takes one graph, w, from the null graph through every pending
-// node, oldest first (the highest level first, each level in order), and on to
-// the last leaf, which it returns. For each node it makes w the node's first
-// leaf and hands it to fn, which must make it the node's graph (applyTouching)
-// and may not keep it: the oldest node's first leaf is stored eventlist 0
-// applied to the null graph, a later node's is the node before it taken to its
-// last leaf (toLastLeaf) and through the stored eventlist after that. touch is
-// told of every element the walk is about to change. The walk reads permanent
-// payloads only, which no checkpoint deletes.
-func (dg *DeltaGraph) walkPending(touch func(*graph.Snapshot, elem), fn func(level, i int, w *graph.Snapshot) error) (*graph.Snapshot, error) {
+// walkPending takes a graph from the null graph through every pending node,
+// oldest first (the highest level first, each level in order), and on to the
+// last leaf, which it returns. For each node it hands fn the node's first
+// leaf, which fn may change, and goes on from the graph fn returns, which
+// must be the node's: the oldest node's first leaf is stored eventlist 0
+// applied to the null graph, a later node's is the node before it taken to
+// its last leaf (toLastLeaf) and through the stored eventlist after that. The
+// walk reads permanent payloads only, which no checkpoint deletes.
+func (dg *DeltaGraph) walkPending(fn func(level, i int, w *graph.Snapshot) (*graph.Snapshot, error)) (*graph.Snapshot, error) {
 	w, prev := graph.NewSnapshot(), dg.skel.leaves[0] // the anchor leaf: the null graph
 	for level := len(dg.pending) - 1; level >= 0; level-- {
 		for i, c := range dg.pending[level] {
-			if err := dg.toLastLeaf(prev, w, touch); err != nil {
+			if err := dg.toLastLeaf(prev, w); err != nil {
 				return nil, err
 			}
 			// The stored eventlist that ends at the node's first leaf, whose
@@ -297,19 +285,21 @@ func (dg *DeltaGraph) walkPending(touch func(*graph.Snapshot, elem), fn func(lev
 			if err != nil {
 				return nil, err
 			}
-			applyEvents(w, evs, touch)
-			if err := fn(level, i, w); err != nil {
+			for _, ev := range evs {
+				w.Apply(ev)
+			}
+			if w, err = fn(level, i, w); err != nil {
 				return nil, err
 			}
 			prev = c.node
 		}
 	}
-	return w, dg.toLastLeaf(prev, w, touch)
+	return w, dg.toLastLeaf(prev, w)
 }
 
 // toLastLeaf takes w, node's graph, down the node's right edge of permanent
 // deltas to its last leaf.
-func (dg *DeltaGraph) toLastLeaf(node int, w *graph.Snapshot, touch func(*graph.Snapshot, elem)) error {
+func (dg *DeltaGraph) toLastLeaf(node int, w *graph.Snapshot) error {
 	for n := dg.skel.nodes[node]; n.level > 0; {
 		child := n.children[len(n.children)-1]
 		i := slices.IndexFunc(dg.skel.out[n.id], func(ei int) bool {
@@ -323,44 +313,10 @@ func (dg *DeltaGraph) toLastLeaf(node int, w *graph.Snapshot, touch func(*graph.
 		if err != nil {
 			return err
 		}
-		applyTouching(w, touch, parts...)
+		applyParts(w, parts...)
 		n = dg.skel.nodes[child]
 	}
 	return nil
-}
-
-// applyTouching applies the parts of a delta to w (applyParts), first
-// telling touch of every element they have a record on.
-func applyTouching(w *graph.Snapshot, touch func(*graph.Snapshot, elem), parts ...*delta.Delta) {
-	for _, d := range parts {
-		for _, n := range slices.Concat(d.AddNodes, d.DelNodes) {
-			touch(w, nodeElem(n))
-		}
-		for _, e := range slices.Concat(d.AddEdges, d.DelEdges) {
-			touch(w, edgeElem(e.ID))
-		}
-		for _, r := range slices.Concat(d.SetNodeAttrs, d.DelNodeAttrs) {
-			touch(w, nodeElem(r.Node))
-		}
-		for _, r := range slices.Concat(d.SetEdgeAttrs, d.DelEdgeAttrs) {
-			touch(w, edgeElem(r.Edge))
-		}
-	}
-	applyParts(w, parts...)
-}
-
-// applyEvents applies evs to w, telling touch of the element each changes
-// just before it does.
-func applyEvents(w *graph.Snapshot, evs graph.EventList, touch func(*graph.Snapshot, elem)) {
-	for _, ev := range evs {
-		switch ev.Type {
-		case graph.AddEdge, graph.DelEdge, graph.SetEdgeAttr:
-			touch(w, edgeElem(ev.Edge))
-		case graph.AddNode, graph.DelNode, graph.SetNodeAttr:
-			touch(w, nodeElem(ev.Node))
-		}
-		w.Apply(ev)
-	}
 }
 
 // Open restores a checkpointed index from the store. The options must
@@ -454,9 +410,8 @@ func Open(opts Options) (*DeltaGraph, error) {
 		dg.firstTime = first[0].At
 	}
 
-	// Restore builder pending state, each graph as a patch against the
-	// current one, which is decoded or rebuilt into a scratch snapshot that
-	// is dropped once the pool holds it.
+	// Restore builder pending state, each graph committed to the pool as it
+	// is rebuilt.
 	dg.pending = make([][]pendingChild, len(pi.Pending))
 	for level, row := range pi.Pending {
 		for _, c := range row {
@@ -475,62 +430,45 @@ func Open(opts Options) (*DeltaGraph, error) {
 			return nil, err
 		}
 		d.Apply(cur)
+		dg.pool.LoadCurrent(cur)
 		for level, row := range pi.Pending {
 			for i, c := range row {
-				g := graph.NewSnapshot()
-				if c.OnCurrent {
-					g = cur.Clone()
-				}
 				if d, err = dg.loadDelta(c.SnapID); err != nil {
 					return nil, err
 				}
-				d.Apply(g)
-				dg.pending[level][i].patch = patchOf(g, cur)
+				from := graphpool.NoDependency
+				if c.OnCurrent {
+					from = graphpool.CurrentGraph
+				}
+				dg.pending[level][i].graph = dg.commitLocked(from, func(b *graphpool.Build) { b.ApplyDelta(d) })
 			}
 		}
 	} else {
 		// The walk ends at the last leaf, and the recent eventlist takes that
-		// to the current graph. Every node's patch starts empty where the walk
-		// makes the node, and is given the image of each element the walk
-		// changes after that, as appendLocked gives a pending node.
-		var passed []patch
-		touch := func(w *graph.Snapshot, x elem) {
-			var saved *image
-			for _, p := range passed {
-				if _, ok := p[x]; !ok {
-					if saved == nil {
-						im := imageIn(w, x)
-						im.attrs = maps.Clone(im.attrs) // w goes on changing its own
-						saved = im.shared()
-					}
-					p[x] = saved
-				}
-			}
-		}
-		cur, err = dg.walkPending(touch, func(level, i int, w *graph.Snapshot) error {
+		// to the current graph.
+		cur, err = dg.walkPending(func(level, i int, w *graph.Snapshot) (*graph.Snapshot, error) {
 			c := pi.Pending[level][i]
 			d, err := dg.loadDelta(c.SnapID)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if !c.OnLeaf {
-				g := graph.NewSnapshot()
-				d.Apply(g)
-				d = delta.Compute(g, w)
+				w = graph.NewSnapshot()
 			}
-			applyTouching(w, touch, d)
-			dg.pending[level][i].patch = make(patch)
-			passed = append(passed, dg.pending[level][i].patch)
-			return nil
+			d.Apply(w)
+			whole := delta.FromSnapshot(w)
+			dg.pending[level][i].graph = dg.commitLocked(graphpool.NoDependency, func(b *graphpool.Build) { b.ApplyDelta(whole) })
+			return w, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		applyEvents(cur, recent, touch)
+		for _, ev := range recent {
+			cur.Apply(ev)
+		}
+		dg.pool.LoadCurrent(cur)
 	}
-	dg.pool.LoadCurrent(cur)
 	dg.curSize = cur.Size()
-	dg.settlePendingLocked()
 	if err := dg.dropPayloads(pi.PrevFirstID, pi.FirstID); err != nil {
 		return nil, err
 	}

@@ -99,34 +99,20 @@ func basesOf(pi persistedIndex) (onLeaf, onNull, bare int) {
 	return onLeaf, onNull, bare
 }
 
-// wholeGraph is c's graph built from the base c is held on, cur being a copy
-// of the current graph the caller keeps.
-func wholeGraph(c pendingChild, cur *graph.Snapshot) *graph.Snapshot {
-	if c.onNull {
-		return graphOf(c, graph.NewSnapshot())
-	}
-	return graphOf(c, cur.Clone())
-}
-
 // checkBaseCounts: a pending node's size, which Checkpoint weighs the delta
 // from its first leaf against, is the length of its delta from the null
-// graph; and the records counted over a patch against the current graph
-// (image.records, by which Open's patchOf tells differing images) are the
-// length of the delta from there.
+// graph, and its pool graph counts its nodes and edges.
 func checkBaseCounts(t testing.TB, dg *DeltaGraph) {
 	t.Helper()
-	cur := dg.cur.Snapshot()
 	for level, row := range dg.pending {
 		for _, c := range row {
-			g, fromCurrent := wholeGraph(c, cur), 0
-			for x, im := range c.patch {
-				fromCurrent += im.records(imageIn(cur, x))
-			}
-			if want := delta.Compute(g, cur).Len(); !c.onNull && fromCurrent != want {
-				t.Errorf("pending node at level %d: %d records counted over its patch, its delta from the current graph has %d", level, fromCurrent, want)
-			}
+			g := c.graph.Snapshot()
 			if want := delta.FromSnapshot(g).Len(); c.size != want {
 				t.Errorf("pending node at level %d: size %d, its delta from the null graph has %d records", level, c.size, want)
+			}
+			if c.graph.NumNodes() != len(g.Nodes) || c.graph.NumEdges() != len(g.Edges) {
+				t.Errorf("pending node at level %d: the pool counts %d nodes and %d edges, its graph has %d and %d",
+					level, c.graph.NumNodes(), c.graph.NumEdges(), len(g.Nodes), len(g.Edges))
 			}
 		}
 	}
@@ -1117,7 +1103,7 @@ func TestGoldenCheckpointBytes(t *testing.T) {
 			}
 			i++
 			c := dg.pending[level][j]
-			g, leaf := wholeGraph(c, dg.cur.Snapshot()), graph.SnapshotAt(events, dg.skel.nodes[c.node].at)
+			g, leaf := c.graph.Snapshot(), graph.SnapshotAt(events, dg.skel.nodes[c.node].at)
 			whole, fromLeaf := encodedBytes(t, delta.FromSnapshot(g)), encodedBytes(t, delta.Compute(g, leaf))
 			if encoded > min(whole, fromLeaf) {
 				t.Errorf("pending node at level %d weighs %d B: whole it is %d B, as a delta from its first leaf %d B", level, encoded, whole, fromLeaf)

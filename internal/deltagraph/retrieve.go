@@ -16,18 +16,18 @@ import (
 // This file is retrieval. A snapshot, many snapshots, a node to materialize, an
 // aux snapshot and an interval are all answered the same way:
 //
-//   - A step is "apply this payload": a pinned graph or the current one to
-//     start from, a pending node's patch, a delta, or an eventlist (stored, or
-//     the in-memory recent one) applied or undone and clipped to (lo, hi].
+//   - A step is "apply this payload": a graph to start from (the current
+//     graph, or one a materialized or pending node holds in the pool), a
+//     delta, or an eventlist (stored, or the in-memory recent one) applied or
+//     undone and clipped to (lo, hi].
 //     leafSteps yields the steps between any two times along the leaf level,
 //     with their costs.
 //   - A plan is a tree of steps hanging off the null graph. A singlepoint
 //     query (Section 4.3) is the cheapest of "a graph that can be had whole on
 //     either side of t, then along the leaf level to t", over one run of
 //     Dijkstra; the index is held queryable while it grows (Section 6) by its
-//     pending nodes, each reached through its patch from the current graph or
-//     the null graph, and every permanent node below them through the stored
-//     deltas. A multipoint query (Section 4.4) joins its timepoints to the
+//     pending nodes, each a graph in the pool that a route may start from,
+//     and every permanent node below them through the stored deltas. A multipoint query (Section 4.4) joins its timepoints to the
 //     null graph and to their neighbours in time by a minimum spanning tree
 //     (the Steiner-tree 2-approximation); materialization has skeleton nodes
 //     for targets. Plans that share steps share them in the tree.
@@ -43,15 +43,14 @@ const bytesPerRecentEvent = 24 // planning estimate for in-memory events
 // bytesPerRecord is the planning estimate for a record set from memory that
 // a stored delta record would set, in the bytes that record is stored in:
 // the structure column of the benchmark's whole graph as one delta is 81.6 kB
-// for about 20 000 elements (patchStep).
+// for about 20 000 elements (pendingStep).
 const bytesPerRecord = 4
 
 type stepKind uint8
 
 const (
-	fromPinned  stepKind = iota // start from the graph a materialized node pins
+	fromPinned  stepKind = iota // start from the graph a materialized or pending node holds
 	fromCurrent                 // start from the current graph
-	applyPatch                  // make a pending node's graph out of its base by its patch
 	applyDelta                  // a stored delta
 	applyList                   // a stored leaf-eventlist
 	applyRecent                 // the in-memory eventlist past the last leaf
@@ -61,10 +60,10 @@ const (
 // the same thing compare equal, which is how plans come to share them.
 type step struct {
 	kind stepKind
-	// edge holds the payload: the materialization edge of fromPinned, the
-	// delta edge of applyDelta, the forward eventlist edge of applyList.
+	// edge holds the payload: the delta edge of applyDelta, the forward
+	// eventlist edge of applyList.
 	edge *skelEdge
-	// node is the pending node whose patch applyPatch applies.
+	// node is the node whose graph fromPinned starts from.
 	node int
 	// An eventlist step applies the events in (lo, hi]; with back set it
 	// undoes them, newest first.
@@ -151,7 +150,7 @@ func (dg *DeltaGraph) listStep(i int, lo, hi graph.Time, sel weightSelector) (st
 func (dg *DeltaGraph) hopStep(e *skelEdge, sel weightSelector) (step, error) {
 	switch e.kind {
 	case kindMat:
-		return step{kind: fromPinned, edge: e}, nil
+		return step{kind: fromPinned, node: e.to}, nil
 	case kindDelta:
 		return step{kind: applyDelta, edge: e, cost: sel.weight(e), records: e.counts}, nil
 	}
@@ -185,40 +184,26 @@ func (dg *DeltaGraph) pendingNode(node int) *pendingChild {
 	return nil
 }
 
-// patchStep is the step that makes pending node c's graph out of its base by
-// setting every element of its patch to its image. An image is weighed as the
-// stored record that would set the element, or, for a read that wants
-// attributes, which the image sets too, as an in-memory event. From the
-// current graph the step also pays for a copy of that graph, a record at a
-// time, since the graph it builds is not a dependent of it (Retrieve). An aux
-// query copies the node's aux snapshot instead, a record a pair.
-func (dg *DeltaGraph) patchStep(c *pendingChild, sel weightSelector) step {
-	attrs := sel.wantNodeAttr || sel.wantEdgeAttr
-	var cost int64
-	switch {
-	case !sel.wantStruct:
+// pendingStep is the step that starts from pending node c's graph, costed as
+// the copy it is: a record an element of the graph, attribute values
+// included, whatever the read wants, since the pool copies every bit the
+// graph holds (graphpool.NewBuild). An aux query copies the node's aux
+// snapshot instead, a record a pair.
+func (dg *DeltaGraph) pendingStep(c *pendingChild, sel weightSelector) step {
+	n := c.size
+	if !sel.wantStruct {
+		n = 0
 		for _, comp := range sel.auxComponents {
-			cost += int64(len(c.aux[comp-int(kvstore.ComponentAuxBase)])) * bytesPerRecord
+			n += len(c.aux[comp-int(kvstore.ComponentAuxBase)])
 		}
-	case attrs:
-		cost = int64(len(c.patch)) * bytesPerRecentEvent
-	default:
-		cost = int64(len(c.patch)) * bytesPerRecord
 	}
-	if !c.onNull && sel.wantStruct {
-		base := dg.cur.NumNodes() + dg.cur.NumEdges()
-		if attrs {
-			base = dg.curSize
-		}
-		cost += int64(base) * bytesPerRecord
-	}
-	return step{kind: applyPatch, node: c.node, cost: cost, records: len(c.patch)}
+	return step{kind: fromPinned, node: c.node, cost: int64(n) * bytesPerRecord}
 }
 
 // planner finds routes from the null graph for one query, over one run of
 // Dijkstra from the super-root and every pending node, each at the cost of
-// its patch step (made when the first route needs it: a query at the head does
-// not).
+// its pending step (made when the first route needs it: a query at the head
+// does not).
 type planner struct {
 	dg       *DeltaGraph
 	sel      weightSelector
@@ -231,13 +216,13 @@ type planner struct {
 func (p *planner) reach(node int) (route, error) {
 	dg, skel := p.dg, p.dg.skel
 	if p.dist == nil {
-		var patches []dijkstraItem
+		var sources []dijkstraItem
 		for _, level := range dg.pending {
 			for i := range level {
-				patches = append(patches, dijkstraItem{level[i].node, dg.patchStep(&level[i], p.sel).cost})
+				sources = append(sources, dijkstraItem{level[i].node, dg.pendingStep(&level[i], p.sel).cost})
 			}
 		}
-		p.dist, p.prevEdge = skel.shortestPaths(patches, p.sel)
+		p.dist, p.prevEdge = skel.shortestPaths(sources, p.sel)
 	}
 	if p.dist[node] == math.MaxInt64 {
 		return nil, nil
@@ -253,11 +238,8 @@ func (p *planner) reach(node int) (route, error) {
 		r = append(r, st)
 		at = e.from
 	}
-	if c := dg.pendingNode(at); c != nil { // the route starts at a patch
-		r = append(r, dg.patchStep(c, p.sel))
-		if !c.onNull {
-			r = append(r, step{kind: fromCurrent})
-		}
+	if c := dg.pendingNode(at); c != nil { // the route starts at a pending node
+		r = append(r, dg.pendingStep(c, p.sel))
 	}
 	slices.Reverse(r)
 	return r, nil
@@ -506,17 +488,29 @@ func (r *graphRun) events(st step) (graph.EventList, error) {
 	return evs[evs.SearchTime(st.lo):evs.SearchTime(st.hi)], nil
 }
 
-// pinned returns the pool graph of the node a fromPinned step starts from:
-// NoDependency for the empty anchor leaf, which has none.
+// pinned returns the pool graph a fromPinned step starts from: the graph a
+// materialized or pending node holds, NoDependency for the empty anchor leaf,
+// which has none.
 func (dg *DeltaGraph) pinned(st step) (graphpool.GraphID, error) {
-	node := dg.skel.nodes[st.edge.to]
-	if id, ok := dg.matGraphs[node.id]; ok {
+	if id, ok := dg.matGraphs[st.node]; ok {
 		return id, nil
 	}
-	if node.id == dg.skel.leaves[0] {
+	if c := dg.pendingNode(st.node); c != nil {
+		return c.graph.ID(), nil
+	}
+	if st.node == dg.skel.leaves[0] {
 		return graphpool.NoDependency, nil
 	}
-	return 0, fmt.Errorf("deltagraph: node %d not materialized", node.id)
+	return 0, fmt.Errorf("deltagraph: node %d not materialized", st.node)
+}
+
+// copyOf copies a graph out of the pool for the caller to change: its
+// structure alone when the call wants no attribute, which it would drop.
+func (r *graphRun) copyOf(v *graphpool.View) *graph.Snapshot {
+	if !r.spec.nodeAttr && !r.spec.edgeAttr {
+		return v.Structure()
+	}
+	return v.Snapshot()
 }
 
 // apply applies one step to s. Transient events never modify it.
@@ -531,19 +525,9 @@ func (r *graphRun) apply(s *graph.Snapshot, st step) (*graph.Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		return v.Snapshot(), nil
+		return r.copyOf(v), nil
 	case fromCurrent:
-		if !r.spec.nodeAttr && !r.spec.edgeAttr {
-			return r.dg.cur.Structure(), nil // no value to copy that the call would drop
-		}
-		return r.dg.cur.Snapshot(), nil
-	case applyPatch:
-		for x, im := range r.dg.pendingNode(st.node).patch {
-			own := *im
-			own.attrs = maps.Clone(im.attrs) // s is the caller's to change
-			own.putIn(s, x)
-		}
-		return s, nil
+		return r.copyOf(r.dg.cur), nil
 	case applyDelta:
 		parts, err := r.dg.fetchDelta(st.edge, r.spec)
 		applyParts(s, parts...)
@@ -609,17 +593,7 @@ func (r *graphRun) build(b *graphpool.Build, st step) (*graphpool.Build, error) 
 			return nil, err
 		}
 	}
-	switch st.kind {
-	case applyPatch:
-		for x, im := range r.dg.pendingNode(st.node).patch {
-			if x.edge {
-				b.SetEdge(graph.EdgeID(x.id), im.info, im.present, im.attrs)
-			} else {
-				b.SetNode(graph.NodeID(x.id), im.present, im.attrs)
-			}
-		}
-		return b, nil
-	case applyDelta:
+	if st.kind == applyDelta {
 		parts, err := r.dg.fetchDelta(st.edge, r.spec)
 		b.ApplyDelta(parts...)
 		return b, err
@@ -893,10 +867,11 @@ func attrsSatisfying[ID comparable](snaps []*graph.Snapshot, expr TimeExpr,
 }
 
 // Retrieve loads the snapshot at t into the GraphPool and returns its
-// graph ID. When the route starts at a materialized node (or the current
-// graph, and takes no patch step) and the applied records are a small
-// fraction of the base size, the snapshot is overlaid as a dependent graph —
-// the paper's bit-pair optimization.
+// graph ID. When the route starts at the current graph or at a materialized
+// node that is not pending and the applied records are a small fraction of
+// the base size, the snapshot is overlaid as a dependent graph — the paper's
+// bit-pair optimization. A pending node's graph is let go of when the node
+// gets a parent, so no graph depends on it.
 func (dg *DeltaGraph) Retrieve(t graph.Time, opts graph.AttrOptions) (graphpool.GraphID, error) {
 	if err := dg.rlockBuilt(); err != nil {
 		return 0, err
@@ -922,12 +897,10 @@ func (dg *DeltaGraph) Retrieve(t graph.Time, opts graph.AttrOptions) (graphpool.
 	r, baseSize := routes[0], 0
 	switch r[0].kind {
 	case fromCurrent:
-		if !slices.ContainsFunc(r, func(st step) bool { return st.kind == applyPatch }) {
-			baseSize = dg.curSize
-		}
+		baseSize = dg.curSize
 	case fromPinned:
-		if _, ok := dg.matGraphs[r[0].edge.to]; ok {
-			baseSize = dg.skel.nodes[r[0].edge.to].size
+		if _, ok := dg.matGraphs[r[0].node]; ok && dg.pendingNode(r[0].node) == nil {
+			baseSize = dg.skel.nodes[r[0].node].size
 		}
 	}
 	dependent := baseSize > 0 && float64(r.records()) <= dg.opts.DependentMaxRatio*float64(baseSize)

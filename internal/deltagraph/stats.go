@@ -42,15 +42,6 @@ type IndexStats struct {
 	RootSize int
 	// RecentEvents is the size of the unflushed tail.
 	RecentEvents int
-	// PatchElements sums, over the pending nodes, the elements each holds an
-	// image of: where it differs from the current graph, or, for a node far
-	// from that one and held from the null graph, what it contains (50 to 58 B
-	// of heap a map entry, and the image itself unless it is the shared absent
-	// one). A node's patch outgrows the node's own records by at most one leaf
-	// window (settleLocked). With the current graph in the pool alone it is
-	// what the index itself keeps in memory, and a read reaches a pending node
-	// by its patch.
-	PatchElements int
 	// PlanExecutions counts, since the index was created or opened, the
 	// graphs that snapshot queries built from a source (the null graph, a
 	// materialized node, the current graph): one for a singlepoint query,
@@ -80,11 +71,6 @@ func (dg *DeltaGraph) statsLocked() IndexStats {
 		DeltaRecordsByLevel: make(map[int]int),
 		RecentEvents:        dg.recent.len(),
 		PlanExecutions:      dg.planExecs.Load(),
-	}
-	for _, level := range dg.pending {
-		for _, c := range level {
-			st.PatchElements += len(c.patch)
-		}
 	}
 	for _, n := range dg.skel.nodes {
 		if n.level > 0 && n.id != dg.skel.superRoot {

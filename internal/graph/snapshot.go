@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // Snapshot is a set-based representation of the graph as of one time point
 // (or of a synthetic interior DeltaGraph node). It is the unit the
@@ -27,31 +30,32 @@ func NewSnapshot() *Snapshot {
 // Clone returns a deep copy of the snapshot. Cloning a nil snapshot yields
 // an empty one.
 func (s *Snapshot) Clone() *Snapshot {
-	c := NewSnapshot()
 	if s == nil {
-		return c
+		return NewSnapshot()
 	}
-	for n := range s.Nodes {
-		c.Nodes[n] = struct{}{}
+	c := &Snapshot{
+		Nodes:     cloneOrMake(s.Nodes),
+		Edges:     cloneOrMake(s.Edges),
+		NodeAttrs: cloneOrMake(s.NodeAttrs),
+		EdgeAttrs: cloneOrMake(s.EdgeAttrs),
 	}
-	for e, info := range s.Edges {
-		c.Edges[e] = info
+	for n, attrs := range c.NodeAttrs {
+		c.NodeAttrs[n] = cloneOrMake(attrs)
 	}
-	for n, attrs := range s.NodeAttrs {
-		m := make(map[string]string, len(attrs))
-		for k, v := range attrs {
-			m[k] = v
-		}
-		c.NodeAttrs[n] = m
-	}
-	for e, attrs := range s.EdgeAttrs {
-		m := make(map[string]string, len(attrs))
-		for k, v := range attrs {
-			m[k] = v
-		}
-		c.EdgeAttrs[e] = m
+	for e, attrs := range c.EdgeAttrs {
+		c.EdgeAttrs[e] = cloneOrMake(attrs)
 	}
 	return c
+}
+
+// cloneOrMake is maps.Clone, which copies a map's table whole instead of
+// inserting its entries one at a time, except that a nil map clones to an
+// empty one.
+func cloneOrMake[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil {
+		return make(map[K]V)
+	}
+	return maps.Clone(m)
 }
 
 // Size returns the number of elements in the snapshot: nodes, edges and

@@ -1,6 +1,9 @@
 package graphpool
 
 import (
+	"fmt"
+	"maps"
+	"math/rand"
 	"testing"
 
 	"historygraph/internal/delta"
@@ -95,5 +98,84 @@ func TestBuildLeavesNothingBehind(t *testing.T) {
 				p.CleanNow()
 			}
 		}
+	}
+}
+
+// TestForEachDiffering: the walk names, once each, exactly the ids on which
+// one of the graphs it is given holds another image than the current graph:
+// membership, an edge's endpoints (an id two graphs hold between different
+// nodes), an attribute value, a value on an id the graph does not contain.
+// Ids on which only a graph it is not given differs are not named.
+func TestForEachDiffering(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const ids = 24
+	draw := func() *graph.Snapshot {
+		s := graph.NewSnapshot()
+		for i := 1; i <= ids; i++ {
+			n, e := graph.NodeID(i), graph.EdgeID(i)
+			if rng.Intn(2) == 0 {
+				s.Nodes[n] = struct{}{}
+			}
+			if rng.Intn(2) == 0 {
+				s.Edges[e] = graph.EdgeInfo{From: n, To: graph.NodeID(1 + (i+rng.Intn(2))%ids)}
+			}
+			if rng.Intn(3) == 0 {
+				s.NodeAttrs[n] = map[string]string{"a": fmt.Sprint(rng.Intn(2))}
+			}
+			if rng.Intn(3) == 0 {
+				s.EdgeAttrs[e] = map[string]string{"w": fmt.Sprint(rng.Intn(2))}
+			}
+		}
+		return s
+	}
+	sameNode := func(a, b *graph.Snapshot, n graph.NodeID) bool {
+		_, inA := a.Nodes[n]
+		_, inB := b.Nodes[n]
+		return inA == inB && maps.Equal(a.NodeAttrs[n], b.NodeAttrs[n])
+	}
+	sameEdge := func(a, b *graph.Snapshot, e graph.EdgeID) bool {
+		infoA, inA := a.Edges[e]
+		infoB, inB := b.Edges[e]
+		return inA == inB && infoA == infoB && maps.Equal(a.EdgeAttrs[e], b.EdgeAttrs[e])
+	}
+	named := 0
+	for round := range 40 {
+		p := New()
+		cur := draw()
+		p.LoadCurrent(cur)
+		var given []GraphID
+		var graphs []*graph.Snapshot
+		for i := range 4 {
+			s := draw()
+			id := p.OverlayMaterialized(s)
+			if i < 2 {
+				given, graphs = append(given, id), append(graphs, s)
+			}
+		}
+		gotNodes, gotEdges := map[graph.NodeID]int{}, map[graph.EdgeID]int{}
+		p.ForEachDiffering(given, func(n graph.NodeID) { gotNodes[n]++ }, func(e graph.EdgeID) { gotEdges[e]++ })
+		for i := 1; i <= ids; i++ {
+			n, e := graph.NodeID(i), graph.EdgeID(i)
+			wantNode, wantEdge := 0, 0
+			for _, s := range graphs {
+				if !sameNode(s, cur, n) {
+					wantNode = 1
+				}
+				if !sameEdge(s, cur, e) {
+					wantEdge = 1
+				}
+			}
+			if gotNodes[n] != wantNode || gotEdges[e] != wantEdge {
+				t.Fatalf("round %d: node %d named %d times, want %d; edge %d named %d times, want %d",
+					round, n, gotNodes[n], wantNode, e, gotEdges[e], wantEdge)
+			}
+			named += wantNode + wantEdge
+		}
+		if len(gotNodes)+len(gotEdges) > 2*ids {
+			t.Fatalf("round %d: ids named that no graph holds", round)
+		}
+	}
+	if named == 0 {
+		t.Fatal("no id differed: the draws cover nothing")
 	}
 }

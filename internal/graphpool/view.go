@@ -2,6 +2,7 @@ package graphpool
 
 import (
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"historygraph/internal/graph"
@@ -153,6 +154,57 @@ func (v *View) ForEachHeld(node func(graph.NodeID), edge func(graph.EdgeID)) {
 	}
 	for id, l := range v.p.edgeVals {
 		if holds(l, false) && v.p.held(v.entry.m, id) == nil {
+			edge(id)
+		}
+	}
+}
+
+// ForEachDiffering calls node, then edge, once for every id on which one of
+// the graphs ids differs from the current graph: a record or an attribute
+// value that one of the two holds and the other does not. It reads the
+// bitmaps only, in one walk of the pool. The pool's read lock is held for the
+// duration; neither function may call into the pool.
+func (p *Pool) ForEachDiffering(ids []GraphID, node func(graph.NodeID), edge func(graph.EdgeID)) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	cur := p.graphs[CurrentGraph].m
+	var ms []membership
+	for _, id := range ids {
+		if e := p.graphs[id]; e != nil && id != CurrentGraph {
+			ms = append(ms, e.m)
+		}
+	}
+	differs := func(b bitmap) bool {
+		in := p.has(cur, b)
+		for _, m := range ms {
+			if p.has(m, b) != in {
+				return true
+			}
+		}
+		return false
+	}
+	valueDiffers := func(l *attrList) bool {
+		attrs := l.all()
+		for i := range attrs {
+			if differs(attrs[i].bits()) {
+				return true
+			}
+		}
+		return false
+	}
+	for id, pn := range p.nodes {
+		if differs(pn.bits()) || valueDiffers(pn.vals) {
+			node(id)
+		}
+	}
+	for id, first := range p.edges {
+		if differs(first.bits()) || slices.ContainsFunc(p.alts[id], func(alt *poolEdge) bool { return differs(alt.bits()) }) ||
+			valueDiffers(p.edgeVals[id]) {
+			edge(id)
+		}
+	}
+	for id, l := range p.edgeVals {
+		if p.edges[id] == nil && valueDiffers(l) {
 			edge(id)
 		}
 	}

@@ -142,8 +142,6 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 			func(st historygraph.IndexStats) int64 { return st.CheckpointBytes }},
 		{"dg_index_leaves", "Leaf-eventlists cut so far.",
 			func(st historygraph.IndexStats) int64 { return int64(st.Leaves) }},
-		{"dg_index_patch_elements", "Element images the pending index nodes hold in memory, where they differ from the current graph or, for a node far from it, all they contain (50 to 58 B an entry and the image): the index's own resident state, the current graph being the GraphPool's.",
-			func(st historygraph.IndexStats) int64 { return int64(st.PatchElements) }},
 	} {
 		reg.GaugeFunc(g.name, g.help, func() float64 { return float64(g.of(s.gm.Load().IndexStats())) })
 	}
@@ -152,7 +150,7 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 	// element (0.6 ms at 20k elements and 40k attribute values, twenty
 	// times a cached read), so a scrape does not compute it.
 	elements := reg.GaugeVec("dg_pool_elements", "Union-graph elements resident in the GraphPool, shared by every graph overlaid there.", "kind")
-	graphs := reg.GaugeVec("dg_pool_graphs", "Graphs in the GraphPool: active (the current graph, held views, materialized nodes), pinned (at least one reader or cache reference), released (let go, their bits awaiting the cleaner).", "state")
+	graphs := reg.GaugeVec("dg_pool_graphs", "Graphs in the GraphPool: active (the current graph, the index's pending nodes, held views, materialized nodes), pinned (at least one reader or cache reference), released (let go, their bits awaiting the cleaner).", "state")
 	pool := func(of func(historygraph.PoolStats) int64) func() float64 {
 		return func() float64 { return float64(of(s.gm.Load().PoolStats())) }
 	}
@@ -161,7 +159,7 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 	graphs.Func(pool(func(st historygraph.PoolStats) int64 { return int64(st.ActiveGraphs - st.ReleasedGraphs) }), "active")
 	graphs.Func(pool(func(st historygraph.PoolStats) int64 { return int64(st.PinnedGraphs) }), "pinned")
 	graphs.Func(pool(func(st historygraph.PoolStats) int64 { return int64(st.ReleasedGraphs) }), "released")
-	reg.GaugeFunc("dg_pool_bits", "GraphPool bitmap width in use, one more than the highest bit a graph holds: 2 bits for the current graph, 1 an explicit view or a materialized node, 2 a dependent view, the lowest free first. Above 64, an element in a graph with a high bit carries words beyond its inline one.",
+	reg.GaugeFunc("dg_pool_bits", "GraphPool bitmap width in use, one more than the highest bit a graph holds: 2 bits for the current graph, 1 an explicit view, a pending or a materialized node, 2 a dependent view, the lowest free first. Above 64, an element in a graph with a high bit carries words beyond its inline one.",
 		pool(func(st historygraph.PoolStats) int64 { return int64(st.Bits) }))
 	reg.GaugeFunc("dg_pool_bytes", "Estimated heap the GraphPool holds (element records, attribute lists, bitmap words, adjacency), as of the pool cleaner's last pass.",
 		pool(func(st historygraph.PoolStats) int64 { return st.Bytes }))
