@@ -1,6 +1,7 @@
 package deltagraph
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -454,4 +455,69 @@ func BenchmarkAppend(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// TestPendingBitsWithinBudget: the pending nodes take a bit each, and the
+// index holds at most (k−1)·height+1 of them, so a view cache can have the
+// rest. Across more than ten live leaf cuts, with 32 explicit views held and
+// churning — each step lets the oldest go and retrieves a new one, with no
+// cleaner running — the pool never holds more than 64 bits and no bitmap
+// carries a word beyond its inline one; every new view reads its graph.
+func TestPendingBitsWithinBudget(t *testing.T) {
+	const leaf, arity, held = 150, 3, 32
+	events := makeTrace(35, 6000)
+	pool := graphpool.New()
+	split := 2000
+	dg, err := Build(events[:split], Options{LeafSize: leaf, Arity: arity, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(35))
+	var views []graphpool.GraphID
+	retrieve := func(upTo int) {
+		t.Helper()
+		q := events[rng.Intn(upTo)].At
+		ids, err := dg.RetrieveMany([]graph.Time{q}, allAttrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := pool.View(ids[0])
+		if err != nil || !v.Snapshot().Equal(graph.SnapshotAt(events, q)) {
+			t.Fatalf("the view retrieved at %d does not read the graph there (%v)", q, err)
+		}
+		views = append(views, ids[0])
+	}
+	for range held {
+		retrieve(split)
+	}
+	start, most := dg.Stats().Leaves, 0
+	for lo := split; dg.Stats().Leaves < start+12; lo += 50 {
+		if lo >= len(events) {
+			t.Fatalf("the trace ran out %d leaves short", start+12-dg.Stats().Leaves)
+		}
+		if err := dg.AppendAll(events[lo:min(lo+50, len(events))]); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.Release(views[0]); err != nil {
+			t.Fatal(err)
+		}
+		views = views[1:]
+		retrieve(lo)
+		pending, height := 0, 0
+		for level, row := range dg.pending {
+			if pending += len(row); len(row) > 0 {
+				height = level
+			}
+		}
+		where := fmt.Sprintf("%d leaves", dg.Stats().Leaves)
+		if budget := (arity-1)*height + 1; pending > budget {
+			t.Fatalf("%s: %d pending nodes at height %d, budget %d", where, pending, height, budget)
+		}
+		st := pool.Stats()
+		if st.Bits > 64 || st.Spilled > 0 {
+			t.Fatalf("%s: the pool holds %d bits, %d bitmaps spilled (%d pending nodes, %d views)", where, st.Bits, st.Spilled, pending, len(views))
+		}
+		most = max(most, st.Bits)
+	}
+	t.Logf("%d live leaf cuts; the pool held at most %d bits", dg.Stats().Leaves-start, most)
 }

@@ -1006,6 +1006,7 @@ type Stats struct {
 	PoolNodes      int // union-graph nodes resident, and nodes only an edge record names
 	PoolEdges      int
 	Bits           int   // bitmap width in use: one more than the highest bit a graph holds
+	Spilled        int   // bitmaps that carry words beyond the inline one, for a bit past 63
 	Bytes          int64 // ApproxBytes as of a started Cleaner's last pass (0 before the first)
 }
 
@@ -1017,6 +1018,7 @@ func (p *Pool) Stats() Stats {
 		ActiveGraphs: len(p.graphs),
 		PoolNodes:    len(p.nodes),
 		PoolEdges:    len(p.edges),
+		Spilled:      len(p.spill)/p.stride - len(p.free),
 		Bytes:        p.sampledBytes.Load(),
 	}
 	for _, e := range p.graphs {
