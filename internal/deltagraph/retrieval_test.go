@@ -332,9 +332,10 @@ func replayInterval(events graph.EventList, from, to graph.Time) (*graph.Snapsho
 // the root's whole graph (which the store did not count). The rows from
 // t=6745 on, the times whose routes may start at a pending node, were
 // measured again when the pending nodes became graphs in the pool: a route
-// starts from one at the cost of copying it, a record an element, where a
-// patch cost its images (24 B each for a read with attributes) and, on the
-// current graph, a copy of that.
+// starts from one at the cost of copying it, a record an element (a node or
+// an edge, for a read that wants no attribute), where a patch cost its images
+// (24 B each for a read with attributes) and, on the current graph, a copy of
+// that.
 var goldenPlanCosts = [64][9]int64{
 	{0, 1, 1632, 0, 3, 7147, 0, 2, 7147},                  // t=0
 	{82, 1, 1632, 352, 3, 7147, 352, 2, 7147},             // t=396
@@ -357,47 +358,47 @@ var goldenPlanCosts = [64][9]int64{
 	{1491, 1, 1632, 5228, 15, 7311, 5228, 10, 7311},       // t=7142
 	{1574, 1, 1632, 4875, 15, 7311, 4875, 10, 7311},       // t=7539
 	{1657, 1, 1632, 4524, 15, 7311, 4524, 10, 7311},       // t=7935
-	{1874, 2, 3323, 5102, 15, 7413, 5102, 10, 7413},       // t=8332
-	{2207, 2, 3323, 6492, 15, 7413, 6492, 10, 7413},       // t=8729
-	{2541, 2, 3323, 7883, 15, 7413, 7883, 10, 7413},       // t=9126
-	{2875, 2, 3323, 9273, 15, 7413, 9273, 10, 7413},       // t=9523
-	{3208, 2, 3323, 10509, 15, 12550, 10509, 10, 12550},   // t=9919
-	{3592, 3, 5532, 9956, 15, 12646, 9956, 10, 12646},     // t=10316
-	{4110, 3, 5532, 11647, 15, 12646, 11647, 10, 12646},   // t=10713
-	{4629, 3, 5532, 13337, 15, 12646, 13337, 10, 12646},   // t=11110
-	{5147, 3, 5532, 15028, 15, 12646, 15028, 10, 12646},   // t=11507
-	{5665, 3, 5532, 14227, 15, 17185, 14227, 10, 17185},   // t=11903
-	{6326, 4, 7444, 16349, 15, 17359, 16349, 10, 17359},   // t=12300
-	{7006, 4, 7444, 18957, 15, 17359, 18957, 10, 17359},   // t=12697
-	{7686, 4, 7444, 19487, 15, 22758, 19487, 10, 22758},   // t=13094
-	{8506, 5, 9501, 22305, 15, 22720, 22305, 10, 22720},   // t=13490
-	{9332, 5, 9501, 24104, 15, 25651, 24104, 10, 25651},   // t=13887
-	{9538, 5, 6987, 23761, 15, 25686, 23761, 10, 25686},   // t=14284
-	{10483, 5, 6987, 27181, 15, 25686, 27181, 10, 25686},  // t=14681
-	{10664, 5, 8312, 28547, 15, 31235, 28547, 10, 31235},  // t=15078
-	{11751, 5, 8312, 32506, 15, 31235, 32506, 10, 31235},  // t=15474
-	{12046, 5, 9526, 33628, 15, 35952, 33628, 10, 35952},  // t=15871
-	{13220, 5, 9526, 38073, 15, 35952, 38073, 10, 35952},  // t=16268
-	{13674, 5, 10834, 40449, 15, 41409, 40449, 10, 41409}, // t=16665
-	{14448, 5, 12108, 39213, 15, 42011, 39213, 10, 42011}, // t=17062
-	{15522, 5, 12265, 42868, 15, 42057, 42868, 10, 42057}, // t=17458
-	{16123, 5, 13426, 45794, 15, 47595, 45794, 10, 47595}, // t=17855
-	{16998, 5, 14649, 49233, 15, 52383, 49233, 10, 52383}, // t=18252
-	{18415, 5, 14792, 54350, 15, 52397, 54350, 10, 52397}, // t=18649
-	{19289, 5, 16042, 58377, 15, 57916, 58377, 10, 57916}, // t=19046
-	{20301, 5, 17575, 60139, 15, 61017, 60139, 10, 61017}, // t=19442
-	{21451, 5, 21442, 63855, 15, 66615, 63855, 10, 66615}, // t=19839
-	{23412, 5, 22216, 68129, 15, 66615, 68129, 10, 66615}, // t=20236
-	{22804, 5, 25093, 66785, 15, 69074, 66785, 10, 69074}, // t=20633
-	{25464, 5, 25206, 69445, 15, 69187, 69445, 10, 69187}, // t=21030
-	{22523, 5, 25206, 66504, 15, 69187, 66504, 10, 69187}, // t=21426
-	{24154, 5, 25223, 65250, 6, 9726, 65250, 4, 9726},     // t=21823
-	{27109, 5, 25223, 62295, 6, 9726, 62295, 4, 9726},     // t=22220
-	{30067, 6, 32833, 60506, 6, 9780, 60506, 4, 9780},     // t=22617
-	{33042, 6, 32833, 63481, 6, 9780, 63481, 4, 9780},     // t=23014
-	{36010, 6, 32833, 61279, 6, 9991, 61279, 4, 9991},     // t=23410
-	{38985, 7, 40441, 61961, 6, 9989, 61961, 4, 9989},     // t=23807
-	{41959, 7, 40441, 62641, 3, 7608, 62641, 2, 7608},     // t=24204
+	{1818, 5, 1855, 5102, 15, 7413, 5102, 10, 7413},       // t=8332
+	{2151, 5, 1855, 6492, 15, 7413, 6492, 10, 7413},       // t=8729
+	{2485, 5, 1855, 7883, 15, 7413, 7883, 10, 7413},       // t=9126
+	{2819, 5, 1855, 9273, 15, 7413, 9273, 10, 7413},       // t=9523
+	{2849, 5, 2822, 10509, 15, 12550, 10509, 10, 12550},   // t=9919
+	{2748, 5, 3340, 9956, 15, 12646, 9956, 10, 12646},     // t=10316
+	{3266, 5, 3340, 11647, 15, 12646, 11647, 10, 12646},   // t=10713
+	{3785, 5, 3340, 13337, 15, 12646, 13337, 10, 12646},   // t=11110
+	{4303, 5, 3340, 15028, 15, 12646, 15028, 10, 12646},   // t=11507
+	{4031, 5, 4706, 14227, 15, 17185, 14227, 10, 17185},   // t=11903
+	{4575, 5, 4409, 16349, 15, 17359, 16349, 10, 17359},   // t=12300
+	{5255, 5, 4409, 18957, 15, 17359, 18957, 10, 17359},   // t=12697
+	{5165, 5, 5588, 19487, 15, 22758, 19487, 10, 22758},   // t=13094
+	{5958, 5, 5733, 22305, 15, 22720, 22305, 10, 22720},   // t=13490
+	{6784, 5, 5733, 24104, 15, 25651, 24104, 10, 25651},   // t=13887
+	{6818, 5, 6987, 23761, 15, 25686, 23761, 10, 25686},   // t=14284
+	{7763, 5, 6987, 27181, 15, 25686, 27181, 10, 25686},   // t=14681
+	{7944, 5, 8312, 28547, 15, 31235, 28547, 10, 31235},   // t=15078
+	{9031, 5, 8312, 32506, 15, 31235, 32506, 10, 31235},   // t=15474
+	{9326, 5, 9526, 33628, 15, 35952, 33628, 10, 35952},   // t=15871
+	{10500, 5, 9526, 38073, 15, 35952, 38073, 10, 35952},  // t=16268
+	{10954, 5, 10834, 40449, 15, 41409, 40449, 10, 41409}, // t=16665
+	{11728, 5, 12108, 39213, 15, 42011, 39213, 10, 42011}, // t=17062
+	{12802, 5, 12265, 42868, 15, 42057, 42868, 10, 42057}, // t=17458
+	{13403, 5, 13426, 45794, 15, 47595, 45794, 10, 47595}, // t=17855
+	{14278, 5, 14649, 49233, 15, 52383, 49233, 10, 52383}, // t=18252
+	{15695, 5, 14792, 54350, 15, 52397, 54350, 10, 52397}, // t=18649
+	{16569, 5, 16042, 58377, 15, 57916, 58377, 10, 57916}, // t=19046
+	{17581, 5, 17575, 60139, 15, 61017, 60139, 10, 61017}, // t=19442
+	{18731, 5, 21442, 63855, 15, 66615, 63855, 10, 66615}, // t=19839
+	{20692, 5, 22216, 68129, 15, 66615, 68129, 10, 66615}, // t=20236
+	{20084, 5, 25093, 66785, 15, 69074, 66785, 10, 69074}, // t=20633
+	{22744, 5, 25206, 69445, 15, 69187, 69445, 10, 69187}, // t=21030
+	{19803, 5, 25206, 66504, 15, 69187, 66504, 10, 69187}, // t=21426
+	{21434, 5, 25223, 65250, 6, 9726, 65250, 4, 9726},     // t=21823
+	{22615, 2, 9726, 62295, 6, 9726, 62295, 4, 9726},      // t=22220
+	{20826, 2, 9780, 60506, 6, 9780, 60506, 4, 9780},      // t=22617
+	{23801, 2, 9780, 63481, 6, 9780, 63481, 4, 9780},      // t=23014
+	{21599, 2, 9991, 61279, 6, 9991, 61279, 4, 9991},      // t=23410
+	{22281, 2, 9989, 61961, 6, 9989, 61961, 4, 9989},      // t=23807
+	{22961, 1, 7608, 62641, 3, 7608, 62641, 2, 7608},      // t=24204
 	{9528, 0, 0, 9528, 0, 0, 9528, 0, 0},                  // t=24601
 	{0, 0, 0, 0, 0, 0, 0, 0, 0},                           // t=24998
 }

@@ -27,10 +27,11 @@ import (
 //     either side of t, then along the leaf level to t", over one run of
 //     Dijkstra; the index is held queryable while it grows (Section 6) by its
 //     pending nodes, each a graph in the pool that a route may start from,
-//     and every permanent node below them through the stored deltas. A multipoint query (Section 4.4) joins its timepoints to the
-//     null graph and to their neighbours in time by a minimum spanning tree
-//     (the Steiner-tree 2-approximation); materialization has skeleton nodes
-//     for targets. Plans that share steps share them in the tree.
+//     and every permanent node below them through the stored deltas. A
+//     multipoint query (Section 4.4) joins its timepoints to the null graph
+//     and to their neighbours in time by a minimum spanning tree (the
+//     Steiner-tree 2-approximation); materialization has skeleton nodes for
+//     targets. Plans that share steps share them in the tree.
 //   - One executor walks the tree once, copying what it builds where the tree
 //     branches. Nothing stored is read twice in one call. It builds in one of
 //     two states: graph.Snapshot maps for the calls that hand back maps, and
@@ -185,17 +186,20 @@ func (dg *DeltaGraph) pendingNode(node int) *pendingChild {
 }
 
 // pendingStep is the step that starts from pending node c's graph, costed as
-// the copy it is: a record an element of the graph, attribute values
-// included, whatever the read wants, since the pool copies every bit the
-// graph holds (graphpool.NewBuild). An aux query copies the node's aux
+// the copy it is: a record an element of the graph, or of its nodes and edges
+// for a read that wants no attribute. An aux query copies the node's aux
 // snapshot instead, a record a pair.
 func (dg *DeltaGraph) pendingStep(c *pendingChild, sel weightSelector) step {
-	n := c.size
-	if !sel.wantStruct {
-		n = 0
+	var n int
+	switch {
+	case !sel.wantStruct:
 		for _, comp := range sel.auxComponents {
 			n += len(c.aux[comp-int(kvstore.ComponentAuxBase)])
 		}
+	case sel.wantNodeAttr || sel.wantEdgeAttr:
+		n = c.size
+	default:
+		n = c.graph.NumNodes() + c.graph.NumEdges()
 	}
 	return step{kind: fromPinned, node: c.node, cost: int64(n) * bytesPerRecord}
 }
@@ -349,9 +353,13 @@ func execute[S any](n *planNode, s S, fork func(S) S, apply func(S, step) (S, er
 // graph joins every timepoint to the null graph, at the cost of its own
 // cheapest route, and to its neighbour in time, at the cost of the leaf level
 // between them; a minimum spanning tree of it decides which timepoints are
-// built from the null graph and which from a neighbour. It returns the tree,
-// whose outs are positions in ts, and for every timepoint built from the null
-// graph its route, at its position.
+// built from the null graph and which from a neighbour. A neighbour's link
+// also pays for the copy the executor forks of the graph it starts from,
+// costed as a copy of the current graph is. (A route from the null graph that
+// shares its start with another forks too; the tree charges it neither that
+// nor credits it the steps it shares.) It returns the tree, whose outs are
+// positions in ts, and for every timepoint built from the null graph its
+// route, at its position.
 func (dg *DeltaGraph) planLocked(ts []graph.Time, sel weightSelector) (*planNode, []route, error) {
 	p := planner{dg: dg, sel: sel}
 	m := len(ts)
@@ -366,6 +374,10 @@ func (dg *DeltaGraph) planLocked(ts []graph.Time, sel weightSelector) (*planNode
 		a, b int // b == m: the null graph
 	}
 	links := make([]link, 0, 2*m)
+	fork := int64(dg.cur.NumNodes()+dg.cur.NumEdges()) * bytesPerRecord
+	if sel.wantNodeAttr || sel.wantEdgeAttr {
+		fork = int64(dg.curSize) * bytesPerRecord
+	}
 	direct := make([]route, m) // from the null graph to i
 	hops := make([]route, m-1) // from i to i+1
 	var err error
@@ -379,7 +391,7 @@ func (dg *DeltaGraph) planLocked(ts []graph.Time, sel weightSelector) (*planNode
 		if hops[i], err = dg.leafSteps(ts[order[i]], ts[order[i+1]], sel); err != nil {
 			return nil, nil, err
 		}
-		links = append(links, link{hops[i].cost(), i, i + 1})
+		links = append(links, link{hops[i].cost() + fork, i, i + 1})
 	}
 
 	// Kruskal. A hop in the tree joins two neighbours; so the timepoints fall
