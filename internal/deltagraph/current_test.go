@@ -462,7 +462,8 @@ func BenchmarkAppend(b *testing.B) {
 // rest. Across more than ten live leaf cuts, with 32 explicit views held and
 // churning — each step lets the oldest go and retrieves a new one, with no
 // cleaner running — the pool never holds more than 64 bits and no bitmap
-// carries a word beyond its inline one; every new view reads its graph.
+// carries a word beyond its inline one, no graph a promotion let go of stays
+// live, and every new view reads its graph.
 func TestPendingBitsWithinBudget(t *testing.T) {
 	const leaf, arity, held = 150, 3, 32
 	events := makeTrace(35, 6000)
@@ -516,6 +517,9 @@ func TestPendingBitsWithinBudget(t *testing.T) {
 		st := pool.Stats()
 		if st.Bits > 64 || st.Spilled > 0 {
 			t.Fatalf("%s: the pool holds %d bits, %d bitmaps spilled (%d pending nodes, %d views)", where, st.Bits, st.Spilled, pending, len(views))
+		}
+		if live := st.ActiveGraphs - st.ReleasedGraphs; live != 1+pending+len(views) {
+			t.Fatalf("%s: the pool holds %d live graphs: the current graph, %d pending nodes and %d views are %d", where, live, pending, len(views), 1+pending+len(views))
 		}
 		most = max(most, st.Bits)
 	}

@@ -753,3 +753,111 @@ func forks(nodes ...*planNode) (n int) {
 	}
 	return n
 }
+
+// TestMaterializedPendingNode: a pending node is materialized where it is,
+// on its own pool graph, with no copy; no read builds a dependent of that
+// graph, which is the pending node's to let go of. When the node gets a
+// parent its graph stays, materialized. A pending node unmaterialized keeps
+// its graph until it gets a parent, and then lets it go. Reads at every leaf
+// time agree with replay throughout.
+func TestMaterializedPendingNode(t *testing.T) {
+	events := makeTrace(36, 4000)
+	pool := graphpool.New()
+	split := 1500
+	dg, err := Build(events[:split], Options{LeafSize: 100, Arity: 2, Pool: pool, DependentMaxRatio: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func() int { st := pool.Stats(); return st.ActiveGraphs - st.ReleasedGraphs }
+	check := func(what string, hi int) {
+		t.Helper()
+		for _, q := range dg.LeafTimes() {
+			id, err := dg.Retrieve(q, allAttrs)
+			if err != nil {
+				t.Fatalf("%s: Retrieve(%d): %v", what, q, err)
+			}
+			v, err := pool.View(id)
+			if err != nil || !v.Snapshot().Equal(graph.SnapshotAt(events[:hi], q)) {
+				t.Fatalf("%s: the graph retrieved at %d differs from replay (%v)", what, q, err)
+			}
+			for _, row := range pool.MappingTable() {
+				if n := dg.pendingNodeOf(row.Dep); n >= 0 {
+					t.Fatalf("%s: graph %d depends on pending node %d's graph", what, row.ID, n)
+				}
+			}
+			if err := pool.Release(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pool.CleanNow()
+	}
+	appendUntilPromoted := func(node NodeRef, lo int) int {
+		t.Helper()
+		for ; dg.pendingNode(int(node)) != nil; lo += 50 {
+			if lo >= len(events) {
+				t.Fatalf("node %d never got a parent", node)
+			}
+			if err := dg.AppendAll(events[lo:min(lo+50, len(events))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return lo
+	}
+
+	root, err := dg.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := live()
+	if err := dg.MaterializeLevel("root"); err != nil {
+		t.Fatal(err)
+	}
+	gid := dg.matGraphs[int(root)]
+	if live() != before || gid != dg.pendingNode(int(root)).graph.ID() {
+		t.Fatalf("materializing pending node %d made a graph (%d live graphs, were %d)", root, live(), before)
+	}
+	check("root materialized", split)
+	pinned, err := pool.View(gid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pinned.Snapshot()
+	hi := appendUntilPromoted(root, split)
+	if v, err := pool.View(gid); err != nil || !v.Snapshot().Equal(want) {
+		t.Fatalf("node %d got a parent and its materialized graph went (%v)", root, err)
+	}
+	check("the materialized node promoted", hi)
+
+	next, err := dg.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next == root {
+		t.Fatal("the new root is the old one")
+	}
+	if err := dg.Materialize(next); err != nil {
+		t.Fatal(err)
+	}
+	if err := dg.Unmaterialize(next); err != nil {
+		t.Fatal(err)
+	}
+	check("a pending node unmaterialized", hi)
+	gone := dg.pendingNode(int(next)).graph.ID()
+	hi = appendUntilPromoted(next, hi)
+	if _, err := pool.View(gone); err == nil {
+		t.Fatalf("unmaterialized node %d got a parent and kept its graph", next)
+	}
+	check("the unmaterialized node promoted", hi)
+}
+
+// pendingNodeOf returns the pending node whose graph is id, -1 if none is.
+func (dg *DeltaGraph) pendingNodeOf(id graphpool.GraphID) int {
+	for _, level := range dg.pending {
+		for _, c := range level {
+			if c.graph.ID() == id {
+				return c.node
+			}
+		}
+	}
+	return -1
+}

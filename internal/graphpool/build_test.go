@@ -178,4 +178,19 @@ func TestForEachDiffering(t *testing.T) {
 	if named == 0 {
 		t.Fatal("no id differed: the draws cover nothing")
 	}
+
+	// An id whose first record only a third graph holds, while the given one
+	// and the current graph hold it between two other pairs of nodes.
+	p := New()
+	third := graph.NewSnapshot()
+	third.Edges[1] = graph.EdgeInfo{From: 1, To: 2}
+	p.OverlayMaterialized(third)
+	cur, other := graph.NewSnapshot(), graph.NewSnapshot()
+	cur.Edges[1], other.Edges[1] = graph.EdgeInfo{From: 2, To: 3}, graph.EdgeInfo{From: 3, To: 4}
+	p.LoadCurrent(cur)
+	edges := 0
+	p.ForEachDiffering([]GraphID{p.OverlayMaterialized(other)}, func(graph.NodeID) {}, func(graph.EdgeID) { edges++ })
+	if edges != 1 {
+		t.Fatalf("an edge held between other nodes than the current graph's, on records past the first, named %d times", edges)
+	}
 }
