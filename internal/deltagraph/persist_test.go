@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -670,13 +671,51 @@ func reopenTimes(dg *DeltaGraph) []graph.Time {
 func TestReopenDifferential(t *testing.T) {
 	events := makeTrace(22, 3400)
 	structOnly := graph.AttrOptions{}
+	// The replays the cases share: each prefix of the trace is logged once,
+	// and each answer of it, and of the auxiliary index, read once.
+	type replayKey struct {
+		held  int
+		q     graph.Time
+		attrs bool
+	}
+	var mu sync.Mutex
+	logs, replays, auxReplays := map[int]*baseline.NaiveLog{}, map[replayKey]*graph.Snapshot{}, map[graph.Time]AuxSnapshot{}
+	replay := func(t *testing.T, held int, q graph.Time, attrs bool) *graph.Snapshot {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		key, opts := replayKey{held, q, attrs}, structOnly
+		if attrs {
+			opts = allAttrs
+		}
+		if s, ok := replays[key]; ok {
+			return s
+		}
+		if logs[held] == nil {
+			prefix, err := baseline.BuildNaiveLog(events[:held], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logs[held] = prefix
+		}
+		s, err := logs[held].Snapshot(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replays[key] = s
+		return s
+	}
+	auxReplay := func(q graph.Time) AuxSnapshot {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, ok := auxReplays[q]; !ok {
+			auxReplays[q] = refAux(events, q)
+		}
+		return auxReplays[q]
+	}
 	check := func(t *testing.T, dg *DeltaGraph, held int, before map[graph.Time][2]*graph.Snapshot) map[graph.Time][2]*graph.Snapshot {
 		t.Helper()
 		if err := dg.validateInvariant(); err != nil {
-			t.Fatal(err)
-		}
-		prefix, err := baseline.BuildNaiveLog(events[:held], nil)
-		if err != nil {
 			t.Fatal(err)
 		}
 		got := map[graph.Time][2]*graph.Snapshot{}
@@ -687,10 +726,7 @@ func TestReopenDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("GetSnapshot(%d): %v", q, err)
 				}
-				want, err := prefix.Snapshot(q, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := replay(t, held, q, i == 0)
 				if !s.Equal(want) {
 					t.Fatalf("t=%d attrs=%v: differs from naive log replay", q, i == 0)
 				}
@@ -844,7 +880,7 @@ func TestReopenDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !auxEqual(got, refAux(events, q)) {
+				if !auxEqual(got, auxReplay(q)) {
 					t.Fatalf("aux snapshot at %d differs from replay", q)
 				}
 			}

@@ -62,6 +62,50 @@ func BenchmarkPoolReleaseClean(b *testing.B) {
 	}
 }
 
+// BenchmarkPoolCopyCurrent measures a leaf cut's copy of the current graph
+// onto a bit of its own on the same pool — a pass over every record and
+// value — and the Abort that gives the bit up; the clean that reclaims it
+// is off the clock.
+func BenchmarkPoolCopyCurrent(b *testing.B) {
+	p, _ := shapedPool()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build, err := p.NewBuild(CurrentGraph, false, allAttrs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		build.Abort()
+		b.StopTimer()
+		p.CleanNow()
+		b.StartTimer()
+	}
+}
+
+// BenchmarkPoolForEachDiffering measures a parent's walk at a cut on the same
+// pool: the ids on which a copy of the current graph, taken a leaf of 256
+// events ago, differs from the current graph now.
+func BenchmarkPoolForEachDiffering(b *testing.B) {
+	p, _ := shapedPool()
+	build, err := p.NewBuild(CurrentGraph, false, allAttrs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := []GraphID{build.Commit(KindMaterialized, 0)}
+	for e := graph.EdgeID(1); e <= 256; e++ {
+		p.ApplyEvent(graph.Event{Type: graph.AddEdge, Edge: shapeEdges + e, Node: graph.NodeID(e), Node2: graph.NodeID(e + 1)})
+	}
+	named := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.ForEachDiffering(ids, func(graph.NodeID) { named++ }, func(graph.EdgeID) { named++ })
+	}
+	if named != 256*b.N {
+		b.Fatalf("%d ids named in %d walks, want 256 a walk", named, b.N)
+	}
+}
+
 // BenchmarkPoolViewChurn measures the served shape on the same pool: a view
 // cache holding the shapeViews views lets the oldest go and overlays a view
 // of the history in its place, once an op, with no cleaner running — what

@@ -55,30 +55,48 @@ func (p *Pool) NewBuild(from GraphID, dependent bool, attrs graph.AttrOptions) (
 }
 
 // copyBits sets bit to+i on every element and attribute value that bit
-// from+i is set on, for each i below n. The caller holds the write lock.
+// from+i is set on, for each i below n, in one scan of the pool; within the
+// inline word a shift does it. The caller holds the write lock.
 func (p *Pool) copyBits(from, to, n int) {
+	inline, mask := from+n <= 64 && to+n <= 64, uint64(1)<<n-1
 	cp := func(b bitmap) {
-		for i := 0; i < n; i++ {
-			if p.bit(b, from+i) {
-				p.mark(b, to+i)
+		if inline {
+			*b.first |= *b.first >> from & mask << to
+		} else {
+			p.copySpilled(b, from, to, n)
+		}
+	}
+	for _, chunk := range p.nodeSlab.chunks {
+		for j := range chunk {
+			if pn := &chunk[j]; pn.live {
+				cp(pn.bits())
+				attrs := pn.vals.all()
+				for k := range attrs {
+					cp(attrs[k].bits())
+				}
 			}
 		}
 	}
-	values := func(l *attrList) {
-		attrs := l.all()
-		for i := range attrs {
-			cp(attrs[i].bits())
+	for _, chunk := range p.edgeSlab.chunks {
+		for j := range chunk {
+			if pe := &chunk[j]; pe.live {
+				cp(pe.bits())
+			}
 		}
 	}
-	for _, pn := range p.nodes {
-		cp(pn.bits())
-		values(pn.vals)
-	}
-	for _, pe := range p.records {
-		cp(pe.bits())
-	}
 	for _, l := range p.edgeVals {
-		values(l)
+		for k := range *l {
+			cp((*l)[k].bits())
+		}
+	}
+}
+
+// copySpilled is copyBits for one bitmap, bit by bit.
+func (p *Pool) copySpilled(b bitmap, from, to, n int) {
+	for i := range n {
+		if p.bit(b, from+i) {
+			p.mark(b, to+i)
+		}
 	}
 }
 
@@ -133,7 +151,7 @@ func (b *Build) SetNode(n graph.NodeID, present bool, attrs map[string]string) {
 	p, e := b.p, b.e
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pn := p.nodes[n]
+	pn := p.findNode(n)
 	if pn == nil && !present && len(attrs) == 0 {
 		return // b holds nothing of a node the pool has no record of
 	} else if pn == nil {
@@ -156,7 +174,7 @@ func (b *Build) SetEdge(id graph.EdgeID, info graph.EdgeInfo, present bool, attr
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := false
-	if pe := p.held(e.m, id); pe != nil && (!present || pe.info() != info) {
+	if pe := p.held(e.m, id); pe != nil && (!present || p.info(pe) != info) {
 		e.edgeCount += p.put(e, pe.bits(), false)
 		out = true
 	}

@@ -116,9 +116,11 @@ func TestApproxBytesTracksHeap(t *testing.T) {
 // TestPoolBytesPerElement is the golden cost behind heap_live_mb, as
 // TestGoldenCheckpointBytes is behind durable_bytes_per_event: what a node
 // with ten attributes and what a bare edge cost on the heap, measured, under
-// ceilings a layout regression breaks, a tenth above the 429 B and 86 B
-// measured when they were set. The bytes of the value strings are the
-// events' own and not in the measure. With a map of one-element slices of pointers to
+// ceilings a layout regression breaks: 447 B and 78 B with the records in
+// chunks, named by 4-byte indices, which the maps and adjacency lists hold;
+// the edge's ceiling a tenth above that, the node's where it was set a tenth
+// above 429 B, before a node record held its id. The bytes of the value
+// strings are the events' own and not in the measure. With a map of one-element slices of pointers to
 // 48-byte values per element and every bitmap word allocated apart, the same
 // measurement read 1 510 B a node and 153 B an edge; with the adjacency lists
 // in a map of their own, growing by doubling, and an empty attribute-list
@@ -140,7 +142,7 @@ func TestPoolBytesPerElement(t *testing.T) {
 	perNode := float64(heapGrowth(apply(nodes), nodes, edges)) / shapeNodes
 	perEdge := float64(heapGrowth(apply(edges), edges)) / shapeEdges
 	t.Logf("%.0f B per node with %d attributes, %.0f B per bare edge", perNode, shapeAttrs, perEdge)
-	const nodeCeiling, edgeCeiling = 470, 95
+	const nodeCeiling, edgeCeiling = 470, 86
 	if perNode > nodeCeiling {
 		t.Errorf("a node with %d attributes costs %.0f B of heap, ceiling %d", shapeAttrs, perNode, nodeCeiling)
 	}

@@ -65,10 +65,10 @@ func (v *View) Freeze() *FrozenView {
 		f.nodes = append(f.nodes, frozenNode{id: id, word: pack(pn.bits())})
 	}
 	for _, pe := range v.p.records {
-		w := pack(pe.bits())
-		f.adj[pe.from] = append(f.adj[pe.from], frozenEdge{other: pe.to, word: w})
-		if pe.to != pe.from {
-			f.adj[pe.to] = append(f.adj[pe.to], frozenEdge{other: pe.from, word: w})
+		w, info := pack(pe.bits()), v.p.info(pe)
+		f.adj[info.From] = append(f.adj[info.From], frozenEdge{other: info.To, word: w})
+		if info.To != info.From {
+			f.adj[info.To] = append(f.adj[info.To], frozenEdge{other: info.From, word: w})
 		}
 	}
 	return f

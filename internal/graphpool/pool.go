@@ -13,8 +13,16 @@
 // bits, so that while they fit bits 2–63 no element's bitmap needs a word
 // beyond the one in its record. The words above live in a slot of a table
 // the pool owns, which the record names by a 4-byte index, so a bitmap costs
-// its record no pointer: a value of an attribute is 32 B, and so is an edge
-// record, which holds no pointer at all (its id's values are kept apart).
+// its record no pointer.
+//
+// The node and edge records live in chunks of chunkLen that never move, each
+// record named by a 4-byte index, so that a pass over every graph's bits is a
+// linear scan of the chunks. A node record is 56 B and an edge record 32 B,
+// with no pointer (its endpoints are node-record indices); the maps from ids
+// to records hold indices, about 30 B an entry; an adjacency list holds 4 B
+// for each edge record at its node. A value of an attribute is 32 B and its
+// string, in a list per element (an edge id's are kept apart from its
+// records).
 //
 // The bit pair enables the paper's dependent-graph optimization: a
 // historical graph close to a materialized graph (or the current graph)
@@ -85,33 +93,100 @@ type attrVal struct {
 // an edge id's is in Pool.edgeVals while it has one.
 type attrList []attrVal
 
-// poolNode is the record of a node: its bitmap, its attribute values, and
-// the ids of the edge records at the node, each once. A node that only an
-// edge record names has one too, with no bits and no values, for as long as
-// the edge is there.
+// poolNode is the record of a node: its id, its bitmap, its attribute values,
+// and the indices of the edge records at the node, each once. A node that
+// only an edge record names has one too, with no bits and no values, for as
+// long as the edge is there.
 type poolNode struct {
+	id    graph.NodeID
 	first uint64
 	more  uint32
+	live  bool // a free slot's is false
 	vals  *attrList
-	adj   []graph.EdgeID
+	adj   []uint32
 }
 
-// poolEdge is a record of an edge: its bitmap and its endpoints. It holds no
-// pointer, so the collector never scans it; the attribute values of an edge
-// id are not on it but in Pool.edgeVals.
+// poolEdge is a record of an edge: its id, its bitmap and its endpoints, the
+// indices of their node records. It holds no pointer, so the collector never
+// scans a chunk of them; the attribute values of an edge id are not on it
+// but in Pool.edgeVals.
 type poolEdge struct {
+	id       graph.EdgeID
 	first    uint64
 	more     uint32
+	from, to uint32
 	directed bool
-	from, to graph.NodeID
+	live     bool
 }
 
-func (pe *poolEdge) info() graph.EdgeInfo {
-	return graph.EdgeInfo{From: pe.from, To: pe.to, Directed: pe.directed}
+// ends returns the indices of the node records the edge record joins, each
+// once.
+func (pe *poolEdge) ends() []uint32 {
+	if pe.to == pe.from {
+		return []uint32{pe.from}
+	}
+	return []uint32{pe.from, pe.to}
 }
 
-func (pe *poolEdge) setInfo(info graph.EdgeInfo) {
-	pe.from, pe.to, pe.directed = info.From, info.To, info.Directed
+// info returns the endpoints of edge record pe.
+func (p *Pool) info(pe *poolEdge) graph.EdgeInfo {
+	return graph.EdgeInfo{From: p.nodeSlab.at(pe.from).id, To: p.nodeSlab.at(pe.to).id, Directed: pe.directed}
+}
+
+// chunkLen is how many records a chunk of a slab holds.
+const chunkLen = 256
+
+// slab holds records in chunks that never move, a record named by its index:
+// chunk i/chunkLen, slot i%chunkLen. A free slot is zero and on free, and
+// the next record made takes the last freed one. Since a slot is reused, no
+// pointer to a record may be kept past the record's eviction.
+type slab[R any] struct {
+	chunks []*[chunkLen]R
+	free   []uint32
+}
+
+func (s *slab[R]) at(i uint32) *R { return &s.chunks[i/chunkLen][i%chunkLen] }
+
+// add returns a free slot, taken off the free list, which a new chunk fills
+// when it is empty.
+func (s *slab[R]) add() uint32 {
+	if len(s.free) == 0 {
+		s.chunks = append(s.chunks, new([chunkLen]R))
+		for j := chunkLen - 1; j >= 0; j-- {
+			s.free = append(s.free, uint32((len(s.chunks)-1)*chunkLen+j))
+		}
+	}
+	i := s.free[len(s.free)-1]
+	s.free = s.free[:len(s.free)-1]
+	return i
+}
+
+// remove zeroes slot i and frees it. A slab left with no record gives its
+// chunks back.
+func (s *slab[R]) remove(i uint32) {
+	var zero R
+	*s.at(i) = zero
+	if s.free = append(s.free, i); len(s.free) == len(s.chunks)*chunkLen {
+		*s = slab[R]{}
+	}
+}
+
+// all yields every slot, free or not, in index order.
+func (s *slab[R]) all(yield func(uint32, *R) bool) {
+	for c, chunk := range s.chunks {
+		for j := range chunk {
+			if !yield(uint32(c*chunkLen+j), &chunk[j]) {
+				return
+			}
+		}
+	}
+}
+
+// bytes returns the heap the slab holds: its chunks, whole, and the lists of
+// them and of its free slots.
+func (s *slab[R]) bytes() int64 {
+	return int64(len(s.chunks))*heapSize(unsafe.Sizeof(s.chunks[0][0])*chunkLen) +
+		heapSize(uintptr(cap(s.chunks))*8) + heapSize(uintptr(cap(s.free))*4)
 }
 
 // bitmap addresses the bitmap of graphs one record or value is in, where it
@@ -260,19 +335,26 @@ func (l *attrList) value(name uint32, val string) bitmap {
 // many values it dropped.
 func (p *Pool) sweepValues(l *attrList, mask *bitset.Bits) (*attrList, int) {
 	attrs := l.all()
-	kept := attrs[:0]
+	kept := 0
 	for i := range attrs {
 		av := &attrs[i]
-		if p.andNot(av.bits(), mask); !av.bits().empty() {
-			kept = append(kept, *av)
+		if p.andNot(av.bits(), mask); av.bits().empty() {
+			continue
 		}
+		if kept < i { // a value moves only once one before it has gone
+			attrs[kept] = *av
+		}
+		kept++
 	}
-	clear(attrs[len(kept):])
-	if len(kept) == 0 {
+	if kept == len(attrs) {
+		return l, 0
+	}
+	clear(attrs[kept:])
+	if kept == 0 {
 		return nil, len(attrs)
 	}
-	*l = kept
-	return l, len(attrs) - len(kept)
+	*l = attrs[:kept]
+	return l, len(attrs) - kept
 }
 
 // values returns the node's attribute values (nil for a nil node).
@@ -295,9 +377,21 @@ func (pn *poolNode) dead() bool {
 // one); dep < 0: no dependency to inherit from.
 type membership struct{ exc, mem, dep int }
 
+// holds is has for a bitmap with no bit set past the inline word w (a shift
+// by 64 or more reads 0).
+func (m membership) holds(w uint64) bool {
+	if m.exc < 0 || w>>m.exc&1 != 0 {
+		return w>>m.mem&1 != 0
+	}
+	return m.dep >= 0 && w>>m.dep&1 != 0
+}
+
 // has reports whether the graph with the membership test m holds what b is
 // the bitmap of.
 func (p *Pool) has(m membership, b bitmap) bool {
+	if *b.more == 0 {
+		return m.holds(*b.first)
+	}
 	if m.exc < 0 || p.bit(b, m.exc) {
 		return p.bit(b, m.mem)
 	}
@@ -328,16 +422,19 @@ type graphEntry struct {
 // Pool is the GraphPool. It is safe for concurrent use; retrieval overlays
 // take the write lock, view reads take the read lock.
 type Pool struct {
-	mu     sync.RWMutex
-	nodes  map[graph.NodeID]*poolNode
-	edges  map[graph.EdgeID]*poolEdge
-	graphs map[GraphID]*graphEntry
-	nextID GraphID
+	mu sync.RWMutex
+	// The records, and the index of each id's (an edge id's first).
+	nodeSlab slab[poolNode]
+	edgeSlab slab[poolEdge]
+	nodeIdx  map[graph.NodeID]uint32
+	edgeIdx  map[graph.EdgeID]uint32
+	graphs   map[GraphID]*graphEntry
+	nextID   GraphID
 	// An edge id names one pair of nodes for life (graph.EdgeID), and a
 	// history that gives an id to another pair later is held all the same:
 	// alts has the records of such an id after the first, one for each
 	// further pair, for as long as a graph holds the edge between them.
-	alts map[graph.EdgeID][]*poolEdge
+	alts map[graph.EdgeID][]uint32
 	// The attribute values of each edge id that has any, whatever records
 	// the id has (none, if no graph holds the edge).
 	edgeVals map[graph.EdgeID]*attrList
@@ -363,9 +460,9 @@ type Pool struct {
 // New returns an empty pool containing only the (empty) current graph.
 func New() *Pool {
 	p := &Pool{
-		nodes:    make(map[graph.NodeID]*poolNode),
-		edges:    make(map[graph.EdgeID]*poolEdge),
-		alts:     make(map[graph.EdgeID][]*poolEdge),
+		nodeIdx:  make(map[graph.NodeID]uint32),
+		edgeIdx:  make(map[graph.EdgeID]uint32),
+		alts:     make(map[graph.EdgeID][]uint32),
 		edgeVals: make(map[graph.EdgeID]*attrList),
 		graphs:   make(map[GraphID]*graphEntry),
 		nameIDs:  make(map[string]uint32),
@@ -417,24 +514,41 @@ func (p *Pool) lowestFree(n int) int {
 	return bit
 }
 
-func (p *Pool) node(id graph.NodeID) *poolNode {
-	n := p.nodes[id]
-	if n == nil {
-		n = &poolNode{}
-		p.nodes[id] = n
+// nodeIndex returns the index of node id's record, made if there is none.
+func (p *Pool) nodeIndex(id graph.NodeID) uint32 {
+	i, ok := p.nodeIdx[id]
+	if !ok {
+		i = p.nodeSlab.add()
+		pn := p.nodeSlab.at(i)
+		pn.id, pn.live = id, true
+		p.nodeIdx[id] = i
 	}
-	return n
+	return i
+}
+
+func (p *Pool) node(id graph.NodeID) *poolNode { return p.nodeSlab.at(p.nodeIndex(id)) }
+
+// findNode returns node id's record, nil if there is none.
+func (p *Pool) findNode(id graph.NodeID) *poolNode {
+	if i, ok := p.nodeIdx[id]; ok {
+		return p.nodeSlab.at(i)
+	}
+	return nil
 }
 
 // record returns the record of edge id between the endpoints info, nil if
 // there is none.
 func (p *Pool) record(id graph.EdgeID, info graph.EdgeInfo) *poolEdge {
-	if e := p.edges[id]; e == nil || e.info() == info {
-		return e
+	first, ok := p.edgeIdx[id]
+	if !ok {
+		return nil
+	}
+	if pe := p.edgeSlab.at(first); p.info(pe) == info {
+		return pe
 	}
 	for _, alt := range p.alts[id] {
-		if alt.info() == info {
-			return alt
+		if pe := p.edgeSlab.at(alt); p.info(pe) == info {
+			return pe
 		}
 	}
 	return nil
@@ -447,59 +561,51 @@ func (p *Pool) record(id graph.EdgeID, info graph.EdgeInfo) *poolEdge {
 // info in their place. One that a graph does hold the edge of keeps its
 // endpoints for that graph, and the id gets a further record.
 func (p *Pool) edge(id graph.EdgeID, info graph.EdgeInfo) *poolEdge {
-	if e := p.record(id, info); e != nil {
-		return e
+	if pe := p.record(id, info); pe != nil {
+		return pe
 	}
-	e := p.edges[id]
-	fresh := e == nil
-	old := info
+	i, ok := p.edgeIdx[id]
 	switch {
-	case fresh:
-		e = new(poolEdge)
-		p.edges[id] = e
-	case e.first&^(1<<1) != 0 || e.more != 0:
-		e = new(poolEdge)
-		p.alts[id] = append(p.alts[id], e)
+	case !ok:
+		i = p.edgeSlab.add()
+		p.edgeIdx[id] = i
+	case p.edgeSlab.at(i).first&^(1<<1) != 0 || p.edgeSlab.at(i).more != 0:
+		i = p.edgeSlab.add()
+		p.alts[id] = append(p.alts[id], i)
 	default:
-		old = e.info()
+		p.unlink(i)
 	}
-	if e.setInfo(info); old != info {
-		p.unlink(id, old)
+	from, to := p.nodeIndex(info.From), p.nodeIndex(info.To)
+	pe := p.edgeSlab.at(i)
+	pe.id, pe.from, pe.to, pe.directed, pe.live = id, from, to, info.Directed, true
+	for _, n := range pe.ends() {
+		pn := p.nodeSlab.at(n)
+		pn.adj = append(grown(pn.adj), i)
 	}
-	for _, n := range ends(info) {
-		if pn := p.node(n); fresh || !slices.Contains(pn.adj, id) {
-			pn.adj = append(grown(pn.adj), id)
-		}
-	}
-	return e
+	return pe
 }
 
-// adjacent returns the ids of the edge records at node n.
-func (p *Pool) adjacent(n graph.NodeID) []graph.EdgeID {
-	if pn := p.nodes[n]; pn != nil {
+// adjacent returns the indices of the edge records at node n.
+func (p *Pool) adjacent(n graph.NodeID) []uint32 {
+	if pn := p.findNode(n); pn != nil {
 		return pn.adj
 	}
 	return nil
 }
 
-// ends returns the nodes info joins, each once.
-func ends(info graph.EdgeInfo) []graph.NodeID {
-	if info.To == info.From {
-		return []graph.NodeID{info.From}
-	}
-	return []graph.NodeID{info.From, info.To}
-}
-
 // held returns the record of edge id that a graph with the membership test m
 // holds the edge on, nil if it does not hold the edge.
 func (p *Pool) held(m membership, id graph.EdgeID) *poolEdge {
-	first := p.edges[id]
-	if first == nil || p.has(m, first.bits()) {
-		return first
+	first, ok := p.edgeIdx[id]
+	if !ok {
+		return nil
+	}
+	if pe := p.edgeSlab.at(first); p.has(m, pe.bits()) {
+		return pe
 	}
 	for _, alt := range p.alts[id] {
-		if p.has(m, alt.bits()) {
-			return alt
+		if pe := p.edgeSlab.at(alt); p.has(m, pe.bits()) {
+			return pe
 		}
 	}
 	return nil
@@ -515,16 +621,22 @@ func (p *Pool) values(id graph.EdgeID) *attrList {
 	return l
 }
 
-// records yields every record of every edge id.
-func (p *Pool) records(yield func(graph.EdgeID, *poolEdge) bool) {
-	for id, first := range p.edges {
-		if !yield(id, first) {
-			return
+// nodes yields every node record, in slab order.
+func (p *Pool) nodes(yield func(graph.NodeID, *poolNode) bool) {
+	for _, chunk := range p.nodeSlab.chunks {
+		for j := range chunk {
+			if pn := &chunk[j]; pn.live && !yield(pn.id, pn) {
+				return
+			}
 		}
 	}
-	for id, alts := range p.alts {
-		for _, alt := range alts {
-			if !yield(id, alt) {
+}
+
+// records yields every record of every edge id, in slab order.
+func (p *Pool) records(yield func(graph.EdgeID, *poolEdge) bool) {
+	for _, chunk := range p.edgeSlab.chunks {
+		for j := range chunk {
+			if pe := &chunk[j]; pe.live && !yield(pe.id, pe) {
 				return
 			}
 		}
@@ -542,70 +654,93 @@ func (p *Pool) nameID(name string) uint32 {
 	return id
 }
 
-// sweepNode clears the bits of mask on a node and its attribute values and
-// evicts what no graph holds any more; it returns the number of values and
-// elements evicted. The caller holds the write lock.
-func (p *Pool) sweepNode(id graph.NodeID, pn *poolNode, mask *bitset.Bits) int {
+// sweepNode clears the bits of mask on node record i and its attribute
+// values and evicts what no graph holds any more; it returns the number of
+// values and elements evicted. The caller holds the write lock.
+func (p *Pool) sweepNode(i uint32, mask *bitset.Bits) int {
+	pn := p.nodeSlab.at(i)
 	p.andNot(pn.bits(), mask)
 	var removed int
 	pn.vals, removed = p.sweepValues(pn.vals, mask)
 	if pn.dead() {
-		delete(p.nodes, id)
+		p.evictNode(i)
 		removed++
 	}
 	return removed
 }
 
-// sweepEdge is sweepNode for the records of an edge id, which also leave the
-// adjacency lists and may take an endpoint's record with them. A first
-// record that no graph holds the edge of takes the place of a further one.
-func (p *Pool) sweepEdge(id graph.EdgeID, first *poolEdge, mask *bitset.Bits) int {
+// evictNode frees node record i.
+func (p *Pool) evictNode(i uint32) {
+	delete(p.nodeIdx, p.nodeSlab.at(i).id)
+	p.nodeSlab.remove(i)
+}
+
+// sweepEdge is sweepNode for the records of edge id, the further ones first.
+func (p *Pool) sweepEdge(id graph.EdgeID, mask *bitset.Bits) int {
 	removed := 0
-	p.andNot(first.bits(), mask)
-	for i := len(p.alts[id]) - 1; i >= 0; i-- {
-		alt := p.alts[id][i]
-		if p.andNot(alt.bits(), mask); alt.bits().empty() {
-			p.alts[id] = slices.Delete(p.alts[id], i, i+1)
-			removed += 1 + p.unlink(id, alt.info())
-		}
+	for k := len(p.alts[id]) - 1; k >= 0; k-- {
+		removed += p.sweepRecord(p.alts[id][k], mask)
 	}
-	if alts, old := p.alts[id], first.info(); len(alts) > 0 && first.bits().empty() {
-		*first, p.alts[id] = *alts[0], alts[1:]
-		removed += 1 + p.unlink(id, old)
-	} else if first.bits().empty() {
-		delete(p.edges, id)
-		removed += 1 + p.unlink(id, old)
+	if first, ok := p.edgeIdx[id]; ok {
+		removed += p.sweepRecord(first, mask)
 	}
-	if len(p.alts[id]) == 0 {
+	return removed
+}
+
+// sweepRecord is sweepNode for edge record i, which also leaves the
+// adjacency lists and may take an endpoint's record with it. The id's first
+// record gone, its next one takes the first's place.
+func (p *Pool) sweepRecord(i uint32, mask *bitset.Bits) int {
+	pe := p.edgeSlab.at(i)
+	if p.andNot(pe.bits(), mask); !pe.bits().empty() {
+		return 0
+	}
+	removed := 1 + p.unlink(i)
+	id, alts := pe.id, p.alts[pe.id]
+	switch {
+	case p.edgeIdx[id] != i:
+		k := slices.Index(alts, i)
+		alts = slices.Delete(alts, k, k+1)
+	case len(alts) > 0:
+		p.edgeIdx[id], alts = alts[0], alts[1:]
+	default:
+		delete(p.edgeIdx, id)
+	}
+	if len(alts) == 0 {
 		delete(p.alts, id) // nil or emptied: no entry
+	} else {
+		p.alts[id] = alts
 	}
+	p.edgeSlab.remove(i)
 	return removed
 }
 
 // sweepOut sweeps the elements in e's out lists, and empties them.
 func (p *Pool) sweepOut(e *graphEntry, mask *bitset.Bits) {
 	for _, id := range e.outNodes {
-		if pn := p.nodes[id]; pn != nil {
-			p.sweepNode(id, pn, mask)
+		if i, ok := p.nodeIdx[id]; ok {
+			p.sweepNode(i, mask)
 		}
 	}
 	for _, id := range e.outEdges {
-		if pe := p.edges[id]; pe != nil {
-			p.sweepEdge(id, pe, mask)
-		}
+		p.sweepEdge(id, mask)
 		p.sweepEdgeValues(id, p.edgeVals[id], mask)
 	}
 	e.outNodes, e.outEdges = e.outNodes[:0], e.outEdges[:0]
 }
 
-// sweepAll sweeps every element of the pool.
+// sweepAll sweeps every element of the pool, a scan of the chunks.
 func (p *Pool) sweepAll(mask *bitset.Bits) int {
 	removed := 0
-	for id, pn := range p.nodes {
-		removed += p.sweepNode(id, pn, mask)
+	for i, pn := range p.nodeSlab.all {
+		if pn.live {
+			removed += p.sweepNode(i, mask)
+		}
 	}
-	for id, pe := range p.edges {
-		removed += p.sweepEdge(id, pe, mask)
+	for i, pe := range p.edgeSlab.all {
+		if pe.live {
+			removed += p.sweepRecord(i, mask)
+		}
 	}
 	for id, l := range p.edgeVals {
 		removed += p.sweepEdgeValues(id, l, mask)
@@ -716,7 +851,7 @@ func (p *Pool) applyDelta(e *graphEntry, d *delta.Delta) {
 		}
 	}
 	for _, n := range d.DelNodes {
-		if pn := p.nodes[n]; pn != nil {
+		if pn := p.findNode(n); pn != nil {
 			e.nodeCount += p.put(e, pn.bits(), false)
 			e.outNodes = append(e.outNodes, n)
 		}
@@ -789,7 +924,7 @@ func (p *Pool) setNodeAttr(e *graphEntry, n graph.NodeID, attr, val string, set 
 	if !e.attrs.WantNodeAttr(attr) {
 		return
 	}
-	pn := p.nodes[n]
+	pn := p.findNode(n)
 	if set && pn == nil {
 		pn = p.node(n)
 	}
@@ -945,26 +1080,19 @@ func (p *Pool) reclaim() int {
 	return removed
 }
 
-// unlink takes edge e, a record of it between the endpoints info being gone,
-// out of the adjacency list of each of them that no record of e is at now,
-// and evicts the record of such an endpoint that nothing holds any more. It
-// returns how many it evicted.
-func (p *Pool) unlink(e graph.EdgeID, info graph.EdgeInfo) (removed int) {
-	at := func(pe *poolEdge, n graph.NodeID) bool { return pe != nil && pe.info().Touches(n) }
-	for _, n := range ends(info) {
-		if at(p.edges[e], n) || slices.ContainsFunc(p.alts[e], func(alt *poolEdge) bool { return at(alt, n) }) {
-			continue
-		}
-		pn := p.nodes[n]
-		if i := slices.Index(pn.adj, e); i >= 0 {
-			last := len(pn.adj) - 1
-			pn.adj[i] = pn.adj[last]
-			if pn.adj = pn.adj[:last]; last == 0 {
-				pn.adj = nil
-			}
+// unlink takes edge record i out of the adjacency list of each of its
+// endpoints, and evicts the record of such an endpoint that nothing holds any
+// more. It returns how many it evicted.
+func (p *Pool) unlink(i uint32) (removed int) {
+	for _, n := range p.edgeSlab.at(i).ends() {
+		pn := p.nodeSlab.at(n)
+		k, last := slices.Index(pn.adj, i), len(pn.adj)-1
+		pn.adj[k] = pn.adj[last]
+		if pn.adj = pn.adj[:last]; last == 0 {
+			pn.adj = nil
 		}
 		if pn.dead() {
-			delete(p.nodes, n)
+			p.evictNode(n)
 			removed++
 		}
 	}
@@ -1016,8 +1144,8 @@ func (p *Pool) Stats() Stats {
 	defer p.mu.RUnlock()
 	st := Stats{
 		ActiveGraphs: len(p.graphs),
-		PoolNodes:    len(p.nodes),
-		PoolEdges:    len(p.edges),
+		PoolNodes:    len(p.nodeIdx),
+		PoolEdges:    len(p.edgeIdx),
 		Spilled:      len(p.spill)/p.stride - len(p.free),
 		Bytes:        p.sampledBytes.Load(),
 	}
@@ -1059,23 +1187,23 @@ func (l *attrList) bytes() int64 {
 	return n
 }
 
-// ApproxBytes estimates the pool's memory footprint from its layout: a map
-// entry and a record per element, a node's adjacency list at its capacity,
-// the attribute lists (header and values) at their capacity with the value
-// strings, the spill table and its free list, and each attribute name once.
-// It is the quantity plotted in the paper's Figure 8(a).
+// ApproxBytes estimates the pool's memory footprint from its layout: the
+// chunks of records, a map entry an id, a node's adjacency list at its
+// capacity, the attribute lists (header and values) at their capacity with
+// the value strings, the spill table and its free list, and each attribute
+// name once. It is the quantity plotted in the paper's Figure 8(a).
 func (p *Pool) ApproxBytes() int64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	total := int64(len(p.nodes)) * (mapSlot + heapSize(unsafe.Sizeof(poolNode{})))
+	total := p.nodeSlab.bytes() + p.edgeSlab.bytes() + int64(len(p.nodeIdx)+len(p.edgeIdx))*mapSlot
 	for _, pn := range p.nodes {
 		total += pn.vals.bytes()
 		if cap(pn.adj) > 0 {
-			total += heapSize(uintptr(cap(pn.adj)) * unsafe.Sizeof(pn.adj[0]))
+			total += heapSize(uintptr(cap(pn.adj)) * 4)
 		}
 	}
-	for range p.records {
-		total += mapSlot + heapSize(unsafe.Sizeof(poolEdge{}))
+	for _, alts := range p.alts {
+		total += mapSlot + heapSize(uintptr(cap(alts))*4)
 	}
 	for _, l := range p.edgeVals {
 		total += mapSlot + l.bytes()

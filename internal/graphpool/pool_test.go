@@ -797,7 +797,7 @@ func TestClearRecentVisitsOnlyRecentDeletes(t *testing.T) {
 		t.Fatalf("recently deleted nodes must stay resident: %d of %d", got, nodes)
 	}
 	for n := graph.NodeID(1); n <= deletes; n++ {
-		if pn := p.nodes[n]; !p.bit(pn.bits(), 1) || !p.bit(pn.vals.all()[0].bits(), 1) {
+		if pn := p.findNode(n); !p.bit(pn.bits(), 1) || !p.bit(pn.vals.all()[0].bits(), 1) {
 			t.Fatalf("node %d not marked recently deleted", n)
 		}
 	}
@@ -843,7 +843,7 @@ func TestClearRecentEvictsDeadElements(t *testing.T) {
 	if got, adj := p.Stats().PoolEdges, len(p.adjacent(1))+len(p.adjacent(2)); got != 1 || adj != 2 {
 		t.Errorf("after ClearRecent the pool holds %d edges and %d adjacency entries, want 1 and 2 (the edge the overlaid graph holds)", got, adj)
 	}
-	if got := len(p.nodes[1].vals.all()); got != 1 {
+	if got := len(p.findNode(1).vals.all()); got != 1 {
 		t.Errorf("node 1 keeps %d values of an attribute replaced %d times, want 1", got, pairs-1)
 	}
 	if p.CleanNow(); p.Stats().PoolEdges != 1 {
@@ -919,7 +919,7 @@ func TestEndpointRecordsLeaveWithTheirEdges(t *testing.T) {
 			}
 		}
 		for _, n := range tc.endpoint {
-			if pn := p.nodes[n]; pn == nil || len(pn.adj) == 0 || !pn.bits().empty() || pn.vals != nil {
+			if pn := p.findNode(n); pn == nil || len(pn.adj) == 0 || !pn.bits().empty() || pn.vals != nil {
 				t.Errorf("%s: node %d has record %+v, want one with adjacency alone", tc.name, n, pn)
 			}
 		}
@@ -936,7 +936,7 @@ func TestEndpointRecordsLeaveWithTheirEdges(t *testing.T) {
 				tc.name, got.PoolNodes, got.PoolEdges, p.ApproxBytes(), want.PoolNodes, want.PoolEdges, alone.ApproxBytes())
 		}
 		for _, n := range tc.endpoint {
-			if _, at := alone.nodes[n]; p.nodes[n] != nil && !at {
+			if alone.findNode(n) == nil && p.findNode(n) != nil {
 				t.Errorf("%s: node %d keeps a record with no edge at it", tc.name, n)
 			}
 		}
@@ -1040,7 +1040,7 @@ func TestCurrentGraphIsSnapshotApply(t *testing.T) {
 	}
 	// Node 1 is in the current graph; 3 and 4 are held by the edge alone, and
 	// 2 by nothing.
-	if p.CleanNow(); !p.Current().Snapshot().Equal(want) || p.Stats().PoolEdges != 1 || p.Stats().PoolNodes != 3 || p.nodes[2] != nil ||
+	if p.CleanNow(); !p.Current().Snapshot().Equal(want) || p.Stats().PoolEdges != 1 || p.Stats().PoolNodes != 3 || p.findNode(2) != nil ||
 		len(p.adjacent(1)) != 0 || len(p.adjacent(3)) != 1 || len(p.adjacent(4)) != 1 {
 		t.Fatalf("with the other graph gone the pool holds %d edge records and %d node records: want one, between 3 and 4, and nodes 1, 3 and 4",
 			p.Stats().PoolEdges, p.Stats().PoolNodes)
@@ -1146,4 +1146,132 @@ func TestCurrentGraphIsSnapshotApply(t *testing.T) {
 			checkAdjacency(t, fmt.Sprintf("seed %d: the current graph, alone in the pool,", seed), p.Current(), want, n)
 		}
 	}
+}
+
+// TestPoolSlotsReused: the records live in chunks, and the slot an evicted
+// record frees is taken by the next record made. Overlaying a view of the
+// history, which brings back what the current graph has deleted since —
+// nodes, edges, and an edge id the current graph now holds between two other
+// nodes, which takes a further record — then letting it go and cleaning, 200
+// times over, leaves the pool as many chunks as the first time did, give or
+// take one. The walks see no freed slot and no bit a slot held before:
+// Structure, ForEachDiffering and ForEachHeld agree with the snapshots the
+// graphs are, and the pool walks as many records as one that only ever held
+// the current graph.
+func TestPoolSlotsReused(t *testing.T) {
+	p, history := shapedPool()
+	rng := rand.New(rand.NewSource(27)) // shapedPool's events again, for the model
+	cur := graph.NewSnapshot()
+	cur.ApplyAll(append(shapeNodeEvents(rng), shapeEdgeEvents(rng)...))
+	for id := GraphID(1); id <= shapeViews; id++ { // graphs are numbered from 1 as overlaid
+		if err := p.Release(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const moved = graph.EdgeID(100) // in every view of the history
+	var evs []graph.Event
+	for e := graph.EdgeID(1); e <= 64; e++ {
+		evs = append(evs, graph.Event{Type: graph.DelEdge, Edge: e, Node: cur.Edges[e].From, Node2: cur.Edges[e].To})
+	}
+	for n := graph.NodeID(1); n <= 16; n++ {
+		evs = append(evs, graph.Event{Type: graph.DelNode, Node: n})
+	}
+	info := cur.Edges[moved]
+	evs = append(evs, graph.Event{Type: graph.DelEdge, Edge: moved, Node: info.From, Node2: info.To},
+		graph.Event{Type: graph.AddEdge, Edge: moved, Node: info.To + 1, Node2: info.From + 1})
+	for _, ev := range evs {
+		p.ApplyEvent(ev)
+		cur.Apply(ev)
+	}
+	p.ClearRecent()
+	p.CleanNow()
+
+	structure := func(s *graph.Snapshot) *graph.Snapshot {
+		out := graph.NewSnapshot()
+		maps.Copy(out.Nodes, s.Nodes)
+		maps.Copy(out.Edges, s.Edges)
+		return out
+	}
+	// The ids on which a view of the history differs from the current graph.
+	differing := func(s *graph.Snapshot) (nodes map[graph.NodeID]bool, edges map[graph.EdgeID]bool) {
+		nodes, edges = map[graph.NodeID]bool{}, map[graph.EdgeID]bool{}
+		for _, g := range []*graph.Snapshot{s, cur} {
+			for n := range g.Nodes {
+				_, inS := s.Nodes[n]
+				_, inCur := cur.Nodes[n]
+				nodes[n] = inS != inCur || !maps.Equal(s.NodeAttrs[n], cur.NodeAttrs[n])
+			}
+			for n := range g.NodeAttrs {
+				nodes[n] = nodes[n] || !maps.Equal(s.NodeAttrs[n], cur.NodeAttrs[n])
+			}
+			for e := range g.Edges {
+				infoS, inS := s.Edges[e]
+				infoCur, inCur := cur.Edges[e]
+				edges[e] = inS != inCur || infoS != infoCur
+			}
+		}
+		maps.DeleteFunc(nodes, func(_ graph.NodeID, differs bool) bool { return !differs })
+		maps.DeleteFunc(edges, func(_ graph.EdgeID, differs bool) bool { return !differs })
+		return nodes, edges
+	}
+	type view struct {
+		structure *graph.Snapshot
+		nodes     map[graph.NodeID]bool
+		edges     map[graph.EdgeID]bool
+	}
+	views := make([]view, len(history))
+	for i, s := range history {
+		views[i].structure = structure(s)
+		views[i].nodes, views[i].edges = differing(s)
+	}
+	alone := New()
+	alone.LoadCurrent(cur)
+	all := func(bitmap) bool { return true }
+	records, curStructure := countBitmaps(alone, all), structure(cur)
+	chunks := func() int { return len(p.nodeSlab.chunks) + len(p.edgeSlab.chunks) }
+	first, alts := 0, 0
+	for cycle := range 200 {
+		s, want := history[cycle%len(history)], views[cycle%len(history)]
+		id := p.OverlaySnapshot(s, 0)
+		alts += len(p.alts)
+		v, err := p.View(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v.Structure().Equal(want.structure) {
+			t.Fatalf("cycle %d: the view's Structure is not the snapshot it was overlaid from", cycle)
+		}
+		gotNodes, gotEdges := map[graph.NodeID]bool{}, map[graph.EdgeID]bool{}
+		p.ForEachDiffering([]GraphID{id}, func(n graph.NodeID) { gotNodes[n] = true }, func(e graph.EdgeID) { gotEdges[e] = true })
+		if !maps.Equal(gotNodes, want.nodes) || !maps.Equal(gotEdges, want.edges) {
+			t.Fatalf("cycle %d: ForEachDiffering names %d nodes and %d edges, the view differs from the current graph on %d and %d",
+				cycle, len(gotNodes), len(gotEdges), len(want.nodes), len(want.edges))
+		}
+		if err := p.Release(id); err != nil {
+			t.Fatal(err)
+		}
+		p.CleanNow()
+		if cycle == 0 {
+			first = chunks()
+		} else if n := chunks(); n < first-1 || n > first+1 {
+			t.Fatalf("cycle %d: the pool holds %d chunks, %d after the first cycle", cycle, n, first)
+		}
+		if got, want := p.Stats(), alone.Stats(); got.PoolNodes != want.PoolNodes || got.PoolEdges != want.PoolEdges || countBitmaps(p, all) != records {
+			t.Fatalf("cycle %d: the pool has %d nodes and %d edges and walks %d records and values; one that only held the current graph %d, %d and %d",
+				cycle, got.PoolNodes, got.PoolEdges, countBitmaps(p, all), want.PoolNodes, want.PoolEdges, records)
+		}
+		if got, ok := p.Current().EdgeInfo(moved); !ok || got != cur.Edges[moved] {
+			t.Fatalf("cycle %d: the current graph holds edge %d as %v (%v), want %v", cycle, moved, got, ok, cur.Edges[moved])
+		}
+		if cycle%len(history) == 0 || cycle == 199 { // the whole current graph, now and then: the counts above check the rest
+			if !p.Current().Structure().Equal(curStructure) {
+				t.Fatalf("cycle %d: the current graph's Structure is not the model's", cycle)
+			}
+			checkHeld(t, fmt.Sprintf("cycle %d: the current graph", cycle), p.Current(), cur)
+		}
+	}
+	if alts == 0 {
+		t.Fatal("no view held an edge id on a further record: the alts path went untested")
+	}
+	t.Logf("%d chunks after the first cycle, %d after the last", first, chunks())
 }

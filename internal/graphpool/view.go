@@ -2,7 +2,6 @@ package graphpool
 
 import (
 	"fmt"
-	"slices"
 	"unsafe"
 
 	"historygraph/internal/graph"
@@ -73,8 +72,8 @@ func (v *View) NumEdges() int {
 func (v *View) HasNode(n graph.NodeID) bool {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	pn, ok := v.p.nodes[n]
-	return ok && v.has(pn.bits())
+	pn := v.p.findNode(n)
+	return pn != nil && v.has(pn.bits())
 }
 
 // HasEdge reports whether the edge is in this graph.
@@ -89,7 +88,7 @@ func (v *View) EdgeInfo(e graph.EdgeID) (graph.EdgeInfo, bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	if pe := v.p.held(v.entry.m, e); pe != nil {
-		return pe.info(), true
+		return v.p.info(pe), true
 	}
 	return graph.EdgeInfo{}, false
 }
@@ -118,7 +117,7 @@ func (v *View) ForEachEdge(fn func(graph.EdgeID, graph.EdgeInfo) bool) {
 	defer v.p.mu.RUnlock()
 	for id, pe := range v.p.records {
 		if v.has(pe.bits()) {
-			if !fn(id, pe.info()) {
+			if !fn(id, v.p.info(pe)) {
 				return
 			}
 		}
@@ -147,8 +146,8 @@ func (v *View) ForEachHeld(node func(graph.NodeID), edge func(graph.EdgeID)) {
 			node(id)
 		}
 	}
-	for id := range v.p.edges {
-		if v.p.held(v.entry.m, id) != nil {
+	for id, pe := range v.p.records {
+		if v.has(pe.bits()) { // a graph holds an edge id on one record at most
 			edge(id)
 		}
 	}
@@ -175,6 +174,15 @@ func (p *Pool) ForEachDiffering(ids []GraphID, node func(graph.NodeID), edge fun
 		}
 	}
 	differs := func(b bitmap) bool {
+		if w := *b.first; *b.more == 0 {
+			in := cur.holds(w)
+			for _, m := range ms {
+				if m.holds(w) != in {
+					return true
+				}
+			}
+			return false
+		}
 		in := p.has(cur, b)
 		for _, m := range ms {
 			if p.has(m, b) != in {
@@ -197,14 +205,15 @@ func (p *Pool) ForEachDiffering(ids []GraphID, node func(graph.NodeID), edge fun
 			node(id)
 		}
 	}
-	for id, first := range p.edges {
-		if differs(first.bits()) || slices.ContainsFunc(p.alts[id], func(alt *poolEdge) bool { return differs(alt.bits()) }) ||
-			valueDiffers(p.edgeVals[id]) {
+	named := map[graph.EdgeID]bool{} // the ids a record differs on, of which there are few
+	for id, pe := range p.records {
+		if differs(pe.bits()) && !named[id] {
+			named[id] = true
 			edge(id)
 		}
 	}
 	for id, l := range p.edgeVals {
-		if p.edges[id] == nil && valueDiffers(l) {
+		if valueDiffers(l) && !named[id] {
 			edge(id)
 		}
 	}
@@ -225,9 +234,9 @@ func (v *View) IncidentEdges(n graph.NodeID) []graph.EdgeID {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	var out []graph.EdgeID
-	for _, e := range v.p.adjacent(n) {
-		if pe := v.p.held(v.entry.m, e); pe != nil && pe.info().Touches(n) {
-			out = append(out, e)
+	for _, r := range v.p.adjacent(n) {
+		if pe := v.p.edgeSlab.at(r); v.has(pe.bits()) {
+			out = append(out, pe.id)
 		}
 	}
 	return out
@@ -241,12 +250,12 @@ func (v *View) Neighbors(n graph.NodeID) []graph.NodeID {
 	defer v.p.mu.RUnlock()
 	seen := make(map[graph.NodeID]struct{})
 	var out []graph.NodeID
-	for _, e := range v.p.adjacent(n) {
-		pe := v.p.held(v.entry.m, e)
-		if pe == nil || !pe.info().Touches(n) {
+	for _, r := range v.p.adjacent(n) {
+		pe := v.p.edgeSlab.at(r)
+		if !v.has(pe.bits()) {
 			continue
 		}
-		other := pe.info().Other(n)
+		other := v.p.info(pe).Other(n)
 		if _, dup := seen[other]; !dup {
 			seen[other] = struct{}{}
 			out = append(out, other)
@@ -260,8 +269,8 @@ func (v *View) Degree(n graph.NodeID) int {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	d := 0
-	for _, e := range v.p.adjacent(n) {
-		if pe := v.p.held(v.entry.m, e); pe != nil && pe.info().Touches(n) {
+	for _, r := range v.p.adjacent(n) {
+		if v.has(v.p.edgeSlab.at(r).bits()) {
 			d++
 		}
 	}
@@ -325,8 +334,8 @@ func (v *View) attrsOf(l *attrList, node bool) map[string]string {
 func (v *View) NodeAttr(n graph.NodeID, attr string) (string, bool) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	pn, ok := v.p.nodes[n]
-	if !ok || !v.has(pn.bits()) {
+	pn := v.p.findNode(n)
+	if pn == nil || !v.has(pn.bits()) {
 		return "", false
 	}
 	return v.valueOf(pn.vals, true, attr)
@@ -346,8 +355,8 @@ func (v *View) EdgeAttr(e graph.EdgeID, attr string) (string, bool) {
 func (v *View) NodeAttrs(n graph.NodeID) map[string]string {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	pn, ok := v.p.nodes[n]
-	if !ok || !v.has(pn.bits()) {
+	pn := v.p.findNode(n)
+	if pn == nil || !v.has(pn.bits()) {
 		return nil
 	}
 	return v.attrsOf(pn.vals, true)
@@ -374,7 +383,7 @@ func (v *View) EdgeAttrs(e graph.EdgeID) map[string]string {
 func (v *View) NodeImage(n graph.NodeID) (present bool, attrs map[string]string) {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	if pn := v.p.nodes[n]; pn != nil {
+	if pn := v.p.findNode(n); pn != nil {
 		present, attrs = v.has(pn.bits()), v.attrsOf(pn.vals, true)
 	}
 	return present, attrs
@@ -386,7 +395,7 @@ func (v *View) EdgeImage(e graph.EdgeID) (info graph.EdgeInfo, present bool, att
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	if pe := v.p.held(v.entry.m, e); pe != nil {
-		info, present = pe.info(), true
+		info, present = v.p.info(pe), true
 	}
 	return info, present, v.attrsOf(v.p.edgeVals[e], false)
 }
@@ -408,7 +417,7 @@ func (v *View) Snapshot() *graph.Snapshot {
 	}
 	for id, pe := range v.p.records {
 		if v.has(pe.bits()) {
-			s.Edges[id] = pe.info()
+			s.Edges[id] = v.p.info(pe)
 		}
 	}
 	for id, l := range v.p.edgeVals {
@@ -432,15 +441,16 @@ func (v *View) Structure() *graph.Snapshot {
 	}
 	for id, pe := range v.p.records {
 		if v.has(pe.bits()) {
-			s.Edges[id] = pe.info()
+			s.Edges[id] = v.p.info(pe)
 		}
 	}
 	return s
 }
 
 // Bytes is what the pool holds for this graph, costed as ApproxBytes costs
-// it: the records of its nodes and edges and the attribute values it holds,
-// each whole though other graphs may share it.
+// it: the records of its nodes and edges, with their map entries and an edge
+// record's 4 B in the adjacency list of each of its endpoints, and the
+// attribute values it holds, each whole though other graphs may share it.
 func (v *View) Bytes() int64 {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
@@ -455,13 +465,13 @@ func (v *View) Bytes() int64 {
 	var n int64
 	for _, pn := range v.p.nodes {
 		if v.has(pn.bits()) {
-			n += mapSlot + heapSize(unsafe.Sizeof(*pn))
+			n += mapSlot + int64(unsafe.Sizeof(*pn))
 		}
 		n += values(pn.vals)
 	}
 	for _, pe := range v.p.records {
 		if v.has(pe.bits()) {
-			n += mapSlot + heapSize(unsafe.Sizeof(*pe))
+			n += mapSlot + int64(unsafe.Sizeof(*pe)) + 4*int64(len(pe.ends()))
 		}
 	}
 	for _, l := range v.p.edgeVals {
