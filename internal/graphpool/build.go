@@ -66,23 +66,15 @@ func (p *Pool) copyBits(from, to, n int) {
 			p.copySpilled(b, from, to, n)
 		}
 	}
-	for _, chunk := range p.nodeSlab.chunks {
-		for j := range chunk {
-			if pn := &chunk[j]; pn.live {
-				cp(pn.bits())
-				attrs := pn.vals.all()
-				for k := range attrs {
-					cp(attrs[k].bits())
-				}
-			}
+	for _, pn := range p.nodes {
+		cp(pn.bits())
+		attrs := pn.vals.all()
+		for k := range attrs {
+			cp(attrs[k].bits())
 		}
 	}
-	for _, chunk := range p.edgeSlab.chunks {
-		for j := range chunk {
-			if pe := &chunk[j]; pe.live {
-				cp(pe.bits())
-			}
-		}
+	for _, pe := range p.records {
+		cp(pe.bits())
 	}
 	for _, l := range p.edgeVals {
 		for k := range *l {

@@ -174,6 +174,8 @@ func (p *Pool) ForEachDiffering(ids []GraphID, node func(graph.NodeID), edge fun
 		}
 	}
 	differs := func(b bitmap) bool {
+		// has, inlined for a bitmap with no spill slot: has does not
+		// inline, and a call per graph made the walk half as slow again.
 		if w := *b.first; *b.more == 0 {
 			in := cur.holds(w)
 			for _, m := range ms {
