@@ -235,7 +235,8 @@ func TestAppendWhileReading(t *testing.T) {
 	cleaner := graphpool.NewCleaner(pool, time.Millisecond)
 	cleaner.Start()
 	defer cleaner.Stop()
-	dg, err := New(Options{LeafSize: 64, Arity: 2, Pool: pool})
+	const leaf, pace = 64, 256 // events a leaf holds, and between two waits for the readers
+	dg, err := New(Options{LeafSize: leaf, Arity: 2, Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,12 +247,20 @@ func TestAppendWhileReading(t *testing.T) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
+	failed := make(chan struct{}) // closed at the first error
+	var failOnce sync.Once
 	fail := func(err error) {
 		select {
 		case errs <- err:
 		default:
 		}
+		failOnce.Do(func() { close(failed) })
 	}
+	// The appender paces itself by the readers: after every pace events (four
+	// leaves' worth) it waits for pace/leaf reads, so that the two meet however
+	// the scheduler runs them. A reader hands over a token for each read it
+	// completes; the buffer holds the tokens of one wait.
+	tokens := make(chan struct{}, pace/leaf)
 	wg.Add(1)
 	go func() { // the appender
 		defer wg.Done()
@@ -264,6 +273,14 @@ func TestAppendWhileReading(t *testing.T) {
 			}
 			if hi < len(events) && events[hi].At > events[hi-1].At {
 				settled.Store(int64(events[hi-1].At))
+			}
+			if lo/pace != hi/pace {
+				for range pace / leaf {
+					select {
+					case <-tokens:
+					case <-failed:
+					}
+				}
 			}
 		}
 	}()
@@ -291,6 +308,10 @@ func TestAppendWhileReading(t *testing.T) {
 					return
 				}
 				reads.Add(1)
+				select {
+				case tokens <- struct{}{}:
+				default:
+				}
 			}
 		}(seed)
 	}
