@@ -116,11 +116,13 @@ func TestApproxBytesTracksHeap(t *testing.T) {
 // TestPoolBytesPerElement is the golden cost behind heap_live_mb, as
 // TestGoldenCheckpointBytes is behind durable_bytes_per_event: what a node
 // with ten attributes and what a bare edge cost on the heap, measured, under
-// ceilings a layout regression breaks: 447 B and 78 B with the records in
-// chunks, named by 4-byte indices, which the maps and adjacency lists hold;
-// the edge's ceiling a tenth above that, the node's where it was set a tenth
-// above 429 B, before a node record held its id. The bytes of the value
-// strings are the events' own and not in the measure. With a map of one-element slices of pointers to
+// ceilings a layout regression breaks: 418 B and 50 B with the records in
+// chunks, named by 4-byte indices, which the adjacency lists hold and the
+// tables that find a record by id (idTable), the ceilings a tenth above
+// that. The bytes of the value strings are the events' own and not in the
+// measure. With Go maps from ids to the indices, 447 B and 78 B; with a
+// node record a heap object of its own, without its id, and 8-byte edge ids
+// in the adjacency lists, 429 B and 86 B. With a map of one-element slices of pointers to
 // 48-byte values per element and every bitmap word allocated apart, the same
 // measurement read 1 510 B a node and 153 B an edge; with the adjacency lists
 // in a map of their own, growing by doubling, and an empty attribute-list
@@ -142,7 +144,7 @@ func TestPoolBytesPerElement(t *testing.T) {
 	perNode := float64(heapGrowth(apply(nodes), nodes, edges)) / shapeNodes
 	perEdge := float64(heapGrowth(apply(edges), edges)) / shapeEdges
 	t.Logf("%.0f B per node with %d attributes, %.0f B per bare edge", perNode, shapeAttrs, perEdge)
-	const nodeCeiling, edgeCeiling = 470, 86
+	const nodeCeiling, edgeCeiling = 460, 55
 	if perNode > nodeCeiling {
 		t.Errorf("a node with %d attributes costs %.0f B of heap, ceiling %d", shapeAttrs, perNode, nodeCeiling)
 	}
@@ -154,7 +156,8 @@ func TestPoolBytesPerElement(t *testing.T) {
 
 // TestRecordLayout guards the layout the heap figures above rest on: an
 // attribute value and an edge record are 32 B each, and an edge record holds
-// no pointer, so the collector never scans one. With the bitmap a
+// no pointer, so the collector never scans one; and every record begins with
+// its id. With the bitmap a
 // bitset.Bits, its words past bit 63 behind a pointer, and an edge id's
 // values on its record, they were 40 B and 48 B.
 func TestRecordLayout(t *testing.T) {
@@ -180,6 +183,12 @@ func TestRecordLayout(t *testing.T) {
 			return false
 		}
 		return true
+	}
+	// An idTable reads a record's id in place, as the int64 it begins with.
+	for _, typ := range []reflect.Type{reflect.TypeOf(poolNode{}), reflect.TypeOf(poolEdge{})} {
+		if f := typ.Field(0); f.Name != "id" || f.Offset != 0 || f.Type.Kind() != reflect.Int64 {
+			t.Errorf("a %s begins with %s %s at %d, want its id, an int64, at 0", typ.Name(), f.Name, f.Type, f.Offset)
+		}
 	}
 	typ := reflect.TypeOf(poolEdge{})
 	for i := range typ.NumField() {

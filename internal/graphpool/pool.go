@@ -18,9 +18,9 @@
 // The node and edge records live in chunks of chunkLen that never move, each
 // record named by a 4-byte index, so that a pass over every graph's bits is a
 // linear scan of the chunks. A node record is 56 B and an edge record 32 B,
-// with no pointer (its endpoints are node-record indices); the maps from ids
-// to records hold indices, about 30 B an entry; an adjacency list holds 4 B
-// for each edge record at its node. A value of an attribute is 32 B and its
+// with no pointer (its endpoints are node-record indices); the tables that
+// find a record by its id hold 4-byte indices, 5 to 11 B an id (idTable); an
+// adjacency list holds 4 B for each edge record at its node. A value of an attribute is 32 B and its
 // string, in a list per element (an edge id's are kept apart from its
 // records).
 //
@@ -34,6 +34,7 @@ package graphpool
 import (
 	"fmt"
 	"math/bits"
+	"math/rand/v2"
 	"slices"
 	"sort"
 	"sync"
@@ -423,11 +424,11 @@ type graphEntry struct {
 // take the write lock, view reads take the read lock.
 type Pool struct {
 	mu sync.RWMutex
-	// The records, and the index of each id's (an edge id's first).
+	// The records, and the tables that find each id's (an edge id's first).
 	nodeSlab slab[poolNode]
 	edgeSlab slab[poolEdge]
-	nodeIdx  map[graph.NodeID]uint32
-	edgeIdx  map[graph.EdgeID]uint32
+	nodeIdx  idTable[poolNode, graph.NodeID]
+	edgeIdx  idTable[poolEdge, graph.EdgeID]
 	graphs   map[GraphID]*graphEntry
 	nextID   GraphID
 	// An edge id names one pair of nodes for life (graph.EdgeID), and a
@@ -460,8 +461,6 @@ type Pool struct {
 // New returns an empty pool containing only the (empty) current graph.
 func New() *Pool {
 	p := &Pool{
-		nodeIdx:  make(map[graph.NodeID]uint32),
-		edgeIdx:  make(map[graph.EdgeID]uint32),
 		alts:     make(map[graph.EdgeID][]uint32),
 		edgeVals: make(map[graph.EdgeID]*attrList),
 		graphs:   make(map[GraphID]*graphEntry),
@@ -469,6 +468,9 @@ func New() *Pool {
 		nextID:   1,
 		stride:   1,
 	}
+	seed := rand.Uint64()
+	p.nodeIdx = idTable[poolNode, graph.NodeID]{seed: seed, recs: &p.nodeSlab}
+	p.edgeIdx = idTable[poolEdge, graph.EdgeID]{seed: seed, recs: &p.edgeSlab}
 	p.graphs[CurrentGraph] = &graphEntry{id: CurrentGraph, kind: KindCurrent, m: membership{exc: -1, mem: 0, dep: -1}, dep: NoDependency,
 		attrs: graph.AttrOptions{NodeAll: true, EdgeAll: true}}
 	p.alloc(2) // bits 0 and 1
@@ -516,12 +518,12 @@ func (p *Pool) lowestFree(n int) int {
 
 // nodeIndex returns the index of node id's record, made if there is none.
 func (p *Pool) nodeIndex(id graph.NodeID) uint32 {
-	i, ok := p.nodeIdx[id]
+	i, ok := p.nodeIdx.get(id)
 	if !ok {
 		i = p.nodeSlab.add()
 		pn := p.nodeSlab.at(i)
 		pn.id, pn.live = id, true
-		p.nodeIdx[id] = i
+		p.nodeIdx.add(id, i)
 	}
 	return i
 }
@@ -530,7 +532,7 @@ func (p *Pool) node(id graph.NodeID) *poolNode { return p.nodeSlab.at(p.nodeInde
 
 // findNode returns node id's record, nil if there is none.
 func (p *Pool) findNode(id graph.NodeID) *poolNode {
-	if i, ok := p.nodeIdx[id]; ok {
+	if i, ok := p.nodeIdx.get(id); ok {
 		return p.nodeSlab.at(i)
 	}
 	return nil
@@ -539,7 +541,7 @@ func (p *Pool) findNode(id graph.NodeID) *poolNode {
 // record returns the record of edge id between the endpoints info, nil if
 // there is none.
 func (p *Pool) record(id graph.EdgeID, info graph.EdgeInfo) *poolEdge {
-	first, ok := p.edgeIdx[id]
+	first, ok := p.edgeIdx.get(id)
 	if !ok {
 		return nil
 	}
@@ -564,11 +566,12 @@ func (p *Pool) edge(id graph.EdgeID, info graph.EdgeInfo) *poolEdge {
 	if pe := p.record(id, info); pe != nil {
 		return pe
 	}
-	i, ok := p.edgeIdx[id]
+	i, ok := p.edgeIdx.get(id)
 	switch {
 	case !ok:
 		i = p.edgeSlab.add()
-		p.edgeIdx[id] = i
+		p.edgeSlab.at(i).id = id
+		p.edgeIdx.add(id, i)
 	case p.edgeSlab.at(i).first&^(1<<1) != 0 || p.edgeSlab.at(i).more != 0:
 		i = p.edgeSlab.add()
 		p.alts[id] = append(p.alts[id], i)
@@ -596,7 +599,7 @@ func (p *Pool) adjacent(n graph.NodeID) []uint32 {
 // held returns the record of edge id that a graph with the membership test m
 // holds the edge on, nil if it does not hold the edge.
 func (p *Pool) held(m membership, id graph.EdgeID) *poolEdge {
-	first, ok := p.edgeIdx[id]
+	first, ok := p.edgeIdx.get(id)
 	if !ok {
 		return nil
 	}
@@ -671,7 +674,7 @@ func (p *Pool) sweepNode(i uint32, mask *bitset.Bits) int {
 
 // evictNode frees node record i.
 func (p *Pool) evictNode(i uint32) {
-	delete(p.nodeIdx, p.nodeSlab.at(i).id)
+	p.nodeIdx.remove(p.nodeSlab.at(i).id)
 	p.nodeSlab.remove(i)
 }
 
@@ -681,7 +684,7 @@ func (p *Pool) sweepEdge(id graph.EdgeID, mask *bitset.Bits) int {
 	for k := len(p.alts[id]) - 1; k >= 0; k-- {
 		removed += p.sweepRecord(p.alts[id][k], mask)
 	}
-	if first, ok := p.edgeIdx[id]; ok {
+	if first, ok := p.edgeIdx.get(id); ok {
 		removed += p.sweepRecord(first, mask)
 	}
 	return removed
@@ -689,7 +692,7 @@ func (p *Pool) sweepEdge(id graph.EdgeID, mask *bitset.Bits) int {
 
 // sweepRecord is sweepNode for edge record i, which also leaves the
 // adjacency lists and may take an endpoint's record with it. The id's first
-// record gone, its next one takes the first's place.
+// record gone, its next one takes the first's place in the table.
 func (p *Pool) sweepRecord(i uint32, mask *bitset.Bits) int {
 	pe := p.edgeSlab.at(i)
 	if p.andNot(pe.bits(), mask); !pe.bits().empty() {
@@ -697,14 +700,15 @@ func (p *Pool) sweepRecord(i uint32, mask *bitset.Bits) int {
 	}
 	removed := 1 + p.unlink(i)
 	id, alts := pe.id, p.alts[pe.id]
-	switch {
-	case p.edgeIdx[id] != i:
+	switch first, _ := p.edgeIdx.get(id); {
+	case first != i:
 		k := slices.Index(alts, i)
 		alts = slices.Delete(alts, k, k+1)
 	case len(alts) > 0:
-		p.edgeIdx[id], alts = alts[0], alts[1:]
+		p.edgeIdx.repoint(id, alts[0])
+		alts = alts[1:]
 	default:
-		delete(p.edgeIdx, id)
+		p.edgeIdx.remove(id)
 	}
 	if len(alts) == 0 {
 		delete(p.alts, id) // nil or emptied: no entry
@@ -718,7 +722,7 @@ func (p *Pool) sweepRecord(i uint32, mask *bitset.Bits) int {
 // sweepOut sweeps the elements in e's out lists, and empties them.
 func (p *Pool) sweepOut(e *graphEntry, mask *bitset.Bits) {
 	for _, id := range e.outNodes {
-		if i, ok := p.nodeIdx[id]; ok {
+		if i, ok := p.nodeIdx.get(id); ok {
 			p.sweepNode(i, mask)
 		}
 	}
@@ -1144,8 +1148,8 @@ func (p *Pool) Stats() Stats {
 	defer p.mu.RUnlock()
 	st := Stats{
 		ActiveGraphs: len(p.graphs),
-		PoolNodes:    len(p.nodeIdx),
-		PoolEdges:    len(p.edgeIdx),
+		PoolNodes:    p.nodeIdx.n,
+		PoolEdges:    p.edgeIdx.n,
 		Spilled:      len(p.spill)/p.stride - len(p.free),
 		Bytes:        p.sampledBytes.Load(),
 	}
@@ -1164,7 +1168,8 @@ func (p *Pool) Stats() Stats {
 // mapSlot is what one entry of a map from an 8-byte key to an 8-byte value
 // costs: 17 bytes of slot and control byte, in tables that double at seven
 // eighths full. Go 1.24 measures between 24 bytes an entry just before a
-// table grows and 42 just after.
+// table grows and 42 just after. The pool's maps are alts, edgeVals and the
+// attribute names'; ids find their records through idTables.
 const mapSlot = 30
 
 // heapSize is n rounded up about the way the allocator rounds an object:
@@ -1188,14 +1193,14 @@ func (l *attrList) bytes() int64 {
 }
 
 // ApproxBytes estimates the pool's memory footprint from its layout: the
-// chunks of records, a map entry an id, a node's adjacency list at its
+// chunks of records, the tables that find them, a node's adjacency list at its
 // capacity, the attribute lists (header and values) at their capacity with
 // the value strings, the spill table and its free list, and each attribute
 // name once. It is the quantity plotted in the paper's Figure 8(a).
 func (p *Pool) ApproxBytes() int64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	total := p.nodeSlab.bytes() + p.edgeSlab.bytes() + int64(len(p.nodeIdx)+len(p.edgeIdx))*mapSlot
+	total := p.nodeSlab.bytes() + p.edgeSlab.bytes() + p.nodeIdx.bytes() + p.edgeIdx.bytes()
 	for _, pn := range p.nodes {
 		total += pn.vals.bytes()
 		if cap(pn.adj) > 0 {

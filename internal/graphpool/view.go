@@ -2,6 +2,7 @@ package graphpool
 
 import (
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"historygraph/internal/graph"
@@ -244,26 +245,21 @@ func (v *View) IncidentEdges(n graph.NodeID) []graph.EdgeID {
 	return out
 }
 
-// Neighbors returns the distinct nodes adjacent to n in this graph
-// (treating directed edges as traversable both ways, as the paper's
-// getNeighbors example does).
+// Neighbors returns the distinct nodes adjacent to n in this graph, in
+// ascending order (treating directed edges as traversable both ways, as the
+// paper's getNeighbors example does).
 func (v *View) Neighbors(n graph.NodeID) []graph.NodeID {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	seen := make(map[graph.NodeID]struct{})
+	adj := v.p.adjacent(n)
 	var out []graph.NodeID
-	for _, r := range v.p.adjacent(n) {
-		pe := v.p.edgeSlab.at(r)
-		if !v.has(pe.bits()) {
-			continue
-		}
-		other := v.p.info(pe).Other(n)
-		if _, dup := seen[other]; !dup {
-			seen[other] = struct{}{}
-			out = append(out, other)
+	for _, r := range adj {
+		if pe := v.p.edgeSlab.at(r); v.has(pe.bits()) {
+			out = append(slices.Grow(out, len(adj)), v.p.info(pe).Other(n))
 		}
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Degree returns the number of edges of this graph incident to n.
@@ -408,7 +404,7 @@ func (v *View) EdgeImage(e graph.EdgeID) (info graph.EdgeInfo, present bool, att
 func (v *View) Snapshot() *graph.Snapshot {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	s := graph.NewSnapshot()
+	s := v.sized()
 	for id, pn := range v.p.nodes {
 		if v.has(pn.bits()) {
 			s.Nodes[id] = struct{}{}
@@ -435,7 +431,7 @@ func (v *View) Snapshot() *graph.Snapshot {
 func (v *View) Structure() *graph.Snapshot {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	s := graph.NewSnapshot()
+	s := v.sized()
 	for id, pn := range v.p.nodes {
 		if v.has(pn.bits()) {
 			s.Nodes[id] = struct{}{}
@@ -449,8 +445,19 @@ func (v *View) Structure() *graph.Snapshot {
 	return s
 }
 
+// sized returns an empty snapshot whose node and edge maps have room for this
+// graph's. The caller holds the read lock.
+func (v *View) sized() *graph.Snapshot {
+	return &graph.Snapshot{
+		Nodes:     make(map[graph.NodeID]struct{}, v.entry.nodeCount),
+		Edges:     make(map[graph.EdgeID]graph.EdgeInfo, v.entry.edgeCount),
+		NodeAttrs: make(map[graph.NodeID]map[string]string),
+		EdgeAttrs: make(map[graph.EdgeID]map[string]string),
+	}
+}
+
 // Bytes is what the pool holds for this graph, costed as ApproxBytes costs
-// it: the records of its nodes and edges, with their map entries and an edge
+// it: the records of its nodes and edges, with their table slots and an edge
 // record's 4 B in the adjacency list of each of its endpoints, and the
 // attribute values it holds, each whole though other graphs may share it.
 func (v *View) Bytes() int64 {
@@ -467,13 +474,13 @@ func (v *View) Bytes() int64 {
 	var n int64
 	for _, pn := range v.p.nodes {
 		if v.has(pn.bits()) {
-			n += mapSlot + int64(unsafe.Sizeof(*pn))
+			n += idSlot + int64(unsafe.Sizeof(*pn))
 		}
 		n += values(pn.vals)
 	}
 	for _, pe := range v.p.records {
 		if v.has(pe.bits()) {
-			n += mapSlot + int64(unsafe.Sizeof(*pe)) + 4*int64(len(pe.ends()))
+			n += idSlot + int64(unsafe.Sizeof(*pe)) + 4*int64(len(pe.ends()))
 		}
 	}
 	for _, l := range v.p.edgeVals {

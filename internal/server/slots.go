@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"historygraph"
@@ -186,25 +187,17 @@ func (s *Server) CheckEpoch(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // ownedNeighbors computes the degree and neighbor list restricted to
-// owned edges. It walks the same adjacency list View.Neighbors and
-// View.Degree do (IncidentEdges preserves that order), so the filtered
-// answer agrees element-for-element with the unfiltered one whenever
-// every incident edge is owned.
+// owned edges. The list is distinct and ascending, as View.Neighbors's is,
+// so the filtered answer agrees element-for-element with the unfiltered one
+// whenever every incident edge is owned.
 func ownedNeighbors(h *historygraph.HistGraph, n historygraph.NodeID, own *slotOwnership) (int, []historygraph.NodeID) {
-	degree := 0
-	seen := make(map[historygraph.NodeID]struct{})
 	var out []historygraph.NodeID
 	for _, e := range h.IncidentEdges(n) {
-		info, ok := h.EdgeInfo(e)
-		if !ok || !own.ownsNode(info.From) {
-			continue
-		}
-		degree++
-		other := info.Other(n)
-		if _, dup := seen[other]; !dup {
-			seen[other] = struct{}{}
-			out = append(out, other)
+		if info, ok := h.EdgeInfo(e); ok && own.ownsNode(info.From) {
+			out = append(out, info.Other(n))
 		}
 	}
-	return degree, out
+	degree := len(out)
+	slices.Sort(out)
+	return degree, slices.Compact(out)
 }
