@@ -63,12 +63,18 @@ type cluster struct {
 
 func newCluster(t testing.TB, events historygraph.EventList, n int, cfg Config) *cluster {
 	t.Helper()
+	return newWrappedCluster(t, events, n, cfg, func(h http.Handler) http.Handler { return h })
+}
+
+// newWrappedCluster is newCluster with each worker's handler wrapped.
+func newWrappedCluster(t testing.TB, events historygraph.EventList, n int, cfg Config, wrap func(http.Handler) http.Handler) *cluster {
+	t.Helper()
 	c := &cluster{}
 	var urls []string
 	for _, slice := range PartitionEvents(events, n) {
 		gm := buildManager(t, slice)
 		svc := server.New(gm, server.Config{CacheSize: 32})
-		hs := httptest.NewServer(svc.Handler())
+		hs := httptest.NewServer(wrap(svc.Handler()))
 		t.Cleanup(func() { hs.Close(); svc.Close() })
 		c.workers = append(c.workers, gm)
 		c.services = append(c.services, svc)
@@ -419,9 +425,29 @@ func TestShardPartitionTimeout(t *testing.T) {
 
 // TestShardCoalescing: concurrent identical snapshot queries share one
 // scatter-gather at the coordinator AND one plan execution per worker.
+// A worker holds a snapshot leg until the other queries wait on the
+// coordinator's fan-out (or 2 s have passed): a query that reached the
+// coordinator only after the fan-out ended would lead a second one, and
+// whether one does would measure the scheduler, not the coalescing.
 func TestShardCoalescing(t *testing.T) {
+	const N = 24
 	events := testEvents()
-	c := newCluster(t, events, 4, Config{})
+	var c *cluster
+	var ready sync.WaitGroup // c is set
+	ready.Add(1)
+	gate := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/snapshot" {
+				ready.Wait()
+				for deadline := time.Now().Add(2 * time.Second); c.co.flights.Hits.Value() < N-1 && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	c = newWrappedCluster(t, events, 4, Config{}, gate)
+	ready.Done()
 	var last historygraph.Time
 	for _, w := range c.workers {
 		if lt := w.LastTime(); lt > last {
@@ -430,7 +456,6 @@ func TestShardCoalescing(t *testing.T) {
 	}
 	target := last / 2
 
-	const N = 24
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	var failures atomic.Int64
