@@ -26,6 +26,10 @@ type idTable[R poolNode | poolEdge, K graph.NodeID | graph.EdgeID] struct {
 	recs  *slab[R]
 }
 
+// idSlot is about what one id costs a table: a 4-byte slot, in a table
+// between three eighths and three quarters full.
+const idSlot = 8
+
 // key returns the id on record i. Both record types begin with their id, an
 // int64 (TestRecordLayout), which is read in place: read through a function
 // value or a type switch, it made a lookup slower than a Go map's (on 20 000
@@ -33,10 +37,6 @@ type idTable[R poolNode | poolEdge, K graph.NodeID | graph.EdgeID] struct {
 func (t *idTable[R, K]) key(i uint32) K {
 	return K(*(*int64)(unsafe.Pointer(&t.recs.chunks[i/chunkLen][i%chunkLen])))
 }
-
-// idSlot is about what one id costs a table: a 4-byte slot, in a table
-// between three eighths and three quarters full.
-const idSlot = 8
 
 // home returns the slot id's probe starts at.
 func (t *idTable[R, K]) home(id K) int {

@@ -20,9 +20,9 @@
 // linear scan of the chunks. A node record is 56 B and an edge record 32 B,
 // with no pointer (its endpoints are node-record indices); the tables that
 // find a record by its id hold 4-byte indices, 5 to 11 B an id (idTable); an
-// adjacency list holds 4 B for each edge record at its node. A value of an attribute is 32 B and its
-// string, in a list per element (an edge id's are kept apart from its
-// records).
+// adjacency list holds 4 B for each edge record at its node. A value of an
+// attribute is 32 B and its string, in a list per element (an edge id's are
+// kept apart from its records).
 //
 // The bit pair enables the paper's dependent-graph optimization: a
 // historical graph close to a materialized graph (or the current graph)
@@ -1168,8 +1168,8 @@ func (p *Pool) Stats() Stats {
 // mapSlot is what one entry of a map from an 8-byte key to an 8-byte value
 // costs: 17 bytes of slot and control byte, in tables that double at seven
 // eighths full. Go 1.24 measures between 24 bytes an entry just before a
-// table grows and 42 just after. The pool's maps are alts, edgeVals and the
-// attribute names'; ids find their records through idTables.
+// table grows and 42 just after. It prices the pool's maps: alts, edgeVals
+// and the attribute names (an id finds its record through an idTable).
 const mapSlot = 30
 
 // heapSize is n rounded up about the way the allocator rounds an object:

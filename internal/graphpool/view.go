@@ -255,7 +255,7 @@ func (v *View) Neighbors(n graph.NodeID) []graph.NodeID {
 	var out []graph.NodeID
 	for _, r := range adj {
 		if pe := v.p.edgeSlab.at(r); v.has(pe.bits()) {
-			out = append(slices.Grow(out, len(adj)), v.p.info(pe).Other(n))
+			out = append(slices.Grow(out, len(adj)), v.p.info(pe).Other(n)) // one allocation, on the first
 		}
 	}
 	slices.Sort(out)
