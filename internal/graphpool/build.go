@@ -188,8 +188,8 @@ func (b *Build) SetEdge(id graph.EdgeID, info graph.EdgeInfo, present bool, attr
 func (p *Pool) setValues(e *graphEntry, l *attrList, attrs map[string]string, want func(string) bool) (out bool) {
 	held := l.all()
 	for i := range held {
-		name := p.names[held[i].name]
-		if v, ok := attrs[name]; (ok && v == held[i].val) || !want(name) || !p.has(e.m, held[i].bits()) {
+		name := p.strs[held[i].name]
+		if v, ok := attrs[name]; (ok && v == p.strs[held[i].val]) || !want(name) || !p.has(e.m, held[i].bits()) {
 			continue
 		}
 		p.put(e, held[i].bits(), false)
@@ -197,7 +197,7 @@ func (p *Pool) setValues(e *graphEntry, l *attrList, attrs map[string]string, wa
 	}
 	for k, v := range attrs {
 		if want(k) {
-			p.put(e, l.value(p.nameID(k), v), true)
+			p.put(e, p.value(l, p.str(k), k, v), true)
 		}
 	}
 	return out

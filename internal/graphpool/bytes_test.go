@@ -96,12 +96,12 @@ func TestApproxBytesTracksHeap(t *testing.T) {
 			}
 		}
 	}, nodes, edges, history)
-	// The value strings are the events' own, outside the measured growth
-	// (how a byte of string is allocated differs under the race detector):
-	// what is compared is the layout.
+	// The strings are the events' own, outside the measured growth (how a
+	// byte of string is allocated differs under the race detector): what is
+	// compared is the layout. The pool holds each once.
 	est := p.ApproxBytes()
-	for _, ev := range nodes {
-		est -= int64(len(ev.New))
+	for s := range p.strIDs {
+		est -= int64(len(s))
 	}
 	if st := p.Stats(); st.Bits != 2+2*shapeViews {
 		t.Fatalf("the shape should need %d bits (the inline word and two bits beyond it), has %d", 2+2*shapeViews, st.Bits)
@@ -116,11 +116,13 @@ func TestApproxBytesTracksHeap(t *testing.T) {
 // TestPoolBytesPerElement is the golden cost behind heap_live_mb, as
 // TestGoldenCheckpointBytes is behind durable_bytes_per_event: what a node
 // with ten attributes and what a bare edge cost on the heap, measured, under
-// ceilings a layout regression breaks: 418 B and 50 B with the records in
+// ceilings a layout regression breaks: 357 B and 50 B with the records in
 // chunks, named by 4-byte indices, which the adjacency lists hold and the
-// tables that find a record by id (idTable), the ceilings a tenth above
-// that. The bytes of the value strings are the events' own and not in the
-// measure. With Go maps from ids to the indices, 447 B and 78 B; with a
+// tables that find a record by id (idTable), and 24-byte attribute values
+// that name their strings in one table, each string once; the ceilings a
+// tenth above that. The bytes of the strings are the events' own and not in
+// the measure. With a 16-byte string header on each value, 418 B and 50 B
+// (the node ceiling 460 B); with Go maps from ids to the indices, 447 B and 78 B; with a
 // node record a heap object of its own, without its id, and 8-byte edge ids
 // in the adjacency lists, 429 B and 86 B. With a map of one-element slices of pointers to
 // 48-byte values per element and every bitmap word allocated apart, the same
@@ -144,7 +146,7 @@ func TestPoolBytesPerElement(t *testing.T) {
 	perNode := float64(heapGrowth(apply(nodes), nodes, edges)) / shapeNodes
 	perEdge := float64(heapGrowth(apply(edges), edges)) / shapeEdges
 	t.Logf("%.0f B per node with %d attributes, %.0f B per bare edge", perNode, shapeAttrs, perEdge)
-	const nodeCeiling, edgeCeiling = 460, 55
+	const nodeCeiling, edgeCeiling = 393, 55
 	if perNode > nodeCeiling {
 		t.Errorf("a node with %d attributes costs %.0f B of heap, ceiling %d", shapeAttrs, perNode, nodeCeiling)
 	}
@@ -155,14 +157,15 @@ func TestPoolBytesPerElement(t *testing.T) {
 }
 
 // TestRecordLayout guards the layout the heap figures above rest on: an
-// attribute value and an edge record are 32 B each, and an edge record holds
-// no pointer, so the collector never scans one; and every record begins with
+// attribute value is 24 B and an edge record 32 B, and neither holds a
+// pointer, so the collector never scans one; and every record begins with
 // its id. With the bitmap a
 // bitset.Bits, its words past bit 63 behind a pointer, and an edge id's
-// values on its record, they were 40 B and 48 B.
+// values on its record, they were 40 B and 48 B; with the value's string on
+// it, an attribute value was 32 B.
 func TestRecordLayout(t *testing.T) {
-	if got := unsafe.Sizeof(attrVal{}); got != 32 {
-		t.Errorf("an attribute value is %d B, want 32", got)
+	if got := unsafe.Sizeof(attrVal{}); got != 24 {
+		t.Errorf("an attribute value is %d B, want 24", got)
 	}
 	if got := unsafe.Sizeof(poolEdge{}); got != 32 {
 		t.Errorf("an edge record is %d B, want 32", got)
@@ -190,10 +193,11 @@ func TestRecordLayout(t *testing.T) {
 			t.Errorf("a %s begins with %s %s at %d, want its id, an int64, at 0", typ.Name(), f.Name, f.Type, f.Offset)
 		}
 	}
-	typ := reflect.TypeOf(poolEdge{})
-	for i := range typ.NumField() {
-		if f := typ.Field(i); !pointerFree(f.Type) {
-			t.Errorf("edge record field %s (%s) holds a pointer", f.Name, f.Type)
+	for _, typ := range []reflect.Type{reflect.TypeOf(poolEdge{}), reflect.TypeOf(attrVal{})} {
+		for i := range typ.NumField() {
+			if f := typ.Field(i); !pointerFree(f.Type) {
+				t.Errorf("%s field %s (%s) holds a pointer", typ.Name(), f.Name, f.Type)
+			}
 		}
 	}
 }

@@ -375,6 +375,46 @@ func (m *poolModel) check(step int) {
 	}
 }
 
+func newModel(t *testing.T, seed int64) *poolModel {
+	m := &poolModel{t: t, rng: rand.New(rand.NewSource(seed)), p: New(), cur: graph.NewSnapshot()}
+	m.past = []*graph.Snapshot{graph.NewSnapshot()}
+	return m
+}
+
+// run takes the model through its steps, a crowd of readers among them,
+// calls after after each, and returns the most bits the pool held.
+func (m *poolModel) run(after func(step int)) (maxBits int) {
+	for step := 0; step < 450; step++ {
+		switch step {
+		case crowdFrom:
+			m.crowd()
+		case crowdTo:
+			m.disperse()
+		default:
+			m.step()
+		}
+		after(step)
+		maxBits = max(maxBits, m.p.Stats().Bits)
+	}
+	return maxBits
+}
+
+// releaseAll lets every graph but the current one go, and cleans.
+func (m *poolModel) releaseAll() {
+	for _, mats := range []bool{false, true} { // dependents before what they depend on
+		for _, g := range append([]*modelGraph(nil), m.live...) {
+			if g.mat == mats {
+				m.release(g)
+				for g.pins > 0 {
+					m.unpin(g)
+				}
+			}
+		}
+	}
+	m.p.CleanNow()
+	m.p.ClearRecent()
+}
+
 // TestPoolMatchesModel holds the pool's layout to a model: a seeded run of
 // everything a pool can be asked to do — events on the current graph
 // (adds, deletes, attribute sets, replacements and removals), leaf cuts,
@@ -386,41 +426,15 @@ func (m *poolModel) check(step int) {
 // compared, after every step, with a graph.Snapshot kept beside it.
 func TestPoolMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		m := &poolModel{t: t, rng: rand.New(rand.NewSource(seed)), p: New(), cur: graph.NewSnapshot()}
-		m.past = []*graph.Snapshot{graph.NewSnapshot()}
-		maxBits := 0
-		for step := 0; step < 450; step++ {
-			switch step {
-			case crowdFrom:
-				m.crowd()
-			case crowdTo:
-				m.disperse()
-			default:
-				m.step()
-			}
-			m.check(step)
-			if b := m.p.Stats().Bits; b > maxBits {
-				maxBits = b
-			}
-		}
+		m := newModel(t, seed)
+		maxBits := m.run(m.check)
 		if maxBits <= 128 {
 			t.Errorf("seed %d: the run reached %d bits, want more than 128 (two words above the inline one)", seed, maxBits)
 		}
 		// With every graph gone, the pool is the current graph and nothing
 		// else: whatever a delete, a replacement or a release left behind
 		// has been evicted.
-		for _, mats := range []bool{false, true} { // dependents before what they depend on
-			for _, g := range append([]*modelGraph(nil), m.live...) {
-				if g.mat == mats {
-					m.release(g)
-					for g.pins > 0 {
-						m.unpin(g)
-					}
-				}
-			}
-		}
-		m.p.CleanNow()
-		m.p.ClearRecent()
+		m.releaseAll()
 		m.check(-1)
 		values := 0
 		for _, attrs := range m.cur.NodeAttrs {
@@ -446,5 +460,65 @@ func TestPoolMatchesModel(t *testing.T) {
 		if n := spilled(m.p); n > 0 {
 			t.Errorf("seed %d: with only the current graph left %d bitmaps hold a spill slot", seed, n)
 		}
+	}
+}
+
+// checkStrs recounts the fields of the attribute values that name each entry
+// of p's string table: the count must be the table's, a live entry the one
+// its string finds, and a freed one "" and on the free list once.
+func checkStrs(t *testing.T, p *Pool, where string) {
+	t.Helper()
+	refs := make([]uint32, len(p.strs))
+	count := func(l *attrList) {
+		for _, av := range l.all() {
+			refs[av.name]++
+			refs[av.val]++
+		}
+	}
+	for _, pn := range p.nodes {
+		count(pn.vals)
+	}
+	for _, l := range p.edgeVals {
+		count(l)
+	}
+	free := make([]bool, len(p.strs))
+	for _, i := range p.strFree {
+		if free[i] {
+			t.Fatalf("%s: string %d is on the free list twice", where, i)
+		}
+		free[i] = true
+	}
+	if len(p.strIDs)+len(p.strFree) != len(p.strs) {
+		t.Fatalf("%s: %d strings, %d found by the map, %d on the free list", where, len(p.strs), len(p.strIDs), len(p.strFree))
+	}
+	for i, s := range p.strs {
+		id, found := p.strIDs[s]
+		switch {
+		case refs[i] != p.refs[i]:
+			t.Fatalf("%s: string %d (%q) counts %d fields, %d name it", where, i, s, p.refs[i], refs[i])
+		case refs[i] == 0 && (s != "" || !free[i]):
+			t.Fatalf("%s: string %d, which no field names, holds %q (on the free list: %v)", where, i, s, free[i])
+		case refs[i] > 0 && (!found || id != uint32(i) || free[i]):
+			t.Fatalf("%s: string %d (%q) is live, and the map finds it at %d (%v); on the free list: %v", where, i, s, id, found, free[i])
+		}
+	}
+}
+
+// TestStringsMatchRecount holds the pool's string table to a recount, after
+// every step of TestPoolMatchesModel's run: the table holds the strings the
+// values name, each once, and nothing once no graph holds a value.
+func TestStringsMatchRecount(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		m := newModel(t, seed)
+		m.run(func(step int) { checkStrs(t, m.p, fmt.Sprintf("seed %d, step %d", seed, step)) })
+		m.releaseAll()
+		checkStrs(t, m.p, fmt.Sprintf("seed %d, the current graph alone", seed))
+		live := len(m.p.strIDs)
+		m.p.LoadCurrent(graph.NewSnapshot())
+		checkStrs(t, m.p, fmt.Sprintf("seed %d, the pool emptied", seed))
+		if len(m.p.strIDs) != 0 {
+			t.Errorf("seed %d: the pool emptied holds %d strings", seed, len(m.p.strIDs))
+		}
+		t.Logf("seed %d: the current graph's values name %d strings; the table grew to %d", seed, live, len(m.p.strs))
 	}
 }

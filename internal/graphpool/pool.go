@@ -21,8 +21,10 @@
 // with no pointer (its endpoints are node-record indices); the tables that
 // find a record by its id hold 4-byte indices, 5 to 11 B an id (idTable); an
 // adjacency list holds 4 B for each edge record at its node. A value of an
-// attribute is 32 B and its string, in a list per element (an edge id's are
-// kept apart from its records).
+// attribute is 24 B, with no pointer, in a list per element (an edge id's are
+// kept apart from its records); it names its attribute and its string by
+// 4-byte indices into one table that holds each distinct string once, for as
+// long as a value names it.
 //
 // The bit pair enables the paper's dependent-graph optimization: a
 // historical graph close to a materialized graph (or the current graph)
@@ -80,12 +82,12 @@ func (k GraphKind) String() string {
 }
 
 // attrVal is one value of one attribute with the bitmap of graphs holding
-// it (first and more, see bitmap). The name is an index into Pool.names.
+// it (first and more, see bitmap). The name and the value are indices into
+// Pool.strs.
 type attrVal struct {
-	val   string
-	first uint64
-	more  uint32
-	name  uint32
+	first     uint64
+	more      uint32
+	name, val uint32
 }
 
 // attrList is every attribute value any graph gives one element, in one
@@ -314,18 +316,20 @@ func (l *attrList) run(name uint32) (lo, hi int) {
 	return lo, hi
 }
 
-// value returns the bitmap of the value val of name in l, adding the value
-// behind the other values of that name if it is new.
-func (l *attrList) value(name uint32, val string) bitmap {
+// value returns the bitmap of the value val of attribute name in l, adding
+// the value behind the other values of that name if it is new; n is
+// p.str(name). A value made here is the only way an entry of strs gains a
+// count. The caller holds the write lock.
+func (p *Pool) value(l *attrList, n uint32, name, val string) bitmap {
 	attrs := *l
-	i, hi := l.run(name)
-	for i < hi && attrs[i].val != val {
+	i, hi := l.run(n)
+	for i < hi && p.strs[attrs[i].val] != val {
 		i++
 	}
 	if i == hi {
 		attrs = append(grown(attrs), attrVal{})
 		copy(attrs[i+1:], attrs[i:])
-		attrs[i] = attrVal{name: name, val: val}
+		attrs[i] = attrVal{name: p.ref(n, name), val: p.ref(noStr, val)}
 		*l = attrs
 	}
 	return attrs[i].bits()
@@ -340,6 +344,8 @@ func (p *Pool) sweepValues(l *attrList, mask *bitset.Bits) (*attrList, int) {
 	for i := range attrs {
 		av := &attrs[i]
 		if p.andNot(av.bits(), mask); av.bits().empty() {
+			p.unref(av.name)
+			p.unref(av.val)
 			continue
 		}
 		if kept < i { // a value moves only once one before it has gone
@@ -446,9 +452,13 @@ type Pool struct {
 	spill  []uint64
 	stride int
 	free   []uint32
-	// Attribute names, interned: an attrVal holds an index into names.
-	names   []string
-	nameIDs map[string]uint32
+	// The strings attribute values name, each once: refs counts the attrVal
+	// fields that name an entry, and one no field names is "", out of strIDs
+	// and on strFree, the next to be handed out.
+	strs    []string
+	refs    []uint32
+	strIDs  map[string]uint32
+	strFree []uint32
 	// The bits graphs hold, and graphs under construction: a released
 	// graph's are free again once a clean pass has cleared them on every
 	// element.
@@ -464,7 +474,7 @@ func New() *Pool {
 		alts:     make(map[graph.EdgeID][]uint32),
 		edgeVals: make(map[graph.EdgeID]*attrList),
 		graphs:   make(map[GraphID]*graphEntry),
-		nameIDs:  make(map[string]uint32),
+		strIDs:   make(map[string]uint32),
 		nextID:   1,
 		stride:   1,
 	}
@@ -646,15 +656,47 @@ func (p *Pool) records(yield func(graph.EdgeID, *poolEdge) bool) {
 	}
 }
 
-// nameID interns an attribute name. The caller holds the write lock.
-func (p *Pool) nameID(name string) uint32 {
-	id, ok := p.nameIDs[name]
-	if !ok {
-		id = uint32(len(p.names))
-		p.names = append(p.names, name)
-		p.nameIDs[name] = id
+// noStr is what str returns for a string no value names; no field holds it.
+const noStr = ^uint32(0)
+
+// str returns the index of s in strs, noStr if no value names it.
+func (p *Pool) str(s string) uint32 {
+	if i, ok := p.strIDs[s]; ok {
+		return i
 	}
-	return id
+	return noStr
+}
+
+// ref counts one more field naming s and returns its index i, which the
+// caller passes if it knows it (else noStr), entering s in strs if no field
+// named it. The caller holds the write lock.
+func (p *Pool) ref(i uint32, s string) uint32 {
+	if i == noStr {
+		i = p.str(s)
+	}
+	if i == noStr {
+		if n := len(p.strFree); n > 0 {
+			i, p.strFree = p.strFree[n-1], p.strFree[:n-1]
+			p.strs[i] = s
+		} else {
+			i = uint32(len(p.strs))
+			p.strs, p.refs = append(p.strs, s), append(p.refs, 0)
+		}
+		p.strIDs[s] = i
+	}
+	p.refs[i]++
+	return i
+}
+
+// unref counts one field fewer naming entry i, which the last one frees: its
+// string is let go of, so that one decoded off the wire or a log can be
+// collected. The caller holds the write lock.
+func (p *Pool) unref(i uint32) {
+	if p.refs[i]--; p.refs[i] == 0 {
+		delete(p.strIDs, p.strs[i])
+		p.strs[i] = ""
+		p.strFree = append(p.strFree, i)
+	}
 }
 
 // sweepNode clears the bits of mask on node record i and its attribute
@@ -794,7 +836,7 @@ func (p *Pool) setAll(l *attrList, attrs map[string]string) {
 		*l = make(attrList, 0, len(attrs))
 	}
 	for k, v := range attrs {
-		p.mark(l.value(p.nameID(k), v), 0)
+		p.mark(p.value(l, p.str(k), k, v), 0)
 	}
 }
 
@@ -932,12 +974,12 @@ func (p *Pool) setNodeAttr(e *graphEntry, n graph.NodeID, attr, val string, set 
 	if set && pn == nil {
 		pn = p.node(n)
 	}
-	name, l := p.nameID(attr), pn.values()
+	name, l := p.str(attr), pn.values()
 	if lo, hi := l.run(name); p.retire(e, l, lo, hi) {
 		e.outNodes = append(e.outNodes, n)
 	}
 	if set {
-		p.put(e, pn.list().value(name, val), true)
+		p.put(e, p.value(pn.list(), name, attr, val), true)
 	}
 }
 
@@ -946,12 +988,12 @@ func (p *Pool) setEdgeAttr(e *graphEntry, id graph.EdgeID, attr, val string, set
 	if !e.attrs.WantEdgeAttr(attr) {
 		return
 	}
-	name, l := p.nameID(attr), p.edgeVals[id]
+	name, l := p.str(attr), p.edgeVals[id]
 	if lo, hi := l.run(name); p.retire(e, l, lo, hi) {
 		e.outEdges = append(e.outEdges, id)
 	}
 	if set {
-		p.put(e, p.values(id).value(name, val), true)
+		p.put(e, p.value(p.values(id), name, attr, val), true)
 	}
 }
 
@@ -1169,7 +1211,8 @@ func (p *Pool) Stats() Stats {
 // costs: 17 bytes of slot and control byte, in tables that double at seven
 // eighths full. Go 1.24 measures between 24 bytes an entry just before a
 // table grows and 42 just after. It prices the pool's maps: alts, edgeVals
-// and the attribute names (an id finds its record through an idTable).
+// and the strings of attribute values (an id finds its record through an
+// idTable).
 const mapSlot = 30
 
 // heapSize is n rounded up about the way the allocator rounds an object:
@@ -1180,23 +1223,19 @@ func heapSize(n uintptr) int64 {
 }
 
 // bytes returns the heap the attribute list owns: its header and values at
-// their capacity, and the value strings.
+// their capacity (their strings are in Pool.strs).
 func (l *attrList) bytes() int64 {
 	if l == nil {
 		return 0
 	}
-	n := heapSize(unsafe.Sizeof(*l)) + heapSize(uintptr(cap(*l))*unsafe.Sizeof(attrVal{}))
-	for _, av := range *l {
-		n += int64(len(av.val))
-	}
-	return n
+	return heapSize(unsafe.Sizeof(*l)) + heapSize(uintptr(cap(*l))*unsafe.Sizeof(attrVal{}))
 }
 
 // ApproxBytes estimates the pool's memory footprint from its layout: the
 // chunks of records, the tables that find them, a node's adjacency list at its
-// capacity, the attribute lists (header and values) at their capacity with
-// the value strings, the spill table and its free list, and each attribute
-// name once. It is the quantity plotted in the paper's Figure 8(a).
+// capacity, the attribute lists (header and values) at their capacity, the
+// spill table and its free list, and the table of the values' strings, each
+// string once. It is the quantity plotted in the paper's Figure 8(a).
 func (p *Pool) ApproxBytes() int64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -1214,8 +1253,9 @@ func (p *Pool) ApproxBytes() int64 {
 		total += mapSlot + l.bytes()
 	}
 	total += heapSize(uintptr(cap(p.spill))*8) + heapSize(uintptr(cap(p.free))*4)
-	for _, name := range p.names {
-		total += 2*(mapSlot+int64(unsafe.Sizeof(name))) + int64(len(name))
+	total += heapSize(uintptr(cap(p.strs))*16) + heapSize(uintptr(cap(p.refs))*4) + heapSize(uintptr(cap(p.strFree))*4)
+	for s := range p.strIDs {
+		total += mapSlot + 16 + int64(len(s))
 	}
 	return total
 }

@@ -1154,7 +1154,10 @@ func TestCurrentGraphIsSnapshotApply(t *testing.T) {
 // nodes, edges, and an edge id the current graph now holds between two other
 // nodes, which takes a further record — then letting it go and cleaning, 200
 // times over, leaves the pool as many chunks as the first time did, give or
-// take one. The walks see no freed slot and no bit a slot held before:
+// take one; and a value the current graph replaces every cycle with a fresh
+// string leaves as many strings live as the first cycle did, in a table one
+// larger at most. The
+// walks see no freed slot and no bit a slot held before:
 // Structure, ForEachDiffering and ForEachHeld agree with the snapshots the
 // graphs are, and the pool walks as many records as one that only ever held
 // the current graph.
@@ -1230,7 +1233,14 @@ func TestPoolSlotsReused(t *testing.T) {
 	records, curStructure := countBitmaps(alone, all), structure(cur)
 	chunks := func() int { return len(p.nodeSlab.chunks) + len(p.edgeSlab.chunks) }
 	first, alts := 0, 0
+	var strs, live int
+	const renamed = graph.NodeID(100) // not deleted above: it differs from every view as it did
 	for cycle := range 200 {
+		ev := graph.Event{Type: graph.SetNodeAttr, Node: renamed, Attr: "k0", Old: cur.NodeAttrs[renamed]["k0"], HadOld: true,
+			New: fmt.Sprintf("value of cycle %d", cycle), HasNew: true}
+		p.ApplyEvent(ev)
+		cur.Apply(ev)
+		p.ClearRecent()
 		s, want := history[cycle%len(history)], views[cycle%len(history)]
 		id := p.OverlaySnapshot(s, 0)
 		alts += len(p.alts)
@@ -1252,9 +1262,11 @@ func TestPoolSlotsReused(t *testing.T) {
 		}
 		p.CleanNow()
 		if cycle == 0 {
-			first = chunks()
+			first, strs, live = chunks(), len(p.strs), len(p.strIDs)
 		} else if n := chunks(); n < first-1 || n > first+1 {
 			t.Fatalf("cycle %d: the pool holds %d chunks, %d after the first cycle", cycle, n, first)
+		} else if len(p.strIDs) != live || len(p.strs) > strs+1 { // a fresh string enters before the one it replaces leaves
+			t.Fatalf("cycle %d: the table holds %d strings, %d of them live; %d and %d after the first cycle", cycle, len(p.strs), len(p.strIDs), strs, live)
 		}
 		if got, want := p.Stats(), alone.Stats(); got.PoolNodes != want.PoolNodes || got.PoolEdges != want.PoolEdges || countBitmaps(p, all) != records {
 			t.Fatalf("cycle %d: the pool has %d nodes and %d edges and walks %d records and values; one that only held the current graph %d, %d and %d",

@@ -136,7 +136,7 @@ func (v *View) ForEachHeld(node func(graph.NodeID), edge func(graph.EdgeID)) {
 	holds := func(l *attrList, node bool) bool {
 		attrs := l.all()
 		for i := range attrs {
-			if av := &attrs[i]; v.has(av.bits()) && v.admits(node, v.p.names[av.name]) {
+			if av := &attrs[i]; v.has(av.bits()) && v.admits(node, v.p.strs[av.name]) {
 				return true
 			}
 		}
@@ -293,14 +293,13 @@ func (v *View) admits(node bool, name string) bool {
 // valueOf returns the value of the named attribute in l in this graph: the
 // first of the name's values the graph holds. The caller holds the read lock.
 func (v *View) valueOf(l *attrList, node bool, attr string) (string, bool) {
-	name, ok := v.p.nameIDs[attr]
-	if !ok || !v.admits(node, attr) {
+	if !v.admits(node, attr) {
 		return "", false
 	}
 	attrs := l.all()
-	for i, hi := l.run(name); i < hi; i++ {
+	for i, hi := l.run(v.p.str(attr)); i < hi; i++ {
 		if v.has(attrs[i].bits()) {
-			return attrs[i].val, true
+			return v.p.strs[attrs[i].val], true
 		}
 	}
 	return "", false
@@ -310,7 +309,7 @@ func (v *View) valueOf(l *attrList, node bool, attr string) (string, bool) {
 // (nil when there are none). The caller holds the read lock.
 func (v *View) attrsOf(l *attrList, node bool) map[string]string {
 	var out map[string]string
-	answered := ^uint32(0) // values of one name are adjacent: the first member answers for it
+	answered := noStr // values of one name are adjacent: the first member answers for it
 	attrs := l.all()
 	for i := range attrs {
 		av := &attrs[i]
@@ -318,11 +317,11 @@ func (v *View) attrsOf(l *attrList, node bool) map[string]string {
 			continue
 		}
 		answered = av.name
-		if name := v.p.names[av.name]; v.admits(node, name) {
+		if name := v.p.strs[av.name]; v.admits(node, name) {
 			if out == nil {
 				out = make(map[string]string, len(attrs)-i) // room for all that may follow
 			}
-			out[name] = av.val
+			out[name] = v.p.strs[av.val]
 		}
 	}
 	return out
@@ -459,14 +458,15 @@ func (v *View) sized() *graph.Snapshot {
 // Bytes is what the pool holds for this graph, costed as ApproxBytes costs
 // it: the records of its nodes and edges, with their table slots and an edge
 // record's 4 B in the adjacency list of each of its endpoints, and the
-// attribute values it holds, each whole though other graphs may share it.
+// attribute values it holds and their strings, each whole though other
+// graphs may share it.
 func (v *View) Bytes() int64 {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
 	values := func(l *attrList) (n int64) {
 		for _, av := range l.all() {
 			if v.has(av.bits()) {
-				n += int64(unsafe.Sizeof(av)) + int64(len(av.val))
+				n += int64(unsafe.Sizeof(av)) + int64(len(v.p.strs[av.val]))
 			}
 		}
 		return n
