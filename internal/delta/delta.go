@@ -188,18 +188,28 @@ func (d *Delta) Apply(s *graph.Snapshot) {
 	for _, e := range d.AddEdges {
 		s.Edges[e.ID] = graph.EdgeInfo{From: e.From, To: e.To, Directed: e.Directed}
 	}
-	for _, rec := range d.SetNodeAttrs {
+	// A new element's map is sized by its run of records: the columns are
+	// sorted by element (sortStable).
+	for i, rec := range d.SetNodeAttrs {
 		attrs := s.NodeAttrs[rec.Node]
 		if attrs == nil {
-			attrs = make(map[string]string)
+			n := 1
+			for i+n < len(d.SetNodeAttrs) && d.SetNodeAttrs[i+n].Node == rec.Node {
+				n++
+			}
+			attrs = make(map[string]string, n)
 			s.NodeAttrs[rec.Node] = attrs
 		}
 		attrs[rec.Attr] = rec.Val
 	}
-	for _, rec := range d.SetEdgeAttrs {
+	for i, rec := range d.SetEdgeAttrs {
 		attrs := s.EdgeAttrs[rec.Edge]
 		if attrs == nil {
-			attrs = make(map[string]string)
+			n := 1
+			for i+n < len(d.SetEdgeAttrs) && d.SetEdgeAttrs[i+n].Edge == rec.Edge {
+				n++
+			}
+			attrs = make(map[string]string, n)
 			s.EdgeAttrs[rec.Edge] = attrs
 		}
 		attrs[rec.Attr] = rec.Val

@@ -542,6 +542,9 @@ func (r *graphRun) apply(s *graph.Snapshot, st step) (*graph.Snapshot, error) {
 		return r.copyOf(r.dg.cur), nil
 	case applyDelta:
 		parts, err := r.dg.fetchDelta(st.edge, r.spec)
+		if len(s.Nodes)+len(s.Edges)+len(s.NodeAttrs)+len(s.EdgeAttrs) == 0 {
+			s = sizedFor(parts)
+		}
 		applyParts(s, parts...)
 		return s, err
 	}

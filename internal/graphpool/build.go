@@ -55,13 +55,14 @@ func (p *Pool) NewBuild(from GraphID, dependent bool, attrs graph.AttrOptions) (
 }
 
 // copyBits sets bit to+i on every element and attribute value that bit
-// from+i is set on, for each i below n, in one scan of the pool; within the
-// inline word a shift does it. The caller holds the write lock.
+// from+i is set on, for each i below n, in one scan of the pool; within
+// word 0 a shift does it. The caller holds the write lock.
 func (p *Pool) copyBits(from, to, n int) {
 	inline, mask := from+n <= 64 && to+n <= 64, uint64(1)<<n-1
 	cp := func(b bitmap) {
 		if inline {
-			*b.first |= *b.first >> from & mask << to
+			w := p.word0(b)
+			*w |= *w >> from & mask << to
 		} else {
 			p.copySpilled(b, from, to, n)
 		}
@@ -188,7 +189,7 @@ func (b *Build) SetEdge(id graph.EdgeID, info graph.EdgeInfo, present bool, attr
 func (p *Pool) setValues(e *graphEntry, l *attrList, attrs map[string]string, want func(string) bool) (out bool) {
 	held := l.all()
 	for i := range held {
-		name := p.strs[held[i].name]
+		name := p.strs[held[i].name()]
 		if v, ok := attrs[name]; (ok && v == p.strs[held[i].val]) || !want(name) || !p.has(e.m, held[i].bits()) {
 			continue
 		}

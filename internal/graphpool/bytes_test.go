@@ -116,12 +116,15 @@ func TestApproxBytesTracksHeap(t *testing.T) {
 // TestPoolBytesPerElement is the golden cost behind heap_live_mb, as
 // TestGoldenCheckpointBytes is behind durable_bytes_per_event: what a node
 // with ten attributes and what a bare edge cost on the heap, measured, under
-// ceilings a layout regression breaks: 357 B and 50 B with the records in
+// ceilings a layout regression breaks: 277 B and 42 B with the records in
 // chunks, named by 4-byte indices, which the adjacency lists hold and the
-// tables that find a record by id (idTable), and 24-byte attribute values
-// that name their strings in one table, each string once; the ceilings a
+// tables that find a record by id (idTable), 16-byte attribute values that
+// name their strings in one table, each string once, and 24-byte edge
+// records, a bitmap's spill slot named by its inline word; the ceilings a
 // tenth above that. The bytes of the strings are the events' own and not in
-// the measure. With a 16-byte string header on each value, 418 B and 50 B
+// the measure. With a 4-byte spill index beside the inline word, 24-byte
+// values and 32-byte edge records, 357 B and 50 B (ceilings 393 and 55).
+// With a 16-byte string header on each value, 418 B and 50 B
 // (the node ceiling 460 B); with Go maps from ids to the indices, 447 B and 78 B; with a
 // node record a heap object of its own, without its id, and 8-byte edge ids
 // in the adjacency lists, 429 B and 86 B. With a map of one-element slices of pointers to
@@ -146,7 +149,7 @@ func TestPoolBytesPerElement(t *testing.T) {
 	perNode := float64(heapGrowth(apply(nodes), nodes, edges)) / shapeNodes
 	perEdge := float64(heapGrowth(apply(edges), edges)) / shapeEdges
 	t.Logf("%.0f B per node with %d attributes, %.0f B per bare edge", perNode, shapeAttrs, perEdge)
-	const nodeCeiling, edgeCeiling = 393, 55
+	const nodeCeiling, edgeCeiling = 305, 46
 	if perNode > nodeCeiling {
 		t.Errorf("a node with %d attributes costs %.0f B of heap, ceiling %d", shapeAttrs, perNode, nodeCeiling)
 	}
@@ -157,18 +160,22 @@ func TestPoolBytesPerElement(t *testing.T) {
 }
 
 // TestRecordLayout guards the layout the heap figures above rest on: an
-// attribute value is 24 B and an edge record 32 B, and neither holds a
-// pointer, so the collector never scans one; and every record begins with
-// its id. With the bitmap a
-// bitset.Bits, its words past bit 63 behind a pointer, and an edge id's
-// values on its record, they were 40 B and 48 B; with the value's string on
-// it, an attribute value was 32 B.
+// attribute value is 16 B and an edge record 24 B, and neither holds a
+// pointer, so the collector never scans one; a node record is 56 B; and
+// every record begins with its id. With a 4-byte spill index beside the
+// inline word (and an edge record's two flags as bools) they were 24 B and
+// 32 B; with the bitmap a bitset.Bits, its words past bit 63 behind a
+// pointer, and an edge id's values on its record, 40 B and 48 B; with the
+// value's string on it, an attribute value was 32 B.
 func TestRecordLayout(t *testing.T) {
-	if got := unsafe.Sizeof(attrVal{}); got != 24 {
-		t.Errorf("an attribute value is %d B, want 24", got)
+	if got := unsafe.Sizeof(attrVal{}); got != 16 {
+		t.Errorf("an attribute value is %d B, want 16", got)
 	}
-	if got := unsafe.Sizeof(poolEdge{}); got != 32 {
-		t.Errorf("an edge record is %d B, want 32", got)
+	if got := unsafe.Sizeof(poolEdge{}); got != 24 {
+		t.Errorf("an edge record is %d B, want 24", got)
+	}
+	if got := unsafe.Sizeof(poolNode{}); got != 56 {
+		t.Errorf("a node record is %d B, want 56", got)
 	}
 	var pointerFree func(reflect.Type) bool
 	pointerFree = func(typ reflect.Type) bool {

@@ -285,6 +285,12 @@ func (m *poolModel) step() {
 			s = graph.AttrOptions{}.FilterSnapshot(s) // structure only
 		}
 		m.add(p.OverlaySnapshot(s, graph.Time(rng.Intn(1000))), s, "explicit")
+	case k < 55 && rng.Intn(2) == 0: // a copy of bit 0, as a leaf cut commits one
+		b, err := p.NewBuild(CurrentGraph, false, allAttrs)
+		if err != nil {
+			m.t.Fatal(err)
+		}
+		m.add(b.Commit(KindMaterialized, 0), m.cur.Clone(), "materialized copy of the current graph").mat = true
 	case k < 55:
 		s := m.past[rng.Intn(len(m.past))].Clone()
 		m.add(p.OverlayMaterialized(s), s, "materialized").mat = true
@@ -427,7 +433,12 @@ func (m *poolModel) releaseAll() {
 func TestPoolMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		m := newModel(t, seed)
-		maxBits := m.run(m.check)
+		maxBits := m.run(func(step int) {
+			m.check(step)
+			where := fmt.Sprintf("seed %d, step %d", seed, step)
+			checkSlots(t, m.p, where)
+			checkDiffering(t, m.p, where)
+		})
 		if maxBits <= 128 {
 			t.Errorf("seed %d: the run reached %d bits, want more than 128 (two words above the inline one)", seed, maxBits)
 		}
@@ -471,7 +482,7 @@ func checkStrs(t *testing.T, p *Pool, where string) {
 	refs := make([]uint32, len(p.strs))
 	count := func(l *attrList) {
 		for _, av := range l.all() {
-			refs[av.name]++
+			refs[av.name()]++
 			refs[av.val]++
 		}
 	}

@@ -11,20 +11,21 @@
 // retrieved snapshot or a materialized graph — is assigned one bit, its
 // membership; a dependent graph a pair {b, b+1}. Graphs get the lowest free
 // bits, so that while they fit bits 2–63 no element's bitmap needs a word
-// beyond the one in its record. The words above live in a slot of a table
-// the pool owns, which the record names by a 4-byte index, so a bitmap costs
-// its record no pointer.
+// beyond the one in its record. Past that, the bitmap's words, bits 0–63
+// among them, live in a slot of a table the pool owns, and the record's word
+// names the slot, with a flag bit kept in another of its words, so a bitmap
+// costs its record 8 B and no pointer.
 //
 // The node and edge records live in chunks of chunkLen that never move, each
 // record named by a 4-byte index, so that a pass over every graph's bits is a
-// linear scan of the chunks. A node record is 56 B and an edge record 32 B,
-// with no pointer (its endpoints are node-record indices); the tables that
-// find a record by its id hold 4-byte indices, 5 to 11 B an id (idTable); an
-// adjacency list holds 4 B for each edge record at its node. A value of an
-// attribute is 24 B, with no pointer, in a list per element (an edge id's are
-// kept apart from its records); it names its attribute and its string by
-// 4-byte indices into one table that holds each distinct string once, for as
-// long as a value names it.
+// linear scan of the chunks. A node record is 56 B and an edge record 24 B,
+// with no pointer (its endpoints are node-record indices, which share their
+// words with its flags); the tables that find a record by its id hold 4-byte
+// indices, 5 to 11 B an id (idTable); an adjacency list holds 4 B for each
+// edge record at its node. A value of an attribute is 16 B, with no pointer,
+// in a list per element (an edge id's are kept apart from its records); it
+// names its attribute and its string by 4-byte indices into one table that
+// holds each distinct string once, for as long as a value names it.
 //
 // The bit pair enables the paper's dependent-graph optimization: a
 // historical graph close to a materialized graph (or the current graph)
@@ -82,13 +83,15 @@ func (k GraphKind) String() string {
 }
 
 // attrVal is one value of one attribute with the bitmap of graphs holding
-// it (first and more, see bitmap). The name and the value are indices into
-// Pool.strs.
+// it (see bitmap). The name and the value are indices into Pool.strs; tag is
+// the name's, with the bitmap's spillFlag in its top bit, so the name is read
+// through name(). (2^31 strings would take over 100 GB of table.)
 type attrVal struct {
-	first     uint64
-	more      uint32
-	name, val uint32
+	first    uint64
+	tag, val uint32
 }
+
+func (av *attrVal) name() uint32 { return av.tag &^ spillFlag }
 
 // attrList is every attribute value any graph gives one element, in one
 // list. Values of one name are adjacent, in the order they were first seen.
@@ -96,44 +99,57 @@ type attrVal struct {
 // an edge id's is in Pool.edgeVals while it has one.
 type attrList []attrVal
 
-// poolNode is the record of a node: its id, its bitmap, its attribute values,
-// and the indices of the edge records at the node, each once. A node that
-// only an edge record names has one too, with no bits and no values, for as
-// long as the edge is there.
+// poolNode is the record of a node: its id, its bitmap (its spillFlag and
+// liveFlag in flags), its attribute values, and the indices of the edge
+// records at the node, each once. A node that only an edge record names has
+// one too, with no bits and no values, for as long as the edge is there.
 type poolNode struct {
 	id    graph.NodeID
 	first uint64
-	more  uint32
-	live  bool // a free slot's is false
+	flags uint32
 	vals  *attrList
 	adj   []uint32
 }
 
+func (pn *poolNode) live() bool { return pn.flags&liveFlag != 0 }
+
 // poolEdge is a record of an edge: its id, its bitmap and its endpoints, the
-// indices of their node records. It holds no pointer, so the collector never
-// scans a chunk of them; the attribute values of an edge id are not on it
-// but in Pool.edgeVals.
+// indices of their node records, which share their words with flags: src
+// holds the bitmap's spillFlag, dst liveFlag and directedFlag. It holds no
+// pointer, so the collector never scans a chunk of them; the attribute values
+// of an edge id are not on it but in Pool.edgeVals.
 type poolEdge struct {
 	id       graph.EdgeID
 	first    uint64
-	more     uint32
-	from, to uint32
-	directed bool
-	live     bool
+	src, dst uint32
 }
+
+// Flags in the top bits of a record's 4-byte words, above the index a word
+// may hold (indexMask): a slab holds fewer than 1<<30 records.
+const (
+	spillFlag    uint32 = 1 << 31 // on a bitmap's flag word: first names its spill slot
+	directedFlag uint32 = 1 << 31 // on an edge record's dst
+	liveFlag     uint32 = 1 << 30 // on a node record's flags and an edge record's dst: the slot holds a record
+	indexMask           = liveFlag - 1
+)
+
+func (pe *poolEdge) from() uint32   { return pe.src & indexMask }
+func (pe *poolEdge) to() uint32     { return pe.dst & indexMask }
+func (pe *poolEdge) directed() bool { return pe.dst&directedFlag != 0 }
+func (pe *poolEdge) live() bool     { return pe.dst&liveFlag != 0 }
 
 // ends returns the indices of the node records the edge record joins, each
 // once.
 func (pe *poolEdge) ends() []uint32 {
-	if pe.to == pe.from {
-		return []uint32{pe.from}
+	if pe.to() == pe.from() {
+		return []uint32{pe.from()}
 	}
-	return []uint32{pe.from, pe.to}
+	return []uint32{pe.from(), pe.to()}
 }
 
 // info returns the endpoints of edge record pe.
 func (p *Pool) info(pe *poolEdge) graph.EdgeInfo {
-	return graph.EdgeInfo{From: p.nodeSlab.at(pe.from).id, To: p.nodeSlab.at(pe.to).id, Directed: pe.directed}
+	return graph.EdgeInfo{From: p.nodeSlab.at(pe.from()).id, To: p.nodeSlab.at(pe.to()).id, Directed: pe.directed()}
 }
 
 // chunkLen is how many records a chunk of a slab holds.
@@ -151,9 +167,13 @@ type slab[R any] struct {
 func (s *slab[R]) at(i uint32) *R { return &s.chunks[i/chunkLen][i%chunkLen] }
 
 // add returns a free slot, taken off the free list, which a new chunk fills
-// when it is empty.
+// when it is empty. It refuses a chunk whose indices would reach the flags
+// above indexMask.
 func (s *slab[R]) add() uint32 {
 	if len(s.free) == 0 {
+		if (len(s.chunks)+1)*chunkLen > int(indexMask) {
+			panic("graphpool: a slab holds fewer than 1<<30 records")
+		}
 		s.chunks = append(s.chunks, new([chunkLen]R))
 		for j := chunkLen - 1; j >= 0; j-- {
 			s.free = append(s.free, uint32((len(s.chunks)-1)*chunkLen+j))
@@ -193,87 +213,105 @@ func (s *slab[R]) bytes() int64 {
 }
 
 // bitmap addresses the bitmap of graphs one record or value is in, where it
-// lives: bits 0–63 are the word at first, and once a bit past 63 is set, the
-// words above are the Pool.spill slot that more names (0: none). A bitmap
-// holds a slot exactly while one of the slot's bits is set.
+// lives. While every bit set is below 64, first is the bitmap (flag's
+// spillFlag clear); once a bit past 63 is set, first is the index of the
+// Pool.spill slot that holds every word of it, bits 0–63 included, and
+// spillFlag is set. A bitmap holds a slot exactly while a bit past 63 is set.
 type bitmap struct {
 	first *uint64
-	more  *uint32
+	flag  *uint32
 }
 
-func (pn *poolNode) bits() bitmap { return bitmap{&pn.first, &pn.more} }
-func (pe *poolEdge) bits() bitmap { return bitmap{&pe.first, &pe.more} }
-func (av *attrVal) bits() bitmap  { return bitmap{&av.first, &av.more} }
+func (pn *poolNode) bits() bitmap { return bitmap{&pn.first, &pn.flags} }
+func (pe *poolEdge) bits() bitmap { return bitmap{&pe.first, &pe.src} }
+func (av *attrVal) bits() bitmap  { return bitmap{&av.first, &av.tag} }
 
-// empty reports whether no bit of b is set.
-func (b bitmap) empty() bool { return *b.first == 0 && *b.more == 0 }
+// spilled reports whether b's words are in a spill slot.
+func (b bitmap) spilled() bool { return *b.flag&spillFlag != 0 }
 
-// slot returns the words of spill slot more.
-func (p *Pool) slot(more uint32) []uint64 {
-	k := int(more-1) * p.stride
-	return p.spill[k : k+p.stride]
+// empty reports whether no bit of b is set (a spilled bitmap has one).
+func (b bitmap) empty() bool { return *b.first == 0 && !b.spilled() }
+
+// slot returns the words of spill slot k.
+func (p *Pool) slot(k uint64) []uint64 {
+	i := int(k) * p.stride
+	return p.spill[i : i+p.stride]
+}
+
+// word0 returns the word that holds bits 0–63 of b.
+func (p *Pool) word0(b bitmap) *uint64 {
+	if b.spilled() {
+		return &p.slot(*b.first)[0]
+	}
+	return b.first
 }
 
 // bit reports whether bit i of b is set.
 func (p *Pool) bit(b bitmap, i int) bool {
-	if i < 64 {
-		return *b.first&(1<<i) != 0
+	if !b.spilled() {
+		return i < 64 && *b.first&(1<<i) != 0
 	}
-	w := i/64 - 1
-	return *b.more != 0 && w < p.stride && p.slot(*b.more)[w]&(1<<(i%64)) != 0
+	w := i / 64
+	return w < p.stride && p.slot(*b.first)[w]&(1<<(i%64)) != 0
 }
 
-// mark sets bit i of b, giving b a slot — a free one if there is one — if
-// it has none, and every slot a word more if the bit needs it.
+// mark sets bit i of b. A bit past 63 moves b's word into a slot — a free one
+// if there is one — if it has none, and widens every slot if the bit needs it.
 func (p *Pool) mark(b bitmap, i int) {
-	if i < 64 {
+	if !b.spilled() && i < 64 {
 		*b.first |= 1 << i
 		return
 	}
-	if w := i / 64; w > p.stride {
+	if w := i/64 + 1; w > p.stride {
 		spill := make([]uint64, len(p.spill)/p.stride*w)
 		for k := 0; k*p.stride < len(p.spill); k++ {
 			copy(spill[k*w:], p.spill[k*p.stride:(k+1)*p.stride])
 		}
 		p.spill, p.stride = spill, w
 	}
-	if n := len(p.free); *b.more == 0 && n > 0 {
-		*b.more, p.free = p.free[n-1], p.free[:n-1]
-	} else if *b.more == 0 {
-		p.spill = append(p.spill, make([]uint64, p.stride)...)
-		*b.more = uint32(len(p.spill) / p.stride)
+	if !b.spilled() {
+		k := len(p.spill) / p.stride
+		if n := len(p.free); n > 0 {
+			k, p.free = int(p.free[n-1]), p.free[:n-1]
+		} else {
+			p.spill = append(p.spill, make([]uint64, p.stride)...)
+		}
+		p.slot(uint64(k))[0] = *b.first
+		*b.first, *b.flag = uint64(k), *b.flag|spillFlag
 	}
-	p.slot(*b.more)[i/64-1] |= 1 << (i % 64)
+	p.slot(*b.first)[i/64] |= 1 << (i % 64)
 }
 
 // unmark clears bit i of b.
 func (p *Pool) unmark(b bitmap, i int) {
-	if i < 64 {
-		*b.first &^= 1 << i
-	} else if w := i/64 - 1; *b.more != 0 && w < p.stride {
-		p.slot(*b.more)[w] &^= 1 << (i % 64)
+	if !b.spilled() {
+		*b.first &^= 1 << i // 0 past bit 63
+	} else if w := i / 64; w < p.stride {
+		p.slot(*b.first)[w] &^= 1 << (i % 64)
 		p.tidy(b)
 	}
 }
 
 // andNot clears every bit of b that is set in mask.
 func (p *Pool) andNot(b bitmap, mask *bitset.Bits) {
-	*b.first &^= mask.Word(0)
-	if *b.more != 0 {
-		words := p.slot(*b.more)
-		for w := range words {
-			words[w] &^= mask.Word(w + 1)
-		}
-		p.tidy(b)
+	if !b.spilled() {
+		*b.first &^= mask.Word(0)
+		return
 	}
+	words := p.slot(*b.first)
+	for w := range words {
+		words[w] &^= mask.Word(w)
+	}
+	p.tidy(b)
 }
 
-// tidy puts b's slot on the free list once none of its bits is set (the
-// greatest of its words is 0).
+// tidy folds spilled b back into first once no bit past 63 is set, zeroes
+// its slot and puts it on the free list.
 func (p *Pool) tidy(b bitmap) {
-	if slices.Max(p.slot(*b.more)) == 0 {
-		p.free = append(p.free, *b.more)
-		*b.more = 0
+	k := *b.first
+	if words := p.slot(k); slices.Max(words[1:]) == 0 {
+		*b.first, *b.flag, words[0] = words[0], *b.flag&^spillFlag, 0
+		p.free = append(p.free, uint32(k))
 	}
 }
 
@@ -308,10 +346,10 @@ func grown[E any](s []E) []E {
 // when there are none).
 func (l *attrList) run(name uint32) (lo, hi int) {
 	attrs := l.all()
-	for lo < len(attrs) && attrs[lo].name != name {
+	for lo < len(attrs) && attrs[lo].name() != name {
 		lo++
 	}
-	for hi = lo; hi < len(attrs) && attrs[hi].name == name; hi++ {
+	for hi = lo; hi < len(attrs) && attrs[hi].name() == name; hi++ {
 	}
 	return lo, hi
 }
@@ -329,7 +367,7 @@ func (p *Pool) value(l *attrList, n uint32, name, val string) bitmap {
 	if i == hi {
 		attrs = append(grown(attrs), attrVal{})
 		copy(attrs[i+1:], attrs[i:])
-		attrs[i] = attrVal{name: p.ref(n, name), val: p.ref(noStr, val)}
+		attrs[i] = attrVal{tag: p.ref(n, name), val: p.ref(noStr, val)}
 		*l = attrs
 	}
 	return attrs[i].bits()
@@ -344,7 +382,7 @@ func (p *Pool) sweepValues(l *attrList, mask *bitset.Bits) (*attrList, int) {
 	for i := range attrs {
 		av := &attrs[i]
 		if p.andNot(av.bits(), mask); av.bits().empty() {
-			p.unref(av.name)
+			p.unref(av.name())
 			p.unref(av.val)
 			continue
 		}
@@ -396,7 +434,7 @@ func (m membership) holds(w uint64) bool {
 // has reports whether the graph with the membership test m holds what b is
 // the bitmap of.
 func (p *Pool) has(m membership, b bitmap) bool {
-	if *b.more == 0 {
+	if !b.spilled() {
 		return m.holds(*b.first)
 	}
 	if m.exc < 0 || p.bit(b, m.exc) {
@@ -445,10 +483,11 @@ type Pool struct {
 	// The attribute values of each edge id that has any, whatever records
 	// the id has (none, if no graph holds the edge).
 	edgeVals map[graph.EdgeID]*attrList
-	// The words of the bitmaps past bit 63: slot k (a bitmap's more is k+1)
-	// is spill[k*stride:(k+1)*stride]. A slot no bitmap holds is all zero
-	// and on free, the next to be handed out; every slot widens at once when
-	// a bit needs a word beyond them.
+	// The words of the bitmaps that have a bit past 63 set: slot k (the
+	// first of a bitmap with spillFlag set) is spill[k*stride:(k+1)*stride],
+	// word 0 being bits 0–63. A slot no bitmap holds is all zero and on free,
+	// the next to be handed out; every slot widens at once when a bit needs a
+	// word beyond them.
 	spill  []uint64
 	stride int
 	free   []uint32
@@ -476,7 +515,7 @@ func New() *Pool {
 		graphs:   make(map[GraphID]*graphEntry),
 		strIDs:   make(map[string]uint32),
 		nextID:   1,
-		stride:   1,
+		stride:   2,
 	}
 	seed := rand.Uint64()
 	p.nodeIdx = idTable[poolNode, graph.NodeID]{seed: seed, recs: &p.nodeSlab}
@@ -532,7 +571,7 @@ func (p *Pool) nodeIndex(id graph.NodeID) uint32 {
 	if !ok {
 		i = p.nodeSlab.add()
 		pn := p.nodeSlab.at(i)
-		pn.id, pn.live = id, true
+		pn.id, pn.flags = id, liveFlag
 		p.nodeIdx.add(id, i)
 	}
 	return i
@@ -582,7 +621,7 @@ func (p *Pool) edge(id graph.EdgeID, info graph.EdgeInfo) *poolEdge {
 		i = p.edgeSlab.add()
 		p.edgeSlab.at(i).id = id
 		p.edgeIdx.add(id, i)
-	case p.edgeSlab.at(i).first&^(1<<1) != 0 || p.edgeSlab.at(i).more != 0:
+	case p.edgeSlab.at(i).bits().spilled() || p.edgeSlab.at(i).first&^(1<<1) != 0:
 		i = p.edgeSlab.add()
 		p.alts[id] = append(p.alts[id], i)
 	default:
@@ -590,7 +629,10 @@ func (p *Pool) edge(id graph.EdgeID, info graph.EdgeInfo) *poolEdge {
 	}
 	from, to := p.nodeIndex(info.From), p.nodeIndex(info.To)
 	pe := p.edgeSlab.at(i)
-	pe.id, pe.from, pe.to, pe.directed, pe.live = id, from, to, info.Directed, true
+	pe.id, pe.src, pe.dst = id, from, to|liveFlag
+	if info.Directed {
+		pe.dst |= directedFlag
+	}
 	for _, n := range pe.ends() {
 		pn := p.nodeSlab.at(n)
 		pn.adj = append(grown(pn.adj), i)
@@ -638,7 +680,7 @@ func (p *Pool) values(id graph.EdgeID) *attrList {
 func (p *Pool) nodes(yield func(graph.NodeID, *poolNode) bool) {
 	for _, chunk := range p.nodeSlab.chunks {
 		for j := range chunk {
-			if pn := &chunk[j]; pn.live && !yield(pn.id, pn) {
+			if pn := &chunk[j]; pn.live() && !yield(pn.id, pn) {
 				return
 			}
 		}
@@ -649,7 +691,7 @@ func (p *Pool) nodes(yield func(graph.NodeID, *poolNode) bool) {
 func (p *Pool) records(yield func(graph.EdgeID, *poolEdge) bool) {
 	for _, chunk := range p.edgeSlab.chunks {
 		for j := range chunk {
-			if pe := &chunk[j]; pe.live && !yield(pe.id, pe) {
+			if pe := &chunk[j]; pe.live() && !yield(pe.id, pe) {
 				return
 			}
 		}
@@ -779,12 +821,12 @@ func (p *Pool) sweepOut(e *graphEntry, mask *bitset.Bits) {
 func (p *Pool) sweepAll(mask *bitset.Bits) int {
 	removed := 0
 	for i, pn := range p.nodeSlab.all {
-		if pn.live {
+		if pn.live() {
 			removed += p.sweepNode(i, mask)
 		}
 	}
 	for i, pe := range p.edgeSlab.all {
-		if pe.live {
+		if pe.live() {
 			removed += p.sweepRecord(i, mask)
 		}
 	}
@@ -923,11 +965,12 @@ func (p *Pool) applyDelta(e *graphEntry, d *delta.Delta) {
 func (p *Pool) put(e *graphEntry, b bitmap, in bool) int {
 	var was bool
 	switch {
-	case e.kind == KindCurrent: // bits 0 and 1, both in the inline word
-		if was = *b.first&1 != 0; in {
-			*b.first |= 1
+	case e.kind == KindCurrent: // bits 0 and 1, both in word 0
+		w := p.word0(b)
+		if was = *w&1 != 0; in {
+			*w |= 1
 		} else {
-			*b.first = *b.first&^1 | 1<<1
+			*w = *w&^1 | 1<<1
 		}
 	case e.m.exc >= 0 && in == p.bit(b, e.m.dep):
 		was = p.has(e.m, b)

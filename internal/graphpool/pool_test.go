@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"historygraph/internal/bitset"
 	"historygraph/internal/delta"
 	"historygraph/internal/graph"
 )
@@ -553,6 +554,168 @@ func countBitmaps(p *Pool, f func(bitmap) bool) int {
 
 // spilled returns how many slots of the pool's spill table a bitmap holds.
 func spilled(p *Pool) int { return len(p.spill)/p.stride - len(p.free) }
+
+// checkSlots holds the spill table to the bitmaps that name its slots: a
+// flagged bitmap names a slot no other bitmap names and that has a bit past
+// 63 set, and every other slot is zero and on the free list once.
+func checkSlots(t *testing.T, p *Pool, where string) {
+	t.Helper()
+	named := make([]bool, len(p.spill)/p.stride)
+	countBitmaps(p, func(b bitmap) bool {
+		switch k := *b.first; {
+		case !b.spilled():
+		case k >= uint64(len(named)) || named[k]:
+			t.Fatalf("%s: a bitmap names slot %d of %d, named already: %v", where, k, len(named), k < uint64(len(named)))
+		case slices.Max(p.slot(k)[1:]) == 0:
+			t.Fatalf("%s: a bitmap is flagged, and its slot %d has no bit past 63 set", where, k)
+		default:
+			named[k] = true
+		}
+		return false
+	})
+	for _, k := range p.free {
+		if named[k] || slices.Max(p.slot(uint64(k))) != 0 {
+			t.Fatalf("%s: free slot %d is named by a bitmap (%v) or holds bits %v", where, k, named[k], p.slot(uint64(k)))
+		}
+		named[k] = true
+	}
+	if k := slices.Index(named, false); k >= 0 {
+		t.Fatalf("%s: slot %d of %d is neither free nor named by a bitmap", where, k, len(named))
+	}
+}
+
+// checkDiffering holds ForEachDiffering, which tests inline words itself, to
+// has: for the graphs on the lowest, the middle and the highest bit in the
+// table, it names each id once on which has answers for one of them
+// otherwise than for the current graph.
+func checkDiffering(t *testing.T, p *Pool, where string) {
+	t.Helper()
+	type key struct {
+		node bool
+		id   int64
+	}
+	all := slices.SortedFunc(maps.Keys(p.graphs), func(a, b GraphID) int { return p.graphs[a].bit - p.graphs[b].bit })
+	ids := slices.Compact([]GraphID{all[0], all[len(all)/2], all[len(all)-1]})
+	differs := func(b bitmap) bool {
+		for _, id := range ids {
+			if p.has(p.graphs[id].m, b) != p.has(p.graphs[CurrentGraph].m, b) {
+				return true
+			}
+		}
+		return false
+	}
+	valueDiffers := func(l *attrList) bool {
+		return slices.ContainsFunc(l.all(), func(av attrVal) bool { return differs(av.bits()) })
+	}
+	want, got := map[key]int{}, map[key]int{}
+	for id, pn := range p.nodes {
+		if differs(pn.bits()) || valueDiffers(pn.vals) {
+			want[key{true, int64(id)}] = 1
+		}
+	}
+	for id, pe := range p.records {
+		if differs(pe.bits()) {
+			want[key{false, int64(id)}] = 1
+		}
+	}
+	for id, l := range p.edgeVals {
+		if valueDiffers(l) {
+			want[key{false, int64(id)}] = 1
+		}
+	}
+	p.ForEachDiffering(ids, func(n graph.NodeID) { got[key{true, int64(n)}]++ }, func(e graph.EdgeID) { got[key{false, int64(e)}]++ })
+	if !maps.Equal(got, want) {
+		t.Fatalf("%s: ForEachDiffering names %v (each with its count), has %v", where, got, want)
+	}
+}
+
+// TestSpillRoundTrip takes the bitmaps of a node record, an edge record and
+// an attribute value past bit 63 and back: bits 0, 5 and 63, then bit 64
+// (each bitmap moves into a slot), then bit 130 (every slot widens), then
+// those two cleared again, one by one and then by a mask. After every step
+// each bitmap reads as a bitset.Bits kept beside it, the flag is set exactly
+// while a bit past 63 is, the slots match the flags, and the fields the flags
+// share their words with read as they did.
+func TestSpillRoundTrip(t *testing.T) {
+	p := New()
+	info := graph.EdgeInfo{From: 1, To: 2, Directed: true}
+	pe := p.edge(7, info)
+	pn := p.findNode(1)
+	l := p.values(7)
+	p.value(l, p.str("weight"), "weight", "3")
+	av := &(*l)[0]
+	name := av.name()
+	bitmaps := []struct {
+		label string
+		b     bitmap
+		model bitset.Bits
+	}{{label: "node", b: pn.bits()}, {label: "edge", b: pe.bits()}, {label: "value", b: av.bits()}}
+	do := func(where string, op func(b bitmap, model *bitset.Bits)) {
+		t.Helper()
+		for i := range bitmaps {
+			bm := &bitmaps[i]
+			op(bm.b, &bm.model)
+			high := false
+			for j := 0; j < 192; j++ {
+				if got, want := p.bit(bm.b, j), bm.model.Get(j); got != want {
+					t.Fatalf("%s: the %s's bit %d reads %v, want %v", where, bm.label, j, got, want)
+				}
+				high = high || (j >= 64 && bm.model.Get(j))
+			}
+			if bm.b.spilled() != high {
+				t.Fatalf("%s: the %s's bitmap is flagged %v, with a bit past 63 set %v", where, bm.label, bm.b.spilled(), high)
+			}
+		}
+		checkSlots(t, p, where)
+		if p.info(pe) != info || !pe.live() || !pn.live() || pn.id != 1 || av.name() != name || p.strs[av.name()] != "weight" || p.strs[av.val] != "3" {
+			t.Fatalf("%s: the edge reads %v (live %v), the node %d (live %v), the value %q=%q", where, p.info(pe), pe.live(), pn.id, pn.live(), p.strs[av.name()], p.strs[av.val])
+		}
+	}
+	set := func(bits ...int) func(bitmap, *bitset.Bits) {
+		return func(b bitmap, model *bitset.Bits) {
+			for _, i := range bits {
+				p.mark(b, i)
+				model.Set(i)
+			}
+		}
+	}
+	var high bitset.Bits
+	high.Set(64)
+	high.Set(130)
+	for _, byMask := range []bool{false, true} {
+		where := fmt.Sprintf("cleared by mask %v", byMask)
+		do(where+", bits 0, 5 and 63", set(0, 5, 63))
+		if spilled(p) != 0 {
+			t.Fatalf("%s: %d slots held with no bit past 63", where, spilled(p))
+		}
+		do(where+", bit 64", set(64))
+		if stride := map[bool]int{false: 2, true: 3}[byMask]; spilled(p) != 3 || p.stride != stride { // slots never narrow
+			t.Fatalf("%s, bit 64: %d slots of %d words held, want 3 of %d", where, spilled(p), p.stride, stride)
+		}
+		do(where+", bit 130", set(130))
+		if spilled(p) != 3 || p.stride != 3 {
+			t.Fatalf("%s, bit 130: %d slots of %d words held, want 3 of 3", where, spilled(p), p.stride)
+		}
+		if byMask {
+			do(where+", bits 64 and 130", func(b bitmap, model *bitset.Bits) {
+				p.andNot(b, &high)
+				model.AndNot(&high)
+			})
+		} else {
+			for _, i := range []int{130, 64} {
+				do(fmt.Sprintf("%s, bit %d", where, i), func(b bitmap, model *bitset.Bits) {
+					p.unmark(b, i)
+					var one bitset.Bits
+					one.Set(i)
+					model.AndNot(&one)
+				})
+			}
+		}
+		if spilled(p) != 0 || len(p.free) != 3 {
+			t.Fatalf("%s: back below bit 64, %d slots held and %d free, want 0 and 3", where, spilled(p), len(p.free))
+		}
+	}
+}
 
 // checkViews holds each graph's view to the snapshot it was overlaid from.
 func checkViews(t *testing.T, where string, p *Pool, want map[GraphID]*graph.Snapshot) {

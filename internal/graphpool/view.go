@@ -136,7 +136,7 @@ func (v *View) ForEachHeld(node func(graph.NodeID), edge func(graph.EdgeID)) {
 	holds := func(l *attrList, node bool) bool {
 		attrs := l.all()
 		for i := range attrs {
-			if av := &attrs[i]; v.has(av.bits()) && v.admits(node, v.p.strs[av.name]) {
+			if av := &attrs[i]; v.has(av.bits()) && v.admits(node, v.p.strs[av.name()]) {
 				return true
 			}
 		}
@@ -177,7 +177,7 @@ func (p *Pool) ForEachDiffering(ids []GraphID, node func(graph.NodeID), edge fun
 	differs := func(b bitmap) bool {
 		// has, inlined for a bitmap with no spill slot: has does not
 		// inline, and a call per graph made the walk half as slow again.
-		if w := *b.first; *b.more == 0 {
+		if w := *b.first; !b.spilled() {
 			in := cur.holds(w)
 			for _, m := range ms {
 				if m.holds(w) != in {
@@ -313,11 +313,11 @@ func (v *View) attrsOf(l *attrList, node bool) map[string]string {
 	attrs := l.all()
 	for i := range attrs {
 		av := &attrs[i]
-		if av.name == answered || !v.has(av.bits()) {
+		if av.name() == answered || !v.has(av.bits()) {
 			continue
 		}
-		answered = av.name
-		if name := v.p.strs[av.name]; v.admits(node, name) {
+		answered = av.name()
+		if name := v.p.strs[av.name()]; v.admits(node, name) {
 			if out == nil {
 				out = make(map[string]string, len(attrs)-i) // room for all that may follow
 			}
