@@ -313,9 +313,8 @@ func (gm *GraphManager) GetHistGraphs(ts []Time, attrOptions string) ([]*HistGra
 }
 
 // GetHistSnapshots retrieves many detached set-based snapshots with the
-// shared-delta multi-query plan optimization (Section 4.4) and no
-// GraphPool registration — the batch entry point the query service maps
-// its multi-timepoint endpoint onto.
+// shared-delta multi-query plan optimization (Section 4.4): each is built in
+// the GraphPool, copied out and released there, for the cleaner to reclaim.
 func (gm *GraphManager) GetHistSnapshots(ts []Time, attrOptions string) ([]*Snapshot, error) {
 	opts, err := graph.ParseAttrOptions(attrOptions)
 	if err != nil {
@@ -324,9 +323,9 @@ func (gm *GraphManager) GetHistSnapshots(ts []Time, attrOptions string) ([]*Snap
 	return gm.dg.GetSnapshots(ts, opts)
 }
 
-// GetHistSnapshot retrieves a detached set-based snapshot (no GraphPool
-// registration) — useful for bulk analysis that immediately discards the
-// graph.
+// GetHistSnapshot retrieves a detached set-based snapshot, built in the
+// GraphPool, copied out and released there — useful for bulk analysis that
+// changes or keeps the graph apart from the pool.
 func (gm *GraphManager) GetHistSnapshot(t Time, attrOptions string) (*Snapshot, error) {
 	opts, err := graph.ParseAttrOptions(attrOptions)
 	if err != nil {

@@ -412,33 +412,6 @@ func applyParts(s *graph.Snapshot, parts ...*delta.Delta) {
 	}
 }
 
-// sizedFor returns an empty graph whose maps have room for what parts add to
-// the null graph: their nodes and edges, and the elements their attribute
-// columns name, whose records are adjacent (the columns are sorted by
-// element), so that applyParts grows none of them.
-func sizedFor(parts []*delta.Delta) *graph.Snapshot {
-	var nodes, edges, nodeAttrs, edgeAttrs int
-	for _, d := range parts {
-		nodes, edges = nodes+len(d.AddNodes), edges+len(d.AddEdges)
-		for i, rec := range d.SetNodeAttrs {
-			if i == 0 || rec.Node != d.SetNodeAttrs[i-1].Node {
-				nodeAttrs++
-			}
-		}
-		for i, rec := range d.SetEdgeAttrs {
-			if i == 0 || rec.Edge != d.SetEdgeAttrs[i-1].Edge {
-				edgeAttrs++
-			}
-		}
-	}
-	return &graph.Snapshot{
-		Nodes:     make(map[graph.NodeID]struct{}, nodes),
-		Edges:     make(map[graph.EdgeID]graph.EdgeInfo, edges),
-		NodeAttrs: make(map[graph.NodeID]map[string]string, nodeAttrs),
-		EdgeAttrs: make(map[graph.EdgeID]map[string]string, edgeAttrs),
-	}
-}
-
 // fetchEvents loads the requested columns of the leaf-eventlist on edge e
 // and returns the merged, chronologically ordered events.
 func (dg *DeltaGraph) fetchEvents(e *skelEdge, spec fetchSpec) (graph.EventList, error) {

@@ -613,17 +613,26 @@ func TestQueryAtTimeZeroAndEarly(t *testing.T) {
 	}
 }
 
-// TestRetrieveMatchesGetSnapshot: a graph Retrieve or RetrieveMany builds in
-// the pool reads back (View.Snapshot) as the map GetSnapshot builds on the
-// same plan — at random times, structure only, with one node attribute and
-// with all, on indexes with nothing, the root and every leaf materialized,
-// one of them partitioned, and on a trace that sets attributes on absent
-// elements and moves edge ids. Between them the reads build every kind of
-// graph: a dependent of the current graph, a dependent of a materialized
-// one, an explicit one, and multipoint plans that fork. Once every graph is
-// released and cleaned the pool holds what it held before the reads, to the
-// byte.
-func TestRetrieveMatchesGetSnapshot(t *testing.T) {
+// TestEveryReadMatchesReplay: every graph that Retrieve, RetrieveMany,
+// GetSnapshot and GetSnapshots build is the replay of the trace at its time
+// (graph.SnapshotAt, filtered to the read's attributes), and so is
+// GetExpression of one timepoint — at random times, structure only, with one
+// node attribute and with all, on indexes with nothing, the root and every
+// leaf materialized, one of them partitioned. Between them the reads build
+// every kind of graph: a dependent of the current graph, a dependent of a
+// materialized one, an explicit one, and multipoint plans that fork. Once
+// every graph is released and cleaned the pool holds what it held before the
+// reads, to the byte, the graphs the map-returning calls built and released
+// among them.
+//
+// lenientTrace sets attributes on absent elements and moves edge ids, and
+// there the replay is not the index's answer: a multipoint plan may undo an
+// eventlist a singlepoint one applies, and an undone delete does not bring
+// back the attributes it took. On it each graph Retrieve and RetrieveMany
+// build in the pool, a dependent one among them, is held instead to the
+// copy GetSnapshot and GetSnapshots hand back from an explicit graph built
+// on the same plan.
+func TestEveryReadMatchesReplay(t *testing.T) {
 	kinds := map[string]int{}
 	for _, tc := range []struct {
 		trace  string
@@ -665,15 +674,15 @@ func TestRetrieveMatchesGetSnapshot(t *testing.T) {
 				bytes, st := pool.ApproxBytes(), pool.Stats()
 				var held []graphpool.GraphID
 				for _, rd := range reads {
-					// Each against the map built on the same plan: a multipoint
-					// plan may undo an eventlist a singlepoint one applies, and
-					// on lenientTrace that is not the same graph (an undone
-					// delete does not bring back the attributes it took).
 					single, err := dg.GetSnapshot(rd.ts[0], rd.opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := dg.GetSnapshots(rd.ts, rd.opts)
+					snaps, err := dg.GetSnapshots(rd.ts, rd.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					expr, err := dg.GetExpression(TimeExpression{Times: rd.ts, Expr: Var(0)}, rd.opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -686,16 +695,26 @@ func TestRetrieveMatchesGetSnapshot(t *testing.T) {
 						t.Fatal(err)
 					}
 					for i, id := range append([]graphpool.GraphID{one}, many...) {
-						w := single
+						at, copied := rd.ts[0], single
 						if i > 0 {
-							w = want[i-1]
+							at, copied = rd.ts[i-1], snaps[i-1]
+						}
+						want, what := copied, "the copy GetSnapshot(s) hands back"
+						if tc.trace == "makeTrace" {
+							want, what = rd.opts.FilterSnapshot(graph.SnapshotAt(tc.events, at)), "the replay"
+							if !copied.Equal(want) {
+								t.Fatalf("%s: GetSnapshot(s) at %d of %v, %v, differs from the replay", name, at, rd.ts, rd.opts)
+							}
+							if i == 0 && !expr.Equal(want) {
+								t.Fatalf("%s: GetExpression of %d alone over %v, %v, differs from the replay", name, at, rd.ts, rd.opts)
+							}
 						}
 						v, err := pool.View(id)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got := v.Snapshot(); !got.Equal(w) || v.NumNodes() != len(w.Nodes) || v.NumEdges() != len(w.Edges) {
-							t.Fatalf("%s: graph %d of Retrieve(%v) and RetrieveMany(%v, %v) differs from GetSnapshot(s)", name, i, rd.ts[0], rd.ts, rd.opts)
+						if got := v.Snapshot(); !got.Equal(want) || v.NumNodes() != len(want.Nodes) || v.NumEdges() != len(want.Edges) {
+							t.Fatalf("%s: graph %d of Retrieve(%v) and RetrieveMany(%v, %v) differs from %s", name, i, rd.ts[0], rd.ts, rd.opts, what)
 						}
 					}
 					held = append(append(held, one), many...)

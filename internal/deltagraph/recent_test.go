@@ -62,7 +62,8 @@ func openLeafEvents(at graph.Time, base int64, rounds int) graph.EventList {
 }
 
 // leafWalk carries s, the graph at time from, to time to along the leaf
-// level, every step in one graphRun.
+// level: the events of every step, fetched in one graphRun, applied oldest
+// first, or undone newest first where the step goes back in time.
 func leafWalk(t *testing.T, dg *DeltaGraph, s *graph.Snapshot, from, to graph.Time) *graph.Snapshot {
 	t.Helper()
 	dg.mu.RLock()
@@ -73,8 +74,16 @@ func leafWalk(t *testing.T, dg *DeltaGraph, s *graph.Snapshot, from, to graph.Ti
 	}
 	run := graphRun{dg: dg, spec: specFor(allAttrs)}
 	for _, st := range steps {
-		if s, err = run.apply(s, st); err != nil {
+		evs, err := run.events(st)
+		if err != nil {
 			t.Fatal(err)
+		}
+		for i := range evs {
+			if st.back {
+				s.Apply(evs[len(evs)-1-i].Inverse())
+			} else {
+				s.Apply(evs[i])
+			}
 		}
 	}
 	return s

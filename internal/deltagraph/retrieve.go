@@ -33,11 +33,11 @@ import (
 //     Steiner-tree 2-approximation); materialization has skeleton nodes for
 //     targets. Plans that share steps share them in the tree.
 //   - One executor walks the tree once, copying what it builds where the tree
-//     branches. Nothing stored is read twice in one call. It builds in one of
-//     two states: graph.Snapshot maps for the calls that hand back maps, and
-//     graphs under construction in the GraphPool for those that answer with
-//     a pool graph (Retrieve, RetrieveMany, materialization), which never
-//     build a map.
+//     branches. Nothing stored is read twice in one call. It builds graphs
+//     under construction in the GraphPool: Retrieve, RetrieveMany and
+//     materialization answer with them, and the calls that hand back maps
+//     (GetSnapshot, GetSnapshots, GetExpression) copy each out and release
+//     it. An aux query walks the same tree over aux snapshots (aux.go).
 
 const bytesPerRecentEvent = 24 // planning estimate for in-memory events
 
@@ -444,34 +444,19 @@ func (dg *DeltaGraph) planLocked(ts []graph.Time, sel weightSelector) (*planNode
 	return tree, routes, nil
 }
 
-// wants reports whether the spec covers an event: the columnar filter for
-// in-memory events (stored ones are filtered by fetching only their columns).
-func (spec fetchSpec) wants(ev graph.Event) bool {
-	switch eventColumn(ev) {
-	case 1:
-		return spec.nodeAttr
-	case 2:
-		return spec.edgeAttr
-	case 3:
-		return spec.transient
-	default:
-		return true
-	}
-}
-
-// graphRun applies steps to graphs under one fetch spec, for one call. It
-// keeps the stored eventlists it has fetched and the recent chunks it has
-// decoded: a list can stand in several steps of a plan, clipped differently (a
-// delta cannot: every node of the skeleton is reached by one path of the
-// shortest-path tree).
+// graphRun applies steps to graphs under construction in the pool under one
+// fetch spec, for one call. It keeps the stored eventlists it has fetched and
+// the recent chunks it has decoded: a list can stand in several steps of a
+// plan, clipped differently (a delta cannot: every node of the skeleton is
+// reached by one path of the shortest-path tree).
 type graphRun struct {
 	dg     *DeltaGraph
 	spec   fetchSpec
 	lists  map[*skelEdge]graph.EventList
 	recent []graph.EventList // the recent chunks decoded so far (recentList.events)
-	// In the pool (build): the options the graphs are retrieved with, whether
-	// a graph stays a dependent of the graph its route starts from, and every
-	// graph under construction begun so far.
+	// The options the graphs are retrieved with, whether a graph stays a
+	// dependent of the graph its route starts from, and every graph under
+	// construction begun so far.
 	attrs     graph.AttrOptions
 	dependent bool
 	begun     []*graphpool.Build
@@ -516,58 +501,6 @@ func (dg *DeltaGraph) pinned(st step) (graphpool.GraphID, error) {
 	return 0, fmt.Errorf("deltagraph: node %d not materialized", st.node)
 }
 
-// copyOf copies a graph out of the pool for the caller to change: its
-// structure alone when the call wants no attribute, which it would drop.
-func (r *graphRun) copyOf(v *graphpool.View) *graph.Snapshot {
-	if !r.spec.nodeAttr && !r.spec.edgeAttr {
-		return v.Structure()
-	}
-	return v.Snapshot()
-}
-
-// apply applies one step to s. Transient events never modify it.
-func (r *graphRun) apply(s *graph.Snapshot, st step) (*graph.Snapshot, error) {
-	switch st.kind {
-	case fromPinned:
-		id, err := r.dg.pinned(st)
-		if err != nil || id == graphpool.NoDependency {
-			return graph.NewSnapshot(), err
-		}
-		v, err := r.dg.pool.View(id)
-		if err != nil {
-			return nil, err
-		}
-		return r.copyOf(v), nil
-	case fromCurrent:
-		return r.copyOf(r.dg.cur), nil
-	case applyDelta:
-		parts, err := r.dg.fetchDelta(st.edge, r.spec)
-		if len(s.Nodes)+len(s.Edges)+len(s.NodeAttrs)+len(s.EdgeAttrs) == 0 {
-			s = sizedFor(parts)
-		}
-		applyParts(s, parts...)
-		return s, err
-	}
-	evs, err := r.events(st)
-	if err != nil {
-		return nil, err
-	}
-	for i := range evs {
-		ev := &evs[i]
-		if st.back {
-			ev = &evs[len(evs)-1-i]
-		}
-		switch {
-		case st.kind == applyRecent && !r.spec.wants(*ev):
-		case st.back:
-			s.Unapply(*ev)
-		default:
-			s.Apply(*ev)
-		}
-	}
-	return s, nil
-}
-
 // begin begins a graph under construction in the pool, at from.
 func (r *graphRun) begin(from graphpool.GraphID) (*graphpool.Build, error) {
 	b, err := r.dg.pool.NewBuild(from, r.dependent, r.attrs)
@@ -588,9 +521,9 @@ func (r *graphRun) fork(b *graphpool.Build) *graphpool.Build {
 	return b
 }
 
-// build is apply in the pool: it applies one step to b, a graph under
-// construction (nil: the null graph, which the first step that writes
-// begins). Fetching and decoding hold no pool lock; the step's bit writes do.
+// build applies one step to b, a graph under construction (nil: the null
+// graph, which the first step that writes begins). Fetching and decoding hold
+// no pool lock; the step's bit writes do. Transient events change no graph.
 func (r *graphRun) build(b *graphpool.Build, st step) (*graphpool.Build, error) {
 	switch st.kind {
 	case fromPinned:
@@ -674,7 +607,10 @@ func (dg *DeltaGraph) GetSnapshots(ts []graph.Time, opts graph.AttrOptions) ([]*
 	return dg.snapshotsLocked(ts, opts)
 }
 
-// snapshotsLocked plans and builds the graphs at ts as maps.
+// snapshotsLocked plans the graphs at ts, builds them in the pool and copies
+// each out, its structure alone for a read that wants no attribute, then
+// releases it: a clean pass reclaims it, or alloc before it hands out a bit
+// past 63.
 func (dg *DeltaGraph) snapshotsLocked(ts []graph.Time, opts graph.AttrOptions) ([]*graph.Snapshot, error) {
 	if len(ts) == 0 {
 		return nil, nil
@@ -683,13 +619,24 @@ func (dg *DeltaGraph) snapshotsLocked(ts []graph.Time, opts graph.AttrOptions) (
 	if err != nil {
 		return nil, err
 	}
-	snaps := make([]*graph.Snapshot, len(ts))
-	run := graphRun{dg: dg, spec: specFor(opts)}
-	if err := execute(tree, graph.NewSnapshot(), (*graph.Snapshot).Clone, run.apply, snaps); err != nil {
+	ids, err := dg.buildLocked(tree, ts, graphpool.KindHistorical, opts, false)
+	if err != nil {
 		return nil, err
 	}
-	for _, s := range snaps {
-		opts.FilterSnapshot(s)
+	snaps := make([]*graph.Snapshot, len(ids))
+	for i, id := range ids {
+		v, err := dg.pool.View(id)
+		if err != nil {
+			return nil, err
+		}
+		if opts.StructureOnly() {
+			snaps[i] = v.Structure()
+		} else {
+			snaps[i] = v.Snapshot()
+		}
+		if err := dg.pool.Release(id); err != nil {
+			return nil, err
+		}
 	}
 	return snaps, nil
 }

@@ -240,22 +240,10 @@ func (s *Snapshot) ApplyStrict(ev Event) error {
 	return nil
 }
 
-// Unapply applies one event in the backward direction of time, undoing its
-// forward effect.
-func (s *Snapshot) Unapply(ev Event) { s.Apply(ev.Inverse()) }
-
 // ApplyAll applies a chronological run of events forward.
 func (s *Snapshot) ApplyAll(evs []Event) {
 	for _, ev := range evs {
 		s.Apply(ev)
-	}
-}
-
-// UnapplyAll applies a chronological run of events backward (the run is
-// traversed in reverse).
-func (s *Snapshot) UnapplyAll(evs []Event) {
-	for i := len(evs) - 1; i >= 0; i-- {
-		s.Unapply(evs[i])
 	}
 }
 

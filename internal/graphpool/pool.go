@@ -1166,6 +1166,9 @@ func (p *Pool) reclaim() int {
 	}
 	removed := p.sweepAll(&mask)
 	p.taken.AndNot(&mask)
+	// A free list keeps the room a burst of evictions grew it to, long after
+	// new records have taken the slots back: give the room back.
+	p.nodeSlab.free, p.edgeSlab.free = slices.Clone(p.nodeSlab.free), slices.Clone(p.edgeSlab.free)
 	return removed
 }
 

@@ -1450,3 +1450,40 @@ func TestPoolSlotsReused(t *testing.T) {
 	}
 	t.Logf("%d chunks after the first cycle, %d after the last", first, chunks())
 }
+
+// TestCleanGivesBackFreeRoom: a clean pass gives back the room a burst of
+// evictions grew a slab's free list to, once new records have taken the slots
+// back; the pool does not keep it until the next burst.
+func TestCleanGivesBackFreeRoom(t *testing.T) {
+	p := New()
+	p.ApplyEvent(graph.Event{Type: graph.AddNode, Node: 1 << 40}) // the slab never empties
+	retrieved := func(nodes ...graph.NodeID) GraphID {
+		b, err := p.NewBuild(NoDependency, false, graph.AttrOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range nodes {
+			b.ApplyEvents([]graph.Event{{Type: graph.AddNode, Node: n}}, false)
+		}
+		return b.Commit(KindHistorical, 1)
+	}
+	var burst []graph.NodeID
+	for n := range graph.NodeID(4000) {
+		burst = append(burst, n+1)
+	}
+	if err := p.Release(retrieved(burst...)); err != nil {
+		t.Fatal(err)
+	}
+	p.CleanNow()
+	grown := cap(p.nodeSlab.free)
+	for n := range graph.NodeID(3900) { // new records take the freed slots back
+		p.ApplyEvent(graph.Event{Type: graph.AddNode, Node: n + 10_000})
+	}
+	if err := p.Release(retrieved(1)); err != nil {
+		t.Fatal(err)
+	}
+	p.CleanNow()
+	if free := p.nodeSlab.free; cap(free) > 2*len(free) {
+		t.Fatalf("after the clean the node slab's free list holds %d slots in room for %d (%d after the burst)", len(free), cap(free), grown)
+	}
+}

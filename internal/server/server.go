@@ -474,26 +474,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		missIdx[t] = append(missIdx[t], i)
 	}
-	switch {
-	case len(missTimes) == 0:
-	case len(missTimes) >= s.cache.Cap():
-		// Admission guard: registering a batch as large as the whole LRU
-		// would evict the entire hot set (including the batch's own
-		// earlier entries) for zero reuse. Serve it detached instead —
-		// which is also every batch when caching is disabled (capacity 0).
-		s.retrievals.Add(int64(len(missTimes)))
-		snaps, err := gm.GetHistSnapshots(missTimes, attrs)
-		if err != nil {
-			WriteError(w, http.StatusUnprocessableEntity, err)
-			return
-		}
-		for j, snap := range snaps {
-			t := missTimes[j]
-			for _, i := range missIdx[t] {
-				out[i] = snapshotOf(detached{snap}, t, full, own)
-			}
-		}
-	default:
+	if len(missTimes) > 0 {
 		s.retrievals.Add(int64(len(missTimes)))
 		gen := s.cache.Gen()
 		hs, err := gm.GetHistGraphs(missTimes, attrs)
@@ -501,19 +482,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			WriteError(w, http.StatusUnprocessableEntity, err)
 			return
 		}
+		// Admission guard: registering a batch as large as the whole LRU
+		// would evict the entire hot set (including the batch's own
+		// earlier entries) for zero reuse, so such a batch — which is also
+		// every batch when caching is disabled (capacity 0) — is answered
+		// from its views and hands them straight back to the pool.
+		admit := len(missTimes) < s.cache.Cap()
 		for j, h := range hs {
 			t := missTimes[j]
-			var sj wire.Snapshot
-			if fh, rel := s.cache.InsertAcquire(gm, cacheKey(t, attrs), t, h, gen); rel != nil {
-				sj = snapshotOf(fh, t, full, own)
-				rel()
-			} else {
-				// Not cached (concurrent append invalidation, or
-				// shutdown): serve this view directly and hand it
-				// straight back to the pool.
-				sj = snapshotOf(h, t, full, own)
-				gm.Release(h)
+			// Not cached (guarded, concurrent append invalidation, or
+			// shutdown): this view is served directly and released.
+			fh, rel := h, func() { gm.Release(h) }
+			if admit {
+				if ch, crel := s.cache.InsertAcquire(gm, cacheKey(t, attrs), t, h, gen); crel != nil {
+					fh, rel = ch, crel
+				}
 			}
+			sj := snapshotOf(fh, t, full, own)
+			rel()
 			for _, i := range missIdx[t] {
 				out[i] = sj
 			}

@@ -1,8 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +17,7 @@ import (
 	"historygraph"
 	"historygraph/internal/cache"
 	"historygraph/internal/datagen"
+	"historygraph/internal/graphpool"
 	"historygraph/internal/metrics"
 	"historygraph/internal/wire"
 )
@@ -657,8 +664,8 @@ func TestBatchRegistersInCache(t *testing.T) {
 }
 
 // TestBatchAdmissionGuard: a batch with at least as many distinct
-// timepoints as the LRU holds is served detached instead of flushing the
-// whole hot set through the cache.
+// timepoints as the LRU holds is served from views the cache does not admit
+// instead of flushing the whole hot set through the cache.
 func TestBatchAdmissionGuard(t *testing.T) {
 	gm := newTestManager(t)
 	_, client := newTestServer(t, gm, Config{CacheSize: 4})
@@ -695,9 +702,9 @@ func TestBatchAdmissionGuard(t *testing.T) {
 	}
 }
 
-// TestBatchWithCacheDisabled: with no view cache a batch is one detached
-// multipoint retrieval of its distinct timepoints, counted like the
-// singlepoint retrievals the same server runs.
+// TestBatchWithCacheDisabled: with no view cache a batch is one multipoint
+// retrieval of its distinct timepoints, counted like the singlepoint
+// retrievals the same server runs.
 func TestBatchWithCacheDisabled(t *testing.T) {
 	gm := newTestManager(t)
 	svc, client := newTestServer(t, gm, Config{CacheSize: -1})
@@ -718,6 +725,62 @@ func TestBatchWithCacheDisabled(t *testing.T) {
 		if got[i].Cached || got[i].At != int64(tp) || got[i].NumNodes != want.NumNodes || len(got[i].Edges) != len(want.Edges) {
 			t.Fatalf("timepoint %d: batch answered %d nodes/%d edges cached=%v, singlepoint %d/%d",
 				tp, got[i].NumNodes, len(got[i].Edges), got[i].Cached, want.NumNodes, len(want.Edges))
+		}
+	}
+}
+
+// TestBatchServedWithoutAdmission: a batch the view cache does not admit, one
+// of at least its capacity or any batch with caching off, is built in the
+// pool as every miss is and encoded from the views: each answer, attributes
+// and all, is byte for byte what asking its time alone answers, and once the
+// views are released and cleaned the pool holds what it held before, to the
+// byte.
+func TestBatchServedWithoutAdmission(t *testing.T) {
+	for _, size := range []int{4, -1} {
+		gm := newTestManager(t)
+		base := newHTTPServer(t, New(gm, Config{CacheSize: size}))
+		get := func(path string) []byte {
+			t.Helper()
+			resp, err := http.Get(base + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s: %d %s (%v)", path, resp.StatusCode, body, err)
+			}
+			return bytes.TrimSpace(body)
+		}
+		last := gm.LastTime()
+		var ts []string
+		for i := int64(1); i <= 6; i++ {
+			ts = append(ts, strconv.FormatInt(int64(last)*i/7, 10))
+		}
+		const attrs = "&full=1&attrs=%2Bnode:all%2Bedge:all"
+		// Once to grow what the reads grow (a slab's chunks), which a clean
+		// pass does not give back, then again.
+		var answers []json.RawMessage
+		var st graphpool.Stats
+		var held int64
+		for pass := 0; pass < 2; pass++ {
+			gm.ForceClean()
+			st, held = gm.PoolStats(), gm.Pool().ApproxBytes()
+			if err := json.Unmarshal(get("/batch?t="+strings.Join(ts, ",")+attrs), &answers); err != nil || len(answers) != len(ts) {
+				t.Fatalf("cache %d: %d answers to a batch of %d (%v)", size, len(answers), len(ts), err)
+			}
+			gm.ForceClean()
+		}
+		if got := gm.PoolStats(); got != st || gm.Pool().ApproxBytes() != held {
+			t.Fatalf("cache %d: released and cleaned, the pool holds %+v in %d B; before the batch %+v in %d B", size, got, gm.Pool().ApproxBytes(), st, held)
+		}
+		for i, tp := range ts {
+			if single := get("/snapshot?t=" + tp + attrs); !bytes.Equal(answers[i], single) {
+				t.Fatalf("cache %d: the batch answers t=%s with\n%.300s\nalone it is\n%.300s", size, tp, answers[i], single)
+			}
+		}
+		if !strings.Contains(string(answers[0]), `"attrs"`) {
+			t.Fatalf("cache %d: the batch's answers carry no attribute: %.300s", size, answers[0])
 		}
 	}
 }
