@@ -16,7 +16,7 @@ import (
 // small:
 //
 //   - ids and timestamps are gaps from the record before. Columns arrive
-//     sorted (Delta.sortStable) and eventlists in time order, so a gap is a
+//     sorted (Delta.SortStable) and eventlists in time order, so a gap is a
 //     byte or two; it is taken modulo 2^64, so any order still round-trips.
 //   - a string (attribute name, attribute value, aux key) is spelled out
 //     once a payload and referred to by number afterwards, so decoding

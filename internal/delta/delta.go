@@ -119,7 +119,7 @@ func Compute(target, source *graph.Snapshot) *Delta {
 			}
 		}
 	}
-	d.sortStable()
+	d.SortStable()
 	return d
 }
 
@@ -133,10 +133,12 @@ func edgeFrom(a, b *graph.Snapshot, e graph.EdgeID) graph.NodeID {
 	return 0
 }
 
-// sortStable orders every column deterministically so that encoded deltas
+// SortStable orders every column deterministically so that encoded deltas
 // are byte-identical across runs (the sampling hash and codec depend only on
-// identities and this order).
-func (d *Delta) sortStable() {
+// identities and this order). Compute sorts what it returns; a delta built
+// record by record elsewhere (the index builder's, in the pool's record
+// order) is sorted before it is encoded.
+func (d *Delta) SortStable() {
 	slices.Sort(d.AddNodes)
 	slices.Sort(d.DelNodes)
 	byEdge := func(a, b EdgeRec) int { return cmp.Compare(a.ID, b.ID) }
@@ -189,7 +191,7 @@ func (d *Delta) Apply(s *graph.Snapshot) {
 		s.Edges[e.ID] = graph.EdgeInfo{From: e.From, To: e.To, Directed: e.Directed}
 	}
 	// A new element's map is sized by its run of records: the columns are
-	// sorted by element (sortStable).
+	// sorted by element (SortStable).
 	for i, rec := range d.SetNodeAttrs {
 		attrs := s.NodeAttrs[rec.Node]
 		if attrs == nil {

@@ -2,6 +2,7 @@ package delta
 
 import (
 	"fmt"
+	"slices"
 
 	"historygraph/internal/graph"
 )
@@ -10,21 +11,50 @@ import (
 // graph for an interior DeltaGraph node from the graphs of its k children
 // (Table 2). The result is usually not a valid snapshot of any time point;
 // it only needs to be a good "center" so the child deltas are small.
+//
+// Every function the paper defines decides each element by itself: whether
+// a node (or edge) is in the parent, and each of its attribute values,
+// depends only on that element in every child and on a hash of its
+// identity. So a function is given as the rule for one element, which the
+// index builder runs over the pool's bits (graphpool.Pool.Combine). A
+// child's hold on an element is a token: Absent when it does not hold it,
+// else a name for the variant it holds — for an edge its endpoints, for an
+// attribute its value — that two children share exactly when they hold the
+// same one. A rule answers one of the children's tokens, or Absent.
 type Differential interface {
 	// Name identifies the function; skeleton metadata and checkpoints
 	// record it.
 	Name() string
-	// Combine builds the parent graph from the children, ordered oldest
-	// to newest. Children must not be modified.
-	Combine(children []*graph.Snapshot) *graph.Snapshot
-	// Elementwise reports that Combine decides each element by itself and
-	// changes nothing all children agree on: whether a node (or edge) and
-	// each of its attributes is in the parent depends only on that node in
-	// every child and on a hash of its identity, and an element that is
-	// the same in every child is the same in the parent. The index builder
-	// then evaluates a parent over the elements its children differ on and
-	// never over the whole graph.
+	// Member decides the parent's hold on an element of the given kind
+	// (graph.KindNode or graph.KindEdge) from the children's, oldest first.
+	Member(kind graph.ElementKind, id int64, kids []int32) int32
+	// Value decides the parent's value of the element's attribute attr
+	// from the children's holds on the element (kids, as Member has them)
+	// and on the attribute (vals).
+	Value(kind graph.ElementKind, id int64, attr string, kids, vals []int32) int32
+	// Elementwise reports that an element the same in every child is the
+	// same in the parent, so that the builder decides only the elements
+	// on which a child differs from the current graph and copies the rest.
+	// A function that is not (Empty) is decided against the null graph.
 	Elementwise() bool
+}
+
+// Absent is the token of an element or attribute a graph does not hold.
+const Absent int32 = -1
+
+// sampled reports whether an element's identity hashes below r: the
+// paper's sampling of "half of the events" (Section 5.2), by identity so
+// that the same elements are chosen for addition and removal.
+func sampled(kind graph.ElementKind, id int64, attr string, r float64) bool {
+	return graph.Hash01(graph.HashElement(kind, id, attr)) < r
+}
+
+// attrKind is the hashing kind of an attribute of an element of kind.
+func attrKind(kind graph.ElementKind) graph.ElementKind {
+	if kind == graph.KindEdge {
+		return graph.KindEdgeAttr
+	}
+	return graph.KindNodeAttr
 }
 
 // Intersection keeps exactly the elements present in every child (with
@@ -38,49 +68,32 @@ func (Intersection) Name() string { return "intersection" }
 // Elementwise implements Differential.
 func (Intersection) Elementwise() bool { return true }
 
-// Combine implements Differential.
-func (Intersection) Combine(children []*graph.Snapshot) *graph.Snapshot {
-	if len(children) == 0 {
-		return graph.NewSnapshot()
+// Member implements Differential: held by every child, as the oldest holds
+// it.
+func (Intersection) Member(_ graph.ElementKind, _ int64, kids []int32) int32 {
+	if slices.Contains(kids, Absent) {
+		return Absent
 	}
-	out := children[0].Clone()
-	for _, c := range children[1:] {
-		for n := range out.Nodes {
-			if _, ok := c.Nodes[n]; !ok {
-				delete(out.Nodes, n)
-				delete(out.NodeAttrs, n)
-			}
-		}
-		for e := range out.Edges {
-			if _, ok := c.Edges[e]; !ok {
-				delete(out.Edges, e)
-				delete(out.EdgeAttrs, e)
-			}
-		}
-		for n, attrs := range out.NodeAttrs {
-			cattrs := c.NodeAttrs[n]
-			for k, v := range attrs {
-				if cv, ok := cattrs[k]; !ok || cv != v {
-					delete(attrs, k)
-				}
-			}
-			if len(attrs) == 0 {
-				delete(out.NodeAttrs, n)
-			}
-		}
-		for e, attrs := range out.EdgeAttrs {
-			cattrs := c.EdgeAttrs[e]
-			for k, v := range attrs {
-				if cv, ok := cattrs[k]; !ok || cv != v {
-					delete(attrs, k)
-				}
-			}
-			if len(attrs) == 0 {
-				delete(out.EdgeAttrs, e)
-			}
+	return kids[0]
+}
+
+// Value implements Differential: the value every child gives, unless the
+// oldest child holds the element and another does not, which takes its
+// values with it.
+func (Intersection) Value(_ graph.ElementKind, _ int64, _ string, kids, vals []int32) int32 {
+	return intersectValue(kids, vals)
+}
+
+func intersectValue(kids, vals []int32) int32 {
+	for _, v := range vals[1:] {
+		if v != vals[0] {
+			return Absent
 		}
 	}
-	return out
+	if kids[0] != Absent && slices.Contains(kids, Absent) {
+		return Absent
+	}
+	return vals[0]
 }
 
 // Union keeps every element present in any child; attribute values are
@@ -94,38 +107,21 @@ func (Union) Name() string { return "union" }
 // Elementwise implements Differential.
 func (Union) Elementwise() bool { return true }
 
-// Combine implements Differential.
-func (Union) Combine(children []*graph.Snapshot) *graph.Snapshot {
-	out := graph.NewSnapshot()
-	for _, c := range children {
-		for n := range c.Nodes {
-			out.Nodes[n] = struct{}{}
-		}
-		for e, info := range c.Edges {
-			out.Edges[e] = info
-		}
-		for n, attrs := range c.NodeAttrs {
-			dst := out.NodeAttrs[n]
-			if dst == nil {
-				dst = make(map[string]string, len(attrs))
-				out.NodeAttrs[n] = dst
-			}
-			for k, v := range attrs {
-				dst[k] = v
-			}
-		}
-		for e, attrs := range c.EdgeAttrs {
-			dst := out.EdgeAttrs[e]
-			if dst == nil {
-				dst = make(map[string]string, len(attrs))
-				out.EdgeAttrs[e] = dst
-			}
-			for k, v := range attrs {
-				dst[k] = v
-			}
+// Member implements Differential: as the newest child that holds it.
+func (Union) Member(_ graph.ElementKind, _ int64, kids []int32) int32 { return newest(kids) }
+
+// Value implements Differential: the newest child's that gives one.
+func (Union) Value(_ graph.ElementKind, _ int64, _ string, _, vals []int32) int32 {
+	return newest(vals)
+}
+
+func newest(holds []int32) int32 {
+	for i := len(holds) - 1; i >= 0; i-- {
+		if holds[i] != Absent {
+			return holds[i]
 		}
 	}
-	return out
+	return Absent
 }
 
 // Empty always yields the null graph: every child delta is then a full
@@ -140,8 +136,11 @@ func (Empty) Name() string { return "empty" }
 // that all agree, so a parent has to be evaluated over everything they hold.
 func (Empty) Elementwise() bool { return false }
 
-// Combine implements Differential.
-func (Empty) Combine([]*graph.Snapshot) *graph.Snapshot { return graph.NewSnapshot() }
+// Member implements Differential.
+func (Empty) Member(graph.ElementKind, int64, []int32) int32 { return Absent }
+
+// Value implements Differential.
+func (Empty) Value(graph.ElementKind, int64, string, []int32, []int32) int32 { return Absent }
 
 // Mixed is the paper's tunable family
 //
@@ -154,6 +153,12 @@ func (Empty) Combine([]*graph.Snapshot) *graph.Snapshot { return graph.NewSnapsh
 // r1 = r2 = 0.5 give Balanced; r1 > 0.5 shifts the parent toward newer
 // children, reducing retrieval times for recent snapshots at the expense of
 // older ones.
+//
+// The parent is the oldest child folded forward over the others, one child
+// at a time: acc ← acc + r1·(next − acc) − r2·(acc − next). Within a step the
+// removals come first, and an element removed takes its values with it; a
+// value is added only to an element the parent holds after the step's
+// additions.
 type Mixed struct {
 	R1, R2 float64
 }
@@ -164,102 +169,42 @@ func (m Mixed) Name() string { return fmt.Sprintf("mixed(%g,%g)", m.R1, m.R2) }
 // Elementwise implements Differential.
 func (Mixed) Elementwise() bool { return true }
 
-// Combine implements Differential.
-func (m Mixed) Combine(children []*graph.Snapshot) *graph.Snapshot {
-	if len(children) == 0 {
-		return graph.NewSnapshot()
-	}
-	out := children[0].Clone()
-	for _, next := range children[1:] {
-		m.fold(out, next)
-	}
-	return out
+// Member implements Differential.
+func (m Mixed) Member(kind graph.ElementKind, id int64, kids []int32) int32 {
+	in, _ := m.fold(kind, id, "", kids, nil)
+	return in
 }
 
-// fold advances acc one child: acc ← acc + r1·(next − acc) − r2·(acc − next).
-func (m Mixed) fold(acc, next *graph.Snapshot) {
-	keepAdd := func(kind graph.ElementKind, id int64, attr string) bool {
-		return graph.Hash01(graph.HashElement(kind, id, attr)) < m.R1
+// Value implements Differential.
+func (m Mixed) Value(kind graph.ElementKind, id int64, attr string, kids, vals []int32) int32 {
+	_, v := m.fold(kind, id, attr, kids, vals)
+	return v
+}
+
+// fold folds the element, and with vals its attribute attr, forward over
+// the children. A hash is taken only where a step needs it.
+func (m Mixed) fold(kind graph.ElementKind, id int64, attr string, kids, vals []int32) (in, v int32) {
+	in, v = kids[0], Absent
+	if vals != nil {
+		v = vals[0]
 	}
-	keepDel := func(kind graph.ElementKind, id int64, attr string) bool {
-		return graph.Hash01(graph.HashElement(kind, id, attr)) < m.R2
-	}
-	// ρ: elements of acc absent from next.
-	for n := range acc.Nodes {
-		if _, ok := next.Nodes[n]; !ok && keepDel(graph.KindNode, int64(n), "") {
-			delete(acc.Nodes, n)
-			delete(acc.NodeAttrs, n)
+	elem := func(r float64) bool { return sampled(kind, id, "", r) }
+	value := func(r float64) bool { return sampled(attrKind(kind), id, attr, r) }
+	for i := 1; i < len(kids); i++ {
+		if in != Absent && kids[i] == Absent && elem(m.R2) {
+			in, v = Absent, Absent
 		}
-	}
-	for e := range acc.Edges {
-		if _, ok := next.Edges[e]; !ok && keepDel(graph.KindEdge, int64(e), "") {
-			delete(acc.Edges, e)
-			delete(acc.EdgeAttrs, e)
+		if v != Absent && vals[i] == Absent && value(m.R2) {
+			v = Absent
 		}
-	}
-	for n, attrs := range acc.NodeAttrs {
-		nattrs := next.NodeAttrs[n]
-		for k := range attrs {
-			if _, ok := nattrs[k]; !ok && keepDel(graph.KindNodeAttr, int64(n), k) {
-				delete(attrs, k)
-			}
+		if in == Absent && kids[i] != Absent && elem(m.R1) {
+			in = kids[i]
 		}
-		if len(attrs) == 0 {
-			delete(acc.NodeAttrs, n)
+		if vals != nil && in != Absent && vals[i] != Absent && v != vals[i] && value(m.R1) {
+			v = vals[i]
 		}
 	}
-	for e, attrs := range acc.EdgeAttrs {
-		nattrs := next.EdgeAttrs[e]
-		for k := range attrs {
-			if _, ok := nattrs[k]; !ok && keepDel(graph.KindEdgeAttr, int64(e), k) {
-				delete(attrs, k)
-			}
-		}
-		if len(attrs) == 0 {
-			delete(acc.EdgeAttrs, e)
-		}
-	}
-	// δ: elements of next absent from acc (or with changed values).
-	for n := range next.Nodes {
-		if _, ok := acc.Nodes[n]; !ok && keepAdd(graph.KindNode, int64(n), "") {
-			acc.Nodes[n] = struct{}{}
-		}
-	}
-	for e, info := range next.Edges {
-		if _, ok := acc.Edges[e]; !ok && keepAdd(graph.KindEdge, int64(e), "") {
-			acc.Edges[e] = info
-		}
-	}
-	for n, nattrs := range next.NodeAttrs {
-		if _, ok := acc.Nodes[n]; !ok {
-			continue // attribute entries only live on present elements
-		}
-		attrs := acc.NodeAttrs[n]
-		for k, v := range nattrs {
-			if cur, ok := attrs[k]; (!ok || cur != v) && keepAdd(graph.KindNodeAttr, int64(n), k) {
-				if attrs == nil {
-					attrs = make(map[string]string)
-					acc.NodeAttrs[n] = attrs
-				}
-				attrs[k] = v
-			}
-		}
-	}
-	for e, nattrs := range next.EdgeAttrs {
-		if _, ok := acc.Edges[e]; !ok {
-			continue
-		}
-		attrs := acc.EdgeAttrs[e]
-		for k, v := range nattrs {
-			if cur, ok := attrs[k]; (!ok || cur != v) && keepAdd(graph.KindEdgeAttr, int64(e), k) {
-				if attrs == nil {
-					attrs = make(map[string]string)
-					acc.EdgeAttrs[e] = attrs
-				}
-				attrs[k] = v
-			}
-		}
-	}
+	return in, v
 }
 
 // Balanced is Mixed(0.5, 0.5): child delta sizes are equalized, giving
@@ -288,9 +233,14 @@ func (s RightSkewed) Name() string { return fmt.Sprintf("rightskewed(%g)", s.R) 
 // Elementwise implements Differential.
 func (RightSkewed) Elementwise() bool { return true }
 
-// Combine implements Differential.
-func (s RightSkewed) Combine(children []*graph.Snapshot) *graph.Snapshot {
-	return skewCombine(children, s.R, len(children)-1)
+// Member implements Differential.
+func (s RightSkewed) Member(kind graph.ElementKind, id int64, kids []int32) int32 {
+	return skewMember(kind, id, kids, s.R, len(kids)-1)
+}
+
+// Value implements Differential.
+func (s RightSkewed) Value(kind graph.ElementKind, id int64, attr string, kids, vals []int32) int32 {
+	return skewValue(kind, id, attr, kids, vals, s.R, len(kids)-1)
 }
 
 // LeftSkewed is f(a,b) = a∩b + r·(a − a∩b): between the intersection and
@@ -303,63 +253,34 @@ func (s LeftSkewed) Name() string { return fmt.Sprintf("leftskewed(%g)", s.R) }
 // Elementwise implements Differential.
 func (LeftSkewed) Elementwise() bool { return true }
 
-// Combine implements Differential.
-func (s LeftSkewed) Combine(children []*graph.Snapshot) *graph.Snapshot {
-	return skewCombine(children, s.R, 0)
+// Member implements Differential.
+func (s LeftSkewed) Member(kind graph.ElementKind, id int64, kids []int32) int32 {
+	return skewMember(kind, id, kids, s.R, 0)
 }
 
-// skewCombine implements both skewed variants: start from the intersection
-// of all children and add an r-sampled share of the chosen child's extras.
-func skewCombine(children []*graph.Snapshot, r float64, anchor int) *graph.Snapshot {
-	if len(children) == 0 {
-		return graph.NewSnapshot()
+// Value implements Differential.
+func (s LeftSkewed) Value(kind graph.ElementKind, id int64, attr string, kids, vals []int32) int32 {
+	return skewValue(kind, id, attr, kids, vals, s.R, 0)
+}
+
+// skewMember implements both skewed variants: the intersection of all
+// children, and an r-sampled share of the anchor child's extras.
+func skewMember(kind graph.ElementKind, id int64, kids []int32, r float64, anchor int) int32 {
+	in := Intersection{}.Member(kind, id, kids)
+	if in == Absent && kids[anchor] != Absent && sampled(kind, id, "", r) {
+		in = kids[anchor]
 	}
-	out := Intersection{}.Combine(children)
-	src := children[anchor]
-	keep := func(kind graph.ElementKind, id int64, attr string) bool {
-		return graph.Hash01(graph.HashElement(kind, id, attr)) < r
+	return in
+}
+
+// skewValue is skewMember for an attribute, which is added only to an
+// element the parent holds.
+func skewValue(kind graph.ElementKind, id int64, attr string, kids, vals []int32, r float64, anchor int) int32 {
+	v := intersectValue(kids, vals)
+	if v == Absent && vals[anchor] != Absent && skewMember(kind, id, kids, r, anchor) != Absent && sampled(attrKind(kind), id, attr, r) {
+		v = vals[anchor]
 	}
-	for n := range src.Nodes {
-		if _, ok := out.Nodes[n]; !ok && keep(graph.KindNode, int64(n), "") {
-			out.Nodes[n] = struct{}{}
-		}
-	}
-	for e, info := range src.Edges {
-		if _, ok := out.Edges[e]; !ok && keep(graph.KindEdge, int64(e), "") {
-			out.Edges[e] = info
-		}
-	}
-	for n, sattrs := range src.NodeAttrs {
-		if _, ok := out.Nodes[n]; !ok {
-			continue
-		}
-		attrs := out.NodeAttrs[n]
-		for k, v := range sattrs {
-			if _, ok := attrs[k]; !ok && keep(graph.KindNodeAttr, int64(n), k) {
-				if attrs == nil {
-					attrs = make(map[string]string)
-					out.NodeAttrs[n] = attrs
-				}
-				attrs[k] = v
-			}
-		}
-	}
-	for e, sattrs := range src.EdgeAttrs {
-		if _, ok := out.Edges[e]; !ok {
-			continue
-		}
-		attrs := out.EdgeAttrs[e]
-		for k, v := range sattrs {
-			if _, ok := attrs[k]; !ok && keep(graph.KindEdgeAttr, int64(e), k) {
-				if attrs == nil {
-					attrs = make(map[string]string)
-					out.EdgeAttrs[e] = attrs
-				}
-				attrs[k] = v
-			}
-		}
-	}
-	return out
+	return v
 }
 
 // ByName returns the differential function for a harness/CLI name:

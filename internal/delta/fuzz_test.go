@@ -75,7 +75,7 @@ func (s *fuzzSource) delta() *Delta {
 		}
 	}
 	if s.byte()&1 == 0 {
-		d.sortStable() // what the index stores; unsorted must round-trip too
+		d.SortStable() // what the index stores; unsorted must round-trip too
 	}
 	return d
 }

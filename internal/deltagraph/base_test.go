@@ -59,7 +59,7 @@ func sameIndexBytes(t *testing.T, what string, built, forced *DeltaGraph) {
 	if built.nextDeltaID != forced.nextDeltaID {
 		t.Fatalf("%s: next delta id %d, as built %d", what, forced.nextDeltaID, built.nextDeltaID)
 	}
-	samePayloads(t, what+": index store", payloads(t, forced.store, 1, 1, forced.nextDeltaID), payloads(t, built.store, 1, 1, built.nextDeltaID))
+	samePayloads(t, what+": index store", payloads(t, forced.store, 1, 1, forced.nextDeltaID, kvstore.ComponentAuxBase), payloads(t, built.store, 1, 1, built.nextDeltaID, kvstore.ComponentAuxBase))
 	want, wantAux := pendingGraphs(built)
 	got, gotAux := pendingGraphs(forced)
 	if len(got) != len(want) || !reflect.DeepEqual(gotAux, wantAux) {

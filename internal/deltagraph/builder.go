@@ -17,21 +17,23 @@ import (
 // explicit graph in the pool (Section 6) that a read starts from as it starts
 // from a materialized node (retrieve.go).
 //
-// Construction costs what changed, not what exists. A parent is evaluated over
-// the elements on which some child's bits differ from the current graph's
-// (graphpool.Pool.ForEachDiffering): everywhere else the children equal the
-// current graph, hence each other, hence — the differential function being
-// element-wise and idempotent — the parent, and no delta between them has a
-// record there. Running Combine and Compute on the children cut down to those
-// elements therefore writes the very bytes the whole graphs would. A function
-// that is not element-wise (Empty) is evaluated over everything the current
-// graph holds as well.
+// A parent costs one walk of the pool and builds no map. The differential
+// function decides each element of a parent from that element in its
+// children (delta.Differential), so one walk over the pool's bits
+// (graphpool.Pool.Combine) decides the parent where some child differs from
+// the current graph, holds it as the current graph everywhere else — there
+// the children equal the current graph, hence each other, hence the parent —
+// and writes each child's delta records as it goes. No delta between
+// them has a record where nothing differs, so the records are the very ones
+// delta.Compute would find between the whole graphs, and once sorted they
+// encode to the same bytes. A function that is not element-wise (Empty) is
+// decided against the null graph instead.
 //
 // A cut holds no more bits at any moment than it does after it: a leaf that
 // completes a group is read from the current graph and never gets a bit of
-// its own, and the children of a parent are released before the parent takes
-// one. Appends never touch a pending node: an explicit graph's bit does not
-// follow bit 0.
+// its own, and a parent is written over one of its children, on that
+// child's bit. Appends never touch a pending node: an explicit graph's bit
+// does not follow bit 0.
 
 // cutLeafLocked turns the recent eventlist into a new leaf: it creates the
 // leaf skeleton node, queues the leaf-eventlist for the builder to store on
@@ -91,15 +93,15 @@ func (dg *DeltaGraph) cutLeafLocked() error {
 
 // commitLocked enters a pending node's graph into the pool: the graph from
 // (the current graph, or with graphpool.NoDependency the null graph) copied
-// onto a bit of its own, with the elements set fills in set to their images
-// there. It returns the graph's view.
-func (dg *DeltaGraph) commitLocked(from graphpool.GraphID, set func(*graphpool.Build)) *graphpool.View {
+// onto a bit of its own, with d, if any, applied to it. It returns the
+// graph's view.
+func (dg *DeltaGraph) commitLocked(from graphpool.GraphID, d *delta.Delta) *graphpool.View {
 	b, err := dg.pool.NewBuild(from, false, allAttrOptions)
 	if err != nil {
 		panic(err) // from is the current graph or the null graph, which are always there
 	}
-	if set != nil {
-		set(b)
+	if d != nil {
+		b.ApplyDelta(d)
 	}
 	v, err := dg.pool.View(b.Commit(graphpool.KindMaterialized, 0))
 	if err != nil {
@@ -128,57 +130,22 @@ func (dg *DeltaGraph) promoteLocked(level int) {
 }
 
 // makeParentLocked builds one interior node: parent graph = f(children),
-// with one delta edge to each child (Section 4.2), both evaluated over the
-// elements on which some child differs from the current graph — or over
-// everything the current graph holds beside, for a function that is not
-// element-wise. The children are released once read, unless a
-// materialization pins them, and their bits reclaimed before the parent takes
-// one: what only they held leaves the pool then, not whenever a cleaner runs.
+// with one delta edge to each child (Section 4.2), both made in one walk of
+// the pool (graphpool.Pool.Combine). The children are let go of there,
+// unless a materialization pins them: the parent is written over one of
+// them, on its bit, and the others' bits are reclaimed at once, so what only
+// they held leaves the pool then, not whenever a cleaner runs.
 func (dg *DeltaGraph) makeParentLocked(level int, group []pendingChild) pendingChild {
-	nodes, edges := make(map[graph.NodeID]struct{}), make(map[graph.EdgeID]struct{})
-	addNode := func(n graph.NodeID) { nodes[n] = struct{}{} }
-	addEdge := func(e graph.EdgeID) { edges[e] = struct{}{} }
-	ids := make([]graphpool.GraphID, len(group))
+	ids, spent := make([]graphpool.GraphID, len(group)), make([]bool, len(group))
 	for i, c := range group {
-		ids[i] = c.graph.ID()
+		id, pinned := dg.matGraphs[c.node]
+		ids[i], spent[i] = c.graph.ID(), c.graph != dg.cur && (!pinned || id != c.graph.ID())
 	}
-	dg.pool.ForEachDiffering(ids, addNode, addEdge)
-	if !dg.opts.Function.Elementwise() { // it may disagree with children that all agree
-		dg.cur.ForEachHeld(addNode, addEdge)
+	made, err := dg.pool.Combine(ids, spent, dg.opts.Function)
+	if err != nil {
+		panic(err) // the index holds every pending node's graph, and none has a dependent (Retrieve)
 	}
-	// The children cut down to those elements: small graphs the function and
-	// delta.Compute run on as they would on the whole ones.
-	snaps := make([]*graph.Snapshot, len(group))
-	for i, c := range group {
-		s := graph.NewSnapshot()
-		for n := range nodes {
-			present, attrs := c.graph.NodeImage(n)
-			setImage(s.Nodes, s.NodeAttrs, n, struct{}{}, present, attrs)
-		}
-		for e := range edges {
-			info, present, attrs := c.graph.EdgeImage(e)
-			setImage(s.Edges, s.EdgeAttrs, e, info, present, attrs)
-		}
-		snaps[i] = s
-	}
-	parentSnap := dg.opts.Function.Combine(snaps)
-	for _, c := range group {
-		if id, pinned := dg.matGraphs[c.node]; c.graph != dg.cur && (!pinned || id != c.graph.ID()) {
-			_ = dg.pool.Release(c.graph.ID()) // a pending node's graph has no dependents (Retrieve)
-		}
-	}
-	dg.pool.CleanNow()
-	parent := pendingChild{size: group[0].size + parentSnap.Size() - snaps[0].Size()}
-	parent.graph = dg.commitLocked(graphpool.CurrentGraph, func(b *graphpool.Build) {
-		for n := range nodes {
-			_, present := parentSnap.Nodes[n]
-			b.SetNode(n, present, parentSnap.NodeAttrs[n])
-		}
-		for e := range edges {
-			info, present := parentSnap.Edges[e]
-			b.SetEdge(e, info, present, parentSnap.EdgeAttrs[e])
-		}
-	})
+	parent := pendingChild{size: group[0].size + made.Grow, graph: made.Parent}
 	parent.aux = make([]AuxSnapshot, len(dg.auxes))
 	for i, aux := range dg.auxes {
 		children := make([]AuxSnapshot, len(group))
@@ -200,10 +167,10 @@ func (dg *DeltaGraph) makeParentLocked(level int, group []pendingChild) pendingC
 		node.spanEnd = last.at
 	}
 	parent.node = dg.skel.addNode(node)
-	// What is left, a delta to each child, reads the cut-down graphs, the aux
-	// snapshots and the node, none of which changes again: it runs on the
-	// builder. group is a window on a pending level, which moves under it, so
-	// the children's aux snapshots are copied out.
+	// What is left, sorting and storing the delta to each child, reads the
+	// walk's records, the aux snapshots and the node, none of which changes
+	// again: it runs on the builder. group is a window on a pending level,
+	// which moves under it, so the children's aux snapshots are copied out.
 	kidAux, parentAux := make([][]AuxSnapshot, len(group)), parent.aux
 	for i, c := range group {
 		node.children, kidAux[i] = append(node.children, c.node), c.aux
@@ -211,9 +178,10 @@ func (dg *DeltaGraph) makeParentLocked(level int, group []pendingChild) pendingC
 	firstID := dg.nextDeltaID
 	dg.nextDeltaID += uint64(len(group))
 	dg.build.enqueue(func() ([]*skelEdge, error) {
-		edges := make([]*skelEdge, len(snaps))
+		edges := make([]*skelEdge, len(made.Deltas))
 		for i, kid := range node.children {
-			d := delta.Compute(snaps[i], parentSnap)
+			d := made.Deltas[i]
+			d.SortStable()
 			auxDeltas := make([]auxDelta, len(parentAux))
 			for j := range auxDeltas {
 				auxDeltas[j] = computeAuxDelta(kidAux[i][j], parentAux[j])
@@ -228,18 +196,6 @@ func (dg *DeltaGraph) makeParentLocked(level int, group []pendingChild) pendingC
 		return edges, nil
 	})
 	return parent
-}
-
-// setImage makes one element of a snapshot what a graph holds of it: a
-// member with the value v (struct{}{} for a node, the endpoints for an edge)
-// if present, and the attribute values attrs, if any.
-func setImage[K comparable, V any](members map[K]V, values map[K]map[string]string, id K, v V, present bool, attrs map[string]string) {
-	if present {
-		members[id] = v
-	}
-	if len(attrs) > 0 {
-		values[id] = attrs
-	}
 }
 
 // --- payload storage -------------------------------------------------
@@ -500,8 +456,8 @@ func (dg *DeltaGraph) Close() error { return dg.build.wait() }
 //
 // A leaf cut keeps under the write lock only what must see the current
 // graph: it takes the leaf's events, reserves their payload ids, adds the
-// skeleton nodes and evaluates each new parent's children, Combine and graph.
-// The rest — delta.Compute and the aux deltas to every child, and encoding,
+// skeleton nodes and walks the pool for each new parent's graph and delta
+// records. The rest — sorting the records and the aux deltas to every child, and encoding,
 // compressing and putting every permanent payload, leaf-eventlists included —
 // it queues for one builder goroutine, which runs the queue one job at a
 // time, in id order: the store holds the records in the order a cut that did

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"historygraph/internal/baseline"
@@ -72,7 +73,7 @@ func (r *refBuilder) cut(t *testing.T) {
 
 func (r *refBuilder) parent(t *testing.T, group []*graph.Snapshot) *graph.Snapshot {
 	t.Helper()
-	p := r.st.opts.Function.Combine(group)
+	p := combine(r.st.opts.Function, group)
 	r.sizes = append(r.sizes, p.Size())
 	for _, c := range group {
 		if _, err := r.st.putDelta(r.st.nextDeltaID, delta.Compute(c, p), nil); err != nil {
@@ -84,13 +85,13 @@ func (r *refBuilder) parent(t *testing.T, group []*graph.Snapshot) *graph.Snapsh
 }
 
 // payloads reads every record with an id in [from, to) out of a store: the
-// four columns of a graph and the first aux index's.
-func payloads(t *testing.T, store kvstore.Store, partitions int, from, to uint64) map[string][]byte {
+// four columns of a graph and, up to last, the aux indexes'.
+func payloads(t *testing.T, store kvstore.Store, partitions int, from, to uint64, last kvstore.Component) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
 	for id := from; id < to; id++ {
 		for p := 0; p < partitions; p++ {
-			for c := kvstore.ComponentStruct; c <= kvstore.ComponentAuxBase; c++ {
+			for c := kvstore.ComponentStruct; c <= last; c++ {
 				key := kvstore.EncodeKey(p, id, c)
 				buf, err := store.Get(key)
 				if err == kvstore.ErrNotFound {
@@ -130,7 +131,11 @@ func (r *refBuilder) compare(t *testing.T, dg *DeltaGraph) {
 	if dg.nextDeltaID != r.st.nextDeltaID {
 		t.Fatalf("next delta id %d, reference %d", dg.nextDeltaID, r.st.nextDeltaID)
 	}
-	samePayloads(t, "index store", payloads(t, dg.store, P, 1, dg.nextDeltaID), payloads(t, r.st.store, P, 1, r.st.nextDeltaID))
+	last := kvstore.ComponentAuxBase
+	if len(dg.auxes) > 0 {
+		last-- // the reference stores no aux column
+	}
+	samePayloads(t, "index store", payloads(t, dg.store, P, 1, dg.nextDeltaID, last), payloads(t, r.st.store, P, 1, r.st.nextDeltaID, last))
 	var want []*graph.Snapshot
 	for level := len(r.pending) - 1; level >= 0; level-- {
 		want = append(want, r.pending[level]...)
@@ -159,18 +164,42 @@ func (r *refBuilder) compare(t *testing.T, dg *DeltaGraph) {
 	}
 }
 
-// canonical drops the events of a trace that change nothing (an attribute
-// set to the value it has), which the builder does not record: the reference
-// is fed what is left.
+// canonical is a trace as the index admits it: the events that change
+// nothing (an add of a live element, a delete of one the graph holds
+// nothing of, an attribute set to the value it has or removed where there
+// is none) dropped, and what the graph knows written into the rest (the
+// value an attribute event replaces, a deleted edge's endpoints). The
+// reference is fed what is left.
 func canonical(events graph.EventList) graph.EventList {
 	s := graph.NewSnapshot()
 	var out graph.EventList
 	for _, ev := range events {
-		if held, ok := s.NodeAttrs[ev.Node][ev.Attr]; ev.Type == graph.SetNodeAttr && ok && held == ev.New {
-			continue
-		}
-		if held, ok := s.EdgeAttrs[ev.Edge][ev.Attr]; ev.Type == graph.SetEdgeAttr && ok && held == ev.New {
-			continue
+		_, node := s.Nodes[ev.Node]
+		info, edge := s.Edges[ev.Edge]
+		switch ev.Type {
+		case graph.AddNode, graph.AddEdge:
+			if (ev.Type == graph.AddNode && node) || (ev.Type == graph.AddEdge && edge) {
+				continue
+			}
+		case graph.DelNode:
+			if !node && len(s.NodeAttrs[ev.Node]) == 0 {
+				continue
+			}
+		case graph.DelEdge:
+			if !edge && len(s.EdgeAttrs[ev.Edge]) == 0 {
+				continue
+			} else if edge {
+				ev.Node, ev.Node2, ev.Directed = info.From, info.To, info.Directed
+			}
+		case graph.SetNodeAttr, graph.SetEdgeAttr:
+			attrs := s.NodeAttrs[ev.Node]
+			if ev.Type == graph.SetEdgeAttr {
+				attrs = s.EdgeAttrs[ev.Edge]
+			}
+			ev.Old, ev.HadOld = attrs[ev.Attr]
+			if (ev.HasNew && ev.HadOld && ev.Old == ev.New) || (!ev.HasNew && !ev.HadOld) {
+				continue
+			}
 		}
 		s.Apply(ev)
 		out = append(out, ev)
@@ -354,6 +383,149 @@ func TestDuplicateAddKeepsHistory(t *testing.T) {
 		}
 		if len(s.Nodes) != want {
 			t.Errorf("snapshot@%d has %d nodes, want %d", q, len(s.Nodes), want)
+		}
+	}
+}
+
+// TestWalkMatchesMaps holds every parent the pool walk builds, and every
+// delta it writes, to the differential functions on maps (combine_test.go)
+// and delta.Compute on whole graphs (refBuilder): on four traces, for every
+// function ByName knows, at arities 2 to 4, with an aux index registered — so that events
+// are admitted one at a time around its CreateAuxEvents — and with 64 views
+// held from the middle of the trace on, so that the children made after
+// them sit on bits past 63, in spilled bitmaps. A parent is seen whole while
+// it is pending, and through the deltas to its children once it is not.
+func TestWalkMatchesMaps(t *testing.T) {
+	for _, tr := range []struct {
+		name   string
+		events graph.EventList
+		leaf   int
+		parts  int
+	}{
+		{"makeTrace", makeTrace(43, 2400), 80, 1},
+		// Deletes of nodes, edge attributes, re-adds and events that change
+		// nothing.
+		{"MessyTrace", datagen.MessyTrace(43, 2400), 80, 1},
+		// Values on absent ids, deletes that take values with them, and edge
+		// ids held between two pairs of nodes at once; partitioned, so that
+		// an edge attribute's record goes where its From says.
+		{"lenientTrace", lenientTrace(43, 2400), 80, 3},
+		{"seed-1 trace", benchTrace(1, 1)[:9000], 600, 1},
+	} {
+		for _, fn := range []string{"intersection", "union", "empty", "balanced", "skewed:0.3", "mixed:0.7:0.2", "rightskewed:0.5", "leftskewed:0.5"} {
+			for _, arity := range []int{2, 3, 4} {
+				t.Run(fmt.Sprintf("%s/%s/k%d", tr.name, fn, arity), func(t *testing.T) {
+					t.Parallel()
+					f, err := delta.ByName(fn)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts := Options{LeafSize: tr.leaf, Arity: arity, Function: f, Partitions: tr.parts, AuxIndexes: []AuxIndex{degreeAux{}}}
+					dg, err := New(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := newRefBuilder(t, opts)
+					half := len(tr.events) / 2
+					if err := appendBatches(dg, tr.events[:half]); err != nil {
+						t.Fatal(err)
+					}
+					first, last := tr.events[:half].Span()
+					var ts []graph.Time
+					for i := range 64 {
+						ts = append(ts, first+graph.Time(i)*(last-first)/64)
+					}
+					views, err := dg.RetrieveMany(ts, allAttrs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					spilled := 0
+					for lo := half; lo < len(tr.events); lo += 500 {
+						if err := dg.AppendAll(tr.events[lo:min(lo+500, len(tr.events))]); err != nil {
+							t.Fatal(err)
+						}
+						spilled = max(spilled, dg.Pool().Stats().Spilled)
+					}
+					ref.appendAll(t, canonical(tr.events))
+					ref.compare(t, dg)
+					if spilled == 0 {
+						t.Fatal("no bitmap spilled: the children never sat past bit 63")
+					}
+					for _, id := range views {
+						if err := dg.Pool().Release(id); err != nil {
+							t.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestBatchAdmission: a batch is admitted under one hold of the pool's lock,
+// let go of around a leaf cut, and means what the events one at a time
+// mean. The first batch holds events that change nothing — a duplicate add,
+// deletes of absent elements, a same-value set — and crosses a leaf cut;
+// the second has an out-of-order event in the middle, and exactly the
+// prefix before it lands. Every time reads what naive replay of what landed
+// says. (No element is deleted with a value on it: such a delete played
+// backward brings the element back bare.)
+func TestBatchAdmission(t *testing.T) {
+	dg, err := New(Options{LeafSize: 4, Arity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := graph.EventList{
+		{Type: graph.AddNode, At: 1, Node: 1}, {Type: graph.AddNode, At: 2, Node: 2},
+		{Type: graph.AddEdge, At: 3, Edge: 1, Node: 1, Node2: 2},
+		{Type: graph.SetNodeAttr, At: 4, Node: 1, Attr: "a", New: "x", HasNew: true},
+		{Type: graph.AddNode, At: 5, Node: 1},                                        // live: a duplicate
+		{Type: graph.DelNode, At: 5, Node: 9},                                        // absent
+		{Type: graph.SetNodeAttr, At: 6, Node: 1, Attr: "a", New: "x", HasNew: true}, // the value it has
+		{Type: graph.DelEdge, At: 6, Edge: 7},                                        // absent
+		{Type: graph.SetEdgeAttr, At: 7, Edge: 1, Node: 1, Attr: "w", New: "1", HasNew: true},
+		{Type: graph.AddNode, At: 8, Node: 3},
+		{Type: graph.SetEdgeAttr, At: 8, Edge: 1, Node: 1, Attr: "w"},
+		{Type: graph.DelEdge, At: 9, Edge: 1}, // the index fills in its endpoints
+		{Type: graph.AddEdge, At: 10, Edge: 2, Node: 2, Node2: 3},
+		{Type: graph.DelNode, At: 10, Node: 3},
+		{Type: graph.AddNode, At: 11, Node: 1}, // live: a duplicate
+		{Type: graph.AddNode, At: 11, Node: 3},
+	}
+	if n, err := dg.AppendAllCounted(first); n != len(first) || err != nil {
+		t.Fatalf("the first batch landed %d of %d events (%v)", n, len(first), err)
+	}
+	if leaves := dg.Stats().Leaves; leaves < 2 {
+		t.Fatalf("the first batch cut %d leaves, want it to cross a cut", leaves)
+	}
+	second := graph.EventList{
+		{Type: graph.AddNode, At: 12, Node: 4}, {Type: graph.SetNodeAttr, At: 12, Node: 4, Attr: "a", New: "y", HasNew: true},
+		{Type: graph.AddNode, At: 5, Node: 5}, // older than the last event
+		{Type: graph.AddNode, At: 13, Node: 6},
+	}
+	if n, err := dg.AppendAllCounted(second); n != 2 || err == nil {
+		t.Fatalf("the second batch landed %d events (%v), want the 2 before the out-of-order one and an error", n, err)
+	}
+	landed := append(slices.Clone(first), second[:2]...)
+	naive, err := baseline.BuildNaiveLog(landed, kvstore.NewMemStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dg.LastTime() != 12 {
+		t.Fatalf("the clock reads %d, want 12", dg.LastTime())
+	}
+	for at := graph.Time(0); at <= 13; at++ {
+		want, err := naive.Snapshot(at, allAttrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dg.GetSnapshot(at, allAttrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("snapshot at %d: nodes %v attrs %v edges %v attrs %v; replay has %v %v %v %v",
+				at, got.Nodes, got.NodeAttrs, got.Edges, got.EdgeAttrs, want.Nodes, want.NodeAttrs, want.Edges, want.EdgeAttrs)
 		}
 	}
 }

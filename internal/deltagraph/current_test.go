@@ -541,3 +541,21 @@ func TestPendingBitsWithinBudget(t *testing.T) {
 	}
 	t.Logf("%d live leaf cuts; the pool held at most %d bits", dg.Stats().Leaves-start, most)
 }
+
+// BenchmarkGetSnapshotHead is GetSnapshot, a structure-only copy handed out,
+// at the newest event's time and five ticks before it: a dependent of the
+// current graph, with no exception at the head and the five ticks' events
+// undone behind it.
+func BenchmarkGetSnapshotHead(b *testing.B) {
+	dg, last := headIndex(b, 1)
+	for _, back := range []graph.Time{0, 5} {
+		b.Run(fmt.Sprintf("back=%d", back), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := dg.GetSnapshot(last-back, graph.AttrOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -19,10 +19,12 @@
 //
 // The current graph has one home, the GraphPool's bits 0 and 1 (Section 6):
 // the index reads it through the pool's current-graph view and keeps no copy.
-// Only this package writes those bits (ApplyEvent, ClearRecent, LoadCurrent),
-// always under the index's write lock, so holding the index's lock either way
-// holds the current graph still. Locks are taken index first, pool second,
-// everywhere; the pool's cleaner takes the pool's alone.
+// Only this package writes those bits (an Admission, ClearRecent,
+// LoadCurrent), always under the index's write lock, so holding the index's
+// lock either way holds the current graph still. Locks are taken index first,
+// pool second, everywhere; the pool's cleaner takes the pool's alone. An
+// append holds the pool's write lock across a whole batch, so nothing under
+// it may call a View method (AppendAllCounted).
 package deltagraph
 
 import (
@@ -137,7 +139,7 @@ type DeltaGraph struct {
 
 	// Builder state (Section 4.6 bulk construction + live updates).
 	cur      *graphpool.View // the graph after every appended event: the pool's bit 0
-	curSize  int             // its graph.Snapshot.Size, kept by appendLocked
+	curSize  int             // its graph.Snapshot.Size, kept by AppendAllCounted
 	recent   recentList      // events after the last leaf cut
 	lastTime graph.Time      // timestamp of the newest appended event
 	// firstTime is the timestamp of the first event of stored eventlist 0.
@@ -251,40 +253,58 @@ func (dg *DeltaGraph) AppendAll(events graph.EventList) error {
 // apply one at a time, so on error a prefix of exactly that length has
 // landed — recovery paths (the replication WAL drain) use the count to
 // resume precisely instead of re-applying or skipping the prefix.
+//
+// This is the one place events enter the index: the facade, the server, WAL
+// replay, follower apply and migration ingest all end here. The run is
+// admitted under one hold of the pool's write lock (graphpool.Admission),
+// let go of only around a leaf cut, which calls into the pool, and, when aux
+// indexes are registered, around each event: CreateAuxEvents reads the graph
+// before the event through dg.cur, whose methods take the pool's read lock.
 func (dg *DeltaGraph) AppendAllCounted(events graph.EventList) (int, error) {
 	dg.mu.Lock()
 	defer dg.unlock()
 	if err := dg.publishStoredLocked(); err != nil { // a put the builder failed
 		return 0, err
 	}
+	adm := dg.pool.Admit()
+	defer adm.Pause()
 	for i, ev := range events {
-		if err := dg.appendLocked(ev); err != nil {
-			return i, err
+		if ev.At < dg.lastTime {
+			return i, fmt.Errorf("deltagraph: event at %d is older than last event at %d", ev.At, dg.lastTime)
 		}
+		if dg.recent.len() >= dg.opts.LeafSize && ev.At > dg.lastTime {
+			adm.Pause()
+			err := dg.cutLeafLocked()
+			adm.Resume()
+			if err != nil {
+				return i, err
+			}
+		}
+		dg.lastTime = ev.At
+		grow, changes := adm.Check(&ev)
+		if !changes {
+			// Acknowledged, and the clock has moved; but an event that leaves
+			// the graph as it was must leave its history as it was too. Played
+			// backward, a second add of a live node would delete it from every
+			// snapshot before the add.
+			continue
+		}
+		if len(dg.auxes) > 0 {
+			adm.Pause()
+			dg.auxEventsLocked(ev)
+			adm.Resume()
+		}
+		adm.Apply(ev)
+		dg.curSize += grow
+		dg.recent.add(ev)
 	}
 	return len(events), nil
 }
 
-// appendLocked is the one place an event enters the index: the facade, the
-// server, WAL replay, follower apply and migration ingest all end here.
-func (dg *DeltaGraph) appendLocked(ev graph.Event) error {
-	if ev.At < dg.lastTime {
-		return fmt.Errorf("deltagraph: event at %d is older than last event at %d", ev.At, dg.lastTime)
-	}
-	if dg.recent.len() >= dg.opts.LeafSize && ev.At > dg.lastTime {
-		if err := dg.cutLeafLocked(); err != nil {
-			return err
-		}
-	}
-	dg.lastTime = ev.At
-	if !dg.admitLocked(&ev) {
-		// Acknowledged, and the clock has moved; but an event that leaves
-		// the graph as it was must leave its history as it was too. Played
-		// backward, a second add of a live node would delete it from every
-		// snapshot before the add.
-		return nil
-	}
-	// Aux events are derived against the graph state before the event.
+// auxEventsLocked derives each aux index's events from ev, against the graph
+// before it, and applies them to the index's aux snapshot. The pool's lock
+// must not be held: CreateAuxEvents reads the current graph's view.
+func (dg *DeltaGraph) auxEventsLocked(ev graph.Event) {
 	for i, aux := range dg.auxes {
 		auxEvs := aux.CreateAuxEvents(ev, dg.cur, dg.auxCur[i])
 		for _, ae := range auxEvs {
@@ -292,88 +312,6 @@ func (dg *DeltaGraph) appendLocked(ev graph.Event) error {
 		}
 		dg.auxRecent[i] = append(dg.auxRecent[i], auxEvs...)
 	}
-	dg.pool.ApplyEvent(ev)
-	dg.recent.add(ev)
-	return nil
-}
-
-// admitLocked looks up what ev is about to do to the current graph and
-// reports whether it belongs in the history: an event that changes nothing
-// (an add of a live element, a delete of an absent one, an attribute set to
-// the value it has) does not. For one that does, the graph's size is carried
-// forward, and what the graph knows better than the sender is written into ev
-// so that the event plays backward exactly: the value an attribute event
-// replaces, the endpoints of an edge being deleted.
-func (dg *DeltaGraph) admitLocked(ev *graph.Event) bool {
-	grow := 0
-	switch ev.Type {
-	case graph.AddNode:
-		if dg.cur.HasNode(ev.Node) {
-			return false
-		}
-		grow = 1
-	case graph.AddEdge:
-		// Edge ids are never reused: an add of a live edge is a duplicate
-		// whatever endpoints it names.
-		if dg.cur.HasEdge(ev.Edge) {
-			return false
-		}
-		grow = 1
-	case graph.DelNode:
-		present, attrs := dg.cur.NodeImage(ev.Node)
-		if grow = -held(present, attrs); grow == 0 {
-			return false
-		}
-	case graph.DelEdge:
-		info, present, attrs := dg.cur.EdgeImage(ev.Edge)
-		if grow = -held(present, attrs); grow == 0 {
-			return false
-		}
-		if present {
-			ev.Node, ev.Node2, ev.Directed = info.From, info.To, info.Directed
-		}
-	case graph.SetNodeAttr, graph.SetEdgeAttr:
-		ev.Old, ev.HadOld = dg.attrCur(ev)
-		switch {
-		case ev.HasNew && !ev.HadOld:
-			grow = 1
-		case ev.HasNew && ev.New == ev.Old, !ev.HasNew && !ev.HadOld:
-			return false
-		case !ev.HasNew:
-			grow = -1
-		}
-	}
-	dg.curSize += grow
-	return true
-}
-
-// held counts what a graph holds of one element as graph.Snapshot.Size
-// counts it.
-func held(present bool, attrs map[string]string) int {
-	if present {
-		return 1 + len(attrs)
-	}
-	return len(attrs)
-}
-
-// attrCur returns the value the current graph gives the attribute an
-// attribute event names. An element that is there answers for itself; the
-// whole image is read only for one that is not, which may hold values all the
-// same.
-func (dg *DeltaGraph) attrCur(ev *graph.Event) (string, bool) {
-	var attrs map[string]string
-	switch {
-	case ev.Type == graph.SetEdgeAttr && dg.cur.HasEdge(ev.Edge):
-		return dg.cur.EdgeAttr(ev.Edge, ev.Attr)
-	case ev.Type == graph.SetEdgeAttr:
-		_, _, attrs = dg.cur.EdgeImage(ev.Edge)
-	case dg.cur.HasNode(ev.Node):
-		return dg.cur.NodeAttr(ev.Node, ev.Attr)
-	default:
-		_, attrs = dg.cur.NodeImage(ev.Node)
-	}
-	val, ok := attrs[ev.Attr]
-	return val, ok
 }
 
 // SetObserver registers a callback for the cost of construction that a

@@ -441,7 +441,7 @@ func TestIntervalQuery(t *testing.T) {
 	}
 	// Reference: elements whose add events fall in [ts, te); transient
 	// events in window. An attribute set to the value it already has is no
-	// event of the history (appendLocked drops it).
+	// event of the history (AppendAllCounted drops it).
 	wantGraph, cur := graph.NewSnapshot(), graph.NewSnapshot()
 	var wantTrans int
 	for _, ev := range events {

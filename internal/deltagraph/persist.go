@@ -440,7 +440,7 @@ func Open(opts Options) (*DeltaGraph, error) {
 				if c.OnCurrent {
 					from = graphpool.CurrentGraph
 				}
-				dg.pending[level][i].graph = dg.commitLocked(from, func(b *graphpool.Build) { b.ApplyDelta(d) })
+				dg.pending[level][i].graph = dg.commitLocked(from, d)
 			}
 		}
 	} else {
@@ -457,7 +457,7 @@ func Open(opts Options) (*DeltaGraph, error) {
 			}
 			d.Apply(w)
 			whole := delta.FromSnapshot(w)
-			dg.pending[level][i].graph = dg.commitLocked(graphpool.NoDependency, func(b *graphpool.Build) { b.ApplyDelta(whole) })
+			dg.pending[level][i].graph = dg.commitLocked(graphpool.NoDependency, whole)
 			return w, nil
 		})
 		if err != nil {

@@ -463,7 +463,7 @@ func TestOpenReadsV3Checkpoint(t *testing.T) {
 	}
 	// The fixture's payloads are in stored format 3, a never-closed index's
 	// in format 4: they differ in bytes and must decode alike.
-	old, fresh := payloads(t, fs, 1, 1, re.nextDeltaID), payloads(t, never.store, 1, 1, never.nextDeltaID)
+	old, fresh := payloads(t, fs, 1, 1, re.nextDeltaID, kvstore.ComponentAuxBase), payloads(t, never.store, 1, 1, never.nextDeltaID, kvstore.ComponentAuxBase)
 	if first := string(kvstore.EncodeKey(0, 1, kvstore.ComponentStruct)); bytes.Equal(old[first], fresh[first]) {
 		t.Fatal("the fixture's first payload is in the format written now")
 	}
@@ -874,7 +874,7 @@ func TestReopenDifferential(t *testing.T) {
 			if re.nextDeltaID != never.nextDeltaID {
 				t.Fatalf("next delta id %d, a never-closed index has %d", re.nextDeltaID, never.nextDeltaID)
 			}
-			samePayloads(t, "permanent payloads", payloads(t, fs, 1, 1, re.nextDeltaID), payloads(t, never.store, 1, 1, never.nextDeltaID))
+			samePayloads(t, "permanent payloads", payloads(t, fs, 1, 1, re.nextDeltaID, kvstore.ComponentAuxBase), payloads(t, never.store, 1, 1, never.nextDeltaID, kvstore.ComponentAuxBase))
 			for _, q := range reopenTimes(re) {
 				got, err := re.GetAuxSnapshot("degree", q)
 				if err != nil {
@@ -933,7 +933,7 @@ func TestReopenAtEveryStep(t *testing.T) {
 			if dg.nextDeltaID != never.nextDeltaID {
 				t.Fatalf("%s: next delta id %d, a never-closed index has %d", what, dg.nextDeltaID, never.nextDeltaID)
 			}
-			samePayloads(t, what, payloads(t, store, 1, 1, dg.nextDeltaID), payloads(t, never.store, 1, 1, never.nextDeltaID))
+			samePayloads(t, what, payloads(t, store, 1, 1, dg.nextDeltaID, kvstore.ComponentAuxBase), payloads(t, never.store, 1, 1, never.nextDeltaID, kvstore.ComponentAuxBase))
 			checkAgainstReference(t, dg, events, allAttrs, probeTimes(events, 20))
 		}
 	}

@@ -607,21 +607,31 @@ func (dg *DeltaGraph) GetSnapshots(ts []graph.Time, opts graph.AttrOptions) ([]*
 	return dg.snapshotsLocked(ts, opts)
 }
 
-// snapshotsLocked plans the graphs at ts, builds them in the pool and copies
-// each out, its structure alone for a read that wants no attribute, then
-// releases it: a clean pass reclaims it, or alloc before it hands out a bit
-// past 63.
+// snapshotsLocked builds the graphs at ts in the pool and copies each out,
+// its structure alone for a read that wants no attribute, then releases it:
+// a clean pass reclaims it, or alloc before it hands out a bit past 63. A
+// single time is built as Retrieve builds it, so that a read near the head
+// or a materialized node is a dependent graph that touches only its
+// exceptions, and one at the head touches no element at all.
 func (dg *DeltaGraph) snapshotsLocked(ts []graph.Time, opts graph.AttrOptions) ([]*graph.Snapshot, error) {
-	if len(ts) == 0 {
+	var ids []graphpool.GraphID
+	switch len(ts) {
+	case 0:
 		return nil, nil
-	}
-	tree, _, err := dg.planLocked(ts, selectorFor(opts, nil))
-	if err != nil {
-		return nil, err
-	}
-	ids, err := dg.buildLocked(tree, ts, graphpool.KindHistorical, opts, false)
-	if err != nil {
-		return nil, err
+	case 1:
+		id, err := dg.retrieveLocked(ts[0], opts)
+		if err != nil {
+			return nil, err
+		}
+		ids = []graphpool.GraphID{id}
+	default:
+		tree, _, err := dg.planLocked(ts, selectorFor(opts, nil))
+		if err != nil {
+			return nil, err
+		}
+		if ids, err = dg.buildLocked(tree, ts, graphpool.KindHistorical, opts, false); err != nil {
+			return nil, err
+		}
 	}
 	snaps := make([]*graph.Snapshot, len(ids))
 	for i, id := range ids {
@@ -841,6 +851,11 @@ func (dg *DeltaGraph) Retrieve(t graph.Time, opts graph.AttrOptions) (graphpool.
 	// Held through the commit: a dependent of the current graph is registered
 	// against the current graph it was built on.
 	defer dg.mu.RUnlock()
+	return dg.retrieveLocked(t, opts)
+}
+
+// retrieveLocked is Retrieve under the read lock.
+func (dg *DeltaGraph) retrieveLocked(t graph.Time, opts graph.AttrOptions) (graphpool.GraphID, error) {
 	if t >= dg.lastTime {
 		// The head (routeTo) is the current graph as it stands: a dependent of
 		// it with no exceptions, which touches no element.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"historygraph/internal/delta"
 	"historygraph/internal/graph"
 )
 
@@ -82,27 +83,42 @@ func BenchmarkPoolCopyCurrent(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolForEachDiffering measures a parent's walk at a cut on the same
-// pool: the ids on which a copy of the current graph, taken a leaf of 256
-// events ago, differs from the current graph now.
-func BenchmarkPoolForEachDiffering(b *testing.B) {
+// BenchmarkPoolCombine measures a parent's walk at a cut on the same pool,
+// as the index makes it: the parent of a copy of the current graph, taken a
+// leaf of 256 events ago and let go of, and the current graph now, written
+// over the copy, with the delta to each. The copy is taken and the events
+// undone off the clock.
+func BenchmarkPoolCombine(b *testing.B) {
 	p, _ := shapedPool()
-	build, err := p.NewBuild(CurrentGraph, false, allAttrs)
-	if err != nil {
-		b.Fatal(err)
+	edges := func(typ graph.EventType) {
+		for e := graph.EdgeID(1); e <= 256; e++ {
+			p.ApplyEvent(graph.Event{Type: typ, Edge: shapeEdges + e, Node: graph.NodeID(e), Node2: graph.NodeID(e + 1)})
+		}
+		p.ClearRecent()
 	}
-	ids := []GraphID{build.Commit(KindMaterialized, 0)}
-	for e := graph.EdgeID(1); e <= 256; e++ {
-		p.ApplyEvent(graph.Event{Type: graph.AddEdge, Edge: shapeEdges + e, Node: graph.NodeID(e), Node2: graph.NodeID(e + 1)})
-	}
-	named := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.ForEachDiffering(ids, func(graph.NodeID) { named++ }, func(graph.EdgeID) { named++ })
-	}
-	if named != 256*b.N {
-		b.Fatalf("%d ids named in %d walks, want 256 a walk", named, b.N)
+		b.StopTimer()
+		build, err := p.NewBuild(CurrentGraph, false, allAttrs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		old := build.Commit(KindMaterialized, 0)
+		edges(graph.AddEdge)
+		b.StartTimer()
+		made, err := p.Combine([]GraphID{old, CurrentGraph}, []bool{true, false}, delta.Intersection{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if n := made.Deltas[1].Len(); n != 256 {
+			b.Fatalf("the delta to the current graph has %d records, want the 256 edges", n)
+		}
+		_ = p.Release(made.Parent.ID())
+		edges(graph.DelEdge)
+		p.CleanNow()
+		b.StartTimer()
 	}
 }
 

@@ -137,73 +137,6 @@ func (b *Build) ApplyEvents(evs []graph.Event, back bool) {
 	}
 }
 
-// SetNode makes node n in b what another graph has it as: held or not
-// (present), with exactly the attribute values attrs, of the attributes b
-// was retrieved with. attrs is read, not kept.
-func (b *Build) SetNode(n graph.NodeID, present bool, attrs map[string]string) {
-	p, e := b.p, b.e
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pn := p.findNode(n)
-	if pn == nil && !present && len(attrs) == 0 {
-		return // b holds nothing of a node the pool has no record of
-	} else if pn == nil {
-		pn = p.node(n)
-	}
-	in := p.put(e, pn.bits(), present)
-	e.nodeCount += in
-	l := pn.vals
-	if len(attrs) > 0 {
-		l = pn.list()
-	}
-	if p.setValues(e, l, attrs, e.attrs.WantNodeAttr) || in < 0 {
-		e.outNodes = append(e.outNodes, n)
-	}
-}
-
-// SetEdge is SetNode for edge id, held between the endpoints info.
-func (b *Build) SetEdge(id graph.EdgeID, info graph.EdgeInfo, present bool, attrs map[string]string) {
-	p, e := b.p, b.e
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := false
-	if pe := p.held(e.m, id); pe != nil && (!present || p.info(pe) != info) {
-		e.edgeCount += p.put(e, pe.bits(), false)
-		out = true
-	}
-	if present {
-		e.edgeCount += p.put(e, p.edge(id, info).bits(), true)
-	}
-	l := p.edgeVals[id]
-	if len(attrs) > 0 {
-		l = p.values(id)
-	}
-	if p.setValues(e, l, attrs, e.attrs.WantEdgeAttr) || out {
-		e.outEdges = append(e.outEdges, id)
-	}
-}
-
-// setValues makes the values the graph e holds in l, one element's, exactly
-// attrs, of the attributes want admits, and reports whether it took any out.
-// The caller holds the write lock.
-func (p *Pool) setValues(e *graphEntry, l *attrList, attrs map[string]string, want func(string) bool) (out bool) {
-	held := l.all()
-	for i := range held {
-		name := p.strs[held[i].name()]
-		if v, ok := attrs[name]; (ok && v == p.strs[held[i].val]) || !want(name) || !p.has(e.m, held[i].bits()) {
-			continue
-		}
-		p.put(e, held[i].bits(), false)
-		out = true
-	}
-	for k, v := range attrs {
-		if want(k) {
-			p.put(e, p.value(l, p.str(k), k, v), true)
-		}
-	}
-	return out
-}
-
 // Commit enters b into the graph table as a graph of the given kind,
 // retrieved for at, and returns its ID; b is spent. What the build took out
 // again and no graph holds, a record or a value, leaves the pool first.

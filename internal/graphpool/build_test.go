@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"historygraph/internal/delta"
@@ -14,7 +15,7 @@ import (
 // takes out again before it is committed — a node with a value, an edge
 // with a value, a value given and taken back — leaves no record, value or
 // exception behind, whether the graph is explicit or a dependent of the
-// current graph, built from events, undone events, a delta or images. The pool then
+// current graph, built from events, undone events or a delta. The pool then
 // holds the elements it held before the build while the graph is held, and,
 // once the lists the build grew are grown, as many bytes.
 func TestBuildLeavesNothingBehind(t *testing.T) {
@@ -45,7 +46,7 @@ func TestBuildLeavesNothingBehind(t *testing.T) {
 	there.ApplyAll(passing[:4])
 	for pass := 0; pass < 2; pass++ {
 		for _, dependent := range []bool{false, true} {
-			for _, how := range []string{"events", "undone", "delta", "images"} {
+			for _, how := range []string{"events", "undone", "delta"} {
 				before, st := p.ApproxBytes(), p.Stats()
 				b, err := p.NewBuild(CurrentGraph, dependent, allAttrs)
 				if err != nil {
@@ -61,15 +62,6 @@ func TestBuildLeavesNothingBehind(t *testing.T) {
 					b.ApplyDelta(delta.FromSnapshot(there))
 					b.ApplyDelta(&delta.Delta{DelNodes: []graph.NodeID{9}, DelEdges: []delta.EdgeRec{{ID: 7, From: 9, To: 1}},
 						DelNodeAttrs: []delta.NodeAttrRec{{Node: 9, Attr: "a"}}, DelEdgeAttrs: []delta.EdgeAttrRec{{Edge: 7, From: 9, Attr: "w"}}})
-				case "images": // each element set to what another graph has, edge 1 between other nodes, then set back
-					b.SetNode(9, true, map[string]string{"a": "y"})
-					b.SetEdge(7, graph.EdgeInfo{From: 9, To: 1}, true, map[string]string{"w": "2"})
-					b.SetNode(1, true, map[string]string{"a": "z"})
-					b.SetEdge(1, graph.EdgeInfo{From: 2, To: 1}, true, nil)
-					b.SetEdge(1, graph.EdgeInfo{From: 1, To: 2}, true, nil)
-					b.SetNode(1, true, map[string]string{"a": "x"})
-					b.SetEdge(7, graph.EdgeInfo{}, false, nil)
-					b.SetNode(9, false, nil)
 				}
 				id := b.Commit(KindHistorical, 1)
 				v, _ := p.View(id)
@@ -101,12 +93,47 @@ func TestBuildLeavesNothingBehind(t *testing.T) {
 	}
 }
 
-// TestForEachDiffering: the walk names, once each, exactly the ids on which
-// one of the graphs it is given holds another image than the current graph:
+// recorder decides as its function does and notes the elements Combine asks
+// it to decide, and how often it asks Member of each.
+type recorder struct {
+	delta.Differential
+	nodes   map[graph.NodeID]bool
+	edges   map[graph.EdgeID]bool
+	members map[[2]int64]int
+}
+
+func newRecorder(f delta.Differential) *recorder {
+	return &recorder{f, map[graph.NodeID]bool{}, map[graph.EdgeID]bool{}, map[[2]int64]int{}}
+}
+
+func (r *recorder) note(kind graph.ElementKind, id int64) {
+	if kind == graph.KindNode {
+		r.nodes[graph.NodeID(id)] = true
+	} else {
+		r.edges[graph.EdgeID(id)] = true
+	}
+}
+
+func (r *recorder) Member(kind graph.ElementKind, id int64, kids []int32) int32 {
+	r.note(kind, id)
+	r.members[[2]int64{int64(kind), id}]++
+	return r.Differential.Member(kind, id, kids)
+}
+
+func (r *recorder) Value(kind graph.ElementKind, id int64, attr string, kids, vals []int32) int32 {
+	r.note(kind, id)
+	return r.Differential.Value(kind, id, attr, kids, vals)
+}
+
+// TestCombine: the walk decides, once each, exactly the ids on which one of
+// the graphs it is given holds another image than the current graph —
 // membership, an edge's endpoints (an id two graphs hold between different
-// nodes), an attribute value, a value on an id the graph does not contain.
-// Ids on which only a graph it is not given differs are not named.
-func TestForEachDiffering(t *testing.T) {
+// nodes), an attribute value, a value on an id the graph does not contain —
+// or, for Empty, anything at all; ids on which only a graph it is not given
+// differs are not decided, and the parent holds them as the current graph
+// does. Each delta it writes, sorted, is delta.Compute's between the child
+// and the parent, and Grow is the difference of their sizes.
+func TestCombine(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const ids = 24
 	draw := func() *graph.Snapshot {
@@ -138,44 +165,73 @@ func TestForEachDiffering(t *testing.T) {
 		infoB, inB := b.Edges[e]
 		return inA == inB && infoA == infoB && maps.Equal(a.EdgeAttrs[e], b.EdgeAttrs[e])
 	}
-	named := 0
+	decided := 0
 	for round := range 40 {
-		p := New()
-		cur := draw()
-		p.LoadCurrent(cur)
-		var given []GraphID
-		var graphs []*graph.Snapshot
-		for i := range 4 {
-			s := draw()
-			id := p.OverlayMaterialized(s)
-			if i < 2 {
-				given, graphs = append(given, id), append(graphs, s)
-			}
-		}
-		gotNodes, gotEdges := map[graph.NodeID]int{}, map[graph.EdgeID]int{}
-		p.ForEachDiffering(given, func(n graph.NodeID) { gotNodes[n]++ }, func(e graph.EdgeID) { gotEdges[e]++ })
-		for i := 1; i <= ids; i++ {
-			n, e := graph.NodeID(i), graph.EdgeID(i)
-			wantNode, wantEdge := 0, 0
-			for _, s := range graphs {
-				if !sameNode(s, cur, n) {
-					wantNode = 1
-				}
-				if !sameEdge(s, cur, e) {
-					wantEdge = 1
+		for _, f := range []delta.Differential{delta.Intersection{}, delta.Union{}, delta.Balanced(), delta.Empty{}} {
+			p := New()
+			cur := draw()
+			p.LoadCurrent(cur)
+			var given []GraphID
+			var graphs []*graph.Snapshot
+			for i := range 4 {
+				s := draw()
+				id := p.OverlayMaterialized(s)
+				if i < 2 {
+					given, graphs = append(given, id), append(graphs, s)
 				}
 			}
-			if gotNodes[n] != wantNode || gotEdges[e] != wantEdge {
-				t.Fatalf("round %d: node %d named %d times, want %d; edge %d named %d times, want %d",
-					round, n, gotNodes[n], wantNode, e, gotEdges[e], wantEdge)
+			base := cur
+			if !f.Elementwise() {
+				base = graph.NewSnapshot()
 			}
-			named += wantNode + wantEdge
-		}
-		if len(gotNodes)+len(gotEdges) > 2*ids {
-			t.Fatalf("round %d: ids named that no graph holds", round)
+			rec := newRecorder(f)
+			made, err := p.Combine(given, make([]bool, len(given)), rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			where := fmt.Sprintf("round %d, %s", round, f.Name())
+			parent := made.Parent.Snapshot()
+			for i := 1; i <= ids; i++ {
+				n, e := graph.NodeID(i), graph.EdgeID(i)
+				wantNode, wantEdge := false, false
+				for _, s := range graphs {
+					wantNode = wantNode || !sameNode(s, base, n)
+					wantEdge = wantEdge || !sameEdge(s, base, e)
+				}
+				if rec.nodes[n] != wantNode || rec.edges[e] != wantEdge {
+					t.Fatalf("%s: node %d decided %v, want %v; edge %d decided %v, want %v", where, n, rec.nodes[n], wantNode, e, rec.edges[e], wantEdge)
+				}
+				if (!wantNode && !sameNode(parent, base, n)) || (!wantEdge && !sameEdge(parent, base, e)) {
+					t.Fatalf("%s: the parent holds node %d or edge %d, which no child differs on, otherwise than the base", where, n, e)
+				}
+				if _, inAll := graphs[0].Nodes[n]; f.Name() == "intersection" {
+					_, in1 := graphs[1].Nodes[n]
+					if _, got := parent.Nodes[n]; got != (inAll && in1) {
+						t.Fatalf("%s: the parent holds node %d: %v, the children %v and %v", where, n, got, inAll, in1)
+					}
+				}
+				if wantNode {
+					decided++
+				}
+			}
+			for key, n := range rec.members {
+				if n > 1 {
+					t.Fatalf("%s: Member asked %d times of element %v", where, n, key)
+				}
+			}
+			for i, d := range made.Deltas {
+				d.SortStable()
+				if want := delta.Compute(graphs[i], parent); !reflect.DeepEqual(d, want) {
+					t.Fatalf("%s: the delta to child %d is %+v, delta.Compute finds %+v", where, i, d, want)
+				}
+			}
+			if made.Grow != parent.Size()-graphs[0].Size() || made.Parent.NumNodes() != len(parent.Nodes) || made.Parent.NumEdges() != len(parent.Edges) {
+				t.Fatalf("%s: grows %d, counts %d nodes and %d edges; the parent is %d larger, with %d and %d", where,
+					made.Grow, made.Parent.NumNodes(), made.Parent.NumEdges(), parent.Size()-graphs[0].Size(), len(parent.Nodes), len(parent.Edges))
+			}
 		}
 	}
-	if named == 0 {
+	if decided == 0 {
 		t.Fatal("no id differed: the draws cover nothing")
 	}
 
@@ -188,9 +244,15 @@ func TestForEachDiffering(t *testing.T) {
 	cur, other := graph.NewSnapshot(), graph.NewSnapshot()
 	cur.Edges[1], other.Edges[1] = graph.EdgeInfo{From: 2, To: 3}, graph.EdgeInfo{From: 3, To: 4}
 	p.LoadCurrent(cur)
-	edges := 0
-	p.ForEachDiffering([]GraphID{p.OverlayMaterialized(other)}, func(graph.NodeID) {}, func(graph.EdgeID) { edges++ })
-	if edges != 1 {
-		t.Fatalf("an edge held between other nodes than the current graph's, on records past the first, named %d times", edges)
+	rec := newRecorder(delta.Union{})
+	made, err := p.Combine([]GraphID{p.OverlayMaterialized(other), CurrentGraph}, []bool{false, false}, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rec.members[[2]int64{int64(graph.KindEdge), 1}]; n != 1 {
+		t.Fatalf("an edge held between other nodes than the current graph's, on records past the first, decided %d times", n)
+	}
+	if info, ok := made.Parent.EdgeInfo(1); !ok || info != cur.Edges[1] {
+		t.Fatalf("the union of the edge as two graphs hold it is %v (%v), want the newer's, %v", info, ok, cur.Edges[1])
 	}
 }

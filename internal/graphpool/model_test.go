@@ -338,7 +338,6 @@ func (m *poolModel) check(step int) {
 		if v.NumNodes() != len(want.Nodes) || v.NumEdges() != len(want.Edges) {
 			fail("NumNodes %d NumEdges %d, want %d and %d", v.NumNodes(), v.NumEdges(), len(want.Nodes), len(want.Edges))
 		}
-		checkHeld(t, fmt.Sprintf("step %d, %s", step, g.label), v, want)
 		f := v.Freeze()
 		frozen := map[graph.NodeID]bool{}
 		f.ForEachNode(func(n graph.NodeID) bool { frozen[n] = true; return true })

@@ -893,6 +893,108 @@ func (p *Pool) ApplyEvent(ev graph.Event) {
 	p.applyEvent(p.graphs[CurrentGraph], ev)
 }
 
+// Admission holds the pool's write lock for a run of events on the current
+// graph, so that an index admits and applies a whole batch under one lock
+// (Admit). No View method may be called while it is held: a view takes the
+// read lock, which waits for this one. Let go of it (Pause) around anything
+// that calls into the pool.
+type Admission struct {
+	p   *Pool
+	cur *graphEntry
+}
+
+// Admit takes the pool's write lock for an Admission, until Pause.
+func (p *Pool) Admit() *Admission {
+	p.mu.Lock()
+	return &Admission{p, p.graphs[CurrentGraph]}
+}
+
+// Pause lets go of the write lock; Resume takes it again.
+func (a *Admission) Pause() { a.p.mu.Unlock() }
+
+// Resume takes the write lock again after Pause.
+func (a *Admission) Resume() { a.p.mu.Lock() }
+
+// Check reads what ev is about to do to the current graph off the record of
+// its element and reports whether it changes anything: an add of an element
+// that is there (an edge id on any endpoints), a delete of one the graph
+// holds nothing of, and an attribute set to the value it has, or removed
+// where there is none, do not. For one that does, it returns what the event
+// adds to the graph's size as graph.Snapshot.Size counts it, and writes into
+// ev what the graph knows: the value an attribute event replaces (Old,
+// HadOld) and the endpoints of an edge being deleted.
+func (a *Admission) Check(ev *graph.Event) (grow int, changes bool) {
+	p, m := a.p, a.cur.m
+	switch ev.Type {
+	case graph.AddNode:
+		pn := p.findNode(ev.Node)
+		return 1, pn == nil || !p.has(m, pn.bits())
+	case graph.AddEdge:
+		return 1, p.held(m, ev.Edge) == nil
+	case graph.DelNode:
+		pn := p.findNode(ev.Node)
+		if pn == nil {
+			return 0, false
+		}
+		n := p.heldValues(m, pn.vals)
+		if p.has(m, pn.bits()) {
+			n++
+		}
+		return -n, n > 0
+	case graph.DelEdge:
+		n := p.heldValues(m, p.edgeVals[ev.Edge])
+		if pe := p.held(m, ev.Edge); pe != nil {
+			info := p.info(pe)
+			ev.Node, ev.Node2, ev.Directed = info.From, info.To, info.Directed
+			n++
+		}
+		return -n, n > 0
+	case graph.SetNodeAttr, graph.SetEdgeAttr:
+		l := p.edgeVals[ev.Edge]
+		if ev.Type == graph.SetNodeAttr {
+			l = p.findNode(ev.Node).values()
+		}
+		ev.Old, ev.HadOld = p.valueIn(m, l, ev.Attr)
+		switch {
+		case ev.HasNew && !ev.HadOld:
+			return 1, true
+		case ev.HasNew && ev.New == ev.Old, !ev.HasNew && !ev.HadOld:
+			return 0, false
+		case !ev.HasNew:
+			return -1, true
+		}
+	}
+	return 0, true
+}
+
+// Apply applies ev to the current graph, as ApplyEvent does.
+func (a *Admission) Apply(ev graph.Event) { a.p.applyEvent(a.cur, ev) }
+
+// heldValues counts the attributes in l to which the graph with the
+// membership test m gives a value.
+func (p *Pool) heldValues(m membership, l *attrList) int {
+	n, answered := 0, noStr // values of one name are adjacent
+	attrs := l.all()
+	for i := range attrs {
+		if av := &attrs[i]; av.name() != answered && p.has(m, av.bits()) {
+			n, answered = n+1, av.name()
+		}
+	}
+	return n
+}
+
+// valueIn returns the value the graph with the membership test m gives
+// attribute attr in l: the first of the name's values it holds.
+func (p *Pool) valueIn(m membership, l *attrList, attr string) (string, bool) {
+	attrs := l.all()
+	for i, hi := l.run(p.str(attr)); i < hi; i++ {
+		if p.has(m, attrs[i].bits()) {
+			return p.strs[attrs[i].val], true
+		}
+	}
+	return "", false
+}
+
 // applyEvent applies ev to the graph e in place, as graph.Snapshot.Apply
 // does: a delete takes the element's attribute values with it, an attribute
 // may be set on an element that is not there, and an edge added again has

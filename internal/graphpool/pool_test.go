@@ -584,48 +584,48 @@ func checkSlots(t *testing.T, p *Pool, where string) {
 	}
 }
 
-// checkDiffering holds ForEachDiffering, which tests inline words itself, to
+// checkDiffering holds Combine's walk, which tests inline words itself, to
 // has: for the graphs on the lowest, the middle and the highest bit in the
-// table, it names each id once on which has answers for one of them
-// otherwise than for the current graph.
+// table as children, and for the explicit graphs below bit 64 (whose inline
+// words the walk reads with masks), it finds a child differing from the
+// current graph on exactly the records and values on which has answers for
+// one of them otherwise than for the current graph. It writes nothing.
 func checkDiffering(t *testing.T, p *Pool, where string) {
 	t.Helper()
-	type key struct {
-		node bool
-		id   int64
-	}
 	all := slices.SortedFunc(maps.Keys(p.graphs), func(a, b GraphID) int { return p.graphs[a].bit - p.graphs[b].bit })
-	ids := slices.Compact([]GraphID{all[0], all[len(all)/2], all[len(all)-1]})
-	differs := func(b bitmap) bool {
-		for _, id := range ids {
-			if p.has(p.graphs[id].m, b) != p.has(p.graphs[CurrentGraph].m, b) {
-				return true
+	var spread, explicit []membership
+	for _, id := range slices.Compact([]GraphID{all[0], all[len(all)/2], all[len(all)-1]}) {
+		spread = append(spread, p.graphs[id].m)
+	}
+	for _, id := range all {
+		if m := p.graphs[id].m; m.exc < 0 && m.mem < 64 {
+			explicit = append(explicit, m)
+		}
+	}
+	cur := p.graphs[CurrentGraph].m
+	for _, w := range []combineWalk{newCombineWalk(p, nil, spread, cur), newCombineWalk(p, nil, explicit, cur)} {
+		check := func(b bitmap) {
+			in := p.has(cur, b)
+			differs := slices.ContainsFunc(w.kids, func(m membership) bool { return p.has(m, b) != in })
+			if got, base := w.differs(b); got != differs || base != in {
+				t.Fatalf("%s: the walk (masks %v) reads a child differing from the current graph %v, the current graph holding it %v, on a bitmap (spilled %v); has says %v and %v",
+					where, w.inline, got, base, b.spilled(), differs, in)
 			}
 		}
-		return false
-	}
-	valueDiffers := func(l *attrList) bool {
-		return slices.ContainsFunc(l.all(), func(av attrVal) bool { return differs(av.bits()) })
-	}
-	want, got := map[key]int{}, map[key]int{}
-	for id, pn := range p.nodes {
-		if differs(pn.bits()) || valueDiffers(pn.vals) {
-			want[key{true, int64(id)}] = 1
+		for _, pn := range p.nodes {
+			check(pn.bits())
+			for i := range pn.vals.all() {
+				check((*pn.vals)[i].bits())
+			}
 		}
-	}
-	for id, pe := range p.records {
-		if differs(pe.bits()) {
-			want[key{false, int64(id)}] = 1
+		for _, pe := range p.records {
+			check(pe.bits())
 		}
-	}
-	for id, l := range p.edgeVals {
-		if valueDiffers(l) {
-			want[key{false, int64(id)}] = 1
+		for _, l := range p.edgeVals {
+			for i := range *l {
+				check((*l)[i].bits())
+			}
 		}
-	}
-	p.ForEachDiffering(ids, func(n graph.NodeID) { got[key{true, int64(n)}]++ }, func(e graph.EdgeID) { got[key{false, int64(e)}]++ })
-	if !maps.Equal(got, want) {
-		t.Fatalf("%s: ForEachDiffering names %v (each with its count), has %v", where, got, want)
 	}
 }
 
@@ -1076,7 +1076,6 @@ func TestEndpointRecordsLeaveWithTheirEdges(t *testing.T) {
 			if got := g.v.Nodes(); len(got) != len(g.want.Nodes) {
 				t.Errorf("%s lists nodes %v, has %d", where, got, len(g.want.Nodes))
 			}
-			checkHeld(t, where, g.v, g.want)
 			for _, n := range tc.endpoint {
 				checkAdjacency(t, where, g.v, g.want, n)
 			}
@@ -1111,8 +1110,8 @@ func TestEndpointRecordsLeaveWithTheirEdges(t *testing.T) {
 // attributes (they go too: NN 1, UNA 1 a=x, DN 1, NN 1 leaves node 1 bare),
 // attributes set on ids never added and on deleted ones, re-adds, with
 // ClearRecent and a reload falling in between. The current graph's view
-// says so whole (Snapshot) and by the element (NodeImage, EdgeImage), and
-// other graphs in the pool are not disturbed.
+// says so whole (Snapshot), an Admission reads each event as Apply takes it
+// (checkAdmission), and other graphs in the pool are not disturbed.
 // checkAdjacency holds what v says of the edges at n, locked and frozen, to
 // the snapshot s of the same graph.
 func checkAdjacency(t *testing.T, where string, v *View, s *graph.Snapshot, n graph.NodeID) {
@@ -1150,24 +1149,33 @@ func checkAdjacency(t *testing.T, where string, v *View, s *graph.Snapshot, n gr
 	}
 }
 
-// checkHeld: ForEachHeld visits, once each, the ids the snapshot s of the same
-// graph has anything of, members or not.
-func checkHeld(t *testing.T, where string, v *View, s *graph.Snapshot) {
+// checkAdmission holds what an Admission reads of ev against the current
+// graph to what graph.Snapshot.Apply does with it to want, the same graph:
+// whether it changes anything, by how much the size grows, the value it
+// replaces and the endpoints of the edge it deletes. It applies nothing.
+func checkAdmission(t *testing.T, where string, p *Pool, want *graph.Snapshot, ev graph.Event) {
 	t.Helper()
-	nodes, edges := maps.Clone(s.NodeAttrs), maps.Clone(s.EdgeAttrs) // for their keys
-	for n := range s.Nodes {
-		nodes[n] = nil
+	a := p.Admit()
+	got := ev
+	grow, changes := a.Check(&got)
+	a.Pause()
+	next := want.Clone()
+	next.Apply(ev)
+	if changes == next.Equal(want) || (changes && grow != next.Size()-want.Size()) {
+		t.Fatalf("%s: Check reads changes %v, growth %d; Snapshot.Apply grows %d and changes %v", where, changes, grow, next.Size()-want.Size(), !next.Equal(want))
 	}
-	for e := range s.Edges {
-		edges[e] = nil
+	var old map[string]string
+	switch ev.Type {
+	case graph.SetNodeAttr:
+		old = want.NodeAttrs[ev.Node]
+	case graph.SetEdgeAttr:
+		old = want.EdgeAttrs[ev.Edge]
 	}
-	var gotNodes []graph.NodeID
-	var gotEdges []graph.EdgeID
-	v.ForEachHeld(func(n graph.NodeID) { gotNodes = append(gotNodes, n) }, func(e graph.EdgeID) { gotEdges = append(gotEdges, e) })
-	slices.Sort(gotNodes)
-	slices.Sort(gotEdges)
-	if wantNodes, wantEdges := slices.Sorted(maps.Keys(nodes)), slices.Sorted(maps.Keys(edges)); !slices.Equal(gotNodes, wantNodes) || !slices.Equal(gotEdges, wantEdges) {
-		t.Fatalf("%s: ForEachHeld visits nodes %v and edges %v, the graph holds something of %v and %v", where, gotNodes, gotEdges, wantNodes, wantEdges)
+	if v, ok := old[ev.Attr]; old != nil && (got.Old != v || got.HadOld != ok) {
+		t.Fatalf("%s: Check reads the old value %q (%v), want %q (%v)", where, got.Old, got.HadOld, v, ok)
+	}
+	if info, ok := want.Edges[ev.Edge]; ok && ev.Type == graph.DelEdge && (got.Node != info.From || got.Node2 != info.To || got.Directed != info.Directed) {
+		t.Fatalf("%s: Check reads the endpoints %d-%d, want %v", where, got.Node, got.Node2, info)
 	}
 }
 
@@ -1179,8 +1187,8 @@ func TestCurrentGraphIsSnapshotApply(t *testing.T) {
 	} {
 		p.ApplyEvent(ev)
 	}
-	if present, attrs := p.Current().NodeImage(1); !present || attrs != nil || p.Current().NodeAttrs(1) != nil {
-		t.Fatalf("a node deleted with an attribute on it and added again: present %v with %v, want it bare", present, attrs)
+	if s := p.Current().Snapshot(); !p.Current().HasNode(1) || s.NodeAttrs[1] != nil || p.Current().NodeAttrs(1) != nil {
+		t.Fatalf("a node deleted with an attribute on it and added again: present %v with %v, want it bare", p.Current().HasNode(1), s.NodeAttrs[1])
 	}
 
 	// An edge id deleted and added again between other nodes, while a graph
@@ -1248,6 +1256,7 @@ func TestCurrentGraphIsSnapshotApply(t *testing.T) {
 			} else if live && ev.Type == graph.DelEdge { // and it knows the endpoints of a live edge
 				ev.Node, ev.Node2 = info.From, info.To
 			}
+			checkAdmission(t, fmt.Sprintf("seed %d, event %d (%+v)", seed, i, ev), p, want, ev)
 			p.ApplyEvent(ev)
 			want.Apply(ev)
 			switch rng.Intn(12) {
@@ -1264,17 +1273,14 @@ func TestCurrentGraphIsSnapshotApply(t *testing.T) {
 			if cur.NumNodes() != len(want.Nodes) || cur.NumEdges() != len(want.Edges) {
 				t.Fatalf("seed %d, after event %d: counts %d and %d, want %d and %d", seed, i, cur.NumNodes(), cur.NumEdges(), len(want.Nodes), len(want.Edges))
 			}
-			_, wantNode := want.Nodes[node]
-			if present, attrs := cur.NodeImage(node); present != wantNode || fmt.Sprint(attrs) != fmt.Sprint(want.NodeAttrs[node]) {
-				t.Fatalf("seed %d, after event %d: NodeImage(%d) = %v, %v; want %v, %v", seed, i, node, present, attrs, wantNode, want.NodeAttrs[node])
-			}
-			wantInfo, wantEdge := want.Edges[edge]
-			if info, present, attrs := cur.EdgeImage(edge); present != wantEdge || info != wantInfo || fmt.Sprint(attrs) != fmt.Sprint(want.EdgeAttrs[edge]) {
-				t.Fatalf("seed %d, after event %d: EdgeImage(%d) = %v, %v, %v; want %v, %v, %v", seed, i, edge, info, present, attrs, wantInfo, wantEdge, want.EdgeAttrs[edge])
+			for _, probe := range []graph.Event{
+				{Type: graph.DelNode, Node: node}, {Type: graph.DelEdge, Edge: edge},
+				{Type: graph.SetNodeAttr, Node: node, Attr: "w"}, {Type: graph.SetEdgeAttr, Edge: edge, Attr: "z", New: "1", HasNew: true},
+			} {
+				checkAdmission(t, fmt.Sprintf("seed %d, after event %d", seed, i), p, want, probe)
 			}
 			where := fmt.Sprintf("seed %d, after event %d (%+v): the current graph", seed, i, ev)
 			checkAdjacency(t, where, cur, want, node)
-			checkHeld(t, where, cur, want)
 			heldView, _ := p.View(heldID)
 			checkAdjacency(t, where+" set beside a graph that", heldView, held, node)
 			if i%16 == 0 { // the other graph once more, as what it differs from the current graph in
@@ -1287,7 +1293,6 @@ func TestCurrentGraphIsSnapshotApply(t *testing.T) {
 					t.Fatalf("%s has a dependent with edges %v attrs %v, want %v %v", where, got.Edges, got.EdgeAttrs, held.Edges, held.EdgeAttrs)
 				}
 				checkAdjacency(t, where+" has a dependent that", dep, held, node)
-				checkHeld(t, where+" has a dependent that", dep, held)
 				if err := p.Release(depID); err != nil {
 					t.Fatal(err)
 				}
@@ -1321,9 +1326,8 @@ func TestCurrentGraphIsSnapshotApply(t *testing.T) {
 // string leaves as many strings live as the first cycle did, in a table one
 // larger at most. The
 // walks see no freed slot and no bit a slot held before:
-// Structure, ForEachDiffering and ForEachHeld agree with the snapshots the
-// graphs are, and the pool walks as many records as one that only ever held
-// the current graph.
+// Structure and Combine agree with the snapshots the graphs are, and the
+// pool walks as many records as one that only ever held the current graph.
 func TestPoolSlotsReused(t *testing.T) {
 	p, history := shapedPool()
 	rng := rand.New(rand.NewSource(27)) // shapedPool's events again, for the model
@@ -1414,13 +1418,22 @@ func TestPoolSlotsReused(t *testing.T) {
 		if !v.Structure().Equal(want.structure) {
 			t.Fatalf("cycle %d: the view's Structure is not the snapshot it was overlaid from", cycle)
 		}
-		gotNodes, gotEdges := map[graph.NodeID]bool{}, map[graph.EdgeID]bool{}
-		p.ForEachDiffering([]GraphID{id}, func(n graph.NodeID) { gotNodes[n] = true }, func(e graph.EdgeID) { gotEdges[e] = true })
-		if !maps.Equal(gotNodes, want.nodes) || !maps.Equal(gotEdges, want.edges) {
-			t.Fatalf("cycle %d: ForEachDiffering names %d nodes and %d edges, the view differs from the current graph on %d and %d",
-				cycle, len(gotNodes), len(gotEdges), len(want.nodes), len(want.edges))
+		rec := newRecorder(delta.Intersection{})
+		made, err := p.Combine([]GraphID{id}, []bool{true}, rec) // the parent of one child is the child, on its bit
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := p.Release(id); err != nil {
+		if !maps.Equal(rec.nodes, want.nodes) || !maps.Equal(rec.edges, want.edges) {
+			t.Fatalf("cycle %d: Combine decides %d nodes and %d edges, the view differs from the current graph on %d and %d",
+				cycle, len(rec.nodes), len(rec.edges), len(want.nodes), len(want.edges))
+		}
+		if made.Grow != 0 || made.Deltas[0].Len() != 0 {
+			t.Fatalf("cycle %d: the parent of one child is %d larger than the child, %d records away", cycle, made.Grow, made.Deltas[0].Len())
+		}
+		if _, err := p.View(id); err == nil || made.Parent.entry.bit != v.entry.bit {
+			t.Fatalf("cycle %d: the parent took bit %d, not the spent child's %d, or left the child readable", cycle, made.Parent.entry.bit, v.entry.bit)
+		}
+		if err := p.Release(made.Parent.ID()); err != nil {
 			t.Fatal(err)
 		}
 		p.CleanNow()
@@ -1442,7 +1455,6 @@ func TestPoolSlotsReused(t *testing.T) {
 			if !p.Current().Structure().Equal(curStructure) {
 				t.Fatalf("cycle %d: the current graph's Structure is not the model's", cycle)
 			}
-			checkHeld(t, fmt.Sprintf("cycle %d: the current graph", cycle), p.Current(), cur)
 		}
 	}
 	if alts == 0 {

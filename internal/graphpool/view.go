@@ -125,103 +125,6 @@ func (v *View) ForEachEdge(fn func(graph.EdgeID, graph.EdgeInfo) bool) {
 	}
 }
 
-// ForEachHeld calls node, then edge, once for every id this graph holds
-// anything of: a member, or an id that is not one and carries attribute
-// values all the same (see NodeImage), which ForEachNode and ForEachEdge do
-// not visit. It is Snapshot's walk without the copy. The pool's read lock is
-// held for the duration; neither function may call into the pool.
-func (v *View) ForEachHeld(node func(graph.NodeID), edge func(graph.EdgeID)) {
-	v.p.mu.RLock()
-	defer v.p.mu.RUnlock()
-	holds := func(l *attrList, node bool) bool {
-		attrs := l.all()
-		for i := range attrs {
-			if av := &attrs[i]; v.has(av.bits()) && v.admits(node, v.p.strs[av.name()]) {
-				return true
-			}
-		}
-		return false
-	}
-	for id, pn := range v.p.nodes {
-		if v.has(pn.bits()) || holds(pn.vals, true) {
-			node(id)
-		}
-	}
-	for id, pe := range v.p.records {
-		if v.has(pe.bits()) { // a graph holds an edge id on one record at most
-			edge(id)
-		}
-	}
-	for id, l := range v.p.edgeVals {
-		if holds(l, false) && v.p.held(v.entry.m, id) == nil {
-			edge(id)
-		}
-	}
-}
-
-// ForEachDiffering calls node, then edge, once for every id on which one of
-// the graphs ids differs from the current graph: a record or an attribute
-// value that one of the two holds and the other does not. It reads the
-// bitmaps only, in one walk of the pool. The pool's read lock is held for the
-// duration; neither function may call into the pool.
-func (p *Pool) ForEachDiffering(ids []GraphID, node func(graph.NodeID), edge func(graph.EdgeID)) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	cur := p.graphs[CurrentGraph].m
-	var ms []membership
-	for _, id := range ids {
-		if e := p.graphs[id]; e != nil && id != CurrentGraph {
-			ms = append(ms, e.m)
-		}
-	}
-	differs := func(b bitmap) bool {
-		// has, inlined for a bitmap with no spill slot: has does not
-		// inline, and a call per graph made the walk half as slow again.
-		if w := *b.first; !b.spilled() {
-			in := cur.holds(w)
-			for _, m := range ms {
-				if m.holds(w) != in {
-					return true
-				}
-			}
-			return false
-		}
-		in := p.has(cur, b)
-		for _, m := range ms {
-			if p.has(m, b) != in {
-				return true
-			}
-		}
-		return false
-	}
-	valueDiffers := func(l *attrList) bool {
-		attrs := l.all()
-		for i := range attrs {
-			if differs(attrs[i].bits()) {
-				return true
-			}
-		}
-		return false
-	}
-	for id, pn := range p.nodes {
-		if differs(pn.bits()) || valueDiffers(pn.vals) {
-			node(id)
-		}
-	}
-	named := map[graph.EdgeID]bool{} // the ids a record differs on, of which there are few
-	for id, pe := range p.records {
-		if differs(pe.bits()) && !named[id] {
-			named[id] = true
-			edge(id)
-		}
-	}
-	for id, l := range p.edgeVals {
-		if valueDiffers(l) && !named[id] {
-			edge(id)
-		}
-	}
-}
-
 // Nodes returns all node IDs in this graph (unordered).
 func (v *View) Nodes() []graph.NodeID {
 	out := make([]graph.NodeID, 0, v.NumNodes())
@@ -296,13 +199,7 @@ func (v *View) valueOf(l *attrList, node bool, attr string) (string, bool) {
 	if !v.admits(node, attr) {
 		return "", false
 	}
-	attrs := l.all()
-	for i, hi := l.run(v.p.str(attr)); i < hi; i++ {
-		if v.has(attrs[i].bits()) {
-			return v.p.strs[attrs[i].val], true
-		}
-	}
-	return "", false
+	return v.p.valueIn(v.entry.m, l, attr)
 }
 
 // attrsOf collects the attributes in l of one node (else edge) in this graph
@@ -372,34 +269,10 @@ func (v *View) EdgeAttrs(e graph.EdgeID) map[string]string {
 	return v.attrsOf(v.p.edgeVals[e], false)
 }
 
-// NodeImage returns what this graph holds of node n: whether n is in it,
-// and the attribute values it gives n. A graph can hold values for a node
-// it does not contain (a history may set an attribute on an id it never
-// added, or on one it deleted), which NodeAttrs, answering for the nodes of
-// the graph, does not show.
-func (v *View) NodeImage(n graph.NodeID) (present bool, attrs map[string]string) {
-	v.p.mu.RLock()
-	defer v.p.mu.RUnlock()
-	if pn := v.p.findNode(n); pn != nil {
-		present, attrs = v.has(pn.bits()), v.attrsOf(pn.vals, true)
-	}
-	return present, attrs
-}
-
-// EdgeImage is NodeImage for an edge; info is the zero value unless the
-// edge is present.
-func (v *View) EdgeImage(e graph.EdgeID) (info graph.EdgeInfo, present bool, attrs map[string]string) {
-	v.p.mu.RLock()
-	defer v.p.mu.RUnlock()
-	if pe := v.p.held(v.entry.m, e); pe != nil {
-		info, present = v.p.info(pe), true
-	}
-	return info, present, v.attrsOf(v.p.edgeVals[e], false)
-}
-
 // Snapshot extracts a full set-based copy of this graph out of the pool:
 // its nodes and edges, and every attribute value it holds, those of
-// elements it does not contain among them (see NodeImage).
+// elements it does not contain among them: a history may set an attribute on
+// an id it never added, or on one it deleted.
 func (v *View) Snapshot() *graph.Snapshot {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
