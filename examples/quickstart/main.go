@@ -67,7 +67,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for e, info := range diff.Edges {
+	diff.ForEachEdge(func(e historygraph.EdgeID, info historygraph.EdgeInfo) bool {
 		fmt.Printf("edge %d (%d-%d) existed at t=5 but not at t=7\n", e, info.From, info.To)
-	}
+		return true
+	})
+	gm.Release(diff)
 }

@@ -79,7 +79,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("of the edges at t=%d: %d survived to t=%d, %d were deleted\n",
-		t1, len(survived.Edges), t2, len(gone.Edges))
+		t1, survived.NumEdges(), t2, gone.NumEdges())
+	gm.Release(survived)
+	gm.Release(gone)
 
 	// Materialization: pin the root's children and compare a query's
 	// planner cost before/after.

@@ -285,7 +285,11 @@ func (gm *GraphManager) GetHistGraph(t Time, attrOptions string) (*HistGraph, er
 	if err != nil {
 		return nil, err
 	}
-	id, err := gm.dg.Retrieve(t, opts)
+	return gm.view(gm.dg.Retrieve(t, opts))
+}
+
+// view is a view of the graph a retrieval answered with.
+func (gm *GraphManager) view(id GraphID, err error) (*HistGraph, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -334,14 +338,18 @@ func (gm *GraphManager) GetHistSnapshot(t Time, attrOptions string) (*Snapshot, 
 	return gm.dg.GetSnapshot(t, opts)
 }
 
-// GetHistGraphExpr retrieves the hypothetical graph matching a
-// TimeExpression (e.g. t1 ∧ ¬t2).
-func (gm *GraphManager) GetHistGraphExpr(tex TimeExpression, attrOptions string) (*Snapshot, error) {
+// GetHistGraphExpr retrieves into the GraphPool the hypothetical graph
+// matching a TimeExpression (e.g. t1 ∧ ¬t2), the paper's
+// GetHistGraph(TimeExpression): a node, an edge or an attribute value is in
+// it when the expression holds over which of the graphs at the times hold
+// it. It is evaluated in one walk of the pool over those graphs, which lets
+// go of them. Release it as GetHistGraph's.
+func (gm *GraphManager) GetHistGraphExpr(tex TimeExpression, attrOptions string) (*HistGraph, error) {
 	opts, err := graph.ParseAttrOptions(attrOptions)
 	if err != nil {
 		return nil, err
 	}
-	return gm.dg.GetExpression(tex, opts)
+	return gm.view(gm.dg.RetrieveExpression(tex, opts))
 }
 
 // GetHistGraphInterval retrieves all elements added during [ts, te) plus

@@ -92,9 +92,10 @@ func TestEndToEndLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(expr.Edges) != 2 {
-		t.Errorf("expression edges = %d, want 2", len(expr.Edges))
+	if expr.NumEdges() != 2 {
+		t.Errorf("expression edges = %d, want 2", expr.NumEdges())
 	}
+	gm.Release(expr)
 
 	// Interval query.
 	ir, err := gm.GetHistGraphInterval(4, 7, "")

@@ -597,8 +597,8 @@ func (s *failingStore) Put(key, val []byte) error {
 }
 
 // TestBuilderPutErrorIsKept: a put the builder fails is not lost with the
-// goroutine that met it. The next append, read (at the head too), Checkpoint
-// and Close return it.
+// goroutine that met it. The next append, read (at the head too, and of an
+// expression), Checkpoint and Close return it.
 func TestBuilderPutErrorIsKept(t *testing.T) {
 	events := makeTrace(36, 1000)
 	store := &failingStore{Store: kvstore.NewMemStore()}
@@ -632,8 +632,12 @@ func TestBuilderPutErrorIsKept(t *testing.T) {
 		"GetSnapshot": func() error { _, err := dg.GetSnapshot(past, allAttrs); return err },
 		"at the head": func() error { _, err := dg.GetSnapshot(dg.LastTime(), allAttrs); return err },
 		"GetInterval": func() error { _, err := dg.GetInterval(past, past+10, allAttrs); return err },
-		"Checkpoint":  dg.Checkpoint,
-		"Flush":       dg.Flush,
+		"Expression": func() error {
+			_, err := dg.RetrieveExpression(TimeExpression{Times: []graph.Time{past, past + 10}, Expr: And{Var(0), Not{Var(1)}}}, allAttrs)
+			return err
+		},
+		"Checkpoint": dg.Checkpoint,
+		"Flush":      dg.Flush,
 	} {
 		if err := call(); !errors.Is(err, errPutFailed) {
 			t.Errorf("%s after a failed put: %v", what, err)

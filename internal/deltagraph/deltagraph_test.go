@@ -477,7 +477,7 @@ func TestTimeExpressionQuery(t *testing.T) {
 	_, last := events.Span()
 	t1, t2 := last/3, 2*last/3
 	// Elements valid at t1 but not at t2.
-	out, err := dg.GetExpression(TimeExpression{
+	out, err := expression(dg, TimeExpression{
 		Times: []graph.Time{t1, t2},
 		Expr:  And{Var(0), Not{E: Var(1)}},
 	}, allAttrs)
@@ -505,14 +505,14 @@ func TestTimeExpressionQuery(t *testing.T) {
 		t.Errorf("edges = %d, want %d", len(out.Edges), want)
 	}
 	// Or / Var behavior sanity.
-	union, err := dg.GetExpression(TimeExpression{Times: []graph.Time{t1, t2}, Expr: Or{Var(0), Var(1)}}, allAttrs)
+	union, err := expression(dg, TimeExpression{Times: []graph.Time{t1, t2}, Expr: Or{Var(0), Var(1)}}, allAttrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(union.Nodes) < len(s1.Nodes) || len(union.Nodes) < len(s2.Nodes) {
 		t.Error("union smaller than operands")
 	}
-	if _, err := dg.GetExpression(TimeExpression{}, allAttrs); err == nil {
+	if _, err := dg.RetrieveExpression(TimeExpression{}, allAttrs); err == nil {
 		t.Error("empty expression accepted")
 	}
 }
@@ -616,14 +616,14 @@ func TestQueryAtTimeZeroAndEarly(t *testing.T) {
 // TestEveryReadMatchesReplay: every graph that Retrieve, RetrieveMany,
 // GetSnapshot and GetSnapshots build is the replay of the trace at its time
 // (graph.SnapshotAt, filtered to the read's attributes), and so is
-// GetExpression of one timepoint — at random times, structure only, with one
+// RetrieveExpression of one timepoint — at random times, structure only, with one
 // node attribute and with all, on indexes with nothing, the root and every
 // leaf materialized, one of them partitioned. Between them the reads build
 // every kind of graph: a dependent of the current graph, a dependent of a
 // materialized one, an explicit one, and multipoint plans that fork. Once
 // every graph is released and cleaned the pool holds what it held before the
-// reads, to the byte, the graphs the map-returning calls built and released
-// among them.
+// reads, to the byte, the graphs the map-returning calls and the expression
+// built and released among them.
 //
 // lenientTrace sets attributes on absent elements and moves edge ids, and
 // there the replay is not the index's answer: a multipoint plan may undo an
@@ -682,7 +682,7 @@ func TestEveryReadMatchesReplay(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					expr, err := dg.GetExpression(TimeExpression{Times: rd.ts, Expr: Var(0)}, rd.opts)
+					expr, err := expression(dg, TimeExpression{Times: rd.ts, Expr: Var(0)}, rd.opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -706,7 +706,7 @@ func TestEveryReadMatchesReplay(t *testing.T) {
 								t.Fatalf("%s: GetSnapshot(s) at %d of %v, %v, differs from the replay", name, at, rd.ts, rd.opts)
 							}
 							if i == 0 && !expr.Equal(want) {
-								t.Fatalf("%s: GetExpression of %d alone over %v, %v, differs from the replay", name, at, rd.ts, rd.opts)
+								t.Fatalf("%s: RetrieveExpression of %d alone over %v, %v, differs from the replay", name, at, rd.ts, rd.opts)
 							}
 						}
 						v, err := pool.View(id)

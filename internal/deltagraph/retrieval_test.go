@@ -120,11 +120,11 @@ func TestReadOnce(t *testing.T) {
 
 			cs.reset()
 			tex := TimeExpression{Times: ts[:3], Expr: And{Var(0), Not{Var(2)}}}
-			if _, err := dg.GetExpression(tex, allAttrs); err != nil {
+			if _, err := expression(dg, tex, allAttrs); err != nil {
 				t.Fatal(err)
 			}
 			if gets, repeats, _ := cs.read(); repeats != 0 {
-				t.Errorf("%s: GetExpression read %d of %d keys again", name, repeats, gets)
+				t.Errorf("%s: RetrieveExpression read %d of %d keys again", name, repeats, gets)
 			}
 		}
 	}

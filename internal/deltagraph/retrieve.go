@@ -2,12 +2,11 @@ package deltagraph
 
 import (
 	"fmt"
-	"iter"
-	"maps"
 	"math"
 	"slices"
 	"sort"
 
+	"historygraph/internal/delta"
 	"historygraph/internal/graph"
 	"historygraph/internal/graphpool"
 	"historygraph/internal/kvstore"
@@ -35,9 +34,10 @@ import (
 //   - One executor walks the tree once, copying what it builds where the tree
 //     branches. Nothing stored is read twice in one call. It builds graphs
 //     under construction in the GraphPool: Retrieve, RetrieveMany and
-//     materialization answer with them, and the calls that hand back maps
-//     (GetSnapshot, GetSnapshots, GetExpression) copy each out and release
-//     it. An aux query walks the same tree over aux snapshots (aux.go).
+//     materialization answer with them, RetrieveExpression with the one graph
+//     a walk of the pool evaluates them into, and the calls that hand back
+//     maps (GetSnapshot, GetSnapshots) copy each out and release it. An aux
+//     query walks the same tree over aux snapshots (aux.go).
 
 const bytesPerRecentEvent = 24 // planning estimate for in-memory events
 
@@ -599,39 +599,31 @@ func (dg *DeltaGraph) PlanCost(t graph.Time, opts graph.AttrOptions) (int64, err
 // eventlist segments instead of each paying a full root-to-leaf path, and
 // those that do pay it share the part they have in common. Results are
 // returned in the order of ts.
+//
+// Each graph is built in the pool and copied out, its structure alone for a
+// read that wants no attribute, then released: a clean pass reclaims it, or
+// alloc before it hands out a bit past 63. A single time is built as Retrieve
+// builds it, so that a read near the head or a materialized node is a
+// dependent graph that touches only its exceptions, and one at the head
+// touches no element at all.
 func (dg *DeltaGraph) GetSnapshots(ts []graph.Time, opts graph.AttrOptions) ([]*graph.Snapshot, error) {
 	if err := dg.rlockBuilt(); err != nil {
 		return nil, err
 	}
 	defer dg.mu.RUnlock()
-	return dg.snapshotsLocked(ts, opts)
-}
-
-// snapshotsLocked builds the graphs at ts in the pool and copies each out,
-// its structure alone for a read that wants no attribute, then releases it:
-// a clean pass reclaims it, or alloc before it hands out a bit past 63. A
-// single time is built as Retrieve builds it, so that a read near the head
-// or a materialized node is a dependent graph that touches only its
-// exceptions, and one at the head touches no element at all.
-func (dg *DeltaGraph) snapshotsLocked(ts []graph.Time, opts graph.AttrOptions) ([]*graph.Snapshot, error) {
 	var ids []graphpool.GraphID
+	var err error
 	switch len(ts) {
 	case 0:
 		return nil, nil
 	case 1:
-		id, err := dg.retrieveLocked(ts[0], opts)
-		if err != nil {
-			return nil, err
-		}
-		ids = []graphpool.GraphID{id}
+		ids = []graphpool.GraphID{0}
+		ids[0], err = dg.retrieveLocked(ts[0], opts)
 	default:
-		tree, _, err := dg.planLocked(ts, selectorFor(opts, nil))
-		if err != nil {
-			return nil, err
-		}
-		if ids, err = dg.buildLocked(tree, ts, graphpool.KindHistorical, opts, false); err != nil {
-			return nil, err
-		}
+		ids, err = dg.retrieveManyLocked(ts, opts)
+	}
+	if err != nil {
+		return nil, err
 	}
 	snaps := make([]*graph.Snapshot, len(ids))
 	for i, id := range ids {
@@ -753,89 +745,86 @@ type TimeExpression struct {
 	Expr  TimeExpr
 }
 
-// GetExpression retrieves the hypothetical graph whose elements satisfy
-// the TimeExpression: the snapshots at every timepoint are fetched with
-// multipoint retrieval and combined element-wise. Attribute entries are
-// treated as elements (identity includes the value).
-func (dg *DeltaGraph) GetExpression(tex TimeExpression, opts graph.AttrOptions) (*graph.Snapshot, error) {
-	if len(tex.Times) == 0 || tex.Expr == nil {
-		return nil, fmt.Errorf("deltagraph: empty TimeExpression")
-	}
-	if err := dg.rlockBuilt(); err != nil {
-		return nil, err
-	}
-	snaps, err := dg.snapshotsLocked(tex.Times, opts)
-	dg.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	out := graph.NewSnapshot()
-	satisfying(snaps, tex.Expr,
-		func(s *graph.Snapshot) iter.Seq2[graph.NodeID, struct{}] { return maps.All(s.Nodes) },
-		func(s *graph.Snapshot, n graph.NodeID) bool { _, ok := s.Nodes[n]; return ok },
-		func(n graph.NodeID, _ struct{}) { out.Nodes[n] = struct{}{} })
-	satisfying(snaps, tex.Expr,
-		func(s *graph.Snapshot) iter.Seq2[graph.EdgeID, graph.EdgeInfo] { return maps.All(s.Edges) },
-		func(s *graph.Snapshot, e graph.EdgeID) bool { _, ok := s.Edges[e]; return ok },
-		func(e graph.EdgeID, info graph.EdgeInfo) { out.Edges[e] = info })
-	attrsSatisfying(snaps, tex.Expr, func(s *graph.Snapshot) map[graph.NodeID]map[string]string { return s.NodeAttrs }, out.NodeAttrs)
-	attrsSatisfying(snaps, tex.Expr, func(s *graph.Snapshot) map[graph.EdgeID]map[string]string { return s.EdgeAttrs }, out.EdgeAttrs)
-	return out, nil
-}
-
-// satisfying visits every element some snapshot holds, once, and keeps
-// those whose membership across the snapshots satisfies expr: all lists a
-// snapshot's elements, has tests one.
-func satisfying[K comparable, V any](snaps []*graph.Snapshot, expr TimeExpr,
-	all func(*graph.Snapshot) iter.Seq2[K, V], has func(*graph.Snapshot, K) bool, keep func(K, V)) {
-	seen := make(map[K]struct{})
-	member := make([]bool, len(snaps))
-	for _, s := range snaps {
-		for k, v := range all(s) {
-			if _, ok := seen[k]; ok {
-				continue
-			}
-			seen[k] = struct{}{}
-			for i, si := range snaps {
-				member[i] = has(si, k)
-			}
-			if expr.Eval(member) {
-				keep(k, v)
+// checkExpr rejects an expression with a nil operand or a Var outside
+// [0, k), which would fail its Eval halfway through a walk.
+func checkExpr(e TimeExpr, k int) error {
+	switch e := e.(type) {
+	case nil:
+		return fmt.Errorf("deltagraph: nil operand in a TimeExpression")
+	case Var:
+		if e < 0 || int(e) >= k {
+			return fmt.Errorf("deltagraph: TimeExpression variable %d outside [0, %d)", e, k)
+		}
+	case Not:
+		return checkExpr(e.E, k)
+	case And:
+		return checkExpr(Or(e), k) // the same operands
+	case Or:
+		for _, o := range e {
+			if err := checkExpr(o, k); err != nil {
+				return err
 			}
 		}
 	}
+	return nil
 }
 
-// attrEntry is one attribute entry as an element: the value is part of
-// its identity.
-type attrEntry[ID comparable] struct {
-	id   ID
-	k, v string
+// exprRule is a TimeExpr as a rule on the pool's walk over the graphs at its
+// times (delta.Differential). An element is in the graph it makes when the
+// expression holds over which of the graphs hold it, and so is an attribute
+// value, whose value is part of its identity. The rule is not element-wise,
+// so the walk visits only what some graph holds.
+type exprRule struct {
+	expr   TimeExpr
+	member []bool // one for each time
 }
 
-// attrsSatisfying is satisfying over the attribute entries of one kind of
-// element (of picks the node or the edge attributes), kept into out.
-func attrsSatisfying[ID comparable](snaps []*graph.Snapshot, expr TimeExpr,
-	of func(*graph.Snapshot) map[ID]map[string]string, out map[ID]map[string]string) {
-	satisfying(snaps, expr,
-		func(s *graph.Snapshot) iter.Seq2[attrEntry[ID], struct{}] {
-			return func(yield func(attrEntry[ID], struct{}) bool) {
-				for id, attrs := range of(s) {
-					for k, v := range attrs {
-						if !yield(attrEntry[ID]{id, k, v}, struct{}{}) {
-							return
-						}
-					}
-				}
-			}
-		},
-		func(s *graph.Snapshot, a attrEntry[ID]) bool { return of(s)[a.id][a.k] == a.v },
-		func(a attrEntry[ID], _ struct{}) {
-			if out[a.id] == nil {
-				out[a.id] = make(map[string]string)
-			}
-			out[a.id][a.k] = a.v
-		})
+func (exprRule) Name() string      { return "expression" }
+func (exprRule) Elementwise() bool { return false }
+
+// Member implements delta.Differential: the element as the first graph that
+// holds it holds it.
+func (r exprRule) Member(_ graph.ElementKind, _ int64, kids []int32) int32 {
+	for i, k := range kids {
+		r.member[i] = k != delta.Absent
+	}
+	if i := slices.Index(r.member, true); i >= 0 && r.expr.Eval(r.member) {
+		return kids[i]
+	}
+	return delta.Absent
+}
+
+// Value implements delta.Differential: of the values the expression holds
+// over, the one whose first holder comes latest among the times.
+func (r exprRule) Value(_ graph.ElementKind, _ int64, _ string, _, vals []int32) int32 {
+	v := delta.Absent
+	for i, val := range vals {
+		for j, other := range vals {
+			r.member[j] = other == val
+		}
+		if val != delta.Absent && slices.Index(vals, val) == i && r.expr.Eval(r.member) {
+			v = val
+		}
+	}
+	return v
+}
+
+// RetrieveExpression loads into the pool the hypothetical graph whose
+// elements satisfy the TimeExpression and returns its graph ID: the graphs at
+// its times are built as RetrieveMany builds them and evaluated into one in
+// one walk of the pool, which lets go of them (graphpool.Pool.Evaluate).
+func (dg *DeltaGraph) RetrieveExpression(tex TimeExpression, opts graph.AttrOptions) (graphpool.GraphID, error) {
+	if len(tex.Times) == 0 {
+		return 0, fmt.Errorf("deltagraph: empty TimeExpression")
+	}
+	if err := checkExpr(tex.Expr, len(tex.Times)); err != nil {
+		return 0, err
+	}
+	ids, err := dg.RetrieveMany(tex.Times, opts)
+	if err != nil {
+		return 0, err
+	}
+	return dg.pool.Evaluate(ids, exprRule{tex.Expr, make([]bool, len(ids))}, opts)
 }
 
 // Retrieve loads the snapshot at t into the GraphPool and returns its
@@ -899,6 +888,11 @@ func (dg *DeltaGraph) RetrieveMany(ts []graph.Time, opts graph.AttrOptions) ([]g
 		return nil, err
 	}
 	defer dg.mu.RUnlock()
+	return dg.retrieveManyLocked(ts, opts)
+}
+
+// retrieveManyLocked is RetrieveMany under the read lock.
+func (dg *DeltaGraph) retrieveManyLocked(ts []graph.Time, opts graph.AttrOptions) ([]graphpool.GraphID, error) {
 	tree, _, err := dg.planLocked(ts, selectorFor(opts, nil))
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"historygraph/internal/delta"
@@ -93,6 +94,29 @@ func TestBuildLeavesNothingBehind(t *testing.T) {
 	}
 }
 
+// drawGraph draws a graph over node and edge ids 1 to ids: each node and edge
+// in it or not, an edge between two pairs of nodes, a node or an edge with one
+// of two values or none.
+func drawGraph(rng *rand.Rand, ids int) *graph.Snapshot {
+	s := graph.NewSnapshot()
+	for i := 1; i <= ids; i++ {
+		n, e := graph.NodeID(i), graph.EdgeID(i)
+		if rng.Intn(2) == 0 {
+			s.Nodes[n] = struct{}{}
+		}
+		if rng.Intn(2) == 0 {
+			s.Edges[e] = graph.EdgeInfo{From: n, To: graph.NodeID(1 + (i+rng.Intn(2))%ids)}
+		}
+		if rng.Intn(3) == 0 {
+			s.NodeAttrs[n] = map[string]string{"a": fmt.Sprint(rng.Intn(2))}
+		}
+		if rng.Intn(3) == 0 {
+			s.EdgeAttrs[e] = map[string]string{"w": fmt.Sprint(rng.Intn(2))}
+		}
+	}
+	return s
+}
+
 // recorder decides as its function does and notes the elements Combine asks
 // it to decide, and how often it asks Member of each.
 type recorder struct {
@@ -136,25 +160,7 @@ func (r *recorder) Value(kind graph.ElementKind, id int64, attr string, kids, va
 func TestCombine(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const ids = 24
-	draw := func() *graph.Snapshot {
-		s := graph.NewSnapshot()
-		for i := 1; i <= ids; i++ {
-			n, e := graph.NodeID(i), graph.EdgeID(i)
-			if rng.Intn(2) == 0 {
-				s.Nodes[n] = struct{}{}
-			}
-			if rng.Intn(2) == 0 {
-				s.Edges[e] = graph.EdgeInfo{From: n, To: graph.NodeID(1 + (i+rng.Intn(2))%ids)}
-			}
-			if rng.Intn(3) == 0 {
-				s.NodeAttrs[n] = map[string]string{"a": fmt.Sprint(rng.Intn(2))}
-			}
-			if rng.Intn(3) == 0 {
-				s.EdgeAttrs[e] = map[string]string{"w": fmt.Sprint(rng.Intn(2))}
-			}
-		}
-		return s
-	}
+	draw := func() *graph.Snapshot { return drawGraph(rng, ids) }
 	sameNode := func(a, b *graph.Snapshot, n graph.NodeID) bool {
 		_, inA := a.Nodes[n]
 		_, inB := b.Nodes[n]
@@ -254,5 +260,87 @@ func TestCombine(t *testing.T) {
 	}
 	if info, ok := made.Parent.EdgeInfo(1); !ok || info != cur.Edges[1] {
 		t.Fatalf("the union of the edge as two graphs hold it is %v (%v), want the newer's, %v", info, ok, cur.Edges[1])
+	}
+}
+
+// TestEvaluate: Evaluate makes of its graphs the graph Combine makes of the
+// same graphs with the same function, as a historical graph that shows the
+// attributes it is given, on the lowest bit among them that an unpinned one
+// holds, and lets go of every one of them: with and without 64 graphs held
+// first, so that they are past bit 63, and with the lowest one pinned. Given a
+// graph that is not active, it changes nothing.
+func TestEvaluate(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	nodeAttrs := graph.MustParseAttrOptions("+node:all")
+	for round := range 10 {
+		for _, f := range []delta.Differential{delta.Intersection{}, delta.Union{}, delta.Empty{}} {
+			for _, hold := range []int{0, 64} {
+				for _, pin := range []bool{false, true} {
+					where := fmt.Sprintf("round %d, %s, %d held, pinned %v", round, f.Name(), hold, pin)
+					p := New()
+					p.LoadCurrent(drawGraph(rng, 24))
+					for range hold {
+						p.OverlayMaterialized(graph.NewSnapshot())
+					}
+					var given, again []GraphID
+					for range 3 {
+						s := drawGraph(rng, 24)
+						given, again = append(given, p.OverlayMaterialized(s)), append(again, p.OverlayMaterialized(s))
+					}
+					made, err := p.Combine(given, make([]bool, len(given)), f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts := allAttrs
+					if pin {
+						opts = nodeAttrs
+						if err := p.Pin(again[0]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					lowest := -1
+					for _, row := range p.MappingTable() {
+						if lowest < 0 && slices.Contains(again, row.ID) && (!pin || row.ID != again[0]) {
+							lowest = row.Bits[0]
+						}
+					}
+					st := p.Stats()
+					id, err := p.Evaluate(again, f, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					v, err := p.View(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := opts.FilterSnapshot(made.Parent.Snapshot()); !v.Snapshot().Equal(want) || v.NumNodes() != len(want.Nodes) || v.NumEdges() != len(want.Edges) {
+						t.Fatalf("%s: the graph evaluated is not the parent combined", where)
+					}
+					for _, row := range p.MappingTable() {
+						if row.ID == id && (row.Bits[0] != lowest || row.Kind != KindHistorical || (hold > 0) != (lowest >= 64)) {
+							t.Fatalf("%s: the graph is %v on bit %d, want historical on %d", where, row.Kind, row.Bits[0], lowest)
+						}
+					}
+					for _, kid := range again {
+						if _, err := p.View(kid); err == nil {
+							t.Fatalf("%s: graph %d is still active", where, kid)
+						}
+					}
+					if after := p.Stats(); after.ActiveGraphs-after.ReleasedGraphs != st.ActiveGraphs-st.ReleasedGraphs-len(again)+1 {
+						t.Fatalf("%s: %d graphs live after, %d before", where, after.ActiveGraphs-after.ReleasedGraphs, st.ActiveGraphs-st.ReleasedGraphs)
+					}
+				}
+			}
+		}
+	}
+
+	p := New()
+	kid := p.OverlayMaterialized(drawGraph(rng, 24))
+	bytes, st := p.ApproxBytes(), p.Stats()
+	if _, err := p.Evaluate([]GraphID{kid, kid + 1}, delta.Union{}, allAttrs); err == nil {
+		t.Fatal("a graph that is not active is evaluated")
+	}
+	if got, after := p.ApproxBytes(), p.Stats(); got != bytes || after != st {
+		t.Fatalf("a failed Evaluate leaves the pool at %d B, %+v; before %d B, %+v", got, after, bytes, st)
 	}
 }

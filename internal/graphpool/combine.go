@@ -3,6 +3,7 @@ package graphpool
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"historygraph/internal/bitset"
 	"historygraph/internal/delta"
@@ -42,33 +43,55 @@ var nobody = membership{exc: -1, mem: math.MaxInt32, dep: -1}
 // over, the parent is written over a copy of the base on a bit of its own. A
 // spent child's views must not be read again.
 func (p *Pool) Combine(kids []GraphID, spent []bool, f delta.Differential) (Combined, error) {
+	e := &graphEntry{kind: KindMaterialized, attrs: graph.AttrOptions{NodeAll: true, EdgeAll: true}}
+	w, err := p.combine(e, kids, spent, f, true)
+	if err != nil {
+		return Combined{}, err
+	}
+	return Combined{Parent: &View{p: p, entry: e}, Deltas: w.out, Grow: w.grow}, nil
+}
+
+// Evaluate enters into the pool, as a historical graph retrieved with attrs,
+// the graph f makes of the graphs kids, and returns its ID. It is Combine's
+// walk with every child spent and no delta made: the graph takes over the
+// lowest bit among them that is an explicit graph's no reader pins, else has
+// one of its own, and the children are let go of.
+func (p *Pool) Evaluate(kids []GraphID, f delta.Differential, attrs graph.AttrOptions) (GraphID, error) {
+	e := &graphEntry{kind: KindHistorical, attrs: attrs}
+	_, err := p.combine(e, kids, slices.Repeat([]bool{true}, len(kids)), f, false)
+	return e.id, err
+}
+
+// combine is Combine's walk, under the write lock: it enters e, its kind and
+// attributes set, into the pool, and makes the delta from it to each child
+// if deltas is set.
+func (p *Pool) combine(e *graphEntry, kids []GraphID, spent []bool, f delta.Differential, deltas bool) (combineWalk, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	entries, ms, over := make([]*graphEntry, len(kids)), make([]membership, len(kids)), -1
 	for i, id := range kids {
-		e := p.graphs[id]
+		c := p.graphs[id]
 		switch {
-		case e == nil || e.released:
-			return Combined{}, fmt.Errorf("graphpool: graph %d not active", id)
-		case spent[i] && (e.kind == KindCurrent || e.dependents > 0):
-			return Combined{}, fmt.Errorf("graphpool: graph %d cannot be let go of", id)
-		case spent[i] && e.pins == 0 && e.m.exc < 0 && (over < 0 || e.bit < entries[over].bit):
+		case c == nil || c.released:
+			return combineWalk{}, fmt.Errorf("graphpool: graph %d not active", id)
+		case spent[i] && (c.kind == KindCurrent || c.dependents > 0):
+			return combineWalk{}, fmt.Errorf("graphpool: graph %d cannot be let go of", id)
+		case spent[i] && c.pins == 0 && c.m.exc < 0 && (over < 0 || c.bit < entries[over].bit):
 			over = i
 		}
-		entries[i], ms[i] = e, e.m
+		entries[i], ms[i] = c, c.m
 	}
 	base := nobody
 	if f.Elementwise() {
 		base = p.graphs[CurrentGraph].m
 	}
-	w := newCombineWalk(p, f, ms, base)
-	e := &graphEntry{kind: KindMaterialized, dep: NoDependency, attrs: graph.AttrOptions{NodeAll: true, EdgeAll: true}}
+	w := newCombineWalk(p, f, ms, base, deltas)
 	if over >= 0 {
 		e.bit = entries[over].bit
 	} else if e.bit = p.alloc(1); base != nobody {
 		p.copyBits(base.mem, e.bit, 1)
 	}
-	e.m = membership{exc: -1, mem: e.bit, dep: -1}
+	e.m, e.dep = membership{exc: -1, mem: e.bit, dep: -1}, NoDependency
 	w.e = e
 
 	for _, pn := range p.nodes {
@@ -106,7 +129,7 @@ func (p *Pool) Combine(kids []GraphID, spent []bool, f delta.Differential) (Comb
 		}
 	}
 	p.reclaim()
-	return Combined{Parent: &View{p: p, entry: e}, Deltas: w.out, Grow: w.grow}, nil
+	return w, nil
 }
 
 // combineWalk is Combine's state: the children's and the base's membership
@@ -124,19 +147,22 @@ type combineWalk struct {
 	// The children's holds on the element (in) and on one of its attributes
 	// (vals) being decided: a node's token is 0, an edge's its record's
 	// index, a value's its index in its attribute's run.
-	in, vals     []int32
+	in, vals []int32
+	// The delta to each child, none if the walk makes none.
 	out          []*delta.Delta
 	grow         int
 	nodes, edges int
-	// The edge ids whose records differ, each with the children's tokens
-	// and the parent's at holds[at:at+len(kids)+1], for their values.
+	// The edge ids with values whose records differ, each with the
+	// children's tokens and the parent's at holds[at:at+len(kids)+1], for
+	// their values.
 	decided map[graph.EdgeID]int
 	holds   []int32
 }
 
-// newCombineWalk is the walk that tells the children kids from the base.
-func newCombineWalk(p *Pool, f delta.Differential, kids []membership, base membership) combineWalk {
-	w := combineWalk{p: p, f: f, kids: kids, base: base, in: make([]int32, len(kids)), vals: make([]int32, len(kids)), inline: true}
+// newCombineWalk is the walk that tells the children kids from the base,
+// making a delta to each if deltas is set.
+func newCombineWalk(p *Pool, f delta.Differential, kids []membership, base membership, deltas bool) combineWalk {
+	w := combineWalk{p: p, f: f, kids: kids, base: base, in: make([]int32, len(kids)), vals: make([]int32, len(kids)), inline: true, decided: map[graph.EdgeID]int{}}
 	for _, m := range append([]membership{base}, kids...) {
 		if m.exc >= 0 || (m.mem >= 64 && m != nobody) {
 			w.inline = false
@@ -144,7 +170,9 @@ func newCombineWalk(p *Pool, f delta.Differential, kids []membership, base membe
 	}
 	for _, m := range kids {
 		w.kidBits |= 1 << m.mem
-		w.out = append(w.out, &delta.Delta{})
+		if deltas {
+			w.out = append(w.out, &delta.Delta{})
+		}
 	}
 	if base != nobody {
 		w.baseBit = 1 << base.mem
@@ -285,8 +313,8 @@ func (w *combineWalk) values(kind graph.ElementKind, id int64, attrs []attrVal, 
 			out = w.put(run[k].bits(), int32(k) == v) || out
 		}
 		w.count(v, w.vals[0])
-		for j, kid := range w.vals {
-			switch {
+		for j := range w.out {
+			switch kid := w.vals[j]; {
 			case kid != delta.Absent && kid != v:
 				emit(j, attr, w.p.strs[run[kid].val], true)
 			case kid == delta.Absent && v != delta.Absent:
@@ -336,8 +364,8 @@ func (w *combineWalk) record(id graph.EdgeID, recs []uint32) {
 			}
 		}
 	}
-	if w.decided == nil {
-		w.decided = map[graph.EdgeID]int{}
+	if w.p.edgeVals[id] == nil {
+		return
 	}
 	w.decided[id] = len(w.holds)
 	w.holds = append(append(w.holds, w.in...), in)

@@ -603,7 +603,7 @@ func checkDiffering(t *testing.T, p *Pool, where string) {
 		}
 	}
 	cur := p.graphs[CurrentGraph].m
-	for _, w := range []combineWalk{newCombineWalk(p, nil, spread, cur), newCombineWalk(p, nil, explicit, cur)} {
+	for _, w := range []combineWalk{newCombineWalk(p, nil, spread, cur, false), newCombineWalk(p, nil, explicit, cur, false)} {
 		check := func(b bitmap) {
 			in := p.has(cur, b)
 			differs := slices.ContainsFunc(w.kids, func(m membership) bool { return p.has(m, b) != in })

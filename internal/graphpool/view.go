@@ -273,59 +273,48 @@ func (v *View) EdgeAttrs(e graph.EdgeID) map[string]string {
 // its nodes and edges, and every attribute value it holds, those of
 // elements it does not contain among them: a history may set an attribute on
 // an id it never added, or on one it deleted.
-func (v *View) Snapshot() *graph.Snapshot {
-	v.p.mu.RLock()
-	defer v.p.mu.RUnlock()
-	s := v.sized()
-	for id, pn := range v.p.nodes {
-		if v.has(pn.bits()) {
-			s.Nodes[id] = struct{}{}
-		}
-		if attrs := v.attrsOf(pn.vals, true); attrs != nil {
-			s.NodeAttrs[id] = attrs
-		}
-	}
-	for id, pe := range v.p.records {
-		if v.has(pe.bits()) {
-			s.Edges[id] = v.p.info(pe)
-		}
-	}
-	for id, l := range v.p.edgeVals {
-		if attrs := v.attrsOf(l, false); attrs != nil {
-			s.EdgeAttrs[id] = attrs
-		}
-	}
-	return s
-}
+func (v *View) Snapshot() *graph.Snapshot { return v.copyOut(true) }
 
 // Structure is Snapshot without the attribute values: a copy of this graph's
 // nodes and edges.
-func (v *View) Structure() *graph.Snapshot {
+func (v *View) Structure() *graph.Snapshot { return v.copyOut(false) }
+
+// copyOut is Snapshot, with the values only if attrs is set. The node and
+// edge maps have room for this graph's.
+func (v *View) copyOut(attrs bool) *graph.Snapshot {
 	v.p.mu.RLock()
 	defer v.p.mu.RUnlock()
-	s := v.sized()
-	for id, pn := range v.p.nodes {
-		if v.has(pn.bits()) {
-			s.Nodes[id] = struct{}{}
-		}
-	}
-	for id, pe := range v.p.records {
-		if v.has(pe.bits()) {
-			s.Edges[id] = v.p.info(pe)
-		}
-	}
-	return s
-}
-
-// sized returns an empty snapshot whose node and edge maps have room for this
-// graph's. The caller holds the read lock.
-func (v *View) sized() *graph.Snapshot {
-	return &graph.Snapshot{
+	s := &graph.Snapshot{
 		Nodes:     make(map[graph.NodeID]struct{}, v.entry.nodeCount),
 		Edges:     make(map[graph.EdgeID]graph.EdgeInfo, v.entry.edgeCount),
 		NodeAttrs: make(map[graph.NodeID]map[string]string),
 		EdgeAttrs: make(map[graph.EdgeID]map[string]string),
 	}
+	for id, pn := range v.p.nodes {
+		if v.has(pn.bits()) {
+			s.Nodes[id] = struct{}{}
+		}
+		if !attrs {
+			continue
+		}
+		if values := v.attrsOf(pn.vals, true); values != nil {
+			s.NodeAttrs[id] = values
+		}
+	}
+	for id, pe := range v.p.records {
+		if v.has(pe.bits()) {
+			s.Edges[id] = v.p.info(pe)
+		}
+	}
+	if !attrs {
+		return s
+	}
+	for id, l := range v.p.edgeVals {
+		if values := v.attrsOf(l, false); values != nil {
+			s.EdgeAttrs[id] = values
+		}
+	}
+	return s
 }
 
 // Bytes is what the pool holds for this graph, costed as ApproxBytes costs

@@ -549,12 +549,15 @@ func (s *Server) handleExpr(w http.ResponseWriter, r *http.Request) {
 	for _, t := range req.Times {
 		tex.Times = append(tex.Times, historygraph.Time(t))
 	}
-	snap, err := s.gm.Load().GetHistGraphExpr(tex, req.Attrs)
+	gm := s.gm.Load()
+	h, err := gm.GetHistGraphExpr(tex, req.Attrs)
 	if err != nil {
 		WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	WriteWire(w, r, http.StatusOK, snapshotOf(detached{snap}, 0, req.Full, s.ownership()))
+	out := snapshotOf(h, 0, req.Full, s.ownership())
+	gm.Release(h)
+	WriteWire(w, r, http.StatusOK, out)
 }
 
 // ApplyEvents records a run of events against the embedded GraphManager

@@ -161,21 +161,25 @@ func TestEndToEnd(t *testing.T) {
 			iv.NumNodes, iv.NumEdges, len(divRes.Graph.Nodes), len(divRes.Graph.Edges))
 	}
 
-	// TimeExpression: elements at mid still present at last.
-	expr, err := client.Expr(wire.ExprRequest{Times: []int64{int64(mid), int64(last)}, Expr: "0 & 1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	directExpr, err := gm.GetHistGraphExpr(historygraph.TimeExpression{
-		Times: []historygraph.Time{mid, last},
-		Expr:  historygraph.And{historygraph.Var(0), historygraph.Var(1)},
-	}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if expr.NumNodes != len(directExpr.Nodes) || expr.NumEdges != len(directExpr.Edges) {
-		t.Fatalf("expr: got %d/%d, want %d/%d",
-			expr.NumNodes, expr.NumEdges, len(directExpr.Nodes), len(directExpr.Edges))
+	// TimeExpression: elements at mid still present at last, byte for byte
+	// the copy of the graph the direct call retrieves.
+	for _, attrs := range []string{"", "+node:all+edge:all"} {
+		expr, err := client.Expr(wire.ExprRequest{Times: []int64{int64(mid), int64(last)}, Expr: "0 & 1", Attrs: attrs, Full: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := gm.GetHistGraphExpr(historygraph.TimeExpression{
+			Times: []historygraph.Time{mid, last},
+			Expr:  historygraph.And{historygraph.Var(0), historygraph.Var(1)},
+		}, attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := wire.JSON{}.Encode(SnapshotToJSON(h.Snapshot(), 0, true))
+		gm.Release(h)
+		if got, _ := (wire.JSON{}).Encode(expr); len(expr.Edges) == 0 || !bytes.Equal(got, want) {
+			t.Fatalf("expr %q with %d edges:\n got %.300s\nwant %.300s", attrs, len(expr.Edges), got, want)
+		}
 	}
 
 	// Live append over the wire, then re-query: the new node must appear.

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -225,19 +226,47 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			t.Fatal("merged transients out of time order")
 		}
 	}
+}
 
-	// TimeExpression: per-partition evaluation unions to the oracle's.
-	req := wire.ExprRequest{Times: []int64{int64(last / 2), int64(last)}, Expr: "0 & !1"}
-	expr, err := c.client.Expr(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oexpr, err := oclient.Expr(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if expr.NumNodes != oexpr.NumNodes || expr.NumEdges != oexpr.NumEdges {
-		t.Fatalf("expr: sharded %d/%d, oracle %d/%d", expr.NumNodes, expr.NumEdges, oexpr.NumNodes, oexpr.NumEdges)
+// TestShardedExprMatchesUnsharded: a TimeExpression decides each element
+// by itself, so per-partition evaluation merges to the unsharded server's
+// /expr byte for byte, counts only, structure and every attribute, on the
+// co-authorship trace and on a messy one (re-adds, deletes of absent
+// elements, attribute churn).
+func TestShardedExprMatchesUnsharded(t *testing.T) {
+	for name, events := range map[string]historygraph.EventList{"testEvents": testEvents(), "routableMessy": routableMessy(7, 3000)} {
+		gm, oclient, _ := oracle(t, events)
+		c := newCluster(t, events, 4, Config{})
+		last := gm.LastTime()
+		times := []int64{int64(last / 3), int64(2 * last / 3), int64(last)}
+		nonEmpty := 0
+		for _, expr := range []string{"0 & !1", "0 | 1", "!0 & 1", "0 & 1 & !2", "(0 | 1) & !2"} {
+			for _, req := range []wire.ExprRequest{
+				{Times: times, Expr: expr},
+				{Times: times, Expr: expr, Full: true},
+				{Times: times, Expr: expr, Attrs: "+node:all+edge:all", Full: true},
+			} {
+				got, err := c.client.Expr(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := oclient.Expr(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotBytes, _ := wire.JSON{}.Encode(got)
+				wantBytes, _ := wire.JSON{}.Encode(want)
+				if !bytes.Equal(gotBytes, wantBytes) {
+					t.Fatalf("%s: /expr %+v: sharded diverges from unsharded:\n got: %.400s\nwant: %.400s", name, req, gotBytes, wantBytes)
+				}
+				if want.NumNodes+want.NumEdges > 0 {
+					nonEmpty++
+				}
+			}
+		}
+		if nonEmpty == 0 {
+			t.Errorf("%s: every expression is empty", name)
+		}
 	}
 }
 
