@@ -1193,6 +1193,51 @@ func BenchmarkWorkerEncodedCacheHit(b *testing.B) {
 	b.Run("json-miss-encode", func(b *testing.B) { run(b, "json", -1) })
 }
 
+// BenchmarkWorkerSnapshotBody is the body a worker builds from a cached
+// view: the /snapshot handler on a recorder with the view cache warm and
+// the encoded-bytes cache off, so an iteration is the pool's ordered walk
+// and the encode, binary written straight from the walk, JSON through the
+// wire.Snapshot struct. The trace has the repository benchmark's shape
+// (Coauthorship 4000 authors, 16000 edges, 20 years, 10 attributes a node,
+// then Churn of 10000 adds and deletes); the read is a full one at the
+// trace's midpoint, structure only and with every attribute.
+func BenchmarkWorkerSnapshotBody(b *testing.B) {
+	base := datagen.Coauthorship(datagen.CoauthorshipConfig{Authors: 4000, Edges: 16000, Years: 20, AttrsPerNode: 10, Seed: 1})
+	events := datagen.Churn(base, datagen.ChurnConfig{Adds: 10000, Dels: 10000, Seed: 2})
+	gm, err := historygraph.BuildFrom(events, historygraph.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer gm.Close()
+	svc := server.New(gm, server.Config{EncodedCacheSize: -1})
+	defer svc.Close()
+	handler := svc.Handler()
+	first, last := events.Span()
+	mid := first + (last-first)/2
+	for _, attrs := range []struct{ name, q string }{{"none", ""}, {"all", "%2Bnode:all%2Bedge:all"}} {
+		for _, codec := range wire.Codecs() {
+			b.Run(attrs.name+"/"+codec.Name(), func(b *testing.B) {
+				serve := func() int {
+					req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/snapshot?t=%d&full=1&attrs=%s", mid, attrs.q), nil)
+					req.Header.Set("Accept", codec.ContentType())
+					rec := httptest.NewRecorder()
+					handler.ServeHTTP(rec, req)
+					if rec.Code != http.StatusOK {
+						b.Fatalf("answered %d: %s", rec.Code, rec.Body)
+					}
+					return rec.Body.Len()
+				}
+				b.ReportMetric(float64(serve()), "body-B") // the miss that caches the view
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					serve()
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkShardBatch measures the multipoint endpoint through the
 // scatter-gather (each partition executes its slice of the shared-delta
 // plan in parallel). The coordinator cache is off so every iteration

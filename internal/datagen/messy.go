@@ -102,3 +102,26 @@ func MessyTrace(seed int64, n int) graph.EventList {
 	}
 	return events
 }
+
+// RoutableMessyTrace is MessyTrace made fit for a shard coordinator, which
+// refuses an edge deletion that does not say where to route it: a bare one
+// is given the endpoints its edge was added with (in the trace an edge ID
+// always names the same pair), or node 1's when the edge never existed —
+// deleting an absent edge is a no-op on whichever partition it lands.
+func RoutableMessyTrace(seed int64, n int) graph.EventList {
+	events := MessyTrace(seed, n)
+	ends := map[graph.EdgeID][2]graph.NodeID{}
+	for i, ev := range events {
+		switch {
+		case ev.Type == graph.AddEdge:
+			ends[ev.Edge] = [2]graph.NodeID{ev.Node, ev.Node2}
+		case ev.Type == graph.DelEdge && ev.Node == 0:
+			uv, ok := ends[ev.Edge]
+			if !ok {
+				uv = [2]graph.NodeID{1, 1}
+			}
+			events[i].Node, events[i].Node2 = uv[0], uv[1]
+		}
+	}
+	return events
+}

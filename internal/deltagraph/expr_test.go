@@ -113,7 +113,8 @@ func attrsSatisfying[ID comparable](snaps []*graph.Snapshot, expr TimeExpr,
 // Not and Not under three times, structure only and with every attribute,
 // with the graphs on bits below 64 and, 64 views held, past 63 — and so is
 // the value of an attribute two graphs give differently, whichever way the
-// times are listed.
+// times are listed. A structure-only read, released and cleaned, leaves the
+// pool's ApproxBytes and Stats as the same read before it left them.
 func TestExpressionMatchesReference(t *testing.T) {
 	events := makeTrace(37, 3000)
 	pool := graphpool.New()
@@ -145,6 +146,7 @@ func TestExpressionMatchesReference(t *testing.T) {
 		for _, tex := range exprs {
 			for _, opts := range []graph.AttrOptions{{}, allAttrs} {
 				where := fmt.Sprintf("%d views held, %v over %v, %v", hold, tex.Expr, tex.Times, opts)
+				bytes, st := settled(t, dg, tex, opts)
 				id, err := dg.RetrieveExpression(tex, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -164,6 +166,13 @@ func TestExpressionMatchesReference(t *testing.T) {
 				}
 				if err := pool.Release(id); err != nil {
 					t.Fatal(err)
+				}
+				// A structure-only read fetches no value, so once let go of
+				// it leaves the pool as the same read before it left it.
+				if pool.CleanNow(); opts.StructureOnly() {
+					if got, after := pool.ApproxBytes(), pool.Stats(); got != bytes || after != st {
+						t.Fatalf("%s: released and cleaned, the pool holds %d B, %+v; before %d B, %+v", where, got, after, bytes, st)
+					}
 				}
 			}
 		}
@@ -205,6 +214,18 @@ func TestExpressionMatchesReference(t *testing.T) {
 				tex.Expr, tc.times, got.NodeAttrs[1]["a"], got.EdgeAttrs[1]["w"], want.NodeAttrs[1]["a"], want.EdgeAttrs[1]["w"], tc.want)
 		}
 	}
+}
+
+// settled reads tex once and lets go of it, so that the pool's record
+// chunks, tables and free lists are at the read's high-water mark, and
+// returns what the pool then holds.
+func settled(t *testing.T, dg *DeltaGraph, tex TimeExpression, opts graph.AttrOptions) (int64, graphpool.Stats) {
+	t.Helper()
+	if _, err := expression(dg, tex, opts); err != nil {
+		t.Fatal(err)
+	}
+	dg.Pool().CleanNow()
+	return dg.Pool().ApproxBytes(), dg.Pool().Stats()
 }
 
 // TestBadExpressionIsRejected: an expression with a Var outside its times, or

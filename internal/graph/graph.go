@@ -31,6 +31,11 @@ type EdgeInfo struct {
 	Directed bool
 }
 
+// Attr is one attribute value of an element as a (name, value) pair: what
+// an ordered walk of a graph hands out (graphpool.Sink) and the binary
+// codec writes, in ascending name order, without building a map.
+type Attr struct{ Name, Value string }
+
 // Touches reports whether the edge is incident to node n.
 func (e EdgeInfo) Touches(n NodeID) bool { return e.From == n || e.To == n }
 

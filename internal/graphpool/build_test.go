@@ -267,8 +267,10 @@ func TestCombine(t *testing.T) {
 // same graphs with the same function, as a historical graph that shows the
 // attributes it is given, on the lowest bit among them that an unpinned one
 // holds, and lets go of every one of them: with and without 64 graphs held
-// first, so that they are past bit 63, and with the lowest one pinned. Given a
-// graph that is not active, it changes nothing.
+// first, so that they are past bit 63, and with the lowest one pinned; with
+// every attribute, node attributes alone and none, and a value of a kind it
+// does not show keeps none of its bit. Given a graph that is not active, it
+// changes nothing.
 func TestEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	nodeAttrs := graph.MustParseAttrOptions("+node:all")
@@ -291,9 +293,8 @@ func TestEvaluate(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					opts := allAttrs
+					opts := []graph.AttrOptions{allAttrs, nodeAttrs, {}}[round%3]
 					if pin {
-						opts = nodeAttrs
 						if err := p.Pin(again[0]); err != nil {
 							t.Fatal(err)
 						}
@@ -321,6 +322,15 @@ func TestEvaluate(t *testing.T) {
 							t.Fatalf("%s: the graph is %v on bit %d, want historical on %d", where, row.Kind, row.Bits[0], lowest)
 						}
 					}
+					// A graph that shows no value of a kind holds none: the
+					// values the child it took over held lost its bit.
+					for _, l := range valueLists(p, !opts.AnyNodeAttrs(), !opts.AnyEdgeAttrs()) {
+						for _, av := range l.all() {
+							if p.bit(av.bits(), lowest) {
+								t.Fatalf("%s: a value of a kind the graph does not show keeps its bit %d", where, lowest)
+							}
+						}
+					}
 					for _, kid := range again {
 						if _, err := p.View(kid); err == nil {
 							t.Fatalf("%s: graph %d is still active", where, kid)
@@ -343,4 +353,21 @@ func TestEvaluate(t *testing.T) {
 	if got, after := p.ApproxBytes(), p.Stats(); got != bytes || after != st {
 		t.Fatalf("a failed Evaluate leaves the pool at %d B, %+v; before %d B, %+v", got, after, bytes, st)
 	}
+}
+
+// valueLists returns the value lists of the pool's node records (if nodes)
+// and of its edge ids (if edges).
+func valueLists(p *Pool, nodes, edges bool) []*attrList {
+	var out []*attrList
+	for _, pn := range p.nodes {
+		if nodes && pn.vals != nil {
+			out = append(out, pn.vals)
+		}
+	}
+	for _, l := range p.edgeVals {
+		if edges {
+			out = append(out, l)
+		}
+	}
+	return out
 }

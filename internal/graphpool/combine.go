@@ -94,6 +94,11 @@ func (p *Pool) combine(e *graphEntry, kids []GraphID, spent []bool, f delta.Diff
 	e.m, e.dep = membership{exc: -1, mem: e.bit, dep: -1}, NoDependency
 	w.e = e
 
+	// A graph that shows no value of a kind decides none: it only takes its
+	// bit off the values of the child it took over, or of the base it is a
+	// copy of, which a fresh bit carries nowhere else.
+	w.strip = over >= 0 || base != nobody
+	w.bareNodes, w.bareEdges = !e.attrs.AnyNodeAttrs(), !e.attrs.AnyEdgeAttrs()
 	for _, pn := range p.nodes {
 		w.node(pn)
 	}
@@ -111,7 +116,12 @@ func (p *Pool) combine(e *graphEntry, kids []GraphID, spent []bool, f delta.Diff
 		}
 	}
 	for id, l := range p.edgeVals {
-		w.edgeValues(id, l)
+		switch {
+		case !w.bareEdges:
+			w.edgeValues(id, l)
+		case w.strip && w.clear(l.all()):
+			e.outEdges = append(e.outEdges, id)
+		}
 	}
 
 	p.sweepOut(e, &bitset.Bits{}) // what the parent took from the child it took over, and nothing holds
@@ -157,6 +167,9 @@ type combineWalk struct {
 	// their values.
 	decided map[graph.EdgeID]int
 	holds   []int32
+	// The parent shows no node (edge) value, and its bit may be on values
+	// it has to take it off.
+	bareNodes, bareEdges, strip bool
 }
 
 // newCombineWalk is the walk that tells the children kids from the base,
@@ -235,10 +248,16 @@ func (w *combineWalk) put(b bitmap, in bool) bool {
 
 // node decides node record pn and its values.
 func (w *combineWalk) node(pn *poolNode) {
-	attrs := pn.vals.all()
+	attrs, out := pn.vals.all(), false
+	if w.bareNodes {
+		out, attrs = w.strip && w.clear(attrs), nil
+	}
 	if differs, base := w.differs(pn.bits()); !differs && !w.anyDiffers(attrs) {
 		if base {
 			w.nodes++
+		}
+		if out {
+			w.e.outNodes = append(w.e.outNodes, pn.id)
 		}
 		return
 	}
@@ -252,7 +271,7 @@ func (w *combineWalk) node(pn *poolNode) {
 	if in != delta.Absent {
 		w.nodes++
 	}
-	out := w.put(pn.bits(), in != delta.Absent)
+	out = w.put(pn.bits(), in != delta.Absent) || out
 	w.count(in, w.in[0])
 	for j, d := range w.out {
 		switch kid := w.in[j]; {
@@ -272,6 +291,15 @@ func (w *combineWalk) node(pn *poolNode) {
 	if out {
 		w.e.outNodes = append(w.e.outNodes, pn.id)
 	}
+}
+
+// clear takes the parent's bit off every value in attrs and reports
+// whether it took one off.
+func (w *combineWalk) clear(attrs []attrVal) (out bool) {
+	for i := range attrs {
+		out = w.put(attrs[i].bits(), false) || out
+	}
+	return out
 }
 
 // count adds to grow what the parent holds (in) less what the first child
@@ -364,7 +392,7 @@ func (w *combineWalk) record(id graph.EdgeID, recs []uint32) {
 			}
 		}
 	}
-	if w.p.edgeVals[id] == nil {
+	if w.bareEdges || w.p.edgeVals[id] == nil {
 		return
 	}
 	w.decided[id] = len(w.holds)

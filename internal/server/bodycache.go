@@ -62,7 +62,18 @@ func (bc BodyCache) Write(w http.ResponseWriter, codec wire.Codec, v, hit any, k
 		WriteJSON(w, http.StatusOK, v)
 		return
 	}
-	w.Header().Set("Content-Type", codec.ContentType())
+	var hitForm func() ([]byte, error)
+	if hit != nil {
+		hitForm = func() ([]byte, error) { return codec.Encode(hit) }
+	}
+	bc.WriteBody(w, codec.ContentType(), body, hitForm, key, e, gen)
+}
+
+// WriteBody is Write for a body its caller encoded (and counted): it
+// answers 200 with body and admits as Write does, hit making the form a
+// later hit answers with, counted as one more encode.
+func (bc BodyCache) WriteBody(w http.ResponseWriter, contentType string, body []byte, hit func() ([]byte, error), key string, e cache.Entry[cache.Body], gen int64) {
+	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
 	if key == "" || !bc.Admit(key) {
@@ -70,12 +81,13 @@ func (bc BodyCache) Write(w http.ResponseWriter, codec wire.Codec, v, hit any, k
 	}
 	if hit != nil {
 		bc.Encodes.Inc()
-		if body, err = codec.Encode(hit); err != nil {
+		var err error
+		if body, err = hit(); err != nil {
 			return
 		}
 	}
 	if cacheable(len(body)) {
-		e.Value = cache.Body{Bytes: exact(body), ContentType: codec.ContentType()}
+		e.Value = cache.Body{Bytes: exact(body), ContentType: contentType}
 		bc.Insert(key, e, gen)
 	}
 }

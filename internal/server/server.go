@@ -390,6 +390,19 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	slot := cache.Entry[cache.Body]{At: q.T, DepCur: h.DependsOnCurrent()}
+	if _, bin := codec.(wire.Binary); bin {
+		// Written straight from the walk; a later hit answers the same
+		// bytes with the Cached flag set.
+		s.enc.Encodes.Inc()
+		body := binarySnapshot(h, wire.Snapshot{At: int64(h.At()), Cached: cached, Coalesced: coalesced}, q.Full, own)
+		release()
+		var hit func() ([]byte, error)
+		if !cached {
+			hit = func() ([]byte, error) { return body.MarkCached(), nil }
+		}
+		s.enc.WriteBody(w, codec.ContentType(), body.Bytes(), hit, ekey, slot, gen)
+		return
+	}
 	out := snapshotOf(h, h.At(), q.Full, own)
 	release()
 	out.Cached, out.Coalesced = cached, coalesced

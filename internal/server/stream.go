@@ -2,10 +2,12 @@ package server
 
 // The streaming /snapshot path: a full=1 response is written as a chunked
 // element-run stream (wire.StreamEncoder) while the handler walks the
-// pinned GraphPool view — the same walk the whole-message response is
-// built by (walkSnapshot), with the encoder's Node/Edge as its sinks —
+// pinned GraphPool view — the pool's ordered walk the whole-message
+// response is built by (walkSnapshot), with the encoder as its sink —
 // instead of materializing the whole []Node/[]Edge response struct and
-// one contiguous encoded body first.
+// one contiguous encoded body first. The walk holds the pool's read lock
+// for one run at a time and lets go of it before the run's frame is
+// written and flushed, so a slow client never holds up a writer.
 // Peak response-build memory is proportional to the run size (plus the
 // sorted ID lists), not the snapshot — the property the shard coordinator
 // relies on to keep N concurrent large snapshots from multiplying into
@@ -34,8 +36,8 @@ func (s *Server) streamSnapshot(w http.ResponseWriter, h *historygraph.HistGraph
 	slot := cache.Entry[cache.Body]{At: h.At(), DepCur: h.DependsOnCurrent()}
 
 	se, admit := s.enc.Stream(w, s.runSize, ekey)
-	nodes, edges, err := walkSnapshot(h, own, se.Node, se.Edge)
-	if err != nil {
+	nodes, edges, walk := walkSnapshot(h, own, true)
+	if walk.Walk(se.RunSize(), se) != nil {
 		return
 	}
 	sum := wire.Snapshot{

@@ -7,14 +7,19 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
+	"time"
 
 	"historygraph"
+	"historygraph/internal/datagen"
 	"historygraph/internal/wire"
 )
 
@@ -306,4 +311,93 @@ func TestEncodedCacheInvalidation(t *testing.T) {
 	if !reflect.DeepEqual(preLate, afterLate) {
 		t.Fatal("re-built late snapshot differs from pre-append answer")
 	}
+}
+
+// TestStreamReadWhileAppending: streamed reads at the head — a dependent of
+// the current graph, whose elements an append can take away between two
+// runs of the walk — and behind it, while an appender crosses leaf cuts and
+// the pool's cleaner runs every millisecond. The walk holds the pool's read
+// lock one run of three elements at a time and writes no frame under it, so
+// the appender and the cleaner take the write lock between runs. Every
+// stream ends in its summary, lists as many elements as it counts, each
+// kind in ascending ID order, and a read behind the appends, which no
+// append changes, is the reference's to the byte.
+func TestStreamReadWhileAppending(t *testing.T) {
+	const attrs = "+node:all+edge:all"
+	events := datagen.MessyTrace(5, 6000)
+	split := len(events) / 2
+	gm, err := historygraph.BuildFrom(events[:split], historygraph.Options{LeafEventlistSize: 16, CleanerInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gm.Close()
+	svc := New(gm, Config{StreamRun: 3})
+	defer svc.Close()
+	handler := svc.Handler()
+	behind, head := events[split/2].At, events[len(events)-1].At
+	h, err := gm.GetHistGraph(behind, attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refSnapshotOf(h, behind, true, nil)
+	gm.Release(h)
+
+	stream := func(at historygraph.Time) (*wire.Snapshot, []byte, error) {
+		req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/snapshot?t=%d&full=1&attrs=%%2Bnode:all%%2Bedge:all", at), nil)
+		req.Header.Set("Accept", wire.ContentTypeBinaryStream)
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			return nil, nil, fmt.Errorf("t=%d answered %d: %s", at, rec.Code, rec.Body)
+		}
+		s, err := wire.DecodeSnapshotStream(bytes.NewReader(rec.Body.Bytes()))
+		return s, rec.Body.Bytes(), err
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for lo := split; lo < len(events); lo += 10 {
+			if _, err := svc.ApplyEvents(events[lo:min(lo+10, len(events))]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for _, at := range []historygraph.Time{head, behind} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for reads := 0; ; reads++ {
+				select {
+				case <-done:
+					if reads > 0 {
+						t.Logf("t=%d: %d reads", at, reads)
+						return
+					}
+				default:
+				}
+				s, body, err := stream(at)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if s.NumNodes != len(s.Nodes) || s.NumEdges != len(s.Edges) ||
+					!slices.IsSortedFunc(s.Nodes, func(a, b wire.Node) int { return int(a.ID - b.ID) }) ||
+					!slices.IsSortedFunc(s.Edges, func(a, b wire.Edge) int { return int(a.ID - b.ID) }) {
+					t.Errorf("t=%d: counts %d/%d over lists of %d/%d, or not in ID order", at, s.NumNodes, s.NumEdges, len(s.Nodes), len(s.Edges))
+					return
+				}
+				if at == behind {
+					ref := want
+					ref.Cached, ref.Coalesced = s.Cached, s.Coalesced
+					if !bytes.Equal(body, refStream(t, ref, 3)) {
+						t.Errorf("t=%d, read %d: the stream is not the reference's", at, reads)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -2,10 +2,7 @@ package server
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
-	"math"
-	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -70,8 +67,8 @@ func TestWalkSnapshot(t *testing.T) {
 
 				var buf bytes.Buffer
 				se := wire.NewStreamEncoder(&buf, 7)
-				nodes, edges, err := walkSnapshot(src, own, se.Node, se.Edge)
-				if err != nil {
+				nodes, edges, walk := walkSnapshot(src, own, true)
+				if err := walk.Walk(7, se); err != nil {
 					t.Fatal(err)
 				}
 				if err := se.Summary(&wire.Snapshot{At: int64(at), NumNodes: nodes, NumEdges: edges}); err != nil {
@@ -85,35 +82,6 @@ func TestWalkSnapshot(t *testing.T) {
 					t.Fatal("the stream carries other elements than the whole message")
 				}
 			})
-		}
-	}
-}
-
-// TestSortByKeyMatchesSortFunc: the radix sort orders edges exactly as a
-// comparison sort by ID does, ties kept in their order, over lists of zero
-// and one element, negative IDs, IDs at and above 1<<40 and IDs that share
-// all but their lowest byte.
-func TestSortByKeyMatchesSortFunc(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	draws := []func() int64{
-		func() int64 { return rng.Int63n(256) },
-		func() int64 { return rng.Int63n(50_000) - 25_000 },
-		func() int64 { return 1<<40 + rng.Int63n(1<<20) },
-		func() int64 { return rng.Int63() - rng.Int63() },
-		func() int64 { return []int64{math.MinInt64, -1, 0, 1, math.MaxInt64}[rng.Intn(5)] },
-	}
-	for round := 0; round < 400; round++ {
-		n := []int{0, 1, 2, 3, 100, 2000}[round%6]
-		draw := draws[round/6%len(draws)]
-		edges := make([]wire.Edge, n)
-		for i := range edges {
-			edges[i] = wire.Edge{ID: draw(), From: int64(i)} // From records the input order
-		}
-		want := slices.Clone(edges)
-		slices.SortStableFunc(want, func(a, b wire.Edge) int { return cmp.Compare(a.ID, b.ID) })
-		sortByKey(edges, func(e *wire.Edge) int64 { return e.ID })
-		if !reflect.DeepEqual(edges, want) {
-			t.Fatalf("round %d (%d edges): radix order differs from SortFunc's", round, n)
 		}
 	}
 }

@@ -1,15 +1,20 @@
 package server
 
-// The model-to-wire step of every snapshot-shaped answer — one walk — and
-// the time-expression parser. The wire types themselves live in
-// internal/wire, one definition shared by the server handlers, the Go
-// client, the shard coordinator's merge layer and the replication stream.
+// The model-to-wire step of every snapshot-shaped answer — one walk, the
+// pool's ordered walk (graphpool.Ordered) — and the time-expression parser.
+// The wire types themselves live in internal/wire, one definition shared by
+// the server handlers, the Go client, the shard coordinator's merge layer
+// and the replication stream. A binary /snapshot body is written straight
+// from the walk (wire.SnapshotWriter), a stream by the stream encoder; the
+// other answers are filled into wire.Snapshot structs through structSink.
 
 import (
 	"fmt"
 	"strconv"
 
 	"historygraph"
+	"historygraph/internal/graph"
+	"historygraph/internal/graphpool"
 	"historygraph/internal/wire"
 )
 
@@ -19,142 +24,96 @@ import (
 type elements interface {
 	NumNodes() int
 	NumEdges() int
-	ForEachNode(func(historygraph.NodeID) bool)
-	ForEachEdge(func(historygraph.EdgeID, historygraph.EdgeInfo) bool)
-	NodeAttrs(historygraph.NodeID) map[string]string
-	EdgeAttrs(historygraph.EdgeID) map[string]string
+	Order(keep func(graph.NodeID) bool) *graphpool.Ordered
 }
 
-// detached gives a set-based snapshot the accessors of a view.
+// detached gives a set-based snapshot the same walk, over its maps.
 type detached struct{ s *historygraph.Snapshot }
 
 func (d detached) NumNodes() int { return len(d.s.Nodes) }
 func (d detached) NumEdges() int { return len(d.s.Edges) }
-func (d detached) ForEachNode(fn func(historygraph.NodeID) bool) {
-	for n := range d.s.Nodes {
-		if !fn(n) {
-			return
-		}
-	}
+func (d detached) Order(keep func(graph.NodeID) bool) *graphpool.Ordered {
+	return graphpool.OrderSnapshot(d.s, keep)
 }
-func (d detached) ForEachEdge(fn func(historygraph.EdgeID, historygraph.EdgeInfo) bool) {
-	for e, info := range d.s.Edges {
-		if !fn(e, info) {
-			return
-		}
-	}
-}
-func (d detached) NodeAttrs(n historygraph.NodeID) map[string]string { return d.s.NodeAttrs[n] }
-func (d detached) EdgeAttrs(e historygraph.EdgeID) map[string]string { return d.s.EdgeAttrs[e] }
 
-// walkSnapshot is the one way a graph becomes a response: it hands the
+// walkSnapshot is the one way a graph becomes a response: it gathers the
 // elements of src that own keeps — a node by its own slot, an edge by its
 // From endpoint's (the routing rule, so cluster-wide each edge is reported
-// by exactly one owner) — to the sinks in ascending ID order, every node
-// before the first edge, and returns how many of each it kept, so counts
-// and lists agree by construction. The whole-message response appends in
-// its sinks, the stream response encodes in them, and the counts-only
-// response passes none (both or neither). A sink's error stops the walk.
-func walkSnapshot(src elements, own *slotOwnership, node func(wire.Node) error, edge func(wire.Edge) error) (nodes, edges int, err error) {
-	if node == nil && !own.filtering() {
+// by exactly one owner) — and returns how many of each it kept, so counts
+// and lists agree by construction, and, when full, the walk that hands
+// them to a sink in ascending ID order, every node before the first edge.
+// The whole-message responses write or append in their sinks, the stream
+// response encodes in them, and the counts-only response gathers nothing
+// unless own filters.
+func walkSnapshot(src elements, own *slotOwnership, full bool) (nodes, edges int, walk *graphpool.Ordered) {
+	if !full && !own.filtering() {
 		return src.NumNodes(), src.NumEdges(), nil
 	}
-	collect := node != nil
-	var ids []historygraph.NodeID
-	var ends []wire.Edge // endpoints now, in the one pass over the source; attributes when its turn comes
-	if collect {
-		ids = make([]historygraph.NodeID, 0, src.NumNodes())
-		ends = make([]wire.Edge, 0, src.NumEdges())
+	var keep func(graph.NodeID) bool
+	if own.filtering() {
+		keep = own.ownsNode
 	}
-	src.ForEachNode(func(n historygraph.NodeID) bool {
-		if own.ownsNode(n) {
-			nodes++
-			if collect {
-				ids = append(ids, n)
-			}
-		}
-		return true
-	})
-	src.ForEachEdge(func(e historygraph.EdgeID, info historygraph.EdgeInfo) bool {
-		if own.ownsNode(info.From) {
-			edges++
-			if collect {
-				ends = append(ends, wire.Edge{ID: int64(e), From: int64(info.From), To: int64(info.To), Directed: info.Directed})
-			}
-		}
-		return true
-	})
-	if !collect {
-		return nodes, edges, nil
+	o := src.Order(keep)
+	if !full {
+		return o.NumNodes(), o.NumEdges(), nil
 	}
-	sortByKey(ids, func(n *historygraph.NodeID) int64 { return int64(*n) })
-	for _, n := range ids {
-		if err := node(wire.Node{ID: int64(n), Attrs: src.NodeAttrs(n)}); err != nil {
-			return nodes, edges, err
-		}
-	}
-	sortByKey(ends, func(e *wire.Edge) int64 { return e.ID })
-	for _, e := range ends {
-		e.Attrs = src.EdgeAttrs(historygraph.EdgeID(e.ID))
-		if err := edge(e); err != nil {
-			return nodes, edges, err
-		}
-	}
-	return nodes, edges, nil
+	return o.NumNodes(), o.NumEdges(), o
 }
 
-// sortByKey puts s in ascending order of key in linear time: a least
-// significant digit radix sort, one stable pass for each byte of the key
-// (its sign bit flipped, so that negative keys come first) but for the bytes
-// every key has alike, which most are.
-func sortByKey[T any](s []T, key func(*T) int64) {
-	if len(s) < 2 {
-		return
+// structSink fills the element lists of a wire.Snapshot from a walk: the
+// answers encoded from structs (JSON, /batch, /expr, /interval) and the
+// coordinator's merge inputs.
+type structSink struct{ s *wire.Snapshot }
+
+func (k structSink) PutNode(id graph.NodeID, attrs []graph.Attr) error {
+	k.s.Nodes = append(k.s.Nodes, wire.Node{ID: int64(id), Attrs: attrMap(attrs)})
+	return nil
+}
+
+func (k structSink) PutEdge(id graph.EdgeID, info graph.EdgeInfo, attrs []graph.Attr) error {
+	k.s.Edges = append(k.s.Edges, wire.Edge{ID: int64(id), From: int64(info.From), To: int64(info.To), Directed: info.Directed, Attrs: attrMap(attrs)})
+	return nil
+}
+
+func (structSink) EndRun() error { return nil }
+
+// attrMap is the map of a walk's pairs: nil for nil.
+func attrMap(attrs []graph.Attr) map[string]string {
+	if attrs == nil {
+		return nil
 	}
-	digit := func(x *T, d int) byte { return byte((uint64(key(x)) ^ 1<<63) >> (8 * d)) }
-	var counts [8][256]int
-	for i := range s {
-		for d := range counts {
-			counts[d][digit(&s[i], d)]++
-		}
+	m := make(map[string]string, len(attrs))
+	for _, a := range attrs {
+		m[a.Name] = a.Value
 	}
-	src, dst := s, make([]T, len(s))
-	for d := range counts {
-		c := &counts[d]
-		if c[digit(&src[0], d)] == len(s) {
-			continue
-		}
-		at := 0
-		for b, n := range c {
-			c[b], at = at, at+n
-		}
-		for i := range src {
-			b := digit(&src[i], d)
-			dst[c[b]] = src[i]
-			c[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &s[0] {
-		copy(s, src)
-	}
+	return m
 }
 
 // snapshotOf builds the whole-message answer for src under own: counts
 // always, the ID-sorted element lists when full.
 func snapshotOf(src elements, at historygraph.Time, full bool, own *slotOwnership) wire.Snapshot {
 	out := wire.Snapshot{At: int64(at)}
-	if !full {
-		out.NumNodes, out.NumEdges, _ = walkSnapshot(src, own, nil, nil)
-		return out
+	var walk *graphpool.Ordered
+	out.NumNodes, out.NumEdges, walk = walkSnapshot(src, own, full)
+	if walk != nil {
+		// Non-nil even when empty: the binary codec tells the two apart.
+		out.Nodes = make([]wire.Node, 0, out.NumNodes)
+		out.Edges = make([]wire.Edge, 0, out.NumEdges)
+		walk.Walk(wire.DefaultRunSize, structSink{&out})
 	}
-	// Non-nil even when empty: the binary codec tells the two apart.
-	out.Nodes = make([]wire.Node, 0, src.NumNodes())
-	out.Edges = make([]wire.Edge, 0, src.NumEdges())
-	out.NumNodes, out.NumEdges, _ = walkSnapshot(src, own,
-		func(n wire.Node) error { out.Nodes = append(out.Nodes, n); return nil },
-		func(e wire.Edge) error { out.Edges = append(out.Edges, e); return nil })
 	return out
+}
+
+// binarySnapshot writes the binary whole-message answer for src under own
+// straight from the walk; head carries its At and flags.
+func binarySnapshot(src elements, head wire.Snapshot, full bool, own *slotOwnership) *wire.SnapshotWriter {
+	var walk *graphpool.Ordered
+	head.NumNodes, head.NumEdges, walk = walkSnapshot(src, own, full)
+	w := wire.NewSnapshotWriter(&head, full)
+	if walk != nil {
+		walk.Walk(wire.DefaultRunSize, w)
+	}
+	return w
 }
 
 // SnapshotToJSON converts a detached snapshot; full controls whether the

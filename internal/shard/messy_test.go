@@ -21,29 +21,6 @@ import (
 	"historygraph/internal/wire"
 )
 
-// routableMessy is datagen.MessyTrace made fit for a coordinator, which
-// refuses an edge deletion that does not say where to route it: a bare one
-// is given the endpoints its edge was added with (in the trace an edge ID
-// always names the same pair), or node 1's when the edge never existed —
-// deleting an absent edge is a no-op on whichever partition it lands.
-func routableMessy(seed int64, n int) historygraph.EventList {
-	events := datagen.MessyTrace(seed, n)
-	ends := map[historygraph.EdgeID][2]historygraph.NodeID{}
-	for i, ev := range events {
-		switch {
-		case ev.Type == historygraph.AddEdge:
-			ends[ev.Edge] = [2]historygraph.NodeID{ev.Node, ev.Node2}
-		case ev.Type == historygraph.DelEdge && ev.Node == 0:
-			uv, ok := ends[ev.Edge]
-			if !ok {
-				uv = [2]historygraph.NodeID{1, 1}
-			}
-			events[i].Node, events[i].Node2 = uv[0], uv[1]
-		}
-	}
-	return events
-}
-
 // unionOf reads the full snapshot at q from one node per partition and
 // unions them the way the coordinator does.
 func unionOf(t *testing.T, q historygraph.Time, nodes []*rnode) wire.Snapshot {
@@ -134,7 +111,7 @@ func TestMessyTraceEveryEntryPoint(t *testing.T) {
 	for s := range allSlots {
 		allSlots[s] = s
 	}
-	events := routableMessy(104, 1000)
+	events := datagen.RoutableMessyTrace(104, 1000)
 	rng := rand.New(rand.NewSource(4))
 	allAttrs := graph.MustParseAttrOptions("+node:all+edge:all")
 	ctx := context.Background()

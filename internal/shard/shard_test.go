@@ -234,7 +234,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 // co-authorship trace and on a messy one (re-adds, deletes of absent
 // elements, attribute churn).
 func TestShardedExprMatchesUnsharded(t *testing.T) {
-	for name, events := range map[string]historygraph.EventList{"testEvents": testEvents(), "routableMessy": routableMessy(7, 3000)} {
+	for name, events := range map[string]historygraph.EventList{"testEvents": testEvents(), "routableMessy": datagen.RoutableMessyTrace(7, 3000)} {
 		gm, oclient, _ := oracle(t, events)
 		c := newCluster(t, events, 4, Config{})
 		last := gm.LastTime()

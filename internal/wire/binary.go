@@ -455,6 +455,10 @@ func decodeList(d *Decoder) (n int, present bool) {
 	return d.Len(), true
 }
 
+// encodeAttrs writes a map of attribute values as writePairs writes their
+// pairs: keys in ascending order, so identical maps encode to identical
+// bytes. One or two entries — the overwhelmingly common attribute count —
+// need no sort scratch.
 func encodeAttrs(e *Encoder, m map[string]string) {
 	if m == nil {
 		e.Byte(0)
@@ -462,15 +466,11 @@ func encodeAttrs(e *Encoder, m map[string]string) {
 	}
 	e.Byte(1)
 	e.Uvarint(uint64(len(m)))
-	// Keys are written in ascending order so identical maps encode to
-	// identical bytes. One or two entries — the overwhelmingly common
-	// attribute count — need no sort scratch.
 	switch len(m) {
 	case 0:
 	case 1:
 		for k, v := range m {
-			e.Key(k)
-			e.String(v)
+			writePair(e, k, v)
 		}
 	case 2:
 		var k1, k2 string
@@ -484,10 +484,8 @@ func encodeAttrs(e *Encoder, m map[string]string) {
 				k2 = k
 			}
 		}
-		e.Key(k1)
-		e.String(m[k1])
-		e.Key(k2)
-		e.String(m[k2])
+		writePair(e, k1, m[k1])
+		writePair(e, k2, m[k2])
 	default:
 		keys := make([]string, 0, len(m))
 		for k := range m {
@@ -495,10 +493,30 @@ func encodeAttrs(e *Encoder, m map[string]string) {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			e.Key(k)
-			e.String(m[k])
+			writePair(e, k, m[k])
 		}
 	}
+}
+
+// writePairs writes an element's attribute values given as pairs in
+// ascending name order — the bytes encodeAttrs writes for the map of them,
+// a nil list standing for a nil map.
+func writePairs(e *Encoder, attrs []graph.Attr) {
+	if attrs == nil {
+		e.Byte(0)
+		return
+	}
+	e.Byte(1)
+	e.Uvarint(uint64(len(attrs)))
+	for _, a := range attrs {
+		writePair(e, a.Name, a.Value)
+	}
+}
+
+// writePair writes one attribute value: its interned name, then the value.
+func writePair(e *Encoder, name, value string) {
+	e.Key(name)
+	e.String(value)
 }
 
 func decodeAttrs(d *Decoder) map[string]string {
@@ -514,12 +532,27 @@ func decodeAttrs(d *Decoder) map[string]string {
 	return m
 }
 
-// encodeNode writes one node of an ID-sorted sequence, its ID as the
-// delta from *prev (which it advances). Whole-message lists and stream
-// runs share these element codecs, so the two forms cannot drift.
+// writeNodeID and writeEdgeHead write what comes before an element's
+// attribute values: its ID as the delta from *prev (which they advance) and
+// an edge's endpoints and direction. Whole-message lists and stream runs,
+// from structs (encodeNode, encodeEdge) or from an ordered walk's pairs
+// (PutNode, PutEdge), share these element writers, so no two forms can
+// drift.
+func writeNodeID(e *Encoder, prev *int64, id int64) {
+	e.Varint(id - *prev)
+	*prev = id
+}
+
+func writeEdgeHead(e *Encoder, prev *int64, id int64, info graph.EdgeInfo) {
+	e.Varint(id - *prev)
+	*prev = id
+	e.Varint(int64(info.From))
+	e.Varint(int64(info.To))
+	e.Bool(info.Directed)
+}
+
 func encodeNode(e *Encoder, prev *int64, n *Node) {
-	e.Varint(n.ID - *prev)
-	*prev = n.ID
+	writeNodeID(e, prev, n.ID)
 	encodeAttrs(e, n.Attrs)
 }
 
@@ -529,17 +562,88 @@ func decodeNode(d *Decoder, prev *int64) Node {
 }
 
 func encodeEdge(e *Encoder, prev *int64, ed *Edge) {
-	e.Varint(ed.ID - *prev)
-	*prev = ed.ID
-	e.Varint(ed.From)
-	e.Varint(ed.To)
-	e.Bool(ed.Directed)
+	writeEdgeHead(e, prev, ed.ID, graph.EdgeInfo{From: graph.NodeID(ed.From), To: graph.NodeID(ed.To), Directed: ed.Directed})
 	encodeAttrs(e, ed.Attrs)
 }
 
 func decodeEdge(d *Decoder, prev *int64) Edge {
 	*prev += d.Varint()
 	return Edge{ID: *prev, From: d.Varint(), To: d.Varint(), Directed: d.Bool(), Attrs: decodeAttrs(d)}
+}
+
+// varintAt reads the zig-zag varint at b[i:] as binary.Varint does and
+// returns the index past it, or -1 where binary.Varint fails. The one- and
+// two-byte varints of ID deltas and endpoints are read inline.
+func varintAt(b []byte, i int) (int64, int) {
+	var u uint64
+	switch {
+	case i < len(b) && b[i] < 0x80:
+		u, i = uint64(b[i]), i+1
+	case i+1 < len(b) && b[i+1] < 0x80:
+		u, i = uint64(b[i]&0x7f)|uint64(b[i+1])<<7, i+2
+	default:
+		var n int
+		if u, n = binary.Uvarint(b[i:]); n <= 0 {
+			return 0, -1
+		}
+		i += n
+	}
+	x := int64(u >> 1)
+	if u&1 != 0 {
+		x = ^x
+	}
+	return x, i
+}
+
+// appendNodes decodes n nodes onto out in one pass over d.data. A node with
+// a varint that fits and no attribute values is read there; the first field
+// it cannot read so is left to the checked reads of decodeNode, from where
+// it stands, so every input decodes to the same values, or fails at the
+// same place, as node after node of decodeNode.
+func appendNodes(d *Decoder, out []Node, n int, prev *int64) []Node {
+	data := d.data
+	for i := 0; i < n && d.err == nil; i++ {
+		delta, next := varintAt(data, d.pos)
+		if next < 0 {
+			out = append(out, decodeNode(d, prev))
+			continue
+		}
+		*prev += delta
+		var attrs map[string]string
+		if d.pos = next; next < len(data) && data[next] == 0 {
+			d.pos++
+		} else {
+			attrs = decodeAttrs(d)
+		}
+		out = append(out, Node{ID: *prev, Attrs: attrs})
+	}
+	return out
+}
+
+// appendEdges is appendNodes for edges: an ID delta and endpoints whose
+// varints fit, a direction byte of 0 or 1 and no attribute values are read
+// in the one pass.
+func appendEdges(d *Decoder, out []Edge, n int, prev *int64) []Edge {
+	data := d.data
+	for i := 0; i < n && d.err == nil; i++ {
+		at := d.pos
+		delta, p1 := varintAt(data, at)
+		from, p2 := varintAt(data, max(p1, 0))
+		to, p3 := varintAt(data, max(p2, 0))
+		if p1 < 0 || p2 < 0 || p3 < 0 || p3 >= len(data) || data[p3] > 1 {
+			out = append(out, decodeEdge(d, prev))
+			continue
+		}
+		*prev += delta
+		ed := Edge{ID: *prev, From: from, To: to, Directed: data[p3] == 1}
+		if d.pos = p3 + 1; d.pos < len(data) && data[d.pos] == 0 {
+			d.pos++
+		} else {
+			ed.Attrs = decodeAttrs(d)
+		}
+		out = append(out, ed)
+	}
+	return out
 }
 
 func encodeNodes(e *Encoder, nodes []Node) {
@@ -552,12 +656,8 @@ func decodeNodes(d *Decoder) []Node {
 	if !present {
 		return nil
 	}
-	out := make([]Node, 0, n)
 	prev := int64(0)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		out = append(out, decodeNode(d, &prev))
-	}
-	return out
+	return appendNodes(d, make([]Node, 0, n), n, &prev)
 }
 
 func encodeEdges(e *Encoder, edges []Edge) {
@@ -570,12 +670,8 @@ func decodeEdges(d *Decoder) []Edge {
 	if !present {
 		return nil
 	}
-	out := make([]Edge, 0, n)
 	prev := int64(0)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		out = append(out, decodeEdge(d, &prev))
-	}
-	return out
+	return appendEdges(d, make([]Edge, 0, n), n, &prev)
 }
 
 func encodePartial(e *Encoder, errs []PartitionError) {
@@ -603,14 +699,100 @@ func decodePartial(d *Decoder) []PartitionError {
 // --- message bodies ---------------------------------------------------
 
 func encodeSnapshot(e *Encoder, s *Snapshot) {
-	e.Varint(s.At)
-	e.Varint(int64(s.NumNodes))
-	e.Varint(int64(s.NumEdges))
-	e.Bool(s.Cached)
-	e.Bool(s.Coalesced)
+	writeSnapshotHead(e, s)
 	encodeNodes(e, s.Nodes)
 	encodeEdges(e, s.Edges)
 	encodePartial(e, s.Partial)
+}
+
+// writeSnapshotHead writes a snapshot's fields before its element lists
+// and returns the offset of its Cached flag.
+func writeSnapshotHead(e *Encoder, s *Snapshot) (cached int) {
+	e.Varint(s.At)
+	e.Varint(int64(s.NumNodes))
+	e.Varint(int64(s.NumEdges))
+	cached = len(e.buf)
+	e.Bool(s.Cached)
+	e.Bool(s.Coalesced)
+	return cached
+}
+
+// SnapshotWriter writes one whole-message binary snapshot straight from an
+// ordered walk of a graph (it is a graphpool.Sink): the bytes Binary.Encode
+// makes of the Snapshot with the same fields and elements, written into one
+// presized buffer with no []Node, []Edge or attribute map built. The
+// element lists' counts are the head's NumNodes and NumEdges, so the walk
+// must hand out exactly that many of each.
+type SnapshotWriter struct {
+	e                  *Encoder
+	head               *Snapshot
+	full, edges        bool // lists written; the edge list opened
+	prevNode, prevEdge int64
+	cached             int
+}
+
+// NewSnapshotWriter starts the message for head (its At, counts, flags and
+// Partial; its Nodes and Edges are ignored), with element lists when full
+// and none otherwise. Its buffer is sized for the lists of a graph with no
+// attribute values.
+func NewSnapshotWriter(head *Snapshot, full bool) *SnapshotWriter {
+	size := 32
+	if full {
+		size += 4*head.NumNodes + 12*head.NumEdges
+	}
+	w := &SnapshotWriter{e: &Encoder{buf: make([]byte, 0, size)}, head: head, full: full}
+	w.e.header(kindSnapshot)
+	w.cached = writeSnapshotHead(w.e, head)
+	if full {
+		w.e.Byte(1)
+		w.e.Uvarint(uint64(head.NumNodes))
+	} else {
+		w.e.Byte(0)
+	}
+	return w
+}
+
+// PutNode writes the next node.
+func (w *SnapshotWriter) PutNode(id graph.NodeID, attrs []graph.Attr) error {
+	writeNodeID(w.e, &w.prevNode, int64(id))
+	writePairs(w.e, attrs)
+	return nil
+}
+
+// PutEdge writes the next edge, opening the edge list at the first.
+func (w *SnapshotWriter) PutEdge(id graph.EdgeID, info graph.EdgeInfo, attrs []graph.Attr) error {
+	w.openEdges()
+	writeEdgeHead(w.e, &w.prevEdge, int64(id), info)
+	writePairs(w.e, attrs)
+	return nil
+}
+
+// EndRun does nothing: the message leaves whole.
+func (w *SnapshotWriter) EndRun() error { return nil }
+
+func (w *SnapshotWriter) openEdges() {
+	if w.full && !w.edges {
+		w.edges = true
+		w.e.Byte(1)
+		w.e.Uvarint(uint64(w.head.NumEdges))
+	}
+}
+
+// Bytes ends the message and returns it.
+func (w *SnapshotWriter) Bytes() []byte {
+	w.openEdges()
+	if !w.full {
+		w.e.Byte(0)
+	}
+	encodePartial(w.e, w.head.Partial)
+	return w.e.Bytes()
+}
+
+// MarkCached sets the Cached flag of the message Bytes returned, in place:
+// the form a later hit answers with.
+func (w *SnapshotWriter) MarkCached() []byte {
+	w.e.buf[w.cached] = 1
+	return w.e.buf
 }
 
 func decodeSnapshot(d *Decoder) Snapshot {

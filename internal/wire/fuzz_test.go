@@ -1,8 +1,9 @@
 package wire
 
 // FuzzWireRoundTrip: derive a response struct from the fuzz input, assert
-// binary decode(encode(x)) == x exactly, and throw the raw input at the
-// decoder for every message type to shake out panics and allocation
+// binary decode(encode(x)) == x exactly, hold the one-pass list decoders to
+// the element-by-element ones on the raw input, and throw the raw input at
+// the decoder for every message type to shake out panics and allocation
 // bombs. FuzzStreamFrames (end of file) does the same for the frame layer
 // of both stream kinds. Run with:
 //
@@ -12,6 +13,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -141,6 +143,14 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252, 253, 254, 255})
 	seed, _ := Binary{}.Encode(&Snapshot{At: 3, NumNodes: 1, Nodes: []Node{{ID: 1}}})
 	f.Add(seed)
+	// Element lists for the one-pass decoders (checkListDecoders reads the
+	// first byte as a count and the rest as a node list, then as an edge
+	// list): a varint running past the end, a direction byte of 2, a node
+	// with attributes after bare ones, and a list cut mid-element.
+	f.Add([]byte{1, 0x80})
+	f.Add([]byte{1, 0x02, 0x02, 0x04, 0x02, 0x00})
+	f.Add([]byte{3, 0x02, 0x00, 0x02, 0x00, 0x02, 0x01, 0x01, 0x00, 0x01, 'a', 0x01, 'b'})
+	f.Add([]byte{2, 0x02, 0x02, 0x04, 0x00, 0x00, 0x02, 0x02})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &structGen{data: data}
@@ -223,6 +233,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 		}
 
+		checkListDecoders(t, data)
+
 		// The decoder must survive arbitrary bytes for every target type.
 		_ = (Binary{}).Decode(data, &Snapshot{})
 		_ = (Binary{}).Decode(data, &[]Snapshot{})
@@ -240,6 +252,48 @@ func FuzzWireRoundTrip(f *testing.F) {
 		framed := append([]byte{binaryMagic, binaryVersion, kindSnapshotStream}, data...)
 		_, _ = DecodeSnapshotStream(bytes.NewReader(framed))
 	})
+}
+
+// checkListDecoders reads data's first byte as an element count and the
+// rest as a list of that many nodes, then edges, with the one-pass decoders
+// and with decodeNode and decodeEdge element by element, the checked reads
+// they stand in for: the same elements, the same delta state, the same error
+// and the same position after.
+func checkListDecoders(t *testing.T, data []byte) {
+	t.Helper()
+	if len(data) == 0 {
+		return
+	}
+	n := int(data[0])
+	type run struct {
+		d    *Decoder
+		prev int64
+		out  any
+	}
+	for _, nodes := range []bool{true, false} {
+		fast, ref := run{d: NewDecoder(data)}, run{d: NewDecoder(data)}
+		fast.d.pos, ref.d.pos = 1, 1
+		if nodes {
+			fast.out = appendNodes(fast.d, nil, n, &fast.prev)
+			var out []Node
+			for i := 0; i < n && ref.d.Err() == nil; i++ {
+				out = append(out, decodeNode(ref.d, &ref.prev))
+			}
+			ref.out = out
+		} else {
+			fast.out = appendEdges(fast.d, nil, n, &fast.prev)
+			var out []Edge
+			for i := 0; i < n && ref.d.Err() == nil; i++ {
+				out = append(out, decodeEdge(ref.d, &ref.prev))
+			}
+			ref.out = out
+		}
+		if !reflect.DeepEqual(fast.out, ref.out) || fast.prev != ref.prev || fast.d.pos != ref.d.pos ||
+			fmt.Sprint(fast.d.Err()) != fmt.Sprint(ref.d.Err()) || !reflect.DeepEqual(fast.d.keys, ref.d.keys) {
+			t.Fatalf("nodes %t over %x: one pass %#v (prev %d, at %d, %v), element by element %#v (prev %d, at %d, %v)",
+				nodes, data, fast.out, fast.prev, fast.d.pos, fast.d.Err(), ref.out, ref.prev, ref.d.pos, ref.d.Err())
+		}
+	}
 }
 
 // drainSnapshotStream and drainAppendStream decode a whole stream of their

@@ -36,6 +36,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"historygraph/internal/graph"
 )
 
 // kindSnapshotStream frames a chunked snapshot stream (see package
@@ -92,10 +94,13 @@ func IsStreamContentType(ct string) bool {
 // StreamEncoder writes one chunked snapshot stream, element by element:
 // it cuts the elements into runs of at most runSize and writes each run as
 // one frame, so no producer keeps a run buffer or a chunking loop of its
-// own. Not safe for concurrent use; allocate one per response. Elements
-// are encoded straight into the frame buffer, which is reused across runs,
-// so encoding an arbitrarily large snapshot allocates proportionally to
-// the largest single run.
+// own. A full run is written when the next element arrives, or when the
+// producer ends it (EndRun, Summary): an ordered walk of the pool ends each
+// of its runs with the pool's lock let go of, so no write or flush happens
+// under it. Not safe for concurrent use; allocate one per response.
+// Elements are encoded straight into the frame buffer, which is reused
+// across runs, so encoding an arbitrarily large snapshot allocates
+// proportionally to the largest single run. It is a graphpool.Sink.
 type StreamEncoder struct {
 	frameWriter
 	// AfterRun, when set, runs after every element-run frame reaches the
@@ -120,6 +125,9 @@ func NewStreamEncoder(w io.Writer, runSize int) *StreamEncoder {
 	return &StreamEncoder{frameWriter: newFrameWriter(w, kindSnapshotStream), runSize: runSize}
 }
 
+// RunSize returns how many elements a run holds at most.
+func (se *StreamEncoder) RunSize() int { return se.runSize }
+
 // Node adds one node. Nodes must arrive globally sorted by ID (each
 // continues the previous one's delta coding), and every node must precede
 // the first edge.
@@ -128,7 +136,8 @@ func (se *StreamEncoder) Node(n Node) error {
 		return err
 	}
 	encodeNode(se.enc, &se.prevNode, &n)
-	return se.added()
+	se.count++
+	return nil
 }
 
 // Edge adds one edge; edges arrive globally sorted by ID.
@@ -137,17 +146,41 @@ func (se *StreamEncoder) Edge(ed Edge) error {
 		return err
 	}
 	encodeEdge(se.enc, &se.prevEdge, &ed)
-	return se.added()
+	se.count++
+	return nil
+}
+
+// PutNode is Node for a node given as its ID and its values' pairs in
+// ascending name order (graphpool.Sink).
+func (se *StreamEncoder) PutNode(id graph.NodeID, attrs []graph.Attr) error {
+	if err := se.begin(frameNodes); err != nil {
+		return err
+	}
+	writeNodeID(se.enc, &se.prevNode, int64(id))
+	writePairs(se.enc, attrs)
+	se.count++
+	return nil
+}
+
+// PutEdge is Edge for an edge given as its ID, endpoints and pairs.
+func (se *StreamEncoder) PutEdge(id graph.EdgeID, info graph.EdgeInfo, attrs []graph.Attr) error {
+	if err := se.begin(frameEdges); err != nil {
+		return err
+	}
+	writeEdgeHead(se.enc, &se.prevEdge, int64(id), info)
+	writePairs(se.enc, attrs)
+	se.count++
+	return nil
 }
 
 // begin makes kind the open run's type, writing out an open run of the
-// other type first.
+// other type, or a full one, first.
 func (se *StreamEncoder) begin(kind byte) error {
 	if se.done {
 		return errFrameAfterLast
 	}
-	if se.kind != kind {
-		if err := se.endRun(); err != nil {
+	if se.kind != kind || se.count == se.runSize {
+		if err := se.EndRun(); err != nil {
 			return err
 		}
 		se.kind = kind
@@ -155,17 +188,10 @@ func (se *StreamEncoder) begin(kind byte) error {
 	return nil
 }
 
-// added counts the element just encoded and writes the run out once full.
-func (se *StreamEncoder) added() error {
-	if se.count++; se.count < se.runSize {
-		return nil
-	}
-	return se.endRun()
-}
-
-// endRun writes the open run, if it holds anything, as one frame. The
-// frame leads with the run's type and element count, known only now.
-func (se *StreamEncoder) endRun() error {
+// EndRun writes the open run, if it holds anything, as one frame, and then
+// runs AfterRun. The frame leads with the run's type and element count,
+// known only now.
+func (se *StreamEncoder) EndRun() error {
 	if se.count == 0 {
 		return nil
 	}
@@ -186,7 +212,7 @@ func (se *StreamEncoder) endRun() error {
 // response metadata: s's At, counts, flags and Partial list (its
 // Nodes/Edges are ignored — they were the runs). Nothing may follow it.
 func (se *StreamEncoder) Summary(s *Snapshot) error {
-	if err := se.endRun(); err != nil {
+	if err := se.EndRun(); err != nil {
 		return err
 	}
 	se.enc.Byte(frameSummary)
@@ -273,20 +299,14 @@ func (sd *StreamDecoder) Next() (*StreamFrame, error) {
 		if cap(sd.nodesBuf) < n {
 			sd.nodesBuf = make([]Node, 0, n)
 		}
-		nodes := sd.nodesBuf[:0]
-		for i := 0; i < n && d.Err() == nil; i++ {
-			nodes = append(nodes, decodeNode(d, &sd.prevNode))
-		}
+		nodes := appendNodes(d, sd.nodesBuf[:0], n, &sd.prevNode)
 		sd.nodesBuf, out.Nodes = nodes, nodes
 	case frameEdges:
 		n := d.Len()
 		if cap(sd.edgesBuf) < n {
 			sd.edgesBuf = make([]Edge, 0, n)
 		}
-		edges := sd.edgesBuf[:0]
-		for i := 0; i < n && d.Err() == nil; i++ {
-			edges = append(edges, decodeEdge(d, &sd.prevEdge))
-		}
+		edges := appendEdges(d, sd.edgesBuf[:0], n, &sd.prevEdge)
 		sd.edgesBuf, out.Edges = edges, edges
 	case frameSummary:
 		out.Summary = &Snapshot{
