@@ -29,7 +29,6 @@ type Sink interface {
 type Ordered struct {
 	nodes, edges []keyed
 	src          orderSource
-	sorted       bool
 	scratch      []graph.Attr
 }
 
@@ -58,11 +57,8 @@ func (o *Ordered) Walk(run int, sink Sink) error {
 	if run <= 0 {
 		run = max(len(o.nodes), len(o.edges), 1)
 	}
-	if !o.sorted {
-		sortByKey(o.nodes, func(k *keyed) int64 { return k.id })
-		sortByKey(o.edges, func(k *keyed) int64 { return k.id })
-		o.sorted = true
-	}
+	sortByKey(o.nodes, func(k *keyed) int64 { return k.id })
+	sortByKey(o.edges, func(k *keyed) int64 { return k.id })
 	for kind, list := range [2][]keyed{o.nodes, o.edges} {
 		for lo := 0; lo < len(list); lo += run {
 			if err := o.src.hand(o, kind == 0, list[lo:min(lo+run, len(list))], sink); err != nil {

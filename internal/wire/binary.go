@@ -28,7 +28,8 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"historygraph/internal/graph"
 )
@@ -455,47 +456,21 @@ func decodeList(d *Decoder) (n int, present bool) {
 	return d.Len(), true
 }
 
-// encodeAttrs writes a map of attribute values as writePairs writes their
+// encodeAttrs writes a map of attribute values as writePairs writes its
 // pairs: keys in ascending order, so identical maps encode to identical
-// bytes. One or two entries — the overwhelmingly common attribute count —
-// need no sort scratch.
+// bytes. A handful of pairs, the common count, sort on the stack.
 func encodeAttrs(e *Encoder, m map[string]string) {
 	if m == nil {
 		e.Byte(0)
 		return
 	}
-	e.Byte(1)
-	e.Uvarint(uint64(len(m)))
-	switch len(m) {
-	case 0:
-	case 1:
-		for k, v := range m {
-			writePair(e, k, v)
-		}
-	case 2:
-		var k1, k2 string
-		first := true
-		for k := range m {
-			if first {
-				k1, first = k, false
-			} else if k < k1 {
-				k2, k1 = k1, k
-			} else {
-				k2 = k
-			}
-		}
-		writePair(e, k1, m[k1])
-		writePair(e, k2, m[k2])
-	default:
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			writePair(e, k, m[k])
-		}
+	var room [8]graph.Attr
+	pairs := room[:0]
+	for k, v := range m {
+		pairs = append(pairs, graph.Attr{Name: k, Value: v})
 	}
+	slices.SortFunc(pairs, func(a, b graph.Attr) int { return strings.Compare(a.Name, b.Name) })
+	writePairs(e, pairs)
 }
 
 // writePairs writes an element's attribute values given as pairs in

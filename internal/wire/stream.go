@@ -136,7 +136,6 @@ func (se *StreamEncoder) Node(n Node) error {
 		return err
 	}
 	encodeNode(se.enc, &se.prevNode, &n)
-	se.count++
 	return nil
 }
 
@@ -146,7 +145,6 @@ func (se *StreamEncoder) Edge(ed Edge) error {
 		return err
 	}
 	encodeEdge(se.enc, &se.prevEdge, &ed)
-	se.count++
 	return nil
 }
 
@@ -158,7 +156,6 @@ func (se *StreamEncoder) PutNode(id graph.NodeID, attrs []graph.Attr) error {
 	}
 	writeNodeID(se.enc, &se.prevNode, int64(id))
 	writePairs(se.enc, attrs)
-	se.count++
 	return nil
 }
 
@@ -169,12 +166,11 @@ func (se *StreamEncoder) PutEdge(id graph.EdgeID, info graph.EdgeInfo, attrs []g
 	}
 	writeEdgeHead(se.enc, &se.prevEdge, int64(id), info)
 	writePairs(se.enc, attrs)
-	se.count++
 	return nil
 }
 
-// begin makes kind the open run's type, writing out an open run of the
-// other type, or a full one, first.
+// begin counts one more element of kind into the open run, writing out an
+// open run of the other type, or a full one, first.
 func (se *StreamEncoder) begin(kind byte) error {
 	if se.done {
 		return errFrameAfterLast
@@ -185,6 +181,7 @@ func (se *StreamEncoder) begin(kind byte) error {
 		}
 		se.kind = kind
 	}
+	se.count++
 	return nil
 }
 
