@@ -30,9 +30,17 @@ type Ordered struct {
 	nodes, edges []keyed
 	src          orderSource
 	scratch      []graph.Attr
+	// The gathered endpoints of the edges of a graph that reads through
+	// the current graph's bits, which can lose an element between runs (an
+	// append deletes it, a leaf cut clears it and the slot is reused): its
+	// elements are found again by id and its edges handed out as gathered,
+	// as the per-element accessors do.
+	live bool
+	ends []graph.EdgeInfo
 }
 
-// keyed is a gathered element: its id, and where a pool keeps its record.
+// keyed is a gathered element: its id, and where a pool keeps its record
+// (for a live graph's edge, where ends keeps its endpoints).
 type keyed struct {
 	id  int64
 	rec uint32
@@ -96,15 +104,15 @@ func (o *Ordered) pairs() []graph.Attr {
 // id, an edge by its From endpoint; nil keeps everything — under one hold
 // of the read lock. keep is called under the lock, so it calls no pool
 // method. The walk finds each record again by the slot it was gathered
-// from, which holds it while the view is acquired; only a graph that reads
-// through the current graph's bits can lose an element between runs (an
-// append deletes it and a leaf cut clears it), and such an element is
-// looked up again by id.
+// from, which keeps it while the view is acquired; a graph that reads
+// through the current graph can lose one between runs, and its walk goes
+// by id instead (Ordered.live).
 func (v *View) Order(keep func(graph.NodeID) bool) *Ordered {
 	p := v.p
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	o := &Ordered{src: v, nodes: make([]keyed, 0, v.entry.nodeCount), edges: make([]keyed, 0, v.entry.edgeCount)}
+	o := &Ordered{src: v, nodes: make([]keyed, 0, v.entry.nodeCount), edges: make([]keyed, 0, v.entry.edgeCount),
+		live: v.entry.kind == KindCurrent || v.entry.dep == CurrentGraph}
 	for i, pn := range p.nodeSlab.all {
 		if pn.live() && v.has(pn.bits()) && (keep == nil || keep(pn.id)) {
 			o.nodes = append(o.nodes, keyed{int64(pn.id), i})
@@ -112,7 +120,11 @@ func (v *View) Order(keep func(graph.NodeID) bool) *Ordered {
 	}
 	for i, pe := range p.edgeSlab.all {
 		if pe.live() && v.has(pe.bits()) && (keep == nil || keep(p.nodeSlab.at(pe.from()).id)) {
-			o.edges = append(o.edges, keyed{int64(pe.id), i})
+			rec := i
+			if o.live {
+				rec, o.ends = uint32(len(o.ends)), append(o.ends, p.info(pe))
+			}
+			o.edges = append(o.edges, keyed{int64(pe.id), rec})
 		}
 	}
 	return o
@@ -138,12 +150,14 @@ func (v *View) hand(o *Ordered, nodes bool, run []keyed, sink Sink) error {
 	for _, k := range run {
 		o.scratch = o.scratch[:0]
 		if nodes {
-			pn := slotOf(&p.nodeSlab, k.rec)
-			if pn == nil || !pn.live() || int64(pn.id) != k.id {
-				pn = p.findNode(graph.NodeID(k.id))
-			}
-			if show && pn != nil && v.has(pn.bits()) {
-				v.putValues(o, pn.vals, true)
+			if show {
+				pn := p.nodeSlab.at(k.rec)
+				if o.live {
+					pn = p.findNode(graph.NodeID(k.id))
+				}
+				if pn != nil && v.has(pn.bits()) {
+					v.putValues(o, pn.vals, true)
+				}
 			}
 			if err := sink.PutNode(graph.NodeID(k.id), o.pairs()); err != nil {
 				return err
@@ -151,45 +165,22 @@ func (v *View) hand(o *Ordered, nodes bool, run []keyed, sink Sink) error {
 			continue
 		}
 		id := graph.EdgeID(k.id)
-		pe := slotOf(&p.edgeSlab, k.rec)
-		if pe == nil || !pe.live() || pe.id != id || !v.has(pe.bits()) {
-			pe = v.lost(id)
-		}
 		var info graph.EdgeInfo
-		if pe != nil {
+		var pe *poolEdge
+		if o.live {
+			info, pe = o.ends[k.rec], p.held(v.entry.m, id)
+		} else {
+			pe = p.edgeSlab.at(k.rec)
 			info = p.info(pe)
-			if show && v.has(pe.bits()) {
-				v.putValues(o, p.edgeVals[id], false)
-			}
+		}
+		if show && pe != nil {
+			v.putValues(o, p.edgeVals[id], false)
 		}
 		if err := sink.PutEdge(id, info, o.pairs()); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// lost finds the record of edge id again when its slot no longer holds the
-// record this graph held it on: the one this graph holds now, else the id's
-// first; nil when the pool holds none, and the edge is handed out with no
-// endpoints. The caller holds the read lock.
-func (v *View) lost(id graph.EdgeID) *poolEdge {
-	if pe := v.p.held(v.entry.m, id); pe != nil {
-		return pe
-	}
-	if first, ok := v.p.edgeIdx.get(id); ok {
-		return v.p.edgeSlab.at(first)
-	}
-	return nil
-}
-
-// slotOf returns record i of s, nil when s no longer has the chunk (a slab
-// with no record left gives its chunks back).
-func slotOf[R any](s *slab[R], i uint32) *R {
-	if int(i/chunkLen) >= len(s.chunks) {
-		return nil
-	}
-	return s.at(i)
 }
 
 // putValues puts into o's scratch the value of each attribute in l this
