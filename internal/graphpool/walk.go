@@ -166,14 +166,14 @@ func (v *View) hand(o *Ordered, nodes bool, run []keyed, sink Sink) error {
 		}
 		id := graph.EdgeID(k.id)
 		var info graph.EdgeInfo
-		var pe *poolEdge
+		held := show
 		if o.live {
-			info, pe = o.ends[k.rec], p.held(v.entry.m, id)
+			info = o.ends[k.rec]
+			held = show && p.held(v.entry.m, id) != nil
 		} else {
-			pe = p.edgeSlab.at(k.rec)
-			info = p.info(pe)
+			info = p.info(p.edgeSlab.at(k.rec))
 		}
-		if show && pe != nil {
+		if held {
 			v.putValues(o, p.edgeVals[id], false)
 		}
 		if err := sink.PutEdge(id, info, o.pairs()); err != nil {
