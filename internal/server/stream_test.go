@@ -317,21 +317,23 @@ func TestEncodedCacheInvalidation(t *testing.T) {
 // the current graph, whose elements an append can take away between two
 // runs of the walk — and behind it, while an appender crosses leaf cuts and
 // the pool's cleaner runs every millisecond. The walk holds the pool's read
-// lock one run of three elements at a time and writes no frame under it, so
+// lock one run of one element at a time and writes no frame under it, so
 // the appender and the cleaner take the write lock between runs. Every
 // stream ends in its summary, lists as many elements as it counts, each
-// kind in ascending ID order, and a read behind the appends, which no
-// append changes, is the reference's to the byte.
+// kind in ascending ID order, every edge between the endpoints the trace
+// gives its ID (an element lost mid-walk is handed out as it was
+// gathered), and a read behind the appends, which no append changes, is
+// the reference's to the byte.
 func TestStreamReadWhileAppending(t *testing.T) {
 	const attrs = "+node:all+edge:all"
-	events := datagen.MessyTrace(5, 6000)
+	events := datagen.MessyTrace(5, 20000)
 	split := len(events) / 2
 	gm, err := historygraph.BuildFrom(events[:split], historygraph.Options{LeafEventlistSize: 16, CleanerInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer gm.Close()
-	svc := New(gm, Config{StreamRun: 3})
+	svc := New(gm, Config{StreamRun: 1})
 	defer svc.Close()
 	handler := svc.Handler()
 	behind, head := events[split/2].At, events[len(events)-1].At
@@ -341,9 +343,15 @@ func TestStreamReadWhileAppending(t *testing.T) {
 	}
 	want := refSnapshotOf(h, behind, true, nil)
 	gm.Release(h)
-	refs := map[bool][]byte{false: refStream(t, want, 3)} // by the Cached flag
+	refs := map[bool][]byte{false: refStream(t, want, 1)} // by the Cached flag
 	want.Cached = true
-	refs[true] = refStream(t, want, 3)
+	refs[true] = refStream(t, want, 1)
+	ends := map[int64][2]int64{} // in the trace an edge ID always names one pair
+	for _, ev := range events {
+		if ev.Type == historygraph.AddEdge {
+			ends[int64(ev.Edge)] = [2]int64{int64(ev.Node), int64(ev.Node2)}
+		}
+	}
 
 	stream := func(at historygraph.Time) (*wire.Snapshot, []byte, error) {
 		req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/snapshot?t=%d&full=1&attrs=%%2Bnode:all%%2Bedge:all", at), nil)
@@ -390,6 +398,12 @@ func TestStreamReadWhileAppending(t *testing.T) {
 					!slices.IsSortedFunc(s.Edges, func(a, b wire.Edge) int { return int(a.ID - b.ID) }) {
 					t.Errorf("t=%d: counts %d/%d over lists of %d/%d, or not in ID order", at, s.NumNodes, s.NumEdges, len(s.Nodes), len(s.Edges))
 					return
+				}
+				for _, e := range s.Edges {
+					if ends[e.ID] != [2]int64{e.From, e.To} {
+						t.Errorf("t=%d: edge %d from %d to %d, the trace adds it from %d to %d", at, e.ID, e.From, e.To, ends[e.ID][0], ends[e.ID][1])
+						return
+					}
 				}
 				if at == behind && (s.Coalesced || !bytes.Equal(body, refs[s.Cached])) {
 					t.Errorf("t=%d, read %d: the stream is not the reference's", at, reads)

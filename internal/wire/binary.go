@@ -28,8 +28,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
-	"strings"
+	"sort"
 
 	"historygraph/internal/graph"
 )
@@ -458,19 +457,45 @@ func decodeList(d *Decoder) (n int, present bool) {
 
 // encodeAttrs writes a map of attribute values as writePairs writes its
 // pairs: keys in ascending order, so identical maps encode to identical
-// bytes. A handful of pairs, the common count, sort on the stack.
+// bytes. One or two entries — the overwhelmingly common attribute count —
+// need no sort scratch.
 func encodeAttrs(e *Encoder, m map[string]string) {
 	if m == nil {
 		e.Byte(0)
 		return
 	}
-	var room [8]graph.Attr
-	pairs := room[:0]
-	for k, v := range m {
-		pairs = append(pairs, graph.Attr{Name: k, Value: v})
+	e.Byte(1)
+	e.Uvarint(uint64(len(m)))
+	switch len(m) {
+	case 0:
+	case 1:
+		for k, v := range m {
+			writePair(e, k, v)
+		}
+	case 2:
+		var k1, k2 string
+		first := true
+		for k := range m {
+			if first {
+				k1, first = k, false
+			} else if k < k1 {
+				k2, k1 = k1, k
+			} else {
+				k2 = k
+			}
+		}
+		writePair(e, k1, m[k1])
+		writePair(e, k2, m[k2])
+	default:
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			writePair(e, k, m[k])
+		}
 	}
-	slices.SortFunc(pairs, func(a, b graph.Attr) int { return strings.Compare(a.Name, b.Name) })
-	writePairs(e, pairs)
 }
 
 // writePairs writes an element's attribute values given as pairs in
