@@ -65,7 +65,8 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("interval [%d, %d): %d nodes, %d edges added; %d transient events\n",
-			tsv, tev, len(res.Graph.Nodes), len(res.Graph.Edges), len(res.Transients))
+			tsv, tev, res.Graph.NumNodes(), res.Graph.NumEdges(), len(res.Transients))
+		gm.Release(res.Graph)
 		return
 	}
 

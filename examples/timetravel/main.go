@@ -54,12 +54,14 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("interval [%d, %d): %d nodes and %d edges added, %d transient events\n",
-		last/3, 2*last/3, len(ir.Graph.Nodes), len(ir.Graph.Edges), len(ir.Transients))
+		last/3, 2*last/3, ir.Graph.NumNodes(), ir.Graph.NumEdges(), len(ir.Transients))
+	gm.Release(ir.Graph)
 	ir2, err := gm.GetHistGraphInterval(last, last+100, "")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("interval [%d, %d): %d transient events (the messages)\n", last, last+100, len(ir2.Transients))
+	gm.Release(ir2.Graph)
 
 	// TimeExpression: elements that survived the churn (t1 ∧ t2) and the
 	// churn casualties (t1 ∧ ¬t2).

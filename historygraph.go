@@ -352,8 +352,9 @@ func (gm *GraphManager) GetHistGraphExpr(tex TimeExpression, attrOptions string)
 	return gm.view(gm.dg.RetrieveExpression(tex, opts))
 }
 
-// GetHistGraphInterval retrieves all elements added during [ts, te) plus
-// the transient events in that window.
+// GetHistGraphInterval retrieves into the GraphPool the graph of all
+// elements added during [ts, te), plus the transient events in that window.
+// Release its Graph as GetHistGraph's.
 func (gm *GraphManager) GetHistGraphInterval(ts, te Time, attrOptions string) (*IntervalResult, error) {
 	opts, err := graph.ParseAttrOptions(attrOptions)
 	if err != nil {

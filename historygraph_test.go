@@ -102,9 +102,10 @@ func TestEndToEndLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ir.Graph.Edges) != 2 {
-		t.Errorf("interval edges = %d", len(ir.Graph.Edges))
+	if ir.Graph.NumEdges() != 2 {
+		t.Errorf("interval edges = %d", ir.Graph.NumEdges())
 	}
+	gm.Release(ir.Graph)
 
 	// Materialization policies.
 	if err := gm.Materialize("root"); err != nil {

@@ -489,10 +489,13 @@ func TestBuilderSeamUnderRace(t *testing.T) {
 		lo := past(rng, settled)
 		hi := min(lo+1+graph.Time(rng.Intn(200)), settled+1)
 		res, err := dg.GetInterval(lo, hi, allAttrs)
-		if err == nil && !res.Graph.Equal(intervalOf(events, lo, hi)) {
-			err = fmt.Errorf("GetInterval(%d, %d) differs from the replay", lo, hi)
+		if err != nil {
+			return err
 		}
-		return err
+		if !res.Graph.Snapshot().Equal(intervalOf(events, lo, hi)) {
+			return fmt.Errorf("GetInterval(%d, %d) differs from the replay", lo, hi)
+		}
+		return pool.Release(res.Graph.ID())
 	})
 	reading(4, func(rng *rand.Rand, settled graph.Time) error {
 		leaves, times := dg.Leaves(), dg.LeafTimes()

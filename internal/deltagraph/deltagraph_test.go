@@ -457,14 +457,35 @@ func TestIntervalQuery(t *testing.T) {
 			wantGraph.Apply(ev)
 		}
 	}
-	if !res.Graph.Equal(wantGraph) {
+	if !res.Graph.Snapshot().Equal(wantGraph) {
 		t.Error("interval graph differs from reference")
+	}
+	if err := dg.pool.Release(res.Graph.ID()); err != nil {
+		t.Fatal(err)
 	}
 	if len(res.Transients) != wantTrans {
 		t.Errorf("transients = %d, want %d", len(res.Transients), wantTrans)
 	}
 	if _, err := dg.GetInterval(te, ts, allAttrs); err == nil {
 		t.Error("empty interval accepted")
+	}
+
+	// An edge added again on other endpoints in the window is in the graph
+	// once, on the endpoints of its last add, as a replay has it.
+	moved := graph.EventList{
+		{Type: graph.AddNode, At: 1, Node: 1}, {Type: graph.AddNode, At: 1, Node: 2}, {Type: graph.AddNode, At: 1, Node: 3},
+		{Type: graph.AddEdge, At: 2, Edge: 1, Node: 1, Node2: 2},
+		{Type: graph.DelEdge, At: 3, Edge: 1, Node: 1, Node2: 2},
+		{Type: graph.AddEdge, At: 4, Edge: 1, Node: 2, Node2: 3},
+	}
+	if dg, err = Build(moved, Options{LeafSize: 2, Arity: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = dg.GetInterval(2, 5, allAttrs); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := replayInterval(moved, 2, 5); !res.Graph.Snapshot().Equal(want) || res.Graph.NumEdges() != 1 || res.Graph.Order(nil).NumEdges() != 1 {
+		t.Errorf("an edge moved in the window: %d edges, %v; the replay %v", res.Graph.NumEdges(), res.Graph.Snapshot().Edges, want.Edges)
 	}
 }
 

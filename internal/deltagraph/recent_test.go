@@ -141,6 +141,9 @@ func checkTransients(t *testing.T, dg *DeltaGraph, history graph.EventList, from
 		if !reflect.DeepEqual(res.Transients, want) {
 			t.Fatalf("transients in [%d, %d): got %v, want %v", lo, lo+3, res.Transients, want)
 		}
+		if err := dg.pool.Release(res.Graph.ID()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

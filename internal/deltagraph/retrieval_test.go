@@ -278,8 +278,11 @@ func checkRetrievals(t *testing.T, in []byte) {
 				t.Fatalf("GetInterval(%d, %d, %q): %v", from, to, spec, err)
 			}
 			want, transients := replayInterval(events, from, to)
-			if !got.Graph.Equal(attrs.FilterSnapshot(want)) || len(got.Transients) != transients {
+			if !got.Graph.Snapshot().Equal(attrs.FilterSnapshot(want)) || len(got.Transients) != transients {
 				t.Errorf("GetInterval(%d, %d, %q) differs from replay", from, to, spec)
+			}
+			if err := dg.pool.Release(got.Graph.ID()); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

@@ -644,16 +644,21 @@ func (dg *DeltaGraph) GetSnapshots(ts []graph.Time, opts graph.AttrOptions) ([]*
 }
 
 // IntervalResult is the answer to GetHistGraphInterval: the graph over all
-// elements added during [Start, End), plus the transient events in that
-// window (which no snapshot query returns, by definition).
+// elements added during [Start, End), a graph in the pool that its caller
+// releases, plus the transient events in that window (which no snapshot
+// query returns, by definition).
 type IntervalResult struct {
 	Start, End graph.Time
-	Graph      *graph.Snapshot
+	Graph      *graphpool.View
 	Transients []graph.Event
 }
 
 // GetInterval retrieves all elements added during [ts, te) and the
-// transient events that occurred in that window.
+// transient events that occurred in that window. The graph is built in the
+// pool from the null graph: the adds and sets of the leaf level's events in
+// the window (value removals included, deletes left out), each step's under
+// one hold of the pool's write lock, with the values opts does not ask for
+// kept out by the build (Build.ApplyAdds).
 func (dg *DeltaGraph) GetInterval(ts, te graph.Time, opts graph.AttrOptions) (*IntervalResult, error) {
 	if te <= ts {
 		return nil, fmt.Errorf("deltagraph: empty interval [%d, %d)", ts, te)
@@ -662,9 +667,6 @@ func (dg *DeltaGraph) GetInterval(ts, te graph.Time, opts graph.AttrOptions) (*I
 		return nil, err
 	}
 	defer dg.mu.RUnlock()
-	run := graphRun{dg: dg, spec: specFor(opts)}
-	run.spec.transient = true
-	res := &IntervalResult{Start: ts, End: te, Graph: graph.NewSnapshot()}
 	// [ts, te) is (ts-1, te-1]: the leaf level between those two times.
 	from := ts - 1
 	if ts == math.MinInt64 {
@@ -674,23 +676,24 @@ func (dg *DeltaGraph) GetInterval(ts, te graph.Time, opts graph.AttrOptions) (*I
 	if err != nil {
 		return nil, err
 	}
+	b, _ := dg.pool.NewBuild(graphpool.NoDependency, false, opts) // the null graph depends on no graph that could be gone
+	run := graphRun{dg: dg, spec: specFor(opts)}
+	run.spec.transient = true
+	res := &IntervalResult{Start: ts, End: te}
 	for _, st := range steps {
 		evs, err := run.events(st)
 		if err != nil {
+			b.Abort()
 			return nil, err
 		}
 		for _, ev := range evs {
-			switch ev.Type {
-			case graph.TransientEdge, graph.TransientNode:
+			if ev.Type.IsTransient() {
 				res.Transients = append(res.Transients, ev)
-			case graph.AddNode, graph.AddEdge, graph.SetNodeAttr, graph.SetEdgeAttr:
-				if opts.FilterEvent(ev) {
-					res.Graph.Apply(ev)
-				}
 			}
 		}
+		b.ApplyAdds(evs)
 	}
-	opts.FilterSnapshot(res.Graph)
+	res.Graph, _ = dg.pool.View(b.Commit(graphpool.KindHistorical, ts)) // active: just committed
 	return res, nil
 }
 

@@ -137,6 +137,28 @@ func (b *Build) ApplyEvents(evs []graph.Event, back bool) {
 	}
 }
 
+// ApplyAdds applies the adds and sets among evs to b, oldest first, and
+// leaves their deletes out: b becomes the union of what they add, as
+// graph.Snapshot.Apply has it, so an edge added again on other endpoints is
+// b's on the endpoints of its last add.
+func (b *Build) ApplyAdds(evs []graph.Event) {
+	p, e := b.p, b.e
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, ev := range evs {
+		switch ev.Type {
+		case graph.AddEdge:
+			if pe := p.held(e.m, ev.Edge); pe != nil && p.info(pe) != (graph.EdgeInfo{From: ev.Node, To: ev.Node2, Directed: ev.Directed}) {
+				e.edgeCount += p.put(e, pe.bits(), false)
+				e.outEdges = append(e.outEdges, ev.Edge)
+			}
+			p.applyEvent(e, ev)
+		case graph.AddNode, graph.SetNodeAttr, graph.SetEdgeAttr:
+			p.applyEvent(e, ev)
+		}
+	}
+}
+
 // Commit enters b into the graph table as a graph of the given kind,
 // retrieved for at, and returns its ID; b is spent. What the build took out
 // again and no graph holds, a record or a value, leaves the pool first.

@@ -5,14 +5,14 @@ package graphpool
 // them by id in linear time, and hands them out a run at a time, taking the
 // read lock again for each run, with each element's values as (name, value)
 // pairs read off the string table: no map, no lookup by id and no lock per
-// element.
+// element. It has no other source: every graph a query answers with is a
+// graph in the pool, an interval's included.
 
 import "historygraph/internal/graph"
 
 // Sink takes the elements of an ordered walk: every node, then every edge,
 // each kind in ascending id order, an element's values as (name, value)
-// pairs in ascending name order, nil when it shows none (an empty list that
-// is not nil only from a snapshot that holds an empty map). attrs is scratch
+// pairs in ascending name order, nil when it shows none. attrs is scratch
 // the walk reuses: a sink may keep the strings, never the slice. The walk
 // holds the pool's read lock while it hands over a run, so PutNode and
 // PutEdge call no pool method; EndRun is called after each run with the
@@ -28,7 +28,7 @@ type Sink interface {
 // the first.
 type Ordered struct {
 	nodes, edges []keyed
-	src          orderSource
+	v            *View
 	scratch      []graph.Attr
 	// The gathered endpoints of the edges of a graph that reads through
 	// the current graph's bits, which can lose an element between runs (an
@@ -44,11 +44,6 @@ type Ordered struct {
 type keyed struct {
 	id  int64
 	rec uint32
-}
-
-// orderSource hands a run of gathered elements of one kind to a sink.
-type orderSource interface {
-	hand(o *Ordered, nodes bool, run []keyed, sink Sink) error
 }
 
 // NumNodes returns how many nodes the walk hands out.
@@ -69,7 +64,7 @@ func (o *Ordered) Walk(run int, sink Sink) error {
 	sortByKey(o.edges, func(k *keyed) int64 { return k.id })
 	for kind, list := range [2][]keyed{o.nodes, o.edges} {
 		for lo := 0; lo < len(list); lo += run {
-			if err := o.src.hand(o, kind == 0, list[lo:min(lo+run, len(list))], sink); err != nil {
+			if err := o.v.hand(o, kind == 0, list[lo:min(lo+run, len(list))], sink); err != nil {
 				return err
 			}
 			if err := sink.EndRun(); err != nil {
@@ -111,7 +106,7 @@ func (v *View) Order(keep func(graph.NodeID) bool) *Ordered {
 	p := v.p
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	o := &Ordered{src: v, nodes: make([]keyed, 0, v.entry.nodeCount), edges: make([]keyed, 0, v.entry.edgeCount),
+	o := &Ordered{v: v, nodes: make([]keyed, 0, v.entry.nodeCount), edges: make([]keyed, 0, v.entry.edgeCount),
 		live: v.entry.kind == KindCurrent || v.entry.dep == CurrentGraph}
 	for i, pn := range p.nodeSlab.all {
 		if pn.live() && v.has(pn.bits()) && (keep == nil || keep(pn.id)) {
@@ -141,7 +136,8 @@ func (v *View) shows(node bool) bool {
 	return v.entry.attrs.AnyEdgeAttrs()
 }
 
-// hand implements orderSource under one hold of the read lock.
+// hand hands run, gathered elements of one kind, to sink under one hold of
+// the read lock.
 func (v *View) hand(o *Ordered, nodes bool, run []keyed, sink Sink) error {
 	p := v.p
 	p.mu.RLock()
@@ -199,59 +195,6 @@ func (v *View) putValues(o *Ordered, l *attrList, node bool) {
 			o.put(name, v.p.strs[av.val])
 		}
 	}
-}
-
-// snapshotSource walks a set-based snapshot: the same walk over maps.
-type snapshotSource struct{ s *graph.Snapshot }
-
-// OrderSnapshot gathers the elements of s that keep keeps (nil keeps
-// everything), as View.Order does, for the same ordered walk.
-func OrderSnapshot(s *graph.Snapshot, keep func(graph.NodeID) bool) *Ordered {
-	o := &Ordered{src: snapshotSource{s}, nodes: make([]keyed, 0, len(s.Nodes)), edges: make([]keyed, 0, len(s.Edges))}
-	for n := range s.Nodes {
-		if keep == nil || keep(n) {
-			o.nodes = append(o.nodes, keyed{id: int64(n)})
-		}
-	}
-	for e, info := range s.Edges {
-		if keep == nil || keep(info.From) {
-			o.edges = append(o.edges, keyed{id: int64(e)})
-		}
-	}
-	return o
-}
-
-// hand implements orderSource.
-func (src snapshotSource) hand(o *Ordered, nodes bool, run []keyed, sink Sink) error {
-	for _, k := range run {
-		if nodes {
-			if err := sink.PutNode(graph.NodeID(k.id), o.mapPairs(src.s.NodeAttrs[graph.NodeID(k.id)])); err != nil {
-				return err
-			}
-			continue
-		}
-		id := graph.EdgeID(k.id)
-		if err := sink.PutEdge(id, src.s.Edges[id], o.mapPairs(src.s.EdgeAttrs[id])); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// mapPairs returns the pairs of m in ascending name order: nil for a nil
-// map, an empty list for an empty one.
-func (o *Ordered) mapPairs(m map[string]string) []graph.Attr {
-	if m == nil {
-		return nil
-	}
-	o.scratch = o.scratch[:0]
-	for name, value := range m {
-		o.put(name, value)
-	}
-	if o.scratch == nil {
-		o.scratch = []graph.Attr{}
-	}
-	return o.scratch
 }
 
 // sortByKey puts s in ascending order of key in linear time: a least

@@ -40,9 +40,7 @@ func exact(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
 func (bc BodyCache) WriteHit(w http.ResponseWriter, key string) bool {
 	body, ok := bc.Get(key)
 	if ok {
-		w.Header().Set("Content-Type", body.ContentType)
-		w.WriteHeader(http.StatusOK)
-		w.Write(body.Bytes)
+		writeBody(w, http.StatusOK, body.ContentType, body.Bytes)
 	}
 	return ok
 }
@@ -73,9 +71,7 @@ func (bc BodyCache) Write(w http.ResponseWriter, codec wire.Codec, v, hit any, k
 // answers 200 with body and admits as Write does, hit making the form a
 // later hit answers with, counted as one more encode.
 func (bc BodyCache) WriteBody(w http.ResponseWriter, contentType string, body []byte, hit func() ([]byte, error), key string, e cache.Entry[cache.Body], gen int64) {
-	w.Header().Set("Content-Type", contentType)
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	writeBody(w, http.StatusOK, contentType, body)
 	if key == "" || !bc.Admit(key) {
 		return
 	}

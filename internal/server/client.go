@@ -223,12 +223,19 @@ func decodeResponse(resp *http.Response, out any) error {
 		*snap = *got
 		return nil
 	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
+	// Sized from the stated length, so that a whole body is read into one
+	// allocation; a body of no stated length grows as it comes.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), maxPresized)+bytes.MinRead))
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return err
 	}
-	return wire.ForContentType(ct).Decode(data, out)
+	return wire.ForContentType(ct).Decode(buf.Bytes(), out)
 }
+
+// maxPresized bounds the buffer a response's Content-Length sizes before
+// the first byte is read, so that a wrong header cannot force a huge
+// allocation; a longer body grows as it is read.
+const maxPresized = 64 << 20
 
 func timeQuery(ts []historygraph.Time) string {
 	parts := make([]string, len(ts))

@@ -34,14 +34,11 @@ type refElements interface {
 	EdgeAttrs(historygraph.EdgeID) map[string]string
 }
 
-// oracleSource is a source both paths read.
-type oracleSource interface {
-	elements
-	refElements
-}
-
 // refDetached gives a set-based snapshot the reference's accessors.
-type refDetached struct{ detached }
+type refDetached struct{ s *historygraph.Snapshot }
+
+func (d refDetached) NumNodes() int { return len(d.s.Nodes) }
+func (d refDetached) NumEdges() int { return len(d.s.Edges) }
 
 func (d refDetached) ForEachNode(fn func(historygraph.NodeID) bool) {
 	for n := range d.s.Nodes {
@@ -61,6 +58,45 @@ func (d refDetached) ForEachEdge(fn func(historygraph.EdgeID, historygraph.EdgeI
 
 func (d refDetached) NodeAttrs(n historygraph.NodeID) map[string]string { return d.s.NodeAttrs[n] }
 func (d refDetached) EdgeAttrs(e historygraph.EdgeID) map[string]string { return d.s.EdgeAttrs[e] }
+
+// refInterval is the reference /interval graph and transients: a replay of
+// events that applies every add and set in [from, to) to the null graph,
+// with the values attrs asks for. An event that leaves the graph as it was
+// — an add of an element that is there, a set to the value already held, a
+// removal of a value not held — is no event of the history, as the index
+// admits none.
+func refInterval(events historygraph.EventList, from, to historygraph.Time, attrs string) (*historygraph.Snapshot, []historygraph.Event) {
+	cur, added := graph.NewSnapshot(), graph.NewSnapshot()
+	var transients []historygraph.Event
+	for _, ev := range events {
+		changes := true
+		switch ev.Type {
+		case graph.AddNode:
+			_, there := cur.Nodes[ev.Node]
+			changes = !there
+		case graph.AddEdge:
+			_, there := cur.Edges[ev.Edge]
+			changes = !there
+		case graph.SetNodeAttr, graph.SetEdgeAttr:
+			held, had := cur.NodeAttrs[ev.Node][ev.Attr]
+			if ev.Type == graph.SetEdgeAttr {
+				held, had = cur.EdgeAttrs[ev.Edge][ev.Attr]
+			}
+			changes = had && (!ev.HasNew || held != ev.New) || !had && ev.HasNew
+		}
+		cur.Apply(ev)
+		if !changes || ev.At < from || ev.At >= to {
+			continue
+		}
+		switch ev.Type {
+		case graph.TransientEdge, graph.TransientNode:
+			transients = append(transients, ev)
+		case graph.AddNode, graph.AddEdge, graph.SetNodeAttr, graph.SetEdgeAttr:
+			added.Apply(ev)
+		}
+	}
+	return historygraph.MustParseAttrOptions(attrs).FilterSnapshot(added), transients
+}
 
 // refSnapshotOf is the reference answer for src under own.
 func refSnapshotOf(src refElements, at historygraph.Time, full bool, own *slotOwnership) wire.Snapshot {
@@ -132,7 +168,7 @@ func sameBytes(t *testing.T, where string, got, want []byte) {
 // oracleWalk holds every form the walk writes of src under own to the
 // reference: the struct answer's JSON and binary bytes, the binary body
 // written from the walk (and its hit form), and the stream at two run sizes.
-func oracleWalk(t *testing.T, where string, src oracleSource, at historygraph.Time, own *slotOwnership) {
+func oracleWalk(t *testing.T, where string, src *historygraph.HistGraph, at historygraph.Time, own *slotOwnership) {
 	t.Helper()
 	for _, full := range []bool{false, true} {
 		where := fmt.Sprintf("%s, full %t", where, full)
@@ -168,10 +204,11 @@ func oracleWalk(t *testing.T, where string, src oracleSource, at historygraph.Ti
 // oracleAnswers holds the served answers of handler to the reference: each
 // whole-message /snapshot, counts-only and full, in both codecs, three times
 // over (a miss, then hits of whichever levels hold it), the stream, /batch,
-// /expr and /interval. The reference reads the same graphs from gm. The
-// flags a cache level sets are read off each answer; with no view cache the
-// third whole-message answer, the encoded level's hit, must carry Cached.
-func oracleAnswers(t *testing.T, where string, gm *historygraph.GraphManager, svc *Server, times []historygraph.Time, attrs string, viewCache bool) {
+// /expr and /interval. The reference reads the same graphs from gm, but for
+// /interval's, which it replays from events, the trace gm was built from.
+// The flags a cache level sets are read off each answer; with no view cache
+// the third whole-message answer, the encoded level's hit, must carry Cached.
+func oracleAnswers(t *testing.T, where string, gm *historygraph.GraphManager, svc *Server, events historygraph.EventList, times []historygraph.Time, attrs string, viewCache bool) {
 	t.Helper()
 	handler, own := svc.Handler(), svc.ownership()
 	serve := func(method, url, accept string, body []byte) []byte {
@@ -264,13 +301,10 @@ func oracleAnswers(t *testing.T, where string, gm *historygraph.GraphManager, sv
 		}
 
 		from, to := times[1], times[len(times)-1]
-		res, err := gm.GetHistGraphInterval(from, to, attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sj := refSnapshotOf(refDetached{detached{res.Graph}}, 0, full, own)
-		wantIv := wire.Interval{Start: int64(res.Start), End: int64(res.End), NumNodes: sj.NumNodes, NumEdges: sj.NumEdges, Nodes: sj.Nodes, Edges: sj.Edges}
-		for _, ev := range res.Transients {
+		g, transients := refInterval(events, from, to, attrs)
+		sj := refSnapshotOf(refDetached{g}, 0, full, own)
+		wantIv := wire.Interval{Start: int64(from), End: int64(to), NumNodes: sj.NumNodes, NumEdges: sj.NumEdges, Nodes: sj.Nodes, Edges: sj.Edges}
+		for _, ev := range transients {
 			if !own.filtering() || own.owns(graph.SlotOfEvent(ev)) {
 				wantIv.Transients = append(wantIv.Transients, ev)
 			}
@@ -299,8 +333,9 @@ func firstAttr(events historygraph.EventList) string {
 // with the view cache on and off, and with 64 views held first so that the
 // served ones are past bit 63. The times served include an empty graph
 // (before the first event) and the head, a dependent of the current graph;
-// the walk of the current graph itself, a detached copy of a view and an
-// empty graph are held to the reference directly.
+// the walk of the current graph itself, the head and an empty graph are
+// held to the reference directly, and so is SnapshotToJSON of the head
+// detached.
 func TestAnswersMatchReference(t *testing.T) {
 	traces := []struct {
 		name   string
@@ -333,9 +368,31 @@ func TestAnswersMatchReference(t *testing.T) {
 					t.Fatalf("%s: the head read does not depend on the current graph", where)
 				}
 				oracleWalk(t, where+", the head", head, last, owned)
-				oracleWalk(t, where+", the head detached", refDetached{detached{head.Snapshot()}}, last, owned)
+				if owned == nil {
+					// SnapshotToJSON of the head detached, one node's values
+					// an empty map: empty stays apart from nil.
+					det := head.Snapshot()
+					for n := range det.Nodes {
+						det.NodeAttrs[n] = map[string]string{}
+						break
+					}
+					for _, full := range []bool{false, true} {
+						for _, codec := range wire.Codecs() {
+							sameBytes(t, fmt.Sprintf("%s, the head detached as %s, full %t", where, codec.Name(), full),
+								mustEncode(t, codec, SnapshotToJSON(det, last, full)), mustEncode(t, codec, refSnapshotOf(refDetached{det}, last, full, nil)))
+						}
+					}
+				}
 				gm.Release(head)
-				oracleWalk(t, where+", an empty snapshot", refDetached{detached{graph.NewSnapshot()}}, 0, owned)
+				empty, err := gm.GetHistGraph(first-1, attrs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if empty.NumNodes() != 0 {
+					t.Fatalf("%s: the graph before the first event has %d nodes", where, empty.NumNodes())
+				}
+				oracleWalk(t, where+", an empty graph", empty, 0, owned)
+				gm.Release(empty)
 			}
 			for _, hold := range []int{0, 64} {
 				var held []*historygraph.HistGraph
@@ -361,7 +418,7 @@ func TestAnswersMatchReference(t *testing.T) {
 							}
 						}
 						where := fmt.Sprintf("%s, attrs %q, %d held, view cache %t, filtered %t", tr.name, attrs, hold, viewCache, slots != nil)
-						oracleAnswers(t, where, gm, svc, times, attrs, viewCache)
+						oracleAnswers(t, where, gm, svc, tr.events, times, attrs, viewCache)
 						svc.Close()
 					}
 				}

@@ -529,13 +529,15 @@ func (s *Server) handleInterval(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res, err := s.gm.Load().GetHistGraphInterval(from, to, q.Attrs)
+	gm := s.gm.Load()
+	res, err := gm.GetHistGraphInterval(from, to, q.Attrs)
 	if err != nil {
 		WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	own := s.ownership()
-	sj := snapshotOf(detached{res.Graph}, 0, q.Full, own)
+	sj := snapshotOf(res.Graph, 0, q.Full, own)
+	gm.Release(res.Graph)
 	out := wire.Interval{
 		Start: int64(res.Start), End: int64(res.End),
 		NumNodes: sj.NumNodes, NumEdges: sj.NumEdges,
@@ -775,9 +777,16 @@ func WriteWire(w http.ResponseWriter, r *http.Request, code int, v any) {
 		WriteJSON(w, code, v)
 		return
 	}
-	w.Header().Set("Content-Type", codec.ContentType())
+	writeBody(w, code, codec.ContentType(), data)
+}
+
+// writeBody answers code with body, whole: its Content-Length stated, so
+// a client can size its read before the first byte.
+func writeBody(w http.ResponseWriter, code int, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	w.Write(data)
+	w.Write(body)
 }
 
 // ReadBody decodes a request body with the codec its Content-Type names

@@ -147,18 +147,30 @@ func TestEndToEnd(t *testing.T) {
 	}
 	gm.Release(h)
 
-	// Interval query.
-	iv, err := client.Interval(0, mid, "", false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Interval query. Released and cleaned, an /interval read leaves the
+	// pool as it found it: read once to grow what reads grow (a slab's
+	// chunks), which a clean pass does not give back, then again.
 	divRes, err := gm.GetHistGraphInterval(0, mid, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if iv.NumNodes != len(divRes.Graph.Nodes) || iv.NumEdges != len(divRes.Graph.Edges) {
-		t.Fatalf("interval: got %d/%d, want %d/%d",
-			iv.NumNodes, iv.NumEdges, len(divRes.Graph.Nodes), len(divRes.Graph.Edges))
+	wantNodes, wantEdges := divRes.Graph.NumNodes(), divRes.Graph.NumEdges()
+	gm.Release(divRes.Graph)
+	var st graphpool.Stats
+	var held int64
+	for pass := 0; pass < 2; pass++ {
+		gm.ForceClean()
+		st, held = gm.PoolStats(), gm.Pool().ApproxBytes()
+		iv, err := client.Interval(0, mid, "+node:all+edge:all", pass == 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if iv.NumNodes != wantNodes || iv.NumEdges != wantEdges {
+			t.Fatalf("interval: got %d/%d, want %d/%d", iv.NumNodes, iv.NumEdges, wantNodes, wantEdges)
+		}
+	}
+	if gm.ForceClean(); gm.PoolStats() != st || gm.Pool().ApproxBytes() != held {
+		t.Fatalf("released and cleaned, the pool holds %+v in %d B; before the interval %+v in %d B", gm.PoolStats(), gm.Pool().ApproxBytes(), st, held)
 	}
 
 	// TimeExpression: elements at mid still present at last, byte for byte
@@ -786,6 +798,50 @@ func TestBatchServedWithoutAdmission(t *testing.T) {
 		if !strings.Contains(string(answers[0]), `"attrs"`) {
 			t.Fatalf("cache %d: the batch's answers carry no attribute: %.300s", size, answers[0])
 		}
+	}
+}
+
+// TestWholeBodiesStateTheirLength: a whole /snapshot body in either codec
+// — a miss, then hits of the encoded level — and a /batch answer each state
+// their exact length, so that a client sizes its read before the first
+// byte; a live stream states none.
+func TestWholeBodiesStateTheirLength(t *testing.T) {
+	gm := newTestManager(t)
+	base := newHTTPServer(t, New(gm, Config{}))
+	get := func(path, accept string) (int64, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, base+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept", accept)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %.200s (%v)", path, resp.StatusCode, body, err)
+		}
+		return resp.ContentLength, body
+	}
+	last := gm.LastTime()
+	const attrs = "&full=1&attrs=%2Bnode:all%2Bedge:all"
+	for _, codec := range wire.Codecs() {
+		for i := range 3 {
+			// Past the 2 kB net/http buffers before it chunks a body of no
+			// stated length.
+			if n, body := get(fmt.Sprintf("/snapshot?t=%d%s", last, attrs), codec.ContentType()); n != int64(len(body)) || len(body) < 4<<10 {
+				t.Fatalf("/snapshot as %s, answer %d: Content-Length %d for %d bytes", codec.Name(), i, n, len(body))
+			}
+		}
+		if n, body := get(fmt.Sprintf("/batch?t=%d,%d%s", last/2, last, attrs), codec.ContentType()); n != int64(len(body)) || len(body) < 4<<10 {
+			t.Fatalf("/batch as %s: Content-Length %d for %d bytes", codec.Name(), n, len(body))
+		}
+	}
+	if n, body := get(fmt.Sprintf("/snapshot?t=%d%s", last/2, attrs), wire.ContentTypeBinaryStream); n != -1 {
+		t.Fatalf("a live stream of %d bytes states Content-Length %d", len(body), n)
 	}
 }
 

@@ -1,7 +1,8 @@
 package server
 
 // The model-to-wire step of every snapshot-shaped answer — one walk, the
-// pool's ordered walk (graphpool.Ordered) — and the time-expression parser.
+// pool's ordered walk (graphpool.Ordered) over a view, for every answer an
+// interval's included — and the time-expression parser.
 // The wire types themselves live in internal/wire, one definition shared by
 // the server handlers, the Go client, the shard coordinator's merge layer
 // and the replication stream. A binary /snapshot body is written straight
@@ -10,6 +11,8 @@ package server
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 
 	"historygraph"
@@ -18,42 +21,25 @@ import (
 	"historygraph/internal/wire"
 )
 
-// elements is what the snapshot walk reads from: a pooled view
-// (*historygraph.HistGraph has these methods already) or a detached
-// snapshot through the detached adapter.
-type elements interface {
-	NumNodes() int
-	NumEdges() int
-	Order(keep func(graph.NodeID) bool) *graphpool.Ordered
-}
-
-// detached gives a set-based snapshot the same walk, over its maps.
-type detached struct{ s *historygraph.Snapshot }
-
-func (d detached) NumNodes() int { return len(d.s.Nodes) }
-func (d detached) NumEdges() int { return len(d.s.Edges) }
-func (d detached) Order(keep func(graph.NodeID) bool) *graphpool.Ordered {
-	return graphpool.OrderSnapshot(d.s, keep)
-}
-
 // walkSnapshot is the one way a graph becomes a response: it gathers the
-// elements of src that own keeps — a node by its own slot, an edge by its
-// From endpoint's (the routing rule, so cluster-wide each edge is reported
-// by exactly one owner) — and returns how many of each it kept, so counts
-// and lists agree by construction, and, when full, the walk that hands
-// them to a sink in ascending ID order, every node before the first edge.
+// elements of the view h that own keeps — a node by its own slot, an edge by
+// its From endpoint's (the routing rule, so cluster-wide each edge is
+// reported by exactly one owner) — and returns how many of each it kept, so
+// counts and lists agree by construction, and, when full, the walk that
+// hands them to a sink in ascending ID order, every node before the first
+// edge.
 // The whole-message responses write or append in their sinks, the stream
 // response encodes in them, and the counts-only response gathers nothing
 // unless own filters.
-func walkSnapshot(src elements, own *slotOwnership, full bool) (nodes, edges int, walk *graphpool.Ordered) {
+func walkSnapshot(h *historygraph.HistGraph, own *slotOwnership, full bool) (nodes, edges int, walk *graphpool.Ordered) {
 	if !full && !own.filtering() {
-		return src.NumNodes(), src.NumEdges(), nil
+		return h.NumNodes(), h.NumEdges(), nil
 	}
 	var keep func(graph.NodeID) bool
 	if own.filtering() {
 		keep = own.ownsNode
 	}
-	o := src.Order(keep)
+	o := h.Order(keep)
 	if !full {
 		return o.NumNodes(), o.NumEdges(), nil
 	}
@@ -89,12 +75,12 @@ func attrMap(attrs []graph.Attr) map[string]string {
 	return m
 }
 
-// snapshotOf builds the whole-message answer for src under own: counts
+// snapshotOf builds the whole-message answer for h under own: counts
 // always, the ID-sorted element lists when full.
-func snapshotOf(src elements, at historygraph.Time, full bool, own *slotOwnership) wire.Snapshot {
+func snapshotOf(h *historygraph.HistGraph, at historygraph.Time, full bool, own *slotOwnership) wire.Snapshot {
 	out := wire.Snapshot{At: int64(at)}
 	var walk *graphpool.Ordered
-	out.NumNodes, out.NumEdges, walk = walkSnapshot(src, own, full)
+	out.NumNodes, out.NumEdges, walk = walkSnapshot(h, own, full)
 	if walk != nil {
 		// Non-nil even when empty: the binary codec tells the two apart.
 		out.Nodes = make([]wire.Node, 0, out.NumNodes)
@@ -104,11 +90,11 @@ func snapshotOf(src elements, at historygraph.Time, full bool, own *slotOwnershi
 	return out
 }
 
-// binarySnapshot writes the binary whole-message answer for src under own
+// binarySnapshot writes the binary whole-message answer for h under own
 // straight from the walk; head carries its At and flags.
-func binarySnapshot(src elements, head wire.Snapshot, full bool, own *slotOwnership) *wire.SnapshotWriter {
+func binarySnapshot(h *historygraph.HistGraph, head wire.Snapshot, full bool, own *slotOwnership) *wire.SnapshotWriter {
 	var walk *graphpool.Ordered
-	head.NumNodes, head.NumEdges, walk = walkSnapshot(src, own, full)
+	head.NumNodes, head.NumEdges, walk = walkSnapshot(h, own, full)
 	w := wire.NewSnapshotWriter(&head, full)
 	if walk != nil {
 		walk.Walk(wire.DefaultRunSize, w)
@@ -117,9 +103,23 @@ func binarySnapshot(src elements, head wire.Snapshot, full bool, own *slotOwners
 }
 
 // SnapshotToJSON converts a detached snapshot; full controls whether the
-// element lists are included.
+// element lists are included: in ascending ID order as snapshotOf writes
+// them, non-nil even when empty, each element's values a copy of its map
+// (nil where the snapshot holds none, empty where it holds an empty one).
 func SnapshotToJSON(s *historygraph.Snapshot, at historygraph.Time, full bool) wire.Snapshot {
-	return snapshotOf(detached{s}, at, full, nil)
+	out := wire.Snapshot{At: int64(at), NumNodes: len(s.Nodes), NumEdges: len(s.Edges)}
+	if !full {
+		return out
+	}
+	out.Nodes, out.Edges = make([]wire.Node, 0, len(s.Nodes)), make([]wire.Edge, 0, len(s.Edges))
+	for _, id := range slices.Sorted(maps.Keys(s.Nodes)) {
+		out.Nodes = append(out.Nodes, wire.Node{ID: int64(id), Attrs: maps.Clone(s.NodeAttrs[id])})
+	}
+	for _, id := range slices.Sorted(maps.Keys(s.Edges)) {
+		info := s.Edges[id]
+		out.Edges = append(out.Edges, wire.Edge{ID: int64(id), From: int64(info.From), To: int64(info.To), Directed: info.Directed, Attrs: maps.Clone(s.EdgeAttrs[id])})
+	}
+	return out
 }
 
 // ParseTimeExpr parses a Boolean expression over timepoint indices into a
