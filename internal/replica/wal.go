@@ -37,7 +37,7 @@ type Record struct {
 // that run LZW-compressed (LSB first, 8-bit literals) from n bytes.
 // walRunMarker, the run as it is, is written when compression would not
 // make it smaller. walEventMarker, one event in the wire encoding, is what
-// builds before PR 25 wrote; it still replays.
+// builds wrote before a batch was packed into one run; it still replays.
 const (
 	walEventMarker = 0x00
 	walRunMarker   = 0x01
@@ -91,7 +91,7 @@ func decodeRun(payload []byte) (events historygraph.EventList, batch string, err
 		batch = d.String()
 		return historygraph.EventList{wire.DecodeEventFrom(d)}, batch, d.Err()
 	case payload[0] == '{':
-		return nil, "", fmt.Errorf("replica: WAL payload is in the JSON format no build has written since PR 4 and this build no longer reads: re-seed the node from its replica set, or replay the log with a pre-PR-25 binary")
+		return nil, "", fmt.Errorf("replica: WAL payload is a JSON record, a format this build no longer reads: re-seed the node from its replica set, or replay the log once with a build that writes single-event 0x00 records, which read JSON records too")
 	}
 	return nil, "", fmt.Errorf("replica: unknown WAL payload format (leading byte 0x%02x)", payload[0])
 }

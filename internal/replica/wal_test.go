@@ -144,7 +144,7 @@ func TestWALLegacyJSONPayloadRefused(t *testing.T) {
 		t.Fatalf("LastSeq %d, want 3", wal.LastSeq())
 	}
 	recs, err := wal.Read(1, 10)
-	if err == nil || !strings.Contains(err.Error(), "re-seed the node") || !strings.Contains(err.Error(), "pre-PR-25 binary") {
+	if err == nil || !strings.Contains(err.Error(), "re-seed the node") || !strings.Contains(err.Error(), "a build that writes single-event 0x00 records") {
 		t.Fatalf("reading a JSON-payload WAL: %d records, error %v; want a refusal naming the remedy", len(recs), err)
 	}
 	gm, err := historygraph.Open(historygraph.Options{})

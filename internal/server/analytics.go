@@ -181,15 +181,26 @@ func (s *Server) handleAnalyticsEvolution(w http.ResponseWriter, r *http.Request
 	})
 }
 
+// MaxPageRankIterations bounds a PageRank request's iterations: each one
+// is a full pass over the graph, and at a coordinator a cluster-wide
+// superstep.
+const MaxPageRankIterations = 1000
+
 // ReadPageRankRequest reads a POST /analytics/pagerank body, checks its
-// attribute spec (answering 400 itself on either failure) and fills the
-// defaults — one place both the coordinator and the worker resolve them,
-// so damping/iterations agree across every partition of a job.
+// attribute spec, damping and iterations (answering 400 itself on any
+// failure) and fills the defaults — one place both the coordinator and
+// the worker resolve them, so damping/iterations agree across every
+// partition of a job.
 func ReadPageRankRequest(w http.ResponseWriter, r *http.Request) (req wire.PageRankRequest, ok bool) {
 	err := ReadBody(r, &req)
-	if err != nil {
+	switch {
+	case err != nil:
 		err = fmt.Errorf("bad pagerank body: %w", err)
-	} else {
+	case req.Damping < 0 || req.Damping >= 1:
+		err = fmt.Errorf("bad pagerank damping %v: want 0 < damping < 1 (0 for the default)", req.Damping)
+	case req.Iterations > MaxPageRankIterations:
+		err = fmt.Errorf("bad pagerank iterations %d: at most %d", req.Iterations, MaxPageRankIterations)
+	default:
 		_, err = historygraph.ParseAttrOptions(req.Attrs)
 	}
 	if req.Damping == 0 {
@@ -221,8 +232,9 @@ func (s *Server) handleAnalyticsPageRank(w http.ResponseWriter, r *http.Request)
 		}
 		annotateCSR(r, cached)
 		scores := analytics.PageRank(g, req.Damping, req.Iterations)
-		top := make([]wire.RankEntry, 0, req.TopK)
-		for _, id := range analytics.TopK(scores, req.TopK) {
+		ids := analytics.TopK(scores, req.TopK)
+		top := make([]wire.RankEntry, 0, len(ids))
+		for _, id := range ids {
 			top = append(top, wire.RankEntry{Node: int64(id), Score: scores[id]})
 		}
 		WriteWire(w, r, http.StatusOK, wire.PageRankResult{

@@ -188,6 +188,62 @@ func TestAnalyticsPageRankUnsharded(t *testing.T) {
 	}
 }
 
+// TestPageRankRequestBounds holds the PageRank body, which comes from
+// outside, to its range: a damping outside (0, 1) or iterations above
+// MaxPageRankIterations answer 400, and a TopK above the node count is
+// "every node", sized by the scores rather than by the request.
+func TestPageRankRequestBounds(t *testing.T) {
+	gm := newTestManager(t)
+	_, client := newTestServer(t, gm, Config{})
+	mid := gm.LastTime() / 2
+	ctx := context.Background()
+
+	for _, req := range []wire.PageRankRequest{
+		{T: int64(mid), Damping: 7},
+		{T: int64(mid), Damping: -3},
+		{T: int64(mid), Damping: 1},
+		{T: int64(mid), Iterations: MaxPageRankIterations + 1},
+	} {
+		_, err := client.AnalyticsPageRankCtx(ctx, req)
+		var he *HTTPError
+		if !errors.As(err, &he) || he.Status != 400 {
+			t.Errorf("%+v: got %v, want a 400", req, err)
+		}
+	}
+
+	h, err := gm.GetHistGraph(mid, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := csr.Build(h)
+	all, err := client.AnalyticsPageRankCtx(ctx, wire.PageRankRequest{T: int64(mid), TopK: 1 << 62})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all.Top) != g.NumNodes() {
+		t.Fatalf("TopK 1<<62 ranked %d nodes, want all %d", len(all.Top), g.NumNodes())
+	}
+
+	// loadgen's request answers as the library computes it.
+	res, err := client.AnalyticsPageRankCtx(ctx, wire.PageRankRequest{T: int64(mid), Iterations: 5, TopK: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores := analytics.PageRank(g, 0.85, 5)
+	want := analytics.TopK(scores, 10)
+	if len(res.Top) != len(want) {
+		t.Fatalf("top list has %d entries, want %d", len(res.Top), len(want))
+	}
+	// The scores are sums over a map, so they agree to float tolerance;
+	// two nodes may trade places only where their scores tie within it.
+	for i, e := range res.Top {
+		got := scores[historygraph.NodeID(e.Node)]
+		if math.Abs(e.Score-got) > 1e-12 || math.Abs(got-scores[want[i]]) > 1e-12 {
+			t.Fatalf("rank %d: got %+v, want node %d score %g", i, e, want[i], scores[want[i]])
+		}
+	}
+}
+
 // TestAnalyticsCSRCacheInvalidation: the second scan hits the cached CSR
 // (Cached flips on), and an append at an earlier timepoint evicts it.
 func TestAnalyticsCSRCacheInvalidation(t *testing.T) {

@@ -357,7 +357,7 @@ func (co *Coordinator) runPageRank(ctx context.Context, req wire.PageRankRequest
 		}
 		inboxes = routeMessages(outs, parts)
 	}
-	return nil, fmt.Errorf("pagerank: zero iterations") // unreachable: ReadPageRankRequest floors Iterations at 1
+	return nil, fmt.Errorf("pagerank: zero iterations") // unreachable: ReadPageRankRequest holds Iterations to 1..MaxPageRankIterations
 }
 
 // routeMessages is the superstep barrier: every partition's outgoing

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -290,5 +291,45 @@ func comparePageRank(t *testing.T, got, want *wire.PageRankResult) {
 		if diff := math.Abs(e.Score - w); diff > 1e-9*math.Max(math.Abs(w), 1) {
 			t.Fatalf("node %d: score %.15g, want %.15g (diff %g)", e.Node, e.Score, w, diff)
 		}
+	}
+}
+
+// TestPageRankRequestBoundsSharded: a coordinator refuses the same
+// out-of-range PageRank bodies an unsharded server does, before any leg
+// runs — iterations at math.MaxInt would otherwise overflow the superstep
+// count — and answers loadgen's request and a TopK above the node count
+// as the unsharded oracle does.
+func TestPageRankRequestBoundsSharded(t *testing.T) {
+	events := testEvents()
+	gm, oclient, _ := oracle(t, events)
+	c := newSwapCluster(t, events, 2, Config{})
+	mid := int64(gm.LastTime() / 2)
+	ctx := context.Background()
+
+	for _, req := range []wire.PageRankRequest{
+		{T: mid, Damping: 7},
+		{T: mid, Damping: -3},
+		{T: mid, Iterations: math.MaxInt},
+		{T: mid, Iterations: server.MaxPageRankIterations + 1},
+	} {
+		_, err := c.client.AnalyticsPageRankCtx(ctx, req)
+		var he *server.HTTPError
+		if !errors.As(err, &he) || he.Status != http.StatusBadRequest {
+			t.Errorf("%+v: got %v, want a 400", req, err)
+		}
+	}
+	for _, req := range []wire.PageRankRequest{
+		{T: mid, Iterations: 5, TopK: 10},
+		{T: mid, Iterations: 5, TopK: 1 << 62},
+	} {
+		want, err := oclient.AnalyticsPageRankCtx(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.client.AnalyticsPageRankCtx(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comparePageRank(t, got, want)
 	}
 }

@@ -31,8 +31,10 @@ type Codec interface {
 	// sent as Accept to request this codec.
 	ContentType() string
 	// Encode serializes one wire value. The supported types are *Snapshot,
-	// []Snapshot, *Neighbors, *Interval, *AppendResult, graph.EventList and
-	// *ExprRequest (JSON additionally encodes anything encoding/json can).
+	// []Snapshot, *Neighbors, *Interval, *AppendResult, graph.EventList,
+	// *ExprRequest and the PageRank superstep kinds *PRPrepare,
+	// *PRPrepared, *PRStart, *PRStepRequest and *PRStepResult (JSON
+	// additionally encodes anything encoding/json can).
 	Encode(v any) ([]byte, error)
 	// Decode deserializes data into v (a pointer to a supported type).
 	Decode(data []byte, v any) error
