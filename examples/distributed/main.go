@@ -1,8 +1,9 @@
 // Distributed demonstrates the horizontal-partitioning path of Sections
 // 4.2/4.6: the index is split across five storage partitions ("machines"),
-// snapshots are retrieved with one parallel fetch per partition, and a
-// Pregel-style PageRank runs over the retrieved snapshot with one worker
-// per machine — the paper's Dataset 3 deployment in miniature.
+// snapshots are retrieved with one parallel fetch per partition, and
+// PageRank runs over the retrieved snapshot on the Pregel-style superstep
+// kernel a cluster's workers run, here at one partition — the paper's
+// Dataset 3 deployment in miniature.
 //
 //	go run ./examples/distributed
 package main
@@ -49,10 +50,12 @@ func main() {
 		retrieval := time.Since(start)
 
 		start = time.Now()
-		ranks := pregel.RunPageRank(analytics.FromSnapshot(snap), machines, 20)
+		var top []int64
+		for _, e := range pregel.PageRank(analytics.FromSnapshot(snap), 0.85, 20, 3) {
+			top = append(top, e.Node)
+		}
 		compute := time.Since(start)
 
-		top := analytics.TopK(ranks, 3)
 		fmt.Printf("t=%-7d %6d nodes %6d edges  retrieval=%-8v pagerank=%-8v top3=%v\n",
 			q, len(snap.Nodes), len(snap.Edges), retrieval.Round(time.Microsecond),
 			compute.Round(time.Microsecond), top)

@@ -10,9 +10,9 @@ import (
 	"log"
 
 	"historygraph"
-	"historygraph/internal/analytics"
 	"historygraph/internal/datagen"
 	"historygraph/internal/graph"
+	"historygraph/internal/pregel"
 )
 
 func main() {
@@ -44,7 +44,10 @@ func main() {
 	// PageRank per snapshot; remember each author's rank.
 	ranksPerYear := make([]map[graph.NodeID]int, len(graphs))
 	for i, h := range graphs {
-		ranksPerYear[i] = analytics.RankOf(analytics.PageRank(h, 0.85, 15))
+		ranksPerYear[i] = map[graph.NodeID]int{}
+		for r, e := range pregel.PageRank(h, 0.85, 15, -1) {
+			ranksPerYear[i][graph.NodeID(e.Node)] = r + 1
+		}
 	}
 
 	// The top 5 authors of the final year, tracked back in time.

@@ -1,11 +1,125 @@
 package analytics
 
 import (
-	"math"
+	"sort"
 	"testing"
 
 	"historygraph/internal/graph"
+	"historygraph/internal/pregel"
 )
+
+// The whole-graph references the tests hold the scans to. They run on one
+// process over any pregel.Graph; the server answers through the partition
+// scans in dist.go, never through these.
+
+// RankOf returns 1-based ranks by descending score (ties broken by ID for
+// determinism).
+func RankOf(scores map[graph.NodeID]float64) map[graph.NodeID]int {
+	ranks := make(map[graph.NodeID]int, len(scores))
+	for i, id := range TopK(scores, len(scores)) {
+		ranks[id] = i + 1
+	}
+	return ranks
+}
+
+// TopK returns the k highest-scored nodes in rank order.
+func TopK(scores map[graph.NodeID]float64, k int) []graph.NodeID {
+	ids := make([]graph.NodeID, 0, len(scores))
+	for id := range scores {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		if scores[ids[i]] != scores[ids[j]] {
+			return scores[ids[i]] > scores[ids[j]]
+		}
+		return ids[i] < ids[j]
+	})
+	if len(ids) > k {
+		ids = ids[:k]
+	}
+	return ids
+}
+
+// ConnectedComponents labels every node with a component representative
+// and returns the number of components (directed edges treated as
+// undirected).
+func ConnectedComponents(g pregel.Graph) (map[graph.NodeID]graph.NodeID, int) {
+	parent := make(map[graph.NodeID]graph.NodeID, g.NumNodes())
+	var find func(graph.NodeID) graph.NodeID
+	find = func(x graph.NodeID) graph.NodeID {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	g.ForEachNode(func(n graph.NodeID) bool {
+		parent[n] = n
+		return true
+	})
+	g.ForEachNode(func(n graph.NodeID) bool {
+		for _, nb := range g.Neighbors(n) {
+			if _, ok := parent[nb]; !ok {
+				continue
+			}
+			ra, rb := find(n), find(nb)
+			if ra != rb {
+				parent[ra] = rb
+			}
+		}
+		return true
+	})
+	labels := make(map[graph.NodeID]graph.NodeID, len(parent))
+	roots := make(map[graph.NodeID]struct{})
+	for n := range parent {
+		r := find(n)
+		labels[n] = r
+		roots[r] = struct{}{}
+	}
+	return labels, len(roots)
+}
+
+// TriangleCount counts distinct triangles ("how many new triangles have
+// been formed over the last year" is one of the paper's motivating
+// queries).
+func TriangleCount(g pregel.Graph) int {
+	// Neighbor sets with the standard degree-ordering optimization.
+	nbrs := make(map[graph.NodeID]map[graph.NodeID]struct{}, g.NumNodes())
+	g.ForEachNode(func(n graph.NodeID) bool {
+		set := make(map[graph.NodeID]struct{})
+		for _, nb := range g.Neighbors(n) {
+			if nb != n {
+				set[nb] = struct{}{}
+			}
+		}
+		nbrs[n] = set
+		return true
+	})
+	less := func(a, b graph.NodeID) bool {
+		da, db := len(nbrs[a]), len(nbrs[b])
+		if da != db {
+			return da < db
+		}
+		return a < b
+	}
+	count := 0
+	for u, set := range nbrs {
+		for v := range set {
+			if !less(u, v) {
+				continue
+			}
+			for w := range nbrs[v] {
+				if !less(v, w) {
+					continue
+				}
+				if _, ok := set[w]; ok {
+					count++
+				}
+			}
+		}
+	}
+	return count
+}
 
 func lineGraph(n int) *SnapshotGraph {
 	s := graph.NewSnapshot()
@@ -33,20 +147,23 @@ func TestSnapshotGraphAdapter(t *testing.T) {
 	}
 }
 
+// TestPageRankProperties runs the kernel over the snapshot adapter: on a
+// line graph the ranks are symmetric bit for bit (order-free sums), the
+// middle outranks the ends, and an empty graph ranks nothing.
 func TestPageRankProperties(t *testing.T) {
-	g := lineGraph(10)
-	ranks := PageRank(g, 0.85, 30)
+	top := pregel.PageRank(lineGraph(10), 0.85, 30, -1)
+	ranks := map[graph.NodeID]float64{}
 	sum := 0.0
-	for _, r := range ranks {
-		sum += r
+	for _, e := range top {
+		ranks[graph.NodeID(e.Node)] = e.Score
+		sum += e.Score
 	}
-	if math.Abs(sum-1) > 0.01 {
-		t.Errorf("mass = %g", sum)
+	if len(ranks) != 10 || sum > 1+1e-12 || sum < 0.99 {
+		t.Errorf("%d ranks, mass = %g", len(ranks), sum)
 	}
 	// Symmetry of the line graph: rank(i) == rank(n+1-i).
 	for i := 1; i <= 5; i++ {
-		a, b := ranks[graph.NodeID(i)], ranks[graph.NodeID(11-i)]
-		if math.Abs(a-b) > 1e-9 {
+		if a, b := ranks[graph.NodeID(i)], ranks[graph.NodeID(11-i)]; a != b {
 			t.Errorf("asymmetry at %d: %g vs %g", i, a, b)
 		}
 	}
@@ -54,7 +171,7 @@ func TestPageRankProperties(t *testing.T) {
 	if ranks[5] <= ranks[1] {
 		t.Error("middle node should outrank endpoint")
 	}
-	if out := PageRank(FromSnapshot(graph.NewSnapshot()), 0.85, 5); len(out) != 0 {
+	if out := pregel.PageRank(FromSnapshot(graph.NewSnapshot()), 0.85, 5, -1); len(out) != 0 {
 		t.Error("pagerank of empty graph")
 	}
 }

@@ -3,9 +3,9 @@ package analytics_test
 // The merge-exactness property the distributed analytics plane rests on:
 // partition scans over per-partition CSR slices, merged at the
 // coordinator, must equal the single-part scan over the whole graph —
-// which is itself anchored against whole-graph algorithms (degrees here,
-// ConnectedComponents), so the sharded path, the unsharded path, and the
-// reference implementation all agree.
+// which is itself anchored against whole-graph references (degrees here,
+// ConnectedComponents in analytics_test.go), so the sharded path, the
+// unsharded path, and the reference implementation all agree.
 
 import (
 	"math"
@@ -20,13 +20,14 @@ import (
 	"historygraph/internal/csr"
 	"historygraph/internal/graph"
 	"historygraph/internal/graphpool"
+	"historygraph/internal/pregel"
 	"historygraph/internal/wire"
 )
 
 // degrees returns the degree of every node: the reference the degree scans
 // are held against. It calls Neighbors inside ForEachNode, so it is for
 // graphs that hold no lock, not for pool views.
-func degrees(g analytics.Graph) map[graph.NodeID]int {
+func degrees(g pregel.Graph) map[graph.NodeID]int {
 	out := make(map[graph.NodeID]int, g.NumNodes())
 	g.ForEachNode(func(n graph.NodeID) bool {
 		out[n] = len(g.Neighbors(n))
@@ -36,7 +37,7 @@ func degrees(g analytics.Graph) map[graph.NodeID]int {
 }
 
 // averageDegree returns the mean degree.
-func averageDegree(g analytics.Graph) float64 {
+func averageDegree(g pregel.Graph) float64 {
 	if g.NumNodes() == 0 {
 		return 0
 	}
@@ -333,13 +334,15 @@ func (q *queueingWriter) HasEdge(e graph.EdgeID) bool {
 // lock the walk holds, behind the writer, which waits for the walk.
 func TestEvolutionDoesNotWedgeThePool(t *testing.T) {
 	pool := graphpool.New()
+	adm := pool.Admit()
 	for i, ev := range []graph.Event{
 		{Type: graph.AddNode, Node: 1}, {Type: graph.AddNode, Node: 2}, {Type: graph.AddNode, Node: 3},
 		{Type: graph.AddEdge, Edge: 1, Node: 1, Node2: 2}, {Type: graph.AddEdge, Edge: 2, Node: 2, Node2: 3},
 	} {
 		ev.At = graph.Time(i + 1)
-		pool.ApplyEvent(ev)
+		adm.Apply(ev)
 	}
+	adm.Pause()
 	cur := pool.Current()
 	done := make(chan *wire.EvolutionPart, 1)
 	go func() { done <- analytics.EvolutionPartOf(&queueingWriter{View: cur, pool: pool}, cur, 1, 2) }()

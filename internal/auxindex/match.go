@@ -99,16 +99,6 @@ func (m *Matcher) FindPaths(t graph.Time, labels [PathLen]string) ([]Path, error
 	return out, nil
 }
 
-// MatchAt finds all occurrences of the pattern in the snapshot at time t:
-// it decomposes the pattern into a 4-node path, looks up candidates in the
-// index, and completes each candidate into a full match by backtracking
-// over the snapshot (the paper's "appropriate join").
-func (m *Matcher) MatchAt(t graph.Time) func(p *Pattern) ([]Match, error) {
-	return func(p *Pattern) ([]Match, error) {
-		return m.Match(t, p)
-	}
-}
-
 // Match finds all occurrences of the pattern as of time t.
 func (m *Matcher) Match(t graph.Time, p *Pattern) ([]Match, error) {
 	core, err := p.decompose()

@@ -171,24 +171,6 @@ func (g *Graph) Neighbors(n graph.NodeID) []graph.NodeID {
 	return g.targets[g.offsets[i]:g.offsets[i+1]]
 }
 
-// ForEachNeighbor visits n's distinct neighbors in ascending order.
-func (g *Graph) ForEachNeighbor(n graph.NodeID, fn func(graph.NodeID) bool) {
-	for _, nb := range g.Neighbors(n) {
-		if !fn(nb) {
-			return
-		}
-	}
-}
-
-// Degree returns the number of distinct IDs adjacent to n.
-func (g *Graph) Degree(n graph.NodeID) int {
-	i, ok := g.find(n)
-	if !ok {
-		return 0
-	}
-	return g.offsets[i+1] - g.offsets[i]
-}
-
 // ForEachRow visits every row — snapshot nodes and ghost endpoints alike
 // — in ascending ID order with its sorted adjacency. The nbrs slice
 // aliases the CSR and must not be mutated or retained. Returning false

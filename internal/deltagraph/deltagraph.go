@@ -336,13 +336,6 @@ func (dg *DeltaGraph) unlock() {
 	}
 }
 
-// CurrentSnapshot returns a copy of the current graph.
-func (dg *DeltaGraph) CurrentSnapshot() *graph.Snapshot {
-	dg.mu.RLock()
-	defer dg.mu.RUnlock()
-	return dg.cur.Snapshot()
-}
-
 // LastTime returns the timestamp of the newest event in the index.
 func (dg *DeltaGraph) LastTime() graph.Time {
 	dg.mu.RLock()

@@ -901,3 +901,63 @@ func (dg *DeltaGraph) pendingNodeOf(id graphpool.GraphID) int {
 	}
 	return -1
 }
+
+// The index's test-only surface: reading the current graph out whole, and
+// taking a materialization back.
+
+// CurrentSnapshot returns a copy of the current graph.
+func (dg *DeltaGraph) CurrentSnapshot() *graph.Snapshot {
+	dg.mu.RLock()
+	defer dg.mu.RUnlock()
+	return dg.cur.Snapshot()
+}
+
+// Unmaterialize releases a materialized node: the zero-weight edge is
+// removed and the pinned snapshot dropped, unless the node is pending and
+// holds it still. It fails if the pool copy has dependent graphs.
+func (dg *DeltaGraph) Unmaterialize(ref NodeRef) error {
+	dg.mu.Lock()
+	defer dg.mu.Unlock()
+	id := int(ref)
+	if id < 0 || id >= len(dg.skel.nodes) || !dg.skel.nodes[id].materialized {
+		return fmt.Errorf("deltagraph: node %d not materialized", id)
+	}
+	if id == dg.skel.leaves[0] {
+		return fmt.Errorf("deltagraph: the empty anchor leaf stays materialized")
+	}
+	if gid, ok := dg.matGraphs[id]; ok {
+		if dg.pendingNode(id) == nil {
+			if err := dg.pool.Release(gid); err != nil {
+				return err
+			}
+		}
+		delete(dg.matGraphs, id)
+	}
+	dg.skel.nodes[id].materialized = false
+	for _, ei := range dg.skel.out[dg.skel.superRoot] {
+		e := dg.skel.edges[ei]
+		if e != nil && e.kind == kindMat && e.to == id {
+			dg.skel.removeEdge(ei)
+			break
+		}
+	}
+	return nil
+}
+
+// removeEdge drops edge idx, a materialization edge (Unmaterialize). The
+// index must be valid; the edge slot is tombstoned, which the index's
+// walks and checkpoints skip.
+func (s *skeleton) removeEdge(idx int) {
+	e := s.edges[idx]
+	if e == nil {
+		return
+	}
+	list := s.out[e.from]
+	for i, x := range list {
+		if x == idx {
+			s.out[e.from] = append(list[:i], list[i+1:]...)
+			break
+		}
+	}
+	s.edges[idx] = nil
+}

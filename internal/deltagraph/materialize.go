@@ -141,38 +141,6 @@ func (dg *DeltaGraph) pinLocked(id int, gid graphpool.GraphID) {
 	dg.matGraphs[id] = gid
 }
 
-// Unmaterialize releases a materialized node: the zero-weight edge is
-// removed and the pinned snapshot dropped, unless the node is pending and
-// holds it still. It fails if the pool copy has dependent graphs.
-func (dg *DeltaGraph) Unmaterialize(ref NodeRef) error {
-	dg.mu.Lock()
-	defer dg.mu.Unlock()
-	id := int(ref)
-	if id < 0 || id >= len(dg.skel.nodes) || !dg.skel.nodes[id].materialized {
-		return fmt.Errorf("deltagraph: node %d not materialized", id)
-	}
-	if id == dg.skel.leaves[0] {
-		return fmt.Errorf("deltagraph: the empty anchor leaf stays materialized")
-	}
-	if gid, ok := dg.matGraphs[id]; ok {
-		if dg.pendingNode(id) == nil {
-			if err := dg.pool.Release(gid); err != nil {
-				return err
-			}
-		}
-		delete(dg.matGraphs, id)
-	}
-	dg.skel.nodes[id].materialized = false
-	for _, ei := range dg.skel.out[dg.skel.superRoot] {
-		e := dg.skel.edges[ei]
-		if e != nil && e.kind == kindMat && e.to == id {
-			dg.skel.removeEdge(ei)
-			break
-		}
-	}
-	return nil
-}
-
 // MaterializeLevel applies a named policy: "root" (Root), "children" (the
 // root's children), "grandchildren" (the root's grandchildren), or "leaves"
 // (total materialization — the Copy+Log-in-memory extreme of Section 4.5). A

@@ -85,23 +85,6 @@ func (s *skeleton) addEdge(e *skelEdge) int {
 	return idx
 }
 
-// removeEdge drops edge idx, a materialization edge (Unmaterialize). The
-// index must be valid; the edge slot is tombstoned.
-func (s *skeleton) removeEdge(idx int) {
-	e := s.edges[idx]
-	if e == nil {
-		return
-	}
-	list := s.out[e.from]
-	for i, x := range list {
-		if x == idx {
-			s.out[e.from] = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	s.edges[idx] = nil
-}
-
 // leafTime returns the snapshot timepoint of leaf i.
 func (s *skeleton) leafTime(i int) graph.Time { return s.nodes[s.leaves[i]].at }
 

@@ -8,7 +8,9 @@ import "historygraph/internal/graph"
 // bitmap words inline; traversal then pays exactly one bitmap membership
 // test per visited element — no locks, no pointer chasing — which is the
 // cost the paper's bitmap-penalty experiment measures (Section 7: ~7% on
-// PageRank).
+// PageRank). The PageRank kernel (internal/pregel) reads a view once, when
+// a job loads its rows, so it pays that test once per element a job, not
+// once per superstep.
 //
 // The projection reflects the pool at freeze time; graphs overlaid or
 // released afterwards are not observed. Freeze again to refresh.
@@ -74,10 +76,10 @@ func (v *View) Freeze() *FrozenView {
 	return f
 }
 
-// NumNodes implements the analytics Graph interface.
+// NumNodes implements pregel.Graph.
 func (f *FrozenView) NumNodes() int { return f.numNode }
 
-// ForEachNode implements the analytics Graph interface.
+// ForEachNode implements pregel.Graph.
 func (f *FrozenView) ForEachNode(fn func(graph.NodeID) bool) {
 	for _, n := range f.nodes {
 		if frozenMember(n.word) {
@@ -88,7 +90,7 @@ func (f *FrozenView) ForEachNode(fn func(graph.NodeID) bool) {
 	}
 }
 
-// Neighbors implements the analytics Graph interface (allocating).
+// Neighbors implements pregel.Graph (allocating), one entry per edge.
 func (f *FrozenView) Neighbors(n graph.NodeID) []graph.NodeID {
 	var out []graph.NodeID
 	for _, e := range f.adj[n] {
@@ -97,27 +99,4 @@ func (f *FrozenView) Neighbors(n graph.NodeID) []graph.NodeID {
 		}
 	}
 	return out
-}
-
-// ForEachNeighbor visits n's neighbors without allocating; every visit
-// performs one bitmap membership test (the measured penalty).
-func (f *FrozenView) ForEachNeighbor(n graph.NodeID, fn func(graph.NodeID) bool) {
-	for _, e := range f.adj[n] {
-		if frozenMember(e.word) {
-			if !fn(e.other) {
-				return
-			}
-		}
-	}
-}
-
-// Degree counts n's edges in this graph.
-func (f *FrozenView) Degree(n graph.NodeID) int {
-	d := 0
-	for _, e := range f.adj[n] {
-		if frozenMember(e.word) {
-			d++
-		}
-	}
-	return d
 }

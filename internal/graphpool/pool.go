@@ -882,17 +882,6 @@ func (p *Pool) setAll(l *attrList, attrs map[string]string) {
 	}
 }
 
-// ApplyEvent updates the current graph in place (bits 0 and 1), to the
-// letter of graph.Snapshot.Apply for every event the index admits (an add of
-// an element that is there is not one). What leaves keeps bit 1 set until
-// ClearRecent is called, marking it as "recently deleted but not yet in the
-// DeltaGraph index".
-func (p *Pool) ApplyEvent(ev graph.Event) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.applyEvent(p.graphs[CurrentGraph], ev)
-}
-
 // Admission holds the pool's write lock for a run of events on the current
 // graph, so that an index admits and applies a whole batch under one lock
 // (Admit). No View method may be called while it is held: a view takes the
@@ -967,7 +956,10 @@ func (a *Admission) Check(ev *graph.Event) (grow int, changes bool) {
 	return 0, true
 }
 
-// Apply applies ev to the current graph, as ApplyEvent does.
+// Apply applies ev to the current graph in place (bits 0 and 1), to the
+// letter of graph.Snapshot.Apply: what leaves keeps bit 1 set until
+// ClearRecent, marking it "recently deleted but not yet in the DeltaGraph
+// index".
 func (a *Admission) Apply(ev graph.Event) { a.p.applyEvent(a.cur, ev) }
 
 // heldValues counts the attributes in l to which the graph with the

@@ -307,19 +307,9 @@ func TestPartitioned(t *testing.T) {
 	if err != nil || got[0] != 7 {
 		t.Errorf("routed Get = %v, %v", got, err)
 	}
-	// Parallel multi-get, including a missing key.
-	missing := EncodeKey(2, 9999, ComponentStruct)
-	vals, err := p.GetMany(append([][]byte{missing}, keys...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals[0] != nil {
-		t.Error("missing key should yield nil")
-	}
-	for i, v := range vals[1:] {
-		if v == nil || v[0] != byte(i) {
-			t.Errorf("GetMany[%d] = %v", i, v)
-		}
+	// A missing key in range is not found, not an error of routing.
+	if _, err := p.Get(EncodeKey(2, 9999, ComponentStruct)); err != ErrNotFound {
+		t.Errorf("missing key: err = %v, want ErrNotFound", err)
 	}
 	// Out-of-range partition rejected.
 	if _, err := p.Get(EncodeKey(9, 0, ComponentStruct)); err == nil {

@@ -3,7 +3,6 @@ package kvstore
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // Partitioned composes k stores into one, routing every key by the
@@ -71,49 +70,6 @@ func (p *Partitioned) Delete(key []byte) error {
 		return err
 	}
 	return st.Delete(key)
-}
-
-// GetMany fetches all keys concurrently, one goroutine per partition, and
-// returns the values in key order. Missing keys yield nil entries rather
-// than an error, so callers can distinguish optional components.
-func (p *Partitioned) GetMany(keys [][]byte) ([][]byte, error) {
-	results := make([][]byte, len(keys))
-	byPart := make(map[int][]int)
-	for i, k := range keys {
-		if len(k) < 2 {
-			return nil, fmt.Errorf("kvstore: partitioned key too short")
-		}
-		id := int(binary.BigEndian.Uint16(k[:2]))
-		byPart[id] = append(byPart[id], i)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, len(byPart))
-	for id, idxs := range byPart {
-		if id >= len(p.parts) {
-			return nil, fmt.Errorf("kvstore: partition %d out of range", id)
-		}
-		wg.Add(1)
-		go func(st Store, idxs []int) {
-			defer wg.Done()
-			for _, i := range idxs {
-				v, err := st.Get(keys[i])
-				if err != nil {
-					if err == ErrNotFound {
-						continue
-					}
-					errs <- err
-					return
-				}
-				results[i] = v
-			}
-		}(p.parts[id], idxs)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return nil, err
-	}
-	return results, nil
 }
 
 // Len implements Store (sum over partitions).

@@ -216,9 +216,11 @@ func ReadPageRankRequest(w http.ResponseWriter, r *http.Request) (req wire.PageR
 }
 
 // handleAnalyticsPageRank computes PageRank synchronously over the local
-// CSR — the whole graph on an unsharded server (the sharded oracle), one
-// partition's subgraph otherwise (meaningless alone; the coordinator
-// never calls this, it drives the superstep protocol instead).
+// CSR at one partition (pregel.PageRank): the whole graph on an unsharded
+// server, where the answer is a cluster's byte for byte; one partition's
+// subgraph otherwise (meaningless alone; the coordinator never calls
+// this, it drives the superstep protocol instead). Like a coordinator's,
+// each of its supersteps counts in dg_analytics_supersteps_total.
 func (s *Server) handleAnalyticsPageRank(w http.ResponseWriter, r *http.Request) {
 	req, ok := ReadPageRankRequest(w, r)
 	if !ok {
@@ -231,16 +233,12 @@ func (s *Server) handleAnalyticsPageRank(w http.ResponseWriter, r *http.Request)
 			return err
 		}
 		annotateCSR(r, cached)
-		scores := analytics.PageRank(g, req.Damping, req.Iterations)
-		ids := analytics.TopK(scores, req.TopK)
-		top := make([]wire.RankEntry, 0, len(ids))
-		for _, id := range ids {
-			top = append(top, wire.RankEntry{Node: int64(id), Score: scores[id]})
-		}
+		top := pregel.PageRank(g, req.Damping, req.Iterations, req.TopK)
+		s.an.supersteps.Add(int64(req.Iterations + 1))
 		WriteWire(w, r, http.StatusOK, wire.PageRankResult{
 			At: req.T, NumNodes: int64(g.NumNodes()),
 			Damping: req.Damping, Iterations: req.Iterations,
-			Supersteps: req.Iterations, Top: top,
+			Supersteps: req.Iterations + 1, Top: top,
 		})
 		return nil
 	})

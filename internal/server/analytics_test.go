@@ -3,12 +3,13 @@ package server
 import (
 	"context"
 	"errors"
-	"math"
+	"reflect"
 	"testing"
 
 	"historygraph"
 	"historygraph/internal/analytics"
 	"historygraph/internal/csr"
+	"historygraph/internal/pregel"
 	"historygraph/internal/wire"
 )
 
@@ -155,7 +156,8 @@ func TestAnalyticsEvolutionUnsharded(t *testing.T) {
 }
 
 // TestAnalyticsPageRankUnsharded checks the synchronous endpoint's
-// plumbing (defaults, top-K ordering) against the library computation.
+// plumbing (defaults, top-K ordering, supersteps) against the driver: the
+// same bits, in the same order.
 func TestAnalyticsPageRankUnsharded(t *testing.T) {
 	gm := newTestManager(t)
 	_, client := newTestServer(t, gm, Config{})
@@ -166,25 +168,17 @@ func TestAnalyticsPageRankUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := csr.Build(h)
-	scores := analytics.PageRank(g, 0.85, 20)
+	want := pregel.PageRank(g, 0.85, 20, 20)
 
 	res, err := client.AnalyticsPageRankCtx(context.Background(), wire.PageRankRequest{T: int64(mid)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Damping != 0.85 || res.Iterations != 20 || res.NumNodes != int64(g.NumNodes()) {
+	if res.Damping != 0.85 || res.Iterations != 20 || res.Supersteps != 21 || res.NumNodes != int64(g.NumNodes()) {
 		t.Fatalf("defaults not applied: %+v", res)
 	}
-	if len(res.Top) != 20 {
-		t.Fatalf("top list has %d entries, want 20", len(res.Top))
-	}
-	for i, e := range res.Top {
-		if got, want := e.Score, scores[historygraph.NodeID(e.Node)]; math.Abs(got-want) > 1e-12 {
-			t.Fatalf("rank %d node %d: score %g, want %g", i, e.Node, got, want)
-		}
-		if i > 0 && e.Score > res.Top[i-1].Score {
-			t.Fatalf("top list not descending at %d", i)
-		}
+	if len(want) != 20 || !reflect.DeepEqual(res.Top, want) {
+		t.Fatalf("top list:\n got %v\nwant %v", res.Top, want)
 	}
 }
 
@@ -224,23 +218,13 @@ func TestPageRankRequestBounds(t *testing.T) {
 		t.Fatalf("TopK 1<<62 ranked %d nodes, want all %d", len(all.Top), g.NumNodes())
 	}
 
-	// loadgen's request answers as the library computes it.
+	// loadgen's request answers as the driver computes it.
 	res, err := client.AnalyticsPageRankCtx(ctx, wire.PageRankRequest{T: int64(mid), Iterations: 5, TopK: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores := analytics.PageRank(g, 0.85, 5)
-	want := analytics.TopK(scores, 10)
-	if len(res.Top) != len(want) {
-		t.Fatalf("top list has %d entries, want %d", len(res.Top), len(want))
-	}
-	// The scores are sums over a map, so they agree to float tolerance;
-	// two nodes may trade places only where their scores tie within it.
-	for i, e := range res.Top {
-		got := scores[historygraph.NodeID(e.Node)]
-		if math.Abs(e.Score-got) > 1e-12 || math.Abs(got-scores[want[i]]) > 1e-12 {
-			t.Fatalf("rank %d: got %+v, want node %d score %g", i, e, want[i], scores[want[i]])
-		}
+	if want := pregel.PageRank(g, 0.85, 5, 10); !reflect.DeepEqual(res.Top, want) {
+		t.Fatalf("top list:\n got %v\nwant %v", res.Top, want)
 	}
 }
 
@@ -344,10 +328,8 @@ func TestPRJobLegProtocol(t *testing.T) {
 		t.Fatalf("collect = %d nodes / %d top, want %d/%d",
 			final.NumNodes, len(final.Top), sync.NumNodes, len(sync.Top))
 	}
-	for i, e := range final.Top {
-		if e.Node != sync.Top[i].Node || math.Abs(e.Score-sync.Top[i].Score) > 1e-9*math.Max(sync.Top[i].Score, 1) {
-			t.Fatalf("top[%d] = %+v, want %+v", i, e, sync.Top[i])
-		}
+	if !reflect.DeepEqual(final.Top, sync.Top) {
+		t.Fatalf("collected top list:\n got %v\nwant %v", final.Top, sync.Top)
 	}
 
 	// The collecting step released the job.

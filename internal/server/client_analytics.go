@@ -60,10 +60,8 @@ func (c *Client) AnalyticsEvolutionCtx(ctx context.Context, t1, t2 historygraph.
 	return getAs[wire.Evolution](c, ctx, "/analytics/evolution", spanQuery("t1", "t2", t1, t2, attrs))
 }
 
-// AnalyticsPageRankCtx runs PageRank synchronously and returns the
-// result. Against a coordinator, set req.Wait (or poll the job the
-// returned JobStatus names via AnalyticsJobCtx by posting with
-// AnalyticsPageRankJobCtx instead).
+// AnalyticsPageRankCtx runs PageRank synchronously (it sets req.Wait)
+// and returns the result.
 func (c *Client) AnalyticsPageRankCtx(ctx context.Context, req wire.PageRankRequest) (*wire.PageRankResult, error) {
 	req.Wait = true
 	return postAs[wire.PageRankResult](c, ctx, "/analytics/pagerank", req)
@@ -71,15 +69,10 @@ func (c *Client) AnalyticsPageRankCtx(ctx context.Context, req wire.PageRankRequ
 
 // AnalyticsPageRankJobCtx submits an asynchronous PageRank job to a
 // coordinator and returns its initial status (state "running"); poll
-// AnalyticsJobCtx until it reports done or failed.
+// GET /analytics/jobs/{id} until it reports done or failed.
 func (c *Client) AnalyticsPageRankJobCtx(ctx context.Context, req wire.PageRankRequest) (*wire.JobStatus, error) {
 	req.Wait = false
 	return postAs[wire.JobStatus](c, ctx, "/analytics/pagerank", req)
-}
-
-// AnalyticsJobCtx polls one coordinator analytics job.
-func (c *Client) AnalyticsJobCtx(ctx context.Context, id string) (*wire.JobStatus, error) {
-	return getAs[wire.JobStatus](c, ctx, "/analytics/jobs/"+url.PathEscape(id), nil)
 }
 
 // --- coordinator-internal partition legs ------------------------------

@@ -361,17 +361,16 @@ func (co *Coordinator) runPageRank(ctx context.Context, req wire.PageRankRequest
 }
 
 // routeMessages is the superstep barrier: every partition's outgoing
-// cross-partition shares, aggregated per target node (summed in ascending
-// source-partition order, so reruns are deterministic) and routed to the
-// target's owner sorted ascending by node.
+// cross-partition shares, summed per target node (integers, so in any
+// order) and routed to the target's owner sorted ascending by node.
 func routeMessages(outs [][]wire.PRMessage, parts int) [][]wire.PRMessage {
-	acc := make([]map[int64]float64, parts)
+	acc := make([]map[int64]int64, parts)
 	for p := range acc {
-		acc[p] = map[int64]float64{}
+		acc[p] = map[int64]int64{}
 	}
 	for _, out := range outs {
 		for _, m := range out {
-			acc[graph.Partition(graph.NodeID(m.Node), parts)][m.Node] += m.Val
+			acc[graph.Partition(graph.NodeID(m.Node), parts)][m.Node] += m.Share
 		}
 	}
 	inboxes := make([][]wire.PRMessage, parts)
@@ -380,8 +379,8 @@ func routeMessages(outs [][]wire.PRMessage, parts int) [][]wire.PRMessage {
 			continue
 		}
 		inbox := make([]wire.PRMessage, 0, len(byNode))
-		for node, val := range byNode {
-			inbox = append(inbox, wire.PRMessage{Node: node, Val: val})
+		for node, share := range byNode {
+			inbox = append(inbox, wire.PRMessage{Node: node, Share: share})
 		}
 		sort.Slice(inbox, func(i, j int) bool { return inbox[i].Node < inbox[j].Node })
 		inboxes[p] = inbox

@@ -1,12 +1,16 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -84,15 +88,14 @@ func (c *swapCluster) restart(t *testing.T, p int) {
 }
 
 // TestShardedAnalyticsMatchesUnsharded is the analytics oracle check: a
-// 4-partition cluster answers the mergeable /analytics endpoints
-// byte-identically to the unsharded server over the same trace — fresh,
-// from cache, and again after a worker is killed and restarted. PageRank
-// is compared to documented float tolerance (1e-9 relative): partition
-// shares arrive grouped by source partition, so summation order differs
-// from the single-process loop.
+// 4-partition cluster answers every /analytics endpoint byte-identically
+// to the unsharded server over the same trace — fresh, from cache, and
+// again after a worker is killed and restarted. PageRank's body is
+// compared whole, synchronous and as a job's result: its sums are
+// order-free, so the partitioning does not reach the bits.
 func TestShardedAnalyticsMatchesUnsharded(t *testing.T) {
 	events := testEvents()
-	gm, oclient, ourl := oracle(t, events)
+	gm, _, ourl := oracle(t, events)
 	c := newSwapCluster(t, events, 4, Config{})
 	last := gm.LastTime()
 	frontURL := c.client.BaseURL()
@@ -124,20 +127,16 @@ func TestShardedAnalyticsMatchesUnsharded(t *testing.T) {
 		compare(q)
 	}
 
-	// PageRank: every node ranked (TopK beyond the node count), compared
-	// by node to relative float tolerance.
+	// PageRank: every node ranked (TopK beyond the node count), the whole
+	// body compared byte for byte.
 	preq := wire.PageRankRequest{T: int64(last / 2), Iterations: 15, TopK: 1 << 20}
-	want, err := oclient.AnalyticsPageRankCtx(ctx, preq)
-	if err != nil {
+	want := comparePageRank(t, ourl, frontURL, preq)
+	var res wire.PageRankResult
+	if err := json.Unmarshal(want, &res); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.client.AnalyticsPageRankCtx(ctx, preq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comparePageRank(t, got, want)
-	if got.Supersteps != preq.Iterations+1 {
-		t.Fatalf("Supersteps = %d, want %d", got.Supersteps, preq.Iterations+1)
+	if res.Supersteps != preq.Iterations+1 || len(res.Top) == 0 {
+		t.Fatalf("Supersteps = %d over %d ranks, want %d over every node", res.Supersteps, len(res.Top), preq.Iterations+1)
 	}
 
 	// The same job asynchronously: submit, poll to done, same result.
@@ -148,11 +147,13 @@ func TestShardedAnalyticsMatchesUnsharded(t *testing.T) {
 	if job.State != "running" || job.ID == "" {
 		t.Fatalf("submitted job = %+v, want running with an ID", job)
 	}
-	st := pollJob(t, c.client, job.ID)
+	st, result := pollJob(t, frontURL, job.ID)
 	if st.State != "done" || st.Result == nil {
 		t.Fatalf("job ended %q (error %q), want done with a result", st.State, st.Error)
 	}
-	comparePageRank(t, st.Result, want)
+	if !bytes.Equal(result, bytes.TrimSpace(want)) {
+		t.Fatalf("the job's result diverges from the unsharded body:\n got: %s\nwant: %s", result, want)
+	}
 
 	// Kill one partition: mergeable scans degrade to partial (and are not
 	// admitted to the coordinator cache), PageRank refuses to answer.
@@ -195,11 +196,7 @@ func TestShardedAnalyticsMatchesUnsharded(t *testing.T) {
 		rawGET(t, frontURL+q)
 		compare(q)
 	}
-	after, err := c.client.AnalyticsPageRankCtx(ctx, preq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comparePageRank(t, after, want)
+	comparePageRank(t, ourl, frontURL, preq)
 }
 
 // TestAnalyticsMidJobWorkerKill: a worker that dies mid-job (supersteps
@@ -237,31 +234,59 @@ func TestAnalyticsMidJobWorkerKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := pollJob(t, c.client, job.ID)
+	front := c.client.BaseURL()
+	st, _ := pollJob(t, front, job.ID)
 	if st.State != "failed" || st.Error == "" || st.Result != nil {
 		t.Fatalf("job after mid-job kill = %+v, want failed with an error", st)
 	}
 
 	// The job machine holds the terminal state for polling clients.
-	again, err := c.client.AnalyticsJobCtx(context.Background(), job.ID)
-	if err != nil || again.State != "failed" {
-		t.Fatalf("re-poll = %+v err=%v, want failed", again, err)
+	if code, again, _ := getJob(t, front, job.ID); code != http.StatusOK || again.State != "failed" {
+		t.Fatalf("re-poll = HTTP %d %+v, want failed", code, again)
 	}
-	if _, err := c.client.AnalyticsJobCtx(context.Background(), "no-such-job"); err == nil {
-		t.Fatal("unknown job ID must 404")
+	if code, _, _ := getJob(t, front, "no-such-job"); code != http.StatusNotFound {
+		t.Fatalf("unknown job ID: HTTP %d, want 404", code)
 	}
 }
 
-func pollJob(t *testing.T, cl *server.Client, id string) *wire.JobStatus {
+// getJob fetches GET /analytics/jobs/{id}: the HTTP status, the status
+// decoded, and the result's JSON as the coordinator wrote it.
+func getJob(t *testing.T, base, id string) (int, wire.JobStatus, json.RawMessage) {
+	t.Helper()
+	resp, err := http.Get(base + "/analytics/jobs/" + url.PathEscape(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st wire.JobStatus
+	var raw struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if resp.StatusCode == http.StatusOK {
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(body, &raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, st, raw.Result
+}
+
+func pollJob(t *testing.T, base, id string) (wire.JobStatus, json.RawMessage) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		st, err := cl.AnalyticsJobCtx(context.Background(), id)
-		if err != nil {
-			t.Fatal(err)
+		code, st, result := getJob(t, base, id)
+		if code != http.StatusOK {
+			t.Fatalf("poll job %s: HTTP %d", id, code)
 		}
 		if st.State != "running" {
-			return st
+			return st, result
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("job %s still running after 15s", id)
@@ -270,28 +295,35 @@ func pollJob(t *testing.T, cl *server.Client, id string) *wire.JobStatus {
 	}
 }
 
-func comparePageRank(t *testing.T, got, want *wire.PageRankResult) {
+// comparePageRank posts req (synchronous) to the oracle and the cluster
+// and requires the same body, byte for byte; it returns the oracle's.
+func comparePageRank(t *testing.T, oracleURL, clusterURL string, req wire.PageRankRequest) []byte {
 	t.Helper()
-	if got.At != want.At || got.NumNodes != want.NumNodes ||
-		got.Damping != want.Damping || got.Iterations != want.Iterations {
-		t.Fatalf("pagerank header: got %+v, want %+v", got, want)
+	req.Wait = true
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(got.Top) != len(want.Top) {
-		t.Fatalf("pagerank ranked %d nodes, want %d", len(got.Top), len(want.Top))
-	}
-	ref := make(map[int64]float64, len(want.Top))
-	for _, e := range want.Top {
-		ref[e.Node] = e.Score
-	}
-	for _, e := range got.Top {
-		w, ok := ref[e.Node]
-		if !ok {
-			t.Fatalf("node %d ranked by the cluster, absent from the oracle", e.Node)
+	post := func(base string) []byte {
+		resp, err := http.Post(base+"/analytics/pagerank", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if diff := math.Abs(e.Score - w); diff > 1e-9*math.Max(math.Abs(w), 1) {
-			t.Fatalf("node %d: score %.15g, want %.15g (diff %g)", e.Node, e.Score, w, diff)
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s/analytics/pagerank: HTTP %d: %s", base, resp.StatusCode, out)
+		}
+		return out
 	}
+	want, got := post(oracleURL), post(clusterURL)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("sharded pagerank %+v diverges from unsharded:\n got: %s\nwant: %s", req, got, want)
+	}
+	return want
 }
 
 // TestPageRankRequestBoundsSharded: a coordinator refuses the same
@@ -301,7 +333,7 @@ func comparePageRank(t *testing.T, got, want *wire.PageRankResult) {
 // as the unsharded oracle does.
 func TestPageRankRequestBoundsSharded(t *testing.T) {
 	events := testEvents()
-	gm, oclient, _ := oracle(t, events)
+	gm, _, ourl := oracle(t, events)
 	c := newSwapCluster(t, events, 2, Config{})
 	mid := int64(gm.LastTime() / 2)
 	ctx := context.Background()
@@ -322,14 +354,6 @@ func TestPageRankRequestBoundsSharded(t *testing.T) {
 		{T: mid, Iterations: 5, TopK: 10},
 		{T: mid, Iterations: 5, TopK: 1 << 62},
 	} {
-		want, err := oclient.AnalyticsPageRankCtx(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.client.AnalyticsPageRankCtx(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		comparePageRank(t, got, want)
+		comparePageRank(t, ourl, c.client.BaseURL(), req)
 	}
 }

@@ -4,8 +4,8 @@ package wire
 // answer, the merged responses the coordinator (or an unsharded server)
 // serves, and the PageRank superstep exchange. The superstep bodies — the
 // only analytics shapes on a per-iteration hot path — get binary kinds
-// (0x09–0x0d); the rest ride the JSON fallback WriteWire provides for
-// codec-unsupported types.
+// (0x09–0x0b, 0x0f, 0x10); the rest ride the JSON fallback WriteWire
+// provides for codec-unsupported types.
 //
 // Cross-partition adjacency pairs are the merge primitive: events are
 // hash-routed by their From endpoint, so a pair of adjacent IDs whose
@@ -22,13 +22,16 @@ import (
 )
 
 // Analytics message kind bytes (whole-message kinds 0x01–0x07 live in
-// binary.go, the snapshot stream is 0x08).
+// binary.go, the snapshot stream is 0x08, the append stream 0x0e). The
+// step bodies were 0x0c and 0x0d while a share was a float; those kinds
+// are retired, so a build of either format refuses the other's step
+// bodies at the kind byte instead of misreading them.
 const (
 	kindPRPrepare    = 0x09
 	kindPRPrepared   = 0x0a
 	kindPRStart      = 0x0b
-	kindPRStep       = 0x0c
-	kindPRStepResult = 0x0d
+	kindPRStep       = 0x0f
+	kindPRStepResult = 0x10
 )
 
 // DegreePart is one partition's slice of a degree-distribution scan:
@@ -191,11 +194,12 @@ type PRStart struct {
 	Ghosts []int64 `json:"ghosts,omitempty"`
 }
 
-// PRMessage carries one frontier share: Val is added into Node's
-// accumulating next-round rank on the partition that owns Node.
+// PRMessage carries one frontier share: Share, in fixed-point units of
+// 2^-62, is added into Node's accumulating next-round rank on the
+// partition that owns Node.
 type PRMessage struct {
-	Node int64   `json:"node"`
-	Val  float64 `json:"val"`
+	Node  int64 `json:"node"`
+	Share int64 `json:"share"`
 }
 
 // PRStepRequest drives one worker superstep. Finalize closes the pending
@@ -222,8 +226,8 @@ type PRStepResult struct {
 
 // --- binary bodies ----------------------------------------------------
 
-// Floats are fixed 8-byte little-endian IEEE 754: rank shares use the
-// whole mantissa, so varint coding would only add length bytes.
+// Floats (damping, scores) are fixed 8-byte little-endian IEEE 754: they
+// use the whole mantissa, so varint coding would only add length bytes.
 
 func encodeFloat(e *Encoder, f float64) {
 	var b [8]byte
@@ -266,13 +270,14 @@ func decodePairs(d *Decoder) []int64 {
 	return out
 }
 
-// encodeMsgs writes a share list (ascending by node, so delta-coded).
+// encodeMsgs writes a share list (ascending by node, so delta-coded; a
+// share is a varint).
 func encodeMsgs(e *Encoder, msgs []PRMessage) {
 	prev := int64(0)
 	encodeList(e, len(msgs), msgs == nil, func(i int) {
 		e.Varint(msgs[i].Node - prev)
 		prev = msgs[i].Node
-		encodeFloat(e, msgs[i].Val)
+		e.Varint(msgs[i].Share)
 	})
 }
 
@@ -285,7 +290,7 @@ func decodeMsgs(d *Decoder) []PRMessage {
 	prev := int64(0)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		prev += d.Varint()
-		out = append(out, PRMessage{Node: prev, Val: decodeFloat(d)})
+		out = append(out, PRMessage{Node: prev, Share: d.Varint()})
 	}
 	return out
 }

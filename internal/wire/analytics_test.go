@@ -60,7 +60,7 @@ func TestBinaryRoundTripPRStep(t *testing.T) {
 	for i, v := range []PRStepRequest{
 		{},
 		{Job: "j", Finalize: true, Compute: true, Inbox: []PRMessage{
-			{Node: -4, Val: 0.25}, {Node: 3, Val: 1e-300}, {Node: 900, Val: math.MaxFloat64},
+			{Node: -4, Share: 1 << 60}, {Node: 3, Share: 1}, {Node: 900, Share: math.MaxInt64}, {Node: 901, Share: math.MinInt64},
 		}},
 		{Job: "j", Finalize: true, TopK: 20},
 	} {
@@ -78,7 +78,7 @@ func TestBinaryRoundTripPRStep(t *testing.T) {
 func TestBinaryRoundTripPRStepResult(t *testing.T) {
 	for i, v := range []PRStepResult{
 		{},
-		{Out: []PRMessage{{Node: 1, Val: 0.5}, {Node: 7, Val: 0.125}}},
+		{Out: []PRMessage{{Node: 1, Share: 1 << 61}, {Node: 7, Share: 1 << 59}}},
 		{NumNodes: 99, Top: []RankEntry{{Node: 5, Score: 0.3}, {Node: -1, Score: 0.01}}},
 	} {
 		var got PRStepResult
@@ -91,6 +91,49 @@ func TestBinaryRoundTripPRStepResult(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, v) {
 			t.Errorf("step result %d: mismatch\n got: %#v\nwant: %#v", i, got, v)
+		}
+	}
+}
+
+// TestRetiredStepKindsRefused: the step bodies of the float-share format
+// (kinds 0x0c and 0x0d, a share an 8-byte float) are refused at the kind
+// byte, not read as fixed-point shares; and the fixed-point bodies carry
+// kinds that a float-share build, which expects 0x0c and 0x0d, refuses.
+func TestRetiredStepKindsRefused(t *testing.T) {
+	const oldStep, oldStepResult = 0x0c, 0x0d
+	if kindPRStep == oldStep || kindPRStep == oldStepResult || kindPRStepResult == oldStep || kindPRStepResult == oldStepResult {
+		t.Fatalf("step kinds 0x%02x/0x%02x reuse a retired kind", kindPRStep, kindPRStepResult)
+	}
+	// A float-share step body: job, finalize, compute, topk, then one
+	// share to node 3 of 0.25 as IEEE 754 bits.
+	e := NewEncoder()
+	e.header(oldStep)
+	e.String("j")
+	e.Bool(true)
+	e.Bool(true)
+	e.Varint(0)
+	encodeList(e, 1, false, func(int) { e.Varint(3); encodeFloat(e, 0.25) })
+	var req PRStepRequest
+	if err := (Binary{}).Decode(e.Bytes(), &req); err == nil {
+		t.Fatalf("a float-share step body decoded as %+v", req)
+	}
+	e = NewEncoder()
+	e.header(oldStepResult)
+	encodeList(e, 1, false, func(int) { e.Varint(3); encodeFloat(e, 0.25) })
+	e.Varint(0)
+	encodeList(e, 0, true, func(int) {})
+	var res PRStepResult
+	if err := (Binary{}).Decode(e.Bytes(), &res); err == nil {
+		t.Fatalf("a float-share step result decoded as %+v", res)
+	}
+	// What a float-share build checks before reading a step body.
+	for _, v := range []any{&PRStepRequest{Job: "j"}, &PRStepResult{}} {
+		data, err := Binary{}.Encode(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := data[2]; k == oldStep || k == oldStepResult {
+			t.Errorf("%T encodes under retired kind 0x%02x", v, k)
 		}
 	}
 }

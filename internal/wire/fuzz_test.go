@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 
@@ -137,12 +138,50 @@ func (g *structGen) snapshot() Snapshot {
 	}
 }
 
+// shares builds a PageRank share list ascending by node, as Compute and
+// the coordinator's routing send it; a share is any int64.
+func (g *structGen) shares() []PRMessage {
+	if g.byte()%4 == 0 {
+		return nil
+	}
+	out := make([]PRMessage, 0, 4)
+	node := g.i64() >> 8
+	for i, k := 0, g.n(5); i < k; i++ {
+		node += int64(g.n(1<<8)) + 1
+		out = append(out, PRMessage{Node: node, Share: g.i64()})
+	}
+	return out
+}
+
+// ranks builds a top list; a score is any float but NaN, which compares
+// unequal to itself.
+func (g *structGen) ranks() []RankEntry {
+	if g.byte()%4 == 0 {
+		return nil
+	}
+	out := make([]RankEntry, 0, 4)
+	for i, k := 0, g.n(5); i < k; i++ {
+		score := math.Float64frombits(uint64(g.i64()))
+		if math.IsNaN(score) {
+			score = 0
+		}
+		out = append(out, RankEntry{Node: g.i64(), Score: score})
+	}
+	return out
+}
+
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("deltagraph"))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252, 253, 254, 255})
 	seed, _ := Binary{}.Encode(&Snapshot{At: 3, NumNodes: 1, Nodes: []Node{{ID: 1}}})
 	f.Add(seed)
+	// PageRank step bodies: a request and a result built from the input
+	// (first byte 6 and 7), and an encoded request for the raw decoders.
+	f.Add([]byte{6, 1, 'j', 1, 0, 3, 1, 0, 0, 0, 0, 0, 0, 0, 9, 2, 0x40, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{7, 1, 0, 0, 0, 0, 0, 0, 0, 9, 1, 7, 0x3f, 0xe0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 1})
+	step, _ := Binary{}.Encode(&PRStepRequest{Job: "j", Compute: true, Inbox: []PRMessage{{Node: 3, Share: 1 << 60}}})
+	f.Add(step)
 	// Element lists for the one-pass decoders (checkListDecoders reads the
 	// first byte as a count and the rest as a node list, then as an edge
 	// list): a varint running past the end, a direction byte of 2, a node
@@ -155,7 +194,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &structGen{data: data}
 		var in, out any
-		switch g.byte() % 6 {
+		switch g.byte() % 8 {
 		case 0:
 			s := g.snapshot()
 			in, out = &s, &Snapshot{}
@@ -186,9 +225,15 @@ func FuzzWireRoundTrip(f *testing.F) {
 				Seq: uint64(g.i64()), Deduped: g.byte()%2 == 1, Partial: g.partial(),
 			}
 			in, out = &ar, &AppendResult{}
-		default:
+		case 5:
 			evs := g.events()
 			in, out = evs, &graph.EventList{}
+		case 6:
+			req := PRStepRequest{Job: g.str(), Finalize: g.byte()%2 == 1, Compute: g.byte()%2 == 1, TopK: g.n(64), Inbox: g.shares()}
+			in, out = &req, &PRStepRequest{}
+		default:
+			res := PRStepResult{Out: g.shares(), NumNodes: g.i64(), Top: g.ranks()}
+			in, out = &res, &PRStepResult{}
 		}
 		enc, err := Binary{}.Encode(in)
 		if err != nil {
@@ -243,6 +288,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 		_ = (Binary{}).Decode(data, &AppendResult{})
 		_ = (Binary{}).Decode(data, &graph.EventList{})
 		_ = (Binary{}).Decode(data, &ExprRequest{})
+		_ = (Binary{}).Decode(data, &PRStepRequest{})
+		_ = (Binary{}).Decode(data, &PRStepResult{})
 
 		// So must the stream decoder — raw bytes, and raw bytes behind a
 		// valid stream header (so corruption reaches the frame layer).
