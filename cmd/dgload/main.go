@@ -4,8 +4,10 @@
 //
 // Usage:
 //
-//	dgload -in trace.bin -store /path/to/index [-L 4096] [-k 4]
+//	dgload -in trace.bin -store /path/to/index [-L 0] [-k 0]
 //	       [-fn intersection] [-partitions 1]
+//
+// -L 0 and -k 0 take the library's defaults, as dgserve's do.
 package main
 
 import (
@@ -22,8 +24,8 @@ import (
 func main() {
 	in := flag.String("in", "", "input trace file (required)")
 	store := flag.String("store", "", "index path prefix (required)")
-	leafSize := flag.Int("L", 4096, "leaf-eventlist size")
-	arity := flag.Int("k", 4, "arity")
+	leafSize := flag.Int("L", 0, "leaf-eventlist size (0: the library's default)")
+	arity := flag.Int("k", 0, "arity (0: the library's default)")
 	fn := flag.String("fn", "intersection", "differential function")
 	partitions := flag.Int("partitions", 1, "horizontal partitions")
 	flag.Parse()

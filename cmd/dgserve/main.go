@@ -10,7 +10,10 @@
 //
 // Or start empty and ingest over the wire via POST /append:
 //
-//	dgserve -addr :8086 -L 4096 -k 3
+//	dgserve -addr :8086
+//
+// -L and -k choose a new index's L and k; at 0, their default, the library
+// chooses (8192 and 2). An index loaded from -store keeps its own.
 //
 // With -wal-dir every append is written to a durable, CRC-checked
 // write-ahead log and synced before it is acked; on restart the WAL

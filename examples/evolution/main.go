@@ -6,8 +6,10 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"log"
+	"slices"
 
 	"historygraph"
 	"historygraph/internal/datagen"
@@ -50,7 +52,8 @@ func main() {
 		}
 	}
 
-	// The top 5 authors of the final year, tracked back in time.
+	// The top 5 authors of the final year, in their final order, tracked
+	// back in time.
 	final := ranksPerYear[len(ranksPerYear)-1]
 	var top []graph.NodeID
 	for id, r := range final {
@@ -58,6 +61,9 @@ func main() {
 			top = append(top, id)
 		}
 	}
+	slices.SortFunc(top, func(a, b graph.NodeID) int {
+		return cmp.Or(cmp.Compare(final[a], final[b]), cmp.Compare(a, b))
+	})
 	fmt.Print("author")
 	for y := 10; y <= 20; y++ {
 		fmt.Printf("%8s", fmt.Sprintf("y%d", y))

@@ -107,7 +107,8 @@ const (
 
 // Options configures a GraphManager.
 type Options struct {
-	// LeafEventlistSize is the DeltaGraph L parameter (default 4096).
+	// LeafEventlistSize is the DeltaGraph L parameter (default 8192). An
+	// index opened from a checkpoint keeps the L it was built with.
 	LeafEventlistSize int
 	// Arity is the DeltaGraph k parameter (default 2).
 	Arity int

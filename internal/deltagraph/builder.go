@@ -369,22 +369,68 @@ func applyParts(s *graph.Snapshot, parts ...*delta.Delta) {
 }
 
 // fetchEvents loads the requested columns of the leaf-eventlist on edge e
-// and returns the merged, chronologically ordered events.
+// and merges them into one chronologically ordered list.
 func (dg *DeltaGraph) fetchEvents(e *skelEdge, spec fetchSpec) (graph.EventList, error) {
 	comps := deltaComps(spec, true)
-	parts, err := fetchPerPartition(dg, e, comps, func(_ kvstore.Component, buf []byte, el *graph.EventList) (err error) {
-		*el, err = delta.DecodeEvents(*el, buf)
+	parts, err := fetchPerPartition(dg, e, comps, func(_ kvstore.Component, buf []byte, cols *[]graph.EventList) error {
+		col, err := delta.DecodeEvents(nil, buf)
+		*cols = append(*cols, col)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	var all graph.EventList
+	var cols []graph.EventList
 	for _, part := range parts {
-		all = append(all, *part...)
+		cols = append(cols, *part...)
 	}
-	all.Sort() // merge columns/partitions back into time order
-	return all, nil
+	return mergeColumns(cols), nil
+}
+
+// mergeColumns merges cols, each in time order, into one list in time order
+// in a single pass. Equal times keep the order of cols, so the list is their
+// concatenation stably sorted by time. A lone non-empty column is returned as
+// it is; cols' entries are resliced as they are consumed.
+func mergeColumns(cols []graph.EventList) graph.EventList {
+	n, nonEmpty := 0, 0
+	var lone graph.EventList
+	for _, c := range cols {
+		if len(c) > 0 {
+			n, nonEmpty, lone = n+len(c), nonEmpty+1, c
+		}
+	}
+	if nonEmpty < 2 {
+		return lone
+	}
+	out := make(graph.EventList, 0, n)
+	for len(out) < n {
+		// The column with the earliest head, the first such on a tie, takes
+		// its events while each goes before an earlier column's head and not
+		// after a later one's.
+		best := -1
+		for i, c := range cols {
+			if len(c) > 0 && (best < 0 || c[0].At < cols[best][0].At) {
+				best = i
+			}
+		}
+		before, notAfter := graph.MaxTime, graph.MaxTime
+		for j, c := range cols {
+			switch {
+			case len(c) == 0 || j == best:
+			case j < best:
+				before = min(before, c[0].At)
+			default:
+				notAfter = min(notAfter, c[0].At)
+			}
+		}
+		run, k := cols[best], 1
+		for k < len(run) && run[k].At < before && run[k].At <= notAfter {
+			k++
+		}
+		out = append(out, run[:k]...)
+		cols[best] = run[k:]
+	}
+	return out
 }
 
 // fetchPerPartition fetches and decodes the named components of edge e's

@@ -92,6 +92,7 @@ func FuzzRetrieval(f *testing.F) {
 		f.Add([]byte{1, 40, 10, 0, 0, 2, 3, 0, reopen, 7, 0, 9, 1, 3, 2, 128, 3, 0, 4, 5, 5, 0, 6, 77})  // appended, children pinned at 3/4, one of each kind of time
 		f.Add([]byte{2, 90, 100, 2, 1, 4, 1, 1, reopen, 3, 1, 0, 1, 1, 2, 255})                          // Union, leaves pinned half way, leaf times and the tail
 		f.Add([]byte{3, 0, 250, 1, 2, 1, 0, 0, reopen, 7, 6, 10, 6, 200, 5, 0, 3, 0, 4, 0, 0, 0, 6, 50}) // Empty, leaves wider than the trace is long at 1/4
+		f.Add([]byte{4, 0, 255, 0, 0, 1, 1, 1, reopen, 2, 1, 0, 2, 90, 6, 200})                          // the default leaf size: half the trace, reopened or not, then one leaf cut at it
 	}
 	f.Fuzz(checkRetrievals)
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -461,6 +462,11 @@ func TestOpenReadsV3Checkpoint(t *testing.T) {
 	if re.nextDeltaID != never.nextDeltaID {
 		t.Fatalf("next delta id %d, a never-closed index has %d", re.nextDeltaID, never.nextDeltaID)
 	}
+	// Opened with Options{}, the index keeps the leaf size its checkpoint
+	// records, not the default.
+	if re.opts.LeafSize != 16 || !slices.Equal(re.LeafTimes(), never.LeafTimes()) {
+		t.Fatalf("reopened at leaf size %d, the index cut leaves at %v; a never-closed one at 16 cuts %v", re.opts.LeafSize, re.LeafTimes(), never.LeafTimes())
+	}
 	// The fixture's payloads are in stored format 3, a never-closed index's
 	// in format 4: they differ in bytes and must decode alike.
 	old, fresh := payloads(t, fs, 1, 1, re.nextDeltaID, kvstore.ComponentAuxBase), payloads(t, never.store, 1, 1, never.nextDeltaID, kvstore.ComponentAuxBase)
@@ -634,6 +640,39 @@ func storedRecords(t *testing.T, path string) (raw, compressed int) {
 		b = b[n+m+1+int(keyLen)+int(valLen)+4:]
 	}
 	return raw, compressed
+}
+
+// TestReopenKeepsLeafSize: an index built and checkpointed at a leaf size
+// other than the default, here the default before it became 8192, is opened
+// with Options{} and cuts its next leaves where an index never closed does.
+func TestReopenKeepsLeafSize(t *testing.T) {
+	const L = 4096
+	events := makeTrace(28, 3*L)
+	store := kvstore.NewMemStore()
+	dg, err := Build(events[:L+L/2], Options{LeafSize: L, Store: store})
+	if err == nil {
+		err = dg.Checkpoint()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(Options{Store: store})
+	if err == nil {
+		err = re.AppendAll(events[L+L/2:])
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	never, err := Build(events, Options{LeafSize: L})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := re.LeafTimes(), never.LeafTimes(); re.opts.LeafSize != L || len(want) < 2 || !slices.Equal(got, want) {
+		t.Fatalf("reopened at leaf size %d, the index cut leaves at %v; one never closed at %d cuts %v", re.opts.LeafSize, got, L, want)
+	}
+	if got, want := re.Stats().RecentEvents, never.Stats().RecentEvents; got != want {
+		t.Fatalf("the reopened index holds %d recent events, one never closed %d", got, want)
+	}
 }
 
 // TestGoldenStoredBytes pins the counter behind index_bytes_per_event on
@@ -1097,7 +1136,12 @@ func encodedBytes(t testing.TB, d *delta.Delta) int64 {
 // layout 4 to 354 061 B (16 297, 60 920 and 17 678 for the three nodes, the
 // current graph whole beside them), growing the file by 157 295 B. In layout
 // 5 the history only grew, so each node equals its first leaf and writes
-// nothing: what is left is the recent eventlist and the meta record.
+// nothing: what is left is the recent eventlist and the meta record. The
+// default leaf size went from 4096 to 8192 after that, and with it the
+// figures: the checkpoint encoded to 20 887 B and grew the file by 7 919 B,
+// its pending nodes one level higher each (1, 2 and 3): half the leaves
+// make a smaller skeleton in the meta record, beside a recent eventlist of
+// about the same length (1 994 events, against 1 981).
 func TestGoldenCheckpointBytes(t *testing.T) {
 	dg, fs := benchIndex(t)
 	defer fs.Close()
@@ -1107,24 +1151,24 @@ func TestGoldenCheckpointBytes(t *testing.T) {
 	if err := dg.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := dg.Stats().CheckpointBytes; got != 20887 {
-		t.Errorf("the checkpoint encodes to %d B, was 20887", got)
+	if got := dg.Stats().CheckpointBytes; got != 17470 {
+		t.Errorf("the checkpoint encodes to %d B, was 17470", got)
 	}
-	if got := fs.SizeOnDisk() - before; got != 7919 {
-		t.Errorf("the checkpoint grew the file by %d B, was 7919", got)
+	if got := fs.SizeOnDisk() - before; got != 7312 {
+		t.Errorf("the checkpoint grew the file by %d B, was 7312", got)
 	}
 	re, err := Open(Options{Store: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := re.Stats().CheckpointBytes; got != 20887 {
-		t.Errorf("reopened, the checkpoint encodes to %d B, was 20887", got)
+	if got := re.Stats().CheckpointBytes; got != 17470 {
+		t.Errorf("reopened, the checkpoint encodes to %d B, was 17470", got)
 	}
 	golden := []struct {
 		level  int
 		onLeaf bool
 		bytes  int64
-	}{{1, true, 0}, {2, true, 0}, {3, true, 0}}
+	}{{0, true, 0}, {1, true, 0}, {2, true, 0}}
 	pi, i := lastCheckpoint(t, fs), 0
 	for level, row := range pi.Pending {
 		for j, pc := range row {

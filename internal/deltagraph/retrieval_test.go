@@ -177,8 +177,10 @@ func goldenRow(t testing.TB, dg *DeltaGraph, cs *countingStore, q graph.Time) (r
 // not) and a list of times (before the first event, on a
 // leaf, in the tail, at the head, past it, anywhere, or the one before again),
 // and compares every kind of retrieval at those times, under three attribute
-// options, with a replay of the trace. TestMultipointMatchesSinglepoint and
-// FuzzRetrieval both end here.
+// options, with a replay of the trace. A leaf size byte of 255 takes the
+// default leaf size, and a trace longer by that many events, so that a leaf
+// is cut at it. TestMultipointMatchesSinglepoint and FuzzRetrieval both end
+// here.
 func checkRetrievals(t *testing.T, in []byte) {
 	next := func() int {
 		if len(in) == 0 {
@@ -188,13 +190,17 @@ func checkRetrievals(t *testing.T, in []byte) {
 		in = in[1:]
 		return int(b)
 	}
-	events := makeTrace(int64(next()), 300+8*next())
+	seed, n, leaf := int64(next()), 300+8*next(), next()
 	opts := Options{
-		LeafSize:   16 + next()%200,
+		LeafSize:   16 + leaf%200,
 		Arity:      2 + next()%3,
 		Function:   []delta.Differential{delta.Intersection{}, delta.Union{}, delta.Empty{}}[next()%3],
 		AuxIndexes: []AuxIndex{degreeAux{}},
 	}
+	if leaf == 255 {
+		opts.LeafSize, n = 0, n+defaultLeafSize
+	}
+	events := makeTrace(seed, n)
 	policy := []string{"", "root", "children", "grandchildren", "leaves"}[next()%5]
 	cut := len(events) * (1 + next()%4) / 4
 	var dg *DeltaGraph

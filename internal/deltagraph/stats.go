@@ -26,8 +26,9 @@ type IndexStats struct {
 	// encoded, before the store compresses them (0 until the index is
 	// checkpointed, or opened from a checkpoint). Since checkpoint layout 5
 	// it holds what the permanent payloads cannot rebuild, and no graph a
-	// walk over them gives: 20 887 B at the benchmark's 59 392-event fixed
-	// point, where layout 4 wrote 354 061 B.
+	// walk over them gives: 17 470 B at the benchmark's 59 392-event fixed
+	// point and the default L of 8192. At L 4096 it was 20 887 B, where
+	// layout 4 wrote 354 061 B.
 	CheckpointBytes int64
 	// DeltaBytesByLevel sums delta byte sizes by the level of the edge's
 	// source node (level 1 = parents of leaves); the Section 5.3 models
