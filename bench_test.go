@@ -1306,8 +1306,8 @@ func csrBenchView(b *testing.B) *historygraph.HistGraph {
 }
 
 // BenchmarkCSRBuild measures materializing a pinned view into the
-// compact CSR snapshot the /analytics scan path runs over — the one-time
-// cost a cold scan pays before the (cached) kernels run.
+// compact CSR snapshot the /analytics scan path runs over — the cost
+// every scan pays before its kernel runs.
 func BenchmarkCSRBuild(b *testing.B) {
 	h := csrBenchView(b)
 	b.ReportAllocs()
@@ -1350,8 +1350,8 @@ func BenchmarkAnalyticsPageRank(b *testing.B) {
 // BenchmarkShardedDegreeDist measures the distributed degree scan
 // through the 4-partition coordinator: "cached" hammers one timepoint
 // (merged-response LRU hit), "uncached" disables the coordinator cache
-// and rotates past the workers' CSR caches so every query scans and
-// merges.
+// and rotates past the workers' view caches so every query retrieves,
+// scans and merges.
 func BenchmarkShardedDegreeDist(b *testing.B) {
 	ctx := context.Background()
 	b.Run("cached", func(b *testing.B) {
@@ -1376,8 +1376,9 @@ func BenchmarkShardedDegreeDist(b *testing.B) {
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				// 64 distinct timepoints against per-worker CSR caches of
-				// 16: every scan rebuilds its CSR and re-merges.
+				// 64 distinct timepoints against per-worker view caches of
+				// 8: every scan retrieves its view, builds its CSR and
+				// re-merges.
 				n := i.Add(1)
 				t := last * graph.Time(n%64+1) / 65
 				if _, err := client.AnalyticsDegreeCtx(ctx, t, ""); err != nil {

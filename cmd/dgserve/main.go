@@ -94,7 +94,6 @@ func main() {
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "replica health-check period (coordinator role only; 0 disables)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "max age of a merged-response cache entry (coordinator role only; 0 keeps entries until an append through this coordinator invalidates them — set when writers can reach partition primaries directly)")
 	encCache := flag.Int("enc-cache", server.DefaultEncodedCacheSize, "encoded-bytes cache capacity: fully encoded /snapshot bodies, admitted on a key's second request, served with zero re-encode on a hit (0 disables; worker/single role only; stays empty behind a coordinator with -cache > 0, whose /snapshot legs ask no-store)")
-	csrCache := flag.Int("csr-cache", server.DefaultCSRCacheSize, "materialized CSR snapshot cache capacity for the /analytics scan path (0 disables; worker/single role only)")
 	walDir := flag.String("wal-dir", "", "directory for the durable write-ahead event log; enables WAL durability and the replication endpoints")
 	primary := flag.String("primary", "", "base URL of this replica's primary; makes the node a follower tailing that WAL (requires -wal-dir)")
 	syncFollowers := flag.Int("sync-followers", 0, "followers that must durably log a batch before the primary acks the append (requires -wal-dir)")
@@ -138,7 +137,7 @@ func main() {
 	}
 
 	svc := server.New(gm, server.Config{
-		CacheSize: capacity(*cacheSize), EncodedCacheSize: capacity(*encCache), CSRCacheSize: capacity(*csrCache),
+		CacheSize: capacity(*cacheSize), EncodedCacheSize: capacity(*encCache),
 		SlowQueryThreshold: *slowQuery,
 	})
 	defer svc.Close()

@@ -17,8 +17,9 @@
 //	dgtraffic -target http://localhost:8086 -scenario mix.json
 //
 // The -out artifact is the full loadgen.Result JSON: throughput,
-// per-endpoint latency quantiles, error samples and the server
-// cross-check.
+// per-endpoint latency quantiles, error samples, the server
+// cross-check and, in launch mode, each worker's own cache levels and
+// analytics timings.
 //
 // Validate scenario files without running anything (CI lints every
 // committed scenario this way):
@@ -214,18 +215,28 @@ func printSummary(res *loadgen.Result) {
 			}
 			fmt.Printf("server /metrics: %d 2xx requests vs %d client-measured (%s); server-side p50 %.2fms p99 %.2fms\n",
 				sc.Requests2xx, sc.ClientMeasured, state, sc.P50Ms, sc.P99Ms)
-			for _, level := range slices.Sorted(maps.Keys(sc.Caches)) {
-				fmt.Printf("cache %-7s", level)
-				for _, family := range slices.Sorted(maps.Keys(sc.Caches[level])) {
-					fmt.Printf(" %s %d", family, sc.Caches[level][family])
-				}
-				fmt.Println()
-			}
+			printLevels("cache", sc.Caches)
 		} else {
 			fmt.Printf("server /metrics: not scraped (%s)\n", sc.Note)
 		}
 	}
+	for _, wc := range res.Workers { // a worker's note is in the -out file
+		printLevels("worker "+wc.Worker+" cache", wc.Caches)
+		printLevels("worker "+wc.Worker+" analytics", wc.Analytics)
+	}
 	fmt.Println()
+}
+
+// printLevels prints one line per level (a cache level, an analytics
+// kind), its families sorted.
+func printLevels(prefix string, levels map[string]map[string]int64) {
+	for _, level := range slices.Sorted(maps.Keys(levels)) {
+		fmt.Printf("%s %-10s", prefix, level)
+		for _, family := range slices.Sorted(maps.Keys(levels[level])) {
+			fmt.Printf(" %s %d", family, levels[level][family])
+		}
+		fmt.Println()
+	}
 }
 
 func writeJSON(path string, v any) error {

@@ -1,8 +1,8 @@
 // Package cache is the serving stack's one cache policy. Every level that
 // remembers an answer about the graph at some timepoint — pinned pool
-// views, encoded response bodies, materialized CSRs on a worker, merged
-// response bodies on a coordinator — is a Cache[V] and differs only in its
-// value type and in what leaving the cache means for a value.
+// views and encoded response bodies on a worker, merged response bodies
+// on a coordinator — is a Cache[V] and differs only in its value type and
+// in what leaving the cache means for a value.
 //
 // The policy, stated once:
 //

@@ -2,16 +2,15 @@
 // (compressed sparse row) snapshot: one sorted ID array, one adjacency
 // array, and per-row offsets — the LLAMA-style read-optimized layout the
 // analytics scan path iterates instead of walking the pool's per-edge
-// hash maps and overlay bitmaps. A build pays the view walk once; every
-// scan after that is sequential array traversal with no locks, no bitmap
+// hash maps and overlay bitmaps. A build pays the view walk once; the
+// scan over it is sequential array traversal with no locks, no bitmap
 // membership tests, and no per-node map lookups, which is what makes
 // whole-graph algorithms (degree distribution, connected components,
 // PageRank supersteps) cheap enough to serve online.
 //
-// A Graph is immutable once built, so it is shared freely across
-// requests; the serving layer caches builds keyed like the view cache and
-// invalidates them under the same generation guard (an append at time t
-// evicts every CSR at >= t, plus current-dependent ones).
+// A Graph is immutable once built. The serving layer builds one per scan
+// from a view its view cache holds, and keeps none: reuse across requests
+// is the view cache's.
 package csr
 
 import (
@@ -23,7 +22,6 @@ import (
 // Source is the view shape a CSR build walks; graphpool.View satisfies it
 // directly.
 type Source interface {
-	At() graph.Time
 	NumNodes() int
 	NumEdges() int
 	ForEachNode(fn func(graph.NodeID) bool)
@@ -40,9 +38,7 @@ type Source interface {
 // (directed edges traversable both ways, a self-loop contributing u to
 // its own row once).
 type Graph struct {
-	at       graph.Time
 	numNodes int // nodes of the snapshot (rows with exists=true)
-	numEdges int // edges of the source view (multi-edges included)
 
 	ids     []graph.NodeID // all row IDs, ascending
 	exists  []bool         // ids[i] is a node of the snapshot
@@ -53,13 +49,13 @@ type Graph struct {
 // Build materializes src. The source is walked exactly twice (nodes, then
 // edges); the caller may release its view as soon as Build returns.
 func Build(src Source) *Graph {
-	g := &Graph{at: src.At(), numNodes: src.NumNodes(), numEdges: src.NumEdges()}
+	g := &Graph{numNodes: src.NumNodes()}
 	present := make(map[graph.NodeID]bool, g.numNodes)
 	src.ForEachNode(func(n graph.NodeID) bool {
 		present[n] = true
 		return true
 	})
-	ends := make([][2]graph.NodeID, 0, g.numEdges)
+	ends := make([][2]graph.NodeID, 0, src.NumEdges())
 	src.ForEachEdge(func(_ graph.EdgeID, info graph.EdgeInfo) bool {
 		ends = append(ends, [2]graph.NodeID{info.From, info.To})
 		if _, ok := present[info.From]; !ok {
@@ -128,27 +124,14 @@ func Build(src Source) *Graph {
 	return g
 }
 
-// At returns the timepoint the snapshot answers for.
-func (g *Graph) At() graph.Time { return g.at }
-
 // NumNodes returns how many nodes the snapshot has (ghost endpoints are
 // not nodes).
 func (g *Graph) NumNodes() int { return g.numNodes }
-
-// NumEdges returns the source view's edge count (multi-edges included;
-// the adjacency rows themselves are deduplicated).
-func (g *Graph) NumEdges() int { return g.numEdges }
 
 // find returns the row index of n and whether a row exists.
 func (g *Graph) find(n graph.NodeID) (int, bool) {
 	i := sort.Search(len(g.ids), func(i int) bool { return g.ids[i] >= n })
 	return i, i < len(g.ids) && g.ids[i] == n
-}
-
-// HasNode reports whether n is a node of the snapshot.
-func (g *Graph) HasNode(n graph.NodeID) bool {
-	i, ok := g.find(n)
-	return ok && g.exists[i]
 }
 
 // ForEachNode visits the snapshot's nodes in ascending ID order;
@@ -187,9 +170,3 @@ func (g *Graph) ForEachRow(fn func(id graph.NodeID, exists bool, nbrs []graph.No
 // NumRows returns how many rows the CSR holds (nodes plus ghost
 // endpoints).
 func (g *Graph) NumRows() int { return len(g.ids) }
-
-// MemBytes estimates the resident size of the materialized form (the
-// cache capacity gauge's complement when sizing CSRCacheSize).
-func (g *Graph) MemBytes() int {
-	return 8*len(g.ids) + len(g.exists) + 8*len(g.offsets) + 8*len(g.targets)
-}

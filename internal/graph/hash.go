@@ -38,9 +38,6 @@ func fnvString(h uint64, s string) uint64 {
 // HashNode hashes a node identifier.
 func HashNode(n NodeID) uint64 { return fnvMix(fnvOffset64, uint64(n)) }
 
-// HashEdge hashes an edge identifier.
-func HashEdge(e EdgeID) uint64 { return fnvMix(fnvOffset64^0x9e3779b97f4a7c15, uint64(e)) }
-
 // NumSlots is the size of the fixed hash-slot space the node IDs are
 // mapped into. Cluster routing owns whole slots, never raw hash ranges:
 // a partition's share of the key space is a set of slots, so ownership

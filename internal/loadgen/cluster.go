@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -356,6 +357,49 @@ func (c *Cluster) Reshard(mode string, merge []int) error {
 	defer cancel()
 	_, _, err = c.co.Reshard(ctx, req)
 	return err
+}
+
+// WorkerCheck is one launched worker's own /metrics after a run, which
+// the coordinator's scrape cannot show: Caches has ServerCheck.Caches'
+// shape, and Analytics holds dg_analytics_duration_seconds by kind, then
+// "count" and "sum_us" (its sum in microseconds).
+type WorkerCheck struct {
+	Worker    string                      `json:"worker"` // "p<partition>-m<member>", launch order
+	Caches    map[string]map[string]int64 `json:"caches,omitempty"`
+	Analytics map[string]map[string]int64 `json:"analytics,omitempty"`
+	Note      string                      `json:"note,omitempty"`
+}
+
+// scrapeWorkers reads every launched worker's /metrics, warmup included.
+// A killed worker keeps only a note.
+func (c *Cluster) scrapeWorkers(ctx context.Context, hc *http.Client) []WorkerCheck {
+	c.mu.Lock()
+	sets := c.workers
+	c.mu.Unlock()
+	var out []WorkerCheck
+	for p, set := range sets {
+		for m, w := range set {
+			wc := WorkerCheck{Worker: fmt.Sprintf("p%d-m%d", p, m),
+				Caches: map[string]map[string]int64{}, Analytics: map[string]map[string]int64{}}
+			samples, err := scrape(ctx, hc, w.url)
+			if err != nil {
+				wc.Note = err.Error()
+			}
+			for _, s := range samples {
+				if family, ok := strings.CutPrefix(s.Name, "dg_cache_"); ok {
+					addSample(wc.Caches, s.Labels["cache"], strings.TrimSuffix(family, "_total"), int64(s.Value))
+				}
+				switch s.Name {
+				case "dg_analytics_duration_seconds_count":
+					addSample(wc.Analytics, s.Labels["kind"], "count", int64(s.Value))
+				case "dg_analytics_duration_seconds_sum":
+					addSample(wc.Analytics, s.Labels["kind"], "sum_us", int64(s.Value*1e6))
+				}
+			}
+			out = append(out, wc)
+		}
+	}
+	return out
 }
 
 // Close tears the whole cluster down and removes a temp WAL dir.

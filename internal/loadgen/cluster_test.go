@@ -2,6 +2,8 @@ package loadgen
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -60,6 +62,77 @@ func TestClusterChaosSmoke(t *testing.T) {
 	for _, name := range sc.Endpoints() {
 		if ep := res.Endpoints[name]; ep == nil || ep.Count == 0 {
 			t.Errorf("endpoint %s recorded nothing", name)
+		}
+	}
+	if len(res.Workers) != 4 {
+		t.Errorf("scraped %d workers, want 4", len(res.Workers))
+	}
+	for _, wc := range res.Workers {
+		if (wc.Worker == "p1-m0") != (wc.Note != "") {
+			t.Errorf("worker %s scraped with note %q; only the killed p1-m0 has one", wc.Worker, wc.Note)
+		}
+	}
+}
+
+// TestClusterWorkerScrape: a run on a launched cluster reports every
+// worker's own cache levels and analytics timings — the series the
+// coordinator's scrape cannot show.
+func TestClusterWorkerScrape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a 2x1 cluster")
+	}
+	cluster, err := LaunchCluster(ClusterConfig{
+		Partitions: 2, Replicas: 1,
+		PreloadAuthors: 60,
+		Seed:           3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	sc, err := ParseScenario([]byte(`{
+		"name": "worker-scrape",
+		"seed": 3,
+		"clients": 2,
+		"duration": "1s",
+		"warmup": "100ms",
+		"mix": {"snapshot": 1, "analytics": 2}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), sc, Options{
+		Target:  cluster.URL(),
+		Chaos:   cluster,
+		TimeMax: cluster.TimeMax(),
+		NodeMax: cluster.NodeMax(),
+		Logf:    t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Workers) != 2 {
+		t.Fatalf("scraped %d workers, want 2", len(res.Workers))
+	}
+	for _, wc := range res.Workers {
+		if wc.Note != "" {
+			t.Fatalf("worker %s not scraped: %s", wc.Worker, wc.Note)
+		}
+		if levels := slices.Sorted(maps.Keys(wc.Caches)); !slices.Equal(levels, []string{"encoded", "flight", "view"}) {
+			t.Errorf("worker %s cache levels %v, want encoded, flight and view", wc.Worker, levels)
+		}
+		if v := wc.Caches["view"]; v["hits"]+v["misses"] == 0 {
+			t.Errorf("worker %s view level saw no lookups: %v", wc.Worker, v)
+		}
+		scans := int64(0)
+		for kind, a := range wc.Analytics {
+			if a["count"] < 1 || a["sum_us"] <= 0 {
+				t.Errorf("worker %s analytics %s: count %d, sum %d us", wc.Worker, kind, a["count"], a["sum_us"])
+			}
+			scans += a["count"]
+		}
+		if scans == 0 {
+			t.Errorf("worker %s ran no analytics: %v", wc.Worker, wc.Analytics)
 		}
 	}
 }

@@ -5,9 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,7 +44,8 @@ type Options struct {
 	// a single server).
 	Target string
 	// Chaos executes the scenario's chaos events; nil with a chaotic
-	// scenario is an error.
+	// scenario is an error. A launched *Cluster also has every worker's
+	// /metrics scraped into Result.Workers after the run.
 	Chaos Chaos
 	// TimeMax / NodeMax bound the read domains when the scenario leaves
 	// them 0 (launch mode learns them from the preload).
@@ -115,6 +117,9 @@ type Result struct {
 	Endpoints      map[string]*EndpointStats `json:"endpoints"`
 	ChaosApplied   []string                  `json:"chaos_applied,omitempty"`
 	Server         *ServerCheck              `json:"server_check,omitempty"`
+	// Workers is each worker's own scrape when the run's Chaos is a
+	// launched Cluster; empty in attach mode.
+	Workers []WorkerCheck `json:"workers,omitempty"`
 }
 
 // GateErrors returns a non-nil error when the run should fail a CI
@@ -398,6 +403,9 @@ func Run(ctx context.Context, sc *Scenario, opts Options) (*Result, error) {
 		res.AchievedRPS = float64(successes) / measured
 	}
 	res.Server = scrapeCheck(ctx, hc, opts.Target, names, successes)
+	if cluster, ok := opts.Chaos.(*Cluster); ok {
+		res.Workers = cluster.scrapeWorkers(ctx, hc)
+	}
 	return res, nil
 }
 
@@ -731,27 +739,9 @@ func allStampRace(partial []wire.PartitionError) bool {
 // endpoints.
 func scrapeCheck(ctx context.Context, hc *http.Client, target string, endpoints []string, clientMeasured int64) *ServerCheck {
 	check := &ServerCheck{ClientMeasured: clientMeasured}
-	rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, strings.TrimRight(target, "/")+"/metrics", nil)
+	samples, err := scrape(ctx, hc, target)
 	if err != nil {
 		check.Note = err.Error()
-		return check
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		check.Note = "scrape failed: " + err.Error()
-		return check
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil || resp.StatusCode != http.StatusOK {
-		check.Note = fmt.Sprintf("scrape failed: HTTP %d", resp.StatusCode)
-		return check
-	}
-	samples, err := metrics.Parse(string(body))
-	if err != nil {
-		check.Note = "scrape parse: " + err.Error()
 		return check
 	}
 	driven := map[string]bool{}
@@ -772,20 +762,11 @@ func scrapeCheck(ctx context.Context, hc *http.Client, target string, endpoints 
 	// Aggregate the duration histogram across the driven endpoints: the
 	// _bucket series share bounds, so summing per-le then extracting the
 	// quantile is exact.
-	type bk struct {
-		le  float64
-		sum uint64
-	}
 	leSums := map[float64]uint64{}
 	check.Caches = map[string]map[string]int64{}
 	for _, s := range samples {
 		if family, ok := strings.CutPrefix(s.Name, "dg_cache_"); ok {
-			level := check.Caches[s.Labels["cache"]]
-			if level == nil {
-				level = map[string]int64{}
-				check.Caches[s.Labels["cache"]] = level
-			}
-			level[strings.TrimSuffix(family, "_total")] = int64(s.Value)
+			addSample(check.Caches, s.Labels["cache"], strings.TrimSuffix(family, "_total"), int64(s.Value))
 			continue
 		}
 		switch s.Name {
@@ -803,28 +784,48 @@ func scrapeCheck(ctx context.Context, hc *http.Client, target string, endpoints 
 	}
 	check.Scraped = true
 	check.Consistent = check.Requests2xx >= clientMeasured
-	if len(leSums) > 0 {
-		var bks []bk
-		for le, sum := range leSums {
-			bks = append(bks, bk{le, sum})
+	// The +Inf bucket (infLE) sorts last: the rest are the bounds.
+	if les := slices.Sorted(maps.Keys(leSums)); len(les) > 0 && les[len(les)-1] == infLE {
+		cum := make([]uint64, len(les))
+		for i, le := range les {
+			cum[i] = leSums[le]
 		}
-		sort.Slice(bks, func(i, j int) bool { return bks[i].le < bks[j].le })
-		var bounds []float64
-		var cum []uint64
-		for _, b := range bks {
-			if b.le == infLE {
-				cum = append(cum, b.sum)
-				continue
-			}
-			bounds = append(bounds, b.le)
-			cum = append(cum, b.sum)
-		}
-		if len(cum) == len(bounds)+1 {
-			check.P50Ms = metrics.BucketQuantile(0.50, bounds, cum) * 1000
-			check.P99Ms = metrics.BucketQuantile(0.99, bounds, cum) * 1000
-		}
+		check.P50Ms = metrics.BucketQuantile(0.50, les[:len(les)-1], cum) * 1000
+		check.P99Ms = metrics.BucketQuantile(0.99, les[:len(les)-1], cum) * 1000
 	}
 	return check
+}
+
+// scrape fetches and parses base's /metrics exposition.
+func scrape(ctx context.Context, hc *http.Client, base string) ([]metrics.Sample, error) {
+	rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(rctx, http.MethodGet, strings.TrimRight(base, "/")+"/metrics", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("scrape failed: %w", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("scrape failed: HTTP %d", resp.StatusCode)
+	}
+	samples, err := metrics.Parse(string(body))
+	if err != nil {
+		return nil, fmt.Errorf("scrape parse: %w", err)
+	}
+	return samples, nil
+}
+
+// addSample sets m[key][family] to v, adding m[key] when absent.
+func addSample(m map[string]map[string]int64, key, family string, v int64) {
+	if m[key] == nil {
+		m[key] = map[string]int64{}
+	}
+	m[key][family] = v
 }
 
 // infLE stands in for +Inf in the le sort (larger than any real bound).

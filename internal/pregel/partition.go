@@ -64,9 +64,9 @@ type PartitionPageRank struct {
 }
 
 // NewPartitionPageRank loads the owned existing vertices of g and their
-// locally visible adjacency. Rows are copied, so g may be released (or
-// evicted from the CSR cache) once the constructor returns: a job reads
-// its graph once, here, and every superstep runs over its own rows.
+// locally visible adjacency. Rows are copied, so g may be dropped once the
+// constructor returns: a job reads its graph once, here, and every
+// superstep runs over its own rows.
 func NewPartitionPageRank(g Graph, parts, self int, damping float64) *PartitionPageRank {
 	p := &PartitionPageRank{
 		damping: damping, parts: parts, self: self,

@@ -7,10 +7,10 @@ package server
 // byte. Sharded, the coordinator adds parts/self query parameters and the
 // handler answers the raw mergeable part instead.
 //
-// Scans run over a materialized CSR snapshot (internal/csr) cached beside
-// the view cache under the same generation guard; evolution diffs two
-// pinned views directly because it needs edge identity, which the CSR
-// drops.
+// A scan builds a CSR (internal/csr) from the view Server.acquire
+// returns, so it shares the view cache, flight group and invalidation
+// pass with /snapshot; evolution diffs two pinned views directly because
+// it needs edge identity, which the CSR drops.
 
 import (
 	"fmt"
@@ -22,16 +22,11 @@ import (
 
 	"historygraph"
 	"historygraph/internal/analytics"
-	"historygraph/internal/cache"
 	"historygraph/internal/csr"
 	"historygraph/internal/metrics"
 	"historygraph/internal/pregel"
 	"historygraph/internal/wire"
 )
-
-// DefaultCSRCacheSize is the CSR cache capacity when Config.CSRCacheSize
-// is zero.
-const DefaultCSRCacheSize = 16
 
 // prJobTTL is how long an idle PageRank partition job survives between
 // steps before the prune pass reclaims it — the backstop for jobs whose
@@ -48,11 +43,9 @@ type prJob struct {
 	last time.Time
 }
 
-// analyticsState is the server's analytics plane: the CSR cache and the
-// PageRank partition job table.
+// analyticsState is the server's analytics plane: the PageRank partition
+// job table and the analytics metrics.
 type analyticsState struct {
-	csr *cache.Cache[*csr.Graph] // materialized CSRs, keyed like the view cache
-
 	mu   sync.Mutex
 	jobs map[string]*prJob
 
@@ -61,37 +54,17 @@ type analyticsState struct {
 	supersteps *metrics.Counter
 }
 
-// acquireCSR returns the CSR snapshot for (t, attrs), built from a pinned
-// view on miss and cached under the view cache's invalidation rules.
-// Concurrent identical builds coalesce on the flight group.
-func (s *Server) acquireCSR(t historygraph.Time, attrs string) (*csr.Graph, bool, error) {
-	key := "csr|" + cacheKey(t, attrs)
-	if g, ok := s.an.csr.Get(key); ok {
-		return g, true, nil
-	}
-	v, _, err := s.flights.Do(key, func() (any, error) {
-		gen := s.an.csr.Gen()
-		g, depCur, err := s.buildCSR(t, attrs)
-		if err != nil {
-			return nil, err
-		}
-		s.an.csr.Insert(key, cache.Entry[*csr.Graph]{At: t, DepCur: depCur, Value: g}, gen)
-		return g, nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return v.(*csr.Graph), false, nil
-}
-
-// buildCSR materializes one CSR from a freshly acquired view.
-func (s *Server) buildCSR(t historygraph.Time, attrs string) (*csr.Graph, bool, error) {
-	h, release, _, _, err := s.acquire(t, attrs)
+// scanCSR builds the CSR a scan reads at (t, attrs) from an acquired
+// view, annotates the trace with the view's cache verdict as /snapshot
+// does, and reports whether the view was a cache hit.
+func (s *Server) scanCSR(r *http.Request, t historygraph.Time, attrs string) (*csr.Graph, bool, error) {
+	h, release, cached, coalesced, err := s.acquire(t, attrs)
 	if err != nil {
 		return nil, false, err
 	}
 	defer release()
-	return csr.Build(h), h.DependsOnCurrent(), nil
+	annotateView(r, cached, coalesced)
+	return csr.Build(h), cached, nil
 }
 
 // readParts parses the parameters that mark a coordinator leg — parts and
@@ -112,11 +85,11 @@ func readParts(w http.ResponseWriter, v url.Values) (parts, self int, ok bool) {
 
 // scanHandler is the one CSR scan endpoint behind /analytics/degree and
 // /analytics/components, which differ only in the reduction: partOf
-// reduces the cached CSR to this partition's mergeable part, cached
-// locates the part's Cached flag, and merge folds parts into the
-// response. A coordinator leg (parts > 1) is answered the raw part; an
-// unsharded request merges its single part through the same merge the
-// coordinator runs over many.
+// reduces the scan's CSR to this partition's mergeable part, cached
+// locates the part's Cached flag (set on a view-cache hit), and merge
+// folds parts into the response. A coordinator leg (parts > 1) is
+// answered the raw part; an unsharded request merges its single part
+// through the same merge the coordinator runs over many.
 func scanHandler[P, M any](s *Server, kind string,
 	partOf func(g analytics.RowGraph, at historygraph.Time, parts, self int) *P,
 	cached func(*P) *bool, merge func(at int64, parts []*P) *M) http.HandlerFunc {
@@ -130,12 +103,11 @@ func scanHandler[P, M any](s *Server, kind string,
 			return
 		}
 		s.observeAnalytics(kind, func() error {
-			g, hit, err := s.acquireCSR(q.T, q.Attrs)
+			g, hit, err := s.scanCSR(r, q.T, q.Attrs)
 			if err != nil {
 				WriteError(w, http.StatusUnprocessableEntity, err)
 				return err
 			}
-			annotateCSR(r, hit)
 			part := partOf(g, q.T, parts, self)
 			*cached(part) = hit
 			if parts > 1 {
@@ -227,12 +199,11 @@ func (s *Server) handleAnalyticsPageRank(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	s.observeAnalytics("pagerank", func() error {
-		g, cached, err := s.acquireCSR(historygraph.Time(req.T), req.Attrs)
+		g, _, err := s.scanCSR(r, historygraph.Time(req.T), req.Attrs)
 		if err != nil {
 			WriteError(w, http.StatusUnprocessableEntity, err)
 			return err
 		}
-		annotateCSR(r, cached)
 		top := pregel.PageRank(g, req.Damping, req.Iterations, req.TopK)
 		s.an.supersteps.Add(int64(req.Iterations + 1))
 		WriteWire(w, r, http.StatusOK, wire.PageRankResult{
@@ -265,12 +236,11 @@ func (s *Server) handlePRPrepare(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad prepare job/parts/self"))
 		return
 	}
-	g, cached, err := s.acquireCSR(historygraph.Time(req.T), req.Attrs)
+	g, _, err := s.scanCSR(r, historygraph.Time(req.T), req.Attrs)
 	if err != nil {
 		WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	annotateCSR(r, cached)
 	pr := pregel.NewPartitionPageRank(g, req.Parts, req.Self, req.Damping)
 	pairs := analytics.BoundaryPairs(g, req.Parts, req.Self)
 	s.an.mu.Lock()
@@ -359,13 +329,4 @@ func (s *Server) observeAnalytics(kind string, fn func() error) {
 	}
 	s.an.jobsTotal.With(kind, status).Inc()
 	s.an.durations.With(kind).Observe(time.Since(start).Seconds())
-}
-
-// annotateCSR tags the request trace with the CSR cache verdict.
-func annotateCSR(r *http.Request, cached bool) {
-	if cached {
-		Annotate(r.Context(), "csr", "hit")
-	} else {
-		Annotate(r.Context(), "csr", "miss")
-	}
 }

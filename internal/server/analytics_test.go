@@ -228,9 +228,10 @@ func TestPageRankRequestBounds(t *testing.T) {
 	}
 }
 
-// TestAnalyticsCSRCacheInvalidation: the second scan hits the cached CSR
-// (Cached flips on), and an append at an earlier timepoint evicts it.
-func TestAnalyticsCSRCacheInvalidation(t *testing.T) {
+// TestAnalyticsViewCacheInvalidation: a scan reads through the view
+// cache — the repeat scan's view is a hit (Cached flips on) — and an
+// append at an earlier timepoint evicts the view it read.
+func TestAnalyticsViewCacheInvalidation(t *testing.T) {
 	gm := newTestManager(t)
 	_, client := newTestServer(t, gm, Config{})
 	mid := gm.LastTime() / 2
@@ -241,18 +242,18 @@ func TestAnalyticsCSRCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if first.Cached {
-		t.Fatal("first scan reported a CSR cache hit")
+		t.Fatal("first scan reported a view-cache hit")
 	}
 	second, err := client.AnalyticsDegreeCtx(ctx, mid, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !second.Cached {
-		t.Fatal("repeat scan missed the CSR cache")
+		t.Fatal("repeat scan missed the view cache")
 	}
 
-	// Warm a second CSR at a timepoint past the frontier, then append
-	// below it: the frontier CSR must be rebuilt, the historical one kept.
+	// Warm a second view at a timepoint past the frontier, then append
+	// below it: the frontier view must be rebuilt, the historical one kept.
 	future := gm.LastTime() + 10
 	atFuture, err := client.AnalyticsDegreeCtx(ctx, future, "")
 	if err != nil {
@@ -268,14 +269,14 @@ func TestAnalyticsCSRCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !third.Cached {
-		t.Fatal("append after t must not evict the CSR at t")
+		t.Fatal("append after t must not evict the view at t")
 	}
 	fourth, err := client.AnalyticsDegreeCtx(ctx, future, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fourth.Cached {
-		t.Fatal("append at or below t must evict the CSR at t")
+		t.Fatal("append at or below t must evict the view at t")
 	}
 	if fourth.NumNodes != atFuture.NumNodes+1 {
 		t.Fatalf("rebuilt scan has %d nodes, want %d", fourth.NumNodes, atFuture.NumNodes+1)

@@ -448,17 +448,6 @@ func (c *Client) StatsCtx(ctx context.Context) (*wire.Stats, error) {
 	return getAs[wire.Stats](c, ctx, "/stats", nil)
 }
 
-// Health checks GET /healthz; nil means the server answered ok.
-func (c *Client) Health() error {
-	return c.HealthCtx(context.Background())
-}
-
-// HealthCtx is Health bounded by a context.
-func (c *Client) HealthCtx(ctx context.Context) error {
-	var out map[string]any
-	return c.get(ctx, "/healthz", nil, &out)
-}
-
 // ReadyCtx checks GET /readyz; nil means the server is ready to take
 // traffic (for a replica node: in sync with its primary).
 func (c *Client) ReadyCtx(ctx context.Context) error {

@@ -15,7 +15,6 @@ import (
 	"historygraph"
 	"historygraph/internal/analytics"
 	"historygraph/internal/cache"
-	"historygraph/internal/csr"
 	"historygraph/internal/graph"
 	"historygraph/internal/metrics"
 	"historygraph/internal/wire"
@@ -32,11 +31,6 @@ type Config struct {
 	// encode work. A body is admitted on its key's second request.
 	// 0 picks the default (64); negative disables it.
 	EncodedCacheSize int
-	// CSRCacheSize is the capacity of the materialized-CSR cache the
-	// /analytics scan path reads (one entry per timepoint+attrs, built
-	// from a pinned view, invalidated exactly like the view cache).
-	// 0 picks the default (16); negative disables it.
-	CSRCacheSize int
 	// StreamRun is how many elements one chunked-stream frame carries on
 	// the streaming /snapshot path; peak response-build memory is
 	// proportional to it. 0 picks wire.DefaultRunSize.
@@ -65,7 +59,7 @@ type Server struct {
 	// The cache levels (internal/cache); a nil one is disabled and inert.
 	cache   snapCache      // pinned pool views, keyed by cacheKey
 	enc     BodyCache      // encoded /snapshot bodies, keyed by encKey; counts every snapshot-body encode
-	an      analyticsState // analytics plane: CSR cache + PageRank jobs
+	an      analyticsState // analytics plane: PageRank jobs + metrics
 	flights FlightGroup
 	mux     *http.ServeMux
 	runSize int // elements per chunked-stream frame (0: the wire default)
@@ -119,7 +113,6 @@ func New(gm *historygraph.GraphManager, cfg Config) *Server {
 		Cache:   cache.New(lv, "encoded", cfg.EncodedCacheSize, DefaultEncodedCacheSize, cache.Options[cache.Body]{SecondRequest: true}),
 		Encodes: reg.Counter("dg_encodes_total", "Snapshot response-body encode executions."),
 	}
-	s.an.csr = cache.New(lv, "csr", cfg.CSRCacheSize, DefaultCSRCacheSize, cache.Options[*csr.Graph]{})
 	s.an.jobs = make(map[string]*prJob)
 	s.an.jobsTotal = reg.CounterVec("dg_analytics_jobs_total",
 		"Analytics executions by kind and terminal status.", "kind", "status")
@@ -229,7 +222,6 @@ func (s *Server) Close() { s.invalidate(cache.AllTime) }
 // append, a store swap or a shutdown made stale.
 func (s *Server) invalidate(t historygraph.Time) int {
 	s.enc.InvalidateFrom(t)
-	s.an.csr.InvalidateFrom(t)
 	return s.cache.InvalidateFrom(t)
 }
 
@@ -322,6 +314,18 @@ func (s *Server) acquire(t historygraph.Time, attrs string) (h *historygraph.His
 	return h, func() { gm.Release(h) }, false, shared, nil
 }
 
+// annotateView tags the request trace with acquire's view-cache verdict.
+func annotateView(r *http.Request, cached, coalesced bool) {
+	switch {
+	case cached:
+		Annotate(r.Context(), "cache", "view-hit")
+	case coalesced:
+		Annotate(r.Context(), "cache", "coalesced")
+	default:
+		Annotate(r.Context(), "cache", "miss")
+	}
+}
+
 // encKey identifies one encoded /snapshot body in the encoded-bytes
 // cache: the view key plus the response shape (full or counts-only) and
 // the encoding it was serialized with.
@@ -373,16 +377,11 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	switch {
-	case cached:
-		Annotate(r.Context(), "cache", "view-hit")
-	case coalesced:
-		Annotate(r.Context(), "cache", "coalesced")
+	annotateView(r, cached, coalesced)
+	if coalesced {
 		// Coalesced waiters leave caching to the flight leader, like the
 		// coordinator's merged-response cache.
 		ekey = ""
-	default:
-		Annotate(r.Context(), "cache", "miss")
 	}
 	own := s.ownership()
 	if stream {
@@ -595,7 +594,7 @@ func (s *Server) ApplyEvents(events historygraph.EventList) (wire.AppendResult, 
 	}
 	applied, appendErr := gm.AppendAllCounted(events)
 	// Invalidated counts evicted *views*, as it always has; the encoded
-	// bodies and CSRs projected from them go in the same pass.
+	// bodies projected from them go in the same pass.
 	invalidated := 0
 	if len(events) > 0 {
 		invalidated = s.invalidate(minAt)

@@ -103,8 +103,8 @@ func (s *Server) ownership() *slotOwnership { return s.slots.Load() }
 // SetSlots installs a slot-ownership state. Encoded response bodies were
 // built under the previous ownership, so the encoded-bytes cache is
 // dropped wholesale (the generation bump also refuses in-flight inserts);
-// pinned views and CSRs are ownership-agnostic — filtering happens at
-// response build — and survive.
+// pinned views are ownership-agnostic — filtering happens at response
+// build — and survive.
 func (s *Server) SetSlots(cfg SlotsJSON) error {
 	own := &slotOwnership{epoch: cfg.Epoch, all: cfg.All}
 	count := 0

@@ -266,10 +266,10 @@ func prPhase[T any](co *Coordinator, rt *routing, parent context.Context, sticky
 }
 
 // runPageRank drives one distributed PageRank job end to end: prepare
-// (pin a CSR per partition, gather vertex counts and boundary pairs),
-// start (ship the global count and each partition's ghost pairs), then
-// iterations+1 supersteps with the coordinator as the message barrier,
-// the last one collecting each partition's top-K.
+// (load each partition's job from a CSR, gather vertex counts and
+// boundary pairs), start (ship the global count and each partition's
+// ghost pairs), then iterations+1 supersteps with the coordinator as the
+// message barrier, the last one collecting each partition's top-K.
 func (co *Coordinator) runPageRank(ctx context.Context, req wire.PageRankRequest) (*wire.PageRankResult, error) {
 	jobID := newBatchID()
 	if jobID == "" {

@@ -21,9 +21,6 @@ import (
 // NumSlots aliases the shared slot-space size.
 const NumSlots = graph.NumSlots
 
-// SlotOf returns the slot a node hashes into.
-func SlotOf(n historygraph.NodeID) int { return graph.Slot(n) }
-
 // SlotOfEvent returns the slot that owns an event (edge events hash by
 // their From endpoint, same as PartitionOf).
 func SlotOfEvent(ev historygraph.Event) int { return graph.SlotOfEvent(ev) }

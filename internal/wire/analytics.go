@@ -37,7 +37,8 @@ const (
 // DegreePart is one partition's slice of a degree-distribution scan:
 // every node this partition owns with its same-partition distinct
 // neighbor count, plus the cross-partition pairs whose +1s the
-// coordinator applies after global deduplication.
+// coordinator applies after global deduplication. Cached reports that the
+// scan's view was a view-cache hit, in ComponentsPart too.
 type DegreePart struct {
 	At     int64   `json:"at"`
 	Nodes  []int64 `json:"nodes"`           // owned node IDs, ascending
