@@ -110,6 +110,7 @@ func main() {
 			fmt.Printf(format+"\n", args...)
 		},
 	}
+	var cluster *loadgen.Cluster
 	if *launch != "" {
 		p, r, err := parseShape(*launch)
 		if err != nil {
@@ -117,7 +118,7 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Printf("dgtraffic: launching a %dx%d cluster...\n", p, r)
-		cluster, err := loadgen.LaunchCluster(loadgen.ClusterConfig{
+		cluster, err = loadgen.LaunchCluster(loadgen.ClusterConfig{
 			Partitions: p, Replicas: r,
 			PreloadAuthors: *preload,
 			Seed:           sc.Seed,
@@ -143,6 +144,9 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dgtraffic: %v\n", err)
 		os.Exit(1)
+	}
+	if cluster != nil {
+		res.Workers = cluster.ScrapeWorkers(ctx)
 	}
 	printSummary(res)
 

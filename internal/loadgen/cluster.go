@@ -370,9 +370,10 @@ type WorkerCheck struct {
 	Note      string                      `json:"note,omitempty"`
 }
 
-// scrapeWorkers reads every launched worker's /metrics, warmup included.
-// A killed worker keeps only a note.
-func (c *Cluster) scrapeWorkers(ctx context.Context, hc *http.Client) []WorkerCheck {
+// ScrapeWorkers reads every launched worker's /metrics, for
+// Result.Workers after a run (warmup included). A killed worker keeps
+// only a note.
+func (c *Cluster) ScrapeWorkers(ctx context.Context) []WorkerCheck {
 	c.mu.Lock()
 	sets := c.workers
 	c.mu.Unlock()
@@ -381,7 +382,7 @@ func (c *Cluster) scrapeWorkers(ctx context.Context, hc *http.Client) []WorkerCh
 		for m, w := range set {
 			wc := WorkerCheck{Worker: fmt.Sprintf("p%d-m%d", p, m),
 				Caches: map[string]map[string]int64{}, Analytics: map[string]map[string]int64{}}
-			samples, err := scrape(ctx, hc, w.url)
+			samples, err := scrape(ctx, http.DefaultClient, w.url)
 			if err != nil {
 				wc.Note = err.Error()
 			}

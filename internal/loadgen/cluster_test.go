@@ -64,19 +64,20 @@ func TestClusterChaosSmoke(t *testing.T) {
 			t.Errorf("endpoint %s recorded nothing", name)
 		}
 	}
-	if len(res.Workers) != 4 {
-		t.Errorf("scraped %d workers, want 4", len(res.Workers))
+	workers := cluster.ScrapeWorkers(context.Background())
+	if len(workers) != 4 {
+		t.Errorf("scraped %d workers, want 4", len(workers))
 	}
-	for _, wc := range res.Workers {
+	for _, wc := range workers {
 		if (wc.Worker == "p1-m0") != (wc.Note != "") {
 			t.Errorf("worker %s scraped with note %q; only the killed p1-m0 has one", wc.Worker, wc.Note)
 		}
 	}
 }
 
-// TestClusterWorkerScrape: a run on a launched cluster reports every
-// worker's own cache levels and analytics timings — the series the
-// coordinator's scrape cannot show.
+// TestClusterWorkerScrape: after a run on a launched cluster,
+// ScrapeWorkers reports every worker's own cache levels and analytics
+// timings — the series the coordinator's scrape cannot show.
 func TestClusterWorkerScrape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a 2x1 cluster")
@@ -101,20 +102,19 @@ func TestClusterWorkerScrape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), sc, Options{
+	if _, err := Run(context.Background(), sc, Options{
 		Target:  cluster.URL(),
-		Chaos:   cluster,
 		TimeMax: cluster.TimeMax(),
 		NodeMax: cluster.NodeMax(),
 		Logf:    t.Logf,
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Workers) != 2 {
-		t.Fatalf("scraped %d workers, want 2", len(res.Workers))
+	workers := cluster.ScrapeWorkers(context.Background())
+	if len(workers) != 2 {
+		t.Fatalf("scraped %d workers, want 2", len(workers))
 	}
-	for _, wc := range res.Workers {
+	for _, wc := range workers {
 		if wc.Note != "" {
 			t.Fatalf("worker %s not scraped: %s", wc.Worker, wc.Note)
 		}

@@ -44,8 +44,7 @@ type Options struct {
 	// a single server).
 	Target string
 	// Chaos executes the scenario's chaos events; nil with a chaotic
-	// scenario is an error. A launched *Cluster also has every worker's
-	// /metrics scraped into Result.Workers after the run.
+	// scenario is an error.
 	Chaos Chaos
 	// TimeMax / NodeMax bound the read domains when the scenario leaves
 	// them 0 (launch mode learns them from the preload).
@@ -117,8 +116,8 @@ type Result struct {
 	Endpoints      map[string]*EndpointStats `json:"endpoints"`
 	ChaosApplied   []string                  `json:"chaos_applied,omitempty"`
 	Server         *ServerCheck              `json:"server_check,omitempty"`
-	// Workers is each worker's own scrape when the run's Chaos is a
-	// launched Cluster; empty in attach mode.
+	// Workers is each launched worker's own scrape, which a caller
+	// holding the Cluster sets after Run (Cluster.ScrapeWorkers).
 	Workers []WorkerCheck `json:"workers,omitempty"`
 }
 
@@ -403,9 +402,6 @@ func Run(ctx context.Context, sc *Scenario, opts Options) (*Result, error) {
 		res.AchievedRPS = float64(successes) / measured
 	}
 	res.Server = scrapeCheck(ctx, hc, opts.Target, names, successes)
-	if cluster, ok := opts.Chaos.(*Cluster); ok {
-		res.Workers = cluster.scrapeWorkers(ctx, hc)
-	}
 	return res, nil
 }
 
