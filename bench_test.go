@@ -748,6 +748,94 @@ func BenchmarkShardSnapshot(b *testing.B) {
 	})
 }
 
+// BenchmarkServerHerd is the witness for coalescing: each op has 16
+// clients read one cold past time at once (full=1, binary), over Dataset 1
+// at scale 2 and the default L, where a cold read costs milliseconds.
+// "single" is one server, whose flight group collapses the herd into one
+// retrieval; "sharded" is two partitions under a coordinator, whose flight
+// group collapses it before it fans out. Every op reads a time no earlier
+// op read. retrievals/op sums the workers' plan executions; fanouts/op
+// counts the coordinator's scatter-gathers.
+func BenchmarkServerHerd(b *testing.B) {
+	const herd = 16
+	d1, _ := datasets(2)
+	first, last := d1.Span()
+	for _, shape := range []struct {
+		name  string
+		parts int
+	}{{"single", 1}, {"sharded", 2}} {
+		for _, v := range []struct{ name, attrs string }{{"struct", ""}, {"attrs", "+node:all+edge:all"}} {
+			b.Run(shape.name+"/"+v.name, func(b *testing.B) {
+				parts := []graph.EventList{d1}
+				if shape.parts > 1 {
+					parts = shard.PartitionEvents(d1, shape.parts)
+				}
+				var workers []*server.Server
+				var urls []string
+				for _, slice := range parts {
+					gm, err := historygraph.BuildFrom(slice, historygraph.Options{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.Cleanup(func() { gm.Close() })
+					svc := server.New(gm, server.Config{})
+					httpSrv := httptest.NewServer(svc.Handler())
+					b.Cleanup(func() { httpSrv.Close(); svc.Close() })
+					workers, urls = append(workers, svc), append(urls, httpSrv.URL)
+				}
+				var co *shard.Coordinator
+				target := urls[0]
+				if shape.parts > 1 {
+					var err error
+					if co, err = shard.New(urls, shard.Config{}); err != nil {
+						b.Fatal(err)
+					}
+					b.Cleanup(co.Close)
+					front := httptest.NewServer(co.Handler())
+					b.Cleanup(front.Close)
+					target = front.URL
+				}
+				// One kept-alive connection a client, so no herd pays a dial.
+				hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: herd}}
+				b.Cleanup(hc.CloseIdleConnections)
+				client, err := server.NewClientHTTP(target, hc).SetWire("binary")
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					t := first + (last-first)*graph.Time(i+1)/graph.Time(b.N+1)
+					var wg sync.WaitGroup
+					var failed atomic.Int64
+					for range herd {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							if _, err := client.Snapshot(t, v.attrs, true); err != nil {
+								failed.Add(1)
+							}
+						}()
+					}
+					wg.Wait()
+					if n := failed.Load(); n > 0 {
+						b.Fatalf("%d of %d reads at %d failed", n, herd, t)
+					}
+				}
+				b.StopTimer()
+				var retrievals int64
+				for _, svc := range workers {
+					retrievals += svc.Retrievals()
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/1000/float64(b.N), "ms/op")
+				b.ReportMetric(float64(retrievals)/float64(b.N), "retrievals/op")
+				if co != nil {
+					b.ReportMetric(float64(co.Fanouts())/float64(b.N), "fanouts/op")
+				}
+			})
+		}
+	}
+}
+
 // walBatches cuts the repository benchmark's trace into the 256-event
 // batches its ingest-restart workload appends, and opens an empty WAL.
 func walBatches(b *testing.B) ([]graph.EventList, *replica.Log) {

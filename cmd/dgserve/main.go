@@ -93,7 +93,7 @@ func main() {
 	replicas := flag.Int("replicas", 0, "expected replicas per partition (coordinator role only; validates -peers)")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "replica health-check period (coordinator role only; 0 disables)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "max age of a merged-response cache entry (coordinator role only; 0 keeps entries until an append through this coordinator invalidates them — set when writers can reach partition primaries directly)")
-	encCache := flag.Int("enc-cache", server.DefaultEncodedCacheSize, "encoded-bytes cache capacity: fully encoded /snapshot bodies, admitted on a key's second request, served with zero re-encode on a hit (0 disables; worker/single role only; stays empty behind a coordinator with -cache > 0, whose /snapshot legs ask no-store)")
+	encCache := flag.Int("enc-cache", server.DefaultEncodedCacheSize, "encoded-bytes cache capacity: fully encoded /snapshot bodies, admitted on a key's second request, served with zero re-encode on a hit (0 disables; worker/single role only; bypassed behind a coordinator with -cache > 0, whose /snapshot legs ask no-store and are served with no lookup)")
 	walDir := flag.String("wal-dir", "", "directory for the durable write-ahead event log; enables WAL durability and the replication endpoints")
 	primary := flag.String("primary", "", "base URL of this replica's primary; makes the node a follower tailing that WAL (requires -wal-dir)")
 	syncFollowers := flag.Int("sync-followers", 0, "followers that must durably log a batch before the primary acks the append (requires -wal-dir)")

@@ -63,10 +63,3 @@ func (g *FlightGroup) Do(key string, fn func() (any, error)) (v any, shared bool
 	c.wg.Done()
 	return c.val, false, c.err
 }
-
-// InFlight returns the number of keys currently executing.
-func (g *FlightGroup) InFlight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.m)
-}

@@ -358,16 +358,17 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		name = wire.NameBinaryStream
 	}
 	ekey := encKey(q.T, q.Attrs, q.Full, name)
-	if s.enc.WriteHit(w, ekey) {
-		Annotate(r.Context(), "cache", "encoded-hit")
-		return
-	}
 	for d := range strings.SplitSeq(r.Header.Get("Cache-Control"), ",") {
 		if strings.EqualFold(strings.TrimSpace(d), "no-store") {
 			// The caller keeps the encoded answer (a coordinator's merged
-			// level): serve the same bytes, admit no second copy.
+			// level), so this level could never hold the body: serve the
+			// same bytes with no lookup, no counted miss and no admission.
 			ekey = ""
 		}
+	}
+	if ekey != "" && s.enc.WriteHit(w, ekey) {
+		Annotate(r.Context(), "cache", "encoded-hit")
+		return
 	}
 	// Snapshot the invalidation generation before the retrieval so a body
 	// built while an append overlapped cannot register as fresh.

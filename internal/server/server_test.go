@@ -286,10 +286,12 @@ func TestFlightGroup(t *testing.T) {
 	var executions atomic.Int64
 	gate := make(chan struct{})
 
+	entered := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
 		v, shared, err := g.Do("k", func() (any, error) {
 			executions.Add(1)
+			close(entered)
 			<-gate
 			return 7, nil
 		})
@@ -299,12 +301,10 @@ func TestFlightGroup(t *testing.T) {
 		}
 		leaderDone <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for g.InFlight() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("leader never entered flight")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("leader never entered flight")
 	}
 
 	const waiters = 8

@@ -155,12 +155,13 @@ func TestEncodedCacheHitZeroEncode(t *testing.T) {
 	}
 }
 
-// TestNoStoreServedNotAdmitted: a request carrying Cache-Control: no-store
-// is answered with the bytes an ordinary miss answers with, at one encode
-// and with nothing admitted; a later plain read misses, admits (the no-store
-// read was the key's first request), and then hits with Encodes flat. The
-// probe still runs for a no-store request, so a body admitted by a plain
-// read serves it too.
+// TestNoStoreServedNotAdmitted: a request carrying Cache-Control: no-store,
+// as a coordinator leg does, is answered with the bytes an ordinary miss
+// answers with, at one encode, with nothing admitted and without touching
+// the encoded level: no hit, miss or refusal is counted. It does not count
+// as a request of its key, so it takes two plain reads to admit, and a
+// third then hits with Encodes flat. A no-store read of an admitted body
+// encodes its own.
 func TestNoStoreServedNotAdmitted(t *testing.T) {
 	gm := newTestManager(t)
 	mid := strconv.FormatInt(int64(gm.LastTime()/2), 10)
@@ -196,16 +197,27 @@ func TestNoStoreServedNotAdmitted(t *testing.T) {
 		if d := svc.Encodes() - before; d != 1 {
 			t.Fatalf("%s: no-store miss ran %d encodes, want 1", accept, d)
 		}
+		st := svc.enc.Stats()
+		if refused := svc.Metrics().CounterVec("dg_cache_refused_total", "", "cache").With("encoded").Value(); st.Hits+st.Misses+refused != 0 {
+			t.Fatalf("%s: no-store read counted %d hits, %d misses, %d refused in the encoded level", accept, st.Hits, st.Misses, refused)
+		}
 
 		get(base, accept, "")
+		if n := svc.enc.Len(); n != 0 {
+			t.Fatalf("%s: first plain read after no-store admitted %d bodies, want 0", accept, n)
+		}
+		get(base, accept, "")
 		if n := svc.enc.Len(); n != 1 {
-			t.Fatalf("%s: plain read after no-store admitted %d bodies, want 1", accept, n)
+			t.Fatalf("%s: second plain read admitted %d bodies, want 1", accept, n)
 		}
 		steady := svc.Encodes()
 		get(base, accept, "")
-		get(base, accept, "no-store")
 		if svc.Encodes() != steady {
-			t.Fatalf("%s: reads of an admitted body encoded (%d -> %d)", accept, steady, svc.Encodes())
+			t.Fatalf("%s: a read of an admitted body encoded (%d -> %d)", accept, steady, svc.Encodes())
+		}
+		get(base, accept, "no-store")
+		if d := svc.Encodes() - steady; d != 1 {
+			t.Fatalf("%s: no-store read of an admitted body ran %d encodes, want 1", accept, d)
 		}
 	}
 }
